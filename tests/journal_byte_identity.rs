@@ -9,7 +9,12 @@
 //! * the RingNet journal digest is **pinned as a golden constant** per
 //!   `(seed, shard count)`, so a fabric change that perturbs so much as
 //!   one journal byte fails here, not in a downstream experiment;
-//! * telemetry on/off leaves the digest untouched, sequential and sharded.
+//! * telemetry on/off leaves the digest untouched, sequential and sharded;
+//! * two loss-free **multi-group** worlds are pinned by an *instant-
+//!   canonical* digest (entries sorted within equal timestamps), which a
+//!   change may leave alone while permuting what independent ring states do
+//!   at one simulated instant — and which is therefore the same number at
+//!   every shard count.
 //!
 //! The digest is FNV-1a over the `Debug` rendering of every `(time,
 //! event)` entry — stable, dependency-free, and sensitive to field order,
@@ -17,19 +22,45 @@
 
 use ringnet_repro::baselines::{FlatRingSim, RelmSim, TreeSim, TunnelSim, UnorderedSim};
 use ringnet_repro::core::driver::{MulticastSim, RunReport, Scenario, ScenarioBuilder};
-use ringnet_repro::core::RingNetSim;
+use ringnet_repro::core::{GroupId, RingNetSim};
 use ringnet_repro::simnet::{SimDuration, SimTime};
+
+/// FNV-1a over rendered journal lines.
+fn fnv1a<'a>(lines: impl IntoIterator<Item = &'a String>) -> u64 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for b in lines.into_iter().flat_map(|l| l.bytes()) {
+        h ^= b as u64;
+        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    h
+}
+
+fn rendered(report: &RunReport) -> Vec<String> {
+    report
+        .journal
+        .iter()
+        .map(|(t, e)| format!("{t:?}|{e:?}\n"))
+        .collect()
+}
 
 /// FNV-1a over the debug rendering of the journal.
 fn digest(report: &RunReport) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for (t, e) in &report.journal {
-        for b in format!("{t:?}|{e:?}\n").bytes() {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
+    fnv1a(&rendered(report))
+}
+
+/// The digest of the journal with the entries of each simulated instant
+/// sorted: what happened at every instant, not the order the simulator
+/// happened to emit it in.
+fn instant_canonical_digest(report: &RunReport) -> u64 {
+    let mut lines = rendered(report);
+    let mut start = 0;
+    for i in 1..=lines.len() {
+        if i == lines.len() || report.journal[i].0 != report.journal[start].0 {
+            lines[start..i].sort_unstable();
+            start = i;
         }
     }
-    h
+    fnv1a(&lines)
 }
 
 /// The shared world: 4 attachment points, 2 walkers each, one 50 msg/s
@@ -129,6 +160,79 @@ fn telemetry_on_off_digest_identical_sequential_and_sharded() {
             assert_eq!(
                 d_off, d_on,
                 "seed {seed}, {shards} shard(s): telemetry moved the journal"
+            );
+        }
+    }
+}
+
+/// Eight disjoint token rings over one physical core: the benchmark's
+/// `rings8_ctrl` shape (8 sources x 500 msg/s round-robin over 8 groups,
+/// every walker subscribed to all, `mq_capacity` 128), cut to 600 ms.
+fn rings8_world() -> Scenario {
+    let mut sc = ScenarioBuilder::new()
+        .attachments(8)
+        .walkers_per_attachment(1)
+        .sources(8)
+        .cbr(SimDuration::from_millis(2))
+        .groups((1..=8).map(GroupId).collect())
+        .window(SimTime::ZERO, Some(SimTime::from_millis(400)))
+        .loss_free_wireless()
+        .duration(SimTime::from_millis(600))
+        .build();
+    sc.cfg.mq_capacity = 128;
+    sc
+}
+
+/// The overlap-heavy fence world of `crates/bench/src/suites.rs`: four
+/// rings, every source addressing two adjacent groups, so every message is
+/// serialised by the cross-group fence and ordered on two rings.
+fn fence_overlap_world() -> Scenario {
+    let rings = 4u32;
+    let mut sc = ScenarioBuilder::new()
+        .attachments(8)
+        .walkers_per_attachment(1)
+        .sources(8)
+        .cbr(SimDuration::from_millis(2))
+        .groups((1..=rings).map(GroupId).collect())
+        .source_groups(
+            (0..8u32)
+                .map(|i| vec![GroupId(i % rings + 1), GroupId((i + 1) % rings + 1)])
+                .collect(),
+        )
+        .window(SimTime::ZERO, Some(SimTime::from_millis(400)))
+        .loss_free_wireless()
+        .duration(SimTime::from_millis(600))
+        .build();
+    sc.cfg.mq_capacity = 128;
+    sc
+}
+
+/// A named world and its pinned digest.
+type PinnedWorld = (&'static str, fn() -> Scenario, u64);
+
+/// Golden instant-canonical digests of the two multi-group worlds. Ring
+/// states of different groups share a node but not a bit of protocol
+/// state, so what they do within one simulated instant may be permuted by
+/// a transport change (and is, between shard counts) without changing
+/// what the protocol did; anything else moves these numbers.
+const GOLDEN_MULTIGROUP_INSTANT_DIGESTS: &[PinnedWorld] = &[
+    ("rings8", rings8_world, 0xc3eab3f309e6a5f4),
+    ("fence_overlap_4", fence_overlap_world, 0xc0fa607a8473d82e),
+];
+
+#[test]
+fn multigroup_instant_canonical_digest_is_pinned_at_one_and_two_shards() {
+    for &(name, world, want) in GOLDEN_MULTIGROUP_INSTANT_DIGESTS {
+        for shards in [1usize, 2] {
+            let mut sc = world();
+            sc.shards = shards;
+            let report = RingNetSim::run_scenario(&sc, 7);
+            assert!(report.metrics.delivered > 10_000, "{name}: world too quiet");
+            let got = instant_canonical_digest(&report);
+            assert_eq!(
+                got, want,
+                "{name}, {shards} shard(s): instant-canonical digest {got:#018x} != pinned \
+                 {want:#018x} — something other than the order of same-instant entries moved"
             );
         }
     }
