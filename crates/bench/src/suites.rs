@@ -223,57 +223,6 @@ fn full_sweep_scenario() -> Scenario {
         .build()
 }
 
-/// Recorded pre-copy-free-fabric baselines (best-of-3 release runs on the
-/// reference box, see the EXPERIMENTS.md hot-path table): wall-clock
-/// milliseconds for one run of the named `full_sweep` row. The copy-free
-/// fabric (ISSUE 10) is required to beat these by the factors asserted in
-/// [`assert_speedup`] calls below.
-const BASELINE_128_WALKERS_MS: f64 = 19.06;
-const BASELINE_MULTIGROUP_R4_MS: f64 = 57.30;
-
-/// Assert the just-benched `full_sweep/{name}` row beats `baseline_ms` by
-/// at least `factor`, judged on the minimum sample (the noise floor on a
-/// busy single-core box; the mean soaks up scheduler preemption). On a
-/// shared box even the min can be preempted across every sample, so a
-/// miss gets up to eight extra single-shot retries of `rerun` before the
-/// gate fails — one clean sample anywhere proves the speedup. Extra
-/// samples are folded back into the recorded row so the emitted JSON
-/// reflects everything that was measured. (The *deterministic* gate on
-/// this work is the allocation audit in `bin/hotpath.rs`; this wall gate
-/// exists so a genuine wall-clock regression still fails the suite.)
-fn assert_speedup<T>(
-    r: &mut Runner,
-    name: &str,
-    baseline_ms: f64,
-    factor: f64,
-    mut rerun: impl FnMut() -> T,
-) {
-    let idx = r
-        .results
-        .iter()
-        .rposition(|b| b.group == "full_sweep" && b.name == name)
-        .unwrap_or_else(|| panic!("row full_sweep/{name} must be benched before asserting on it"));
-    let ceiling = baseline_ms / factor;
-    let mut retries = 0u32;
-    while r.results[idx].min_ns / 1e6 > ceiling && retries < 8 {
-        let t0 = std::time::Instant::now();
-        black_box(rerun());
-        let ns = t0.elapsed().as_nanos() as f64;
-        let row = &mut r.results[idx];
-        row.mean_ns = (row.mean_ns * row.samples as f64 + ns) / (row.samples + 1) as f64;
-        row.min_ns = row.min_ns.min(ns);
-        row.samples += 1;
-        retries += 1;
-    }
-    let min_ms = r.results[idx].min_ns / 1e6;
-    assert!(
-        min_ms <= ceiling,
-        "full_sweep/{name}: best sample {min_ms:.2} ms (after {retries} retries) misses the \
-         required {factor}x speedup over the recorded {baseline_ms:.2} ms baseline \
-         (ceiling {ceiling:.2} ms)"
-    );
-}
-
 /// Full-sweep-scale benchmarks: `RunReport` construction over a journal in
 /// the hundreds of thousands of entries — the legacy multi-pass assembly
 /// vs the single-pass `MetricsAccumulator` — plus the end-to-end cost of a
@@ -317,13 +266,6 @@ pub fn full_sweep(r: &mut Runner) {
         "full_sweep",
         "ringnet_128_walkers_one_sim_second",
         None,
-        || black_box(RingNetSim::run_scenario(&one_sec, 7).metrics.delivered),
-    );
-    assert_speedup(
-        r,
-        "ringnet_128_walkers_one_sim_second",
-        BASELINE_128_WALKERS_MS,
-        1.4,
         || black_box(RingNetSim::run_scenario(&one_sec, 7).metrics.delivered),
     );
 
@@ -427,14 +369,6 @@ pub fn full_sweep(r: &mut Runner) {
             },
         );
     }
-    let sc4 = multigroup_scenario(4);
-    assert_speedup(
-        r,
-        "multigroup_throughput_rings_4",
-        BASELINE_MULTIGROUP_R4_MS,
-        1.3,
-        || black_box(RingNetSim::run_scenario(&sc4, 7).metrics.delivered),
-    );
     assert!(
         delivered_at_rings[&4] >= 3 * delivered_at_rings[&1],
         "4 rings must deliver ≥ 3× a saturated single ring at fixed offered \
@@ -443,15 +377,15 @@ pub fn full_sweep(r: &mut Runner) {
         delivered_at_rings[&1]
     );
 
-    // Per-ring wall cost: the root cause of the 8-ring wall-per-delivery
-    // degradation (EXPERIMENTS.md "Where the 8-ring wall goes"). At fixed
-    // offered load, app deliveries plateau once two rings carry the load,
-    // but every extra ring keeps its own token circulating and its own
-    // ack/PreOrder control chatter flowing — so wire packets per delivery
-    // grow with ring count while delivery payoff stays flat. This row pins
-    // the wire-packet throughput of the 8-ring run (per-packet cost is the
-    // flat part; the *count* is what grows), and the assertions pin the
-    // plateau-vs-control-growth signature itself.
+    // Per-ring control cost (EXPERIMENTS.md "What is left of the 8-ring
+    // wall"). At fixed offered load, app deliveries plateau once two rings
+    // carry the load, while every extra ring keeps its own token
+    // circulating and its own ack/PreOrder chatter flowing. Per-hop control
+    // framing puts everything one node says to one neighbour at one
+    // instant into one wire packet, so that chatter no longer costs a
+    // packet per ring: wire packets per delivery must not grow from 2 to 8
+    // rings. This row pins the wire-packet throughput of the 8-ring run,
+    // and the assertions pin the plateau and the scaling.
     {
         let sc = multigroup_scenario(8);
         let sent = sent_at_rings[&8];
@@ -472,12 +406,14 @@ pub fn full_sweep(r: &mut Runner) {
             delivered_at_rings[&8],
             delivered_at_rings[&2]
         );
+        let per_delivery =
+            |rings: u32| sent_at_rings[&rings] as f64 / delivered_at_rings[&rings] as f64;
         assert!(
-            sent_at_rings[&8] > sent_at_rings[&2],
-            "control growth: 8 rings must push more wire packets than 2 at fixed \
-             offered load (got {} vs {})",
-            sent_at_rings[&8],
-            sent_at_rings[&2]
+            per_delivery(8) <= 1.05 * per_delivery(2),
+            "control scaling: wire packets per delivery at 8 rings must stay within 5% \
+             of 2 rings at fixed offered load (got {:.3} vs {:.3})",
+            per_delivery(8),
+            per_delivery(2)
         );
     }
 

@@ -57,8 +57,6 @@ pub struct ProtocolConfig {
     /// How long a reservation-only AP keeps receiving the group without any
     /// attached member before pruning itself from the tree.
     pub reservation_ttl: SimDuration,
-    /// Application payload size in bytes (used by the wire-size model only).
-    pub payload_bytes: usize,
     /// How many token rotations a WTSNP entry is retained after assignment
     /// (§4.1 leaves the policy open; 2 guarantees every node sees the entry
     /// via either its new or old kept token — ablation knob A1).
@@ -95,7 +93,6 @@ impl Default for ProtocolConfig {
             record_ne_progress: false,
             reservation_radius: 1,
             reservation_ttl: SimDuration::from_secs(2),
-            payload_bytes: 512,
             wtsnp_retain_rotations: 2,
             keep_old_token: true,
             telemetry: false,

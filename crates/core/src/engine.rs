@@ -126,10 +126,11 @@ impl AddrMap {
     }
 }
 
-/// Wire-size model handed to `simnet` (charged against bandwidth models).
+/// Wire-size model handed to `simnet` (charged against bandwidth models;
+/// a burst is charged the sum over its members). The one place the
+/// application payload size lives: a fixed 512 bytes per payload-bearing
+/// message.
 pub fn wire_size(msg: &Msg) -> usize {
-    // Payload bytes are a fixed engine-level constant; experiments that
-    // exercise bandwidth models use it as the payload knob.
     msg.base_wire_size() + if msg.carries_payload() { 512 } else { 0 }
 }
 
@@ -220,6 +221,63 @@ fn is_fence_msg(msg: &Msg) -> bool {
     )
 }
 
+/// Per-hop control framing: the control-plane sends (`!carries_payload()`)
+/// of one handler invocation are held back, in emission order, and leave
+/// as **one wire packet per neighbour** ([`Ctx::send_burst`]) — eight ring
+/// states acknowledging the same next hop at the same instant share a
+/// packet instead of sending eight. Nothing is ever delayed: held sends go
+/// out before the handler returns, and ahead of any payload bound for the
+/// same neighbour, so every `(sender, receiver)` pair keeps its FIFO order.
+#[derive(Default)]
+struct Framer {
+    /// Held sends, in emission order.
+    held: Vec<(NodeAddr, Msg)>,
+    /// Reused buffer for the run being framed.
+    run: Vec<Msg>,
+}
+
+impl Framer {
+    /// Whether flushing `out` needs a framer at all: only when it has two
+    /// control-plane sends that could share a packet. The common flush has
+    /// one or none, and then sends it directly without touching the
+    /// framer (which lives boxed, off the actor's hot cache lines).
+    fn worth_it(out: &Outbox) -> bool {
+        let mut control = out
+            .iter()
+            .filter(|a| matches!(a, Action::Send { msg, .. } if !msg.carries_payload()));
+        control.nth(1).is_some()
+    }
+
+    /// Frame and send what is held for `dst` (a run of one is a plain
+    /// send), keeping the rest held in order.
+    fn release_to(&mut self, ctx: &mut Ctx<'_, Msg, ProtoEvent>, dst: NodeAddr) {
+        let members = self.held.extract_if(.., |(d, _)| *d == dst);
+        self.run.extend(members.map(|(_, msg)| msg));
+        ctx.send_burst(dst, &mut self.run);
+    }
+
+    /// Release the held sends bound for any of `dsts`: a payload is about
+    /// to follow them there.
+    fn release_ahead_of(&mut self, ctx: &mut Ctx<'_, Msg, ProtoEvent>, dsts: &[NodeAddr]) {
+        if self.held.is_empty() {
+            return; // `dsts` can be a wide fan-out
+        }
+        for &dst in dsts {
+            if self.held.iter().any(|(d, _)| *d == dst) {
+                self.release_to(ctx, dst);
+            }
+        }
+    }
+
+    /// Release everything held, one frame per neighbour in order of first
+    /// appearance.
+    fn release_all(&mut self, ctx: &mut Ctx<'_, Msg, ProtoEvent>) {
+        while let Some(&(dst, _)) = self.held.first() {
+            self.release_to(ctx, dst);
+        }
+    }
+}
+
 struct NeActor {
     /// One protocol state per declared group, in ascending group order —
     /// exactly one in single-group worlds. All states share the physical
@@ -230,6 +288,8 @@ struct NeActor {
     out: Outbox,
     /// Reused destination buffer for fan-out batching.
     dst_buf: Vec<NodeAddr>,
+    /// Control-plane sends awaiting per-hop framing.
+    framer: Box<Framer>,
     /// Whether the state at each position originates its group's token.
     originate: Vec<bool>,
     /// Crash-restart generation, encoded into every periodic-timer tag
@@ -246,6 +306,24 @@ struct NeActor {
 }
 
 impl NeActor {
+    fn new(
+        states: Vec<NeState>,
+        map: Arc<AddrMap>,
+        originate: Vec<bool>,
+        bank: Option<Arc<Mutex<TelemetryBank>>>,
+    ) -> Self {
+        NeActor {
+            states,
+            map,
+            out: Vec::with_capacity(32),
+            dst_buf: Vec::new(),
+            framer: Box::default(),
+            originate,
+            timer_gen: 0,
+            bank,
+        }
+    }
+
     fn my_id(&self) -> NodeId {
         self.states[0].id
     }
@@ -307,13 +385,22 @@ impl NeActor {
 
     fn flush(&mut self, ctx: &mut Ctx<'_, Msg, ProtoEvent>) {
         let me = Endpoint::Ne(self.my_id());
+        // Once a round engages the framer, later loopback rounds stay
+        // behind what it holds.
+        let mut framing = false;
         loop {
             let mut dsts = std::mem::take(&mut self.dst_buf);
             let mut loopback: Vec<Msg> = Vec::new();
+            framing = framing || Framer::worth_it(&self.out);
             let mut it = self.out.drain(..).peekable();
             while let Some(action) = it.next() {
                 match action {
                     Action::Record(ev) => ctx.record(ev),
+                    Action::Send { to, msg } if framing && !msg.carries_payload() => {
+                        if let Some(addr) = self.map.resolve(to) {
+                            self.framer.held.push((addr, msg));
+                        }
+                    }
                     Action::Send { to, msg } => {
                         dsts.clear();
                         let mut local = to == me && is_fence_msg(&msg);
@@ -338,6 +425,9 @@ impl NeActor {
                             } else if let Some(addr) = self.map.resolve(to) {
                                 dsts.push(addr);
                             }
+                        }
+                        if framing {
+                            self.framer.release_ahead_of(ctx, &dsts);
                         }
                         if local {
                             match dsts.as_slice() {
@@ -364,7 +454,7 @@ impl NeActor {
             drop(it);
             self.dst_buf = dsts;
             if loopback.is_empty() {
-                return;
+                break;
             }
             // Self-addressed fence traffic (sequencer and funnel on the
             // same node): re-dispatch at the same sim time, then drain
@@ -374,6 +464,9 @@ impl NeActor {
             for msg in loopback {
                 self.deliver(now, me, msg);
             }
+        }
+        if framing {
+            self.framer.release_all(ctx);
         }
     }
 }
@@ -423,6 +516,24 @@ impl Actor<Msg, ProtoEvent> for NeActor {
             // instead of doubling the tick chains.
             self.timer_gen += 1;
             self.arm_periodic(ctx);
+        }
+        self.flush(ctx);
+    }
+
+    /// A neighbour's control frame: every member goes to its group state,
+    /// then one flush — so the answers share a frame on the way back too.
+    /// (Frames carry protocol control only, never the engine stimuli
+    /// `on_packet` special-cases.)
+    fn on_burst(
+        &mut self,
+        ctx: &mut Ctx<'_, Msg, ProtoEvent>,
+        from: NodeAddr,
+        msgs: std::vec::Drain<'_, Msg>,
+    ) {
+        let from_ep = self.map.endpoint_of(from);
+        let now = ctx.now();
+        for msg in msgs {
+            self.deliver(now, from_ep, msg);
         }
         self.flush(ctx);
     }
@@ -489,6 +600,8 @@ struct MhActor {
     states: Vec<MhState>,
     map: Arc<AddrMap>,
     out: Outbox,
+    /// Sends awaiting per-hop framing (an MH emits control only).
+    framer: Box<Framer>,
     initial_ap: Option<NodeId>,
 }
 
@@ -537,15 +650,19 @@ impl MhActor {
     }
 
     fn flush(&mut self, ctx: &mut Ctx<'_, Msg, ProtoEvent>) {
+        let framing = Framer::worth_it(&self.out);
         for action in self.out.drain(..) {
             match action {
-                Action::Send { to, msg } => {
-                    if let Some(addr) = self.map.resolve(to) {
-                        ctx.send(addr, msg);
-                    }
-                }
+                Action::Send { to, msg } => match self.map.resolve(to) {
+                    Some(addr) if framing => self.framer.held.push((addr, msg)),
+                    Some(addr) => ctx.send(addr, msg),
+                    None => {}
+                },
                 Action::Record(ev) => ctx.record(ev),
             }
+        }
+        if framing {
+            self.framer.release_all(ctx);
         }
     }
 }
@@ -567,6 +684,20 @@ impl Actor<Msg, ProtoEvent> for MhActor {
         let from_ep = self.map.endpoint_of(from);
         let now = ctx.now();
         self.deliver(now, from_ep, msg);
+        self.flush(ctx);
+    }
+
+    fn on_burst(
+        &mut self,
+        ctx: &mut Ctx<'_, Msg, ProtoEvent>,
+        from: NodeAddr,
+        msgs: std::vec::Drain<'_, Msg>,
+    ) {
+        let from_ep = self.map.endpoint_of(from);
+        let now = ctx.now();
+        for msg in msgs {
+            self.deliver(now, from_ep, msg);
+        }
         self.flush(ctx);
     }
 
@@ -696,15 +827,7 @@ pub fn boxed_multi_ne_actor(
 ) -> Box<dyn Actor<Msg, ProtoEvent>> {
     assert!(!states.is_empty(), "an NE actor needs at least one state");
     assert_eq!(states.len(), originate.len());
-    Box::new(NeActor {
-        states,
-        map,
-        out: Vec::with_capacity(32),
-        dst_buf: Vec::new(),
-        originate,
-        timer_gen: 0,
-        bank: None,
-    })
+    Box::new(NeActor::new(states, map, originate, None))
 }
 
 /// Box a mobile-host actor for direct use by baseline builders.
@@ -728,6 +851,7 @@ pub fn boxed_multi_mh_actor(
         states,
         map,
         out: Vec::with_capacity(16),
+        framer: Box::default(),
         initial_ap,
     })
 }
@@ -908,15 +1032,8 @@ fn assemble(
             states.push(st);
             originate.push(origin == br);
         }
-        let addr = net.add(Box::new(NeActor {
-            states,
-            map: Arc::clone(&map),
-            out: Vec::with_capacity(32),
-            dst_buf: Vec::new(),
-            originate,
-            timer_gen: 0,
-            bank: bank.cloned(),
-        }));
+        let actor = NeActor::new(states, Arc::clone(&map), originate, bank.cloned());
+        let addr = net.add(Box::new(actor));
         debug_assert_eq!(Some(addr), map.ne(br));
     }
     for ring in &spec.ag_rings {
@@ -933,15 +1050,9 @@ fn assemble(
                     )
                 })
                 .collect();
-            net.add(Box::new(NeActor {
-                states,
-                map: Arc::clone(&map),
-                out: Vec::with_capacity(32),
-                dst_buf: Vec::new(),
-                originate: vec![false; groups.len()],
-                timer_gen: 0,
-                bank: bank.cloned(),
-            }));
+            let originate = vec![false; groups.len()];
+            let actor = NeActor::new(states, Arc::clone(&map), originate, bank.cloned());
+            net.add(Box::new(actor));
         }
     }
     for ap in &spec.aps {
@@ -958,15 +1069,9 @@ fn assemble(
                 )
             })
             .collect();
-        net.add(Box::new(NeActor {
-            states,
-            map: Arc::clone(&map),
-            out: Vec::with_capacity(32),
-            dst_buf: Vec::new(),
-            originate: vec![false; groups.len()],
-            timer_gen: 0,
-            bank: bank.cloned(),
-        }));
+        let originate = vec![false; groups.len()];
+        let actor = NeActor::new(states, Arc::clone(&map), originate, bank.cloned());
+        net.add(Box::new(actor));
     }
     for (i, src) in spec.sources.iter().enumerate() {
         let target = map.ne(src.corresponding).expect("validated");
@@ -994,6 +1099,7 @@ fn assemble(
             states,
             map: Arc::clone(&map),
             out: Vec::with_capacity(16),
+            framer: Box::default(),
             initial_ap: mh.initial_ap,
         }));
     }

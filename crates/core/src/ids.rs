@@ -68,7 +68,7 @@ impl Epoch {
 }
 
 /// Identifies an application payload. The simulation does not carry payload
-/// bytes; the wire-size model charges a configured payload size instead.
+/// bytes; the wire-size model charges a fixed payload size instead.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct PayloadId(pub u64);
 

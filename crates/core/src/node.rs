@@ -208,6 +208,10 @@ pub struct OrderingState {
     /// smaller-origin round it forwarded (concurrent-round arbitration);
     /// its own returning round message must be dropped, not adopted.
     pub regen_ceded: bool,
+    /// Reused buffer for the Order-Assignment tick's merged WTSNP view
+    /// (the tick runs every `τ` on every ring state; allocating it afresh
+    /// was most of a multi-ring run's allocator traffic).
+    pub(crate) assign_scratch: Vec<crate::token::SeqNoPair>,
 }
 
 impl OrderingState {
@@ -223,6 +227,7 @@ impl OrderingState {
             last_regen_at: SimTime::ZERO,
             drop_armed: None,
             regen_ceded: false,
+            assign_scratch: Vec::new(),
         }
     }
 }

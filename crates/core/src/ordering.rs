@@ -23,7 +23,7 @@ use crate::ids::{Endpoint, Epoch, LocalRange, LocalSeq, NodeId, PayloadId};
 use crate::mq::InsertOutcome;
 use crate::msg::Msg;
 use crate::node::{InflightToken, NeState};
-use crate::token::{OrderingToken, SeqNoPair};
+use crate::token::OrderingToken;
 
 impl NeState {
     /// Intake from this node's own multicast source. The source is local and
@@ -438,27 +438,22 @@ impl NeState {
         let me = self.id;
         let group = self.group;
         let record_copies = self.cfg.record_ne_progress;
-        let Some(ord) = self.ord.as_ref() else { return };
-        // Gather WTSNP entries from both kept versions, dedup by range.
-        // Size the buffer exactly and bail before allocating when both
-        // snapshots are empty — this runs on every τ tick.
-        let n_old = ord.old_token.as_ref().map_or(0, |t| t.entries().len());
-        let n_new = ord.new_token.as_ref().map_or(0, |t| t.entries().len());
-        if n_old + n_new == 0 {
+        let Some(ord) = self.ord.as_mut() else { return };
+        // Gather WTSNP entries from both kept versions, dedup by range,
+        // in a buffer kept across ticks — this runs on every τ tick.
+        let entries = &mut ord.assign_scratch;
+        entries.clear();
+        for t in [&ord.old_token, &ord.new_token].into_iter().flatten() {
+            entries.extend_from_slice(t.entries());
+        }
+        if entries.is_empty() {
             return;
-        }
-        let mut entries: Vec<SeqNoPair> = Vec::with_capacity(n_old + n_new);
-        if let Some(t) = &ord.old_token {
-            entries.extend_from_slice(t.entries());
-        }
-        if let Some(t) = &ord.new_token {
-            entries.extend_from_slice(t.entries());
         }
         entries.sort_unstable_by_key(|e| e.min_gs);
         entries.dedup_by_key(|e| e.min_gs);
         let wq = self.wq.as_mut().expect("top-ring node has a WQ");
         let mq = &mut self.mq;
-        for e in &entries {
+        for e in entries.iter() {
             wq.take_orderable_with(e.ordering_node, e.source, e.local, e.min_gs, |gsn, data| {
                 if mq.insert(gsn, data) == InsertOutcome::Stored && record_copies {
                     out.push(Action::Record(ProtoEvent::MqCopied {

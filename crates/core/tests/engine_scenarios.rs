@@ -310,3 +310,98 @@ fn zero_mh_network_runs_clean() {
     );
     assert_eq!(stats.packets_no_route, 0, "no dangling destinations");
 }
+
+/// Per-hop framing under loss: a walker subscribed to four groups
+/// acknowledges all four streams in one frame per ack tick. Cutting the
+/// uplink for the instant of one ack tick loses exactly one wire packet —
+/// the whole frame of four cumulative acks — and the next tick's frame,
+/// being cumulative, repairs all four streams at once: not one packet more
+/// is sent than in the run that lost nothing (no NACK, no retransmission),
+/// and from the moment that frame lands the two runs are indistinguishable
+/// (up to the AP's peak-depth counter, which remembers the stall).
+#[test]
+fn lost_frame_of_cumulative_acks_is_repaired_by_the_next_frame() {
+    fn run(cut_uplink: bool) -> (Vec<(SimTime, ProtoEvent)>, simnet::SimStats) {
+        let cfg = ProtocolConfig {
+            stats_sample_period: SimDuration::from_millis(5),
+            ..ProtocolConfig::default()
+        };
+        let spec = HierarchyBuilder::new(G)
+            .groups((1..=4).map(GroupId).collect())
+            .brs(4)
+            .ag_rings(1, 1)
+            .aps_per_ag(1)
+            .mhs_per_ap(1)
+            .sources(4)
+            .source_pattern(TrafficPattern::Cbr {
+                interval: SimDuration::from_millis(10),
+            })
+            .source_window(SimTime::ZERO, Some(SimTime::from_millis(1500)))
+            .links(LinkPlan {
+                wireless: LinkProfile::wired(SimDuration::from_millis(2)),
+                ..LinkPlan::default()
+            })
+            .config(cfg)
+            .build();
+        let ap = spec.aps[0].id;
+        let mut net = RingNetSim::build(spec, 3);
+        let (mh_addr, ap_addr) = (net.addrs.mh(Guid(0)).unwrap(), net.addrs.ne(ap).unwrap());
+        // Acks leave every second 5 ms hop tick; 1010 ms is an ack tick that
+        // is not also a 50 ms heartbeat tick. Only the uplink drops.
+        for (at_ms, up) in [(1009, !cut_uplink), (1011, true)] {
+            net.sim
+                .world()
+                .schedule_control(SimTime::from_millis(at_ms), move |w| {
+                    w.topo.set_link_up(mh_addr, ap_addr, up);
+                });
+        }
+        net.run_until(SimTime::from_secs(2));
+        net.finish()
+    }
+    let (clean, clean_stats) = run(false);
+    let (cut, cut_stats) = run(true);
+
+    assert_eq!(
+        cut_stats.packets_link_down, 1,
+        "one frame carried all four acks"
+    );
+    assert_eq!(
+        cut_stats.packets_sent, clean_stats.packets_sent,
+        "nothing extra was said"
+    );
+    // The next ack tick is at 1020 ms and its frame lands 2 ms later.
+    let lost = SimTime::from_millis(1010);
+    let repaired = SimTime::from_millis(1022);
+    let window = |j: &[(SimTime, ProtoEvent)], from: SimTime, to: SimTime| {
+        let within: Vec<_> = j.iter().filter(|(t, _)| (from..to).contains(t)).collect();
+        format!("{within:?}")
+    };
+    assert_eq!(
+        window(&cut, SimTime::ZERO, lost),
+        window(&clean, SimTime::ZERO, lost)
+    );
+    assert_ne!(
+        window(&cut, lost, repaired),
+        window(&clean, lost, repaired),
+        "the lost acks were felt: the AP retained what they would have released"
+    );
+    let teardown = SimTime::from_secs(2);
+    assert_eq!(
+        window(&cut, repaired, teardown),
+        window(&clean, repaired, teardown),
+        "the next frame repaired every stream"
+    );
+    assert!(count(&cut, |e| matches!(e, ProtoEvent::MhDeliver { .. })) > 500);
+    let unrepaired = |e: &ProtoEvent| match e {
+        ProtoEvent::NeFinal {
+            retransmissions, ..
+        } => *retransmissions > 0,
+        ProtoEvent::MhFinal {
+            skipped,
+            duplicates,
+            ..
+        } => skipped + duplicates > 0,
+        _ => false,
+    };
+    assert_eq!(count(&cut, unrepaired), 0);
+}

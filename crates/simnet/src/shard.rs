@@ -34,7 +34,7 @@ use std::sync::Arc;
 
 use crate::link::LinkProfile;
 use crate::rng::SimRng;
-use crate::sim::{Actor, Ctx, Ev, Journal, NetOps, Outgoing, SimStats, World};
+use crate::sim::{Actor, Ctx, Journal, Load, NetOps, Outgoing, SimStats, World};
 use crate::time::{SimDuration, SimTime};
 use crate::topo::NodeAddr;
 
@@ -49,63 +49,9 @@ struct Shard<M, R> {
 impl<M: Clone, R> Shard<M, R> {
     /// Drain every local event strictly below `w_end` (the window bound).
     fn drain_below(&mut self, w_end: SimTime) {
-        loop {
-            match self.world.next_event_time() {
-                Some(t) if t < w_end => {}
-                _ => break,
-            }
-            let Some((time, ev)) = self.world.pop_event() else {
-                break;
-            };
-            self.world.set_now(time);
-            self.world.stats.events += 1;
-            match ev {
-                Ev::Packet { src, dst, msg } => self.deliver(src, dst, msg),
-                Ev::Fan { src, slot } => {
-                    let (msg, dsts) = self.world.take_fan(slot);
-                    if let Some((&last, rest)) = dsts.split_last() {
-                        for &dst in rest {
-                            // ringlint: allow(hot-clone) — audited: the unpack point
-                            // of a batched Fan event; each recipient's actor takes
-                            // ownership, the last one receives the original by move.
-                            self.deliver(src, dst, msg.clone());
-                        }
-                        self.deliver(src, last, msg);
-                    }
-                    self.world.recycle_fan(dsts);
-                }
-                Ev::Timer { node, tag } => self.fire_timer(node, tag),
-                Ev::Control(f) => f(&mut self.world),
-            }
+        while let Some((time, ev)) = self.world.pop_event_below(w_end) {
+            self.world.dispatch(&mut self.actors, time, ev);
         }
-    }
-
-    fn deliver(&mut self, src: NodeAddr, dst: NodeAddr, msg: M) {
-        let idx = dst.index();
-        if idx >= self.actors.len() {
-            return; // destination never existed (sentinel address)
-        }
-        let Some(mut actor) = self.actors[idx].take() else {
-            return;
-        };
-        self.world.stats.packets_delivered += 1;
-        let mut ctx = Ctx::new(&mut self.world, dst);
-        actor.on_packet(&mut ctx, src, msg);
-        self.actors[idx] = Some(actor);
-    }
-
-    fn fire_timer(&mut self, node: NodeAddr, tag: u64) {
-        let idx = node.index();
-        if idx >= self.actors.len() {
-            return;
-        }
-        let Some(mut actor) = self.actors[idx].take() else {
-            return;
-        };
-        self.world.stats.timers_fired += 1;
-        let mut ctx = Ctx::new(&mut self.world, node);
-        actor.on_timer(&mut ctx, tag);
-        self.actors[idx] = Some(actor);
     }
 }
 
@@ -158,7 +104,7 @@ impl<M, R> NetOps<M> for NetView<'_, M, R> {
     fn inject(&mut self, src: NodeAddr, dst: NodeAddr, msg: M, delay: SimDuration) {
         let at = self.now + delay;
         let owner = self.owner(dst);
-        self.world(owner).admit_packet(at, src, dst, msg);
+        self.world(owner).admit(at, src, dst, Load::One(msg));
     }
 
     fn connect_duplex(&mut self, a: NodeAddr, b: NodeAddr, profile: LinkProfile) {
@@ -457,7 +403,7 @@ impl<M, R> ShardedSim<M, R> {
                 .as_mut()
                 .expect("shard checked in between runs")
                 .world
-                .admit_packet(o.at, o.src, o.dst, o.msg);
+                .admit(o.at, o.src, o.dst, o.load);
         }
         self.admit_buf = buf;
     }

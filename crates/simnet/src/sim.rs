@@ -23,6 +23,15 @@ pub trait Actor<M, R> {
     fn on_start(&mut self, _ctx: &mut Ctx<'_, M, R>) {}
     /// Called when a packet addressed to this node arrives.
     fn on_packet(&mut self, ctx: &mut Ctx<'_, M, R>, from: NodeAddr, msg: M);
+    /// Called when a burst arrives: everything `from` said to this node at
+    /// one instant, framed as one wire packet ([`World::send_burst`]), in
+    /// emission order. The default handles the members one by one; an
+    /// actor that batches its own output overrides it to answer once.
+    fn on_burst(&mut self, ctx: &mut Ctx<'_, M, R>, from: NodeAddr, msgs: std::vec::Drain<'_, M>) {
+        for msg in msgs {
+            self.on_packet(ctx, from, msg);
+        }
+    }
     /// Called when a timer set by this node fires. `tag` is the value passed
     /// to [`Ctx::set_timer`].
     fn on_timer(&mut self, ctx: &mut Ctx<'_, M, R>, tag: u64);
@@ -37,7 +46,7 @@ pub struct TimerHandle(EventHandle);
 pub struct SimStats {
     /// Events processed by the main loop.
     pub events: u64,
-    /// Packets offered to links.
+    /// Packets offered to links (a burst is one packet).
     pub packets_sent: u64,
     /// Packets that arrived at their destination actor.
     pub packets_delivered: u64,
@@ -160,6 +169,14 @@ pub(crate) enum Ev<M, R> {
         src: NodeAddr,
         slot: u32,
     },
+    /// The transpose of a fan: one wire packet carrying a run of messages
+    /// from one sender to one receiver ([`World::send_burst`]). The
+    /// receiver and the ordered run are interned in the world's burst pool
+    /// and the run is handed to [`Actor::on_burst`] whole.
+    Burst {
+        src: NodeAddr,
+        slot: u32,
+    },
     Timer {
         node: NodeAddr,
         tag: u64,
@@ -167,38 +184,39 @@ pub(crate) enum Ev<M, R> {
     Control(ControlFn<M, R>),
 }
 
-/// Interned fan-out runs (see [`Ev::Fan`]): one slot per batched multicast
-/// event, holding the message once plus its ordered recipient list. The
-/// recipient buffers are recycled across fan-outs, so the steady-state hot
-/// path allocates nothing.
-struct FanPool<M> {
-    slots: Slab<(M, Vec<NodeAddr>)>,
-    /// Retained-capacity recipient buffers awaiting reuse.
-    spare: Vec<Vec<NodeAddr>>,
+/// Interned runs behind the batched events, one slot per pending event: a
+/// head plus an ordered run — a fan's payload and its recipients
+/// ([`Ev::Fan`]), or a burst's receiver and its messages ([`Ev::Burst`]).
+/// (Interned rather than carried in the event so that [`Ev`] stays as
+/// small as a plain packet.) The run buffers are recycled, so the
+/// steady-state hot path allocates nothing.
+struct RunPool<H, T> {
+    slots: Slab<(H, Vec<T>)>,
+    /// Retained-capacity run buffers awaiting reuse.
+    spare: Vec<Vec<T>>,
 }
 
-impl<M> FanPool<M> {
+impl<H, T> RunPool<H, T> {
     fn new() -> Self {
-        FanPool {
+        RunPool {
             slots: Slab::new(),
             spare: Vec::new(),
         }
     }
 
-    fn put(&mut self, msg: M, run: &[(NodeAddr, SimTime)]) -> u32 {
-        debug_assert!(run.len() > 1, "a fan stands for at least two copies");
-        let mut dsts = self.spare.pop().unwrap_or_default();
-        dsts.extend(run.iter().map(|&(dst, _)| dst));
-        self.slots.insert((msg, dsts))
+    fn put(&mut self, head: H, items: impl IntoIterator<Item = T>) -> u32 {
+        let mut run = self.spare.pop().unwrap_or_default();
+        run.extend(items);
+        self.slots.insert((head, run))
     }
 
-    fn take(&mut self, slot: u32) -> (M, Vec<NodeAddr>) {
+    fn take(&mut self, slot: u32) -> (H, Vec<T>) {
         self.slots.remove(slot)
     }
 
-    fn recycle(&mut self, mut dsts: Vec<NodeAddr>) {
-        dsts.clear();
-        self.spare.push(dsts);
+    fn recycle(&mut self, mut run: Vec<T>) {
+        run.clear();
+        self.spare.push(run);
     }
 }
 
@@ -225,7 +243,14 @@ pub(crate) struct Outgoing<M> {
     pub(crate) seq: u64,
     pub(crate) src: NodeAddr,
     pub(crate) dst: NodeAddr,
-    pub(crate) msg: M,
+    pub(crate) load: Load<M>,
+}
+
+/// What one wire packet carries across a shard boundary: a message, or a
+/// burst's run (owned — the burst pools are shard-local).
+pub(crate) enum Load<M> {
+    One(M),
+    Run(Vec<M>),
 }
 
 impl<M> ShardRoute<M> {
@@ -237,7 +262,7 @@ impl<M> ShardRoute<M> {
     }
 
     #[inline]
-    fn push(&mut self, at: SimTime, src: NodeAddr, dst: NodeAddr, msg: M) {
+    fn push(&mut self, at: SimTime, src: NodeAddr, dst: NodeAddr, load: Load<M>) {
         let seq = self.seq;
         self.seq += 1;
         self.outbox.push(Outgoing {
@@ -245,7 +270,7 @@ impl<M> ShardRoute<M> {
             seq,
             src,
             dst,
-            msg,
+            load,
         });
     }
 }
@@ -256,8 +281,10 @@ impl<M> ShardRoute<M> {
 pub struct World<M, R> {
     now: SimTime,
     queue: EventQueue<Ev<M, R>>,
-    /// Interned multicast fan-out runs (see [`Ev::Fan`]).
-    fans: FanPool<M>,
+    /// Pending fan-outs: payload + recipient run (see [`Ev::Fan`]).
+    fans: RunPool<M, NodeAddr>,
+    /// Pending bursts: receiver + message run (see [`Ev::Burst`]).
+    bursts: RunPool<NodeAddr, M>,
     /// Reused scratch buffer for multicast delivery planning.
     mc_buf: Vec<(NodeAddr, SimTime)>,
     /// Cross-shard routing (sharded runs only, see [`ShardRoute`]).
@@ -280,7 +307,8 @@ impl<M, R> World<M, R> {
         World {
             now: SimTime::ZERO,
             queue: EventQueue::new(),
-            fans: FanPool::new(),
+            fans: RunPool::new(),
+            bursts: RunPool::new(),
             mc_buf: Vec::new(),
             route: None,
             topo: Topology::new(),
@@ -319,9 +347,14 @@ impl<M, R> World<M, R> {
         self.queue.peek_time()
     }
 
-    /// Pop the earliest local event (sharded drain loop).
-    pub(crate) fn pop_event(&mut self) -> Option<(SimTime, Ev<M, R>)> {
-        self.queue.pop()
+    /// Pop the earliest local event if it is due strictly before `bound`
+    /// (sharded drain loop).
+    pub(crate) fn pop_event_below(&mut self, bound: SimTime) -> Option<(SimTime, Ev<M, R>)> {
+        if self.queue.peek_time()? < bound {
+            self.queue.pop()
+        } else {
+            None
+        }
     }
 
     /// Force the local clock (window barriers in sharded runs).
@@ -333,46 +366,88 @@ impl<M, R> World<M, R> {
     /// Schedule an already-transmitted packet at its arrival time (cross-
     /// shard admission; bypasses the link models, which already ran on the
     /// sending shard).
-    pub(crate) fn admit_packet(&mut self, at: SimTime, src: NodeAddr, dst: NodeAddr, msg: M) {
-        self.queue.schedule(at, Ev::Packet { src, dst, msg });
+    pub(crate) fn admit(&mut self, at: SimTime, src: NodeAddr, dst: NodeAddr, load: Load<M>) {
+        let ev = match load {
+            Load::One(msg) => Ev::Packet { src, dst, msg },
+            Load::Run(run) => {
+                let slot = self.bursts.put(dst, run);
+                Ev::Burst { src, slot }
+            }
+        };
+        self.queue.schedule(at, ev);
     }
 
-    /// Resolve a fan-pool slot on delivery: the payload plus the ordered
-    /// recipient run. Return the recipient buffer via
-    /// [`World::recycle_fan`] once unpacked.
-    pub(crate) fn take_fan(&mut self, slot: u32) -> (M, Vec<NodeAddr>) {
-        self.fans.take(slot)
+    /// The cross-shard route, when `dst` lives on another shard.
+    fn remote(&mut self, dst: NodeAddr) -> Option<&mut ShardRoute<M>> {
+        self.route.as_deref_mut().filter(|r| r.is_remote(dst))
     }
 
-    /// Return a recipient buffer from [`World::take_fan`] for reuse.
-    pub(crate) fn recycle_fan(&mut self, dsts: Vec<NodeAddr>) {
-        self.fans.recycle(dsts);
-    }
-
-    /// Transmit `msg` from `src` to `dst` over the configured link, applying
-    /// bandwidth, loss and latency. Packets without a link are counted in
-    /// [`SimStats::packets_no_route`] and silently dropped (an unreachable
+    /// Offer one wire packet of `size` bytes to the `src → dst` link,
+    /// applying bandwidth, loss and latency: its arrival time if it gets
+    /// through, otherwise `None` with the drop counted. Packets without a
+    /// link are counted in [`SimStats::packets_no_route`] (an unreachable
     /// destination, exactly like a black-holed IP packet).
-    pub fn send(&mut self, src: NodeAddr, dst: NodeAddr, msg: M) {
+    fn offer(&mut self, src: NodeAddr, dst: NodeAddr, size: usize) -> Option<SimTime> {
         self.stats.packets_sent += 1;
-        let size = (self.sizer)(&msg);
         let Some(link) = self.topo.link_mut(src, dst) else {
             self.stats.packets_no_route += 1;
-            return;
+            return None;
         };
         match link.transmit(self.now, size, &mut self.rng) {
-            TxOutcome::Deliver(at) => {
-                if let Some(route) = &mut self.route {
-                    if route.is_remote(dst) {
-                        route.push(at, src, dst, msg);
-                        return;
-                    }
-                }
-                self.queue.schedule(at, Ev::Packet { src, dst, msg });
-            }
+            TxOutcome::Deliver(at) => return Some(at),
             TxOutcome::Lost => self.stats.packets_lost += 1,
             TxOutcome::QueueDrop => self.stats.packets_queue_dropped += 1,
             TxOutcome::Down => self.stats.packets_link_down += 1,
+        }
+        None
+    }
+
+    /// Schedule `msg`'s arrival at `dst`, here or on the shard owning it.
+    fn land(&mut self, at: SimTime, src: NodeAddr, dst: NodeAddr, msg: M) {
+        match self.remote(dst) {
+            Some(route) => route.push(at, src, dst, Load::One(msg)),
+            None => {
+                self.queue.schedule(at, Ev::Packet { src, dst, msg });
+            }
+        }
+    }
+
+    /// Transmit `msg` from `src` to `dst` over the configured link, applying
+    /// bandwidth, loss and latency; a packet the link drops, or that has no
+    /// link, is counted in [`SimStats`] and silently gone.
+    pub fn send(&mut self, src: NodeAddr, dst: NodeAddr, msg: M) {
+        let size = (self.sizer)(&msg);
+        if let Some(at) = self.offer(src, dst, size) {
+            self.land(at, src, dst, msg);
+        }
+    }
+
+    /// Transmit everything in `msgs` (drained, in order) from `src` to
+    /// `dst` as **one wire packet**: one [`SimStats::packets_sent`], one
+    /// offer to the link charged the sum of the members' sizes, hence one
+    /// loss and one latency draw — the burst arrives whole, through
+    /// [`Actor::on_burst`], or not at all — and one queue event. On a link
+    /// that draws nothing every member arrives exactly when, and in the
+    /// order, per-message [`World::send`]s would have delivered it. A run
+    /// of one *is* a [`World::send`]; an empty run sends nothing.
+    pub fn send_burst(&mut self, src: NodeAddr, dst: NodeAddr, msgs: &mut Vec<M>) {
+        if msgs.len() < 2 {
+            if let Some(msg) = msgs.pop() {
+                self.send(src, dst, msg);
+            }
+            return;
+        }
+        let size = msgs.iter().map(self.sizer).sum();
+        let Some(at) = self.offer(src, dst, size) else {
+            msgs.clear();
+            return;
+        };
+        match self.remote(dst) {
+            Some(route) => route.push(at, src, dst, Load::Run(std::mem::take(msgs))),
+            None => {
+                let slot = self.bursts.put(dst, msgs.drain(..));
+                self.queue.schedule(at, Ev::Burst { src, slot });
+            }
         }
     }
 
@@ -387,14 +462,7 @@ impl<M, R> World<M, R> {
     /// Used by scenario code to model out-of-band stimuli (e.g. an MH's radio
     /// detecting a new AP).
     pub fn inject(&mut self, src: NodeAddr, dst: NodeAddr, msg: M, delay: SimDuration) {
-        let at = self.now + delay;
-        if let Some(route) = &mut self.route {
-            if route.is_remote(dst) {
-                route.push(at, src, dst, msg);
-                return;
-            }
-        }
-        self.queue.schedule(at, Ev::Packet { src, dst, msg });
+        self.land(self.now + delay, src, dst, msg);
     }
 
     /// Set a timer for `node` firing after `delay` with the given tag.
@@ -424,16 +492,8 @@ impl<M, R> World<M, R> {
         let mut deliveries = std::mem::take(&mut self.mc_buf);
         deliveries.clear();
         for &dst in dsts {
-            self.stats.packets_sent += 1;
-            let Some(link) = self.topo.link_mut(src, dst) else {
-                self.stats.packets_no_route += 1;
-                continue;
-            };
-            match link.transmit(self.now, size, &mut self.rng) {
-                TxOutcome::Deliver(at) => deliveries.push((dst, at)),
-                TxOutcome::Lost => self.stats.packets_lost += 1,
-                TxOutcome::QueueDrop => self.stats.packets_queue_dropped += 1,
-                TxOutcome::Down => self.stats.packets_link_down += 1,
+            if let Some(at) = self.offer(src, dst, size) {
+                deliveries.push((dst, at));
             }
         }
         // Cross-shard copies leave through the outbox (cloned per copy —
@@ -448,7 +508,7 @@ impl<M, R> World<M, R> {
                         // ringlint: allow(hot-clone) — audited: cross-shard hand-off;
                         // the remote shard's inbox must own its copy, and only
                         // remote recipients (a minority of a fan-out) pay it.
-                        route.push(at, src, dst, msg.clone());
+                        route.push(at, src, dst, Load::One(msg.clone()));
                     } else {
                         deliveries[kept] = (dst, at);
                         kept += 1;
@@ -483,7 +543,9 @@ impl<M, R> World<M, R> {
             if j - i == 1 {
                 self.queue.schedule(at, Ev::Packet { src, dst, msg: m });
             } else {
-                let slot = self.fans.put(m, &deliveries[i..j]);
+                let slot = self
+                    .fans
+                    .put(m, deliveries[i..j].iter().map(|&(dst, _)| dst));
                 self.queue.schedule(at, Ev::Fan { src, slot });
             }
             i = j;
@@ -499,6 +561,70 @@ impl<M, R> World<M, R> {
     ) {
         let at = if at < self.now { self.now } else { at };
         self.queue.schedule(at, Ev::Control(Box::new(f)));
+    }
+}
+
+impl<M: Clone, R> World<M, R> {
+    /// Advance the clock to `time` and hand `ev` to the actor it concerns —
+    /// the one place an event meets its actor, shared by [`Sim::step`] and
+    /// the sharded drain loop. `actors` is indexed by address; an absent
+    /// entry (the address never existed, or lives on another shard) drops
+    /// the event.
+    pub(crate) fn dispatch<A: Actor<M, R> + ?Sized>(
+        &mut self,
+        actors: &mut [Option<Box<A>>],
+        time: SimTime,
+        ev: Ev<M, R>,
+    ) {
+        debug_assert!(time >= self.now, "time went backwards");
+        self.now = time;
+        self.stats.events += 1;
+        match ev {
+            Ev::Packet { src, dst, msg } => {
+                self.deliver(actors, dst, |a, ctx| a.on_packet(ctx, src, msg));
+            }
+            Ev::Fan { src, slot } => {
+                let (msg, dsts) = self.fans.take(slot);
+                if let Some((&last, rest)) = dsts.split_last() {
+                    for &dst in rest {
+                        // ringlint: allow(hot-clone) — audited: the unpack point of
+                        // a batched Fan event; each recipient's actor takes
+                        // ownership, the last one receives the original by move.
+                        self.deliver(actors, dst, |a, ctx| a.on_packet(ctx, src, msg.clone()));
+                    }
+                    self.deliver(actors, last, |a, ctx| a.on_packet(ctx, src, msg));
+                }
+                self.fans.recycle(dsts);
+            }
+            Ev::Burst { src, slot } => {
+                let (dst, mut run) = self.bursts.take(slot);
+                self.deliver(actors, dst, |a, ctx| a.on_burst(ctx, src, run.drain(..)));
+                self.bursts.recycle(run);
+            }
+            Ev::Timer { node, tag } => {
+                if let Some(mut actor) = actors.get_mut(node.index()).and_then(Option::take) {
+                    self.stats.timers_fired += 1;
+                    actor.on_timer(&mut Ctx::new(self, node), tag);
+                    actors[node.index()] = Some(actor);
+                }
+            }
+            Ev::Control(f) => f(self),
+        }
+    }
+
+    /// Run `arrive` on the actor at `dst`, detached from `actors` for the
+    /// duration so it can borrow the world; counts one delivered packet.
+    fn deliver<A: ?Sized>(
+        &mut self,
+        actors: &mut [Option<Box<A>>],
+        dst: NodeAddr,
+        arrive: impl FnOnce(&mut A, &mut Ctx<'_, M, R>),
+    ) {
+        if let Some(mut actor) = actors.get_mut(dst.index()).and_then(Option::take) {
+            self.stats.packets_delivered += 1;
+            arrive(&mut actor, &mut Ctx::new(self, dst));
+            actors[dst.index()] = Some(actor);
+        }
     }
 }
 
@@ -563,8 +689,6 @@ pub struct Ctx<'a, M, R> {
 }
 
 impl<'a, M, R> Ctx<'a, M, R> {
-    /// Crate-internal constructor (the sharded drain loop builds contexts
-    /// outside this module).
     pub(crate) fn new(world: &'a mut World<M, R>, me: NodeAddr) -> Self {
         Ctx { world, me }
     }
@@ -585,6 +709,13 @@ impl<'a, M, R> Ctx<'a, M, R> {
     #[inline]
     pub fn send(&mut self, dst: NodeAddr, msg: M) {
         self.world.send(self.me, dst, msg);
+    }
+
+    /// Send everything in `msgs` (drained, in order) to `dst` as one wire
+    /// packet (see [`World::send_burst`]).
+    #[inline]
+    pub fn send_burst(&mut self, dst: NodeAddr, msgs: &mut Vec<M>) {
+        self.world.send_burst(self.me, dst, msgs);
     }
 
     /// Send one `msg` to every destination in `dsts` (see
@@ -734,23 +865,6 @@ impl<M, R> Sim<M, R> {
         }
     }
 
-    fn deliver_packet(&mut self, src: NodeAddr, dst: NodeAddr, msg: M) {
-        let idx = dst.index();
-        if idx >= self.actors.len() {
-            return; // destination never existed; count as routed-to-nowhere
-        }
-        let Some(mut actor) = self.actors[idx].take() else {
-            return;
-        };
-        self.world.stats.packets_delivered += 1;
-        let mut ctx = Ctx {
-            world: &mut self.world,
-            me: dst,
-        };
-        actor.on_packet(&mut ctx, src, msg);
-        self.actors[idx] = Some(actor);
-    }
-
     /// Process a single event. Returns `false` when the queue is exhausted.
     /// (`M: Clone` because a multicast payload is interned once and cloned
     /// only as its pending copies surface — see [`World::multicast`].)
@@ -762,44 +876,7 @@ impl<M, R> Sim<M, R> {
         let Some((time, ev)) = self.world.queue.pop() else {
             return false;
         };
-        debug_assert!(time >= self.world.now, "time went backwards");
-        self.world.now = time;
-        self.world.stats.events += 1;
-        match ev {
-            Ev::Packet { src, dst, msg } => {
-                self.deliver_packet(src, dst, msg);
-            }
-            Ev::Fan { src, slot } => {
-                let (msg, dsts) = self.world.take_fan(slot);
-                if let Some((&last, rest)) = dsts.split_last() {
-                    for &dst in rest {
-                        // ringlint: allow(hot-clone) — audited: the unpack point of
-                        // a batched Fan event; each recipient's actor takes
-                        // ownership, the last one receives the original by move.
-                        self.deliver_packet(src, dst, msg.clone());
-                    }
-                    self.deliver_packet(src, last, msg);
-                }
-                self.world.recycle_fan(dsts);
-            }
-            Ev::Timer { node, tag } => {
-                let idx = node.index();
-                if idx >= self.actors.len() {
-                    return true;
-                }
-                let Some(mut actor) = self.actors[idx].take() else {
-                    return true;
-                };
-                self.world.stats.timers_fired += 1;
-                let mut ctx = Ctx {
-                    world: &mut self.world,
-                    me: node,
-                };
-                actor.on_timer(&mut ctx, tag);
-                self.actors[idx] = Some(actor);
-            }
-            Ev::Control(f) => f(&mut self.world),
-        }
+        self.world.dispatch(&mut self.actors, time, ev);
         true
     }
 
@@ -1056,6 +1133,124 @@ mod tests {
             sim.finish()
         }
         assert_eq!(run(true), run(false));
+    }
+
+    /// Records every arriving message; re-bursts a burst back to its sender
+    /// while the hop budget lasts.
+    struct BurstEcho {
+        hops_left: u32,
+        buf: Vec<u32>,
+    }
+
+    impl Actor<u32, u32> for BurstEcho {
+        fn on_packet(&mut self, ctx: &mut Ctx<'_, u32, u32>, _: NodeAddr, msg: u32) {
+            ctx.record(msg);
+        }
+        fn on_burst(
+            &mut self,
+            ctx: &mut Ctx<'_, u32, u32>,
+            from: NodeAddr,
+            msgs: std::vec::Drain<'_, u32>,
+        ) {
+            for msg in msgs {
+                ctx.record(msg);
+                self.buf.push(msg + 1);
+            }
+            if self.hops_left > 0 {
+                self.hops_left -= 1;
+                ctx.send_burst(from, &mut self.buf);
+            }
+            self.buf.clear();
+        }
+        fn on_timer(&mut self, _: &mut Ctx<'_, u32, u32>, _: u64) {}
+    }
+
+    fn burst_pair(hops: u32, profile: LinkProfile) -> (Sim<u32, u32>, NodeAddr, NodeAddr) {
+        let mut sim: Sim<u32, u32> = Sim::new(5);
+        let mut node = || {
+            sim.add_node(Box::new(BurstEcho {
+                hops_left: hops,
+                buf: Vec::new(),
+            }))
+        };
+        let (a, b) = (node(), node());
+        sim.world().topo.connect_duplex(a, b, profile);
+        (sim, a, b)
+    }
+
+    #[test]
+    fn burst_of_one_is_a_send() {
+        // Jittered and lossy, so the RNG draws would expose any difference.
+        let noisy = || {
+            LinkProfile::wireless(
+                SimDuration::from_millis(1),
+                SimDuration::from_millis(3),
+                0.3,
+            )
+        };
+        let run = |burst: bool| {
+            let (mut sim, a, b) = burst_pair(0, noisy());
+            sim.world().schedule_control(SimTime::ZERO, move |w| {
+                for msg in 0..20 {
+                    if burst {
+                        w.send_burst(a, b, &mut vec![msg]);
+                    } else {
+                        w.send(a, b, msg);
+                    }
+                }
+                w.send_burst(a, b, &mut Vec::new()); // an empty run is nothing
+            });
+            sim.run_until(SimTime::from_secs(1));
+            sim.finish()
+        };
+        assert_eq!(run(true), run(false));
+    }
+
+    #[test]
+    fn dropped_burst_is_dropped_whole_and_counted_once() {
+        let wired = LinkProfile::wired(SimDuration::from_millis(1));
+        let cases = [
+            (
+                wired.clone().with_loss(crate::LossModel::Bernoulli(1.0)),
+                true,
+            ),
+            (wired, false),
+        ];
+        for (profile, up) in cases {
+            let (mut sim, a, b) = burst_pair(0, profile);
+            sim.world().topo.set_duplex_up(a, b, up);
+            let mut msgs = vec![1, 2, 3];
+            sim.world().send_burst(a, b, &mut msgs);
+            assert!(msgs.is_empty(), "a dropped burst is still consumed");
+            sim.run_until(SimTime::from_secs(1));
+            let (records, stats) = sim.finish();
+            assert!(records.is_empty(), "no member of a dropped burst arrives");
+            assert_eq!(stats.packets_sent, 1);
+            assert_eq!(stats.packets_delivered, 0);
+            assert_eq!(
+                (stats.packets_lost, stats.packets_link_down),
+                (up as u64, !up as u64)
+            );
+        }
+    }
+
+    #[test]
+    fn burst_pool_does_not_grow_under_steady_churn() {
+        let (mut sim, a, b) = burst_pair(u32::MAX, LinkProfile::wired(SimDuration::from_millis(1)));
+        // Four bursts in flight at any time, bouncing forever.
+        for base in [0, 100, 200, 300] {
+            sim.world()
+                .send_burst(a, b, &mut vec![base, base + 1, base + 2]);
+        }
+        let pool = |sim: &Sim<u32, u32>| {
+            let spare = &sim.world.bursts.spare;
+            (spare.len(), spare.iter().map(Vec::capacity).sum::<usize>())
+        };
+        sim.run_until(SimTime::from_millis(50));
+        let warm = pool(&sim);
+        sim.run_until(SimTime::from_secs(5));
+        assert_eq!(pool(&sim), warm, "steady churn must recycle, not grow");
+        assert!(sim.stats().packets_delivered > 10_000);
     }
 
     #[test]

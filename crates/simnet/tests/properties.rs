@@ -4,7 +4,9 @@
 
 use simnet::event::EventQueue;
 use simnet::link::{LinkProfile, LinkState, LossModel, TxOutcome};
-use simnet::{SimDuration, SimRng, SimTime, Summary};
+use simnet::{
+    Actor, Ctx, NodeAddr, ShardedSim, Sim, SimDuration, SimRng, SimStats, SimTime, Summary,
+};
 
 /// The event queue is a stable priority queue: pops come out in
 /// non-decreasing time order, and equal times preserve insertion order.
@@ -298,5 +300,134 @@ fn event_queue_matches_reference_model() {
             }
         }
         assert!(q.is_empty());
+    }
+}
+
+/// What one gossip receiver journals per arriving message: `(me, from, msg)`.
+type Heard = (NodeAddr, NodeAddr, u64);
+
+/// Every millisecond, says a random run of 0–4 numbered messages to each
+/// peer — framed as one burst per peer, or as per-message sends. The draws
+/// come from the node's own stream, so both modes say the same things.
+struct Gossip {
+    peers: Vec<NodeAddr>,
+    rounds: u32,
+    burst: bool,
+    draw: SimRng,
+    next: u64,
+    buf: Vec<u64>,
+}
+
+impl Actor<u64, Heard> for Gossip {
+    fn on_start(&mut self, ctx: &mut Ctx<'_, u64, Heard>) {
+        ctx.set_timer(SimDuration::from_millis(1), 0);
+    }
+    fn on_packet(&mut self, ctx: &mut Ctx<'_, u64, Heard>, from: NodeAddr, msg: u64) {
+        ctx.record((ctx.me(), from, msg));
+    }
+    fn on_timer(&mut self, ctx: &mut Ctx<'_, u64, Heard>, _: u64) {
+        if self.rounds == 0 {
+            return;
+        }
+        self.rounds -= 1;
+        for i in 0..self.peers.len() {
+            for _ in 0..self.draw.index(5) {
+                self.buf.push(self.next);
+                self.next += 1;
+            }
+            if self.burst {
+                ctx.send_burst(self.peers[i], &mut self.buf);
+            } else {
+                for msg in self.buf.drain(..) {
+                    ctx.send(self.peers[i], msg);
+                }
+            }
+        }
+        ctx.set_timer(SimDuration::from_millis(1), 0);
+    }
+}
+
+const GOSSIPERS: u32 = 6;
+
+fn gossiper(case: u64, me: u32, burst: bool) -> Box<Gossip> {
+    Box::new(Gossip {
+        peers: (0..GOSSIPERS).filter(|&p| p != me).map(NodeAddr).collect(),
+        rounds: 40,
+        burst,
+        draw: SimRng::derive(case, me as u64),
+        next: me as u64 * 1_000_000,
+        buf: Vec::new(),
+    })
+}
+
+/// A full mesh whose link delays differ per pair but draw nothing.
+fn gossip_delay(a: u32, b: u32) -> LinkProfile {
+    LinkProfile::wired(SimDuration::from_micros(300 + 170 * ((a + b) % 4) as u64))
+}
+
+fn gossip_sequential(case: u64, burst: bool) -> (Vec<(SimTime, Heard)>, SimStats) {
+    let mut sim: Sim<u64, Heard> = Sim::new(case);
+    for me in 0..GOSSIPERS {
+        sim.add_node(gossiper(case, me, burst));
+    }
+    for a in 0..GOSSIPERS {
+        for b in a + 1..GOSSIPERS {
+            let profile = gossip_delay(a, b);
+            sim.world()
+                .topo
+                .connect_duplex(NodeAddr(a), NodeAddr(b), profile);
+        }
+    }
+    sim.run_until(SimTime::from_secs(1));
+    sim.finish()
+}
+
+fn gossip_two_shards(case: u64) -> (Vec<(SimTime, Heard)>, SimStats) {
+    let shard_of = (0..GOSSIPERS).map(|n| n % 2).collect();
+    let mut sim: ShardedSim<u64, Heard> = ShardedSim::new(case, 2, shard_of, true, |_| 0);
+    for me in 0..GOSSIPERS {
+        sim.add_node(gossiper(case, me, true));
+    }
+    for a in 0..GOSSIPERS {
+        for b in a + 1..GOSSIPERS {
+            sim.connect_duplex(NodeAddr(a), NodeAddr(b), gossip_delay(a, b));
+        }
+    }
+    sim.run_until(SimTime::from_secs(1));
+    sim.finish()
+}
+
+/// On links that draw nothing, a burst is indistinguishable from the
+/// per-message sends it frames — same arrival times, same order, hence the
+/// same journal — while costing one wire packet and one event per run;
+/// and a 2-shard run of the burst world does exactly the sequential run's
+/// work, every `(sender, receiver)` pair hearing the same sequence.
+#[test]
+fn bursts_match_per_message_sends_sequential_and_sharded() {
+    for case in 0..12u64 {
+        let (sent_journal, sent) = gossip_sequential(case, false);
+        let (burst_journal, burst) = gossip_sequential(case, true);
+        assert!(sent_journal.len() > 500, "case {case}: world too quiet");
+        assert_eq!(burst_journal, sent_journal, "case {case}");
+        assert!(burst.packets_sent < sent.packets_sent, "case {case}");
+        assert_eq!(burst.packets_sent, burst.packets_delivered, "case {case}");
+        assert_eq!(
+            sent.events - burst.events,
+            sent.packets_sent - burst.packets_sent,
+            "case {case}: one event saved per framed-away packet"
+        );
+
+        let (sharded_journal, sharded) = gossip_two_shards(case);
+        assert_eq!(sharded, burst, "case {case}: stats differ across engines");
+        let per_pair = |journal: &[(SimTime, Heard)]| {
+            let mut j = journal.to_vec();
+            j.sort_by_key(|&(_, (me, from, _))| (me, from)); // stable: keeps each pair's order
+            j
+        };
+        assert_eq!(
+            per_pair(&sharded_journal),
+            per_pair(&burst_journal),
+            "case {case}"
+        );
     }
 }
