@@ -106,9 +106,10 @@ impl Runner {
         self.to_json_with_hotpath(&[])
     }
 
-    /// [`Runner::to_json`] plus the hot-path allocation-audit section
-    /// (`allocs_per_delivery` next to wall time, one row per flagship
-    /// scenario — empty slice omits the section entirely).
+    /// [`Runner::to_json`] plus the hot-path section (`allocs_per_delivery`
+    /// and the host-independent sim-clock latency and NACK rate next to
+    /// wall time, one row per flagship scenario — empty slice omits the
+    /// section entirely).
     pub fn to_json_with_hotpath(&self, hotpath: &[crate::suites::HotpathRow]) -> String {
         use harness::report::json;
         let mut out = String::from("{\n  \"schema\": \"ringnet-bench/v2\",\n  \"benches\": [\n");
@@ -136,12 +137,17 @@ impl Runner {
                 let sep = if i + 1 < hotpath.len() { "," } else { "" };
                 out.push_str(&format!(
                     "    {{\"name\": {}, \"wall_ms\": {:.2}, \"delivered\": {}, \
-                     \"allocs_per_delivery\": {:.3}, \"alloc_bytes_per_delivery\": {:.1}}}{sep}\n",
+                     \"allocs_per_delivery\": {:.3}, \"alloc_bytes_per_delivery\": {:.1}, \
+                     \"latency_p50_ms\": {:.3}, \"latency_p999_ms\": {:.3}, \
+                     \"nacks_per_delivery\": {:.4}}}{sep}\n",
                     json::string(&h.name),
                     h.wall_ms,
                     h.delivered,
                     h.allocs_per_delivery,
                     h.alloc_bytes_per_delivery,
+                    h.latency_p50_ms,
+                    h.latency_p999_ms,
+                    h.nacks_per_delivery,
                 ));
             }
             out.push_str("  ]");
@@ -208,10 +214,15 @@ mod tests {
             delivered: 1000,
             allocs_per_delivery: 0.119,
             alloc_bytes_per_delivery: 166.0,
+            latency_p50_ms: 22.5,
+            latency_p999_ms: 34.5,
+            nacks_per_delivery: 0.0,
         }];
         let json = r.to_json_with_hotpath(&rows);
         assert!(json.contains("\"hotpath\": ["));
         assert!(json.contains("\"allocs_per_delivery\": 0.119"));
+        assert!(json.contains("\"latency_p50_ms\": 22.500, \"latency_p999_ms\": 34.500"));
+        assert!(json.contains("\"nacks_per_delivery\": 0.0000"));
         assert_eq!(json.matches('{').count(), json.matches('}').count());
     }
 }

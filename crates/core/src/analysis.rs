@@ -15,6 +15,13 @@
 //! The paper's bounds exclude retransmission and token-processing overhead
 //! (stated explicitly in §5); the experiment harness therefore compares
 //! against loss-free runs and reports the ratio.
+//!
+//! The `τ` term is the paper's: it assumes Order-Assignment runs on a timer
+//! of period `τ`. This implementation runs it at the instant a token
+//! snapshot arrives (see [`crate::ordering`]), so `τ` is an upper bound
+//! reached only when a pre-order is repaired after its covering token has
+//! passed; a loss-free run never pays it, and experiment T2 prints the
+//! measured maximum against the bounds both with and without the term.
 
 use simnet::SimDuration;
 
@@ -29,7 +36,8 @@ pub struct TheoremInputs {
     pub rate_per_sec: f64,
     /// One-way latency of a top-ring link (upper bound when jittered).
     pub ring_hop: SimDuration,
-    /// `τ` — the Order-Assignment timer period.
+    /// `τ` — the Order-Assignment timer period (the fallback scan; see the
+    /// module docs for when a delivery can wait for it).
     pub tau: SimDuration,
     /// `T_deliver` — maximal time for an ordered message to reach and be
     /// acknowledged by the deepest entity below a top-ring node.

@@ -2,8 +2,8 @@
 //!
 //! One [`ProtocolConfig`] is shared by every entity in a simulation. The
 //! defaults follow the paper's assumptions (§5): a wired core with
-//! millisecond-scale one-way delays, an Order-Assignment timer `τ` of the
-//! same order as the token rotation time, and small bounded retry budgets
+//! millisecond-scale one-way delays, an Order-Assignment fallback timer `τ`
+//! of the same order as the token rotation time, and small bounded retry budgets
 //! for the best-effort local-scope retransmission scheme (§4.2.3).
 
 use simnet::SimDuration;
@@ -11,9 +11,12 @@ use simnet::SimDuration;
 /// All tunables of the RingNet multicast protocol.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ProtocolConfig {
-    /// Period `τ` of the Order-Assignment algorithm (paper §4.2.1): how often
-    /// each top-ring node scans its `WQ` against the kept tokens and copies
-    /// newly-ordered messages into its `MQ`.
+    /// Period `τ` of the Order-Assignment algorithm's periodic scan (paper
+    /// §4.2.1). The `WQ`→`MQ` copy itself is event-driven — it runs when a
+    /// token snapshot arrives and when a late pre-order lands under one —
+    /// so `τ` no longer adds to any loss-free delivery's latency: it is an
+    /// upper bound on the extra wait of a message whose pre-order was
+    /// repaired after its token, should an event trigger ever be missed.
     pub order_assign_period: SimDuration,
     /// Period of the hop-maintenance tick driving retransmission requests
     /// (NACKs), cumulative ACKs and token retransfer checks.

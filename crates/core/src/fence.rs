@@ -37,10 +37,11 @@ use simnet::SimTime;
 
 use crate::actions::{Action, Outbox};
 use crate::events::ProtoEvent;
-use crate::ids::{GlobalSeq, GroupId, LocalRange, LocalSeq, NodeId, PayloadId};
-use crate::mq::{InsertOutcome, MsgData};
+use crate::ids::{GroupId, LocalRange, LocalSeq, NodeId, PayloadId};
+use crate::mq::InsertOutcome;
 use crate::msg::Msg;
 use crate::node::NeState;
+use crate::ordering::AssignTrigger;
 use crate::token::OrderingToken;
 
 /// Cross-group fence wiring and cursors for one per-group `NeState`.
@@ -240,7 +241,7 @@ impl NeState {
     /// [`NeState::on_pre_order`] with the stop rule keyed on the funnel).
     pub(crate) fn on_fence_pre_order(
         &mut self,
-        _now: SimTime,
+        now: SimTime,
         funnel: NodeId,
         chan_seq: LocalSeq,
         origin: (NodeId, LocalSeq),
@@ -278,6 +279,7 @@ impl NeState {
                         .expect("checked above")
                         .ack_from_next(vid, chan_seq);
                 }
+                self.order_assign(now, AssignTrigger::PreOrder, out);
             }
             InsertOutcome::Duplicate => self.counters.duplicates += 1,
             InsertOutcome::Stale | InsertOutcome::Overflow => {}
@@ -286,43 +288,46 @@ impl NeState {
 
     /// Token-visit assignment for the funnel's virtual stream, called from
     /// [`NeState::process_and_forward_token`] right after the own-source
-    /// assignment. Returns the copied `(gsn, data)` pairs so the caller can
-    /// insert them into `MQ` alongside the own-source batch. No-op (and
-    /// allocation-free) on non-funnel nodes and single-group runs.
+    /// assignment; the Order-Assignment pass that follows copies the range
+    /// into `MQ` with everything else the token carries. The `Ordered`
+    /// records carry the *original* `(source, local_seq)` identity, read
+    /// from the funnel's `WQ` (it ingested every channel number itself).
+    /// No-op on non-funnel nodes and single-group runs.
     pub(crate) fn fence_assign_on_token(
         &mut self,
         now: SimTime,
         token: &mut OrderingToken,
         out: &mut Outbox,
-    ) -> Vec<(GlobalSeq, MsgData)> {
+    ) {
         let me = self.id;
         let group = self.group;
         let Some(cf) = self.cross_fence.as_mut() else {
-            return Vec::new();
+            return;
         };
         if cf.funnel != me || !(cf.chan_min_unordered <= cf.chan_max && cf.chan_max.is_valid()) {
-            return Vec::new();
+            return;
         }
         let vid = NodeId::fence_virtual(group);
         let range = LocalRange::new(cf.chan_min_unordered, cf.chan_max);
         cf.chan_min_unordered = cf.chan_max.next();
         let min_gs = token.assign(vid, vid, range);
-        let copied = self
-            .wq
-            .as_mut()
-            .expect("top-ring node has a WQ")
-            .take_orderable(vid, vid, range, min_gs);
-        for (gsn, data) in &copied {
+        let wq = self.wq.as_ref().expect("top-ring node has a WQ");
+        for (i, chan_seq) in range.iter().enumerate() {
+            // A channel number the WQ no longer holds (capacity overflow)
+            // was assigned a number nobody here can deliver; it has no
+            // identity left to journal.
+            let Some((_, Some((source, local_seq)))) = wq.get_entry(vid, chan_seq) else {
+                continue;
+            };
             out.push(Action::Record(ProtoEvent::Ordered {
                 group,
                 node: me,
-                source: data.source,
-                local_seq: data.local_seq,
-                gsn: *gsn,
+                source,
+                local_seq,
+                gsn: min_gs.advance(i as u64),
             }));
         }
         self.telemetry.gsn_assigned(now, min_gs, range.len());
-        copied
     }
 }
 
@@ -330,7 +335,7 @@ impl NeState {
 mod tests {
     use super::*;
     use crate::config::ProtocolConfig;
-    use crate::ids::Endpoint;
+    use crate::ids::{Endpoint, GlobalSeq};
 
     const GA: GroupId = GroupId(1);
     const GB: GroupId = GroupId(2);
@@ -469,15 +474,10 @@ mod tests {
                 ..
             }
         ));
-        // Token visit assigns the virtual stream and surfaces the original
-        // identity in the Ordered record.
+        // Token visit assigns the virtual stream, surfaces the original
+        // identity in the Ordered record, and copies it into MQ at once.
         out.clear();
-        let mut tok = OrderingToken::new(GB, NodeId(1));
-        let copied = f.fence_assign_on_token(SimTime::ZERO, &mut tok, &mut out);
-        assert_eq!(copied.len(), 1);
-        assert_eq!(copied[0].0, GlobalSeq(1));
-        assert_eq!(copied[0].1.source, NodeId(2));
-        assert_eq!(copied[0].1.local_seq, LocalSeq(7));
+        f.originate_token(SimTime::ZERO, &mut out);
         assert!(out.iter().any(|a| matches!(
             a,
             Action::Record(ProtoEvent::Ordered {
@@ -488,11 +488,43 @@ mod tests {
                 ..
             })
         )));
+        let d = f.mq.get(GlobalSeq(1)).expect("copied at the token visit");
+        assert_eq!((d.source, d.local_seq), (NodeId(2), LocalSeq(7)));
+        assert_eq!(d.ordering_node, NodeId::fence_virtual(GB));
         // Cursor advanced: an immediate second visit assigns nothing.
+        let mut tok = OrderingToken::new(GB, NodeId(1));
         out.clear();
-        assert!(f
-            .fence_assign_on_token(SimTime::ZERO, &mut tok, &mut out)
-            .is_empty());
+        f.fence_assign_on_token(SimTime::ZERO, &mut tok, &mut out);
+        assert!(out.is_empty() && tok.entries().is_empty());
+    }
+
+    #[test]
+    fn funnel_stream_is_copied_on_token_arrival_and_on_late_arrival() {
+        // Node 2 of group 2's ring (funnel: node 1). The funnel's token
+        // carries the virtual stream's assignment chan 1..=2 → gsn 1..=2.
+        let vid = NodeId::fence_virtual(GB);
+        let mut tok = OrderingToken::new(GB, NodeId(1));
+        tok.assign(vid, vid, LocalRange::new(LocalSeq(1), LocalSeq(2)));
+        let mut n = br(GB, 2);
+        let mut out = Vec::new();
+        let pre_order = |n: &mut NeState, chan: u64, out: &mut Outbox| {
+            n.on_fence_pre_order(
+                SimTime::ZERO,
+                NodeId(1),
+                LocalSeq(chan),
+                (NodeId(0), LocalSeq(40 + chan)),
+                PayloadId(chan),
+                out,
+            );
+        };
+        pre_order(&mut n, 1, &mut out);
+        n.on_token(SimTime::ZERO, Endpoint::Ne(NodeId(1)), tok, &mut out);
+        assert_eq!(n.mq.front(), GlobalSeq(1), "chan 1 copied with the token");
+        // Chan 2 was overtaken by the token: copied the instant it lands.
+        pre_order(&mut n, 2, &mut out);
+        assert_eq!(n.mq.front(), GlobalSeq(2), "no τ tick needed");
+        let d = n.mq.get(GlobalSeq(2)).unwrap();
+        assert_eq!((d.source, d.local_seq), (NodeId(0), LocalSeq(42)));
     }
 
     #[test]
@@ -542,9 +574,8 @@ mod tests {
             &mut out,
         );
         let mut tok = OrderingToken::new(GA, NodeId(0));
-        assert!(n
-            .fence_assign_on_token(SimTime::ZERO, &mut tok, &mut out)
-            .is_empty());
-        assert!(out.is_empty(), "no journal, no sends, no assignment");
+        n.fence_assign_on_token(SimTime::ZERO, &mut tok, &mut out);
+        assert!(out.is_empty(), "no journal, no sends");
+        assert!(tok.entries().is_empty(), "no assignment");
     }
 }

@@ -208,10 +208,12 @@ pub struct OrderingState {
     /// smaller-origin round it forwarded (concurrent-round arbitration);
     /// its own returning round message must be dropped, not adopted.
     pub regen_ceded: bool,
-    /// Reused buffer for the Order-Assignment tick's merged WTSNP view
-    /// (the tick runs every `τ` on every ring state; allocating it afresh
-    /// was most of a multi-ring run's allocator traffic).
-    pub(crate) assign_scratch: Vec<crate::token::SeqNoPair>,
+    /// Order-Assignment watermark: every global number at or below it is
+    /// settled here — copied `WQ`→`MQ`, or out of reach for good (lost,
+    /// collected, or covered by no kept snapshot). A scan walks only the
+    /// WTSNP entries above it, and when it equals the newest snapshot's
+    /// last assigned number there is nothing to scan at all.
+    pub(crate) assigned_through: GlobalSeq,
 }
 
 impl OrderingState {
@@ -227,7 +229,7 @@ impl OrderingState {
             last_regen_at: SimTime::ZERO,
             drop_armed: None,
             regen_ceded: false,
-            assign_scratch: Vec::new(),
+            assigned_through: GlobalSeq::ZERO,
         }
     }
 }

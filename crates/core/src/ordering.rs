@@ -11,9 +11,16 @@
 //!    assigns a global-sequence range to its own source's pending messages,
 //!    snapshots the token (`NewOrderingToken` / `OldOrderingToken`) and
 //!    reliably transfers it to the next ring node.
-//! 3. **Order-Assignment.** On a `τ` timer, each node scans its kept token
-//!    snapshots and copies every `WQ` message covered by a WTSNP entry into
-//!    `MQ` under its assigned global number.
+//! 3. **Order-Assignment.** Each node copies every `WQ` message covered by
+//!    a WTSNP entry of its kept token snapshots into `MQ` under its assigned
+//!    global number. The copy is event-driven: it runs at the instant a
+//!    snapshot is installed (own range and predecessors' ranges in one
+//!    GSN-ordered pass) and at the instant a late pre-order lands under an
+//!    entry a kept snapshot already covers, so on a loss-free ring no
+//!    delivery waits for a timer. The paper's periodic `τ` scan remains as
+//!    the fallback; a per-node watermark
+//!    ([`crate::node::OrderingState::assigned_through`]) makes every
+//!    trigger cost O(new entries) and an idle one O(1).
 
 use simnet::SimTime;
 
@@ -24,6 +31,28 @@ use crate::mq::InsertOutcome;
 use crate::msg::Msg;
 use crate::node::{InflightToken, NeState};
 use crate::token::OrderingToken;
+
+/// What set off an Order-Assignment scan (only telemetry tells them apart).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum AssignTrigger {
+    /// A token snapshot was just installed.
+    Token,
+    /// A (fence) pre-order just entered the `WQ`.
+    PreOrder,
+    /// The periodic `τ` fallback.
+    Tick,
+}
+
+impl AssignTrigger {
+    fn metric(self) -> &'static str {
+        use crate::telemetry::metric;
+        match self {
+            AssignTrigger::Token => metric::COPIED_ON_TOKEN,
+            AssignTrigger::PreOrder => metric::COPIED_ON_PREORDER,
+            AssignTrigger::Tick => metric::COPIED_ON_TICK,
+        }
+    }
+}
 
 impl NeState {
     /// Intake from this node's own multicast source. The source is local and
@@ -93,7 +122,7 @@ impl NeState {
     /// A pre-order message forwarded from the previous ring node.
     pub(crate) fn on_pre_order(
         &mut self,
-        _now: SimTime,
+        now: SimTime,
         corresponding: NodeId,
         ls: LocalSeq,
         payload: PayloadId,
@@ -134,6 +163,9 @@ impl NeState {
                         .expect("checked above")
                         .ack_from_next(corresponding, ls);
                 }
+                // Late or retransmitted: the covering token may have been
+                // here already (O(1) when it has not).
+                self.order_assign(now, AssignTrigger::PreOrder, out);
             }
             InsertOutcome::Duplicate => self.counters.duplicates += 1,
             InsertOutcome::Stale | InsertOutcome::Overflow => {}
@@ -322,7 +354,6 @@ impl NeState {
         let ord = self.ord.as_mut().expect("ordering state");
         // Pre-assign global numbers to every ready-to-be-ordered message
         // from our own source (Holder.MinLocalSeqNo ..= Holder.MaxLocalSeqNo).
-        let mut assigned: Option<(LocalRange, crate::ids::GlobalSeq)> = None;
         if ord.min_unordered <= ord.max_local && ord.max_local.is_valid() {
             let range = LocalRange::new(ord.min_unordered, ord.max_local);
             let min_gs = token.assign(me, me, range);
@@ -338,14 +369,11 @@ impl NeState {
             ord.min_unordered = ord.max_local.next();
             let batch = range.len();
             self.telemetry.gsn_assigned(now, min_gs, batch);
-            assigned = Some((range, min_gs));
         }
         // The group's fence funnel assigns the cross-group stream the same
         // way, under its virtual source identity (no-op on single-group
-        // runs and on every non-funnel node — see `crate::fence`). The
-        // entries are taken from the WQ here so the `Ordered` records can
-        // carry the *original* `(source, local_seq)` identity.
-        let fence_assigned = self.fence_assign_on_token(now, &mut token, out);
+        // runs and on every non-funnel node — see `crate::fence`).
+        self.fence_assign_on_token(now, &mut token, out);
         // Keep the two most recent token versions (§4.1); the ablation knob
         // drops the old one. The snapshot retiring from `old_token` is
         // recycled as the new snapshot's buffer (`copy_from`), so steady-
@@ -374,26 +402,16 @@ impl NeState {
         }));
         self.telemetry
             .token_pass(now, token.epoch, token.rotation, token.next_gsn);
-        // The ordering node copies its own just-assigned messages into MQ
-        // right away (its WQ already holds them and the numbers are known).
-        // This is the robustness anchor of the whole pipeline: even if the
-        // token rotates so fast that WTSNP entries are pruned before other
-        // nodes' τ ticks see them, at least the assigner retains every
-        // message in its MQ, from where ring-level NACK repair can fetch it.
-        let drove = assigned.is_some() || !fence_assigned.is_empty();
-        if let Some((range, min_gs)) = assigned {
-            let wq = self.wq.as_mut().expect("top-ring node has a WQ");
-            let mq = &mut self.mq;
-            wq.take_orderable_with(me, me, range, min_gs, |gsn, data| {
-                let _ = mq.insert(gsn, data);
-            });
-        }
-        for (gsn, data) in fence_assigned {
-            let _ = self.mq.insert(gsn, data);
-        }
-        if drove {
-            self.drive_delivery(now, out);
-        }
+        // Order-Assignment runs now, on the snapshot just installed: the
+        // ranges other nodes assigned since our last hold and the ranges
+        // assigned above enter MQ in one GSN-ordered pass (copying our own,
+        // higher, range first would open a gap the hop tick NACKs). That
+        // the assigner copies at once is also the robustness anchor of the
+        // pipeline: even if the token rotates so fast that WTSNP entries
+        // are pruned before a late pre-order reaches some other node, the
+        // assigner's MQ retains every message, from where ring-level NACK
+        // repair can fetch it.
+        self.order_assign(now, AssignTrigger::Token, out);
         // Reliable transfer to the next node.
         let next = self.ring_next().expect("top-ring node has a ring");
         let ord = self.ord.as_mut().expect("ordering state");
@@ -429,42 +447,77 @@ impl NeState {
         }
     }
 
-    /// The Order-Assignment algorithm (τ timer): copy every `WQ` message
-    /// covered by a kept token snapshot into `MQ` under its global number.
+    /// The paper's periodic Order-Assignment scan (`τ` timer). Every copy
+    /// a loss-free run makes is event-driven ([`NeState::order_assign`]),
+    /// so this finds work only when some trigger was missed.
     pub fn tick_order_assign(&mut self, now: SimTime, out: &mut Outbox) {
-        if !self.alive {
-            return;
+        if self.alive {
+            self.order_assign(now, AssignTrigger::Tick, out);
         }
+    }
+
+    /// The Order-Assignment algorithm: copy every `WQ` message covered by
+    /// a kept token snapshot into `MQ` under its global number, in GSN
+    /// order, then deliver what that made deliverable.
+    ///
+    /// Only entries above the `assigned_through` watermark are walked; the
+    /// watermark then moves up to the first entry still waiting for a
+    /// pre-order, or to the newest snapshot's last assigned number.
+    pub(crate) fn order_assign(&mut self, now: SimTime, trigger: AssignTrigger, out: &mut Outbox) {
         let me = self.id;
         let group = self.group;
         let record_copies = self.cfg.record_ne_progress;
         let Some(ord) = self.ord.as_mut() else { return };
-        // Gather WTSNP entries from both kept versions, dedup by range,
-        // in a buffer kept across ticks — this runs on every τ tick.
-        let entries = &mut ord.assign_scratch;
-        entries.clear();
-        for t in [&ord.old_token, &ord.new_token].into_iter().flatten() {
-            entries.extend_from_slice(t.entries());
-        }
-        if entries.is_empty() {
+        let Some(newest) = ord.new_token.as_ref() else {
             return;
+        };
+        let through = ord.assigned_through;
+        if through.next() >= newest.next_gsn {
+            return; // everything any kept snapshot assigned is settled
         }
-        entries.sort_unstable_by_key(|e| e.min_gs);
-        entries.dedup_by_key(|e| e.min_gs);
+        // WTSNP is in GSN order and pruned from the front, so what the old
+        // snapshot adds to the new one is a run of older entries: the two
+        // concatenate into one GSN-ordered view, no merge needed.
+        let new_entries = newest.entries();
+        let old_entries = ord.old_token.as_ref().map_or(&[][..], |t| t.entries());
+        let old_entries = match new_entries.first() {
+            Some(first) => &old_entries[..old_entries.partition_point(|e| e.min_gs < first.min_gs)],
+            None => old_entries,
+        };
         let wq = self.wq.as_mut().expect("top-ring node has a WQ");
         let mq = &mut self.mq;
-        for e in entries.iter() {
-            wq.take_orderable_with(e.ordering_node, e.source, e.local, e.min_gs, |gsn, data| {
-                if mq.insert(gsn, data) == InsertOutcome::Stored && record_copies {
-                    out.push(Action::Record(ProtoEvent::MqCopied {
-                        group,
-                        node: me,
-                        gsn,
-                    }));
-                }
-            });
+        let mut copied = 0u64;
+        let mut waiting_from = None;
+        for e in old_entries
+            .iter()
+            .chain(new_entries)
+            .skip_while(|e| e.max_gs() <= through)
+        {
+            let settled = wq.take_orderable_with(
+                e.ordering_node,
+                e.source,
+                e.local,
+                e.min_gs,
+                |gsn, data| {
+                    copied += 1;
+                    if mq.insert(gsn, data) == InsertOutcome::Stored && record_copies {
+                        out.push(Action::Record(ProtoEvent::MqCopied {
+                            group,
+                            node: me,
+                            gsn,
+                        }));
+                    }
+                },
+            );
+            if !settled && waiting_from.is_none() {
+                waiting_from = Some(e.min_gs);
+            }
         }
-        self.drive_delivery(now, out);
+        ord.assigned_through = waiting_from.unwrap_or(newest.next_gsn).prev().max(through);
+        if copied > 0 {
+            self.telemetry.count_n(trigger.metric(), copied);
+            self.drive_delivery(now, out);
+        }
     }
 }
 
@@ -737,64 +790,147 @@ mod tests {
         assert!(n.ord.as_ref().unwrap().drop_armed.is_none(), "disarmed");
     }
 
+    /// Node 1 of the 0→1→2 ring with a telemetry registry, so the tests can
+    /// see which trigger made each copy.
+    fn observed_br1() -> NeState {
+        let cfg = ProtocolConfig {
+            telemetry: true,
+            ..ProtocolConfig::default()
+        };
+        NeState::new_br(G, NodeId(1), top_ring(), true, cfg)
+    }
+
+    fn copies(n: &NeState, trigger: AssignTrigger) -> u64 {
+        let dump = n.telemetry.dump().expect("telemetry is on");
+        dump.metrics.counter(trigger.metric())
+    }
+
+    /// A token from node 0 whose WTSNP maps node 0's `ls` range to GSN 1...
+    fn token_assigning(first: u64, last: u64) -> OrderingToken {
+        let mut t = OrderingToken::new(G, NodeId(0));
+        t.assign(
+            NodeId(0),
+            NodeId(0),
+            LocalRange::new(LocalSeq(first), LocalSeq(last)),
+        );
+        t
+    }
+
     #[test]
-    fn order_assignment_copies_wq_to_mq() {
+    fn assigner_copies_its_own_range_at_the_token_hold() {
         let mut n = br(0);
         let mut out = Vec::new();
         n.on_source_data(SimTime::ZERO, LocalSeq(1), PayloadId(11), &mut out);
         n.originate_token(SimTime::ZERO, &mut out);
-        out.clear();
-        // The assigner copies its own messages at assignment time.
-        assert_eq!(n.mq.rear(), GlobalSeq(1), "own message copied immediately");
-        n.tick_order_assign(SimTime::from_millis(5), &mut out);
-        assert_eq!(n.mq.rear(), GlobalSeq(1));
-        assert_eq!(n.mq.front(), GlobalSeq(1), "delivery driven after copy");
+        assert_eq!(n.mq.front(), GlobalSeq(1), "copied and delivered at once");
         let d = n.mq.get(GlobalSeq(1)).unwrap();
         assert_eq!(d.payload, PayloadId(11));
         assert_eq!(d.ordering_node, NodeId(0));
+        assert_eq!(n.ord.as_ref().unwrap().assigned_through, GlobalSeq(1));
+        // Nothing is left for the fallback tick.
+        out.clear();
+        n.tick_order_assign(SimTime::from_millis(5), &mut out);
+        assert!(out.is_empty());
     }
 
     #[test]
-    fn order_assignment_uses_old_token_too() {
-        // Node 1 holds a ring-forwarded entry from node 0's stream; the
-        // assignment arrives via token snapshots and is consumed on the τ
-        // tick, including from the OLD snapshot.
-        let mut n = br(1);
+    fn token_arrival_copies_predecessors_range_at_the_same_instant() {
+        let mut n = observed_br1();
         let mut out = Vec::new();
-        n.on_pre_order(
-            SimTime::ZERO,
+        let t0 = SimTime::from_millis(3);
+        n.on_pre_order(t0, NodeId(0), LocalSeq(1), PayloadId(1), &mut out);
+        n.on_source_data(t0, LocalSeq(1), PayloadId(2), &mut out);
+        assert_eq!(n.mq.rear(), GlobalSeq::ZERO, "nothing is ordered yet");
+        // The token carries node 0's ls1 → gs1; node 1 adds its own → gs2.
+        n.on_token(t0, Endpoint::Ne(NodeId(0)), token_assigning(1, 1), &mut out);
+        assert_eq!(n.mq.front(), GlobalSeq(2), "both ranges, in GSN order");
+        assert_eq!(n.mq.get(GlobalSeq(1)).unwrap().source, NodeId(0));
+        assert_eq!(n.mq.get(GlobalSeq(2)).unwrap().source, NodeId(1));
+        assert_eq!(copies(&n, AssignTrigger::Token), 2);
+        assert_eq!(n.ord.as_ref().unwrap().assigned_through, GlobalSeq(2));
+    }
+
+    #[test]
+    fn pre_order_arriving_after_its_token_is_copied_on_arrival() {
+        let mut n = observed_br1();
+        let mut out = Vec::new();
+        let t0 = SimTime::from_millis(3);
+        // ls1 is here, ls2 was overtaken by the token that covers both.
+        n.on_pre_order(t0, NodeId(0), LocalSeq(1), PayloadId(1), &mut out);
+        n.on_token(t0, Endpoint::Ne(NodeId(0)), token_assigning(1, 2), &mut out);
+        assert_eq!(n.mq.front(), GlobalSeq(1));
+        assert_eq!(
+            n.ord.as_ref().unwrap().assigned_through,
+            GlobalSeq::ZERO,
+            "the watermark waits below the unsettled entry"
+        );
+        n.on_pre_order(t0, NodeId(0), LocalSeq(2), PayloadId(2), &mut out);
+        assert_eq!(n.mq.front(), GlobalSeq(2), "copied without a τ tick");
+        assert_eq!(copies(&n, AssignTrigger::Token), 1);
+        assert_eq!(copies(&n, AssignTrigger::PreOrder), 1);
+        assert_eq!(copies(&n, AssignTrigger::Tick), 0);
+        assert_eq!(n.ord.as_ref().unwrap().assigned_through, GlobalSeq(2));
+    }
+
+    #[test]
+    fn tick_rescues_an_entry_reachable_only_through_the_old_token() {
+        let mut n = observed_br1();
+        let mut out = Vec::new();
+        // Pass 1 carries node 0's ls1 → gs1, but the pre-order is not here.
+        n.on_token(
+            SimTime::from_millis(5),
+            Endpoint::Ne(NodeId(0)),
+            token_assigning(1, 1),
+            &mut out,
+        );
+        // Pass 2 (entry pruned from it) pushes pass 1 to OldOrderingToken.
+        let pass2 = || {
+            let mut t = OrderingToken::new(G, NodeId(0));
+            t.next_gsn = GlobalSeq(2);
+            t.rotation = 3;
+            t
+        };
+        n.on_token(
+            SimTime::from_millis(10),
+            Endpoint::Ne(NodeId(0)),
+            pass2(),
+            &mut out,
+        );
+        let ord = n.ord.as_ref().unwrap();
+        assert!(ord.old_token.is_some() && ord.new_token.as_ref().unwrap().wtsnp.is_empty());
+        // The message reaches the WQ behind every trigger's back.
+        n.wq.as_mut()
+            .unwrap()
+            .insert(NodeId(0), LocalSeq(1), PayloadId(1));
+        out.clear();
+        n.tick_order_assign(SimTime::from_millis(11), &mut out);
+        assert_eq!(n.mq.front(), GlobalSeq(1), "entry found via old snapshot");
+        assert_eq!(copies(&n, AssignTrigger::Tick), 1);
+        // Without the old snapshot the entry is out of reach: the watermark
+        // steps over it and the tick goes idle.
+        let mut lone = observed_br1();
+        lone.cfg.keep_old_token = false;
+        lone.on_token(
+            SimTime::from_millis(5),
+            Endpoint::Ne(NodeId(0)),
+            token_assigning(1, 1),
+            &mut out,
+        );
+        lone.on_token(
+            SimTime::from_millis(10),
+            Endpoint::Ne(NodeId(0)),
+            pass2(),
+            &mut out,
+        );
+        lone.on_pre_order(
+            SimTime::from_millis(11),
             NodeId(0),
             LocalSeq(1),
             PayloadId(1),
             &mut out,
         );
-        // Token pass 1 carries node 0's assignment for ls1 → gs1.
-        let mut t1 = OrderingToken::new(G, NodeId(0));
-        t1.assign(
-            NodeId(0),
-            NodeId(0),
-            LocalRange::new(LocalSeq(1), LocalSeq(1)),
-        );
-        n.on_token(
-            SimTime::from_millis(5),
-            Endpoint::Ne(NodeId(0)),
-            t1,
-            &mut out,
-        );
-        // Token pass 2 (entry pruned from it) pushes pass 1 to OldOrderingToken.
-        let mut t2 = OrderingToken::new(G, NodeId(0));
-        t2.next_gsn = GlobalSeq(2);
-        t2.rotation = 3;
-        n.on_token(
-            SimTime::from_millis(10),
-            Endpoint::Ne(NodeId(0)),
-            t2,
-            &mut out,
-        );
-        assert!(n.ord.as_ref().unwrap().old_token.is_some());
-        out.clear();
-        n.tick_order_assign(SimTime::from_millis(11), &mut out);
-        assert_eq!(n.mq.rear(), GlobalSeq(1), "entry found via old snapshot");
+        assert_eq!(lone.mq.rear(), GlobalSeq::ZERO, "left to MQ-level repair");
+        assert_eq!(lone.ord.as_ref().unwrap().assigned_through, GlobalSeq(1));
     }
 
     #[test]

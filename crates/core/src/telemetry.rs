@@ -75,6 +75,14 @@ pub mod metric {
     pub const PREORDER_NACKS_SENT: &str = "preorder_nacks_sent";
     /// Counter: retained copies re-sent in answer to a NACK.
     pub const RETRANSMISSIONS_SERVED: &str = "retransmissions_served";
+    /// Counter: messages Order-Assignment copied `WQ`→`MQ` at the instant
+    /// a token snapshot was installed (every loss-free delivery).
+    pub const COPIED_ON_TOKEN: &str = "order_assign.copied_on_token";
+    /// Counter: messages copied when a (fence) pre-order landed under an
+    /// entry a kept snapshot already covered.
+    pub const COPIED_ON_PREORDER: &str = "order_assign.copied_on_preorder";
+    /// Counter: messages copied by the periodic `τ` fallback tick.
+    pub const COPIED_ON_TICK: &str = "order_assign.copied_on_tick";
     /// Gauge: highest epoch this node has observed.
     pub const EPOCH: &str = "epoch";
 }

@@ -255,8 +255,14 @@ impl WorkingQueue {
     }
 
     /// [`Wq::take_orderable`] without the result `Vec`: each taken entry is
-    /// handed to `sink` in order. The hot ordering paths (token pass,
-    /// τ Order-Assignment) insert straight into the MQ through this.
+    /// handed to `sink` in order; Order-Assignment inserts straight into the
+    /// `MQ` through this.
+    ///
+    /// Returns true when the range is *settled* here: every local number in
+    /// it was copied (now or earlier), garbage-collected or declared lost,
+    /// so no later arrival can fall under it. False means at least one
+    /// message of the range has not reached this node yet — the caller must
+    /// come back when it does.
     pub fn take_orderable_with(
         &mut self,
         corresponding: NodeId,
@@ -264,37 +270,44 @@ impl WorkingQueue {
         range: LocalRange,
         min_gs: GlobalSeq,
         mut sink: impl FnMut(GlobalSeq, MsgData),
-    ) {
+    ) -> bool {
         let Some(q) = self.queues.get_mut(&corresponding) else {
-            return;
+            return false;
         };
+        let mut settled = true;
         for ls in range.iter() {
-            let Some(i) = q.idx(ls) else { continue };
-            if let SqSlot::Present {
-                payload,
-                gsn,
-                copied,
-                origin,
-            } = &mut q.slots[i]
-            {
-                if *copied {
-                    continue;
+            if ls < q.base {
+                continue; // collected, or history from before a resync
+            }
+            match q.slots.get_mut((ls.0 - q.base.0) as usize) {
+                Some(SqSlot::Present {
+                    payload,
+                    gsn,
+                    copied,
+                    origin,
+                }) => {
+                    if *copied {
+                        continue;
+                    }
+                    let g = min_gs.advance(ls.since(range.min));
+                    *gsn = Some(g);
+                    *copied = true;
+                    let (src, src_seq) = origin.unwrap_or((source, ls));
+                    sink(
+                        g,
+                        MsgData {
+                            source: src,
+                            local_seq: src_seq,
+                            ordering_node: corresponding,
+                            payload: *payload,
+                        },
+                    );
                 }
-                let g = min_gs.advance(ls.since(range.min));
-                *gsn = Some(g);
-                *copied = true;
-                let (src, src_seq) = origin.unwrap_or((source, ls));
-                sink(
-                    g,
-                    MsgData {
-                        source: src,
-                        local_seq: src_seq,
-                        ordering_node: corresponding,
-                        payload: *payload,
-                    },
-                );
+                Some(SqSlot::Lost) => {}
+                Some(SqSlot::Missing { .. }) | None => settled = false,
             }
         }
+        settled
     }
 
     /// Record a cumulative ACK from the next ring node for one source's

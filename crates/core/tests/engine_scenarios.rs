@@ -2,7 +2,11 @@
 //! can't see — traffic patterns, fault injection, activation lifecycles,
 //! journal plumbing.
 
+use std::collections::BTreeMap;
+
+use ringnet_core::driver::{MulticastSim, Scenario};
 use ringnet_core::hierarchy::{LinkPlan, MhSpec, TrafficPattern};
+use ringnet_core::telemetry::metric;
 use ringnet_core::{
     GroupId, Guid, HierarchyBuilder, NodeId, ProtoEvent, ProtocolConfig, RingNetSim,
 };
@@ -404,4 +408,164 @@ fn lost_frame_of_cumulative_acks_is_repaired_by_the_next_frame() {
         _ => false,
     };
     assert_eq!(count(&cut, unrepaired), 0);
+}
+
+/// Loss-free static worlds, 600 ms each: the benchmark's 2-BR grid shape
+/// (`campus_128`, cut down), its 8-ring shape (`rings8_ctrl`), and the
+/// 4-ring world whose every message crosses the cross-group fence.
+fn loss_free_static_worlds() -> Vec<(&'static str, Scenario)> {
+    let base = || {
+        Scenario::builder()
+            .loss_free_wireless()
+            .window(SimTime::ZERO, Some(SimTime::from_millis(400)))
+            .duration(SimTime::from_millis(600))
+            .telemetry(true)
+    };
+    let multi = |rings: u32| {
+        let mut sc = base()
+            .attachments(8)
+            .walkers_per_attachment(1)
+            .sources(8)
+            .cbr(SimDuration::from_millis(2))
+            .groups((1..=rings).map(GroupId).collect());
+        if rings == 4 {
+            sc = sc.source_groups(
+                (0..8u32)
+                    .map(|i| vec![GroupId(i % rings + 1), GroupId((i + 1) % rings + 1)])
+                    .collect(),
+            );
+        }
+        let mut sc = sc.build();
+        sc.cfg.mq_capacity = 128;
+        sc
+    };
+    let grid = base()
+        .grid(4, 2)
+        .walkers_per_attachment(2)
+        .sources(2)
+        .cbr(SimDuration::from_millis(5))
+        .build();
+    vec![
+        ("grid_2br", grid),
+        ("rings8", multi(8)),
+        ("fence_overlap_4", multi(4)),
+    ]
+}
+
+/// Nothing is lost in these worlds, so nothing may be asked for twice: no
+/// `DataNack`, no retransmission served, no duplicate seen. (A non-assigner
+/// BR used to copy its own, higher, GSN range into `MQ` up to τ before its
+/// predecessor's lower one, and the hop tick NACKed the hole.) And every
+/// `WQ`→`MQ` copy is made the instant its token arrives — none is left for
+/// the τ fallback tick.
+#[test]
+fn loss_free_static_worlds_never_nack_and_never_wait_for_the_tick() {
+    for (name, sc) in loss_free_static_worlds() {
+        let report = RingNetSim::run_scenario(&sc, 7);
+        let m = &report.metrics;
+        assert!(m.delivered > 1_000, "{name}: world too quiet");
+        assert_eq!(m.delivery_ratio(), 1.0, "{name}");
+        assert_eq!((m.duplicates, m.skipped), (0, 0), "{name}");
+        let t = report.telemetry.as_ref().expect("telemetry is on");
+        for quiet in [
+            metric::NACKS_SENT,
+            metric::PREORDER_NACKS_SENT,
+            metric::RETRANSMISSIONS_SERVED,
+            metric::COPIED_ON_TICK,
+            metric::COPIED_ON_PREORDER,
+        ] {
+            assert_eq!(t.total_counter(quiet), 0, "{name}: {quiet}");
+        }
+        let served: u32 = report
+            .journal
+            .iter()
+            .map(|(_, e)| match e {
+                ProtoEvent::NeFinal {
+                    retransmissions, ..
+                } => *retransmissions,
+                _ => 0,
+            })
+            .sum();
+        assert_eq!(served, 0, "{name}: retransmissions served");
+        // Every top-ring state copies every message of its ring exactly once.
+        let ring_states = sc.ordering_capable_nodes() as u64;
+        assert_eq!(
+            t.total_counter(metric::COPIED_ON_TOKEN),
+            m.ordered * ring_states,
+            "{name}: copies made on token arrival"
+        );
+    }
+}
+
+/// Theorem 5.1 without the τ term: on the loss-free Figure-1 world every
+/// delivery takes exactly its token wait, plus the ring hops the WTSNP
+/// entry rides from the assigner to the BR above the walker, plus the
+/// tree path below that BR — link delays only, no timer residual.
+#[test]
+fn figure1_latency_is_token_wait_plus_link_delays_exactly() {
+    let links = LinkPlan {
+        // 3 ms ring hops: token arrivals fall between the 5 ms τ ticks, so
+        // a copy that waited for one would show.
+        top_ring: LinkProfile::wired(SimDuration::from_millis(3)),
+        wireless: LinkProfile::wired(SimDuration::from_millis(2)),
+        ..LinkPlan::default()
+    };
+    let spec = HierarchyBuilder::new(G)
+        .brs(4)
+        .ag_rings(3, 3)
+        .aps_per_ag(1)
+        .mhs_per_ap(1)
+        .sources(1)
+        // 7 ms against the 12 ms rotation: the token wait takes every phase.
+        .source_pattern(TrafficPattern::Cbr {
+            interval: SimDuration::from_millis(7),
+        })
+        .source_window(SimTime::ZERO, Some(SimTime::from_millis(1500)))
+        .links(links.clone())
+        .build();
+    let delay = |p: &LinkProfile| p.latency.max_delay();
+    // Walker k sits under AP k under AG k: ring k/3, position k%3. Ring r
+    // hangs off BR r, r token hops downstream of the assigner BR 0.
+    let path_below_token: BTreeMap<Guid, SimDuration> = spec
+        .mhs
+        .iter()
+        .map(|mh| {
+            let k = u64::from(mh.guid.0);
+            let (ring, pos) = (k / 3, k % 3);
+            let path = delay(&links.top_ring) * ring
+                + delay(&links.br_ag)
+                + delay(&links.ag_ring) * pos
+                + delay(&links.ag_ap)
+                + delay(&links.wireless);
+            (mh.guid, path)
+        })
+        .collect();
+    let mut net = RingNetSim::build(spec, 7);
+    net.run_until(SimTime::from_secs(2));
+    let (journal, _) = net.finish();
+    let mut sent = BTreeMap::new();
+    let mut ordered = BTreeMap::new();
+    let mut checked = 0;
+    for (t, e) in &journal {
+        match e {
+            ProtoEvent::SourceSend { local_seq, .. } => {
+                sent.insert(*local_seq, *t);
+            }
+            ProtoEvent::Ordered { local_seq, .. } => {
+                ordered.insert(*local_seq, *t);
+            }
+            ProtoEvent::MhDeliver { mh, local_seq, .. } => {
+                let token_wait = ordered[local_seq].saturating_since(sent[local_seq]);
+                assert_eq!(
+                    t.saturating_since(sent[local_seq]),
+                    token_wait + path_below_token[mh],
+                    "{mh:?} {local_seq:?}: residual beyond token wait {token_wait:?} + path"
+                );
+                checked += 1;
+            }
+            _ => {}
+        }
+    }
+    assert_eq!(checked, sent.len() * 9, "every walker got every message");
+    assert!(sent.len() > 200);
 }

@@ -2,18 +2,21 @@
 //!
 //! Three knobs, each isolated on the same workload:
 //!
-//! * **WTSNP retention** (rotations an assignment stays in the token):
-//!   1 rotation risks nodes missing entries — repaired by `MQ` NACKs to the
-//!   previous ring node, visible as retransmissions; 2 (default) gives
-//!   every node a new-or-old-token chance.
-//! * **OldOrderingToken** (§4.1 keeps two token versions): dropping the old
-//!   snapshot narrows each node's Order-Assignment window.
+//! * **WTSNP retention** (rotations an assignment stays in the token) and
+//!   **OldOrderingToken** (§4.1 keeps two token versions): together they
+//!   set how long after its token a pre-order may still arrive and be
+//!   copied by Order-Assignment. Since the copy became event-driven that
+//!   window is used only on the *repair path* — a pre-order lost on the
+//!   ring and re-fetched after its token has passed. On a loss-free ring
+//!   every pre-order precedes its token and both knobs are inert, whatever
+//!   `τ` is; on a lossy ring a window too short for the pre-order repair
+//!   hands the hole to `MQ`-level NACKs, visible as retransmissions.
 //! * **ACK batching** (`ack_every`): fewer ACKs mean longer retention and
 //!   larger buffer peaks — the empirical slack factor of T3 at work.
 
 use ringnet_core::hierarchy::TrafficPattern;
 use ringnet_core::{GroupId, HierarchyBuilder, NodeId, ProtoEvent, ProtocolConfig};
-use simnet::{SimDuration, SimTime};
+use simnet::{LossModel, SimDuration, SimTime};
 
 use crate::experiments::{loss_free_links, run_spec};
 use crate::metrics;
@@ -26,7 +29,14 @@ struct Point {
     mq_peak: u32,
 }
 
-fn measure(cfg: ProtocolConfig, duration: SimTime) -> Point {
+/// Loss on every top-ring link of the "lossy ring" rows.
+const RING_LOSS: f64 = 0.05;
+
+fn measure(cfg: ProtocolConfig, lossy_ring: bool, duration: SimTime) -> Point {
+    let mut links = loss_free_links();
+    if lossy_ring {
+        links.top_ring = links.top_ring.with_loss(LossModel::Bernoulli(RING_LOSS));
+    }
     let spec = HierarchyBuilder::new(GroupId(1))
         .brs(4)
         .ag_rings(2, 2)
@@ -37,7 +47,7 @@ fn measure(cfg: ProtocolConfig, duration: SimTime) -> Point {
             interval: SimDuration::from_millis(5),
         })
         .config(cfg)
-        .links(loss_free_links())
+        .links(links)
         .build();
     let journal = run_spec(spec, 23, duration);
     let h = metrics::end_to_end_latency(&journal);
@@ -79,39 +89,49 @@ pub fn run(quick: bool) -> Table {
         ],
     );
     let duration = SimTime::from_secs(if quick { 3 } else { 6 });
-    let mut variants: Vec<(String, ProtocolConfig)> = Vec::new();
-    // Retention only matters when the Order-Assignment period approaches
-    // the rotation time (entries must survive in the token until every node
-    // has run a τ tick against them): τ = 30 ms vs rotation = 20 ms.
+    let mut variants: Vec<(String, ProtocolConfig, bool)> = Vec::new();
+    // τ = 30 ms against a 20 ms rotation: were any copy left to the τ
+    // tick, short retention would lose entries before the tick saw them.
     let slow_tau = SimDuration::from_millis(30);
     let retentions: &[u64] = if quick { &[1, 2] } else { &[1, 2, 3] };
-    for &r in retentions {
-        let mut c = ProtocolConfig::default().with_tau(slow_tau);
-        c.wtsnp_retain_rotations = r;
-        variants.push((format!("retention={r} (τ=30ms)"), c));
-    }
     // The two knobs interact: the old-token copy extends an entry's local
     // visibility by a full rotation, masking short retention. The combined
-    // variant exposes the repair path.
-    let mut combined = ProtocolConfig::default().with_tau(slow_tau);
-    combined.wtsnp_retain_rotations = 1;
-    combined.keep_old_token = false;
-    variants.push(("retention=1 + no old (τ=30ms)".into(), combined));
+    // variant strips both.
+    let mut stripped = ProtocolConfig::default().with_tau(slow_tau);
+    stripped.wtsnp_retain_rotations = 1;
+    stripped.keep_old_token = false;
+    for lossy_ring in [false, true] {
+        let world = if lossy_ring {
+            "5% ring loss"
+        } else {
+            "loss-free"
+        };
+        for &r in retentions {
+            let mut c = ProtocolConfig::default().with_tau(slow_tau);
+            c.wtsnp_retain_rotations = r;
+            variants.push((format!("retention={r} (τ=30ms, {world})"), c, lossy_ring));
+        }
+        variants.push((
+            format!("retention=1 + no old (τ=30ms, {world})"),
+            stripped.clone(),
+            lossy_ring,
+        ));
+    }
     let no_old = ProtocolConfig {
         keep_old_token: false,
         ..ProtocolConfig::default()
     };
-    variants.push(("no OldOrderingToken".into(), no_old));
+    variants.push(("no OldOrderingToken".into(), no_old, false));
     let acks: &[u8] = if quick { &[1, 8] } else { &[1, 4, 16] };
     for &a in acks {
         let c = ProtocolConfig {
             ack_every: a,
             ..ProtocolConfig::default()
         };
-        variants.push((format!("ack_every={a}"), c));
+        variants.push((format!("ack_every={a}"), c, false));
     }
-    for (name, cfg) in variants {
-        let p = measure(cfg, duration);
+    for (name, cfg, lossy_ring) in variants {
+        let p = measure(cfg, lossy_ring, duration);
         table.row(vec![
             name,
             fms(p.p99),
@@ -121,7 +141,9 @@ pub fn run(quick: bool) -> Table {
         ]);
     }
     table.note("defaults: retention=2, old token kept, ack_every=2");
-    table.note("short retention trades token size for NACK repair traffic; ACK batching trades control messages for buffer residency");
+    table.note("loss-free rows are flat on purpose: every pre-order precedes its token and Order-Assignment copies on token arrival, so neither retention nor the old snapshot is ever consulted, whatever τ is (while the copy waited for the τ tick these rows showed 2373 retransmissions on a loss-free ring — repairs of holes the tick itself opened)");
+    table.note("retention and the old snapshot matter only on the repair path (5% ring loss rows): a pre-order re-fetched after its token is copied on arrival while a kept snapshot still covers it; with both stripped the hole falls to MQ-level NACKs and costs extra retransmissions");
+    table.note("ACK batching trades control messages for buffer residency");
     table
 }
 
@@ -132,17 +154,20 @@ mod tests {
     #[test]
     fn a1_ablation_effects_visible() {
         let t = run(true);
-        // Rows: retention=1, retention=2, combined, no-old-token,
-        // ack_every=1, ack_every=8.
-        assert_eq!(t.rows.len(), 6);
-        let repair_combined: u64 = t.rows[2][2].parse().unwrap();
-        let repair_default: u64 = t.rows[1][2].parse().unwrap();
+        // Rows: retention=1, retention=2, stripped — loss-free, then the
+        // same three at 5% ring loss — then no-old-token, ack_every=1, 8.
+        assert_eq!(t.rows.len(), 9);
+        let repairs = |row: usize| t.rows[row][2].parse::<u64>().unwrap();
+        for row in 0..3 {
+            assert_eq!(repairs(row), 0, "a loss-free ring needs no repair");
+        }
+        assert!(repairs(4) > 0, "a lossy ring does");
         assert!(
-            repair_combined >= repair_default,
-            "stripping both retention mechanisms cannot need fewer repairs"
+            repairs(5) > repairs(4),
+            "stripping both retention mechanisms must cost repairs on the repair path"
         );
-        let peak_ack1: u32 = t.rows[4][4].parse().unwrap();
-        let peak_ack8: u32 = t.rows[5][4].parse().unwrap();
+        let peak_ack1: u32 = t.rows[7][4].parse().unwrap();
+        let peak_ack8: u32 = t.rows[8][4].parse().unwrap();
         assert!(
             peak_ack8 >= peak_ack1,
             "coarser ACK batching must not shrink buffers (ack1 {peak_ack1}, ack8 {peak_ack8})"

@@ -4,7 +4,10 @@
 //! message latency bound of max(T_order, T_transmit) + τ + T_deliver."
 //! We sweep the top-ring size `r` and the Order-Assignment period `τ` on a
 //! loss-free network (the theorem explicitly excludes retransmission) and
-//! compare measured delivery latencies against the analytic bound.
+//! compare measured delivery latencies against the analytic bound — with
+//! the `τ` term and without it: Order-Assignment copies on token arrival,
+//! so on a loss-free ring no delivery waits for the τ tick and the
+//! measured columns do not move with `τ` at all.
 
 use ringnet_core::analysis::{bounds, TheoremInputs};
 use ringnet_core::hierarchy::TrafficPattern;
@@ -94,6 +97,10 @@ pub fn run(quick: bool) -> Table {
             "max",
             "≤paper",
             "≤worst",
+            "paper−τ",
+            "worst−τ",
+            "≤paper−τ",
+            "≤worst−τ",
         ],
     );
     let rs: Vec<usize> = if quick { vec![2, 4] } else { vec![2, 4, 8] };
@@ -107,14 +114,18 @@ pub fn run(quick: bool) -> Table {
         ]
     };
     let duration = SimTime::from_secs(if quick { 3 } else { 6 });
+    let yes_no = |holds: bool| if holds { "yes" } else { "NO" }.to_string();
     let mut all_within_worst = true;
+    let mut all_within_worst_less_tau = true;
     let mut any_paper_violation = false;
     for &r in &rs {
         for &tau in &taus {
             let p = measure(r, tau, duration);
             let within_paper = p.max <= p.bound;
             let within_worst = p.max <= p.bound_worst;
+            let within_worst_less_tau = p.max <= p.bound_worst - tau;
             all_within_worst &= within_worst;
+            all_within_worst_less_tau &= within_worst_less_tau;
             any_paper_violation |= !within_paper;
             table.row(vec![
                 r.to_string(),
@@ -124,21 +135,20 @@ pub fn run(quick: bool) -> Table {
                 fms(p.p50),
                 fms(p.p99),
                 fms(p.max),
-                if within_paper {
-                    "yes".into()
-                } else {
-                    "NO".into()
-                },
-                if within_worst {
-                    "yes".into()
-                } else {
-                    "NO".into()
-                },
+                yes_no(within_paper),
+                yes_no(within_worst),
+                fms(p.bound - tau),
+                fms(p.bound_worst - tau),
+                yes_no(p.max <= p.bound - tau),
+                yes_no(within_worst_less_tau),
             ]);
         }
     }
     table.note(format!(
         "all points within corrected worst-case bound: {all_within_worst}; paper's as-written bound violated at some phase: {any_paper_violation}"
+    ));
+    table.note(format!(
+        "all points within the corrected bound without its τ term: {all_within_worst_less_tau} — Order-Assignment copies on token arrival, so the measured columns are the same at every τ; τ bounds only a pre-order repaired after its token, which a loss-free run never has"
     ));
     table.note("reproduction finding: the paper's Max(T_order,T_transmit) overlap holds only in the best token phase; worst case needs T_order+T_transmit (see analysis module docs)");
     table.note("loss-free links per the theorem's assumption; jitter upper-bounded in T_deliver");
@@ -154,7 +164,22 @@ mod tests {
         let t = run(true);
         for row in &t.rows {
             assert_eq!(row[8], "yes", "corrected latency bound violated: {row:?}");
+            assert_eq!(
+                row[12], "yes",
+                "a loss-free delivery paid a τ term: {row:?}"
+            );
         }
+    }
+
+    #[test]
+    fn loss_free_latency_does_not_depend_on_tau() {
+        let d = SimTime::from_secs(2);
+        let fast = measure(4, SimDuration::from_millis(2), d);
+        let slow = measure(4, SimDuration::from_millis(30), d);
+        assert_eq!(
+            (fast.p50, fast.p99, fast.max),
+            (slow.p50, slow.p99, slow.max)
+        );
     }
 
     #[test]

@@ -122,13 +122,23 @@ fn digest_is_sensitive_to_protocol_behaviour() {
 /// preserving each node's event sequence (the semantic equivalence pinned
 /// by `crates/core/tests/telemetry_determinism.rs`). The contract is
 /// byte-identity per `(seed, shard count)`, exactly as recorded here.
+///
+/// Regenerated on purpose by PR 13 (event-driven Order-Assignment; were
+/// `0xe4ff35a26108900b` / `0x08fa27c3d642e6cd` / `0xac198b4fc327e74f` at
+/// 1 / 2 / 4 shards): a top-ring node now copies `WQ`→`MQ` the instant the
+/// token arrives instead of at its next τ tick, so every `MhDeliver` below
+/// a non-assigner BR is stamped up to 5 ms earlier. Timestamps aside the
+/// journal is the same 1306 entries, but for three `BufferSample`s of that
+/// BR that now find the `WQ` entry already copied and collected; the
+/// baselines that do not run the ordering core keep their digests
+/// ([`GOLDEN_BASELINE_DIGESTS`]).
 const GOLDEN_RINGNET_DIGESTS: &[(u64, usize, u64)] = &[
-    (3, 1, 0xe4ff35a26108900b),
-    (3, 2, 0x08fa27c3d642e6cd),
-    (3, 4, 0xac198b4fc327e74f),
-    (7, 1, 0xe4ff35a26108900b),
-    (7, 2, 0x08fa27c3d642e6cd),
-    (7, 4, 0xac198b4fc327e74f),
+    (3, 1, 0xf7bdc4b72d1280c2),
+    (3, 2, 0x612d053ebf5863e0),
+    (3, 4, 0x3ff785848332de1a),
+    (7, 1, 0xf7bdc4b72d1280c2),
+    (7, 2, 0x612d053ebf5863e0),
+    (7, 4, 0x3ff785848332de1a),
 ];
 
 #[test]
@@ -142,6 +152,40 @@ fn ringnet_journal_digest_is_pinned_per_seed_and_shard_count() {
             "seed {seed}, {shards} shard(s): journal digest {got:#018x} != pinned \
              {want:#018x} — the fabric changed observable protocol behaviour"
         );
+    }
+}
+
+/// A named backend and its pinned digest.
+type PinnedBackend = (&'static str, fn(&Scenario, u64) -> RunReport, u64);
+
+/// Golden journal digests of the five baselines on the shared world, the
+/// same at 1 and 2 shards. They are the blast-radius proof of a change to
+/// the RingNet ordering core: tree (rings of one — the assigner always
+/// copied at once), tunnel, RelM and unordered share no Order-Assignment
+/// code and must not move when the RingNet table above is regenerated.
+/// The flat ring *is* that core on one ring of stations
+/// (`NeState::new_flat_station`), so it moves with it: PR 13 took it from
+/// `0x3ac175ebc4d719b3` to the value below, the other four stayed.
+const GOLDEN_BASELINE_DIGESTS: &[PinnedBackend] = &[
+    ("flat_ring", FlatRingSim::run_scenario, 0x2e98bbc2be9658e4),
+    ("tree", TreeSim::run_scenario, 0x4ff1ebcb601b887c),
+    ("tunnel", TunnelSim::run_scenario, 0x16a8b07b65d6e1f7),
+    ("relm", RelmSim::run_scenario, 0xd6a391e31fb9eb62),
+    ("unordered", UnorderedSim::run_scenario, 0x878f0228f1205ce4),
+];
+
+#[test]
+fn baseline_journal_digests_are_pinned() {
+    for &(name, run, want) in GOLDEN_BASELINE_DIGESTS {
+        for shards in [1usize, 2] {
+            let mut sc = scenario();
+            sc.shards = shards;
+            let got = digest(&run(&sc, 3));
+            assert_eq!(
+                got, want,
+                "{name}, {shards} shard(s): journal digest {got:#018x} != pinned {want:#018x}"
+            );
+        }
     }
 }
 
@@ -215,9 +259,14 @@ type PinnedWorld = (&'static str, fn() -> Scenario, u64);
 /// state, so what they do within one simulated instant may be permuted by
 /// a transport change (and is, between shard counts) without changing
 /// what the protocol did; anything else moves these numbers.
+///
+/// Regenerated on purpose by PR 13 with [`GOLDEN_RINGNET_DIGESTS`], for
+/// the same reason (were `0xc3eab3f309e6a5f4` and `0xc0fa607a8473d82e`):
+/// `MhDeliver` timestamps move up to 5 ms earlier on every ring, funnel-
+/// assigned fence traffic included.
 const GOLDEN_MULTIGROUP_INSTANT_DIGESTS: &[PinnedWorld] = &[
-    ("rings8", rings8_world, 0xc3eab3f309e6a5f4),
-    ("fence_overlap_4", fence_overlap_world, 0xc0fa607a8473d82e),
+    ("rings8", rings8_world, 0x5aebfa588d3066d6),
+    ("fence_overlap_4", fence_overlap_world, 0x230bc6a18ff6ffd3),
 ];
 
 #[test]
