@@ -1,5 +1,5 @@
 //! The flat logical-ring baseline (Nikolaidis & Harms, ICNP 1999 — the
-//! paper's reference [16]).
+//! paper's reference \[16\]).
 //!
 //! Every base station sits on *one* logical ring; the ordering token and
 //! all control information rotate along the full ring. The RingNet paper's
@@ -8,534 +8,95 @@
 //! when the ring becomes large" — is exactly what experiment E1 measures
 //! against this baseline.
 //!
-//! Implementation: the hybrid [`NeState::new_flat_station`] (a top-ring
-//! ordering node that also serves MHs directly) runs the *same* protocol
-//! code as RingNet, so the comparison isolates the structural difference
-//! (one ring of N stations vs a hierarchy of small rings).
+//! Implementation: the RingNet engine on the *station shape* of
+//! [`ringnet_core::driver::flat_ring_spec`] — no AG rings, no APs, every
+//! top-ring node a hybrid station that orders *and* serves MHs — so the
+//! comparison runs the same protocol code, the same assembly and the same
+//! control surface, and isolates the structural difference (one ring of N
+//! stations vs a hierarchy of small rings). This file owns only the event
+//! quirks of a world without an attachment tier.
 
-use std::collections::BTreeSet;
-use std::sync::Arc;
-
-use ringnet_core::driver::{MulticastSim, Reporting, RunReport, Scenario, ScenarioEvent};
-use ringnet_core::engine::{
-    apply_ring_isolation, boxed_multi_mh_actor, boxed_multi_ne_actor, boxed_multicast_source_actor,
-    inject_control_replay, wire_size, AddrMap,
-};
-use ringnet_core::hierarchy::{SourceSpec, TrafficPattern};
-use ringnet_core::{
-    CrossGroupFence, GroupId, Guid, MhState, Msg, NeState, NodeId, ProtoEvent, ProtocolConfig,
-};
-use simnet::{LinkProfile, NodeAddr, Sim, SimDuration, SimTime};
-
-/// Parameters of a flat-ring deployment.
-#[derive(Debug, Clone)]
-pub struct FlatRingSpec {
-    /// The multicast group.
-    pub group: GroupId,
-    /// Additional declared groups (empty = single-group). Every station
-    /// joins every declared group's ring: the flat ring degenerates to one
-    /// full-size ring *per group*, with token origins (and fence funnels)
-    /// rotated across the stations.
-    pub groups: Vec<GroupId>,
-    /// Per-MH subscription sets (parallel to `placements`); missing or
-    /// empty entries subscribe to every declared group.
-    pub subscriptions: Vec<Vec<GroupId>>,
-    /// Per-source target group sets; missing entries default to the single
-    /// group `declared[i % R]`. Two or more groups route through the
-    /// cross-group fence.
-    pub source_groups: Vec<Vec<GroupId>>,
-    /// Protocol parameters.
-    pub cfg: ProtocolConfig,
-    /// Number of base stations on the single ring.
-    pub stations: usize,
-    /// MHs attached per station (ignored when `placements` is set).
-    pub mhs_per_station: usize,
-    /// Explicit MH placement: `placements[i]` is MH `Guid(i)`'s initial
-    /// station index. Overrides `mhs_per_station`.
-    pub placements: Option<Vec<usize>>,
-    /// Number of sources (≤ stations), assigned to stations 0, 1, ….
-    pub sources: usize,
-    /// Traffic pattern shared by all sources.
-    pub pattern: TrafficPattern,
-    /// First transmission time.
-    pub start: SimTime,
-    /// Sources stop at this time (None = never).
-    pub stop: Option<SimTime>,
-    /// Per-source message limit (None = unlimited).
-    pub limit: Option<u64>,
-    /// Ring link profile (station ↔ station).
-    pub ring_link: LinkProfile,
-    /// Wireless link profile (station ↔ MH).
-    pub wireless: LinkProfile,
-}
-
-impl FlatRingSpec {
-    /// A spec with the defaults used by the comparison experiments.
-    pub fn new(stations: usize, mhs_per_station: usize) -> Self {
-        FlatRingSpec {
-            group: GroupId(1),
-            groups: Vec::new(),
-            subscriptions: Vec::new(),
-            source_groups: Vec::new(),
-            cfg: ProtocolConfig::default(),
-            stations,
-            mhs_per_station,
-            placements: None,
-            sources: 1,
-            pattern: TrafficPattern::Cbr {
-                interval: SimDuration::from_millis(10),
-            },
-            start: SimTime::ZERO,
-            stop: None,
-            limit: None,
-            ring_link: LinkProfile::wired(SimDuration::from_millis(5)),
-            wireless: LinkProfile::wireless(
-                SimDuration::from_millis(2),
-                SimDuration::from_millis(1),
-                0.01,
-            ),
-        }
-    }
-}
-
-/// A built flat-ring simulation.
-pub struct FlatRingSim {
-    /// The underlying simulator.
-    pub sim: Sim<Msg, ProtoEvent>,
-    /// Identity ↔ address translation.
-    pub addrs: Arc<AddrMap>,
-    /// The spec it was built from.
-    pub spec: FlatRingSpec,
-    /// Report assembly mode (batch by default; the [`MulticastSim`] facade
-    /// switches it to streaming when journal retention is off).
-    pub reporting: Reporting,
-}
-
-impl FlatRingSim {
-    /// Instantiate the deployment with the given seed.
-    pub fn build(spec: FlatRingSpec, seed: u64) -> Self {
-        assert!(spec.stations >= 1, "need at least one station");
-        assert!(spec.sources <= spec.stations, "s ≤ r");
-        let mut sim: Sim<Msg, ProtoEvent> = Sim::with_options(seed, true, wire_size);
-
-        let station_ids: Vec<NodeId> = (0..spec.stations as u32).map(NodeId).collect();
-        let mut map = AddrMap::default();
-        let mut next = 0u32;
-        for &id in &station_ids {
-            map.insert_ne(id, NodeAddr(next));
-            next += 1;
-        }
-        let mut source_addrs = Vec::new();
-        for _ in 0..spec.sources {
-            source_addrs.push(NodeAddr(next));
-            next += 1;
-        }
-        let mut mh_assignments: Vec<(Guid, NodeId)> = Vec::new();
-        match &spec.placements {
-            Some(placements) => {
-                for (w, &st_idx) in placements.iter().enumerate() {
-                    assert!(st_idx < spec.stations, "placement beyond station count");
-                    map.insert_mh(Guid(w as u32), NodeAddr(next));
-                    mh_assignments.push((Guid(w as u32), station_ids[st_idx]));
-                    next += 1;
-                }
-            }
-            None => {
-                let mut guid = 0u32;
-                for &st in &station_ids {
-                    for _ in 0..spec.mhs_per_station {
-                        map.insert_mh(Guid(guid), NodeAddr(next));
-                        mh_assignments.push((Guid(guid), st));
-                        guid += 1;
-                        next += 1;
-                    }
-                }
-            }
-        }
-        let map = Arc::new(map);
-
-        let declared = {
-            let mut all = spec.groups.clone();
-            all.push(spec.group);
-            all.sort_unstable();
-            all.dedup();
-            all
-        };
-        let multi = declared.len() > 1;
-        assert!(
-            declared.len() <= spec.stations,
-            "{} groups declared but only {} ordering-capable stations",
-            declared.len(),
-            spec.stations
-        );
-        // One ring per group over the same stations; group i's token
-        // origin (and fence funnel) is station i mod N.
-        let funnels: Vec<(GroupId, NodeId)> = declared
-            .iter()
-            .enumerate()
-            .map(|(i, &g)| (g, station_ids[i % station_ids.len()]))
-            .collect();
-        for &id in &station_ids {
-            let mut states = Vec::with_capacity(declared.len());
-            let mut originate = Vec::with_capacity(declared.len());
-            for (gi, &g) in declared.iter().enumerate() {
-                let mut st =
-                    NeState::new_flat_station(g, id, station_ids.clone(), spec.cfg.clone());
-                if multi {
-                    st.cross_fence = Some(CrossGroupFence::new(g, funnels.clone()));
-                }
-                states.push(st);
-                originate.push(funnels[gi].1 == id);
-            }
-            sim.add_node(boxed_multi_ne_actor(states, Arc::clone(&map), originate));
-        }
-        for i in 0..spec.sources {
-            let src = SourceSpec {
-                corresponding: station_ids[i],
-                pattern: spec.pattern,
-                start: spec.start,
-                stop: spec.stop,
-                limit: spec.limit,
-                groups: Vec::new(),
-            };
-            let targets = match spec.source_groups.get(i) {
-                Some(gs) if !gs.is_empty() => {
-                    let mut gs = gs.clone();
-                    gs.sort_unstable();
-                    gs.dedup();
-                    gs
-                }
-                _ => vec![declared[i % declared.len()]],
-            };
-            let addr = sim.add_node(boxed_multicast_source_actor(
-                targets,
-                declared[0],
-                map.ne(src.corresponding)
-                    .expect("sources attach to declared stations"),
-                &src,
-            ));
-            debug_assert_eq!(addr, source_addrs[i]);
-        }
-        for (w, &(g, st)) in mh_assignments.iter().enumerate() {
-            let subs = match spec.subscriptions.get(w) {
-                Some(subs) if !subs.is_empty() => {
-                    let mut subs = subs.clone();
-                    subs.sort_unstable();
-                    subs.dedup();
-                    subs
-                }
-                _ => declared.clone(),
-            };
-            let states: Vec<MhState> = subs
-                .iter()
-                .map(|&gr| MhState::new(gr, g, spec.cfg.clone()))
-                .collect();
-            sim.add_node(boxed_multi_mh_actor(states, Arc::clone(&map), Some(st)));
-        }
-
-        // Ring mesh between stations (repair paths included) + source and
-        // wireless links.
-        let w = sim.world();
-        for (i, &a) in station_ids.iter().enumerate() {
-            for &b in station_ids.iter().skip(i + 1) {
-                let ne = |id| map.ne(id).expect("every station is in the address map");
-                w.topo.connect_duplex(ne(a), ne(b), spec.ring_link.clone());
-            }
-        }
-        for (i, addr) in source_addrs.iter().enumerate() {
-            w.topo.connect_duplex(
-                *addr,
-                map.ne(station_ids[i])
-                    .expect("every station is in the address map"),
-                LinkProfile::wired(SimDuration::from_micros(100)),
-            );
-        }
-        for &(g, st) in &mh_assignments {
-            let mh = map.mh(g).expect("every MH is in the address map");
-            let st = map.ne(st).expect("MHs start at declared stations");
-            w.topo.connect_duplex(mh, st, spec.wireless.clone());
-        }
-
-        FlatRingSim {
-            sim,
-            addrs: map,
-            spec,
-            reporting: Reporting::default(),
-        }
-    }
-
-    /// Schedule an MH handoff at `at`: the radio detaches from the current
-    /// station, attaches to `new_station`, and the MH re-registers. Runs
-    /// the same engine mechanism as `RingNetSim::schedule_handoff` — flat
-    /// stations are hybrid ordering+AP nodes and serve joins dynamically.
-    pub fn schedule_handoff(&mut self, at: SimTime, guid: Guid, new_station: NodeId) {
-        let map = Arc::clone(&self.addrs);
-        let group = self.spec.group;
-        let wireless = self.spec.wireless.clone();
-        self.sim.world().schedule_control(at, move |w| {
-            let Some(mh_addr) = map.mh(guid) else { return };
-            let Some(st_addr) = map.ne(new_station) else {
-                return;
-            };
-            let old: Vec<NodeAddr> = w.topo.neighbours(mh_addr).collect();
-            for o in old {
-                w.topo.disconnect_duplex(mh_addr, o);
-            }
-            w.topo.connect_duplex(mh_addr, st_addr, wireless.clone());
-            w.inject(
-                st_addr,
-                mh_addr,
-                Msg::HandoffTo {
-                    group,
-                    new_ap: new_station,
-                },
-                SimDuration::ZERO,
-            );
-        });
-    }
-
-    /// Schedule a crash-stop failure of a station at `at`.
-    pub fn schedule_kill_station(&mut self, at: SimTime, node: NodeId) {
-        let map = Arc::clone(&self.addrs);
-        let group = self.spec.group;
-        self.sim.world().schedule_control(at, move |w| {
-            if let Some(addr) = map.ne(node) {
-                w.inject(addr, addr, Msg::Kill { group }, SimDuration::ZERO);
-            }
-        });
-    }
-
-    /// Schedule a restart of a previously crashed station at `at`: it
-    /// re-enters the ring through the rejoin handshake and its MHs
-    /// re-register (solicited when the amnesiac station hears from an MH
-    /// it no longer knows).
-    pub fn schedule_restart_station(&mut self, at: SimTime, node: NodeId) {
-        let map = Arc::clone(&self.addrs);
-        let group = self.spec.group;
-        self.sim.world().schedule_control(at, move |w| {
-            if let Some(addr) = map.ne(node) {
-                w.inject(addr, addr, Msg::Restart { group }, SimDuration::ZERO);
-            }
-        });
-    }
-
-    /// Schedule forced token loss at `at`: every station (they are all on
-    /// the one ordering ring) is armed to black-hole the next current-epoch
-    /// token it receives.
-    pub fn schedule_token_drop(&mut self, at: SimTime) {
-        let map = Arc::clone(&self.addrs);
-        let group = self.spec.group;
-        let stations: Vec<NodeId> = (0..self.spec.stations as u32).map(NodeId).collect();
-        self.sim.world().schedule_control(at, move |w| {
-            for &st in &stations {
-                if let Some(addr) = map.ne(st) {
-                    w.inject(addr, addr, Msg::DropToken { group }, SimDuration::ZERO);
-                }
-            }
-        });
-    }
-
-    /// The other stations — `member`'s ring peers (all stations share the
-    /// one ordering ring here).
-    fn station_peers_of(&self, member: NodeId) -> Vec<NodeId> {
-        (0..self.spec.stations as u32)
-            .map(NodeId)
-            .filter(|&s| s != member)
-            .collect()
-    }
-
-    /// Schedule a ring partition (or its heal) at `at`: every direct link
-    /// between `member` and the other stations goes administratively down
-    /// (`up = false`) or comes back (`up = true`). Same shared mechanism
-    /// as `RingNetSim::schedule_ring_isolation` — the isolated station
-    /// fences itself via the ring-epoch layer's primary-component rule
-    /// and merges after heal.
-    pub fn schedule_ring_isolation(&mut self, at: SimTime, member: NodeId, up: bool) {
-        let map = Arc::clone(&self.addrs);
-        let peers = self.station_peers_of(member);
-        self.sim.world().schedule_control(at, move |w| {
-            apply_ring_isolation(w, &map, member, &peers, up);
-        });
-    }
-
-    /// Schedule a Byzantine-ish control replay at `at` (see
-    /// [`ringnet_core::driver::ReplayKind`]): a duplicated, delayed copy
-    /// of a Token / RingFail / RejoinGrant concerning `member`.
-    pub fn schedule_control_replay(
-        &mut self,
-        at: SimTime,
-        kind: ringnet_core::driver::ReplayKind,
-        member: NodeId,
-    ) {
-        let map = Arc::clone(&self.addrs);
-        let group = self.spec.group;
-        let peers = self.station_peers_of(member);
-        self.sim.world().schedule_control(at, move |w| {
-            inject_control_replay(w, &map, group, kind, member, &peers);
-        });
-    }
-
-    /// Schedule a crash-stop failure of an MH at `at`.
-    pub fn schedule_kill_mh(&mut self, at: SimTime, guid: Guid) {
-        let map = Arc::clone(&self.addrs);
-        let group = self.spec.group;
-        self.sim.world().schedule_control(at, move |w| {
-            if let Some(addr) = map.mh(guid) {
-                w.inject(addr, addr, Msg::Kill { group }, SimDuration::ZERO);
-            }
-        });
-    }
-
-    /// Run until simulated time `t`.
-    pub fn run_until(&mut self, t: SimTime) {
-        self.sim.run_until(t);
-    }
-
-    /// Flush final statistics and return `(journal, transport stats)`.
-    pub fn finish(mut self) -> (Vec<(SimTime, ProtoEvent)>, simnet::SimStats) {
-        let group = self.spec.group;
-        let targets: Vec<NodeAddr> = self.addrs.addresses().collect();
-        {
-            let w = self.sim.world();
-            for addr in targets {
-                w.inject(addr, addr, Msg::FlushStats { group }, SimDuration::ZERO);
-            }
-        }
-        let t = self.sim.now() + SimDuration::from_nanos(1);
-        self.sim.run_until(t);
-        self.sim.finish()
-    }
-}
+use ringnet_core::driver::{flat_ring_spec, MulticastSim, RunReport, Scenario, ScenarioEvent};
+use ringnet_core::engine::RingNetSim;
+use simnet::SimTime;
 
 /// The flat ring as a [`MulticastSim`] backend: attachment `k` is station
 /// `NodeId(k)`, the wired core is *every* station (they all carry the
-/// ring's ordering and forwarding work — that is the point of E1). All
-/// four scenario event kinds are supported.
+/// ring's ordering and forwarding work — that is the point of E1). It *is*
+/// the RingNet engine underneath, always on the sequential simulator
+/// (`Scenario::shards` is ignored: there are no attachment subtrees to
+/// partition).
+pub struct FlatRingSim(pub RingNetSim);
+
 impl MulticastSim for FlatRingSim {
     fn build(scenario: &Scenario, seed: u64) -> Self {
-        let mut spec = FlatRingSpec::new(scenario.attachments, 0);
-        spec.group = scenario.group;
-        spec.cfg = scenario.cfg.clone();
-        spec.placements = Some(scenario.walkers.iter().map(|w| w.unwrap_or(0)).collect());
-        spec.sources = scenario.sources.min(scenario.attachments);
-        spec.pattern = scenario.pattern;
-        spec.start = scenario.start;
-        spec.stop = scenario.stop;
-        spec.limit = scenario.limit;
-        spec.ring_link = scenario.links.top_ring.clone();
-        spec.wireless = scenario.links.wireless.clone();
-        let declared = scenario.declared_groups();
-        if declared.len() > 1 {
-            spec.groups = declared;
-            spec.subscriptions = (0..scenario.walkers.len())
-                .map(|w| scenario.subscriptions_of(w))
-                .collect();
-            spec.source_groups = (0..spec.sources)
-                .map(|i| scenario.source_groups_of(i))
-                .collect();
-        }
-        let mut sim = FlatRingSim::build(spec, seed);
-        let core: BTreeSet<NodeId> = (0..sim.spec.stations as u32).map(NodeId).collect();
-        sim.reporting = Reporting::install(&mut sim.sim, scenario, core);
-        sim
+        FlatRingSim(RingNetSim::for_scenario(
+            flat_ring_spec(scenario),
+            scenario,
+            seed,
+            1,
+        ))
     }
 
     fn schedule(&mut self, event: ScenarioEvent) {
-        match event {
-            ScenarioEvent::Handoff { at, walker, to } => {
-                self.schedule_handoff(at, Guid(walker as u32), NodeId(to as u32));
-            }
+        let event = match event {
             // Late joiners were attached at station 0 at build time; a join
             // is a handoff to the requested station.
-            ScenarioEvent::Join { at, walker, at_ap } => {
-                self.schedule_handoff(at, Guid(walker as u32), NodeId(at_ap as u32));
-            }
-            ScenarioEvent::KillCore { at, index } => {
-                assert!(
-                    index < self.spec.stations,
-                    "KillCore index {index} out of range ({} stations)",
-                    self.spec.stations
-                );
-                self.schedule_kill_station(at, NodeId(index as u32));
-            }
-            ScenarioEvent::KillWalker { at, walker } => {
-                self.schedule_kill_mh(at, Guid(walker as u32));
-            }
-            ScenarioEvent::DropToken { at } => {
-                self.schedule_token_drop(at);
-            }
-            ScenarioEvent::RingRejoin { at, index } => {
-                assert!(
-                    index < self.spec.stations,
-                    "RingRejoin index {index} out of range ({} stations)",
-                    self.spec.stations
-                );
-                self.schedule_restart_station(at, NodeId(index as u32));
-            }
-            ScenarioEvent::PartitionRing { at, isolate } => {
-                assert!(
-                    isolate < self.spec.stations,
-                    "PartitionRing index {isolate} out of range ({} stations)",
-                    self.spec.stations
-                );
-                self.schedule_ring_isolation(at, NodeId(isolate as u32), false);
-            }
-            ScenarioEvent::HealRing { at, isolate } => {
-                assert!(
-                    isolate < self.spec.stations,
-                    "HealRing index {isolate} out of range ({} stations)",
-                    self.spec.stations
-                );
-                self.schedule_ring_isolation(at, NodeId(isolate as u32), true);
-            }
-            ScenarioEvent::ReplayControl { at, kind, index } => {
-                assert!(
-                    index < self.spec.stations,
-                    "ReplayControl index {index} out of range ({} stations)",
-                    self.spec.stations
-                );
-                self.schedule_control_replay(at, kind, NodeId(index as u32));
-            }
+            ScenarioEvent::Join { at, walker, at_ap } => ScenarioEvent::Handoff {
+                at,
+                walker,
+                to: at_ap,
+            },
             // A flat station doubles as the attachment entity (use
             // KillCore/RingRejoin for station crash-restart), and there is
             // no non-ordering wired segment to partition.
             ScenarioEvent::ApCrash { .. }
             | ScenarioEvent::ApRestart { .. }
             | ScenarioEvent::PartitionCore { .. }
-            | ScenarioEvent::HealCore { .. } => {}
-        }
+            | ScenarioEvent::HealCore { .. } => return,
+            other => other,
+        };
+        self.0.schedule(event);
     }
 
     fn run_until(&mut self, t: SimTime) {
-        FlatRingSim::run_until(self, t);
+        self.0.run_until(t);
     }
 
-    fn finish(mut self) -> RunReport {
-        let core: BTreeSet<NodeId> = (0..self.spec.stations as u32).map(NodeId).collect();
-        let reporting = std::mem::take(&mut self.reporting);
-        let (journal, stats) = FlatRingSim::finish(self);
-        reporting.finish(journal, stats, &core)
+    fn finish(self) -> RunReport {
+        MulticastSim::finish(self.0)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ringnet_core::driver::ScenarioBuilder;
+    use ringnet_core::{NodeId, ProtoEvent};
+    use simnet::SimDuration;
 
-    fn spec(stations: usize) -> FlatRingSpec {
-        let mut s = FlatRingSpec::new(stations, 1);
-        s.limit = Some(20);
-        s.pattern = TrafficPattern::Cbr {
-            interval: SimDuration::from_millis(20),
-        };
-        s
+    /// `stations` stations, one walker each, `sources` 50 msg/s sources of
+    /// 20 messages, default (lossy) wireless.
+    fn journal(
+        stations: usize,
+        sources: usize,
+        secs: u64,
+        seed: u64,
+    ) -> Vec<(SimTime, ProtoEvent)> {
+        let sc = ScenarioBuilder::new()
+            .attachments(stations)
+            .walkers_per_attachment(1)
+            .sources(sources)
+            .cbr(SimDuration::from_millis(20))
+            .message_limit(20)
+            .duration(SimTime::from_secs(secs))
+            .build();
+        FlatRingSim::run_scenario(&sc, seed).journal
     }
 
     #[test]
     fn flat_ring_orders_and_delivers() {
-        let mut net = FlatRingSim::build(spec(4), 1);
-        net.run_until(SimTime::from_secs(3));
-        let (journal, _) = net.finish();
+        let journal = journal(4, 1, 3, 1);
         let mut per_mh: std::collections::BTreeMap<u32, Vec<u64>> = Default::default();
         for (_, e) in &journal {
             if let ProtoEvent::MhDeliver { mh, gsn, .. } = e {
@@ -554,9 +115,7 @@ mod tests {
         // Average gap between consecutive TokenPass events at one node
         // should grow roughly linearly with the station count.
         fn rotation_gap(stations: usize) -> f64 {
-            let mut net = FlatRingSim::build(spec(stations), 2);
-            net.run_until(SimTime::from_secs(4));
-            let (journal, _) = net.finish();
+            let journal = journal(stations, 1, 4, 2);
             let times: Vec<SimTime> = journal
                 .iter()
                 .filter_map(|(t, e)| match e {
@@ -580,11 +139,7 @@ mod tests {
 
     #[test]
     fn multiple_sources_get_disjoint_numbers() {
-        let mut s = spec(5);
-        s.sources = 3;
-        let mut net = FlatRingSim::build(s, 3);
-        net.run_until(SimTime::from_secs(3));
-        let (journal, _) = net.finish();
+        let journal = journal(5, 3, 3, 3);
         let mut gsns: Vec<u64> = journal
             .iter()
             .filter_map(|(_, e)| match e {
@@ -601,7 +156,6 @@ mod tests {
 
     #[test]
     fn ring_partition_stalls_then_merges_station_and_walkers() {
-        use ringnet_core::driver::{MulticastSim, ScenarioBuilder, ScenarioEvent};
         // 3 stations, 1 walker each, station 2 isolated from the ring for
         // 1.5 s. Its walker stalls while fenced, then resumes after the
         // merge (missed GSNs are repaired from retention or skipped — but
@@ -683,11 +237,6 @@ mod tests {
 
     #[test]
     fn deterministic() {
-        fn run() -> usize {
-            let mut net = FlatRingSim::build(spec(4), 9);
-            net.run_until(SimTime::from_secs(2));
-            net.finish().0.len()
-        }
-        assert_eq!(run(), run());
+        assert_eq!(journal(4, 1, 2, 9), journal(4, 1, 2, 9));
     }
 }

@@ -5,14 +5,16 @@
 //! in spirit on the same simulator (DESIGN.md §2):
 //!
 //! * [`flat_ring`] — a *single* logical ring over every base station
-//!   (Nikolaidis & Harms, the paper's [16]): same protocol code as RingNet
-//!   via the hybrid flat-station node, isolating the structural cost of one
-//!   big ring (token rotation and buffers grow with N). Used by E1.
+//!   (Nikolaidis & Harms, the paper's \[16\]): the RingNet engine on the
+//!   station shape (no AG rings, no APs, every top-ring node a hybrid
+//!   station), isolating the structural cost of one big ring (token
+//!   rotation and buffers grow with N). Used by E1, E7.
 //! * [`unordered`] — RingNet without total ordering (the Theorem 5.1
 //!   comparator and Remark 3's recommendation): per-source FIFO streams on
 //!   the same hierarchy. Used by T1, E4.
 //! * [`tree`] — MIP-RS-style shortest-path-tree multicast with rebuild on
-//!   handoff, expressed as degenerate RingNet configurations. Used by E6.
+//!   handoff: the RingNet engine on a degenerate (rings-of-one) spec. Used
+//!   by E6.
 //! * [`tunnel`] — MIP-BT-style home-agent tunnelling: cheap handoffs, one
 //!   wired unicast per MH per message. Used by E6.
 //! * [`relm`] — RelM-style centralized supervisor host: sequencing,
@@ -52,11 +54,12 @@
 
 pub mod flat_ring;
 pub mod relm;
+mod source;
 pub mod tree;
 pub mod tunnel;
 pub mod unordered;
 
-pub use flat_ring::{FlatRingSim, FlatRingSpec};
+pub use flat_ring::FlatRingSim;
 pub use relm::{RelmSim, RelmSpec};
 pub use tree::{
     remote_subscription_spec, ringnet_smooth_spec, tree_churn, wired_control_messages, TreeSim,

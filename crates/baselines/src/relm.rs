@@ -1,5 +1,5 @@
 //! A RelM-style centralized supervisor baseline (Brown & Singh 1998, the
-//! paper's reference [6]).
+//! paper's reference \[6\]).
 //!
 //! RelM's three tiers put a *Supervisor Host* (SH) in charge of "most of
 //! the routing and protocol details for MHs": the SH sequences the group's
@@ -15,8 +15,11 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
 use ringnet_core::driver::{MulticastSim, Reporting, RunReport, Scenario, ScenarioEvent};
+use ringnet_core::hierarchy::TrafficPattern;
 use ringnet_core::{GlobalSeq, GroupId, Guid, LocalSeq, NodeId, PayloadId, ProtoEvent};
 use simnet::{Actor, Ctx, LinkProfile, NodeAddr, Sim, SimDuration, SimStats, SimTime};
+
+use crate::source::Source;
 
 /// Wire messages of the RelM-style baseline.
 #[derive(Debug, Clone, PartialEq)]
@@ -64,7 +67,6 @@ fn relm_wire_size(msg: &RelmMsg) -> usize {
 }
 
 const TAG_HOP: u64 = 2;
-const TAG_SOURCE: u64 = 5;
 
 #[derive(Debug, Default)]
 struct RelmMap {
@@ -293,41 +295,6 @@ impl Actor<RelmMsg, ProtoEvent> for RelmMh {
     }
 }
 
-struct RelmSource {
-    target: NodeAddr,
-    interval: SimDuration,
-    start: SimTime,
-    stop: Option<SimTime>,
-    limit: Option<u64>,
-    seq: u64,
-}
-
-impl Actor<RelmMsg, ProtoEvent> for RelmSource {
-    fn on_start(&mut self, ctx: &mut Ctx<'_, RelmMsg, ProtoEvent>) {
-        let delay = self.start.saturating_since(ctx.now());
-        ctx.set_timer(delay, TAG_SOURCE);
-    }
-    fn on_packet(&mut self, _: &mut Ctx<'_, RelmMsg, ProtoEvent>, _: NodeAddr, _: RelmMsg) {}
-    fn on_timer(&mut self, ctx: &mut Ctx<'_, RelmMsg, ProtoEvent>, tag: u64) {
-        if tag != TAG_SOURCE {
-            return;
-        }
-        if let Some(l) = self.limit {
-            if self.seq >= l {
-                return;
-            }
-        }
-        if let Some(stop) = self.stop {
-            if ctx.now() >= stop {
-                return;
-            }
-        }
-        self.seq += 1;
-        ctx.send(self.target, RelmMsg::SourceData { seq: self.seq });
-        ctx.set_timer(self.interval, TAG_SOURCE);
-    }
-}
-
 /// Parameters of a RelM-style deployment.
 #[derive(Debug, Clone)]
 pub struct RelmSpec {
@@ -452,13 +419,16 @@ impl RelmSim {
                 processed: 0,
             }));
         }
-        let s = sim.add_node(Box::new(RelmSource {
+        let s = sim.add_node(Box::new(Source {
             target: sh_addr,
-            interval: spec.interval,
+            pattern: TrafficPattern::Cbr {
+                interval: spec.interval,
+            },
             start: spec.start,
             stop: spec.stop,
             limit: spec.limit,
             seq: 0,
+            make: |seq| RelmMsg::SourceData { seq },
         }));
         debug_assert_eq!(s, source_addr);
         for &(g, mss) in &members {

@@ -17,8 +17,7 @@
 //! the tunnelling baseline.
 
 use ringnet_core::driver::{
-    degenerate_tree_spec, hierarchy_core, MulticastSim, Reporting, RunReport, Scenario,
-    ScenarioEvent,
+    degenerate_tree_spec, MulticastSim, RunReport, Scenario, ScenarioEvent,
 };
 use ringnet_core::engine::RingNetSim;
 use ringnet_core::hierarchy::{HierarchySpec, TrafficPattern};
@@ -71,30 +70,31 @@ pub fn ringnet_smooth_spec(
 /// engine on the degenerate spec of
 /// [`ringnet_core::driver::degenerate_tree_spec`] — one root, rings of
 /// one, reservation radius 0, on-demand activation — so every handoff
-/// rebuilds the delivery tree. All four scenario event kinds are
-/// supported (it *is* the RingNet engine underneath).
+/// rebuilds the delivery tree. Every scenario event kind is supported (it
+/// *is* the RingNet engine underneath), always on the sequential simulator
+/// (`Scenario::shards` is ignored).
 pub struct TreeSim(pub RingNetSim);
 
 impl MulticastSim for TreeSim {
     fn build(scenario: &Scenario, seed: u64) -> Self {
-        let mut inner = RingNetSim::build(degenerate_tree_spec(scenario), seed);
-        inner.reporting = Reporting::install(&mut inner.sim, scenario, hierarchy_core(&inner.spec));
-        TreeSim(inner)
+        TreeSim(RingNetSim::for_scenario(
+            degenerate_tree_spec(scenario),
+            scenario,
+            seed,
+            1,
+        ))
     }
 
     fn schedule(&mut self, event: ScenarioEvent) {
-        <RingNetSim as MulticastSim>::schedule(&mut self.0, event);
+        self.0.schedule(event);
     }
 
     fn run_until(&mut self, t: SimTime) {
         self.0.run_until(t);
     }
 
-    fn finish(mut self) -> RunReport {
-        let core = hierarchy_core(&self.0.spec);
-        let reporting = std::mem::take(&mut self.0.reporting);
-        let (journal, stats) = self.0.finish();
-        reporting.finish(journal, stats, &core)
+    fn finish(self) -> RunReport {
+        MulticastSim::finish(self.0)
     }
 }
 

@@ -14,8 +14,11 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
 use ringnet_core::driver::{MulticastSim, Reporting, RunReport, Scenario, ScenarioEvent};
+use ringnet_core::hierarchy::TrafficPattern;
 use ringnet_core::{GlobalSeq, GroupId, Guid, LocalSeq, NodeId, PayloadId, ProtoEvent};
 use simnet::{Actor, Ctx, LinkProfile, NodeAddr, Sim, SimDuration, SimStats, SimTime};
+
+use crate::source::Source;
 
 /// Wire messages of the tunnelling baseline.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -60,8 +63,6 @@ fn tun_wire_size(msg: &TunMsg) -> usize {
         TunMsg::FlushStats => 0,
     }
 }
-
-const TAG_SOURCE: u64 = 5;
 
 /// Shared address table.
 #[derive(Debug, Default)]
@@ -238,41 +239,6 @@ impl Actor<TunMsg, ProtoEvent> for TunMh {
     fn on_timer(&mut self, _: &mut Ctx<'_, TunMsg, ProtoEvent>, _: u64) {}
 }
 
-struct TunSource {
-    target: NodeAddr,
-    interval: SimDuration,
-    start: SimTime,
-    stop: Option<SimTime>,
-    limit: Option<u64>,
-    seq: u64,
-}
-
-impl Actor<TunMsg, ProtoEvent> for TunSource {
-    fn on_start(&mut self, ctx: &mut Ctx<'_, TunMsg, ProtoEvent>) {
-        let delay = self.start.saturating_since(ctx.now());
-        ctx.set_timer(delay, TAG_SOURCE);
-    }
-    fn on_packet(&mut self, _: &mut Ctx<'_, TunMsg, ProtoEvent>, _: NodeAddr, _: TunMsg) {}
-    fn on_timer(&mut self, ctx: &mut Ctx<'_, TunMsg, ProtoEvent>, tag: u64) {
-        if tag != TAG_SOURCE {
-            return;
-        }
-        if let Some(l) = self.limit {
-            if self.seq >= l {
-                return;
-            }
-        }
-        if let Some(stop) = self.stop {
-            if ctx.now() >= stop {
-                return;
-            }
-        }
-        self.seq += 1;
-        ctx.send(self.target, TunMsg::SourceData { seq: self.seq });
-        ctx.set_timer(self.interval, TAG_SOURCE);
-    }
-}
-
 /// Parameters of a tunnelling deployment.
 #[derive(Debug, Clone)]
 pub struct TunnelSpec {
@@ -388,13 +354,16 @@ impl TunnelSim {
                 control_sent: 0,
             }));
         }
-        let s = sim.add_node(Box::new(TunSource {
+        let s = sim.add_node(Box::new(Source {
             target: ha_addr,
-            interval: spec.interval,
+            pattern: TrafficPattern::Cbr {
+                interval: spec.interval,
+            },
             start: spec.start,
             stop: spec.stop,
             limit: spec.limit,
             seq: 0,
+            make: |seq| TunMsg::SourceData { seq },
         }));
         debug_assert_eq!(s, source_addr);
         for (i, &g) in guids.iter().enumerate() {

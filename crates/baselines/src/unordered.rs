@@ -26,6 +26,8 @@ use ringnet_core::{
 };
 use simnet::{Actor, Ctx, LinkProfile, NodeAddr, Sim, SimDuration, SimStats, SimTime};
 
+use crate::source::Source;
+
 /// Wire messages of the unordered protocol. Streams are identified by the
 /// source's corresponding BR (`corr`), sequence numbers are per-stream.
 #[derive(Debug, Clone, PartialEq)]
@@ -70,7 +72,6 @@ fn un_wire_size(msg: &UnMsg) -> usize {
 }
 
 const TAG_HOP: u64 = 2;
-const TAG_SOURCE: u64 = 5;
 
 /// One per-stream receive state: queue + downstream progress.
 struct Stream {
@@ -474,49 +475,6 @@ impl Actor<UnMsg, ProtoEvent> for UnMh {
     }
 }
 
-struct UnSource {
-    target: NodeAddr,
-    pattern: TrafficPattern,
-    start: SimTime,
-    stop: Option<SimTime>,
-    limit: Option<u64>,
-    seq: u64,
-}
-
-impl Actor<UnMsg, ProtoEvent> for UnSource {
-    fn on_start(&mut self, ctx: &mut Ctx<'_, UnMsg, ProtoEvent>) {
-        let delay = self.start.saturating_since(ctx.now());
-        ctx.set_timer(delay, TAG_SOURCE);
-    }
-
-    fn on_packet(&mut self, _: &mut Ctx<'_, UnMsg, ProtoEvent>, _: NodeAddr, _: UnMsg) {}
-
-    fn on_timer(&mut self, ctx: &mut Ctx<'_, UnMsg, ProtoEvent>, tag: u64) {
-        if tag != TAG_SOURCE {
-            return;
-        }
-        if let Some(limit) = self.limit {
-            if self.seq >= limit {
-                return;
-            }
-        }
-        if let Some(stop) = self.stop {
-            if ctx.now() >= stop {
-                return;
-            }
-        }
-        self.seq += 1;
-        ctx.send(self.target, UnMsg::SourceData { seq: self.seq });
-        let delay = match self.pattern {
-            TrafficPattern::Cbr { interval } => interval,
-            TrafficPattern::Poisson { rate } => {
-                SimDuration::from_secs_f64(ctx.rng().exponential(rate))
-            }
-        };
-        ctx.set_timer(delay, TAG_SOURCE);
-    }
-}
-
 /// Parameters of an unordered-RingNet deployment (mirrors the ordered
 /// builder's regular shape).
 #[derive(Debug, Clone)]
@@ -794,13 +752,14 @@ impl UnorderedSim {
             }));
         }
         for i in 0..spec.sources {
-            let addr = sim.add_node(Box::new(UnSource {
+            let addr = sim.add_node(Box::new(Source {
                 target: brs[i].1,
                 pattern: spec.pattern,
                 start: spec.start,
                 stop: spec.stop,
                 limit: spec.limit,
                 seq: 0,
+                make: |seq| UnMsg::SourceData { seq },
             }));
             debug_assert_eq!(addr, source_addrs[i]);
         }

@@ -198,12 +198,12 @@ pub fn simulation(r: &mut Runner) {
             .build();
         let mut net = RingNetSim::build(spec, 7);
         net.run_until(SimTime::from_secs(1));
-        black_box(net.sim.stats().events)
+        black_box(net.stats().events)
     });
 
     r.bench("ringnet", "figure1_build", None, || {
         let spec = HierarchyBuilder::new(GroupId(1)).build();
-        black_box(RingNetSim::build(spec, 7).sim.node_count())
+        black_box(RingNetSim::build(spec, 7).now())
     });
 }
 
@@ -224,8 +224,8 @@ fn full_sweep_scenario() -> Scenario {
 }
 
 /// Full-sweep-scale benchmarks: `RunReport` construction over a journal in
-/// the hundreds of thousands of entries — the legacy multi-pass assembly
-/// vs the single-pass `MetricsAccumulator` — plus the end-to-end cost of a
+/// the hundreds of thousands of entries (the single-pass
+/// `MetricsAccumulator`), plus the end-to-end cost of a
 /// simulated second at 128 walkers, with and without journal retention.
 pub fn full_sweep(r: &mut Runner) {
     let sc = full_sweep_scenario();
@@ -238,25 +238,11 @@ pub fn full_sweep(r: &mut Runner) {
         "full-sweep journal must be at 100k+ entries, got {entries}"
     );
 
-    r.bench(
-        "full_sweep",
-        "report_multipass_legacy",
-        Some(entries),
-        || black_box(metrics::multipass_metrics(&journal, &core).delivered),
-    );
-
     r.bench("full_sweep", "report_single_pass", Some(entries), || {
         let mut acc = metrics::MetricsAccumulator::new(core.clone());
         acc.observe_journal(&journal);
         black_box(acc.finish().delivered)
     });
-
-    // Sanity: the two must agree (cheap here, priceless in a bench run).
-    {
-        let mut acc = metrics::MetricsAccumulator::new(core.clone());
-        acc.observe_journal(&journal);
-        assert!(acc.finish() == metrics::multipass_metrics(&journal, &core));
-    }
 
     let mut one_sec = full_sweep_scenario();
     one_sec.duration = SimTime::from_secs(1);

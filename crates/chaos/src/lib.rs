@@ -22,7 +22,7 @@
 //!   stream modulo recorded skips, duplicate-free GSN assignment, and
 //!   post-fault liveness windows — reporting the *first* violation with
 //!   full context.
-//! * [`shrink`] — a delta-debugging **shrinker** that minimizes a failing
+//! * [`mod@shrink`] — a delta-debugging **shrinker** that minimizes a failing
 //!   scenario by deleting events and truncating the run window while the
 //!   failure still reproduces.
 //! * [`postmortem`] — **flight-recorder dumps** for convicted seeds: the

@@ -13,7 +13,7 @@
 //! | backend | attachment point becomes | wired core |
 //! |---------|--------------------------|-----------|
 //! | `RingNetSim` | an AP under the BR/AG hierarchy | BRs + AGs |
-//! | `baselines::FlatRingSim` | a base station on one big ring | all stations |
+//! | `baselines::FlatRingSim` | a station of the RingNet engine's station shape (one big ring) | all stations |
 //! | `baselines::UnorderedSim` | an AP under the same hierarchy | BRs + AGs |
 //! | `baselines::TreeSim` | a leaf of a degenerate (ring-of-one) tree | root + routers |
 //! | `baselines::TunnelSim` | a foreign-agent AP | the home agent |
@@ -480,6 +480,17 @@ impl Scenario {
         }
         if self.sources == 0 {
             problems.push("no sources".into());
+        }
+        match self.pattern {
+            TrafficPattern::Cbr { interval } if interval.is_zero() => problems.push(
+                "CBR interval must be positive (a zero interval re-arms the source \
+                 timer at the same instant forever)"
+                    .into(),
+            ),
+            TrafficPattern::Poisson { rate } if !(rate > 0.0 && rate.is_finite()) => problems.push(
+                format!("Poisson rate must be positive and finite, got {rate}"),
+            ),
+            _ => {}
         }
         if self.cfg.telemetry_capacity == 0 {
             problems.push("telemetry_capacity must be positive (flight recorder depth)".into());
@@ -1072,8 +1083,9 @@ pub struct RunReport {
     pub metrics: RunMetrics,
     /// Harvested telemetry (per-node metrics + flight recorders), present
     /// only when the scenario enabled [`crate::config::ProtocolConfig::
-    /// telemetry`] **and** the backend supports harvesting (currently the
-    /// ringnet backend; baselines leave it `None`).
+    /// telemetry`] **and** the backend supports harvesting (the
+    /// RingNet-engine backends — ringnet, tree, flat ring; the other
+    /// baselines leave it `None`).
     pub telemetry: Option<crate::telemetry::TelemetryReport>,
 }
 
@@ -1315,6 +1327,33 @@ pub fn degenerate_tree_spec(sc: &Scenario) -> HierarchySpec {
     spec
 }
 
+/// Map a scenario onto the *station shape* of [`HierarchySpec`] — one
+/// logical ring over every attachment point, each a hybrid station that
+/// orders and serves its walkers directly — which is exactly the flat
+/// logical-ring protocol of Nikolaidis & Harms running the same protocol
+/// code (see `baselines::flat_ring`). Attachment `i` is station
+/// `NodeId(i)`; the ring uses the scenario's `top_ring` link profile.
+/// Stations serve joins dynamically, so a late joiner idles at station 0
+/// until its [`ScenarioEvent::Join`] hands it off.
+pub fn flat_ring_spec(sc: &Scenario) -> HierarchySpec {
+    let mut spec = HierarchySpec {
+        group: sc.group,
+        groups: Vec::new(),
+        cfg: sc.cfg.clone(),
+        top_ring: (0..sc.attachments as u32).map(NodeId).collect(),
+        ag_rings: Vec::new(),
+        aps: Vec::new(),
+        mhs: Vec::new(),
+        sources: Vec::new(),
+        links: sc.links.clone(),
+    };
+    finish_spec(&mut spec, sc);
+    for mh in &mut spec.mhs {
+        mh.initial_ap.get_or_insert(NodeId(0));
+    }
+    spec
+}
+
 /// The balanced shape the mobility experiments use: `brs` BRs on the
 /// ordering ring, one AG ring of roughly one AG per four attachments, APs
 /// assigned round-robin.
@@ -1376,7 +1415,7 @@ fn finish_spec(spec: &mut HierarchySpec, sc: &Scenario) {
         .enumerate()
         .map(|(w, att)| MhSpec {
             guid: Guid(w as u32),
-            initial_ap: att.map(|a| spec.aps[a].id),
+            initial_ap: att.map(|a| attachment_entity(spec, a, "walker")),
             subscriptions: if multi {
                 sc.subscriptions_of(w)
             } else {
@@ -1404,11 +1443,7 @@ fn finish_spec(spec: &mut HierarchySpec, sc: &Scenario) {
 /// The wired-core entity set of a hierarchy spec (BRs + AGs; the AP tier
 /// is the last hop and excluded from core-load comparisons).
 pub fn hierarchy_core(spec: &HierarchySpec) -> BTreeSet<NodeId> {
-    spec.top_ring
-        .iter()
-        .chain(spec.ag_rings.iter().flat_map(|r| r.members.iter()))
-        .copied()
-        .collect()
+    spec_core_order(spec).into_iter().collect()
 }
 
 // ------------------------------------------------- RingNetSim as backend
@@ -1435,37 +1470,42 @@ fn core_entity(spec: &HierarchySpec, index: usize, what: &str) -> NodeId {
 }
 
 fn attachment_entity(spec: &HierarchySpec, index: usize, what: &str) -> NodeId {
-    spec.aps
-        .get(index)
-        .unwrap_or_else(|| {
-            panic!(
-                "{what} attachment index {index} out of range ({} attachments)",
-                spec.aps.len()
-            )
-        })
-        .id
+    spec.attachment(index)
+        .unwrap_or_else(|| panic!("{what} attachment index {index} out of range"))
+}
+
+impl RingNetSim {
+    /// The one "spec + scenario → simulation with reporting installed"
+    /// constructor behind every RingNet-engine backend (RingNet, tree,
+    /// flat ring): build `spec` on `shards` event-queue shards and set the
+    /// journal up per the scenario's retention mode. Torn down by
+    /// [`MulticastSim::finish`].
+    pub fn for_scenario(
+        spec: HierarchySpec,
+        scenario: &Scenario,
+        seed: u64,
+        shards: usize,
+    ) -> Self {
+        let mut sim = RingNetSim::build_sharded(spec, seed, shards, 0);
+        let core = hierarchy_core(&sim.spec);
+        sim.reporting = Reporting::install_journal(sim.journal_mut(), scenario, core);
+        sim
+    }
 }
 
 impl MulticastSim for RingNetSim {
     fn build(scenario: &Scenario, seed: u64) -> Self {
-        let mut sim = if scenario.shards > 1 {
-            RingNetSim::build_sharded(ringnet_spec(scenario), seed, scenario.shards, 0)
-        } else {
-            RingNetSim::build(ringnet_spec(scenario), seed)
-        };
-        let core = hierarchy_core(&sim.spec);
-        sim.reporting = Reporting::install_journal(sim.journal_mut(), scenario, core);
-        sim
+        RingNetSim::for_scenario(ringnet_spec(scenario), scenario, seed, scenario.shards)
     }
 
     fn schedule(&mut self, event: ScenarioEvent) {
         match event {
             ScenarioEvent::Handoff { at, walker, to } => {
-                let ap = self.spec.aps[to].id;
+                let ap = attachment_entity(&self.spec, to, "Handoff");
                 self.schedule_handoff(at, Guid(walker as u32), ap);
             }
             ScenarioEvent::Join { at, walker, at_ap } => {
-                let ap = self.spec.aps[at_ap].id;
+                let ap = attachment_entity(&self.spec, at_ap, "Join");
                 self.schedule_join(at, Guid(walker as u32), ap);
             }
             ScenarioEvent::KillCore { at, index } => {
@@ -1676,6 +1716,32 @@ mod tests {
             .groups(vec![GroupId(2)])
             .source_groups(vec![vec![GroupId(1)], Vec::new()])
             .build();
+    }
+
+    #[test]
+    #[should_panic(expected = "CBR interval must be positive")]
+    fn builder_rejects_zero_cbr_interval() {
+        // A zero interval would re-arm the source timer at the same
+        // instant forever: `run_until` never returns.
+        let _ = ScenarioBuilder::new().cbr(SimDuration::ZERO).build();
+    }
+
+    #[test]
+    fn builder_rejects_degenerate_poisson_rates() {
+        for rate in [0.0, -3.0, f64::NAN, f64::INFINITY] {
+            let mut sc = ScenarioBuilder::new().build();
+            sc.pattern = TrafficPattern::Poisson { rate };
+            let problems = sc.validate();
+            assert!(
+                problems.iter().any(|p| p.contains("Poisson rate")),
+                "rate {rate}: {problems:?}"
+            );
+        }
+        assert!(ScenarioBuilder::new()
+            .poisson(50.0)
+            .build()
+            .validate()
+            .is_empty());
     }
 
     #[test]

@@ -16,7 +16,7 @@ use simnet::{
 
 use crate::actions::{Action, Outbox};
 use crate::events::ProtoEvent;
-use crate::hierarchy::{HierarchySpec, SourceSpec, TrafficPattern};
+use crate::hierarchy::{HierarchySpec, TrafficPattern};
 use crate::ids::{Endpoint, GroupId, Guid, LocalSeq, NodeId, PayloadId};
 use crate::mh::MhState;
 use crate::msg::Msg;
@@ -34,9 +34,8 @@ const TAG_SOURCE: u64 = 5;
 ///
 /// Lookups run once per sent action (`resolve`) and once per delivered
 /// packet (`endpoint_of`), so each direction keeps a dense index-by-id
-/// fast path next to the ordered map; ids beyond [`AddrMap::DENSE_LIMIT`]
-/// (none in practice — builders assign small contiguous ids) fall back to
-/// the map.
+/// fast path next to the ordered map; ids of 2¹⁶ and beyond (none in
+/// practice — builders assign small contiguous ids) fall back to the map.
 #[derive(Debug, Default)]
 pub struct AddrMap {
     ne: std::collections::BTreeMap<NodeId, NodeAddr>,
@@ -60,25 +59,20 @@ impl AddrMap {
         }
     }
 
-    /// Register a network entity's address (engine/baseline builders).
-    pub fn insert_ne(&mut self, id: NodeId, addr: NodeAddr) {
+    /// Register a network entity's address.
+    fn insert_ne(&mut self, id: NodeId, addr: NodeAddr) {
         self.ne.insert(id, addr);
         self.rev.insert(addr, Endpoint::Ne(id));
         Self::set_dense(&mut self.ne_dense, id.0 as usize, addr);
         Self::set_dense(&mut self.rev_dense, addr.index(), Endpoint::Ne(id));
     }
 
-    /// Register a mobile host's address (engine/baseline builders).
-    pub fn insert_mh(&mut self, guid: Guid, addr: NodeAddr) {
+    /// Register a mobile host's address.
+    fn insert_mh(&mut self, guid: Guid, addr: NodeAddr) {
         self.mh.insert(guid, addr);
         self.rev.insert(addr, Endpoint::Mh(guid));
         Self::set_dense(&mut self.mh_dense, guid.0 as usize, addr);
         Self::set_dense(&mut self.rev_dense, addr.index(), Endpoint::Mh(guid));
-    }
-
-    /// Every registered address, in address order.
-    pub fn addresses(&self) -> impl Iterator<Item = NodeAddr> + '_ {
-        self.rev.keys().copied()
     }
 
     /// Address of a network entity.
@@ -130,82 +124,8 @@ impl AddrMap {
 /// a burst is charged the sum over its members). The one place the
 /// application payload size lives: a fixed 512 bytes per payload-bearing
 /// message.
-pub fn wire_size(msg: &Msg) -> usize {
+fn wire_size(msg: &Msg) -> usize {
     msg.base_wire_size() + if msg.carries_payload() { 512 } else { 0 }
-}
-
-/// Sever (or restore) every direct link between `member` and `peers` —
-/// the [`crate::driver::ScenarioEvent::PartitionRing`] /
-/// [`crate::driver::ScenarioEvent::HealRing`] mechanism, shared by every
-/// ring-running backend (the peer list is the one backend-specific part).
-pub fn apply_ring_isolation<N: NetOps<Msg> + ?Sized>(
-    w: &mut N,
-    map: &AddrMap,
-    member: NodeId,
-    peers: &[NodeId],
-    up: bool,
-) {
-    let Some(ma) = map.ne(member) else { return };
-    for &p in peers {
-        if let Some(pa) = map.ne(p) {
-            w.set_duplex_up(ma, pa, up);
-        }
-    }
-}
-
-/// Inject one Byzantine-ish control replay (see
-/// [`crate::driver::ReplayKind`]): a duplicated, delayed copy of a Token /
-/// RingFail / RejoinGrant concerning `member`, re-delivered to `peers`.
-/// Shared by every ring-running backend so the injected fault can never
-/// silently diverge between them.
-pub fn inject_control_replay<N: NetOps<Msg> + ?Sized>(
-    w: &mut N,
-    map: &AddrMap,
-    group: GroupId,
-    kind: crate::driver::ReplayKind,
-    member: NodeId,
-    peers: &[NodeId],
-) {
-    let Some(ma) = map.ne(member) else { return };
-    match kind {
-        crate::driver::ReplayKind::Token => {
-            // The member re-sends its kept snapshot — a delayed duplicate
-            // of a pass it already forwarded.
-            w.inject(ma, ma, Msg::ReplayToken { group }, SimDuration::ZERO);
-        }
-        crate::driver::ReplayKind::RingFail => {
-            for &p in peers {
-                if let Some(pa) = map.ne(p) {
-                    w.inject(
-                        ma,
-                        pa,
-                        Msg::RingFail {
-                            group,
-                            failed: member,
-                        },
-                        SimDuration::ZERO,
-                    );
-                }
-            }
-        }
-        crate::driver::ReplayKind::RejoinGrant => {
-            for &p in peers {
-                if let Some(pa) = map.ne(p) {
-                    w.inject(
-                        ma,
-                        pa,
-                        Msg::RejoinGrant {
-                            group,
-                            member,
-                            front: crate::ids::GlobalSeq::ZERO,
-                            pass: None,
-                        },
-                        SimDuration::ZERO,
-                    );
-                }
-            }
-        }
-    }
 }
 
 // ---------------------------------------------------------------- actors
@@ -808,89 +728,6 @@ impl Actor<Msg, ProtoEvent> for SourceActor {
     }
 }
 
-/// Box a network-entity actor for direct use by baseline builders.
-pub fn boxed_ne_actor(
-    st: NeState,
-    map: Arc<AddrMap>,
-    originate_token: bool,
-) -> Box<dyn Actor<Msg, ProtoEvent>> {
-    boxed_multi_ne_actor(vec![st], map, vec![originate_token])
-}
-
-/// Box a multi-group network-entity actor: one state per group on a
-/// shared node identity (ring-running baselines instantiate their
-/// per-group rings through this, exactly like the engine).
-pub fn boxed_multi_ne_actor(
-    states: Vec<NeState>,
-    map: Arc<AddrMap>,
-    originate: Vec<bool>,
-) -> Box<dyn Actor<Msg, ProtoEvent>> {
-    assert!(!states.is_empty(), "an NE actor needs at least one state");
-    assert_eq!(states.len(), originate.len());
-    Box::new(NeActor::new(states, map, originate, None))
-}
-
-/// Box a mobile-host actor for direct use by baseline builders.
-pub fn boxed_mh_actor(
-    st: MhState,
-    map: Arc<AddrMap>,
-    initial_ap: Option<NodeId>,
-) -> Box<dyn Actor<Msg, ProtoEvent>> {
-    boxed_multi_mh_actor(vec![st], map, initial_ap)
-}
-
-/// Box a multi-subscription mobile-host actor: one state per subscribed
-/// group on a shared host identity.
-pub fn boxed_multi_mh_actor(
-    states: Vec<MhState>,
-    map: Arc<AddrMap>,
-    initial_ap: Option<NodeId>,
-) -> Box<dyn Actor<Msg, ProtoEvent>> {
-    assert!(!states.is_empty(), "an MH actor needs at least one state");
-    Box::new(MhActor {
-        states,
-        map,
-        out: Vec::with_capacity(16),
-        framer: Box::default(),
-        initial_ap,
-    })
-}
-
-/// Box a multicast-source actor for direct use by baseline builders
-/// (single fixed group; never routes through the fence).
-pub fn boxed_source_actor(
-    group: GroupId,
-    target: NodeAddr,
-    src: &SourceSpec,
-) -> Box<dyn Actor<Msg, ProtoEvent>> {
-    boxed_multicast_source_actor(vec![group], group, target, src)
-}
-
-/// Box a source actor addressing an explicit group set. Two or more
-/// `targets` submit every message as [`Msg::FenceIngress`] stamped with
-/// the fence `home` group; a single target sends plain
-/// [`Msg::SourceData`].
-pub fn boxed_multicast_source_actor(
-    targets: Vec<GroupId>,
-    home: GroupId,
-    target: NodeAddr,
-    src: &SourceSpec,
-) -> Box<dyn Actor<Msg, ProtoEvent>> {
-    assert!(!targets.is_empty(), "a source addresses at least one group");
-    Box::new(SourceActor {
-        targets,
-        home,
-        corresponding: src.corresponding,
-        target,
-        pattern: src.pattern,
-        start: src.start,
-        stop: src.stop,
-        limit: src.limit,
-        next_ls: LocalSeq::FIRST,
-        sent: 0,
-    })
-}
-
 // ------------------------------------------------------- build machinery
 
 /// The construction surface shared by the sequential [`Sim`] and the
@@ -1021,11 +858,19 @@ fn assemble(
         .map(|(i, &g)| (g, sorted_brs[i % sorted_brs.len()]))
         .collect();
     let home = groups[0];
+    // Station shape: the top ring is the whole deployment, so its members
+    // are hybrid stations that also serve MHs.
+    let stations = spec.is_station_shape();
     for &br in &spec.top_ring {
         let mut states = Vec::with_capacity(groups.len());
         let mut originate = Vec::with_capacity(groups.len());
         for &(g, origin) in &funnels {
-            let mut st = NeState::new_br(g, br, spec.top_ring.clone(), true, cfg.clone());
+            let ring = spec.top_ring.clone();
+            let mut st = if stations {
+                NeState::new_flat_station(g, br, ring, cfg.clone())
+            } else {
+                NeState::new_br(g, br, ring, true, cfg.clone())
+            };
             if multi {
                 st.cross_fence = Some(crate::fence::CrossGroupFence::new(g, funnels.clone()));
             }
@@ -1165,23 +1010,26 @@ fn assemble(
 
 // ------------------------------------------------------------- the engine
 
+/// The one simulator a [`RingNetSim`] drives. Both kinds are built by the
+/// same [`assemble`] body and steered through [`NetOps`] controls.
+// One value per run: the variants' size gap costs nothing, a `Box` would
+// only add a hop in front of the sequential simulator.
+#[allow(clippy::large_enum_variant)]
+enum Net {
+    Seq(Sim<Msg, ProtoEvent>),
+    Sharded(ShardedSim<Msg, ProtoEvent>),
+}
+
 /// A built RingNet simulation plus its scenario API.
 pub struct RingNetSim {
-    /// The underlying simulator. In sharded mode (see
-    /// [`RingNetSim::build_sharded`]) this is an inert zero-node husk kept
-    /// for API compatibility — the world lives in `sharded` instead, and
-    /// every `RingNetSim` method dispatches accordingly.
-    pub sim: Sim<Msg, ProtoEvent>,
-    /// The sharded world, when built with [`RingNetSim::build_sharded`].
-    sharded: Option<ShardedSim<Msg, ProtoEvent>>,
+    net: Net,
     /// Identity ↔ address translation.
     pub addrs: Arc<AddrMap>,
     /// The spec this simulation was built from.
     pub spec: HierarchySpec,
-    /// Report assembly mode, set by the [`MulticastSim`] facade (defaults
-    /// to batch; [`crate::driver::Reporting::install`] switches it to the
-    /// streaming accumulator when journal retention is off).
-    pub reporting: crate::driver::Reporting,
+    /// Report assembly mode: batch unless the scenario constructor
+    /// ([`RingNetSim::for_scenario`]) installed the streaming accumulator.
+    pub(crate) reporting: crate::driver::Reporting,
     /// Telemetry harvest sink shared with every `NeActor`; `Some` only
     /// when `spec.cfg.telemetry` is on. Filled during [`Self::finish`]'s
     /// `FlushStats` sweep; the driver drains it into the report.
@@ -1192,71 +1040,59 @@ pub struct RingNetSim {
 }
 
 impl RingNetSim {
-    /// Instantiate `spec` with the given seed. Panics on an invalid spec
-    /// (use [`HierarchySpec::validate`] first for graceful handling).
+    /// Instantiate `spec` with the given seed on the sequential simulator.
+    /// Panics on an invalid spec (use [`HierarchySpec::validate`] first for
+    /// graceful handling).
     pub fn build(spec: HierarchySpec, seed: u64) -> Self {
-        let problems = spec.validate();
-        assert!(problems.is_empty(), "invalid spec: {problems:?}");
-        // Journalling stays on even in quiet configs: the experiment layer
-        // always reads the low-volume records (Ordered, handoffs, finals);
-        // the config flags gate only the per-delivery firehose.
-        let mut sim: Sim<Msg, ProtoEvent> = Sim::with_options(seed, true, wire_size);
-        let bank = spec
-            .cfg
-            .telemetry
-            .then(|| Arc::new(Mutex::new(TelemetryBank::default())));
-        let map = assemble(&spec, &mut sim, bank.as_ref());
-        RingNetSim {
-            sim,
-            sharded: None,
-            addrs: map,
-            spec,
-            reporting: crate::driver::Reporting::default(),
-            telemetry_bank: bank,
-            telemetry_shards: std::collections::BTreeMap::new(),
-        }
+        Self::build_sharded(spec, seed, 1, 0)
     }
 
     /// Instantiate `spec` as a conservatively parallel world of `shards`
     /// event-queue shards (one per attachment-subtree block; the wired
     /// core rides on shard 0 — see [`simnet::shard`] for the window
-    /// protocol). `workers` caps the drain threads (`0` = available
-    /// parallelism); it affects wall-clock only, never results. Journals
-    /// are byte-identical per `(seed, shards)`, and semantically
-    /// equivalent to the sequential build.
+    /// protocol); `shards <= 1` is the sequential build. `workers` caps
+    /// the drain threads (`0` = available parallelism); it affects
+    /// wall-clock only, never results. Journals are byte-identical per
+    /// `(seed, shards)`, and semantically equivalent to the sequential
+    /// build.
     pub fn build_sharded(spec: HierarchySpec, seed: u64, shards: usize, workers: usize) -> Self {
         let problems = spec.validate();
         assert!(problems.is_empty(), "invalid spec: {problems:?}");
-        if shards <= 1 {
-            return Self::build(spec, seed);
-        }
-        let sm = shard_map(&spec, shards);
-        let mut net: ShardedSim<Msg, ProtoEvent> =
-            ShardedSim::new(seed, shards, sm.clone(), true, wire_size);
-        net.set_workers(workers);
         let bank = spec
             .cfg
             .telemetry
             .then(|| Arc::new(Mutex::new(TelemetryBank::default())));
-        let map = assemble(&spec, &mut net, bank.as_ref());
-        // Record the NE → shard placement for the telemetry report: the
-        // shard map is indexed by global creation order (BRs, AG-ring
-        // members, APs, then sources and MHs — only NEs carry telemetry).
         let mut telemetry_shards = std::collections::BTreeMap::new();
-        if bank.is_some() {
-            let ne_ids = spec
-                .top_ring
-                .iter()
-                .chain(spec.ag_rings.iter().flat_map(|r| r.members.iter()))
-                .chain(spec.aps.iter().map(|ap| &ap.id));
-            for (i, &id) in ne_ids.enumerate() {
-                telemetry_shards.insert(id, sm[i]);
+        // Journalling stays on even in quiet configs: the experiment layer
+        // always reads the low-volume records (Ordered, handoffs, finals);
+        // the config flags gate only the per-delivery firehose.
+        let (net, addrs) = if shards <= 1 {
+            let mut sim = Sim::with_options(seed, true, wire_size);
+            let addrs = assemble(&spec, &mut sim, bank.as_ref());
+            (Net::Seq(sim), addrs)
+        } else {
+            let sm = shard_map(&spec, shards);
+            let mut sim = ShardedSim::new(seed, shards, sm.clone(), true, wire_size);
+            sim.set_workers(workers);
+            let addrs = assemble(&spec, &mut sim, bank.as_ref());
+            // Record the NE → shard placement for the telemetry report: the
+            // shard map is indexed by global creation order (BRs, AG-ring
+            // members, APs, then sources and MHs — only NEs carry telemetry).
+            if bank.is_some() {
+                let ne_ids = spec
+                    .top_ring
+                    .iter()
+                    .chain(spec.ag_rings.iter().flat_map(|r| r.members.iter()))
+                    .chain(spec.aps.iter().map(|ap| &ap.id));
+                for (i, &id) in ne_ids.enumerate() {
+                    telemetry_shards.insert(id, sm[i]);
+                }
             }
-        }
+            (Net::Sharded(sim), addrs)
+        };
         RingNetSim {
-            sim: Sim::with_options(seed, true, wire_size),
-            sharded: Some(net),
-            addrs: map,
+            net,
+            addrs,
             spec,
             reporting: crate::driver::Reporting::default(),
             telemetry_bank: bank,
@@ -1268,52 +1104,57 @@ impl RingNetSim {
     /// wall-clock knob only: results are worker-count-independent. No-op
     /// on a sequential build.
     pub fn set_workers(&mut self, workers: usize) {
-        if let Some(s) = &mut self.sharded {
+        if let Net::Sharded(s) = &mut self.net {
             s.set_workers(workers);
         }
     }
 
     /// Run until simulated time `t`.
     pub fn run_until(&mut self, t: SimTime) {
-        match &mut self.sharded {
-            None => self.sim.run_until(t),
-            Some(s) => s.run_until(t),
+        match &mut self.net {
+            Net::Seq(s) => s.run_until(t),
+            Net::Sharded(s) => s.run_until(t),
         }
     }
 
     /// Current simulated time.
     pub fn now(&self) -> SimTime {
-        match &self.sharded {
-            None => self.sim.now(),
-            Some(s) => s.now(),
+        match &self.net {
+            Net::Seq(s) => s.now(),
+            Net::Sharded(s) => s.now(),
         }
     }
 
     /// Transport-level statistics (aggregated over shards when sharded).
     pub fn stats(&self) -> SimStats {
-        match &self.sharded {
-            None => self.sim.stats(),
-            Some(s) => s.stats(),
+        match &self.net {
+            Net::Seq(s) => s.stats(),
+            Net::Sharded(s) => s.stats(),
         }
     }
 
     /// The journal receiving this run's protocol events (the master,
     /// merge-fed journal in sharded mode).
     pub fn journal_mut(&mut self) -> &mut simnet::Journal<ProtoEvent> {
-        match &mut self.sharded {
-            None => &mut self.sim.world().journal,
-            Some(s) => s.journal_mut(),
+        match &mut self.net {
+            Net::Seq(s) => &mut s.world().journal,
+            Net::Sharded(s) => s.journal_mut(),
         }
     }
 
-    /// Schedule a scenario control: one closure body written against
-    /// [`NetOps`] drives both execution modes (sequential controls run in
-    /// event order; sharded controls run coordinator-side at a window
-    /// barrier spanning every shard).
-    fn schedule_ctl(&mut self, at: SimTime, f: impl FnOnce(&mut dyn NetOps<Msg>) + Send + 'static) {
-        match &mut self.sharded {
-            None => self.sim.world().schedule_control(at, move |w| f(w)),
-            Some(s) => s.schedule_control(at, move |v| f(v)),
+    /// Schedule a control closure at `at` — the body of every `schedule_*`
+    /// below, and the hook for faults they do not cover. One closure
+    /// written against [`NetOps`] drives both execution modes (sequential
+    /// controls run in event order; sharded controls run coordinator-side
+    /// at a window barrier spanning every shard).
+    pub fn schedule_control(
+        &mut self,
+        at: SimTime,
+        f: impl FnOnce(&mut dyn NetOps<Msg>) + Send + 'static,
+    ) {
+        match &mut self.net {
+            Net::Seq(s) => s.world().schedule_control(at, move |w| f(w)),
+            Net::Sharded(s) => s.schedule_control(at, move |v| f(v)),
         }
     }
 
@@ -1323,7 +1164,7 @@ impl RingNetSim {
         let map = Arc::clone(&self.addrs);
         let group = self.spec.group;
         let wireless = self.spec.links.wireless.clone();
-        self.schedule_ctl(at, move |w| {
+        self.schedule_control(at, move |w| {
             let Some(mh_addr) = map.mh(guid) else { return };
             let Some(ap_addr) = map.ne(new_ap) else {
                 return;
@@ -1348,7 +1189,7 @@ impl RingNetSim {
         let map = Arc::clone(&self.addrs);
         let group = self.spec.group;
         let wireless = self.spec.links.wireless.clone();
-        self.schedule_ctl(at, move |w| {
+        self.schedule_control(at, move |w| {
             let (Some(mh_addr), Some(ap_addr)) = (map.mh(guid), map.ne(ap)) else {
                 return;
             };
@@ -1368,7 +1209,7 @@ impl RingNetSim {
     pub fn schedule_kill_ne(&mut self, at: SimTime, node: NodeId) {
         let map = Arc::clone(&self.addrs);
         let group = self.spec.group;
-        self.schedule_ctl(at, move |w| {
+        self.schedule_control(at, move |w| {
             if let Some(addr) = map.ne(node) {
                 w.inject(addr, addr, Msg::Kill { group }, SimDuration::ZERO);
             }
@@ -1382,7 +1223,7 @@ impl RingNetSim {
     pub fn schedule_restart_ne(&mut self, at: SimTime, node: NodeId) {
         let map = Arc::clone(&self.addrs);
         let group = self.spec.group;
-        self.schedule_ctl(at, move |w| {
+        self.schedule_control(at, move |w| {
             if let Some(addr) = map.ne(node) {
                 w.inject(addr, addr, Msg::Restart { group }, SimDuration::ZERO);
             }
@@ -1394,7 +1235,7 @@ impl RingNetSim {
     /// injection). Pairs without a direct link are a no-op.
     pub fn schedule_link_state(&mut self, at: SimTime, a: NodeId, b: NodeId, up: bool) {
         let map = Arc::clone(&self.addrs);
-        self.schedule_ctl(at, move |w| {
+        self.schedule_control(at, move |w| {
             if let (Some(aa), Some(ba)) = (map.ne(a), map.ne(b)) {
                 w.set_duplex_up(aa, ba, up);
             }
@@ -1424,25 +1265,46 @@ impl RingNetSim {
     pub fn schedule_ring_isolation(&mut self, at: SimTime, member: NodeId, up: bool) {
         let map = Arc::clone(&self.addrs);
         let peers = self.ring_peers_of(member);
-        self.schedule_ctl(at, move |w| {
-            apply_ring_isolation(w, &map, member, &peers, up);
+        self.schedule_control(at, move |w| {
+            let Some(ma) = map.ne(member) else { return };
+            for pa in peers.into_iter().filter_map(|p| map.ne(p)) {
+                w.set_duplex_up(ma, pa, up);
+            }
         });
     }
 
     /// Schedule a Byzantine-ish control replay at `at` (see
     /// [`crate::driver::ReplayKind`]): a duplicated, delayed copy of a
-    /// Token / RingFail / RejoinGrant concerning `member` is re-injected.
+    /// Token / RingFail / RejoinGrant concerning `member` is re-injected —
+    /// the token by the member itself, the broadcasts to its ring peers.
     pub fn schedule_control_replay(
         &mut self,
         at: SimTime,
         kind: crate::driver::ReplayKind,
         member: NodeId,
     ) {
+        use crate::driver::ReplayKind;
         let map = Arc::clone(&self.addrs);
         let group = self.spec.group;
         let peers = self.ring_peers_of(member);
-        self.schedule_ctl(at, move |w| {
-            inject_control_replay(w, &map, group, kind, member, &peers);
+        self.schedule_control(at, move |w| {
+            let Some(ma) = map.ne(member) else { return };
+            let peers: Vec<NodeAddr> = peers.into_iter().filter_map(|p| map.ne(p)).collect();
+            let (dsts, copy): (Vec<NodeAddr>, fn(GroupId, NodeId) -> Msg) = match kind {
+                // The member re-sends its kept snapshot — a delayed
+                // duplicate of a pass it already forwarded.
+                ReplayKind::Token => (vec![ma], |group, _| Msg::ReplayToken { group }),
+                ReplayKind::RingFail => (peers, |group, failed| Msg::RingFail { group, failed }),
+                ReplayKind::RejoinGrant => (peers, |group, member| Msg::RejoinGrant {
+                    group,
+                    member,
+                    front: crate::ids::GlobalSeq::ZERO,
+                    pass: None,
+                }),
+            };
+            for dst in dsts {
+                w.inject(ma, dst, copy(group, member), SimDuration::ZERO);
+            }
         });
     }
 
@@ -1453,7 +1315,7 @@ impl RingNetSim {
         let map = Arc::clone(&self.addrs);
         let group = self.spec.group;
         let ring = self.spec.top_ring.clone();
-        self.schedule_ctl(at, move |w| {
+        self.schedule_control(at, move |w| {
             for &node in &ring {
                 if let Some(addr) = map.ne(node) {
                     w.inject(addr, addr, Msg::DropToken { group }, SimDuration::ZERO);
@@ -1466,7 +1328,7 @@ impl RingNetSim {
     pub fn schedule_kill_mh(&mut self, at: SimTime, guid: Guid) {
         let map = Arc::clone(&self.addrs);
         let group = self.spec.group;
-        self.schedule_ctl(at, move |w| {
+        self.schedule_control(at, move |w| {
             if let Some(addr) = map.mh(guid) {
                 w.inject(addr, addr, Msg::Kill { group }, SimDuration::ZERO);
             }
@@ -1475,21 +1337,21 @@ impl RingNetSim {
 
     /// Ask every entity and MH to emit its final-statistics record, then
     /// drain the remaining events and return `(journal, transport stats)`.
-    pub fn finish(mut self) -> (Vec<(SimTime, ProtoEvent)>, SimStats) {
+    pub fn finish(self) -> (Vec<(SimTime, ProtoEvent)>, SimStats) {
         let group = self.spec.group;
         let flush_targets: Vec<NodeAddr> = self.addrs.rev.keys().copied().collect();
-        match self.sharded {
-            None => {
-                let w = self.sim.world();
+        match self.net {
+            Net::Seq(mut s) => {
+                let w = s.world();
                 for addr in flush_targets {
                     w.inject(addr, addr, Msg::FlushStats { group }, SimDuration::ZERO);
                 }
                 // Drain only the flush events: advance a hair past `now`.
-                let t = self.sim.now() + SimDuration::from_nanos(1);
-                self.sim.run_until(t);
-                self.sim.finish()
+                let t = s.now() + SimDuration::from_nanos(1);
+                s.run_until(t);
+                s.finish()
             }
-            Some(mut s) => {
+            Net::Sharded(mut s) => {
                 // Flush via a barrier control so every shard observes it at
                 // the same window edge, then drain a hair past `now`.
                 let at = s.now();

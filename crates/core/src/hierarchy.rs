@@ -150,6 +150,11 @@ impl Default for LinkPlan {
 }
 
 /// The complete declarative description of a RingNet deployment.
+///
+/// A spec with no AG rings and no APs is the *station shape*
+/// ([`HierarchySpec::is_station_shape`]): every top-ring node is a hybrid
+/// station that orders *and* serves MHs, which may then name a top-ring
+/// member as their `initial_ap`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct HierarchySpec {
     /// The primary multicast group (single-group specs order exactly this
@@ -215,6 +220,24 @@ impl HierarchySpec {
         gs.sort_unstable();
         gs.dedup();
         gs
+    }
+
+    /// True for the *station shape*: no AG rings and no APs, so the top
+    /// ring is a single logical ring of hybrid stations — ordering nodes
+    /// that also serve MHs directly (the flat-ring comparator of §2; see
+    /// [`crate::node::NeState::new_flat_station`]).
+    pub fn is_station_shape(&self) -> bool {
+        self.ag_rings.is_empty() && self.aps.is_empty()
+    }
+
+    /// The `i`-th attachment entity — where scenario attachment indices
+    /// land: `aps[i]`, or `top_ring[i]` in the station shape.
+    pub fn attachment(&self, i: usize) -> Option<NodeId> {
+        if self.is_station_shape() {
+            self.top_ring.get(i).copied()
+        } else {
+            self.aps.get(i).map(|ap| ap.id)
+        }
     }
 
     /// Structural validation; returns human-readable problems (empty = ok).
@@ -285,7 +308,14 @@ impl HierarchySpec {
                 problems.push(format!("duplicate GUID {}", mh.guid));
             }
             if let Some(ap) = mh.initial_ap {
-                if !all_aps.contains(&ap) {
+                // MHs attach to APs — or, in the station shape only, to
+                // the top-ring stations themselves.
+                let exists = if self.is_station_shape() {
+                    self.top_ring.contains(&ap)
+                } else {
+                    all_aps.contains(&ap)
+                };
+                if !exists {
                     problems.push(format!("MH {}: initial AP {ap} does not exist", mh.guid));
                 }
             }
@@ -734,6 +764,33 @@ mod tests {
             .validate()
             .iter()
             .any(|p| p.contains("no candidate parent AG")));
+    }
+
+    #[test]
+    fn mh_may_attach_to_a_top_ring_member_in_the_station_shape_only() {
+        // Station shape: no AG rings, no APs — the BRs serve MHs directly.
+        let mut spec = figure1(GroupId(1));
+        let station = spec.top_ring[2];
+        spec.ag_rings.clear();
+        spec.aps.clear();
+        spec.mhs = vec![MhSpec {
+            guid: Guid(0),
+            initial_ap: Some(station),
+            subscriptions: Vec::new(),
+        }];
+        assert!(spec.is_station_shape());
+        assert_eq!(spec.attachment(2), Some(station));
+        assert!(spec.validate().is_empty(), "{:?}", spec.validate());
+
+        // The same MH is rejected as soon as the spec has an AP tier.
+        let mut tiered = figure1(GroupId(1));
+        tiered.mhs[0].initial_ap = Some(station);
+        assert!(!tiered.is_station_shape());
+        assert_eq!(tiered.attachment(2), Some(tiered.aps[2].id));
+        assert!(tiered
+            .validate()
+            .iter()
+            .any(|p| p.contains("initial AP") && p.contains("does not exist")));
     }
 
     #[test]

@@ -10,15 +10,13 @@
 //! Two layers live here:
 //!
 //! * [`MetricsAccumulator`] — the streaming summariser: every
-//!   [`RunMetrics`](crate::driver::RunMetrics) field in **one scan** over
-//!   the events, fed either from a finished journal slice or *online*
-//!   through the simulator's journal sink (so a big sweep never
-//!   materializes the journal `Vec` at all).
-//! * The standalone per-metric functions below it — each a separate pass.
-//!   They remain the readable oracle the accumulator is tested against,
-//!   and serve the journal-dependent diagnostics (delivery gaps, token
-//!   rotation, windowed rates) that only make sense with a retained
-//!   journal.
+//!   [`RunMetrics`] field in **one scan** over the events, fed either from
+//!   a finished journal slice or *online* through the simulator's journal
+//!   sink (so a big sweep never materializes the journal `Vec` at all).
+//! * The standalone per-metric functions below it — each a separate pass
+//!   over a retained journal: the order checks, and the journal-dependent
+//!   diagnostics (delivery gaps, token rotation, windowed rates) that only
+//!   make sense with a retained journal.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::hash::{BuildHasherDefault, Hasher};
@@ -87,7 +85,7 @@ type FxMap<K, V> = std::collections::HashMap<K, V, BuildHasherDefault<FxHasher>>
 ///
 /// Feeding the same events in the same order produces identical
 /// [`RunMetrics`] either way; `tests/metrics_equivalence.rs` holds both
-/// modes against the legacy multi-pass functions for all six backends.
+/// modes against a multi-pass oracle for all six backends.
 #[derive(Debug, Clone)]
 pub struct MetricsAccumulator {
     wired_core: BTreeSet<NodeId>,
@@ -229,37 +227,6 @@ impl MetricsAccumulator {
 /// A journal slice, as returned by the engines' `finish()`.
 pub type Journal = [(SimTime, ProtoEvent)];
 
-/// Assemble [`RunMetrics`] the pre-accumulator way: one legacy pass per
-/// metric. This is the **oracle** the single-pass [`MetricsAccumulator`]
-/// is pinned to (`tests/metrics_equivalence.rs`) and the measured
-/// "before" of the `full_sweep/report_multipass_legacy` benchmark — it
-/// must keep using the standalone per-metric functions below, not the
-/// accumulator.
-pub fn multipass_metrics(journal: &Journal, wired_core: &BTreeSet<NodeId>) -> RunMetrics {
-    let totals = mh_totals(journal);
-    let (wq_peak, mq_peak) = buffer_peaks(journal);
-    RunMetrics {
-        delivered: totals.delivered,
-        skipped: totals.skipped,
-        duplicates: totals.duplicates,
-        handoffs: totals.handoffs,
-        mhs: totals.mhs,
-        ordered: journal
-            .iter()
-            .filter(|(_, e)| matches!(e, ProtoEvent::Ordered { .. }))
-            .count() as u64,
-        source_msgs: source_msgs(journal),
-        order_violations: order_violations(journal),
-        e2e_latency: end_to_end_latency(journal),
-        wq_peak,
-        mq_peak,
-        tree_churn: tree_churn(journal),
-        wired_core_data_sent: data_sent_of(journal, wired_core),
-        busiest_core_msgs: busiest_of(journal, wired_core),
-        wired_core_control_sent: control_sent_of(journal, wired_core),
-    }
-}
-
 /// Per-MH delivery records: `(time, gsn)` in delivery order (all groups
 /// merged — use [`deliveries_per_mh_group`] for order checks).
 pub fn deliveries_per_mh(journal: &Journal) -> BTreeMap<Guid, Vec<(SimTime, GlobalSeq)>> {
@@ -376,29 +343,6 @@ pub fn end_to_end_latency(journal: &Journal) -> Histogram {
     h
 }
 
-/// Ordering latency samples: `SourceSend` → `Ordered` (the global number
-/// assignment at the corresponding node).
-pub fn ordering_latency(journal: &Journal) -> Histogram {
-    let mut sent: BTreeMap<(NodeId, LocalSeq), SimTime> = BTreeMap::new();
-    let mut h = Histogram::new();
-    for (t, e) in journal {
-        match e {
-            ProtoEvent::SourceSend { source, local_seq } => {
-                sent.entry((*source, *local_seq)).or_insert(*t);
-            }
-            ProtoEvent::Ordered {
-                source, local_seq, ..
-            } => {
-                if let Some(&t0) = sent.get(&(*source, *local_seq)) {
-                    h.add(t.saturating_since(t0).as_nanos());
-                }
-            }
-            _ => {}
-        }
-    }
-    h
-}
-
 /// Mean per-MH delivery rate (messages/second) within `[from, to]`.
 pub fn delivery_rate(journal: &Journal, from: SimTime, to: SimTime) -> f64 {
     let span = to.saturating_since(from).as_secs_f64();
@@ -463,23 +407,6 @@ pub fn mh_totals(journal: &Journal) -> MhTotals {
         }
     }
     t
-}
-
-/// Peak buffer occupancy across entities, from the `NeFinal` records:
-/// `(max WQ peak, max MQ peak)`.
-pub fn buffer_peaks(journal: &Journal) -> (u32, u32) {
-    let mut wq = 0;
-    let mut mq = 0;
-    for (_, e) in journal {
-        if let ProtoEvent::NeFinal {
-            wq_peak, mq_peak, ..
-        } = e
-        {
-            wq = wq.max(*wq_peak);
-            mq = mq.max(*mq_peak);
-        }
-    }
-    (wq, mq)
 }
 
 /// Peak buffer occupancy of one specific entity.
@@ -555,58 +482,6 @@ pub fn source_msgs(journal: &Journal) -> u64 {
         .count() as u64
 }
 
-/// Sum of `data_sent` over the given entities' `NeFinal` records.
-pub fn data_sent_of(journal: &Journal, nodes: &std::collections::BTreeSet<NodeId>) -> u64 {
-    journal
-        .iter()
-        .map(|(_, e)| match e {
-            ProtoEvent::NeFinal {
-                node, data_sent, ..
-            } if nodes.contains(node) => *data_sent as u64,
-            _ => 0,
-        })
-        .sum()
-}
-
-/// Largest `data_sent` among the given entities' `NeFinal` records.
-pub fn busiest_of(journal: &Journal, nodes: &std::collections::BTreeSet<NodeId>) -> u64 {
-    journal
-        .iter()
-        .filter_map(|(_, e)| match e {
-            ProtoEvent::NeFinal {
-                node, data_sent, ..
-            } if nodes.contains(node) => Some(*data_sent as u64),
-            _ => None,
-        })
-        .max()
-        .unwrap_or(0)
-}
-
-/// Sum of `control_sent` over the given entities' `NeFinal` records.
-pub fn control_sent_of(journal: &Journal, nodes: &std::collections::BTreeSet<NodeId>) -> u64 {
-    journal
-        .iter()
-        .map(|(_, e)| match e {
-            ProtoEvent::NeFinal {
-                node, control_sent, ..
-            } if nodes.contains(node) => *control_sent as u64,
-            _ => 0,
-        })
-        .sum()
-}
-
-/// Time of the first event matching `pred` at or after `from`.
-pub fn first_event_after(
-    journal: &Journal,
-    from: SimTime,
-    mut pred: impl FnMut(&ProtoEvent) -> bool,
-) -> Option<SimTime> {
-    journal
-        .iter()
-        .find(|(t, e)| *t >= from && pred(e))
-        .map(|(t, _)| *t)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -652,76 +527,6 @@ mod tests {
         // ... even when another MH delivered it once.
         let j2 = vec![deliver(1, 0, 1), deliver(1, 1, 1), deliver(2, 1, 1)];
         assert!(!pairwise_agreement(&j2));
-    }
-
-    #[test]
-    fn accumulator_matches_legacy_passes() {
-        let mut j = vec![
-            send(10, 1),
-            send(20, 2),
-            (
-                SimTime::from_millis(25),
-                ProtoEvent::Ordered {
-                    group: GroupId(1),
-                    node: NodeId(0),
-                    source: NodeId(0),
-                    local_seq: LocalSeq(1),
-                    gsn: GlobalSeq(1),
-                },
-            ),
-            deliver(35, 0, 1),
-            deliver(45, 1, 1),
-            deliver(50, 1, 2),
-            deliver(55, 1, 1), // out of order at MH 1
-            (
-                SimTime::from_millis(90),
-                ProtoEvent::Grafted {
-                    group: GroupId(1),
-                    parent: NodeId(0),
-                    child: NodeId(1),
-                },
-            ),
-            (
-                SimTime::from_millis(100),
-                ProtoEvent::NeFinal {
-                    group: GroupId(1),
-                    node: NodeId(0),
-                    wq_peak: 3,
-                    mq_peak: 9,
-                    mq_overflow: 0,
-                    wq_overflow: 0,
-                    control_sent: 11,
-                    data_sent: 17,
-                    retransmissions: 0,
-                },
-            ),
-        ];
-        j.push((
-            SimTime::from_millis(100),
-            ProtoEvent::MhFinal {
-                group: GroupId(1),
-                mh: Guid(0),
-                delivered: 4,
-                skipped: 1,
-                duplicates: 2,
-                handoffs: 3,
-            },
-        ));
-        let core: BTreeSet<NodeId> = [NodeId(0)].into_iter().collect();
-        let mut acc = MetricsAccumulator::new(core.clone());
-        acc.observe_journal(&j);
-        let m = acc.finish();
-        assert_eq!(m.source_msgs, source_msgs(&j));
-        assert_eq!(m.order_violations, order_violations(&j));
-        assert_eq!(m.e2e_latency, end_to_end_latency(&j));
-        assert_eq!(m.tree_churn, tree_churn(&j));
-        let totals = mh_totals(&j);
-        assert_eq!((m.delivered, m.skipped, m.mhs), (totals.delivered, 1, 1));
-        assert_eq!((m.wq_peak, m.mq_peak), buffer_peaks(&j));
-        assert_eq!(m.wired_core_data_sent, data_sent_of(&j, &core));
-        assert_eq!(m.busiest_core_msgs, busiest_of(&j, &core));
-        assert_eq!(m.wired_core_control_sent, control_sent_of(&j, &core));
-        assert_eq!(m.ordered, 1);
     }
 
     #[test]

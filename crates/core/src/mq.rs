@@ -200,7 +200,7 @@ impl MessageQueue {
     /// Advance `Front` over the next contiguous received-or-lost slot, if
     /// any, returning its delivery item. Received slots are marked
     /// `Delivered`. The allocation-free stepping primitive under
-    /// [`Mq::poll_deliverable`] — hot delivery loops call it directly so an
+    /// [`Self::poll_deliverable`] — hot delivery loops call it directly so an
     /// empty poll (the common case: most arrivals don't advance `Front`)
     /// costs no `Vec`.
     pub fn next_deliverable(&mut self) -> Option<DeliverItem> {
@@ -223,7 +223,7 @@ impl MessageQueue {
 
     /// Advance `Front` over every contiguous received-or-lost slot, returning
     /// the delivery items in order. Received slots are marked `Delivered`.
-    /// Collecting convenience over [`Mq::next_deliverable`] for tests and
+    /// Collecting convenience over [`Self::next_deliverable`] for tests and
     /// diagnostics.
     pub fn poll_deliverable(&mut self) -> Vec<DeliverItem> {
         std::iter::from_fn(|| self.next_deliverable()).collect()

@@ -420,7 +420,7 @@ impl Msg {
 
     /// Approximate wire size in bytes, used to charge bandwidth models.
     /// Control messages are small and fixed; data messages add the
-    /// payload size at the engine layer ([`crate::engine::wire_size`]).
+    /// payload size at the engine layer (`engine::wire_size`).
     pub fn base_wire_size(&self) -> usize {
         match self {
             Msg::SourceData { .. } | Msg::PreOrder { .. } | Msg::Data { .. } => 40,

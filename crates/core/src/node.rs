@@ -684,11 +684,11 @@ impl NeState {
     ///   parent's announced front.
     /// * A restarted **BR/AG** re-enters its repaired ring through the
     ///   lifecycle layer: its own state becomes `Rejoining`
-    ///   ([`RingState::reset_for_rejoin`]) and it runs the
+    ///   (`RingState::reset_for_rejoin`) and it runs the
     ///   [`Msg::RejoinRequest`]/[`Msg::RejoinGrant`] handshake, retried on
     ///   the heartbeat tick against rotating static ring members until a
     ///   grant splices it back in at a token boundary (see
-    ///   [`NeState::on_rejoin_request`]).
+    ///   `NeState::on_rejoin_request`).
     pub fn restart(&mut self, now: SimTime, out: &mut Outbox) {
         self.alive = true;
         self.parent = None;

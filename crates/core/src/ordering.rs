@@ -19,7 +19,7 @@
 //!    entry a kept snapshot already covers, so on a loss-free ring no
 //!    delivery waits for a timer. The paper's periodic `τ` scan remains as
 //!    the fallback; a per-node watermark
-//!    ([`crate::node::OrderingState::assigned_through`]) makes every
+//!    (`OrderingState::assigned_through`) makes every
 //!    trigger cost O(new entries) and an idle one O(1).
 
 use simnet::SimTime;
@@ -448,7 +448,7 @@ impl NeState {
     }
 
     /// The paper's periodic Order-Assignment scan (`τ` timer). Every copy
-    /// a loss-free run makes is event-driven ([`NeState::order_assign`]),
+    /// a loss-free run makes is event-driven (`NeState::order_assign`),
     /// so this finds work only when some trigger was missed.
     pub fn tick_order_assign(&mut self, now: SimTime, out: &mut Outbox) {
         if self.alive {

@@ -254,7 +254,7 @@ impl WorkingQueue {
         out
     }
 
-    /// [`Wq::take_orderable`] without the result `Vec`: each taken entry is
+    /// [`Self::take_orderable`] without the result `Vec`: each taken entry is
     /// handed to `sink` in order; Order-Assignment inserts straight into the
     /// `MQ` through this.
     ///

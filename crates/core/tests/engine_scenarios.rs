@@ -287,6 +287,55 @@ fn killing_an_mh_stops_its_acks_and_frees_it() {
     );
 }
 
+/// The station shape, built directly: a spec with no AG rings and no APs is
+/// one logical ring of hybrid stations — each orders *and* serves the MHs
+/// that name it as their attachment — on the ordinary engine.
+#[test]
+fn station_shaped_spec_delivers_in_order() {
+    let mut spec = HierarchyBuilder::new(G)
+        .brs(4)
+        .sources(2)
+        .source_pattern(TrafficPattern::Cbr {
+            interval: SimDuration::from_millis(20),
+        })
+        .source_limit(20)
+        .build();
+    spec.ag_rings.clear();
+    spec.aps.clear();
+    spec.mhs = (0..4u32)
+        .map(|i| MhSpec {
+            guid: Guid(i),
+            initial_ap: Some(spec.top_ring[i as usize]),
+            subscriptions: Vec::new(),
+        })
+        .collect();
+    assert!(spec.is_station_shape());
+    let mut net = RingNetSim::build(spec, 5);
+    // Stations serve handoffs like any attachment entity.
+    net.schedule_handoff(SimTime::from_millis(300), Guid(0), NodeId(3));
+    net.run_until(SimTime::from_secs(3));
+    let (journal, _) = net.finish();
+    assert_eq!(
+        count(&journal, |e| matches!(e, ProtoEvent::Ordered { .. })),
+        40,
+        "2 sources × 20 messages"
+    );
+    assert!(journal.iter().any(|(_, e)| matches!(
+        e,
+        ProtoEvent::HandoffRegistered {
+            mh: Guid(0),
+            ap: NodeId(3),
+            ..
+        }
+    )));
+    let per_mh = ringnet_core::metrics::deliveries_per_mh(&journal);
+    assert_eq!(per_mh.len(), 4);
+    for (mh, seq) in &per_mh {
+        assert_eq!(seq.len(), 40, "{mh} delivered everything: {seq:?}");
+    }
+    assert_eq!(ringnet_core::metrics::order_violations(&journal), 0);
+}
+
 #[test]
 fn zero_mh_network_runs_clean() {
     let spec = HierarchyBuilder::new(G)
@@ -353,11 +402,9 @@ fn lost_frame_of_cumulative_acks_is_repaired_by_the_next_frame() {
         // Acks leave every second 5 ms hop tick; 1010 ms is an ack tick that
         // is not also a 50 ms heartbeat tick. Only the uplink drops.
         for (at_ms, up) in [(1009, !cut_uplink), (1011, true)] {
-            net.sim
-                .world()
-                .schedule_control(SimTime::from_millis(at_ms), move |w| {
-                    w.topo.set_link_up(mh_addr, ap_addr, up);
-                });
+            net.schedule_control(SimTime::from_millis(at_ms), move |w| {
+                w.set_link_up(mh_addr, ap_addr, up);
+            });
         }
         net.run_until(SimTime::from_secs(2));
         net.finish()

@@ -1,6 +1,6 @@
 //! E1 — RingNet hierarchy vs one flat logical ring.
 //!
-//! §2 on the flat-ring protocol [16]: "since all the control information
+//! §2 on the flat-ring protocol \[16\]: "since all the control information
 //! has to be rotated along the ring, it may lead to large latency and
 //! require large buffers when the ring becomes large. Each logical ring
 //! within our proposed RingNet model functions in a similar way, but it

@@ -6,8 +6,8 @@
 //! the offered `s·λ` regardless — the independence that makes Theorem
 //! 5.1's throughput claim work.
 
-use baselines::flat_ring::{FlatRingSim, FlatRingSpec};
-use ringnet_core::hierarchy::TrafficPattern;
+use baselines::FlatRingSim;
+use ringnet_core::driver::{MulticastSim, ScenarioBuilder};
 use ringnet_core::NodeId;
 use simnet::{SimDuration, SimTime};
 
@@ -22,16 +22,16 @@ struct Point {
 
 fn measure(r: usize, duration: SimTime) -> Point {
     let hop = SimDuration::from_millis(5);
-    let mut spec = FlatRingSpec::new(r, 1);
-    spec.sources = 2.min(r);
-    spec.pattern = TrafficPattern::Cbr {
-        interval: SimDuration::from_millis(10),
-    };
-    spec.ring_link = simnet::LinkProfile::wired(hop);
-    spec.wireless = simnet::LinkProfile::wired(SimDuration::from_millis(2));
-    let mut net = FlatRingSim::build(spec, 19);
-    net.run_until(duration);
-    let (journal, _) = net.finish();
+    let mut sc = ScenarioBuilder::new()
+        .attachments(r)
+        .walkers_per_attachment(1)
+        .sources(2.min(r))
+        .cbr(SimDuration::from_millis(10))
+        .loss_free_wireless()
+        .duration(duration)
+        .build();
+    sc.links.top_ring = simnet::LinkProfile::wired(hop);
+    let journal = FlatRingSim::run_scenario(&sc, 19).journal;
     let rotation = metrics::token_rotation_period(&journal, NodeId(0)).expect("token rotated");
     let rate = metrics::delivery_rate(&journal, SimTime::from_secs(1), duration);
     Point {

@@ -1,6 +1,6 @@
 //! E8 — load distribution: RingNet vs a RelM-style supervisor host.
 //!
-//! §2 on RelM [6]: "since the SHs have to do so many tasks such as
+//! §2 on RelM \[6\]: "since the SHs have to do so many tasks such as
 //! maintaining connections for MHs, the RelM protocol scales not very well
 //! when the number of group members becomes very large." We grow the
 //! member count and compare the *busiest wired entity* of each scheme:

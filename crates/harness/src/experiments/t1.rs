@@ -74,7 +74,7 @@ fn ordered_rate(s: usize, lambda: f64, duration: SimTime, warmup: SimTime) -> f6
         .links(loss_free_links())
         .build();
     let mut net = RingNetSim::build(spec, 42);
-    let counter = install_rate_counter(&mut net.sim.world().journal, warmup, duration);
+    let counter = install_rate_counter(net.journal_mut(), warmup, duration);
     net.run_until(duration);
     let _ = net.finish();
     finish_rate(&counter, warmup, duration)

@@ -1,5 +1,5 @@
 //! Scenario glue: turning mobility traces into protocol-agnostic
-//! [`Scenario`]s.
+//! [`Scenario`](ringnet_core::driver::Scenario)s.
 //!
 //! The identity-agnostic `mobility` crate speaks in AP grid indices and
 //! walker numbers — exactly the vocabulary of

@@ -121,11 +121,9 @@ impl<M, R> NetOps<M> for NetView<'_, M, R> {
         *self.topo_dirty = true;
     }
 
-    fn set_duplex_up(&mut self, a: NodeAddr, b: NodeAddr, up: bool) -> bool {
-        let (oa, ob) = (self.owner(a), self.owner(b));
-        let fwd = self.world(oa).topo.set_link_up(a, b, up);
-        let rev = self.world(ob).topo.set_link_up(b, a, up);
-        fwd || rev
+    fn set_link_up(&mut self, src: NodeAddr, dst: NodeAddr, up: bool) -> bool {
+        let owner = self.owner(src);
+        self.world(owner).topo.set_link_up(src, dst, up)
     }
 
     fn has_link(&self, src: NodeAddr, dst: NodeAddr) -> bool {

@@ -643,9 +643,16 @@ pub trait NetOps<M> {
     fn connect_duplex(&mut self, a: NodeAddr, b: NodeAddr, profile: LinkProfile);
     /// Remove both link directions between `a` and `b`.
     fn disconnect_duplex(&mut self, a: NodeAddr, b: NodeAddr);
+    /// Set the administrative up/down state of the directed link
+    /// `src → dst`. Returns `true` when the link exists.
+    fn set_link_up(&mut self, src: NodeAddr, dst: NodeAddr, up: bool) -> bool;
     /// Set the administrative up/down state of both directions. Returns
     /// `true` when either direction exists.
-    fn set_duplex_up(&mut self, a: NodeAddr, b: NodeAddr, up: bool) -> bool;
+    fn set_duplex_up(&mut self, a: NodeAddr, b: NodeAddr, up: bool) -> bool {
+        let fwd = self.set_link_up(a, b, up);
+        let rev = self.set_link_up(b, a, up);
+        fwd || rev
+    }
     /// True when the directed link `src → dst` exists.
     fn has_link(&self, src: NodeAddr, dst: NodeAddr) -> bool;
     /// `src`'s outgoing neighbours, in address order.
@@ -669,8 +676,8 @@ impl<M, R> NetOps<M> for World<M, R> {
         self.topo.disconnect_duplex(a, b);
     }
 
-    fn set_duplex_up(&mut self, a: NodeAddr, b: NodeAddr, up: bool) -> bool {
-        self.topo.set_duplex_up(a, b, up)
+    fn set_link_up(&mut self, src: NodeAddr, dst: NodeAddr, up: bool) -> bool {
+        self.topo.set_link_up(src, dst, up)
     }
 
     fn has_link(&self, src: NodeAddr, dst: NodeAddr) -> bool {

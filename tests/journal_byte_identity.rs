@@ -9,7 +9,8 @@
 //! * the RingNet journal digest is **pinned as a golden constant** per
 //!   `(seed, shard count)`, so a fabric change that perturbs so much as
 //!   one journal byte fails here, not in a downstream experiment;
-//! * telemetry on/off leaves the digest untouched, sequential and sharded;
+//! * telemetry on/off leaves the digest untouched, sequential and sharded,
+//!   and is harvested by all three RingNet-engine backends;
 //! * two loss-free **multi-group** worlds are pinned by an *instant-
 //!   canonical* digest (entries sorted within equal timestamps), which a
 //!   change may leave alone while permuting what independent ring states do
@@ -207,6 +208,34 @@ fn telemetry_on_off_digest_identical_sequential_and_sharded() {
             );
         }
     }
+}
+
+/// Every backend that *is* the RingNet engine harvests telemetry through
+/// the one teardown: on, the report carries it; either way the journal is
+/// the same bytes.
+#[test]
+fn telemetry_is_harvested_and_journal_invisible_on_every_engine_backend() {
+    fn check<S: MulticastSim>(name: &str) {
+        let off = scenario();
+        let mut on = off.clone();
+        on.cfg.telemetry = true;
+        let r_off = S::run_scenario(&off, 3);
+        let r_on = S::run_scenario(&on, 3);
+        assert!(r_off.telemetry.is_none(), "{name}: telemetry off");
+        let telemetry = r_on.telemetry.as_ref();
+        assert!(
+            telemetry.is_some_and(|t| !t.nodes.is_empty()),
+            "{name}: telemetry on but nothing harvested"
+        );
+        assert_eq!(
+            digest(&r_off),
+            digest(&r_on),
+            "{name}: telemetry moved the journal"
+        );
+    }
+    check::<RingNetSim>("ringnet");
+    check::<TreeSim>("tree");
+    check::<FlatRingSim>("flat_ring");
 }
 
 /// Eight disjoint token rings over one physical core: the benchmark's

@@ -1,6 +1,6 @@
 //! Equivalence suite for the streaming metrics layer: for every backend, a
-//! recorded journal pushed through the legacy multi-pass functions (the
-//! oracle) must produce exactly the `RunMetrics` that the single-pass
+//! recorded journal pushed through the multi-pass [`oracle`] below must
+//! produce exactly the `RunMetrics` that the single-pass
 //! `MetricsAccumulator` computes — in batch mode (`RunReport::new` over the
 //! retained journal) and in online mode (fed record-by-record from the
 //! simnet journal sink, with journal retention off).
@@ -15,10 +15,106 @@ use ringnet_repro::core::driver::{
     MulticastSim, RunReport, Scenario, ScenarioBuilder, ScenarioEvent,
 };
 use ringnet_repro::core::{NodeId, ProtoEvent, RingNetSim};
-use ringnet_repro::harness::metrics;
 use ringnet_repro::simnet::{SimDuration, SimTime};
 
 const SEED: u64 = 2024;
+
+/// The oracle: every `RunMetrics` field from its own pass over the retained
+/// journal — the pre-accumulator pipeline, kept here (and only here) as the
+/// independent reference the single-pass `MetricsAccumulator` is pinned to.
+mod oracle {
+    use std::collections::BTreeSet;
+
+    use ringnet_repro::core::driver::RunMetrics;
+    use ringnet_repro::core::{NodeId, ProtoEvent};
+    use ringnet_repro::harness::metrics::{
+        end_to_end_latency, mh_totals, order_violations, source_msgs, tree_churn, Journal,
+    };
+
+    /// Assemble [`RunMetrics`] one pass per metric, never touching the
+    /// accumulator.
+    pub fn multipass_metrics(journal: &Journal, wired_core: &BTreeSet<NodeId>) -> RunMetrics {
+        let totals = mh_totals(journal);
+        let (wq_peak, mq_peak) = buffer_peaks(journal);
+        RunMetrics {
+            delivered: totals.delivered,
+            skipped: totals.skipped,
+            duplicates: totals.duplicates,
+            handoffs: totals.handoffs,
+            mhs: totals.mhs,
+            ordered: journal
+                .iter()
+                .filter(|(_, e)| matches!(e, ProtoEvent::Ordered { .. }))
+                .count() as u64,
+            source_msgs: source_msgs(journal),
+            order_violations: order_violations(journal),
+            e2e_latency: end_to_end_latency(journal),
+            wq_peak,
+            mq_peak,
+            tree_churn: tree_churn(journal),
+            wired_core_data_sent: data_sent_of(journal, wired_core),
+            busiest_core_msgs: busiest_of(journal, wired_core),
+            wired_core_control_sent: control_sent_of(journal, wired_core),
+        }
+    }
+
+    /// Peak buffer occupancy across entities, from the `NeFinal` records:
+    /// `(max WQ peak, max MQ peak)`.
+    pub fn buffer_peaks(journal: &Journal) -> (u32, u32) {
+        let mut wq = 0;
+        let mut mq = 0;
+        for (_, e) in journal {
+            if let ProtoEvent::NeFinal {
+                wq_peak, mq_peak, ..
+            } = e
+            {
+                wq = wq.max(*wq_peak);
+                mq = mq.max(*mq_peak);
+            }
+        }
+        (wq, mq)
+    }
+
+    /// Sum of `data_sent` over the given entities' `NeFinal` records.
+    pub fn data_sent_of(journal: &Journal, nodes: &BTreeSet<NodeId>) -> u64 {
+        journal
+            .iter()
+            .map(|(_, e)| match e {
+                ProtoEvent::NeFinal {
+                    node, data_sent, ..
+                } if nodes.contains(node) => *data_sent as u64,
+                _ => 0,
+            })
+            .sum()
+    }
+
+    /// Largest `data_sent` among the given entities' `NeFinal` records.
+    pub fn busiest_of(journal: &Journal, nodes: &BTreeSet<NodeId>) -> u64 {
+        journal
+            .iter()
+            .filter_map(|(_, e)| match e {
+                ProtoEvent::NeFinal {
+                    node, data_sent, ..
+                } if nodes.contains(node) => Some(*data_sent as u64),
+                _ => None,
+            })
+            .max()
+            .unwrap_or(0)
+    }
+
+    /// Sum of `control_sent` over the given entities' `NeFinal` records.
+    pub fn control_sent_of(journal: &Journal, nodes: &BTreeSet<NodeId>) -> u64 {
+        journal
+            .iter()
+            .map(|(_, e)| match e {
+                ProtoEvent::NeFinal {
+                    node, control_sent, ..
+                } if nodes.contains(node) => *control_sent as u64,
+                _ => 0,
+            })
+            .sum()
+    }
+}
 
 /// A scenario with churn so the mobility-capable backends exercise
 /// handoffs, late joins and failures (incapable backends ignore events by
@@ -94,7 +190,7 @@ fn assert_backend_equivalence<S: MulticastSim>(name: &str) {
     // The oracle must agree for the backend's own wired-core set.
     let matching: Vec<BTreeSet<NodeId>> = wired_core_candidates(&batch)
         .into_iter()
-        .filter(|core| metrics::multipass_metrics(&batch.journal, core) == batch.metrics)
+        .filter(|core| oracle::multipass_metrics(&batch.journal, core) == batch.metrics)
         .collect();
     assert!(
         !matching.is_empty(),
