@@ -24,7 +24,7 @@
 use ringnet_repro::baselines::{FlatRingSim, RelmSim, TreeSim, TunnelSim, UnorderedSim};
 use ringnet_repro::core::driver::{MulticastSim, RunReport, Scenario, ScenarioBuilder};
 use ringnet_repro::core::{GroupId, RingNetSim};
-use ringnet_repro::simnet::{SimDuration, SimTime};
+use ringnet_repro::simnet::{LinkProfile, SimDuration, SimTime};
 
 /// FNV-1a over rendered journal lines.
 fn fnv1a<'a>(lines: impl IntoIterator<Item = &'a String>) -> u64 {
@@ -188,6 +188,32 @@ fn baseline_journal_digests_are_pinned() {
             );
         }
     }
+}
+
+/// The unordered comparator on a world where every way of wiring the tree
+/// coincides: `CoreShape::Auto` (one AG ring under BR 0, APs round-robin)
+/// and one latency for `ag_ring`, `br_ag` and `ag_ap`, with the default
+/// 100 µs source link. Pinned on the private assembly `UnorderedSim` used
+/// to own, before it was folded onto `HierarchySpec` (PR 15): that fold is
+/// behaviour-neutral wherever the old assembly's link drift did not bite,
+/// and this number proves it.
+const GOLDEN_UNORDERED_UNIFORM_LINKS: u64 = 0x878f0228f1205ce4;
+
+#[test]
+fn unordered_digest_on_uniform_tree_links_is_pinned() {
+    let mut sc = scenario();
+    sc.links.br_ag = sc.links.ag_ring.clone();
+    sc.links.ag_ap = sc.links.ag_ring.clone();
+    assert_eq!(
+        sc.links.source,
+        LinkProfile::wired(SimDuration::from_micros(100))
+    );
+    let got = digest(&UnorderedSim::run_scenario(&sc, 3));
+    assert_eq!(
+        got, GOLDEN_UNORDERED_UNIFORM_LINKS,
+        "unordered on uniform tree links: journal digest {got:#018x} != pinned \
+         {GOLDEN_UNORDERED_UNIFORM_LINKS:#018x}"
+    );
 }
 
 /// Telemetry is a pure observer: enabling it must not move one journal
