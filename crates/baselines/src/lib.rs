@@ -11,7 +11,8 @@
 //!   rotation and buffers grow with N). Used by E1, E7.
 //! * [`unordered`] — RingNet without total ordering (the Theorem 5.1
 //!   comparator and Remark 3's recommendation): per-source FIFO streams on
-//!   the same hierarchy. Used by T1, E4.
+//!   the same `HierarchySpec` — RingNet's entities, addresses and links,
+//!   no token. Used by T1, E4.
 //! * [`tree`] — MIP-RS-style shortest-path-tree multicast with rebuild on
 //!   handoff: the RingNet engine on a degenerate (rings-of-one) spec. Used
 //!   by E6.
@@ -21,10 +22,18 @@
 //!   buffering and per-member feedback all concentrated in one entity.
 //!   Used by E8.
 //!
+//! Two world shapes, two assemblies. The ring comparators and the
+//! unordered one live on the *hierarchy* shape, whose creation order and
+//! wiring rule are [`ringnet_core::HierarchySpec`]'s; tunnel and RelM live
+//! on one *star* (hub, an edge per attachment, one source, placed MHs)
+//! assembled in this crate. The three baselines that speak their own
+//! message type share one simulator-plus-teardown skeleton, so each file
+//! holds its actors, its `build(&Scenario)` and its `schedule`.
+//!
 //! Every comparator implements the protocol-generic
-//! [`ringnet_core::driver::MulticastSim`] trait, so one
-//! [`ringnet_core::driver::Scenario`] drives RingNet and all five baselines
-//! through identical glue:
+//! [`ringnet_core::driver::MulticastSim`] trait — a
+//! [`ringnet_core::driver::Scenario`] is the only way to build one — so one
+//! scenario drives RingNet and all five baselines through identical glue:
 //!
 //! ```
 //! use baselines::{FlatRingSim, UnorderedSim};
@@ -58,11 +67,12 @@ mod source;
 pub mod tree;
 pub mod tunnel;
 pub mod unordered;
+mod world;
 
 pub use flat_ring::FlatRingSim;
-pub use relm::{RelmSim, RelmSpec};
+pub use relm::RelmSim;
 pub use tree::{
     remote_subscription_spec, ringnet_smooth_spec, tree_churn, wired_control_messages, TreeSim,
 };
-pub use tunnel::{TunnelSim, TunnelSpec};
-pub use unordered::{UnorderedSim, UnorderedSpec};
+pub use tunnel::TunnelSim;
+pub use unordered::UnorderedSim;

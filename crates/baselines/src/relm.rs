@@ -11,15 +11,14 @@
 //! grow with the member count and with the slowest member. Experiment E8
 //! measures exactly that against RingNet's distributed equivalent.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use ringnet_core::driver::{MulticastSim, Reporting, RunReport, Scenario, ScenarioEvent};
-use ringnet_core::hierarchy::TrafficPattern;
-use ringnet_core::{GlobalSeq, GroupId, Guid, LocalSeq, NodeId, PayloadId, ProtoEvent};
-use simnet::{Actor, Ctx, LinkProfile, NodeAddr, Sim, SimDuration, SimStats, SimTime};
+use ringnet_core::driver::{MulticastSim, RunReport, Scenario, ScenarioEvent};
+use ringnet_core::{GlobalSeq, GroupId, Guid, LocalSeq, NodeId, ProtoEvent};
+use simnet::{Actor, Ctx, NodeAddr, SimDuration, SimTime};
 
-use crate::source::Source;
+use crate::world::{Star, StarPlan, World};
 
 /// Wire messages of the RelM-style baseline.
 #[derive(Debug, Clone, PartialEq)]
@@ -68,19 +67,11 @@ fn relm_wire_size(msg: &RelmMsg) -> usize {
 
 const TAG_HOP: u64 = 2;
 
-#[derive(Debug, Default)]
-struct RelmMap {
-    mss: BTreeMap<NodeId, NodeAddr>,
-    mh: BTreeMap<Guid, NodeAddr>,
-    mh_mss: BTreeMap<Guid, NodeId>,
-    sh: Option<NodeAddr>,
-}
-
 /// The supervisor host: sequencer, group-wide buffer, per-member ACK book.
 struct Supervisor {
     id: NodeId,
     group: GroupId,
-    map: Arc<RelmMap>,
+    star: Arc<Star>,
     next_seq: u64,
     /// Retained messages (seq → still-unacked member count is derived).
     buffer: BTreeMap<u64, ()>,
@@ -116,8 +107,8 @@ impl Actor<RelmMsg, ProtoEvent> for Supervisor {
                 });
                 self.buffer.insert(seq, ());
                 self.peak_buffer = self.peak_buffer.max(self.buffer.len());
-                for addr in self.map.mss.values() {
-                    ctx.send(*addr, RelmMsg::Down { seq });
+                for addr in self.star.edges() {
+                    ctx.send(addr, RelmMsg::Down { seq });
                 }
             }
             RelmMsg::Ack { guid, upto } => {
@@ -131,12 +122,11 @@ impl Actor<RelmMsg, ProtoEvent> for Supervisor {
             }
             RelmMsg::Nack { guid, missing } => {
                 self.msgs_processed += 1;
-                if let Some(&mss) = self.map.mh_mss.get(&guid) {
-                    if let Some(&addr) = self.map.mss.get(&mss) {
-                        for seq in missing {
-                            if self.buffer.contains_key(&seq) {
-                                ctx.send(addr, RelmMsg::Down { seq });
-                            }
+                let mss = self.star.homes.get(guid.0 as usize);
+                if let Some(addr) = mss.and_then(|&mss| self.star.edge(mss)) {
+                    for seq in missing {
+                        if self.buffer.contains_key(&seq) {
+                            ctx.send(addr, RelmMsg::Down { seq });
                         }
                     }
                 }
@@ -166,7 +156,7 @@ struct Mss {
     id: NodeId,
     group: GroupId,
     members: Vec<Guid>,
-    map: Arc<RelmMap>,
+    star: Arc<Star>,
     processed: u64,
 }
 
@@ -176,16 +166,14 @@ impl Actor<RelmMsg, ProtoEvent> for Mss {
             RelmMsg::Down { seq } => {
                 self.processed += 1;
                 for g in &self.members {
-                    if let Some(&addr) = self.map.mh.get(g) {
+                    if let Some(addr) = self.star.mh(*g) {
                         ctx.send(addr, RelmMsg::Deliver { seq });
                     }
                 }
             }
             RelmMsg::Ack { .. } | RelmMsg::Nack { .. } => {
                 self.processed += 1;
-                if let Some(sh) = self.map.sh {
-                    ctx.send(sh, msg);
-                }
+                ctx.send(Star::HUB, msg);
             }
             RelmMsg::FlushStats => {
                 ctx.record(ProtoEvent::NeFinal {
@@ -212,7 +200,7 @@ struct RelmMh {
     guid: Guid,
     group: GroupId,
     mss: NodeId,
-    map: Arc<RelmMap>,
+    star: Arc<Star>,
     highest_contig: u64,
     stashed: BTreeMap<u64, ()>,
     delivered: u32,
@@ -231,7 +219,6 @@ impl RelmMh {
                 source: NodeId(0),
                 local_seq: LocalSeq(self.highest_contig),
             });
-            let _ = PayloadId(self.highest_contig);
         }
     }
 }
@@ -264,7 +251,7 @@ impl Actor<RelmMsg, ProtoEvent> for RelmMh {
             return;
         }
         self.hop_count += 1;
-        if let Some(&addr) = self.map.mss.get(&self.mss) {
+        if let Some(addr) = self.star.edge(self.mss) {
             // Periodic cumulative ACK (every other tick) + NACKs for holes.
             if self.hop_count.is_multiple_of(2) {
                 ctx.send(
@@ -295,221 +282,68 @@ impl Actor<RelmMsg, ProtoEvent> for RelmMh {
     }
 }
 
-/// Parameters of a RelM-style deployment.
-#[derive(Debug, Clone)]
-pub struct RelmSpec {
-    /// The multicast group stamped on journal records (RelM itself is
-    /// single-group; extra declared scenario groups are ignored).
-    pub group: GroupId,
-    /// Number of MSSs under the supervisor.
-    pub msss: usize,
-    /// Members per MSS (ignored when `placements` is set).
-    pub mhs_per_mss: usize,
-    /// Explicit member placement: `placements[i]` is member `Guid(i)`'s
-    /// 0-based MSS index. Overrides `mhs_per_mss`.
-    pub placements: Option<Vec<usize>>,
-    /// Source interval.
-    pub interval: SimDuration,
-    /// First transmission time.
-    pub start: SimTime,
-    /// The source stops at this time (None = never).
-    pub stop: Option<SimTime>,
-    /// Per-source message limit.
-    pub limit: Option<u64>,
-    /// SH ↔ MSS wired link.
-    pub wired: LinkProfile,
-    /// MSS ↔ MH wireless link.
-    pub wireless: LinkProfile,
-}
-
-impl RelmSpec {
-    /// Defaults matching the comparison experiments.
-    pub fn new(msss: usize, mhs_per_mss: usize) -> Self {
-        RelmSpec {
-            group: GroupId(1),
-            msss,
-            mhs_per_mss,
-            placements: None,
-            interval: SimDuration::from_millis(10),
-            start: SimTime::ZERO,
-            stop: None,
-            limit: None,
-            wired: LinkProfile::wired(SimDuration::from_millis(4)),
-            wireless: LinkProfile::wired(SimDuration::from_millis(2)),
-        }
-    }
-}
-
 /// A built RelM simulation.
-pub struct RelmSim {
-    /// The underlying simulator.
-    pub sim: Sim<RelmMsg, ProtoEvent>,
-    map: Arc<RelmMap>,
-    /// Report assembly mode (batch by default; the [`MulticastSim`] facade
-    /// switches it to streaming when journal retention is off).
-    pub reporting: Reporting,
-}
+pub struct RelmSim(World<RelmMsg>);
 
-impl RelmSim {
-    /// Instantiate with the given seed. The SH is `NodeId(0)`, MSSs are
-    /// `NodeId(1..)`.
-    pub fn build(spec: RelmSpec, seed: u64) -> Self {
-        assert!(spec.msss >= 1);
-        let mut sim: Sim<RelmMsg, ProtoEvent> = Sim::with_options(seed, true, relm_wire_size);
-        let mut map = RelmMap::default();
-        let sh_addr = NodeAddr(0);
-        map.sh = Some(sh_addr);
-        let mut next = 1u32;
-        let mss_ids: Vec<NodeId> = (1..=spec.msss as u32).map(NodeId).collect();
-        for &m in &mss_ids {
-            map.mss.insert(m, NodeAddr(next));
-            next += 1;
-        }
-        let source_addr = NodeAddr(next);
-        next += 1;
-        let mut members: Vec<(Guid, NodeId)> = Vec::new();
-        match &spec.placements {
-            Some(placements) => {
-                for (w, &mss_idx) in placements.iter().enumerate() {
-                    assert!(mss_idx < spec.msss, "placement beyond MSS count");
-                    let g = Guid(w as u32);
-                    map.mh.insert(g, NodeAddr(next));
-                    map.mh_mss.insert(g, mss_ids[mss_idx]);
-                    members.push((g, mss_ids[mss_idx]));
-                    next += 1;
-                }
-            }
-            None => {
-                let mut guid = 0u32;
-                for &m in &mss_ids {
-                    for _ in 0..spec.mhs_per_mss {
-                        map.mh.insert(Guid(guid), NodeAddr(next));
-                        map.mh_mss.insert(Guid(guid), m);
-                        members.push((Guid(guid), m));
-                        guid += 1;
-                        next += 1;
-                    }
-                }
-            }
-        }
-        let map = Arc::new(map);
-
-        let progress: BTreeMap<Guid, u64> = members.iter().map(|(g, _)| (*g, 0)).collect();
-        sim.add_node(Box::new(Supervisor {
-            id: NodeId(0),
-            group: spec.group,
-            map: Arc::clone(&map),
-            next_seq: 0,
-            buffer: BTreeMap::new(),
-            progress,
-            msgs_processed: 0,
-            peak_buffer: 0,
-        }));
-        for &m in &mss_ids {
-            let local: Vec<Guid> = members
-                .iter()
-                .filter(|(_, mss)| *mss == m)
-                .map(|(g, _)| *g)
-                .collect();
-            sim.add_node(Box::new(Mss {
-                id: m,
-                group: spec.group,
-                members: local,
-                map: Arc::clone(&map),
-                processed: 0,
-            }));
-        }
-        let s = sim.add_node(Box::new(Source {
-            target: sh_addr,
-            pattern: TrafficPattern::Cbr {
-                interval: spec.interval,
-            },
-            start: spec.start,
-            stop: spec.stop,
-            limit: spec.limit,
-            seq: 0,
-            make: |seq| RelmMsg::SourceData { seq },
-        }));
-        debug_assert_eq!(s, source_addr);
-        for &(g, mss) in &members {
-            sim.add_node(Box::new(RelmMh {
-                guid: g,
-                group: spec.group,
-                mss,
-                map: Arc::clone(&map),
-                highest_contig: 0,
-                stashed: BTreeMap::new(),
-                delivered: 0,
-                hop_count: 0,
-            }));
-        }
-
-        let w = sim.world();
-        for &m in &mss_ids {
-            w.topo
-                .connect_duplex(sh_addr, map.mss[&m], spec.wired.clone());
-        }
-        w.topo.connect_duplex(
-            source_addr,
-            sh_addr,
-            LinkProfile::wired(SimDuration::from_micros(100)),
-        );
-        for &(g, mss) in &members {
-            w.topo
-                .connect_duplex(map.mh[&g], map.mss[&mss], spec.wireless.clone());
-        }
-        RelmSim {
-            sim,
-            map,
-            reporting: Reporting::default(),
-        }
-    }
-
-    /// Run until simulated time `t`.
-    pub fn run_until(&mut self, t: SimTime) {
-        self.sim.run_until(t);
-    }
-
-    /// Flush final statistics and return `(journal, transport stats)`.
-    pub fn finish(mut self) -> (Vec<(SimTime, ProtoEvent)>, SimStats) {
-        let targets: Vec<NodeAddr> = std::iter::once(NodeAddr(0))
-            .chain(self.map.mss.values().copied())
-            .chain(self.map.mh.values().copied())
-            .collect();
-        {
-            let w = self.sim.world();
-            for addr in targets {
-                w.inject(addr, addr, RelmMsg::FlushStats, SimDuration::ZERO);
-            }
-        }
-        let t = self.sim.now() + SimDuration::from_nanos(1);
-        self.sim.run_until(t);
-        self.sim.finish()
-    }
-}
-
-/// RelM as a [`MulticastSim`] backend: attachment `k` is MSS
-/// `NodeId(k + 1)`, the wired core is the supervisor host alone — the
-/// centralization E8 measures. RelM's connection handover is out of scope
+/// RelM as a [`MulticastSim`] backend, on the star world: attachment
+/// `k` is MSS `NodeId(k + 1)`, the wired core is the supervisor host alone
+/// — the centralization E8 measures — and the SH ↔ MSS links draw the
+/// scenario's `br_ag` profile. RelM's connection handover is out of scope
 /// for this reproduction, so membership is static: mobility and failure
 /// events are ignored (late joiners attach at their `Join` target from the
 /// start), and the single ingest point clamps the source count to 1
 /// (Poisson traffic degrades to CBR at the same mean rate).
 impl MulticastSim for RelmSim {
     fn build(scenario: &Scenario, seed: u64) -> Self {
-        let mut spec = RelmSpec::new(scenario.attachments, 0);
-        spec.group = scenario.group;
-        spec.placements = Some(scenario.static_placements());
-        spec.interval = scenario.pattern.mean_interval();
-        spec.start = scenario.start;
-        spec.stop = scenario.stop;
-        spec.limit = scenario.limit;
-        spec.wired = scenario.links.br_ag.clone();
-        spec.wireless = scenario.links.wireless.clone();
-        let mut sim = RelmSim::build(spec, seed);
-        let core: BTreeSet<NodeId> = std::iter::once(NodeId(0)).collect();
-        sim.reporting = Reporting::install(&mut sim.sim, scenario, core);
-        sim
+        let group = scenario.group;
+        let plan = StarPlan {
+            sizer: relm_wire_size,
+            source_data: |seq| RelmMsg::SourceData { seq },
+            flush: RelmMsg::FlushStats,
+            hub_link: &scenario.links.br_ag,
+            placements: scenario.static_placements(),
+        };
+        let (world, _) = plan.assemble(
+            scenario,
+            seed,
+            |star| {
+                Box::new(Supervisor {
+                    id: NodeId(0),
+                    group,
+                    star: Arc::clone(star),
+                    next_seq: 0,
+                    buffer: BTreeMap::new(),
+                    progress: star.walkers().map(|(g, _)| (g, 0)).collect(),
+                    msgs_processed: 0,
+                    peak_buffer: 0,
+                })
+            },
+            |star, id| {
+                Box::new(Mss {
+                    id,
+                    group,
+                    members: (star.walkers())
+                        .filter(|&(_, mss)| mss == id)
+                        .map(|(g, _)| g)
+                        .collect(),
+                    star: Arc::clone(star),
+                    processed: 0,
+                })
+            },
+            |star, guid, mss| {
+                Box::new(RelmMh {
+                    guid,
+                    group,
+                    mss,
+                    star: Arc::clone(star),
+                    highest_contig: 0,
+                    stashed: BTreeMap::new(),
+                    delivered: 0,
+                    hop_count: 0,
+                })
+            },
+        );
+        RelmSim(world)
     }
 
     fn schedule(&mut self, _event: ScenarioEvent) {
@@ -517,33 +351,35 @@ impl MulticastSim for RelmSim {
     }
 
     fn run_until(&mut self, t: SimTime) {
-        RelmSim::run_until(self, t);
+        self.0.run_until(t);
     }
 
-    fn finish(mut self) -> RunReport {
-        let core: BTreeSet<NodeId> = std::iter::once(NodeId(0)).collect();
-        let reporting = std::mem::take(&mut self.reporting);
-        let (journal, stats) = RelmSim::finish(self);
-        reporting.finish(journal, stats, &core)
+    fn finish(self) -> RunReport {
+        self.0.finish()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ringnet_core::driver::ScenarioBuilder;
+    use simnet::LinkProfile;
 
-    fn spec(msss: usize, per: usize) -> RelmSpec {
-        let mut s = RelmSpec::new(msss, per);
-        s.limit = Some(20);
-        s.interval = SimDuration::from_millis(20);
-        s
+    /// `msss` MSSs with `per` members each, 20 messages at 50 msg/s over
+    /// loss-free wireless, 3 s.
+    fn scenario(msss: usize, per: usize) -> ScenarioBuilder {
+        ScenarioBuilder::new()
+            .attachments(msss)
+            .walkers_per_attachment(per)
+            .cbr(SimDuration::from_millis(20))
+            .message_limit(20)
+            .loss_free_wireless()
+            .duration(SimTime::from_secs(3))
     }
 
     #[test]
     fn relm_delivers_in_order() {
-        let mut net = RelmSim::build(spec(3, 2), 1);
-        net.run_until(SimTime::from_secs(3));
-        let (journal, _) = net.finish();
+        let journal = RelmSim::run_scenario(&scenario(3, 2).build(), 1).journal;
         let mut per: BTreeMap<u32, Vec<u64>> = BTreeMap::new();
         for (_, e) in &journal {
             if let ProtoEvent::MhDeliver { mh, gsn, .. } = e {
@@ -560,9 +396,7 @@ mod tests {
     fn sh_processes_every_members_acks() {
         // SH work grows with the member count (the paper's criticism).
         fn sh_work(members_per_mss: usize) -> u32 {
-            let mut net = RelmSim::build(spec(4, members_per_mss), 2);
-            net.run_until(SimTime::from_secs(3));
-            let (journal, _) = net.finish();
+            let journal = RelmSim::run_scenario(&scenario(4, members_per_mss).build(), 2).journal;
             journal
                 .iter()
                 .find_map(|(_, e)| match e {
@@ -586,13 +420,12 @@ mod tests {
     #[test]
     fn sh_buffer_pinned_by_slowest_member() {
         // With a long-delay wireless link, SH retention grows.
-        let mut s = spec(2, 2);
-        s.limit = Some(50);
-        s.interval = SimDuration::from_millis(5);
-        s.wireless = LinkProfile::wired(SimDuration::from_millis(40));
-        let mut net = RelmSim::build(s, 3);
-        net.run_until(SimTime::from_secs(3));
-        let (journal, _) = net.finish();
+        let sc = scenario(2, 2)
+            .message_limit(50)
+            .cbr(SimDuration::from_millis(5))
+            .wireless(LinkProfile::wired(SimDuration::from_millis(40)))
+            .build();
+        let journal = RelmSim::run_scenario(&sc, 3).journal;
         let peak = journal
             .iter()
             .find_map(|(_, e)| match e {

@@ -10,15 +10,14 @@
 //! all. Experiment E6 compares its per-message and per-handoff wired costs
 //! with RingNet and the tree baseline.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use ringnet_core::driver::{MulticastSim, Reporting, RunReport, Scenario, ScenarioEvent};
-use ringnet_core::hierarchy::TrafficPattern;
-use ringnet_core::{GlobalSeq, GroupId, Guid, LocalSeq, NodeId, PayloadId, ProtoEvent};
-use simnet::{Actor, Ctx, LinkProfile, NodeAddr, Sim, SimDuration, SimStats, SimTime};
+use ringnet_core::driver::{MulticastSim, RunReport, Scenario, ScenarioEvent};
+use ringnet_core::{GlobalSeq, GroupId, Guid, LocalSeq, NodeId, ProtoEvent};
+use simnet::{Actor, Ctx, LinkProfile, NodeAddr, SimDuration, SimTime};
 
-use crate::source::Source;
+use crate::world::{Star, StarPlan, World};
 
 /// Wire messages of the tunnelling baseline.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -64,20 +63,12 @@ fn tun_wire_size(msg: &TunMsg) -> usize {
     }
 }
 
-/// Shared address table.
-#[derive(Debug, Default)]
-struct TunMap {
-    ap: BTreeMap<NodeId, NodeAddr>,
-    mh: BTreeMap<Guid, NodeAddr>,
-    ha: Option<NodeAddr>,
-}
-
 /// The home agent: group subscription point and per-MH tunnel endpoint.
 struct HomeAgent {
     id: NodeId,
     group: GroupId,
     locations: BTreeMap<Guid, NodeId>,
-    map: Arc<TunMap>,
+    star: Arc<Star>,
     data_sent: u32,
     control_sent: u32,
 }
@@ -94,8 +85,8 @@ impl Actor<TunMsg, ProtoEvent> for HomeAgent {
                 let targets: Vec<(Guid, NodeId)> =
                     self.locations.iter().map(|(g, ap)| (*g, *ap)).collect();
                 for (guid, ap) in targets {
-                    if let Some(addr) = self.map.ap.get(&ap) {
-                        ctx.send(*addr, TunMsg::Tunnel { seq, guid });
+                    if let Some(addr) = self.star.edge(ap) {
+                        ctx.send(addr, TunMsg::Tunnel { seq, guid });
                         self.data_sent += 1;
                     }
                 }
@@ -135,7 +126,7 @@ impl Actor<TunMsg, ProtoEvent> for HomeAgent {
 struct TunAp {
     id: NodeId,
     group: GroupId,
-    map: Arc<TunMap>,
+    star: Arc<Star>,
     data_sent: u32,
     control_sent: u32,
 }
@@ -144,16 +135,14 @@ impl Actor<TunMsg, ProtoEvent> for TunAp {
     fn on_packet(&mut self, ctx: &mut Ctx<'_, TunMsg, ProtoEvent>, _from: NodeAddr, msg: TunMsg) {
         match msg {
             TunMsg::Tunnel { seq, guid } => {
-                if let Some(addr) = self.map.mh.get(&guid) {
-                    ctx.send(*addr, TunMsg::Deliver { seq });
+                if let Some(addr) = self.star.mh(guid) {
+                    ctx.send(addr, TunMsg::Deliver { seq });
                     self.data_sent += 1;
                 }
             }
             TunMsg::CoaUpdate { guid, new_ap } => {
-                if let Some(ha) = self.map.ha {
-                    ctx.send(ha, TunMsg::CoaUpdate { guid, new_ap });
-                    self.control_sent += 1;
-                }
+                ctx.send(Star::HUB, TunMsg::CoaUpdate { guid, new_ap });
+                self.control_sent += 1;
             }
             TunMsg::FlushStats => {
                 ctx.record(ProtoEvent::NeFinal {
@@ -180,7 +169,7 @@ struct TunMh {
     guid: Guid,
     group: GroupId,
     ap: NodeId,
-    map: Arc<TunMap>,
+    star: Arc<Star>,
     delivered: u32,
     handoffs: u32,
     highest: u64,
@@ -204,7 +193,6 @@ impl Actor<TunMsg, ProtoEvent> for TunMh {
                     source: NodeId(0),
                     local_seq: LocalSeq(seq),
                 });
-                let _ = PayloadId(seq);
             }
             TunMsg::HandoffTo { new_ap } => {
                 if new_ap == self.ap {
@@ -212,9 +200,9 @@ impl Actor<TunMsg, ProtoEvent> for TunMh {
                 }
                 self.ap = new_ap;
                 self.handoffs += 1;
-                if let Some(addr) = self.map.ap.get(&new_ap) {
+                if let Some(addr) = self.star.edge(new_ap) {
                     ctx.send(
-                        *addr,
+                        addr,
                         TunMsg::CoaUpdate {
                             guid: self.guid,
                             new_ap,
@@ -239,184 +227,28 @@ impl Actor<TunMsg, ProtoEvent> for TunMh {
     fn on_timer(&mut self, _: &mut Ctx<'_, TunMsg, ProtoEvent>, _: u64) {}
 }
 
-/// Parameters of a tunnelling deployment.
-#[derive(Debug, Clone)]
-pub struct TunnelSpec {
-    /// The multicast group stamped on journal records (the tunnel is
-    /// single-group; extra declared scenario groups are ignored).
-    pub group: GroupId,
-    /// Number of APs (foreign agents).
-    pub aps: usize,
-    /// MHs, assigned round-robin over the APs (ignored when `placements`
-    /// is set).
-    pub mhs: usize,
-    /// Explicit MH placement: `placements[i]` is MH `Guid(i)`'s initial
-    /// 0-based AP index. Overrides `mhs`.
-    pub placements: Option<Vec<usize>>,
-    /// Source interval.
-    pub interval: SimDuration,
-    /// First transmission time.
-    pub start: SimTime,
-    /// The source stops at this time (None = never).
-    pub stop: Option<SimTime>,
-    /// Per-source message limit.
-    pub limit: Option<u64>,
-    /// HA ↔ AP wired link (the home detour).
-    pub wired: LinkProfile,
-    /// AP ↔ MH wireless link.
-    pub wireless: LinkProfile,
-}
-
-impl TunnelSpec {
-    /// Defaults used by the comparison experiments.
-    pub fn new(aps: usize, mhs: usize) -> Self {
-        TunnelSpec {
-            group: GroupId(1),
-            aps,
-            mhs,
-            placements: None,
-            interval: SimDuration::from_millis(10),
-            start: SimTime::ZERO,
-            stop: None,
-            limit: None,
-            wired: LinkProfile::wired(SimDuration::from_millis(8)),
-            wireless: LinkProfile::wireless(
-                SimDuration::from_millis(2),
-                SimDuration::from_millis(1),
-                0.01,
-            ),
-        }
-    }
-}
-
-/// A built tunnelling simulation with a scenario API mirroring the RingNet
-/// engine's.
+/// A built tunnelling simulation.
 pub struct TunnelSim {
-    /// The underlying simulator.
-    pub sim: Sim<TunMsg, ProtoEvent>,
-    map: Arc<TunMap>,
-    spec: TunnelSpec,
-    /// Report assembly mode (batch by default; the [`MulticastSim`] facade
-    /// switches it to streaming when journal retention is off).
-    pub reporting: Reporting,
+    world: World<TunMsg>,
+    star: Arc<Star>,
+    wireless: LinkProfile,
 }
 
 impl TunnelSim {
-    /// Instantiate with the given seed.
-    pub fn build(spec: TunnelSpec, seed: u64) -> Self {
-        assert!(spec.aps >= 1);
-        let mut sim: Sim<TunMsg, ProtoEvent> = Sim::with_options(seed, true, tun_wire_size);
-        let mut map = TunMap::default();
-        let ha_addr = NodeAddr(0);
-        map.ha = Some(ha_addr);
-        let mut next = 1u32;
-        let ap_ids: Vec<NodeId> = (1..=spec.aps as u32).map(NodeId).collect();
-        for &ap in &ap_ids {
-            map.ap.insert(ap, NodeAddr(next));
-            next += 1;
-        }
-        let source_addr = NodeAddr(next);
-        next += 1;
-        // Initial AP per MH: explicit placements or round-robin.
-        let assignments: Vec<usize> = match &spec.placements {
-            Some(p) => {
-                assert!(p.iter().all(|&a| a < spec.aps), "placement beyond AP count");
-                p.clone()
-            }
-            None => (0..spec.mhs).map(|i| i % spec.aps).collect(),
-        };
-        let guids: Vec<Guid> = (0..assignments.len() as u32).map(Guid).collect();
-        for &g in &guids {
-            map.mh.insert(g, NodeAddr(next));
-            next += 1;
-        }
-        let map = Arc::new(map);
-
-        let ha = sim.add_node(Box::new(HomeAgent {
-            id: NodeId(0),
-            group: spec.group,
-            locations: guids
-                .iter()
-                .enumerate()
-                .map(|(i, &g)| (g, ap_ids[assignments[i]]))
-                .collect(),
-            map: Arc::clone(&map),
-            data_sent: 0,
-            control_sent: 0,
-        }));
-        debug_assert_eq!(ha, ha_addr);
-        for &ap in &ap_ids {
-            sim.add_node(Box::new(TunAp {
-                id: ap,
-                group: spec.group,
-                map: Arc::clone(&map),
-                data_sent: 0,
-                control_sent: 0,
-            }));
-        }
-        let s = sim.add_node(Box::new(Source {
-            target: ha_addr,
-            pattern: TrafficPattern::Cbr {
-                interval: spec.interval,
-            },
-            start: spec.start,
-            stop: spec.stop,
-            limit: spec.limit,
-            seq: 0,
-            make: |seq| TunMsg::SourceData { seq },
-        }));
-        debug_assert_eq!(s, source_addr);
-        for (i, &g) in guids.iter().enumerate() {
-            sim.add_node(Box::new(TunMh {
-                guid: g,
-                group: spec.group,
-                ap: ap_ids[assignments[i]],
-                map: Arc::clone(&map),
-                delivered: 0,
-                handoffs: 0,
-                highest: 0,
-                duplicates: 0,
-            }));
-        }
-
-        let w = sim.world();
-        for &ap in &ap_ids {
-            w.topo
-                .connect_duplex(ha_addr, map.ap[&ap], spec.wired.clone());
-        }
-        w.topo.connect_duplex(
-            source_addr,
-            ha_addr,
-            LinkProfile::wired(SimDuration::from_micros(100)),
-        );
-        for (i, &g) in guids.iter().enumerate() {
-            let home = ap_ids[assignments[i]];
-            w.topo
-                .connect_duplex(map.mh[&g], map.ap[&home], spec.wireless.clone());
-        }
-
-        TunnelSim {
-            sim,
-            map,
-            spec,
-            reporting: Reporting::default(),
-        }
-    }
-
     /// Schedule an MH handoff: rewire the radio and stimulate a care-of
     /// update.
-    pub fn schedule_handoff(&mut self, at: SimTime, guid: Guid, new_ap: NodeId) {
-        let map = Arc::clone(&self.map);
-        let wireless = self.spec.wireless.clone();
-        self.sim.world().schedule_control(at, move |w| {
-            let (Some(&mh_addr), Some(&ap_addr)) = (map.mh.get(&guid), map.ap.get(&new_ap)) else {
-                return;
-            };
+    fn schedule_handoff(&mut self, at: SimTime, walker: usize, attachment: usize) {
+        let (guid, new_ap) = (Guid(walker as u32), Star::edge_id(attachment));
+        let (Some(mh_addr), Some(ap_addr)) = (self.star.mh(guid), self.star.edge(new_ap)) else {
+            return;
+        };
+        let wireless = self.wireless.clone();
+        self.world.sim.world().schedule_control(at, move |w| {
             let old: Vec<NodeAddr> = w.topo.neighbours(mh_addr).collect();
             for o in old {
                 w.topo.disconnect_duplex(mh_addr, o);
             }
-            w.topo.connect_duplex(mh_addr, ap_addr, wireless.clone());
+            w.topo.connect_duplex(mh_addr, ap_addr, wireless);
             w.inject(
                 ap_addr,
                 mh_addr,
@@ -425,64 +257,78 @@ impl TunnelSim {
             );
         });
     }
-
-    /// Run until simulated time `t`.
-    pub fn run_until(&mut self, t: SimTime) {
-        self.sim.run_until(t);
-    }
-
-    /// Flush final statistics and return `(journal, transport stats)`.
-    pub fn finish(mut self) -> (Vec<(SimTime, ProtoEvent)>, SimStats) {
-        let targets: Vec<NodeAddr> = std::iter::once(NodeAddr(0))
-            .chain(self.map.ap.values().copied())
-            .chain(self.map.mh.values().copied())
-            .collect();
-        {
-            let w = self.sim.world();
-            for addr in targets {
-                w.inject(addr, addr, TunMsg::FlushStats, SimDuration::ZERO);
-            }
-        }
-        let t = self.sim.now() + SimDuration::from_nanos(1);
-        self.sim.run_until(t);
-        self.sim.finish()
-    }
 }
 
-/// MIP-BT as a [`MulticastSim`] backend: attachment `k` is the foreign
-/// agent `NodeId(k + 1)`, the wired core is the home agent alone (the
-/// scheme's single wired data sender). Handoffs are the tunnel's strong
-/// point and fully supported; the scheme has one ingest point, so the
-/// scenario's source count is clamped to 1 and Poisson traffic degrades to
-/// CBR at the same mean rate. Failure events are ignored (no recovery
+/// MIP-BT as a [`MulticastSim`] backend, on the star world: attachment
+/// `k` is the foreign agent `NodeId(k + 1)`, the wired core is the home
+/// agent alone (the scheme's single wired data sender) and the home detour
+/// draws the scenario's `top_ring` link profile. Handoffs are the tunnel's
+/// strong point and fully supported; the scheme has one ingest point, so
+/// the scenario's source count is clamped to 1 and Poisson traffic degrades
+/// to CBR at the same mean rate. Failure events are ignored (no recovery
 /// machinery to compare).
 impl MulticastSim for TunnelSim {
     fn build(scenario: &Scenario, seed: u64) -> Self {
-        let mut spec = TunnelSpec::new(scenario.attachments, scenario.walkers.len());
-        spec.group = scenario.group;
-        spec.placements = Some(scenario.walkers.iter().map(|w| w.unwrap_or(0)).collect());
-        spec.interval = scenario.pattern.mean_interval();
-        spec.start = scenario.start;
-        spec.stop = scenario.stop;
-        spec.limit = scenario.limit;
-        spec.wired = scenario.links.top_ring.clone();
-        spec.wireless = scenario.links.wireless.clone();
-        let mut sim = TunnelSim::build(spec, seed);
-        let core: BTreeSet<NodeId> = std::iter::once(NodeId(0)).collect();
-        sim.reporting = Reporting::install(&mut sim.sim, scenario, core);
-        sim
+        let group = scenario.group;
+        let plan = StarPlan {
+            sizer: tun_wire_size,
+            source_data: |seq| TunMsg::SourceData { seq },
+            flush: TunMsg::FlushStats,
+            hub_link: &scenario.links.top_ring,
+            // Late joiners idle at AP 0 until their `Join` hands them off.
+            placements: scenario.walkers.iter().map(|w| w.unwrap_or(0)).collect(),
+        };
+        let (world, star) = plan.assemble(
+            scenario,
+            seed,
+            |star| {
+                Box::new(HomeAgent {
+                    id: NodeId(0),
+                    group,
+                    locations: star.walkers().collect(),
+                    star: Arc::clone(star),
+                    data_sent: 0,
+                    control_sent: 0,
+                })
+            },
+            |star, id| {
+                Box::new(TunAp {
+                    id,
+                    group,
+                    star: Arc::clone(star),
+                    data_sent: 0,
+                    control_sent: 0,
+                })
+            },
+            |star, guid, ap| {
+                Box::new(TunMh {
+                    guid,
+                    group,
+                    ap,
+                    star: Arc::clone(star),
+                    delivered: 0,
+                    handoffs: 0,
+                    highest: 0,
+                    duplicates: 0,
+                })
+            },
+        );
+        TunnelSim {
+            world,
+            star,
+            wireless: scenario.links.wireless.clone(),
+        }
     }
 
     fn schedule(&mut self, event: ScenarioEvent) {
         match event {
-            ScenarioEvent::Handoff { at, walker, to } => {
-                self.schedule_handoff(at, Guid(walker as u32), NodeId(to as u32 + 1));
-            }
-            // Late joiners were attached at AP 0 at build; a join is a
-            // handoff to the requested AP.
-            ScenarioEvent::Join { at, walker, at_ap } => {
-                self.schedule_handoff(at, Guid(walker as u32), NodeId(at_ap as u32 + 1));
-            }
+            // A join is a handoff from AP 0 to the requested AP.
+            ScenarioEvent::Handoff { at, walker, to }
+            | ScenarioEvent::Join {
+                at,
+                walker,
+                at_ap: to,
+            } => self.schedule_handoff(at, walker, to),
             // The tunnel baseline models no failures: crashes, restarts,
             // partitions and token faults are ignored (there is no token).
             ScenarioEvent::KillCore { .. }
@@ -500,35 +346,34 @@ impl MulticastSim for TunnelSim {
     }
 
     fn run_until(&mut self, t: SimTime) {
-        TunnelSim::run_until(self, t);
+        self.world.run_until(t);
     }
 
-    fn finish(mut self) -> RunReport {
-        let core: BTreeSet<NodeId> = std::iter::once(NodeId(0)).collect();
-        let reporting = std::mem::take(&mut self.reporting);
-        let (journal, stats) = TunnelSim::finish(self);
-        reporting.finish(journal, stats, &core)
+    fn finish(self) -> RunReport {
+        self.world.finish()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ringnet_core::driver::ScenarioBuilder;
 
-    fn spec() -> TunnelSpec {
-        let mut s = TunnelSpec::new(3, 3);
-        s.limit = Some(10);
-        s.interval = SimDuration::from_millis(20);
-        // Loss-free wireless keeps the no-retransmission baseline exact.
-        s.wireless = LinkProfile::wired(SimDuration::from_millis(2));
-        s
+    /// 3 foreign agents with one MH each, 10 messages at 50 msg/s.
+    /// Loss-free wireless keeps the no-retransmission baseline exact.
+    fn scenario() -> ScenarioBuilder {
+        ScenarioBuilder::new()
+            .attachments(3)
+            .walkers_per_attachment(1)
+            .cbr(SimDuration::from_millis(20))
+            .message_limit(10)
+            .loss_free_wireless()
+            .duration(SimTime::from_secs(2))
     }
 
     #[test]
     fn tunnel_delivers_per_mh_unicast() {
-        let mut net = TunnelSim::build(spec(), 1);
-        net.run_until(SimTime::from_secs(2));
-        let (journal, _) = net.finish();
+        let journal = TunnelSim::run_scenario(&scenario().build(), 1).journal;
         let delivered = journal
             .iter()
             .filter(|(_, e)| matches!(e, ProtoEvent::MhDeliver { .. }))
@@ -551,10 +396,14 @@ mod tests {
 
     #[test]
     fn handoff_is_one_control_message() {
-        let mut net = TunnelSim::build(spec(), 2);
-        net.schedule_handoff(SimTime::from_millis(50), Guid(0), NodeId(3));
-        net.run_until(SimTime::from_secs(2));
-        let (journal, _) = net.finish();
+        let sc = scenario()
+            .event(ScenarioEvent::Handoff {
+                at: SimTime::from_millis(50),
+                walker: 0,
+                to: 2,
+            })
+            .build();
+        let journal = TunnelSim::run_scenario(&sc, 2).journal;
         assert!(journal.iter().any(|(_, e)| matches!(
             e,
             ProtoEvent::HandoffRegistered {
@@ -591,9 +440,7 @@ mod tests {
 
     #[test]
     fn no_duplicates_without_handoff() {
-        let mut net = TunnelSim::build(spec(), 3);
-        net.run_until(SimTime::from_secs(2));
-        let (journal, _) = net.finish();
+        let journal = TunnelSim::run_scenario(&scenario().build(), 3).journal;
         let dups: u32 = journal
             .iter()
             .filter_map(|(_, e)| match e {

@@ -9,24 +9,28 @@
 //! (T1) shows both protocols sustain `s·λ`; the latency experiments (T2,
 //! E4) show the ordering overhead this baseline avoids.
 //!
-//! Membership and mobility are deliberately static here (the hierarchy is
-//! wired at build time) — the ordered-vs-unordered experiments run without
-//! churn, exactly like the paper's §5 analysis.
+//! The hierarchy *is* RingNet's: the world is assembled from the same
+//! [`HierarchySpec`] (entities, address order and wiring alike), and every
+//! entity forwards along the spec's preferred-parent tree. Membership and
+//! mobility are deliberately static — the tree is fixed at build time —
+//! because the ordered-vs-unordered experiments run without churn, exactly
+//! like the paper's §5 analysis.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use ringnet_core::driver::{
-    CoreShape, MulticastSim, Reporting, RunReport, Scenario, ScenarioEvent,
+    hierarchy_core, ringnet_spec, MulticastSim, RunReport, Scenario, ScenarioEvent,
 };
-use ringnet_core::hierarchy::TrafficPattern;
+use ringnet_core::hierarchy::{AgRingSpec, ApSpec, Entity, HierarchySpec, MhSpec};
 use ringnet_core::{
-    GlobalSeq, GroupId, Guid, LocalSeq, MessageQueue, MsgData, NodeId, PayloadId, ProtoEvent,
-    ProtocolConfig, WorkingTable,
+    AddrMap, Endpoint, GlobalSeq, GroupId, Guid, LocalSeq, MessageQueue, MsgData, NodeId,
+    PayloadId, ProtoEvent, ProtocolConfig, WorkingTable,
 };
-use simnet::{Actor, Ctx, LinkProfile, NodeAddr, Sim, SimDuration, SimStats, SimTime};
+use simnet::{Actor, Ctx, Journal, NodeAddr, Sim, SimTime};
 
 use crate::source::Source;
+use crate::world::{BoxedActor, World};
 
 /// Wire messages of the unordered protocol. Streams are identified by the
 /// source's corresponding BR (`corr`), sequence numbers are per-stream.
@@ -100,24 +104,81 @@ impl Stream {
     }
 }
 
-/// Static role wiring of one unordered entity.
+/// Where one entity sits in the static distribution tree.
 #[derive(Debug, Clone, Default)]
-pub struct UnRole {
+struct UnRole {
     /// Ring next hop, if on a ring.
-    pub next: Option<NodeId>,
+    next: Option<NodeId>,
     /// Ring leader, if on a *non-top* ring (forwarding stops before it).
-    pub nontop_leader: Option<NodeId>,
+    nontop_leader: Option<NodeId>,
     /// True for top-ring members (forwarding stops before the stream's
     /// corresponding node instead).
-    pub is_top: bool,
+    is_top: bool,
     /// Upstream hop for NACKs/ACKs (prev ring node or parent).
-    pub upstream: Option<NodeId>,
+    upstream: Option<NodeId>,
     /// Previous ring node (receives retention ACKs), if distinct.
-    pub prev: Option<NodeId>,
+    prev: Option<NodeId>,
     /// Tree children.
-    pub children: Vec<NodeId>,
-    /// Attached MHs (APs and flat stations).
-    pub mhs: Vec<Guid>,
+    children: Vec<NodeId>,
+    /// Attached MHs (APs only).
+    mhs: Vec<Guid>,
+}
+
+impl UnRole {
+    /// The role of network entity `entity` in `spec`: rings run in member
+    /// order, and the tree follows every ring's and every AP's *preferred*
+    /// parent (`parent_candidates[0]`, handed to the ring's leader — its
+    /// lowest id) and every MH's initial AP.
+    fn of(spec: &HierarchySpec, entity: Entity<'_>) -> UnRole {
+        let leader = |ring: &[NodeId]| ring.iter().copied().min();
+        // `(next, prev)` of `id` on `ring`, `None` on a ring of one.
+        let ring_hops = |ring: &[NodeId], id: NodeId| {
+            let (n, i) = (ring.len(), ring.iter().position(|&m| m == id)?);
+            Some((ring[(i + 1) % n], ring[(i + n - 1) % n])).filter(|_| n > 1)
+        };
+        match entity {
+            Entity::Br(id) => {
+                let hops = ring_hops(&spec.top_ring, id);
+                let mine = |r: &&AgRingSpec| r.parent_candidates.first() == Some(&id);
+                UnRole {
+                    next: hops.map(|h| h.0),
+                    is_top: true,
+                    upstream: hops.map(|h| h.1),
+                    prev: hops.map(|h| h.1),
+                    children: (spec.ag_rings.iter().filter(mine))
+                        .filter_map(|r| leader(&r.members))
+                        .collect(),
+                    ..UnRole::default()
+                }
+            }
+            Entity::Ag(id, ring) => {
+                let hops = ring_hops(&ring.members, id);
+                let leader = leader(&ring.members);
+                let mine = |ap: &&ApSpec| ap.parent_candidates.first() == Some(&id);
+                UnRole {
+                    next: hops.map(|h| h.0),
+                    nontop_leader: leader,
+                    upstream: if leader == Some(id) {
+                        ring.parent_candidates.first().copied()
+                    } else {
+                        hops.map(|h| h.1)
+                    },
+                    prev: hops.map(|h| h.1),
+                    children: spec.aps.iter().filter(mine).map(|ap| ap.id).collect(),
+                    ..UnRole::default()
+                }
+            }
+            Entity::Ap(ap) => {
+                let mine = |mh: &&MhSpec| mh.initial_ap == Some(ap.id);
+                UnRole {
+                    upstream: ap.parent_candidates.first().copied(),
+                    mhs: spec.mhs.iter().filter(mine).map(|mh| mh.guid).collect(),
+                    ..UnRole::default()
+                }
+            }
+            Entity::Source(_) | Entity::Mh(_) => UnRole::default(),
+        }
+    }
 }
 
 struct UnNe {
@@ -126,29 +187,9 @@ struct UnNe {
     cfg: ProtocolConfig,
     role: UnRole,
     streams: BTreeMap<NodeId, Stream>,
-    map: Arc<UnAddrMap>,
+    map: Arc<AddrMap>,
     hop_count: u64,
     peak_total: usize,
-}
-
-/// Identity ↔ address table for the unordered network.
-#[derive(Debug, Default)]
-pub struct UnAddrMap {
-    ne: BTreeMap<NodeId, NodeAddr>,
-    mh: BTreeMap<Guid, NodeAddr>,
-    rev: BTreeMap<NodeAddr, UnEndpoint>,
-}
-
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum UnEndpoint {
-    Ne(NodeId),
-    Mh(Guid),
-}
-
-impl UnAddrMap {
-    fn endpoint_of(&self, addr: NodeAddr) -> Option<UnEndpoint> {
-        self.rev.get(&addr).copied()
-    }
 }
 
 impl UnNe {
@@ -191,18 +232,18 @@ impl UnNe {
                 ringnet_core::DeliverItem::Skip(_) => continue,
             };
             if let Some(next) = fwd {
-                if let Some(addr) = map.ne.get(&next) {
-                    ctx.send(*addr, UnMsg::Data { corr, seq: gsn.0 });
+                if let Some(addr) = map.ne(next) {
+                    ctx.send(addr, UnMsg::Data { corr, seq: gsn.0 });
                 }
             }
             for c in &role.children {
-                if let Some(addr) = map.ne.get(c) {
-                    ctx.send(*addr, UnMsg::Data { corr, seq: gsn.0 });
+                if let Some(addr) = map.ne(*c) {
+                    ctx.send(addr, UnMsg::Data { corr, seq: gsn.0 });
                 }
             }
             for m in &role.mhs {
-                if let Some(addr) = map.mh.get(m) {
-                    ctx.send(*addr, UnMsg::Data { corr, seq: gsn.0 });
+                if let Some(addr) = map.mh(*m) {
+                    ctx.send(addr, UnMsg::Data { corr, seq: gsn.0 });
                 }
             }
         }
@@ -222,9 +263,9 @@ impl UnNe {
             let (missing, _lost) = st.mq.collect_nacks(budget);
             if !missing.is_empty() {
                 if let Some(up) = role.upstream {
-                    if let Some(addr) = map.ne.get(&up) {
+                    if let Some(addr) = map.ne(up) {
                         ctx.send(
-                            *addr,
+                            addr,
                             UnMsg::Nack {
                                 corr,
                                 missing: missing.iter().map(|g| g.0).collect(),
@@ -236,8 +277,8 @@ impl UnNe {
             if send_acks {
                 let upto = st.mq.front().0;
                 for target in [role.upstream, role.prev].into_iter().flatten() {
-                    if let Some(addr) = map.ne.get(&target) {
-                        ctx.send(*addr, UnMsg::Ack { corr, upto });
+                    if let Some(addr) = map.ne(target) {
+                        ctx.send(addr, UnMsg::Ack { corr, upto });
                     }
                 }
             }
@@ -278,35 +319,22 @@ impl Actor<UnMsg, ProtoEvent> for UnNe {
                 let next = self.role.next;
                 let st = self.stream(corr);
                 match from_ep {
-                    Some(UnEndpoint::Ne(n)) => {
-                        if Some(n) == next {
-                            if GlobalSeq(upto) > st.next_acked {
-                                st.next_acked = GlobalSeq(upto);
-                            }
-                        } else {
-                            st.wt_children.ack(n, GlobalSeq(upto));
-                        }
+                    Endpoint::Ne(n) if Some(n) == next => {
+                        st.next_acked = st.next_acked.max(GlobalSeq(upto));
                     }
-                    Some(UnEndpoint::Mh(g)) => {
+                    Endpoint::Ne(n) => {
+                        st.wt_children.ack(n, GlobalSeq(upto));
+                    }
+                    Endpoint::Mh(g) => {
                         st.wt_mhs.ack(g, GlobalSeq(upto));
                     }
-                    None => {}
                 }
             }
             UnMsg::Nack { corr, missing } => {
-                let map = Arc::clone(&self.map);
-                let from_ep = map.endpoint_of(from);
                 let st = self.stream(corr);
                 for seq in missing {
                     if st.mq.get(GlobalSeq(seq)).is_some() {
-                        let target = match from_ep {
-                            Some(UnEndpoint::Ne(n)) => map.ne.get(&n).copied(),
-                            Some(UnEndpoint::Mh(g)) => map.mh.get(&g).copied(),
-                            None => None,
-                        };
-                        if let Some(addr) = target {
-                            ctx.send(addr, UnMsg::Data { corr, seq });
-                        }
+                        ctx.send(from, UnMsg::Data { corr, seq });
                     }
                 }
             }
@@ -345,7 +373,7 @@ struct UnMh {
     cfg: ProtocolConfig,
     ap: NodeId,
     streams: BTreeMap<NodeId, MessageQueue>,
-    map: Arc<UnAddrMap>,
+    map: Arc<AddrMap>,
     hop_count: u64,
     delivered: u32,
     skipped: u32,
@@ -417,7 +445,7 @@ impl Actor<UnMsg, ProtoEvent> for UnMh {
         self.hop_count += 1;
         let budget = self.cfg.nack_budget;
         let send_acks = self.hop_count.is_multiple_of(self.cfg.ack_every as u64);
-        let ap_addr = self.map.ne.get(&self.ap).copied();
+        let ap_addr = self.map.ne(self.ap);
         let mut skips = Vec::new();
         for (&corr, mq) in self.streams.iter_mut() {
             let (missing, newly_lost) = mq.collect_nacks(budget);
@@ -475,429 +503,83 @@ impl Actor<UnMsg, ProtoEvent> for UnMh {
     }
 }
 
-/// Parameters of an unordered-RingNet deployment (mirrors the ordered
-/// builder's regular shape).
-#[derive(Debug, Clone)]
-pub struct UnorderedSpec {
-    /// The multicast group stamped on journal records (the unordered
-    /// baseline is single-group; extra declared scenario groups are
-    /// ignored).
-    pub group: GroupId,
-    /// Protocol parameters (`hop_tick`, budgets, capacities are shared).
-    pub cfg: ProtocolConfig,
-    /// BRs on the top ring.
-    pub brs: usize,
-    /// AG rings and AGs per ring.
-    pub ag_rings: (usize, usize),
-    /// APs per AG (ignored when `aps_total` is set).
-    pub aps_per_ag: usize,
-    /// Exact total AP count, assigned round-robin over all AGs (for
-    /// scenario-driven builds whose attachment count need not divide
-    /// evenly). Overrides `aps_per_ag`.
-    pub aps_total: Option<usize>,
-    /// MHs per AP (ignored when `placements` is set).
-    pub mhs_per_ap: usize,
-    /// Explicit MH placement: `placements[i]` is MH `Guid(i)`'s AP index
-    /// (in AP creation order). Overrides `mhs_per_ap`.
-    pub placements: Option<Vec<usize>>,
-    /// Sources (≤ brs).
-    pub sources: usize,
-    /// Traffic pattern.
-    pub pattern: TrafficPattern,
-    /// First transmission time.
-    pub start: SimTime,
-    /// Sources stop at this time (None = never).
-    pub stop: Option<SimTime>,
-    /// Per-source message limit.
-    pub limit: Option<u64>,
-    /// Link profiles: `(ring, tree, wireless)`.
-    pub links: (LinkProfile, LinkProfile, LinkProfile),
-}
-
-impl UnorderedSpec {
-    /// Defaults matching [`ringnet_core::HierarchyBuilder`]'s link plan.
-    pub fn new() -> Self {
-        UnorderedSpec {
-            group: GroupId(1),
-            cfg: ProtocolConfig::default(),
-            brs: 4,
-            ag_rings: (3, 3),
-            aps_per_ag: 1,
-            aps_total: None,
-            mhs_per_ap: 1,
-            placements: None,
-            sources: 1,
-            pattern: TrafficPattern::Cbr {
-                interval: SimDuration::from_millis(10),
-            },
-            start: SimTime::ZERO,
-            stop: None,
-            limit: None,
-            links: (
-                LinkProfile::wired(SimDuration::from_millis(5)),
-                LinkProfile::wired(SimDuration::from_millis(2)),
-                LinkProfile::wireless(
-                    SimDuration::from_millis(2),
-                    SimDuration::from_millis(1),
-                    0.01,
-                ),
-            ),
-        }
-    }
-}
-
-impl Default for UnorderedSpec {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
 /// A built unordered-RingNet simulation.
-pub struct UnorderedSim {
-    /// The underlying simulator.
-    pub sim: Sim<UnMsg, ProtoEvent>,
-    addrs: Arc<UnAddrMap>,
-    /// Wired-core entity ids (BRs + AGs), for run-report comparisons.
-    core: BTreeSet<NodeId>,
-    /// Report assembly mode (batch by default; the [`MulticastSim`] facade
-    /// switches it to streaming when journal retention is off).
-    pub reporting: Reporting,
-}
+pub struct UnorderedSim(World<UnMsg>);
 
 impl UnorderedSim {
-    /// Instantiate the deployment with the given seed.
-    pub fn build(spec: UnorderedSpec, seed: u64) -> Self {
-        assert!(spec.sources <= spec.brs);
+    /// The journal receiving this run's protocol events.
+    pub fn journal_mut(&mut self) -> &mut Journal<ProtoEvent> {
+        self.0.journal_mut()
+    }
+}
+
+/// The unordered hierarchy as a [`MulticastSim`] backend: the world of
+/// [`ringnet_spec`] — RingNet's own entities, addresses and wiring for the
+/// same scenario — with per-source FIFO streams instead of a token and a
+/// total order. Membership is static by design: mobility and failure
+/// events are ignored, exactly like the paper's §5 analysis setting (late
+/// joiners attach at their `Join` target from the start, per
+/// [`Scenario::static_placements`]). Single-group: extra declared groups
+/// size the core like RingNet's but carry no traffic of their own.
+impl MulticastSim for UnorderedSim {
+    fn build(scenario: &Scenario, seed: u64) -> Self {
+        let mut spec = ringnet_spec(scenario);
+        for (mh, k) in spec.mhs.iter_mut().zip(scenario.static_placements()) {
+            mh.initial_ap = Some(spec.aps[k].id);
+        }
+        let (group, cfg) = (spec.group, &spec.cfg);
+        let map = Arc::new(AddrMap::for_spec(&spec));
+
         let mut sim: Sim<UnMsg, ProtoEvent> = Sim::with_options(seed, true, un_wire_size);
-        let mut map = UnAddrMap::default();
-        let mut next_addr = 0u32;
-        let mut next_id = 0u32;
-
-        let claim = |map: &mut UnAddrMap, next_addr: &mut u32, next_id: &mut u32| {
-            let id = NodeId(*next_id);
-            let addr = NodeAddr(*next_addr);
-            *next_id += 1;
-            *next_addr += 1;
-            map.ne.insert(id, addr);
-            map.rev.insert(addr, UnEndpoint::Ne(id));
-            (id, addr)
-        };
-
-        let brs: Vec<(NodeId, NodeAddr)> = (0..spec.brs)
-            .map(|_| claim(&mut map, &mut next_addr, &mut next_id))
-            .collect();
-        let mut rings: Vec<Vec<(NodeId, NodeAddr)>> = Vec::new();
-        for _ in 0..spec.ag_rings.0 {
-            rings.push(
-                (0..spec.ag_rings.1)
-                    .map(|_| claim(&mut map, &mut next_addr, &mut next_id))
-                    .collect(),
-            );
-        }
-        let mut aps: Vec<(NodeId, NodeAddr, NodeId)> = Vec::new(); // (ap, addr, parent ag)
-        match spec.aps_total {
-            Some(n) => {
-                let flat_ags: Vec<NodeId> = rings.iter().flatten().map(|&(ag, _)| ag).collect();
-                for i in 0..n {
-                    let (id, addr) = claim(&mut map, &mut next_addr, &mut next_id);
-                    aps.push((id, addr, flat_ags[i % flat_ags.len()]));
-                }
-            }
-            None => {
-                for ring in &rings {
-                    for &(ag, _) in ring {
-                        for _ in 0..spec.aps_per_ag {
-                            let (id, addr) = claim(&mut map, &mut next_addr, &mut next_id);
-                            aps.push((id, addr, ag));
-                        }
-                    }
-                }
-            }
-        }
-        let mut source_addrs = Vec::new();
-        for _ in 0..spec.sources {
-            source_addrs.push(NodeAddr(next_addr));
-            next_addr += 1;
-        }
-        let mut mhs: Vec<(Guid, NodeAddr, NodeId)> = Vec::new();
-        match &spec.placements {
-            Some(placements) => {
-                for (w, &ap_idx) in placements.iter().enumerate() {
-                    assert!(ap_idx < aps.len(), "placement beyond AP count");
-                    let addr = NodeAddr(next_addr);
-                    next_addr += 1;
-                    map.mh.insert(Guid(w as u32), addr);
-                    map.rev.insert(addr, UnEndpoint::Mh(Guid(w as u32)));
-                    mhs.push((Guid(w as u32), addr, aps[ap_idx].0));
-                }
-            }
-            None => {
-                let mut guid = 0u32;
-                for &(ap, _, _) in &aps {
-                    for _ in 0..spec.mhs_per_ap {
-                        let addr = NodeAddr(next_addr);
-                        next_addr += 1;
-                        map.mh.insert(Guid(guid), addr);
-                        map.rev.insert(addr, UnEndpoint::Mh(Guid(guid)));
-                        mhs.push((Guid(guid), addr, ap));
-                        guid += 1;
-                    }
-                }
-            }
-        }
-        let map = Arc::new(map);
-
-        // Roles.
-        let br_ids: Vec<NodeId> = brs.iter().map(|b| b.0).collect();
-        for (i, &(id, _)) in brs.iter().enumerate() {
-            let next = br_ids[(i + 1) % br_ids.len()];
-            let prev = br_ids[(i + br_ids.len() - 1) % br_ids.len()];
-            // Children: leaders of rings assigned to this BR (round-robin,
-            // mirroring HierarchyBuilder).
-            let children: Vec<NodeId> = rings
-                .iter()
-                .enumerate()
-                .filter(|(ri, _)| ri % brs.len() == i)
-                .map(|(_, ring)| {
-                    ring.iter()
-                        .map(|m| m.0)
-                        .min()
-                        .expect("spec validation rejects empty rings")
-                })
-                .collect();
-            let role = UnRole {
-                next: (next != id).then_some(next),
-                nontop_leader: None,
-                is_top: true,
-                upstream: (prev != id).then_some(prev),
-                prev: (prev != id).then_some(prev),
-                children,
-                mhs: vec![],
-            };
-            sim.add_node(Box::new(UnNe {
-                id,
-                group: spec.group,
-                cfg: spec.cfg.clone(),
-                role,
-                streams: BTreeMap::new(),
-                map: Arc::clone(&map),
-                hop_count: 0,
-                peak_total: 0,
-            }));
-        }
-        for (ri, ring) in rings.iter().enumerate() {
-            let ids: Vec<NodeId> = ring.iter().map(|m| m.0).collect();
-            let leader = *ids
-                .iter()
-                .min()
-                .expect("spec validation rejects empty rings");
-            let parent_br = br_ids[ri % br_ids.len()];
-            for (i, &(id, _)) in ring.iter().enumerate() {
-                let next = ids[(i + 1) % ids.len()];
-                let prev = ids[(i + ids.len() - 1) % ids.len()];
-                let children: Vec<NodeId> = aps
-                    .iter()
-                    .filter(|(_, _, parent)| *parent == id)
-                    .map(|(ap, _, _)| *ap)
-                    .collect();
-                let role = UnRole {
-                    next: (next != id).then_some(next),
-                    nontop_leader: Some(leader),
-                    is_top: false,
-                    upstream: if id == leader {
-                        Some(parent_br)
-                    } else {
-                        (prev != id).then_some(prev)
-                    },
-                    prev: (prev != id).then_some(prev),
-                    children,
-                    mhs: vec![],
-                };
-                sim.add_node(Box::new(UnNe {
-                    id,
-                    group: spec.group,
-                    cfg: spec.cfg.clone(),
-                    role,
+        let mut answering = Vec::new();
+        for entity in spec.entities() {
+            let actor: BoxedActor<UnMsg> = match entity {
+                Entity::Source(src) => Box::new(Source {
+                    target: map.ne(src.corresponding).expect("validated"),
+                    pattern: src.pattern,
+                    start: src.start,
+                    stop: src.stop,
+                    limit: src.limit,
+                    seq: 0,
+                    make: |seq| UnMsg::SourceData { seq },
+                }),
+                Entity::Mh(mh) => Box::new(UnMh {
+                    guid: mh.guid,
+                    group,
+                    cfg: cfg.clone(),
+                    ap: mh.initial_ap.expect("placed above"),
                     streams: BTreeMap::new(),
                     map: Arc::clone(&map),
                     hop_count: 0,
-                    peak_total: 0,
-                }));
-            }
-        }
-        for &(id, _, parent) in &aps {
-            let my_mhs: Vec<Guid> = mhs
-                .iter()
-                .filter(|(_, _, ap)| *ap == id)
-                .map(|(g, _, _)| *g)
-                .collect();
-            let role = UnRole {
-                next: None,
-                nontop_leader: None,
-                is_top: false,
-                upstream: Some(parent),
-                prev: None,
-                children: vec![],
-                mhs: my_mhs,
-            };
-            sim.add_node(Box::new(UnNe {
-                id,
-                group: spec.group,
-                cfg: spec.cfg.clone(),
-                role,
-                streams: BTreeMap::new(),
-                map: Arc::clone(&map),
-                hop_count: 0,
-                peak_total: 0,
-            }));
-        }
-        for i in 0..spec.sources {
-            let addr = sim.add_node(Box::new(Source {
-                target: brs[i].1,
-                pattern: spec.pattern,
-                start: spec.start,
-                stop: spec.stop,
-                limit: spec.limit,
-                seq: 0,
-                make: |seq| UnMsg::SourceData { seq },
-            }));
-            debug_assert_eq!(addr, source_addrs[i]);
-        }
-        for &(g, _, ap) in &mhs {
-            sim.add_node(Box::new(UnMh {
-                guid: g,
-                group: spec.group,
-                cfg: spec.cfg.clone(),
-                ap,
-                streams: BTreeMap::new(),
-                map: Arc::clone(&map),
-                hop_count: 0,
-                delivered: 0,
-                skipped: 0,
-            }));
-        }
-
-        // Topology (mirrors the ordered engine's wiring).
-        let w = sim.world();
-        for (i, &(_, a)) in brs.iter().enumerate() {
-            for &(_, b) in brs.iter().skip(i + 1) {
-                w.topo.connect_duplex(a, b, spec.links.0.clone());
-            }
-        }
-        for (ri, ring) in rings.iter().enumerate() {
-            for (i, &(_, a)) in ring.iter().enumerate() {
-                for &(_, b) in ring.iter().skip(i + 1) {
-                    w.topo.connect_duplex(a, b, spec.links.1.clone());
+                    delivered: 0,
+                    skipped: 0,
+                }),
+                Entity::Br(id) | Entity::Ag(id, _) | Entity::Ap(&ApSpec { id, .. }) => {
+                    Box::new(UnNe {
+                        id,
+                        group,
+                        cfg: cfg.clone(),
+                        role: UnRole::of(&spec, entity),
+                        streams: BTreeMap::new(),
+                        map: Arc::clone(&map),
+                        hop_count: 0,
+                        peak_total: 0,
+                    })
                 }
+            };
+            let addr = sim.add_node(actor);
+            if !matches!(entity, Entity::Source(_)) {
+                answering.push(addr);
             }
-            let parent_addr = brs[ri % brs.len()].1;
-            for &(_, a) in ring {
-                w.topo.connect_duplex(a, parent_addr, spec.links.1.clone());
-            }
         }
-        for &(_, ap_addr, parent) in &aps {
-            let parent_addr = *map
-                .ne
-                .get(&parent)
-                .expect("AP parents are declared ring members");
-            w.topo
-                .connect_duplex(ap_addr, parent_addr, spec.links.1.clone());
-        }
-        for (i, &sa) in source_addrs.iter().enumerate() {
-            w.topo.connect_duplex(
-                sa,
-                brs[i].1,
-                LinkProfile::wired(SimDuration::from_micros(100)),
-            );
-        }
-        for &(_, mh_addr, ap) in &mhs {
-            let ap_addr = *map.ne.get(&ap).expect("MHs start at declared APs");
-            w.topo
-                .connect_duplex(mh_addr, ap_addr, spec.links.2.clone());
+        let topo = &mut sim.world().topo;
+        let ne = |id| map.ne(id).expect("validated spec wires a declared NE");
+        for (a, b, profile) in spec.wiring(ne) {
+            topo.connect_duplex(a, b, profile.clone());
         }
 
-        let core: BTreeSet<NodeId> = brs
-            .iter()
-            .map(|&(id, _)| id)
-            .chain(rings.iter().flatten().map(|&(id, _)| id))
-            .collect();
-        UnorderedSim {
-            sim,
-            addrs: map,
-            core,
-            reporting: Reporting::default(),
-        }
-    }
-
-    /// Run until simulated time `t`.
-    pub fn run_until(&mut self, t: SimTime) {
-        self.sim.run_until(t);
-    }
-
-    /// Flush final statistics and return `(journal, transport stats)`.
-    pub fn finish(mut self) -> (Vec<(SimTime, ProtoEvent)>, SimStats) {
-        let targets: Vec<NodeAddr> = self.addrs.rev.keys().copied().collect();
-        {
-            let w = self.sim.world();
-            for addr in targets {
-                w.inject(addr, addr, UnMsg::FlushStats, SimDuration::ZERO);
-            }
-        }
-        let t = self.sim.now() + SimDuration::from_nanos(1);
-        self.sim.run_until(t);
-        self.sim.finish()
-    }
-}
-
-/// The unordered hierarchy as a [`MulticastSim`] backend: same tiering as
-/// RingNet (the scenario's [`CoreShape`] is honoured), per-source FIFO
-/// streams instead of a total order. Membership is static by design —
-/// mobility and failure events are ignored, exactly like the paper's §5
-/// analysis setting (and late joiners attach at their `Join` target from
-/// the start).
-impl MulticastSim for UnorderedSim {
-    fn build(scenario: &Scenario, seed: u64) -> Self {
-        let mut spec = UnorderedSpec::new();
-        spec.group = scenario.group;
-        spec.cfg = scenario.cfg.clone();
-        match scenario.shape {
-            CoreShape::Hierarchy {
-                brs,
-                rings,
-                ags_per_ring,
-            } => {
-                spec.brs = brs;
-                spec.ag_rings = (rings, ags_per_ring);
-            }
-            // The Figure-1 wired core, mirroring what RingNetSim builds
-            // for the same scenario (4 BRs, 3 rings × 3 AGs).
-            CoreShape::Figure1 => {
-                spec.brs = 4;
-                spec.ag_rings = (3, 3);
-            }
-            // Auto mirrors the RingNet auto shape: enough BRs for the
-            // sources, one AG ring of ~1 AG per 4 attachments.
-            CoreShape::Auto => {
-                spec.brs = scenario.sources.max(2);
-                spec.ag_rings = (1, scenario.attachments.div_ceil(4).max(2));
-            }
-        }
-        spec.aps_total = Some(scenario.attachments);
-        spec.placements = Some(scenario.static_placements());
-        spec.sources = scenario.sources.min(spec.brs);
-        spec.pattern = scenario.pattern;
-        spec.start = scenario.start;
-        spec.stop = scenario.stop;
-        spec.limit = scenario.limit;
-        spec.links = (
-            scenario.links.top_ring.clone(),
-            scenario.links.ag_ring.clone(),
-            scenario.links.wireless.clone(),
-        );
-        let mut sim = UnorderedSim::build(spec, seed);
-        let core = sim.core.clone();
-        sim.reporting = Reporting::install(&mut sim.sim, scenario, core);
-        sim
+        let flush = (UnMsg::FlushStats, answering);
+        UnorderedSim(World::new(sim, flush, hierarchy_core(&spec), scenario))
     }
 
     fn schedule(&mut self, _event: ScenarioEvent) {
@@ -905,38 +587,41 @@ impl MulticastSim for UnorderedSim {
     }
 
     fn run_until(&mut self, t: SimTime) {
-        UnorderedSim::run_until(self, t);
+        self.0.run_until(t);
     }
 
-    fn finish(mut self) -> RunReport {
-        let core = self.core.clone();
-        let reporting = std::mem::take(&mut self.reporting);
-        let (journal, stats) = UnorderedSim::finish(self);
-        reporting.finish(journal, stats, &core)
+    fn finish(self) -> RunReport {
+        self.0.finish()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ringnet_core::driver::{CoreShape, ScenarioBuilder};
+    use simnet::SimDuration;
 
-    fn spec() -> UnorderedSpec {
-        let mut s = UnorderedSpec::new();
-        s.brs = 3;
-        s.ag_rings = (2, 2);
-        s.sources = 2;
-        s.limit = Some(15);
-        s.pattern = TrafficPattern::Cbr {
-            interval: SimDuration::from_millis(20),
-        };
-        s
+    /// 3 BRs over 2 rings × 2 AGs, one AP per AG with one MH each, two
+    /// 50 msg/s sources of 15 messages (default, lossy wireless).
+    fn scenario(secs: u64) -> Scenario {
+        ScenarioBuilder::new()
+            .shape(CoreShape::Hierarchy {
+                brs: 3,
+                rings: 2,
+                ags_per_ring: 2,
+            })
+            .attachments(4)
+            .walkers_per_attachment(1)
+            .sources(2)
+            .cbr(SimDuration::from_millis(20))
+            .message_limit(15)
+            .duration(SimTime::from_secs(secs))
+            .build()
     }
 
     #[test]
     fn delivers_every_stream_fifo() {
-        let mut net = UnorderedSim::build(spec(), 1);
-        net.run_until(SimTime::from_secs(3));
-        let (journal, _) = net.finish();
+        let journal = UnorderedSim::run_scenario(&scenario(3), 1).journal;
         // per (mh, source) the sequence numbers must be exactly 1..=15.
         let mut per: BTreeMap<(u32, u32), Vec<u64>> = BTreeMap::new();
         for (_, e) in &journal {
@@ -962,9 +647,7 @@ mod tests {
     fn no_ordering_latency_faster_than_token_wait() {
         // The unordered baseline delivers without waiting for any token:
         // first delivery should happen within a few link hops.
-        let mut net = UnorderedSim::build(spec(), 2);
-        net.run_until(SimTime::from_secs(1));
-        let (journal, _) = net.finish();
+        let journal = UnorderedSim::run_scenario(&scenario(1), 2).journal;
         let send_time = journal
             .iter()
             .find_map(|(t, e)| matches!(e, ProtoEvent::SourceSend { .. }).then_some(*t))
@@ -982,19 +665,13 @@ mod tests {
 
     #[test]
     fn deterministic() {
-        fn run() -> usize {
-            let mut net = UnorderedSim::build(spec(), 5);
-            net.run_until(SimTime::from_secs(2));
-            net.finish().0.len()
-        }
+        let run = || UnorderedSim::run_scenario(&scenario(2), 5).journal;
         assert_eq!(run(), run());
     }
 
     #[test]
     fn final_stats_emitted() {
-        let mut net = UnorderedSim::build(spec(), 3);
-        net.run_until(SimTime::from_secs(2));
-        let (journal, _) = net.finish();
+        let journal = UnorderedSim::run_scenario(&scenario(2), 3).journal;
         let ne_finals = journal
             .iter()
             .filter(|(_, e)| matches!(e, ProtoEvent::NeFinal { .. }))
@@ -1005,5 +682,58 @@ mod tests {
             .count();
         assert_eq!(ne_finals, 3 + 4 + 4);
         assert_eq!(mh_finals, 4);
+    }
+
+    /// Comparator parity: walker → AP → AG parentage is `ringnet_spec`'s.
+    /// With two rings of two AGs over eight attachments the spec hands
+    /// each AG a *block* of two consecutive APs. Cut every AP off from the
+    /// first AG: exactly the walkers the spec puts below that AG fall
+    /// silent, everyone else still gets every message.
+    #[test]
+    fn tree_parentage_is_the_ringnet_specs() {
+        let sc = ScenarioBuilder::new()
+            .shape(CoreShape::Hierarchy {
+                brs: 2,
+                rings: 2,
+                ags_per_ring: 2,
+            })
+            .attachments(8)
+            .walkers_per_attachment(1)
+            .cbr(SimDuration::from_millis(20))
+            .message_limit(10)
+            .loss_free_wireless()
+            .duration(SimTime::from_secs(2))
+            .build();
+        let spec = ringnet_spec(&sc);
+        let ag = spec.ag_rings[0].members[0];
+        let below: Vec<Guid> = (spec.mhs.iter())
+            .filter(|mh| {
+                let ap = spec.aps.iter().find(|ap| Some(ap.id) == mh.initial_ap);
+                ap.is_some_and(|ap| ap.parent_candidates[0] == ag)
+            })
+            .map(|mh| mh.guid)
+            .collect();
+        assert_eq!(below, [Guid(0), Guid(1)], "consecutive blocks");
+
+        // Builder ids are creation positions, i.e. simulator addresses.
+        let addr = |id: NodeId| NodeAddr(id.0);
+        let mut net = UnorderedSim::build(&sc, 1);
+        let topo = &mut net.0.sim.world().topo;
+        for ap in &spec.aps {
+            topo.set_duplex_up(addr(ap.id), addr(ag), false);
+        }
+        net.run_until(sc.duration);
+        let journal = net.finish().journal;
+        let mut delivered: BTreeMap<Guid, usize> = BTreeMap::new();
+        for (_, e) in &journal {
+            if let ProtoEvent::MhDeliver { mh, .. } = e {
+                *delivered.entry(*mh).or_default() += 1;
+            }
+        }
+        let expected: BTreeMap<Guid, usize> = (spec.mhs.iter())
+            .filter(|mh| !below.contains(&mh.guid))
+            .map(|mh| (mh.guid, 10))
+            .collect();
+        assert_eq!(delivered, expected);
     }
 }

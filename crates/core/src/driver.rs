@@ -14,10 +14,10 @@
 //! |---------|--------------------------|-----------|
 //! | `RingNetSim` | an AP under the BR/AG hierarchy | BRs + AGs |
 //! | `baselines::FlatRingSim` | a station of the RingNet engine's station shape (one big ring) | all stations |
-//! | `baselines::UnorderedSim` | an AP under the same hierarchy | BRs + AGs |
+//! | `baselines::UnorderedSim` | an AP of the same `HierarchySpec` (no token) | BRs + AGs |
 //! | `baselines::TreeSim` | a leaf of a degenerate (ring-of-one) tree | root + routers |
-//! | `baselines::TunnelSim` | a foreign-agent AP | the home agent |
-//! | `baselines::RelmSim` | an MSS under the supervisor | the supervisor host |
+//! | `baselines::TunnelSim` | a foreign-agent AP (an edge of the star) | the home agent |
+//! | `baselines::RelmSim` | an MSS under the supervisor (an edge of the star) | the supervisor host |
 //!
 //! Identity mapping is uniform: **walker `i` is `Guid(i)`** and
 //! **attachment `k` is the backend's `k`-th attachment entity** in every
@@ -44,12 +44,12 @@
 use std::collections::BTreeSet;
 use std::sync::{Arc, Mutex};
 
-use simnet::{Histogram, LinkProfile, Sim, SimDuration, SimStats, SimTime};
+use simnet::{Histogram, LinkProfile, SimDuration, SimStats, SimTime};
 
 use crate::engine::RingNetSim;
 use crate::hierarchy::{
-    figure1, AgRingSpec, ApSpec, HierarchyBuilder, HierarchySpec, LinkPlan, MhSpec, SourceSpec,
-    TrafficPattern,
+    figure1, AgRingSpec, ApSpec, Entity, HierarchyBuilder, HierarchySpec, LinkPlan, MhSpec,
+    SourceSpec, TrafficPattern,
 };
 use crate::ids::{GroupId, Guid, NodeId};
 use crate::metrics;
@@ -518,6 +518,12 @@ impl Scenario {
                     self.attachments
                 ));
             }
+        }
+        if self.shape == CoreShape::Figure1 && self.attachments != 9 {
+            problems.push(format!(
+                "Figure 1 has exactly 9 attachment points, not {}",
+                self.attachments
+            ));
         }
         if let CoreShape::Hierarchy {
             brs,
@@ -1115,7 +1121,7 @@ impl RunReport {
 
 /// How a backend's run turns into a [`RunReport`], honouring the
 /// scenario's [`Scenario::retain_journal`] flag. Every [`MulticastSim`]
-/// backend calls [`Reporting::install`] right after constructing its
+/// backend calls [`Reporting::install_journal`] right after constructing its
 /// simulator and [`Reporting::finish`] at teardown:
 ///
 /// * retention **on** (default): the journal storage is pre-sized from the
@@ -1130,20 +1136,9 @@ pub struct Reporting {
 }
 
 impl Reporting {
-    /// Configure journalling on `sim` per the scenario (see the type docs).
-    /// `wired_core` names the backend's interior entities — the same set
-    /// the backend passes to [`Reporting::finish`].
-    pub fn install<M>(
-        sim: &mut Sim<M, ProtoEvent>,
-        scenario: &Scenario,
-        wired_core: BTreeSet<NodeId>,
-    ) -> Reporting {
-        Self::install_journal(&mut sim.world().journal, scenario, wired_core)
-    }
-
-    /// [`Reporting::install`] against a bare journal — the common body, and
-    /// the entry point for worlds whose journal is not reached through a
-    /// [`Sim`] (the sharded ringnet backend's merge-fed master journal).
+    /// Configure journalling on `journal` per the scenario (see the type
+    /// docs). `wired_core` names the backend's interior entities — the
+    /// same set the backend passes to [`Reporting::finish`].
     pub fn install_journal(
         journal: &mut simnet::Journal<ProtoEvent>,
         scenario: &Scenario,
@@ -1452,11 +1447,11 @@ pub fn hierarchy_core(spec: &HierarchySpec) -> BTreeSet<NodeId> {
 /// order, then AGs ring by ring) — the indexing [`ScenarioEvent::KillCore`]
 /// and [`ScenarioEvent::PartitionCore`] use.
 pub fn spec_core_order(spec: &HierarchySpec) -> Vec<NodeId> {
-    spec.top_ring
-        .iter()
-        .chain(spec.ag_rings.iter().flat_map(|r| r.members.iter()))
-        .copied()
-        .collect()
+    let core = spec.entities().map_while(|e| match e {
+        Entity::Br(id) | Entity::Ag(id, _) => Some(id),
+        _ => None,
+    });
+    core.collect()
 }
 
 fn core_entity(spec: &HierarchySpec, index: usize, what: &str) -> NodeId {
@@ -1724,6 +1719,14 @@ mod tests {
         // A zero interval would re-arm the source timer at the same
         // instant forever: `run_until` never returns.
         let _ = ScenarioBuilder::new().cbr(SimDuration::ZERO).build();
+    }
+
+    #[test]
+    #[should_panic(expected = "Figure 1 has exactly 9 attachment points")]
+    fn builder_rejects_figure1_with_other_attachment_count() {
+        // Used to pass validation, then panic inside `ringnet_spec` (and
+        // silently build a five-AP world on the unordered backend).
+        let _ = ScenarioBuilder::figure1(GroupId(1)).attachments(5).build();
     }
 
     #[test]

@@ -16,7 +16,7 @@ use simnet::{
 
 use crate::actions::{Action, Outbox};
 use crate::events::ProtoEvent;
-use crate::hierarchy::{HierarchySpec, TrafficPattern};
+use crate::hierarchy::{Entity, HierarchySpec, TrafficPattern};
 use crate::ids::{Endpoint, GroupId, Guid, LocalSeq, NodeId, PayloadId};
 use crate::mh::MhState;
 use crate::msg::Msg;
@@ -57,6 +57,23 @@ impl AddrMap {
             }
             dense[i] = Some(v);
         }
+    }
+
+    /// The address table of `spec`: the entity at position `i` of
+    /// [`HierarchySpec::entities`] lives at `NodeAddr(i)` (sources hold an
+    /// address but no protocol identity).
+    pub fn for_spec(spec: &HierarchySpec) -> AddrMap {
+        let mut map = AddrMap::default();
+        for (i, entity) in spec.entities().enumerate() {
+            let addr = NodeAddr(i as u32);
+            match entity {
+                Entity::Source(_) => {}
+                Entity::Mh(mh) => map.insert_mh(mh.guid, addr),
+                Entity::Br(id) | Entity::Ag(id, _) => map.insert_ne(id, addr),
+                Entity::Ap(ap) => map.insert_ne(ap.id, addr),
+            }
+        }
+        map
     }
 
     /// Register a network entity's address.
@@ -763,9 +780,9 @@ impl Assemble for ShardedSim<Msg, ProtoEvent> {
     }
 }
 
-/// The shard ownership map for `spec` (global node order: BRs, AG rings,
-/// APs, sources, MHs). The wired core (BRs + AGs) and the sources live on
-/// shard 0; APs split into `shards` contiguous blocks of attachment
+/// The shard ownership map for `spec`, indexed by creation order
+/// ([`HierarchySpec::entities`]). The wired core (BRs + AGs) and the sources
+/// live on shard 0; APs split into `shards` contiguous blocks of attachment
 /// subtrees; each MH lives with its initial AP (late joiners on shard 0).
 fn shard_map(spec: &HierarchySpec, shards: usize) -> Vec<u32> {
     let n_aps = spec.aps.len();
@@ -773,70 +790,31 @@ fn shard_map(spec: &HierarchySpec, shards: usize) -> Vec<u32> {
         shards <= n_aps,
         "{shards} shards requested but the world has only {n_aps} attachment subtrees"
     );
-    let mut map = Vec::new();
-    let n_core = spec.top_ring.len() + spec.ag_rings.iter().map(|r| r.members.len()).sum::<usize>();
-    map.resize(n_core, 0);
-    let ap_shard_of_index = |i: usize| (i * shards / n_aps) as u32;
-    for i in 0..n_aps {
-        map.push(ap_shard_of_index(i));
-    }
-    map.resize(map.len() + spec.sources.len(), 0);
-    let ap_index: std::collections::BTreeMap<NodeId, usize> = spec
-        .aps
-        .iter()
-        .enumerate()
-        .map(|(i, ap)| (ap.id, i))
+    let ap_shard: std::collections::BTreeMap<NodeId, u32> = (spec.aps.iter().enumerate())
+        .map(|(i, ap)| (ap.id, (i * shards / n_aps) as u32))
         .collect();
-    for mh in &spec.mhs {
-        let shard = mh
-            .initial_ap
-            .and_then(|ap| ap_index.get(&ap).copied())
-            .map_or(0, ap_shard_of_index);
-        map.push(shard);
-    }
-    map
+    let shard_of = |ap: NodeId| ap_shard.get(&ap).copied().unwrap_or(0);
+    spec.entities()
+        .map(|entity| match entity {
+            Entity::Ap(ap) => shard_of(ap.id),
+            Entity::Mh(mh) => mh.initial_ap.map_or(0, shard_of),
+            Entity::Br(_) | Entity::Ag(..) | Entity::Source(_) => 0,
+        })
+        .collect()
 }
 
 /// Build the address map, actors and topology of `spec` into `net` —
-/// the one construction body behind both execution modes.
+/// the one construction body behind both execution modes. Which entities
+/// exist, in which address order, and how they are linked is the spec's
+/// decision ([`HierarchySpec::entities`], [`HierarchySpec::wiring`]); this
+/// only gives each entity its actor.
 fn assemble(
     spec: &HierarchySpec,
     net: &mut impl Assemble,
     bank: Option<&Arc<Mutex<TelemetryBank>>>,
 ) -> Arc<AddrMap> {
-    // ---- Pre-compute the address map (creation order = address order).
-    let mut map = AddrMap::default();
-    let mut next = 0u32;
-    let mut claim_ne = |map: &mut AddrMap, id: NodeId| {
-        let addr = NodeAddr(next);
-        next += 1;
-        map.insert_ne(id, addr);
-    };
-    for &br in &spec.top_ring {
-        claim_ne(&mut map, br);
-    }
-    for ring in &spec.ag_rings {
-        for &ag in &ring.members {
-            claim_ne(&mut map, ag);
-        }
-    }
-    for ap in &spec.aps {
-        claim_ne(&mut map, ap.id);
-    }
-    let mut source_addrs = Vec::with_capacity(spec.sources.len());
-    for _ in &spec.sources {
-        source_addrs.push(NodeAddr(next));
-        next += 1;
-    }
-    for mh in &spec.mhs {
-        let addr = NodeAddr(next);
-        next += 1;
-        map.insert_mh(mh.guid, addr);
-    }
-    let map = Arc::new(map);
+    let map = Arc::new(AddrMap::for_spec(spec));
 
-    // ---- Create actors in exactly the claimed order.
-    //
     // Multi-group specs instantiate one protocol state per declared group
     // on every physical node: one ordering ring per group over the same
     // top-ring mesh. Each group's token originates at
@@ -861,149 +839,90 @@ fn assemble(
     // Station shape: the top ring is the whole deployment, so its members
     // are hybrid stations that also serve MHs.
     let stations = spec.is_station_shape();
-    for &br in &spec.top_ring {
-        let mut states = Vec::with_capacity(groups.len());
-        let mut originate = Vec::with_capacity(groups.len());
-        for &(g, origin) in &funnels {
-            let ring = spec.top_ring.clone();
-            let mut st = if stations {
-                NeState::new_flat_station(g, br, ring, cfg.clone())
-            } else {
-                NeState::new_br(g, br, ring, true, cfg.clone())
-            };
-            if multi {
-                st.cross_fence = Some(crate::fence::CrossGroupFence::new(g, funnels.clone()));
-            }
-            states.push(st);
-            originate.push(origin == br);
-        }
-        let actor = NeActor::new(states, Arc::clone(&map), originate, bank.cloned());
-        let addr = net.add(Box::new(actor));
-        debug_assert_eq!(Some(addr), map.ne(br));
-    }
-    for ring in &spec.ag_rings {
-        for &ag in &ring.members {
-            let states: Vec<NeState> = groups
-                .iter()
-                .map(|&g| {
-                    NeState::new_ag(
-                        g,
-                        ag,
-                        ring.members.clone(),
-                        ring.parent_candidates.clone(),
-                        cfg.clone(),
-                    )
-                })
-                .collect();
-            let originate = vec![false; groups.len()];
-            let actor = NeActor::new(states, Arc::clone(&map), originate, bank.cloned());
-            net.add(Box::new(actor));
-        }
-    }
-    for ap in &spec.aps {
-        let states: Vec<NeState> = groups
-            .iter()
-            .map(|&g| {
-                NeState::new_ap(
-                    g,
-                    ap.id,
-                    ap.parent_candidates.clone(),
-                    ap.always_active,
-                    ap.neighbours.clone(),
-                    cfg.clone(),
-                )
-            })
-            .collect();
-        let originate = vec![false; groups.len()];
-        let actor = NeActor::new(states, Arc::clone(&map), originate, bank.cloned());
-        net.add(Box::new(actor));
-    }
-    for (i, src) in spec.sources.iter().enumerate() {
-        let target = map.ne(src.corresponding).expect("validated");
-        let addr = net.add(Box::new(SourceActor {
-            targets: spec.source_groups_of(src),
-            home,
-            corresponding: src.corresponding,
-            target,
-            pattern: src.pattern,
-            start: src.start,
-            stop: src.stop,
-            limit: src.limit,
-            next_ls: LocalSeq::FIRST,
-            sent: 0,
-        }));
-        debug_assert_eq!(addr, source_addrs[i]);
-    }
-    for mh in &spec.mhs {
-        let states: Vec<MhState> = spec
-            .subscriptions_of(mh)
-            .into_iter()
-            .map(|g| MhState::new(g, mh.guid, cfg.clone()))
-            .collect();
-        net.add(Box::new(MhActor {
+    let ne_actor = |states: Vec<NeState>, originate: Vec<bool>| {
+        Box::new(NeActor::new(
             states,
-            map: Arc::clone(&map),
-            out: Vec::with_capacity(16),
-            framer: Box::default(),
-            initial_ap: mh.initial_ap,
-        }));
+            Arc::clone(&map),
+            originate,
+            bank.cloned(),
+        ))
+    };
+    for (i, entity) in spec.entities().enumerate() {
+        let actor: Box<dyn Actor<Msg, ProtoEvent> + Send> = match entity {
+            Entity::Br(br) => {
+                let mut states = Vec::with_capacity(groups.len());
+                for &(g, _) in &funnels {
+                    let ring = spec.top_ring.clone();
+                    let mut st = if stations {
+                        NeState::new_flat_station(g, br, ring, cfg.clone())
+                    } else {
+                        NeState::new_br(g, br, ring, true, cfg.clone())
+                    };
+                    if multi {
+                        st.cross_fence =
+                            Some(crate::fence::CrossGroupFence::new(g, funnels.clone()));
+                    }
+                    states.push(st);
+                }
+                let originate = funnels.iter().map(|&(_, origin)| origin == br).collect();
+                ne_actor(states, originate)
+            }
+            Entity::Ag(ag, ring) => {
+                let state = |&g| {
+                    let (members, parents) = (ring.members.clone(), ring.parent_candidates.clone());
+                    NeState::new_ag(g, ag, members, parents, cfg.clone())
+                };
+                ne_actor(
+                    groups.iter().map(state).collect(),
+                    vec![false; groups.len()],
+                )
+            }
+            Entity::Ap(ap) => {
+                let state = |&g| {
+                    let (parents, nbs) = (ap.parent_candidates.clone(), ap.neighbours.clone());
+                    NeState::new_ap(g, ap.id, parents, ap.always_active, nbs, cfg.clone())
+                };
+                ne_actor(
+                    groups.iter().map(state).collect(),
+                    vec![false; groups.len()],
+                )
+            }
+            Entity::Source(src) => Box::new(SourceActor {
+                targets: spec.source_groups_of(src),
+                home,
+                corresponding: src.corresponding,
+                target: map.ne(src.corresponding).expect("validated"),
+                pattern: src.pattern,
+                start: src.start,
+                stop: src.stop,
+                limit: src.limit,
+                next_ls: LocalSeq::FIRST,
+                sent: 0,
+            }),
+            Entity::Mh(mh) => Box::new(MhActor {
+                states: (spec.subscriptions_of(mh).into_iter())
+                    .map(|g| MhState::new(g, mh.guid, cfg.clone()))
+                    .collect(),
+                map: Arc::clone(&map),
+                out: Vec::with_capacity(16),
+                framer: Box::default(),
+                initial_ap: mh.initial_ap,
+            }),
+        };
+        let addr = net.add(actor);
+        debug_assert_eq!(addr.index(), i, "creation order is address order");
     }
-
-    // ---- Wire the topology.
     // Spec validation admitted only declared entities, so every id the
-    // wiring below resolves must be present in the address map.
-    let ne_addr = |id: NodeId| map.ne(id).expect("validated spec wires a declared NE");
-    let mh_addr = |guid: Guid| map.mh(guid).expect("validated spec wires a declared MH");
-    // Top ring: duplex links between every pair of ring members — the
-    // ring is logical, the underlying unicast routes exist between any
-    // two BRs (needed for repair paths after failures).
-    for (i, &a) in spec.top_ring.iter().enumerate() {
-        for &b in spec.top_ring.iter().skip(i + 1) {
-            net.link(ne_addr(a), ne_addr(b), spec.links.top_ring.clone());
-        }
-    }
-    for ring in &spec.ag_rings {
-        // AG ring mesh (same rationale).
-        for (i, &a) in ring.members.iter().enumerate() {
-            for &b in ring.members.iter().skip(i + 1) {
-                net.link(ne_addr(a), ne_addr(b), spec.links.ag_ring.clone());
-            }
-        }
-        // Every ring member can reach every candidate parent BR.
-        for &ag in &ring.members {
-            for &br in &ring.parent_candidates {
-                net.link(ne_addr(ag), ne_addr(br), spec.links.br_ag.clone());
-            }
-        }
-    }
-    for ap in &spec.aps {
-        for &ag in &ap.parent_candidates {
-            net.link(ne_addr(ap.id), ne_addr(ag), spec.links.ag_ap.clone());
-        }
-        // AP ↔ AP neighbour links (reservation traffic).
-        for &nb in &ap.neighbours {
-            if nb > ap.id {
-                net.link(ne_addr(ap.id), ne_addr(nb), spec.links.ag_ap.clone());
-            }
-        }
-    }
-    for (i, src) in spec.sources.iter().enumerate() {
-        net.link(
-            source_addrs[i],
-            ne_addr(src.corresponding),
-            spec.links.source.clone(),
-        );
-    }
-    for mh in &spec.mhs {
-        if let Some(ap) = mh.initial_ap {
-            net.link(mh_addr(mh.guid), ne_addr(ap), spec.links.wireless.clone());
-        }
+    // wiring rule names is in the address map.
+    let ne = |id| map.ne(id).expect("validated spec wires a declared NE");
+    for (a, b, profile) in spec.wiring(ne) {
+        net.link(a, b, profile.clone());
     }
 
     // Pre-size the pending-event slab from the deployment scale so the
     // hot path starts steady-state (≈ a few in-flight events per link
     // plus the periodic timers).
-    net.reserve(next as usize * 8);
+    net.reserve(spec.entities().count() * 8);
 
     map
 }
@@ -1075,18 +994,11 @@ impl RingNetSim {
             let mut sim = ShardedSim::new(seed, shards, sm.clone(), true, wire_size);
             sim.set_workers(workers);
             let addrs = assemble(&spec, &mut sim, bank.as_ref());
-            // Record the NE → shard placement for the telemetry report: the
-            // shard map is indexed by global creation order (BRs, AG-ring
-            // members, APs, then sources and MHs — only NEs carry telemetry).
+            // Record the NE → shard placement for the telemetry report (only
+            // NEs carry telemetry): the shard map is indexed by creation order.
             if bank.is_some() {
-                let ne_ids = spec
-                    .top_ring
-                    .iter()
-                    .chain(spec.ag_rings.iter().flat_map(|r| r.members.iter()))
-                    .chain(spec.aps.iter().map(|ap| &ap.id));
-                for (i, &id) in ne_ids.enumerate() {
-                    telemetry_shards.insert(id, sm[i]);
-                }
+                let placed = spec.entities().zip(&sm);
+                telemetry_shards.extend(placed.filter_map(|(e, &shard)| Some((e.ne_id()?, shard))));
             }
             (Net::Sharded(sim), addrs)
         };

@@ -11,7 +11,7 @@
 //! `a` AGs, `p` APs per AG, `m` MHs per AP); [`figure1`] reproduces the
 //! topology drawn in the paper's Figure 1.
 
-use simnet::{LinkProfile, SimDuration, SimTime};
+use simnet::{LinkProfile, NodeAddr, SimDuration, SimTime};
 
 use crate::config::ProtocolConfig;
 use crate::ids::{GroupId, Guid, NodeId};
@@ -182,7 +182,109 @@ pub struct HierarchySpec {
     pub links: LinkPlan,
 }
 
+/// One entity of a deployment, as [`HierarchySpec::entities`] yields it.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum Entity<'a> {
+    /// A top-ring BR (a hybrid station in the station shape).
+    Br(NodeId),
+    /// An AG and the ring it sits on.
+    Ag(NodeId, &'a AgRingSpec),
+    /// An access proxy.
+    Ap(&'a ApSpec),
+    /// A multicast source.
+    Source(&'a SourceSpec),
+    /// A mobile host.
+    Mh(&'a MhSpec),
+}
+
+impl Entity<'_> {
+    /// The identity of a network entity (BR, AG or AP); `None` for sources
+    /// and mobile hosts.
+    pub fn ne_id(&self) -> Option<NodeId> {
+        match *self {
+            Entity::Br(id) | Entity::Ag(id, _) => Some(id),
+            Entity::Ap(ap) => Some(ap.id),
+            Entity::Source(_) | Entity::Mh(_) => None,
+        }
+    }
+}
+
 impl HierarchySpec {
+    /// Every entity in **creation order**: BRs in ring order, AGs ring by
+    /// ring, APs, sources, MHs. This is the one place that order is spelled
+    /// out: a world built from a spec instantiates exactly this sequence, so
+    /// the entity at position `i` lives at simulator address `NodeAddr(i)`
+    /// (shard maps and address tables index by it too).
+    pub fn entities(&self) -> impl Iterator<Item = Entity<'_>> {
+        let ags = self
+            .ag_rings
+            .iter()
+            .flat_map(|ring| ring.members.iter().map(move |&ag| Entity::Ag(ag, ring)));
+        (self.top_ring.iter().map(|&br| Entity::Br(br)))
+            .chain(ags)
+            .chain(self.aps.iter().map(Entity::Ap))
+            .chain(self.sources.iter().map(Entity::Source))
+            .chain(self.mhs.iter().map(Entity::Mh))
+    }
+
+    /// The **wiring rule**: every duplex link of the deployment as a pair
+    /// of addresses and the [`LinkPlan`] profile it draws. `ne` resolves a
+    /// network entity's address — its [`Self::entities`] position, which
+    /// every world built from a spec already tabulates
+    /// ([`crate::engine::AddrMap::for_spec`]). Rings are logical — the
+    /// unicast routes underneath exist between any two members (repair
+    /// paths after failures), so each ring is a full mesh; every ring
+    /// member reaches every candidate parent BR and every AP every
+    /// candidate parent AG (Remark 2: the candidates are static
+    /// configuration); neighbouring APs are linked for reservation
+    /// traffic; a source reaches its corresponding BR and an MH the AP it
+    /// starts at.
+    pub fn wiring(
+        &self,
+        ne: impl Fn(NodeId) -> NodeAddr,
+    ) -> impl Iterator<Item = (NodeAddr, NodeAddr, &LinkProfile)> {
+        /// Every unordered pair of ring members.
+        fn pairs(ring: &[NodeId]) -> impl Iterator<Item = (NodeId, NodeId)> + '_ {
+            let tails = ring.iter().enumerate().map(|(i, &a)| (a, &ring[i + 1..]));
+            tails.flat_map(|(a, rest)| rest.iter().map(move |&b| (a, b)))
+        }
+        let at = |i: usize| NodeAddr(i as u32);
+        let plan = &self.links;
+        let mut links = Vec::new();
+        let mut link = |a: NodeId, b: NodeId, profile| links.push((ne(a), ne(b), profile));
+        for (a, b) in pairs(&self.top_ring) {
+            link(a, b, &plan.top_ring);
+        }
+        for ring in &self.ag_rings {
+            for (a, b) in pairs(&ring.members) {
+                link(a, b, &plan.ag_ring);
+            }
+            for &ag in &ring.members {
+                for &br in &ring.parent_candidates {
+                    link(ag, br, &plan.br_ag);
+                }
+            }
+        }
+        for ap in &self.aps {
+            for &ag in &ap.parent_candidates {
+                link(ap.id, ag, &plan.ag_ap);
+            }
+            for &nb in ap.neighbours.iter().filter(|&&nb| nb > ap.id) {
+                link(ap.id, nb, &plan.ag_ap);
+            }
+        }
+        for (i, entity) in self.entities().enumerate() {
+            match entity {
+                Entity::Source(src) => links.push((at(i), ne(src.corresponding), &plan.source)),
+                Entity::Mh(mh) => {
+                    links.extend(mh.initial_ap.map(|ap| (at(i), ne(ap), &plan.wireless)));
+                }
+                Entity::Br(_) | Entity::Ag(..) | Entity::Ap(_) => {}
+            }
+        }
+        links.into_iter()
+    }
+
     /// The effective declared group set, sorted ascending: `groups` when
     /// non-empty (always including `group`), else just `[group]`.
     pub fn effective_groups(&self) -> Vec<GroupId> {
@@ -718,6 +820,48 @@ mod tests {
         dedup.sort_unstable();
         dedup.dedup();
         assert_eq!(all.len(), dedup.len());
+    }
+
+    #[test]
+    fn entities_run_tier_by_tier_and_wiring_draws_the_link_plan() {
+        let spec = HierarchyBuilder::new(GroupId(1))
+            .brs(2)
+            .ag_rings(2, 2)
+            .sources(1)
+            .build();
+        let tiers: Vec<u8> = (spec.entities())
+            .map(|e| match e {
+                Entity::Br(_) => 0,
+                Entity::Ag(..) => 1,
+                Entity::Ap(_) => 2,
+                Entity::Source(_) => 3,
+                Entity::Mh(_) => 4,
+            })
+            .collect();
+        assert_eq!(tiers, [0, 0, 1, 1, 1, 1, 2, 2, 2, 2, 3, 4, 4, 4, 4]);
+        // Builder ids are creation positions, i.e. addresses.
+        let ids: Vec<u32> = spec
+            .entities()
+            .filter_map(|e| e.ne_id())
+            .map(|n| n.0)
+            .collect();
+        assert_eq!(ids, (0..10).collect::<Vec<_>>());
+
+        let wiring = || spec.wiring(|id| NodeAddr(id.0));
+        let count = |profile: &LinkProfile| wiring().filter(|l| l.2 == profile).count();
+        assert_eq!(count(&spec.links.top_ring), 1, "2 BRs");
+        assert_eq!(count(&spec.links.ag_ring), 2, "2 rings of 2");
+        assert_eq!(count(&spec.links.br_ag), 8, "4 AGs × 2 candidate BRs");
+        assert_eq!(
+            count(&spec.links.ag_ap),
+            8 + 3,
+            "4 APs × 2 AGs + the AP chain"
+        );
+        assert_eq!(count(&spec.links.source), 1);
+        assert_eq!(count(&spec.links.wireless), 4);
+        // Source 0 (address 10) feeds BR 0; MH 0 (address 11) sits at AP 6.
+        let has = |a, b| wiring().any(|l| (l.0, l.1) == (NodeAddr(a), NodeAddr(b)));
+        assert!(has(10, 0) && has(11, 6));
     }
 
     #[test]

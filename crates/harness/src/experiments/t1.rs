@@ -3,8 +3,9 @@
 //! "Compared with the multicast protocol without ordering requirement, our
 //! totally-ordered multicast protocol provides the same multicast
 //! throughput as s·λ messages each time unit." We run both protocols on
-//! the same hierarchy and traffic, measure the steady per-MH delivery rate
-//! and compare it with the offered load s·λ.
+//! one scenario — the same `HierarchySpec`, entity for entity and link for
+//! link — measure the steady per-MH delivery rate and compare it with the
+//! offered load s·λ.
 //!
 //! The rates are counted *online* through the journal sink with retention
 //! off (like the streaming metrics accumulator) — the full-mode sweeps
@@ -13,9 +14,9 @@
 use std::collections::BTreeSet;
 use std::sync::{Arc, Mutex};
 
-use baselines::unordered::{UnorderedSim, UnorderedSpec};
-use ringnet_core::hierarchy::TrafficPattern;
-use ringnet_core::{GroupId, HierarchyBuilder, ProtoEvent, RingNetSim};
+use baselines::UnorderedSim;
+use ringnet_core::driver::{CoreShape, MulticastSim, Scenario, ScenarioBuilder};
+use ringnet_core::{ProtoEvent, RingNetSim};
 use simnet::{Journal, SimDuration, SimTime};
 
 use crate::experiments::loss_free_links;
@@ -39,7 +40,6 @@ fn install_rate_counter(
         mhs: BTreeSet::new(),
     }));
     let sink = Arc::clone(&counter);
-    journal.set_retention(false);
     journal.add_sink(move |t, e| {
         if let ProtoEvent::MhDeliver { mh, .. } = e {
             let mut c = sink.lock().expect("rate counter poisoned");
@@ -61,41 +61,37 @@ fn finish_rate(counter: &Mutex<RateCounter>, warmup: SimTime, duration: SimTime)
     c.in_window as f64 / c.mhs.len() as f64 / span
 }
 
-fn ordered_rate(s: usize, lambda: f64, duration: SimTime, warmup: SimTime) -> f64 {
-    let spec = HierarchyBuilder::new(GroupId(1))
-        .brs(4)
-        .ag_rings(2, 2)
-        .aps_per_ag(1)
-        .mhs_per_ap(1)
-        .sources(s)
-        .source_pattern(TrafficPattern::Cbr {
-            interval: SimDuration::from_secs_f64(1.0 / lambda),
+/// The one world both protocols run on: 4 BRs over 2 rings × 2 AGs, one
+/// AP per AG with one MH each, `s` CBR sources of `lambda` msg/s, loss-free
+/// links.
+fn world(s: usize, lambda: f64, duration: SimTime) -> Scenario {
+    ScenarioBuilder::new()
+        .shape(CoreShape::Hierarchy {
+            brs: 4,
+            rings: 2,
+            ags_per_ring: 2,
         })
+        .attachments(4)
+        .walkers_per_attachment(1)
+        .sources(s)
+        .cbr(SimDuration::from_secs_f64(1.0 / lambda))
         .links(loss_free_links())
-        .build();
-    let mut net = RingNetSim::build(spec, 42);
-    let counter = install_rate_counter(net.journal_mut(), warmup, duration);
-    net.run_until(duration);
-    let _ = net.finish();
-    finish_rate(&counter, warmup, duration)
+        .retain_journal(false)
+        .duration(duration)
+        .build()
 }
 
-fn unordered_rate(s: usize, lambda: f64, duration: SimTime, warmup: SimTime) -> f64 {
-    let mut spec = UnorderedSpec::new();
-    spec.brs = 4;
-    spec.ag_rings = (2, 2);
-    spec.aps_per_ag = 1;
-    spec.mhs_per_ap = 1;
-    spec.sources = s;
-    spec.pattern = TrafficPattern::Cbr {
-        interval: SimDuration::from_secs_f64(1.0 / lambda),
-    };
-    spec.links.2 = simnet::LinkProfile::wired(SimDuration::from_millis(2));
-    let mut net = UnorderedSim::build(spec, 42);
-    let counter = install_rate_counter(&mut net.sim.world().journal, warmup, duration);
-    net.run_until(duration);
+/// Steady per-MH delivery rate of backend `S` on `world`.
+fn rate<S: MulticastSim>(
+    world: &Scenario,
+    journal_of: fn(&mut S) -> &mut Journal<ProtoEvent>,
+    warmup: SimTime,
+) -> f64 {
+    let mut net = S::build(world, 42);
+    let counter = install_rate_counter(journal_of(&mut net), warmup, world.duration);
+    net.run_until(world.duration);
     let _ = net.finish();
-    finish_rate(&counter, warmup, duration)
+    finish_rate(&counter, warmup, world.duration)
 }
 
 /// Run the experiment.
@@ -129,8 +125,9 @@ pub fn run(quick: bool) -> Table {
     let mut worst_ratio: f64 = 1.0;
     for (s, lambda) in sweeps {
         let target = s as f64 * lambda;
-        let ord = ordered_rate(s, lambda, duration, warmup);
-        let unord = unordered_rate(s, lambda, duration, warmup);
+        let world = world(s, lambda, duration);
+        let ord = rate(&world, RingNetSim::journal_mut, warmup);
+        let unord = rate(&world, UnorderedSim::journal_mut, warmup);
         let ratio = ord / target;
         worst_ratio = worst_ratio.min(ratio);
         table.row(vec![

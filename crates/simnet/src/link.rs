@@ -257,12 +257,6 @@ impl LinkState {
         &self.profile
     }
 
-    /// Replace the profile mid-simulation (e.g. a degrading channel).
-    /// Channel memory and the transmit horizon are preserved.
-    pub fn set_profile(&mut self, profile: LinkProfile) {
-        self.profile = profile;
-    }
-
     /// Advance the Gilbert–Elliott channel one step and return whether the
     /// current packet is lost.
     fn draw_loss(&mut self, rng: &mut SimRng) -> bool {

@@ -97,11 +97,6 @@ impl<R> Journal<R> {
         }
     }
 
-    /// True when records are being kept.
-    pub fn is_enabled(&self) -> bool {
-        self.retain
-    }
-
     /// Turn record retention on or off (already-retained records stay).
     pub fn set_retention(&mut self, retain: bool) {
         self.retain = retain;
@@ -761,11 +756,6 @@ impl<'a, M, R> Ctx<'a, M, R> {
         &mut self.world.rng
     }
 
-    /// True when a directed link to `dst` exists.
-    pub fn has_link_to(&self, dst: NodeAddr) -> bool {
-        self.world.topo.has_link(self.me, dst)
-    }
-
     /// Install a duplex link between this node and `peer` (e.g. a wireless
     /// association created during handoff).
     pub fn connect_duplex(&mut self, peer: NodeAddr, profile: LinkProfile) {
@@ -846,13 +836,6 @@ impl<M, R> Sim<M, R> {
     pub fn actor(&self, addr: NodeAddr) -> &dyn Actor<M, R> {
         self.actors[addr.index()]
             .as_deref()
-            .expect("actor detached")
-    }
-
-    /// Mutable access to an actor between runs.
-    pub fn actor_mut(&mut self, addr: NodeAddr) -> &mut (dyn Actor<M, R> + 'static) {
-        self.actors[addr.index()]
-            .as_deref_mut()
             .expect("actor detached")
     }
 

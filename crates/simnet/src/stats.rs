@@ -183,12 +183,6 @@ impl Histogram {
         }
     }
 
-    /// Record a duration in nanoseconds.
-    #[inline]
-    pub fn add_duration(&mut self, d: SimDuration) {
-        self.add(d.as_nanos());
-    }
-
     /// Number of recorded values.
     pub fn count(&self) -> u64 {
         self.total

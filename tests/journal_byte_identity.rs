@@ -167,6 +167,17 @@ type PinnedBackend = (&'static str, fn(&Scenario, u64) -> RunReport, u64);
 /// The flat ring *is* that core on one ring of stations
 /// (`NeState::new_flat_station`), so it moves with it: PR 13 took it from
 /// `0x3ac175ebc4d719b3` to the value below, the other four stayed.
+///
+/// PR 15 rebuilt `unordered` from RingNet's own `HierarchySpec`, so its
+/// tree hops now follow `links.br_ag` / `links.ag_ap` / `links.source`
+/// (the private assembly it replaced wired both tree hops with
+/// `links.ag_ring` and hard-coded the source link). That was expected to
+/// re-golden this row; it did not, and the number is the parent's: the
+/// default plan's 3 ms + 1 ms equals the old 2 ms + 2 ms, the source link
+/// is 100 µs either way, and the journal stamps a message only where it
+/// enters (`SourceSend`) and where it is delivered (`MhDeliver`), never
+/// per hop. `tests/comparator_parity.rs` is where the difference shows;
+/// [`GOLDEN_UNORDERED_UNIFORM_LINKS`] is the world where there is none.
 const GOLDEN_BASELINE_DIGESTS: &[PinnedBackend] = &[
     ("flat_ring", FlatRingSim::run_scenario, 0x2e98bbc2be9658e4),
     ("tree", TreeSim::run_scenario, 0x4ff1ebcb601b887c),
@@ -196,7 +207,8 @@ fn baseline_journal_digests_are_pinned() {
 /// 100 µs source link. Pinned on the private assembly `UnorderedSim` used
 /// to own, before it was folded onto `HierarchySpec` (PR 15): that fold is
 /// behaviour-neutral wherever the old assembly's link drift did not bite,
-/// and this number proves it.
+/// and this number proves it. (It equals the default-plan pin in
+/// [`GOLDEN_BASELINE_DIGESTS`]: the old assembly read only `ag_ring`.)
 const GOLDEN_UNORDERED_UNIFORM_LINKS: u64 = 0x878f0228f1205ce4;
 
 #[test]
