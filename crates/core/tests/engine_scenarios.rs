@@ -616,3 +616,59 @@ fn figure1_latency_is_token_wait_plus_link_delays_exactly() {
     assert_eq!(checked, sent.len() * 9, "every walker got every message");
     assert!(sent.len() > 200);
 }
+
+/// FNV-1a over the sorted `Debug` lines of every `Ordered` and `MhDeliver`
+/// entry: when each message got its global number and when each walker got
+/// each message, and nothing else (sorted because ring states of different
+/// groups may be permuted within one simulated instant).
+fn order_and_delivery_digest(journal: &[(SimTime, ProtoEvent)]) -> u64 {
+    let mut lines: Vec<String> = journal
+        .iter()
+        .filter(|(_, e)| matches!(e, ProtoEvent::Ordered { .. } | ProtoEvent::MhDeliver { .. }))
+        .map(|(t, e)| format!("{t:?}|{e:?}\n"))
+        .collect();
+    lines.sort_unstable();
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for b in lines.iter().flat_map(|l| l.bytes()) {
+        h ^= u64::from(b);
+        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    h
+}
+
+/// [`order_and_delivery_digest`] of the 8-disjoint-ring world at seed 7,
+/// pinned on the commit before the acknowledgement plane was thinned: a
+/// change to *when and how often hops acknowledge* may not move the
+/// instant of a single ordering or delivery.
+const RINGS8_ORDER_AND_DELIVERY: u64 = 0x1539_ea2b_0b6f_1715;
+
+/// The 8-disjoint-ring world (the benchmark's `rings8_ctrl` shape) is the
+/// control-plane-bound one: its acknowledgement discipline is pinned here
+/// at work level — what it costs, that it repairs nothing in a loss-free
+/// world, and that it moves no ordering or delivery instant.
+#[test]
+fn rings8_acknowledgements_move_no_ordering_or_delivery_instant() {
+    let (_, mut sc) = loss_free_static_worlds().swap_remove(1);
+    // Long enough for the steady state to outweigh start-up and the idle
+    // tail, as it does in the benchmark's 7 sim-s.
+    sc.stop = Some(SimTime::from_millis(2_000));
+    sc.duration = SimTime::from_millis(2_100);
+    let report = RingNetSim::run_scenario(&sc, 7);
+    let m = &report.metrics;
+    assert!(m.delivered > 10_000, "world too quiet");
+    assert_eq!(m.delivery_ratio(), 1.0);
+    assert_eq!((m.duplicates, m.skipped), (0, 0));
+    let t = report.telemetry.as_ref().expect("telemetry is on");
+    for quiet in [
+        metric::NACKS_SENT,
+        metric::PREORDER_NACKS_SENT,
+        metric::RETRANSMISSIONS_SERVED,
+    ] {
+        assert_eq!(t.total_counter(quiet), 0, "{quiet}");
+    }
+    let got = order_and_delivery_digest(&report.journal);
+    assert_eq!(
+        got, RINGS8_ORDER_AND_DELIVERY,
+        "ordering/delivery digest {got:#018x} != pinned {RINGS8_ORDER_AND_DELIVERY:#018x}"
+    );
+}
