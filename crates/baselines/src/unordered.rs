@@ -77,12 +77,40 @@ fn un_wire_size(msg: &UnMsg) -> usize {
 
 const TAG_HOP: u64 = 2;
 
+/// RingNet's acknowledgement discipline (`NeState::tick_hop`, step 3) for
+/// one stream and one target, so the comparator pays for control what the
+/// protocol it is compared with pays: speak on the `ack_every` tick when
+/// the front has moved past what the target was told, and restate an
+/// unmoved front once a whole heartbeat period has passed in silence.
+#[derive(Clone, Copy, Default)]
+struct AckGate {
+    told: u64,
+    at: SimTime,
+}
+
+impl AckGate {
+    /// Whether to acknowledge `front` now; if so, it counts as told.
+    fn due(&mut self, front: u64, ack_tick: bool, now: SimTime, cfg: &ProtocolConfig) -> bool {
+        let news = ack_tick && front > self.told;
+        let silent = self.told > 0 && now.saturating_since(self.at) >= cfg.heartbeat_period;
+        if news || silent {
+            *self = AckGate {
+                told: front,
+                at: now,
+            };
+        }
+        news || silent
+    }
+}
+
 /// One per-stream receive state: queue + downstream progress.
 struct Stream {
     mq: MessageQueue,
     wt_children: WorkingTable<NodeId>,
     wt_mhs: WorkingTable<Guid>,
     next_acked: GlobalSeq,
+    /// Ack gates towards `UnRole::upstream` and `UnRole::prev`.
+    gates: [AckGate; 2],
 }
 
 impl Stream {
@@ -100,6 +128,7 @@ impl Stream {
             wt_children,
             wt_mhs,
             next_acked: GlobalSeq::ZERO,
+            gates: Default::default(),
         }
     }
 }
@@ -255,7 +284,8 @@ impl UnNe {
 
     fn tick(&mut self, ctx: &mut Ctx<'_, UnMsg, ProtoEvent>) {
         self.hop_count += 1;
-        let send_acks = self.hop_count.is_multiple_of(self.cfg.ack_every as u64);
+        let ack_tick = self.hop_count.is_multiple_of(self.cfg.ack_every as u64);
+        let now = ctx.now();
         let budget = self.cfg.nack_budget;
         let map = Arc::clone(&self.map);
         let role = self.role.clone();
@@ -274,12 +304,13 @@ impl UnNe {
                     }
                 }
             }
-            if send_acks {
-                let upto = st.mq.front().0;
-                for target in [role.upstream, role.prev].into_iter().flatten() {
-                    if let Some(addr) = map.ne(target) {
-                        ctx.send(addr, UnMsg::Ack { corr, upto });
-                    }
+            let upto = st.mq.front().0;
+            for (gate, target) in st.gates.iter_mut().zip([role.upstream, role.prev]) {
+                let Some(addr) = target.and_then(|t| map.ne(t)) else {
+                    continue;
+                };
+                if gate.due(upto, ack_tick, now, &self.cfg) {
+                    ctx.send(addr, UnMsg::Ack { corr, upto });
                 }
             }
             // GC to collective progress.
@@ -372,7 +403,7 @@ struct UnMh {
     group: GroupId,
     cfg: ProtocolConfig,
     ap: NodeId,
-    streams: BTreeMap<NodeId, MessageQueue>,
+    streams: BTreeMap<NodeId, (MessageQueue, AckGate)>,
     map: Arc<AddrMap>,
     hop_count: u64,
     delivered: u32,
@@ -388,10 +419,10 @@ impl Actor<UnMsg, ProtoEvent> for UnMh {
         match msg {
             UnMsg::Data { corr, seq } => {
                 let cfg_cap = self.cfg.mq_capacity;
-                let mq = self
+                let (mq, _) = self
                     .streams
                     .entry(corr)
-                    .or_insert_with(|| MessageQueue::new(cfg_cap));
+                    .or_insert_with(|| (MessageQueue::new(cfg_cap), AckGate::default()));
                 let data = MsgData {
                     source: corr,
                     local_seq: LocalSeq(seq),
@@ -444,10 +475,11 @@ impl Actor<UnMsg, ProtoEvent> for UnMh {
         }
         self.hop_count += 1;
         let budget = self.cfg.nack_budget;
-        let send_acks = self.hop_count.is_multiple_of(self.cfg.ack_every as u64);
+        let ack_tick = self.hop_count.is_multiple_of(self.cfg.ack_every as u64);
+        let now = ctx.now();
         let ap_addr = self.map.ne(self.ap);
         let mut skips = Vec::new();
-        for (&corr, mq) in self.streams.iter_mut() {
+        for (&corr, (mq, gate)) in self.streams.iter_mut() {
             let (missing, newly_lost) = mq.collect_nacks(budget);
             if let Some(addr) = ap_addr {
                 if !missing.is_empty() {
@@ -459,14 +491,9 @@ impl Actor<UnMsg, ProtoEvent> for UnMh {
                         },
                     );
                 }
-                if send_acks {
-                    ctx.send(
-                        addr,
-                        UnMsg::Ack {
-                            corr,
-                            upto: mq.front().0,
-                        },
-                    );
+                let upto = mq.front().0;
+                if gate.due(upto, ack_tick, now, &self.cfg) {
+                    ctx.send(addr, UnMsg::Ack { corr, upto });
                 }
             }
             if !newly_lost.is_empty() {

@@ -1,13 +1,15 @@
-//! Hot-path audit: wall time *and* allocations per simulated delivery for
-//! the fabric's two flagship workloads, plus a CI assertion mode.
+//! Hot-path audit: wall time, allocations *and* control messages per
+//! simulated delivery for the fabric's two flagship workloads, plus a CI
+//! assertion mode.
 //!
 //! ```text
 //! cargo run --release -p ringnet-bench --bin hotpath            # report
 //! cargo run --release -p ringnet-bench --bin hotpath -- check   # CI gate
 //! ```
 //!
-//! `check` asserts `allocs_per_delivery` stays within the pinned golden
-//! tolerances below, so an allocation regression on the sim path fails the
+//! `check` asserts `allocs_per_delivery` and `control_per_delivery` stay
+//! within the pinned golden tolerances below, so an allocation regression
+//! on the sim path, or a control plane that starts talking more, fails the
 //! build even when wall time is too noisy to trip anything.
 
 use ringnet_bench::alloc::CountingAlloc;
@@ -32,11 +34,22 @@ const GOLDEN_MAX_ALLOCS_PER_DELIVERY: &[(&str, f64)] = &[
     ("multigroup_throughput_rings_4", 0.15),
 ];
 
+/// Pinned golden ceilings for `control_per_delivery` (wired-core control
+/// messages). A deterministic count, so the margin is thin (~5 %):
+/// measured 0.0607 and 0.1376 with one cumulative ack per hop, sent when
+/// its front has moved (were 0.0758 and 0.4462 while every hop acknowledged
+/// on the `ack_every` clock, ordered stream and every pre-order stream
+/// alike).
+const GOLDEN_MAX_CONTROL_PER_DELIVERY: &[(&str, f64)] = &[
+    ("ringnet_128_walkers_one_sim_second", 0.064),
+    ("multigroup_throughput_rings_4", 0.145),
+];
+
 fn main() {
     let check = std::env::args().any(|a| a == "check");
     let rows = hotpath_scenarios();
     println!(
-        "{:<42} {:>12} {:>12} {:>14} {:>16} {:>12} {:>12} {:>12}",
+        "{:<42} {:>12} {:>12} {:>14} {:>16} {:>12} {:>12} {:>12} {:>12}",
         "scenario",
         "wall_ms",
         "delivered",
@@ -44,12 +57,13 @@ fn main() {
         "alloc_kb/deliv",
         "sim_p50_ms",
         "sim_p999_ms",
-        "nacks/deliv"
+        "nacks/deliv",
+        "ctl/deliv"
     );
     let mut failures = Vec::new();
     for row in &rows {
         println!(
-            "{:<42} {:>12.2} {:>12} {:>14.3} {:>16.3} {:>12.3} {:>12.3} {:>12.4}",
+            "{:<42} {:>12.2} {:>12} {:>14.3} {:>16.3} {:>12.3} {:>12.3} {:>12.4} {:>12.4}",
             row.name,
             row.wall_ms,
             row.delivered,
@@ -57,18 +71,30 @@ fn main() {
             row.alloc_bytes_per_delivery / 1024.0,
             row.latency_p50_ms,
             row.latency_p999_ms,
-            row.nacks_per_delivery
+            row.nacks_per_delivery,
+            row.control_per_delivery
         );
         if check {
-            if let Some(&(_, max)) = GOLDEN_MAX_ALLOCS_PER_DELIVERY
-                .iter()
-                .find(|(n, _)| *n == row.name)
-            {
-                if row.allocs_per_delivery > max {
-                    failures.push(format!(
-                        "{}: {:.3} allocs/delivery exceeds the pinned ceiling {:.3}",
-                        row.name, row.allocs_per_delivery, max
-                    ));
+            let gates = [
+                (
+                    "allocs",
+                    row.allocs_per_delivery,
+                    GOLDEN_MAX_ALLOCS_PER_DELIVERY,
+                ),
+                (
+                    "control messages",
+                    row.control_per_delivery,
+                    GOLDEN_MAX_CONTROL_PER_DELIVERY,
+                ),
+            ];
+            for (what, got, ceilings) in gates {
+                if let Some(&(_, max)) = ceilings.iter().find(|(n, _)| *n == row.name) {
+                    if got > max {
+                        failures.push(format!(
+                            "{}: {got:.4} {what}/delivery exceeds the pinned ceiling {max:.4}",
+                            row.name
+                        ));
+                    }
                 }
             }
         }
@@ -80,12 +106,12 @@ fn main() {
             }
         }
         if !failures.is_empty() {
-            eprintln!("allocation audit FAILED:");
+            eprintln!("hot-path audit FAILED:");
             for f in &failures {
                 eprintln!("  {f}");
             }
             std::process::exit(1);
         }
-        println!("allocation audit clean ({} scenarios)", rows.len());
+        println!("hot-path audit clean ({} scenarios)", rows.len());
     }
 }

@@ -139,7 +139,7 @@ impl Runner {
                     "    {{\"name\": {}, \"wall_ms\": {:.2}, \"delivered\": {}, \
                      \"allocs_per_delivery\": {:.3}, \"alloc_bytes_per_delivery\": {:.1}, \
                      \"latency_p50_ms\": {:.3}, \"latency_p999_ms\": {:.3}, \
-                     \"nacks_per_delivery\": {:.4}}}{sep}\n",
+                     \"nacks_per_delivery\": {:.4}, \"control_per_delivery\": {:.4}}}{sep}\n",
                     json::string(&h.name),
                     h.wall_ms,
                     h.delivered,
@@ -148,6 +148,7 @@ impl Runner {
                     h.latency_p50_ms,
                     h.latency_p999_ms,
                     h.nacks_per_delivery,
+                    h.control_per_delivery,
                 ));
             }
             out.push_str("  ]");
@@ -217,12 +218,13 @@ mod tests {
             latency_p50_ms: 22.5,
             latency_p999_ms: 34.5,
             nacks_per_delivery: 0.0,
+            control_per_delivery: 0.0485,
         }];
         let json = r.to_json_with_hotpath(&rows);
         assert!(json.contains("\"hotpath\": ["));
         assert!(json.contains("\"allocs_per_delivery\": 0.119"));
         assert!(json.contains("\"latency_p50_ms\": 22.500, \"latency_p999_ms\": 34.500"));
-        assert!(json.contains("\"nacks_per_delivery\": 0.0000"));
+        assert!(json.contains("\"nacks_per_delivery\": 0.0000, \"control_per_delivery\": 0.0485"));
         assert_eq!(json.matches('{').count(), json.matches('}').count());
     }
 }

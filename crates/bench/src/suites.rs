@@ -68,8 +68,8 @@ pub fn datastructures(r: &mut Runner) {
             LocalRange::new(LocalSeq(1), LocalSeq(N)),
             GlobalSeq(1),
         );
-        wq.ack_from_next(NodeId(0), LocalSeq(N));
-        wq.gc();
+        // The next ring node's front has passed everything just ordered.
+        wq.gc(GlobalSeq(N));
         black_box(out.len())
     });
 
@@ -338,12 +338,14 @@ pub fn full_sweep(r: &mut Runner) {
     };
     let mut delivered_at_rings = std::collections::BTreeMap::new();
     let mut sent_at_rings = std::collections::BTreeMap::new();
+    let mut control_at_rings = std::collections::BTreeMap::new();
     for rings in [1u32, 2, 4, 8] {
         let sc = multigroup_scenario(rings);
         let probe = RingNetSim::run_scenario(&sc, 7);
         let delivered = probe.metrics.delivered;
         delivered_at_rings.insert(rings, delivered);
         sent_at_rings.insert(rings, probe.stats.packets_sent);
+        control_at_rings.insert(rings, probe.metrics.wired_core_control_sent);
         r.bench(
             "full_sweep",
             &format!("multigroup_throughput_rings_{rings}"),
@@ -366,7 +368,7 @@ pub fn full_sweep(r: &mut Runner) {
     // Per-ring control cost (EXPERIMENTS.md "What is left of the 8-ring
     // wall"). At fixed offered load, app deliveries plateau once two rings
     // carry the load, while every extra ring keeps its own token
-    // circulating and its own ack/PreOrder chatter flowing. Per-hop control
+    // circulating and its own acknowledgements flowing. Per-hop control
     // framing puts everything one node says to one neighbour at one
     // instant into one wire packet, so that chatter no longer costs a
     // packet per ring: wire packets per delivery must not grow from 2 to 8
@@ -400,6 +402,29 @@ pub fn full_sweep(r: &mut Runner) {
              of 2 rings at fixed offered load (got {:.3} vs {:.3})",
             per_delivery(8),
             per_delivery(2)
+        );
+
+        // The logical side of the same cost: wired-core control messages
+        // per delivery. Every ring hop used to acknowledge on a clock, once
+        // for the ordered stream and once per pre-order stream (0.75 per
+        // delivery here); one cumulative ack per hop, sent when its front
+        // has moved and riding the `TokenAck` on the ring, leaves the token
+        // and the heartbeats as what eight rings cost.
+        let control = control_at_rings[&8];
+        r.bench(
+            "full_sweep",
+            "multigroup_control_per_delivery_rings_8",
+            Some(control),
+            || {
+                let rep = RingNetSim::run_scenario(&sc, 7);
+                assert_eq!(rep.metrics.wired_core_control_sent, control);
+                black_box(rep.metrics.wired_core_control_sent)
+            },
+        );
+        let control_per_delivery = control as f64 / delivered_at_rings[&8] as f64;
+        assert!(
+            control_per_delivery <= 0.40,
+            "8 rings cost {control_per_delivery:.3} core control messages per delivery"
         );
     }
 
@@ -468,6 +493,9 @@ pub struct HotpathRow {
     /// `DataNack` gap requests sent per delivered message, counted by a
     /// separate telemetry-on run (zero on a loss-free world).
     pub nacks_per_delivery: f64,
+    /// Wired-core control messages sent per delivered message — like the
+    /// latency columns a deterministic count, so `hotpath -- check` gates it.
+    pub control_per_delivery: f64,
 }
 
 /// The fabric's flagship workloads, measured for wall time *and*
@@ -536,6 +564,7 @@ pub fn hotpath_scenarios() -> Vec<HotpathRow> {
             latency_p50_ms: latency_ms(0.5),
             latency_p999_ms: latency_ms(0.999),
             nacks_per_delivery: nacks as f64 / delivered as f64,
+            control_per_delivery: rep.metrics.wired_core_control_sent as f64 / delivered as f64,
         });
     }
     rows

@@ -27,7 +27,12 @@ pub struct ProtocolConfig {
     /// `Received = false`, `Waiting = false`, and per the paper it is then
     /// considered delivered (skipped).
     pub nack_budget: u8,
-    /// Cumulative ACK is sent upstream every `ack_every` hop ticks.
+    /// The ACK batching period, in hop ticks: on every `ack_every`-th tick
+    /// an entity tells each upstream hop its delivery front *if the front
+    /// has moved past what that hop was last told* (by a `DataAck`, or by
+    /// the `TokenAck` that carries the same front on the top ring). An
+    /// unmoved front is restated only to a hop that has heard nothing for
+    /// a whole `heartbeat_period`, so a lost ACK still heals.
     pub ack_every: u8,
     /// Capacity `MaxNo` of each entity's `MQ` (slots).
     pub mq_capacity: usize,

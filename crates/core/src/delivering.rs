@@ -32,14 +32,11 @@ impl NeState {
         let resume_from = if resync { self.mq.front() } else { resume_from };
         let newly = self.children.insert(child, now).is_none();
         self.wt_children.register(child, resume_from);
-        out.push(Action::to_ne(
-            child,
-            Msg::GraftAck {
-                group: self.group,
-                front: self.mq.front(),
-            },
-        ));
-        self.counters.control_sent += 1;
+        let ack = Msg::GraftAck {
+            group: self.group,
+            front: self.mq.front(),
+        };
+        self.send_control(Endpoint::Ne(child), ack, out);
         if newly {
             out.push(Action::Record(ProtoEvent::Grafted {
                 group: self.group,
@@ -59,6 +56,8 @@ impl NeState {
         if self.parent == Some(p) {
             self.parent_hb_outstanding = 0;
             self.graft_pending = false;
+            // The parent registered our progress afresh.
+            self.forget_told();
             if let Some(ap) = self.ap.as_mut() {
                 ap.grafted = true;
             }
@@ -90,8 +89,7 @@ impl NeState {
         let newly = ap.wt.progress(guid).is_none();
         ap.wt.register(guid, start_from);
         ap.last_heard.insert(guid, now);
-        out.push(Action::to_mh(guid, Msg::JoinAck { group, start_from }));
-        self.counters.control_sent += 1;
+        self.send_control(Endpoint::Mh(guid), Msg::JoinAck { group, start_from }, out);
         if newly {
             self.pending_delta += 1;
             self.subtree_members += 1;
@@ -171,15 +169,12 @@ impl NeState {
         if radius > 1 {
             for nb in ap.neighbours.clone() {
                 if nb != origin_ap {
-                    out.push(Action::to_ne(
-                        nb,
-                        Msg::Reserve {
-                            group,
-                            origin_ap: me,
-                            radius: radius - 1,
-                        },
-                    ));
-                    self.counters.control_sent += 1;
+                    let reserve = Msg::Reserve {
+                        group,
+                        origin_ap: me,
+                        radius: radius - 1,
+                    };
+                    self.send_control(Endpoint::Ne(nb), reserve, out);
                 }
             }
         }
@@ -206,16 +201,13 @@ impl NeState {
                 first
             }
         };
-        out.push(Action::to_ne(
-            parent,
-            Msg::Graft {
-                group,
-                child: self.id,
-                resume_from,
-                resync,
-            },
-        ));
-        self.counters.control_sent += 1;
+        let graft = Msg::Graft {
+            group,
+            child: self.id,
+            resume_from,
+            resync,
+        };
+        self.send_control(Endpoint::Ne(parent), graft, out);
         // `grafted` flips on GraftAck; re-sent by the heartbeat tick until then.
     }
 
@@ -229,15 +221,12 @@ impl NeState {
         let me = self.id;
         let Some(ap) = self.ap.as_ref() else { return };
         for nb in ap.neighbours.clone() {
-            out.push(Action::to_ne(
-                nb,
-                Msg::Reserve {
-                    group,
-                    origin_ap: me,
-                    radius,
-                },
-            ));
-            self.counters.control_sent += 1;
+            let reserve = Msg::Reserve {
+                group,
+                origin_ap: me,
+                radius,
+            };
+            self.send_control(Endpoint::Ne(nb), reserve, out);
         }
     }
 

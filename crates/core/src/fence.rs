@@ -227,13 +227,6 @@ impl NeState {
                 },
             ));
             self.counters.data_sent += 1;
-        } else {
-            // Degenerate single-node ring: nobody downstream will ack the
-            // virtual stream; release for GC once copied.
-            self.wq
-                .as_mut()
-                .expect("checked above")
-                .ack_from_next(vid, chan_seq);
         }
     }
 
@@ -273,11 +266,6 @@ impl NeState {
                         },
                     ));
                     self.counters.data_sent += 1;
-                } else {
-                    self.wq
-                        .as_mut()
-                        .expect("checked above")
-                        .ack_from_next(vid, chan_seq);
                 }
                 self.order_assign(now, AssignTrigger::PreOrder, out);
             }

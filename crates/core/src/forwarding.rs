@@ -346,6 +346,15 @@ mod tests {
             GlobalSeq(1),
         );
         assert_eq!(n20.ring.as_ref().unwrap().next_acked_mq, GlobalSeq(2));
+        // The ring watermark is the *next* node's front — the one ack that
+        // collects `MQ` and `WQ` alike; anybody else's is not ours to heed.
+        n20.on_data_ack(
+            SimTime::from_millis(3),
+            Endpoint::Ne(NodeId(10)),
+            GlobalSeq(9),
+        );
+        assert_eq!(n20.ring.as_ref().unwrap().next_acked_mq, GlobalSeq(2));
+        assert_eq!(n20.wt_children.progress(NodeId(100)), Some(GlobalSeq(4)));
     }
 
     #[test]

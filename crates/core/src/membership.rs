@@ -39,7 +39,6 @@ impl NeState {
                 if self.children.contains_key(&n) {
                     self.children.insert(n, now);
                 }
-                out.push(Action::to_ne(n, Msg::HeartbeatAck { group }));
             }
             Endpoint::Mh(g) => {
                 let mut known = false;
@@ -53,13 +52,11 @@ impl NeState {
                     // An MH we do not know keeps probing us: our WT entry is
                     // gone (crash-restart amnesia) or its registration was
                     // lost on the wireless hop. Ask it to register again.
-                    out.push(Action::to_mh(g, Msg::ReRegister { group }));
-                    self.counters.control_sent += 1;
+                    self.send_control(from, Msg::ReRegister { group }, out);
                 }
-                out.push(Action::to_mh(g, Msg::HeartbeatAck { group }));
             }
         }
-        self.counters.control_sent += 1;
+        self.send_control(from, Msg::HeartbeatAck { group }, out);
     }
 
     /// A probe we sent was answered.
@@ -103,10 +100,6 @@ impl NeState {
         }
         self.after_ring_change(now, out);
     }
-
-    /// Informational: our previous ring node changed (kept for protocol
-    /// completeness; the alive set is maintained by `RingFail` broadcasts).
-    pub(crate) fn on_new_prev(&mut self, _from: Endpoint, _prev: NodeId) {}
 
     /// Aggregated membership delta from a downstream subtree.
     pub(crate) fn on_membership_update(&mut self, delta: i64) {
@@ -182,24 +175,14 @@ impl NeState {
                     let peers: Vec<NodeId> =
                         r.members_in_ring().filter(|&m| m != self.id).collect();
                     for m in peers {
-                        out.push(Action::to_ne(
-                            m,
-                            Msg::RingFail {
-                                group,
-                                failed: next,
-                            },
-                        ));
-                        self.counters.control_sent += 1;
+                        let fail = Msg::RingFail {
+                            group,
+                            failed: next,
+                        };
+                        self.send_control(Endpoint::Ne(m), fail, out);
                     }
                     if new_next != self.id {
-                        out.push(Action::to_ne(
-                            new_next,
-                            Msg::NewPrev {
-                                group,
-                                prev: self.id,
-                            },
-                        ));
-                        self.counters.control_sent += 1;
+                        self.send_control(Endpoint::Ne(new_next), Msg::NewPrev { group }, out);
                     }
                     ring_changed = true;
                     self.telemetry.count(crate::telemetry::metric::RING_REPAIRS);
@@ -212,8 +195,7 @@ impl NeState {
                         r.suspect(next);
                     }
                     r.hb_outstanding += 1;
-                    out.push(Action::to_ne(next, Msg::Heartbeat { group }));
-                    self.counters.control_sent += 1;
+                    self.send_control(Endpoint::Ne(next), Msg::Heartbeat { group }, out);
                 }
             }
         }
@@ -267,8 +249,7 @@ impl NeState {
             inf.attempts = 1;
             inf.sent_at = now;
             let token = inf.token.clone();
-            out.push(Action::to_ne(next, Msg::Token(Box::new(token))));
-            self.counters.control_sent += 1;
+            self.send_control(Endpoint::Ne(next), Msg::Token(Box::new(token)), out);
         }
     }
 
@@ -287,16 +268,13 @@ impl NeState {
                 self.parent = Some(parent);
                 self.parent_hb_outstanding = 0;
                 self.graft_pending = self.ap.is_none();
-                out.push(Action::to_ne(
-                    parent,
-                    Msg::Graft {
-                        group,
-                        child: self.id,
-                        resume_from: self.mq.front(),
-                        resync: self.resync_on_graft,
-                    },
-                ));
-                self.counters.control_sent += 1;
+                let graft = Msg::Graft {
+                    group,
+                    child: self.id,
+                    resume_from: self.mq.front(),
+                    resync: self.resync_on_graft,
+                };
+                self.send_control(Endpoint::Ne(parent), graft, out);
             }
         }
         let _ = now;
@@ -330,23 +308,19 @@ impl NeState {
                 Some(c) => {
                     self.parent = Some(c);
                     self.graft_pending = self.ap.is_none();
-                    out.push(Action::to_ne(
-                        c,
-                        Msg::Graft {
-                            group,
-                            child: self.id,
-                            resume_from: self.mq.front(),
-                            resync: self.resync_on_graft,
-                        },
-                    ));
-                    self.counters.control_sent += 1;
+                    let graft = Msg::Graft {
+                        group,
+                        child: self.id,
+                        resume_from: self.mq.front(),
+                        resync: self.resync_on_graft,
+                    };
+                    self.send_control(Endpoint::Ne(c), graft, out);
                 }
                 None => self.parent = None,
             }
         } else {
             self.parent_hb_outstanding += 1;
-            out.push(Action::to_ne(p, Msg::Heartbeat { group }));
-            self.counters.control_sent += 1;
+            self.send_control(Endpoint::Ne(p), Msg::Heartbeat { group }, out);
             // APs that should be active but missed their GraftAck re-graft.
             if self.ap.as_ref().is_some_and(|a| !a.grafted) {
                 self.ensure_active_grafted(now, out);
@@ -357,16 +331,13 @@ impl NeState {
             // itself attached while the parent serves it nothing,
             // stranding the leader's whole ring.
             if self.ap.is_none() && self.graft_pending {
-                out.push(Action::to_ne(
-                    p,
-                    Msg::Graft {
-                        group,
-                        child: self.id,
-                        resume_from: self.mq.front(),
-                        resync: self.resync_on_graft,
-                    },
-                ));
-                self.counters.control_sent += 1;
+                let graft = Msg::Graft {
+                    group,
+                    child: self.id,
+                    resume_from: self.mq.front(),
+                    resync: self.resync_on_graft,
+                };
+                self.send_control(Endpoint::Ne(p), graft, out);
             }
         }
     }
@@ -424,8 +395,7 @@ impl NeState {
         if ap.grafted && !ap.should_be_active(now) {
             ap.grafted = false;
             if let Some(p) = parent {
-                out.push(Action::to_ne(p, Msg::Prune { group, child: me }));
-                self.counters.control_sent += 1;
+                self.send_control(Endpoint::Ne(p), Msg::Prune { group, child: me }, out);
             }
         }
     }
@@ -439,14 +409,11 @@ impl NeState {
         let group = self.group;
         match self.membership_upstream() {
             Some(up) => {
-                out.push(Action::to_ne(
-                    up,
-                    Msg::MembershipUpdate {
-                        group,
-                        delta: self.pending_delta,
-                    },
-                ));
-                self.counters.control_sent += 1;
+                let update = Msg::MembershipUpdate {
+                    group,
+                    delta: self.pending_delta,
+                };
+                self.send_control(Endpoint::Ne(up), update, out);
                 self.pending_delta = 0;
             }
             None => {

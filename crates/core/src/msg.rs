@@ -2,7 +2,9 @@
 //!
 //! One enum covers all planes of the protocol: the data plane (source
 //! injection, ring pre-order circulation, ordered delivery), the token
-//! plane, per-hop reliability (cumulative ACKs and NACKs — the paper's
+//! plane (the transfer's acknowledgement doubles as the ring hop's
+//! cumulative ACK), per-hop reliability (one cumulative ACK kind for the
+//! ordered stream, NACKs for it and for the pre-order stream — the paper's
 //! local-scope retransmission scheme), membership/topology maintenance,
 //! mobility, and token recovery. Every message carries the `GID`: the
 //! engine instantiates one ordering ring (token, `WQ`/`MQ`, epoch fence)
@@ -38,16 +40,6 @@ pub enum Msg {
         /// Application payload handle.
         payload: PayloadId,
     },
-    /// Cumulative ACK for one source's pre-order stream (to the previous
-    /// ring node; enables its `WQ` garbage collection).
-    PreOrderAck {
-        /// Group.
-        group: GroupId,
-        /// Which source's stream is acknowledged.
-        corresponding: NodeId,
-        /// Everything up to and including this number was received.
-        upto: LocalSeq,
-    },
     /// Request retransmission of missing pre-order entries.
     PreOrderNack {
         /// Group.
@@ -68,7 +60,11 @@ pub enum Msg {
         data: MsgData,
     },
     /// Cumulative ACK of the ordered stream, sent to the upstream hop
-    /// (previous ring node, parent, or AP). Doubles as downstream liveness.
+    /// (previous ring node, parent, or AP) — the only hop acknowledgement
+    /// on the wired core: a previous ring node collects its `WQ` by it too,
+    /// since a front past GSN *g* has every pre-order ordered at or below
+    /// *g* behind it. An NE sends it when its front has moved, and restates
+    /// an unchanged front once per heartbeat period of silence.
     DataAck {
         /// Group.
         group: GroupId,
@@ -139,6 +135,9 @@ pub enum Msg {
     /// The ordering token, transferred to the next top-ring node.
     Token(Box<OrderingToken>),
     /// Receipt acknowledgement for a token transfer (stops retransmission).
+    /// Carries the acker's `MQ` front as it stands after processing the
+    /// token — on the top ring the front moves at token receipt, so this is
+    /// the [`Msg::DataAck`] of the ring hop and no separate one follows.
     TokenAck {
         /// Group.
         group: GroupId,
@@ -146,6 +145,8 @@ pub enum Msg {
         epoch: crate::ids::Epoch,
         /// Rotation count of the acknowledged token (identifies the pass).
         rotation: u64,
+        /// The acker's cumulative delivery front (as in [`Msg::DataAck`]).
+        upto: GlobalSeq,
     },
 
     // ---------------------------------------------------- membership / topo
@@ -159,13 +160,12 @@ pub enum Msg {
         /// Group.
         group: GroupId,
     },
-    /// Ring repair: tells the receiver its new previous node after failures
-    /// were bypassed.
+    /// Ring repair: the sender bypassed failures and is now the receiver's
+    /// previous ring node — whose record of the receiver's progress starts
+    /// over, so the receiver states its front again.
     NewPrev {
         /// Group.
         group: GroupId,
-        /// The sender, now the receiver's previous ring node.
-        prev: NodeId,
     },
     /// Child (or freshly activated AP / new ring leader) attaches to a
     /// parent and asks for the ordered stream from `resume_from + 1` on.
@@ -380,7 +380,6 @@ impl Msg {
         match self {
             Msg::SourceData { group, .. }
             | Msg::PreOrder { group, .. }
-            | Msg::PreOrderAck { group, .. }
             | Msg::PreOrderNack { group, .. }
             | Msg::Data { group, .. }
             | Msg::DataAck { group, .. }
@@ -391,7 +390,7 @@ impl Msg {
             | Msg::TokenAck { group, .. }
             | Msg::Heartbeat { group }
             | Msg::HeartbeatAck { group }
-            | Msg::NewPrev { group, .. }
+            | Msg::NewPrev { group }
             | Msg::Graft { group, .. }
             | Msg::GraftAck { group, .. }
             | Msg::Prune { group, .. }
@@ -426,7 +425,8 @@ impl Msg {
             Msg::SourceData { .. } | Msg::PreOrder { .. } | Msg::Data { .. } => 40,
             Msg::FenceIngress { targets, .. } => 40 + 4 * targets.len(),
             Msg::FenceDispatch { .. } | Msg::FencePreOrder { .. } => 48,
-            Msg::PreOrderAck { .. } | Msg::DataAck { .. } | Msg::TokenAck { .. } => 24,
+            Msg::DataAck { .. } => 24,
+            Msg::TokenAck { .. } => 32,
             Msg::PreOrderNack { missing, .. } => 24 + 8 * missing.len(),
             Msg::DataNack { missing, .. } => 24 + 8 * missing.len(),
             Msg::Token(t) => 32 + 48 * t.wtsnp.len(),
@@ -455,6 +455,20 @@ impl Msg {
             | Msg::DropToken { .. }
             | Msg::ReplayToken { .. }
             | Msg::FlushStats { .. } => 0,
+        }
+    }
+
+    /// The telemetry counter a control-plane send of this message is
+    /// counted under (`NeState::send_control`).
+    pub(crate) fn control_metric(&self) -> &'static str {
+        use crate::telemetry::metric;
+        match self {
+            Msg::DataAck { .. } => metric::CONTROL_SENT_DATA_ACK,
+            Msg::DataNack { .. } | Msg::PreOrderNack { .. } => metric::CONTROL_SENT_NACK,
+            Msg::Token(_) => metric::CONTROL_SENT_TOKEN,
+            Msg::TokenAck { .. } => metric::CONTROL_SENT_TOKEN_ACK,
+            Msg::Heartbeat { .. } | Msg::HeartbeatAck { .. } => metric::CONTROL_SENT_HEARTBEAT,
+            _ => metric::CONTROL_SENT_OTHER,
         }
     }
 
@@ -495,6 +509,7 @@ mod tests {
                 group: g,
                 epoch: Epoch(0),
                 rotation: 2,
+                upto: GlobalSeq(3),
             },
             Msg::Heartbeat { group: g },
         ];

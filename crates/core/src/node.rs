@@ -54,7 +54,8 @@ pub struct RingState {
     pub is_top: bool,
     /// Heartbeats sent to `next` without an answer.
     pub hb_outstanding: u8,
-    /// Cumulative `MQ` ACK received from the next node (retention GC).
+    /// Cumulative `MQ` ACK received from the next node, by `DataAck` or
+    /// `TokenAck` (retention GC of both `MQ` and `WQ`).
     pub next_acked_mq: GlobalSeq,
 }
 
@@ -269,6 +270,15 @@ impl ApMhState {
     }
 }
 
+/// The delivery front (`upto`) an entity last stated to one of its ack
+/// targets, and when.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Told {
+    pub(crate) to: NodeId,
+    pub(crate) upto: GlobalSeq,
+    pub(crate) at: SimTime,
+}
+
 /// Per-entity counters surfaced in the final-statistics journal record.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct NeCounters {
@@ -318,6 +328,11 @@ pub struct NeState {
     pub subtree_members: i64,
     /// Hop-tick counter (drives the `ack_every` divisor).
     pub hop_tick_count: u64,
+    /// The front last stated, by `DataAck` or `TokenAck`, to each of the at
+    /// most two ack targets (upstream hop, previous ring node). An ack goes
+    /// out only when it says more than this; an entry is dropped whenever
+    /// its target may have forgotten us ([`NeState::forget_told`]).
+    pub(crate) told: [Option<Told>; 2],
     /// Statistics counters.
     pub counters: NeCounters,
     /// Crash-stop flag: a dead entity ignores everything.
@@ -391,6 +406,7 @@ impl NeState {
             pending_delta: 0,
             subtree_members: 0,
             hop_tick_count: 0,
+            told: [None; 2],
             counters: NeCounters::default(),
             alive: true,
             resync_on_graft: false,
@@ -431,6 +447,7 @@ impl NeState {
             pending_delta: 0,
             subtree_members: 0,
             hop_tick_count: 0,
+            told: [None; 2],
             counters: NeCounters::default(),
             alive: true,
             resync_on_graft: false,
@@ -487,6 +504,7 @@ impl NeState {
             pending_delta: 0,
             subtree_members: 0,
             hop_tick_count: 0,
+            told: [None; 2],
             counters: NeCounters::default(),
             alive: true,
             resync_on_graft: false,
@@ -566,11 +584,6 @@ impl NeState {
                 payload,
                 ..
             } => self.on_pre_order(now, corresponding, local_seq, payload, out),
-            Msg::PreOrderAck {
-                corresponding,
-                upto,
-                ..
-            } => self.on_pre_order_ack(from, corresponding, upto),
             Msg::PreOrderNack {
                 corresponding,
                 missing,
@@ -600,14 +613,19 @@ impl NeState {
             } => self.on_fence_pre_order(now, funnel, chan_seq, (origin, origin_seq), payload, out),
             Msg::Token(token) => self.on_token(now, from, *token, out),
             Msg::TokenAck {
-                epoch, rotation, ..
-            } => self.on_token_ack(from, epoch, rotation),
+                epoch,
+                rotation,
+                upto,
+                ..
+            } => self.on_token_ack(now, from, epoch, rotation, upto),
             Msg::Data { gsn, data, .. } => self.on_data(now, from, gsn, data, out),
             Msg::DataAck { upto, .. } => self.on_data_ack(now, from, upto),
             Msg::DataNack { missing, .. } => self.on_data_nack(from, &missing, out),
             Msg::Heartbeat { .. } => self.on_heartbeat(now, from, out),
             Msg::HeartbeatAck { .. } => self.on_heartbeat_ack(now, from, out),
-            Msg::NewPrev { prev, .. } => self.on_new_prev(from, prev),
+            // Our new previous node knows nothing of our progress; the
+            // alive set itself is maintained by `RingFail` broadcasts.
+            Msg::NewPrev { .. } => self.forget_told(),
             Msg::Graft {
                 child,
                 resume_from,
@@ -649,8 +667,25 @@ impl NeState {
         }
     }
 
+    /// Send one control-plane message: the single place control traffic is
+    /// counted, in total (`NeFinal.control_sent`) and by kind (telemetry).
+    pub(crate) fn send_control(&mut self, to: Endpoint, msg: Msg, out: &mut Outbox) {
+        self.counters.control_sent += 1;
+        self.telemetry.count(msg.control_metric());
+        out.push(crate::actions::Action::Send { to, msg });
+    }
+
+    /// Forget what the ack targets were last told, so the next ack tick
+    /// restates the front to them: called whenever a target may have
+    /// reset what it knows of us — a repair made us its next (`NewPrev`),
+    /// it re-registered us as a child (`GraftAck`), a rejoin or merge
+    /// spliced either of us back in (`RejoinGrant`).
+    pub(crate) fn forget_told(&mut self) {
+        self.told = [None; 2];
+    }
+
     /// Emit the final-statistics journal record for this entity.
-    pub fn flush_final_stats(&self, out: &mut Outbox) {
+    pub(crate) fn flush_final_stats(&self, out: &mut Outbox) {
         out.push(crate::actions::Action::Record(
             crate::events::ProtoEvent::NeFinal {
                 group: self.group,
@@ -699,6 +734,7 @@ impl NeState {
         self.pending_delta = 0;
         self.subtree_members = 0;
         self.resync_on_graft = true;
+        self.forget_told();
         self.pending_rejoins.clear();
         self.merge_probe_target = 0;
         if let Some(ap) = self.ap.as_mut() {
@@ -766,11 +802,8 @@ impl NeState {
             let cand = r.order[self.rejoin_target % n];
             self.rejoin_target = (self.rejoin_target + 1) % n;
             if cand != me {
-                out.push(crate::actions::Action::to_ne(
-                    cand,
-                    Msg::RejoinRequest { group, member: me },
-                ));
-                self.counters.control_sent += 1;
+                let request = Msg::RejoinRequest { group, member: me };
+                self.send_control(Endpoint::Ne(cand), request, out);
                 self.telemetry.rejoin_requested(now, cand);
                 return;
             }
@@ -869,18 +902,16 @@ impl NeState {
         }
         let targets: Vec<NodeId> = r.members_in_ring().filter(|&m| m != me).collect();
         for t in targets {
-            out.push(crate::actions::Action::to_ne(
-                t,
-                Msg::RejoinGrant {
-                    group,
-                    member,
-                    front,
-                    pass,
-                },
-            ));
-            self.counters.control_sent += 1;
+            let grant = Msg::RejoinGrant {
+                group,
+                member,
+                front,
+                pass,
+            };
+            self.send_control(Endpoint::Ne(t), grant, out);
         }
         if spliced {
+            self.forget_told();
             out.push(crate::actions::Action::Record(
                 crate::events::ProtoEvent::RingRejoined { node: me, member },
             ));
@@ -901,6 +932,9 @@ impl NeState {
         pass: Option<(crate::ids::Epoch, u32, u64)>,
         out: &mut Outbox,
     ) {
+        // Either of us re-entering the cycle resets the other's ack
+        // bookkeeping (`next_acked_mq` below, on whoever gains a new next).
+        self.forget_told();
         if member == self.id {
             if self.is_partition_fenced() {
                 self.complete_own_merge(now, pass, out);
@@ -970,7 +1004,7 @@ impl NeState {
     /// Arm forced token loss (scenario fault injection): the next token of
     /// the currently-best epoch this node receives is acknowledged and
     /// black-holed (see [`Msg::DropToken`]). No-op off the top ring.
-    pub fn arm_token_drop(&mut self) {
+    pub(crate) fn arm_token_drop(&mut self) {
         if let Some(ord) = self.ord.as_mut() {
             ord.drop_armed = Some(ord.fence.best_instance().0);
         }

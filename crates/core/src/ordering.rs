@@ -26,7 +26,7 @@ use simnet::SimTime;
 
 use crate::actions::{Action, Outbox};
 use crate::events::ProtoEvent;
-use crate::ids::{Endpoint, Epoch, LocalRange, LocalSeq, NodeId, PayloadId};
+use crate::ids::{Endpoint, Epoch, GlobalSeq, LocalRange, LocalSeq, NodeId, PayloadId};
 use crate::mq::InsertOutcome;
 use crate::msg::Msg;
 use crate::node::{InflightToken, NeState};
@@ -90,10 +90,9 @@ impl NeState {
         }));
         if fenced {
             // Minority side of a partitioned ring: the message queues in
-            // the WQ unassigned and un-circulated — it is resubmitted for
-            // a fresh GSN in the merged epoch (`complete_own_merge`).
-            // Crucially it must not be marked acked (the degenerate
-            // single-node branch below would release it for GC).
+            // the WQ unassigned and un-circulated (an unordered entry is
+            // never collected) — it is resubmitted for a fresh GSN in the
+            // merged epoch (`complete_own_merge`).
             return;
         }
         // Circulate around the ring (stops before returning to us).
@@ -109,13 +108,6 @@ impl NeState {
                 },
             ));
             self.counters.data_sent += 1;
-        } else {
-            // Degenerate single-node ring: nothing downstream will ever ack
-            // this stream; release it for GC once copied.
-            self.wq
-                .as_mut()
-                .expect("copy_wq_to_token runs only on WQ-bearing ordering nodes")
-                .ack_from_next(me, ls);
         }
     }
 
@@ -153,15 +145,6 @@ impl NeState {
                         },
                     ));
                     self.counters.data_sent += 1;
-                } else {
-                    // This node terminates the stream's circulation: there
-                    // is no next-hop to wait for, so mark the entry
-                    // acknowledged immediately — otherwise it would pin the
-                    // WQ forever (no downstream ever acks a terminal node).
-                    self.wq
-                        .as_mut()
-                        .expect("checked above")
-                        .ack_from_next(corresponding, ls);
                 }
                 // Late or retransmitted: the covering token may have been
                 // here already (O(1) when it has not).
@@ -169,21 +152,6 @@ impl NeState {
             }
             InsertOutcome::Duplicate => self.counters.duplicates += 1,
             InsertOutcome::Stale | InsertOutcome::Overflow => {}
-        }
-    }
-
-    /// Cumulative pre-order ACK from the next ring node.
-    pub(crate) fn on_pre_order_ack(
-        &mut self,
-        from: Endpoint,
-        corresponding: NodeId,
-        upto: LocalSeq,
-    ) {
-        if Some(from) != self.ring_next().map(Endpoint::Ne) {
-            return;
-        }
-        if let Some(wq) = self.wq.as_mut() {
-            wq.ack_from_next(corresponding, upto);
         }
     }
 
@@ -264,22 +232,36 @@ impl NeState {
             // `token_retry_after`, by which time the grant has landed.
             return;
         }
-        let Some(ord) = self.ord.as_mut() else { return };
+        if self.ord.is_none() {
+            return;
+        }
+        let (epoch, rotation) = (token.epoch, token.rotation);
+        self.admit_token(now, token, out);
         // Always acknowledge receipt so the sender stops retransmitting —
         // even a stale instance, which would otherwise be re-sent forever.
+        // The ack leaves after the token was processed: on this ring the
+        // `MQ` front moves exactly then, so the sender's garbage collection
+        // learns of it now and no separate `DataAck` has to follow.
         if let Endpoint::Ne(sender) = from {
             if sender != me {
-                out.push(Action::to_ne(
-                    sender,
-                    Msg::TokenAck {
-                        group,
-                        epoch: token.epoch,
-                        rotation: token.rotation,
-                    },
-                ));
-                self.counters.control_sent += 1;
+                let upto = self.mq.front();
+                let ack = Msg::TokenAck {
+                    group,
+                    epoch,
+                    rotation,
+                    upto,
+                };
+                self.send_control(from, ack, out);
+                self.note_told(now, sender, upto);
             }
         }
+    }
+
+    /// Pass an arrived token through the epoch fence and, when it is the
+    /// live pass, process and forward it.
+    fn admit_token(&mut self, now: SimTime, token: OrderingToken, out: &mut Outbox) {
+        let me = self.id;
+        let ord = self.ord.as_mut().expect("checked by on_token");
         // The ring-epoch fence owns both the Multiple-Token keep-one rule
         // and duplicate-transfer suppression (a retransmission of a pass
         // we already processed must be re-acked but never re-processed —
@@ -298,8 +280,8 @@ impl NeState {
             crate::ring_epoch::TokenAdmission::Admit => {}
         }
         // Forced-token-loss fault injection: a single armed drop swallows
-        // the live token of the epoch current at arming time (acked above,
-        // so the sender will not retransmit — the instance is simply gone
+        // the live token of the epoch current at arming time (acked all the
+        // same, so the sender will not retransmit — the instance is simply gone
         // and Token-Regeneration must recover). A token from a *newer*
         // epoch means the drop opportunity has passed; disarm and process.
         if let Some(armed) = ord.drop_armed.take() {
@@ -425,8 +407,7 @@ impl NeState {
                 sent_at: now,
                 attempts: 1,
             });
-            out.push(Action::to_ne(next, Msg::Token(Box::new(token))));
-            self.counters.control_sent += 1;
+            self.send_control(Endpoint::Ne(next), Msg::Token(Box::new(token)), out);
         } else {
             // Sole survivor: the token stays local; the hop tick re-processes
             // it so ordering keeps making progress.
@@ -434,8 +415,17 @@ impl NeState {
         }
     }
 
-    /// Token-transfer acknowledgement from the next node.
-    pub(crate) fn on_token_ack(&mut self, from: Endpoint, epoch: Epoch, rotation: u64) {
+    /// Token-transfer acknowledgement from the next node, carrying its
+    /// `MQ` front: whichever pass it acknowledges (a stale or duplicate
+    /// copy is acked too), the front is the next node's cumulative ACK.
+    pub(crate) fn on_token_ack(
+        &mut self,
+        now: SimTime,
+        from: Endpoint,
+        epoch: Epoch,
+        rotation: u64,
+        upto: GlobalSeq,
+    ) {
         let Some(ord) = self.ord.as_mut() else { return };
         let Endpoint::Ne(sender) = from else { return };
         if let Some(inf) = &ord.inflight {
@@ -445,6 +435,7 @@ impl NeState {
                 ord.inflight = None;
             }
         }
+        self.on_data_ack(now, from, upto);
     }
 
     /// The paper's periodic Order-Assignment scan (`τ` timer). Every copy
@@ -525,7 +516,7 @@ impl NeState {
 mod tests {
     use super::*;
     use crate::config::ProtocolConfig;
-    use crate::ids::{GlobalSeq, GroupId};
+    use crate::ids::GroupId;
     use crate::node::NeState;
 
     const G: GroupId = GroupId(1);
@@ -670,11 +661,74 @@ mod tests {
             let inf = n.ord.as_ref().unwrap().inflight.as_ref().unwrap();
             (inf.token.epoch, inf.token.rotation)
         };
-        // Wrong sender: ignored.
-        n.on_token_ack(Endpoint::Ne(NodeId(2)), epoch, rotation);
+        let acked = |n: &NeState| n.ring.as_ref().unwrap().next_acked_mq;
+        // Wrong sender: ignored, the front it carries included.
+        let t = SimTime::from_millis(1);
+        n.on_token_ack(t, Endpoint::Ne(NodeId(2)), epoch, rotation, GlobalSeq(4));
         assert!(n.ord.as_ref().unwrap().inflight.is_some());
-        n.on_token_ack(Endpoint::Ne(NodeId(1)), epoch, rotation);
+        assert_eq!(acked(&n), GlobalSeq::ZERO);
+        // The next node's ack clears the transfer and is its cumulative
+        // ACK of the ordered stream at the same time.
+        n.on_token_ack(t, Endpoint::Ne(NodeId(1)), epoch, rotation, GlobalSeq(4));
         assert!(n.ord.as_ref().unwrap().inflight.is_none());
+        assert_eq!(acked(&n), GlobalSeq(4));
+        // The ack of a stale or duplicate copy matches no transfer, but the
+        // front it carries is as good as any (and never regresses).
+        n.on_token_ack(
+            t,
+            Endpoint::Ne(NodeId(1)),
+            epoch,
+            rotation + 7,
+            GlobalSeq(6),
+        );
+        n.on_token_ack(t, Endpoint::Ne(NodeId(1)), epoch, rotation, GlobalSeq(5));
+        assert_eq!(acked(&n), GlobalSeq(6));
+    }
+
+    #[test]
+    fn token_ack_carries_the_front_as_it_stands_after_the_token() {
+        let mut n = br(1);
+        let mut out = Vec::new();
+        let t0 = SimTime::from_millis(3);
+        n.on_pre_order(t0, NodeId(0), LocalSeq(1), PayloadId(1), &mut out);
+        out.clear();
+        // The token carries node 0's ls1 → gs1: processing it moves the
+        // front to 1, and the ack — sent after the token went on — says so.
+        n.on_token(t0, Endpoint::Ne(NodeId(0)), token_assigning(1, 1), &mut out);
+        let sends = sends_of(&out);
+        assert!(matches!(sends[0], (NodeId(2), Msg::Token(_))));
+        assert!(matches!(
+            sends[1],
+            (
+                NodeId(0),
+                Msg::TokenAck {
+                    upto: GlobalSeq(1),
+                    ..
+                }
+            )
+        ));
+        // The hop tick has nothing to add to that…
+        out.clear();
+        n.tick_hop(SimTime::from_millis(5), &mut out);
+        n.tick_hop(SimTime::from_millis(10), &mut out);
+        assert!(sends_of(&out).is_empty(), "{out:?}");
+        // …and a retransmitted copy of the pass is acked again, front and
+        // all, without being processed again.
+        n.on_token(
+            SimTime::from_millis(11),
+            Endpoint::Ne(NodeId(0)),
+            token_assigning(1, 1),
+            &mut out,
+        );
+        let sends = sends_of(&out);
+        assert_eq!(sends.len(), 1, "{out:?}");
+        assert!(matches!(
+            sends[0].1,
+            Msg::TokenAck {
+                upto: GlobalSeq(1),
+                ..
+            }
+        ));
     }
 
     #[test]

@@ -34,7 +34,7 @@ use simnet::SimTime;
 
 use crate::actions::{Action, Outbox};
 use crate::events::ProtoEvent;
-use crate::ids::NodeId;
+use crate::ids::{Endpoint, NodeId};
 use crate::msg::Msg;
 use crate::node::NeState;
 use crate::token::OrderingToken;
@@ -77,15 +77,12 @@ impl NeState {
             // Sole survivor: adopt immediately.
             self.adopt_regenerated(now, best, out);
         } else {
-            out.push(Action::to_ne(
-                next,
-                Msg::TokenRegen {
-                    group,
-                    origin: me,
-                    best: Box::new(best),
-                },
-            ));
-            self.counters.control_sent += 1;
+            let regen = Msg::TokenRegen {
+                group,
+                origin: me,
+                best: Box::new(best),
+            };
+            self.send_control(Endpoint::Ne(next), regen, out);
         }
     }
 
@@ -160,15 +157,12 @@ impl NeState {
             self.adopt_regenerated(now, best, out);
             return;
         }
-        out.push(Action::to_ne(
-            next,
-            Msg::TokenRegen {
-                group,
-                origin,
-                best: Box::new(best),
-            },
-        ));
-        self.counters.control_sent += 1;
+        let regen = Msg::TokenRegen {
+            group,
+            origin,
+            best: Box::new(best),
+        };
+        self.send_control(Endpoint::Ne(next), regen, out);
     }
 
     /// Restart Message-Ordering here with `base` under a bumped epoch.

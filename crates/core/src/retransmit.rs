@@ -7,18 +7,26 @@
 //! 1. NACK missing `MQ` messages to the upstream hop; slots whose budget is
 //!    exhausted become *really lost* and the front skips them.
 //! 2. NACK missing `WQ` entries (top ring) to the previous ring node.
-//! 3. Every `ack_every` ticks, send cumulative ACKs upstream (and to the
-//!    previous ring node, whose garbage collection depends on them).
+//! 3. Acknowledge the ordered stream to the upstream hop (and to the
+//!    previous ring node, whose garbage collection depends on it) — *when
+//!    the ack says something*: on every `ack_every`-th tick, to a target
+//!    whose last ack (a `DataAck`, or on the top ring the `TokenAck` that
+//!    carries the same front) stated less than the front now; and, so that
+//!    a lost ack heals, to a target that has heard nothing for a whole
+//!    heartbeat period. This one cumulative ack is the only hop
+//!    acknowledgement of the wired core: the paper's per-stream pre-order
+//!    ack says nothing the `MQ` front does not imply.
 //! 4. Retry an unacknowledged ordering-token transfer; give up after the
 //!    budget (the Token-Loss machinery then takes over).
-//! 5. Garbage-collect `MQ`/`WQ` up to the collective progress watermark.
+//! 5. Garbage-collect `MQ` up to the collective progress watermark, and
+//!    `WQ` up to the next ring node's acknowledged front.
 
 use simnet::SimTime;
 
-use crate::actions::{Action, Outbox};
-use crate::ids::GlobalSeq;
+use crate::actions::Outbox;
+use crate::ids::{Endpoint, GlobalSeq, NodeId};
 use crate::msg::Msg;
-use crate::node::NeState;
+use crate::node::{NeState, Told};
 
 impl NeState {
     /// Run one hop-maintenance tick.
@@ -37,14 +45,11 @@ impl NeState {
                     crate::telemetry::metric::NACKS_SENT,
                     to_request.len() as u64,
                 );
-                out.push(Action::to_ne(
-                    up,
-                    Msg::DataNack {
-                        group,
-                        missing: to_request,
-                    },
-                ));
-                self.counters.control_sent += 1;
+                let nack = Msg::DataNack {
+                    group,
+                    missing: to_request,
+                };
+                self.send_control(Endpoint::Ne(up), nack, out);
             }
         }
         if !newly_lost.is_empty() {
@@ -53,73 +58,55 @@ impl NeState {
         }
 
         // (2) WQ gap chasing (top ring only).
-        let prev = self.ring_prev();
+        let prev = self.ring_prev().filter(|&p| p != self.id);
         if let Some(wq) = self.wq.as_mut() {
             let (requests, _lost) = wq.collect_nacks(self.cfg.nack_budget);
             if let Some(prev) = prev {
-                if prev != self.id {
-                    for (corr, missing) in requests {
-                        if corr == self.id {
-                            continue; // own source's stream has no ring upstream
-                        }
-                        self.telemetry.count_n(
-                            crate::telemetry::metric::PREORDER_NACKS_SENT,
-                            missing.len() as u64,
-                        );
-                        out.push(Action::to_ne(
-                            prev,
-                            Msg::PreOrderNack {
-                                group,
-                                corresponding: corr,
-                                missing,
-                            },
-                        ));
-                        self.counters.control_sent += 1;
+                for (corr, missing) in requests {
+                    if corr == self.id {
+                        continue; // own source's stream has no ring upstream
                     }
+                    self.telemetry.count_n(
+                        crate::telemetry::metric::PREORDER_NACKS_SENT,
+                        missing.len() as u64,
+                    );
+                    let nack = Msg::PreOrderNack {
+                        group,
+                        corresponding: corr,
+                        missing,
+                    };
+                    self.send_control(Endpoint::Ne(prev), nack, out);
                 }
             }
         }
 
-        // (3) Periodic cumulative ACKs.
-        if self
+        // (3) Cumulative ACKs, to whom they say something.
+        let front = self.mq.front();
+        let ack_tick = self
             .hop_tick_count
-            .is_multiple_of(self.cfg.ack_every as u64)
-        {
-            let front = self.mq.front();
-            // At most two ack targets: upstream, plus — for ring members —
-            // the previous node, so its retention window can advance even
-            // when their own upstream is a parent (non-top ring leaders).
-            // A fixed pair instead of a Vec: this runs every ack tick.
-            let up = self.upstream();
-            let ring_prev = prev.filter(|&p| p != self.id && Some(p) != up);
-            for t in [up, ring_prev].into_iter().flatten() {
-                out.push(Action::to_ne(t, Msg::DataAck { group, upto: front }));
-                self.counters.control_sent += 1;
-            }
-            // Per-stream WQ acks to the previous ring node.
-            if let Some(prev) = prev {
-                if prev != self.id {
-                    if let Some(wq) = self.wq.as_ref() {
-                        let me = self.id;
-                        let mut sent = 0u32;
-                        for (corr, upto) in wq
-                            .sources()
-                            .filter(|&c| c != me)
-                            .map(|c| (c, wq.contiguous_prefix(c)))
-                        {
-                            out.push(Action::to_ne(
-                                prev,
-                                Msg::PreOrderAck {
-                                    group,
-                                    corresponding: corr,
-                                    upto,
-                                },
-                            ));
-                            sent += 1;
-                        }
-                        self.counters.control_sent += sent;
-                    }
-                }
+            .is_multiple_of(self.cfg.ack_every as u64);
+        let refresh_after = self.cfg.heartbeat_period;
+        let silent = |t: &Told| now.saturating_since(t.at) >= refresh_after;
+        // Between ack ticks only a refresh can be due: look no further
+        // (who the targets are costs a walk of the ring view).
+        let targets = if ack_tick || self.told.iter().flatten().any(silent) {
+            self.ack_targets()
+        } else {
+            [None; 2]
+        };
+        for (slot, target) in targets.into_iter().enumerate() {
+            let Some(target) = target else { continue };
+            // What a previous holder of the slot was told is void.
+            let told = self.told[slot].filter(|t| t.to == target);
+            let news = ack_tick && front > told.map_or(GlobalSeq::ZERO, |t| t.upto);
+            if news || told.as_ref().is_some_and(silent) {
+                let ack = Msg::DataAck { group, upto: front };
+                self.send_control(Endpoint::Ne(target), ack, out);
+                self.told[slot] = Some(Told {
+                    to: target,
+                    upto: front,
+                    at: now,
+                });
             }
         }
 
@@ -189,11 +176,32 @@ impl NeState {
         inf.attempts += 1;
         inf.sent_at = now;
         let token = inf.token.clone();
-        out.push(Action::to_ne(next_now, Msg::Token(Box::new(token))));
-        self.counters.control_sent += 1;
+        self.send_control(Endpoint::Ne(next_now), Msg::Token(Box::new(token)), out);
     }
 
-    /// Advance `ValidFront` up to the collective downstream progress.
+    /// The at most two ack targets: the upstream hop, plus — for ring
+    /// members — the previous node when that is someone else, so its
+    /// retention window can advance even when our own upstream is a parent
+    /// (non-top ring leaders). A fixed pair: this runs every hop tick.
+    fn ack_targets(&self) -> [Option<NodeId>; 2] {
+        let up = self.upstream();
+        let prev = self.ring_prev().filter(|&p| p != self.id && Some(p) != up);
+        [up, prev]
+    }
+
+    /// `to` was just told our front by other means than the hop tick (the
+    /// `TokenAck`): when it is an ack target, the tick need not repeat it.
+    pub(crate) fn note_told(&mut self, now: SimTime, to: NodeId, upto: GlobalSeq) {
+        let targets = self.ack_targets();
+        for (slot, target) in self.told.iter_mut().zip(targets) {
+            if target == Some(to) {
+                *slot = Some(Told { to, upto, at: now });
+            }
+        }
+    }
+
+    /// Advance `ValidFront` up to the collective downstream progress, and
+    /// release the `WQ` entries the next ring node has ordered past.
     fn collect_garbage(&mut self) {
         let mut watermark = self.mq.front();
         if let Some(min) = self.wt_children.min_progress() {
@@ -204,16 +212,19 @@ impl NeState {
                 watermark = watermark.min(min);
             }
         }
+        // On a ring of one nobody is left to ask for anything again.
+        let mut next_front = GlobalSeq(u64::MAX);
         if let Some(r) = self.ring.as_ref() {
             if r.next_of(self.id) != self.id {
-                watermark = watermark.min(r.next_acked_mq);
+                next_front = r.next_acked_mq;
+                watermark = watermark.min(next_front);
             }
         }
         // Keep a small service tail so immediate re-requests can be served.
         let tail = GlobalSeq(watermark.0.saturating_sub(1));
         self.mq.gc_to(tail);
         if let Some(wq) = self.wq.as_mut() {
-            wq.gc();
+            wq.gc(next_front);
         }
     }
 }
@@ -221,8 +232,9 @@ impl NeState {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::actions::Action;
     use crate::config::ProtocolConfig;
-    use crate::ids::{Endpoint, GroupId, LocalSeq, NodeId, PayloadId};
+    use crate::ids::{GroupId, LocalSeq, PayloadId};
     use crate::mq::MsgData;
     use simnet::SimDuration;
 
@@ -279,31 +291,9 @@ mod tests {
         assert_eq!(nacks[0].1, vec![GlobalSeq(1), GlobalSeq(2)]);
     }
 
-    #[test]
-    fn acks_flow_upstream_on_schedule() {
-        let mut n = ag20();
-        let mut out = Vec::new();
-        n.on_data(
-            SimTime::ZERO,
-            Endpoint::Ne(NodeId(10)),
-            GlobalSeq(1),
-            data(1),
-            &mut out,
-        );
-        out.clear();
-        // ack_every = 2 → first tick: no ack, second tick: ack.
-        n.tick_hop(SimTime::from_millis(5), &mut out);
-        assert!(!out.iter().any(|a| matches!(
-            a,
-            Action::Send {
-                msg: Msg::DataAck { .. },
-                ..
-            }
-        )));
-        out.clear();
-        n.tick_hop(SimTime::from_millis(10), &mut out);
-        let acks: Vec<_> = out
-            .iter()
+    /// The `DataAck`s in `out`, as `(target, upto)`.
+    fn data_acks(out: &Outbox) -> Vec<(NodeId, GlobalSeq)> {
+        out.iter()
             .filter_map(|a| match a {
                 Action::Send {
                     to: Endpoint::Ne(t),
@@ -311,8 +301,53 @@ mod tests {
                 } => Some((*t, *upto)),
                 _ => None,
             })
-            .collect();
-        assert_eq!(acks, vec![(NodeId(10), GlobalSeq(1))]);
+            .collect()
+    }
+
+    /// Run hop ticks at 5 ms intervals over `(from_ms, to_ms]`, returning
+    /// the acks of each tick that sent any, stamped with the tick's time.
+    fn acks_over(n: &mut NeState, from_ms: u64, to_ms: u64) -> Vec<(u64, NodeId, GlobalSeq)> {
+        let mut acks = Vec::new();
+        for ms in (from_ms / 5 + 1..=to_ms / 5).map(|k| k * 5) {
+            let mut out = Vec::new();
+            n.tick_hop(SimTime::from_millis(ms), &mut out);
+            acks.extend(data_acks(&out).into_iter().map(|(t, u)| (ms, t, u)));
+        }
+        acks
+    }
+
+    #[test]
+    fn acks_flow_upstream_on_schedule() {
+        let mut n = ag20();
+        let mut out = Vec::new();
+        // Nothing delivered: an ack would say nothing, so none is sent.
+        assert_eq!(acks_over(&mut n, 0, 20), vec![]);
+        n.on_data(
+            SimTime::from_millis(21),
+            Endpoint::Ne(NodeId(10)),
+            GlobalSeq(1),
+            data(1),
+            &mut out,
+        );
+        // ack_every = 2 → the tick at 25 ms is not an ack tick, the one at
+        // 30 ms is; after it the unchanged front is not repeated…
+        let up = NodeId(10);
+        assert_eq!(acks_over(&mut n, 20, 75), vec![(30, up, GlobalSeq(1))]);
+        // …until the target has heard nothing for a heartbeat period (a
+        // lost ack heals), whether or not that tick is an ack tick…
+        assert_eq!(acks_over(&mut n, 75, 125), vec![(80, up, GlobalSeq(1))]);
+        // …and news goes out on the next ack tick.
+        n.on_data(
+            SimTime::from_millis(126),
+            Endpoint::Ne(up),
+            GlobalSeq(2),
+            data(2),
+            &mut out,
+        );
+        assert_eq!(
+            acks_over(&mut n, 125, 185),
+            vec![(130, up, GlobalSeq(2)), (180, up, GlobalSeq(2))]
+        );
     }
 
     #[test]
@@ -326,19 +361,51 @@ mod tests {
         );
         n.parent = Some(NodeId(1));
         let mut out = Vec::new();
-        n.tick_hop(SimTime::from_millis(5), &mut out);
-        n.tick_hop(SimTime::from_millis(10), &mut out);
-        let targets: Vec<_> = out
-            .iter()
-            .filter_map(|a| match a {
-                Action::Send {
-                    to: Endpoint::Ne(t),
-                    msg: Msg::DataAck { .. },
-                } => Some(*t),
-                _ => None,
-            })
-            .collect();
-        assert_eq!(targets, vec![NodeId(1), NodeId(30)]);
+        n.on_data(
+            SimTime::ZERO,
+            Endpoint::Ne(NodeId(1)),
+            GlobalSeq(1),
+            data(1),
+            &mut out,
+        );
+        let g1 = GlobalSeq(1);
+        let both = |ms| vec![(ms, NodeId(1), g1), (ms, NodeId(30), g1)];
+        assert_eq!(acks_over(&mut n, 0, 20), both(10));
+        // What each target was told is void once it may have forgotten us:
+        // a repair made us a new next, the parent registered us afresh, a
+        // rejoin spliced a ring member back in.
+        let stimuli = [
+            (NodeId(30), Msg::NewPrev { group: G }),
+            (
+                NodeId(1),
+                Msg::GraftAck {
+                    group: G,
+                    front: g1,
+                },
+            ),
+            (
+                NodeId(20),
+                Msg::RejoinGrant {
+                    group: G,
+                    member: NodeId(30),
+                    front: g1,
+                    pass: None,
+                },
+            ),
+        ];
+        for (i, (from, msg)) in stimuli.into_iter().enumerate() {
+            let t = 20 * (i as u64 + 1);
+            n.on_msg(SimTime::from_millis(t), Endpoint::Ne(from), msg, &mut out);
+            assert_eq!(acks_over(&mut n, t, t + 20), both(t + 10), "stimulus {i}");
+        }
+        // A target that changed is told at once as well: the parent fails
+        // over, the previous node is bypassed.
+        n.parent = Some(NodeId(2));
+        n.on_ring_fail(SimTime::from_millis(80), NodeId(30), &mut out);
+        assert_eq!(
+            acks_over(&mut n, 80, 100),
+            vec![(90, NodeId(2), g1), (90, NodeId(20), g1)]
+        );
     }
 
     #[test]
@@ -463,6 +530,52 @@ mod tests {
     }
 
     #[test]
+    fn wq_is_collected_by_the_next_nodes_front() {
+        let ring = vec![NodeId(0), NodeId(1), NodeId(2)];
+        let mut n = NeState::new_br(G, NodeId(0), ring, true, ProtocolConfig::default());
+        let mut out = Vec::new();
+        n.on_source_data(SimTime::ZERO, LocalSeq(1), PayloadId(1), &mut out);
+        n.on_source_data(SimTime::ZERO, LocalSeq(2), PayloadId(2), &mut out);
+        n.originate_token(SimTime::ZERO, &mut out); // ordered as gs 1, 2
+        n.tick_hop(SimTime::from_millis(5), &mut out);
+        let occupancy = |n: &NeState| n.wq.as_ref().unwrap().occupancy();
+        assert_eq!(occupancy(&n), 2, "the next node may still ask again");
+        // No per-stream ack exists: the next node's cumulative front, here
+        // riding its TokenAck, releases what it has ordered past.
+        let (epoch, rotation) = {
+            let inf = n.ord.as_ref().unwrap().inflight.as_ref().unwrap();
+            (inf.token.epoch, inf.token.rotation)
+        };
+        let ack = Msg::TokenAck {
+            group: G,
+            epoch,
+            rotation,
+            upto: GlobalSeq(1),
+        };
+        n.on_msg(
+            SimTime::from_millis(6),
+            Endpoint::Ne(NodeId(1)),
+            ack,
+            &mut out,
+        );
+        n.tick_hop(SimTime::from_millis(10), &mut out);
+        assert_eq!(occupancy(&n), 1);
+        n.on_data_ack(
+            SimTime::from_millis(11),
+            Endpoint::Ne(NodeId(1)),
+            GlobalSeq(2),
+        );
+        n.tick_hop(SimTime::from_millis(15), &mut out);
+        assert_eq!(occupancy(&n), 0);
+        // A ring of one has nobody to wait for.
+        let mut lone = NeState::new_br(G, NodeId(0), vec![NodeId(0)], true, n.cfg.clone());
+        lone.on_source_data(SimTime::ZERO, LocalSeq(1), PayloadId(1), &mut out);
+        lone.originate_token(SimTime::ZERO, &mut out);
+        lone.tick_hop(SimTime::from_millis(5), &mut out);
+        assert_eq!(occupancy(&lone), 0);
+    }
+
+    #[test]
     fn dead_entity_tick_is_silent() {
         let mut n = ag20();
         n.kill();
@@ -509,6 +622,11 @@ mod tests {
             })
             .collect();
         assert_eq!(nacks, vec![(NodeId(0), NodeId(0), vec![LocalSeq(1)])]);
+        // The pre-order stream is NACKed, never acknowledged: the NACK is
+        // all this tick (and the ack tick after it) says to the ring.
+        n.tick_hop(SimTime::from_millis(10), &mut out);
+        let sends = out.iter().filter(|a| matches!(a, Action::Send { .. }));
+        assert_eq!(sends.count(), 2, "{out:?}");
     }
 
     #[test]

@@ -138,7 +138,7 @@ impl EpochFence {
 /// so the drop opportunity has passed and the arm must disarm. One of the
 /// two raw-epoch orderings the fence's module owns on behalf of the
 /// fault-injection path (the other being the keep-one rule in `admit`).
-pub fn arm_covers(armed: Epoch, token_epoch: Epoch) -> bool {
+pub(crate) fn arm_covers(armed: Epoch, token_epoch: Epoch) -> bool {
     token_epoch <= armed
 }
 
@@ -147,7 +147,7 @@ pub fn arm_covers(armed: Epoch, token_epoch: Epoch) -> bool {
 /// `(epoch, rotation)` pair identifies the pass uniquely: the keep-one
 /// rule retires an older epoch before a new lineage circulates, so a
 /// stale-instance ack can never alias a live in-flight transfer.
-pub fn ack_matches_pass(pass: PassId, epoch: Epoch, rotation: u64) -> bool {
+pub(crate) fn ack_matches_pass(pass: PassId, epoch: Epoch, rotation: u64) -> bool {
     let (e, _origin, r) = pass;
     e == epoch && r == rotation
 }
@@ -245,8 +245,7 @@ impl NeState {
             let cand = r.order[self.merge_probe_target % n];
             self.merge_probe_target = (self.merge_probe_target + 1) % n;
             if cand != me && r.state_of(cand) == MemberState::Excised {
-                out.push(Action::to_ne(cand, Msg::Heartbeat { group }));
-                self.counters.control_sent += 1;
+                self.send_control(Endpoint::Ne(cand), Msg::Heartbeat { group }, out);
                 return;
             }
         }
@@ -378,8 +377,7 @@ impl NeState {
         if next == self.id {
             return;
         }
-        out.push(Action::to_ne(next, Msg::Token(Box::new(snapshot))));
-        self.counters.control_sent += 1;
+        self.send_control(Endpoint::Ne(next), Msg::Token(Box::new(snapshot)), out);
     }
 }
 
@@ -784,7 +782,13 @@ mod tests {
         n0.replay_token(&mut out);
         assert!(out.is_empty());
         n0.originate_token(SimTime::ZERO, &mut out);
-        n0.on_token_ack(Endpoint::Ne(NodeId(1)), Epoch(0), 1);
+        n0.on_token_ack(
+            SimTime::ZERO,
+            Endpoint::Ne(NodeId(1)),
+            Epoch(0),
+            1,
+            crate::ids::GlobalSeq::ZERO,
+        );
         assert!(n0.ord.as_ref().unwrap().inflight.is_none());
         out.clear();
         n0.replay_token(&mut out);

@@ -83,6 +83,21 @@ pub mod metric {
     pub const COPIED_ON_PREORDER: &str = "order_assign.copied_on_preorder";
     /// Counter: messages copied by the periodic `τ` fallback tick.
     pub const COPIED_ON_TICK: &str = "order_assign.copied_on_tick";
+    /// Counter: cumulative `DataAck`s sent (progress and refresh alike).
+    /// With the five below, the split of `NeFinal.control_sent` by message
+    /// kind (see `Msg::control_metric`).
+    pub const CONTROL_SENT_DATA_ACK: &str = "control_sent.data_ack";
+    /// Counter: `DataNack`s and `PreOrderNack`s sent.
+    pub const CONTROL_SENT_NACK: &str = "control_sent.nack";
+    /// Counter: ordering-token transfers sent (retries and replays too).
+    pub const CONTROL_SENT_TOKEN: &str = "control_sent.token";
+    /// Counter: `TokenAck`s sent.
+    pub const CONTROL_SENT_TOKEN_ACK: &str = "control_sent.token_ack";
+    /// Counter: `Heartbeat`s and `HeartbeatAck`s sent.
+    pub const CONTROL_SENT_HEARTBEAT: &str = "control_sent.heartbeat";
+    /// Counter: every other control message sent (tree, membership,
+    /// mobility and token-recovery signalling).
+    pub const CONTROL_SENT_OTHER: &str = "control_sent.other";
     /// Gauge: highest epoch this node has observed.
     pub const EPOCH: &str = "epoch";
 }

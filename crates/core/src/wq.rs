@@ -10,8 +10,10 @@
 //! Entries wait here until the Order-Assignment algorithm matches them with
 //! a global-sequence range recorded in the ordering token and copies them
 //! into `MQ`. An entry can be garbage-collected once it has been copied
-//! *and* the next ring node has acknowledged receipt (it may need to be
-//! retransmitted to the next node until then).
+//! *and* the next ring node's `MQ` front has passed its global number —
+//! until then the next node may still ask for it again. There is no
+//! per-stream acknowledgement: a front past GSN *g* has received, or given
+//! up on, every pre-order ordered at or below *g*.
 
 use std::collections::BTreeMap;
 use std::collections::VecDeque;
@@ -30,10 +32,9 @@ enum SqSlot {
     /// Payload present.
     Present {
         payload: PayloadId,
-        /// Global number assigned by Order-Assignment (None = unordered).
+        /// Global number under which Order-Assignment copied the entry
+        /// into `MQ` (None = not yet ordered).
         gsn: Option<GlobalSeq>,
-        /// Copied into `MQ` already.
-        copied: bool,
         /// Overriding message identity `(source, local_seq)` for entries of
         /// a fence funnel stream, whose queue key and slot position are the
         /// group's virtual funnel id and channel sequence. `None` (every
@@ -51,8 +52,6 @@ struct SourceQueue {
     base: LocalSeq,
     /// Highest local sequence number seen.
     rear: LocalSeq,
-    /// Contiguous prefix acknowledged by the next ring node.
-    acked_by_next: LocalSeq,
 }
 
 impl SourceQueue {
@@ -61,7 +60,6 @@ impl SourceQueue {
             slots: VecDeque::new(),
             base: LocalSeq::FIRST,
             rear: LocalSeq::ZERO,
-            acked_by_next: LocalSeq::ZERO,
         }
     }
 
@@ -101,7 +99,6 @@ impl SourceQueue {
                 self.slots[rel] = SqSlot::Present {
                     payload,
                     gsn: None,
-                    copied: false,
                     origin,
                 };
                 if ls > self.rear {
@@ -112,14 +109,14 @@ impl SourceQueue {
         }
     }
 
-    fn gc(&mut self) -> usize {
+    fn gc(&mut self, next_front: GlobalSeq) -> usize {
         let mut dropped = 0;
         while let Some(slot) = self.slots.front() {
             let removable = match slot {
                 // A lost slot holds no payload and will never be copied or
                 // retransmitted from here; drop it unconditionally.
                 SqSlot::Lost => true,
-                SqSlot::Present { copied, .. } => *copied && self.base <= self.acked_by_next,
+                SqSlot::Present { gsn, .. } => gsn.is_some_and(|g| g <= next_front),
                 SqSlot::Missing { .. } => false,
             };
             if !removable {
@@ -283,15 +280,13 @@ impl WorkingQueue {
                 Some(SqSlot::Present {
                     payload,
                     gsn,
-                    copied,
                     origin,
                 }) => {
-                    if *copied {
+                    if gsn.is_some() {
                         continue;
                     }
                     let g = min_gs.advance(ls.since(range.min));
                     *gsn = Some(g);
-                    *copied = true;
                     let (src, src_seq) = origin.unwrap_or((source, ls));
                     sink(
                         g,
@@ -308,16 +303,6 @@ impl WorkingQueue {
             }
         }
         settled
-    }
-
-    /// Record a cumulative ACK from the next ring node for one source's
-    /// stream, enabling garbage collection.
-    pub fn ack_from_next(&mut self, corresponding: NodeId, upto: LocalSeq) {
-        if let Some(q) = self.queues.get_mut(&corresponding) {
-            if upto > q.acked_by_next {
-                q.acked_by_next = upto;
-            }
-        }
     }
 
     /// Walk every queue's gaps: bump NACK counters, transition exhausted
@@ -353,9 +338,12 @@ impl WorkingQueue {
         (requests, lost)
     }
 
-    /// Garbage-collect copied-and-acked prefixes of every queue.
-    pub fn gc(&mut self) -> usize {
-        self.queues.values_mut().map(|q| q.gc()).sum()
+    /// Garbage-collect every queue's prefix of entries copied into `MQ`
+    /// under a global number the next ring node's `MQ` front has passed
+    /// (`next_front`, its cumulative ACK; `GlobalSeq(u64::MAX)` on a ring of
+    /// one, where nobody is left to ask again).
+    pub fn gc(&mut self, next_front: GlobalSeq) -> usize {
+        self.queues.values_mut().map(|q| q.gc(next_front)).sum()
     }
 
     /// Total retained entries across all sources.
@@ -374,29 +362,6 @@ impl WorkingQueue {
             .get(&corresponding)
             .map(|q| q.rear)
             .unwrap_or(LocalSeq::ZERO)
-    }
-
-    /// Contiguous received prefix for a source's stream (for cumulative ACKs
-    /// to the previous ring node).
-    pub fn contiguous_prefix(&self, corresponding: NodeId) -> LocalSeq {
-        let Some(q) = self.queues.get(&corresponding) else {
-            return LocalSeq::ZERO;
-        };
-        let mut upto = q.base.prev();
-        for (off, slot) in q.slots.iter().enumerate() {
-            match slot {
-                SqSlot::Present { .. } | SqSlot::Lost => {
-                    upto = LocalSeq(q.base.0 + off as u64);
-                }
-                SqSlot::Missing { .. } => break,
-            }
-        }
-        upto
-    }
-
-    /// Sources currently tracked.
-    pub fn sources(&self) -> impl Iterator<Item = NodeId> + '_ {
-        self.queues.keys().copied()
     }
 }
 
@@ -420,7 +385,7 @@ mod tests {
         let (requests, lost) = wq.collect_nacks(3);
         assert!(requests.is_empty(), "{requests:?}");
         assert_eq!(lost, 0);
-        assert_eq!(wq.contiguous_prefix(N1), LocalSeq(500));
+        assert_eq!(wq.rear_of(N1), LocalSeq(500));
         // Later entries of the SAME stream chase gaps normally.
         assert_eq!(
             wq.insert(N1, LocalSeq(502), PayloadId(502)),
@@ -433,7 +398,7 @@ mod tests {
             wq.insert(N2, LocalSeq(9_000), PayloadId(1)),
             InsertOutcome::Stored
         );
-        assert_eq!(wq.contiguous_prefix(N2), LocalSeq(9_000));
+        assert_eq!(wq.rear_of(N2), LocalSeq(9_000));
         // Without resync the same first insert overflows the capacity.
         let mut plain = WorkingQueue::new(8);
         assert_eq!(
@@ -525,21 +490,28 @@ mod tests {
     }
 
     #[test]
-    fn gc_requires_copy_and_ack() {
+    fn gc_requires_copy_and_the_next_front_past_the_gsn() {
         let mut wq = WorkingQueue::new(64);
         wq.insert(N1, LocalSeq(1), PayloadId(1));
         wq.insert(N1, LocalSeq(2), PayloadId(2));
+        wq.insert(N2, LocalSeq(1), PayloadId(3));
+        // N1's two messages are ordered as gs 7 and 8, N2's as gs 9.
         wq.take_orderable(
             N1,
             N1,
             LocalRange::new(LocalSeq(1), LocalSeq(2)),
-            GlobalSeq(1),
+            GlobalSeq(7),
         );
-        assert_eq!(wq.gc(), 0, "not acked by next yet");
-        wq.ack_from_next(N1, LocalSeq(1));
-        assert_eq!(wq.gc(), 1);
-        wq.ack_from_next(N1, LocalSeq(2));
-        assert_eq!(wq.gc(), 1);
+        wq.take_orderable(
+            N2,
+            N2,
+            LocalRange::new(LocalSeq(1), LocalSeq(1)),
+            GlobalSeq(9),
+        );
+        assert_eq!(wq.gc(GlobalSeq(6)), 0, "the next node's front is below");
+        assert_eq!(wq.gc(GlobalSeq(7)), 1);
+        // One front releases every stream it has passed: no per-stream ack.
+        assert_eq!(wq.gc(GlobalSeq(9)), 2);
         assert_eq!(wq.occupancy(), 0);
     }
 
@@ -547,8 +519,20 @@ mod tests {
     fn uncopied_entry_blocks_gc() {
         let mut wq = WorkingQueue::new(64);
         wq.insert(N1, LocalSeq(1), PayloadId(1));
-        wq.ack_from_next(N1, LocalSeq(1));
-        assert_eq!(wq.gc(), 0, "not ordered/copied yet");
+        wq.insert(N1, LocalSeq(2), PayloadId(2));
+        assert_eq!(
+            wq.gc(GlobalSeq(u64::MAX)),
+            0,
+            "not ordered yet: no front, however far, releases it"
+        );
+        // An unordered entry also pins the ordered ones queued behind it.
+        wq.take_orderable(
+            N1,
+            N1,
+            LocalRange::new(LocalSeq(2), LocalSeq(2)),
+            GlobalSeq(1),
+        );
+        assert_eq!(wq.gc(GlobalSeq(u64::MAX)), 0);
     }
 
     #[test]
@@ -570,21 +554,8 @@ mod tests {
         let (_, lost0) = wq.collect_nacks(0);
         assert_eq!(lost0, 1);
         // Lost slot at base can be GC'd; present-but-uncopied slot stays.
-        assert_eq!(wq.gc(), 1);
-        assert_eq!(wq.contiguous_prefix(N1), LocalSeq(2));
-    }
-
-    #[test]
-    fn contiguous_prefix_tracks_holes() {
-        let mut wq = WorkingQueue::new(64);
-        assert_eq!(wq.contiguous_prefix(N1), LocalSeq::ZERO);
-        wq.insert(N1, LocalSeq(1), PayloadId(1));
-        wq.insert(N1, LocalSeq(2), PayloadId(2));
-        wq.insert(N1, LocalSeq(4), PayloadId(4));
-        assert_eq!(wq.contiguous_prefix(N1), LocalSeq(2));
-        wq.insert(N1, LocalSeq(3), PayloadId(3));
-        assert_eq!(wq.contiguous_prefix(N1), LocalSeq(4));
-        assert_eq!(wq.rear_of(N1), LocalSeq(4));
+        assert_eq!(wq.gc(GlobalSeq(u64::MAX)), 1);
+        assert_eq!(wq.get(N1, LocalSeq(2)), Some(PayloadId(2)));
     }
 
     #[test]
@@ -627,8 +598,7 @@ mod tests {
             LocalRange::new(LocalSeq(1), LocalSeq(5)),
             GlobalSeq(1),
         );
-        wq.ack_from_next(N1, LocalSeq(5));
-        wq.gc();
+        wq.gc(GlobalSeq(5));
         assert_eq!(wq.occupancy(), 0);
         assert_eq!(wq.peak_occupancy(), 5);
     }

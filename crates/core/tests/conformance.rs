@@ -127,6 +127,44 @@ impl Net {
         self.settle();
     }
 
+    /// Run the heartbeat tick of every NE at the current time.
+    fn tick_heartbeats(&mut self) {
+        let ids: Vec<NodeId> = self.nes.keys().copied().collect();
+        for id in ids {
+            let mut out = Vec::new();
+            let now = self.now;
+            self.nes.get_mut(&id).unwrap().tick_heartbeat(now, &mut out);
+            self.absorb(Endpoint::Ne(id), out);
+        }
+        self.settle();
+    }
+
+    /// Let `ms` pass the way the engine's timers would: a hop tick every
+    /// 5 ms, a heartbeat tick every 50 ms.
+    fn run_ms(&mut self, ms: u64) {
+        let period = SimDuration::from_millis(50).as_nanos();
+        for _ in 0..ms / 5 {
+            self.tick_all(SimDuration::from_millis(5));
+            let elapsed = self.now.saturating_since(SimTime::ZERO).as_nanos();
+            if elapsed.is_multiple_of(period) {
+                self.tick_heartbeats();
+            }
+        }
+    }
+
+    /// Hand `msg` to `to` as if `from` had sent it, and let the cascade
+    /// settle.
+    fn inject(&mut self, from: NodeId, to: NodeId, msg: Msg) {
+        let mut out = Vec::new();
+        let now = self.now;
+        self.nes
+            .get_mut(&to)
+            .unwrap()
+            .on_msg(now, Endpoint::Ne(from), msg, &mut out);
+        self.absorb(Endpoint::Ne(to), out);
+        self.settle();
+    }
+
     fn source_send(&mut self, br: NodeId, ls: u64) {
         let mut out = Vec::new();
         let msg = Msg::SourceData {
@@ -429,14 +467,7 @@ fn membership_counts_aggregate_to_top_leader() {
     net.settle();
     // Heartbeat ticks flush the batched deltas AP → BR1 → leader BR0.
     for _ in 0..3 {
-        let ids: Vec<NodeId> = net.nes.keys().copied().collect();
-        for id in ids {
-            let mut out = Vec::new();
-            let now = net.now;
-            net.nes.get_mut(&id).unwrap().tick_heartbeat(now, &mut out);
-            net.absorb(Endpoint::Ne(id), out);
-        }
-        net.settle();
+        net.tick_heartbeats();
     }
     let count = net
         .records
@@ -452,4 +483,184 @@ fn membership_counts_aggregate_to_top_leader() {
         })
         .expect("top leader recorded the aggregate");
     assert_eq!(count, 3);
+}
+
+// ------------------------------------------------------------------------
+// Acknowledgements are sent when they say something — so every path that
+// makes a hop forget what it was told has to make the teller say it again,
+// on a stream that will never move the front for it.
+
+fn ordered(g: u64) -> Msg {
+    Msg::Data {
+        group: G,
+        gsn: GlobalSeq(g),
+        data: ringnet_core::MsgData {
+            source: NodeId(9),
+            local_seq: LocalSeq(g),
+            ordering_node: NodeId(9),
+            payload: PayloadId(g),
+        },
+    }
+}
+
+/// A non-top ring of AGs under the (absent) parent BR 1, its leader having
+/// injected gs 1..=3, everybody having acknowledged them, and nothing
+/// having been sent since: the idle stream.
+fn idle_ag_ring(ids: &[u32]) -> Net {
+    let ring: Vec<NodeId> = ids.iter().copied().map(NodeId).collect();
+    let mut net = Net::new();
+    for &id in &ring {
+        let mut ag = NeState::new_ag(G, id, ring.clone(), vec![NodeId(1)], Default::default());
+        ag.parent = (id == ring[0]).then_some(NodeId(1));
+        net.add_ne(ag);
+    }
+    // Off the heartbeat's phase, so that a refresh of the unmoved front
+    // (one heartbeat period after the first ack, and so on) never falls
+    // on the ack tick that follows a heartbeat tick.
+    net.run_ms(25);
+    for g in 1..=3 {
+        net.inject(NodeId(1), ring[0], ordered(g));
+    }
+    net.run_ms(100);
+    for &id in &ring {
+        assert_eq!(net.nes[&id].mq.front(), GlobalSeq(3));
+        assert_eq!(acked_by_next(&net, id.0), GlobalSeq(3));
+    }
+    net
+}
+
+fn acked_by_next(net: &Net, id: u32) -> GlobalSeq {
+    net.nes[&NodeId(id)].ring.as_ref().unwrap().next_acked_mq
+}
+
+#[test]
+fn idle_ring_repair_has_the_new_next_restate_its_front() {
+    let mut net = idle_ag_ring(&[10, 20, 30]);
+    net.nes.get_mut(&NodeId(20)).unwrap().kill();
+    // Hop ticks keep running while the heartbeat misses add up, so AG 30
+    // goes on refreshing its (dead) previous node: silence is not what
+    // makes it speak to its new one.
+    while net.nes[&NodeId(10)].ring_next() == Some(NodeId(20)) {
+        net.run_ms(5);
+        assert!(net.now < SimTime::from_secs(1), "AG 20 never excised");
+    }
+    assert_eq!(
+        acked_by_next(&net, 10),
+        GlobalSeq::ZERO,
+        "the repair starts the new next's progress over"
+    );
+    // One ack period later AG 30 has told its new previous node where it
+    // stands, and AG 10 collects garbage again.
+    net.run_ms(10);
+    assert_eq!(acked_by_next(&net, 10), GlobalSeq(3));
+    assert_eq!(net.nes[&NodeId(10)].mq.occupancy(), 1, "service tail only");
+}
+
+#[test]
+fn idle_rejoin_has_both_neighbours_restate_their_fronts() {
+    // A ring of two: across its crash AG 20 stays the only node AG 10 ever
+    // acknowledges to, so nothing but the grant voids what AG 10 told it.
+    let mut net = idle_ag_ring(&[10, 20]);
+    net.nes.get_mut(&NodeId(20)).unwrap().kill();
+    while net.nes[&NodeId(10)].ring_next() == Some(NodeId(20)) {
+        net.run_ms(5);
+        assert!(net.now < SimTime::from_secs(1), "AG 20 never excised");
+    }
+    net.inject(NodeId(20), NodeId(20), Msg::Restart { group: G });
+    assert!(!net.nes[&NodeId(20)].is_rejoining(), "granted at once");
+    assert_eq!(net.nes[&NodeId(20)].mq.front(), GlobalSeq(3), "resynced");
+    assert_eq!(acked_by_next(&net, 10), GlobalSeq::ZERO);
+    assert_eq!(acked_by_next(&net, 20), GlobalSeq::ZERO);
+    net.run_ms(10);
+    assert_eq!(acked_by_next(&net, 10), GlobalSeq(3), "the rejoiner spoke");
+    assert_eq!(acked_by_next(&net, 20), GlobalSeq(3), "so did the granter");
+}
+
+#[test]
+fn idle_child_failing_over_is_known_to_its_backup_parent() {
+    let mut net = idle_ag_ring(&[20, 21]);
+    let mut ap = NeState::new_ap(
+        G,
+        NodeId(99),
+        vec![NodeId(20), NodeId(21)],
+        true,
+        vec![],
+        Default::default(),
+    );
+    ap.mq.fast_forward(GlobalSeq(3));
+    ap.parent = Some(NodeId(20));
+    net.add_ne(ap);
+    let graft = Msg::Graft {
+        group: G,
+        child: NodeId(99),
+        resume_from: GlobalSeq(3),
+        resync: false,
+    };
+    net.inject(NodeId(99), NodeId(20), graft);
+    let progress =
+        |net: &Net, parent: u32| net.nes[&NodeId(parent)].wt_children.progress(NodeId(99));
+    assert_eq!(progress(&net, 20), Some(GlobalSeq(3)));
+    assert_eq!(progress(&net, 21), None);
+    net.nes.get_mut(&NodeId(20)).unwrap().kill();
+    while net.nes[&NodeId(99)].parent == Some(NodeId(20)) {
+        net.run_ms(5);
+        assert!(net.now < SimTime::from_secs(1), "AP 99 never failed over");
+    }
+    net.run_ms(10);
+    assert_eq!(progress(&net, 21), Some(GlobalSeq(3)));
+    assert_eq!(net.nes[&NodeId(21)].mq.occupancy(), 1, "service tail only");
+}
+
+#[test]
+fn lost_last_ack_of_a_finished_stream_heals_within_a_heartbeat_period() {
+    let cfg = ProtocolConfig::default();
+    let mut net = Net::new();
+    let mut parent = NeState::new_ap(G, NodeId(0), vec![], true, vec![], cfg.clone());
+    parent.children.insert(NodeId(1), SimTime::ZERO);
+    parent.wt_children.register(NodeId(1), GlobalSeq::ZERO);
+    let mut child = NeState::new_ap(G, NodeId(1), vec![NodeId(0)], true, vec![], cfg.clone());
+    child.parent = Some(NodeId(0));
+    child.ap.as_mut().unwrap().grafted = true;
+    net.add_ne(parent);
+    net.add_ne(child);
+    for g in 1..=3 {
+        net.inject(NodeId(9), NodeId(0), ordered(g));
+    }
+    assert_eq!(net.nes[&NodeId(1)].mq.front(), GlobalSeq(3));
+    // The stream has finished. The child's one ack (second hop tick, 10 ms)
+    // is lost on the wire: its output is dropped, not routed.
+    for _ in 0..2 {
+        net.now += SimDuration::from_millis(5);
+        let now = net.now;
+        let mut lost = Vec::new();
+        net.nes
+            .get_mut(&NodeId(1))
+            .unwrap()
+            .tick_hop(now, &mut lost);
+        if now == SimTime::from_millis(10) {
+            assert!(matches!(
+                lost[..],
+                [Action::Send {
+                    msg: Msg::DataAck { .. },
+                    ..
+                }]
+            ));
+        }
+    }
+    let progress = |net: &Net| net.nes[&NodeId(0)].wt_children.progress(NodeId(1));
+    // An unmoved front is not repeated on the ack ticks that follow…
+    net.run_ms(45);
+    assert_eq!(net.now, SimTime::from_millis(55));
+    assert_eq!(progress(&net), Some(GlobalSeq::ZERO));
+    assert_eq!(
+        net.nes[&NodeId(0)].mq.occupancy(),
+        3,
+        "pinned by the lost ack"
+    );
+    // …but one heartbeat period after it was sent it is said again, and the
+    // parent's MQ drains to its service tail.
+    net.run_ms(5);
+    assert_eq!(progress(&net), Some(GlobalSeq(3)));
+    net.run_ms(5);
+    assert_eq!(net.nes[&NodeId(0)].mq.occupancy(), 1);
 }

@@ -642,6 +642,16 @@ fn order_and_delivery_digest(journal: &[(SimTime, ProtoEvent)]) -> u64 {
 /// instant of a single ordering or delivery.
 const RINGS8_ORDER_AND_DELIVERY: u64 = 0x1539_ea2b_0b6f_1715;
 
+/// Every `telemetry::metric::CONTROL_SENT_*` counter.
+const CONTROL_KINDS: [&str; 6] = [
+    metric::CONTROL_SENT_DATA_ACK,
+    metric::CONTROL_SENT_NACK,
+    metric::CONTROL_SENT_TOKEN,
+    metric::CONTROL_SENT_TOKEN_ACK,
+    metric::CONTROL_SENT_HEARTBEAT,
+    metric::CONTROL_SENT_OTHER,
+];
+
 /// The 8-disjoint-ring world (the benchmark's `rings8_ctrl` shape) is the
 /// control-plane-bound one: its acknowledgement discipline is pinned here
 /// at work level — what it costs, that it repairs nothing in a loss-free
@@ -666,6 +676,23 @@ fn rings8_acknowledgements_move_no_ordering_or_delivery_instant() {
     ] {
         assert_eq!(t.total_counter(quiet), 0, "{quiet}");
     }
+    let per_delivery = m.wired_core_control_sent as f64 / m.delivered as f64;
+    assert!(
+        per_delivery <= 0.40,
+        "{per_delivery} core control messages per delivery (0.75 while every hop \
+         acknowledged on a clock, per stream)"
+    );
+    // The per-kind telemetry counters are the split of `control_sent`.
+    let by_kind: u64 = CONTROL_KINDS.iter().map(|k| t.total_counter(k)).sum();
+    let total: u64 = report
+        .journal
+        .iter()
+        .map(|(_, e)| match e {
+            ProtoEvent::NeFinal { control_sent, .. } => u64::from(*control_sent),
+            _ => 0,
+        })
+        .sum();
+    assert_eq!(by_kind, total);
     let got = order_and_delivery_digest(&report.journal);
     assert_eq!(
         got, RINGS8_ORDER_AND_DELIVERY,

@@ -133,13 +133,23 @@ fn digest_is_sensitive_to_protocol_behaviour() {
 /// BR that now find the `WQ` entry already copied and collected; the
 /// baselines that do not run the ordering core keep their digests
 /// ([`GOLDEN_BASELINE_DIGESTS`]).
+///
+/// Regenerated on purpose by PR 16 (one acknowledgement per hop, sent when
+/// it says something; were `0xf7bdc4b72d1280c2` / `0x612d053ebf5863e0` /
+/// `0x3ff785848332de1a`): the journal is the same 1306 entries at the same
+/// instants — every `Ordered`, `MhDeliver` and `TokenPass` line is
+/// untouched — but the eight `NeFinal.control_sent` totals fall (BR 1:
+/// 1739 → 959; no `PreOrderAck`, no `DataAck` repeating an unmoved front)
+/// and three `BufferSample`s of BR 1 read `mq: 1` where they read 2, its
+/// next node's front now arriving with the `TokenAck` instead of up to an
+/// ack period later.
 const GOLDEN_RINGNET_DIGESTS: &[(u64, usize, u64)] = &[
-    (3, 1, 0xf7bdc4b72d1280c2),
-    (3, 2, 0x612d053ebf5863e0),
-    (3, 4, 0x3ff785848332de1a),
-    (7, 1, 0xf7bdc4b72d1280c2),
-    (7, 2, 0x612d053ebf5863e0),
-    (7, 4, 0x3ff785848332de1a),
+    (3, 1, 0x3857e7b21e881b30),
+    (3, 2, 0xceea1d6757523dce),
+    (3, 4, 0x4bd7d6e89ea972ac),
+    (7, 1, 0x3857e7b21e881b30),
+    (7, 2, 0xceea1d6757523dce),
+    (7, 4, 0x4bd7d6e89ea972ac),
 ];
 
 #[test]
@@ -168,6 +178,15 @@ type PinnedBackend = (&'static str, fn(&Scenario, u64) -> RunReport, u64);
 /// (`NeState::new_flat_station`), so it moves with it: PR 13 took it from
 /// `0x3ac175ebc4d719b3` to the value below, the other four stayed.
 ///
+/// PR 16 thinned the wired core's acknowledgements, which tree and flat
+/// ring — both `NeState` — send too; tunnel, RelM and unordered do not
+/// and are unedited. Tree (was `0x4ff1ebcb601b887c`): six lower
+/// `NeFinal.control_sent` totals, nothing else. Flat ring (was
+/// `0x2e98bbc2be9658e4`): four lower totals, and nine `BufferSample`s —
+/// `mq` one lower where the next station's front came with its
+/// `TokenAck`, `wq` one higher where an ordered entry now waits for the
+/// next station's *front* to pass it instead of for its receipt.
+///
 /// PR 15 rebuilt `unordered` from RingNet's own `HierarchySpec`, so its
 /// tree hops now follow `links.br_ag` / `links.ag_ap` / `links.source`
 /// (the private assembly it replaced wired both tree hops with
@@ -179,8 +198,8 @@ type PinnedBackend = (&'static str, fn(&Scenario, u64) -> RunReport, u64);
 /// per hop. `tests/comparator_parity.rs` is where the difference shows;
 /// [`GOLDEN_UNORDERED_UNIFORM_LINKS`] is the world where there is none.
 const GOLDEN_BASELINE_DIGESTS: &[PinnedBackend] = &[
-    ("flat_ring", FlatRingSim::run_scenario, 0x2e98bbc2be9658e4),
-    ("tree", TreeSim::run_scenario, 0x4ff1ebcb601b887c),
+    ("flat_ring", FlatRingSim::run_scenario, 0x0dfa10a39093bdd5),
+    ("tree", TreeSim::run_scenario, 0x4f814fd936443788),
     ("tunnel", TunnelSim::run_scenario, 0x16a8b07b65d6e1f7),
     ("relm", RelmSim::run_scenario, 0xd6a391e31fb9eb62),
     ("unordered", UnorderedSim::run_scenario, 0x878f0228f1205ce4),
@@ -331,9 +350,18 @@ type PinnedWorld = (&'static str, fn() -> Scenario, u64);
 /// the same reason (were `0xc3eab3f309e6a5f4` and `0xc0fa607a8473d82e`):
 /// `MhDeliver` timestamps move up to 5 ms earlier on every ring, funnel-
 /// assigned fence traffic included.
+///
+/// Regenerated on purpose by PR 16 with [`GOLDEN_RINGNET_DIGESTS`] (were
+/// `0x5aebfa588d3066d6` and `0x230bc6a18ff6ffd3`), for the same two
+/// reasons and no third: `NeFinal.control_sent` falls on every ring state
+/// and `BufferSample`s read the buffers a retention rule later or an ack
+/// earlier. That no ordering or delivery instant moved on the 8-ring world
+/// is pinned separately, on the parent's code, by
+/// `rings8_acknowledgements_move_no_ordering_or_delivery_instant`
+/// (`crates/core/tests/engine_scenarios.rs`).
 const GOLDEN_MULTIGROUP_INSTANT_DIGESTS: &[PinnedWorld] = &[
-    ("rings8", rings8_world, 0x5aebfa588d3066d6),
-    ("fence_overlap_4", fence_overlap_world, 0x230bc6a18ff6ffd3),
+    ("rings8", rings8_world, 0x1af850cf6660cd08),
+    ("fence_overlap_4", fence_overlap_world, 0xcd5ea6d697928f14),
 ];
 
 #[test]
