@@ -17,11 +17,12 @@
 //! against loss-free runs and reports the ratio.
 //!
 //! The `τ` term is the paper's: it assumes Order-Assignment runs on a timer
-//! of period `τ`. This implementation runs it at the instant a token
-//! snapshot arrives (see [`crate::ordering`]), so `τ` is an upper bound
-//! reached only when a pre-order is repaired after its covering token has
-//! passed; a loss-free run never pays it, and experiment T2 prints the
-//! measured maximum against the bounds both with and without the term.
+//! of period `τ`. This implementation has no such timer — the copy runs at
+//! the instant a token snapshot arrives and at the instant a late pre-order
+//! lands under one (see [`crate::ordering`]) — so it runs at `τ = 0`, and
+//! experiment T2 evaluates the bounds there. [`TheoremInputs::tau`] stays
+//! because it is the paper's symbol in the paper's formula, not a setting
+//! of this system.
 
 use simnet::SimDuration;
 
@@ -36,8 +37,8 @@ pub struct TheoremInputs {
     pub rate_per_sec: f64,
     /// One-way latency of a top-ring link (upper bound when jittered).
     pub ring_hop: SimDuration,
-    /// `τ` — the Order-Assignment timer period (the fallback scan; see the
-    /// module docs for when a delivery can wait for it).
+    /// `τ` — the paper's Order-Assignment timer period (zero for this
+    /// implementation; see the module docs).
     pub tau: SimDuration,
     /// `T_deliver` — maximal time for an ordered message to reach and be
     /// acknowledged by the deepest entity below a top-ring node.

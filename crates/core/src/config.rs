@@ -2,22 +2,17 @@
 //!
 //! One [`ProtocolConfig`] is shared by every entity in a simulation. The
 //! defaults follow the paper's assumptions (§5): a wired core with
-//! millisecond-scale one-way delays, an Order-Assignment fallback timer `τ`
-//! of the same order as the token rotation time, and small bounded retry budgets
-//! for the best-effort local-scope retransmission scheme (§4.2.3).
+//! millisecond-scale one-way delays and small bounded retry budgets for the
+//! best-effort local-scope retransmission scheme (§4.2.3). The paper's
+//! Order-Assignment period `τ` (§4.2.1) is not among them: the `WQ`→`MQ`
+//! copy runs on the events that enable it ([`crate::ordering`]), which is
+//! the paper's scan at `τ = 0`.
 
 use simnet::SimDuration;
 
 /// All tunables of the RingNet multicast protocol.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ProtocolConfig {
-    /// Period `τ` of the Order-Assignment algorithm's periodic scan (paper
-    /// §4.2.1). The `WQ`→`MQ` copy itself is event-driven — it runs when a
-    /// token snapshot arrives and when a late pre-order lands under one —
-    /// so `τ` no longer adds to any loss-free delivery's latency: it is an
-    /// upper bound on the extra wait of a message whose pre-order was
-    /// repaired after its token, should an event trigger ever be missed.
-    pub order_assign_period: SimDuration,
     /// Period of the hop-maintenance tick driving retransmission requests
     /// (NACKs), cumulative ACKs and token retransfer checks.
     pub hop_tick: SimDuration,
@@ -52,12 +47,8 @@ pub struct ProtocolConfig {
     /// the Message-Ordering algorithm "not running well" (used by the
     /// Token-Regeneration algorithm, §4.2.1).
     pub token_quiet_after: SimDuration,
-    /// Period of the buffer-occupancy statistics sampler (0 = disabled).
-    pub stats_sample_period: SimDuration,
     /// Journal per-MH application deliveries (can dominate journal volume).
     pub record_mh_deliveries: bool,
-    /// Journal per-NE `delivered-to-children` events.
-    pub record_ne_progress: bool,
     /// Multicast path reservation radius for smooth handoff (§3): when an MH
     /// attaches to an AP, APs within this many neighbour hops are asked to
     /// pre-join the distribution (0 disables reservation).
@@ -85,7 +76,6 @@ pub struct ProtocolConfig {
 impl Default for ProtocolConfig {
     fn default() -> Self {
         ProtocolConfig {
-            order_assign_period: SimDuration::from_millis(5),
             hop_tick: SimDuration::from_millis(5),
             nack_budget: 5,
             ack_every: 2,
@@ -96,9 +86,7 @@ impl Default for ProtocolConfig {
             heartbeat_period: SimDuration::from_millis(50),
             heartbeat_misses: 3,
             token_quiet_after: SimDuration::from_millis(200),
-            stats_sample_period: SimDuration::from_millis(100),
             record_mh_deliveries: true,
-            record_ne_progress: false,
             reservation_radius: 1,
             reservation_ttl: SimDuration::from_secs(2),
             wtsnp_retain_rotations: 2,
@@ -110,17 +98,10 @@ impl Default for ProtocolConfig {
 }
 
 impl ProtocolConfig {
-    /// A configuration with journalling trimmed for large benchmark runs.
+    /// A configuration for large benchmark runs: per-MH deliveries, which
+    /// dominate journal volume, are not journalled.
     pub fn quiet(mut self) -> Self {
         self.record_mh_deliveries = false;
-        self.record_ne_progress = false;
-        self.stats_sample_period = SimDuration::ZERO;
-        self
-    }
-
-    /// Builder-style override of the Order-Assignment period `τ`.
-    pub fn with_tau(mut self, tau: SimDuration) -> Self {
-        self.order_assign_period = tau;
         self
     }
 
@@ -140,9 +121,6 @@ impl ProtocolConfig {
     /// human-readable problems (empty = valid).
     pub fn validate(&self) -> Vec<String> {
         let mut problems = Vec::new();
-        if self.order_assign_period.is_zero() {
-            problems.push("order_assign_period must be positive".into());
-        }
         if self.hop_tick.is_zero() {
             problems.push("hop_tick must be positive".into());
         }
@@ -190,17 +168,13 @@ mod tests {
     fn quiet_disables_journalling() {
         let c = ProtocolConfig::default().quiet();
         assert!(!c.record_mh_deliveries);
-        assert!(!c.record_ne_progress);
-        assert!(c.stats_sample_period.is_zero());
     }
 
     #[test]
     fn builders_override() {
         let c = ProtocolConfig::default()
-            .with_tau(SimDuration::from_millis(9))
             .with_nack_budget(2)
             .with_reservation_radius(3);
-        assert_eq!(c.order_assign_period, SimDuration::from_millis(9));
         assert_eq!(c.nack_budget, 2);
         assert_eq!(c.reservation_radius, 3);
     }
@@ -208,7 +182,7 @@ mod tests {
     #[test]
     fn validation_catches_zeroes() {
         let c = ProtocolConfig {
-            order_assign_period: SimDuration::ZERO,
+            hop_tick: SimDuration::ZERO,
             mq_capacity: 0,
             ack_every: 0,
             ..ProtocolConfig::default()

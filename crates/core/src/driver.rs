@@ -492,9 +492,7 @@ impl Scenario {
             ),
             _ => {}
         }
-        if self.cfg.telemetry_capacity == 0 {
-            problems.push("telemetry_capacity must be positive (flight recorder depth)".into());
-        }
+        problems.extend(self.cfg.validate());
         if self.shards == 0 {
             problems.push("shards must be at least 1 (1 = sequential run)".into());
         } else if self.shards > self.attachments {
@@ -1722,6 +1720,28 @@ mod tests {
     }
 
     #[test]
+    fn builder_rejects_zero_tick_periods() {
+        // The same hazard on the two tick chains every entity runs: these
+        // are `ProtocolConfig::validate`'s rules, and the unordered backend
+        // never calls `HierarchySpec::validate`, so nothing else would
+        // catch them for it.
+        let mut zero_hop = ScenarioBuilder::new().build();
+        zero_hop.cfg.hop_tick = SimDuration::ZERO;
+        let mut zero_heartbeat = ScenarioBuilder::new().build();
+        zero_heartbeat.cfg.heartbeat_period = SimDuration::ZERO;
+        for (sc, problem) in [
+            (zero_hop, "hop_tick must be positive"),
+            (zero_heartbeat, "heartbeat_period must be positive"),
+        ] {
+            let problems = sc.validate();
+            assert!(
+                problems.iter().any(|p| p.contains(problem)),
+                "{problem}: {problems:?}"
+            );
+        }
+    }
+
+    #[test]
     #[should_panic(expected = "Figure 1 has exactly 9 attachment points")]
     fn builder_rejects_figure1_with_other_attachment_count() {
         // Used to pass validation, then panic inside `ringnet_spec` (and
@@ -1872,12 +1892,29 @@ mod tests {
         assert_eq!(report.metrics.duplicates, 0);
     }
 
+    /// Every entity ticks on its own clock whatever the protocol is doing,
+    /// so a run with a 20 ms outage fires the timers of the same run without
+    /// it, give or take the ticks around the outage (at most one stale and
+    /// one phase-shifted per chain). A forked chain would add one tick per
+    /// period for the rest of the run.
+    fn assert_ticks_like_a_never_restarted_twin(sc: &Scenario, seed: u64, report: &RunReport) {
+        let mut twin = sc.clone();
+        twin.events.clear();
+        let twin = RingNetSim::run_scenario(&twin, seed);
+        let (restarted, healthy) = (report.stats.timers_fired, twin.stats.timers_fired);
+        assert!(
+            restarted.abs_diff(healthy) <= 4,
+            "a restarted entity must tick at the rate of a healthy one \
+             ({restarted} vs {healthy} timers fired)"
+        );
+    }
+
     #[test]
     fn fast_restart_does_not_duplicate_timer_chains() {
         // Crash → restart faster than any timer period: the pre-crash
         // pending timers are still queued at revival and must fall dead,
-        // not fork second tick chains (which would double heartbeat, NACK
-        // and stats traffic for the rest of the run).
+        // not fork second tick chains (which would double heartbeat and
+        // NACK traffic for the rest of the run).
         let mut sc = small();
         sc.limit = None;
         sc.duration = SimTime::from_secs(6);
@@ -1893,26 +1930,7 @@ mod tests {
         ];
         let report = RingNetSim::run_scenario(&sc, 11);
         assert_eq!(report.metrics.order_violations, 0);
-        // Count periodic buffer samples per AP well after the restart; a
-        // duplicated chain would give the restarted AP ~2× the samples.
-        let count = |node: NodeId| {
-            report
-                .journal
-                .iter()
-                .filter(|(t, e)| {
-                    *t >= SimTime::from_secs(3)
-                        && matches!(e, ProtoEvent::BufferSample { node: n, .. } if *n == node)
-                })
-                .count()
-        };
-        let spec = ringnet_spec(&sc);
-        let restarted = count(spec.aps[1].id) as i64;
-        let healthy = count(spec.aps[0].id) as i64;
-        assert!(
-            (restarted - healthy).abs() <= 1, // ±1: the revived chain is phase-shifted
-            "restarted AP must tick at the same rate as a healthy one \
-             ({restarted} vs {healthy} samples)"
-        );
+        assert_ticks_like_a_never_restarted_twin(&sc, 11, &report);
     }
 
     #[test]
@@ -2037,25 +2055,7 @@ mod tests {
         ];
         let report = RingNetSim::run_scenario(&sc, 29);
         assert_eq!(report.metrics.order_violations, 0);
-        let spec = ringnet_spec(&sc);
-        let core = spec_core_order(&spec);
-        let count = |node: NodeId| {
-            report
-                .journal
-                .iter()
-                .filter(|(t, e)| {
-                    *t >= SimTime::from_secs(3)
-                        && matches!(e, ProtoEvent::BufferSample { node: n, .. } if *n == node)
-                })
-                .count() as i64
-        };
-        let restarted = count(core[3]);
-        let healthy = count(core[2]);
-        assert!(
-            (restarted - healthy).abs() <= 1, // ±1: the revived chain is phase-shifted
-            "rejoined AG must tick at the same rate as a healthy one \
-             ({restarted} vs {healthy} samples)"
-        );
+        assert_ticks_like_a_never_restarted_twin(&sc, 29, &report);
     }
 
     #[test]

@@ -24,10 +24,8 @@ use crate::node::NeState;
 use crate::telemetry::TelemetryBank;
 
 /// Timer tags shared by all actors.
-const TAG_ORDER_ASSIGN: u64 = 1;
 const TAG_HOP: u64 = 2;
 const TAG_HEARTBEAT: u64 = 3;
-const TAG_STATS: u64 = 4;
 const TAG_SOURCE: u64 = 5;
 
 /// Identity ↔ address translation, built once per simulation.
@@ -279,12 +277,6 @@ impl NeActor {
         let cfg = &self.states[0].cfg;
         ctx.set_timer(cfg.hop_tick, self.tag(TAG_HOP));
         ctx.set_timer(cfg.heartbeat_period, self.tag(TAG_HEARTBEAT));
-        if self.states[0].is_top_ring() {
-            ctx.set_timer(cfg.order_assign_period, self.tag(TAG_ORDER_ASSIGN));
-        }
-        if !cfg.stats_sample_period.is_zero() {
-            ctx.set_timer(cfg.stats_sample_period, self.tag(TAG_STATS));
-        }
     }
 
     /// Route one inbound message: entity-wide faults fan out to every
@@ -484,15 +476,6 @@ impl Actor<Msg, ProtoEvent> for NeActor {
         }
         let now = ctx.now();
         match tag & 0x7 {
-            TAG_ORDER_ASSIGN => {
-                for st in &mut self.states {
-                    if st.alive {
-                        st.tick_order_assign(now, &mut self.out);
-                    }
-                }
-                let period = self.states[0].cfg.order_assign_period;
-                ctx.set_timer(period, self.tag(TAG_ORDER_ASSIGN));
-            }
             TAG_HOP => {
                 for st in &mut self.states {
                     if st.alive {
@@ -510,20 +493,6 @@ impl Actor<Msg, ProtoEvent> for NeActor {
                 }
                 let period = self.states[0].cfg.heartbeat_period;
                 ctx.set_timer(period, self.tag(TAG_HEARTBEAT));
-            }
-            TAG_STATS => {
-                for st in &self.states {
-                    if st.alive {
-                        self.out.push(Action::Record(ProtoEvent::BufferSample {
-                            group: st.group,
-                            node: st.id,
-                            wq: st.wq.as_ref().map_or(0, |w| w.occupancy() as u32),
-                            mq: st.mq.occupancy() as u32,
-                        }));
-                    }
-                }
-                let period = self.states[0].cfg.stats_sample_period;
-                ctx.set_timer(period, self.tag(TAG_STATS));
             }
             _ => {}
         }

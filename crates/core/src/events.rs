@@ -31,25 +31,6 @@ pub enum ProtoEvent {
         /// Assigned global sequence number.
         gsn: GlobalSeq,
     },
-    /// A top-ring node copied a message from `WQ` into its `MQ`
-    /// (the Order-Assignment step becoming visible locally).
-    MqCopied {
-        /// The ordering ring (group) this record belongs to.
-        group: GroupId,
-        /// The copying node.
-        node: NodeId,
-        /// Global sequence number copied.
-        gsn: GlobalSeq,
-    },
-    /// An entity's delivered-to-all-children watermark advanced.
-    NeDelivered {
-        /// The ordering ring (group) this record belongs to.
-        group: GroupId,
-        /// The entity.
-        node: NodeId,
-        /// New watermark (everything ≤ is delivered downstream).
-        upto: GlobalSeq,
-    },
     /// An entity skipped a really-lost message.
     NeSkip {
         /// The ordering ring (group) this record belongs to.
@@ -203,17 +184,6 @@ pub enum ProtoEvent {
         node: NodeId,
         /// Members currently in the subtree.
         members: i64,
-    },
-    /// Periodic buffer-occupancy sample.
-    BufferSample {
-        /// The ordering ring (group) this record belongs to.
-        group: GroupId,
-        /// The sampled entity.
-        node: NodeId,
-        /// Current `WQ` occupancy (top-ring nodes only; 0 otherwise).
-        wq: u32,
-        /// Current `MQ` occupancy.
-        mq: u32,
     },
     /// Final per-entity statistics, emitted at simulation teardown.
     NeFinal {

@@ -510,7 +510,7 @@ mod tests {
         assert_eq!(n.mq.front(), GlobalSeq(1), "chan 1 copied with the token");
         // Chan 2 was overtaken by the token: copied the instant it lands.
         pre_order(&mut n, 2, &mut out);
-        assert_eq!(n.mq.front(), GlobalSeq(2), "no τ tick needed");
+        assert_eq!(n.mq.front(), GlobalSeq(2), "copied on arrival");
         let d = n.mq.get(GlobalSeq(2)).unwrap();
         assert_eq!((d.source, d.local_seq), (NodeId(0), LocalSeq(42)));
     }
@@ -531,7 +531,8 @@ mod tests {
         );
         assert!(sends_of(&out).is_empty(), "stops before the funnel");
         let vid = NodeId::fence_virtual(GB);
-        assert_eq!(n.wq.as_ref().unwrap().rear_of(vid), LocalSeq(1));
+        let stored = n.wq.as_ref().unwrap().get(vid, LocalSeq(1));
+        assert_eq!(stored, Some(PayloadId(3)));
         // Node 2's next is node 0 ≠ funnel → forwards.
         let mut n2 = br(GB, 2);
         out.clear();

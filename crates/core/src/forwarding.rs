@@ -95,13 +95,6 @@ impl NeState {
             return;
         }
         self.telemetry.delivered_up_to(now, self.mq.front());
-        if self.cfg.record_ne_progress {
-            out.push(Action::Record(ProtoEvent::NeDelivered {
-                group,
-                node: me,
-                upto: self.mq.front(),
-            }));
-        }
     }
 
     /// Cumulative ordered-stream ACK from a downstream hop.

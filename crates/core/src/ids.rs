@@ -39,11 +39,6 @@ impl NodeId {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Guid(pub u32);
 
-/// Locally unique mobile-host identity under the current AP (the paper's
-/// `LUID`, i.e. a care-of address). Reassigned on every handoff.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct Luid(pub u32);
-
 /// Per-source sequence number assigned by a multicast source
 /// (the paper's `LocalSeqNo`). Starts at 1; 0 means "none yet".
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]

@@ -81,8 +81,6 @@ pub mod metric {
     /// Counter: messages copied when a (fence) pre-order landed under an
     /// entry a kept snapshot already covered.
     pub const COPIED_ON_PREORDER: &str = "order_assign.copied_on_preorder";
-    /// Counter: messages copied by the periodic `τ` fallback tick.
-    pub const COPIED_ON_TICK: &str = "order_assign.copied_on_tick";
     /// Counter: cumulative `DataAck`s sent (progress and refresh alike).
     /// With the five below, the split of `NeFinal.control_sent` by message
     /// kind (see `Msg::control_metric`).
@@ -468,13 +466,6 @@ impl Telemetry {
     pub fn count_n(&mut self, name: &'static str, n: u64) {
         if self.on {
             self.metrics.add(name, n);
-        }
-    }
-
-    /// Record a sim-ns histogram observation.
-    pub fn observe_ns(&mut self, name: &'static str, ns: u64) {
-        if self.on {
-            self.metrics.observe(name, ns);
         }
     }
 
@@ -954,7 +945,6 @@ mod tests {
         let mut t = Telemetry::off();
         t.token_pass(SimTime::ZERO, Epoch(1), 3, GlobalSeq(9));
         t.count(metric::NACKS_SENT);
-        t.observe_ns(metric::TOKEN_ROTATION_NS, 5);
         assert!(t.dump().is_none());
     }
 

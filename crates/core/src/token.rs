@@ -158,16 +158,6 @@ impl OrderingToken {
         (self.epoch, self.origin.0, self.rotation)
     }
 
-    /// True when `self` beats `other` under the keep-one rule.
-    pub fn wins_over(&self, other: &OrderingToken) -> bool {
-        self.instance() > other.instance()
-    }
-
-    /// Total global numbers ever assigned by this token lineage.
-    pub fn total_assigned(&self) -> u64 {
-        self.next_gsn.since(GlobalSeq::FIRST)
-    }
-
     /// Entries currently in the table.
     pub fn entries(&self) -> &[SeqNoPair] {
         &self.wtsnp
@@ -199,7 +189,6 @@ mod tests {
         assert_eq!(g1, GlobalSeq(1));
         assert_eq!(g2, GlobalSeq(4));
         assert_eq!(t.next_gsn, GlobalSeq(6));
-        assert_eq!(t.total_assigned(), 5);
         assert_eq!(t.entries()[0].max_gs(), GlobalSeq(3));
         assert_eq!(t.entries()[1].max_gs(), GlobalSeq(5));
     }
@@ -246,15 +235,22 @@ mod tests {
     fn keep_one_rule() {
         let mut a = token();
         let mut b = OrderingToken::new(GroupId(1), NodeId(5));
-        assert!(b.wins_over(&a), "equal epoch: higher origin id wins");
+        assert!(
+            b.instance() > a.instance(),
+            "equal epoch: higher origin id wins"
+        );
         a.epoch = Epoch(1);
-        assert!(a.wins_over(&b), "higher epoch wins regardless of origin");
+        assert!(
+            a.instance() > b.instance(),
+            "higher epoch wins regardless of origin"
+        );
         b.epoch = Epoch(1);
         b.origin = NodeId(9);
-        assert!(b.wins_over(&a) && !a.wins_over(&b));
+        assert!(b.instance() > a.instance());
         b.origin = NodeId(0);
-        assert!(
-            !a.wins_over(&b) && !b.wins_over(&a),
+        assert_eq!(
+            a.instance(),
+            b.instance(),
             "identical instances: neither wins"
         );
     }
@@ -262,7 +258,6 @@ mod tests {
     #[test]
     fn empty_token_sane() {
         let t = token();
-        assert_eq!(t.total_assigned(), 0);
         assert!(t.entries().is_empty());
         assert_eq!(t.next_gsn, GlobalSeq::FIRST);
     }

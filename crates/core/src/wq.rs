@@ -355,14 +355,6 @@ impl WorkingQueue {
     pub fn peak_occupancy(&self) -> usize {
         self.peak_total
     }
-
-    /// Highest local sequence number seen for a source's stream.
-    pub fn rear_of(&self, corresponding: NodeId) -> LocalSeq {
-        self.queues
-            .get(&corresponding)
-            .map(|q| q.rear)
-            .unwrap_or(LocalSeq::ZERO)
-    }
 }
 
 #[cfg(test)]
@@ -385,7 +377,7 @@ mod tests {
         let (requests, lost) = wq.collect_nacks(3);
         assert!(requests.is_empty(), "{requests:?}");
         assert_eq!(lost, 0);
-        assert_eq!(wq.rear_of(N1), LocalSeq(500));
+        assert_eq!(wq.get(N1, LocalSeq(500)), Some(PayloadId(500)));
         // Later entries of the SAME stream chase gaps normally.
         assert_eq!(
             wq.insert(N1, LocalSeq(502), PayloadId(502)),
@@ -398,7 +390,7 @@ mod tests {
             wq.insert(N2, LocalSeq(9_000), PayloadId(1)),
             InsertOutcome::Stored
         );
-        assert_eq!(wq.rear_of(N2), LocalSeq(9_000));
+        assert_eq!(wq.get(N2, LocalSeq(9_000)), Some(PayloadId(1)));
         // Without resync the same first insert overflows the capacity.
         let mut plain = WorkingQueue::new(8);
         assert_eq!(

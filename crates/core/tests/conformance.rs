@@ -18,8 +18,7 @@ const G: GroupId = GroupId(1);
 /// Data and control messages deliver instantly; **token transfers are
 /// paced** (held in a side queue, advanced one hop per [`Net::pump_token`]
 /// call). Without pacing an instant network would rotate the token
-/// infinitely fast — a regime no real link allows and one that starves the
-/// τ-based Order-Assignment of stable snapshots.
+/// infinitely fast — a regime no real link allows.
 struct Net {
     nes: BTreeMap<NodeId, NeState>,
     mhs: BTreeMap<Guid, MhState>,
@@ -110,11 +109,7 @@ impl Net {
         for id in ids {
             let mut out = Vec::new();
             let now = self.now;
-            {
-                let ne = self.nes.get_mut(&id).unwrap();
-                ne.tick_hop(now, &mut out);
-                ne.tick_order_assign(now, &mut out);
-            }
+            self.nes.get_mut(&id).unwrap().tick_hop(now, &mut out);
             self.absorb(Endpoint::Ne(id), out);
         }
         let gs: Vec<Guid> = self.mhs.keys().copied().collect();
@@ -225,8 +220,8 @@ fn end_to_end_ordering_handshake() {
     net.source_send(NodeId(0), 1);
     net.source_send(NodeId(1), 1);
 
-    // Paced rounds: the token advances one hop per round while τ ticks run,
-    // exactly like a real network where link latency and τ are comparable.
+    // Paced rounds: the token advances one hop per hop tick, like a real
+    // network where link latency and the tick are comparable.
     for _ in 0..12 {
         net.pump_token(1);
         net.tick_all(SimDuration::from_millis(5));
@@ -272,9 +267,12 @@ fn pre_order_reaches_every_ring_node_exactly_once() {
     // Every node's WQ holds stream 0's message exactly once (dup counter 0).
     for &id in &ring {
         let ne = &net.nes[&id];
-        assert_eq!(
-            ne.wq.as_ref().unwrap().rear_of(NodeId(0)),
-            LocalSeq(1),
+        assert!(
+            ne.wq
+                .as_ref()
+                .unwrap()
+                .get(NodeId(0), LocalSeq(1))
+                .is_some(),
             "{id} missing the pre-order copy"
         );
         assert_eq!(ne.counters.duplicates, 0, "{id} got duplicates");

@@ -6,6 +6,7 @@ use std::collections::BTreeMap;
 
 use ringnet_core::driver::{MulticastSim, Scenario};
 use ringnet_core::hierarchy::{LinkPlan, MhSpec, TrafficPattern};
+use ringnet_core::metrics::buffer_peaks_of;
 use ringnet_core::telemetry::metric;
 use ringnet_core::{
     GroupId, Guid, HierarchyBuilder, NodeId, ProtoEvent, ProtocolConfig, RingNetSim,
@@ -140,45 +141,37 @@ fn bursty_channel_with_budget_keeps_ratio_high() {
     assert!(ratio > 0.98, "bursty-channel delivery ratio {ratio}");
 }
 
+/// An entity runs two timer chains — hop tick and heartbeat — and nothing
+/// else: on a quiet loss-free world the simulator fires exactly those ticks
+/// plus the source's own. A third per-entity chain (the `τ` scan and the
+/// buffer sampler were two) cannot come back unnoticed.
 #[test]
-fn buffer_samples_emitted_when_enabled() {
-    let cfg = ProtocolConfig {
-        stats_sample_period: SimDuration::from_millis(50),
-        ..ProtocolConfig::default()
-    };
+fn quiet_world_fires_two_timer_chains_per_entity() {
+    let messages = 5;
     let spec = HierarchyBuilder::new(G)
-        .brs(2)
-        .ag_rings(1, 2)
-        .aps_per_ag(1)
-        .mhs_per_ap(1)
-        .sources(1)
-        .source_pattern(TrafficPattern::Cbr {
-            interval: SimDuration::from_millis(10),
-        })
-        .config(cfg)
-        .build();
-    let mut net = RingNetSim::build(spec, 31);
-    net.run_until(SimTime::from_secs(2));
-    let (journal, _) = net.finish();
-    let samples = count(&journal, |e| matches!(e, ProtoEvent::BufferSample { .. }));
-    // 6 NEs × ~40 sample ticks.
-    assert!(samples > 100, "buffer samples: {samples}");
-    // Quiet config suppresses them.
-    let spec2 = HierarchyBuilder::new(G)
         .config(ProtocolConfig::default().quiet())
-        .source_limit(5)
+        .source_limit(messages)
         .build();
-    let mut net2 = RingNetSim::build(spec2, 31);
-    net2.run_until(SimTime::from_secs(1));
-    let (journal2, _) = net2.finish();
+    let ticking = spec.entities().count() - spec.sources.len();
+    let second = SimDuration::from_secs(1).as_nanos();
+    let ticks_each =
+        second / spec.cfg.hop_tick.as_nanos() + second / spec.cfg.heartbeat_period.as_nanos();
+    let mut net = RingNetSim::build(spec, 31);
+    net.run_until(SimTime::from_secs(1));
+    let (journal, stats) = net.finish();
+    // A source ticks once per message and once more to find its limit spent.
     assert_eq!(
-        count(&journal2, |e| matches!(e, ProtoEvent::BufferSample { .. })),
-        0
+        stats.timers_fired,
+        ticking as u64 * ticks_each + messages + 1
     );
     assert_eq!(
-        count(&journal2, |e| matches!(e, ProtoEvent::MhDeliver { .. })),
+        count(&journal, |e| matches!(e, ProtoEvent::Ordered { .. })) as u64,
+        messages
+    );
+    assert_eq!(
+        count(&journal, |e| matches!(e, ProtoEvent::MhDeliver { .. })),
         0,
-        "quiet mode also drops per-delivery records"
+        "quiet mode drops per-delivery records"
     );
 }
 
@@ -374,11 +367,9 @@ fn zero_mh_network_runs_clean() {
 /// (up to the AP's peak-depth counter, which remembers the stall).
 #[test]
 fn lost_frame_of_cumulative_acks_is_repaired_by_the_next_frame() {
-    fn run(cut_uplink: bool) -> (Vec<(SimTime, ProtoEvent)>, simnet::SimStats) {
-        let cfg = ProtocolConfig {
-            stats_sample_period: SimDuration::from_millis(5),
-            ..ProtocolConfig::default()
-        };
+    /// The journal, the transport totals, and the AP's `MQ` peak (of its
+    /// first group state; the lost frame stalled all four alike).
+    fn run(cut_uplink: bool) -> (Vec<(SimTime, ProtoEvent)>, simnet::SimStats, u32) {
         let spec = HierarchyBuilder::new(G)
             .groups((1..=4).map(GroupId).collect())
             .brs(4)
@@ -394,7 +385,6 @@ fn lost_frame_of_cumulative_acks_is_repaired_by_the_next_frame() {
                 wireless: LinkProfile::wired(SimDuration::from_millis(2)),
                 ..LinkPlan::default()
             })
-            .config(cfg)
             .build();
         let ap = spec.aps[0].id;
         let mut net = RingNetSim::build(spec, 3);
@@ -407,10 +397,12 @@ fn lost_frame_of_cumulative_acks_is_repaired_by_the_next_frame() {
             });
         }
         net.run_until(SimTime::from_secs(2));
-        net.finish()
+        let (journal, stats) = net.finish();
+        let (_, ap_mq_peak) = buffer_peaks_of(&journal, ap).expect("the AP reports");
+        (journal, stats, ap_mq_peak)
     }
-    let (clean, clean_stats) = run(false);
-    let (cut, cut_stats) = run(true);
+    let (clean, clean_stats, clean_peak) = run(false);
+    let (cut, cut_stats, cut_peak) = run(true);
 
     assert_eq!(
         cut_stats.packets_link_down, 1,
@@ -420,27 +412,24 @@ fn lost_frame_of_cumulative_acks_is_repaired_by_the_next_frame() {
         cut_stats.packets_sent, clean_stats.packets_sent,
         "nothing extra was said"
     );
-    // The next ack tick is at 1020 ms and its frame lands 2 ms later.
-    let lost = SimTime::from_millis(1010);
-    let repaired = SimTime::from_millis(1022);
-    let window = |j: &[(SimTime, ProtoEvent)], from: SimTime, to: SimTime| {
-        let within: Vec<_> = j.iter().filter(|(t, _)| (from..to).contains(t)).collect();
-        format!("{within:?}")
+    // The next ack tick is at 1020 ms and its frame lands 2 ms later; what
+    // the AP held in between shows in its peak depth and nowhere else.
+    assert!(
+        cut_peak > clean_peak,
+        "the lost acks were felt: the AP retained what they would have released \
+         ({cut_peak} vs {clean_peak})"
+    );
+    let before_teardown = |j: &[(SimTime, ProtoEvent)]| {
+        let run: Vec<_> = j
+            .iter()
+            .filter(|(t, _)| *t < SimTime::from_secs(2))
+            .collect();
+        format!("{run:?}")
     };
     assert_eq!(
-        window(&cut, SimTime::ZERO, lost),
-        window(&clean, SimTime::ZERO, lost)
-    );
-    assert_ne!(
-        window(&cut, lost, repaired),
-        window(&clean, lost, repaired),
-        "the lost acks were felt: the AP retained what they would have released"
-    );
-    let teardown = SimTime::from_secs(2);
-    assert_eq!(
-        window(&cut, repaired, teardown),
-        window(&clean, repaired, teardown),
-        "the next frame repaired every stream"
+        before_teardown(&cut),
+        before_teardown(&clean),
+        "the next frame repaired every stream: not one journal line moved"
     );
     assert!(count(&cut, |e| matches!(e, ProtoEvent::MhDeliver { .. })) > 500);
     let unrepaired = |e: &ProtoEvent| match e {
@@ -504,7 +493,7 @@ fn loss_free_static_worlds() -> Vec<(&'static str, Scenario)> {
 /// BR used to copy its own, higher, GSN range into `MQ` up to τ before its
 /// predecessor's lower one, and the hop tick NACKed the hole.) And every
 /// `WQ`→`MQ` copy is made the instant its token arrives — none is left for
-/// the τ fallback tick.
+/// a late pre-order.
 #[test]
 fn loss_free_static_worlds_never_nack_and_never_wait_for_the_tick() {
     for (name, sc) in loss_free_static_worlds() {
@@ -518,7 +507,6 @@ fn loss_free_static_worlds_never_nack_and_never_wait_for_the_tick() {
             metric::NACKS_SENT,
             metric::PREORDER_NACKS_SENT,
             metric::RETRANSMISSIONS_SERVED,
-            metric::COPIED_ON_TICK,
             metric::COPIED_ON_PREORDER,
         ] {
             assert_eq!(t.total_counter(quiet), 0, "{name}: {quiet}");
@@ -551,8 +539,8 @@ fn loss_free_static_worlds_never_nack_and_never_wait_for_the_tick() {
 #[test]
 fn figure1_latency_is_token_wait_plus_link_delays_exactly() {
     let links = LinkPlan {
-        // 3 ms ring hops: token arrivals fall between the 5 ms τ ticks, so
-        // a copy that waited for one would show.
+        // 3 ms ring hops: token arrivals fall between the 5 ms hop ticks, so
+        // a copy that waited for a timer would show.
         top_ring: LinkProfile::wired(SimDuration::from_millis(3)),
         wireless: LinkProfile::wired(SimDuration::from_millis(2)),
         ..LinkPlan::default()

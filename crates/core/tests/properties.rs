@@ -71,16 +71,17 @@ fn token_instance_order_consistent() {
                 t
             })
             .collect();
+        let wins = |a: &OrderingToken, b: &OrderingToken| a.instance() > b.instance();
         for a in &tokens {
             for b in &tokens {
-                assert!(!(a.wins_over(b) && b.wins_over(a)));
+                assert!(!(wins(a, b) && wins(b, a)));
             }
         }
         for a in &tokens {
             for b in &tokens {
                 for c in &tokens {
-                    if a.wins_over(b) && b.wins_over(c) {
-                        assert!(a.wins_over(c), "transitivity");
+                    if wins(a, b) && wins(b, c) {
+                        assert!(wins(a, c), "transitivity");
                     }
                 }
             }

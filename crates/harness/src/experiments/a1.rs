@@ -8,8 +8,8 @@
 //!   copied by Order-Assignment. Since the copy became event-driven that
 //!   window is used only on the *repair path* — a pre-order lost on the
 //!   ring and re-fetched after its token has passed. On a loss-free ring
-//!   every pre-order precedes its token and both knobs are inert, whatever
-//!   `τ` is; on a lossy ring a window too short for the pre-order repair
+//!   every pre-order precedes its token and both knobs are inert; on a
+//!   lossy ring a window too short for the pre-order repair
 //!   hands the hole to `MQ`-level NACKs, visible as retransmissions.
 //! * **ACK batching** (`ack_every`): fewer ACKs mean longer retention and
 //!   larger buffer peaks — the empirical slack factor of T3 at work. The
@@ -101,16 +101,15 @@ pub fn run(quick: bool) -> Table {
     );
     let duration = SimTime::from_secs(if quick { 3 } else { 6 });
     let mut variants: Vec<(String, ProtocolConfig, bool)> = Vec::new();
-    // τ = 30 ms against a 20 ms rotation: were any copy left to the τ
-    // tick, short retention would lose entries before the tick saw them.
-    let slow_tau = SimDuration::from_millis(30);
     let retentions: &[u64] = if quick { &[1, 2] } else { &[1, 2, 3] };
     // The two knobs interact: the old-token copy extends an entry's local
     // visibility by a full rotation, masking short retention. The combined
     // variant strips both.
-    let mut stripped = ProtocolConfig::default().with_tau(slow_tau);
-    stripped.wtsnp_retain_rotations = 1;
-    stripped.keep_old_token = false;
+    let stripped = ProtocolConfig {
+        wtsnp_retain_rotations: 1,
+        keep_old_token: false,
+        ..ProtocolConfig::default()
+    };
     for lossy_ring in [false, true] {
         let world = if lossy_ring {
             "5% ring loss"
@@ -118,12 +117,14 @@ pub fn run(quick: bool) -> Table {
             "loss-free"
         };
         for &r in retentions {
-            let mut c = ProtocolConfig::default().with_tau(slow_tau);
-            c.wtsnp_retain_rotations = r;
-            variants.push((format!("retention={r} (τ=30ms, {world})"), c, lossy_ring));
+            let c = ProtocolConfig {
+                wtsnp_retain_rotations: r,
+                ..ProtocolConfig::default()
+            };
+            variants.push((format!("retention={r} ({world})"), c, lossy_ring));
         }
         variants.push((
-            format!("retention=1 + no old (τ=30ms, {world})"),
+            format!("retention=1 + no old ({world})"),
             stripped.clone(),
             lossy_ring,
         ));
@@ -153,7 +154,7 @@ pub fn run(quick: bool) -> Table {
         ]);
     }
     table.note("defaults: retention=2, old token kept, ack_every=2");
-    table.note("loss-free rows are flat on purpose: every pre-order precedes its token and Order-Assignment copies on token arrival, so neither retention nor the old snapshot is ever consulted, whatever τ is (while the copy waited for the τ tick these rows showed 2373 retransmissions on a loss-free ring — repairs of holes the tick itself opened)");
+    table.note("loss-free rows are flat on purpose: every pre-order precedes its token and Order-Assignment copies on token arrival, so neither retention nor the old snapshot is ever consulted (while the copy waited for a τ tick these rows showed 2373 retransmissions on a loss-free ring — repairs of holes the tick itself opened)");
     table.note("retention and the old snapshot matter only on the repair path (5% ring loss rows): a pre-order re-fetched after its token is copied on arrival while a kept snapshot still covers it; with both stripped the hole falls to MQ-level NACKs and costs extra retransmissions");
     table.note("ACK batching trades control messages (last column) for buffer residency; the saving is small because a hop acknowledges only a front that moved, so ack_every=1 costs what the default does");
     table

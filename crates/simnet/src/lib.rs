@@ -58,6 +58,6 @@ pub use par::run_replicas;
 pub use rng::SimRng;
 pub use shard::{NetView, ShardedSim};
 pub use sim::{Actor, Ctx, Journal, NetOps, Sim, SimStats, TimerHandle, World};
-pub use stats::{Gauge, Histogram, RateSeries, Summary};
+pub use stats::Histogram;
 pub use time::{SimDuration, SimTime};
 pub use topo::{NodeAddr, Topology};

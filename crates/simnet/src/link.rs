@@ -176,12 +176,6 @@ impl LinkProfile {
         self.loss = loss;
         self
     }
-
-    /// Replace the bandwidth model (builder style).
-    pub fn with_bandwidth(mut self, bw: BandwidthModel) -> Self {
-        self.bandwidth = bw;
-        self
-    }
 }
 
 /// Outcome of offering one packet to a link.
@@ -241,7 +235,8 @@ impl LinkState {
     }
 
     /// Administrative up/down state (see [`LinkState::set_up`]).
-    pub fn is_up(&self) -> bool {
+    #[cfg(test)]
+    pub(crate) fn is_up(&self) -> bool {
         self.up
     }
 
@@ -415,11 +410,13 @@ mod tests {
     #[test]
     fn bandwidth_serializes_packets() {
         // 8000 bits/s → a 100-byte (800-bit) packet takes 100 ms to serialize.
-        let profile =
-            LinkProfile::wired(SimDuration::ZERO).with_bandwidth(BandwidthModel::Limited {
+        let profile = LinkProfile {
+            bandwidth: BandwidthModel::Limited {
                 bits_per_sec: 8_000,
                 queue_limit: 16,
-            });
+            },
+            ..LinkProfile::wired(SimDuration::ZERO)
+        };
         let mut link = LinkState::new(profile);
         let mut r = rng();
         let t0 = SimTime::ZERO;
@@ -431,11 +428,13 @@ mod tests {
 
     #[test]
     fn bandwidth_queue_tail_drops() {
-        let profile =
-            LinkProfile::wired(SimDuration::ZERO).with_bandwidth(BandwidthModel::Limited {
+        let profile = LinkProfile {
+            bandwidth: BandwidthModel::Limited {
                 bits_per_sec: 8_000,
                 queue_limit: 2,
-            });
+            },
+            ..LinkProfile::wired(SimDuration::ZERO)
+        };
         let mut link = LinkState::new(profile);
         let mut r = rng();
         assert!(matches!(

@@ -75,12 +75,6 @@ impl SimTime {
     pub fn saturating_since(self, earlier: SimTime) -> SimDuration {
         SimDuration(self.0.saturating_sub(earlier.0))
     }
-
-    /// Checked difference between two instants.
-    #[inline]
-    pub fn checked_since(self, earlier: SimTime) -> Option<SimDuration> {
-        self.0.checked_sub(earlier.0).map(SimDuration)
-    }
 }
 
 impl SimDuration {
@@ -329,7 +323,6 @@ mod tests {
         let late = SimTime::from_millis(2);
         assert_eq!(early.saturating_since(late), SimDuration::ZERO);
         assert_eq!(late.saturating_since(early), SimDuration::from_millis(1));
-        assert_eq!(early.checked_since(late), None);
         assert_eq!(SimTime::MAX + SimDuration::from_secs(1), SimTime::MAX);
     }
 

@@ -37,7 +37,6 @@ pub struct Topology {
     /// Outgoing adjacency per source address, each row sorted by
     /// destination. Rows for unused addresses stay empty.
     out: Vec<Vec<(NodeAddr, LinkState)>>,
-    count: usize,
 }
 
 impl Topology {
@@ -59,10 +58,7 @@ impl Topology {
         let row = &mut self.out[i];
         match row.binary_search_by_key(&dst, |&(d, _)| d) {
             Ok(p) => row[p].1 = LinkState::new(profile),
-            Err(p) => {
-                row.insert(p, (dst, LinkState::new(profile)));
-                self.count += 1;
-            }
+            Err(p) => row.insert(p, (dst, LinkState::new(profile))),
         }
     }
 
@@ -80,7 +76,6 @@ impl Topology {
         match row.binary_search_by_key(&dst, |&(d, _)| d) {
             Ok(p) => {
                 row.remove(p);
-                self.count -= 1;
                 true
             }
             Err(_) => false,
@@ -148,11 +143,6 @@ impl Topology {
             .map(|&(dst, _)| dst)
     }
 
-    /// Total number of directed links.
-    pub fn link_count(&self) -> usize {
-        self.count
-    }
-
     /// Iterate over every directed link (deterministic order: by source
     /// address, then destination).
     pub fn iter(&self) -> impl Iterator<Item = (NodeAddr, NodeAddr, &LinkState)> {
@@ -181,7 +171,7 @@ mod tests {
         t.connect_duplex(NodeAddr(2), NodeAddr(3), p());
         assert!(t.has_link(NodeAddr(2), NodeAddr(3)));
         assert!(t.has_link(NodeAddr(3), NodeAddr(2)));
-        assert_eq!(t.link_count(), 3);
+        assert_eq!(t.iter().count(), 3);
     }
 
     #[test]
@@ -193,7 +183,7 @@ mod tests {
         assert!(t.has_link(NodeAddr(1), NodeAddr(0)));
         assert!(!t.disconnect(NodeAddr(0), NodeAddr(1)), "double disconnect");
         t.disconnect_duplex(NodeAddr(0), NodeAddr(1));
-        assert_eq!(t.link_count(), 0);
+        assert_eq!(t.iter().count(), 0);
     }
 
     #[test]

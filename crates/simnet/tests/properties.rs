@@ -4,9 +4,7 @@
 
 use simnet::event::EventQueue;
 use simnet::link::{LinkProfile, LinkState, LossModel, TxOutcome};
-use simnet::{
-    Actor, Ctx, NodeAddr, ShardedSim, Sim, SimDuration, SimRng, SimStats, SimTime, Summary,
-};
+use simnet::{Actor, Ctx, NodeAddr, ShardedSim, Sim, SimDuration, SimRng, SimStats, SimTime};
 
 /// The event queue is a stable priority queue: pops come out in
 /// non-decreasing time order, and equal times preserve insertion order.
@@ -116,41 +114,6 @@ fn gilbert_elliott_steady_state() {
             (rate - expected).abs() < 0.05,
             "case {case}: rate {rate} vs steady {expected}"
         );
-    }
-}
-
-/// Summary::merge is equivalent to sequential accumulation at any split.
-#[test]
-fn summary_merge_associative() {
-    let mut rng = SimRng::from_seed(0xB5);
-    for case in 0..64 {
-        let len = rng.range_u64(2, 200) as usize;
-        let xs: Vec<f64> = (0..len).map(|_| rng.range_f64(-1e6, 1e6)).collect();
-        let split = (xs.len() as f64 * rng.unit()) as usize;
-        let mut whole = Summary::new();
-        for &x in &xs {
-            whole.add(x);
-        }
-        let mut a = Summary::new();
-        let mut b = Summary::new();
-        for &x in &xs[..split] {
-            a.add(x);
-        }
-        for &x in &xs[split..] {
-            b.add(x);
-        }
-        a.merge(&b);
-        assert_eq!(a.count(), whole.count(), "case {case}");
-        assert!(
-            (a.mean() - whole.mean()).abs() < 1e-6 * (1.0 + whole.mean().abs()),
-            "case {case}"
-        );
-        assert!(
-            (a.variance() - whole.variance()).abs() < 1e-3 * (1.0 + whole.variance()),
-            "case {case}"
-        );
-        assert_eq!(a.min(), whole.min(), "case {case}");
-        assert_eq!(a.max(), whole.max(), "case {case}");
     }
 }
 

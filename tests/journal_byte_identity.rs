@@ -23,7 +23,7 @@
 
 use ringnet_repro::baselines::{FlatRingSim, RelmSim, TreeSim, TunnelSim, UnorderedSim};
 use ringnet_repro::core::driver::{MulticastSim, RunReport, Scenario, ScenarioBuilder};
-use ringnet_repro::core::{GroupId, ProtoEvent, RingNetSim};
+use ringnet_repro::core::{GroupId, RingNetSim};
 use ringnet_repro::simnet::{LinkProfile, SimDuration, SimTime};
 
 /// FNV-1a over rendered journal lines.
@@ -47,16 +47,6 @@ fn rendered(report: &RunReport) -> Vec<String> {
 /// FNV-1a over the debug rendering of the journal.
 fn digest(report: &RunReport) -> u64 {
     fnv1a(&rendered(report))
-}
-
-/// The report without its `BufferSample` lines: what the journal is once
-/// nothing samples the buffers. Pinned on the code that still does, ahead
-/// of the sampler's removal, so the removal is shown to move nothing else.
-fn without_buffer_samples(mut report: RunReport) -> RunReport {
-    report
-        .journal
-        .retain(|(_, e)| !matches!(e, ProtoEvent::BufferSample { .. }));
-    report
 }
 
 /// The digest of the journal with the entries of each simulated instant
@@ -139,7 +129,7 @@ fn digest_is_sensitive_to_protocol_behaviour() {
 /// 1 / 2 / 4 shards): a top-ring node now copies `WQ`→`MQ` the instant the
 /// token arrives instead of at its next τ tick, so every `MhDeliver` below
 /// a non-assigner BR is stamped up to 5 ms earlier. Timestamps aside the
-/// journal is the same 1306 entries, but for three `BufferSample`s of that
+/// journal is the same 1306 entries, but for three buffer samples of that
 /// BR that now find the `WQ` entry already copied and collected; the
 /// baselines that do not run the ordering core keep their digests
 /// ([`GOLDEN_BASELINE_DIGESTS`]).
@@ -150,46 +140,43 @@ fn digest_is_sensitive_to_protocol_behaviour() {
 /// instants — every `Ordered`, `MhDeliver` and `TokenPass` line is
 /// untouched — but the eight `NeFinal.control_sent` totals fall (BR 1:
 /// 1739 → 959; no `PreOrderAck`, no `DataAck` repeating an unmoved front)
-/// and three `BufferSample`s of BR 1 read `mq: 1` where they read 2, its
+/// and three buffer samples of BR 1 read `mq: 1` where they read 2, its
 /// next node's front now arriving with the `TokenAck` instead of up to an
 /// ack period later.
 ///
-/// The last column is the digest of the same journal without its
-/// `BufferSample` lines.
-const GOLDEN_RINGNET_DIGESTS: &[(u64, usize, u64, u64)] = &[
-    (3, 1, 0x3857e7b21e881b30, 0x5f716a80ccb773f6),
-    (3, 2, 0xceea1d6757523dce, 0x9ad98c13b58fbb02),
-    (3, 4, 0x4bd7d6e89ea972ac, 0x22f04e617383adce),
-    (7, 1, 0x3857e7b21e881b30, 0x5f716a80ccb773f6),
-    (7, 2, 0xceea1d6757523dce, 0x9ad98c13b58fbb02),
-    (7, 4, 0x4bd7d6e89ea972ac, 0x22f04e617383adce),
+/// Regenerated on purpose by PR 20 (the buffer sampler is deleted; were
+/// `0x3857e7b21e881b30` / `0xceea1d6757523dce` / `0x4bd7d6e89ea972ac`): the
+/// journal is the parent's minus its periodic buffer-occupancy samples and
+/// nothing else. The commit before the deletion pinned, on the code that
+/// still sampled, the digest of each journal with those lines filtered
+/// out; these are those numbers, unedited — here, for tree and flat ring in
+/// [`GOLDEN_BASELINE_DIGESTS`] and for both worlds of
+/// [`GOLDEN_MULTIGROUP_INSTANT_DIGESTS`].
+const GOLDEN_RINGNET_DIGESTS: &[(u64, usize, u64)] = &[
+    (3, 1, 0x5f716a80ccb773f6),
+    (3, 2, 0x9ad98c13b58fbb02),
+    (3, 4, 0x22f04e617383adce),
+    (7, 1, 0x5f716a80ccb773f6),
+    (7, 2, 0x9ad98c13b58fbb02),
+    (7, 4, 0x22f04e617383adce),
 ];
 
 #[test]
 fn ringnet_journal_digest_is_pinned_per_seed_and_shard_count() {
-    for &(seed, shards, want, want_unsampled) in GOLDEN_RINGNET_DIGESTS {
+    for &(seed, shards, want) in GOLDEN_RINGNET_DIGESTS {
         let mut sc = scenario();
         sc.shards = shards;
-        let report = RingNetSim::run_scenario(&sc, seed);
-        let got = digest(&report);
+        let got = digest(&RingNetSim::run_scenario(&sc, seed));
         assert_eq!(
             got, want,
             "seed {seed}, {shards} shard(s): journal digest {got:#018x} != pinned \
              {want:#018x} — the fabric changed observable protocol behaviour"
         );
-        let got = digest(&without_buffer_samples(report));
-        assert_eq!(
-            got, want_unsampled,
-            "seed {seed}, {shards} shard(s): digest without buffer samples {got:#018x} != \
-             pinned {want_unsampled:#018x}"
-        );
     }
 }
 
-/// A named backend, its pinned digest, and the digest of the same journal
-/// without its `BufferSample` lines (only tree and flat ring — both
-/// `NeState` — have any).
-type PinnedBackend = (&'static str, fn(&Scenario, u64) -> RunReport, u64, u64);
+/// A named backend and its pinned digest.
+type PinnedBackend = (&'static str, fn(&Scenario, u64) -> RunReport, u64);
 
 /// Golden journal digests of the five baselines on the shared world, the
 /// same at 1 and 2 shards. They are the blast-radius proof of a change to
@@ -204,10 +191,16 @@ type PinnedBackend = (&'static str, fn(&Scenario, u64) -> RunReport, u64, u64);
 /// ring — both `NeState` — send too; tunnel, RelM and unordered do not
 /// and are unedited. Tree (was `0x4ff1ebcb601b887c`): six lower
 /// `NeFinal.control_sent` totals, nothing else. Flat ring (was
-/// `0x2e98bbc2be9658e4`): four lower totals, and nine `BufferSample`s —
+/// `0x2e98bbc2be9658e4`): four lower totals, and nine buffer samples —
 /// `mq` one lower where the next station's front came with its
 /// `TokenAck`, `wq` one higher where an ordered entry now waits for the
 /// next station's *front* to pass it instead of for its receipt.
+///
+/// PR 20 deleted the buffer sampler, which tree and flat ring ran too
+/// (were `0x4f814fd936443788` and `0x0dfa10a39093bdd5`): both are the
+/// parent's journal without its buffer samples, pinned on the
+/// parent's code first (see [`GOLDEN_RINGNET_DIGESTS`]); tunnel, RelM and
+/// unordered never sampled and are unedited.
 ///
 /// PR 15 rebuilt `unordered` from RingNet's own `HierarchySpec`, so its
 /// tree hops now follow `links.br_ag` / `links.ag_ap` / `links.source`
@@ -220,55 +213,23 @@ type PinnedBackend = (&'static str, fn(&Scenario, u64) -> RunReport, u64, u64);
 /// per hop. `tests/comparator_parity.rs` is where the difference shows;
 /// [`GOLDEN_UNORDERED_UNIFORM_LINKS`] is the world where there is none.
 const GOLDEN_BASELINE_DIGESTS: &[PinnedBackend] = &[
-    (
-        "flat_ring",
-        FlatRingSim::run_scenario,
-        0x0dfa10a39093bdd5,
-        0xf91887f50c5ae64a,
-    ),
-    (
-        "tree",
-        TreeSim::run_scenario,
-        0x4f814fd936443788,
-        0x5d3272b45b1d02a8,
-    ),
-    (
-        "tunnel",
-        TunnelSim::run_scenario,
-        0x16a8b07b65d6e1f7,
-        0x16a8b07b65d6e1f7,
-    ),
-    (
-        "relm",
-        RelmSim::run_scenario,
-        0xd6a391e31fb9eb62,
-        0xd6a391e31fb9eb62,
-    ),
-    (
-        "unordered",
-        UnorderedSim::run_scenario,
-        0x878f0228f1205ce4,
-        0x878f0228f1205ce4,
-    ),
+    ("flat_ring", FlatRingSim::run_scenario, 0xf91887f50c5ae64a),
+    ("tree", TreeSim::run_scenario, 0x5d3272b45b1d02a8),
+    ("tunnel", TunnelSim::run_scenario, 0x16a8b07b65d6e1f7),
+    ("relm", RelmSim::run_scenario, 0xd6a391e31fb9eb62),
+    ("unordered", UnorderedSim::run_scenario, 0x878f0228f1205ce4),
 ];
 
 #[test]
 fn baseline_journal_digests_are_pinned() {
-    for &(name, run, want, want_unsampled) in GOLDEN_BASELINE_DIGESTS {
+    for &(name, run, want) in GOLDEN_BASELINE_DIGESTS {
         for shards in [1usize, 2] {
             let mut sc = scenario();
             sc.shards = shards;
-            let report = run(&sc, 3);
-            let got = digest(&report);
+            let got = digest(&run(&sc, 3));
             assert_eq!(
                 got, want,
                 "{name}, {shards} shard(s): journal digest {got:#018x} != pinned {want:#018x}"
-            );
-            let got = digest(&without_buffer_samples(report));
-            assert_eq!(
-                got, want_unsampled,
-                "{name}, {shards} shard(s): digest without buffer samples {got:#018x} != \
-                 pinned {want_unsampled:#018x}"
             );
         }
     }
@@ -391,9 +352,8 @@ fn fence_overlap_world() -> Scenario {
     sc
 }
 
-/// A named world, its pinned digest, and the digest of the same journal
-/// without its `BufferSample` lines.
-type PinnedWorld = (&'static str, fn() -> Scenario, u64, u64);
+/// A named world and its pinned digest.
+type PinnedWorld = (&'static str, fn() -> Scenario, u64);
 
 /// Golden instant-canonical digests of the two multi-group worlds. Ring
 /// states of different groups share a node but not a bit of protocol
@@ -409,29 +369,23 @@ type PinnedWorld = (&'static str, fn() -> Scenario, u64, u64);
 /// Regenerated on purpose by PR 16 with [`GOLDEN_RINGNET_DIGESTS`] (were
 /// `0x5aebfa588d3066d6` and `0x230bc6a18ff6ffd3`), for the same two
 /// reasons and no third: `NeFinal.control_sent` falls on every ring state
-/// and `BufferSample`s read the buffers a retention rule later or an ack
+/// and buffer samples read the buffers a retention rule later or an ack
 /// earlier. That no ordering or delivery instant moved on the 8-ring world
 /// is pinned separately, on the parent's code, by
 /// `rings8_acknowledgements_move_no_ordering_or_delivery_instant`
 /// (`crates/core/tests/engine_scenarios.rs`).
+///
+/// Regenerated on purpose by PR 20 with [`GOLDEN_RINGNET_DIGESTS`] (were
+/// `0x1af850cf6660cd08` and `0xcd5ea6d697928f14`): the parent's journals
+/// without their buffer samples, pinned on the parent's code first.
 const GOLDEN_MULTIGROUP_INSTANT_DIGESTS: &[PinnedWorld] = &[
-    (
-        "rings8",
-        rings8_world,
-        0x1af850cf6660cd08,
-        0x51493dd324f62014,
-    ),
-    (
-        "fence_overlap_4",
-        fence_overlap_world,
-        0xcd5ea6d697928f14,
-        0xb8cf9ff157cb4b92,
-    ),
+    ("rings8", rings8_world, 0x51493dd324f62014),
+    ("fence_overlap_4", fence_overlap_world, 0xb8cf9ff157cb4b92),
 ];
 
 #[test]
 fn multigroup_instant_canonical_digest_is_pinned_at_one_and_two_shards() {
-    for &(name, world, want, want_unsampled) in GOLDEN_MULTIGROUP_INSTANT_DIGESTS {
+    for &(name, world, want) in GOLDEN_MULTIGROUP_INSTANT_DIGESTS {
         for shards in [1usize, 2] {
             let mut sc = world();
             sc.shards = shards;
@@ -442,12 +396,6 @@ fn multigroup_instant_canonical_digest_is_pinned_at_one_and_two_shards() {
                 got, want,
                 "{name}, {shards} shard(s): instant-canonical digest {got:#018x} != pinned \
                  {want:#018x} — something other than the order of same-instant entries moved"
-            );
-            let got = instant_canonical_digest(&without_buffer_samples(report));
-            assert_eq!(
-                got, want_unsampled,
-                "{name}, {shards} shard(s): instant-canonical digest without buffer samples \
-                 {got:#018x} != pinned {want_unsampled:#018x}"
             );
         }
     }

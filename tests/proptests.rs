@@ -8,7 +8,7 @@ use ringnet_repro::core::{
     DeliverItem, GlobalSeq, LocalRange, LocalSeq, MessageQueue, MsgData, NodeId, OrderingToken,
     PayloadId, WorkingQueue,
 };
-use ringnet_repro::simnet::{Histogram, SimRng, SimTime};
+use ringnet_repro::simnet::{Histogram, SimRng};
 
 fn data(i: u64) -> MsgData {
     MsgData {
@@ -188,30 +188,6 @@ fn histogram_matches_naive_quantiles() {
             );
         }
         assert_eq!(h.quantile(1.0), *xs.last().unwrap(), "case {case}");
-    }
-}
-
-/// Gauge time-weighted mean always lies between min and max of the
-/// values it held.
-#[test]
-fn gauge_mean_bounded() {
-    let mut rng = SimRng::from_seed(0xA6);
-    for case in 0..64 {
-        let len = rng.range_u64(1, 50) as usize;
-        let values: Vec<u64> = (0..len).map(|_| rng.range_u64(0, 1000)).collect();
-        let mut g = ringnet_repro::simnet::Gauge::new(SimTime::ZERO);
-        let mut t = 0u64;
-        for &v in &values {
-            t += 10;
-            g.set(SimTime::from_millis(t), v);
-        }
-        let mean = g.time_weighted_mean(SimTime::from_millis(t + 10));
-        let hi = *values.iter().max().unwrap() as f64;
-        // The initial zero segment also counts.
-        assert!(
-            mean >= -1e-9 && mean <= hi + 1e-9,
-            "case {case}: mean {mean} not in [0, {hi}]"
-        );
     }
 }
 
