@@ -2,7 +2,7 @@
 //!
 //! The payload-handle swap and the batched fan-out (PR 10) are allowed to
 //! change *how* messages move, never *what* the protocol does — the
-//! journal is the arbiter. Three pins:
+//! journal is the arbiter. The pins:
 //!
 //! * every backend (RingNet + the five baselines) replays byte-identically
 //!   for a fixed `(scenario, seed)`;
@@ -15,14 +15,21 @@
 //!   canonical* digest (entries sorted within equal timestamps), which a
 //!   change may leave alone while permuting what independent ring states do
 //!   at one simulated instant — and which is therefore the same number at
-//!   every shard count.
+//!   every shard count;
+//! * two generated **fault** worlds pin the token-retry, regeneration,
+//!   heartbeat, ring-repair and reservation paths on the three backends
+//!   that run the ordering core, which a loss-free static world never
+//!   enters.
 //!
 //! The digest is FNV-1a over the `Debug` rendering of every `(time,
 //! event)` entry — stable, dependency-free, and sensitive to field order,
 //! values and entry count alike.
 
 use ringnet_repro::baselines::{FlatRingSim, RelmSim, TreeSim, TunnelSim, UnorderedSim};
-use ringnet_repro::core::driver::{MulticastSim, RunReport, Scenario, ScenarioBuilder};
+use ringnet_repro::chaos::{generate, ChaosConfig};
+use ringnet_repro::core::driver::{
+    MulticastSim, RunReport, Scenario, ScenarioBuilder, ScenarioEvent,
+};
 use ringnet_repro::core::{GroupId, RingNetSim};
 use ringnet_repro::simnet::{LinkProfile, SimDuration, SimTime};
 
@@ -396,6 +403,72 @@ fn multigroup_instant_canonical_digest_is_pinned_at_one_and_two_shards() {
                 got, want,
                 "{name}, {shards} shard(s): instant-canonical digest {got:#018x} != pinned \
                  {want:#018x} — something other than the order of same-instant entries moved"
+            );
+        }
+    }
+}
+
+/// World `generator_seed` of `chaos::generate(ChaosConfig::stress())`, as
+/// the benchmark's `chaos_stress_12` draws it, run on one shard.
+fn stress_world(generator_seed: u64) -> Scenario {
+    let mut sc = generate(&ChaosConfig::stress(), generator_seed);
+    sc.shards = 1;
+    sc
+}
+
+/// Golden raw digests, run seed 7, of two `chaos_stress_12` worlds on the
+/// three backends that run the ordering core. Both worlds have lossy
+/// wireless; world 98 partitions the ordering ring and a wired-core link
+/// and crashes an AP, world 104 drops the token and kills a BR that later
+/// rejoins. Between them they take token retransmission and give-up,
+/// regeneration after a quiet token, heartbeat excision, `WQ` repair and
+/// reservation expiry — every path the protocol's fixed periods and
+/// budgets govern, none of which the loss-free worlds above enter. On the
+/// code that pinned them, a 1 s reservation TTL, a token retry budget of
+/// 2, a 150 ms token-quiet period, 2 heartbeat misses, a 40 ms heartbeat,
+/// a 4 ms hop tick or a 64-slot `WQ` each moves at least one of these
+/// numbers.
+const GOLDEN_FAULT_PATH_DIGESTS: &[(u64, [PinnedBackend; 3])] = &[
+    (
+        98,
+        [
+            ("ringnet", RingNetSim::run_scenario, 0x13bec29128208e91),
+            ("flat_ring", FlatRingSim::run_scenario, 0x35b0a773ac20d60c),
+            ("tree", TreeSim::run_scenario, 0xc7508b9a77973eb3),
+        ],
+    ),
+    (
+        104,
+        [
+            ("ringnet", RingNetSim::run_scenario, 0x6ae17f413079962a),
+            ("flat_ring", FlatRingSim::run_scenario, 0xf67b1ba53f1af437),
+            ("tree", TreeSim::run_scenario, 0x2d3a043927c9f20c),
+        ],
+    ),
+];
+
+#[test]
+fn fault_path_journal_digests_are_pinned() {
+    let worlds: Vec<Scenario> = GOLDEN_FAULT_PATH_DIGESTS
+        .iter()
+        .map(|&(generator_seed, _)| stress_world(generator_seed))
+        .collect();
+    let drew =
+        |fault: fn(&ScenarioEvent) -> bool| worlds.iter().any(|sc| sc.events.iter().any(fault));
+    assert!(worlds
+        .iter()
+        .all(|sc| sc.links.wireless.loss.steady_state_loss() > 0.0));
+    assert!(drew(|e| matches!(e, ScenarioEvent::DropToken { .. })));
+    assert!(drew(|e| matches!(e, ScenarioEvent::KillCore { .. })));
+    assert!(drew(|e| matches!(e, ScenarioEvent::RingRejoin { .. })));
+    assert!(drew(|e| matches!(e, ScenarioEvent::PartitionRing { .. })));
+    for (sc, &(generator_seed, ref backends)) in worlds.iter().zip(GOLDEN_FAULT_PATH_DIGESTS) {
+        for &(name, run, want) in backends {
+            let got = digest(&run(sc, 7));
+            assert_eq!(
+                got, want,
+                "stress world {generator_seed}, {name}: journal digest {got:#018x} != pinned \
+                 {want:#018x}"
             );
         }
     }
