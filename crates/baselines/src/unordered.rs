@@ -25,7 +25,7 @@ use ringnet_core::driver::{
 use ringnet_core::hierarchy::{AgRingSpec, ApSpec, Entity, HierarchySpec, MhSpec};
 use ringnet_core::{
     AddrMap, Endpoint, GlobalSeq, GroupId, Guid, LocalSeq, MessageQueue, MsgData, NodeId,
-    PayloadId, ProtoEvent, ProtocolConfig, WorkingTable,
+    PayloadId, ProtoEvent, ProtocolConfig, WorkingTable, HEARTBEAT_PERIOD, HOP_TICK,
 };
 use simnet::{Actor, Ctx, Journal, NodeAddr, Sim, SimTime};
 
@@ -90,9 +90,9 @@ struct AckGate {
 
 impl AckGate {
     /// Whether to acknowledge `front` now; if so, it counts as told.
-    fn due(&mut self, front: u64, ack_tick: bool, now: SimTime, cfg: &ProtocolConfig) -> bool {
+    fn due(&mut self, front: u64, ack_tick: bool, now: SimTime) -> bool {
         let news = ack_tick && front > self.told;
-        let silent = self.told > 0 && now.saturating_since(self.at) >= cfg.heartbeat_period;
+        let silent = self.told > 0 && now.saturating_since(self.at) >= HEARTBEAT_PERIOD;
         if news || silent {
             *self = AckGate {
                 told: front,
@@ -309,7 +309,7 @@ impl UnNe {
                 let Some(addr) = target.and_then(|t| map.ne(t)) else {
                     continue;
                 };
-                if gate.due(upto, ack_tick, now, &self.cfg) {
+                if gate.due(upto, ack_tick, now) {
                     ctx.send(addr, UnMsg::Ack { corr, upto });
                 }
             }
@@ -331,7 +331,7 @@ impl UnNe {
 
 impl Actor<UnMsg, ProtoEvent> for UnNe {
     fn on_start(&mut self, ctx: &mut Ctx<'_, UnMsg, ProtoEvent>) {
-        ctx.set_timer(self.cfg.hop_tick, TAG_HOP);
+        ctx.set_timer(HOP_TICK, TAG_HOP);
     }
 
     fn on_packet(&mut self, ctx: &mut Ctx<'_, UnMsg, ProtoEvent>, from: NodeAddr, msg: UnMsg) {
@@ -393,7 +393,7 @@ impl Actor<UnMsg, ProtoEvent> for UnNe {
     fn on_timer(&mut self, ctx: &mut Ctx<'_, UnMsg, ProtoEvent>, tag: u64) {
         if tag == TAG_HOP {
             self.tick(ctx);
-            ctx.set_timer(self.cfg.hop_tick, TAG_HOP);
+            ctx.set_timer(HOP_TICK, TAG_HOP);
         }
     }
 }
@@ -412,7 +412,7 @@ struct UnMh {
 
 impl Actor<UnMsg, ProtoEvent> for UnMh {
     fn on_start(&mut self, ctx: &mut Ctx<'_, UnMsg, ProtoEvent>) {
-        ctx.set_timer(self.cfg.hop_tick, TAG_HOP);
+        ctx.set_timer(HOP_TICK, TAG_HOP);
     }
 
     fn on_packet(&mut self, ctx: &mut Ctx<'_, UnMsg, ProtoEvent>, _from: NodeAddr, msg: UnMsg) {
@@ -492,7 +492,7 @@ impl Actor<UnMsg, ProtoEvent> for UnMh {
                     );
                 }
                 let upto = mq.front().0;
-                if gate.due(upto, ack_tick, now, &self.cfg) {
+                if gate.due(upto, ack_tick, now) {
                     ctx.send(addr, UnMsg::Ack { corr, upto });
                 }
             }
@@ -526,7 +526,7 @@ impl Actor<UnMsg, ProtoEvent> for UnMh {
         for ev in skips {
             ctx.record(ev);
         }
-        ctx.set_timer(self.cfg.hop_tick, TAG_HOP);
+        ctx.set_timer(HOP_TICK, TAG_HOP);
     }
 }
 

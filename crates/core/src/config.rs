@@ -1,23 +1,75 @@
 //! Protocol parameters.
 //!
-//! One [`ProtocolConfig`] is shared by every entity in a simulation. The
-//! defaults follow the paper's assumptions (§5): a wired core with
-//! millisecond-scale one-way delays and small bounded retry budgets for the
-//! best-effort local-scope retransmission scheme (§4.2.3). The paper's
-//! Order-Assignment period `τ` (§4.2.1) is not among them: the `WQ`→`MQ`
-//! copy runs on the events that enable it ([`crate::ordering`]), which is
-//! the paper's scan at `τ = 0`.
+//! One [`ProtocolConfig`] is shared by every entity in a simulation. A
+//! field exists where a caller varies it — an experiment, the benchmark,
+//! a bench suite or the soak — and nowhere else: a setting that only ever
+//! holds one value is a named constant below, so a reader meets the value
+//! itself instead of a knob that never turns. The values follow the
+//! paper's assumptions (§5): a wired core with millisecond-scale one-way
+//! delays and small bounded retry budgets for the best-effort local-scope
+//! retransmission scheme (§4.2.3).
+//!
+//! | constant | value | governs | paper |
+//! |---|---|---|---|
+//! | [`HOP_TICK`] | 5 ms | NACKs, ACKs, token retry checks | §4.2.3 |
+//! | [`HEARTBEAT_PERIOD`] | 50 ms | ring and parent/child liveness probes | §3 |
+//! | `HEARTBEAT_MISSES` | 3 | probes missed before a neighbour is dead | §3 |
+//! | `TOKEN_RETRY_AFTER` | 30 ms | reliable token transfer: resend timeout | §4.2.1 |
+//! | `TOKEN_RETRY_BUDGET` | 3 | sends of one token pass before giving up | §4.2.1 |
+//! | `TOKEN_QUIET_AFTER` | 200 ms | "Message-Ordering runs well" window of Token-Regeneration | §4.2.1 |
+//! | `WQ_CAPACITY` | 4096 | slots of each per-source `WQ` queue | §4.1 |
+//! | `RESERVATION_TTL` | 2 s | life of a reservation-only AP's path | §3 |
+//!
+//! The two-version token snapshot of §4.1 and the WTSNP retention of
+//! [`crate::token::WTSNP_RETAIN_ROTATIONS`] are fixed the same way (see
+//! [`crate::token`]). The paper's Order-Assignment period `τ` (§4.2.1) is
+//! not among them: the `WQ`→`MQ` copy runs on the events that enable it
+//! ([`crate::ordering`]), which is the paper's scan at `τ = 0`.
 
 use simnet::SimDuration;
 
-/// All tunables of the RingNet multicast protocol.
+/// Period of the hop-maintenance tick driving retransmission requests
+/// (NACKs), cumulative ACKs and token retransfer checks.
+pub const HOP_TICK: SimDuration = SimDuration::from_millis(5);
+
+/// Heartbeat period for ring-neighbour and parent/child liveness.
+pub const HEARTBEAT_PERIOD: SimDuration = SimDuration::from_millis(50);
+
+/// Declare a neighbour dead after missing this many heartbeats.
+pub(crate) const HEARTBEAT_MISSES: u8 = 3;
+
+/// Retransfer timeout for the ordering token: if the next node has not
+/// acknowledged within this time, the token is resent.
+pub(crate) const TOKEN_RETRY_AFTER: SimDuration = SimDuration::from_millis(30);
+
+/// Give up resending the token after this many sends (the membership
+/// layer's Token-Loss path then takes over).
+pub(crate) const TOKEN_RETRY_BUDGET: u8 = 3;
+
+/// If no token has been seen for this long, a top-ring node considers the
+/// Message-Ordering algorithm "not running well" (used by the
+/// Token-Regeneration algorithm, §4.2.1).
+pub(crate) const TOKEN_QUIET_AFTER: SimDuration = SimDuration::from_millis(200);
+
+/// Capacity of each per-source queue inside a top-ring node's `WQ`.
+pub(crate) const WQ_CAPACITY: usize = 4096;
+
+/// How long a reservation-only AP keeps receiving the group without any
+/// attached member before pruning itself from the tree.
+pub(crate) const RESERVATION_TTL: SimDuration = SimDuration::from_secs(2);
+
+// A token pass's whole retransmission chain ends before a quiet token may
+// be regenerated, so a regenerated lineage never races a retry of the one
+// it replaces.
+const _: () = assert!(
+    TOKEN_RETRY_AFTER.as_nanos() * (TOKEN_RETRY_BUDGET as u64) < TOKEN_QUIET_AFTER.as_nanos()
+);
+
+/// The tunables of the RingNet multicast protocol that some caller varies.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ProtocolConfig {
-    /// Period of the hop-maintenance tick driving retransmission requests
-    /// (NACKs), cumulative ACKs and token retransfer checks.
-    pub hop_tick: SimDuration,
     /// How many hop ticks a missing message may stay `Waiting` before each
-    /// NACK, i.e. NACKs are sent every `hop_tick` while waiting.
+    /// NACK, i.e. NACKs are sent every [`HOP_TICK`] while waiting.
     /// After `nack_budget` NACKs the message is declared *really lost*:
     /// `Received = false`, `Waiting = false`, and per the paper it is then
     /// considered delivered (skipped).
@@ -27,42 +79,16 @@ pub struct ProtocolConfig {
     /// has moved past what that hop was last told* (by a `DataAck`, or by
     /// the `TokenAck` that carries the same front on the top ring). An
     /// unmoved front is restated only to a hop that has heard nothing for
-    /// a whole `heartbeat_period`, so a lost ACK still heals.
+    /// a whole [`HEARTBEAT_PERIOD`], so a lost ACK still heals.
     pub ack_every: u8,
     /// Capacity `MaxNo` of each entity's `MQ` (slots).
     pub mq_capacity: usize,
-    /// Capacity of each per-source queue inside a top-ring node's `WQ`.
-    pub wq_capacity: usize,
-    /// Retransfer timeout for the ordering token: if the next node has not
-    /// acknowledged within this time, the token is resent.
-    pub token_retry_after: SimDuration,
-    /// Give up resending the token after this many attempts (the membership
-    /// layer's Token-Loss path then takes over).
-    pub token_retry_budget: u8,
-    /// Heartbeat period for ring-neighbour and parent/child liveness.
-    pub heartbeat_period: SimDuration,
-    /// Declare a neighbour dead after missing this many heartbeats.
-    pub heartbeat_misses: u8,
-    /// If no token has been seen for this long, a top-ring node considers
-    /// the Message-Ordering algorithm "not running well" (used by the
-    /// Token-Regeneration algorithm, §4.2.1).
-    pub token_quiet_after: SimDuration,
     /// Journal per-MH application deliveries (can dominate journal volume).
     pub record_mh_deliveries: bool,
     /// Multicast path reservation radius for smooth handoff (§3): when an MH
     /// attaches to an AP, APs within this many neighbour hops are asked to
     /// pre-join the distribution (0 disables reservation).
     pub reservation_radius: u8,
-    /// How long a reservation-only AP keeps receiving the group without any
-    /// attached member before pruning itself from the tree.
-    pub reservation_ttl: SimDuration,
-    /// How many token rotations a WTSNP entry is retained after assignment
-    /// (§4.1 leaves the policy open; 2 guarantees every node sees the entry
-    /// via either its new or old kept token — ablation knob A1).
-    pub wtsnp_retain_rotations: u64,
-    /// Keep `OldOrderingToken` in addition to `NewOrderingToken` (§4.1's
-    /// two-version scheme; disabling it is ablation knob A1).
-    pub keep_old_token: bool,
     /// Enable the deterministic telemetry layer: per-node metrics,
     /// protocol-phase trace records and the flight recorder
     /// ([`crate::telemetry`]). Off by default; disabled it costs one
@@ -76,21 +102,11 @@ pub struct ProtocolConfig {
 impl Default for ProtocolConfig {
     fn default() -> Self {
         ProtocolConfig {
-            hop_tick: SimDuration::from_millis(5),
             nack_budget: 5,
             ack_every: 2,
             mq_capacity: 4096,
-            wq_capacity: 4096,
-            token_retry_after: SimDuration::from_millis(30),
-            token_retry_budget: 3,
-            heartbeat_period: SimDuration::from_millis(50),
-            heartbeat_misses: 3,
-            token_quiet_after: SimDuration::from_millis(200),
             record_mh_deliveries: true,
             reservation_radius: 1,
-            reservation_ttl: SimDuration::from_secs(2),
-            wtsnp_retain_rotations: 2,
-            keep_old_token: true,
             telemetry: false,
             telemetry_capacity: 256,
         }
@@ -121,32 +137,11 @@ impl ProtocolConfig {
     /// human-readable problems (empty = valid).
     pub fn validate(&self) -> Vec<String> {
         let mut problems = Vec::new();
-        if self.hop_tick.is_zero() {
-            problems.push("hop_tick must be positive".into());
-        }
         if self.mq_capacity == 0 {
             problems.push("mq_capacity must be positive".into());
         }
-        if self.wq_capacity == 0 {
-            problems.push("wq_capacity must be positive".into());
-        }
         if self.ack_every == 0 {
             problems.push("ack_every must be positive".into());
-        }
-        if self.token_retry_after.is_zero() {
-            problems.push("token_retry_after must be positive".into());
-        }
-        if self.heartbeat_period.is_zero() {
-            problems.push("heartbeat_period must be positive".into());
-        }
-        if self.heartbeat_misses == 0 {
-            problems.push("heartbeat_misses must be positive".into());
-        }
-        if self.token_quiet_after < self.token_retry_after {
-            problems.push("token_quiet_after should exceed token_retry_after".into());
-        }
-        if self.wtsnp_retain_rotations == 0 {
-            problems.push("wtsnp_retain_rotations must be positive".into());
         }
         if self.telemetry_capacity == 0 {
             problems.push("telemetry_capacity must be positive".into());
@@ -182,13 +177,12 @@ mod tests {
     #[test]
     fn validation_catches_zeroes() {
         let c = ProtocolConfig {
-            hop_tick: SimDuration::ZERO,
             mq_capacity: 0,
             ack_every: 0,
             ..ProtocolConfig::default()
         };
         let problems = c.validate();
-        assert_eq!(problems.len(), 3, "{problems:?}");
+        assert_eq!(problems.len(), 2, "{problems:?}");
     }
 
     #[test]
@@ -200,14 +194,5 @@ mod tests {
         let problems = c.validate();
         assert_eq!(problems.len(), 1, "{problems:?}");
         assert!(problems[0].contains("telemetry_capacity"));
-    }
-
-    #[test]
-    fn validation_checks_token_quiet_consistency() {
-        let c = ProtocolConfig {
-            token_quiet_after: SimDuration::from_millis(1),
-            ..ProtocolConfig::default()
-        };
-        assert_eq!(c.validate().len(), 1);
     }
 }

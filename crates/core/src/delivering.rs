@@ -154,9 +154,8 @@ impl NeState {
     ) {
         let me = self.id;
         let group = self.group;
-        let ttl = self.cfg.reservation_ttl;
         let Some(ap) = self.ap.as_mut() else { return };
-        let until = now + ttl;
+        let until = now + crate::config::RESERVATION_TTL;
         if until > ap.reservation_until {
             ap.reservation_until = until;
         }

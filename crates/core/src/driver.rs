@@ -481,17 +481,7 @@ impl Scenario {
         if self.sources == 0 {
             problems.push("no sources".into());
         }
-        match self.pattern {
-            TrafficPattern::Cbr { interval } if interval.is_zero() => problems.push(
-                "CBR interval must be positive (a zero interval re-arms the source \
-                 timer at the same instant forever)"
-                    .into(),
-            ),
-            TrafficPattern::Poisson { rate } if !(rate > 0.0 && rate.is_finite()) => problems.push(
-                format!("Poisson rate must be positive and finite, got {rate}"),
-            ),
-            _ => {}
-        }
+        problems.extend(self.pattern.problem());
         problems.extend(self.cfg.validate());
         if self.shards == 0 {
             problems.push("shards must be at least 1 (1 = sequential run)".into());
@@ -990,14 +980,6 @@ impl ScenarioBuilder {
     /// [`RunReport::telemetry`] on supporting backends.
     pub fn telemetry(mut self, on: bool) -> Self {
         self.sc.cfg.telemetry = on;
-        self
-    }
-
-    /// Flight-recorder depth per node (how many recent trace records
-    /// survive for the postmortem dump). Zero is rejected by
-    /// [`Scenario::validate`].
-    pub fn telemetry_capacity(mut self, capacity: usize) -> Self {
-        self.sc.cfg.telemetry_capacity = capacity;
         self
     }
 
@@ -1717,28 +1699,6 @@ mod tests {
         // A zero interval would re-arm the source timer at the same
         // instant forever: `run_until` never returns.
         let _ = ScenarioBuilder::new().cbr(SimDuration::ZERO).build();
-    }
-
-    #[test]
-    fn builder_rejects_zero_tick_periods() {
-        // The same hazard on the two tick chains every entity runs: these
-        // are `ProtocolConfig::validate`'s rules, and the unordered backend
-        // never calls `HierarchySpec::validate`, so nothing else would
-        // catch them for it.
-        let mut zero_hop = ScenarioBuilder::new().build();
-        zero_hop.cfg.hop_tick = SimDuration::ZERO;
-        let mut zero_heartbeat = ScenarioBuilder::new().build();
-        zero_heartbeat.cfg.heartbeat_period = SimDuration::ZERO;
-        for (sc, problem) in [
-            (zero_hop, "hop_tick must be positive"),
-            (zero_heartbeat, "heartbeat_period must be positive"),
-        ] {
-            let problems = sc.validate();
-            assert!(
-                problems.iter().any(|p| p.contains(problem)),
-                "{problem}: {problems:?}"
-            );
-        }
     }
 
     #[test]

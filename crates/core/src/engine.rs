@@ -15,6 +15,7 @@ use simnet::{
 };
 
 use crate::actions::{Action, Outbox};
+use crate::config::{HEARTBEAT_PERIOD, HOP_TICK};
 use crate::events::ProtoEvent;
 use crate::hierarchy::{Entity, HierarchySpec, TrafficPattern};
 use crate::ids::{Endpoint, GroupId, Guid, LocalSeq, NodeId, PayloadId};
@@ -274,9 +275,8 @@ impl NeActor {
     /// Arm the periodic tick chains (start-up and crash-restart revival).
     /// One chain per node, not per group: each tick walks every state.
     fn arm_periodic(&mut self, ctx: &mut Ctx<'_, Msg, ProtoEvent>) {
-        let cfg = &self.states[0].cfg;
-        ctx.set_timer(cfg.hop_tick, self.tag(TAG_HOP));
-        ctx.set_timer(cfg.heartbeat_period, self.tag(TAG_HEARTBEAT));
+        ctx.set_timer(HOP_TICK, self.tag(TAG_HOP));
+        ctx.set_timer(HEARTBEAT_PERIOD, self.tag(TAG_HEARTBEAT));
     }
 
     /// Route one inbound message: entity-wide faults fan out to every
@@ -482,8 +482,7 @@ impl Actor<Msg, ProtoEvent> for NeActor {
                         st.tick_hop(now, &mut self.out);
                     }
                 }
-                let period = self.states[0].cfg.hop_tick;
-                ctx.set_timer(period, self.tag(TAG_HOP));
+                ctx.set_timer(HOP_TICK, self.tag(TAG_HOP));
             }
             TAG_HEARTBEAT => {
                 for st in &mut self.states {
@@ -491,8 +490,7 @@ impl Actor<Msg, ProtoEvent> for NeActor {
                         st.tick_heartbeat(now, &mut self.out);
                     }
                 }
-                let period = self.states[0].cfg.heartbeat_period;
-                ctx.set_timer(period, self.tag(TAG_HEARTBEAT));
+                ctx.set_timer(HEARTBEAT_PERIOD, self.tag(TAG_HEARTBEAT));
             }
             _ => {}
         }
@@ -576,8 +574,8 @@ impl MhActor {
 impl Actor<Msg, ProtoEvent> for MhActor {
     fn on_start(&mut self, ctx: &mut Ctx<'_, Msg, ProtoEvent>) {
         let now = ctx.now();
-        ctx.set_timer(self.states[0].cfg.hop_tick, TAG_HOP);
-        ctx.set_timer(self.states[0].cfg.heartbeat_period, TAG_HEARTBEAT);
+        ctx.set_timer(HOP_TICK, TAG_HOP);
+        ctx.set_timer(HEARTBEAT_PERIOD, TAG_HEARTBEAT);
         if let Some(ap) = self.initial_ap {
             for st in &mut self.states {
                 st.join(now, ap, &mut self.out);
@@ -619,7 +617,7 @@ impl Actor<Msg, ProtoEvent> for MhActor {
                         st.tick_hop(now, &mut self.out);
                     }
                 }
-                ctx.set_timer(self.states[0].cfg.hop_tick, TAG_HOP);
+                ctx.set_timer(HOP_TICK, TAG_HOP);
             }
             TAG_HEARTBEAT => {
                 for st in &mut self.states {
@@ -627,7 +625,7 @@ impl Actor<Msg, ProtoEvent> for MhActor {
                         st.tick_heartbeat(now, &mut self.out);
                     }
                 }
-                ctx.set_timer(self.states[0].cfg.heartbeat_period, TAG_HEARTBEAT);
+                ctx.set_timer(HEARTBEAT_PERIOD, TAG_HEARTBEAT);
             }
             _ => {}
         }

@@ -55,6 +55,23 @@ impl TrafficPattern {
             TrafficPattern::Poisson { rate } => rate,
         }
     }
+
+    /// What makes this pattern unrunnable, if anything: a zero CBR interval
+    /// re-arms the source timer at the same instant forever, and a Poisson
+    /// rate that is not positive and finite draws no usable gap.
+    pub(crate) fn problem(&self) -> Option<String> {
+        match *self {
+            TrafficPattern::Cbr { interval } if interval.is_zero() => Some(
+                "CBR interval must be positive (a zero interval re-arms the source \
+                 timer at the same instant forever)"
+                    .into(),
+            ),
+            TrafficPattern::Poisson { rate } if !(rate > 0.0 && rate.is_finite()) => Some(format!(
+                "Poisson rate must be positive and finite, got {rate}"
+            )),
+            _ => None,
+        }
+    }
 }
 
 /// One multicast source, attached to its corresponding top-ring node (§5
@@ -433,6 +450,9 @@ impl HierarchySpec {
                     "source at {} is not on the top ring",
                     s.corresponding
                 ));
+            }
+            if let Some(problem) = s.pattern.problem() {
+                problems.push(format!("source at {}: {problem}", s.corresponding));
             }
             for g in &s.groups {
                 if !declared.contains(g) {
@@ -876,6 +896,34 @@ mod tests {
         assert!(render.contains("BRT ring"));
         assert!(render.contains("AGT ring"));
         assert!(render.contains("APT"));
+    }
+
+    #[test]
+    fn validation_rejects_unrunnable_traffic() {
+        // The rules `Scenario::validate` applies: a zero CBR interval would
+        // re-arm the source timer at the same instant forever, and a NaN
+        // rate slips past the Poisson source's `rate <= 0.0` guard.
+        for (pattern, problem) in [
+            (
+                TrafficPattern::Cbr {
+                    interval: SimDuration::ZERO,
+                },
+                "CBR interval must be positive",
+            ),
+            (
+                TrafficPattern::Poisson { rate: f64::NAN },
+                "Poisson rate must be positive and finite",
+            ),
+        ] {
+            let spec = HierarchyBuilder::new(GroupId(1))
+                .source_pattern(pattern)
+                .build();
+            let problems = spec.validate();
+            assert!(
+                problems.iter().any(|p| p.contains(problem)),
+                "{pattern:?}: {problems:?}"
+            );
+        }
     }
 
     #[test]

@@ -96,7 +96,7 @@ pub mod wq;
 pub mod wt;
 
 pub use actions::{Action, Outbox};
-pub use config::ProtocolConfig;
+pub use config::{ProtocolConfig, HEARTBEAT_PERIOD, HOP_TICK};
 pub use driver::{
     CoreShape, MulticastSim, RunMetrics, RunReport, Scenario, ScenarioBuilder, ScenarioEvent,
 };

@@ -24,6 +24,7 @@
 use simnet::SimTime;
 
 use crate::actions::{Action, Outbox};
+use crate::config::{HEARTBEAT_MISSES, HEARTBEAT_PERIOD, TOKEN_QUIET_AFTER};
 use crate::events::ProtoEvent;
 use crate::ids::{Endpoint, NodeId};
 use crate::msg::Msg;
@@ -154,14 +155,13 @@ impl NeState {
             self.tick_partition_probe(out);
         }
         let group = self.group;
-        let misses = self.cfg.heartbeat_misses;
 
         // --- ring neighbour liveness -----------------------------------
         let mut ring_changed = false;
         if let Some(r) = self.ring.as_mut() {
             let next = r.next_of(self.id);
             if next != self.id {
-                if r.hb_outstanding >= misses {
+                if r.hb_outstanding >= HEARTBEAT_MISSES {
                     // Next is dead: bypass it and tell the others.
                     r.mark_dead(next);
                     let new_next = r.next_of(self.id);
@@ -288,7 +288,7 @@ impl NeState {
             self.after_ring_change(now, out);
             return;
         };
-        if self.parent_hb_outstanding >= self.cfg.heartbeat_misses {
+        if self.parent_hb_outstanding >= HEARTBEAT_MISSES {
             // Parent is dead: fail over to the next configured candidate.
             let next_candidate = {
                 let cands = &self.parent_candidates;
@@ -345,7 +345,7 @@ impl NeState {
     /// Drop children and MHs not heard from within the liveness window.
     /// Crucially this unblocks garbage collection pinned by dead downstreams.
     fn sweep_stale_downstreams(&mut self, now: SimTime, out: &mut Outbox) {
-        let window = self.cfg.heartbeat_period * (self.cfg.heartbeat_misses as u64 + 1);
+        let window = HEARTBEAT_PERIOD * (HEARTBEAT_MISSES as u64 + 1);
         let cutoff = now - window;
         if now.saturating_since(SimTime::ZERO) < window {
             return; // grace period at start-up
@@ -432,7 +432,6 @@ impl NeState {
     /// regeneration rounds from several nodes at once.
     fn token_quiet_fallback(&mut self, now: SimTime, out: &mut Outbox) {
         let me = self.id;
-        let quiet = self.cfg.token_quiet_after;
         let Some(r) = self.ring.as_ref() else { return };
         if !r.is_top {
             return;
@@ -443,7 +442,7 @@ impl NeState {
             .filter(|&&n| r.is_in_ring(n))
             .position(|&n| n == me)
             .unwrap_or(0) as u64;
-        let threshold = quiet * (2 + position);
+        let threshold = TOKEN_QUIET_AFTER * (2 + position);
         let Some(ord) = self.ord.as_ref() else { return };
         let ever_saw_token = ord.last_token_seen > SimTime::ZERO || ord.new_token.is_some();
         if ever_saw_token && now.saturating_since(ord.last_token_seen) > threshold {
@@ -508,9 +507,8 @@ mod tests {
     #[test]
     fn missed_heartbeats_trigger_ring_repair() {
         let mut n = br(0);
-        let misses = n.cfg.heartbeat_misses;
         let mut out = Vec::new();
-        for i in 0..=misses as u64 {
+        for i in 0..=HEARTBEAT_MISSES as u64 {
             out.clear();
             n.tick_heartbeat(SimTime::from_millis(50 * (i + 1)), &mut out);
         }
@@ -631,9 +629,8 @@ mod tests {
             ProtocolConfig::default(),
         );
         n.parent = Some(NodeId(20));
-        let misses = n.cfg.heartbeat_misses;
         let mut out = Vec::new();
-        for i in 0..=misses as u64 {
+        for i in 0..=HEARTBEAT_MISSES as u64 {
             out.clear();
             n.tick_heartbeat(SimTime::from_millis(50 * (i + 1)), &mut out);
         }

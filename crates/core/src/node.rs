@@ -19,7 +19,7 @@ use std::collections::BTreeMap;
 use simnet::SimTime;
 
 use crate::actions::Outbox;
-use crate::config::ProtocolConfig;
+use crate::config::{ProtocolConfig, HEARTBEAT_MISSES, WQ_CAPACITY};
 use crate::ids::{Endpoint, GlobalSeq, GroupId, Guid, LocalSeq, NodeId};
 use crate::mq::MessageQueue;
 use crate::msg::Msg;
@@ -388,7 +388,7 @@ impl NeState {
         cfg: ProtocolConfig,
     ) -> Self {
         let ord = is_top.then(OrderingState::new);
-        let wq = is_top.then(|| WorkingQueue::new(cfg.wq_capacity));
+        let wq = is_top.then(|| WorkingQueue::new(WQ_CAPACITY));
         NeState {
             group,
             id,
@@ -741,7 +741,7 @@ impl NeState {
             *ap = ApMhState::new(ap.always_active, std::mem::take(&mut ap.neighbours));
         }
         if self.is_top_ring() {
-            let mut wq = WorkingQueue::new(self.cfg.wq_capacity);
+            let mut wq = WorkingQueue::new(WQ_CAPACITY);
             wq.mark_resync();
             self.wq = Some(wq);
             self.ord = Some(OrderingState::new());
@@ -780,7 +780,7 @@ impl NeState {
         let me = self.id;
         let Some(r) = self.ring.as_ref() else { return };
         let n = r.order.len();
-        let budget = (n as u32) * (self.cfg.heartbeat_misses as u32 + 2);
+        let budget = (n as u32) * (HEARTBEAT_MISSES as u32 + 2);
         if self.rejoin_attempts >= budget {
             if self.is_merging() {
                 // The heal evidence went stale: the link flapped back down
@@ -1358,18 +1358,17 @@ mod tests {
         // Both static peers are permanently dead: the requests can never be
         // answered. After a budget covering every peer several times the
         // rejoiner must splice itself in rather than stall forever.
-        let cfg = ProtocolConfig::default();
         let mut ag = NeState::new_ag(
             GroupId(1),
             NodeId(10),
             ring3(),
             vec![NodeId(1)],
-            cfg.clone(),
+            ProtocolConfig::default(),
         );
         ag.kill();
         let mut out = Vec::new();
         ag.restart(SimTime::from_secs(1), &mut out);
-        let budget = ring3().len() as u64 * (cfg.heartbeat_misses as u64 + 2);
+        let budget = ring3().len() as u64 * (HEARTBEAT_MISSES as u64 + 2);
         for i in 0..=budget + 1 {
             out.clear();
             ag.tick_heartbeat(SimTime::from_millis(1_000 + 50 * (i + 1)), &mut out);

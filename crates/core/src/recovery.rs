@@ -3,7 +3,7 @@
 //! When topology maintenance runs (a ring repair), the membership layer
 //! sends a Token-Loss message to the multicast layer. A node receiving it
 //! checks whether "the Message-Ordering algorithm runs well" — a live token
-//! has visited within `token_quiet_after` — and, if not, originates a
+//! has visited within `TOKEN_QUIET_AFTER` — and, if not, originates a
 //! Token-Regeneration message that encapsulates its `NewOrderingToken` and
 //! traverses the ring along next links. Every traversed node either
 //! destroys the message (ordering runs well there), upgrades the
@@ -33,6 +33,7 @@
 use simnet::SimTime;
 
 use crate::actions::{Action, Outbox};
+use crate::config::TOKEN_QUIET_AFTER;
 use crate::events::ProtoEvent;
 use crate::ids::{Endpoint, NodeId};
 use crate::msg::Msg;
@@ -52,16 +53,15 @@ impl NeState {
     pub(crate) fn maybe_start_regen(&mut self, now: SimTime, out: &mut Outbox) {
         let me = self.id;
         let group = self.group;
-        let quiet = self.cfg.token_quiet_after;
         if self.is_partition_fenced() || !self.top_ring_primary() {
             return;
         }
         let best = {
             let Some(ord) = self.ord.as_mut() else { return };
-            if now.saturating_since(ord.last_token_seen) < quiet {
+            if now.saturating_since(ord.last_token_seen) < TOKEN_QUIET_AFTER {
                 return; // ordering runs well → ignore the Token-Loss message
             }
-            if now.saturating_since(ord.last_regen_at) < quiet {
+            if now.saturating_since(ord.last_regen_at) < TOKEN_QUIET_AFTER {
                 return; // damping: one round at a time
             }
             ord.last_regen_at = now;
@@ -96,7 +96,6 @@ impl NeState {
     ) {
         let me = self.id;
         let group = self.group;
-        let quiet = self.cfg.token_quiet_after;
         if self.is_partition_fenced() {
             // A fenced minority node destroys regeneration rounds: its side
             // must not extend or revive any token lineage.
@@ -106,13 +105,13 @@ impl NeState {
         }
         let best = {
             let Some(ord) = self.ord.as_mut() else { return };
-            if now.saturating_since(ord.last_token_seen) < quiet {
+            if now.saturating_since(ord.last_token_seen) < TOKEN_QUIET_AFTER {
                 // Ordering runs well here: destroy the message.
                 self.telemetry
                     .regen(now, origin, crate::telemetry::RegenOutcome::Destroyed);
                 return;
             }
-            if origin != me && now.saturating_since(ord.last_regen_at) < quiet {
+            if origin != me && now.saturating_since(ord.last_regen_at) < TOKEN_QUIET_AFTER {
                 // Concurrent-round arbitration: our own round may still be
                 // circulating. Exactly one round may adopt — two concurrent
                 // adoptions would assign overlapping GSN ranges before the
@@ -208,8 +207,8 @@ mod tests {
         NeState::new_br(G, NodeId(id), ring(), true, ProtocolConfig::default())
     }
 
-    fn quiet_time(cfg: &ProtocolConfig) -> SimTime {
-        SimTime::ZERO + cfg.token_quiet_after + cfg.token_quiet_after
+    fn quiet_time() -> SimTime {
+        SimTime::ZERO + TOKEN_QUIET_AFTER * 2
     }
 
     #[test]
@@ -234,7 +233,7 @@ mod tests {
     #[test]
     fn quiet_node_originates_regen() {
         let mut n = br(0);
-        let t = quiet_time(&n.cfg);
+        let t = quiet_time();
         let mut out = Vec::new();
         n.on_token_loss_signal(t, &mut out);
         let regens: Vec<_> = out
@@ -279,7 +278,7 @@ mod tests {
     #[test]
     fn regen_upgrades_snapshot_and_forwards() {
         let mut n = br(1);
-        let t = quiet_time(&n.cfg);
+        let t = quiet_time();
         // Node 1's snapshot is ahead: next_gsn = 11.
         let mut mine = OrderingToken::new(G, NodeId(0));
         mine.assign(
@@ -307,7 +306,7 @@ mod tests {
     #[test]
     fn full_circle_adopts_with_bumped_epoch() {
         let mut n = br(0);
-        let t = quiet_time(&n.cfg);
+        let t = quiet_time();
         let mut best = OrderingToken::new(G, NodeId(2));
         best.assign(
             NodeId(2),
@@ -348,7 +347,7 @@ mod tests {
 
     #[test]
     fn concurrent_rounds_resolve_to_the_smaller_origin() {
-        let t = quiet_time(&ProtocolConfig::default());
+        let t = quiet_time();
         // Node 0 has its own round outstanding; node 2's round arrives.
         let mut n0 = br(0);
         let mut out = Vec::new();
@@ -385,7 +384,7 @@ mod tests {
         assert!(out.is_empty(), "ceded round is not adopted");
         assert!(!n2.ord.as_ref().unwrap().regen_ceded, "cede consumed");
         // The next round node 2 originates is a fresh claim again.
-        let t2 = t + ProtocolConfig::default().token_quiet_after * 3;
+        let t2 = t + TOKEN_QUIET_AFTER * 3;
         out.clear();
         n2.on_token_loss_signal(t2, &mut out);
         n2.on_token_regen(t2, NodeId(2), OrderingToken::new(G, NodeId(2)), &mut out);
@@ -400,7 +399,7 @@ mod tests {
     fn sole_survivor_adopts_immediately() {
         let cfg = ProtocolConfig::default();
         let mut n = NeState::new_br(G, NodeId(7), vec![NodeId(7)], true, cfg);
-        let t = quiet_time(&n.cfg);
+        let t = quiet_time();
         let mut out = Vec::new();
         n.on_token_loss_signal(t, &mut out);
         assert!(out.iter().any(|a| matches!(
@@ -416,7 +415,7 @@ mod tests {
     fn regenerated_token_beats_stale_original() {
         // After adoption, the node destroys a late-arriving epoch-0 token.
         let mut n = br(0);
-        let t = quiet_time(&n.cfg);
+        let t = quiet_time();
         let mut out = Vec::new();
         n.on_token_regen(t, NodeId(0), OrderingToken::new(G, NodeId(2)), &mut out);
         out.clear();

@@ -695,19 +695,18 @@ mod tests {
         // Heal evidence arrives, then the link flaps back down before any
         // grant: after the request budget the node must return to
         // `Partitioned` probing, not take the crash-rejoiner's solo splice.
-        let cfg = ProtocolConfig::default();
         let mut n1 = NeState::new_br(
             GroupId(1),
             NodeId(1),
             vec![NodeId(0), NodeId(1)],
             true,
-            cfg.clone(),
+            ProtocolConfig::default(),
         );
         let mut out = Vec::new();
         n1.on_ring_fail(SimTime::from_secs(1), NodeId(0), &mut out);
         n1.on_heartbeat_ack(SimTime::from_secs(2), Endpoint::Ne(NodeId(0)), &mut out);
         assert!(n1.is_merging());
-        let budget = 2u64 * (cfg.heartbeat_misses as u64 + 2);
+        let budget = 2u64 * (crate::config::HEARTBEAT_MISSES as u64 + 2);
         for i in 0..=budget + 1 {
             out.clear();
             n1.tick_heartbeat(SimTime::from_millis(2_000 + 50 * (i + 1)), &mut out);

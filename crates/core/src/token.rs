@@ -15,6 +15,13 @@
 //! drives WTSNP pruning — an entry is dropped two full rotations after
 //! assignment, by which point every ring node has had both the new- and
 //! old-token chance to consume it.
+//!
+//! The retention is a constant, [`WTSNP_RETAIN_ROTATIONS`]: A1 measured no
+//! difference between retaining one rotation and two, on the loss-free
+//! ring or on the 5 %-loss ring. A node copies an entry the moment a
+//! snapshot covering it is installed, so the window matters only to a
+//! pre-order that arrives after its entry's token has moved on (see
+//! [`crate::ordering`] for how rarely that happens).
 
 use crate::ids::{Epoch, GlobalSeq, GroupId, LocalRange, NodeId};
 
@@ -133,14 +140,8 @@ impl OrderingToken {
     /// Note a pass over the ring leader (one full rotation) and prune WTSNP
     /// entries older than [`WTSNP_RETAIN_ROTATIONS`]. Returns pruned count.
     pub fn complete_rotation(&mut self) -> usize {
-        self.complete_rotation_keeping(WTSNP_RETAIN_ROTATIONS)
-    }
-
-    /// [`OrderingToken::complete_rotation`] with an explicit retention
-    /// window (the `wtsnp_retain_rotations` ablation knob).
-    pub fn complete_rotation_keeping(&mut self, retain: u64) -> usize {
         self.rotation += 1;
-        let cutoff = self.rotation.saturating_sub(retain);
+        let cutoff = self.rotation.saturating_sub(WTSNP_RETAIN_ROTATIONS);
         let before = self.wtsnp.len();
         self.wtsnp.retain(|e| e.assigned_at_rotation >= cutoff);
         before - self.wtsnp.len()

@@ -4,6 +4,7 @@
 
 use std::collections::BTreeMap;
 
+use ringnet_core::config::{HEARTBEAT_PERIOD, HOP_TICK};
 use ringnet_core::driver::{MulticastSim, Scenario};
 use ringnet_core::hierarchy::{LinkPlan, MhSpec, TrafficPattern};
 use ringnet_core::metrics::buffer_peaks_of;
@@ -154,8 +155,7 @@ fn quiet_world_fires_two_timer_chains_per_entity() {
         .build();
     let ticking = spec.entities().count() - spec.sources.len();
     let second = SimDuration::from_secs(1).as_nanos();
-    let ticks_each =
-        second / spec.cfg.hop_tick.as_nanos() + second / spec.cfg.heartbeat_period.as_nanos();
+    let ticks_each = second / HOP_TICK.as_nanos() + second / HEARTBEAT_PERIOD.as_nanos();
     let mut net = RingNetSim::build(spec, 31);
     net.run_until(SimTime::from_secs(1));
     let (journal, stats) = net.finish();
@@ -175,12 +175,11 @@ fn quiet_world_fires_two_timer_chains_per_entity() {
     );
 }
 
+/// A reservation-only AP stays on the tree for the reservation TTL (a
+/// fixed 2 s) and prunes itself within a heartbeat or two after it lapses.
 #[test]
 fn reservation_expires_and_ap_prunes_itself() {
-    let cfg = ProtocolConfig {
-        reservation_ttl: SimDuration::from_millis(400),
-        ..ProtocolConfig::default().with_reservation_radius(1)
-    };
+    let ttl = SimDuration::from_secs(2);
     let mut spec = HierarchyBuilder::new(G)
         .brs(2)
         .ag_rings(1, 2)
@@ -191,7 +190,7 @@ fn reservation_expires_and_ap_prunes_itself() {
             interval: SimDuration::from_millis(20),
         })
         .aps_always_active(false)
-        .config(cfg)
+        .config(ProtocolConfig::default().with_reservation_radius(1))
         .build();
     // One MH at AP[1]; its join reserves the neighbours AP[0] and AP[2].
     let home = spec.aps[1].id;
@@ -203,9 +202,22 @@ fn reservation_expires_and_ap_prunes_itself() {
     let mut net = RingNetSim::build(spec, 37);
     net.run_until(SimTime::from_secs(4));
     let (journal, _) = net.finish();
-    let reserved = count(&journal, |e| matches!(e, ProtoEvent::Reserved { .. }));
-    assert!(reserved >= 2, "neighbours reserved: {reserved}");
-    // Reservation-only APs grafted, then pruned after the TTL lapsed.
+    let mut reserved_at = BTreeMap::new();
+    for (t, e) in &journal {
+        if let ProtoEvent::Reserved { ap, .. } = e {
+            reserved_at.insert(*ap, *t);
+        }
+    }
+    assert!(
+        !reserved_at.contains_key(&home),
+        "the home AP is a member's"
+    );
+    assert!(
+        reserved_at.len() >= 2,
+        "neighbours reserved: {reserved_at:?}"
+    );
+    // Reservation-only APs grafted, then pruned once the TTL lapsed — not
+    // before, and not much later.
     let grafted: Vec<NodeId> = journal
         .iter()
         .filter_map(|(_, e)| match e {
@@ -214,11 +226,28 @@ fn reservation_expires_and_ap_prunes_itself() {
         })
         .collect();
     assert!(grafted.len() >= 2, "grafts: {grafted:?}");
-    let pruned = count(&journal, |e| matches!(e, ProtoEvent::Pruned { .. }));
+    let prunes: Vec<(SimTime, NodeId)> = journal
+        .iter()
+        .filter_map(|(t, e)| match e {
+            ProtoEvent::Pruned { child, .. } => Some((*t, *child)),
+            _ => None,
+        })
+        .collect();
     assert!(
-        pruned >= 1,
-        "reservation-only APs must prune after TTL: {pruned}"
+        !prunes.is_empty(),
+        "reservation-only APs must prune after the TTL"
     );
+    for (t, ap) in &prunes {
+        let reserved = reserved_at[ap];
+        assert!(
+            *t >= reserved + ttl,
+            "{ap} reserved at {reserved:?} pruned at {t:?}, inside the TTL"
+        );
+        assert!(
+            *t < reserved + ttl + HEARTBEAT_PERIOD * 2,
+            "{ap} reserved at {reserved:?} pruned only at {t:?}"
+        );
+    }
     // The member's own AP stays grafted: deliveries continue to the end.
     let last = journal
         .iter()
