@@ -19,7 +19,11 @@
 //! * two generated **fault** worlds pin the token-retry, regeneration,
 //!   heartbeat, ring-repair and reservation paths on the three backends
 //!   that run the ordering core, which a loss-free static world never
-//!   enters.
+//!   enters;
+//! * beside each raw digest of a backend that emits `NeFinal` records sits
+//!   the digest of the same journal without them, so a change meant to
+//!   alter only the per-entity control totals shows that nothing else
+//!   moved.
 //!
 //! The digest is FNV-1a over the `Debug` rendering of every `(time,
 //! event)` entry — stable, dependency-free, and sensitive to field order,
@@ -30,7 +34,7 @@ use ringnet_repro::chaos::{generate, ChaosConfig};
 use ringnet_repro::core::driver::{
     MulticastSim, RunReport, Scenario, ScenarioBuilder, ScenarioEvent,
 };
-use ringnet_repro::core::{GroupId, RingNetSim};
+use ringnet_repro::core::{GroupId, ProtoEvent, RingNetSim};
 use ringnet_repro::simnet::{LinkProfile, SimDuration, SimTime};
 
 /// FNV-1a over rendered journal lines.
@@ -54,6 +58,17 @@ fn rendered(report: &RunReport) -> Vec<String> {
 /// FNV-1a over the debug rendering of the journal.
 fn digest(report: &RunReport) -> u64 {
     fnv1a(&rendered(report))
+}
+
+/// The report without its `NeFinal` lines: every protocol decision and
+/// instant, with the per-entity control, data and buffer totals set aside.
+/// A change that only stops sending redundant control moves `NeFinal`
+/// alone, and these digests stay put through it.
+fn without_ne_final(mut report: RunReport) -> RunReport {
+    report
+        .journal
+        .retain(|(_, e)| !matches!(e, ProtoEvent::NeFinal { .. }));
+    report
 }
 
 /// The digest of the journal with the entries of each simulated instant
@@ -159,31 +174,42 @@ fn digest_is_sensitive_to_protocol_behaviour() {
 /// out; these are those numbers, unedited — here, for tree and flat ring in
 /// [`GOLDEN_BASELINE_DIGESTS`] and for both worlds of
 /// [`GOLDEN_MULTIGROUP_INSTANT_DIGESTS`].
-const GOLDEN_RINGNET_DIGESTS: &[(u64, usize, u64)] = &[
-    (3, 1, 0x5f716a80ccb773f6),
-    (3, 2, 0x9ad98c13b58fbb02),
-    (3, 4, 0x22f04e617383adce),
-    (7, 1, 0x5f716a80ccb773f6),
-    (7, 2, 0x9ad98c13b58fbb02),
-    (7, 4, 0x22f04e617383adce),
+///
+/// The last column is the digest of the same journal without its `NeFinal`
+/// lines ([`without_ne_final`]).
+const GOLDEN_RINGNET_DIGESTS: &[(u64, usize, u64, u64)] = &[
+    (3, 1, 0x5f716a80ccb773f6, 0x05b0428dd0253ee7),
+    (3, 2, 0x9ad98c13b58fbb02, 0x42a4f2748c684f93),
+    (3, 4, 0x22f04e617383adce, 0x0d3cadc326e5a2b3),
+    (7, 1, 0x5f716a80ccb773f6, 0x05b0428dd0253ee7),
+    (7, 2, 0x9ad98c13b58fbb02, 0x42a4f2748c684f93),
+    (7, 4, 0x22f04e617383adce, 0x0d3cadc326e5a2b3),
 ];
 
 #[test]
 fn ringnet_journal_digest_is_pinned_per_seed_and_shard_count() {
-    for &(seed, shards, want) in GOLDEN_RINGNET_DIGESTS {
+    for &(seed, shards, want, want_filtered) in GOLDEN_RINGNET_DIGESTS {
         let mut sc = scenario();
         sc.shards = shards;
-        let got = digest(&RingNetSim::run_scenario(&sc, seed));
+        let report = RingNetSim::run_scenario(&sc, seed);
+        let got = digest(&report);
         assert_eq!(
             got, want,
             "seed {seed}, {shards} shard(s): journal digest {got:#018x} != pinned \
              {want:#018x} — the fabric changed observable protocol behaviour"
         );
+        let got = digest(&without_ne_final(report));
+        assert_eq!(
+            got, want_filtered,
+            "seed {seed}, {shards} shard(s): digest without NeFinal {got:#018x} != pinned \
+             {want_filtered:#018x}"
+        );
     }
 }
 
-/// A named backend and its pinned digest.
-type PinnedBackend = (&'static str, fn(&Scenario, u64) -> RunReport, u64);
+/// A named backend, its pinned digest, and the digest of the same journal
+/// without its `NeFinal` lines.
+type PinnedBackend = (&'static str, fn(&Scenario, u64) -> RunReport, u64, u64);
 
 /// Golden journal digests of the five baselines on the shared world, the
 /// same at 1 and 2 shards. They are the blast-radius proof of a change to
@@ -220,23 +246,55 @@ type PinnedBackend = (&'static str, fn(&Scenario, u64) -> RunReport, u64);
 /// per hop. `tests/comparator_parity.rs` is where the difference shows;
 /// [`GOLDEN_UNORDERED_UNIFORM_LINKS`] is the world where there is none.
 const GOLDEN_BASELINE_DIGESTS: &[PinnedBackend] = &[
-    ("flat_ring", FlatRingSim::run_scenario, 0xf91887f50c5ae64a),
-    ("tree", TreeSim::run_scenario, 0x5d3272b45b1d02a8),
-    ("tunnel", TunnelSim::run_scenario, 0x16a8b07b65d6e1f7),
-    ("relm", RelmSim::run_scenario, 0xd6a391e31fb9eb62),
-    ("unordered", UnorderedSim::run_scenario, 0x878f0228f1205ce4),
+    (
+        "flat_ring",
+        FlatRingSim::run_scenario,
+        0xf91887f50c5ae64a,
+        0x4a0128b014d717a9,
+    ),
+    (
+        "tree",
+        TreeSim::run_scenario,
+        0x5d3272b45b1d02a8,
+        0xc7ac251c3bcb2018,
+    ),
+    (
+        "tunnel",
+        TunnelSim::run_scenario,
+        0x16a8b07b65d6e1f7,
+        0x0a0a2f2a9e7526cc,
+    ),
+    (
+        "relm",
+        RelmSim::run_scenario,
+        0xd6a391e31fb9eb62,
+        0x2a3da80a58821584,
+    ),
+    (
+        "unordered",
+        UnorderedSim::run_scenario,
+        0x878f0228f1205ce4,
+        0x112754a74641bbec,
+    ),
 ];
 
 #[test]
 fn baseline_journal_digests_are_pinned() {
-    for &(name, run, want) in GOLDEN_BASELINE_DIGESTS {
+    for &(name, run, want, want_filtered) in GOLDEN_BASELINE_DIGESTS {
         for shards in [1usize, 2] {
             let mut sc = scenario();
             sc.shards = shards;
-            let got = digest(&run(&sc, 3));
+            let report = run(&sc, 3);
+            let got = digest(&report);
             assert_eq!(
                 got, want,
                 "{name}, {shards} shard(s): journal digest {got:#018x} != pinned {want:#018x}"
+            );
+            let got = digest(&without_ne_final(report));
+            assert_eq!(
+                got, want_filtered,
+                "{name}, {shards} shard(s): digest without NeFinal {got:#018x} != pinned \
+                 {want_filtered:#018x}"
             );
         }
     }
@@ -359,8 +417,9 @@ fn fence_overlap_world() -> Scenario {
     sc
 }
 
-/// A named world and its pinned digest.
-type PinnedWorld = (&'static str, fn() -> Scenario, u64);
+/// A named world, its pinned digest, and the digest of the same journal
+/// without its `NeFinal` lines.
+type PinnedWorld = (&'static str, fn() -> Scenario, u64, u64);
 
 /// Golden instant-canonical digests of the two multi-group worlds. Ring
 /// states of different groups share a node but not a bit of protocol
@@ -386,13 +445,23 @@ type PinnedWorld = (&'static str, fn() -> Scenario, u64);
 /// `0x1af850cf6660cd08` and `0xcd5ea6d697928f14`): the parent's journals
 /// without their buffer samples, pinned on the parent's code first.
 const GOLDEN_MULTIGROUP_INSTANT_DIGESTS: &[PinnedWorld] = &[
-    ("rings8", rings8_world, 0x51493dd324f62014),
-    ("fence_overlap_4", fence_overlap_world, 0xb8cf9ff157cb4b92),
+    (
+        "rings8",
+        rings8_world,
+        0x51493dd324f62014,
+        0xebfd2d04015e1bde,
+    ),
+    (
+        "fence_overlap_4",
+        fence_overlap_world,
+        0xb8cf9ff157cb4b92,
+        0x42dd9360ca5174ea,
+    ),
 ];
 
 #[test]
 fn multigroup_instant_canonical_digest_is_pinned_at_one_and_two_shards() {
-    for &(name, world, want) in GOLDEN_MULTIGROUP_INSTANT_DIGESTS {
+    for &(name, world, want, want_filtered) in GOLDEN_MULTIGROUP_INSTANT_DIGESTS {
         for shards in [1usize, 2] {
             let mut sc = world();
             sc.shards = shards;
@@ -403,6 +472,12 @@ fn multigroup_instant_canonical_digest_is_pinned_at_one_and_two_shards() {
                 got, want,
                 "{name}, {shards} shard(s): instant-canonical digest {got:#018x} != pinned \
                  {want:#018x} — something other than the order of same-instant entries moved"
+            );
+            let got = instant_canonical_digest(&without_ne_final(report));
+            assert_eq!(
+                got, want_filtered,
+                "{name}, {shards} shard(s): instant-canonical digest without NeFinal \
+                 {got:#018x} != pinned {want_filtered:#018x}"
             );
         }
     }
@@ -432,17 +507,47 @@ const GOLDEN_FAULT_PATH_DIGESTS: &[(u64, [PinnedBackend; 3])] = &[
     (
         98,
         [
-            ("ringnet", RingNetSim::run_scenario, 0x13bec29128208e91),
-            ("flat_ring", FlatRingSim::run_scenario, 0x35b0a773ac20d60c),
-            ("tree", TreeSim::run_scenario, 0xc7508b9a77973eb3),
+            (
+                "ringnet",
+                RingNetSim::run_scenario,
+                0x13bec29128208e91,
+                0x728df9325a7f8147,
+            ),
+            (
+                "flat_ring",
+                FlatRingSim::run_scenario,
+                0x35b0a773ac20d60c,
+                0xb91f36e05f6e50a4,
+            ),
+            (
+                "tree",
+                TreeSim::run_scenario,
+                0xc7508b9a77973eb3,
+                0xf592a9a14da790c9,
+            ),
         ],
     ),
     (
         104,
         [
-            ("ringnet", RingNetSim::run_scenario, 0x6ae17f413079962a),
-            ("flat_ring", FlatRingSim::run_scenario, 0xf67b1ba53f1af437),
-            ("tree", TreeSim::run_scenario, 0x2d3a043927c9f20c),
+            (
+                "ringnet",
+                RingNetSim::run_scenario,
+                0x6ae17f413079962a,
+                0x4b1ab0c67e688407,
+            ),
+            (
+                "flat_ring",
+                FlatRingSim::run_scenario,
+                0xf67b1ba53f1af437,
+                0x3f09838ef2a5dc5f,
+            ),
+            (
+                "tree",
+                TreeSim::run_scenario,
+                0x2d3a043927c9f20c,
+                0x8f36ea6c97f06c08,
+            ),
         ],
     ),
 ];
@@ -463,12 +568,19 @@ fn fault_path_journal_digests_are_pinned() {
     assert!(drew(|e| matches!(e, ScenarioEvent::RingRejoin { .. })));
     assert!(drew(|e| matches!(e, ScenarioEvent::PartitionRing { .. })));
     for (sc, &(generator_seed, ref backends)) in worlds.iter().zip(GOLDEN_FAULT_PATH_DIGESTS) {
-        for &(name, run, want) in backends {
-            let got = digest(&run(sc, 7));
+        for &(name, run, want, want_filtered) in backends {
+            let report = run(sc, 7);
+            let got = digest(&report);
             assert_eq!(
                 got, want,
                 "stress world {generator_seed}, {name}: journal digest {got:#018x} != pinned \
                  {want:#018x}"
+            );
+            let got = digest(&without_ne_final(report));
+            assert_eq!(
+                got, want_filtered,
+                "stress world {generator_seed}, {name}: digest without NeFinal {got:#018x} != \
+                 pinned {want_filtered:#018x}"
             );
         }
     }
