@@ -54,7 +54,6 @@ impl NeState {
     pub(crate) fn on_graft_ack(&mut self, _now: SimTime, from: Endpoint, front: GlobalSeq) {
         let Endpoint::Ne(p) = from else { return };
         if self.parent == Some(p) {
-            self.parent_hb_outstanding = 0;
             self.graft_pending = false;
             // The parent registered our progress afresh.
             self.forget_told();

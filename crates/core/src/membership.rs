@@ -4,9 +4,30 @@
 //! omits; this module is the concrete instance this reproduction builds
 //! (DESIGN.md §2). It provides:
 //!
-//! * **Liveness**: heartbeats to the next ring node and to the parent, with
-//!   a miss budget; children and attached MHs are tracked by last-heard
-//!   times (their ACKs and heartbeats refresh them).
+//! * **Liveness**: one probe per heartbeat period to the next ring node
+//!   and one to the parent, with a miss budget, each sent only where
+//!   traffic has not already answered it.
+//!   - *Top ring*: the token is the probe. A `TokenAck` from `next` for a
+//!     transfer sent since the last tick answers like a `HeartbeatAck`, and
+//!     the next tick counts an *implied* probe instead of sending one. A
+//!     transfer sent after that tick asks the implied probe: unanswered by
+//!     the following tick, it is a miss, though not a suspicion. A period
+//!     in which no transfer went to `next` asked nothing and missed
+//!     nothing; its closing tick sends a real probe.
+//!   - *AG rings* have no token and probe every tick.
+//!   - *Parent*: any frame at all from the parent answers the probe to it.
+//!
+//!   The ring asks more than the parent link does because a frame sent
+//!   before a tick but received after it is stale evidence: counted, it
+//!   would excise a dead or cut-off `next` a period late. A `TokenAck` for
+//!   a transfer sent after the tick proves at least what a probe at that
+//!   tick would have. Still, a transfer tests `next` somewhat later than a
+//!   probe at the tick would, and a period the token skips tests nothing,
+//!   so a death or a cut close to a tick can be acted on a period earlier
+//!   or later than probes alone would act on it; the same holds for a
+//!   parent that dies just after its last frame. Children and attached
+//!   MHs are tracked by last-heard times (their ACKs and heartbeats
+//!   refresh them).
 //! * **Ring repair**: a dead next node is bypassed using the statically
 //!   configured cycle (Remark 2), the failure is broadcast to the remaining
 //!   ring members, and — on the top ring — a Token-Loss message is handed
@@ -66,18 +87,25 @@ impl NeState {
         // An answer from an *excised* peer while we sit fenced on the
         // minority side of a partition is heal evidence: start the merge.
         self.on_heal_evidence(now, from, out);
-        if self.ring_next() == Some(n) {
-            if let Some(r) = self.ring.as_mut() {
-                r.hb_outstanding = 0;
-                if r.state_of(n) == crate::ring_lifecycle::MemberState::Suspected {
-                    self.telemetry.count(crate::telemetry::metric::HB_REFUTES);
-                }
-                r.refute(n);
-            }
+        self.next_answered(n, false);
+    }
+
+    /// `n` answered the probe to our next node, if it still is our next
+    /// node: by a `HeartbeatAck`, or `by_token`, acknowledging a token
+    /// transfer sent since the last tick.
+    pub(crate) fn next_answered(&mut self, n: NodeId, by_token: bool) {
+        if self.ring_next() != Some(n) {
+            return;
         }
-        if self.parent == Some(n) {
-            self.parent_hb_outstanding = 0;
+        let Some(r) = self.ring.as_mut() else { return };
+        r.hb_outstanding = 0;
+        if by_token {
+            r.hb_by_token = Some(n);
         }
+        if r.state_of(n) == crate::ring_lifecycle::MemberState::Suspected {
+            self.telemetry.count(crate::telemetry::metric::HB_REFUTES);
+        }
+        r.refute(n);
     }
 
     /// Another ring member announced a bypassed failure.
@@ -159,13 +187,16 @@ impl NeState {
         // --- ring neighbour liveness -----------------------------------
         let mut ring_changed = false;
         if let Some(r) = self.ring.as_mut() {
+            let last_tick = std::mem::replace(&mut r.hb_tick_at, now);
             let next = r.next_of(self.id);
+            let by_token = r.hb_by_token == Some(next);
             if next != self.id {
                 if r.hb_outstanding >= HEARTBEAT_MISSES {
                     // Next is dead: bypass it and tell the others.
                     r.mark_dead(next);
                     let new_next = r.next_of(self.id);
                     r.hb_outstanding = 0;
+                    r.hb_by_token = None;
                     r.next_acked_mq = crate::ids::GlobalSeq::ZERO;
                     out.push(Action::Record(ProtoEvent::RingRepaired {
                         node: self.id,
@@ -186,14 +217,30 @@ impl NeState {
                     }
                     ring_changed = true;
                     self.telemetry.count(crate::telemetry::metric::RING_REPAIRS);
+                } else if by_token && r.hb_outstanding == 0 {
+                    // The token answered since the last tick: it stands in
+                    // for this tick's probe.
+                    r.hb_outstanding = 1;
                 } else {
-                    if r.hb_outstanding > 0 {
-                        // The previous probe went unanswered.
+                    // A token transfer since the last tick put the implied
+                    // probe to `next`; without one, nothing was asked and
+                    // nothing was missed.
+                    let asked = self
+                        .ord
+                        .as_ref()
+                        .and_then(|o| o.inflight.as_ref())
+                        .is_some_and(|inf| inf.to == next && inf.sent_at >= last_tick);
+                    if by_token && !asked {
+                        r.hb_outstanding = 0;
+                    }
+                    if r.hb_outstanding > 0 && !by_token {
+                        // The previous probe, a sent one, went unanswered.
                         if r.state_of(next) == crate::ring_lifecycle::MemberState::Active {
                             self.telemetry.count(crate::telemetry::metric::HB_SUSPECTS);
                         }
                         r.suspect(next);
                     }
+                    r.hb_by_token = None;
                     r.hb_outstanding += 1;
                     self.send_control(Endpoint::Ne(next), Msg::Heartbeat { group }, out);
                 }
@@ -280,9 +327,11 @@ impl NeState {
         let _ = now;
     }
 
-    /// Probe the parent; rotate to the next candidate after a miss budget.
+    /// Probe the parent unless it was heard from since the last tick;
+    /// rotate to the next candidate after a miss budget.
     fn parent_maintenance(&mut self, now: SimTime, out: &mut Outbox) {
         let group = self.group;
+        let heard = std::mem::take(&mut self.parent_heard);
         let Some(p) = self.parent else {
             // Leaders of non-top rings acquire a parent lazily.
             self.after_ring_change(now, out);
@@ -320,7 +369,9 @@ impl NeState {
             }
         } else {
             self.parent_hb_outstanding += 1;
-            self.send_control(Endpoint::Ne(p), Msg::Heartbeat { group }, out);
+            if !heard {
+                self.send_control(Endpoint::Ne(p), Msg::Heartbeat { group }, out);
+            }
             // APs that should be active but missed their GraftAck re-graft.
             if self.ap.as_ref().is_some_and(|a| !a.grafted) {
                 self.ensure_active_grafted(now, out);
@@ -479,6 +530,39 @@ mod tests {
             .collect()
     }
 
+    fn ms(t: u64) -> SimTime {
+        SimTime::from_millis(t)
+    }
+
+    /// The next node acknowledges the transfer `n` has in flight.
+    fn ack_token(n: &mut NeState, at: SimTime) {
+        let inf = n.ord.as_ref().unwrap().inflight.as_ref().unwrap();
+        let (to, epoch, rotation) = (inf.to, inf.token.epoch, inf.token.rotation);
+        n.on_token_ack(at, Endpoint::Ne(to), epoch, rotation, GlobalSeq::ZERO);
+    }
+
+    /// The token comes back to `n` from the previous node, which forwards
+    /// it to the next one.
+    fn token_returns(n: &mut NeState, at: SimTime) {
+        let token = n.ord.as_ref().unwrap().new_token.clone().unwrap();
+        let mut out = Vec::new();
+        n.on_msg(
+            at,
+            Endpoint::Ne(NodeId(2)),
+            Msg::Token(Box::new(token)),
+            &mut out,
+        );
+        assert!(n.ord.as_ref().unwrap().inflight.is_some(), "forwarded");
+    }
+
+    fn outstanding(n: &NeState) -> u8 {
+        n.ring.as_ref().unwrap().hb_outstanding
+    }
+
+    fn next_state(n: &NeState) -> crate::ring_lifecycle::MemberState {
+        n.ring.as_ref().unwrap().state_of(NodeId(1))
+    }
+
     #[test]
     fn heartbeat_is_answered() {
         let mut n = br(0);
@@ -502,6 +586,104 @@ mod tests {
         assert_eq!(n.ring.as_ref().unwrap().hb_outstanding, 1);
         n.on_heartbeat_ack(SimTime::from_millis(51), Endpoint::Ne(NodeId(1)), &mut out);
         assert_eq!(n.ring.as_ref().unwrap().hb_outstanding, 0);
+    }
+
+    #[test]
+    fn token_answered_period_sends_no_ring_heartbeat() {
+        let mut n = br(0);
+        let mut out = Vec::new();
+        n.tick_heartbeat(ms(50), &mut out);
+        assert_eq!(
+            hb_sends(&out),
+            vec![NodeId(1)],
+            "no token yet: a real probe"
+        );
+        n.on_heartbeat_ack(ms(51), Endpoint::Ne(NodeId(1)), &mut out);
+        n.originate_token(ms(60), &mut out);
+        ack_token(&mut n, ms(70));
+        for t in [100, 150, 200] {
+            out.clear();
+            n.tick_heartbeat(ms(t), &mut out);
+            assert!(hb_sends(&out).is_empty(), "{t} ms: the token answered");
+            assert_eq!(outstanding(&n), 1, "{t} ms: the implied probe counts");
+            token_returns(&mut n, ms(t + 10));
+            ack_token(&mut n, ms(t + 20));
+        }
+    }
+
+    #[test]
+    fn idle_top_ring_probes_every_tick() {
+        let mut n = br(0);
+        let mut out = Vec::new();
+        for t in [50, 100, 150] {
+            out.clear();
+            n.tick_heartbeat(ms(t), &mut out);
+            assert_eq!(hb_sends(&out), vec![NodeId(1)], "{t} ms");
+            n.on_heartbeat_ack(ms(t + 1), Endpoint::Ne(NodeId(1)), &mut out);
+        }
+        // One token pass implies the 200 ms probe; the token does not come
+        // back before 250 ms, so that tick probes for real, and the implied
+        // probe nothing asked is neither a miss nor a suspicion.
+        n.originate_token(ms(160), &mut out);
+        ack_token(&mut n, ms(170));
+        out.clear();
+        n.tick_heartbeat(ms(200), &mut out);
+        assert!(hb_sends(&out).is_empty());
+        out.clear();
+        n.tick_heartbeat(ms(250), &mut out);
+        assert_eq!(hb_sends(&out), vec![NodeId(1)]);
+        assert_eq!(outstanding(&n), 1);
+        assert_eq!(next_state(&n), crate::ring_lifecycle::MemberState::Active);
+    }
+
+    #[test]
+    fn unanswered_implied_probe_is_a_miss_but_no_suspicion() {
+        let mut n = br(0);
+        let mut out = Vec::new();
+        n.originate_token(ms(10), &mut out);
+        ack_token(&mut n, ms(20));
+        n.tick_heartbeat(ms(50), &mut out);
+        // The 60 ms transfer asks the implied probe; nothing answers it.
+        token_returns(&mut n, ms(60));
+        out.clear();
+        n.tick_heartbeat(ms(100), &mut out);
+        assert_eq!(
+            hb_sends(&out),
+            vec![NodeId(1)],
+            "silence draws a real probe"
+        );
+        assert_eq!(outstanding(&n), 2, "the implied probe was missed");
+        assert_eq!(next_state(&n), crate::ring_lifecycle::MemberState::Active);
+        out.clear();
+        n.tick_heartbeat(ms(150), &mut out);
+        assert_eq!(
+            next_state(&n),
+            crate::ring_lifecycle::MemberState::Suspected
+        );
+        out.clear();
+        n.tick_heartbeat(ms(200), &mut out);
+        assert_eq!(
+            n.ring_next(),
+            Some(NodeId(2)),
+            "excised three periods after the implied probe, as sent probes would"
+        );
+    }
+
+    #[test]
+    fn token_ack_for_a_transfer_sent_before_the_tick_answers_nothing() {
+        let mut n = br(0);
+        let mut out = Vec::new();
+        n.originate_token(ms(45), &mut out);
+        n.tick_heartbeat(ms(50), &mut out);
+        ack_token(&mut n, ms(55));
+        assert_eq!(outstanding(&n), 1, "stale evidence");
+        out.clear();
+        n.tick_heartbeat(ms(100), &mut out);
+        assert_eq!(hb_sends(&out), vec![NodeId(1)]);
+        assert_eq!(
+            next_state(&n),
+            crate::ring_lifecycle::MemberState::Suspected
+        );
     }
 
     #[test]
@@ -642,6 +824,61 @@ mod tests {
                 msg: Msg::Graft { .. }
             }
         )));
+    }
+
+    #[test]
+    fn parent_traffic_answers_the_parent_probe() {
+        let mut n = NeState::new_ap(
+            G,
+            NodeId(99),
+            vec![NodeId(20), NodeId(21)],
+            true,
+            vec![],
+            ProtocolConfig::default(),
+        );
+        n.parent = Some(NodeId(20));
+        let to_parent = |out: &Outbox| {
+            out.iter()
+                .filter(|a| {
+                    matches!(
+                        a,
+                        Action::Send {
+                            to: Endpoint::Ne(NodeId(20)),
+                            msg: Msg::Heartbeat { .. }
+                        }
+                    )
+                })
+                .count()
+        };
+        let data = Msg::Data {
+            group: G,
+            gsn: GlobalSeq(1),
+            data: crate::mq::MsgData {
+                source: NodeId(0),
+                local_seq: crate::ids::LocalSeq(1),
+                ordering_node: NodeId(0),
+                payload: crate::ids::PayloadId(1),
+            },
+        };
+        let mut out = Vec::new();
+        n.on_msg(ms(40), Endpoint::Ne(NodeId(20)), data, &mut out);
+        out.clear();
+        n.tick_heartbeat(ms(50), &mut out);
+        assert_eq!(to_parent(&out), 0, "the parent's data answered");
+        // Silent from here on: probes resume, and the failover comes after
+        // `HEARTBEAT_MISSES` silent periods, as it does after an answered
+        // probe.
+        let mut t = 50;
+        for _ in 0..HEARTBEAT_MISSES - 1 {
+            t += 50;
+            out.clear();
+            n.tick_heartbeat(ms(t), &mut out);
+            assert_eq!(to_parent(&out), 1, "{t} ms");
+            assert_eq!(n.parent, Some(NodeId(20)), "{t} ms");
+        }
+        n.tick_heartbeat(ms(t + 50), &mut out);
+        assert_eq!(t + 50, 50 + 50 * HEARTBEAT_MISSES as u64);
+        assert_eq!(n.parent, Some(NodeId(21)), "failed over");
     }
 
     #[test]

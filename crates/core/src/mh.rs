@@ -127,11 +127,6 @@ impl MhState {
             }
             Msg::HandoffTo { new_ap, .. } => self.on_handoff(now, new_ap, out),
             Msg::JoinCmd { ap, .. } => self.join(now, ap, out),
-            Msg::Heartbeat { .. } => {
-                if let Some(ap) = self.ap {
-                    out.push(Action::to_ne(ap, Msg::HeartbeatAck { group: self.group }));
-                }
-            }
             Msg::Kill { .. } => self.alive = false,
             Msg::FlushStats { .. } => self.flush_final_stats(out),
             _ => {}
@@ -608,24 +603,10 @@ mod tests {
     }
 
     #[test]
-    fn heartbeat_reply_and_probe() {
+    fn heartbeat_tick_probes_the_ap() {
         let mut m = mh();
         let mut out = Vec::new();
         m.join(SimTime::ZERO, AP1, &mut out);
-        out.clear();
-        m.on_msg(
-            SimTime::ZERO,
-            Endpoint::Ne(AP1),
-            Msg::Heartbeat { group: G },
-            &mut out,
-        );
-        assert!(matches!(
-            out[0],
-            Action::Send {
-                to: Endpoint::Ne(AP1),
-                msg: Msg::HeartbeatAck { .. }
-            }
-        ));
         out.clear();
         m.tick_heartbeat(SimTime::ZERO, &mut out);
         assert!(matches!(

@@ -52,8 +52,16 @@ pub struct RingState {
     pub lifecycle: RingLifecycle,
     /// True for the top logical ring (the ordering ring).
     pub is_top: bool,
-    /// Heartbeats sent to `next` without an answer.
+    /// Probes to `next` without an answer, sent or implied.
     pub hb_outstanding: u8,
+    /// When the last heartbeat tick ran.
+    pub hb_tick_at: SimTime,
+    /// The next node the token answers for: it acknowledged a token
+    /// transfer sent since the last heartbeat tick. While it is still
+    /// `next`, a tick implies its probe instead of sending it, and an
+    /// unanswered implied probe does not suspect it. Cleared by the first
+    /// tick that sends a real probe.
+    pub hb_by_token: Option<NodeId>,
     /// Cumulative `MQ` ACK received from the next node, by `DataAck` or
     /// `TokenAck` (retention GC of both `MQ` and `WQ`).
     pub next_acked_mq: GlobalSeq,
@@ -69,6 +77,8 @@ impl RingState {
             lifecycle,
             is_top,
             hb_outstanding: 0,
+            hb_tick_at: SimTime::ZERO,
+            hb_by_token: None,
             next_acked_mq: GlobalSeq::ZERO,
         }
     }
@@ -162,6 +172,7 @@ impl RingState {
         self.lifecycle.apply(me, LifecycleEvent::Excise);
         self.lifecycle.apply(me, LifecycleEvent::RejoinStart);
         self.hb_outstanding = 0;
+        self.hb_by_token = None;
         self.next_acked_mq = GlobalSeq::ZERO;
     }
 }
@@ -308,8 +319,12 @@ pub struct NeState {
     pub parent: Option<NodeId>,
     /// Statically configured candidate parents (Remark 2).
     pub parent_candidates: Vec<NodeId>,
-    /// Heartbeats sent to the parent without an answer.
+    /// Probes to the parent without an answer, sent or implied.
     pub parent_hb_outstanding: u8,
+    /// A frame arrived from the parent since the last heartbeat tick: it
+    /// answered the outstanding probe, and that tick implies its probe
+    /// instead of sending it.
+    pub parent_heard: bool,
     /// Active children and when each was last heard.
     pub children: BTreeMap<NodeId, SimTime>,
     /// Per-child delivery progress (`WT`).
@@ -397,6 +412,7 @@ impl NeState {
             parent: None,
             parent_candidates: Vec::new(),
             parent_hb_outstanding: 0,
+            parent_heard: false,
             children: BTreeMap::new(),
             wt_children: WorkingTable::new(),
             mq: MessageQueue::new(cfg.mq_capacity),
@@ -438,6 +454,7 @@ impl NeState {
             parent: None,
             parent_candidates,
             parent_hb_outstanding: 0,
+            parent_heard: false,
             children: BTreeMap::new(),
             wt_children: WorkingTable::new(),
             mq: MessageQueue::new(cfg.mq_capacity),
@@ -495,6 +512,7 @@ impl NeState {
             parent: None,
             parent_candidates,
             parent_hb_outstanding: 0,
+            parent_heard: false,
             children: BTreeMap::new(),
             wt_children: WorkingTable::new(),
             mq: MessageQueue::new(cfg.mq_capacity),
@@ -574,6 +592,11 @@ impl NeState {
             return;
         }
         debug_assert_eq!(msg.group(), self.group, "cross-group message");
+        if self.parent.is_some_and(|p| from == Endpoint::Ne(p)) {
+            // Whatever the parent sends answers the probe to it.
+            self.parent_hb_outstanding = 0;
+            self.parent_heard = true;
+        }
         match msg {
             Msg::SourceData {
                 local_seq, payload, ..
@@ -728,6 +751,7 @@ impl NeState {
         self.alive = true;
         self.parent = None;
         self.parent_hb_outstanding = 0;
+        self.parent_heard = false;
         self.children.clear();
         self.wt_children = WorkingTable::new();
         self.mq = MessageQueue::new(self.cfg.mq_capacity);

@@ -423,6 +423,10 @@ impl NeState {
     /// Token-transfer acknowledgement from the next node, carrying its
     /// `MQ` front: whichever pass it acknowledges (a stale or duplicate
     /// copy is acked too), the front is the next node's cumulative ACK.
+    /// The ack of a transfer sent once, since the last heartbeat tick, also
+    /// answers the liveness probe to the next node (see
+    /// [`crate::membership`]); a retried transfer's ack may be for a copy
+    /// sent before the tick.
     pub(crate) fn on_token_ack(
         &mut self,
         now: SimTime,
@@ -433,12 +437,21 @@ impl NeState {
     ) {
         let Some(ord) = self.ord.as_mut() else { return };
         let Endpoint::Ne(sender) = from else { return };
+        let mut answered = false;
         if let Some(inf) = &ord.inflight {
             if inf.to == sender
                 && crate::ring_epoch::ack_matches_pass(inf.token.pass_id(), epoch, rotation)
             {
+                answered = inf.attempts == 1
+                    && self
+                        .ring
+                        .as_ref()
+                        .is_some_and(|r| inf.sent_at >= r.hb_tick_at);
                 ord.inflight = None;
             }
+        }
+        if answered {
+            self.next_answered(sender, true);
         }
         self.on_data_ack(now, from, upto);
     }

@@ -358,6 +358,50 @@ fn station_shaped_spec_delivers_in_order() {
     assert_eq!(ringnet_core::metrics::order_violations(&journal), 0);
 }
 
+/// A two-BR top ring cut exactly at a heartbeat tick, while the token and
+/// its acknowledgements cross the link: each side excises the other three
+/// missed probes after the tick, the instant a probe sent at the tick
+/// gives. The token stands in for a probe only with the acknowledgement of
+/// a transfer sent after the last tick; counting any frame from the next
+/// node would take the frames sent before the cut and received after it as
+/// an answer, and repair the ring a period or more late.
+#[test]
+fn ring_cut_at_a_heartbeat_tick_is_repaired_on_the_probe_schedule() {
+    let spec = HierarchyBuilder::new(G)
+        .brs(2)
+        .ag_rings(2, 1)
+        .aps_per_ag(1)
+        .mhs_per_ap(1)
+        .sources(1)
+        .source_pattern(TrafficPattern::Cbr {
+            interval: SimDuration::from_millis(10),
+        })
+        .build();
+    let (a, b) = (spec.top_ring[0], spec.top_ring[1]);
+    let hop = spec.links.top_ring.latency.max_delay();
+    let cut = SimTime::from_secs(1);
+    assert_eq!(cut.as_nanos() % HEARTBEAT_PERIOD.as_nanos(), 0, "a tick");
+    let mut net = RingNetSim::build(spec, 7);
+    net.schedule_link_state(cut, a, b, false);
+    net.run_until(cut + HEARTBEAT_PERIOD * 6);
+    let (journal, _) = net.finish();
+    assert!(
+        journal.iter().any(|(t, e)| {
+            matches!(e, ProtoEvent::TokenPass { .. }) && *t + hop > cut && *t <= cut
+        }),
+        "a token transfer is in flight at the cut"
+    );
+    let repaired: Vec<(SimTime, NodeId)> = journal
+        .iter()
+        .filter_map(|(t, e)| match e {
+            ProtoEvent::RingRepaired { node, .. } => Some((*t, *node)),
+            _ => None,
+        })
+        .collect();
+    let due = cut + HEARTBEAT_PERIOD * 3;
+    assert_eq!(repaired, vec![(due, a), (due, b)]);
+}
+
 #[test]
 fn zero_mh_network_runs_clean() {
     let spec = HierarchyBuilder::new(G)

@@ -177,13 +177,19 @@ fn digest_is_sensitive_to_protocol_behaviour() {
 ///
 /// The last column is the digest of the same journal without its `NeFinal`
 /// lines ([`without_ne_final`]).
+///
+/// Regenerated on purpose when traffic began answering the liveness probes
+/// (were `0x5f716a80ccb773f6` / `0x9ad98c13b58fbb02` /
+/// `0x22f04e617383adce`): only `NeFinal.control_sent` moves — probes
+/// answered by the token or by parent traffic are no longer sent. The
+/// filtered column, pinned before that change, is unedited.
 const GOLDEN_RINGNET_DIGESTS: &[(u64, usize, u64, u64)] = &[
-    (3, 1, 0x5f716a80ccb773f6, 0x05b0428dd0253ee7),
-    (3, 2, 0x9ad98c13b58fbb02, 0x42a4f2748c684f93),
-    (3, 4, 0x22f04e617383adce, 0x0d3cadc326e5a2b3),
-    (7, 1, 0x5f716a80ccb773f6, 0x05b0428dd0253ee7),
-    (7, 2, 0x9ad98c13b58fbb02, 0x42a4f2748c684f93),
-    (7, 4, 0x22f04e617383adce, 0x0d3cadc326e5a2b3),
+    (3, 1, 0x80013ded941225c1, 0x05b0428dd0253ee7),
+    (3, 2, 0xd20f73c3a2b41b35, 0x42a4f2748c684f93),
+    (3, 4, 0x0dece3d470a5ac35, 0x0d3cadc326e5a2b3),
+    (7, 1, 0x80013ded941225c1, 0x05b0428dd0253ee7),
+    (7, 2, 0xd20f73c3a2b41b35, 0x42a4f2748c684f93),
+    (7, 4, 0x0dece3d470a5ac35, 0x0d3cadc326e5a2b3),
 ];
 
 #[test]
@@ -235,6 +241,13 @@ type PinnedBackend = (&'static str, fn(&Scenario, u64) -> RunReport, u64, u64);
 /// parent's code first (see [`GOLDEN_RINGNET_DIGESTS`]); tunnel, RelM and
 /// unordered never sampled and are unedited.
 ///
+/// Tree and flat ring were regenerated on purpose when traffic began
+/// answering the liveness probes (were `0x5d3272b45b1d02a8` and
+/// `0xf91887f50c5ae64a`): only `NeFinal.control_sent` moves — probes
+/// answered by the token or by parent traffic are no longer sent. Their
+/// filtered digests, and every tunnel, RelM and unordered digest, are
+/// unedited.
+///
 /// PR 15 rebuilt `unordered` from RingNet's own `HierarchySpec`, so its
 /// tree hops now follow `links.br_ag` / `links.ag_ap` / `links.source`
 /// (the private assembly it replaced wired both tree hops with
@@ -249,13 +262,13 @@ const GOLDEN_BASELINE_DIGESTS: &[PinnedBackend] = &[
     (
         "flat_ring",
         FlatRingSim::run_scenario,
-        0xf91887f50c5ae64a,
+        0xd28bb03ee739618e,
         0x4a0128b014d717a9,
     ),
     (
         "tree",
         TreeSim::run_scenario,
-        0x5d3272b45b1d02a8,
+        0x53346a9978302a22,
         0xc7ac251c3bcb2018,
     ),
     (
@@ -444,17 +457,22 @@ type PinnedWorld = (&'static str, fn() -> Scenario, u64, u64);
 /// Regenerated on purpose by PR 20 with [`GOLDEN_RINGNET_DIGESTS`] (were
 /// `0x1af850cf6660cd08` and `0xcd5ea6d697928f14`): the parent's journals
 /// without their buffer samples, pinned on the parent's code first.
+///
+/// Regenerated on purpose when traffic began answering the liveness probes
+/// (were `0x51493dd324f62014` and `0xb8cf9ff157cb4b92`): only
+/// `NeFinal.control_sent` moves — probes answered by the token or by parent
+/// traffic are no longer sent. The filtered column is unedited.
 const GOLDEN_MULTIGROUP_INSTANT_DIGESTS: &[PinnedWorld] = &[
     (
         "rings8",
         rings8_world,
-        0x51493dd324f62014,
+        0xd39a955894fd4f10,
         0xebfd2d04015e1bde,
     ),
     (
         "fence_overlap_4",
         fence_overlap_world,
-        0xb8cf9ff157cb4b92,
+        0x7ba518d2e5619cab,
         0x42dd9360ca5174ea,
     ),
 ];
@@ -503,6 +521,15 @@ fn stress_world(generator_seed: u64) -> Scenario {
 /// 2, a 150 ms token-quiet period, 2 heartbeat misses, a 40 ms heartbeat,
 /// a 4 ms hop tick or a 64-slot `WQ` each moves at least one of these
 /// numbers.
+///
+/// The raw digests were regenerated on purpose when traffic began
+/// answering the liveness probes (were `0x13bec29128208e91`,
+/// `0x35b0a773ac20d60c`, `0xc7508b9a77973eb3` for world 98 and
+/// `0x6ae17f413079962a`, `0xf67b1ba53f1af437`, `0x2d3a043927c9f20c` for
+/// world 104): only `NeFinal.control_sent` moves — probes answered by the
+/// token or by parent traffic are no longer sent. Every excision, failover
+/// and regeneration happens at the same instant, as the unedited filtered
+/// digests show.
 const GOLDEN_FAULT_PATH_DIGESTS: &[(u64, [PinnedBackend; 3])] = &[
     (
         98,
@@ -510,19 +537,19 @@ const GOLDEN_FAULT_PATH_DIGESTS: &[(u64, [PinnedBackend; 3])] = &[
             (
                 "ringnet",
                 RingNetSim::run_scenario,
-                0x13bec29128208e91,
+                0x13c1bcc3544f7ac3,
                 0x728df9325a7f8147,
             ),
             (
                 "flat_ring",
                 FlatRingSim::run_scenario,
-                0x35b0a773ac20d60c,
+                0x7e9889dc5043e1dd,
                 0xb91f36e05f6e50a4,
             ),
             (
                 "tree",
                 TreeSim::run_scenario,
-                0xc7508b9a77973eb3,
+                0xdbe941a0e5ce573e,
                 0xf592a9a14da790c9,
             ),
         ],
@@ -533,19 +560,19 @@ const GOLDEN_FAULT_PATH_DIGESTS: &[(u64, [PinnedBackend; 3])] = &[
             (
                 "ringnet",
                 RingNetSim::run_scenario,
-                0x6ae17f413079962a,
+                0xaad32f0a27f7dda3,
                 0x4b1ab0c67e688407,
             ),
             (
                 "flat_ring",
                 FlatRingSim::run_scenario,
-                0xf67b1ba53f1af437,
+                0x8b8726738a589ad4,
                 0x3f09838ef2a5dc5f,
             ),
             (
                 "tree",
                 TreeSim::run_scenario,
-                0x2d3a043927c9f20c,
+                0x078027925f90b3bf,
                 0x8f36ea6c97f06c08,
             ),
         ],
