@@ -113,9 +113,13 @@ impl NeState {
                 }
             }
             Endpoint::Mh(guid) => {
+                // Only a registered MH is refreshed: a last-heard entry for
+                // one the WT does not know would later be swept as a
+                // departure that was never counted as an arrival.
                 if let Some(ap) = self.ap.as_mut() {
-                    ap.wt.ack(guid, upto);
-                    ap.last_heard.insert(guid, now);
+                    if ap.wt.ack(guid, upto) {
+                        ap.last_heard.insert(guid, now);
+                    }
                 }
             }
         }

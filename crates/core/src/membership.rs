@@ -966,6 +966,26 @@ mod tests {
     }
 
     #[test]
+    fn data_ack_from_an_unknown_mh_is_no_member() {
+        // After a crash-restart an MH can ack before it re-registers, then
+        // hand off elsewhere: the sweep must not count a departure the AP
+        // never counted as an arrival.
+        let mut n = NeState::new_ap(
+            G,
+            NodeId(99),
+            vec![NodeId(20)],
+            true,
+            vec![],
+            ProtocolConfig::default(),
+        );
+        n.on_data_ack(SimTime::from_millis(1), Endpoint::Mh(Guid(7)), GlobalSeq(3));
+        let mut out = Vec::new();
+        n.tick_heartbeat(SimTime::from_secs(10), &mut out);
+        assert_eq!(n.subtree_members, 0);
+        assert_eq!(n.pending_delta, 0);
+    }
+
+    #[test]
     fn membership_batches_to_upstream() {
         // Non-leader ring member routes to its ring leader.
         let mut n = br(1);
