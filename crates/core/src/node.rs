@@ -55,13 +55,13 @@ pub struct RingState {
     /// Probes to `next` without an answer, sent or implied.
     pub hb_outstanding: u8,
     /// When the last heartbeat tick ran.
-    pub hb_tick_at: SimTime,
+    pub(crate) hb_tick_at: SimTime,
     /// The next node the token answers for: it acknowledged a token
     /// transfer sent since the last heartbeat tick. While it is still
     /// `next`, a tick implies its probe instead of sending it, and an
     /// unanswered implied probe does not suspect it. Cleared by the first
     /// tick that sends a real probe.
-    pub hb_by_token: Option<NodeId>,
+    pub(crate) hb_by_token: Option<NodeId>,
     /// Cumulative `MQ` ACK received from the next node, by `DataAck` or
     /// `TokenAck` (retention GC of both `MQ` and `WQ`).
     pub next_acked_mq: GlobalSeq,
@@ -324,7 +324,7 @@ pub struct NeState {
     /// A frame arrived from the parent since the last heartbeat tick: it
     /// answered the outstanding probe, and that tick implies its probe
     /// instead of sending it.
-    pub parent_heard: bool,
+    pub(crate) parent_heard: bool,
     /// Active children and when each was last heard.
     pub children: BTreeMap<NodeId, SimTime>,
     /// Per-child delivery progress (`WT`).
