@@ -13,8 +13,8 @@
 //! hot-path section at the end of the document carries real
 //! `allocs_per_delivery` numbers next to wall time — and, per flagship
 //! scenario, the sim-clock `latency_p50_ms` / `latency_p999_ms`,
-//! `nacks_per_delivery` and `control_per_delivery`: the protocol's own
-//! numbers, the same on any host.
+//! `nacks_per_delivery`, `control_per_delivery` and `packets_per_delivery`:
+//! the protocol's own numbers, the same on any host.
 
 #[global_allocator]
 static ALLOC: ringnet_bench::alloc::CountingAlloc = ringnet_bench::alloc::CountingAlloc;

@@ -7,10 +7,11 @@
 //! cargo run --release -p ringnet-bench --bin hotpath -- check   # CI gate
 //! ```
 //!
-//! `check` asserts `allocs_per_delivery` and `control_per_delivery` stay
-//! within the pinned golden tolerances below, so an allocation regression
-//! on the sim path, or a control plane that starts talking more, fails the
-//! build even when wall time is too noisy to trip anything.
+//! `check` asserts `allocs_per_delivery`, `control_per_delivery` and
+//! `packets_per_delivery` stay within the pinned golden tolerances below,
+//! so an allocation regression on the sim path, or a control plane or a
+//! radio hop that starts talking more, fails the build even when wall time
+//! is too noisy to trip anything.
 
 use ringnet_bench::alloc::CountingAlloc;
 use ringnet_bench::suites::hotpath_scenarios;
@@ -47,11 +48,22 @@ const GOLDEN_MAX_CONTROL_PER_DELIVERY: &[(&str, f64)] = &[
     ("multigroup_throughput_rings_4", 0.076),
 ];
 
+/// Pinned golden ceilings for `packets_per_delivery`: every wire packet,
+/// wireless hop included, a frame or burst counting once. Deterministic,
+/// so the margin is thin (~2 %): measured 1.7926 and 3.3789 once an MH's
+/// ack became its liveness beacon (were 1.9226 and 3.3890 while every MH
+/// also sent a heartbeat its AP answered), so a second MH ↔ AP exchange
+/// coming back trips it.
+const GOLDEN_MAX_PACKETS_PER_DELIVERY: &[(&str, f64)] = &[
+    ("ringnet_128_walkers_one_sim_second", 1.83),
+    ("multigroup_throughput_rings_4", 3.45),
+];
+
 fn main() {
     let check = std::env::args().any(|a| a == "check");
     let rows = hotpath_scenarios();
     println!(
-        "{:<42} {:>12} {:>12} {:>14} {:>16} {:>12} {:>12} {:>12} {:>12}",
+        "{:<42} {:>12} {:>12} {:>14} {:>16} {:>12} {:>12} {:>12} {:>12} {:>14}",
         "scenario",
         "wall_ms",
         "delivered",
@@ -60,12 +72,13 @@ fn main() {
         "sim_p50_ms",
         "sim_p999_ms",
         "nacks/deliv",
-        "ctl/deliv"
+        "ctl/deliv",
+        "packets/deliv"
     );
     let mut failures = Vec::new();
     for row in &rows {
         println!(
-            "{:<42} {:>12.2} {:>12} {:>14.3} {:>16.3} {:>12.3} {:>12.3} {:>12.4} {:>12.4}",
+            "{:<42} {:>12.2} {:>12} {:>14.3} {:>16.3} {:>12.3} {:>12.3} {:>12.4} {:>12.4} {:>14.4}",
             row.name,
             row.wall_ms,
             row.delivered,
@@ -74,7 +87,8 @@ fn main() {
             row.latency_p50_ms,
             row.latency_p999_ms,
             row.nacks_per_delivery,
-            row.control_per_delivery
+            row.control_per_delivery,
+            row.packets_per_delivery
         );
         if check {
             let gates = [
@@ -87,6 +101,11 @@ fn main() {
                     "control messages",
                     row.control_per_delivery,
                     GOLDEN_MAX_CONTROL_PER_DELIVERY,
+                ),
+                (
+                    "wire packets",
+                    row.packets_per_delivery,
+                    GOLDEN_MAX_PACKETS_PER_DELIVERY,
                 ),
             ];
             for (what, got, ceilings) in gates {

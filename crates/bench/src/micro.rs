@@ -107,9 +107,9 @@ impl Runner {
     }
 
     /// [`Runner::to_json`] plus the hot-path section (`allocs_per_delivery`
-    /// and the host-independent sim-clock latency and NACK rate next to
-    /// wall time, one row per flagship scenario — empty slice omits the
-    /// section entirely).
+    /// and the host-independent sim-clock latency, NACK rate, control and
+    /// packet counts next to wall time, one row per flagship scenario —
+    /// empty slice omits the section entirely).
     pub fn to_json_with_hotpath(&self, hotpath: &[crate::suites::HotpathRow]) -> String {
         use harness::report::json;
         let mut out = String::from("{\n  \"schema\": \"ringnet-bench/v2\",\n  \"benches\": [\n");
@@ -139,7 +139,8 @@ impl Runner {
                     "    {{\"name\": {}, \"wall_ms\": {:.2}, \"delivered\": {}, \
                      \"allocs_per_delivery\": {:.3}, \"alloc_bytes_per_delivery\": {:.1}, \
                      \"latency_p50_ms\": {:.3}, \"latency_p999_ms\": {:.3}, \
-                     \"nacks_per_delivery\": {:.4}, \"control_per_delivery\": {:.4}}}{sep}\n",
+                     \"nacks_per_delivery\": {:.4}, \"control_per_delivery\": {:.4}, \
+                     \"packets_per_delivery\": {:.4}}}{sep}\n",
                     json::string(&h.name),
                     h.wall_ms,
                     h.delivered,
@@ -149,6 +150,7 @@ impl Runner {
                     h.latency_p999_ms,
                     h.nacks_per_delivery,
                     h.control_per_delivery,
+                    h.packets_per_delivery,
                 ));
             }
             out.push_str("  ]");
@@ -219,12 +221,16 @@ mod tests {
             latency_p999_ms: 34.5,
             nacks_per_delivery: 0.0,
             control_per_delivery: 0.0485,
+            packets_per_delivery: 1.7926,
         }];
         let json = r.to_json_with_hotpath(&rows);
         assert!(json.contains("\"hotpath\": ["));
         assert!(json.contains("\"allocs_per_delivery\": 0.119"));
         assert!(json.contains("\"latency_p50_ms\": 22.500, \"latency_p999_ms\": 34.500"));
-        assert!(json.contains("\"nacks_per_delivery\": 0.0000, \"control_per_delivery\": 0.0485"));
+        assert!(json.contains(
+            "\"nacks_per_delivery\": 0.0000, \"control_per_delivery\": 0.0485, \
+             \"packets_per_delivery\": 1.7926"
+        ));
         assert_eq!(json.matches('{').count(), json.matches('}').count());
     }
 }

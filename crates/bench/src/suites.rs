@@ -496,6 +496,10 @@ pub struct HotpathRow {
     /// Wired-core control messages sent per delivered message — like the
     /// latency columns a deterministic count, so `hotpath -- check` gates it.
     pub control_per_delivery: f64,
+    /// Wire packets of every kind and hop, wireless included, per delivered
+    /// message (a frame or burst is one packet); gated like the control
+    /// count.
+    pub packets_per_delivery: f64,
 }
 
 /// The fabric's flagship workloads, measured for wall time *and*
@@ -565,6 +569,7 @@ pub fn hotpath_scenarios() -> Vec<HotpathRow> {
             latency_p999_ms: latency_ms(0.999),
             nacks_per_delivery: nacks as f64 / delivered as f64,
             control_per_delivery: rep.metrics.wired_core_control_sent as f64 / delivered as f64,
+            packets_per_delivery: rep.stats.packets_sent as f64 / delivered as f64,
         });
     }
     rows

@@ -75,11 +75,13 @@ pub struct ProtocolConfig {
     /// considered delivered (skipped).
     pub nack_budget: u8,
     /// The ACK batching period, in hop ticks: on every `ack_every`-th tick
-    /// an entity tells each upstream hop its delivery front *if the front
-    /// has moved past what that hop was last told* (by a `DataAck`, or by
-    /// the `TokenAck` that carries the same front on the top ring). An
-    /// unmoved front is restated only to a hop that has heard nothing for
-    /// a whole [`HEARTBEAT_PERIOD`], so a lost ACK still heals.
+    /// an NE tells each upstream hop its delivery front *if the front has
+    /// moved past what that hop was last told* (by a `DataAck`, or by the
+    /// `TokenAck` that carries the same front on the top ring). An unmoved
+    /// front is restated only to a hop that has heard nothing for a whole
+    /// [`HEARTBEAT_PERIOD`], so a lost ACK still heals. An MH acks its AP on
+    /// every such tick, moved or not: its ack doubles as its liveness
+    /// beacon, so the period may not exceed [`HEARTBEAT_PERIOD`].
     pub ack_every: u8,
     /// Capacity `MaxNo` of each entity's `MQ` (slots).
     pub mq_capacity: usize,
@@ -143,6 +145,9 @@ impl ProtocolConfig {
         if self.ack_every == 0 {
             problems.push("ack_every must be positive".into());
         }
+        if HOP_TICK * self.ack_every as u64 > HEARTBEAT_PERIOD {
+            problems.push("ack_every × HOP_TICK must not exceed HEARTBEAT_PERIOD".into());
+        }
         if self.telemetry_capacity == 0 {
             problems.push("telemetry_capacity must be positive".into());
         }
@@ -183,6 +188,18 @@ mod tests {
         };
         let problems = c.validate();
         assert_eq!(problems.len(), 2, "{problems:?}");
+    }
+
+    #[test]
+    fn validation_rejects_an_ack_period_past_the_heartbeat_period() {
+        let with = |ack_every| ProtocolConfig {
+            ack_every,
+            ..ProtocolConfig::default()
+        };
+        let problems = with(11).validate();
+        assert_eq!(problems.len(), 1, "{problems:?}");
+        assert!(problems[0].contains("ack_every"));
+        assert!(with(10).validate().is_empty());
     }
 
     #[test]

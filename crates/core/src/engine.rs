@@ -575,7 +575,6 @@ impl Actor<Msg, ProtoEvent> for MhActor {
     fn on_start(&mut self, ctx: &mut Ctx<'_, Msg, ProtoEvent>) {
         let now = ctx.now();
         ctx.set_timer(HOP_TICK, TAG_HOP);
-        ctx.set_timer(HEARTBEAT_PERIOD, TAG_HEARTBEAT);
         if let Some(ap) = self.initial_ap {
             for st in &mut self.states {
                 st.join(now, ap, &mut self.out);
@@ -605,30 +604,19 @@ impl Actor<Msg, ProtoEvent> for MhActor {
         self.flush(ctx);
     }
 
-    fn on_timer(&mut self, ctx: &mut Ctx<'_, Msg, ProtoEvent>, tag: u64) {
+    /// The hop tick, an MH's only timer chain (its ack is its liveness
+    /// beacon).
+    fn on_timer(&mut self, ctx: &mut Ctx<'_, Msg, ProtoEvent>, _tag: u64) {
         if !self.any_alive() {
             return;
         }
         let now = ctx.now();
-        match tag {
-            TAG_HOP => {
-                for st in &mut self.states {
-                    if st.alive {
-                        st.tick_hop(now, &mut self.out);
-                    }
-                }
-                ctx.set_timer(HOP_TICK, TAG_HOP);
+        for st in &mut self.states {
+            if st.alive {
+                st.tick_hop(now, &mut self.out);
             }
-            TAG_HEARTBEAT => {
-                for st in &mut self.states {
-                    if st.alive {
-                        st.tick_heartbeat(now, &mut self.out);
-                    }
-                }
-                ctx.set_timer(HEARTBEAT_PERIOD, TAG_HEARTBEAT);
-            }
-            _ => {}
         }
+        ctx.set_timer(HOP_TICK, TAG_HOP);
         self.flush(ctx);
     }
 }

@@ -97,8 +97,16 @@ impl NeState {
         self.telemetry.delivered_up_to(now, self.mq.front());
     }
 
-    /// Cumulative ordered-stream ACK from a downstream hop.
-    pub(crate) fn on_data_ack(&mut self, now: SimTime, from: Endpoint, upto: GlobalSeq) {
+    /// Cumulative ordered-stream ACK from a downstream hop. An MH's ack is
+    /// also its liveness beacon: it refreshes a registered MH, and draws a
+    /// [`Msg::ReRegister`] from an AP that does not know the MH.
+    pub(crate) fn on_data_ack(
+        &mut self,
+        now: SimTime,
+        from: Endpoint,
+        upto: GlobalSeq,
+        out: &mut Outbox,
+    ) {
         match from {
             Endpoint::Ne(n) => {
                 if let std::collections::btree_map::Entry::Occupied(mut e) = self.children.entry(n)
@@ -113,13 +121,17 @@ impl NeState {
                 }
             }
             Endpoint::Mh(guid) => {
-                // Only a registered MH is refreshed: a last-heard entry for
-                // one the WT does not know would later be swept as a
-                // departure that was never counted as an arrival.
-                if let Some(ap) = self.ap.as_mut() {
-                    if ap.wt.ack(guid, upto) {
-                        ap.last_heard.insert(guid, now);
-                    }
+                let Some(ap) = self.ap.as_mut() else { return };
+                if ap.wt.ack(guid, upto) {
+                    ap.last_heard.insert(guid, now);
+                } else {
+                    // Our WT entry is gone (crash-restart amnesia) or the
+                    // registration was lost on the wireless hop: ask the MH
+                    // to register again. No last-heard entry until it does,
+                    // or the sweep would count a departure that was never
+                    // counted as an arrival.
+                    let group = self.group;
+                    self.send_control(from, Msg::ReRegister { group }, out);
                 }
             }
         }
@@ -321,12 +333,14 @@ mod tests {
     #[test]
     fn acks_update_child_and_ring_progress() {
         let mut n20 = ag(20);
+        let mut out = Vec::new();
         n20.children.insert(NodeId(100), SimTime::ZERO);
         n20.wt_children.register(NodeId(100), GlobalSeq::ZERO);
         n20.on_data_ack(
             SimTime::from_millis(1),
             Endpoint::Ne(NodeId(100)),
             GlobalSeq(4),
+            &mut out,
         );
         assert_eq!(n20.wt_children.progress(NodeId(100)), Some(GlobalSeq(4)));
         // Ack from ring next (30).
@@ -334,6 +348,7 @@ mod tests {
             SimTime::from_millis(1),
             Endpoint::Ne(NodeId(30)),
             GlobalSeq(2),
+            &mut out,
         );
         assert_eq!(n20.ring.as_ref().unwrap().next_acked_mq, GlobalSeq(2));
         // Stale ring ack ignored.
@@ -341,6 +356,7 @@ mod tests {
             SimTime::from_millis(2),
             Endpoint::Ne(NodeId(30)),
             GlobalSeq(1),
+            &mut out,
         );
         assert_eq!(n20.ring.as_ref().unwrap().next_acked_mq, GlobalSeq(2));
         // The ring watermark is the *next* node's front — the one ack that
@@ -349,6 +365,7 @@ mod tests {
             SimTime::from_millis(3),
             Endpoint::Ne(NodeId(10)),
             GlobalSeq(9),
+            &mut out,
         );
         assert_eq!(n20.ring.as_ref().unwrap().next_acked_mq, GlobalSeq(2));
         assert_eq!(n20.wt_children.progress(NodeId(100)), Some(GlobalSeq(4)));

@@ -25,9 +25,9 @@
 //!   probe at the tick would, and a period the token skips tests nothing,
 //!   so a death or a cut close to a tick can be acted on a period earlier
 //!   or later than probes alone would act on it; the same holds for a
-//!   parent that dies just after its last frame. Children and attached
-//!   MHs are tracked by last-heard times (their ACKs and heartbeats
-//!   refresh them).
+//!   parent that dies just after its last frame. Downstreams are tracked
+//!   by last-heard times: children by their ACKs and heartbeats, MHs by
+//!   their ACKs.
 //! * **Ring repair**: a dead next node is bypassed using the statically
 //!   configured cycle (Remark 2), the failure is broadcast to the remaining
 //!   ring members, and — on the top ring — a Token-Loss message is handed
@@ -52,32 +52,15 @@ use crate::msg::Msg;
 use crate::node::NeState;
 
 impl NeState {
-    /// Answer a liveness probe; refresh the prober's last-heard time when it
-    /// is one of ours.
+    /// Answer an NE's liveness probe; refresh the prober's last-heard time
+    /// when it is one of our children. MHs do not probe: their acks are
+    /// their beacon (see `on_data_ack`).
     pub(crate) fn on_heartbeat(&mut self, now: SimTime, from: Endpoint, out: &mut Outbox) {
-        let group = self.group;
-        match from {
-            Endpoint::Ne(n) => {
-                if self.children.contains_key(&n) {
-                    self.children.insert(n, now);
-                }
-            }
-            Endpoint::Mh(g) => {
-                let mut known = false;
-                if let Some(ap) = self.ap.as_mut() {
-                    if ap.wt.progress(g).is_some() {
-                        ap.last_heard.insert(g, now);
-                        known = true;
-                    }
-                }
-                if !known && self.ap.is_some() {
-                    // An MH we do not know keeps probing us: our WT entry is
-                    // gone (crash-restart amnesia) or its registration was
-                    // lost on the wireless hop. Ask it to register again.
-                    self.send_control(from, Msg::ReRegister { group }, out);
-                }
-            }
+        let Endpoint::Ne(n) = from else { return };
+        if self.children.contains_key(&n) {
+            self.children.insert(n, now);
         }
+        let group = self.group;
         self.send_control(from, Msg::HeartbeatAck { group }, out);
     }
 
@@ -538,7 +521,14 @@ mod tests {
     fn ack_token(n: &mut NeState, at: SimTime) {
         let inf = n.ord.as_ref().unwrap().inflight.as_ref().unwrap();
         let (to, epoch, rotation) = (inf.to, inf.token.epoch, inf.token.rotation);
-        n.on_token_ack(at, Endpoint::Ne(to), epoch, rotation, GlobalSeq::ZERO);
+        n.on_token_ack(
+            at,
+            Endpoint::Ne(to),
+            epoch,
+            rotation,
+            GlobalSeq::ZERO,
+            &mut Vec::new(),
+        );
     }
 
     /// The token comes back to `n` from the previous node, which forwards
@@ -712,38 +702,6 @@ mod tests {
                     failed: NodeId(1),
                     ..
                 }
-            }
-        )));
-    }
-
-    #[test]
-    fn heartbeat_from_unknown_mh_solicits_reregistration() {
-        let mut n = NeState::new_ap(
-            G,
-            NodeId(99),
-            vec![NodeId(20)],
-            true,
-            vec![],
-            ProtocolConfig::default(),
-        );
-        let mut out = Vec::new();
-        n.on_heartbeat(SimTime::ZERO, Endpoint::Mh(Guid(7)), &mut out);
-        assert!(out.iter().any(|a| matches!(
-            a,
-            Action::Send {
-                to: Endpoint::Mh(Guid(7)),
-                msg: Msg::ReRegister { .. }
-            }
-        )));
-        // A registered MH is not solicited.
-        n.on_join(SimTime::ZERO, Guid(7), &mut out);
-        out.clear();
-        n.on_heartbeat(SimTime::from_millis(1), Endpoint::Mh(Guid(7)), &mut out);
-        assert!(!out.iter().any(|a| matches!(
-            a,
-            Action::Send {
-                msg: Msg::ReRegister { .. },
-                ..
             }
         )));
     }
@@ -966,10 +924,12 @@ mod tests {
     }
 
     #[test]
-    fn data_ack_from_an_unknown_mh_is_no_member() {
-        // After a crash-restart an MH can ack before it re-registers, then
-        // hand off elsewhere: the sweep must not count a departure the AP
-        // never counted as an arrival.
+    fn data_ack_from_an_unknown_mh_solicits_reregistration() {
+        // An MH the AP does not know (its WT entry lost to a crash-restart,
+        // or its registration lost on the wireless hop) is asked to register
+        // again by its next ack. It is no member until it does: were it
+        // given a last-heard entry, it could hand off elsewhere and the
+        // sweep would count a departure never counted as an arrival.
         let mut n = NeState::new_ap(
             G,
             NodeId(99),
@@ -978,11 +938,28 @@ mod tests {
             vec![],
             ProtocolConfig::default(),
         );
-        n.on_data_ack(SimTime::from_millis(1), Endpoint::Mh(Guid(7)), GlobalSeq(3));
         let mut out = Vec::new();
+        let mh = Endpoint::Mh(Guid(7));
+        n.on_data_ack(ms(1), mh, GlobalSeq(3), &mut out);
+        assert!(
+            matches!(
+                &out[..],
+                [Action::Send {
+                    to,
+                    msg: Msg::ReRegister { .. }
+                }] if *to == mh
+            ),
+            "exactly one solicitation: {out:?}"
+        );
+        assert!(n.ap.as_ref().unwrap().last_heard.is_empty());
         n.tick_heartbeat(SimTime::from_secs(10), &mut out);
         assert_eq!(n.subtree_members, 0);
         assert_eq!(n.pending_delta, 0);
+        // A registered MH's ack draws nothing.
+        n.on_join(SimTime::from_secs(10), Guid(7), &mut out);
+        out.clear();
+        n.on_data_ack(SimTime::from_secs(11), mh, GlobalSeq(3), &mut out);
+        assert!(out.is_empty(), "{out:?}");
     }
 
     #[test]

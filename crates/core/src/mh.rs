@@ -5,6 +5,12 @@
 //! cumulatively to its AP, NACKs gaps, and — on a radio-layer handoff
 //! stimulus — re-registers at the new AP announcing its own resume point so
 //! delivery continues seamlessly ("even in handoffs").
+//!
+//! The cumulative ACK is also the MH's liveness beacon: it goes to the AP
+//! on every `ack_every`-th hop tick whether or not the front moved, so the
+//! AP hears from a live MH once per ack period and needs no separate
+//! heartbeat. An MH runs one timer chain, the hop tick. An AP that does not
+//! know the acking MH answers with [`Msg::ReRegister`].
 
 use simnet::SimTime;
 
@@ -232,16 +238,6 @@ impl MhState {
         let front = self.mq.front();
         self.mq.gc_to(front);
         let _ = now;
-    }
-
-    /// Periodic liveness probe to the AP.
-    pub fn tick_heartbeat(&mut self, _now: SimTime, out: &mut Outbox) {
-        if !self.alive {
-            return;
-        }
-        if let Some(ap) = self.ap {
-            out.push(Action::to_ne(ap, Msg::Heartbeat { group: self.group }));
-        }
     }
 
     /// Emit the final-statistics journal record.
@@ -602,20 +598,29 @@ mod tests {
         assert_eq!(m.counters.duplicates, 1);
     }
 
+    /// The ack is the MH's liveness beacon: an ack tick restates a front
+    /// that has not moved, so an idle MH is still heard once per ack period.
     #[test]
-    fn heartbeat_tick_probes_the_ap() {
+    fn ack_tick_restates_an_unmoved_front() {
         let mut m = mh();
         let mut out = Vec::new();
         m.join(SimTime::ZERO, AP1, &mut out);
         out.clear();
-        m.tick_heartbeat(SimTime::ZERO, &mut out);
-        assert!(matches!(
-            out[0],
-            Action::Send {
-                to: Endpoint::Ne(AP1),
-                msg: Msg::Heartbeat { .. }
-            }
-        ));
+        for t in 1..=4 {
+            m.tick_hop(SimTime::from_millis(5 * t), &mut out);
+        }
+        let acks: Vec<_> = out
+            .iter()
+            .filter_map(|a| match a {
+                Action::Send {
+                    to: Endpoint::Ne(AP1),
+                    msg: Msg::DataAck { upto, .. },
+                } => Some(*upto),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(acks, vec![GlobalSeq::ZERO; 2], "two ack ticks, two acks");
+        assert_eq!(out.len(), 2, "and nothing else");
     }
 
     #[test]

@@ -64,7 +64,8 @@ pub enum Msg {
     /// on the wired core: a previous ring node collects its `WQ` by it too,
     /// since a front past GSN *g* has every pre-order ordered at or below
     /// *g* behind it. An NE sends it when its front has moved, and restates
-    /// an unchanged front once per heartbeat period of silence.
+    /// an unchanged front once per heartbeat period of silence. An MH sends
+    /// it every ack period, moved or not, as its liveness beacon.
     DataAck {
         /// Group.
         group: GroupId,
@@ -150,12 +151,13 @@ pub enum Msg {
     },
 
     // ---------------------------------------------------- membership / topo
-    /// Ring-neighbour / parent-child liveness probe.
+    /// Ring-neighbour / parent-child liveness probe, NE to NE only: an MH's
+    /// liveness beacon is its [`Msg::DataAck`].
     Heartbeat {
         /// Group.
         group: GroupId,
     },
-    /// Liveness probe response.
+    /// Liveness probe response, to the probing NE.
     HeartbeatAck {
         /// Group.
         group: GroupId,
@@ -260,11 +262,12 @@ pub enum Msg {
         /// First delivery will be `start_from + 1`.
         start_from: GlobalSeq,
     },
-    /// AP → MH: "I do not know you — register again." Sent when an AP
-    /// hears from an MH missing from its `WT`: after an AP crash-restart
-    /// wiped the table, or when the original registration was lost on the
-    /// wireless hop. The MH answers with [`Msg::HandoffRegister`] carrying
-    /// its resume point, which is idempotent on the AP side.
+    /// AP → MH: "I do not know you — register again." The answer to a
+    /// [`Msg::DataAck`] from an MH missing from the AP's `WT`: after an AP
+    /// crash-restart wiped the table, or when the original registration was
+    /// lost on the wireless hop. The MH answers with
+    /// [`Msg::HandoffRegister`] carrying its resume point, which is
+    /// idempotent on the AP side.
     ReRegister {
         /// Group.
         group: GroupId,

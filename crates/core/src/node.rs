@@ -640,9 +640,9 @@ impl NeState {
                 rotation,
                 upto,
                 ..
-            } => self.on_token_ack(now, from, epoch, rotation, upto),
+            } => self.on_token_ack(now, from, epoch, rotation, upto, out),
             Msg::Data { gsn, data, .. } => self.on_data(now, from, gsn, data, out),
-            Msg::DataAck { upto, .. } => self.on_data_ack(now, from, upto),
+            Msg::DataAck { upto, .. } => self.on_data_ack(now, from, upto, out),
             Msg::DataNack { missing, .. } => self.on_data_nack(from, &missing, out),
             Msg::Heartbeat { .. } => self.on_heartbeat(now, from, out),
             Msg::HeartbeatAck { .. } => self.on_heartbeat_ack(now, from, out),

@@ -434,6 +434,7 @@ impl NeState {
         epoch: Epoch,
         rotation: u64,
         upto: GlobalSeq,
+        out: &mut Outbox,
     ) {
         let Some(ord) = self.ord.as_mut() else { return };
         let Endpoint::Ne(sender) = from else { return };
@@ -453,7 +454,7 @@ impl NeState {
         if answered {
             self.next_answered(sender, true);
         }
-        self.on_data_ack(now, from, upto);
+        self.on_data_ack(now, from, upto, out);
     }
 
     /// The Order-Assignment algorithm: copy every `WQ` message covered by
@@ -666,12 +667,26 @@ mod tests {
         let acked = |n: &NeState| n.ring.as_ref().unwrap().next_acked_mq;
         // Wrong sender: ignored, the front it carries included.
         let t = SimTime::from_millis(1);
-        n.on_token_ack(t, Endpoint::Ne(NodeId(2)), epoch, rotation, GlobalSeq(4));
+        n.on_token_ack(
+            t,
+            Endpoint::Ne(NodeId(2)),
+            epoch,
+            rotation,
+            GlobalSeq(4),
+            &mut out,
+        );
         assert!(n.ord.as_ref().unwrap().inflight.is_some());
         assert_eq!(acked(&n), GlobalSeq::ZERO);
         // The next node's ack clears the transfer and is its cumulative
         // ACK of the ordered stream at the same time.
-        n.on_token_ack(t, Endpoint::Ne(NodeId(1)), epoch, rotation, GlobalSeq(4));
+        n.on_token_ack(
+            t,
+            Endpoint::Ne(NodeId(1)),
+            epoch,
+            rotation,
+            GlobalSeq(4),
+            &mut out,
+        );
         assert!(n.ord.as_ref().unwrap().inflight.is_none());
         assert_eq!(acked(&n), GlobalSeq(4));
         // The ack of a stale or duplicate copy matches no transfer, but the
@@ -682,8 +697,16 @@ mod tests {
             epoch,
             rotation + 7,
             GlobalSeq(6),
+            &mut out,
         );
-        n.on_token_ack(t, Endpoint::Ne(NodeId(1)), epoch, rotation, GlobalSeq(5));
+        n.on_token_ack(
+            t,
+            Endpoint::Ne(NodeId(1)),
+            epoch,
+            rotation,
+            GlobalSeq(5),
+            &mut out,
+        );
         assert_eq!(acked(&n), GlobalSeq(6));
     }
 

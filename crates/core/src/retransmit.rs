@@ -508,7 +508,12 @@ mod tests {
         n.children.insert(NodeId(99), SimTime::ZERO);
         n.wt_children.register(NodeId(99), GlobalSeq(1));
         // Ring next acked everything.
-        n.on_data_ack(SimTime::ZERO, Endpoint::Ne(NodeId(30)), GlobalSeq(4));
+        n.on_data_ack(
+            SimTime::ZERO,
+            Endpoint::Ne(NodeId(30)),
+            GlobalSeq(4),
+            &mut out,
+        );
         n.tick_hop(SimTime::from_millis(5), &mut out);
         assert!(
             n.mq.get(GlobalSeq(1)).is_some(),
@@ -519,6 +524,7 @@ mod tests {
             SimTime::from_millis(6),
             Endpoint::Ne(NodeId(99)),
             GlobalSeq(4),
+            &mut out,
         );
         n.tick_hop(SimTime::from_millis(10), &mut out);
         assert!(n.mq.get(GlobalSeq(2)).is_none());
@@ -561,6 +567,7 @@ mod tests {
             SimTime::from_millis(11),
             Endpoint::Ne(NodeId(1)),
             GlobalSeq(2),
+            &mut out,
         );
         n.tick_hop(SimTime::from_millis(15), &mut out);
         assert_eq!(occupancy(&n), 0);

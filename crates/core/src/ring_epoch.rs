@@ -787,6 +787,7 @@ mod tests {
             Epoch(0),
             1,
             crate::ids::GlobalSeq::ZERO,
+            &mut out,
         );
         assert!(n0.ord.as_ref().unwrap().inflight.is_none());
         out.clear();

@@ -142,27 +142,30 @@ fn bursty_channel_with_budget_keeps_ratio_high() {
     assert!(ratio > 0.98, "bursty-channel delivery ratio {ratio}");
 }
 
-/// An entity runs two timer chains — hop tick and heartbeat — and nothing
-/// else: on a quiet loss-free world the simulator fires exactly those ticks
-/// plus the source's own. A third per-entity chain (the `τ` scan and the
-/// buffer sampler were two) cannot come back unnoticed.
+/// An NE runs two timer chains — hop tick and heartbeat — and an MH one,
+/// the hop tick, whose ack is its heartbeat: on a quiet loss-free world the
+/// simulator fires exactly those ticks plus the source's own. A further
+/// chain (the `τ` scan, the buffer sampler and the MH heartbeat were three)
+/// cannot come back unnoticed.
 #[test]
-fn quiet_world_fires_two_timer_chains_per_entity() {
+fn quiet_world_fires_two_timer_chains_per_ne_and_one_per_mh() {
     let messages = 5;
     let spec = HierarchyBuilder::new(G)
         .config(ProtocolConfig::default().quiet())
         .source_limit(messages)
         .build();
-    let ticking = spec.entities().count() - spec.sources.len();
+    let mhs = spec.mhs.len() as u64;
+    let nes = (spec.entities().count() - spec.sources.len()) as u64 - mhs;
     let second = SimDuration::from_secs(1).as_nanos();
-    let ticks_each = second / HOP_TICK.as_nanos() + second / HEARTBEAT_PERIOD.as_nanos();
+    let hop_ticks = second / HOP_TICK.as_nanos();
+    let heartbeat_ticks = second / HEARTBEAT_PERIOD.as_nanos();
     let mut net = RingNetSim::build(spec, 31);
     net.run_until(SimTime::from_secs(1));
     let (journal, stats) = net.finish();
     // A source ticks once per message and once more to find its limit spent.
     assert_eq!(
         stats.timers_fired,
-        ticking as u64 * ticks_each + messages + 1
+        nes * (hop_ticks + heartbeat_ticks) + mhs * hop_ticks + messages + 1
     );
     assert_eq!(
         count(&journal, |e| matches!(e, ProtoEvent::Ordered { .. })) as u64,
@@ -307,6 +310,108 @@ fn killing_an_mh_stops_its_acks_and_frees_it() {
         counts.last().is_some_and(|&c| c == 3),
         "final membership: {counts:?}"
     );
+}
+
+/// An MH has no heartbeat: its ack, sent every ack period whether or not
+/// its front moved, is all its AP hears from it, and it is enough. In a
+/// world with no traffic nobody is swept in 2 s, and one more MH per AP adds
+/// exactly its `Join`, the AP's `JoinAck` and one `DataAck` per ack period
+/// to the wire. (The 5 ms radio hop lands the joins after each AP's graft
+/// is acknowledged: a join at an AP still grafting would resend the graft.)
+#[test]
+fn idle_mhs_are_kept_alive_by_their_acks_alone() {
+    let run = |mhs_per_ap: usize| {
+        let spec = HierarchyBuilder::new(G)
+            .brs(2)
+            .ag_rings(1, 2)
+            .aps_per_ag(2)
+            .mhs_per_ap(mhs_per_ap)
+            .sources(0)
+            .config(ProtocolConfig::default().with_reservation_radius(0))
+            .links(LinkPlan {
+                wireless: LinkProfile::wired(SimDuration::from_millis(5)),
+                ..LinkPlan::default()
+            })
+            .build();
+        let (aps, mhs) = (spec.aps.len() as u64, spec.mhs.len() as i64);
+        let mut net = RingNetSim::build(spec, 47);
+        net.run_until(SimTime::from_secs(2));
+        let (journal, stats) = net.finish();
+        // The joins reach the root within the sweep's 200 ms window, before
+        // any MH could be swept; from then on the count holds.
+        let counts: Vec<(SimTime, i64)> = journal
+            .iter()
+            .filter_map(|(t, e)| match e {
+                ProtoEvent::MembershipCount { members, .. } => Some((*t, *members)),
+                _ => None,
+            })
+            .collect();
+        let &(settled, last) = counts.last().expect("membership counted");
+        assert_eq!(last, mhs, "{counts:?}");
+        assert!(
+            settled <= SimTime::ZERO + HEARTBEAT_PERIOD * 4,
+            "{counts:?}"
+        );
+        (aps, stats.packets_sent)
+    };
+    let (aps, one) = run(1);
+    let (_, two) = run(2);
+    let cfg = ProtocolConfig::default();
+    let acks = SimDuration::from_secs(2).as_nanos() / (HOP_TICK * cfg.ack_every as u64).as_nanos();
+    assert_eq!(
+        two - one,
+        aps * (2 + acks),
+        "no heartbeat, no heartbeat ack"
+    );
+}
+
+/// An AP that crash-restarts forgets its MHs. The next ack of each, at
+/// most one ack period after the restart, draws a `ReRegister`, and the MH
+/// is registered again one wireless round trip later — well before its
+/// AP would have swept it, and not a heartbeat period later.
+#[test]
+fn amnesiac_ap_solicits_reregistration_within_an_ack_period() {
+    let spec = HierarchyBuilder::new(G)
+        .brs(2)
+        .ag_rings(1, 2)
+        .aps_per_ag(1)
+        .mhs_per_ap(2)
+        .sources(1)
+        .source_pattern(TrafficPattern::Cbr {
+            interval: SimDuration::from_millis(10),
+        })
+        .links(LinkPlan {
+            wireless: LinkProfile::wired(SimDuration::from_millis(1)),
+            ..LinkPlan::default()
+        })
+        .build();
+    let ap = spec.aps[0].id;
+    let crash = SimTime::from_millis(1_001);
+    assert_eq!(
+        crash.as_nanos() % HEARTBEAT_PERIOD.as_nanos(),
+        SimDuration::from_millis(1).as_nanos(),
+        "1 ms after a heartbeat tick"
+    );
+    let mut net = RingNetSim::build(spec, 53);
+    net.schedule_kill_ne(crash, ap);
+    net.schedule_restart_ne(crash, ap);
+    net.run_until(SimTime::from_secs(2));
+    let (journal, _) = net.finish();
+    let registered: Vec<(Guid, SimTime)> = journal
+        .iter()
+        .filter_map(|(t, e)| match e {
+            ProtoEvent::HandoffRegistered { mh, ap: at, .. } if *at == ap => Some((*mh, *t)),
+            _ => None,
+        })
+        .collect();
+    let mhs: Vec<Guid> = registered.iter().map(|&(mh, _)| mh).collect();
+    assert_eq!(mhs, vec![Guid(0), Guid(1)], "each MH re-registers once");
+    for (mh, t) in registered {
+        assert!(
+            t > crash && t <= crash + SimDuration::from_millis(15),
+            "{mh} re-registered at {t:?}"
+        );
+    }
 }
 
 /// The station shape, built directly: a spec with no AG rings and no APs is

@@ -183,13 +183,19 @@ fn digest_is_sensitive_to_protocol_behaviour() {
 /// `0x22f04e617383adce`): only `NeFinal.control_sent` moves — probes
 /// answered by the token or by parent traffic are no longer sent. The
 /// filtered column, pinned before that change, is unedited.
+///
+/// Regenerated on purpose when the MH's ack became its liveness beacon
+/// (were `0x80013ded941225c1` / `0xd20f73c3a2b41b35` /
+/// `0x0dece3d470a5ac35`): only the APs' `NeFinal.control_sent` moves, because
+/// MHs no longer send heartbeats and the APs' `HeartbeatAck`s to them are
+/// gone. The filtered column is unedited.
 const GOLDEN_RINGNET_DIGESTS: &[(u64, usize, u64, u64)] = &[
-    (3, 1, 0x80013ded941225c1, 0x05b0428dd0253ee7),
-    (3, 2, 0xd20f73c3a2b41b35, 0x42a4f2748c684f93),
-    (3, 4, 0x0dece3d470a5ac35, 0x0d3cadc326e5a2b3),
-    (7, 1, 0x80013ded941225c1, 0x05b0428dd0253ee7),
-    (7, 2, 0xd20f73c3a2b41b35, 0x42a4f2748c684f93),
-    (7, 4, 0x0dece3d470a5ac35, 0x0d3cadc326e5a2b3),
+    (3, 1, 0x41427e7200ac0bf3, 0x05b0428dd0253ee7),
+    (3, 2, 0x853f4326a21c7cc7, 0x42a4f2748c684f93),
+    (3, 4, 0x9c8cc95ff4fcf343, 0x0d3cadc326e5a2b3),
+    (7, 1, 0x41427e7200ac0bf3, 0x05b0428dd0253ee7),
+    (7, 2, 0x853f4326a21c7cc7, 0x42a4f2748c684f93),
+    (7, 4, 0x9c8cc95ff4fcf343, 0x0d3cadc326e5a2b3),
 ];
 
 #[test]
@@ -248,6 +254,13 @@ type PinnedBackend = (&'static str, fn(&Scenario, u64) -> RunReport, u64, u64);
 /// filtered digests, and every tunnel, RelM and unordered digest, are
 /// unedited.
 ///
+/// Tree and flat ring were regenerated on purpose again when the MH's ack
+/// became its liveness beacon (were `0x53346a9978302a22` and
+/// `0xd28bb03ee739618e`): only `NeFinal.control_sent` moves, because the
+/// attachment entities no longer answer MH heartbeats. Their filtered
+/// digests, and every tunnel, RelM and unordered digest, are unedited: those
+/// three comparators run no MH state machine.
+///
 /// PR 15 rebuilt `unordered` from RingNet's own `HierarchySpec`, so its
 /// tree hops now follow `links.br_ag` / `links.ag_ap` / `links.source`
 /// (the private assembly it replaced wired both tree hops with
@@ -262,13 +275,13 @@ const GOLDEN_BASELINE_DIGESTS: &[PinnedBackend] = &[
     (
         "flat_ring",
         FlatRingSim::run_scenario,
-        0xd28bb03ee739618e,
+        0xf99ddde3a97ad106,
         0x4a0128b014d717a9,
     ),
     (
         "tree",
         TreeSim::run_scenario,
-        0x53346a9978302a22,
+        0xd4bbe549bdbfc71e,
         0xc7ac251c3bcb2018,
     ),
     (
@@ -462,17 +475,22 @@ type PinnedWorld = (&'static str, fn() -> Scenario, u64, u64);
 /// (were `0x51493dd324f62014` and `0xb8cf9ff157cb4b92`): only
 /// `NeFinal.control_sent` moves — probes answered by the token or by parent
 /// traffic are no longer sent. The filtered column is unedited.
+///
+/// Regenerated on purpose when the MH's ack became its liveness beacon
+/// (were `0xd39a955894fd4f10` and `0x7ba518d2e5619cab`): only the APs'
+/// `NeFinal.control_sent` moves, because their `HeartbeatAck`s to MHs are
+/// gone. The filtered column is unedited.
 const GOLDEN_MULTIGROUP_INSTANT_DIGESTS: &[PinnedWorld] = &[
     (
         "rings8",
         rings8_world,
-        0xd39a955894fd4f10,
+        0x5bd14950fcd9cc30,
         0xebfd2d04015e1bde,
     ),
     (
         "fence_overlap_4",
         fence_overlap_world,
-        0x7ba518d2e5619cab,
+        0x6d2b021c351e98cb,
         0x42dd9360ca5174ea,
     ),
 ];
@@ -530,6 +548,16 @@ fn stress_world(generator_seed: u64) -> Scenario {
 /// token or by parent traffic are no longer sent. Every excision, failover
 /// and regeneration happens at the same instant, as the unedited filtered
 /// digests show.
+///
+/// Both columns were regenerated on purpose when the MH's ack became its
+/// liveness beacon (raw were `0x13c1bcc3544f7ac3`, `0x7e9889dc5043e1dd`,
+/// `0xdbe941a0e5ce573e` and filtered `0x728df9325a7f8147`,
+/// `0xb91f36e05f6e50a4`, `0xf592a9a14da790c9` for world 98; raw
+/// `0xaad32f0a27f7dda3`, `0x8b8726738a589ad4`, `0x078027925f90b3bf` and
+/// filtered `0x4b1ab0c67e688407`, `0x3f09838ef2a5dc5f`, `0x8f36ea6c97f06c08`
+/// for world 104): both worlds have lossy wireless, whose loss draws come
+/// from the one world RNG, and the MH heartbeats and their acks no longer
+/// draw from it, so every later wireless loss falls on a different packet.
 const GOLDEN_FAULT_PATH_DIGESTS: &[(u64, [PinnedBackend; 3])] = &[
     (
         98,
@@ -537,20 +565,20 @@ const GOLDEN_FAULT_PATH_DIGESTS: &[(u64, [PinnedBackend; 3])] = &[
             (
                 "ringnet",
                 RingNetSim::run_scenario,
-                0x13c1bcc3544f7ac3,
-                0x728df9325a7f8147,
+                0x579203e8f0d3b35b,
+                0x989d6e14d0d72959,
             ),
             (
                 "flat_ring",
                 FlatRingSim::run_scenario,
-                0x7e9889dc5043e1dd,
-                0xb91f36e05f6e50a4,
+                0x304f6fae46371a43,
+                0x49732b6fa9571540,
             ),
             (
                 "tree",
                 TreeSim::run_scenario,
-                0xdbe941a0e5ce573e,
-                0xf592a9a14da790c9,
+                0x218c2a056295ef52,
+                0x8cab72015accc0ad,
             ),
         ],
     ),
@@ -560,20 +588,20 @@ const GOLDEN_FAULT_PATH_DIGESTS: &[(u64, [PinnedBackend; 3])] = &[
             (
                 "ringnet",
                 RingNetSim::run_scenario,
-                0xaad32f0a27f7dda3,
-                0x4b1ab0c67e688407,
+                0xf5da9d6b11914f5d,
+                0x7d1f9939d7b56307,
             ),
             (
                 "flat_ring",
                 FlatRingSim::run_scenario,
-                0x8b8726738a589ad4,
-                0x3f09838ef2a5dc5f,
+                0x95be5b1c2a303aa9,
+                0x28e2c2015a1e68e4,
             ),
             (
                 "tree",
                 TreeSim::run_scenario,
-                0x078027925f90b3bf,
-                0x8f36ea6c97f06c08,
+                0x0f53cda049f30e83,
+                0x7407411f556ecb1d,
             ),
         ],
     ),
