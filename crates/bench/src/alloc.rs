@@ -1,12 +1,12 @@
 //! Allocation-audit harness: a counting `#[global_allocator]` wrapper.
 //!
-//! The copy-free fabric work (PR 10) is held to a measured standard:
-//! *allocations per simulated delivery*, reported next to wall time in
-//! `BENCH_ringnet.json` and asserted against a pinned tolerance in CI.
-//! This module provides the counter. It wraps [`std::alloc::System`] and
-//! counts every `alloc`/`realloc` call (frees are not counted: the metric
-//! is "how often does the hot path hit the allocator", and every alloc
-//! eventually pairs with a free).
+//! The copy-free fabric is held to a measured standard: *allocations per
+//! simulated delivery*, printed by `hotpath`, asserted against a pinned
+//! ceiling by `hotpath -- check` in CI, and read by the benchmark's
+//! `alloc.*` metrics. This module provides the counter. It wraps
+//! [`std::alloc::System`] and counts every `alloc`/`realloc` call (frees
+//! are not counted: the metric is "how often does the hot path hit the
+//! allocator", and every alloc eventually pairs with a free).
 //!
 //! The counters are process-global atomics with relaxed ordering — cheap
 //! enough to leave enabled, exact on the single-threaded bench paths that

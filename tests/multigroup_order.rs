@@ -12,6 +12,10 @@
 //!   through the multi-group surface (explicit one-element group list,
 //!   subscription sets, source group sets) produces a byte-identical
 //!   journal to the classic implicit form, on every backend.
+//! * **Ring scaling at fixed offered load** — splitting the same traffic
+//!   across more disjoint rings lifts a saturated single ring, plateaus
+//!   once two rings carry the load, and does not cost more wire packets
+//!   per delivery as rings are added.
 
 use std::collections::BTreeMap;
 
@@ -190,4 +194,62 @@ fn degenerate_multigroup_surface_is_byte_identical_to_classic() {
     check!(RelmSim, "relm");
     check!(TunnelSim, "tunnel");
     check!(UnorderedSim, "unordered");
+}
+
+/// The same aggregate offered load (8 CBR sources × 500 msg/s) split
+/// across `rings` disjoint per-group token rings. Sources round-robin onto
+/// the declared groups and every walker subscribes to every group, so the
+/// potential delivery set is the same at every ring count; `mq_capacity`
+/// is shrunk to 128 so a single ring's delivery pipeline saturates.
+fn ring_split_scenario(rings: u32) -> Scenario {
+    let mut sc = ScenarioBuilder::new()
+        .attachments(8)
+        .walkers_per_attachment(1)
+        .sources(8)
+        .cbr(SimDuration::from_millis(2))
+        .loss_free_wireless()
+        .duration(SimTime::from_secs(2))
+        .groups((1..=rings).map(GroupId).collect())
+        .build();
+    sc.cfg.mq_capacity = 128;
+    sc.cfg = sc.cfg.quiet();
+    sc.retain_journal = false;
+    sc
+}
+
+/// Deliveries and wire packets in the two simulated seconds: counts, not
+/// clocks, so they are asserted here rather than timed in a bench. At
+/// seed 7 the rings deliver 4 800 / 62 080 / 62 560 / 62 560 (R = 1 / 2 /
+/// 4 / 8: R4 is 13.0× R1, R8 is 1.008× R2) at 3.3626 / 3.4376 wire
+/// packets per delivery for R = 2 / 8 (1.022×).
+#[test]
+fn splitting_load_across_rings_scales_then_plateaus() {
+    let mut delivered = BTreeMap::new();
+    let mut per_delivery = BTreeMap::new();
+    for rings in [1u32, 2, 4, 8] {
+        let rep = RingNetSim::run_scenario(&ring_split_scenario(rings), 7);
+        let d = rep.metrics.delivered;
+        assert!(d > 0, "{rings} ring(s) delivered nothing");
+        delivered.insert(rings, d);
+        per_delivery.insert(rings, rep.stats.packets_sent as f64 / d as f64);
+    }
+    assert!(
+        delivered[&4] >= 3 * delivered[&1],
+        "4 rings must deliver ≥ 3× a saturated single ring (got {} vs {})",
+        delivered[&4],
+        delivered[&1]
+    );
+    assert!(
+        (delivered[&8] as f64) < 1.1 * delivered[&2] as f64,
+        "8 rings must deliver within 10% of 2 rings (got {} vs {})",
+        delivered[&8],
+        delivered[&2]
+    );
+    assert!(
+        per_delivery[&8] <= 1.05 * per_delivery[&2],
+        "wire packets per delivery at 8 rings must stay within 5% of 2 rings \
+         (got {:.4} vs {:.4})",
+        per_delivery[&8],
+        per_delivery[&2]
+    );
 }
