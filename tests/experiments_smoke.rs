@@ -7,7 +7,7 @@ use ringnet_repro::harness::experiments;
 /// FNV-1a over the text rendering of each quick-mode table, in
 /// `run_all` order. The tables are deterministic (sim-clock only, fixed
 /// seeds), so a change meant to be neutral leaves every digest alone.
-/// Re-golden a digest only when the PR intends its table to change, and
+/// Re-golden a digest only when a change intends its table to move, and
 /// write the reason beside the constant, as for the journal digests in
 /// `journal_byte_identity.rs`.
 const TABLE_DIGESTS: [(&str, u64); 13] = [

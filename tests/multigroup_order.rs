@@ -14,8 +14,8 @@
 //!   journal to the classic implicit form, on every backend.
 //! * **Ring scaling at fixed offered load** — splitting the same traffic
 //!   across more disjoint rings lifts a saturated single ring, plateaus
-//!   once two rings carry the load, and does not cost more wire packets
-//!   per delivery as rings are added.
+//!   once two rings carry the load, and costs at most 5 % more wire
+//!   packets per delivery at 8 rings than at 2.
 
 use std::collections::BTreeMap;
 
