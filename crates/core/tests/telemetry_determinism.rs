@@ -73,6 +73,58 @@ fn sharded_journal_is_byte_identical_with_telemetry_on_and_off() {
     assert_eq!(off.journal, on.journal);
 }
 
+// ------------------------------------------------ metrics pinned digests
+
+/// FNV-1a over every node's counters and histograms of
+/// `chaotic_scenario(true, 1)`, rendered in `BTreeMap` order (trace
+/// records excluded), per seed. ringbench's telemetry-derived per-layer
+/// metrics (`core.ordering.token_*`, `core.forwarding.delivery_lag_ms_mean`,
+/// `core.retransmit.*`, `core.membership.*`) are functions of these
+/// numbers, so a change meant to be neutral leaves both constants alone.
+/// Re-golden only when a change intends the metrics to move, and write
+/// the reason beside the constant. The two seeds agree: this loss-free
+/// world draws no randomness that reaches the protocol.
+const METRICS_DIGESTS: [(u64, u64); 2] = [(3, 0x50f1_8db1_0238_dbd1), (41, 0x50f1_8db1_0238_dbd1)];
+
+fn metrics_digest(report: &ringnet_core::TelemetryReport) -> u64 {
+    use std::fmt::Write as _;
+    let mut text = String::new();
+    for (id, dump) in &report.nodes {
+        let _ = writeln!(text, "node {}", id.0);
+        for (k, v) in &dump.metrics.counters {
+            let _ = writeln!(text, "  {k} {v}");
+        }
+        for (k, h) in &dump.metrics.histograms {
+            let _ = writeln!(
+                text,
+                "  {k} {} {} {} {} {:?}",
+                h.count, h.sum_ns, h.min_ns, h.max_ns, h.buckets
+            );
+        }
+    }
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for b in text.bytes() {
+        h ^= b as u64;
+        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    h
+}
+
+#[test]
+fn telemetry_metrics_are_pinned() {
+    let mut moved = Vec::new();
+    for (seed, pinned) in METRICS_DIGESTS {
+        let report = RingNetSim::run_scenario(&chaotic_scenario(true, 1), seed)
+            .telemetry
+            .expect("telemetry enabled");
+        let got = metrics_digest(&report);
+        if got != pinned {
+            moved.push(format!("seed {seed}: {got:#018x} (pinned {pinned:#018x})"));
+        }
+    }
+    assert!(moved.is_empty(), "telemetry metrics moved: {moved:?}");
+}
+
 // ------------------------------------------------- dump byte-identity
 
 /// The serialised flight-recorder dump is a pure function of
