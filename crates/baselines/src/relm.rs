@@ -22,7 +22,7 @@ use crate::world::{Star, StarPlan, World};
 
 /// Wire messages of the RelM-style baseline.
 #[derive(Debug, Clone, PartialEq)]
-pub enum RelmMsg {
+pub(crate) enum RelmMsg {
     /// Source → SH.
     SourceData {
         /// Source-assigned number (the SH re-sequences anyway).

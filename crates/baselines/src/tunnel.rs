@@ -21,7 +21,7 @@ use crate::world::{Star, StarPlan, World};
 
 /// Wire messages of the tunnelling baseline.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum TunMsg {
+pub(crate) enum TunMsg {
     /// Source → HA: a fresh multicast message.
     SourceData {
         /// Sequence number.

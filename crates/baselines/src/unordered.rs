@@ -35,7 +35,7 @@ use crate::world::{BoxedActor, World};
 /// Wire messages of the unordered protocol. Streams are identified by the
 /// source's corresponding BR (`corr`), sequence numbers are per-stream.
 #[derive(Debug, Clone, PartialEq)]
-pub enum UnMsg {
+pub(crate) enum UnMsg {
     /// Source → its BR.
     SourceData {
         /// Per-source sequence number.

@@ -85,10 +85,10 @@ pub(crate) struct Star {
 }
 
 impl Star {
-    pub const HUB: NodeAddr = NodeAddr(0);
+    pub(crate) const HUB: NodeAddr = NodeAddr(0);
 
     /// The edge entity of attachment `k`.
-    pub fn edge_id(k: usize) -> NodeId {
+    pub(crate) fn edge_id(k: usize) -> NodeId {
         NodeId(k as u32 + 1)
     }
 

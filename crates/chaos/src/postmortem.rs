@@ -170,11 +170,11 @@ mod tests {
         assert!(dump.contains("\"at_ns\": 1234000000"));
         // The detail survived escaping.
         assert!(dump.contains("\\\"quoted\\\"\\nnewline"));
-        // The ringnet re-run harvested real recorders: phase evidence is
-        // in the document, not a null placeholder.
+        // The ringnet re-run harvested real telemetry, not a null
+        // placeholder: the token-pass counter (present only once bumped) is
+        // in the document.
         assert!(!dump.contains("\"telemetry\": null"));
-        assert!(dump.contains("\"type\": \"token_pass\""));
-        assert!(dump.contains("\"token_passes\""));
+        assert!(dump.contains("\"token_passes\": "));
     }
 
     #[test]

@@ -26,7 +26,7 @@ pub enum Action {
 
 impl Action {
     /// Convenience constructor for a send to a network entity.
-    pub fn to_ne(node: crate::ids::NodeId, msg: Msg) -> Self {
+    pub(crate) fn to_ne(node: crate::ids::NodeId, msg: Msg) -> Self {
         Action::Send {
             to: Endpoint::Ne(node),
             msg,
@@ -34,7 +34,7 @@ impl Action {
     }
 
     /// Convenience constructor for a send to a mobile host.
-    pub fn to_mh(guid: crate::ids::Guid, msg: Msg) -> Self {
+    pub(crate) fn to_mh(guid: crate::ids::Guid, msg: Msg) -> Self {
         Action::Send {
             to: Endpoint::Mh(guid),
             msg,
@@ -43,7 +43,7 @@ impl Action {
 }
 
 /// Shorthand for the output buffer type used across the protocol.
-pub type Outbox = Vec<Action>;
+pub(crate) type Outbox = Vec<Action>;
 
 #[cfg(test)]
 mod tests {

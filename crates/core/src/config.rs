@@ -20,11 +20,13 @@
 //! | `WQ_CAPACITY` | 4096 | slots of each per-source `WQ` queue | §4.1 |
 //! | `RESERVATION_TTL` | 2 s | life of a reservation-only AP's path | §3 |
 //!
-//! The two-version token snapshot of §4.1 and the WTSNP retention of
-//! [`crate::token::WTSNP_RETAIN_ROTATIONS`] are fixed the same way (see
-//! [`crate::token`]). The paper's Order-Assignment period `τ` (§4.2.1) is
-//! not among them: the `WQ`→`MQ` copy runs on the events that enable it
-//! ([`crate::ordering`]), which is the paper's scan at `τ = 0`.
+//! The two-version token snapshot of §4.1, the WTSNP retention of
+//! `token::WTSNP_RETAIN_ROTATIONS` (see [`crate::token`]) and the
+//! flight-recorder depth, `telemetry::RECORDER_DEPTH` (see
+//! [`crate::telemetry`]), are fixed the same way. The paper's
+//! Order-Assignment period `τ` (§4.2.1) is not among them: the `WQ`→`MQ`
+//! copy runs on the events that enable it ([`crate::ordering`]), which is
+//! the paper's scan at `τ = 0`.
 
 use simnet::SimDuration;
 
@@ -96,9 +98,6 @@ pub struct ProtocolConfig {
     /// ([`crate::telemetry`]). Off by default; disabled it costs one
     /// branch per instrumentation site and never perturbs the journal.
     pub telemetry: bool,
-    /// Flight-recorder depth: how many recent trace records each node
-    /// retains. Must be positive.
-    pub telemetry_capacity: usize,
 }
 
 impl Default for ProtocolConfig {
@@ -110,7 +109,6 @@ impl Default for ProtocolConfig {
             record_mh_deliveries: true,
             reservation_radius: 1,
             telemetry: false,
-            telemetry_capacity: 256,
         }
     }
 }
@@ -147,9 +145,6 @@ impl ProtocolConfig {
         }
         if HOP_TICK * self.ack_every as u64 > HEARTBEAT_PERIOD {
             problems.push("ack_every × HOP_TICK must not exceed HEARTBEAT_PERIOD".into());
-        }
-        if self.telemetry_capacity == 0 {
-            problems.push("telemetry_capacity must be positive".into());
         }
         problems
     }
@@ -200,16 +195,5 @@ mod tests {
         assert_eq!(problems.len(), 1, "{problems:?}");
         assert!(problems[0].contains("ack_every"));
         assert!(with(10).validate().is_empty());
-    }
-
-    #[test]
-    fn validation_rejects_zero_telemetry_capacity() {
-        let c = ProtocolConfig {
-            telemetry_capacity: 0,
-            ..ProtocolConfig::default()
-        };
-        let problems = c.validate();
-        assert_eq!(problems.len(), 1, "{problems:?}");
-        assert!(problems[0].contains("telemetry_capacity"));
     }
 }

@@ -357,10 +357,10 @@ pub struct Scenario {
     pub duration: SimTime,
     /// Whether the run retains the full protocol-event journal in
     /// [`RunReport::journal`] (default `true` — tests and diagnostics read
-    /// it). Disable for full-sweep-scale runs: metrics then stream through
-    /// a [`metrics::MetricsAccumulator`] fed online from the journal sink,
-    /// the journal `Vec` is never materialized, and `RunReport::journal`
-    /// comes back empty.
+    /// it). Disable for large runs (the benchmark, E1, E8, T1): metrics
+    /// then stream through a [`metrics::MetricsAccumulator`] fed online
+    /// from the journal sink, the journal `Vec` is never materialized, and
+    /// `RunReport::journal` comes back empty.
     pub retain_journal: bool,
     /// Event-queue shards for backends that support intra-world parallel
     /// execution (currently the ringnet backend; others ignore it). `1` =
@@ -708,7 +708,7 @@ impl Scenario {
     /// run (an estimate from the workload: per-message fan-out to every
     /// walker plus ordering records and teardown finals; capped so a
     /// mis-declared scenario cannot balloon the pre-allocation).
-    pub fn journal_capacity_hint(&self) -> usize {
+    pub(crate) fn journal_capacity_hint(&self) -> usize {
         let per_source: u64 = match self.limit {
             Some(l) => l,
             None => {
@@ -866,13 +866,6 @@ impl ScenarioBuilder {
         self
     }
 
-    /// Append one walker at `attachment` (or a late joiner with `None`).
-    pub fn walker(mut self, attachment: Option<usize>) -> Self {
-        self.walkers_per_attachment = None;
-        self.sc.walkers.push(attachment);
-        self
-    }
-
     /// Number of multicast sources.
     pub fn sources(mut self, n: usize) -> Self {
         self.sc.sources = n;
@@ -965,8 +958,8 @@ impl ScenarioBuilder {
     }
 
     /// Whether to retain the full protocol-event journal (default `true`).
-    /// Pass `false` for full-sweep-scale runs: metrics stream online and
-    /// [`RunReport::journal`] comes back empty (see
+    /// Pass `false` for large runs (the benchmark, E1, E8, T1): metrics
+    /// stream online and [`RunReport::journal`] comes back empty (see
     /// [`Scenario::retain_journal`]).
     pub fn retain_journal(mut self, retain: bool) -> Self {
         self.sc.retain_journal = retain;
@@ -1426,7 +1419,7 @@ pub fn hierarchy_core(spec: &HierarchySpec) -> BTreeSet<NodeId> {
 /// The wired-core entities of a spec in scenario-index order (BRs in ring
 /// order, then AGs ring by ring) — the indexing [`ScenarioEvent::KillCore`]
 /// and [`ScenarioEvent::PartitionCore`] use.
-pub fn spec_core_order(spec: &HierarchySpec) -> Vec<NodeId> {
+pub(crate) fn spec_core_order(spec: &HierarchySpec) -> Vec<NodeId> {
     let core = spec.entities().map_while(|e| match e {
         Entity::Br(id) | Entity::Ag(id, _) => Some(id),
         _ => None,

@@ -929,7 +929,12 @@ impl RingNetSim {
     /// wall-clock only, never results. Journals are byte-identical per
     /// `(seed, shards)`, and semantically equivalent to the sequential
     /// build.
-    pub fn build_sharded(spec: HierarchySpec, seed: u64, shards: usize, workers: usize) -> Self {
+    pub(crate) fn build_sharded(
+        spec: HierarchySpec,
+        seed: u64,
+        shards: usize,
+        workers: usize,
+    ) -> Self {
         let problems = spec.validate();
         assert!(problems.is_empty(), "invalid spec: {problems:?}");
         let bank = spec
@@ -1052,7 +1057,7 @@ impl RingNetSim {
 
     /// Schedule a late group join at `at` for an MH built with
     /// `initial_ap: None`.
-    pub fn schedule_join(&mut self, at: SimTime, guid: Guid, ap: NodeId) {
+    pub(crate) fn schedule_join(&mut self, at: SimTime, guid: Guid, ap: NodeId) {
         let map = Arc::clone(&self.addrs);
         let group = self.spec.group;
         let wireless = self.spec.links.wireless.clone();
@@ -1129,7 +1134,7 @@ impl RingNetSim {
     /// between `member` and the other members of its logical ring goes
     /// administratively down (`up = false`) or comes back (`up = true`).
     /// A ring-of-one member has no ring links, so this is a no-op there.
-    pub fn schedule_ring_isolation(&mut self, at: SimTime, member: NodeId, up: bool) {
+    pub(crate) fn schedule_ring_isolation(&mut self, at: SimTime, member: NodeId, up: bool) {
         let map = Arc::clone(&self.addrs);
         let peers = self.ring_peers_of(member);
         self.schedule_control(at, move |w| {
@@ -1144,7 +1149,7 @@ impl RingNetSim {
     /// [`crate::driver::ReplayKind`]): a duplicated, delayed copy of a
     /// Token / RingFail / RejoinGrant concerning `member` is re-injected —
     /// the token by the member itself, the broadcasts to its ring peers.
-    pub fn schedule_control_replay(
+    pub(crate) fn schedule_control_replay(
         &mut self,
         at: SimTime,
         kind: crate::driver::ReplayKind,
@@ -1178,7 +1183,7 @@ impl RingNetSim {
     /// Schedule forced token loss at `at`: every top-ring node is armed to
     /// black-hole the next current-epoch token it receives (the first
     /// transfer after `at` vanishes; Token-Regeneration must recover).
-    pub fn schedule_token_drop(&mut self, at: SimTime) {
+    pub(crate) fn schedule_token_drop(&mut self, at: SimTime) {
         let map = Arc::clone(&self.addrs);
         let group = self.spec.group;
         let ring = self.spec.top_ring.clone();

@@ -19,7 +19,7 @@
 //!    pairwise on every common group.
 //! 3. **Funnelling.** The funnel enters the message into its `WQ` under
 //!    the group's *virtual source identity*
-//!    ([`NodeId::fence_virtual`]) — carrying the original
+//!    (`NodeId::fence_virtual`) — carrying the original
 //!    `(source, local_seq)` so journal identity survives — circulates it
 //!    as [`Msg::FencePreOrder`] (the §4.2.2 stop rule, keyed on the
 //!    funnel), and assigns GSNs for the virtual stream at its next token
@@ -50,7 +50,7 @@ use crate::token::OrderingToken;
 /// placement (sequencer and funnel identities) is static, derived from
 /// the declared group set at assembly time.
 #[derive(Debug, Clone)]
-pub struct CrossGroupFence {
+pub(crate) struct CrossGroupFence {
     /// The fence home group: the lowest declared group id. All ingress
     /// flows through this group's states.
     pub home_group: GroupId,

@@ -217,7 +217,7 @@ pub enum Entity<'a> {
 impl Entity<'_> {
     /// The identity of a network entity (BR, AG or AP); `None` for sources
     /// and mobile hosts.
-    pub fn ne_id(&self) -> Option<NodeId> {
+    pub(crate) fn ne_id(&self) -> Option<NodeId> {
         match *self {
             Entity::Br(id) | Entity::Ag(id, _) => Some(id),
             Entity::Ap(ap) => Some(ap.id),
@@ -304,7 +304,7 @@ impl HierarchySpec {
 
     /// The effective declared group set, sorted ascending: `groups` when
     /// non-empty (always including `group`), else just `[group]`.
-    pub fn effective_groups(&self) -> Vec<GroupId> {
+    pub(crate) fn effective_groups(&self) -> Vec<GroupId> {
         if self.groups.is_empty() {
             return vec![self.group];
         }

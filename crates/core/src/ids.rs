@@ -24,13 +24,13 @@ const VIRTUAL_FENCE_BASE: u32 = 0xFFFF_0000;
 
 impl NodeId {
     /// The virtual source identity of group `g`'s fence funnel stream.
-    pub fn fence_virtual(g: GroupId) -> NodeId {
+    pub(crate) fn fence_virtual(g: GroupId) -> NodeId {
         debug_assert!(g.0 < u32::MAX - VIRTUAL_FENCE_BASE);
         NodeId(VIRTUAL_FENCE_BASE + g.0)
     }
 
     /// True for fence-funnel virtual identities (never real entities).
-    pub fn is_fence_virtual(self) -> bool {
+    pub(crate) fn is_fence_virtual(self) -> bool {
         self.0 >= VIRTUAL_FENCE_BASE && self.0 != u32::MAX
     }
 }
@@ -82,7 +82,7 @@ macro_rules! seq_impl {
             /// The "none yet" sentinel (sequences start at 1).
             pub const ZERO: $t = $t(0);
             /// The first valid sequence number.
-            pub const FIRST: $t = $t(1);
+            pub(crate) const FIRST: $t = $t(1);
 
             /// The next sequence number.
             #[inline]
@@ -110,7 +110,7 @@ macro_rules! seq_impl {
 
             /// True for real sequence numbers (non-sentinel).
             #[inline]
-            pub fn is_valid(self) -> bool {
+            pub(crate) fn is_valid(self) -> bool {
                 self.0 > 0
             }
         }

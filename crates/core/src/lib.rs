@@ -68,7 +68,7 @@
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
-pub mod actions;
+pub(crate) mod actions;
 pub mod analysis;
 pub mod config;
 pub mod delivering;
@@ -95,23 +95,22 @@ pub mod token;
 pub mod wq;
 pub mod wt;
 
-pub use actions::{Action, Outbox};
+pub use actions::Action;
 pub use config::{ProtocolConfig, HEARTBEAT_PERIOD, HOP_TICK};
 pub use driver::{
     CoreShape, MulticastSim, RunMetrics, RunReport, Scenario, ScenarioBuilder, ScenarioEvent,
 };
 pub use engine::{AddrMap, RingNetSim};
 pub use events::ProtoEvent;
-pub use fence::CrossGroupFence;
 pub use hierarchy::{figure1, HierarchyBuilder, HierarchySpec, TrafficPattern};
 pub use ids::{Endpoint, Epoch, GlobalSeq, GroupId, Guid, LocalRange, LocalSeq, NodeId, PayloadId};
 pub use mh::MhState;
 pub use mq::{DeliverItem, InsertOutcome, MessageQueue, MsgData};
 pub use msg::Msg;
-pub use node::{NeState, Tier};
-pub use ring_epoch::{primary_component, EpochFence, TokenAdmission};
-pub use ring_lifecycle::{LifecycleEvent, MemberState, RingLifecycle, Transition};
-pub use telemetry::{NodeDump, Telemetry, TelemetryBank, TelemetryReport, TraceEntry, TraceRecord};
+pub use node::NeState;
+pub use ring_epoch::EpochFence;
+pub use ring_lifecycle::{LifecycleEvent, MemberState, RingLifecycle};
+pub use telemetry::{Telemetry, TelemetryReport};
 pub use token::OrderingToken;
 pub use wq::WorkingQueue;
 pub use wt::WorkingTable;

@@ -228,7 +228,7 @@ impl MetricsAccumulator {
 pub type Journal = [(SimTime, ProtoEvent)];
 
 /// Per-MH delivery records: `(time, gsn)` in delivery order (all groups
-/// merged — use [`deliveries_per_mh_group`] for order checks).
+/// merged — use `deliveries_per_mh_group` for order checks).
 pub fn deliveries_per_mh(journal: &Journal) -> BTreeMap<Guid, Vec<(SimTime, GlobalSeq)>> {
     let mut map: BTreeMap<Guid, Vec<(SimTime, GlobalSeq)>> = BTreeMap::new();
     for (t, e) in journal {
@@ -241,7 +241,7 @@ pub fn deliveries_per_mh(journal: &Journal) -> BTreeMap<Guid, Vec<(SimTime, Glob
 
 /// Per-`(MH, group)` delivery records: `(time, gsn)` in delivery order.
 /// GSN streams are only comparable within one group's ring.
-pub fn deliveries_per_mh_group(
+pub(crate) fn deliveries_per_mh_group(
     journal: &Journal,
 ) -> BTreeMap<(Guid, GroupId), Vec<(SimTime, GlobalSeq)>> {
     let mut map: BTreeMap<(Guid, GroupId), Vec<(SimTime, GlobalSeq)>> = BTreeMap::new();

@@ -241,7 +241,7 @@ impl MhState {
     }
 
     /// Emit the final-statistics journal record.
-    pub fn flush_final_stats(&self, out: &mut Outbox) {
+    pub(crate) fn flush_final_stats(&self, out: &mut Outbox) {
         out.push(Action::Record(ProtoEvent::MhFinal {
             group: self.group,
             mh: self.guid,

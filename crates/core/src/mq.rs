@@ -203,7 +203,7 @@ impl MessageQueue {
     /// [`Self::poll_deliverable`] — hot delivery loops call it directly so an
     /// empty poll (the common case: most arrivals don't advance `Front`)
     /// costs no `Vec`.
-    pub fn next_deliverable(&mut self) -> Option<DeliverItem> {
+    pub(crate) fn next_deliverable(&mut self) -> Option<DeliverItem> {
         let next = self.front.next().max(self.base);
         let i = self.idx(next)?;
         match &mut self.slots[i] {
@@ -223,7 +223,7 @@ impl MessageQueue {
 
     /// Advance `Front` over every contiguous received-or-lost slot, returning
     /// the delivery items in order. Received slots are marked `Delivered`.
-    /// Collecting convenience over [`Self::next_deliverable`] for tests and
+    /// Collecting convenience over `Self::next_deliverable` for tests and
     /// diagnostics.
     pub fn poll_deliverable(&mut self) -> Vec<DeliverItem> {
         std::iter::from_fn(|| self.next_deliverable()).collect()
@@ -289,11 +289,6 @@ impl MessageQueue {
             self.base = limit.next();
         }
         dropped
-    }
-
-    /// True when a message would still be accepted at `gsn`.
-    pub fn accepts(&self, gsn: GlobalSeq) -> bool {
-        gsn >= self.base && (gsn.0 - self.base.0) < self.capacity as u64
     }
 
     /// Skip everything at or below `gsn` without delivering it: history that
@@ -381,11 +376,9 @@ mod tests {
         }
         assert_eq!(q.insert(GlobalSeq(5), data(1, 5)), InsertOutcome::Overflow);
         assert_eq!(q.overflow_drops, 1);
-        assert!(!q.accepts(GlobalSeq(5)));
         // Delivering and GC'ing makes room again.
         q.poll_deliverable();
         q.gc_to(GlobalSeq(2));
-        assert!(q.accepts(GlobalSeq(5)));
         assert_eq!(q.insert(GlobalSeq(5), data(1, 5)), InsertOutcome::Stored);
     }
 

@@ -423,7 +423,7 @@ impl Msg {
     /// Approximate wire size in bytes, used to charge bandwidth models.
     /// Control messages are small and fixed; data messages add the
     /// payload size at the engine layer (`engine::wire_size`).
-    pub fn base_wire_size(&self) -> usize {
+    pub(crate) fn base_wire_size(&self) -> usize {
         match self {
             Msg::SourceData { .. } | Msg::PreOrder { .. } | Msg::Data { .. } => 40,
             Msg::FenceIngress { targets, .. } => 40 + 4 * targets.len(),
@@ -476,7 +476,7 @@ impl Msg {
     }
 
     /// True for the payload-bearing data-plane messages.
-    pub fn carries_payload(&self) -> bool {
+    pub(crate) fn carries_payload(&self) -> bool {
         matches!(
             self,
             Msg::SourceData { .. }

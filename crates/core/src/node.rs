@@ -29,17 +29,6 @@ use crate::token::OrderingToken;
 use crate::wq::WorkingQueue;
 use crate::wt::WorkingTable;
 
-/// Which tier of the RingNet hierarchy an entity belongs to.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Tier {
-    /// Border router (possibly on the top logical ring).
-    Br,
-    /// Access gateway (on a non-top logical ring).
-    Ag,
-    /// Access proxy (bottom NE, serves MHs over wireless).
-    Ap,
-}
-
 /// Ring-membership state for BRs and AGs. All membership transitions go
 /// through the embedded [`RingLifecycle`] — see that module's docs for the
 /// state machine.
@@ -96,7 +85,7 @@ impl RingState {
     }
 
     /// Lifecycle state of a member.
-    pub fn state_of(&self, id: NodeId) -> MemberState {
+    pub(crate) fn state_of(&self, id: NodeId) -> MemberState {
         self.lifecycle.state(id)
     }
 
@@ -144,22 +133,22 @@ impl RingState {
     }
 
     /// A liveness probe to `id` went unanswered.
-    pub fn suspect(&mut self, id: NodeId) {
+    pub(crate) fn suspect(&mut self, id: NodeId) {
         self.lifecycle.apply(id, LifecycleEvent::Suspect);
     }
 
     /// Liveness evidence for `id` arrived while it was suspected.
-    pub fn refute(&mut self, id: NodeId) {
+    pub(crate) fn refute(&mut self, id: NodeId) {
         self.lifecycle.apply(id, LifecycleEvent::Refute);
     }
 
     /// Number of members in the ring cycle.
-    pub fn alive_count(&self) -> usize {
+    pub(crate) fn alive_count(&self) -> usize {
         self.lifecycle.in_ring_count()
     }
 
     /// Members currently in the ring cycle, in identity order.
-    pub fn members_in_ring(&self) -> impl Iterator<Item = NodeId> + '_ {
+    pub(crate) fn members_in_ring(&self) -> impl Iterator<Item = NodeId> + '_ {
         self.lifecycle.in_ring()
     }
 
@@ -276,7 +265,7 @@ impl ApMhState {
     }
 
     /// Should this AP be receiving the group's traffic at `now`?
-    pub fn should_be_active(&self, now: SimTime) -> bool {
+    pub(crate) fn should_be_active(&self, now: SimTime) -> bool {
         self.always_active || !self.wt.is_empty() || now < self.reservation_until
     }
 }
@@ -309,8 +298,6 @@ pub struct NeState {
     pub group: GroupId,
     /// `Current`: this entity's identity.
     pub id: NodeId,
-    /// Hierarchy tier.
-    pub tier: Tier,
     /// Protocol parameters.
     pub cfg: ProtocolConfig,
     /// Ring view (BRs and AGs).
@@ -386,7 +373,7 @@ pub struct NeState {
     /// Cross-group fence wiring ([`crate::fence`]): present only on
     /// top-ring states of multi-group simulations. `None` keeps every
     /// fence path inert (single-group runs are byte-identical).
-    pub cross_fence: Option<crate::fence::CrossGroupFence>,
+    pub(crate) cross_fence: Option<crate::fence::CrossGroupFence>,
     /// Deterministic observability: metrics registry plus flight
     /// recorder ([`crate::telemetry`]). No-op unless `cfg.telemetry`.
     pub telemetry: Telemetry,
@@ -407,7 +394,6 @@ impl NeState {
         NeState {
             group,
             id,
-            tier: Tier::Br,
             ring: Some(RingState::new(ring, id, is_top)),
             parent: None,
             parent_candidates: Vec::new(),
@@ -449,7 +435,6 @@ impl NeState {
         NeState {
             group,
             id,
-            tier: Tier::Ag,
             ring: Some(RingState::new(ring, id, false)),
             parent: None,
             parent_candidates,
@@ -507,7 +492,6 @@ impl NeState {
         NeState {
             group,
             id,
-            tier: Tier::Ap,
             ring: None,
             parent: None,
             parent_candidates,
@@ -539,7 +523,7 @@ impl NeState {
     }
 
     /// True when this entity sits on the top (ordering) logical ring.
-    pub fn is_top_ring(&self) -> bool {
+    pub(crate) fn is_top_ring(&self) -> bool {
         self.ring.as_ref().is_some_and(|r| r.is_top)
     }
 
@@ -549,17 +533,17 @@ impl NeState {
     }
 
     /// This entity's previous ring node, if on a ring.
-    pub fn ring_prev(&self) -> Option<NodeId> {
+    pub(crate) fn ring_prev(&self) -> Option<NodeId> {
         self.ring.as_ref().map(|r| r.prev_of(self.id))
     }
 
     /// This entity's ring leader, if on a ring.
-    pub fn ring_leader(&self) -> Option<NodeId> {
+    pub(crate) fn ring_leader(&self) -> Option<NodeId> {
         self.ring.as_ref().map(|r| r.leader())
     }
 
     /// True when this entity is its ring's leader.
-    pub fn is_ring_leader(&self) -> bool {
+    pub(crate) fn is_ring_leader(&self) -> bool {
         self.ring_leader() == Some(self.id)
     }
 

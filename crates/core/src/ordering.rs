@@ -387,8 +387,7 @@ impl NeState {
             epoch: token.epoch,
             next_gsn: token.next_gsn,
         }));
-        self.telemetry
-            .token_pass(now, token.epoch, token.rotation, token.next_gsn);
+        self.telemetry.token_pass(now);
         // Order-Assignment runs now, on the snapshot just installed: the
         // ranges other nodes assigned since our last hold and the ranges
         // assigned above enter MQ in one GSN-ordered pass (copying our own,

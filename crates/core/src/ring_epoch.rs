@@ -10,11 +10,11 @@
 //!
 //! * [`EpochFence`] owns the **keep-one instance** order and the
 //!   **duplicate-pass** fingerprint. Every token acceptance goes through
-//!   [`EpochFence::admit`]; every epoch bump goes through
+//!   `EpochFence::admit`; every epoch bump goes through
 //!   [`EpochFence::regenerate`]; every rejoin/merge grant seeds through
 //!   [`EpochFence::seed_from_pass`]. Nothing outside this module compares
 //!   raw [`Epoch`] values.
-//! * [`primary_component`] is the deterministic partition rule (majority
+//! * `primary_component` is the deterministic partition rule (majority
 //!   of the static ring order; a half split breaks the tie toward the
 //!   side holding the smallest static id — cf. Malkhi/Merritt/Rodeh's
 //!   primary-component membership). Every GSN-assigning path — token
@@ -41,11 +41,11 @@ use crate::ring_lifecycle::{LifecycleEvent, MemberState, RingLifecycle};
 use crate::token::OrderingToken;
 
 /// Identity of one token pass: `(epoch, origin id, rotation)`.
-pub type PassId = (Epoch, u32, u64);
+pub(crate) type PassId = (Epoch, u32, u64);
 
 /// Verdict of [`EpochFence::admit`] on an arriving token.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TokenAdmission {
+pub(crate) enum TokenAdmission {
     /// A stale instance under the keep-one rule: destroy it (and record
     /// [`ProtoEvent::TokenDestroyed`]).
     Stale,
@@ -83,7 +83,7 @@ impl EpochFence {
     }
 
     /// The best instance observed (diagnostics / tests).
-    pub fn best_instance(&self) -> (Epoch, u32) {
+    pub(crate) fn best_instance(&self) -> (Epoch, u32) {
         self.best_instance
     }
 
@@ -93,7 +93,7 @@ impl EpochFence {
     }
 
     /// Judge an arriving token against the fence.
-    pub fn admit(&self, token: &OrderingToken) -> TokenAdmission {
+    pub(crate) fn admit(&self, token: &OrderingToken) -> TokenAdmission {
         if token.instance() < self.best_instance {
             return TokenAdmission::Stale;
         }
@@ -105,7 +105,7 @@ impl EpochFence {
         TokenAdmission::Admit
     }
 
-    /// Record a processed pass (call only after [`TokenAdmission::Admit`]).
+    /// Record a processed pass (call only after `TokenAdmission::Admit`).
     pub fn commit(&mut self, token: &OrderingToken) {
         self.best_instance = token.instance();
         self.last_pass = Some((token.epoch, token.origin.0, token.rotation));
@@ -158,7 +158,7 @@ pub(crate) fn ack_matches_pass(pass: PassId, epoch: Epoch, rotation: u64) -> boo
 /// smallest static id (the tiebreak that keeps a 50/50 split from
 /// producing two primaries). `lifecycle` is the caller's local view; its
 /// in-cycle members (including the caller itself) are the reachable side.
-pub fn primary_component(order: &[NodeId], lifecycle: &RingLifecycle) -> bool {
+pub(crate) fn primary_component(order: &[NodeId], lifecycle: &RingLifecycle) -> bool {
     let n = order.len();
     let reachable = lifecycle.in_ring_count();
     if 2 * reachable > n {
@@ -171,7 +171,7 @@ pub fn primary_component(order: &[NodeId], lifecycle: &RingLifecycle) -> bool {
 impl NeState {
     /// True while this top-ring node sits fenced on the minority side of a
     /// partitioned ordering ring (including the merge handshake).
-    pub fn is_partition_fenced(&self) -> bool {
+    pub(crate) fn is_partition_fenced(&self) -> bool {
         self.ring.as_ref().is_some_and(|r| {
             matches!(
                 r.state_of(self.id),
@@ -181,7 +181,7 @@ impl NeState {
     }
 
     /// True while the merge handshake is in flight.
-    pub fn is_merging(&self) -> bool {
+    pub(crate) fn is_merging(&self) -> bool {
         self.ring
             .as_ref()
             .is_some_and(|r| r.state_of(self.id) == MemberState::Merging)

@@ -25,7 +25,7 @@
 //! (crash-restart handling, which simply *forbade* ring re-entry). This
 //! module is now the single place a ring-membership state can change:
 //! [`crate::node::RingState`] owns a [`RingLifecycle`] and every caller
-//! goes through [`RingLifecycle::apply`]. Members in [`MemberState::Active`]
+//! goes through `RingLifecycle::apply`. Members in [`MemberState::Active`]
 //! or [`MemberState::Suspected`] are *in the ring* (part of the
 //! next/prev/leader cycle); `Excised` and `Rejoining` members are not.
 //!
@@ -47,7 +47,7 @@
 //! the ring) panic with a descriptive message, while transitions that
 //! legitimately recur under message loss or duplication (a second `Excise`
 //! broadcast, a duplicate rejoin grant) are idempotent no-ops reported as
-//! [`Transition::Unchanged`].
+//! `Transition::Unchanged`.
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -129,7 +129,7 @@ impl fmt::Display for LifecycleEvent {
 
 /// Outcome of [`RingLifecycle::apply`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Transition {
+pub(crate) enum Transition {
     /// The member moved to a new state.
     Changed {
         /// State before the event.
@@ -178,7 +178,7 @@ impl RingLifecycle {
     /// Apply one lifecycle event to one member. Legal transitions return
     /// [`Transition::Changed`]; legal-but-idempotent repeats return
     /// [`Transition::Unchanged`]; illegal combinations panic descriptively.
-    pub fn apply(&mut self, id: NodeId, event: LifecycleEvent) -> Transition {
+    pub(crate) fn apply(&mut self, id: NodeId, event: LifecycleEvent) -> Transition {
         use LifecycleEvent as E;
         use MemberState as S;
         let from = self.state(id);
@@ -266,7 +266,7 @@ impl RingLifecycle {
     }
 
     /// Members currently in the ring cycle, in identity order.
-    pub fn in_ring(&self) -> impl Iterator<Item = NodeId> + '_ {
+    pub(crate) fn in_ring(&self) -> impl Iterator<Item = NodeId> + '_ {
         self.states
             .iter()
             .filter(|(_, s)| {
@@ -282,7 +282,7 @@ impl RingLifecycle {
     }
 
     /// Number of members in the ring cycle.
-    pub fn in_ring_count(&self) -> usize {
+    pub(crate) fn in_ring_count(&self) -> usize {
         self.in_ring().count()
     }
 }

@@ -1,5 +1,10 @@
-//! Deterministic, sim-time-only observability: per-node metrics,
-//! protocol-phase trace records, and a bounded flight recorder.
+//! Deterministic, sim-time-only observability: per-node counters and
+//! histograms, and a flight recorder of protocol-phase trace records.
+//!
+//! The recorder keeps the paper's rare phases (regeneration, epoch bumps,
+//! rejoin, partition, merge), `RECORDER_DEPTH` per node. A token pass is
+//! only counted and timed here: the journal's `ProtoEvent::TokenPass`
+//! already records it, with the same fields at the same instant.
 //!
 //! Everything here is keyed by static names and ordered containers
 //! (`BTreeMap`, `VecDeque`) so that dumps are byte-identical per
@@ -11,7 +16,7 @@
 //!
 //! Shape: each [`crate::node::NeState`] embeds a [`Telemetry`]; at
 //! teardown the engine harvests a [`NodeDump`] per node into a
-//! [`TelemetryBank`], which the driver wraps (with the node→shard map
+//! `TelemetryBank`, which the driver wraps (with the node→shard map
 //! under `ShardedSim`) into the [`TelemetryReport`] surfaced on
 //! [`crate::driver::RunReport`]. The merged trace interleaves per-node
 //! recorders in `(time, shard, node, seq)` order — the same total
@@ -96,8 +101,6 @@ pub mod metric {
     /// Counter: every other control message sent (tree, membership,
     /// mobility and token-recovery signalling).
     pub const CONTROL_SENT_OTHER: &str = "control_sent.other";
-    /// Gauge: highest epoch this node has observed.
-    pub const EPOCH: &str = "epoch";
 }
 
 /// Fixed histogram bucket upper bounds, in sim-nanoseconds.
@@ -105,7 +108,7 @@ pub mod metric {
 /// The ladder spans 50µs–250ms of simulated time — token rotations and
 /// delivery lags in generated worlds live well inside it; anything
 /// slower lands in the overflow bucket.
-pub const BUCKET_BOUNDS_NS: [u64; 12] = [
+pub(crate) const BUCKET_BOUNDS_NS: [u64; 12] = [
     50_000,
     100_000,
     250_000,
@@ -168,6 +171,21 @@ impl FixedHistogram {
     /// Mean observation in sim-ns, 0 when empty.
     pub fn mean_ns(&self) -> u64 {
         self.sum_ns.checked_div(self.count).unwrap_or(0)
+    }
+
+    /// Fold another histogram's observations into this one.
+    fn merge(&mut self, other: &FixedHistogram) {
+        for (slot, add) in self.buckets.iter_mut().zip(other.buckets.iter()) {
+            *slot += add;
+        }
+        if other.count > 0 {
+            if self.count == 0 || other.min_ns < self.min_ns {
+                self.min_ns = other.min_ns;
+            }
+            self.max_ns = self.max_ns.max(other.max_ns);
+            self.count += other.count;
+            self.sum_ns += other.sum_ns;
+        }
     }
 }
 
@@ -244,15 +262,6 @@ impl HandshakeStage {
 /// flight recorder stays cheap on the hot path.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TraceRecord {
-    /// The ordering token was processed at this node.
-    TokenPass {
-        /// Token epoch at receipt.
-        epoch: Epoch,
-        /// Completed full rotations so far.
-        rotation: u64,
-        /// Next GSN the token will assign.
-        next_gsn: GlobalSeq,
-    },
     /// A Token-Regeneration round event.
     RegenRound {
         /// The round's originating node.
@@ -294,7 +303,6 @@ impl TraceRecord {
     /// Stable snake-case type tag used in dumps.
     pub fn kind(&self) -> &'static str {
         match self {
-            TraceRecord::TokenPass { .. } => "token_pass",
             TraceRecord::RegenRound { .. } => "regen_round",
             TraceRecord::EpochBump { .. } => "epoch_bump",
             TraceRecord::RejoinHandshake { .. } => "rejoin_handshake",
@@ -305,17 +313,6 @@ impl TraceRecord {
 
     fn write_fields(&self, out: &mut String) {
         match *self {
-            TraceRecord::TokenPass {
-                epoch,
-                rotation,
-                next_gsn,
-            } => {
-                let _ = write!(
-                    out,
-                    ",\"epoch\":{},\"rotation\":{},\"next_gsn\":{}",
-                    epoch.0, rotation, next_gsn.0
-                );
-            }
             TraceRecord::RegenRound { origin, outcome } => {
                 let _ = write!(
                     out,
@@ -356,14 +353,12 @@ pub struct TraceEntry {
     pub record: TraceRecord,
 }
 
-/// Per-node metrics registry: counters, gauges, and fixed-bucket
-/// histograms keyed by static names in sorted order.
+/// Per-node metrics registry: counters and fixed-bucket histograms keyed
+/// by static names in sorted order.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct NodeMetrics {
     /// Monotone counters.
     pub counters: BTreeMap<&'static str, u64>,
-    /// Last-write-wins gauges.
-    pub gauges: BTreeMap<&'static str, u64>,
     /// Sim-ns histograms.
     pub histograms: BTreeMap<&'static str, FixedHistogram>,
 }
@@ -372,11 +367,6 @@ impl NodeMetrics {
     /// Add `n` to a counter.
     pub fn add(&mut self, name: &'static str, n: u64) {
         *self.counters.entry(name).or_insert(0) += n;
-    }
-
-    /// Set a gauge.
-    pub fn set(&mut self, name: &'static str, v: u64) {
-        self.gauges.insert(name, v);
     }
 
     /// Record a sim-ns observation into a histogram.
@@ -395,7 +385,12 @@ impl NodeMetrics {
 /// letting a stalled delivery path grow the window without bound.
 const PENDING_GSN_CAP: usize = 64;
 
-/// Per-node telemetry: metrics registry plus bounded flight recorder.
+/// Flight-recorder depth: the trace records each node retains. Only rare
+/// phases are traced, so a chaos world's whole history fits.
+pub(crate) const RECORDER_DEPTH: usize = 256;
+
+/// Per-node telemetry: metrics registry plus a flight recorder of the
+/// last `RECORDER_DEPTH` trace records.
 ///
 /// Embedded in every `NeState`; every method no-ops when the
 /// `ProtocolConfig::telemetry` toggle is off, so the disabled path
@@ -403,7 +398,6 @@ const PENDING_GSN_CAP: usize = 64;
 #[derive(Debug, Clone)]
 pub struct Telemetry {
     on: bool,
-    capacity: usize,
     seq: u64,
     records: VecDeque<TraceEntry>,
     metrics: NodeMetrics,
@@ -415,10 +409,9 @@ pub struct Telemetry {
 
 impl Telemetry {
     /// Build from the protocol config (disabled unless `cfg.telemetry`).
-    pub fn from_cfg(cfg: &ProtocolConfig) -> Self {
+    pub(crate) fn from_cfg(cfg: &ProtocolConfig) -> Self {
         Telemetry {
             on: cfg.telemetry,
-            capacity: cfg.telemetry_capacity.max(1),
             seq: 0,
             records: VecDeque::new(),
             metrics: NodeMetrics::default(),
@@ -429,22 +422,12 @@ impl Telemetry {
         }
     }
 
-    /// A permanently disabled instance (baseline stations, tests).
-    pub fn off() -> Self {
-        Telemetry::from_cfg(&ProtocolConfig::default())
-    }
-
-    /// Whether the layer is recording.
-    pub fn enabled(&self) -> bool {
-        self.on
-    }
-
     /// Push a trace record into the flight recorder.
-    pub fn trace(&mut self, at: SimTime, record: TraceRecord) {
+    pub(crate) fn trace(&mut self, at: SimTime, record: TraceRecord) {
         if !self.on {
             return;
         }
-        if self.records.len() == self.capacity {
+        if self.records.len() == RECORDER_DEPTH {
             self.records.pop_front();
         }
         self.records.push_back(TraceEntry {
@@ -463,15 +446,15 @@ impl Telemetry {
     }
 
     /// Bump a counter by `n`.
-    pub fn count_n(&mut self, name: &'static str, n: u64) {
+    pub(crate) fn count_n(&mut self, name: &'static str, n: u64) {
         if self.on {
             self.metrics.add(name, n);
         }
     }
 
-    /// Token processed: rotation-latency histogram, pass counter, epoch
-    /// gauge, and a `TokenPass` trace record.
-    pub fn token_pass(&mut self, now: SimTime, epoch: Epoch, rotation: u64, next_gsn: GlobalSeq) {
+    /// Token processed: rotation-latency histogram and pass counter. The
+    /// pass itself is journalled (`ProtoEvent::TokenPass`), not traced.
+    pub(crate) fn token_pass(&mut self, now: SimTime) {
         if !self.on {
             return;
         }
@@ -483,15 +466,6 @@ impl Telemetry {
             );
         }
         self.last_token_pass = Some(now);
-        self.metrics.set(metric::EPOCH, u64::from(epoch.0));
-        self.trace(
-            now,
-            TraceRecord::TokenPass {
-                epoch,
-                rotation,
-                next_gsn,
-            },
-        );
     }
 
     /// A batch of `len` GSNs starting at `first` was assigned here;
@@ -510,7 +484,7 @@ impl Telemetry {
     /// Local delivery advanced to `front` (next undelivered GSN):
     /// observe assignment→delivery lag for every batch now fully
     /// delivered.
-    pub fn delivered_up_to(&mut self, now: SimTime, front: GlobalSeq) {
+    pub(crate) fn delivered_up_to(&mut self, now: SimTime, front: GlobalSeq) {
         if !self.on {
             return;
         }
@@ -529,7 +503,7 @@ impl Telemetry {
 
     /// A RejoinRequest left this node (starts the handshake span on
     /// first send; merge retries reuse the open span).
-    pub fn rejoin_requested(&mut self, now: SimTime, peer: NodeId) {
+    pub(crate) fn rejoin_requested(&mut self, now: SimTime, peer: NodeId) {
         if !self.on {
             return;
         }
@@ -547,7 +521,7 @@ impl Telemetry {
     }
 
     /// This node spliced `member` into the ring and broadcast a grant.
-    pub fn rejoin_granted(&mut self, now: SimTime, member: NodeId) {
+    pub(crate) fn rejoin_granted(&mut self, now: SimTime, member: NodeId) {
         if !self.on {
             return;
         }
@@ -563,7 +537,7 @@ impl Telemetry {
 
     /// This node completed its own rejoin splice: close the handshake
     /// span into the rejoin-duration histogram.
-    pub fn rejoin_completed(&mut self, now: SimTime, me: NodeId) {
+    pub(crate) fn rejoin_completed(&mut self, now: SimTime, me: NodeId) {
         if !self.on {
             return;
         }
@@ -583,7 +557,7 @@ impl Telemetry {
     }
 
     /// Heal evidence arrived: open the merge span (first evidence wins).
-    pub fn merge_started(&mut self, now: SimTime) {
+    pub(crate) fn merge_started(&mut self, now: SimTime) {
         if self.on && self.merge_started.is_none() {
             self.merge_started = Some(now);
         }
@@ -591,7 +565,7 @@ impl Telemetry {
 
     /// This node completed a ring merge: close the merge span and emit
     /// the `Merge` trace record.
-    pub fn merge_completed(&mut self, now: SimTime, epoch: Epoch, resubmitted: u64) {
+    pub(crate) fn merge_completed(&mut self, now: SimTime, epoch: Epoch, resubmitted: u64) {
         if !self.on {
             return;
         }
@@ -607,7 +581,7 @@ impl Telemetry {
     }
 
     /// A regen-round event: per-outcome counter plus trace record.
-    pub fn regen(&mut self, now: SimTime, origin: NodeId, outcome: RegenOutcome) {
+    pub(crate) fn regen(&mut self, now: SimTime, origin: NodeId, outcome: RegenOutcome) {
         if !self.on {
             return;
         }
@@ -621,9 +595,9 @@ impl Telemetry {
         self.trace(now, TraceRecord::RegenRound { origin, outcome });
     }
 
-    /// The observed epoch advanced: per-cause counter, epoch gauge, and
-    /// an `EpochBump` trace record.
-    pub fn epoch_bump(&mut self, now: SimTime, cause: EpochCause, epoch: Epoch) {
+    /// The observed epoch advanced: per-cause counter and an `EpochBump`
+    /// trace record.
+    pub(crate) fn epoch_bump(&mut self, now: SimTime, cause: EpochCause, epoch: Epoch) {
         if !self.on {
             return;
         }
@@ -633,12 +607,11 @@ impl Telemetry {
             EpochCause::MergeSeed => metric::EPOCH_BUMPS_MERGE_SEED,
         };
         self.metrics.add(name, 1);
-        self.metrics.set(metric::EPOCH, u64::from(epoch.0));
         self.trace(now, TraceRecord::EpochBump { cause, epoch });
     }
 
     /// This node fenced itself: counter plus `PartitionFence` record.
-    pub fn partition_fenced(&mut self, now: SimTime, epoch: Epoch, in_ring: u32) {
+    pub(crate) fn partition_fenced(&mut self, now: SimTime, epoch: Epoch, in_ring: u32) {
         if !self.on {
             return;
         }
@@ -647,7 +620,7 @@ impl Telemetry {
     }
 
     /// Snapshot for the bank at teardown; `None` when disabled.
-    pub fn dump(&self) -> Option<NodeDump> {
+    pub(crate) fn dump(&self) -> Option<NodeDump> {
         if !self.on {
             return None;
         }
@@ -673,8 +646,7 @@ impl NodeDump {
     /// node-level dump (multi-group engines run one recorder per group
     /// state but the bank is keyed by `NodeId`). A single dump is
     /// returned unchanged — the single-group fast path stays
-    /// byte-identical. Several dumps sum counters and histograms, keep
-    /// the maximum of each gauge (`epoch` is a high-water mark), and
+    /// byte-identical. Several dumps sum counters and histograms and
     /// interleave trace records by `(time, group position, seq)` under a
     /// fresh contiguous `seq` numbering.
     pub fn merge(dumps: Vec<NodeDump>) -> Option<NodeDump> {
@@ -694,25 +666,8 @@ impl NodeDump {
             for (k, v) in d.metrics.counters {
                 *metrics.counters.entry(k).or_insert(0) += v;
             }
-            for (k, v) in d.metrics.gauges {
-                let slot = metrics.gauges.entry(k).or_insert(0);
-                *slot = v.max(*slot);
-            }
             for (k, h) in d.metrics.histograms {
-                let slot = metrics.histograms.entry(k).or_default();
-                for (b, add) in slot.buckets.iter_mut().zip(h.buckets.iter()) {
-                    *b += add;
-                }
-                if h.count > 0 {
-                    if slot.count == 0 || h.min_ns < slot.min_ns {
-                        slot.min_ns = h.min_ns;
-                    }
-                    if h.max_ns > slot.max_ns {
-                        slot.max_ns = h.max_ns;
-                    }
-                    slot.count += h.count;
-                    slot.sum_ns += h.sum_ns;
-                }
+                metrics.histograms.entry(k).or_default().merge(&h);
             }
             for e in d.records {
                 tagged.push((e.at, gi + 1, e.seq, e.record));
@@ -734,7 +689,7 @@ impl NodeDump {
 
 /// All nodes' dumps, harvested by the engine at `FlushStats` time.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct TelemetryBank {
+pub(crate) struct TelemetryBank {
     /// Dump per node, in `NodeId` order.
     pub nodes: BTreeMap<NodeId, NodeDump>,
 }
@@ -751,7 +706,7 @@ pub struct TelemetryReport {
 
 impl TelemetryReport {
     /// Wrap a harvested bank with its shard placement.
-    pub fn new(bank: TelemetryBank, shard_of: BTreeMap<NodeId, u32>) -> Self {
+    pub(crate) fn new(bank: TelemetryBank, shard_of: BTreeMap<NodeId, u32>) -> Self {
         TelemetryReport {
             nodes: bank.nodes,
             shard_of,
@@ -787,19 +742,7 @@ impl TelemetryReport {
         let mut out = FixedHistogram::default();
         for d in self.nodes.values() {
             if let Some(h) = d.metrics.histograms.get(name) {
-                for (slot, add) in out.buckets.iter_mut().zip(h.buckets.iter()) {
-                    *slot += add;
-                }
-                if h.count > 0 {
-                    if out.count == 0 || h.min_ns < out.min_ns {
-                        out.min_ns = h.min_ns;
-                    }
-                    if h.max_ns > out.max_ns {
-                        out.max_ns = h.max_ns;
-                    }
-                    out.count += h.count;
-                    out.sum_ns += h.sum_ns;
-                }
+                out.merge(h);
             }
         }
         out
@@ -870,15 +813,6 @@ fn write_metrics(s: &mut String, m: &NodeMetrics) {
         first = false;
         let _ = write!(s, "\"{k}\": {v}");
     }
-    s.push_str("}, \"gauges\": {");
-    first = true;
-    for (k, v) in &m.gauges {
-        if !first {
-            s.push_str(", ");
-        }
-        first = false;
-        let _ = write!(s, "\"{k}\": {v}");
-    }
     s.push_str("}, \"histograms\": {");
     first = true;
     for (k, h) in &m.histograms {
@@ -934,7 +868,6 @@ mod tests {
     fn on() -> Telemetry {
         let cfg = ProtocolConfig {
             telemetry: true,
-            telemetry_capacity: 4,
             ..ProtocolConfig::default()
         };
         Telemetry::from_cfg(&cfg)
@@ -942,8 +875,8 @@ mod tests {
 
     #[test]
     fn disabled_telemetry_records_nothing_and_dumps_none() {
-        let mut t = Telemetry::off();
-        t.token_pass(SimTime::ZERO, Epoch(1), 3, GlobalSeq(9));
+        let mut t = Telemetry::from_cfg(&ProtocolConfig::default());
+        t.token_pass(SimTime::ZERO);
         t.count(metric::NACKS_SENT);
         assert!(t.dump().is_none());
     }
@@ -951,7 +884,7 @@ mod tests {
     #[test]
     fn flight_recorder_is_bounded_but_seq_keeps_counting() {
         let mut t = on();
-        for i in 0..10u64 {
+        for i in 0..(RECORDER_DEPTH + 6) as u64 {
             t.trace(
                 SimTime::from_nanos(i),
                 TraceRecord::RegenRound {
@@ -961,16 +894,19 @@ mod tests {
             );
         }
         let dump = t.dump().expect("enabled telemetry dumps");
-        assert_eq!(dump.records.len(), 4);
+        assert_eq!(dump.records.len(), RECORDER_DEPTH);
         assert_eq!(dump.records[0].seq, 6);
-        assert_eq!(dump.records[3].seq, 9);
+        assert_eq!(
+            dump.records[RECORDER_DEPTH - 1].seq,
+            (RECORDER_DEPTH + 5) as u64
+        );
     }
 
     #[test]
     fn token_pass_observes_rotation_latency_between_receipts() {
         let mut t = on();
-        t.token_pass(SimTime::from_nanos(1_000), Epoch(0), 0, GlobalSeq(0));
-        t.token_pass(SimTime::from_nanos(61_000), Epoch(0), 1, GlobalSeq(5));
+        t.token_pass(SimTime::from_nanos(1_000));
+        t.token_pass(SimTime::from_nanos(61_000));
         let dump = t.dump().expect("enabled");
         let h = &dump.metrics.histograms[metric::TOKEN_ROTATION_NS];
         assert_eq!(h.count, 1);
@@ -1050,7 +986,9 @@ mod tests {
     #[test]
     fn node_dump_merge_keeps_single_dump_untouched_and_sums_multi() {
         let mut a = on();
-        a.token_pass(SimTime::from_nanos(1_000), Epoch(3), 1, GlobalSeq(4));
+        a.token_pass(SimTime::from_nanos(1_000));
+        a.token_pass(SimTime::from_nanos(3_000));
+        a.partition_fenced(SimTime::from_nanos(1_000), Epoch(3), 2);
         let da = a.dump().expect("enabled");
         assert_eq!(
             NodeDump::merge(vec![da.clone()]),
@@ -1059,12 +997,18 @@ mod tests {
         );
 
         let mut b = on();
-        b.token_pass(SimTime::from_nanos(500), Epoch(1), 0, GlobalSeq(0));
-        b.token_pass(SimTime::from_nanos(1_500), Epoch(1), 1, GlobalSeq(2));
+        b.token_pass(SimTime::from_nanos(500));
+        b.token_pass(SimTime::from_nanos(1_500));
+        b.partition_fenced(SimTime::from_nanos(500), Epoch(1), 2);
+        b.partition_fenced(SimTime::from_nanos(1_500), Epoch(1), 2);
         let merged = NodeDump::merge(vec![da, b.dump().expect("enabled")]).expect("non-empty");
-        assert_eq!(merged.metrics.counter(metric::TOKEN_PASSES), 3);
-        // Gauges keep the high-water mark (epoch 3 beats epoch 1).
-        assert_eq!(merged.metrics.gauges[metric::EPOCH], 3);
+        assert_eq!(merged.metrics.counter(metric::TOKEN_PASSES), 4);
+        // Histograms fold: a 2µs rotation at one group, 1µs at the other.
+        let h = &merged.metrics.histograms[metric::TOKEN_ROTATION_NS];
+        assert_eq!(
+            (h.count, h.sum_ns, h.min_ns, h.max_ns),
+            (2, 3_000, 1_000, 2_000)
+        );
         // Records interleave by time and renumber contiguously.
         let times: Vec<u64> = merged.records.iter().map(|e| e.at.as_nanos()).collect();
         assert_eq!(times, vec![500, 1_000, 1_500]);
@@ -1077,7 +1021,7 @@ mod tests {
     fn json_dump_is_deterministic_and_balanced() {
         let mut bank = TelemetryBank::default();
         let mut t = on();
-        t.token_pass(SimTime::from_nanos(1_000), Epoch(2), 7, GlobalSeq(40));
+        t.token_pass(SimTime::from_nanos(1_000));
         t.partition_fenced(SimTime::from_nanos(2_000), Epoch(2), 3);
         bank.nodes.insert(NodeId(10), t.dump().expect("enabled"));
         let report = TelemetryReport::new(bank.clone(), BTreeMap::new());

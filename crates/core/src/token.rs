@@ -16,7 +16,7 @@
 //! assignment, by which point every ring node has had both the new- and
 //! old-token chance to consume it.
 //!
-//! The retention is a constant, [`WTSNP_RETAIN_ROTATIONS`]: A1 measured no
+//! The retention is a constant, `WTSNP_RETAIN_ROTATIONS`: A1 measured no
 //! difference between retaining one rotation and two, on the loss-free
 //! ring or on the 5 %-loss ring. A node copies an entry the moment a
 //! snapshot covering it is installed, so the window matters only to a
@@ -27,7 +27,7 @@ use crate::ids::{Epoch, GlobalSeq, GroupId, LocalRange, NodeId};
 
 /// One WTSNP entry: a `(local range → global range)` assignment.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SeqNoPair {
+pub(crate) struct SeqNoPair {
     /// `SourceNode`: which source the messages come from.
     pub source: NodeId,
     /// `MinLocalSeqNo ..= MaxLocalSeqNo`.
@@ -43,15 +43,8 @@ pub struct SeqNoPair {
 
 impl SeqNoPair {
     /// `MaxGlobalSeqNo` of this assignment.
-    pub fn max_gs(&self) -> GlobalSeq {
+    pub(crate) fn max_gs(&self) -> GlobalSeq {
         self.min_gs.advance(self.local.len() - 1)
-    }
-
-    /// Global number of one covered local sequence number, if in range.
-    pub fn global_for(&self, ls: crate::ids::LocalSeq) -> Option<GlobalSeq> {
-        self.local
-            .contains(ls)
-            .then(|| self.min_gs.advance(ls.since(self.local.min)))
     }
 }
 
@@ -71,11 +64,11 @@ pub struct OrderingToken {
     /// Completed rotations past the ring leader.
     pub rotation: u64,
     /// `WTSNP` — recent assignments, newest last.
-    pub wtsnp: Vec<SeqNoPair>,
+    pub(crate) wtsnp: Vec<SeqNoPair>,
 }
 
 /// How many rotations a WTSNP entry is retained after assignment.
-pub const WTSNP_RETAIN_ROTATIONS: u64 = 2;
+pub(crate) const WTSNP_RETAIN_ROTATIONS: u64 = 2;
 
 impl OrderingToken {
     /// Create the group's initial token at `origin`.
@@ -138,7 +131,7 @@ impl OrderingToken {
     }
 
     /// Note a pass over the ring leader (one full rotation) and prune WTSNP
-    /// entries older than [`WTSNP_RETAIN_ROTATIONS`]. Returns pruned count.
+    /// entries older than `WTSNP_RETAIN_ROTATIONS`. Returns pruned count.
     pub fn complete_rotation(&mut self) -> usize {
         self.rotation += 1;
         let cutoff = self.rotation.saturating_sub(WTSNP_RETAIN_ROTATIONS);
@@ -154,13 +147,13 @@ impl OrderingToken {
     }
 
     /// Identity of this token pass, in the form the epoch fence orders
-    /// ([`crate::ring_epoch::PassId`]): `(epoch, origin id, rotation)`.
+    /// (`crate::ring_epoch::PassId`): `(epoch, origin id, rotation)`.
     pub fn pass_id(&self) -> crate::ring_epoch::PassId {
         (self.epoch, self.origin.0, self.rotation)
     }
 
     /// Entries currently in the table.
-    pub fn entries(&self) -> &[SeqNoPair] {
+    pub(crate) fn entries(&self) -> &[SeqNoPair] {
         &self.wtsnp
     }
 }
@@ -192,21 +185,6 @@ mod tests {
         assert_eq!(t.next_gsn, GlobalSeq(6));
         assert_eq!(t.entries()[0].max_gs(), GlobalSeq(3));
         assert_eq!(t.entries()[1].max_gs(), GlobalSeq(5));
-    }
-
-    #[test]
-    fn global_for_maps_within_range() {
-        let mut t = token();
-        t.assign(
-            NodeId(0),
-            NodeId(0),
-            LocalRange::new(LocalSeq(5), LocalSeq(8)),
-        );
-        let e = t.entries()[0];
-        assert_eq!(e.global_for(LocalSeq(5)), Some(GlobalSeq(1)));
-        assert_eq!(e.global_for(LocalSeq(8)), Some(GlobalSeq(4)));
-        assert_eq!(e.global_for(LocalSeq(9)), None);
-        assert_eq!(e.global_for(LocalSeq(4)), None);
     }
 
     #[test]

@@ -169,7 +169,7 @@ impl WorkingQueue {
     /// crash-restart, where a ring-rejoined node picks every stream up
     /// mid-flight — pre-crash history is unrecoverable and chasing it would
     /// only burn the NACK budget (or overflow the per-source capacity).
-    pub fn mark_resync(&mut self) {
+    pub(crate) fn mark_resync(&mut self) {
         self.resync_streams = true;
     }
 
@@ -187,7 +187,7 @@ impl WorkingQueue {
     /// Offer a fence funnel-stream entry: keyed under the group's virtual
     /// funnel id at its channel sequence, but carrying its real identity
     /// `(source, local_seq)` for `MQ` records downstream.
-    pub fn insert_with_origin(
+    pub(crate) fn insert_with_origin(
         &mut self,
         corresponding: NodeId,
         ls: LocalSeq,
@@ -220,7 +220,7 @@ impl WorkingQueue {
 
     /// Payload plus overriding identity of a retained message (serves fence
     /// funnel-stream retransmissions, which must rebuild the full entry).
-    pub fn get_entry(
+    pub(crate) fn get_entry(
         &self,
         corresponding: NodeId,
         ls: LocalSeq,
@@ -260,7 +260,7 @@ impl WorkingQueue {
     /// so no later arrival can fall under it. False means at least one
     /// message of the range has not reached this node yet — the caller must
     /// come back when it does.
-    pub fn take_orderable_with(
+    pub(crate) fn take_orderable_with(
         &mut self,
         corresponding: NodeId,
         source: NodeId,

@@ -5,8 +5,8 @@
 //! `BinaryHeap` pays `O(log n)` sift cost on a structure dominated by
 //! short-delay entries. This queue splits the future in two:
 //!
-//! * **near** — a ring of [`NUM_BUCKETS`] calendar buckets, each
-//!   [`BUCKET_NS`] nanoseconds wide (~134 ms of horizon). An entry lands in
+//! * **near** — a ring of `NUM_BUCKETS` calendar buckets, each
+//!   2^`BUCKET_BITS` nanoseconds wide (~134 ms of horizon). An entry lands in
 //!   its time bucket in `O(1)` (a plain `Vec` push); when the cursor
 //!   reaches a bucket it is sorted **once** (descending, so draining pops
 //!   from the back) and drained in order — the *sorted-ring drain*. The
@@ -40,11 +40,9 @@ use crate::time::SimTime;
 /// Width of one near bucket: 2^19 ns ≈ 0.52 ms — below the smallest
 /// protocol timer, a fraction of typical link latencies.
 const BUCKET_BITS: u32 = 19;
-/// Nanoseconds per near bucket.
-pub const BUCKET_NS: u64 = 1 << BUCKET_BITS;
 /// Buckets on the near ring: 256 × 0.52 ms ≈ 134 ms of horizon, beyond
 /// every periodic protocol timer in this workspace.
-pub const NUM_BUCKETS: usize = 256;
+pub(crate) const NUM_BUCKETS: usize = 256;
 
 #[inline]
 fn bucket_of(t: SimTime) -> u64 {
@@ -275,7 +273,7 @@ impl<E> EventQueue<E> {
     }
 
     /// Time of the earliest live entry without removing it.
-    pub fn peek_time(&mut self) -> Option<SimTime> {
+    pub(crate) fn peek_time(&mut self) -> Option<SimTime> {
         loop {
             if self.near_keys == 0 && !self.refill_near() {
                 return None;

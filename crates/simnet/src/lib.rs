@@ -57,7 +57,7 @@ pub use link::{BandwidthModel, LatencyModel, LinkProfile, LossModel};
 pub use par::run_replicas;
 pub use rng::SimRng;
 pub use shard::{NetView, ShardedSim};
-pub use sim::{Actor, Ctx, Journal, NetOps, Sim, SimStats, TimerHandle, World};
+pub use sim::{Actor, Ctx, Journal, NetOps, Sim, SimStats, World};
 pub use stats::Histogram;
 pub use time::{SimDuration, SimTime};
 pub use topo::{NodeAddr, Topology};

@@ -117,7 +117,7 @@ impl LossModel {
 
 /// Mutable per-link loss state (Gilbert–Elliott channel memory).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ChannelState {
+pub(crate) enum ChannelState {
     /// Low-loss state.
     #[default]
     Good,
@@ -243,7 +243,7 @@ impl LinkState {
     /// Bring the link administratively down (every packet drops) or back
     /// up. State other than the up/down flag is untouched, so a healed
     /// link resumes with its channel memory and transmit horizon intact.
-    pub fn set_up(&mut self, up: bool) {
+    pub(crate) fn set_up(&mut self, up: bool) {
         self.up = up;
     }
 

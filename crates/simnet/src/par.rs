@@ -52,7 +52,7 @@ where
 }
 
 /// Resolve a thread-count request: `0` means "use available parallelism".
-pub fn effective_threads(requested: usize, jobs: usize) -> usize {
+pub(crate) fn effective_threads(requested: usize, jobs: usize) -> usize {
     let hw = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1);

@@ -250,13 +250,8 @@ impl<M, R> ShardedSim<M, R> {
         NodeAddr(idx as u32)
     }
 
-    /// Number of actors added so far.
-    pub fn node_count(&self) -> usize {
-        self.n_nodes
-    }
-
     /// Install a directed link `src → dst`; it lives in `src`'s shard.
-    pub fn connect(&mut self, src: NodeAddr, dst: NodeAddr, profile: LinkProfile) {
+    pub(crate) fn connect(&mut self, src: NodeAddr, dst: NodeAddr, profile: LinkProfile) {
         let owner = self.shard_of.get(src.index()).copied().unwrap_or(0) as usize;
         self.cells[owner]
             .as_mut()

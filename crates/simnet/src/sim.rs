@@ -10,7 +10,7 @@
 //! stochastic draws from the single per-simulation [`SimRng`]; ties in the
 //! event queue resolve by insertion order.
 
-use crate::event::{EventHandle, EventQueue};
+use crate::event::EventQueue;
 use crate::link::{LinkProfile, TxOutcome};
 use crate::rng::SimRng;
 use crate::slab::Slab;
@@ -36,10 +36,6 @@ pub trait Actor<M, R> {
     /// to [`Ctx::set_timer`].
     fn on_timer(&mut self, ctx: &mut Ctx<'_, M, R>, tag: u64);
 }
-
-/// Handle to a pending timer.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct TimerHandle(EventHandle);
 
 /// Aggregate transport counters for one run.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -74,7 +70,7 @@ pub struct Journal<R> {
 }
 
 /// A streaming journal observer (see [`Journal::set_sink`]).
-pub type JournalSink<R> = Box<dyn FnMut(SimTime, &R) + Send>;
+pub(crate) type JournalSink<R> = Box<dyn FnMut(SimTime, &R) + Send>;
 
 impl<R> Journal<R> {
     pub(crate) fn new(retain: bool) -> Self {
@@ -138,7 +134,7 @@ impl<R> Journal<R> {
     }
 
     /// Consume the journal, yielding its records.
-    pub fn into_records(self) -> Vec<(SimTime, R)> {
+    pub(crate) fn into_records(self) -> Vec<(SimTime, R)> {
         self.records
     }
 }
@@ -461,16 +457,9 @@ impl<M, R> World<M, R> {
     }
 
     /// Set a timer for `node` firing after `delay` with the given tag.
-    pub fn set_timer(&mut self, node: NodeAddr, delay: SimDuration, tag: u64) -> TimerHandle {
-        TimerHandle(
-            self.queue
-                .schedule(self.now + delay, Ev::Timer { node, tag }),
-        )
-    }
-
-    /// Cancel a pending timer. Returns `true` if it had not fired yet.
-    pub fn cancel_timer(&mut self, handle: TimerHandle) -> bool {
-        self.queue.cancel(handle.0)
+    pub fn set_timer(&mut self, node: NodeAddr, delay: SimDuration, tag: u64) {
+        self.queue
+            .schedule(self.now + delay, Ev::Timer { node, tag });
     }
 
     /// Transmit one `msg` from `src` to every destination in `dsts`,
@@ -733,14 +722,8 @@ impl<'a, M, R> Ctx<'a, M, R> {
 
     /// Set a timer on this node.
     #[inline]
-    pub fn set_timer(&mut self, delay: SimDuration, tag: u64) -> TimerHandle {
-        self.world.set_timer(self.me, delay, tag)
-    }
-
-    /// Cancel a pending timer.
-    #[inline]
-    pub fn cancel_timer(&mut self, handle: TimerHandle) -> bool {
-        self.world.cancel_timer(handle)
+    pub fn set_timer(&mut self, delay: SimDuration, tag: u64) {
+        self.world.set_timer(self.me, delay, tag);
     }
 
     /// Append a journal record at the current time.
@@ -796,11 +779,6 @@ impl<M, R> Sim<M, R> {
         let addr = NodeAddr(self.actors.len() as u32);
         self.actors.push(Some(actor));
         addr
-    }
-
-    /// Number of actors.
-    pub fn node_count(&self) -> usize {
-        self.actors.len()
     }
 
     /// Access the world (topology, journal, stats, scheduling).
@@ -1007,8 +985,7 @@ mod tests {
             fn on_start(&mut self, ctx: &mut Ctx<'_, (), u64>) {
                 ctx.set_timer(SimDuration::from_millis(30), 3);
                 ctx.set_timer(SimDuration::from_millis(10), 1);
-                let h = ctx.set_timer(SimDuration::from_millis(20), 2);
-                ctx.cancel_timer(h);
+                ctx.set_timer(SimDuration::from_millis(20), 2);
             }
             fn on_packet(&mut self, _: &mut Ctx<'_, (), u64>, _: NodeAddr, _: ()) {}
             fn on_timer(&mut self, ctx: &mut Ctx<'_, (), u64>, tag: u64) {
@@ -1022,9 +999,9 @@ mod tests {
         let (records, stats) = sim.finish();
         assert_eq!(
             records.iter().map(|(_, t)| *t).collect::<Vec<_>>(),
-            vec![1, 3]
+            vec![1, 2, 3]
         );
-        assert_eq!(stats.timers_fired, 2);
+        assert_eq!(stats.timers_fired, 3);
     }
 
     #[test]

@@ -50,7 +50,7 @@ impl Topology {
     }
 
     /// Install (or replace) the directed link `src → dst`.
-    pub fn connect(&mut self, src: NodeAddr, dst: NodeAddr, profile: LinkProfile) {
+    pub(crate) fn connect(&mut self, src: NodeAddr, dst: NodeAddr, profile: LinkProfile) {
         let i = src.index();
         if i >= self.out.len() {
             self.out.resize_with(i + 1, Vec::new);
@@ -69,7 +69,7 @@ impl Topology {
     }
 
     /// Remove the directed link `src → dst`. Returns `true` if it existed.
-    pub fn disconnect(&mut self, src: NodeAddr, dst: NodeAddr) -> bool {
+    pub(crate) fn disconnect(&mut self, src: NodeAddr, dst: NodeAddr) -> bool {
         let Some(row) = self.out.get_mut(src.index()) else {
             return false;
         };
@@ -116,7 +116,7 @@ impl Topology {
 
     /// Mutable access to a directed link's runtime state.
     #[inline]
-    pub fn link_mut(&mut self, src: NodeAddr, dst: NodeAddr) -> Option<&mut LinkState> {
+    pub(crate) fn link_mut(&mut self, src: NodeAddr, dst: NodeAddr) -> Option<&mut LinkState> {
         let row = self.out.get_mut(src.index())?;
         match row.binary_search_by_key(&dst, |&(d, _)| d) {
             Ok(p) => Some(&mut row[p].1),
