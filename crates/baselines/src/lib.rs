@@ -71,8 +71,6 @@ mod world;
 
 pub use flat_ring::FlatRingSim;
 pub use relm::RelmSim;
-pub use tree::{
-    remote_subscription_spec, ringnet_smooth_spec, tree_churn, wired_control_messages, TreeSim,
-};
+pub use tree::TreeSim;
 pub use tunnel::TunnelSim;
 pub use unordered::UnorderedSim;

@@ -1,8 +1,8 @@
 //! What the three baselines that speak their own message type (tunnel,
 //! RelM, unordered) share: the [`World`] skeleton every one of them is — a
-//! simulator, the addresses that answer the teardown probe, the wired
-//! core and the scenario's [`Reporting`] — and the [`Star`] assembly of
-//! the two single-ingest ones.
+//! simulator, the addresses that answer the teardown probe and the
+//! scenario's [`Reporting`] over the wired core — and the [`Star`]
+//! assembly of the two single-ingest ones.
 
 use std::collections::BTreeSet;
 use std::sync::Arc;
@@ -25,14 +25,12 @@ pub(crate) struct World<M> {
     /// The teardown probe and every address that answers it (all but the
     /// sources), ascending.
     flush: (M, Vec<NodeAddr>),
-    /// Wired-core entity ids, for run-report comparisons.
-    core: BTreeSet<NodeId>,
     reporting: Reporting,
 }
 
 impl<M: Clone + 'static> World<M> {
     /// Wrap an assembled simulator, setting its journal up per the
-    /// scenario's retention mode.
+    /// scenario's retention mode; `core` is its wired-core entity ids.
     pub fn new(
         mut sim: Sim<M, ProtoEvent>,
         flush: (M, Vec<NodeAddr>),
@@ -40,11 +38,10 @@ impl<M: Clone + 'static> World<M> {
         scenario: &Scenario,
     ) -> Self {
         let journal = &mut sim.world().journal;
-        let reporting = Reporting::install_journal(journal, scenario, core.clone());
+        let reporting = Reporting::install_journal(journal, scenario, core);
         World {
             sim,
             flush,
-            core,
             reporting,
         }
     }
@@ -68,7 +65,7 @@ impl<M: Clone + 'static> World<M> {
         let t = self.sim.now() + SimDuration::from_nanos(1);
         self.sim.run_until(t);
         let (journal, stats) = self.sim.finish();
-        self.reporting.finish(journal, stats, &self.core)
+        self.reporting.finish(journal, stats)
     }
 }
 

@@ -357,10 +357,10 @@ pub struct Scenario {
     pub duration: SimTime,
     /// Whether the run retains the full protocol-event journal in
     /// [`RunReport::journal`] (default `true` — tests and diagnostics read
-    /// it). Disable for large runs (the benchmark, E1, E8, T1): metrics
-    /// then stream through a [`metrics::MetricsAccumulator`] fed online
-    /// from the journal sink, the journal `Vec` is never materialized, and
-    /// `RunReport::journal` comes back empty.
+    /// it). Disable for large runs (the benchmark, E1, E8, T1): the journal
+    /// `Vec` is then never materialized and `RunReport::journal` comes back
+    /// empty. Metrics stream through the journal sink either way (see
+    /// [`Reporting`]).
     pub retain_journal: bool,
     /// Event-queue shards for backends that support intra-world parallel
     /// execution (currently the ringnet backend; others ignore it). `1` =
@@ -1068,50 +1068,27 @@ pub struct RunReport {
     pub telemetry: Option<crate::telemetry::TelemetryReport>,
 }
 
-impl RunReport {
-    /// Assemble a report from a finished run. `wired_core` names the
-    /// backend's interior (wired) entities so per-core load metrics can be
-    /// compared across protocols; the last-hop attachment tier is excluded
-    /// by convention (its per-member wireless cost is identical in every
-    /// scheme).
-    pub fn new(
-        journal: Vec<(SimTime, ProtoEvent)>,
-        stats: SimStats,
-        wired_core: &BTreeSet<NodeId>,
-    ) -> Self {
-        let mut acc = metrics::MetricsAccumulator::new(wired_core.clone());
-        acc.observe_journal(&journal); // the one and only pass
-        RunReport {
-            journal,
-            stats,
-            metrics: acc.finish(),
-            telemetry: None,
-        }
-    }
-}
-
 // ------------------------------------------------------------- reporting
 
-/// How a backend's run turns into a [`RunReport`], honouring the
-/// scenario's [`Scenario::retain_journal`] flag. Every [`MulticastSim`]
-/// backend calls [`Reporting::install_journal`] right after constructing its
-/// simulator and [`Reporting::finish`] at teardown:
-///
-/// * retention **on** (default): the journal storage is pre-sized from the
-///   scenario's workload and kept; metrics are computed in one batch pass
-///   at teardown.
-/// * retention **off**: a [`metrics::MetricsAccumulator`] is attached to
-///   the simulator's journal sink and fed online; the journal `Vec` is
-///   never materialized and the report's journal is empty.
-#[derive(Debug, Default)]
+/// How a backend's run turns into a [`RunReport`]. Every [`MulticastSim`]
+/// backend calls [`Reporting::install_journal`] right after constructing
+/// its simulator and [`Reporting::finish`] at teardown. A
+/// [`metrics::MetricsAccumulator`] is attached to the simulator's journal
+/// sink and fed online; the scenario's [`Scenario::retain_journal`] flag
+/// only decides whether the journal `Vec` is kept as well (pre-sized from
+/// the scenario's workload) or never materialized (the report's journal is
+/// then empty).
+#[derive(Debug)]
 pub struct Reporting {
-    online: Option<Arc<Mutex<metrics::MetricsAccumulator>>>,
+    acc: Arc<Mutex<metrics::MetricsAccumulator>>,
 }
 
 impl Reporting {
     /// Configure journalling on `journal` per the scenario (see the type
-    /// docs). `wired_core` names the backend's interior entities — the
-    /// same set the backend passes to [`Reporting::finish`].
+    /// docs). `wired_core` names the backend's interior (wired) entities,
+    /// so per-core load metrics compare across protocols; the last-hop
+    /// attachment tier is excluded by convention (its per-member wireless
+    /// cost is identical in every scheme).
     pub fn install_journal(
         journal: &mut simnet::Journal<ProtoEvent>,
         scenario: &Scenario,
@@ -1119,43 +1096,31 @@ impl Reporting {
     ) -> Reporting {
         if scenario.retain_journal {
             journal.reserve(scenario.journal_capacity_hint());
-            Reporting { online: None }
         } else {
             journal.set_retention(false);
-            let acc = Arc::new(Mutex::new(metrics::MetricsAccumulator::new(wired_core)));
-            let sink = Arc::clone(&acc);
-            journal.set_sink(move |t, e| {
-                sink.lock().expect("metrics sink poisoned").observe(t, e);
-            });
-            Reporting { online: Some(acc) }
         }
+        let acc = Arc::new(Mutex::new(metrics::MetricsAccumulator::new(wired_core)));
+        let sink = Arc::clone(&acc);
+        journal.set_sink(move |t, e| {
+            sink.lock().expect("metrics sink poisoned").observe(t, e);
+        });
+        Reporting { acc }
     }
 
-    /// Assemble the report from a finished run. In online mode the metrics
-    /// come from the streamed accumulator (and `journal` is the empty
-    /// `Vec` the disabled journal returned); in batch mode they are
-    /// computed here in one pass.
-    pub fn finish(
-        self,
-        journal: Vec<(SimTime, ProtoEvent)>,
-        stats: SimStats,
-        wired_core: &BTreeSet<NodeId>,
-    ) -> RunReport {
-        match self.online {
-            Some(acc) => {
-                // The simulator (and with it the sink closure) is already
-                // dropped, so this is the last reference.
-                let acc = Arc::try_unwrap(acc)
-                    .map(|m| m.into_inner().expect("metrics sink poisoned"))
-                    .unwrap_or_else(|arc| arc.lock().expect("metrics sink poisoned").clone());
-                RunReport {
-                    journal,
-                    stats,
-                    metrics: acc.finish(),
-                    telemetry: None,
-                }
-            }
-            None => RunReport::new(journal, stats, wired_core),
+    /// Assemble the report from a finished run: the metrics the sink
+    /// streamed, and `journal` as the simulator returned it (empty with
+    /// retention off).
+    pub fn finish(self, journal: Vec<(SimTime, ProtoEvent)>, stats: SimStats) -> RunReport {
+        // The simulator (and with it the sink closure) is already dropped,
+        // so this is the last reference.
+        let acc = Arc::try_unwrap(self.acc)
+            .map(|m| m.into_inner().expect("metrics sink poisoned"))
+            .unwrap_or_else(|arc| arc.lock().expect("metrics sink poisoned").clone());
+        RunReport {
+            journal,
+            stats,
+            metrics: acc.finish(),
+            telemetry: None,
         }
     }
 }
@@ -1456,7 +1421,8 @@ impl RingNetSim {
     ) -> Self {
         let mut sim = RingNetSim::build_sharded(spec, seed, shards, 0);
         let core = hierarchy_core(&sim.spec);
-        sim.reporting = Reporting::install_journal(sim.journal_mut(), scenario, core);
+        let reporting = Reporting::install_journal(sim.journal_mut(), scenario, core);
+        sim.reporting = Some(reporting);
         sim
     }
 }
@@ -1528,12 +1494,14 @@ impl MulticastSim for RingNetSim {
     }
 
     fn finish(mut self) -> RunReport {
-        let core = hierarchy_core(&self.spec);
-        let reporting = std::mem::take(&mut self.reporting);
+        let reporting = self
+            .reporting
+            .take()
+            .expect("built by RingNetSim::for_scenario");
         let bank = self.telemetry_bank.take();
         let shard_of = std::mem::take(&mut self.telemetry_shards);
         let (journal, stats) = RingNetSim::finish(self);
-        let mut report = reporting.finish(journal, stats, &core);
+        let mut report = reporting.finish(journal, stats);
         if let Some(bank) = bank {
             // The actors (and with them the `Arc` clones) died with the
             // simulator; unwrap without cloning when we hold the last ref.
@@ -1986,6 +1954,48 @@ mod tests {
             .max()
             .unwrap();
         assert!(last_ordered > SimTime::from_secs(7));
+    }
+
+    #[test]
+    fn every_restart_of_a_member_rejoins_through_a_grant() {
+        // The rejoin-request budget belongs to one incarnation. A member
+        // restarted more often than its budget must still be spliced back
+        // in by a granter each time: a solo splice seeds no epoch fence
+        // from the granter's pass, which is how a second live token forks.
+        let budget = 2 * (crate::config::HEARTBEAT_MISSES as u64 + 2);
+        let restarts = budget + 1;
+        let mut sc = small();
+        sc.sources = 1; // core = BRs 0,1 (a 2-member top ring) + AGs
+        sc.limit = None;
+        sc.duration = SimTime::from_millis(1_000 + 600 * restarts + 1_000);
+        // Down for 400 ms (past detection, so the granter has excised it),
+        // up for 200 ms (past the grant).
+        sc.events = (0..restarts)
+            .flat_map(|k| {
+                let at = 1_000 + 600 * k;
+                [
+                    ScenarioEvent::KillCore {
+                        at: SimTime::from_millis(at),
+                        index: 1,
+                    },
+                    ScenarioEvent::RingRejoin {
+                        at: SimTime::from_millis(at + 400),
+                        index: 1,
+                    },
+                ]
+            })
+            .collect();
+        let report = RingNetSim::run_scenario(&sc, 41);
+        assert_eq!(report.metrics.order_violations, 0);
+        let member = spec_core_order(&ringnet_spec(&sc))[1];
+        let rejoins = report
+            .journal
+            .iter()
+            .filter(
+                |(_, e)| matches!(e, ProtoEvent::RingRejoined { member: m, .. } if *m == member),
+            )
+            .count() as u64;
+        assert_eq!(rejoins, restarts, "one granted splice per restart");
     }
 
     #[test]

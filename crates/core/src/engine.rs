@@ -901,9 +901,10 @@ pub struct RingNetSim {
     pub addrs: Arc<AddrMap>,
     /// The spec this simulation was built from.
     pub spec: HierarchySpec,
-    /// Report assembly mode: batch unless the scenario constructor
-    /// ([`RingNetSim::for_scenario`]) installed the streaming accumulator.
-    pub(crate) reporting: crate::driver::Reporting,
+    /// Report assembly, installed by the scenario constructor
+    /// ([`RingNetSim::for_scenario`]) that [`crate::driver::MulticastSim`]
+    /// builds through.
+    pub(crate) reporting: Option<crate::driver::Reporting>,
     /// Telemetry harvest sink shared with every `NeActor`; `Some` only
     /// when `spec.cfg.telemetry` is on. Filled during [`Self::finish`]'s
     /// `FlushStats` sweep; the driver drains it into the report.
@@ -966,7 +967,7 @@ impl RingNetSim {
             net,
             addrs,
             spec,
-            reporting: crate::driver::Reporting::default(),
+            reporting: None,
             telemetry_bank: bank,
             telemetry_shards,
         }

@@ -76,12 +76,11 @@ type FxMap<K, V> = std::collections::HashMap<K, V, BuildHasherDefault<FxHasher>>
 /// Computes every [`RunMetrics`] field in a single pass over the protocol
 /// events, in any feeding mode:
 ///
-/// * **batch** — [`MetricsAccumulator::observe_journal`] over a finished
-///   journal slice (what [`RunReport::new`](crate::driver::RunReport::new)
-///   does);
 /// * **online** — [`MetricsAccumulator::observe`] from the simnet journal
-///   sink as records are emitted, with journal retention off (see
-///   [`Reporting`](crate::driver::Reporting)).
+///   sink as records are emitted, whether or not the journal is retained
+///   (what every backend's [`Reporting`](crate::driver::Reporting) does);
+/// * **batch** — [`MetricsAccumulator::observe_journal`] over a finished
+///   journal slice.
 ///
 /// Feeding the same events in the same order produces identical
 /// [`RunMetrics`] either way; `tests/metrics_equivalence.rs` holds both

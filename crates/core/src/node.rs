@@ -7,6 +7,12 @@
 //! `children` hold the tree view, and APs additionally track their attached
 //! MHs in [`ApMhState`].
 //!
+//! One private constructor fills every field from an entity's static
+//! inputs; the public `new_*` constructors are thin calls to it. A
+//! crash-restart ([`NeState::restart`]) is the same fresh construction
+//! plus a short list of named survivors (statistics, telemetry, the hop
+//! and rejoin rotation phases, the cross-group fence wiring).
+//!
 //! The algorithm implementations live in sibling modules, all as `impl
 //! NeState` blocks: `ordering` (Message-Ordering + Order-Assignment),
 //! `forwarding` (Message-Forwarding), `delivering` (Message-Delivering and
@@ -152,17 +158,19 @@ impl RingState {
         self.lifecycle.in_ring()
     }
 
-    /// Reset this ring view after a crash-restart of the owner: peers are
-    /// assumed in-ring until proven otherwise (normal liveness probing
-    /// re-excises the dead), and the owner itself enters the rejoin path
-    /// (`Excised → Rejoining` — its crash was its excision).
-    pub(crate) fn reset_for_rejoin(&mut self, me: NodeId) {
-        self.lifecycle = RingLifecycle::new(self.order.iter().copied());
-        self.lifecycle.apply(me, LifecycleEvent::Excise);
-        self.lifecycle.apply(me, LifecycleEvent::RejoinStart);
-        self.hb_outstanding = 0;
-        self.hb_by_token = None;
-        self.next_acked_mq = GlobalSeq::ZERO;
+    /// Splice a rejoined peer back into `me`'s cycle view. True on a real
+    /// splice, which restarts the probe count and, when the peer is `me`'s
+    /// new next, its ACK progress (pinning GC until its first post-rejoin
+    /// cumulative ACK).
+    pub(crate) fn readmit(&mut self, me: NodeId, member: NodeId) -> bool {
+        let t = self.lifecycle.apply(member, LifecycleEvent::RejoinComplete);
+        if t.changed() {
+            self.hb_outstanding = 0;
+            if self.next_of(me) == member {
+                self.next_acked_mq = GlobalSeq::ZERO;
+            }
+        }
+        t.changed()
     }
 }
 
@@ -353,9 +361,9 @@ pub struct NeState {
     /// Rotating index into the static ring order for [`Msg::RejoinRequest`]
     /// retries while this entity is itself rejoining.
     pub rejoin_target: usize,
-    /// Rejoin requests sent without a grant yet. Past a budget
-    /// proportional to the ring size, the rejoiner concludes nobody is
-    /// left to grant (every static peer dead or unreachable) and splices
+    /// Rejoin requests this incarnation sent without a grant yet. Past a
+    /// budget proportional to the ring size, the rejoiner concludes nobody
+    /// is left to grant (every static peer dead or unreachable) and splices
     /// itself in; normal liveness probing then re-excises the dead peers.
     pub rejoin_attempts: u32,
     /// Rotating index into the static ring order for the partition-heal
@@ -380,31 +388,33 @@ pub struct NeState {
 }
 
 impl NeState {
-    /// Create a border router. `ring` must contain `id`; `is_top` marks the
-    /// ordering ring.
-    pub fn new_br(
+    /// A factory-fresh entity, from its static inputs alone: the ring order
+    /// with its top flag (BRs, AGs), the candidate parents, and an AP's
+    /// `always_active` flag with its neighbours. The one statement of what
+    /// "empty" means, shared by creation and [`NeState::restart`].
+    fn fresh(
         group: GroupId,
         id: NodeId,
-        ring: Vec<NodeId>,
-        is_top: bool,
         cfg: ProtocolConfig,
+        ring: Option<(Vec<NodeId>, bool)>,
+        parent_candidates: Vec<NodeId>,
+        ap: Option<(bool, Vec<NodeId>)>,
     ) -> Self {
-        let ord = is_top.then(OrderingState::new);
-        let wq = is_top.then(|| WorkingQueue::new(WQ_CAPACITY));
+        let is_top = ring.as_ref().is_some_and(|&(_, top)| top);
         NeState {
             group,
             id,
-            ring: Some(RingState::new(ring, id, is_top)),
+            ring: ring.map(|(order, is_top)| RingState::new(order, id, is_top)),
             parent: None,
-            parent_candidates: Vec::new(),
+            parent_candidates,
             parent_hb_outstanding: 0,
             parent_heard: false,
             children: BTreeMap::new(),
             wt_children: WorkingTable::new(),
             mq: MessageQueue::new(cfg.mq_capacity),
-            wq,
-            ord,
-            ap: None,
+            wq: is_top.then(|| WorkingQueue::new(WQ_CAPACITY)),
+            ord: is_top.then(OrderingState::new),
+            ap: ap.map(|(always_active, neighbours)| ApMhState::new(always_active, neighbours)),
             pending_delta: 0,
             subtree_members: 0,
             hop_tick_count: 0,
@@ -424,6 +434,18 @@ impl NeState {
         }
     }
 
+    /// Create a border router. `ring` must contain `id`; `is_top` marks the
+    /// ordering ring.
+    pub fn new_br(
+        group: GroupId,
+        id: NodeId,
+        ring: Vec<NodeId>,
+        is_top: bool,
+        cfg: ProtocolConfig,
+    ) -> Self {
+        Self::fresh(group, id, cfg, Some((ring, is_top)), Vec::new(), None)
+    }
+
     /// Create an access gateway on a (non-top) ring with candidate parents.
     pub fn new_ag(
         group: GroupId,
@@ -432,37 +454,7 @@ impl NeState {
         parent_candidates: Vec<NodeId>,
         cfg: ProtocolConfig,
     ) -> Self {
-        NeState {
-            group,
-            id,
-            ring: Some(RingState::new(ring, id, false)),
-            parent: None,
-            parent_candidates,
-            parent_hb_outstanding: 0,
-            parent_heard: false,
-            children: BTreeMap::new(),
-            wt_children: WorkingTable::new(),
-            mq: MessageQueue::new(cfg.mq_capacity),
-            wq: None,
-            ord: None,
-            ap: None,
-            pending_delta: 0,
-            subtree_members: 0,
-            hop_tick_count: 0,
-            told: [None; 2],
-            counters: NeCounters::default(),
-            alive: true,
-            resync_on_graft: false,
-            resync_source: false,
-            pending_rejoins: Vec::new(),
-            rejoin_target: 0,
-            rejoin_attempts: 0,
-            merge_probe_target: 0,
-            graft_pending: false,
-            cross_fence: None,
-            telemetry: Telemetry::from_cfg(&cfg),
-            cfg,
-        }
+        Self::fresh(group, id, cfg, Some((ring, false)), parent_candidates, None)
     }
 
     /// Create a hybrid station for the flat-ring baseline: a member of a
@@ -475,9 +467,8 @@ impl NeState {
         ring: Vec<NodeId>,
         cfg: ProtocolConfig,
     ) -> Self {
-        let mut st = Self::new_br(group, id, ring, true, cfg);
-        st.ap = Some(ApMhState::new(true, Vec::new()));
-        st
+        let station = Some((true, Vec::new()));
+        Self::fresh(group, id, cfg, Some((ring, true)), Vec::new(), station)
     }
 
     /// Create an access proxy under candidate parent AGs.
@@ -489,37 +480,8 @@ impl NeState {
         neighbours: Vec<NodeId>,
         cfg: ProtocolConfig,
     ) -> Self {
-        NeState {
-            group,
-            id,
-            ring: None,
-            parent: None,
-            parent_candidates,
-            parent_hb_outstanding: 0,
-            parent_heard: false,
-            children: BTreeMap::new(),
-            wt_children: WorkingTable::new(),
-            mq: MessageQueue::new(cfg.mq_capacity),
-            wq: None,
-            ord: None,
-            ap: Some(ApMhState::new(always_active, neighbours)),
-            pending_delta: 0,
-            subtree_members: 0,
-            hop_tick_count: 0,
-            told: [None; 2],
-            counters: NeCounters::default(),
-            alive: true,
-            resync_on_graft: false,
-            resync_source: false,
-            pending_rejoins: Vec::new(),
-            rejoin_target: 0,
-            rejoin_attempts: 0,
-            merge_probe_target: 0,
-            graft_pending: false,
-            cross_fence: None,
-            telemetry: Telemetry::from_cfg(&cfg),
-            cfg,
-        }
+        let ap = Some((always_active, neighbours));
+        Self::fresh(group, id, cfg, None, parent_candidates, ap)
     }
 
     /// True when this entity sits on the top (ordering) logical ring.
@@ -552,15 +514,11 @@ impl NeState {
     /// uses its parent instead), parent for APs.
     pub fn upstream(&self) -> Option<NodeId> {
         match &self.ring {
-            Some(r) => {
-                if !r.is_top && r.leader() == self.id {
-                    self.parent
-                } else {
-                    let prev = r.prev_of(self.id);
-                    (prev != self.id).then_some(prev)
-                }
+            Some(r) if r.is_top || r.leader() != self.id => {
+                let prev = r.prev_of(self.id);
+                (prev != self.id).then_some(prev)
             }
-            None => self.parent,
+            _ => self.parent,
         }
     }
 
@@ -713,11 +671,12 @@ impl NeState {
         self.alive = false;
     }
 
-    /// Restart a crashed entity with factory-fresh protocol state
-    /// (scenario fault injection). Volatile state — `MQ`/`WQ`, ordering
-    /// state, child and MH tables, tree attachment — is lost; identity,
-    /// static configuration (the Remark-2 ring order and candidate
-    /// parents) and the cumulative statistics counters survive.
+    /// Restart a crashed entity (scenario fault injection): a fresh
+    /// construction from the same static inputs (identity, configuration,
+    /// the Remark-2 ring order, candidate parents, an AP's activation flag
+    /// and neighbours) plus the survivors named in the body, each with its
+    /// reason. `MQ`/`WQ`, ordering state, child and MH tables, tree
+    /// attachment and the rejoin budget all start over.
     ///
     /// * A restarted **AP** re-grafts on demand: immediately when
     ///   `always_active`, otherwise when an MH re-registers (solicited via
@@ -725,38 +684,40 @@ impl NeState {
     ///   knows). The first `GraftAck` fast-forwards the fresh `MQ` to the
     ///   parent's announced front.
     /// * A restarted **BR/AG** re-enters its repaired ring through the
-    ///   lifecycle layer: its own state becomes `Rejoining`
-    ///   (`RingState::reset_for_rejoin`) and it runs the
+    ///   lifecycle layer: peers count as in-ring until probing re-excises
+    ///   the dead, its own state becomes `Rejoining`, and it runs the
     ///   [`Msg::RejoinRequest`]/[`Msg::RejoinGrant`] handshake, retried on
     ///   the heartbeat tick against rotating static ring members until a
     ///   grant splices it back in at a token boundary (see
     ///   `NeState::on_rejoin_request`).
     pub fn restart(&mut self, now: SimTime, out: &mut Outbox) {
-        self.alive = true;
-        self.parent = None;
-        self.parent_hb_outstanding = 0;
-        self.parent_heard = false;
-        self.children.clear();
-        self.wt_children = WorkingTable::new();
-        self.mq = MessageQueue::new(self.cfg.mq_capacity);
-        self.pending_delta = 0;
-        self.subtree_members = 0;
-        self.resync_on_graft = true;
-        self.forget_told();
-        self.pending_rejoins.clear();
-        self.merge_probe_target = 0;
-        if let Some(ap) = self.ap.as_mut() {
-            *ap = ApMhState::new(ap.always_active, std::mem::take(&mut ap.neighbours));
-        }
-        if self.is_top_ring() {
-            let mut wq = WorkingQueue::new(WQ_CAPACITY);
+        let ring = self.ring.take().map(|r| (r.order, r.is_top));
+        let ap = self.ap.take().map(|a| (a.always_active, a.neighbours));
+        let parents = std::mem::take(&mut self.parent_candidates);
+        let fresh = Self::fresh(self.group, self.id, self.cfg.clone(), ring, parents, ap);
+        *self = NeState {
+            // Cumulative statistics and telemetry span incarnations.
+            counters: self.counters,
+            telemetry: std::mem::take(&mut self.telemetry),
+            // Resetting it would shift this entity's `ack_every` phase.
+            hop_tick_count: self.hop_tick_count,
+            // Resetting it would change who gets the first rejoin request.
+            rejoin_target: self.rejoin_target,
+            // Static wiring: the generator never faults a multi-group core.
+            cross_fence: self.cross_fence.take(),
+            // The fresh `MQ` resyncs from the first `GraftAck`; on the top
+            // ring own-source numbering re-baselines too.
+            resync_on_graft: true,
+            resync_source: fresh.ord.is_some(),
+            ..fresh
+        };
+        if let Some(wq) = self.wq.as_mut() {
             wq.mark_resync();
-            self.wq = Some(wq);
-            self.ord = Some(OrderingState::new());
-            self.resync_source = true;
         }
         if let Some(r) = self.ring.as_mut() {
-            r.reset_for_rejoin(self.id);
+            // The crash was its excision: `Excised → Rejoining`.
+            r.lifecycle.apply(self.id, LifecycleEvent::Excise);
+            r.lifecycle.apply(self.id, LifecycleEvent::RejoinStart);
             if r.alive_count() == 0 {
                 // Sole member of its ring (degenerate rings-of-one, e.g. the
                 // tree baseline's routers): there is nobody to grant, so the
@@ -870,9 +831,7 @@ impl NeState {
     /// The live token pass `(epoch, origin, rotation)` as last seen here,
     /// for seeding a rejoiner's duplicate-transfer suppression state.
     fn known_token_pass(&self) -> Option<crate::ring_epoch::PassId> {
-        let ord = self.ord.as_ref()?;
-        let t = ord.new_token.as_ref()?;
-        Some(t.pass_id())
+        Some(self.ord.as_ref()?.new_token.as_ref()?.pass_id())
     }
 
     /// Splice `member` back into the ring: complete its lifecycle
@@ -895,19 +854,7 @@ impl NeState {
         let me = self.id;
         let front = self.mq.front();
         let Some(r) = self.ring.as_mut() else { return };
-        let spliced = r
-            .lifecycle
-            .apply(member, LifecycleEvent::RejoinComplete)
-            .changed();
-        if spliced {
-            r.hb_outstanding = 0;
-            if r.next_of(me) == member {
-                // The rejoined member is our new next: its ACK progress
-                // starts over (pins GC until its first post-rejoin
-                // cumulative ACK).
-                r.next_acked_mq = GlobalSeq::ZERO;
-            }
-        }
+        let spliced = r.readmit(me, member);
         let targets: Vec<NodeId> = r.members_in_ring().filter(|&m| m != me).collect();
         for t in targets {
             let grant = Msg::RejoinGrant {
@@ -953,15 +900,8 @@ impl NeState {
         }
         let me = self.id;
         let Some(r) = self.ring.as_mut() else { return };
-        if !r.order.contains(&member) {
-            return;
-        }
-        let t = r.lifecycle.apply(member, LifecycleEvent::RejoinComplete);
-        if t.changed() {
-            r.hb_outstanding = 0;
-            if r.next_of(me) == member {
-                r.next_acked_mq = GlobalSeq::ZERO;
-            }
+        if r.order.contains(&member) {
+            r.readmit(me, member);
         }
     }
 

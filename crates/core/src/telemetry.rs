@@ -394,8 +394,9 @@ pub(crate) const RECORDER_DEPTH: usize = 256;
 ///
 /// Embedded in every `NeState`; every method no-ops when the
 /// `ProtocolConfig::telemetry` toggle is off, so the disabled path
-/// costs one branch per site and allocates nothing.
-#[derive(Debug, Clone)]
+/// costs one branch per site and allocates nothing. `Default` is the
+/// disabled one.
+#[derive(Debug, Clone, Default)]
 pub struct Telemetry {
     on: bool,
     seq: u64,

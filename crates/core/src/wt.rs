@@ -92,14 +92,6 @@ impl<K: Ord + Copy> WorkingTable<K> {
     pub fn iter(&self) -> impl Iterator<Item = (K, GlobalSeq)> + '_ {
         self.entries.iter().map(|(k, v)| (*k, *v))
     }
-
-    /// Keys whose progress is strictly below `gsn` (need more delivery).
-    pub fn lagging(&self, gsn: GlobalSeq) -> impl Iterator<Item = (K, GlobalSeq)> + '_ {
-        self.entries
-            .iter()
-            .filter(move |(_, &v)| v < gsn)
-            .map(|(k, v)| (*k, *v))
-    }
 }
 
 #[cfg(test)]
@@ -157,19 +149,6 @@ mod tests {
         assert_eq!(wt.remove(Guid(1)), Some(GlobalSeq(2)));
         assert_eq!(wt.remove(Guid(1)), None);
         assert!(wt.is_empty());
-    }
-
-    #[test]
-    fn lagging_filter() {
-        let mut wt = WorkingTable::new();
-        wt.register(NodeId(1), GlobalSeq(5));
-        wt.register(NodeId(2), GlobalSeq(10));
-        wt.register(NodeId(3), GlobalSeq(7));
-        let lag: Vec<_> = wt.lagging(GlobalSeq(8)).collect();
-        assert_eq!(
-            lag,
-            vec![(NodeId(1), GlobalSeq(5)), (NodeId(3), GlobalSeq(7))]
-        );
     }
 
     #[test]

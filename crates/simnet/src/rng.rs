@@ -118,14 +118,6 @@ impl SimRng {
         let u = 1.0 - self.unit();
         -u.ln() / lambda
     }
-
-    /// Fisher–Yates shuffle of a slice.
-    pub fn shuffle<T>(&mut self, slice: &mut [T]) {
-        for i in (1..slice.len()).rev() {
-            let j = self.range_u64(0, i as u64 + 1) as usize;
-            slice.swap(i, j);
-        }
-    }
 }
 
 #[cfg(test)]
@@ -173,21 +165,6 @@ mod tests {
         let sum: f64 = (0..n).map(|_| r.exponential(2.0)).sum();
         let mean = sum / n as f64;
         assert!((mean - 0.5).abs() < 0.02, "mean {mean}");
-    }
-
-    #[test]
-    fn shuffle_is_permutation() {
-        let mut r = SimRng::from_seed(3);
-        let mut v: Vec<u32> = (0..50).collect();
-        r.shuffle(&mut v);
-        let mut sorted = v.clone();
-        sorted.sort_unstable();
-        assert_eq!(sorted, (0..50).collect::<Vec<_>>());
-        assert_ne!(
-            v,
-            (0..50).collect::<Vec<_>>(),
-            "shuffle left slice unchanged"
-        );
     }
 
     #[test]

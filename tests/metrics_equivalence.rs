@@ -1,9 +1,9 @@
 //! Equivalence suite for the streaming metrics layer: for every backend, a
 //! recorded journal pushed through the multi-pass [`oracle`] below must
 //! produce exactly the `RunMetrics` that the single-pass
-//! `MetricsAccumulator` computes — in batch mode (`RunReport::new` over the
-//! retained journal) and in online mode (fed record-by-record from the
-//! simnet journal sink, with journal retention off).
+//! `MetricsAccumulator` computes — fed record-by-record from the simnet
+//! journal sink with journal retention on and off, and fed the retained
+//! journal in one batch (`MetricsAccumulator::observe_journal`).
 //!
 //! Also pins the scheduler-swap determinism contract at the facade level:
 //! equal seeds give byte-identical journals and identical metrics.
@@ -14,6 +14,7 @@ use ringnet_repro::baselines::{FlatRingSim, RelmSim, TreeSim, TunnelSim, Unorder
 use ringnet_repro::core::driver::{
     MulticastSim, RunReport, Scenario, ScenarioBuilder, ScenarioEvent,
 };
+use ringnet_repro::core::metrics::MetricsAccumulator;
 use ringnet_repro::core::{NodeId, ProtoEvent, RingNetSim};
 use ringnet_repro::simnet::{SimDuration, SimTime};
 
@@ -148,10 +149,10 @@ fn scenario() -> Scenario {
 }
 
 /// Recover each backend's wired-core set from the retained journal and the
-/// batch metrics: the oracle needs the same set the backend summarised
+/// streamed metrics: the oracle needs the same set the backend summarised
 /// with, and the core-load sums identify it uniquely here because every
 /// backend's core is either "all NeFinal reporters" (ring protocols) or a
-/// known singleton/subset whose sums the batch pass already produced. We
+/// known singleton/subset whose sums the streamed metrics carry. We
 /// simply try the two candidate sets and require that exactly the
 /// backend's own choice reproduces its numbers — then use it for the
 /// oracle. (Keeps the test independent of per-backend internals.)
@@ -180,24 +181,31 @@ fn wired_core_candidates(report: &RunReport) -> Vec<BTreeSet<NodeId>> {
 fn assert_backend_equivalence<S: MulticastSim>(name: &str) {
     let sc = scenario();
 
-    // Batch mode: retained journal, metrics from the one-pass scan.
-    let batch = S::run_scenario(&sc, SEED);
+    // Retention on: the journal is kept, the metrics stream from the sink.
+    let retained = S::run_scenario(&sc, SEED);
     assert!(
-        !batch.journal.is_empty(),
+        !retained.journal.is_empty(),
         "{name}: retention on keeps the journal"
     );
 
     // The oracle must agree for the backend's own wired-core set.
-    let matching: Vec<BTreeSet<NodeId>> = wired_core_candidates(&batch)
+    let core = wired_core_candidates(&retained)
         .into_iter()
-        .filter(|core| oracle::multipass_metrics(&batch.journal, core) == batch.metrics)
-        .collect();
-    assert!(
-        !matching.is_empty(),
-        "{name}: no wired-core candidate reproduces the batch metrics via the legacy passes"
+        .find(|core| oracle::multipass_metrics(&retained.journal, core) == retained.metrics)
+        .unwrap_or_else(|| {
+            panic!("{name}: no wired-core candidate reproduces the metrics via the legacy passes")
+        });
+
+    // Batch: the same accumulator fed the retained journal in one pass.
+    let mut batch = MetricsAccumulator::new(core);
+    batch.observe_journal(&retained.journal);
+    assert_eq!(
+        batch.finish(),
+        retained.metrics,
+        "{name}: batch pass diverged from the streamed metrics"
     );
 
-    // Online mode: journal retention off, accumulator fed from the sink.
+    // Retention off: no journal, the same streamed metrics.
     let mut streaming_sc = sc.clone();
     streaming_sc.retain_journal = false;
     let online = S::run_scenario(&streaming_sc, SEED);
@@ -206,19 +214,25 @@ fn assert_backend_equivalence<S: MulticastSim>(name: &str) {
         "{name}: retention off materializes no journal"
     );
     assert_eq!(
-        online.metrics, batch.metrics,
-        "{name}: online accumulator diverged from the batch pass"
+        online.metrics, retained.metrics,
+        "{name}: metrics diverged between retention modes"
     );
     assert_eq!(
-        online.stats, batch.stats,
+        online.stats, retained.stats,
         "{name}: transport stats diverged between retention modes"
     );
 
     // Determinism across runs (scheduler-swap contract): byte-identical
     // journals and metrics for equal seeds.
     let again = S::run_scenario(&sc, SEED);
-    assert_eq!(again.journal, batch.journal, "{name}: journal not replayed");
-    assert_eq!(again.metrics, batch.metrics, "{name}: metrics not replayed");
+    assert_eq!(
+        again.journal, retained.journal,
+        "{name}: journal not replayed"
+    );
+    assert_eq!(
+        again.metrics, retained.metrics,
+        "{name}: metrics not replayed"
+    );
 }
 
 #[test]
