@@ -23,7 +23,9 @@
 //! * beside each raw digest of a backend that emits `NeFinal` records sits
 //!   the digest of the same journal without them, so a change meant to
 //!   alter only the per-entity control totals shows that nothing else
-//!   moved.
+//!   moved; a third digest leaves out every counter line (`MhFinal` too),
+//!   and the counters themselves are pinned per world in
+//!   `COUNTERS_DIGESTS`.
 //!
 //! The digest is FNV-1a over the `Debug` rendering of every `(time,
 //! event)` entry — stable, dependency-free, and sensitive to field order,
@@ -69,6 +71,83 @@ fn without_ne_final(mut report: RunReport) -> RunReport {
         .journal
         .retain(|(_, e)| !matches!(e, ProtoEvent::NeFinal { .. }));
     report
+}
+
+/// The report without any end-of-run counter line (`NeFinal` or
+/// `MhFinal`): the protocol's behaviour alone.
+fn without_finals(mut report: RunReport) -> RunReport {
+    report
+        .journal
+        .retain(|(_, e)| !matches!(e, ProtoEvent::NeFinal { .. } | ProtoEvent::MhFinal { .. }));
+    report
+}
+
+/// FNV-1a over a canonical rendering of the run's end-of-run counters: one
+/// line per entity record, then one per walker record, each sorted by
+/// `(group, id)`. Built from the field values, so it does not depend on
+/// where the counters are carried.
+fn counters_digest(report: &RunReport) -> u64 {
+    let mut ne = Vec::new();
+    let mut mh = Vec::new();
+    for (_, e) in &report.journal {
+        match *e {
+            ProtoEvent::NeFinal {
+                group,
+                node,
+                wq_peak,
+                mq_peak,
+                mq_overflow,
+                wq_overflow,
+                control_sent,
+                data_sent,
+                retransmissions,
+            } => ne.push((
+                (group.0, node.0),
+                format!(
+                    "ne {} {} {wq_peak} {mq_peak} {mq_overflow} {wq_overflow} {control_sent} \
+                     {data_sent} {retransmissions}\n",
+                    group.0, node.0
+                ),
+            )),
+            ProtoEvent::MhFinal {
+                group,
+                mh: guid,
+                delivered,
+                skipped,
+                duplicates,
+                handoffs,
+            } => mh.push((
+                (group.0, guid.0),
+                format!(
+                    "mh {} {} {delivered} {skipped} {duplicates} {handoffs}\n",
+                    group.0, guid.0
+                ),
+            )),
+            _ => {}
+        }
+    }
+    for records in [&mut ne, &mut mh] {
+        records.sort();
+        assert!(
+            records.windows(2).all(|w| w[0].0 != w[1].0),
+            "one record per (group, id)"
+        );
+    }
+    fnv1a(ne.iter().chain(&mh).map(|(_, line)| line))
+}
+
+/// The pinned counters digest of the world `name`.
+fn assert_counters(name: &str, report: &RunReport) {
+    let want = COUNTERS_DIGESTS
+        .iter()
+        .find(|(n, _)| *n == name)
+        .unwrap_or_else(|| panic!("{name}: no pinned counters digest"))
+        .1;
+    let got = counters_digest(report);
+    assert_eq!(
+        got, want,
+        "{name}: counters digest {got:#018x} != pinned {want:#018x}"
+    );
 }
 
 /// The digest of the journal with the entries of each simulated instant
@@ -189,26 +268,73 @@ fn digest_is_sensitive_to_protocol_behaviour() {
 /// `0x0dece3d470a5ac35`): only the APs' `NeFinal.control_sent` moves, because
 /// MHs no longer send heartbeats and the APs' `HeartbeatAck`s to them are
 /// gone. The filtered column is unedited.
-const GOLDEN_RINGNET_DIGESTS: &[(u64, usize, u64, u64)] = &[
-    (3, 1, 0x41427e7200ac0bf3, 0x05b0428dd0253ee7),
-    (3, 2, 0x853f4326a21c7cc7, 0x42a4f2748c684f93),
-    (3, 4, 0x9c8cc95ff4fcf343, 0x0d3cadc326e5a2b3),
-    (7, 1, 0x41427e7200ac0bf3, 0x05b0428dd0253ee7),
-    (7, 2, 0x853f4326a21c7cc7, 0x42a4f2748c684f93),
-    (7, 4, 0x9c8cc95ff4fcf343, 0x0d3cadc326e5a2b3),
+///
+/// The third column is the digest of the journal without any counter line
+/// ([`without_finals`]); the run's counters are pinned apart, in
+/// [`COUNTERS_DIGESTS`].
+const GOLDEN_RINGNET_DIGESTS: &[(u64, usize, u64, u64, u64)] = &[
+    (
+        3,
+        1,
+        0x41427e7200ac0bf3,
+        0x05b0428dd0253ee7,
+        0x6441e89724e24997,
+    ),
+    (
+        3,
+        2,
+        0x853f4326a21c7cc7,
+        0x42a4f2748c684f93,
+        0x22496d5643703c83,
+    ),
+    (
+        3,
+        4,
+        0x9c8cc95ff4fcf343,
+        0x0d3cadc326e5a2b3,
+        0x02d16a4c51f09e23,
+    ),
+    (
+        7,
+        1,
+        0x41427e7200ac0bf3,
+        0x05b0428dd0253ee7,
+        0x6441e89724e24997,
+    ),
+    (
+        7,
+        2,
+        0x853f4326a21c7cc7,
+        0x42a4f2748c684f93,
+        0x22496d5643703c83,
+    ),
+    (
+        7,
+        4,
+        0x9c8cc95ff4fcf343,
+        0x0d3cadc326e5a2b3,
+        0x02d16a4c51f09e23,
+    ),
 ];
 
 #[test]
 fn ringnet_journal_digest_is_pinned_per_seed_and_shard_count() {
-    for &(seed, shards, want, want_filtered) in GOLDEN_RINGNET_DIGESTS {
+    for &(seed, shards, want, want_filtered, want_behaviour) in GOLDEN_RINGNET_DIGESTS {
         let mut sc = scenario();
         sc.shards = shards;
         let report = RingNetSim::run_scenario(&sc, seed);
+        assert_counters("ringnet", &report);
         let got = digest(&report);
         assert_eq!(
             got, want,
             "seed {seed}, {shards} shard(s): journal digest {got:#018x} != pinned \
              {want:#018x} — the fabric changed observable protocol behaviour"
+        );
+        let got = digest(&without_finals(report.clone()));
+        assert_eq!(
+            got, want_behaviour,
+            "seed {seed}, {shards} shard(s): digest without finals {got:#018x} != pinned \
+             {want_behaviour:#018x}"
         );
         let got = digest(&without_ne_final(report));
         assert_eq!(
@@ -219,9 +345,9 @@ fn ringnet_journal_digest_is_pinned_per_seed_and_shard_count() {
     }
 }
 
-/// A named backend, its pinned digest, and the digest of the same journal
-/// without its `NeFinal` lines.
-type PinnedBackend = (&'static str, fn(&Scenario, u64) -> RunReport, u64, u64);
+/// A named backend, its pinned digest, the digest of the same journal
+/// without its `NeFinal` lines, and without any counter line.
+type PinnedBackend = (&'static str, fn(&Scenario, u64) -> RunReport, u64, u64, u64);
 
 /// Golden journal digests of the five baselines on the shared world, the
 /// same at 1 and 2 shards. They are the blast-radius proof of a change to
@@ -277,44 +403,56 @@ const GOLDEN_BASELINE_DIGESTS: &[PinnedBackend] = &[
         FlatRingSim::run_scenario,
         0xf99ddde3a97ad106,
         0x4a0128b014d717a9,
+        0x780ecdc2a8d71df9,
     ),
     (
         "tree",
         TreeSim::run_scenario,
         0xd4bbe549bdbfc71e,
         0xc7ac251c3bcb2018,
+        0x4bf74a1cf7a8ad68,
     ),
     (
         "tunnel",
         TunnelSim::run_scenario,
         0x16a8b07b65d6e1f7,
         0x0a0a2f2a9e7526cc,
+        0xea35a38f592845bc,
     ),
     (
         "relm",
         RelmSim::run_scenario,
         0xd6a391e31fb9eb62,
         0x2a3da80a58821584,
+        0x4a4046fc05f8e694,
     ),
     (
         "unordered",
         UnorderedSim::run_scenario,
         0x878f0228f1205ce4,
         0x112754a74641bbec,
+        0x3ec1ca97be402ddc,
     ),
 ];
 
 #[test]
 fn baseline_journal_digests_are_pinned() {
-    for &(name, run, want, want_filtered) in GOLDEN_BASELINE_DIGESTS {
+    for &(name, run, want, want_filtered, want_behaviour) in GOLDEN_BASELINE_DIGESTS {
         for shards in [1usize, 2] {
             let mut sc = scenario();
             sc.shards = shards;
             let report = run(&sc, 3);
+            assert_counters(name, &report);
             let got = digest(&report);
             assert_eq!(
                 got, want,
                 "{name}, {shards} shard(s): journal digest {got:#018x} != pinned {want:#018x}"
+            );
+            let got = digest(&without_finals(report.clone()));
+            assert_eq!(
+                got, want_behaviour,
+                "{name}, {shards} shard(s): digest without finals {got:#018x} != pinned \
+                 {want_behaviour:#018x}"
             );
             let got = digest(&without_ne_final(report));
             assert_eq!(
@@ -443,9 +581,9 @@ fn fence_overlap_world() -> Scenario {
     sc
 }
 
-/// A named world, its pinned digest, and the digest of the same journal
-/// without its `NeFinal` lines.
-type PinnedWorld = (&'static str, fn() -> Scenario, u64, u64);
+/// A named world, its pinned digest, the digest of the same journal
+/// without its `NeFinal` lines, and without any counter line.
+type PinnedWorld = (&'static str, fn() -> Scenario, u64, u64, u64);
 
 /// Golden instant-canonical digests of the two multi-group worlds. Ring
 /// states of different groups share a node but not a bit of protocol
@@ -486,23 +624,32 @@ const GOLDEN_MULTIGROUP_INSTANT_DIGESTS: &[PinnedWorld] = &[
         rings8_world,
         0x5bd14950fcd9cc30,
         0xebfd2d04015e1bde,
+        0xe44d0f40f7de67be,
     ),
     (
         "fence_overlap_4",
         fence_overlap_world,
         0x6d2b021c351e98cb,
         0x42dd9360ca5174ea,
+        0x7111693f926c725a,
     ),
 ];
 
 #[test]
 fn multigroup_instant_canonical_digest_is_pinned_at_one_and_two_shards() {
-    for &(name, world, want, want_filtered) in GOLDEN_MULTIGROUP_INSTANT_DIGESTS {
+    for &(name, world, want, want_filtered, want_behaviour) in GOLDEN_MULTIGROUP_INSTANT_DIGESTS {
         for shards in [1usize, 2] {
             let mut sc = world();
             sc.shards = shards;
             let report = RingNetSim::run_scenario(&sc, 7);
             assert!(report.metrics.delivered > 10_000, "{name}: world too quiet");
+            assert_counters(name, &report);
+            let got = instant_canonical_digest(&without_finals(report.clone()));
+            assert_eq!(
+                got, want_behaviour,
+                "{name}, {shards} shard(s): instant-canonical digest without finals \
+                 {got:#018x} != pinned {want_behaviour:#018x}"
+            );
             let got = instant_canonical_digest(&report);
             assert_eq!(
                 got, want,
@@ -567,18 +714,21 @@ const GOLDEN_FAULT_PATH_DIGESTS: &[(u64, [PinnedBackend; 3])] = &[
                 RingNetSim::run_scenario,
                 0x579203e8f0d3b35b,
                 0x989d6e14d0d72959,
+                0x6a2b24f09400fd3e,
             ),
             (
                 "flat_ring",
                 FlatRingSim::run_scenario,
                 0x304f6fae46371a43,
                 0x49732b6fa9571540,
+                0x469ee8a5e60adb95,
             ),
             (
                 "tree",
                 TreeSim::run_scenario,
                 0x218c2a056295ef52,
                 0x8cab72015accc0ad,
+                0x6d49f80ae9e99a3d,
             ),
         ],
     ),
@@ -590,18 +740,21 @@ const GOLDEN_FAULT_PATH_DIGESTS: &[(u64, [PinnedBackend; 3])] = &[
                 RingNetSim::run_scenario,
                 0xf5da9d6b11914f5d,
                 0x7d1f9939d7b56307,
+                0xdf24510ef4e78399,
             ),
             (
                 "flat_ring",
                 FlatRingSim::run_scenario,
                 0x95be5b1c2a303aa9,
                 0x28e2c2015a1e68e4,
+                0x87bde6a1cddccfb1,
             ),
             (
                 "tree",
                 TreeSim::run_scenario,
                 0x0f53cda049f30e83,
                 0x7407411f556ecb1d,
+                0xe84fa5192fdebece,
             ),
         ],
     ),
@@ -623,8 +776,15 @@ fn fault_path_journal_digests_are_pinned() {
     assert!(drew(|e| matches!(e, ScenarioEvent::RingRejoin { .. })));
     assert!(drew(|e| matches!(e, ScenarioEvent::PartitionRing { .. })));
     for (sc, &(generator_seed, ref backends)) in worlds.iter().zip(GOLDEN_FAULT_PATH_DIGESTS) {
-        for &(name, run, want, want_filtered) in backends {
+        for &(name, run, want, want_filtered, want_behaviour) in backends {
             let report = run(sc, 7);
+            assert_counters(&format!("stress_{generator_seed}/{name}"), &report);
+            let got = digest(&without_finals(report.clone()));
+            assert_eq!(
+                got, want_behaviour,
+                "stress world {generator_seed}, {name}: digest without finals {got:#018x} != \
+                 pinned {want_behaviour:#018x}"
+            );
             let got = digest(&report);
             assert_eq!(
                 got, want,
@@ -640,3 +800,27 @@ fn fault_path_journal_digests_are_pinned() {
         }
     }
 }
+
+/// The run's end-of-run counters per world ([`counters_digest`]): per
+/// entity its buffer peaks and overflows, control, data and
+/// retransmissions sent; per walker its deliveries, skips, duplicates and
+/// handoffs. The same at every seed and shard count the tables above run.
+/// A change meant to alter only what entities count — a control-plane
+/// change that stops sending redundant control — moves these numbers and
+/// leaves every journal digest above alone.
+const COUNTERS_DIGESTS: &[(&str, u64)] = &[
+    ("ringnet", 0x941013fa2d99d667),
+    ("flat_ring", 0x0c77671a3b244c94),
+    ("tree", 0xe2ed3e8295e4bb49),
+    ("tunnel", 0xba214e70c3848020),
+    ("relm", 0x4e1ef2ebb1bd2ec1),
+    ("unordered", 0x2a90bd5584387025),
+    ("rings8", 0x08a625ce682d7ff7),
+    ("fence_overlap_4", 0x0b153e6b5ccf7b02),
+    ("stress_98/ringnet", 0x86a1aed497686dd7),
+    ("stress_98/flat_ring", 0x88df540fef7b65b4),
+    ("stress_98/tree", 0xec7c54b5f5043ffe),
+    ("stress_104/ringnet", 0x4cf4d2da82865660),
+    ("stress_104/flat_ring", 0xcc92c807b88a0abd),
+    ("stress_104/tree", 0x55f2c2c6d4f1406d),
+];
