@@ -15,7 +15,8 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use ringnet_core::driver::{MulticastSim, RunReport, Scenario, ScenarioEvent};
-use ringnet_core::{GlobalSeq, GroupId, Guid, LocalSeq, NodeId, ProtoEvent};
+use ringnet_core::metrics::NeFinal;
+use ringnet_core::{GlobalSeq, GroupId, Guid, LocalSeq, MhCounters, NodeId, ProtoEvent};
 use simnet::{Actor, Ctx, NodeAddr, SimDuration, SimTime};
 
 use crate::world::{Star, StarPlan, World};
@@ -132,17 +133,12 @@ impl Actor<RelmMsg, ProtoEvent> for Supervisor {
                 }
             }
             RelmMsg::FlushStats => {
-                ctx.record(ProtoEvent::NeFinal {
-                    group: self.group,
-                    node: self.id,
-                    wq_peak: 0,
+                let counts = NeFinal {
                     mq_peak: self.peak_buffer as u32,
-                    mq_overflow: 0,
-                    wq_overflow: 0,
-                    control_sent: 0,
                     data_sent: self.msgs_processed as u32,
-                    retransmissions: 0,
-                });
+                    ..NeFinal::default()
+                };
+                self.star.finals.ne(self.group, self.id, counts);
             }
             _ => {}
         }
@@ -176,17 +172,11 @@ impl Actor<RelmMsg, ProtoEvent> for Mss {
                 ctx.send(Star::HUB, msg);
             }
             RelmMsg::FlushStats => {
-                ctx.record(ProtoEvent::NeFinal {
-                    group: self.group,
-                    node: self.id,
-                    wq_peak: 0,
-                    mq_peak: 0,
-                    mq_overflow: 0,
-                    wq_overflow: 0,
-                    control_sent: 0,
+                let counts = NeFinal {
                     data_sent: self.processed as u32,
-                    retransmissions: 0,
-                });
+                    ..NeFinal::default()
+                };
+                self.star.finals.ne(self.group, self.id, counts);
             }
             _ => {}
         }
@@ -235,14 +225,11 @@ impl Actor<RelmMsg, ProtoEvent> for RelmMh {
                 self.drain(ctx);
             }
         } else if let RelmMsg::FlushStats = msg {
-            ctx.record(ProtoEvent::MhFinal {
-                group: self.group,
-                mh: self.guid,
+            let counts = MhCounters {
                 delivered: self.delivered,
-                skipped: 0,
-                duplicates: 0,
-                handoffs: 0,
-            });
+                ..MhCounters::default()
+            };
+            self.star.finals.mh(self.group, self.guid, counts);
         }
     }
 
@@ -396,18 +383,8 @@ mod tests {
     fn sh_processes_every_members_acks() {
         // SH work grows with the member count (the paper's criticism).
         fn sh_work(members_per_mss: usize) -> u32 {
-            let journal = RelmSim::run_scenario(&scenario(4, members_per_mss).build(), 2).journal;
-            journal
-                .iter()
-                .find_map(|(_, e)| match e {
-                    ProtoEvent::NeFinal {
-                        node: NodeId(0),
-                        data_sent,
-                        ..
-                    } => Some(*data_sent),
-                    _ => None,
-                })
-                .unwrap()
+            let finals = RelmSim::run_scenario(&scenario(4, members_per_mss).build(), 2).finals;
+            finals.ne[&(GroupId(1), NodeId(0))].data_sent
         }
         let small = sh_work(1);
         let large = sh_work(8);
@@ -425,18 +402,8 @@ mod tests {
             .cbr(SimDuration::from_millis(5))
             .wireless(LinkProfile::wired(SimDuration::from_millis(40)))
             .build();
-        let journal = RelmSim::run_scenario(&sc, 3).journal;
-        let peak = journal
-            .iter()
-            .find_map(|(_, e)| match e {
-                ProtoEvent::NeFinal {
-                    node: NodeId(0),
-                    mq_peak,
-                    ..
-                } => Some(*mq_peak),
-                _ => None,
-            })
-            .unwrap();
+        let finals = RelmSim::run_scenario(&sc, 3).finals;
+        let (_, peak) = finals.buffer_peaks_of(NodeId(0)).expect("the SH reports");
         assert!(peak >= 10, "slow members should pin the SH buffer: {peak}");
     }
 }

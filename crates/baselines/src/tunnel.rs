@@ -14,7 +14,8 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use ringnet_core::driver::{MulticastSim, RunReport, Scenario, ScenarioEvent};
-use ringnet_core::{GlobalSeq, GroupId, Guid, LocalSeq, NodeId, ProtoEvent};
+use ringnet_core::metrics::NeFinal;
+use ringnet_core::{GlobalSeq, GroupId, Guid, LocalSeq, MhCounters, NodeId, ProtoEvent};
 use simnet::{Actor, Ctx, LinkProfile, NodeAddr, SimDuration, SimTime};
 
 use crate::world::{Star, StarPlan, World};
@@ -102,17 +103,12 @@ impl Actor<TunMsg, ProtoEvent> for HomeAgent {
                 });
             }
             TunMsg::FlushStats => {
-                ctx.record(ProtoEvent::NeFinal {
-                    group: self.group,
-                    node: self.id,
-                    wq_peak: 0,
-                    mq_peak: 0,
-                    mq_overflow: 0,
-                    wq_overflow: 0,
+                let counts = NeFinal {
                     control_sent: self.control_sent,
                     data_sent: self.data_sent,
-                    retransmissions: 0,
-                });
+                    ..NeFinal::default()
+                };
+                self.star.finals.ne(self.group, self.id, counts);
             }
             _ => {}
         }
@@ -145,17 +141,12 @@ impl Actor<TunMsg, ProtoEvent> for TunAp {
                 self.control_sent += 1;
             }
             TunMsg::FlushStats => {
-                ctx.record(ProtoEvent::NeFinal {
-                    group: self.group,
-                    node: self.id,
-                    wq_peak: 0,
-                    mq_peak: 0,
-                    mq_overflow: 0,
-                    wq_overflow: 0,
+                let counts = NeFinal {
                     control_sent: self.control_sent,
                     data_sent: self.data_sent,
-                    retransmissions: 0,
-                });
+                    ..NeFinal::default()
+                };
+                self.star.finals.ne(self.group, self.id, counts);
             }
             _ => {}
         }
@@ -211,14 +202,13 @@ impl Actor<TunMsg, ProtoEvent> for TunMh {
                 }
             }
             TunMsg::FlushStats => {
-                ctx.record(ProtoEvent::MhFinal {
-                    group: self.group,
-                    mh: self.guid,
+                let counts = MhCounters {
                     delivered: self.delivered,
-                    skipped: 0,
                     duplicates: self.duplicates,
                     handoffs: self.handoffs,
-                });
+                    ..MhCounters::default()
+                };
+                self.star.finals.mh(self.group, self.guid, counts);
             }
             _ => {}
         }
@@ -373,25 +363,16 @@ mod tests {
 
     #[test]
     fn tunnel_delivers_per_mh_unicast() {
-        let journal = TunnelSim::run_scenario(&scenario().build(), 1).journal;
-        let delivered = journal
+        let report = TunnelSim::run_scenario(&scenario().build(), 1);
+        let delivered = report
+            .journal
             .iter()
             .filter(|(_, e)| matches!(e, ProtoEvent::MhDeliver { .. }))
             .count();
         assert_eq!(delivered, 30, "3 MHs × 10 messages");
         // HA sent one wired unicast per MH per message.
-        let ha_data: u32 = journal
-            .iter()
-            .filter_map(|(_, e)| match e {
-                ProtoEvent::NeFinal {
-                    node: NodeId(0),
-                    data_sent,
-                    ..
-                } => Some(*data_sent),
-                _ => None,
-            })
-            .sum();
-        assert_eq!(ha_data, 30);
+        let ha = report.finals.ne[&(GroupId(1), NodeId(0))];
+        assert_eq!(ha.data_sent, 30);
     }
 
     #[test]
@@ -403,7 +384,8 @@ mod tests {
                 to: 2,
             })
             .build();
-        let journal = TunnelSim::run_scenario(&sc, 2).journal;
+        let report = TunnelSim::run_scenario(&sc, 2);
+        let journal = &report.journal;
         assert!(journal.iter().any(|(_, e)| matches!(
             e,
             ProtoEvent::HandoffRegistered {
@@ -412,18 +394,8 @@ mod tests {
                 ..
             }
         )));
-        let ha_control: u32 = journal
-            .iter()
-            .filter_map(|(_, e)| match e {
-                ProtoEvent::NeFinal {
-                    node: NodeId(0),
-                    control_sent,
-                    ..
-                } => Some(*control_sent),
-                _ => None,
-            })
-            .sum();
-        assert_eq!(ha_control, 1, "exactly one care-of update processed");
+        let ha = report.finals.ne[&(GroupId(1), NodeId(0))];
+        assert_eq!(ha.control_sent, 1, "exactly one care-of update processed");
         // Delivery continues after the move: mh0 still gets all messages
         // sent after the update (tunnel redirected).
         let mh0: Vec<u64> = journal
@@ -440,14 +412,7 @@ mod tests {
 
     #[test]
     fn no_duplicates_without_handoff() {
-        let journal = TunnelSim::run_scenario(&scenario().build(), 3).journal;
-        let dups: u32 = journal
-            .iter()
-            .filter_map(|(_, e)| match e {
-                ProtoEvent::MhFinal { duplicates, .. } => Some(*duplicates),
-                _ => None,
-            })
-            .sum();
-        assert_eq!(dups, 0);
+        let finals = TunnelSim::run_scenario(&scenario().build(), 3).finals;
+        assert_eq!(finals.mh_totals().duplicates, 0);
     }
 }

@@ -23,14 +23,15 @@ use ringnet_core::driver::{
     hierarchy_core, ringnet_spec, MulticastSim, RunReport, Scenario, ScenarioEvent,
 };
 use ringnet_core::hierarchy::{AgRingSpec, ApSpec, Entity, HierarchySpec, MhSpec};
+use ringnet_core::metrics::NeFinal;
 use ringnet_core::{
-    AddrMap, Endpoint, GlobalSeq, GroupId, Guid, LocalSeq, MessageQueue, MsgData, NodeId,
-    PayloadId, ProtoEvent, ProtocolConfig, WorkingTable, HEARTBEAT_PERIOD, HOP_TICK,
+    AddrMap, Endpoint, GlobalSeq, GroupId, Guid, LocalSeq, MessageQueue, MhCounters, MsgData,
+    NodeId, PayloadId, ProtoEvent, ProtocolConfig, WorkingTable, HEARTBEAT_PERIOD, HOP_TICK,
 };
 use simnet::{Actor, Ctx, Journal, NodeAddr, Sim, SimTime};
 
 use crate::source::Source;
-use crate::world::{BoxedActor, World};
+use crate::world::{BoxedActor, FinalsSink, World};
 
 /// Wire messages of the unordered protocol. Streams are identified by the
 /// source's corresponding BR (`corr`), sequence numbers are per-stream.
@@ -217,6 +218,7 @@ struct UnNe {
     role: UnRole,
     streams: BTreeMap<NodeId, Stream>,
     map: Arc<AddrMap>,
+    finals: FinalsSink,
     hop_count: u64,
     peak_total: usize,
 }
@@ -370,22 +372,13 @@ impl Actor<UnMsg, ProtoEvent> for UnNe {
                 }
             }
             UnMsg::FlushStats => {
-                let wq_peak = 0;
-                ctx.record(ProtoEvent::NeFinal {
-                    group: self.group,
-                    node: self.id,
-                    wq_peak,
+                let overflow = self.streams.values().map(|s| s.mq.overflow_drops as u32);
+                let counts = NeFinal {
                     mq_peak: self.peak_total as u32,
-                    mq_overflow: self
-                        .streams
-                        .values()
-                        .map(|s| s.mq.overflow_drops as u32)
-                        .sum(),
-                    wq_overflow: 0,
-                    control_sent: 0,
-                    data_sent: 0,
-                    retransmissions: 0,
-                });
+                    mq_overflow: overflow.sum(),
+                    ..NeFinal::default()
+                };
+                self.finals.ne(self.group, self.id, counts);
             }
         }
     }
@@ -405,6 +398,7 @@ struct UnMh {
     ap: NodeId,
     streams: BTreeMap<NodeId, (MessageQueue, AckGate)>,
     map: Arc<AddrMap>,
+    finals: FinalsSink,
     hop_count: u64,
     delivered: u32,
     skipped: u32,
@@ -456,14 +450,12 @@ impl Actor<UnMsg, ProtoEvent> for UnMh {
                 }
             }
             UnMsg::FlushStats => {
-                ctx.record(ProtoEvent::MhFinal {
-                    group: self.group,
-                    mh: self.guid,
+                let counts = MhCounters {
                     delivered: self.delivered,
                     skipped: self.skipped,
-                    duplicates: 0,
-                    handoffs: 0,
-                });
+                    ..MhCounters::default()
+                };
+                self.finals.mh(self.group, self.guid, counts);
             }
             _ => {}
         }
@@ -556,6 +548,7 @@ impl MulticastSim for UnorderedSim {
         }
         let (group, cfg) = (spec.group, &spec.cfg);
         let map = Arc::new(AddrMap::for_spec(&spec));
+        let finals = FinalsSink::default();
 
         let mut sim: Sim<UnMsg, ProtoEvent> = Sim::with_options(seed, true, un_wire_size);
         let mut answering = Vec::new();
@@ -577,6 +570,7 @@ impl MulticastSim for UnorderedSim {
                     ap: mh.initial_ap.expect("placed above"),
                     streams: BTreeMap::new(),
                     map: Arc::clone(&map),
+                    finals: finals.clone(),
                     hop_count: 0,
                     delivered: 0,
                     skipped: 0,
@@ -589,6 +583,7 @@ impl MulticastSim for UnorderedSim {
                         role: UnRole::of(&spec, entity),
                         streams: BTreeMap::new(),
                         map: Arc::clone(&map),
+                        finals: finals.clone(),
                         hop_count: 0,
                         peak_total: 0,
                     })
@@ -606,7 +601,13 @@ impl MulticastSim for UnorderedSim {
         }
 
         let flush = (UnMsg::FlushStats, answering);
-        UnorderedSim(World::new(sim, flush, hierarchy_core(&spec), scenario))
+        UnorderedSim(World::new(
+            sim,
+            flush,
+            finals,
+            hierarchy_core(&spec),
+            scenario,
+        ))
     }
 
     fn schedule(&mut self, _event: ScenarioEvent) {
@@ -698,17 +699,9 @@ mod tests {
 
     #[test]
     fn final_stats_emitted() {
-        let journal = UnorderedSim::run_scenario(&scenario(2), 3).journal;
-        let ne_finals = journal
-            .iter()
-            .filter(|(_, e)| matches!(e, ProtoEvent::NeFinal { .. }))
-            .count();
-        let mh_finals = journal
-            .iter()
-            .filter(|(_, e)| matches!(e, ProtoEvent::MhFinal { .. }))
-            .count();
-        assert_eq!(ne_finals, 3 + 4 + 4);
-        assert_eq!(mh_finals, 4);
+        let finals = UnorderedSim::run_scenario(&scenario(2), 3).finals;
+        assert_eq!(finals.ne.len(), 3 + 4 + 4);
+        assert_eq!(finals.mh.len(), 4);
     }
 
     /// Comparator parity: walker → AP → AG parentage is `ringnet_spec`'s.

@@ -1,21 +1,41 @@
 //! What the three baselines that speak their own message type (tunnel,
 //! RelM, unordered) share: the [`World`] skeleton every one of them is — a
-//! simulator, the addresses that answer the teardown probe and the
-//! scenario's [`Reporting`] over the wired core — and the [`Star`]
-//! assembly of the two single-ingest ones.
+//! simulator, the addresses that answer the teardown probe, the sink their
+//! answers go to and the scenario's [`Reporting`] over the wired core —
+//! and the [`Star`] assembly of the two single-ingest ones.
 
 use std::collections::BTreeSet;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard};
 
 use ringnet_core::driver::{Reporting, RunReport, Scenario};
 use ringnet_core::hierarchy::TrafficPattern;
-use ringnet_core::{Guid, NodeId, ProtoEvent};
+use ringnet_core::metrics::{Finals, NeFinal};
+use ringnet_core::{GroupId, Guid, MhCounters, NodeId, ProtoEvent};
 use simnet::{Actor, Journal, LinkProfile, NodeAddr, Sim, SimDuration, SimTime};
 
 use crate::source::Source;
 
 /// An actor of a world speaking `M`.
 pub(crate) type BoxedActor<M> = Box<dyn Actor<M, ProtoEvent>>;
+
+/// Where a world's actors put their end-of-run counters when the teardown
+/// probe reaches them; shared by the [`World`] and every answering actor.
+#[derive(Clone, Default)]
+pub(crate) struct FinalsSink(Arc<Mutex<Finals>>);
+
+impl FinalsSink {
+    pub(crate) fn ne(&self, group: GroupId, node: NodeId, counts: NeFinal) {
+        self.lock().ne.insert((group, node), counts);
+    }
+
+    pub(crate) fn mh(&self, group: GroupId, mh: Guid, counts: MhCounters) {
+        self.lock().mh.insert((group, mh), counts);
+    }
+
+    fn lock(&self) -> MutexGuard<'_, Finals> {
+        self.0.lock().expect("finals sink poisoned")
+    }
+}
 
 /// A built own-message simulation: what [`ringnet_core::MulticastSim`]'s
 /// `run_until` and `finish` need, so a backend keeps only its actors, its
@@ -25,15 +45,19 @@ pub(crate) struct World<M> {
     /// The teardown probe and every address that answers it (all but the
     /// sources), ascending.
     flush: (M, Vec<NodeAddr>),
+    /// Where the answers to the probe go.
+    finals: FinalsSink,
     reporting: Reporting,
 }
 
 impl<M: Clone + 'static> World<M> {
     /// Wrap an assembled simulator, setting its journal up per the
-    /// scenario's retention mode; `core` is its wired-core entity ids.
+    /// scenario's retention mode; `core` is its wired-core entity ids and
+    /// `finals` the sink its actors answer the probe into.
     pub fn new(
         mut sim: Sim<M, ProtoEvent>,
         flush: (M, Vec<NodeAddr>),
+        finals: FinalsSink,
         core: BTreeSet<NodeId>,
         scenario: &Scenario,
     ) -> Self {
@@ -42,6 +66,7 @@ impl<M: Clone + 'static> World<M> {
         World {
             sim,
             flush,
+            finals,
             reporting,
         }
     }
@@ -54,7 +79,7 @@ impl<M: Clone + 'static> World<M> {
         &mut self.sim.world().journal
     }
 
-    /// Ask every entity and MH for its final-statistics record, drain just
+    /// Ask every entity and MH for its end-of-run counters, drain just
     /// those events and tear down into the report.
     pub fn finish(mut self) -> RunReport {
         let (probe, targets) = self.flush;
@@ -65,7 +90,8 @@ impl<M: Clone + 'static> World<M> {
         let t = self.sim.now() + SimDuration::from_nanos(1);
         self.sim.run_until(t);
         let (journal, stats) = self.sim.finish();
-        self.reporting.finish(journal, stats)
+        let finals = std::mem::take(&mut *self.finals.lock());
+        self.reporting.finish(journal, stats, finals)
     }
 }
 
@@ -79,6 +105,8 @@ pub(crate) struct Star {
     n_edges: u32,
     /// The edge each walker starts at (`homes[w]` for `Guid(w)`).
     pub homes: Vec<NodeId>,
+    /// The world's end-of-run counters sink.
+    pub finals: FinalsSink,
 }
 
 impl Star {
@@ -137,6 +165,7 @@ impl<M: Clone + 'static> StarPlan<'_, M> {
         let star = Arc::new(Star {
             n_edges: edge_ids.len() as u32,
             homes: self.placements.iter().map(|&k| edge_ids[k]).collect(),
+            finals: FinalsSink::default(),
         });
 
         let mut sim: Sim<M, ProtoEvent> = Sim::with_options(seed, true, self.sizer);
@@ -167,7 +196,8 @@ impl<M: Clone + 'static> StarPlan<'_, M> {
         }
 
         let core = BTreeSet::from([NodeId(0)]);
-        let world = World::new(sim, (self.flush, answering), core, scenario);
+        let finals = star.finals.clone();
+        let world = World::new(sim, (self.flush, answering), finals, core, scenario);
         (world, star)
     }
 }

@@ -706,7 +706,7 @@ impl Scenario {
 
     /// Expected journal size, used to pre-size the record storage before a
     /// run (an estimate from the workload: per-message fan-out to every
-    /// walker plus ordering records and teardown finals; capped so a
+    /// walker plus ordering records and per-walker slack; capped so a
     /// mis-declared scenario cannot balloon the pre-allocation).
     pub(crate) fn journal_capacity_hint(&self) -> usize {
         let per_source: u64 = match self.limit {
@@ -998,11 +998,13 @@ impl Default for ScenarioBuilder {
 
 // ------------------------------------------------------------- run report
 
-/// Protocol-agnostic summary metrics of one finished run, derived from the
-/// protocol events in one scan by [`metrics::MetricsAccumulator`].
+/// Protocol-agnostic summary metrics of one finished run, derived by
+/// [`metrics::MetricsAccumulator`] from the protocol events in one scan and
+/// from the run's [`metrics::Finals`]. The walker totals, buffer peaks and
+/// core loads count live states only (see [`metrics::Finals`]).
 #[derive(Debug, Clone, PartialEq)]
 pub struct RunMetrics {
-    /// Messages delivered to applications (sum over walkers).
+    /// Messages delivered to applications (sum over live walker states).
     pub delivered: u64,
     /// Messages skipped as really-lost.
     pub skipped: u64,
@@ -1010,7 +1012,8 @@ pub struct RunMetrics {
     pub duplicates: u64,
     /// Handoffs performed.
     pub handoffs: u64,
-    /// Walkers that reported final statistics.
+    /// Live `(walker, group)` states at teardown: a multi-group walker
+    /// counts once per subscription, a killed walker not at all.
     pub mhs: u64,
     /// Messages assigned a global sequence number (ordered protocols).
     pub ordered: u64,
@@ -1060,6 +1063,8 @@ pub struct RunReport {
     pub stats: SimStats,
     /// Protocol-agnostic summary metrics.
     pub metrics: RunMetrics,
+    /// Every live entity's and walker's end-of-run counters.
+    pub finals: metrics::Finals,
     /// Harvested telemetry (per-node metrics + flight recorders), present
     /// only when the scenario enabled [`crate::config::ProtocolConfig::
     /// telemetry`] **and** the backend supports harvesting (the
@@ -1074,10 +1079,10 @@ pub struct RunReport {
 /// backend calls [`Reporting::install_journal`] right after constructing
 /// its simulator and [`Reporting::finish`] at teardown. A
 /// [`metrics::MetricsAccumulator`] is attached to the simulator's journal
-/// sink and fed online; the scenario's [`Scenario::retain_journal`] flag
-/// only decides whether the journal `Vec` is kept as well (pre-sized from
-/// the scenario's workload) or never materialized (the report's journal is
-/// then empty).
+/// sink and fed online, and folds the harvested [`metrics::Finals`] in at
+/// the end; the scenario's [`Scenario::retain_journal`] flag only decides
+/// whether the journal `Vec` is kept as well (pre-sized from the scenario's
+/// workload) or never materialized (the report's journal is then empty).
 #[derive(Debug)]
 pub struct Reporting {
     acc: Arc<Mutex<metrics::MetricsAccumulator>>,
@@ -1108,18 +1113,25 @@ impl Reporting {
     }
 
     /// Assemble the report from a finished run: the metrics the sink
-    /// streamed, and `journal` as the simulator returned it (empty with
-    /// retention off).
-    pub fn finish(self, journal: Vec<(SimTime, ProtoEvent)>, stats: SimStats) -> RunReport {
+    /// streamed with `finals` folded in, and `journal` as the simulator
+    /// returned it (empty with retention off).
+    pub fn finish(
+        self,
+        journal: Vec<(SimTime, ProtoEvent)>,
+        stats: SimStats,
+        finals: metrics::Finals,
+    ) -> RunReport {
         // The simulator (and with it the sink closure) is already dropped,
         // so this is the last reference.
-        let acc = Arc::try_unwrap(self.acc)
+        let mut acc = Arc::try_unwrap(self.acc)
             .map(|m| m.into_inner().expect("metrics sink poisoned"))
             .unwrap_or_else(|arc| arc.lock().expect("metrics sink poisoned").clone());
+        acc.observe_finals(&finals);
         RunReport {
             journal,
             stats,
             metrics: acc.finish(),
+            finals,
             telemetry: None,
         }
     }
@@ -1148,7 +1160,7 @@ pub trait MulticastSim: Sized {
     /// Run until simulated time `t`.
     fn run_until(&mut self, t: SimTime);
 
-    /// Flush final statistics and tear down into a report.
+    /// Harvest the end-of-run counters and tear down into a report.
     fn finish(self) -> RunReport;
 
     /// Drive a scenario end to end: build, schedule every event, run for
@@ -1498,18 +1510,15 @@ impl MulticastSim for RingNetSim {
             .reporting
             .take()
             .expect("built by RingNetSim::for_scenario");
-        let bank = self.telemetry_bank.take();
+        let telemetry = self.spec.cfg.telemetry;
         let shard_of = std::mem::take(&mut self.telemetry_shards);
-        let (journal, stats) = RingNetSim::finish(self);
-        let mut report = reporting.finish(journal, stats);
-        if let Some(bank) = bank {
-            // The actors (and with them the `Arc` clones) died with the
-            // simulator; unwrap without cloning when we hold the last ref.
-            let bank = Arc::try_unwrap(bank)
-                .map(|m| m.into_inner().expect("telemetry bank poisoned"))
-                .unwrap_or_else(|arc| arc.lock().expect("telemetry bank poisoned").clone());
-            report.telemetry = Some(crate::telemetry::TelemetryReport::new(bank, shard_of));
-        }
+        let harvest = Arc::clone(&self.harvest);
+        let (journal, stats, finals) = RingNetSim::finish(self);
+        let mut report = reporting.finish(journal, stats, finals);
+        report.telemetry = telemetry.then(|| crate::telemetry::TelemetryReport {
+            nodes: std::mem::take(&mut crate::engine::lock(&harvest).telemetry),
+            shard_of,
+        });
         report
     }
 }

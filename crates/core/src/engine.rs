@@ -1,6 +1,6 @@
 //! The simulation engine: instantiates a [`HierarchySpec`] as a `simnet`
 //! simulation and provides the scenario API (handoffs, failures, late
-//! joins, teardown statistics).
+//! joins, the teardown harvest).
 //!
 //! All protocol logic lives in the sans-IO state machines; the actors here
 //! only translate [`Action`]s into simulator calls and drive the periodic
@@ -8,6 +8,7 @@
 //! ([`NodeId`]/[`Guid`]) and simulator addresses ([`NodeAddr`]) goes through
 //! one immutable [`AddrMap`] shared by every actor.
 
+use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};
 
 use simnet::{
@@ -19,10 +20,11 @@ use crate::config::{HEARTBEAT_PERIOD, HOP_TICK};
 use crate::events::ProtoEvent;
 use crate::hierarchy::{Entity, HierarchySpec, TrafficPattern};
 use crate::ids::{Endpoint, GroupId, Guid, LocalSeq, NodeId, PayloadId};
+use crate::metrics::Finals;
 use crate::mh::MhState;
 use crate::msg::Msg;
 use crate::node::NeState;
-use crate::telemetry::TelemetryBank;
+use crate::telemetry::NodeDump;
 
 /// Timer tags shared by all actors.
 const TAG_HOP: u64 = 2;
@@ -144,6 +146,25 @@ fn wire_size(msg: &Msg) -> usize {
     msg.base_wire_size() + if msg.carries_payload() { 512 } else { 0 }
 }
 
+// --------------------------------------------------------------- harvest
+
+/// What the teardown [`Msg::FlushStats`] sweep collects from every actor:
+/// each live state's end-of-run counters, and — with telemetry on — each
+/// NE's merged telemetry dump. Both maps are keyed, so the order in which
+/// actors (and shards) reach the sink cannot affect the result.
+#[derive(Debug, Default)]
+pub(crate) struct Harvest {
+    pub(crate) finals: Finals,
+    pub(crate) telemetry: BTreeMap<NodeId, NodeDump>,
+}
+
+/// The harvest, shared by the simulation and every NE and MH actor.
+pub(crate) type HarvestSink = Arc<Mutex<Harvest>>;
+
+pub(crate) fn lock(sink: &HarvestSink) -> std::sync::MutexGuard<'_, Harvest> {
+    sink.lock().expect("harvest sink poisoned")
+}
+
 // ---------------------------------------------------------------- actors
 
 /// Whether a message may legally address the emitting node itself: only
@@ -233,12 +254,9 @@ struct NeActor {
     /// queue across a revival; their stale generation makes them fall dead
     /// instead of rescheduling a duplicate tick chain.
     timer_gen: u64,
-    /// Telemetry harvest sink, shared with the driver. `None` unless the
-    /// scenario enables telemetry; the state machines' recorders are
-    /// merged and dumped here when the teardown `FlushStats` sweep
-    /// reaches this actor (the map is keyed, so insertion order — and
-    /// hence worker scheduling — cannot affect the result).
-    bank: Option<Arc<Mutex<TelemetryBank>>>,
+    /// Where the teardown `FlushStats` sweep leaves this node's counters
+    /// and telemetry.
+    harvest: HarvestSink,
 }
 
 impl NeActor {
@@ -246,7 +264,7 @@ impl NeActor {
         states: Vec<NeState>,
         map: Arc<AddrMap>,
         originate: Vec<bool>,
-        bank: Option<Arc<Mutex<TelemetryBank>>>,
+        harvest: HarvestSink,
     ) -> Self {
         NeActor {
             states,
@@ -256,7 +274,7 @@ impl NeActor {
             framer: Box::default(),
             originate,
             timer_gen: 0,
-            bank,
+            harvest,
         }
     }
 
@@ -297,18 +315,32 @@ impl NeActor {
                     st.on_msg(now, from_ep, Msg::Restart { group: g }, out);
                 }
             }
-            Msg::FlushStats { .. } => {
-                for st in &mut self.states {
-                    let g = st.group;
-                    st.on_msg(now, from_ep, Msg::FlushStats { group: g }, out);
-                }
-            }
             _ => {
                 let g = msg.group();
                 if let Some(st) = self.states.iter_mut().find(|s| s.group == g) {
                     st.on_msg(now, from_ep, msg, out);
                 }
             }
+        }
+    }
+
+    /// The teardown probe: hand over every live state's counters, and the
+    /// merged telemetry of every state, dead ones included — a crashed
+    /// node's flight recorder is exactly the postmortem evidence wanted.
+    fn harvest(&self) {
+        let mut harvest = lock(&self.harvest);
+        for st in &self.states {
+            if let Some(finals) = st.finals() {
+                harvest.finals.ne.insert((st.group, st.id), finals);
+            }
+        }
+        let dumps: Vec<_> = self
+            .states
+            .iter()
+            .filter_map(|s| s.telemetry.dump())
+            .collect();
+        if let Some(dump) = NodeDump::merge(dumps) {
+            harvest.telemetry.insert(self.my_id(), dump);
         }
     }
 
@@ -416,28 +448,14 @@ impl Actor<Msg, ProtoEvent> for NeActor {
     }
 
     fn on_packet(&mut self, ctx: &mut Ctx<'_, Msg, ProtoEvent>, from: NodeAddr, msg: Msg) {
+        if let Msg::FlushStats { .. } = msg {
+            self.harvest();
+            return;
+        }
         let from_ep = self.map.endpoint_of(from);
         let now = ctx.now();
         let was_alive = self.any_alive();
-        let is_flush = matches!(msg, Msg::FlushStats { .. });
         self.deliver(now, from_ep, msg);
-        if is_flush {
-            // Harvest even when the entity died mid-run: a crashed node's
-            // flight recorder is exactly the postmortem evidence wanted.
-            if let Some(bank) = &self.bank {
-                let dumps: Vec<_> = self
-                    .states
-                    .iter()
-                    .filter_map(|s| s.telemetry.dump())
-                    .collect();
-                if let Some(dump) = crate::telemetry::NodeDump::merge(dumps) {
-                    bank.lock()
-                        .expect("telemetry bank poisoned")
-                        .nodes
-                        .insert(self.my_id(), dump);
-                }
-            }
-        }
         if !was_alive && self.any_alive() {
             // Crash-restart revival: the periodic timers died with the
             // entity (dead entities stop rescheduling); re-arm them under
@@ -507,6 +525,9 @@ struct MhActor {
     /// Sends awaiting per-hop framing (an MH emits control only).
     framer: Box<Framer>,
     initial_ap: Option<NodeId>,
+    /// Where the teardown `FlushStats` sweep leaves the live states'
+    /// counters.
+    harvest: HarvestSink,
 }
 
 impl MhActor {
@@ -524,12 +545,6 @@ impl MhActor {
                 for st in &mut self.states {
                     let g = st.group;
                     st.on_msg(now, from_ep, Msg::Kill { group: g }, out);
-                }
-            }
-            Msg::FlushStats { .. } => {
-                for st in &mut self.states {
-                    let g = st.group;
-                    st.on_msg(now, from_ep, Msg::FlushStats { group: g }, out);
                 }
             }
             Msg::HandoffTo { new_ap, .. } => {
@@ -584,6 +599,16 @@ impl Actor<Msg, ProtoEvent> for MhActor {
     }
 
     fn on_packet(&mut self, ctx: &mut Ctx<'_, Msg, ProtoEvent>, from: NodeAddr, msg: Msg) {
+        if let Msg::FlushStats { .. } = msg {
+            // The teardown probe: hand over every live state's counters.
+            let mut harvest = lock(&self.harvest);
+            for st in &self.states {
+                if let Some(counters) = st.finals() {
+                    harvest.finals.mh.insert((st.group, st.guid), counters);
+                }
+            }
+            return;
+        }
         let from_ep = self.map.endpoint_of(from);
         let now = ctx.now();
         self.deliver(now, from_ep, msg);
@@ -763,11 +788,7 @@ fn shard_map(spec: &HierarchySpec, shards: usize) -> Vec<u32> {
 /// exist, in which address order, and how they are linked is the spec's
 /// decision ([`HierarchySpec::entities`], [`HierarchySpec::wiring`]); this
 /// only gives each entity its actor.
-fn assemble(
-    spec: &HierarchySpec,
-    net: &mut impl Assemble,
-    bank: Option<&Arc<Mutex<TelemetryBank>>>,
-) -> Arc<AddrMap> {
+fn assemble(spec: &HierarchySpec, net: &mut impl Assemble, harvest: &HarvestSink) -> Arc<AddrMap> {
     let map = Arc::new(AddrMap::for_spec(spec));
 
     // Multi-group specs instantiate one protocol state per declared group
@@ -799,7 +820,7 @@ fn assemble(
             states,
             Arc::clone(&map),
             originate,
-            bank.cloned(),
+            Arc::clone(harvest),
         ))
     };
     for (i, entity) in spec.entities().enumerate() {
@@ -862,6 +883,7 @@ fn assemble(
                 out: Vec::with_capacity(16),
                 framer: Box::default(),
                 initial_ap: mh.initial_ap,
+                harvest: Arc::clone(harvest),
             }),
         };
         let addr = net.add(actor);
@@ -905,10 +927,9 @@ pub struct RingNetSim {
     /// ([`RingNetSim::for_scenario`]) that [`crate::driver::MulticastSim`]
     /// builds through.
     pub(crate) reporting: Option<crate::driver::Reporting>,
-    /// Telemetry harvest sink shared with every `NeActor`; `Some` only
-    /// when `spec.cfg.telemetry` is on. Filled during [`Self::finish`]'s
-    /// `FlushStats` sweep; the driver drains it into the report.
-    pub(crate) telemetry_bank: Option<Arc<Mutex<TelemetryBank>>>,
+    /// The teardown harvest shared with every NE and MH actor, filled
+    /// during [`Self::finish`]'s `FlushStats` sweep.
+    pub(crate) harvest: HarvestSink,
     /// Node → shard placement for the telemetry report (empty in the
     /// sequential build: everything on shard 0).
     pub(crate) telemetry_shards: std::collections::BTreeMap<NodeId, u32>,
@@ -938,26 +959,23 @@ impl RingNetSim {
     ) -> Self {
         let problems = spec.validate();
         assert!(problems.is_empty(), "invalid spec: {problems:?}");
-        let bank = spec
-            .cfg
-            .telemetry
-            .then(|| Arc::new(Mutex::new(TelemetryBank::default())));
+        let harvest = HarvestSink::default();
         let mut telemetry_shards = std::collections::BTreeMap::new();
         // Journalling stays on even in quiet configs: the experiment layer
-        // always reads the low-volume records (Ordered, handoffs, finals);
-        // the config flags gate only the per-delivery firehose.
+        // always reads the low-volume records (Ordered, handoffs); the
+        // config flags gate only the per-delivery firehose.
         let (net, addrs) = if shards <= 1 {
             let mut sim = Sim::with_options(seed, true, wire_size);
-            let addrs = assemble(&spec, &mut sim, bank.as_ref());
+            let addrs = assemble(&spec, &mut sim, &harvest);
             (Net::Seq(sim), addrs)
         } else {
             let sm = shard_map(&spec, shards);
             let mut sim = ShardedSim::new(seed, shards, sm.clone(), true, wire_size);
             sim.set_workers(workers);
-            let addrs = assemble(&spec, &mut sim, bank.as_ref());
+            let addrs = assemble(&spec, &mut sim, &harvest);
             // Record the NE → shard placement for the telemetry report (only
             // NEs carry telemetry): the shard map is indexed by creation order.
-            if bank.is_some() {
+            if spec.cfg.telemetry {
                 let placed = spec.entities().zip(&sm);
                 telemetry_shards.extend(placed.filter_map(|(e, &shard)| Some((e.ne_id()?, shard))));
             }
@@ -968,7 +986,7 @@ impl RingNetSim {
             addrs,
             spec,
             reporting: None,
-            telemetry_bank: bank,
+            harvest,
             telemetry_shards,
         }
     }
@@ -1208,12 +1226,12 @@ impl RingNetSim {
         });
     }
 
-    /// Ask every entity and MH to emit its final-statistics record, then
-    /// drain the remaining events and return `(journal, transport stats)`.
-    pub fn finish(self) -> (Vec<(SimTime, ProtoEvent)>, SimStats) {
+    /// Send every entity and MH the teardown probe, drain just those
+    /// events, and return `(journal, transport stats, end-of-run counters)`.
+    pub fn finish(self) -> (Vec<(SimTime, ProtoEvent)>, SimStats, Finals) {
         let group = self.spec.group;
         let flush_targets: Vec<NodeAddr> = self.addrs.rev.keys().copied().collect();
-        match self.net {
+        let (journal, stats) = match self.net {
             Net::Seq(mut s) => {
                 let w = s.world();
                 for addr in flush_targets {
@@ -1236,7 +1254,9 @@ impl RingNetSim {
                 s.run_until(at + SimDuration::from_nanos(1));
                 s.finish()
             }
-        }
+        };
+        let finals = std::mem::take(&mut lock(&self.harvest).finals);
+        (journal, stats, finals)
     }
 }
 
@@ -1263,7 +1283,7 @@ mod tests {
     fn build_and_run_small_network() {
         let mut net = RingNetSim::build(small_spec(), 42);
         net.run_until(SimTime::from_secs(3));
-        let (journal, stats) = net.finish();
+        let (journal, stats, finals) = net.finish();
         assert!(stats.packets_delivered > 0);
         // Every source message got ordered exactly once.
         let ordered: Vec<_> = journal
@@ -1285,17 +1305,9 @@ mod tests {
             sorted.sort_unstable();
             assert_eq!(*gsns, sorted, "mh{mh} delivered in order");
         }
-        // Final stats flushed for every entity and MH.
-        let ne_finals = journal
-            .iter()
-            .filter(|(_, e)| matches!(e, ProtoEvent::NeFinal { .. }))
-            .count();
-        let mh_finals = journal
-            .iter()
-            .filter(|(_, e)| matches!(e, ProtoEvent::MhFinal { .. }))
-            .count();
-        assert_eq!(ne_finals, 3 + 4 + 4);
-        assert_eq!(mh_finals, 4);
+        // Final stats harvested from every entity and MH.
+        assert_eq!(finals.ne.len(), 3 + 4 + 4);
+        assert_eq!(finals.mh.len(), 4);
     }
 
     #[test]
@@ -1317,7 +1329,7 @@ mod tests {
         let target_ap = net.spec.aps.last().unwrap().id;
         net.schedule_handoff(SimTime::from_secs(1), Guid(0), target_ap);
         net.run_until(SimTime::from_secs(4));
-        let (journal, _) = net.finish();
+        let (journal, ..) = net.finish();
         let registered = journal.iter().any(|(_, e)| {
             matches!(e, ProtoEvent::HandoffRegistered { mh: Guid(0), ap, .. } if *ap == target_ap)
         });
@@ -1349,7 +1361,7 @@ mod tests {
         let mut net = RingNetSim::build(spec, 5);
         net.schedule_kill_ne(SimTime::from_secs(1), victim);
         net.run_until(SimTime::from_secs(6));
-        let (journal, _) = net.finish();
+        let (journal, ..) = net.finish();
         // Ring repair observed.
         assert!(journal.iter().any(
             |(_, e)| matches!(e, ProtoEvent::RingRepaired { failed, .. } if *failed == victim)
@@ -1386,11 +1398,11 @@ mod tests {
     fn sharded_build_matches_sequential_deliveries() {
         let mut seq = RingNetSim::build(small_spec(), 42);
         seq.run_until(SimTime::from_secs(3));
-        let (seq_journal, _) = seq.finish();
+        let (seq_journal, ..) = seq.finish();
 
         let mut par = RingNetSim::build_sharded(small_spec(), 42, 2, 1);
         par.run_until(SimTime::from_secs(3));
-        let (par_journal, par_stats) = par.finish();
+        let (par_journal, par_stats, _) = par.finish();
 
         assert!(par_stats.packets_delivered > 0);
         assert_eq!(
@@ -1423,7 +1435,7 @@ mod tests {
         let target_ap = net.spec.aps.last().unwrap().id;
         net.schedule_handoff(SimTime::from_secs(1), Guid(0), target_ap);
         net.run_until(SimTime::from_secs(4));
-        let (journal, _) = net.finish();
+        let (journal, ..) = net.finish();
         let registered = journal.iter().any(|(_, e)| {
             matches!(e, ProtoEvent::HandoffRegistered { mh: Guid(0), ap, .. } if *ap == target_ap)
         });

@@ -2,9 +2,12 @@
 //!
 //! Every entity emits [`ProtoEvent`]s into the simulation journal; the
 //! measurement layer (`harness::metrics`) reconstructs latencies, ordering
-//! correctness, handoff disruption and buffer statistics from them after
-//! the run. Records are deliberately flat `Copy` data — a journal from a
-//! long run holds millions of them.
+//! correctness and handoff disruption from them after the run. The journal
+//! records behaviour only: what each entity counted (buffer peaks, control
+//! and data sent, deliveries per walker) is handed over at teardown as
+//! [`Finals`](crate::metrics::Finals), beside the journal. Records are
+//! deliberately flat `Copy` data — a journal from a long run holds
+//! millions of them.
 
 use crate::ids::{Epoch, GlobalSeq, GroupId, Guid, LocalSeq, NodeId};
 
@@ -185,42 +188,6 @@ pub enum ProtoEvent {
         /// Members currently in the subtree.
         members: i64,
     },
-    /// Final per-entity statistics, emitted at simulation teardown.
-    NeFinal {
-        /// The ordering ring (group) this record belongs to.
-        group: GroupId,
-        /// The entity.
-        node: NodeId,
-        /// Peak `WQ` occupancy.
-        wq_peak: u32,
-        /// Peak `MQ` occupancy.
-        mq_peak: u32,
-        /// Messages dropped on `MQ` overflow.
-        mq_overflow: u32,
-        /// Messages dropped on `WQ` overflow.
-        wq_overflow: u32,
-        /// Wired control messages sent (token, acks, nacks, heartbeats …).
-        control_sent: u32,
-        /// Data-plane messages sent.
-        data_sent: u32,
-        /// Retransmissions served to downstream requesters.
-        retransmissions: u32,
-    },
-    /// Final per-MH statistics, emitted at simulation teardown.
-    MhFinal {
-        /// The ordering ring (group) this record belongs to.
-        group: GroupId,
-        /// The mobile host.
-        mh: Guid,
-        /// Messages delivered to the application.
-        delivered: u32,
-        /// Messages skipped as really-lost.
-        skipped: u32,
-        /// Duplicate receptions discarded.
-        duplicates: u32,
-        /// Handoffs performed.
-        handoffs: u32,
-    },
 }
 
 #[cfg(test)]
@@ -229,8 +196,10 @@ mod tests {
 
     #[test]
     fn records_are_small() {
-        // Journals hold millions of these; keep them within a cache line.
-        assert!(std::mem::size_of::<ProtoEvent>() <= 40);
+        // Journals hold millions of these. The largest payload is 28 bytes
+        // (`Ordered`, `MhDeliver`, `TokenPass`), so with the tag a record is
+        // 32 bytes and a `(SimTime, ProtoEvent)` journal entry 40.
+        assert_eq!(std::mem::size_of::<ProtoEvent>(), 32);
     }
 
     #[test]

@@ -104,7 +104,7 @@ pub use engine::{AddrMap, RingNetSim};
 pub use events::ProtoEvent;
 pub use hierarchy::{figure1, HierarchyBuilder, HierarchySpec, TrafficPattern};
 pub use ids::{Endpoint, Epoch, GlobalSeq, GroupId, Guid, LocalRange, LocalSeq, NodeId, PayloadId};
-pub use mh::MhState;
+pub use mh::{MhCounters, MhState};
 pub use mq::{DeliverItem, InsertOutcome, MessageQueue, MsgData};
 pub use msg::Msg;
 pub use node::NeState;

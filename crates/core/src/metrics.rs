@@ -1,5 +1,7 @@
-//! Journal analysis: everything the experiments measure is derived from
-//! the protocol-event journal a simulation leaves behind.
+//! Run analysis: everything the experiments measure is derived from what a
+//! simulation leaves behind — the protocol-event journal, and the
+//! end-of-run counters ([`Finals`]) every live entity hands over at
+//! teardown.
 //!
 //! Lives in `ringnet-core` (rather than the harness) because every
 //! [`MulticastSim`](crate::driver::MulticastSim) backend summarises its run
@@ -7,14 +9,16 @@
 //! [`RunReport`](crate::driver::RunReport); the harness re-exports this
 //! module unchanged.
 //!
-//! Two layers live here:
+//! Three layers live here:
 //!
 //! * [`MetricsAccumulator`] — the streaming summariser: every
 //!   [`RunMetrics`] field in **one scan** over the events, fed either from
 //!   a finished journal slice or *online* through the simulator's journal
-//!   sink (so a big sweep never materializes the journal `Vec` at all).
-//! * The standalone per-metric functions below it — each a separate pass
-//!   over a retained journal: the order checks, and the journal-dependent
+//!   sink (so a big sweep never materializes the journal `Vec` at all),
+//!   plus one fold of the run's [`Finals`].
+//! * [`Finals`] — the typed end-of-run counters, with their lookups.
+//! * The standalone per-metric functions — each a separate pass over a
+//!   retained journal: the order checks, and the journal-dependent
 //!   diagnostics (delivery gaps, token rotation, windowed rates) that only
 //!   make sense with a retained journal.
 
@@ -22,6 +26,7 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::hash::{BuildHasherDefault, Hasher};
 
 use crate::driver::RunMetrics;
+use crate::mh::MhCounters;
 use crate::{GlobalSeq, GroupId, Guid, LocalSeq, NodeId, ProtoEvent};
 use simnet::{Histogram, SimDuration, SimTime};
 
@@ -74,7 +79,9 @@ impl Hasher for FxHasher {
 type FxMap<K, V> = std::collections::HashMap<K, V, BuildHasherDefault<FxHasher>>;
 
 /// Computes every [`RunMetrics`] field in a single pass over the protocol
-/// events, in any feeding mode:
+/// events plus one fold of the run's [`Finals`]
+/// ([`MetricsAccumulator::observe_finals`]), the events in any feeding
+/// mode:
 ///
 /// * **online** — [`MetricsAccumulator::observe`] from the simnet journal
 ///   sink as records are emitted, whether or not the journal is retained
@@ -108,7 +115,7 @@ pub struct MetricsAccumulator {
 
 impl MetricsAccumulator {
     /// An empty accumulator. `wired_core` names the backend's interior
-    /// (wired) entities, whose `NeFinal` records feed the per-core load
+    /// (wired) entities, whose [`Finals`] records feed the per-core load
     /// metrics.
     pub fn new(wired_core: BTreeSet<NodeId>) -> Self {
         MetricsAccumulator {
@@ -160,35 +167,6 @@ impl MetricsAccumulator {
                     self.e2e.add(t.saturating_since(t0).as_nanos());
                 }
             }
-            ProtoEvent::MhFinal {
-                delivered,
-                skipped,
-                duplicates,
-                handoffs,
-                ..
-            } => {
-                self.totals.delivered += delivered as u64;
-                self.totals.skipped += skipped as u64;
-                self.totals.duplicates += duplicates as u64;
-                self.totals.handoffs += handoffs as u64;
-                self.totals.mhs += 1;
-            }
-            ProtoEvent::NeFinal {
-                node,
-                wq_peak,
-                mq_peak,
-                data_sent,
-                control_sent,
-                ..
-            } => {
-                self.wq_peak = self.wq_peak.max(wq_peak);
-                self.mq_peak = self.mq_peak.max(mq_peak);
-                if self.wired_core.contains(&node) {
-                    self.core_data_sent += data_sent as u64;
-                    self.core_busiest = self.core_busiest.max(data_sent as u64);
-                    self.core_control_sent += control_sent as u64;
-                }
-            }
             ProtoEvent::Grafted { .. } | ProtoEvent::Pruned { .. } => self.tree_churn += 1,
             _ => {}
         }
@@ -198,6 +176,21 @@ impl MetricsAccumulator {
     pub fn observe_journal(&mut self, journal: &Journal) {
         for (t, e) in journal {
             self.observe(*t, e);
+        }
+    }
+
+    /// Fold the run's end-of-run counters in: the walker totals, the
+    /// buffer peaks, and the wired core's data and control sent.
+    pub fn observe_finals(&mut self, finals: &Finals) {
+        finals.mh.values().for_each(|c| self.totals.add(c));
+        for (&(_, node), ne) in &finals.ne {
+            self.wq_peak = self.wq_peak.max(ne.wq_peak);
+            self.mq_peak = self.mq_peak.max(ne.mq_peak);
+            if self.wired_core.contains(&node) {
+                self.core_data_sent += ne.data_sent as u64;
+                self.core_busiest = self.core_busiest.max(ne.data_sent as u64);
+                self.core_control_sent += ne.control_sent as u64;
+            }
         }
     }
 
@@ -359,6 +352,63 @@ pub fn delivery_rate(journal: &Journal, from: SimTime, to: SimTime) -> f64 {
     total as f64 / per.len() as f64 / span
 }
 
+/// One network entity's end-of-run counters for one group.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct NeFinal {
+    /// Peak `WQ` occupancy.
+    pub wq_peak: u32,
+    /// Peak `MQ` occupancy.
+    pub mq_peak: u32,
+    /// Messages dropped on `MQ` overflow.
+    pub mq_overflow: u32,
+    /// Messages dropped on `WQ` overflow.
+    pub wq_overflow: u32,
+    /// Wired control messages sent (token, acks, nacks, heartbeats …).
+    pub control_sent: u32,
+    /// Data-plane messages sent.
+    pub data_sent: u32,
+    /// Retransmissions served to downstream requesters.
+    pub retransmissions: u32,
+}
+
+/// What every entity counted over a run, handed over when the teardown
+/// probe reaches it: per `(group, entity)` an [`NeFinal`], per `(group,
+/// walker)` its [`MhCounters`]. Counters are not behaviour, so they travel
+/// beside the journal, not in it.
+///
+/// **Live states only.** A state that is dead at teardown — a killed
+/// walker, a crashed entity that never restarted — hands over nothing. A
+/// killed walker's deliveries stay in the journal but are not in
+/// [`RunMetrics::delivered`], and a crashed core entity's control is not in
+/// [`RunMetrics::wired_core_control_sent`]. (Telemetry, by contrast, is
+/// harvested from dead nodes too: a crashed node's flight recorder is
+/// postmortem evidence.)
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct Finals {
+    /// Per `(group, entity)`.
+    pub ne: BTreeMap<(GroupId, NodeId), NeFinal>,
+    /// Per `(group, walker)`.
+    pub mh: BTreeMap<(GroupId, Guid), MhCounters>,
+}
+
+impl Finals {
+    /// The walkers' counters summed.
+    pub fn mh_totals(&self) -> MhTotals {
+        let mut t = MhTotals::default();
+        self.mh.values().for_each(|c| t.add(c));
+        t
+    }
+
+    /// Peak `(WQ, MQ)` occupancy of `node`: the largest over its groups.
+    pub fn buffer_peaks_of(&self, node: NodeId) -> Option<(u32, u32)> {
+        self.ne
+            .iter()
+            .filter(|((_, n), _)| *n == node)
+            .map(|(_, f)| (f.wq_peak, f.mq_peak))
+            .reduce(|(wq, mq), (w, m)| (wq.max(w), mq.max(m)))
+    }
+}
+
 /// Aggregate final per-MH counters.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct MhTotals {
@@ -370,11 +420,19 @@ pub struct MhTotals {
     pub duplicates: u64,
     /// Handoffs performed.
     pub handoffs: u64,
-    /// Number of MHs reporting.
+    /// Number of live `(walker, group)` states reporting.
     pub mhs: u64,
 }
 
 impl MhTotals {
+    fn add(&mut self, c: &MhCounters) {
+        self.delivered += c.delivered as u64;
+        self.skipped += c.skipped as u64;
+        self.duplicates += c.duplicates as u64;
+        self.handoffs += c.handoffs as u64;
+        self.mhs += 1;
+    }
+
     /// Fraction of messages delivered (vs delivered + skipped).
     pub fn delivery_ratio(&self) -> f64 {
         let total = self.delivered + self.skipped;
@@ -384,41 +442,6 @@ impl MhTotals {
             self.delivered as f64 / total as f64
         }
     }
-}
-
-/// Sum the `MhFinal` records.
-pub fn mh_totals(journal: &Journal) -> MhTotals {
-    let mut t = MhTotals::default();
-    for (_, e) in journal {
-        if let ProtoEvent::MhFinal {
-            delivered,
-            skipped,
-            duplicates,
-            handoffs,
-            ..
-        } = e
-        {
-            t.delivered += *delivered as u64;
-            t.skipped += *skipped as u64;
-            t.duplicates += *duplicates as u64;
-            t.handoffs += *handoffs as u64;
-            t.mhs += 1;
-        }
-    }
-    t
-}
-
-/// Peak buffer occupancy of one specific entity.
-pub fn buffer_peaks_of(journal: &Journal, node: NodeId) -> Option<(u32, u32)> {
-    journal.iter().find_map(|(_, e)| match e {
-        ProtoEvent::NeFinal {
-            node: n,
-            wq_peak,
-            mq_peak,
-            ..
-        } if *n == node => Some((*wq_peak, *mq_peak)),
-        _ => None,
-    })
 }
 
 /// The largest gap between consecutive application deliveries at `mh`
@@ -462,23 +485,6 @@ pub fn token_rotation_period(journal: &Journal, node: NodeId) -> Option<SimDurat
     Some(SimDuration::from_nanos(
         span.as_nanos() / (times.len() as u64 - 1),
     ))
-}
-
-/// Count of graft + prune events — distribution-tree maintenance churn
-/// (zero for backends without a shared tree, e.g. tunnelling).
-pub fn tree_churn(journal: &Journal) -> u64 {
-    journal
-        .iter()
-        .filter(|(_, e)| matches!(e, ProtoEvent::Grafted { .. } | ProtoEvent::Pruned { .. }))
-        .count() as u64
-}
-
-/// Number of source transmissions observed (`SourceSend` records).
-pub fn source_msgs(journal: &Journal) -> u64 {
-    journal
-        .iter()
-        .filter(|(_, e)| matches!(e, ProtoEvent::SourceSend { .. }))
-        .count() as u64
 }
 
 #[cfg(test)]
@@ -573,18 +579,15 @@ mod tests {
 
     #[test]
     fn totals_and_ratio() {
-        let j = vec![(
-            SimTime::ZERO,
-            ProtoEvent::MhFinal {
-                group: GroupId(1),
-                mh: Guid(0),
-                delivered: 90,
-                skipped: 10,
-                duplicates: 3,
-                handoffs: 2,
-            },
-        )];
-        let t = mh_totals(&j);
+        let mut finals = Finals::default();
+        let counters = MhCounters {
+            delivered: 90,
+            skipped: 10,
+            duplicates: 3,
+            handoffs: 2,
+        };
+        finals.mh.insert((GroupId(1), Guid(0)), counters);
+        let t = finals.mh_totals();
         assert_eq!(t.delivered, 90);
         assert!((t.delivery_ratio() - 0.9).abs() < 1e-12);
         assert_eq!(MhTotals::default().delivery_ratio(), 1.0);

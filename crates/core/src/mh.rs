@@ -21,8 +21,9 @@ use crate::ids::{Endpoint, GlobalSeq, GroupId, Guid, NodeId};
 use crate::mq::{DeliverItem, InsertOutcome, MessageQueue, MsgData};
 use crate::msg::Msg;
 
-/// Per-MH statistics (surfaced in the `MhFinal` journal record).
-#[derive(Debug, Clone, Copy, Default)]
+/// Per-MH statistics, handed over at teardown as the walker's
+/// [`Finals`](crate::metrics::Finals) record.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct MhCounters {
     /// Messages delivered to the application.
     pub delivered: u32,
@@ -134,7 +135,6 @@ impl MhState {
             Msg::HandoffTo { new_ap, .. } => self.on_handoff(now, new_ap, out),
             Msg::JoinCmd { ap, .. } => self.join(now, ap, out),
             Msg::Kill { .. } => self.alive = false,
-            Msg::FlushStats { .. } => self.flush_final_stats(out),
             _ => {}
         }
     }
@@ -240,16 +240,10 @@ impl MhState {
         let _ = now;
     }
 
-    /// Emit the final-statistics journal record.
-    pub(crate) fn flush_final_stats(&self, out: &mut Outbox) {
-        out.push(Action::Record(ProtoEvent::MhFinal {
-            group: self.group,
-            mh: self.guid,
-            delivered: self.counters.delivered,
-            skipped: self.counters.skipped,
-            duplicates: self.counters.duplicates,
-            handoffs: self.counters.handoffs,
-        }));
+    /// This state's end-of-run counters; `None` once killed (a dead state
+    /// hands over nothing — see [`Finals`](crate::metrics::Finals)).
+    pub(crate) fn finals(&self) -> Option<MhCounters> {
+        self.alive.then_some(self.counters)
     }
 }
 
@@ -638,17 +632,14 @@ mod tests {
             },
             &mut out,
         );
-        out.clear();
+        assert_eq!(m.finals().map(|c| c.delivered), Some(1));
         m.on_msg(
             SimTime::ZERO,
             Endpoint::Ne(AP1),
-            Msg::FlushStats { group: G },
+            Msg::Kill { group: G },
             &mut out,
         );
-        assert!(matches!(
-            out[0],
-            Action::Record(ProtoEvent::MhFinal { delivered: 1, .. })
-        ));
+        assert_eq!(m.finals(), None, "a dead state hands over nothing");
     }
 
     #[test]

@@ -369,8 +369,9 @@ pub enum Msg {
         /// Group.
         group: GroupId,
     },
-    /// Teardown probe: the receiver emits its final-statistics journal
-    /// record. Not part of the protocol.
+    /// Teardown probe: the engine harvests the receiving actor's
+    /// end-of-run counters and telemetry; no state machine sees it. Not
+    /// part of the protocol.
     FlushStats {
         /// Group.
         group: GroupId,

@@ -27,6 +27,7 @@ use simnet::SimTime;
 use crate::actions::Outbox;
 use crate::config::{ProtocolConfig, HEARTBEAT_MISSES, WQ_CAPACITY};
 use crate::ids::{Endpoint, GlobalSeq, GroupId, Guid, LocalSeq, NodeId};
+use crate::metrics::NeFinal;
 use crate::mq::MessageQueue;
 use crate::msg::Msg;
 use crate::ring_lifecycle::{LifecycleEvent, MemberState, RingLifecycle};
@@ -287,7 +288,8 @@ pub(crate) struct Told {
     pub(crate) at: SimTime,
 }
 
-/// Per-entity counters surfaced in the final-statistics journal record.
+/// Per-entity counters, handed over at teardown in the entity's
+/// [`NeFinal`] record.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct NeCounters {
     /// Data-plane messages sent.
@@ -621,9 +623,10 @@ impl NeState {
             Msg::Kill { .. } => self.kill(),
             Msg::DropToken { .. } => self.arm_token_drop(),
             Msg::ReplayToken { .. } => self.replay_token(out),
-            Msg::FlushStats { .. } => self.flush_final_stats(out),
             Msg::Restart { .. } => unreachable!("handled before the alive check"),
-            Msg::HandoffTo { .. }
+            // The teardown probe is the engine's: it reads `finals`.
+            Msg::FlushStats { .. }
+            | Msg::HandoffTo { .. }
             | Msg::JoinAck { .. }
             | Msg::JoinCmd { .. }
             | Msg::ReRegister { .. } => {
@@ -633,7 +636,8 @@ impl NeState {
     }
 
     /// Send one control-plane message: the single place control traffic is
-    /// counted, in total (`NeFinal.control_sent`) and by kind (telemetry).
+    /// counted, in total (`NeFinal::control_sent`, see [`Self::finals`]) and
+    /// by kind (telemetry).
     pub(crate) fn send_control(&mut self, to: Endpoint, msg: Msg, out: &mut Outbox) {
         self.counters.control_sent += 1;
         self.telemetry.count(msg.control_metric());
@@ -649,21 +653,18 @@ impl NeState {
         self.told = [None; 2];
     }
 
-    /// Emit the final-statistics journal record for this entity.
-    pub(crate) fn flush_final_stats(&self, out: &mut Outbox) {
-        out.push(crate::actions::Action::Record(
-            crate::events::ProtoEvent::NeFinal {
-                group: self.group,
-                node: self.id,
-                wq_peak: self.wq.as_ref().map_or(0, |w| w.peak_occupancy() as u32),
-                mq_peak: self.mq.peak_occupancy() as u32,
-                mq_overflow: self.mq.overflow_drops as u32,
-                wq_overflow: self.wq.as_ref().map_or(0, |w| w.overflow_drops as u32),
-                control_sent: self.counters.control_sent,
-                data_sent: self.counters.data_sent,
-                retransmissions: self.counters.retransmissions,
-            },
-        ));
+    /// This state's end-of-run counters; `None` once crashed (a dead state
+    /// hands over nothing — see [`Finals`](crate::metrics::Finals)).
+    pub(crate) fn finals(&self) -> Option<NeFinal> {
+        self.alive.then(|| NeFinal {
+            wq_peak: self.wq.as_ref().map_or(0, |w| w.peak_occupancy() as u32),
+            mq_peak: self.mq.peak_occupancy() as u32,
+            mq_overflow: self.mq.overflow_drops as u32,
+            wq_overflow: self.wq.as_ref().map_or(0, |w| w.overflow_drops as u32),
+            control_sent: self.counters.control_sent,
+            data_sent: self.counters.data_sent,
+            retransmissions: self.counters.retransmissions,
+        })
     }
 
     /// Crash-stop this entity (scenario fault injection).

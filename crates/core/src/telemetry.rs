@@ -15,10 +15,9 @@
 //! false` (the default) short-circuits every method to a no-op.
 //!
 //! Shape: each [`crate::node::NeState`] embeds a [`Telemetry`]; at
-//! teardown the engine harvests a [`NodeDump`] per node into a
-//! `TelemetryBank`, which the driver wraps (with the node→shard map
-//! under `ShardedSim`) into the [`TelemetryReport`] surfaced on
-//! [`crate::driver::RunReport`]. The merged trace interleaves per-node
+//! teardown the engine harvests a [`NodeDump`] per node, which the driver
+//! wraps (with the node→shard map under `ShardedSim`) into the
+//! [`TelemetryReport`] surfaced on [`crate::driver::RunReport`]. The merged trace interleaves per-node
 //! recorders in `(time, shard, node, seq)` order — the same total
 //! order the sharded journal merge uses.
 
@@ -87,8 +86,9 @@ pub mod metric {
     /// entry a kept snapshot already covered.
     pub const COPIED_ON_PREORDER: &str = "order_assign.copied_on_preorder";
     /// Counter: cumulative `DataAck`s sent (progress and refresh alike).
-    /// With the five below, the split of `NeFinal.control_sent` by message
-    /// kind (see `Msg::control_metric`).
+    /// With the five below, the split of an entity's `control_sent`
+    /// ([`crate::metrics::NeFinal`]) by message kind (see
+    /// `Msg::control_metric`).
     pub const CONTROL_SENT_DATA_ACK: &str = "control_sent.data_ack";
     /// Counter: `DataNack`s and `PreOrderNack`s sent.
     pub const CONTROL_SENT_NACK: &str = "control_sent.nack";
@@ -620,7 +620,7 @@ impl Telemetry {
         self.trace(now, TraceRecord::PartitionFence { epoch, in_ring });
     }
 
-    /// Snapshot for the bank at teardown; `None` when disabled.
+    /// Snapshot for the teardown harvest; `None` when disabled.
     pub(crate) fn dump(&self) -> Option<NodeDump> {
         if !self.on {
             return None;
@@ -645,7 +645,7 @@ pub struct NodeDump {
 impl NodeDump {
     /// Merge the per-group dumps of one physical node into a single
     /// node-level dump (multi-group engines run one recorder per group
-    /// state but the bank is keyed by `NodeId`). A single dump is
+    /// state but the harvest is keyed by `NodeId`). A single dump is
     /// returned unchanged — the single-group fast path stays
     /// byte-identical. Several dumps sum counters and histograms and
     /// interleave trace records by `(time, group position, seq)` under a
@@ -688,13 +688,6 @@ impl NodeDump {
     }
 }
 
-/// All nodes' dumps, harvested by the engine at `FlushStats` time.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub(crate) struct TelemetryBank {
-    /// Dump per node, in `NodeId` order.
-    pub nodes: BTreeMap<NodeId, NodeDump>,
-}
-
 /// The report-level view: per-node dumps plus the node→shard placement
 /// (empty map ⇒ sequential run, every node on shard 0).
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -706,14 +699,6 @@ pub struct TelemetryReport {
 }
 
 impl TelemetryReport {
-    /// Wrap a harvested bank with its shard placement.
-    pub(crate) fn new(bank: TelemetryBank, shard_of: BTreeMap<NodeId, u32>) -> Self {
-        TelemetryReport {
-            nodes: bank.nodes,
-            shard_of,
-        }
-    }
-
     /// The shard a node ran on (0 for sequential runs).
     pub fn shard(&self, node: NodeId) -> u32 {
         self.shard_of.get(&node).copied().unwrap_or(0)
@@ -947,7 +932,7 @@ mod tests {
 
     #[test]
     fn merged_trace_orders_by_time_shard_node_seq() {
-        let mut bank = TelemetryBank::default();
+        let mut nodes = BTreeMap::new();
         let mut a = on();
         a.trace(
             SimTime::from_nanos(5),
@@ -971,12 +956,12 @@ mod tests {
                 outcome: RegenOutcome::Adopted,
             },
         );
-        bank.nodes.insert(NodeId(2), a.dump().expect("enabled"));
-        bank.nodes.insert(NodeId(1), b.dump().expect("enabled"));
+        nodes.insert(NodeId(2), a.dump().expect("enabled"));
+        nodes.insert(NodeId(1), b.dump().expect("enabled"));
         // Node 2 sits on shard 0, node 1 on shard 1: at t=5 the shard
         // key must win over the node id.
-        let shards: BTreeMap<NodeId, u32> = [(NodeId(1), 1), (NodeId(2), 0)].into();
-        let report = TelemetryReport::new(bank, shards);
+        let shard_of = [(NodeId(1), 1), (NodeId(2), 0)].into();
+        let report = TelemetryReport { nodes, shard_of };
         let merged = report.merged_trace();
         assert_eq!(merged.len(), 3);
         assert_eq!(merged[0].0, NodeId(1)); // t=2
@@ -1020,14 +1005,15 @@ mod tests {
 
     #[test]
     fn json_dump_is_deterministic_and_balanced() {
-        let mut bank = TelemetryBank::default();
         let mut t = on();
         t.token_pass(SimTime::from_nanos(1_000));
         t.partition_fenced(SimTime::from_nanos(2_000), Epoch(2), 3);
-        bank.nodes.insert(NodeId(10), t.dump().expect("enabled"));
-        let report = TelemetryReport::new(bank.clone(), BTreeMap::new());
+        let report = TelemetryReport {
+            nodes: [(NodeId(10), t.dump().expect("enabled"))].into(),
+            shard_of: BTreeMap::new(),
+        };
         let j1 = report.to_json();
-        let j2 = TelemetryReport::new(bank, BTreeMap::new()).to_json();
+        let j2 = report.clone().to_json();
         assert_eq!(j1, j2);
         assert_eq!(
             j1.matches('{').count(),

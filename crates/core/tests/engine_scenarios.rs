@@ -5,9 +5,11 @@
 use std::collections::BTreeMap;
 
 use ringnet_core::config::{HEARTBEAT_PERIOD, HOP_TICK};
-use ringnet_core::driver::{MulticastSim, Scenario};
+use ringnet_core::driver::{
+    hierarchy_core, ringnet_spec, CoreShape, MulticastSim, Scenario, ScenarioEvent,
+};
 use ringnet_core::hierarchy::{LinkPlan, MhSpec, TrafficPattern};
-use ringnet_core::metrics::buffer_peaks_of;
+use ringnet_core::metrics::Finals;
 use ringnet_core::telemetry::metric;
 use ringnet_core::{
     GroupId, Guid, HierarchyBuilder, NodeId, ProtoEvent, ProtocolConfig, RingNetSim,
@@ -37,7 +39,7 @@ fn poisson_traffic_is_fully_ordered_and_delivered() {
         .build();
     let mut net = RingNetSim::build(spec, 17);
     net.run_until(SimTime::from_secs(4));
-    let (journal, _) = net.finish();
+    let (journal, ..) = net.finish();
     let sent = count(&journal, |e| matches!(e, ProtoEvent::SourceSend { .. }));
     let ordered = count(&journal, |e| matches!(e, ProtoEvent::Ordered { .. }));
     assert!(sent > 300, "Poisson sources produced {sent}");
@@ -67,7 +69,7 @@ fn ap_failure_orphans_then_handoff_rescues() {
     net.schedule_kill_ne(SimTime::from_secs(2), dead_ap);
     net.schedule_handoff(SimTime::from_secs(3), Guid(0), rescue_ap);
     net.run_until(SimTime::from_secs(6));
-    let (journal, _) = net.finish();
+    let (journal, ..) = net.finish();
     // MH 0's deliveries: gap during orphanhood, resumption after rescue.
     let times: Vec<SimTime> = journal
         .iter()
@@ -123,22 +125,8 @@ fn bursty_channel_with_budget_keeps_ratio_high() {
         .build();
     let mut net = RingNetSim::build(spec, 29);
     net.run_until(SimTime::from_secs(5));
-    let (journal, _) = net.finish();
-    let delivered: u64 = journal
-        .iter()
-        .filter_map(|(_, e)| match e {
-            ProtoEvent::MhFinal { delivered, .. } => Some(*delivered as u64),
-            _ => None,
-        })
-        .sum();
-    let skipped: u64 = journal
-        .iter()
-        .filter_map(|(_, e)| match e {
-            ProtoEvent::MhFinal { skipped, .. } => Some(*skipped as u64),
-            _ => None,
-        })
-        .sum();
-    let ratio = delivered as f64 / (delivered + skipped).max(1) as f64;
+    let (.., finals) = net.finish();
+    let ratio = finals.mh_totals().delivery_ratio();
     assert!(ratio > 0.98, "bursty-channel delivery ratio {ratio}");
 }
 
@@ -161,7 +149,7 @@ fn quiet_world_fires_two_timer_chains_per_ne_and_one_per_mh() {
     let heartbeat_ticks = second / HEARTBEAT_PERIOD.as_nanos();
     let mut net = RingNetSim::build(spec, 31);
     net.run_until(SimTime::from_secs(1));
-    let (journal, stats) = net.finish();
+    let (journal, stats, _) = net.finish();
     // A source ticks once per message and once more to find its limit spent.
     assert_eq!(
         stats.timers_fired,
@@ -204,7 +192,7 @@ fn reservation_expires_and_ap_prunes_itself() {
     });
     let mut net = RingNetSim::build(spec, 37);
     net.run_until(SimTime::from_secs(4));
-    let (journal, _) = net.finish();
+    let (journal, ..) = net.finish();
     let mut reserved_at = BTreeMap::new();
     for (t, e) in &journal {
         if let ProtoEvent::Reserved { ap, .. } = e {
@@ -275,7 +263,7 @@ fn killing_an_mh_stops_its_acks_and_frees_it() {
     let mut net = RingNetSim::build(spec, 41);
     net.schedule_kill_mh(SimTime::from_secs(1), Guid(0));
     net.run_until(SimTime::from_secs(4));
-    let (journal, _) = net.finish();
+    let (journal, ..) = net.finish();
     // The dead MH stops delivering shortly after the kill...
     let dead_last = journal
         .iter()
@@ -336,7 +324,7 @@ fn idle_mhs_are_kept_alive_by_their_acks_alone() {
         let (aps, mhs) = (spec.aps.len() as u64, spec.mhs.len() as i64);
         let mut net = RingNetSim::build(spec, 47);
         net.run_until(SimTime::from_secs(2));
-        let (journal, stats) = net.finish();
+        let (journal, stats, _) = net.finish();
         // The joins reach the root within the sweep's 200 ms window, before
         // any MH could be swept; from then on the count holds.
         let counts: Vec<(SimTime, i64)> = journal
@@ -396,7 +384,7 @@ fn amnesiac_ap_solicits_reregistration_within_an_ack_period() {
     net.schedule_kill_ne(crash, ap);
     net.schedule_restart_ne(crash, ap);
     net.run_until(SimTime::from_secs(2));
-    let (journal, _) = net.finish();
+    let (journal, ..) = net.finish();
     let registered: Vec<(Guid, SimTime)> = journal
         .iter()
         .filter_map(|(t, e)| match e {
@@ -441,7 +429,7 @@ fn station_shaped_spec_delivers_in_order() {
     // Stations serve handoffs like any attachment entity.
     net.schedule_handoff(SimTime::from_millis(300), Guid(0), NodeId(3));
     net.run_until(SimTime::from_secs(3));
-    let (journal, _) = net.finish();
+    let (journal, ..) = net.finish();
     assert_eq!(
         count(&journal, |e| matches!(e, ProtoEvent::Ordered { .. })),
         40,
@@ -489,7 +477,7 @@ fn ring_cut_at_a_heartbeat_tick_is_repaired_on_the_probe_schedule() {
     let mut net = RingNetSim::build(spec, 7);
     net.schedule_link_state(cut, a, b, false);
     net.run_until(cut + HEARTBEAT_PERIOD * 6);
-    let (journal, _) = net.finish();
+    let (journal, ..) = net.finish();
     assert!(
         journal.iter().any(|(t, e)| {
             matches!(e, ProtoEvent::TokenPass { .. }) && *t + hop > cut && *t <= cut
@@ -522,7 +510,7 @@ fn zero_mh_network_runs_clean() {
         .build();
     let mut net = RingNetSim::build(spec, 43);
     net.run_until(SimTime::from_secs(3));
-    let (journal, stats) = net.finish();
+    let (journal, stats, _) = net.finish();
     // Ordering proceeds with nobody listening.
     assert_eq!(
         count(&journal, |e| matches!(e, ProtoEvent::Ordered { .. })),
@@ -547,7 +535,7 @@ fn zero_mh_network_runs_clean() {
 fn lost_frame_of_cumulative_acks_is_repaired_by_the_next_frame() {
     /// The journal, the transport totals, and the AP's `MQ` peak (of its
     /// first group state; the lost frame stalled all four alike).
-    fn run(cut_uplink: bool) -> (Vec<(SimTime, ProtoEvent)>, simnet::SimStats, u32) {
+    fn run(cut_uplink: bool) -> (Vec<(SimTime, ProtoEvent)>, simnet::SimStats, Finals, u32) {
         let spec = HierarchyBuilder::new(G)
             .groups((1..=4).map(GroupId).collect())
             .brs(4)
@@ -575,12 +563,12 @@ fn lost_frame_of_cumulative_acks_is_repaired_by_the_next_frame() {
             });
         }
         net.run_until(SimTime::from_secs(2));
-        let (journal, stats) = net.finish();
-        let (_, ap_mq_peak) = buffer_peaks_of(&journal, ap).expect("the AP reports");
-        (journal, stats, ap_mq_peak)
+        let (journal, stats, finals) = net.finish();
+        let (_, ap_mq_peak) = finals.buffer_peaks_of(ap).expect("the AP reports");
+        (journal, stats, finals, ap_mq_peak)
     }
-    let (clean, clean_stats, clean_peak) = run(false);
-    let (cut, cut_stats, cut_peak) = run(true);
+    let (clean, clean_stats, _, clean_peak) = run(false);
+    let (cut, cut_stats, cut_finals, cut_peak) = run(true);
 
     assert_eq!(
         cut_stats.packets_link_down, 1,
@@ -610,18 +598,12 @@ fn lost_frame_of_cumulative_acks_is_repaired_by_the_next_frame() {
         "the next frame repaired every stream: not one journal line moved"
     );
     assert!(count(&cut, |e| matches!(e, ProtoEvent::MhDeliver { .. })) > 500);
-    let unrepaired = |e: &ProtoEvent| match e {
-        ProtoEvent::NeFinal {
-            retransmissions, ..
-        } => *retransmissions > 0,
-        ProtoEvent::MhFinal {
-            skipped,
-            duplicates,
-            ..
-        } => skipped + duplicates > 0,
-        _ => false,
-    };
-    assert_eq!(count(&cut, unrepaired), 0);
+    let served = cut_finals.ne.values().filter(|f| f.retransmissions > 0);
+    let unrepaired = cut_finals
+        .mh
+        .values()
+        .filter(|c| c.skipped + c.duplicates > 0);
+    assert_eq!(served.count() + unrepaired.count(), 0);
 }
 
 /// Loss-free static worlds, 600 ms each: the benchmark's 2-BR grid shape
@@ -689,16 +671,7 @@ fn loss_free_static_worlds_never_nack_and_never_wait_for_the_tick() {
         ] {
             assert_eq!(t.total_counter(quiet), 0, "{name}: {quiet}");
         }
-        let served: u32 = report
-            .journal
-            .iter()
-            .map(|(_, e)| match e {
-                ProtoEvent::NeFinal {
-                    retransmissions, ..
-                } => *retransmissions,
-                _ => 0,
-            })
-            .sum();
+        let served: u32 = report.finals.ne.values().map(|f| f.retransmissions).sum();
         assert_eq!(served, 0, "{name}: retransmissions served");
         // Every top-ring state copies every message of its ring exactly once.
         let ring_states = sc.ordering_capable_nodes() as u64;
@@ -755,7 +728,7 @@ fn figure1_latency_is_token_wait_plus_link_delays_exactly() {
         .collect();
     let mut net = RingNetSim::build(spec, 7);
     net.run_until(SimTime::from_secs(2));
-    let (journal, _) = net.finish();
+    let (journal, ..) = net.finish();
     let mut sent = BTreeMap::new();
     let mut ordered = BTreeMap::new();
     let mut checked = 0;
@@ -850,13 +823,8 @@ fn rings8_acknowledgements_move_no_ordering_or_delivery_instant() {
     );
     // The per-kind telemetry counters are the split of `control_sent`.
     let by_kind: u64 = CONTROL_KINDS.iter().map(|k| t.total_counter(k)).sum();
-    let total: u64 = report
-        .journal
-        .iter()
-        .map(|(_, e)| match e {
-            ProtoEvent::NeFinal { control_sent, .. } => u64::from(*control_sent),
-            _ => 0,
-        })
+    let total: u64 = (report.finals.ne.values())
+        .map(|f| u64::from(f.control_sent))
         .sum();
     assert_eq!(by_kind, total);
     let got = order_and_delivery_digest(&report.journal);
@@ -864,4 +832,105 @@ fn rings8_acknowledgements_move_no_ordering_or_delivery_instant() {
         got, RINGS8_ORDER_AND_DELIVERY,
         "ordering/delivery digest {got:#018x} != pinned {RINGS8_ORDER_AND_DELIVERY:#018x}"
     );
+}
+
+/// A node runs one state per group, and each state hands over its own
+/// counters: a node's buffer peaks are the largest over its groups, not
+/// those of whichever group reports first. On this 4-ring world some node's
+/// lowest group does not hold its peak, so a first-record lookup would
+/// under-report it.
+#[test]
+fn buffer_peaks_of_a_multigroup_node_are_the_max_over_its_groups() {
+    let (_, sc) = loss_free_static_worlds()
+        .into_iter()
+        .find(|(name, _)| *name == "fence_overlap_4")
+        .expect("the 4-ring world");
+    let finals = RingNetSim::run_scenario(&sc, 7).finals;
+    let mut per_node: BTreeMap<NodeId, Vec<(u32, u32)>> = BTreeMap::new();
+    for (&(_, node), f) in &finals.ne {
+        per_node
+            .entry(node)
+            .or_default()
+            .push((f.wq_peak, f.mq_peak));
+    }
+    let mut first_group_under_reports = false;
+    for (node, peaks) in per_node {
+        assert_eq!(peaks.len(), 4, "{node:?}: one record per group");
+        let max = (peaks.iter()).fold((0, 0), |(wq, mq), &(w, m)| (wq.max(w), mq.max(m)));
+        assert_eq!(finals.buffer_peaks_of(node), Some(max), "{node:?}");
+        first_group_under_reports |= peaks[0] != max;
+    }
+    assert!(
+        first_group_under_reports,
+        "the world separates the two rules"
+    );
+    assert_eq!(finals.buffer_peaks_of(NodeId(u32::MAX)), None);
+}
+
+/// Only live states hand over counters at teardown (see `metrics::Finals`).
+/// A killed walker's deliveries stay in the journal but leave
+/// `metrics.delivered`, and an entity crashed for good reports nothing — so
+/// a crashed AG's control leaves `wired_core_control_sent`. Telemetry is
+/// harvested from the dead too.
+#[test]
+fn finals_come_from_live_states_only() {
+    let sc = Scenario::builder()
+        .shape(CoreShape::Hierarchy {
+            brs: 2,
+            rings: 2,
+            ags_per_ring: 2,
+        })
+        .attachments(4)
+        .walkers_per_attachment(1)
+        .cbr(SimDuration::from_millis(20))
+        .loss_free_wireless()
+        .duration(SimTime::from_secs(3))
+        .telemetry(true)
+        .events([
+            ScenarioEvent::KillWalker {
+                at: SimTime::from_secs(1),
+                walker: 0,
+            },
+            ScenarioEvent::ApCrash {
+                at: SimTime::from_secs(1),
+                ap: 3,
+            },
+            // Core index 3: the second AG of the first ring.
+            ScenarioEvent::KillCore {
+                at: SimTime::from_secs(1),
+                index: 3,
+            },
+        ])
+        .build();
+    let spec = ringnet_spec(&sc);
+    let (crashed_ap, crashed_ag) = (spec.aps[3].id, spec.ag_rings[0].members[1]);
+    let report = RingNetSim::run_scenario(&sc, 7);
+    let (finals, m) = (&report.finals, &report.metrics);
+
+    let journalled = |who: Option<Guid>| {
+        count(
+            &report.journal,
+            |e| matches!(e, ProtoEvent::MhDeliver { mh, .. } if who.is_none_or(|w| *mh == w)),
+        ) as u64
+    };
+    assert!(
+        journalled(Some(Guid(0))) > 0,
+        "walker 0 delivered before dying"
+    );
+    assert!(!finals.mh.keys().any(|&(_, mh)| mh == Guid(0)));
+    assert_eq!(m.mhs, 3);
+    assert_eq!(m.delivered, journalled(None) - journalled(Some(Guid(0))));
+
+    let reports = |node: NodeId| finals.ne.keys().any(|&(_, n)| n == node);
+    assert!(!reports(crashed_ap) && !reports(crashed_ag));
+    let core = hierarchy_core(&spec);
+    assert!(core.contains(&crashed_ag));
+    let live_core_control: u64 = (finals.ne.iter())
+        .filter(|((_, n), _)| core.contains(n))
+        .map(|(_, f)| u64::from(f.control_sent))
+        .sum();
+    assert_eq!(m.wired_core_control_sent, live_core_control);
+
+    let t = report.telemetry.as_ref().expect("telemetry is on");
+    assert!(t.nodes.contains_key(&crashed_ap) && t.nodes.contains_key(&crashed_ag));
 }

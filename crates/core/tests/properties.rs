@@ -120,7 +120,7 @@ fn total_order_never_violated() {
             .build();
         let mut net = RingNetSim::build(spec, seed);
         net.run_until(SimTime::from_secs(4));
-        let (journal, _) = net.finish();
+        let (journal, ..) = net.finish();
         // Per-MH strict monotonicity.
         let mut last: std::collections::BTreeMap<u32, u64> = Default::default();
         for (_, e) in &journal {

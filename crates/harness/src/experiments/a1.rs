@@ -13,7 +13,7 @@
 
 use ringnet_core::driver::hierarchy_core;
 use ringnet_core::hierarchy::TrafficPattern;
-use ringnet_core::{GroupId, HierarchyBuilder, NodeId, ProtoEvent, ProtocolConfig};
+use ringnet_core::{GroupId, HierarchyBuilder, NodeId, ProtocolConfig};
 use simnet::{SimDuration, SimTime};
 
 use crate::experiments::{loss_free_links, run_spec};
@@ -43,23 +43,16 @@ fn measure(cfg: ProtocolConfig, duration: SimTime) -> Point {
         .links(loss_free_links())
         .build();
     let mut totals = metrics::MetricsAccumulator::new(hierarchy_core(&spec));
-    let journal = run_spec(spec, 23, duration);
+    let (journal, finals) = run_spec(spec, 23, duration);
     totals.observe_journal(&journal);
+    totals.observe_finals(&finals);
     let totals = totals.finish();
     let h = metrics::end_to_end_latency(&journal);
-    let retransmissions = journal
-        .iter()
-        .map(|(_, e)| match e {
-            ProtoEvent::NeFinal {
-                retransmissions, ..
-            } => *retransmissions as u64,
-            _ => 0,
-        })
-        .sum();
-    let skips = metrics::mh_totals(&journal).skipped;
+    let retransmissions = finals.ne.values().map(|f| f.retransmissions as u64).sum();
+    let skips = finals.mh_totals().skipped;
     let mut mq_peak = 0;
     for br in 0..4u32 {
-        if let Some((_, mq)) = metrics::buffer_peaks_of(&journal, NodeId(br)) {
+        if let Some((_, mq)) = finals.buffer_peaks_of(NodeId(br)) {
             mq_peak = mq_peak.max(mq);
         }
     }

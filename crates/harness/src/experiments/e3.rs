@@ -40,7 +40,7 @@ fn measure(victim: NodeId, seed: u64, quick: bool) -> Point {
     let mut net = RingNetSim::build(spec, seed);
     net.schedule_kill_ne(kill_at, victim);
     net.run_until(duration);
-    let (journal, _) = net.finish();
+    let (journal, ..) = net.finish();
 
     // Ordering stall: the largest gap between consecutive Ordered events
     // in the window around the failure.

@@ -11,7 +11,6 @@ use ringnet_core::{GroupId, HierarchyBuilder, ProtocolConfig};
 use simnet::{LinkProfile, SimDuration, SimTime};
 
 use crate::experiments::run_spec;
-use crate::metrics;
 use crate::report::{fnum, Table};
 
 struct Point {
@@ -43,8 +42,8 @@ fn measure(loss: f64, budget: u8, quick: bool) -> Point {
         .config(ProtocolConfig::default().with_nack_budget(budget))
         .links(links)
         .build();
-    let journal = run_spec(spec, 17, duration);
-    let totals = metrics::mh_totals(&journal);
+    let (_, finals) = run_spec(spec, 17, duration);
+    let totals = finals.mh_totals();
     Point {
         ratio: totals.delivery_ratio(),
         skipped: totals.skipped,

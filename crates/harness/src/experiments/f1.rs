@@ -45,7 +45,7 @@ pub fn run(quick: bool) -> Table {
     }
     let mut net = RingNetSim::build(spec, 1);
     net.run_until(SimTime::from_secs(if quick { 3 } else { 6 }));
-    let (journal, _) = net.finish();
+    let (journal, ..) = net.finish();
     let per = metrics::deliveries_per_mh(&journal);
     let complete = per.values().filter(|v| v.len() as u64 == msgs).count();
     let violations = metrics::order_violations(&journal);

@@ -36,6 +36,7 @@ pub mod t2;
 pub mod t3;
 
 use ringnet_core::hierarchy::LinkPlan;
+use ringnet_core::metrics::Finals;
 use ringnet_core::{HierarchySpec, ProtoEvent, RingNetSim};
 use simnet::{LinkProfile, SimDuration, SimTime};
 
@@ -69,11 +70,17 @@ pub fn loss_free_links() -> LinkPlan {
     }
 }
 
-/// Build, run for `duration`, flush and return the journal.
-pub fn run_spec(spec: HierarchySpec, seed: u64, duration: SimTime) -> Vec<(SimTime, ProtoEvent)> {
+/// Build, run for `duration`, tear down and return the journal with the
+/// end-of-run counters.
+pub fn run_spec(
+    spec: HierarchySpec,
+    seed: u64,
+    duration: SimTime,
+) -> (Vec<(SimTime, ProtoEvent)>, Finals) {
     let mut net = RingNetSim::build(spec, seed);
     net.run_until(duration);
-    net.finish().0
+    let (journal, _, finals) = net.finish();
+    (journal, finals)
 }
 
 /// Analytic `T_deliver` for a builder-shaped hierarchy: the worst-case time

@@ -54,7 +54,7 @@ pub fn measure(r: usize, duration: SimTime) -> Point {
         })
         .links(links.clone())
         .build();
-    let journal = run_spec(spec, 7, duration);
+    let (journal, _) = run_spec(spec, 7, duration);
     let h = metrics::end_to_end_latency(&journal);
     assert!(h.count() > 0, "no latency samples");
     let inputs = TheoremInputs {

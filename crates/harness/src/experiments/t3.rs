@@ -12,7 +12,6 @@ use ringnet_core::{GroupId, HierarchyBuilder, NodeId};
 use simnet::{SimDuration, SimTime};
 
 use crate::experiments::{analytic_t_deliver, loss_free_links, run_spec};
-use crate::metrics;
 use crate::report::{fnum, Table};
 
 const R: usize = 4;
@@ -53,12 +52,12 @@ pub fn run(quick: bool) -> Table {
             })
             .links(links.clone())
             .build();
-        let journal = run_spec(spec, 11, duration);
+        let (_, finals) = run_spec(spec, 11, duration);
         // Peak over the top-ring nodes only (the theorem's subjects).
         let mut wq_peak = 0u32;
         let mut mq_peak = 0u32;
         for br in 0..R as u32 {
-            if let Some((wq, mq)) = metrics::buffer_peaks_of(&journal, NodeId(br)) {
+            if let Some((wq, mq)) = finals.buffer_peaks_of(NodeId(br)) {
                 wq_peak = wq_peak.max(wq);
                 mq_peak = mq_peak.max(mq);
             }

@@ -28,7 +28,7 @@
 //!     .build();
 //! let mut net = RingNetSim::build(spec, 1);
 //! net.run_until(SimTime::from_secs(2));
-//! let (journal, _) = net.finish();
+//! let (journal, ..) = net.finish();
 //! assert!(!journal.is_empty());
 //! ```
 

@@ -1,9 +1,10 @@
 //! Equivalence suite for the streaming metrics layer: for every backend, a
-//! recorded journal pushed through the multi-pass [`oracle`] below must
-//! produce exactly the `RunMetrics` that the single-pass
-//! `MetricsAccumulator` computes — fed record-by-record from the simnet
-//! journal sink with journal retention on and off, and fed the retained
-//! journal in one batch (`MetricsAccumulator::observe_journal`).
+//! recorded journal and the run's end-of-run counters pushed through the
+//! multi-pass [`oracle`] below must produce exactly the `RunMetrics` that
+//! the single-pass `MetricsAccumulator` computes — fed record-by-record
+//! from the simnet journal sink with journal retention on and off, and fed
+//! the retained journal in one batch
+//! (`MetricsAccumulator::observe_journal`).
 //!
 //! Also pins the scheduler-swap determinism contract at the facade level:
 //! equal seeds give byte-identical journals and identical metrics.
@@ -15,105 +16,53 @@ use ringnet_repro::core::driver::{
     MulticastSim, RunReport, Scenario, ScenarioBuilder, ScenarioEvent,
 };
 use ringnet_repro::core::metrics::MetricsAccumulator;
-use ringnet_repro::core::{NodeId, ProtoEvent, RingNetSim};
+use ringnet_repro::core::{NodeId, RingNetSim};
 use ringnet_repro::simnet::{SimDuration, SimTime};
 
 const SEED: u64 = 2024;
 
 /// The oracle: every `RunMetrics` field from its own pass over the retained
-/// journal — the pre-accumulator pipeline, kept here (and only here) as the
-/// independent reference the single-pass `MetricsAccumulator` is pinned to.
+/// journal or the report's end-of-run counters — the pre-accumulator
+/// pipeline, kept here (and only here) as the independent reference the
+/// single-pass `MetricsAccumulator` is pinned to.
 mod oracle {
     use std::collections::BTreeSet;
 
-    use ringnet_repro::core::driver::RunMetrics;
+    use ringnet_repro::core::driver::{RunMetrics, RunReport};
     use ringnet_repro::core::{NodeId, ProtoEvent};
-    use ringnet_repro::harness::metrics::{
-        end_to_end_latency, mh_totals, order_violations, source_msgs, tree_churn, Journal,
-    };
+    use ringnet_repro::harness::metrics::{end_to_end_latency, order_violations, Journal};
 
     /// Assemble [`RunMetrics`] one pass per metric, never touching the
     /// accumulator.
-    pub fn multipass_metrics(journal: &Journal, wired_core: &BTreeSet<NodeId>) -> RunMetrics {
-        let totals = mh_totals(journal);
-        let (wq_peak, mq_peak) = buffer_peaks(journal);
+    pub fn multipass_metrics(report: &RunReport, wired_core: &BTreeSet<NodeId>) -> RunMetrics {
+        let journal = &report.journal;
+        let ne = report.finals.ne.iter().map(|(&(_, node), f)| (node, f));
+        let core = || ne.clone().filter(|(node, _)| wired_core.contains(node));
+        let mh = || report.finals.mh.values();
         RunMetrics {
-            delivered: totals.delivered,
-            skipped: totals.skipped,
-            duplicates: totals.duplicates,
-            handoffs: totals.handoffs,
-            mhs: totals.mhs,
-            ordered: journal
-                .iter()
-                .filter(|(_, e)| matches!(e, ProtoEvent::Ordered { .. }))
-                .count() as u64,
-            source_msgs: source_msgs(journal),
+            delivered: mh().map(|c| c.delivered as u64).sum(),
+            skipped: mh().map(|c| c.skipped as u64).sum(),
+            duplicates: mh().map(|c| c.duplicates as u64).sum(),
+            handoffs: mh().map(|c| c.handoffs as u64).sum(),
+            mhs: mh().count() as u64,
+            ordered: count(journal, |e| matches!(e, ProtoEvent::Ordered { .. })),
+            source_msgs: count(journal, |e| matches!(e, ProtoEvent::SourceSend { .. })),
             order_violations: order_violations(journal),
             e2e_latency: end_to_end_latency(journal),
-            wq_peak,
-            mq_peak,
-            tree_churn: tree_churn(journal),
-            wired_core_data_sent: data_sent_of(journal, wired_core),
-            busiest_core_msgs: busiest_of(journal, wired_core),
-            wired_core_control_sent: control_sent_of(journal, wired_core),
+            wq_peak: ne.clone().map(|(_, f)| f.wq_peak).max().unwrap_or(0),
+            mq_peak: ne.clone().map(|(_, f)| f.mq_peak).max().unwrap_or(0),
+            tree_churn: count(journal, |e| {
+                matches!(e, ProtoEvent::Grafted { .. } | ProtoEvent::Pruned { .. })
+            }),
+            wired_core_data_sent: core().map(|(_, f)| f.data_sent as u64).sum(),
+            busiest_core_msgs: core().map(|(_, f)| f.data_sent as u64).max().unwrap_or(0),
+            wired_core_control_sent: core().map(|(_, f)| f.control_sent as u64).sum(),
         }
     }
 
-    /// Peak buffer occupancy across entities, from the `NeFinal` records:
-    /// `(max WQ peak, max MQ peak)`.
-    pub fn buffer_peaks(journal: &Journal) -> (u32, u32) {
-        let mut wq = 0;
-        let mut mq = 0;
-        for (_, e) in journal {
-            if let ProtoEvent::NeFinal {
-                wq_peak, mq_peak, ..
-            } = e
-            {
-                wq = wq.max(*wq_peak);
-                mq = mq.max(*mq_peak);
-            }
-        }
-        (wq, mq)
-    }
-
-    /// Sum of `data_sent` over the given entities' `NeFinal` records.
-    pub fn data_sent_of(journal: &Journal, nodes: &BTreeSet<NodeId>) -> u64 {
-        journal
-            .iter()
-            .map(|(_, e)| match e {
-                ProtoEvent::NeFinal {
-                    node, data_sent, ..
-                } if nodes.contains(node) => *data_sent as u64,
-                _ => 0,
-            })
-            .sum()
-    }
-
-    /// Largest `data_sent` among the given entities' `NeFinal` records.
-    pub fn busiest_of(journal: &Journal, nodes: &BTreeSet<NodeId>) -> u64 {
-        journal
-            .iter()
-            .filter_map(|(_, e)| match e {
-                ProtoEvent::NeFinal {
-                    node, data_sent, ..
-                } if nodes.contains(node) => Some(*data_sent as u64),
-                _ => None,
-            })
-            .max()
-            .unwrap_or(0)
-    }
-
-    /// Sum of `control_sent` over the given entities' `NeFinal` records.
-    pub fn control_sent_of(journal: &Journal, nodes: &BTreeSet<NodeId>) -> u64 {
-        journal
-            .iter()
-            .map(|(_, e)| match e {
-                ProtoEvent::NeFinal {
-                    node, control_sent, ..
-                } if nodes.contains(node) => *control_sent as u64,
-                _ => 0,
-            })
-            .sum()
+    /// Journal entries matching `kind`.
+    fn count(journal: &Journal, kind: impl Fn(&ProtoEvent) -> bool) -> u64 {
+        journal.iter().filter(|(_, e)| kind(e)).count() as u64
     }
 }
 
@@ -148,23 +97,17 @@ fn scenario() -> Scenario {
         .build()
 }
 
-/// Recover each backend's wired-core set from the retained journal and the
-/// streamed metrics: the oracle needs the same set the backend summarised
-/// with, and the core-load sums identify it uniquely here because every
-/// backend's core is either "all NeFinal reporters" (ring protocols) or a
-/// known singleton/subset whose sums the streamed metrics carry. We
-/// simply try the two candidate sets and require that exactly the
-/// backend's own choice reproduces its numbers — then use it for the
-/// oracle. (Keeps the test independent of per-backend internals.)
+/// Recover each backend's wired-core set from the report's end-of-run
+/// counters and the streamed metrics: the oracle needs the same set the
+/// backend summarised with, and the core-load sums identify it uniquely
+/// here because every backend's core is either "every entity reporting
+/// counters" (ring protocols) or a known singleton/subset whose sums the
+/// streamed metrics carry. We simply try the two candidate sets and require
+/// that exactly the backend's own choice reproduces its numbers — then use
+/// it for the oracle. (Keeps the test independent of per-backend
+/// internals.)
 fn wired_core_candidates(report: &RunReport) -> Vec<BTreeSet<NodeId>> {
-    let all_nes: BTreeSet<NodeId> = report
-        .journal
-        .iter()
-        .filter_map(|(_, e)| match e {
-            ProtoEvent::NeFinal { node, .. } => Some(*node),
-            _ => None,
-        })
-        .collect();
+    let all_nes: BTreeSet<NodeId> = report.finals.ne.keys().map(|&(_, node)| node).collect();
     let mut candidates = vec![all_nes.clone()];
     // Singleton cores (tunnel home agent, RelM supervisor) are NodeId(0).
     candidates.push(std::iter::once(NodeId(0)).collect());
@@ -191,14 +134,16 @@ fn assert_backend_equivalence<S: MulticastSim>(name: &str) {
     // The oracle must agree for the backend's own wired-core set.
     let core = wired_core_candidates(&retained)
         .into_iter()
-        .find(|core| oracle::multipass_metrics(&retained.journal, core) == retained.metrics)
+        .find(|core| oracle::multipass_metrics(&retained, core) == retained.metrics)
         .unwrap_or_else(|| {
             panic!("{name}: no wired-core candidate reproduces the metrics via the legacy passes")
         });
 
-    // Batch: the same accumulator fed the retained journal in one pass.
+    // Batch: the same accumulator fed the retained journal in one pass,
+    // and the same counters.
     let mut batch = MetricsAccumulator::new(core);
     batch.observe_journal(&retained.journal);
+    batch.observe_finals(&retained.finals);
     assert_eq!(
         batch.finish(),
         retained.metrics,
@@ -216,6 +161,10 @@ fn assert_backend_equivalence<S: MulticastSim>(name: &str) {
     assert_eq!(
         online.metrics, retained.metrics,
         "{name}: metrics diverged between retention modes"
+    );
+    assert_eq!(
+        online.finals, retained.finals,
+        "{name}: end-of-run counters diverged between retention modes"
     );
     assert_eq!(
         online.stats, retained.stats,
