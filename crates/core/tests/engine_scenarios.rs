@@ -130,6 +130,64 @@ fn bursty_channel_with_budget_keeps_ratio_high() {
     assert!(ratio > 0.98, "bursty-channel delivery ratio {ratio}");
 }
 
+/// The limit of local-scope repair: a lost *last* message is never
+/// repaired. An MH learns of a gap only from a later message, and an AP
+/// never re-pushes what its MH's cumulative ack shows missing. Here ten
+/// messages cross a 20 %-loss radio hop; the wired core is loss-free, so
+/// the AP holds all ten (its other walker delivers GSN 10), but walker 0
+/// lost GSN 10 over the air and its front stays at 9 — gap-free below —
+/// for the 1.9 s the run goes on after the last send.
+#[test]
+fn a_lost_last_message_is_never_repaired() {
+    let messages = 10;
+    let spec = HierarchyBuilder::new(G)
+        .brs(2)
+        .ag_rings(1, 2)
+        .aps_per_ag(1)
+        .mhs_per_ap(2)
+        .sources(1)
+        .source_pattern(TrafficPattern::Cbr {
+            interval: SimDuration::from_millis(10),
+        })
+        .source_limit(messages)
+        .links(LinkPlan {
+            wireless: LinkProfile {
+                latency: LatencyModel::Jittered {
+                    base: SimDuration::from_millis(2),
+                    jitter: SimDuration::from_millis(2),
+                },
+                loss: LossModel::Bernoulli(0.2),
+                bandwidth: simnet::BandwidthModel::Unlimited,
+            },
+            ..LinkPlan::default()
+        })
+        .build();
+    let (short, sibling) = (Guid(0), Guid(1));
+    let ap_of = |spec: &ringnet_core::HierarchySpec, g: Guid| {
+        spec.mhs.iter().find(|m| m.guid == g).unwrap().initial_ap
+    };
+    assert!(ap_of(&spec, short).is_some());
+    assert_eq!(ap_of(&spec, short), ap_of(&spec, sibling), "one AP");
+    let mut net = RingNetSim::build(spec, 1);
+    net.run_until(SimTime::from_secs(2));
+    let (journal, ..) = net.finish();
+    // Per walker, every GSN it delivered or skipped, in journal order.
+    let mut passed: BTreeMap<Guid, Vec<u64>> = BTreeMap::new();
+    for (_, e) in &journal {
+        if let ProtoEvent::MhDeliver { mh, gsn, .. } | ProtoEvent::MhSkip { mh, gsn, .. } = e {
+            passed.entry(*mh).or_default().push(gsn.0);
+        }
+    }
+    let ordered = count(&journal, |e| matches!(e, ProtoEvent::Ordered { .. })) as u64;
+    assert_eq!(ordered, messages);
+    assert_eq!(passed[&sibling], (1..=messages).collect::<Vec<_>>());
+    assert_eq!(
+        passed[&short],
+        (1..messages).collect::<Vec<_>>(),
+        "walker 0's front stops one short of its AP's, with no hole below"
+    );
+}
+
 /// An NE runs two timer chains — hop tick and heartbeat — and an MH one,
 /// the hop tick, whose ack is its heartbeat: on a quiet loss-free world the
 /// simulator fires exactly those ticks plus the source's own. A further

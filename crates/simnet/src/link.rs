@@ -4,6 +4,11 @@
 //! channel. Profiles are pure *descriptions*; the per-link mutable state
 //! (loss-model memory, transmit-queue horizon) lives in [`LinkState`] inside
 //! the simulator so that profiles can be shared and cloned freely.
+//!
+//! [`LinkState::transmit`] takes the stream it draws loss and jitter from.
+//! In a simulation that is the link's own stream, which the topology keeps
+//! beside its state, so one link's outcomes never depend on traffic over
+//! another.
 
 use crate::rng::SimRng;
 use crate::time::{SimDuration, SimTime};

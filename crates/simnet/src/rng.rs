@@ -5,6 +5,12 @@
 //! simulation seed, never from ambient entropy — this is what makes a replica
 //! a pure function of `(config, seed)` and lets the parallel sweep runner
 //! fan replicas out across threads without losing reproducibility.
+//!
+//! Inside one simulation the draws are split by who makes them. Each
+//! directed link draws its loss and jitter from a stream of its own, derived
+//! from the seed, the link's endpoints and how often the pair was connected
+//! before; actors (sources, generators) share the world stream. A packet's
+//! fate therefore depends only on earlier traffic over the same link.
 
 /// splitmix64 — the standard cheap seed mixer. Used to derive independent
 /// stream seeds from `(root_seed, stream_id)` without correlation.

@@ -4,8 +4,9 @@
 //! A [`ShardedSim`] partitions the node population into shards (the caller
 //! supplies the node → shard map; the engine shards per attachment
 //! subtree). Each shard owns its actors, its own two-level calendar queue,
-//! its own RNG stream, and the *outgoing* half of every link whose source
-//! it owns. Intra-shard traffic never synchronizes; cross-shard deliveries
+//! its own actor RNG stream, and the *outgoing* half of every link whose
+//! source it owns. A link draws from its own stream of the run seed, the
+//! same at every shard count. Intra-shard traffic never synchronizes; cross-shard deliveries
 //! leave through a per-shard outbox and are admitted into the destination
 //! shard at the next window barrier, merged by `(time, src_shard, seq)`.
 //!
@@ -25,9 +26,9 @@
 //! drain independently and every merge point (cross-shard admission,
 //! journal interleaving, control order) is sorted by a total order.
 //! Across *different* shard counts the journals interleave differently and
-//! per-shard RNG streams diverge, so equivalence is semantic (identical
-//! per-walker delivery sets on loss-free fixed-latency worlds), not
-//! byte-level.
+//! the per-shard actor streams diverge, so equivalence is semantic
+//! (identical per-walker delivery sets on loss-free fixed-latency worlds),
+//! not byte-level.
 
 use std::sync::mpsc;
 use std::sync::Arc;
@@ -178,8 +179,9 @@ pub struct ShardedSim<M, R> {
 impl<M, R> ShardedSim<M, R> {
     /// Create a sharded simulator. `shard_of` maps every node that will be
     /// added (in [`ShardedSim::add_node`] order) to its owning shard, and
-    /// must only name shards below `shards`. Each shard draws from its own
-    /// RNG stream derived from `(seed, shard id)`.
+    /// must only name shards below `shards`. Each shard's actors draw from
+    /// their own RNG stream derived from `(seed, shard id)`; links draw from
+    /// streams of `seed` alone.
     pub fn new(
         seed: u64,
         shards: usize,
@@ -198,7 +200,7 @@ impl<M, R> ShardedSim<M, R> {
                     actors: Vec::new(),
                     // Shard journals are window buffers: always retained,
                     // drained into the master at every barrier.
-                    world: World::new_inner(SimRng::derive(seed, s as u64), true, sizer),
+                    world: World::new_inner(seed, SimRng::derive(seed, s as u64), true, sizer),
                 })
             })
             .collect();

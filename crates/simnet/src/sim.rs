@@ -6,9 +6,13 @@
 //! that actors emit for offline analysis (deliveries, handoffs, …).
 //!
 //! Determinism contract: with equal `(actors, topology, seed, schedule of
-//! control events)`, two runs produce byte-identical journals. Everything
-//! stochastic draws from the single per-simulation [`SimRng`]; ties in the
-//! event queue resolve by insertion order.
+//! control events)`, two runs produce byte-identical journals. Ties in the
+//! event queue resolve by insertion order. Everything stochastic draws from
+//! a stream derived from the seed: each directed link draws its loss and
+//! jitter from a stream of its own ([`Topology`]), and actors draw from the
+//! world stream ([`Ctx::rng`]). So a link's outcomes depend only on the
+//! packets offered to that link, in order: moving an unrelated send, or
+//! reordering work within one instant, changes no other link's draws.
 
 use crate::event::EventQueue;
 use crate::link::{LinkProfile, TxOutcome};
@@ -283,7 +287,8 @@ pub struct World<M, R> {
     /// The link table. Public so control events and scenario code can rewire
     /// the network mid-run (handoffs, failures).
     pub topo: Topology,
-    /// The per-simulation RNG stream.
+    /// The actors' RNG stream ([`Ctx::rng`]; e.g. Poisson sources). Links
+    /// never draw from it: each owns a stream of its own.
     pub rng: SimRng,
     /// The protocol-event journal.
     pub journal: Journal<R>,
@@ -294,7 +299,9 @@ pub struct World<M, R> {
 }
 
 impl<M, R> World<M, R> {
-    pub(crate) fn new_inner(rng: SimRng, journal: bool, sizer: fn(&M) -> usize) -> Self {
+    /// A world whose actors draw from `rng` and whose links draw from
+    /// streams of the run seed `seed`.
+    pub(crate) fn new_inner(seed: u64, rng: SimRng, journal: bool, sizer: fn(&M) -> usize) -> Self {
         World {
             now: SimTime::ZERO,
             queue: EventQueue::new(),
@@ -302,7 +309,7 @@ impl<M, R> World<M, R> {
             bursts: RunPool::new(),
             mc_buf: Vec::new(),
             route: None,
-            topo: Topology::new(),
+            topo: Topology::with_seed(seed),
             rng,
             journal: Journal::new(journal),
             stats: SimStats::default(),
@@ -380,11 +387,11 @@ impl<M, R> World<M, R> {
     /// destination, exactly like a black-holed IP packet).
     fn offer(&mut self, src: NodeAddr, dst: NodeAddr, size: usize) -> Option<SimTime> {
         self.stats.packets_sent += 1;
-        let Some(link) = self.topo.link_mut(src, dst) else {
+        let Some((link, draws)) = self.topo.channel_mut(src, dst) else {
             self.stats.packets_no_route += 1;
             return None;
         };
-        match link.transmit(self.now, size, &mut self.rng) {
+        match link.transmit(self.now, size, draws) {
             TxOutcome::Deliver(at) => return Some(at),
             TxOutcome::Lost => self.stats.packets_lost += 1,
             TxOutcome::QueueDrop => self.stats.packets_queue_dropped += 1,
@@ -733,7 +740,7 @@ impl<'a, M, R> Ctx<'a, M, R> {
         self.world.journal.record(now, rec);
     }
 
-    /// The per-simulation RNG.
+    /// The actors' RNG stream (links draw from their own).
     #[inline]
     pub fn rng(&mut self) -> &mut SimRng {
         &mut self.world.rng
@@ -769,7 +776,7 @@ impl<M, R> Sim<M, R> {
     pub fn with_options(seed: u64, journal: bool, sizer: fn(&M) -> usize) -> Self {
         Sim {
             actors: Vec::new(),
-            world: World::new_inner(SimRng::from_seed(seed), journal, sizer),
+            world: World::new_inner(seed, SimRng::from_seed(seed), journal, sizer),
             started: false,
         }
     }

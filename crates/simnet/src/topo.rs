@@ -10,8 +10,18 @@
 //! sorted within each row) is identical to the former
 //! `BTreeMap<(src, dst), _>`, which matters for reproducible statistics
 //! dumps.
+//!
+//! Each directed link also owns its loss-and-jitter draw stream, derived
+//! from the run seed, the pair, and how many times the pair was connected
+//! before (see [`link_stream`]). A link's outcomes therefore depend only on
+//! the sequence of packets offered to *it*: reordering sends across
+//! different links, even within one simulated instant, re-rolls nothing,
+//! and a re-attachment draws afresh instead of replaying the old stream.
+
+use std::collections::BTreeMap;
 
 use crate::link::{LinkProfile, LinkState};
+use crate::rng::{splitmix64, SimRng};
 
 /// Address of a node inside one simulation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -31,34 +41,75 @@ impl std::fmt::Display for NodeAddr {
     }
 }
 
+/// Salt separating link streams from the other streams of one seed.
+const LINK_STREAMS: u64 = 0x4C49_4E4B_5354_524D;
+
+/// The draw stream of the `nth` connection (0-based) of `src → dst` in the
+/// run seeded `seed`.
+pub(crate) fn link_stream(seed: u64, src: NodeAddr, dst: NodeAddr, nth: u64) -> SimRng {
+    let pair = (u64::from(src.0) << 32) | u64::from(dst.0);
+    SimRng::derive(
+        splitmix64(seed ^ LINK_STREAMS),
+        splitmix64(pair).wrapping_add(nth),
+    )
+}
+
+/// One directed link: its destination, runtime state and draw stream.
+struct Link {
+    dst: NodeAddr,
+    state: LinkState,
+    draws: SimRng,
+}
+
 /// Directed-link table.
 #[derive(Default)]
 pub struct Topology {
+    /// The run seed every link's draw stream derives from.
+    seed: u64,
     /// Outgoing adjacency per source address, each row sorted by
     /// destination. Rows for unused addresses stay empty.
-    out: Vec<Vec<(NodeAddr, LinkState)>>,
+    out: Vec<Vec<Link>>,
+    /// How many times each directed pair has been connected, kept across
+    /// disconnection so a re-attachment gets a stream of its own.
+    connects: BTreeMap<(NodeAddr, NodeAddr), u64>,
 }
 
 impl Topology {
-    /// Create an empty topology.
+    /// Create an empty topology whose links draw under seed 0.
     pub fn new() -> Self {
         Self::default()
     }
 
-    fn row(&self, src: NodeAddr) -> Option<&Vec<(NodeAddr, LinkState)>> {
+    /// Create an empty topology whose links draw under the run seed `seed`.
+    pub(crate) fn with_seed(seed: u64) -> Self {
+        Topology {
+            seed,
+            ..Self::default()
+        }
+    }
+
+    fn row(&self, src: NodeAddr) -> Option<&Vec<Link>> {
         self.out.get(src.index())
     }
 
-    /// Install (or replace) the directed link `src → dst`.
+    /// Install (or replace) the directed link `src → dst`, with a fresh
+    /// state and the draw stream of this connection.
     pub(crate) fn connect(&mut self, src: NodeAddr, dst: NodeAddr, profile: LinkProfile) {
         let i = src.index();
         if i >= self.out.len() {
             self.out.resize_with(i + 1, Vec::new);
         }
+        let nth = self.connects.entry((src, dst)).or_insert(0);
+        let link = Link {
+            dst,
+            state: LinkState::new(profile),
+            draws: link_stream(self.seed, src, dst, *nth),
+        };
+        *nth += 1;
         let row = &mut self.out[i];
-        match row.binary_search_by_key(&dst, |&(d, _)| d) {
-            Ok(p) => row[p].1 = LinkState::new(profile),
-            Err(p) => row.insert(p, (dst, LinkState::new(profile))),
+        match row.binary_search_by_key(&dst, |l| l.dst) {
+            Ok(p) => row[p] = link,
+            Err(p) => row.insert(p, link),
         }
     }
 
@@ -73,7 +124,7 @@ impl Topology {
         let Some(row) = self.out.get_mut(src.index()) else {
             return false;
         };
-        match row.binary_search_by_key(&dst, |&(d, _)| d) {
+        match row.binary_search_by_key(&dst, |l| l.dst) {
             Ok(p) => {
                 row.remove(p);
                 true
@@ -114,22 +165,36 @@ impl Topology {
         fwd || rev
     }
 
+    /// Mutable access to a directed link's runtime state and its draw
+    /// stream.
+    #[inline]
+    pub(crate) fn channel_mut(
+        &mut self,
+        src: NodeAddr,
+        dst: NodeAddr,
+    ) -> Option<(&mut LinkState, &mut SimRng)> {
+        let row = self.out.get_mut(src.index())?;
+        match row.binary_search_by_key(&dst, |l| l.dst) {
+            Ok(p) => {
+                let link = &mut row[p];
+                Some((&mut link.state, &mut link.draws))
+            }
+            Err(_) => None,
+        }
+    }
+
     /// Mutable access to a directed link's runtime state.
     #[inline]
     pub(crate) fn link_mut(&mut self, src: NodeAddr, dst: NodeAddr) -> Option<&mut LinkState> {
-        let row = self.out.get_mut(src.index())?;
-        match row.binary_search_by_key(&dst, |&(d, _)| d) {
-            Ok(p) => Some(&mut row[p].1),
-            Err(_) => None,
-        }
+        self.channel_mut(src, dst).map(|(state, _)| state)
     }
 
     /// Read access to a directed link's runtime state.
     #[inline]
     pub fn link(&self, src: NodeAddr, dst: NodeAddr) -> Option<&LinkState> {
         let row = self.row(src)?;
-        match row.binary_search_by_key(&dst, |&(d, _)| d) {
-            Ok(p) => Some(&row[p].1),
+        match row.binary_search_by_key(&dst, |l| l.dst) {
+            Ok(p) => Some(&row[p].state),
             Err(_) => None,
         }
     }
@@ -140,16 +205,16 @@ impl Topology {
             .map(|r| r.as_slice())
             .unwrap_or(&[])
             .iter()
-            .map(|&(dst, _)| dst)
+            .map(|l| l.dst)
     }
 
     /// Iterate over every directed link (deterministic order: by source
     /// address, then destination).
     pub fn iter(&self) -> impl Iterator<Item = (NodeAddr, NodeAddr, &LinkState)> {
-        self.out
-            .iter()
-            .enumerate()
-            .flat_map(|(s, row)| row.iter().map(move |(d, l)| (NodeAddr(s as u32), *d, l)))
+        self.out.iter().enumerate().flat_map(|(s, row)| {
+            row.iter()
+                .map(move |l| (NodeAddr(s as u32), l.dst, &l.state))
+        })
     }
 }
 
@@ -208,6 +273,41 @@ mod tests {
         assert!(t.link(NodeAddr(0), NodeAddr(1)).unwrap().is_up());
         // No such link: reports false.
         assert!(!t.set_duplex_up(NodeAddr(5), NodeAddr(6), false));
+    }
+
+    /// The next draw of the link `src → dst`.
+    fn draw(t: &mut Topology, src: u32, dst: u32) -> u64 {
+        let (_, draws) = t.channel_mut(NodeAddr(src), NodeAddr(dst)).unwrap();
+        draws.next_u64()
+    }
+
+    #[test]
+    fn each_connection_draws_its_own_stream() {
+        let mut t = Topology::with_seed(9);
+        t.connect_duplex(NodeAddr(0), NodeAddr(1), p());
+        t.connect(NodeAddr(0), NodeAddr(2), p());
+        let first = draw(&mut t, 0, 1);
+        assert_ne!(first, draw(&mut t, 1, 0), "directions differ");
+        assert_ne!(first, draw(&mut t, 0, 2), "destinations differ");
+        assert_eq!(
+            first,
+            link_stream(9, NodeAddr(0), NodeAddr(1), 0).next_u64(),
+            "a pair's first connection draws stream 0"
+        );
+        // Re-attachment: a new stream, not a replay of the old one.
+        t.disconnect_duplex(NodeAddr(0), NodeAddr(1));
+        t.connect_duplex(NodeAddr(0), NodeAddr(1), p());
+        assert_ne!(draw(&mut t, 0, 1), first, "a reconnection draws afresh");
+        assert_eq!(
+            link_stream(9, NodeAddr(0), NodeAddr(1), 0).next_u64(),
+            first,
+            "streams depend on the seed, pair and connection count only"
+        );
+        assert_ne!(
+            link_stream(10, NodeAddr(0), NodeAddr(1), 0).next_u64(),
+            first,
+            "and the seed enters"
+        );
     }
 
     #[test]

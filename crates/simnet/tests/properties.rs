@@ -138,6 +138,104 @@ fn rng_streams_replay() {
     }
 }
 
+/// Records every packet it receives as `(receiver, message)`.
+struct Recorder;
+
+impl Actor<u32, (NodeAddr, u32)> for Recorder {
+    fn on_packet(&mut self, ctx: &mut Ctx<'_, u32, (NodeAddr, u32)>, _: NodeAddr, msg: u32) {
+        ctx.record((ctx.me(), msg));
+    }
+    fn on_timer(&mut self, _: &mut Ctx<'_, u32, (NodeAddr, u32)>, _: u64) {}
+}
+
+/// Each link draws from its own stream: interleaving the sends on two lossy,
+/// jittered links in any order — within one instant or across several —
+/// leaves what each link delivers, and when, unchanged.
+#[test]
+fn interleaving_sends_across_links_leaves_each_links_outcomes_alone() {
+    let mut rng = SimRng::from_seed(0xB8);
+    for case in 0..32u64 {
+        let seed = rng.next_u64();
+        let counts = [rng.range_u64(1, 40), rng.range_u64(1, 40)];
+        // When each link's k-th send leaves, in milliseconds: all at once,
+        // or spread out over a per-link schedule.
+        let spread: Vec<Vec<u64>> = counts
+            .iter()
+            .map(|&n| {
+                let mut at = 0;
+                (0..n)
+                    .map(|_| {
+                        at += rng.range_u64(0, 3);
+                        at
+                    })
+                    .collect()
+            })
+            .collect();
+        let at_once: Vec<Vec<u64>> = counts.iter().map(|&n| vec![0; n as usize]).collect();
+        // Random interleavings: which link each successive send goes to.
+        let orders: Vec<Vec<usize>> = (0..4)
+            .map(|_| {
+                let mut left = counts;
+                std::iter::from_fn(|| {
+                    let link = match left {
+                        [0, 0] => return None,
+                        [0, _] => 1,
+                        [_, 0] => 0,
+                        _ => rng.index(2),
+                    };
+                    left[link] -= 1;
+                    Some(link)
+                })
+                .collect()
+            })
+            .collect();
+        let run = |order: &[usize], times: &[Vec<u64>]| {
+            let mut sim: Sim<u32, (NodeAddr, u32)> = Sim::new(seed);
+            let [a, b, c, d] = [(); 4].map(|_| sim.add_node(Box::new(Recorder)));
+            let jittered = LinkProfile::wireless(
+                SimDuration::from_millis(1),
+                SimDuration::from_millis(3),
+                0.3,
+            );
+            let bursty = jittered.clone().with_loss(LossModel::lossy_wireless());
+            sim.world().topo.connect_duplex(a, b, jittered);
+            sim.world().topo.connect_duplex(c, d, bursty);
+            let ends = [(a, b), (c, d)];
+            let mut sent = [0usize; 2];
+            for &link in order {
+                let k = sent[link];
+                sent[link] += 1;
+                let (src, dst) = ends[link];
+                let msg = (link * 1000 + k) as u32;
+                sim.world()
+                    .schedule_control(SimTime::from_millis(times[link][k]), move |w| {
+                        w.send(src, dst, msg)
+                    });
+            }
+            sim.run_until(SimTime::from_secs(1));
+            let (records, stats) = sim.finish();
+            let heard = |who: NodeAddr| -> Vec<(SimTime, u32)> {
+                records
+                    .iter()
+                    .filter(|(_, (me, _))| *me == who)
+                    .map(|&(t, (_, m))| (t, m))
+                    .collect()
+            };
+            (heard(b), heard(d), stats.packets_lost)
+        };
+        for times in [&at_once, &spread] {
+            let reference = run(&orders[0], times);
+            assert!(
+                reference.0.len() + reference.1.len() > 0,
+                "case {case}: nothing arrived"
+            );
+            for order in &orders[1..] {
+                assert_eq!(run(order, times), reference, "case {case}");
+            }
+        }
+    }
+}
+
 /// Reference model for the two-level calendar queue: a flat list scanned
 /// for the `(time, seq)` minimum, with explicit cancellation. Slow but
 /// obviously correct.
