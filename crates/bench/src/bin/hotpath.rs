@@ -7,11 +7,12 @@
 //! cargo run --release -p ringnet-bench --bin hotpath -- check   # CI gate
 //! ```
 //!
-//! `check` asserts `allocs_per_delivery`, `control_per_delivery` and
-//! `packets_per_delivery` stay within the pinned golden tolerances below,
-//! so an allocation regression on the sim path, or a control plane or a
-//! radio hop that starts talking more, fails the build even when wall time
-//! is too noisy to trip anything.
+//! `check` asserts `allocs_per_delivery`, `control_per_delivery`,
+//! `packets_per_delivery` and `events_per_delivery` stay within the pinned
+//! golden tolerances below, so an allocation regression on the sim path, a
+//! control plane or a radio hop that starts talking more, or an entity
+//! that starts waking for nothing, fails the build even when wall time is
+//! too noisy to trip anything.
 //!
 //! In both modes the last line of standard output is the rows as one JSON
 //! array: the `hotpath` block of a `BENCH_ringnet.json` entry.
@@ -24,10 +25,10 @@ use ringnet_bench::suites::{hotpath_scenarios, HotpathRow};
 static ALLOC: CountingAlloc = CountingAlloc;
 
 /// What `check` gates, in the order of each scenario's ceilings.
-const GATED: [&str; 3] = ["allocs", "control messages", "wire packets"];
+const GATED: [&str; 4] = ["allocs", "control messages", "wire packets", "events"];
 
 /// Pinned golden ceilings per scenario, per delivery: allocator calls,
-/// wired-core control messages, wire packets.
+/// wired-core control messages, wire packets, simulator events.
 ///
 /// * **Allocations** (calls, not bytes). Measured after the copy-free
 ///   fabric work: 0.119 (128-walker second, down from 1.562) and 0.336
@@ -51,11 +52,19 @@ const GATED: [&str; 3] = ["allocs", "control messages", "wire packets"];
 ///   and 3.3789 once an MH's ack became its liveness beacon (were 1.9226
 ///   and 3.3890 while every MH also sent a heartbeat its AP answered), so
 ///   a second MH ↔ AP exchange coming back trips it.
+/// * **Events** — packets, timers and controls the simulator dispatched.
+///   Deterministic, so the margin is thin (~0.5 %): measured 1.4378 and
+///   2.8991 once an MH wakes only when an ack or a NACK is due (were
+///   1.7711 and 2.9246 while every MH woke on every hop tick), so an idle
+///   wake chain coming back trips it.
 ///
 /// Regenerate with `hotpath` after deliberate changes.
-const CEILINGS: &[(&str, [f64; 3])] = &[
-    ("ringnet_128_walkers_one_sim_second", [0.15, 0.048, 1.83]),
-    ("multigroup_throughput_rings_4", [0.15, 0.076, 3.45]),
+const CEILINGS: &[(&str, [f64; 4])] = &[
+    (
+        "ringnet_128_walkers_one_sim_second",
+        [0.15, 0.048, 1.83, 1.45],
+    ),
+    ("multigroup_throughput_rings_4", [0.15, 0.076, 3.45, 2.91]),
 ];
 
 /// Every measured value over its pinned ceiling, and every pinned
@@ -71,6 +80,7 @@ fn failures(rows: &[HotpathRow]) -> Vec<String> {
             row.allocs_per_delivery,
             row.control_per_delivery,
             row.packets_per_delivery,
+            row.events_per_delivery,
         ];
         for ((what, got), max) in GATED.iter().zip(measured).zip(ceilings) {
             if got > max {
@@ -91,7 +101,8 @@ fn json_line(rows: &[HotpathRow]) -> String {
             format!(
                 "{{\"name\": {}, \"wall_ms\": {:.2}, \"delivered\": {}, \
                  \"allocs_per_delivery\": {:.3}, \"alloc_bytes_per_delivery\": {:.1}, \
-                 \"control_per_delivery\": {:.4}, \"packets_per_delivery\": {:.4}}}",
+                 \"control_per_delivery\": {:.4}, \"packets_per_delivery\": {:.4}, \
+                 \"events_per_delivery\": {:.4}}}",
                 json::string(&h.name),
                 h.wall_ms,
                 h.delivered,
@@ -99,6 +110,7 @@ fn json_line(rows: &[HotpathRow]) -> String {
                 h.alloc_bytes_per_delivery,
                 h.control_per_delivery,
                 h.packets_per_delivery,
+                h.events_per_delivery,
             )
         })
         .collect();
@@ -109,25 +121,27 @@ fn main() {
     let check = std::env::args().any(|a| a == "check");
     let rows = hotpath_scenarios();
     println!(
-        "{:<42} {:>12} {:>12} {:>14} {:>16} {:>12} {:>14}",
+        "{:<42} {:>12} {:>12} {:>14} {:>16} {:>12} {:>14} {:>13}",
         "scenario",
         "wall_ms",
         "delivered",
         "allocs/deliv",
         "alloc_kb/deliv",
         "ctl/deliv",
-        "packets/deliv"
+        "packets/deliv",
+        "events/deliv"
     );
     for row in &rows {
         println!(
-            "{:<42} {:>12.2} {:>12} {:>14.3} {:>16.3} {:>12.4} {:>14.4}",
+            "{:<42} {:>12.2} {:>12} {:>14.3} {:>16.3} {:>12.4} {:>14.4} {:>13.4}",
             row.name,
             row.wall_ms,
             row.delivered,
             row.allocs_per_delivery,
             row.alloc_bytes_per_delivery / 1024.0,
             row.control_per_delivery,
-            row.packets_per_delivery
+            row.packets_per_delivery,
+            row.events_per_delivery
         );
     }
     let failures = if check { failures(&rows) } else { Vec::new() };
@@ -148,7 +162,7 @@ fn main() {
 mod tests {
     use super::*;
 
-    fn row(name: &str, packets: f64) -> HotpathRow {
+    fn row(name: &str, packets: f64, events: f64) -> HotpathRow {
         HotpathRow {
             name: name.into(),
             wall_ms: 12.0,
@@ -157,27 +171,34 @@ mod tests {
             alloc_bytes_per_delivery: 166.0,
             control_per_delivery: 0.0456,
             packets_per_delivery: packets,
+            events_per_delivery: events,
         }
     }
 
     #[test]
     fn json_line_renders_every_row() {
-        let line = json_line(&[row("flagship", 1.7926), row("flagship", 1.7926)]);
+        let line = json_line(&[
+            row("flagship", 1.7926, 1.4378),
+            row("flagship", 1.7926, 1.4378),
+        ]);
         assert!(line.starts_with("[{\"name\": \"flagship\", \"wall_ms\": 12.00"));
         assert!(line.contains("\"allocs_per_delivery\": 0.119"));
-        assert!(
-            line.contains("\"control_per_delivery\": 0.0456, \"packets_per_delivery\": 1.7926}, {")
-        );
+        assert!(line.contains(
+            "\"control_per_delivery\": 0.0456, \"packets_per_delivery\": 1.7926, \
+             \"events_per_delivery\": 1.4378}, {"
+        ));
         assert!(line.ends_with("}]") && !line.contains('\n'));
     }
 
     #[test]
     fn check_fails_a_value_over_its_ceiling_and_a_missing_scenario() {
-        let flagship = row("ringnet_128_walkers_one_sim_second", 1.7926);
-        let rings_4 = row("multigroup_throughput_rings_4", 3.3789);
+        let flagship = row("ringnet_128_walkers_one_sim_second", 1.7926, 1.4378);
+        let rings_4 = row("multigroup_throughput_rings_4", 3.3789, 2.8991);
         assert!(failures(&[flagship.clone(), rings_4.clone()]).is_empty());
-        let over = row("ringnet_128_walkers_one_sim_second", 1.9226);
-        assert_eq!(failures(&[over, rings_4]).len(), 1);
+        let over = row("ringnet_128_walkers_one_sim_second", 1.9226, 1.4378);
+        assert_eq!(failures(&[over, rings_4.clone()]).len(), 1);
+        let every_tick = row("ringnet_128_walkers_one_sim_second", 1.7926, 1.7711);
+        assert_eq!(failures(&[every_tick, rings_4]).len(), 1, "idle wakes");
         assert_eq!(failures(&[flagship]).len(), 1, "rings_4 was not measured");
     }
 }

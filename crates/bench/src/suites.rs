@@ -104,6 +104,9 @@ pub struct HotpathRow {
     /// Wire packets of every kind and hop, wireless included, per delivered
     /// message; a frame or burst is one packet (gated).
     pub packets_per_delivery: f64,
+    /// Simulator events — packets, timers and controls alike — per
+    /// delivered message (gated).
+    pub events_per_delivery: f64,
 }
 
 /// The fabric's flagship workloads, each run three times for wall time,
@@ -170,6 +173,7 @@ pub fn hotpath_scenarios() -> Vec<HotpathRow> {
             alloc_bytes_per_delivery: per_delivery(best_bytes),
             control_per_delivery: per_delivery(rep.metrics.wired_core_control_sent),
             packets_per_delivery: per_delivery(rep.stats.packets_sent),
+            events_per_delivery: per_delivery(rep.stats.events),
         });
     }
     rows

@@ -1822,11 +1822,13 @@ mod tests {
         assert_eq!(report.metrics.duplicates, 0);
     }
 
-    /// Every entity ticks on its own clock whatever the protocol is doing,
-    /// so a run with a 20 ms outage fires the timers of the same run without
-    /// it, give or take the ticks around the outage (at most one stale and
-    /// one phase-shifted per chain). A forked chain would add one tick per
-    /// period for the rest of the run.
+    /// Every NE ticks on its own clock whatever the protocol is doing, and
+    /// an MH wakes on its ack ticks plus one tick per NACK it owes, so a
+    /// run with a 20 ms outage fires the timers of the same run without it,
+    /// give or take the ticks around the outage (at most one stale and one
+    /// phase-shifted per NE chain, and the NACK ticks of a walker that the
+    /// outage cost a message). A forked chain would add one tick per period
+    /// for the rest of the run.
     fn assert_ticks_like_a_never_restarted_twin(sc: &Scenario, seed: u64, report: &RunReport) {
         let mut twin = sc.clone();
         twin.events.clear();

@@ -3,8 +3,9 @@
 //! joins, the teardown harvest).
 //!
 //! All protocol logic lives in the sans-IO state machines; the actors here
-//! only translate [`Action`]s into simulator calls and drive the periodic
-//! timers. Address translation between protocol identities
+//! only translate [`Action`]s into simulator calls and drive the timers: an
+//! NE's two periodic chains, and an MH's one pending wake at the hop tick
+//! its state names ([`MhState::next_deadline`]). Address translation between protocol identities
 //! ([`NodeId`]/[`Guid`]) and simulator addresses ([`NodeAddr`]) goes through
 //! one immutable [`AddrMap`] shared by every actor.
 
@@ -528,11 +529,97 @@ struct MhActor {
     /// Where the teardown `FlushStats` sweep leaves the live states'
     /// counters.
     harvest: HarvestSink,
+    /// Where the hop-tick grid starts: tick `k` is at `origin + k · HOP_TICK`.
+    origin: SimTime,
+    /// The grid index of the one pending wake.
+    wake: u64,
+    /// Generation of the pending wake, encoded into its timer tag
+    /// (`TAG_HOP | gen << 3`) as in `NeActor::timer_gen`: a superseded wake
+    /// still fires, carrying an older generation, and falls dead.
+    timer_gen: u64,
 }
 
 impl MhActor {
+    fn new(
+        states: Vec<MhState>,
+        map: Arc<AddrMap>,
+        initial_ap: Option<NodeId>,
+        harvest: HarvestSink,
+    ) -> Self {
+        MhActor {
+            states,
+            map,
+            out: Vec::with_capacity(16),
+            framer: Box::default(),
+            initial_ap,
+            harvest,
+            origin: SimTime::ZERO,
+            wake: 0,
+            timer_gen: 0,
+        }
+    }
+
     fn any_alive(&self) -> bool {
         self.states.iter().any(|s| s.alive)
+    }
+
+    fn tick_time(&self, tick: u64) -> SimTime {
+        self.origin + HOP_TICK * tick
+    }
+
+    /// The earliest tick any live state has work at; `None` once every
+    /// state is dead, which ends the wakes.
+    fn next_deadline(&self) -> Option<u64> {
+        let live = self.states.iter().filter(|s| s.alive);
+        live.map(MhState::next_deadline).min()
+    }
+
+    /// Arm the one pending wake at grid tick `tick`, superseding any other.
+    fn arm(&mut self, ctx: &mut Ctx<'_, Msg, ProtoEvent>, tick: u64) {
+        self.timer_gen += 1;
+        self.wake = tick;
+        let delay = self.tick_time(tick).saturating_since(ctx.now());
+        ctx.set_timer(delay, TAG_HOP | (self.timer_gen << 3));
+    }
+
+    /// Run the pending wake's tick on every live state, then arm the next
+    /// tick any of them has work at.
+    fn tick(&mut self, ctx: &mut Ctx<'_, Msg, ProtoEvent>) {
+        let tick = self.wake;
+        for st in &mut self.states {
+            if st.alive {
+                st.tick_hop(tick, &mut self.out);
+            }
+        }
+        if let Some(next) = self.next_deadline() {
+            self.arm(ctx, next);
+        }
+    }
+
+    /// A packet arriving at the very instant of the pending wake: in an
+    /// every-tick chain that tick, armed a tick earlier, would run first,
+    /// so it does here too, sending on its own.
+    fn tick_if_due(&mut self, ctx: &mut Ctx<'_, Msg, ProtoEvent>) {
+        if self.any_alive() && self.tick_time(self.wake) == ctx.now() {
+            self.tick(ctx);
+            self.flush(ctx);
+        }
+    }
+
+    /// After a packet: if it opened a gap while the MH sleeps towards a
+    /// later tick, pull the wake in to the first grid tick strictly after
+    /// now. Every link plan delivers to an MH in under a hop tick, so a
+    /// tick the MH skipped would have run before this packet and seen no
+    /// gap; the first tick that can see it is the next one.
+    fn pull_in(&mut self, ctx: &mut Ctx<'_, Msg, ProtoEvent>) {
+        if !self.states.iter().any(|s| s.alive && s.chasing_gap()) {
+            return;
+        }
+        let since = ctx.now().saturating_since(self.origin).as_nanos();
+        let next = since / HOP_TICK.as_nanos() + 1;
+        if self.wake > next {
+            self.arm(ctx, next);
+        }
     }
 
     /// Route one inbound message: radio-level commands concern the whole
@@ -589,7 +676,10 @@ impl MhActor {
 impl Actor<Msg, ProtoEvent> for MhActor {
     fn on_start(&mut self, ctx: &mut Ctx<'_, Msg, ProtoEvent>) {
         let now = ctx.now();
-        ctx.set_timer(HOP_TICK, TAG_HOP);
+        self.origin = now;
+        if let Some(first) = self.next_deadline() {
+            self.arm(ctx, first);
+        }
         if let Some(ap) = self.initial_ap {
             for st in &mut self.states {
                 st.join(now, ap, &mut self.out);
@@ -611,7 +701,9 @@ impl Actor<Msg, ProtoEvent> for MhActor {
         }
         let from_ep = self.map.endpoint_of(from);
         let now = ctx.now();
+        self.tick_if_due(ctx);
         self.deliver(now, from_ep, msg);
+        self.pull_in(ctx);
         self.flush(ctx);
     }
 
@@ -623,25 +715,22 @@ impl Actor<Msg, ProtoEvent> for MhActor {
     ) {
         let from_ep = self.map.endpoint_of(from);
         let now = ctx.now();
+        self.tick_if_due(ctx);
         for msg in msgs {
             self.deliver(now, from_ep, msg);
         }
+        self.pull_in(ctx);
         self.flush(ctx);
     }
 
-    /// The hop tick, an MH's only timer chain (its ack is its liveness
-    /// beacon).
-    fn on_timer(&mut self, ctx: &mut Ctx<'_, Msg, ProtoEvent>, _tag: u64) {
-        if !self.any_alive() {
+    /// The MH's one pending wake, on the hop-tick grid: a tick with work —
+    /// an ack (its liveness beacon) or a NACK budget step — never a tick
+    /// that would do nothing. A superseded wake falls dead.
+    fn on_timer(&mut self, ctx: &mut Ctx<'_, Msg, ProtoEvent>, tag: u64) {
+        if (tag >> 3) != self.timer_gen || !self.any_alive() {
             return;
         }
-        let now = ctx.now();
-        for st in &mut self.states {
-            if st.alive {
-                st.tick_hop(now, &mut self.out);
-            }
-        }
-        ctx.set_timer(HOP_TICK, TAG_HOP);
+        self.tick(ctx);
         self.flush(ctx);
     }
 }
@@ -875,16 +964,14 @@ fn assemble(spec: &HierarchySpec, net: &mut impl Assemble, harvest: &HarvestSink
                 next_ls: LocalSeq::FIRST,
                 sent: 0,
             }),
-            Entity::Mh(mh) => Box::new(MhActor {
-                states: (spec.subscriptions_of(mh).into_iter())
+            Entity::Mh(mh) => Box::new(MhActor::new(
+                (spec.subscriptions_of(mh).into_iter())
                     .map(|g| MhState::new(g, mh.guid, cfg.clone()))
                     .collect(),
-                map: Arc::clone(&map),
-                out: Vec::with_capacity(16),
-                framer: Box::default(),
-                initial_ap: mh.initial_ap,
-                harvest: Arc::clone(harvest),
-            }),
+                Arc::clone(&map),
+                mh.initial_ap,
+                Arc::clone(harvest),
+            )),
         };
         let addr = net.add(actor);
         debug_assert_eq!(addr.index(), i, "creation order is address order");
@@ -1263,7 +1350,9 @@ impl RingNetSim {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::ProtocolConfig;
     use crate::hierarchy::HierarchyBuilder;
+    use crate::ids::GlobalSeq;
 
     fn small_spec() -> HierarchySpec {
         HierarchyBuilder::new(GroupId(1))
@@ -1468,5 +1557,124 @@ mod tests {
     fn shard_map_rejects_more_shards_than_aps() {
         let spec = small_spec();
         shard_map(&spec, 64);
+    }
+
+    /// An AP stand-in: records every ack and NACK an MH sends it, stamped
+    /// with the instant it was sent (the uplink is a fixed 1 ms).
+    struct AckProbe(Arc<Mutex<Vec<(SimTime, Msg)>>>);
+
+    const UPLINK: SimDuration = SimDuration::from_millis(1);
+
+    impl Actor<Msg, ProtoEvent> for AckProbe {
+        fn on_packet(&mut self, ctx: &mut Ctx<'_, Msg, ProtoEvent>, _: NodeAddr, msg: Msg) {
+            if matches!(msg, Msg::DataNack { .. } | Msg::DataAck { .. }) {
+                self.0.lock().unwrap().push((ctx.now() - UPLINK, msg));
+            }
+        }
+        fn on_timer(&mut self, _: &mut Ctx<'_, Msg, ProtoEvent>, _: u64) {}
+    }
+
+    fn data_msg(gsn: u64) -> Msg {
+        Msg::Data {
+            group: GroupId(1),
+            gsn: GlobalSeq(gsn),
+            data: crate::mq::MsgData {
+                source: NodeId(0),
+                local_seq: LocalSeq(gsn),
+                ordering_node: NodeId(0),
+                payload: PayloadId(gsn),
+            },
+        }
+    }
+
+    /// An MH that wakes only when it has work sends every ack and NACK at
+    /// the instant an MH ticking every hop tick would. The script opens
+    /// gaps between ack ticks, fills them, lets one run out its NACK budget,
+    /// and lands packets exactly on grid instants — one sent before the
+    /// gap that pulls the wake in to that very instant. The reference is
+    /// the state machine ticked on every grid tick, with a packet due at a
+    /// tick's own instant handled after the tick, as the every-tick chain
+    /// (armed a tick earlier) orders it.
+    #[test]
+    fn a_sleeping_mh_acks_and_nacks_at_the_every_tick_instants() {
+        let ms = SimTime::from_millis;
+        // (when the stimulus is scheduled, its delay, the GSN it carries)
+        let script: Vec<(SimTime, SimDuration, u64)> = vec![
+            (ms(3), SimDuration::ZERO, 1),
+            (ms(4), SimDuration::ZERO, 2),
+            (ms(12), SimDuration::ZERO, 4), // gap at 3, between ack ticks
+            (ms(26), SimDuration::ZERO, 3),
+            (ms(40), SimDuration::ZERO, 6), // on the ack tick's instant
+            (ms(47), SimDuration::ZERO, 5),
+            // GSN 7 is sent at 50 ms and lands at 55 ms; GSN 8 opens its
+            // gap at 52 ms and pulls the wake in to 55 ms, behind it.
+            (ms(50), SimDuration::from_millis(5), 7),
+            (ms(52), SimDuration::ZERO, 8),
+            (ms(58), SimDuration::ZERO, 9),
+            (ms(71), SimDuration::ZERO, 11), // 10 is never filled
+        ];
+        let ticks = 40u64;
+        let cfg = ProtocolConfig::default();
+        let (ap_id, guid) = (NodeId(1), Guid(1));
+
+        // The reference: every tick runs.
+        let mut reference = Vec::new();
+        let mut mh = MhState::new(GroupId(1), guid, cfg.clone());
+        let mut out = Vec::new();
+        mh.join(SimTime::ZERO, ap_id, &mut out);
+        out.clear();
+        let mut arrivals: Vec<(SimTime, u64)> =
+            script.iter().map(|&(at, d, gsn)| (at + d, gsn)).collect();
+        arrivals.sort();
+        let mut next = arrivals.iter().peekable();
+        for k in 1..=ticks {
+            let at = SimTime::ZERO + HOP_TICK * k;
+            while let Some(&&(t, gsn)) = next.peek() {
+                if t >= at {
+                    break;
+                }
+                mh.on_msg(t, Endpoint::Ne(ap_id), data_msg(gsn), &mut out);
+                next.next();
+            }
+            mh.tick_hop(k, &mut out);
+            for action in out.drain(..) {
+                if let Action::Send { msg, .. } = action {
+                    reference.push((at, msg));
+                }
+            }
+        }
+        assert!(reference
+            .iter()
+            .any(|(_, m)| matches!(m, Msg::DataNack { .. })));
+
+        // The engine: one pending wake.
+        let mut sim: Sim<Msg, ProtoEvent> = Sim::with_options(3, true, wire_size);
+        let heard = Arc::new(Mutex::new(Vec::new()));
+        let mut map = AddrMap::default();
+        map.insert_ne(ap_id, NodeAddr(0));
+        map.insert_mh(guid, NodeAddr(1));
+        let ap = sim.add_node(Box::new(AckProbe(Arc::clone(&heard))));
+        let mh = sim.add_node(Box::new(MhActor::new(
+            vec![MhState::new(GroupId(1), guid, cfg)],
+            Arc::new(map),
+            Some(ap_id),
+            HarvestSink::default(),
+        )));
+        sim.world()
+            .topo
+            .connect_duplex(ap, mh, LinkProfile::wired(UPLINK));
+        for (at, delay, gsn) in script {
+            sim.world().schedule_control(at, move |w| {
+                w.inject(ap, mh, data_msg(gsn), delay);
+            });
+        }
+        sim.run_until(SimTime::ZERO + HOP_TICK * ticks + UPLINK);
+        let stats = sim.stats();
+        assert_eq!(*heard.lock().unwrap(), reference);
+        assert!(
+            stats.timers_fired < ticks,
+            "the MH slept through idle ticks ({} wakes)",
+            stats.timers_fired
+        );
     }
 }

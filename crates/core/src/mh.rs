@@ -9,8 +9,15 @@
 //! The cumulative ACK is also the MH's liveness beacon: it goes to the AP
 //! on every `ack_every`-th hop tick whether or not the front moved, so the
 //! AP hears from a live MH once per ack period and needs no separate
-//! heartbeat. An MH runs one timer chain, the hop tick. An AP that does not
-//! know the acking MH answers with [`Msg::ReRegister`].
+//! heartbeat. An AP that does not know the acking MH answers with
+//! [`Msg::ReRegister`].
+//!
+//! An MH has exactly two timed duties, and both sit on the hop-tick grid:
+//! NACK a gap (one step of the NACK budget per tick) and ack. So it wakes
+//! only when one is due: [`MhState::next_deadline`] names the next tick
+//! index with work — the next tick while a gap is being chased, otherwise
+//! the next ack tick — and the interpreter maps that index to a time. A
+//! tick in between would have done nothing.
 
 use simnet::SimTime;
 
@@ -49,7 +56,8 @@ pub struct MhState {
     pub cfg: ProtocolConfig,
     /// Statistics.
     pub counters: MhCounters,
-    /// Hop-tick counter (drives the `ack_every` divisor).
+    /// Index of the last hop tick run, on the grid that starts at the
+    /// MH's start (drives the `ack_every` divisor).
     pub hop_tick_count: u64,
     /// Sequence of the last application delivery, for order verification.
     pub last_delivered: GlobalSeq,
@@ -181,6 +189,9 @@ impl MhState {
                 }
             }
         }
+        // Applications consume immediately; nothing downstream pins the MQ.
+        let front = self.mq.front();
+        self.mq.gc_to(front);
     }
 
     /// Radio-layer stimulus: we are now under `new_ap`. Register there,
@@ -201,12 +212,33 @@ impl MhState {
         ));
     }
 
-    /// Periodic hop tick: NACK gaps, cumulative ACK, GC.
-    pub fn tick_hop(&mut self, now: SimTime, out: &mut Outbox) {
+    /// Whether a gap is being chased: something above the front arrived
+    /// while the slot after it did not.
+    pub(crate) fn chasing_gap(&self) -> bool {
+        self.mq.rear() > self.mq.front()
+    }
+
+    /// The next hop-tick index at which this state has work: the next tick
+    /// while a gap is being chased (each tick is one step of the NACK
+    /// budget), otherwise the next multiple of `ack_every`, the beacon.
+    /// Every tick before it would find nothing to do.
+    pub fn next_deadline(&self) -> u64 {
+        let last = self.hop_tick_count;
+        if self.chasing_gap() {
+            return last + 1;
+        }
+        let every = u64::from(self.cfg.ack_every.max(1));
+        (last / every + 1) * every
+    }
+
+    /// Run hop tick number `tick` of the grid (ticks may be skipped, never
+    /// repeated): NACK gaps, and the cumulative ACK on an ack tick.
+    pub fn tick_hop(&mut self, tick: u64, out: &mut Outbox) {
         if !self.alive {
             return;
         }
-        self.hop_tick_count += 1;
+        debug_assert!(tick > self.hop_tick_count, "hop ticks run forward");
+        self.hop_tick_count = tick;
         let (missing, newly_lost) = self.mq.collect_nacks(self.cfg.nack_budget);
         if let Some(ap) = self.ap {
             if !missing.is_empty() {
@@ -234,10 +266,6 @@ impl MhState {
         if !newly_lost.is_empty() {
             self.deliver_ready(out);
         }
-        // Applications consume immediately; nothing downstream pins the MQ.
-        let front = self.mq.front();
-        self.mq.gc_to(front);
-        let _ = now;
     }
 
     /// This state's end-of-run counters; `None` once killed (a dead state
@@ -366,7 +394,7 @@ mod tests {
             &mut out,
         );
         assert!(delivered_gsns(&out).is_empty());
-        m.tick_hop(SimTime::from_millis(5), &mut out);
+        m.tick_hop(1, &mut out);
         let nacks: Vec<_> = out
             .iter()
             .filter(|a| {
@@ -411,8 +439,8 @@ mod tests {
             &mut out,
         );
         out.clear();
-        m.tick_hop(SimTime::from_millis(5), &mut out);
-        m.tick_hop(SimTime::from_millis(10), &mut out);
+        m.tick_hop(1, &mut out);
+        m.tick_hop(2, &mut out);
         assert_eq!(m.counters.skipped, 1);
         assert_eq!(delivered_gsns(&out), vec![2]);
         assert!(out.iter().any(|a| matches!(
@@ -540,7 +568,12 @@ mod tests {
             &mut out,
         );
         out.clear();
-        m.tick_hop(SimTime::from_millis(5), &mut out); // tick 1: no ack
+        assert_eq!(
+            m.mq.occupancy(),
+            0,
+            "delivered content is collected at once"
+        );
+        m.tick_hop(1, &mut out); // tick 1: no ack
         assert!(!out.iter().any(|a| matches!(
             a,
             Action::Send {
@@ -548,7 +581,7 @@ mod tests {
                 ..
             }
         )));
-        m.tick_hop(SimTime::from_millis(10), &mut out); // tick 2: ack
+        m.tick_hop(2, &mut out); // tick 2: ack
         assert!(out.iter().any(|a| matches!(
             a,
             Action::Send {
@@ -559,8 +592,6 @@ mod tests {
                 ..
             }
         )));
-        // Delivered content GC'd.
-        assert_eq!(m.mq.occupancy(), 0);
     }
 
     #[test]
@@ -601,7 +632,7 @@ mod tests {
         m.join(SimTime::ZERO, AP1, &mut out);
         out.clear();
         for t in 1..=4 {
-            m.tick_hop(SimTime::from_millis(5 * t), &mut out);
+            m.tick_hop(t, &mut out);
         }
         let acks: Vec<_> = out
             .iter()
@@ -615,6 +646,69 @@ mod tests {
             .collect();
         assert_eq!(acks, vec![GlobalSeq::ZERO; 2], "two ack ticks, two acks");
         assert_eq!(out.len(), 2, "and nothing else");
+    }
+
+    fn receive(m: &mut MhState, g: u64, out: &mut Outbox) {
+        let msg = Msg::Data {
+            group: G,
+            gsn: GlobalSeq(g),
+            data: data(g),
+        };
+        m.on_msg(SimTime::ZERO, Endpoint::Ne(AP1), msg, out);
+    }
+
+    /// With nothing to chase, an MH next has work on the next ack tick,
+    /// wherever on the grid it stands.
+    #[test]
+    fn without_a_gap_the_next_deadline_is_the_next_ack_tick() {
+        let mut m = mh(); // ack_every = 2
+        let mut out = Vec::new();
+        m.join(SimTime::ZERO, AP1, &mut out);
+        assert_eq!(m.next_deadline(), 2, "a fresh MH sleeps to its first ack");
+        receive(&mut m, 1, &mut out);
+        assert_eq!(m.next_deadline(), 2, "in-order delivery opens no gap");
+        m.tick_hop(2, &mut out);
+        assert_eq!(m.next_deadline(), 4);
+        m.tick_hop(4, &mut out);
+        assert_eq!(m.next_deadline(), 6);
+        let cfg = ProtocolConfig {
+            ack_every: 3,
+            ..ProtocolConfig::default()
+        };
+        let mut m3 = MhState::new(G, Guid(8), cfg);
+        assert_eq!(m3.next_deadline(), 3);
+        m3.tick_hop(3, &mut out);
+        assert_eq!(m3.next_deadline(), 6);
+    }
+
+    /// While a gap is being chased every tick is a NACK budget step, so the
+    /// next deadline is the next tick; it falls back to the ack tick once
+    /// the gap is filled, or once its budget runs out and it is skipped.
+    #[test]
+    fn while_a_gap_is_chased_the_next_deadline_is_the_next_tick() {
+        let mut m = mh();
+        let mut out = Vec::new();
+        m.join(SimTime::ZERO, AP1, &mut out);
+        m.tick_hop(2, &mut out);
+        receive(&mut m, 2, &mut out); // GSN 1 missing
+        assert_eq!(m.next_deadline(), 3, "an odd tick, not an ack tick");
+        m.tick_hop(3, &mut out);
+        assert_eq!(m.next_deadline(), 4);
+        receive(&mut m, 1, &mut out);
+        assert_eq!(m.next_deadline(), 4, "filled: back to the ack tick");
+        m.tick_hop(4, &mut out);
+        assert_eq!(m.next_deadline(), 6);
+
+        let cfg = ProtocolConfig::default().with_nack_budget(1);
+        let mut m = MhState::new(G, Guid(9), cfg);
+        m.join(SimTime::ZERO, AP1, &mut out);
+        receive(&mut m, 2, &mut out);
+        assert_eq!(m.next_deadline(), 1);
+        m.tick_hop(1, &mut out); // the one NACK
+        assert_eq!(m.next_deadline(), 2);
+        m.tick_hop(2, &mut out); // budget spent: GSN 1 skipped, 2 delivered
+        assert_eq!(m.counters.skipped, 1);
+        assert_eq!(m.next_deadline(), 4, "skipped: back to the ack tick");
     }
 
     #[test]
@@ -664,7 +758,7 @@ mod tests {
             },
             &mut out,
         );
-        m.tick_hop(SimTime::from_millis(5), &mut out);
+        m.tick_hop(1, &mut out);
         assert!(out.is_empty());
     }
 }

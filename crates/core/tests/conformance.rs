@@ -115,8 +115,9 @@ impl Net {
         let gs: Vec<Guid> = self.mhs.keys().copied().collect();
         for g in gs {
             let mut out = Vec::new();
-            let now = self.now;
-            self.mhs.get_mut(&g).unwrap().tick_hop(now, &mut out);
+            let mh = self.mhs.get_mut(&g).unwrap();
+            let tick = mh.hop_tick_count + 1;
+            mh.tick_hop(tick, &mut out);
             self.absorb(Endpoint::Mh(g), out);
         }
         self.settle();

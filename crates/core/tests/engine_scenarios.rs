@@ -188,30 +188,38 @@ fn a_lost_last_message_is_never_repaired() {
     );
 }
 
-/// An NE runs two timer chains — hop tick and heartbeat — and an MH one,
-/// the hop tick, whose ack is its heartbeat: on a quiet loss-free world the
-/// simulator fires exactly those ticks plus the source's own. A further
-/// chain (the `τ` scan, the buffer sampler and the MH heartbeat were three)
-/// cannot come back unnoticed.
+/// An NE runs two timer chains — hop tick and heartbeat — and an MH wakes
+/// only when it has work. On a quiet world whose radio hop neither loses
+/// nor reorders no gap ever opens, so an MH's only duty is its ack, which
+/// is its heartbeat: it wakes once per ack period, `hop_ticks / ack_every`
+/// times a second, where it used to wake on every hop tick. The simulator fires exactly those timers plus
+/// the source's own. A further chain (the `τ` scan, the buffer sampler and
+/// the MH heartbeat were three), or an MH waking for nothing, cannot come
+/// back unnoticed.
 #[test]
-fn quiet_world_fires_two_timer_chains_per_ne_and_one_per_mh() {
+fn quiet_world_fires_two_timer_chains_per_ne_and_one_ack_wake_per_mh() {
     let messages = 5;
     let spec = HierarchyBuilder::new(G)
         .config(ProtocolConfig::default().quiet())
         .source_limit(messages)
+        .links(LinkPlan {
+            wireless: LinkProfile::wired(SimDuration::from_millis(2)),
+            ..LinkPlan::default()
+        })
         .build();
     let mhs = spec.mhs.len() as u64;
     let nes = (spec.entities().count() - spec.sources.len()) as u64 - mhs;
     let second = SimDuration::from_secs(1).as_nanos();
     let hop_ticks = second / HOP_TICK.as_nanos();
     let heartbeat_ticks = second / HEARTBEAT_PERIOD.as_nanos();
+    let ack_every = u64::from(spec.cfg.ack_every);
     let mut net = RingNetSim::build(spec, 31);
     net.run_until(SimTime::from_secs(1));
     let (journal, stats, _) = net.finish();
     // A source ticks once per message and once more to find its limit spent.
     assert_eq!(
         stats.timers_fired,
-        nes * (hop_ticks + heartbeat_ticks) + mhs * hop_ticks + messages + 1
+        nes * (hop_ticks + heartbeat_ticks) + mhs * hop_ticks / ack_every + messages + 1
     );
     assert_eq!(
         count(&journal, |e| matches!(e, ProtoEvent::Ordered { .. })) as u64,

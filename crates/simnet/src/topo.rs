@@ -13,10 +13,10 @@
 //!
 //! Each directed link also owns its loss-and-jitter draw stream, derived
 //! from the run seed, the pair, and how many times the pair was connected
-//! before (see [`link_stream`]). A link's outcomes therefore depend only on
-//! the sequence of packets offered to *it*: reordering sends across
-//! different links, even within one simulated instant, re-rolls nothing,
-//! and a re-attachment draws afresh instead of replaying the old stream.
+//! before. A link's outcomes therefore depend only on the sequence of
+//! packets offered to *it*: reordering sends across different links, even
+//! within one simulated instant, re-rolls nothing, and a re-attachment
+//! draws afresh instead of replaying the old stream.
 
 use std::collections::BTreeMap;
 
