@@ -54,9 +54,11 @@ pub(crate) fn link_stream(seed: u64, src: NodeAddr, dst: NodeAddr, nth: u64) -> 
     )
 }
 
-/// One directed link: its destination, runtime state and draw stream.
+/// One directed link: its destination, which connection of the pair it
+/// is (0-based), its runtime state and its draw stream.
 struct Link {
     dst: NodeAddr,
+    nth: u64,
     state: LinkState,
     draws: SimRng,
 }
@@ -69,9 +71,9 @@ pub struct Topology {
     /// Outgoing adjacency per source address, each row sorted by
     /// destination. Rows for unused addresses stay empty.
     out: Vec<Vec<Link>>,
-    /// How many times each directed pair has been connected, kept across
-    /// disconnection so a re-attachment gets a stream of its own.
-    connects: BTreeMap<(NodeAddr, NodeAddr), u64>,
+    /// For each directed pair once connected and now not: how many times it
+    /// was connected, so a re-attachment gets a stream of its own.
+    retired: BTreeMap<(NodeAddr, NodeAddr), u64>,
 }
 
 impl Topology {
@@ -99,17 +101,17 @@ impl Topology {
         if i >= self.out.len() {
             self.out.resize_with(i + 1, Vec::new);
         }
-        let nth = self.connects.entry((src, dst)).or_insert(0);
-        let link = Link {
+        let seed = self.seed;
+        let link = |nth| Link {
             dst,
+            nth,
             state: LinkState::new(profile),
-            draws: link_stream(self.seed, src, dst, *nth),
+            draws: link_stream(seed, src, dst, nth),
         };
-        *nth += 1;
         let row = &mut self.out[i];
         match row.binary_search_by_key(&dst, |l| l.dst) {
-            Ok(p) => row[p] = link,
-            Err(p) => row.insert(p, link),
+            Ok(p) => row[p] = link(row[p].nth + 1),
+            Err(p) => row.insert(p, link(self.retired.remove(&(src, dst)).unwrap_or(0))),
         }
     }
 
@@ -126,7 +128,8 @@ impl Topology {
         };
         match row.binary_search_by_key(&dst, |l| l.dst) {
             Ok(p) => {
-                row.remove(p);
+                let link = row.remove(p);
+                self.retired.insert((src, dst), link.nth + 1);
                 true
             }
             Err(_) => false,
