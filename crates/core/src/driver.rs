@@ -46,6 +46,7 @@ use std::sync::{Arc, Mutex};
 
 use simnet::{Histogram, LinkProfile, SimDuration, SimStats, SimTime};
 
+use crate::config::HOP_TICK;
 use crate::engine::RingNetSim;
 use crate::hierarchy::{
     figure1, AgRingSpec, ApSpec, Entity, HierarchyBuilder, HierarchySpec, LinkPlan, MhSpec,
@@ -706,8 +707,13 @@ impl Scenario {
 
     /// Expected journal size, used to pre-size the record storage before a
     /// run (an estimate from the workload: per-message fan-out to every
-    /// walker plus ordering records and per-walker slack; capped so a
-    /// mis-declared scenario cannot balloon the pre-allocation).
+    /// walker plus ordering records, one token pass per hop tick per ring,
+    /// and per-walker slack; capped so a mis-declared scenario cannot
+    /// balloon the pre-allocation). An eighth on top covers what the
+    /// estimate leaves out — a Poisson count above its mean, multi-group
+    /// orderings, handoff and membership records: a journal that outgrows
+    /// its reservation is copied into one twice its size, holding both at
+    /// once, while reserved pages never written cost no resident memory.
     pub(crate) fn journal_capacity_hint(&self) -> usize {
         let per_source: u64 = match self.limit {
             Some(l) => l,
@@ -725,11 +731,14 @@ impl Scenario {
         };
         let msgs = per_source.saturating_mul(self.sources as u64);
         let walkers = self.walkers.len() as u64;
+        let rings = self.groups.len().max(1) as u64;
+        let token_passes = (self.duration.as_nanos() / HOP_TICK.as_nanos()).saturating_mul(rings);
         let estimate = msgs
             .saturating_mul(walkers + 2)
+            .saturating_add(token_passes)
             .saturating_add(walkers.saturating_mul(8))
             .saturating_add(256);
-        estimate.min(1 << 20) as usize
+        estimate.saturating_add(estimate / 8).min(1 << 20) as usize
     }
 
     /// The initial attachment of every walker for static-membership
