@@ -5,9 +5,10 @@
 //! All protocol logic lives in the sans-IO state machines; the actors here
 //! only translate [`Action`]s into simulator calls and drive the timers: an
 //! NE's two periodic chains, and an MH's one pending wake at the hop tick
-//! its state names ([`MhState::next_deadline`]). Address translation between protocol identities
-//! ([`NodeId`]/[`Guid`]) and simulator addresses ([`NodeAddr`]) goes through
-//! one immutable [`AddrMap`] shared by every actor.
+//! its state names ([`MhState::next_deadline`]). Address translation
+//! between protocol identities ([`NodeId`]/[`Guid`]) and simulator
+//! addresses ([`NodeAddr`]) goes through one immutable [`AddrMap`] shared
+//! by every actor.
 
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};
@@ -559,10 +560,7 @@ impl MhActor {
         }
     }
 
-    fn any_alive(&self) -> bool {
-        self.states.iter().any(|s| s.alive)
-    }
-
+    /// The instant of grid tick `tick`.
     fn tick_time(&self, tick: u64) -> SimTime {
         self.origin + HOP_TICK * tick
     }
@@ -600,7 +598,7 @@ impl MhActor {
     /// every-tick chain that tick, armed a tick earlier, would run first,
     /// so it does here too, sending on its own.
     fn tick_if_due(&mut self, ctx: &mut Ctx<'_, Msg, ProtoEvent>) {
-        if self.any_alive() && self.tick_time(self.wake) == ctx.now() {
+        if self.tick_time(self.wake) == ctx.now() {
             self.tick(ctx);
             self.flush(ctx);
         }
@@ -725,9 +723,10 @@ impl Actor<Msg, ProtoEvent> for MhActor {
 
     /// The MH's one pending wake, on the hop-tick grid: a tick with work —
     /// an ack (its liveness beacon) or a NACK budget step — never a tick
-    /// that would do nothing. A superseded wake falls dead.
+    /// that would do nothing. A superseded wake falls dead, and once every
+    /// state is dead no wake is armed again.
     fn on_timer(&mut self, ctx: &mut Ctx<'_, Msg, ProtoEvent>, tag: u64) {
-        if (tag >> 3) != self.timer_gen || !self.any_alive() {
+        if (tag >> 3) != self.timer_gen {
             return;
         }
         self.tick(ctx);
