@@ -54,13 +54,29 @@ pub(crate) fn link_stream(seed: u64, src: NodeAddr, dst: NodeAddr, nth: u64) -> 
     )
 }
 
-/// One directed link: its destination, which connection of the pair it
-/// is (0-based), its runtime state and its draw stream.
+/// One directed link: which connection of the pair it is (0-based), its
+/// runtime state and its draw stream.
 struct Link {
-    dst: NodeAddr,
     nth: u64,
     state: LinkState,
     draws: SimRng,
+}
+
+/// One source's outgoing links. The sorted destinations sit in a dense
+/// array of their own, so the per-packet binary search reads a line or
+/// two of addresses instead of striding over whole links; the links sit
+/// beside them in the same order.
+#[derive(Default)]
+struct Row {
+    dsts: Vec<NodeAddr>,
+    links: Vec<Link>,
+}
+
+impl Row {
+    #[inline]
+    fn find(&self, dst: NodeAddr) -> Result<usize, usize> {
+        self.dsts.binary_search(&dst)
+    }
 }
 
 /// Directed-link table.
@@ -70,7 +86,7 @@ pub struct Topology {
     seed: u64,
     /// Outgoing adjacency per source address, each row sorted by
     /// destination. Rows for unused addresses stay empty.
-    out: Vec<Vec<Link>>,
+    out: Vec<Row>,
     /// For each directed pair once connected and now not: how many times it
     /// was connected, so a re-attachment gets a stream of its own.
     retired: BTreeMap<(NodeAddr, NodeAddr), u64>,
@@ -90,7 +106,7 @@ impl Topology {
         }
     }
 
-    fn row(&self, src: NodeAddr) -> Option<&Vec<Link>> {
+    fn row(&self, src: NodeAddr) -> Option<&Row> {
         self.out.get(src.index())
     }
 
@@ -99,19 +115,22 @@ impl Topology {
     pub(crate) fn connect(&mut self, src: NodeAddr, dst: NodeAddr, profile: LinkProfile) {
         let i = src.index();
         if i >= self.out.len() {
-            self.out.resize_with(i + 1, Vec::new);
+            self.out.resize_with(i + 1, Row::default);
         }
         let seed = self.seed;
         let link = |nth| Link {
-            dst,
             nth,
             state: LinkState::new(profile),
             draws: link_stream(seed, src, dst, nth),
         };
         let row = &mut self.out[i];
-        match row.binary_search_by_key(&dst, |l| l.dst) {
-            Ok(p) => row[p] = link(row[p].nth + 1),
-            Err(p) => row.insert(p, link(self.retired.remove(&(src, dst)).unwrap_or(0))),
+        match row.find(dst) {
+            Ok(p) => row.links[p] = link(row.links[p].nth + 1),
+            Err(p) => {
+                row.dsts.insert(p, dst);
+                let nth = self.retired.remove(&(src, dst)).unwrap_or(0);
+                row.links.insert(p, link(nth));
+            }
         }
     }
 
@@ -126,9 +145,10 @@ impl Topology {
         let Some(row) = self.out.get_mut(src.index()) else {
             return false;
         };
-        match row.binary_search_by_key(&dst, |l| l.dst) {
+        match row.find(dst) {
             Ok(p) => {
-                let link = row.remove(p);
+                row.dsts.remove(p);
+                let link = row.links.remove(p);
                 self.retired.insert((src, dst), link.nth + 1);
                 true
             }
@@ -177,9 +197,9 @@ impl Topology {
         dst: NodeAddr,
     ) -> Option<(&mut LinkState, &mut SimRng)> {
         let row = self.out.get_mut(src.index())?;
-        match row.binary_search_by_key(&dst, |l| l.dst) {
+        match row.find(dst) {
             Ok(p) => {
-                let link = &mut row[p];
+                let link = &mut row.links[p];
                 Some((&mut link.state, &mut link.draws))
             }
             Err(_) => None,
@@ -196,27 +216,23 @@ impl Topology {
     #[inline]
     pub fn link(&self, src: NodeAddr, dst: NodeAddr) -> Option<&LinkState> {
         let row = self.row(src)?;
-        match row.binary_search_by_key(&dst, |l| l.dst) {
-            Ok(p) => Some(&row[p].state),
+        match row.find(dst) {
+            Ok(p) => Some(&row.links[p].state),
             Err(_) => None,
         }
     }
 
     /// All outgoing neighbours of `src`, in address order.
     pub fn neighbours(&self, src: NodeAddr) -> impl Iterator<Item = NodeAddr> + '_ {
-        self.row(src)
-            .map(|r| r.as_slice())
-            .unwrap_or(&[])
-            .iter()
-            .map(|l| l.dst)
+        self.row(src).map_or(&[][..], |r| &r.dsts).iter().copied()
     }
 
     /// Iterate over every directed link (deterministic order: by source
     /// address, then destination).
     pub fn iter(&self) -> impl Iterator<Item = (NodeAddr, NodeAddr, &LinkState)> {
         self.out.iter().enumerate().flat_map(|(s, row)| {
-            row.iter()
-                .map(move |l| (NodeAddr(s as u32), l.dst, &l.state))
+            (row.dsts.iter().zip(&row.links))
+                .map(move |(&dst, l)| (NodeAddr(s as u32), dst, &l.state))
         })
     }
 }
