@@ -1399,6 +1399,26 @@ mod tests {
     }
 
     #[test]
+    fn default_plan_world_shares_at_most_six_profiles() {
+        // The topology interns profiles: links of one plan entry share one
+        // table slot, so distinct references count the slots in use.
+        let mut net = RingNetSim::build(small_spec(), 42);
+        let Net::Seq(sim) = &mut net.net else {
+            panic!("a plain build is sequential");
+        };
+        let mut slots: Vec<*const LinkProfile> = Vec::new();
+        let mut links = 0;
+        for (_, _, profile) in sim.world().topo.iter() {
+            links += 1;
+            if !slots.contains(&std::ptr::from_ref(profile)) {
+                slots.push(profile);
+            }
+        }
+        assert!(links > 20, "{links} links");
+        assert!(slots.len() <= 6, "{} profiles interned", slots.len());
+    }
+
+    #[test]
     fn deterministic_replay() {
         fn run(seed: u64) -> Vec<(SimTime, ProtoEvent)> {
             let mut net = RingNetSim::build(small_spec(), seed);

@@ -1,13 +1,21 @@
 //! Link models: latency, loss, and bandwidth.
 //!
-//! A [`LinkProfile`] bundles the three orthogonal aspects of a point-to-point
-//! channel. Profiles are pure *descriptions*; the per-link mutable state
-//! (loss-model memory, transmit-queue horizon) lives in [`LinkState`] inside
-//! the simulator so that profiles can be shared and cloned freely.
+//! A [`LinkProfile`] bundles the three orthogonal aspects of a
+//! point-to-point channel. Profiles are pure descriptions. The mutable part
+//! of a link — Gilbert–Elliott memory, the up flag, the serializer's
+//! horizon and queue — is a 16-byte `Channel`, and `Channel::transmit` is
+//! the one place the link physics runs, under a profile passed in.
 //!
-//! [`LinkState::transmit`] takes the stream it draws loss and jitter from.
-//! In a simulation that is the link's own stream, which the topology keeps
-//! beside its state, so one link's outcomes never depend on traffic over
+//! Two forms hold a channel. Inside a simulation the
+//! [`Topology`](crate::topo::Topology) stores it in a 56-byte entry per
+//! directed link and keeps the few distinct profiles a world installs
+//! in one table, shared by index. [`LinkState`] is the standalone form: a
+//! profile and its channel together, for code that models one link by
+//! itself (calibration tests, micro-benchmarks).
+//!
+//! Every transmit takes the stream it draws loss and jitter from. In a
+//! simulation that is the link's own stream, which the topology keeps
+//! beside the channel, so one link's outcomes never depend on traffic over
 //! another.
 
 use crate::rng::SimRng;
@@ -120,16 +128,6 @@ impl LossModel {
     }
 }
 
-/// Mutable per-link loss state (Gilbert–Elliott channel memory).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub(crate) enum ChannelState {
-    /// Low-loss state.
-    #[default]
-    Good,
-    /// Bursty high-loss state.
-    Bad,
-}
-
 /// Bandwidth model: packets serialize one at a time onto the wire.
 #[derive(Debug, Clone, PartialEq)]
 pub enum BandwidthModel {
@@ -197,70 +195,48 @@ pub enum TxOutcome {
     Down,
 }
 
-/// Mutable runtime state of a link: channel memory plus the time at which the
-/// transmitter becomes free.
+/// The mutable half of a link: Gilbert–Elliott memory, the administrative
+/// up flag, and the serializer's horizon and queue. It transmits under a
+/// profile held elsewhere — beside it in a [`LinkState`], or in the
+/// topology's shared table. 16 bytes.
 #[derive(Debug, Clone)]
-pub struct LinkState {
-    profile: LinkProfile,
-    channel: ChannelState,
-    /// Administrative up/down state: a downed link drops every packet
-    /// without consuming serializer time or advancing the loss channel
-    /// (the cable is unplugged, not noisy). Scenario fault injection
-    /// (wired-core partitions) toggles this; profile and channel memory
-    /// survive a down/up cycle.
-    up: bool,
+pub(crate) struct Channel {
     /// Earliest time the serializer can start on the next packet.
     tx_free_at: SimTime,
     /// Packets currently waiting for the serializer (only for `Limited`).
-    queued: usize,
-    /// Statistics: offered / lost / queue-dropped packet counts.
-    pub offered: u64,
-    /// Packets lost by the loss model.
-    pub lost: u64,
-    /// Packets dropped by the bandwidth queue.
-    pub queue_dropped: u64,
-    /// Packets dropped while the link was administratively down.
-    pub down_dropped: u64,
+    queued: u32,
+    /// Gilbert–Elliott state: in the bursty high-loss state.
+    bad: bool,
+    /// Administrative up/down state: a downed link drops every packet
+    /// without consuming serializer time or advancing the loss channel
+    /// (the cable is unplugged, not noisy). Scenario fault injection
+    /// (wired-core partitions) toggles this; channel memory and transmit
+    /// horizon survive a down/up cycle.
+    up: bool,
 }
 
-impl LinkState {
-    /// Create runtime state for a profile.
-    pub fn new(profile: LinkProfile) -> Self {
-        LinkState {
-            profile,
-            channel: ChannelState::Good,
-            up: true,
+impl Channel {
+    /// A fresh, up channel in the Good state with an idle serializer.
+    pub(crate) fn new() -> Self {
+        Channel {
             tx_free_at: SimTime::ZERO,
             queued: 0,
-            offered: 0,
-            lost: 0,
-            queue_dropped: 0,
-            down_dropped: 0,
+            bad: false,
+            up: true,
         }
     }
 
-    /// Administrative up/down state (see [`LinkState::set_up`]).
-    #[cfg(test)]
-    pub(crate) fn is_up(&self) -> bool {
-        self.up
-    }
-
     /// Bring the link administratively down (every packet drops) or back
-    /// up. State other than the up/down flag is untouched, so a healed
-    /// link resumes with its channel memory and transmit horizon intact.
+    /// up; nothing else changes.
     pub(crate) fn set_up(&mut self, up: bool) {
         self.up = up;
     }
 
-    /// Read access to the profile.
-    pub fn profile(&self) -> &LinkProfile {
-        &self.profile
-    }
-
     /// Advance the Gilbert–Elliott channel one step and return whether the
     /// current packet is lost.
-    fn draw_loss(&mut self, rng: &mut SimRng) -> bool {
-        match self.profile.loss {
+    #[inline]
+    fn draw_loss(&mut self, loss: &LossModel, rng: &mut SimRng) -> bool {
+        match *loss {
             LossModel::Perfect => false,
             LossModel::Bernoulli(p) => rng.chance(p),
             LossModel::GilbertElliott {
@@ -269,31 +245,34 @@ impl LinkState {
                 loss_good,
                 loss_bad,
             } => {
-                self.channel = match self.channel {
-                    ChannelState::Good if rng.chance(p_good_to_bad) => ChannelState::Bad,
-                    ChannelState::Bad if rng.chance(p_bad_to_good) => ChannelState::Good,
-                    s => s,
+                let flip = if self.bad {
+                    p_bad_to_good
+                } else {
+                    p_good_to_bad
                 };
-                match self.channel {
-                    ChannelState::Good => rng.chance(loss_good),
-                    ChannelState::Bad => rng.chance(loss_bad),
+                if rng.chance(flip) {
+                    self.bad = !self.bad;
                 }
+                rng.chance(if self.bad { loss_bad } else { loss_good })
             }
         }
     }
 
-    /// Offer one packet of `size_bytes` to the link at time `now`.
-    ///
-    /// Models, in order: bandwidth queueing (serialization, tail drop), then
-    /// loss, then propagation delay. A lost packet still consumed serializer
-    /// time — it was transmitted, just not received.
-    pub fn transmit(&mut self, now: SimTime, size_bytes: usize, rng: &mut SimRng) -> TxOutcome {
-        self.offered += 1;
+    /// Offer one packet of `size_bytes` to a link described by `profile`
+    /// at time `now`, drawing loss and jitter from `rng` (see
+    /// [`LinkState::transmit`]).
+    #[inline]
+    pub(crate) fn transmit(
+        &mut self,
+        profile: &LinkProfile,
+        now: SimTime,
+        size_bytes: usize,
+        rng: &mut SimRng,
+    ) -> TxOutcome {
         if !self.up {
-            self.down_dropped += 1;
             return TxOutcome::Down;
         }
-        let depart = match self.profile.bandwidth {
+        let depart = match profile.bandwidth {
             BandwidthModel::Unlimited => now,
             BandwidthModel::Limited {
                 bits_per_sec,
@@ -303,15 +282,10 @@ impl LinkState {
                 if self.tx_free_at <= now {
                     self.queued = 0;
                 }
-                if self.queued >= queue_limit {
-                    self.queue_dropped += 1;
+                if self.queued as usize >= queue_limit {
                     return TxOutcome::QueueDrop;
                 }
-                let start = if self.tx_free_at > now {
-                    self.tx_free_at
-                } else {
-                    now
-                };
+                let start = self.tx_free_at.max(now);
                 let ser_ns =
                     (size_bytes as u64 * 8).saturating_mul(1_000_000_000) / bits_per_sec.max(1);
                 let done = start + SimDuration::from_nanos(ser_ns);
@@ -320,12 +294,38 @@ impl LinkState {
                 done
             }
         };
-        if self.draw_loss(rng) {
-            self.lost += 1;
+        if self.draw_loss(&profile.loss, rng) {
             return TxOutcome::Lost;
         }
-        let delay = self.profile.latency.sample(rng);
-        TxOutcome::Deliver(depart + delay)
+        TxOutcome::Deliver(depart + profile.latency.sample(rng))
+    }
+}
+
+/// A standalone link: a profile and the channel it drives. Inside a
+/// simulation the topology stores the channel alone and shares the
+/// profile; this form serves code that models one link by itself.
+#[derive(Debug, Clone)]
+pub struct LinkState {
+    profile: LinkProfile,
+    channel: Channel,
+}
+
+impl LinkState {
+    /// Create runtime state for a profile.
+    pub fn new(profile: LinkProfile) -> Self {
+        LinkState {
+            profile,
+            channel: Channel::new(),
+        }
+    }
+
+    /// Offer one packet of `size_bytes` to the link at time `now`.
+    ///
+    /// Models, in order: bandwidth queueing (serialization, tail drop), then
+    /// loss, then propagation delay. A lost packet still consumed serializer
+    /// time — it was transmitted, just not received.
+    pub fn transmit(&mut self, now: SimTime, size_bytes: usize, rng: &mut SimRng) -> TxOutcome {
+        self.channel.transmit(&self.profile, now, size_bytes, rng)
     }
 }
 
@@ -387,8 +387,6 @@ mod tests {
         }
         let rate = lost as f64 / n as f64;
         assert!((rate - 0.25).abs() < 0.02, "rate {rate}");
-        assert_eq!(link.offered, n);
-        assert_eq!(link.lost, lost);
     }
 
     #[test]
@@ -454,7 +452,6 @@ mod tests {
             link.transmit(SimTime::ZERO, 100, &mut r),
             TxOutcome::QueueDrop
         );
-        assert_eq!(link.queue_dropped, 1);
         // After the horizon passes the queue drains and transmission resumes.
         let later = SimTime::from_secs(1);
         assert!(matches!(
@@ -465,20 +462,28 @@ mod tests {
 
     #[test]
     fn downed_link_drops_everything_until_up() {
-        let mut link = LinkState::new(LinkProfile::wired(SimDuration::from_millis(1)));
+        let profile = LinkProfile::wired(SimDuration::from_millis(1));
+        let mut channel = Channel::new();
         let mut r = rng();
-        link.set_up(false);
-        assert!(!link.is_up());
+        channel.set_up(false);
         for _ in 0..3 {
-            assert_eq!(link.transmit(SimTime::ZERO, 64, &mut r), TxOutcome::Down);
+            assert_eq!(
+                channel.transmit(&profile, SimTime::ZERO, 64, &mut r),
+                TxOutcome::Down
+            );
         }
-        assert_eq!(link.down_dropped, 3);
-        assert_eq!(link.offered, 3);
-        link.set_up(true);
+        channel.set_up(true);
         assert!(matches!(
-            link.transmit(SimTime::ZERO, 64, &mut r),
+            channel.transmit(&profile, SimTime::ZERO, 64, &mut r),
             TxOutcome::Deliver(_)
         ));
+    }
+
+    #[test]
+    fn channel_is_small() {
+        // The topology stores one per directed link, beside a 32-byte draw
+        // stream, in less than a cache line.
+        assert_eq!(std::mem::size_of::<Channel>(), 16);
     }
 
     #[test]

@@ -356,12 +356,12 @@ impl<M, R> ShardedSim<M, R> {
         let mut lookahead: Option<SimDuration> = None;
         for (s, cell) in self.cells.iter().enumerate() {
             let world = &cell.as_ref().expect("shard checked in between runs").world;
-            for (src, dst, link) in world.topo.iter() {
+            for (src, dst, profile) in world.topo.iter() {
                 let ds = self.shard_of.get(dst.index()).copied().unwrap_or(s as u32);
                 if ds as usize == s {
                     continue;
                 }
-                let d = link.profile().latency.min_delay();
+                let d = profile.latency.min_delay();
                 assert!(
                     !d.is_zero(),
                     "cross-shard link {src:?} → {dst:?} has zero minimum latency; \

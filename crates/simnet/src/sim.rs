@@ -387,16 +387,14 @@ impl<M, R> World<M, R> {
     /// destination, exactly like a black-holed IP packet).
     fn offer(&mut self, src: NodeAddr, dst: NodeAddr, size: usize) -> Option<SimTime> {
         self.stats.packets_sent += 1;
-        let Some((link, draws)) = self.topo.channel_mut(src, dst) else {
-            self.stats.packets_no_route += 1;
-            return None;
+        let counter = match self.topo.transmit(src, dst, self.now, size) {
+            Some(TxOutcome::Deliver(at)) => return Some(at),
+            Some(TxOutcome::Lost) => &mut self.stats.packets_lost,
+            Some(TxOutcome::QueueDrop) => &mut self.stats.packets_queue_dropped,
+            Some(TxOutcome::Down) => &mut self.stats.packets_link_down,
+            None => &mut self.stats.packets_no_route,
         };
-        match link.transmit(self.now, size, draws) {
-            TxOutcome::Deliver(at) => return Some(at),
-            TxOutcome::Lost => self.stats.packets_lost += 1,
-            TxOutcome::QueueDrop => self.stats.packets_queue_dropped += 1,
-            TxOutcome::Down => self.stats.packets_link_down += 1,
-        }
+        *counter += 1;
         None
     }
 

@@ -2,9 +2,14 @@
 //! driven by seeded [`SimRng`] streams (dependency-free, reproducible by
 //! seed).
 
+use std::collections::{BTreeMap, BTreeSet};
+
 use simnet::event::EventQueue;
-use simnet::link::{LinkProfile, LinkState, LossModel, TxOutcome};
-use simnet::{Actor, Ctx, NodeAddr, ShardedSim, Sim, SimDuration, SimRng, SimStats, SimTime};
+use simnet::link::{BandwidthModel, LinkProfile, LinkState, LossModel, TxOutcome};
+use simnet::topo::link_stream;
+use simnet::{
+    Actor, Ctx, NodeAddr, ShardedSim, Sim, SimDuration, SimRng, SimStats, SimTime, Topology,
+};
 
 /// The event queue is a stable priority queue: pops come out in
 /// non-decreasing time order, and equal times preserve insertion order.
@@ -489,6 +494,134 @@ fn bursts_match_per_message_sends_sequential_and_sharded() {
             per_pair(&sharded_journal),
             per_pair(&burst_journal),
             "case {case}"
+        );
+    }
+}
+
+/// One directed link of the topology reference model: its profile, a
+/// standalone [`LinkState`] and the draw stream of its connection.
+struct ModelLink {
+    profile: LinkProfile,
+    state: LinkState,
+    draws: SimRng,
+}
+
+/// A few profiles that disagree on every packet: fixed and jittered delay,
+/// Bernoulli and bursty loss, a serializer with a short queue.
+fn model_profiles() -> Vec<LinkProfile> {
+    let ms = SimDuration::from_millis;
+    vec![
+        LinkProfile::wired(ms(1)),
+        LinkProfile::wireless(ms(2), ms(5), 0.2),
+        LinkProfile::wireless(ms(1), ms(3), 0.0).with_loss(LossModel::lossy_wireless()),
+        LinkProfile {
+            bandwidth: BandwidthModel::Limited {
+                bits_per_sec: 64_000,
+                queue_limit: 3,
+            },
+            ..LinkProfile::wireless(ms(3), ms(1), 0.1)
+        },
+    ]
+}
+
+/// Random connects, disconnects, reconnects, up/down toggles and sends
+/// agree with a reference `BTreeMap<(src, dst), _>` of standalone links,
+/// each drawing from the stream of its pair's connection count: the same
+/// outcomes and arrival times (hence the same draws), the same `iter()`
+/// order and profiles, the same `neighbours()` order. A topology whose
+/// destination array fell out of step with its links would hand a packet
+/// to another link's channel, profile and stream.
+#[test]
+fn topology_matches_reference_model() {
+    let mut rng = SimRng::from_seed(0xB9);
+    let profiles = model_profiles();
+    let mut outcomes: BTreeMap<&str, u32> = BTreeMap::new();
+    for case in 0..40 {
+        let mut topo = Topology::default();
+        let mut model: BTreeMap<(NodeAddr, NodeAddr), ModelLink> = BTreeMap::new();
+        let mut down: BTreeSet<(NodeAddr, NodeAddr)> = BTreeSet::new();
+        let mut connections: BTreeMap<(NodeAddr, NodeAddr), u64> = BTreeMap::new();
+        let nodes = rng.range_u64(2, 12) as u32;
+        let mut now = SimTime::ZERO;
+        for op in 0..rng.range_u64(50, 600) {
+            let a = NodeAddr(rng.index(nodes as usize) as u32);
+            let b = NodeAddr(rng.index(nodes as usize) as u32);
+            match rng.index(10) {
+                0..=1 => {
+                    let profile = &profiles[rng.index(profiles.len())];
+                    topo.connect_duplex(a, b, profile.clone());
+                    for pair in [(a, b), (b, a)] {
+                        let nth = connections.entry(pair).or_insert(0);
+                        let link = ModelLink {
+                            profile: profile.clone(),
+                            state: LinkState::new(profile.clone()),
+                            draws: link_stream(0, pair.0, pair.1, *nth),
+                        };
+                        *nth += 1;
+                        model.insert(pair, link);
+                        down.remove(&pair);
+                    }
+                }
+                2 => {
+                    topo.disconnect_duplex(a, b);
+                    for pair in [(a, b), (b, a)] {
+                        model.remove(&pair);
+                        down.remove(&pair);
+                    }
+                }
+                3 => {
+                    let up = rng.chance(0.5);
+                    let exists = model.contains_key(&(a, b));
+                    assert_eq!(topo.set_link_up(a, b, up), exists, "case {case} op {op}");
+                    if exists && up {
+                        down.remove(&(a, b));
+                    } else if exists {
+                        down.insert((a, b));
+                    }
+                }
+                _ => {
+                    now += SimDuration::from_micros(rng.range_u64(0, 4000));
+                    let size = rng.range_u64(40, 1500) as usize;
+                    let want = model.get_mut(&(a, b)).map(|l| {
+                        if down.contains(&(a, b)) {
+                            TxOutcome::Down
+                        } else {
+                            l.state.transmit(now, size, &mut l.draws)
+                        }
+                    });
+                    assert_eq!(topo.transmit(a, b, now, size), want, "case {case} op {op}");
+                    let kind = match want {
+                        Some(TxOutcome::Deliver(_)) => "deliver",
+                        Some(TxOutcome::Lost) => "lost",
+                        Some(TxOutcome::QueueDrop) => "queue drop",
+                        Some(TxOutcome::Down) => "down",
+                        None => "no link",
+                    };
+                    *outcomes.entry(kind).or_default() += 1;
+                }
+            }
+            assert_eq!(
+                topo.has_link(a, b),
+                model.contains_key(&(a, b)),
+                "case {case} op {op}"
+            );
+        }
+        let links: Vec<_> = topo.iter().map(|(s, d, p)| (s, d, p.clone())).collect();
+        let want: Vec<_> = model
+            .iter()
+            .map(|(&(s, d), l)| (s, d, l.profile.clone()))
+            .collect();
+        assert_eq!(links, want, "case {case}: iter()");
+        for n in 0..nodes {
+            let got: Vec<_> = topo.neighbours(NodeAddr(n)).collect();
+            let want: Vec<_> = model.keys().filter(|k| k.0 .0 == n).map(|k| k.1).collect();
+            assert_eq!(got, want, "case {case}: neighbours of {n}");
+        }
+    }
+    for kind in ["deliver", "lost", "queue drop", "down", "no link"] {
+        assert!(
+            outcomes.get(kind) > Some(&20),
+            "{kind} too rare: {outcomes:?}"
         );
     }
 }
