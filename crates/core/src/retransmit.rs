@@ -129,11 +129,11 @@ impl NeState {
         let Some(ring) = self.ring.as_ref() else {
             return;
         };
-        let sole = ring.alive_count() == 1;
-        let next_now = ring.next_of(me);
         if self.ord.is_none() {
             return;
         }
+        let sole = ring.alive_count() == 1;
+        let next_now = ring.next_of(me);
 
         if sole {
             if !self.top_ring_primary() {

@@ -249,31 +249,10 @@ impl<E> EventQueue<E> {
         true
     }
 
-    /// Remove and return the earliest live entry.
-    pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        loop {
-            if self.near_keys == 0 && !self.refill_near() {
-                return None;
-            }
-            self.sort_cursor_bucket();
-            let idx = (self.cursor % NUM_BUCKETS as u64) as usize;
-            match self.near[idx].pop() {
-                Some(key) => {
-                    self.near_keys -= 1;
-                    if self.key_live(key) {
-                        self.live -= 1;
-                        let (_, payload) = self.slots.remove(key.slot);
-                        return Some((key.time, payload));
-                    }
-                    // Stale key of a cancelled entry: keep scanning.
-                }
-                None => self.advance(),
-            }
-        }
-    }
-
-    /// Time of the earliest live entry without removing it.
-    pub(crate) fn peek_time(&mut self) -> Option<SimTime> {
+    /// The earliest live key and the index of its bucket, discarding the
+    /// stale keys in front of it; `None` when nothing is pending.
+    #[inline]
+    fn front(&mut self) -> Option<(usize, Key)> {
         loop {
             if self.near_keys == 0 && !self.refill_near() {
                 return None;
@@ -281,16 +260,44 @@ impl<E> EventQueue<E> {
             self.sort_cursor_bucket();
             let idx = (self.cursor % NUM_BUCKETS as u64) as usize;
             match self.near[idx].last().copied() {
-                Some(key) => {
-                    if self.key_live(key) {
-                        return Some(key.time);
-                    }
+                Some(key) if self.key_live(key) => return Some((idx, key)),
+                Some(_) => {
+                    // Stale key of a cancelled entry: keep scanning.
                     self.near[idx].pop();
                     self.near_keys -= 1;
                 }
                 None => self.advance(),
             }
         }
+    }
+
+    /// Remove the entry [`Self::front`] just returned.
+    #[inline]
+    fn take_front(&mut self, idx: usize, key: Key) -> (SimTime, E) {
+        self.near[idx].pop();
+        self.near_keys -= 1;
+        self.live -= 1;
+        let (_, payload) = self.slots.remove(key.slot);
+        (key.time, payload)
+    }
+
+    /// Remove and return the earliest live entry.
+    pub fn pop(&mut self) -> Option<(SimTime, E)> {
+        let (idx, key) = self.front()?;
+        Some(self.take_front(idx, key))
+    }
+
+    /// Remove and return the earliest live entry if it is due at or before
+    /// `until`: a `peek_time` and a `pop` in one pass over the front.
+    #[inline]
+    pub(crate) fn pop_through(&mut self, until: SimTime) -> Option<(SimTime, E)> {
+        let (idx, key) = self.front().filter(|(_, key)| key.time <= until)?;
+        Some(self.take_front(idx, key))
+    }
+
+    /// Time of the earliest live entry without removing it.
+    pub(crate) fn peek_time(&mut self) -> Option<SimTime> {
+        self.front().map(|(_, key)| key.time)
     }
 
     /// Number of live (schedulable) entries.
@@ -380,6 +387,25 @@ mod tests {
         assert_eq!(q.peek_time(), Some(SimTime::from_millis(2)));
         assert_eq!(q.pop(), Some((SimTime::from_millis(2), 2)));
         assert_eq!(q.peek_time(), None);
+    }
+
+    #[test]
+    fn pop_through_stops_at_the_bound() {
+        let mut q = EventQueue::new();
+        let h = q.schedule(SimTime::from_millis(1), 1);
+        q.schedule(SimTime::from_millis(2), 2);
+        q.schedule(SimTime::from_secs(9), 3);
+        q.cancel(h);
+        assert_eq!(
+            q.pop_through(SimTime::from_millis(2)),
+            Some((SimTime::from_millis(2), 2))
+        );
+        assert_eq!(q.pop_through(SimTime::from_secs(8)), None);
+        assert_eq!(q.len(), 1, "an entry past the bound stays");
+        assert_eq!(
+            q.pop_through(SimTime::from_secs(9)),
+            Some((SimTime::from_secs(9), 3))
+        );
     }
 
     #[test]

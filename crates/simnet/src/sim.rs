@@ -860,13 +860,8 @@ impl<M, R> Sim<M, R> {
         M: Clone,
     {
         self.start_if_needed();
-        loop {
-            match self.world.queue.peek_time() {
-                Some(t) if t <= until => {
-                    self.step();
-                }
-                _ => break,
-            }
+        while let Some((time, ev)) = self.world.queue.pop_through(until) {
+            self.world.dispatch(&mut self.actors, time, ev);
         }
         if self.world.now < until {
             self.world.now = until;
