@@ -218,8 +218,13 @@ impl Topology {
     /// Set the administrative up/down state of the directed link
     /// `src → dst`. Returns `true` when the link exists.
     pub fn set_link_up(&mut self, src: NodeAddr, dst: NodeAddr, up: bool) -> bool {
-        let link = self.out.get_mut(src.index()).and_then(|r| r.link_mut(dst));
-        link.map(|l| l.channel.set_up(up)).is_some()
+        match self.out.get_mut(src.index()).and_then(|r| r.link_mut(dst)) {
+            Some(link) => {
+                link.channel.set_up(up);
+                true
+            }
+            None => false,
+        }
     }
 
     /// Set the up/down state of both directions between `a` and `b`
