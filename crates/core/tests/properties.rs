@@ -222,3 +222,352 @@ fn partition_heal_never_double_assigns() {
         assert!(last > heal, "case {case}: ordering resumed after the heal");
     }
 }
+
+/// FNV-1a over a rendered string.
+fn fnv1a(text: &str) -> u64 {
+    text.bytes().fold(0xcbf2_9ce4_8422_2325, |h, b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+    })
+}
+
+/// Every regular hierarchy the workspace lays out, named by the call site
+/// that lays it out. A sweep contributes each of its points, in sweep
+/// order.
+fn spec_layouts() -> Vec<(&'static str, Vec<ringnet_core::HierarchySpec>)> {
+    use ringnet_core::driver::{ringnet_spec, CoreShape, ScenarioBuilder};
+    use ringnet_core::hierarchy::{figure1, MhSpec};
+    use ringnet_core::{Guid, ProtocolConfig};
+    use simnet::{BandwidthModel, LatencyModel, LossModel};
+
+    const G: GroupId = GroupId(1);
+    let regular = |brs, rings, ags, aps, mhs, sources| {
+        HierarchyBuilder::new(G)
+            .brs(brs)
+            .ag_rings(rings, ags)
+            .aps_per_ag(aps)
+            .mhs_per_ap(mhs)
+            .sources(sources)
+    };
+    let cbr = |ms| TrafficPattern::Cbr {
+        interval: SimDuration::from_millis(ms),
+    };
+    let wireless = |profile| LinkPlan {
+        wireless: profile,
+        ..LinkPlan::default()
+    };
+    let loss_free = || wireless(LinkProfile::wired(SimDuration::from_millis(2)));
+    let jittered = |loss| LinkProfile {
+        latency: LatencyModel::Jittered {
+            base: SimDuration::from_millis(2),
+            jitter: SimDuration::from_millis(2),
+        },
+        loss,
+        bandwidth: BandwidthModel::Unlimited,
+    };
+
+    let t2 = [2, 4, 8].map(|r| {
+        regular(r, 2, 2, 1, 1, 2.min(r))
+            .source_pattern(TrafficPattern::Cbr {
+                interval: SimDuration::from_secs_f64(1.0 / 100.0),
+            })
+            .links(loss_free())
+            .build()
+    });
+    let t3 = [100.0, 500.0, 1000.0].map(|lambda: f64| {
+        regular(4, 2, 2, 1, 1, 2)
+            .source_pattern(TrafficPattern::Cbr {
+                interval: SimDuration::from_secs_f64(1.0 / lambda),
+            })
+            .links(loss_free())
+            .build()
+    });
+    let e3 = regular(4, 2, 2, 1, 1, 2)
+        .source_pattern(cbr(10))
+        .links(loss_free())
+        .build();
+    let mut e5 = Vec::new();
+    for secs in [3, 8] {
+        for loss in [0.0, 0.05, 0.1, 0.2, 0.3] {
+            for budget in [0, 5] {
+                let duration = SimTime::from_secs(secs);
+                e5.push(
+                    regular(3, 2, 2, 1, 1, 2)
+                        .source_pattern(cbr(10))
+                        .source_window(SimTime::ZERO, Some(duration - SimDuration::from_secs(1)))
+                        .config(ProtocolConfig::default().with_nack_budget(budget))
+                        .links(wireless(LinkProfile::wireless(
+                            SimDuration::from_millis(2),
+                            SimDuration::from_millis(1),
+                            loss,
+                        )))
+                        .build(),
+                );
+            }
+        }
+    }
+    let a1 = [1, 4, 8, 16].map(|ack_every| {
+        regular(4, 2, 2, 1, 1, 2)
+            .source_pattern(cbr(5))
+            .config(ProtocolConfig {
+                ack_every,
+                ..ProtocolConfig::default()
+            })
+            .links(loss_free())
+            .build()
+    });
+    let mut rng = SimRng::from_seed(0xC3);
+    let random_loss: Vec<_> = (0..8)
+        .map(|_| {
+            let _seed = rng.range_u64(0, 10_000);
+            let loss_pct = rng.range_u64(0, 30);
+            let interval_ms = rng.range_u64(5, 25);
+            regular(3, 2, 2, 1, 1, 2)
+                .source_pattern(cbr(interval_ms))
+                .source_limit(40)
+                .links(wireless(LinkProfile::wireless(
+                    SimDuration::from_millis(2),
+                    SimDuration::from_millis(2),
+                    loss_pct as f64 / 100.0,
+                )))
+                .build()
+        })
+        .collect();
+    let mut unrunnable = Vec::new();
+    for pattern in [cbr(0), TrafficPattern::Poisson { rate: f64::NAN }] {
+        unrunnable.push(HierarchyBuilder::new(G).source_pattern(pattern).build());
+    }
+    let mut reservation = regular(2, 1, 2, 2, 0, 1)
+        .source_pattern(cbr(20))
+        .aps_always_active(false)
+        .config(ProtocolConfig::default().with_reservation_radius(1))
+        .build();
+    reservation.mhs.push(MhSpec {
+        guid: Guid(0),
+        initial_ap: Some(reservation.aps[1].id),
+        subscriptions: Vec::new(),
+    });
+    let idle = [1, 2].map(|mhs| {
+        regular(2, 1, 2, 2, mhs, 0)
+            .config(ProtocolConfig::default().with_reservation_radius(0))
+            .links(wireless(LinkProfile::wired(SimDuration::from_millis(5))))
+            .build()
+    });
+    let ringnet = |sc: ScenarioBuilder| ringnet_spec(&sc.build());
+    let hierarchy = |brs, rings, ags_per_ring| CoreShape::Hierarchy {
+        brs,
+        rings,
+        ags_per_ring,
+    };
+
+    vec![
+        ("harness t2::measure, r = 2, 4, 8", t2.to_vec()),
+        ("harness t3::run, λ = 100, 500, 1000", t3.to_vec()),
+        ("harness e3::measure", vec![e3]),
+        ("harness e5::measure, (quick, loss, budget)", e5),
+        ("harness a1::measure, ack_every = 1, 4, 8, 16", a1.to_vec()),
+        (
+            "figure1: harness f1, tests/integration.rs invalid_spec_is_rejected, \
+             hierarchy.rs tests (also the builder defaults)",
+            vec![figure1(G)],
+        ),
+        (
+            "src/lib.rs doctest",
+            vec![HierarchyBuilder::new(G)
+                .source_pattern(cbr(20))
+                .source_limit(10)
+                .build()],
+        ),
+        (
+            "engine.rs tests::small_spec",
+            vec![regular(3, 2, 2, 1, 1, 2)
+                .source_pattern(cbr(20))
+                .source_limit(10)
+                .build()],
+        ),
+        (
+            "hierarchy.rs tests::builder_produces_valid_spec",
+            vec![regular(4, 3, 3, 2, 2, 2).build()],
+        ),
+        (
+            "hierarchy.rs tests::entities_run_tier_by_tier_and_wiring_draws_the_link_plan",
+            vec![regular(2, 2, 2, 1, 1, 1).build()],
+        ),
+        (
+            "hierarchy.rs tests::validation_rejects_unrunnable_traffic",
+            unrunnable,
+        ),
+        (
+            "hierarchy.rs tests::neighbours_form_a_chain",
+            vec![regular(4, 1, 2, 2, 1, 1).build()],
+        ),
+        ("properties.rs total_order_never_violated", random_loss),
+        (
+            "engine_scenarios.rs poisson_traffic_is_fully_ordered_and_delivered",
+            vec![regular(3, 1, 3, 1, 1, 3)
+                .source_pattern(TrafficPattern::Poisson { rate: 120.0 })
+                .source_window(SimTime::ZERO, Some(SimTime::from_secs(2)))
+                .links(loss_free())
+                .build()],
+        ),
+        (
+            "engine_scenarios.rs ap_failure_orphans_then_handoff_rescues",
+            vec![regular(2, 1, 2, 2, 1, 1).source_pattern(cbr(10)).build()],
+        ),
+        (
+            "engine_scenarios.rs bursty_channel_with_budget_keeps_ratio_high",
+            vec![regular(2, 1, 2, 1, 2, 1)
+                .source_pattern(cbr(10))
+                .source_window(SimTime::ZERO, Some(SimTime::from_secs(3)))
+                .links(wireless(jittered(LossModel::lossy_wireless())))
+                .build()],
+        ),
+        (
+            "engine_scenarios.rs a_lost_last_message_is_never_repaired",
+            vec![regular(2, 1, 2, 1, 2, 1)
+                .source_pattern(cbr(10))
+                .source_limit(10)
+                .links(wireless(jittered(LossModel::Bernoulli(0.2))))
+                .build()],
+        ),
+        (
+            "engine_scenarios.rs quiet_world_fires_two_timer_chains_per_ne_and_one_ack_wake_per_mh",
+            vec![HierarchyBuilder::new(G)
+                .config(ProtocolConfig::default().quiet())
+                .source_limit(5)
+                .links(loss_free())
+                .build()],
+        ),
+        (
+            "engine_scenarios.rs reservation_expires_and_ap_prunes_itself",
+            vec![reservation],
+        ),
+        (
+            "engine_scenarios.rs killing_an_mh_stops_its_acks_and_frees_it",
+            vec![regular(2, 1, 2, 1, 2, 1).source_pattern(cbr(10)).build()],
+        ),
+        (
+            "engine_scenarios.rs idle_mhs_are_kept_alive_by_their_acks_alone, 1 and 2 MHs per AP",
+            idle.to_vec(),
+        ),
+        (
+            "engine_scenarios.rs amnesiac_ap_solicits_reregistration_within_an_ack_period",
+            vec![regular(2, 1, 2, 1, 2, 1)
+                .source_pattern(cbr(10))
+                .links(wireless(LinkProfile::wired(SimDuration::from_millis(1))))
+                .build()],
+        ),
+        (
+            "engine_scenarios.rs station_shaped_spec_delivers_in_order (before the edit)",
+            vec![HierarchyBuilder::new(G)
+                .brs(4)
+                .sources(2)
+                .source_pattern(cbr(20))
+                .source_limit(20)
+                .build()],
+        ),
+        (
+            "engine_scenarios.rs ring_cut_at_a_heartbeat_tick_is_repaired_on_the_probe_schedule",
+            vec![regular(2, 2, 1, 1, 1, 1).source_pattern(cbr(10)).build()],
+        ),
+        (
+            "engine_scenarios.rs zero_mh_network_runs_clean",
+            vec![regular(2, 1, 2, 1, 0, 2)
+                .source_pattern(cbr(10))
+                .source_limit(50)
+                .build()],
+        ),
+        (
+            "engine_scenarios.rs lost_frame_of_cumulative_acks_is_repaired_by_the_next_frame",
+            vec![regular(4, 1, 1, 1, 1, 4)
+                .groups((1..=4).map(GroupId).collect())
+                .source_pattern(cbr(10))
+                .source_window(SimTime::ZERO, Some(SimTime::from_millis(1500)))
+                .links(loss_free())
+                .build()],
+        ),
+        (
+            "engine_scenarios.rs figure1_latency_is_token_wait_plus_link_delays_exactly",
+            vec![regular(4, 3, 3, 1, 1, 1)
+                .source_pattern(cbr(7))
+                .source_window(SimTime::ZERO, Some(SimTime::from_millis(1500)))
+                .links(LinkPlan {
+                    top_ring: LinkProfile::wired(SimDuration::from_millis(3)),
+                    ..loss_free()
+                })
+                .build()],
+        ),
+        (
+            "driver ringnet_spec: ScenarioBuilder::figure1 (quickstart, README, integration)",
+            vec![ringnet(ScenarioBuilder::figure1(G))],
+        ),
+        (
+            "driver ringnet_spec: CoreShape::Hierarchy (E1, E4, E8, T1, integration, examples)",
+            vec![
+                ringnet(
+                    ScenarioBuilder::new()
+                        .attachments(8)
+                        .shape(hierarchy(4, 2, 2))
+                        .sources(2),
+                ),
+                ringnet(
+                    ScenarioBuilder::new()
+                        .attachments(6)
+                        .sources(4)
+                        .shape(hierarchy(4, 2, 3))
+                        .aps_always_active(false),
+                ),
+                ringnet(
+                    ScenarioBuilder::new()
+                        .attachments(2)
+                        .walkers(vec![Some(0), Some(1), None])
+                        .shape(hierarchy(2, 1, 2)),
+                ),
+            ],
+        ),
+    ]
+}
+
+/// `fnv1a(format!("{specs:?}"))` per call site of [`spec_layouts`], pinned
+/// on the code that laid every hierarchy out with a second builder. The
+/// builder is gone and the scenario's shape lays them out now; a digest
+/// that moves means a call site now runs a different world.
+const SPEC_DIGESTS: &[(&str, u64)] = &[
+    ("harness t2::measure, r = 2, 4, 8", 0xf21fe5118c29d30a),
+    ("harness t3::run, λ = 100, 500, 1000", 0x032c75ff2c82ffe7),
+    ("harness e3::measure", 0x96ba31dcba52cc77),
+    ("harness e5::measure, (quick, loss, budget)", 0x4c610b0c91935df1),
+    ("harness a1::measure, ack_every = 1, 4, 8, 16", 0xe316052c1919f2d5),
+    ("figure1: harness f1, tests/integration.rs invalid_spec_is_rejected, hierarchy.rs tests (also the builder defaults)", 0xd67b15a04ed505bf),
+    ("src/lib.rs doctest", 0x652e614f7ccfc4f4),
+    ("engine.rs tests::small_spec", 0x427f9c2d2719c4cf),
+    ("hierarchy.rs tests::builder_produces_valid_spec", 0x3b8554e956ed82e1),
+    ("hierarchy.rs tests::entities_run_tier_by_tier_and_wiring_draws_the_link_plan", 0xc540efa4b01d7025),
+    ("hierarchy.rs tests::validation_rejects_unrunnable_traffic", 0x01cf2392babef3ab),
+    ("hierarchy.rs tests::neighbours_form_a_chain", 0x83f43baf98b859c3),
+    ("properties.rs total_order_never_violated", 0x396a45227b5de3c8),
+    ("engine_scenarios.rs poisson_traffic_is_fully_ordered_and_delivered", 0x811284b0bb101c22),
+    ("engine_scenarios.rs ap_failure_orphans_then_handoff_rescues", 0xcc537654f2365700),
+    ("engine_scenarios.rs bursty_channel_with_budget_keeps_ratio_high", 0x156b54f3db460fea),
+    ("engine_scenarios.rs a_lost_last_message_is_never_repaired", 0xb1afcfaaa431dc13),
+    ("engine_scenarios.rs quiet_world_fires_two_timer_chains_per_ne_and_one_ack_wake_per_mh", 0xaebe1db70429d4d1),
+    ("engine_scenarios.rs reservation_expires_and_ap_prunes_itself", 0x4c684968017b521a),
+    ("engine_scenarios.rs killing_an_mh_stops_its_acks_and_frees_it", 0x9923151406defb7f),
+    ("engine_scenarios.rs idle_mhs_are_kept_alive_by_their_acks_alone, 1 and 2 MHs per AP", 0xed5958f842c47cd1),
+    ("engine_scenarios.rs amnesiac_ap_solicits_reregistration_within_an_ack_period", 0xe682b5cdc4ed5d61),
+    ("engine_scenarios.rs station_shaped_spec_delivers_in_order (before the edit)", 0xe82f45c90e87b17e),
+    ("engine_scenarios.rs ring_cut_at_a_heartbeat_tick_is_repaired_on_the_probe_schedule", 0x32e13473923eb1e0),
+    ("engine_scenarios.rs zero_mh_network_runs_clean", 0xac93b0dcfcc501ba),
+    ("engine_scenarios.rs lost_frame_of_cumulative_acks_is_repaired_by_the_next_frame", 0x47a846b9140cdd90),
+    ("engine_scenarios.rs figure1_latency_is_token_wait_plus_link_delays_exactly", 0x8ac3a5a7ee695e6a),
+    ("driver ringnet_spec: ScenarioBuilder::figure1 (quickstart, README, integration)", 0xd67b15a04ed505bf),
+    ("driver ringnet_spec: CoreShape::Hierarchy (E1, E4, E8, T1, integration, examples)", 0xbdbfd46356f34ada),
+];
+
+#[test]
+fn every_regular_hierarchy_lays_out_as_pinned() {
+    let got: Vec<(&str, u64)> = spec_layouts()
+        .into_iter()
+        .map(|(site, specs)| (site, fnv1a(&format!("{specs:?}"))))
+        .collect();
+    assert_eq!(got, SPEC_DIGESTS);
+}
