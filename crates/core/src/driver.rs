@@ -49,8 +49,7 @@ use simnet::{Histogram, LinkProfile, SimDuration, SimStats, SimTime};
 use crate::config::HOP_TICK;
 use crate::engine::RingNetSim;
 use crate::hierarchy::{
-    figure1, AgRingSpec, ApSpec, Entity, HierarchyBuilder, HierarchySpec, LinkPlan, MhSpec,
-    SourceSpec, TrafficPattern,
+    AgRingSpec, ApSpec, Entity, HierarchySpec, LinkPlan, MhSpec, SourceSpec, TrafficPattern,
 };
 use crate::ids::{GroupId, Guid, NodeId};
 use crate::metrics;
@@ -69,7 +68,10 @@ pub enum CoreShape {
     Auto,
     /// An explicit regular hierarchy: `brs` top-ring BRs, `rings` AG rings
     /// of `ags_per_ring` AGs. The attachment count must divide evenly into
-    /// `rings × ags_per_ring` APs.
+    /// `rings × ags_per_ring` APs. AG ring `i` hangs off BR `i mod brs`
+    /// with the next BR as backup; the APs split evenly over the AGs in id
+    /// order, each with the next AG of its ring as backup.
+    /// [`ScenarioBuilder::figure1`] is the paper's instance.
     Hierarchy {
         /// BRs on the top ring.
         brs: usize,
@@ -78,10 +80,6 @@ pub enum CoreShape {
         /// AGs per ring.
         ags_per_ring: usize,
     },
-    /// The paper's Figure 1 topology (4 BRs, 3 rings × 3 AGs, 9 APs).
-    /// Use [`ScenarioBuilder::figure1`], which also sizes the attachments
-    /// and walkers to match.
-    Figure1,
 }
 
 /// One scheduled world event. Times are simulation times; identities are
@@ -426,7 +424,6 @@ impl Scenario {
         match self.shape {
             CoreShape::Auto => self.sources.max(2).max(self.declared_groups().len()),
             CoreShape::Hierarchy { brs, .. } => brs,
-            CoreShape::Figure1 => 4,
         }
     }
 
@@ -507,12 +504,6 @@ impl Scenario {
                     self.attachments
                 ));
             }
-        }
-        if self.shape == CoreShape::Figure1 && self.attachments != 9 {
-            problems.push(format!(
-                "Figure 1 has exactly 9 attachment points, not {}",
-                self.attachments
-            ));
         }
         if let CoreShape::Hierarchy {
             brs,
@@ -801,15 +792,19 @@ impl ScenarioBuilder {
         }
     }
 
-    /// The paper's Figure 1 deployment: 9 attachments under the Figure-1
-    /// hierarchy, one walker per attachment.
+    /// The paper's Figure 1 deployment: a top ring of 4 BRs over 3 AG
+    /// rings of 3 AGs, one attachment per AG and one walker per attachment
+    /// (the figure is schematic about AP and MH counts; the tier structure
+    /// is what matters).
     pub fn figure1(group: GroupId) -> Self {
-        let spec = figure1(group);
-        let mut b = Self::new();
-        b.sc.group = group;
-        b.sc.attachments = spec.aps.len();
-        b.sc.shape = CoreShape::Figure1;
-        b
+        Self::new()
+            .group(group)
+            .attachments(9)
+            .shape(CoreShape::Hierarchy {
+                brs: 4,
+                rings: 3,
+                ags_per_ring: 3,
+            })
     }
 
     /// The multicast group.
@@ -1191,20 +1186,6 @@ pub trait MulticastSim: Sized {
 /// `spec.aps[i]`, walker `w` becomes `Guid(w)`.
 pub fn ringnet_spec(sc: &Scenario) -> HierarchySpec {
     let mut spec = match sc.shape {
-        CoreShape::Figure1 => {
-            let mut spec = figure1(sc.group);
-            assert_eq!(
-                spec.aps.len(),
-                sc.attachments,
-                "Figure 1 has exactly {} attachment points",
-                spec.aps.len()
-            );
-            spec.cfg = sc.cfg.clone();
-            for ap in &mut spec.aps {
-                ap.always_active = sc.aps_always_active;
-            }
-            spec
-        }
         CoreShape::Hierarchy {
             brs,
             rings,
@@ -1216,15 +1197,42 @@ pub fn ringnet_spec(sc: &Scenario) -> HierarchySpec {
                 "{} attachments do not divide into {rings}×{ags_per_ring} AGs",
                 sc.attachments
             );
-            HierarchyBuilder::new(sc.group)
-                .brs(brs)
-                .ag_rings(rings, ags_per_ring)
-                .aps_per_ag(aps_per_ag)
-                .mhs_per_ap(0)
-                .sources(sc.sources.min(brs))
-                .aps_always_active(sc.aps_always_active)
-                .config(sc.cfg.clone())
-                .build()
+            // Ids run BRs, then AGs ring by ring, then APs AG by AG.
+            let top_ring: Vec<NodeId> = (0..brs as u32).map(NodeId).collect();
+            let ag_rings: Vec<AgRingSpec> = (0..rings)
+                .map(|i| {
+                    let first = (brs + i * ags_per_ring) as u32;
+                    AgRingSpec {
+                        members: (first..first + ags_per_ring as u32).map(NodeId).collect(),
+                        parent_candidates: with_backup(top_ring[i % brs], top_ring[(i + 1) % brs]),
+                    }
+                })
+                .collect();
+            let ap_id = |cell: usize| NodeId((brs + rings * ags_per_ring + cell) as u32);
+            let aps = (0..sc.attachments)
+                .map(|cell| {
+                    let ag = cell / aps_per_ag;
+                    let ring = &ag_rings[ag / ags_per_ring].members;
+                    let pos = ag % ags_per_ring;
+                    ApSpec {
+                        id: ap_id(cell),
+                        parent_candidates: with_backup(ring[pos], ring[(pos + 1) % ags_per_ring]),
+                        always_active: sc.aps_always_active,
+                        neighbours: sc.neighbours_of(cell).into_iter().map(ap_id).collect(),
+                    }
+                })
+                .collect();
+            HierarchySpec {
+                group: sc.group,
+                groups: Vec::new(),
+                cfg: sc.cfg.clone(),
+                top_ring,
+                ag_rings,
+                aps,
+                mhs: Vec::new(),
+                sources: Vec::new(),
+                links: sc.links.clone(),
+            }
         }
         CoreShape::Auto => auto_hierarchy(sc, sc.ordering_capable_nodes()),
     };
@@ -1319,23 +1327,15 @@ fn auto_hierarchy(sc: &Scenario, brs: usize) -> HierarchySpec {
     let ap_base = (brs + n_ags) as u32;
     let ap_ids: Vec<NodeId> = (0..n_aps as u32).map(|i| NodeId(ap_base + i)).collect();
     let aps: Vec<ApSpec> = (0..n_aps)
-        .map(|cell| {
-            let ag = ag_ids[cell % n_ags];
-            let backup = ag_ids[(cell + 1) % n_ags];
-            ApSpec {
-                id: ap_ids[cell],
-                parent_candidates: if backup == ag {
-                    vec![ag]
-                } else {
-                    vec![ag, backup]
-                },
-                always_active: sc.aps_always_active,
-                neighbours: sc
-                    .neighbours_of(cell)
-                    .into_iter()
-                    .map(|c| ap_ids[c])
-                    .collect(),
-            }
+        .map(|cell| ApSpec {
+            id: ap_ids[cell],
+            parent_candidates: with_backup(ag_ids[cell % n_ags], ag_ids[(cell + 1) % n_ags]),
+            always_active: sc.aps_always_active,
+            neighbours: sc
+                .neighbours_of(cell)
+                .into_iter()
+                .map(|c| ap_ids[c])
+                .collect(),
         })
         .collect();
     HierarchySpec {
@@ -1351,6 +1351,16 @@ fn auto_hierarchy(sc: &Scenario, brs: usize) -> HierarchySpec {
         mhs: Vec::new(),
         sources: Vec::new(),
         links: sc.links.clone(),
+    }
+}
+
+/// A parent candidate list: `preferred`, then `backup` unless it is the
+/// same node.
+fn with_backup(preferred: NodeId, backup: NodeId) -> Vec<NodeId> {
+    if backup == preferred {
+        vec![preferred]
+    } else {
+        vec![preferred, backup]
     }
 }
 
@@ -1612,6 +1622,33 @@ mod tests {
     }
 
     #[test]
+    fn hierarchy_shape_takes_ap_neighbours_from_the_grid() {
+        // The reservation scope is the world's, whatever the core shape.
+        let grid = || ScenarioBuilder::new().grid(4, 2);
+        let auto = ringnet_spec(&grid().build());
+        let spec = ringnet_spec(
+            &grid()
+                .shape(CoreShape::Hierarchy {
+                    brs: 2,
+                    rings: 2,
+                    ags_per_ring: 2,
+                })
+                .build(),
+        );
+        let aps: Vec<NodeId> = spec.aps.iter().map(|ap| ap.id).collect();
+        assert_eq!(spec.aps[0].neighbours, [aps[1], aps[4]]);
+        let cells = |spec: &HierarchySpec| -> Vec<Vec<u32>> {
+            let first = spec.aps[0].id.0;
+            let cells = spec
+                .aps
+                .iter()
+                .map(|ap| ap.neighbours.iter().map(|n| n.0 - first));
+            cells.map(|c| c.collect()).collect()
+        };
+        assert_eq!(cells(&spec), cells(&auto));
+    }
+
+    #[test]
     fn degenerate_tree_is_rings_of_one() {
         let sc = ScenarioBuilder::new().attachments(6).build();
         let spec = degenerate_tree_spec(&sc);
@@ -1681,7 +1718,7 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "Figure 1 has exactly 9 attachment points")]
+    #[should_panic(expected = "5 attachments do not divide into 3×3 AGs")]
     fn builder_rejects_figure1_with_other_attachment_count() {
         // Used to pass validation, then panic inside `ringnet_spec` (and
         // silently build a five-AP world on the unordered backend).

@@ -1350,21 +1350,22 @@ impl RingNetSim {
 mod tests {
     use super::*;
     use crate::config::ProtocolConfig;
-    use crate::hierarchy::HierarchyBuilder;
+    use crate::driver::{ringnet_spec, CoreShape, ScenarioBuilder};
     use crate::ids::GlobalSeq;
 
     fn small_spec() -> HierarchySpec {
-        HierarchyBuilder::new(GroupId(1))
-            .brs(3)
-            .ag_rings(2, 2)
-            .aps_per_ag(1)
-            .mhs_per_ap(1)
-            .sources(2)
-            .source_pattern(TrafficPattern::Cbr {
-                interval: SimDuration::from_millis(20),
+        let sc = ScenarioBuilder::new()
+            .attachments(4)
+            .shape(CoreShape::Hierarchy {
+                brs: 3,
+                rings: 2,
+                ags_per_ring: 2,
             })
-            .source_limit(10)
-            .build()
+            .sources(2)
+            .cbr(SimDuration::from_millis(20))
+            .message_limit(10)
+            .build();
+        ringnet_spec(&sc)
     }
 
     #[test]

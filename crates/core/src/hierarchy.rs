@@ -1,4 +1,4 @@
-//! RingNet hierarchy specification and builder (§3, Figure 1).
+//! RingNet hierarchy specification (§3, Figure 1).
 //!
 //! A [`HierarchySpec`] declares the whole four-tier structure — the top BR
 //! ring, the AG rings with their candidate parent BRs, the APs with their
@@ -7,9 +7,11 @@
 //! the link profiles of every scope. Per Remark 2 the candidate-contactor
 //! relationships are static configuration.
 //!
-//! [`HierarchyBuilder`] assembles regular specs (`b` BRs, `g` AG rings of
-//! `a` AGs, `p` APs per AG, `m` MHs per AP); [`figure1`] reproduces the
-//! topology drawn in the paper's Figure 1.
+//! Specs are derived from a [`crate::driver::Scenario`]: its
+//! [`crate::driver::CoreShape`] lays out a regular hierarchy (`b` BRs, `g` AG
+//! rings of `a` AGs, the attachments spread evenly over the AGs), and
+//! [`crate::driver::ScenarioBuilder::figure1`] is the topology drawn in the
+//! paper's Figure 1.
 
 use simnet::{LinkProfile, NodeAddr, SimDuration, SimTime};
 
@@ -556,271 +558,35 @@ impl HierarchySpec {
     }
 }
 
-/// Convenience builder for regular hierarchies.
-#[derive(Debug, Clone)]
-pub struct HierarchyBuilder {
-    group: GroupId,
-    groups: Vec<GroupId>,
-    cfg: ProtocolConfig,
-    brs: usize,
-    ag_rings: usize,
-    ags_per_ring: usize,
-    aps_per_ag: usize,
-    mhs_per_ap: usize,
-    sources: usize,
-    source_pattern: TrafficPattern,
-    source_start: SimTime,
-    source_stop: Option<SimTime>,
-    source_limit: Option<u64>,
-    links: LinkPlan,
-    aps_always_active: bool,
-}
-
-impl HierarchyBuilder {
-    /// Start a builder with sensible defaults (4 BRs, 3 rings × 3 AGs,
-    /// 1 AP per AG, 1 MH per AP, 1 source at 100 msg/s CBR).
-    pub fn new(group: GroupId) -> Self {
-        HierarchyBuilder {
-            group,
-            groups: Vec::new(),
-            cfg: ProtocolConfig::default(),
-            brs: 4,
-            ag_rings: 3,
-            ags_per_ring: 3,
-            aps_per_ag: 1,
-            mhs_per_ap: 1,
-            sources: 1,
-            source_pattern: TrafficPattern::Cbr {
-                interval: SimDuration::from_millis(10),
-            },
-            source_start: SimTime::ZERO,
-            source_stop: None,
-            source_limit: None,
-            links: LinkPlan::default(),
-            aps_always_active: true,
-        }
-    }
-
-    /// Number of BRs on the top ring.
-    pub fn brs(mut self, n: usize) -> Self {
-        self.brs = n;
-        self
-    }
-
-    /// Declare a multi-group workload: one ordering ring per listed
-    /// group. MHs subscribe to every group and source *i* addresses group
-    /// `groups[i % groups.len()]`; callers wanting bespoke subscription
-    /// or addressing sets edit the built spec's public fields.
-    pub fn groups(mut self, groups: Vec<GroupId>) -> Self {
-        self.groups = groups;
-        self
-    }
-
-    /// Number of AG rings and AGs per ring.
-    pub fn ag_rings(mut self, rings: usize, ags_per_ring: usize) -> Self {
-        self.ag_rings = rings;
-        self.ags_per_ring = ags_per_ring;
-        self
-    }
-
-    /// APs per AG.
-    pub fn aps_per_ag(mut self, n: usize) -> Self {
-        self.aps_per_ag = n;
-        self
-    }
-
-    /// MHs initially attached per AP.
-    pub fn mhs_per_ap(mut self, n: usize) -> Self {
-        self.mhs_per_ap = n;
-        self
-    }
-
-    /// Number of sources (`s ≤ r`), assigned round-robin to BRs 0, 1, ….
-    pub fn sources(mut self, n: usize) -> Self {
-        self.sources = n;
-        self
-    }
-
-    /// Traffic pattern shared by all sources.
-    pub fn source_pattern(mut self, p: TrafficPattern) -> Self {
-        self.source_pattern = p;
-        self
-    }
-
-    /// Source start/stop window.
-    pub fn source_window(mut self, start: SimTime, stop: Option<SimTime>) -> Self {
-        self.source_start = start;
-        self.source_stop = stop;
-        self
-    }
-
-    /// Per-source message limit.
-    pub fn source_limit(mut self, limit: u64) -> Self {
-        self.source_limit = Some(limit);
-        self
-    }
-
-    /// Protocol configuration.
-    pub fn config(mut self, cfg: ProtocolConfig) -> Self {
-        self.cfg = cfg;
-        self
-    }
-
-    /// Link profiles.
-    pub fn links(mut self, links: LinkPlan) -> Self {
-        self.links = links;
-        self
-    }
-
-    /// Whether APs are statically in the tree (disable for mobility
-    /// experiments so activation is member-driven).
-    pub fn aps_always_active(mut self, v: bool) -> Self {
-        self.aps_always_active = v;
-        self
-    }
-
-    /// Assemble the spec. IDs are assigned sequentially: BRs first, then
-    /// AGs ring by ring, then APs; GUIDs from 0.
-    pub fn build(self) -> HierarchySpec {
-        assert!(self.sources <= self.brs, "the paper assumes s ≤ r");
-        let mut next_id = 0u32;
-        let mut take = |n: usize| -> Vec<NodeId> {
-            let ids: Vec<NodeId> = (next_id..next_id + n as u32).map(NodeId).collect();
-            next_id += n as u32;
-            ids
-        };
-        let top_ring = take(self.brs);
-        let mut ag_rings = Vec::with_capacity(self.ag_rings);
-        for i in 0..self.ag_rings {
-            let members = take(self.ags_per_ring);
-            // Preferred parent rotates over BRs; the next BR is the backup.
-            let pref = top_ring[i % top_ring.len()];
-            let backup = top_ring[(i + 1) % top_ring.len()];
-            let parent_candidates = if backup == pref {
-                vec![pref]
-            } else {
-                vec![pref, backup]
-            };
-            ag_rings.push(AgRingSpec {
-                members,
-                parent_candidates,
-            });
-        }
-        let mut aps = Vec::new();
-        for ring in &ag_rings {
-            for &ag in &ring.members {
-                for _ in 0..self.aps_per_ag {
-                    let id = take(1)[0];
-                    // Backup parent: the next AG in the same ring.
-                    let pos = ring
-                        .members
-                        .iter()
-                        .position(|&m| m == ag)
-                        .expect("AG ids come from iterating this very ring");
-                    let backup = ring.members[(pos + 1) % ring.members.len()];
-                    let parent_candidates = if backup == ag {
-                        vec![ag]
-                    } else {
-                        vec![ag, backup]
-                    };
-                    aps.push(ApSpec {
-                        id,
-                        parent_candidates,
-                        always_active: self.aps_always_active,
-                        neighbours: Vec::new(), // filled below
-                    });
-                }
-            }
-        }
-        // Neighbour lists: adjacency along the global AP chain (the mobility
-        // crate substitutes geographic adjacency when needed).
-        let ap_ids: Vec<NodeId> = aps.iter().map(|a| a.id).collect();
-        for (i, ap) in aps.iter_mut().enumerate() {
-            if i > 0 {
-                ap.neighbours.push(ap_ids[i - 1]);
-            }
-            if i + 1 < ap_ids.len() {
-                ap.neighbours.push(ap_ids[i + 1]);
-            }
-        }
-        // Multi-group declarations subscribe every MH to every group and
-        // spread sources round-robin over the group list; single-group
-        // builds leave both vectors empty (= primary-group default).
-        let declared = {
-            let mut gs = self.groups.clone();
-            if !gs.is_empty() && !gs.contains(&self.group) {
-                gs.push(self.group);
-            }
-            gs.sort_unstable();
-            gs.dedup();
-            gs
-        };
-        let mut mhs = Vec::new();
-        let mut guid = 0u32;
-        for ap in &aps {
-            for _ in 0..self.mhs_per_ap {
-                mhs.push(MhSpec {
-                    guid: Guid(guid),
-                    initial_ap: Some(ap.id),
-                    subscriptions: declared.clone(),
-                });
-                guid += 1;
-            }
-        }
-        let sources = (0..self.sources)
-            .map(|i| SourceSpec {
-                corresponding: top_ring[i],
-                pattern: self.source_pattern,
-                start: self.source_start,
-                stop: self.source_stop,
-                limit: self.source_limit,
-                groups: if declared.is_empty() {
-                    Vec::new()
-                } else {
-                    vec![declared[i % declared.len()]]
-                },
-            })
-            .collect();
-        HierarchySpec {
-            group: self.group,
-            groups: declared,
-            cfg: self.cfg,
-            top_ring,
-            ag_rings,
-            aps,
-            mhs,
-            sources,
-            links: self.links,
-        }
-    }
-}
-
-/// The topology drawn in the paper's Figure 1: one BR ring of four, three
-/// AG rings of three, one AP per AG and one MH per AP (the figure is
-/// schematic about AP/MH counts; the tier structure is what matters).
-pub fn figure1(group: GroupId) -> HierarchySpec {
-    HierarchyBuilder::new(group)
-        .brs(4)
-        .ag_rings(3, 3)
-        .aps_per_ag(1)
-        .mhs_per_ap(1)
-        .sources(1)
-        .build()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::driver::{ringnet_spec, CoreShape, ScenarioBuilder};
+
+    /// A regular hierarchy of `brs` BRs over `rings` AG rings of
+    /// `ags_per_ring` AGs.
+    fn regular(brs: usize, rings: usize, ags_per_ring: usize) -> CoreShape {
+        CoreShape::Hierarchy {
+            brs,
+            rings,
+            ags_per_ring,
+        }
+    }
+
+    fn figure1() -> HierarchySpec {
+        ringnet_spec(&ScenarioBuilder::figure1(GroupId(1)).build())
+    }
 
     #[test]
     fn builder_produces_valid_spec() {
-        let spec = HierarchyBuilder::new(GroupId(1))
-            .brs(4)
-            .ag_rings(3, 3)
-            .aps_per_ag(2)
-            .mhs_per_ap(2)
-            .sources(2)
-            .build();
+        let spec = ringnet_spec(
+            &ScenarioBuilder::new()
+                .attachments(18)
+                .walkers_per_attachment(2)
+                .sources(2)
+                .shape(regular(4, 3, 3))
+                .build(),
+        );
         assert!(spec.validate().is_empty(), "{:?}", spec.validate());
         assert_eq!(spec.tier_sizes(), (4, 9, 18, 36));
         assert_eq!(spec.sources.len(), 2);
@@ -828,7 +594,7 @@ mod tests {
 
     #[test]
     fn ids_are_disjoint_across_tiers() {
-        let spec = HierarchyBuilder::new(GroupId(1)).build();
+        let spec = figure1();
         let mut all: Vec<u32> = spec.top_ring.iter().map(|n| n.0).collect();
         all.extend(
             spec.ag_rings
@@ -844,11 +610,12 @@ mod tests {
 
     #[test]
     fn entities_run_tier_by_tier_and_wiring_draws_the_link_plan() {
-        let spec = HierarchyBuilder::new(GroupId(1))
-            .brs(2)
-            .ag_rings(2, 2)
-            .sources(1)
-            .build();
+        let spec = ringnet_spec(
+            &ScenarioBuilder::new()
+                .attachments(4)
+                .shape(regular(2, 2, 2))
+                .build(),
+        );
         let tiers: Vec<u8> = (spec.entities())
             .map(|e| match e {
                 Entity::Br(_) => 0,
@@ -859,7 +626,7 @@ mod tests {
             })
             .collect();
         assert_eq!(tiers, [0, 0, 1, 1, 1, 1, 2, 2, 2, 2, 3, 4, 4, 4, 4]);
-        // Builder ids are creation positions, i.e. addresses.
+        // Laid-out ids are creation positions, i.e. addresses.
         let ids: Vec<u32> = spec
             .entities()
             .filter_map(|e| e.ne_id())
@@ -886,7 +653,7 @@ mod tests {
 
     #[test]
     fn figure1_matches_paper_shape() {
-        let spec = figure1(GroupId(9));
+        let spec = figure1();
         assert!(spec.validate().is_empty());
         let (brs, ags, aps, _mhs) = spec.tier_sizes();
         assert_eq!(brs, 4, "Figure 1 draws four BRs on the top ring");
@@ -915,9 +682,8 @@ mod tests {
                 "Poisson rate must be positive and finite",
             ),
         ] {
-            let spec = HierarchyBuilder::new(GroupId(1))
-                .source_pattern(pattern)
-                .build();
+            let mut spec = figure1();
+            spec.sources[0].pattern = pattern;
             let problems = spec.validate();
             assert!(
                 problems.iter().any(|p| p.contains(problem)),
@@ -928,7 +694,7 @@ mod tests {
 
     #[test]
     fn validation_rejects_bad_specs() {
-        let mut spec = figure1(GroupId(1));
+        let mut spec = figure1();
         spec.sources.push(SourceSpec {
             corresponding: NodeId(9999),
             pattern: TrafficPattern::Poisson { rate: 1.0 },
@@ -939,7 +705,7 @@ mod tests {
         });
         assert!(!spec.validate().is_empty());
 
-        let mut spec2 = figure1(GroupId(1));
+        let mut spec2 = figure1();
         spec2.mhs.push(MhSpec {
             guid: spec2.mhs[0].guid,
             initial_ap: None,
@@ -950,7 +716,7 @@ mod tests {
             .iter()
             .any(|p| p.contains("duplicate GUID")));
 
-        let mut spec3 = figure1(GroupId(1));
+        let mut spec3 = figure1();
         spec3.aps[0].parent_candidates.clear();
         assert!(spec3
             .validate()
@@ -961,7 +727,7 @@ mod tests {
     #[test]
     fn mh_may_attach_to_a_top_ring_member_in_the_station_shape_only() {
         // Station shape: no AG rings, no APs — the BRs serve MHs directly.
-        let mut spec = figure1(GroupId(1));
+        let mut spec = figure1();
         let station = spec.top_ring[2];
         spec.ag_rings.clear();
         spec.aps.clear();
@@ -975,7 +741,7 @@ mod tests {
         assert!(spec.validate().is_empty(), "{:?}", spec.validate());
 
         // The same MH is rejected as soon as the spec has an AP tier.
-        let mut tiered = figure1(GroupId(1));
+        let mut tiered = figure1();
         tiered.mhs[0].initial_ap = Some(station);
         assert!(!tiered.is_station_shape());
         assert_eq!(tiered.attachment(2), Some(tiered.aps[2].id));
@@ -987,7 +753,7 @@ mod tests {
 
     #[test]
     fn duplicate_source_per_node_rejected() {
-        let mut spec = figure1(GroupId(1));
+        let mut spec = figure1();
         let dup = spec.sources[0].clone();
         spec.sources.push(dup);
         assert!(spec
@@ -998,10 +764,12 @@ mod tests {
 
     #[test]
     fn neighbours_form_a_chain() {
-        let spec = HierarchyBuilder::new(GroupId(1))
-            .ag_rings(1, 2)
-            .aps_per_ag(2)
-            .build();
+        let spec = ringnet_spec(
+            &ScenarioBuilder::new()
+                .attachments(4)
+                .shape(regular(4, 1, 2))
+                .build(),
+        );
         let aps = &spec.aps;
         assert_eq!(aps.len(), 4);
         assert_eq!(aps[0].neighbours, vec![aps[1].id]);
@@ -1021,7 +789,7 @@ mod tests {
 
     #[test]
     fn mhs_without_initial_ap_are_allowed() {
-        let mut spec = figure1(GroupId(1));
+        let mut spec = figure1();
         spec.mhs.push(MhSpec {
             guid: Guid(1000),
             initial_ap: None,

@@ -48,7 +48,7 @@
 //! ## Quick start
 //!
 //! ```
-//! use ringnet_core::driver::{MulticastSim, ScenarioBuilder};
+//! use ringnet_core::driver::{ringnet_spec, CoreShape, MulticastSim, ScenarioBuilder};
 //! use ringnet_core::engine::RingNetSim;
 //! use ringnet_core::ids::GroupId;
 //! use simnet::{SimDuration, SimTime};
@@ -59,6 +59,11 @@
 //!     .message_limit(50)
 //!     .duration(SimTime::from_secs(2))
 //!     .build();
+//! // Figure 1 is a preset of the regular hierarchy shape: 4 BRs over 3 AG
+//! // rings of 3 AGs, one attachment (AP) per AG.
+//! let shape = CoreShape::Hierarchy { brs: 4, rings: 3, ags_per_ring: 3 };
+//! assert_eq!(scenario.shape, shape);
+//! assert_eq!(ringnet_spec(&scenario).tier_sizes(), (4, 9, 9, 9));
 //! let report = RingNetSim::run_scenario(&scenario, 42);
 //! assert!(report.stats.packets_delivered > 0);
 //! assert!(report.metrics.delivered > 0);
@@ -102,7 +107,7 @@ pub use driver::{
 };
 pub use engine::{AddrMap, RingNetSim};
 pub use events::ProtoEvent;
-pub use hierarchy::{figure1, HierarchyBuilder, HierarchySpec, TrafficPattern};
+pub use hierarchy::{HierarchySpec, TrafficPattern};
 pub use ids::{Endpoint, Epoch, GlobalSeq, GroupId, Guid, LocalRange, LocalSeq, NodeId, PayloadId};
 pub use mh::{MhCounters, MhState};
 pub use mq::{DeliverItem, InsertOutcome, MessageQueue, MsgData};

@@ -6,17 +6,27 @@ use std::collections::BTreeMap;
 
 use ringnet_core::config::{HEARTBEAT_PERIOD, HOP_TICK};
 use ringnet_core::driver::{
-    hierarchy_core, ringnet_spec, CoreShape, MulticastSim, Scenario, ScenarioEvent,
+    hierarchy_core, ringnet_spec, CoreShape, MulticastSim, Scenario, ScenarioBuilder, ScenarioEvent,
 };
-use ringnet_core::hierarchy::{LinkPlan, MhSpec, TrafficPattern};
+use ringnet_core::hierarchy::{LinkPlan, MhSpec};
 use ringnet_core::metrics::Finals;
 use ringnet_core::telemetry::metric;
-use ringnet_core::{
-    GroupId, Guid, HierarchyBuilder, NodeId, ProtoEvent, ProtocolConfig, RingNetSim,
-};
+use ringnet_core::{GroupId, Guid, NodeId, ProtoEvent, ProtocolConfig, RingNetSim};
 use simnet::{LatencyModel, LinkProfile, LossModel, SimDuration, SimTime};
 
 const G: GroupId = GroupId(1);
+
+/// A scenario over a regular hierarchy: `brs` BRs over `rings` AG rings of
+/// `ags_per_ring` AGs, with `aps_per_ag` attachments under each AG.
+fn hierarchy(brs: usize, rings: usize, ags_per_ring: usize, aps_per_ag: usize) -> ScenarioBuilder {
+    ScenarioBuilder::new()
+        .attachments(rings * ags_per_ring * aps_per_ag)
+        .shape(CoreShape::Hierarchy {
+            brs,
+            rings,
+            ags_per_ring,
+        })
+}
 
 fn count<F: Fn(&ProtoEvent) -> bool>(journal: &[(SimTime, ProtoEvent)], f: F) -> usize {
     journal.iter().filter(|(_, e)| f(e)).count()
@@ -24,19 +34,14 @@ fn count<F: Fn(&ProtoEvent) -> bool>(journal: &[(SimTime, ProtoEvent)], f: F) ->
 
 #[test]
 fn poisson_traffic_is_fully_ordered_and_delivered() {
-    let spec = HierarchyBuilder::new(G)
-        .brs(3)
-        .ag_rings(1, 3)
-        .aps_per_ag(1)
-        .mhs_per_ap(1)
-        .sources(3)
-        .source_pattern(TrafficPattern::Poisson { rate: 120.0 })
-        .source_window(SimTime::ZERO, Some(SimTime::from_secs(2)))
-        .links(LinkPlan {
-            wireless: LinkProfile::wired(SimDuration::from_millis(2)),
-            ..LinkPlan::default()
-        })
-        .build();
+    let spec = ringnet_spec(
+        &hierarchy(3, 1, 3, 1)
+            .sources(3)
+            .poisson(120.0)
+            .window(SimTime::ZERO, Some(SimTime::from_secs(2)))
+            .loss_free_wireless()
+            .build(),
+    );
     let mut net = RingNetSim::build(spec, 17);
     net.run_until(SimTime::from_secs(4));
     let (journal, ..) = net.finish();
@@ -51,16 +56,11 @@ fn poisson_traffic_is_fully_ordered_and_delivered() {
 
 #[test]
 fn ap_failure_orphans_then_handoff_rescues() {
-    let mut spec = HierarchyBuilder::new(G)
-        .brs(2)
-        .ag_rings(1, 2)
-        .aps_per_ag(2)
-        .mhs_per_ap(1)
-        .sources(1)
-        .source_pattern(TrafficPattern::Cbr {
-            interval: SimDuration::from_millis(10),
-        })
-        .build();
+    let mut spec = ringnet_spec(
+        &hierarchy(2, 1, 2, 2)
+            .cbr(SimDuration::from_millis(10))
+            .build(),
+    );
     spec.links.wireless = LinkProfile::wired(SimDuration::from_millis(2));
     let dead_ap = spec.aps[0].id;
     let rescue_ap = spec.aps[1].id;
@@ -101,28 +101,24 @@ fn ap_failure_orphans_then_handoff_rescues() {
 
 #[test]
 fn bursty_channel_with_budget_keeps_ratio_high() {
-    let spec = HierarchyBuilder::new(G)
-        .brs(2)
-        .ag_rings(1, 2)
-        .aps_per_ag(1)
-        .mhs_per_ap(2)
-        .sources(1)
-        .source_pattern(TrafficPattern::Cbr {
-            interval: SimDuration::from_millis(10),
-        })
-        .source_window(SimTime::ZERO, Some(SimTime::from_secs(3)))
-        .links(LinkPlan {
-            wireless: LinkProfile {
-                latency: LatencyModel::Jittered {
-                    base: SimDuration::from_millis(2),
-                    jitter: SimDuration::from_millis(2),
+    let spec = ringnet_spec(
+        &hierarchy(2, 1, 2, 1)
+            .walkers_per_attachment(2)
+            .cbr(SimDuration::from_millis(10))
+            .window(SimTime::ZERO, Some(SimTime::from_secs(3)))
+            .links(LinkPlan {
+                wireless: LinkProfile {
+                    latency: LatencyModel::Jittered {
+                        base: SimDuration::from_millis(2),
+                        jitter: SimDuration::from_millis(2),
+                    },
+                    loss: LossModel::lossy_wireless(),
+                    bandwidth: simnet::BandwidthModel::Unlimited,
                 },
-                loss: LossModel::lossy_wireless(),
-                bandwidth: simnet::BandwidthModel::Unlimited,
-            },
-            ..LinkPlan::default()
-        })
-        .build();
+                ..LinkPlan::default()
+            })
+            .build(),
+    );
     let mut net = RingNetSim::build(spec, 29);
     net.run_until(SimTime::from_secs(5));
     let (.., finals) = net.finish();
@@ -140,28 +136,24 @@ fn bursty_channel_with_budget_keeps_ratio_high() {
 #[test]
 fn a_lost_last_message_is_never_repaired() {
     let messages = 10;
-    let spec = HierarchyBuilder::new(G)
-        .brs(2)
-        .ag_rings(1, 2)
-        .aps_per_ag(1)
-        .mhs_per_ap(2)
-        .sources(1)
-        .source_pattern(TrafficPattern::Cbr {
-            interval: SimDuration::from_millis(10),
-        })
-        .source_limit(messages)
-        .links(LinkPlan {
-            wireless: LinkProfile {
-                latency: LatencyModel::Jittered {
-                    base: SimDuration::from_millis(2),
-                    jitter: SimDuration::from_millis(2),
+    let spec = ringnet_spec(
+        &hierarchy(2, 1, 2, 1)
+            .walkers_per_attachment(2)
+            .cbr(SimDuration::from_millis(10))
+            .message_limit(messages)
+            .links(LinkPlan {
+                wireless: LinkProfile {
+                    latency: LatencyModel::Jittered {
+                        base: SimDuration::from_millis(2),
+                        jitter: SimDuration::from_millis(2),
+                    },
+                    loss: LossModel::Bernoulli(0.2),
+                    bandwidth: simnet::BandwidthModel::Unlimited,
                 },
-                loss: LossModel::Bernoulli(0.2),
-                bandwidth: simnet::BandwidthModel::Unlimited,
-            },
-            ..LinkPlan::default()
-        })
-        .build();
+                ..LinkPlan::default()
+            })
+            .build(),
+    );
     let (short, sibling) = (Guid(0), Guid(1));
     let ap_of = |spec: &ringnet_core::HierarchySpec, g: Guid| {
         spec.mhs.iter().find(|m| m.guid == g).unwrap().initial_ap
@@ -199,14 +191,13 @@ fn a_lost_last_message_is_never_repaired() {
 #[test]
 fn quiet_world_fires_two_timer_chains_per_ne_and_one_ack_wake_per_mh() {
     let messages = 5;
-    let spec = HierarchyBuilder::new(G)
-        .config(ProtocolConfig::default().quiet())
-        .source_limit(messages)
-        .links(LinkPlan {
-            wireless: LinkProfile::wired(SimDuration::from_millis(2)),
-            ..LinkPlan::default()
-        })
-        .build();
+    let spec = ringnet_spec(
+        &ScenarioBuilder::figure1(G)
+            .config(ProtocolConfig::default().quiet())
+            .message_limit(messages)
+            .loss_free_wireless()
+            .build(),
+    );
     let mhs = spec.mhs.len() as u64;
     let nes = (spec.entities().count() - spec.sources.len()) as u64 - mhs;
     let second = SimDuration::from_secs(1).as_nanos();
@@ -237,25 +228,16 @@ fn quiet_world_fires_two_timer_chains_per_ne_and_one_ack_wake_per_mh() {
 #[test]
 fn reservation_expires_and_ap_prunes_itself() {
     let ttl = SimDuration::from_secs(2);
-    let mut spec = HierarchyBuilder::new(G)
-        .brs(2)
-        .ag_rings(1, 2)
-        .aps_per_ag(2)
-        .mhs_per_ap(0)
-        .sources(1)
-        .source_pattern(TrafficPattern::Cbr {
-            interval: SimDuration::from_millis(20),
-        })
-        .aps_always_active(false)
-        .config(ProtocolConfig::default().with_reservation_radius(1))
-        .build();
     // One MH at AP[1]; its join reserves the neighbours AP[0] and AP[2].
+    let spec = ringnet_spec(
+        &hierarchy(2, 1, 2, 2)
+            .walkers(vec![Some(1)])
+            .cbr(SimDuration::from_millis(20))
+            .aps_always_active(false)
+            .config(ProtocolConfig::default().with_reservation_radius(1))
+            .build(),
+    );
     let home = spec.aps[1].id;
-    spec.mhs.push(MhSpec {
-        guid: Guid(0),
-        initial_ap: Some(home),
-        subscriptions: Vec::new(),
-    });
     let mut net = RingNetSim::build(spec, 37);
     net.run_until(SimTime::from_secs(4));
     let (journal, ..) = net.finish();
@@ -316,16 +298,12 @@ fn reservation_expires_and_ap_prunes_itself() {
 
 #[test]
 fn killing_an_mh_stops_its_acks_and_frees_it() {
-    let spec = HierarchyBuilder::new(G)
-        .brs(2)
-        .ag_rings(1, 2)
-        .aps_per_ag(1)
-        .mhs_per_ap(2)
-        .sources(1)
-        .source_pattern(TrafficPattern::Cbr {
-            interval: SimDuration::from_millis(10),
-        })
-        .build();
+    let spec = ringnet_spec(
+        &hierarchy(2, 1, 2, 1)
+            .walkers_per_attachment(2)
+            .cbr(SimDuration::from_millis(10))
+            .build(),
+    );
     let mut net = RingNetSim::build(spec, 41);
     net.schedule_kill_mh(SimTime::from_secs(1), Guid(0));
     net.run_until(SimTime::from_secs(4));
@@ -375,18 +353,17 @@ fn killing_an_mh_stops_its_acks_and_frees_it() {
 #[test]
 fn idle_mhs_are_kept_alive_by_their_acks_alone() {
     let run = |mhs_per_ap: usize| {
-        let spec = HierarchyBuilder::new(G)
-            .brs(2)
-            .ag_rings(1, 2)
-            .aps_per_ag(2)
-            .mhs_per_ap(mhs_per_ap)
-            .sources(0)
-            .config(ProtocolConfig::default().with_reservation_radius(0))
-            .links(LinkPlan {
-                wireless: LinkProfile::wired(SimDuration::from_millis(5)),
-                ..LinkPlan::default()
-            })
-            .build();
+        let mut spec = ringnet_spec(
+            &hierarchy(2, 1, 2, 2)
+                .walkers_per_attachment(mhs_per_ap)
+                .config(ProtocolConfig::default().with_reservation_radius(0))
+                .links(LinkPlan {
+                    wireless: LinkProfile::wired(SimDuration::from_millis(5)),
+                    ..LinkPlan::default()
+                })
+                .build(),
+        );
+        spec.sources.clear();
         let (aps, mhs) = (spec.aps.len() as u64, spec.mhs.len() as i64);
         let mut net = RingNetSim::build(spec, 47);
         net.run_until(SimTime::from_secs(2));
@@ -425,20 +402,16 @@ fn idle_mhs_are_kept_alive_by_their_acks_alone() {
 /// AP would have swept it, and not a heartbeat period later.
 #[test]
 fn amnesiac_ap_solicits_reregistration_within_an_ack_period() {
-    let spec = HierarchyBuilder::new(G)
-        .brs(2)
-        .ag_rings(1, 2)
-        .aps_per_ag(1)
-        .mhs_per_ap(2)
-        .sources(1)
-        .source_pattern(TrafficPattern::Cbr {
-            interval: SimDuration::from_millis(10),
-        })
-        .links(LinkPlan {
-            wireless: LinkProfile::wired(SimDuration::from_millis(1)),
-            ..LinkPlan::default()
-        })
-        .build();
+    let spec = ringnet_spec(
+        &hierarchy(2, 1, 2, 1)
+            .walkers_per_attachment(2)
+            .cbr(SimDuration::from_millis(10))
+            .links(LinkPlan {
+                wireless: LinkProfile::wired(SimDuration::from_millis(1)),
+                ..LinkPlan::default()
+            })
+            .build(),
+    );
     let ap = spec.aps[0].id;
     let crash = SimTime::from_millis(1_001);
     assert_eq!(
@@ -473,14 +446,13 @@ fn amnesiac_ap_solicits_reregistration_within_an_ack_period() {
 /// that name it as their attachment — on the ordinary engine.
 #[test]
 fn station_shaped_spec_delivers_in_order() {
-    let mut spec = HierarchyBuilder::new(G)
-        .brs(4)
-        .sources(2)
-        .source_pattern(TrafficPattern::Cbr {
-            interval: SimDuration::from_millis(20),
-        })
-        .source_limit(20)
-        .build();
+    let mut spec = ringnet_spec(
+        &ScenarioBuilder::figure1(G)
+            .sources(2)
+            .cbr(SimDuration::from_millis(20))
+            .message_limit(20)
+            .build(),
+    );
     spec.ag_rings.clear();
     spec.aps.clear();
     spec.mhs = (0..4u32)
@@ -526,16 +498,11 @@ fn station_shaped_spec_delivers_in_order() {
 /// an answer, and repair the ring a period or more late.
 #[test]
 fn ring_cut_at_a_heartbeat_tick_is_repaired_on_the_probe_schedule() {
-    let spec = HierarchyBuilder::new(G)
-        .brs(2)
-        .ag_rings(2, 1)
-        .aps_per_ag(1)
-        .mhs_per_ap(1)
-        .sources(1)
-        .source_pattern(TrafficPattern::Cbr {
-            interval: SimDuration::from_millis(10),
-        })
-        .build();
+    let spec = ringnet_spec(
+        &hierarchy(2, 2, 1, 1)
+            .cbr(SimDuration::from_millis(10))
+            .build(),
+    );
     let (a, b) = (spec.top_ring[0], spec.top_ring[1]);
     let hop = spec.links.top_ring.latency.max_delay();
     let cut = SimTime::from_secs(1);
@@ -563,17 +530,14 @@ fn ring_cut_at_a_heartbeat_tick_is_repaired_on_the_probe_schedule() {
 
 #[test]
 fn zero_mh_network_runs_clean() {
-    let spec = HierarchyBuilder::new(G)
-        .brs(2)
-        .ag_rings(1, 2)
-        .aps_per_ag(1)
-        .mhs_per_ap(0)
-        .sources(2)
-        .source_pattern(TrafficPattern::Cbr {
-            interval: SimDuration::from_millis(10),
-        })
-        .source_limit(50)
-        .build();
+    let spec = ringnet_spec(
+        &hierarchy(2, 1, 2, 1)
+            .walkers_per_attachment(0)
+            .sources(2)
+            .cbr(SimDuration::from_millis(10))
+            .message_limit(50)
+            .build(),
+    );
     let mut net = RingNetSim::build(spec, 43);
     net.run_until(SimTime::from_secs(3));
     let (journal, stats, _) = net.finish();
@@ -602,22 +566,15 @@ fn lost_frame_of_cumulative_acks_is_repaired_by_the_next_frame() {
     /// The journal, the transport totals, and the AP's `MQ` peak (of its
     /// first group state; the lost frame stalled all four alike).
     fn run(cut_uplink: bool) -> (Vec<(SimTime, ProtoEvent)>, simnet::SimStats, Finals, u32) {
-        let spec = HierarchyBuilder::new(G)
-            .groups((1..=4).map(GroupId).collect())
-            .brs(4)
-            .ag_rings(1, 1)
-            .aps_per_ag(1)
-            .mhs_per_ap(1)
-            .sources(4)
-            .source_pattern(TrafficPattern::Cbr {
-                interval: SimDuration::from_millis(10),
-            })
-            .source_window(SimTime::ZERO, Some(SimTime::from_millis(1500)))
-            .links(LinkPlan {
-                wireless: LinkProfile::wired(SimDuration::from_millis(2)),
-                ..LinkPlan::default()
-            })
-            .build();
+        let spec = ringnet_spec(
+            &hierarchy(4, 1, 1, 1)
+                .sources(4)
+                .groups((1..=4).map(GroupId).collect())
+                .cbr(SimDuration::from_millis(10))
+                .window(SimTime::ZERO, Some(SimTime::from_millis(1500)))
+                .loss_free_wireless()
+                .build(),
+        );
         let ap = spec.aps[0].id;
         let mut net = RingNetSim::build(spec, 3);
         let (mh_addr, ap_addr) = (net.addrs.mh(Guid(0)).unwrap(), net.addrs.ne(ap).unwrap());
@@ -762,19 +719,14 @@ fn figure1_latency_is_token_wait_plus_link_delays_exactly() {
         wireless: LinkProfile::wired(SimDuration::from_millis(2)),
         ..LinkPlan::default()
     };
-    let spec = HierarchyBuilder::new(G)
-        .brs(4)
-        .ag_rings(3, 3)
-        .aps_per_ag(1)
-        .mhs_per_ap(1)
-        .sources(1)
-        // 7 ms against the 12 ms rotation: the token wait takes every phase.
-        .source_pattern(TrafficPattern::Cbr {
-            interval: SimDuration::from_millis(7),
-        })
-        .source_window(SimTime::ZERO, Some(SimTime::from_millis(1500)))
-        .links(links.clone())
-        .build();
+    let spec = ringnet_spec(
+        &ScenarioBuilder::figure1(G)
+            // 7 ms against the 12 ms rotation: the token wait takes every phase.
+            .cbr(SimDuration::from_millis(7))
+            .window(SimTime::ZERO, Some(SimTime::from_millis(1500)))
+            .links(links.clone())
+            .build(),
+    );
     let delay = |p: &LinkProfile| p.latency.max_delay();
     // Walker k sits under AP k under AG k: ring k/3, position k%3. Ring r
     // hangs off BR r, r token hops downstream of the assigner BR 0.

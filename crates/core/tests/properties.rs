@@ -3,9 +3,10 @@
 //! whole-network total order under randomized loss and traffic. Cases are
 //! drawn from seeded [`SimRng`] streams — reproducible, dependency-free.
 
+use ringnet_core::driver::{ringnet_spec, CoreShape, ScenarioBuilder};
 use ringnet_core::hierarchy::{LinkPlan, TrafficPattern};
 use ringnet_core::node::RingState;
-use ringnet_core::{GroupId, HierarchyBuilder, NodeId, OrderingToken, ProtoEvent, RingNetSim};
+use ringnet_core::{GroupId, NodeId, OrderingToken, ProtoEvent, RingNetSim};
 use simnet::{LinkProfile, SimDuration, SimRng, SimTime};
 
 /// Ring navigation stays consistent under any failure subset that
@@ -99,26 +100,23 @@ fn total_order_never_violated() {
         let seed = rng.range_u64(0, 10_000);
         let loss_pct = rng.range_u64(0, 30);
         let interval_ms = rng.range_u64(5, 25);
-        let spec = HierarchyBuilder::new(GroupId(1))
-            .brs(3)
-            .ag_rings(2, 2)
-            .aps_per_ag(1)
-            .mhs_per_ap(1)
+        let sc = ScenarioBuilder::new()
+            .attachments(4)
+            .shape(CoreShape::Hierarchy {
+                brs: 3,
+                rings: 2,
+                ags_per_ring: 2,
+            })
             .sources(2)
-            .source_pattern(TrafficPattern::Cbr {
-                interval: SimDuration::from_millis(interval_ms),
-            })
-            .source_limit(40)
-            .links(LinkPlan {
-                wireless: LinkProfile::wireless(
-                    SimDuration::from_millis(2),
-                    SimDuration::from_millis(2),
-                    loss_pct as f64 / 100.0,
-                ),
-                ..LinkPlan::default()
-            })
+            .cbr(SimDuration::from_millis(interval_ms))
+            .message_limit(40)
+            .wireless(LinkProfile::wireless(
+                SimDuration::from_millis(2),
+                SimDuration::from_millis(2),
+                loss_pct as f64 / 100.0,
+            ))
             .build();
-        let mut net = RingNetSim::build(spec, seed);
+        let mut net = RingNetSim::build(ringnet_spec(&sc), seed);
         net.run_until(SimTime::from_secs(4));
         let (journal, ..) = net.finish();
         // Per-MH strict monotonicity.
@@ -160,7 +158,7 @@ fn total_order_never_violated() {
 /// submissions are assigned exactly once in the merged epoch.
 #[test]
 fn partition_heal_never_double_assigns() {
-    use ringnet_core::driver::{MulticastSim, ScenarioBuilder, ScenarioEvent};
+    use ringnet_core::driver::{MulticastSim, ScenarioEvent};
     let mut rng = SimRng::from_seed(0x9A27);
     for case in 0..12 {
         let down = SimTime::from_millis(1_500 + rng.range_u64(0, 1_000));
@@ -234,19 +232,21 @@ fn fnv1a(text: &str) -> u64 {
 /// that lays it out. A sweep contributes each of its points, in sweep
 /// order.
 fn spec_layouts() -> Vec<(&'static str, Vec<ringnet_core::HierarchySpec>)> {
-    use ringnet_core::driver::{ringnet_spec, CoreShape, ScenarioBuilder};
-    use ringnet_core::hierarchy::{figure1, MhSpec};
-    use ringnet_core::{Guid, ProtocolConfig};
+    use ringnet_core::ProtocolConfig;
     use simnet::{BandwidthModel, LatencyModel, LossModel};
 
     const G: GroupId = GroupId(1);
-    let regular = |brs, rings, ags, aps, mhs, sources| {
-        HierarchyBuilder::new(G)
-            .brs(brs)
-            .ag_rings(rings, ags)
-            .aps_per_ag(aps)
-            .mhs_per_ap(mhs)
+    let layout = |b: ScenarioBuilder| ringnet_spec(&b.build());
+    let regular = |brs, rings, ags_per_ring, aps_per_ag, walkers, sources| {
+        ScenarioBuilder::new()
+            .attachments(rings * ags_per_ring * aps_per_ag)
+            .walkers_per_attachment(walkers)
             .sources(sources)
+            .shape(CoreShape::Hierarchy {
+                brs,
+                rings,
+                ags_per_ring,
+            })
     };
     let cbr = |ms| TrafficPattern::Cbr {
         interval: SimDuration::from_millis(ms),
@@ -266,54 +266,54 @@ fn spec_layouts() -> Vec<(&'static str, Vec<ringnet_core::HierarchySpec>)> {
     };
 
     let t2 = [2, 4, 8].map(|r| {
-        regular(r, 2, 2, 1, 1, 2.min(r))
-            .source_pattern(TrafficPattern::Cbr {
-                interval: SimDuration::from_secs_f64(1.0 / 100.0),
-            })
-            .links(loss_free())
-            .build()
+        layout(
+            regular(r, 2, 2, 1, 1, 2.min(r))
+                .pattern(TrafficPattern::Cbr {
+                    interval: SimDuration::from_secs_f64(1.0 / 100.0),
+                })
+                .links(loss_free()),
+        )
     });
     let t3 = [100.0, 500.0, 1000.0].map(|lambda: f64| {
-        regular(4, 2, 2, 1, 1, 2)
-            .source_pattern(TrafficPattern::Cbr {
-                interval: SimDuration::from_secs_f64(1.0 / lambda),
-            })
-            .links(loss_free())
-            .build()
+        layout(
+            regular(4, 2, 2, 1, 1, 2)
+                .pattern(TrafficPattern::Cbr {
+                    interval: SimDuration::from_secs_f64(1.0 / lambda),
+                })
+                .links(loss_free()),
+        )
     });
-    let e3 = regular(4, 2, 2, 1, 1, 2)
-        .source_pattern(cbr(10))
-        .links(loss_free())
-        .build();
+    let e3 = layout(
+        regular(4, 2, 2, 1, 1, 2)
+            .pattern(cbr(10))
+            .links(loss_free()),
+    );
     let mut e5 = Vec::new();
     for secs in [3, 8] {
         for loss in [0.0, 0.05, 0.1, 0.2, 0.3] {
             for budget in [0, 5] {
                 let duration = SimTime::from_secs(secs);
-                e5.push(
+                e5.push(layout(
                     regular(3, 2, 2, 1, 1, 2)
-                        .source_pattern(cbr(10))
-                        .source_window(SimTime::ZERO, Some(duration - SimDuration::from_secs(1)))
+                        .pattern(cbr(10))
+                        .window(SimTime::ZERO, Some(duration - SimDuration::from_secs(1)))
                         .config(ProtocolConfig::default().with_nack_budget(budget))
                         .links(wireless(LinkProfile::wireless(
                             SimDuration::from_millis(2),
                             SimDuration::from_millis(1),
                             loss,
-                        )))
-                        .build(),
-                );
+                        ))),
+                ));
             }
         }
     }
+    // A1's full sweep named ack_every = 16, which `ProtocolConfig::validate`
+    // rejects (16 × HOP_TICK > HEARTBEAT_PERIOD): the setting goes in after
+    // the layout so that point keeps its pinned digest.
     let a1 = [1, 4, 8, 16].map(|ack_every| {
-        regular(4, 2, 2, 1, 1, 2)
-            .source_pattern(cbr(5))
-            .config(ProtocolConfig {
-                ack_every,
-                ..ProtocolConfig::default()
-            })
-            .links(loss_free())
-            .build()
+        let mut spec = layout(regular(4, 2, 2, 1, 1, 2).pattern(cbr(5)).links(loss_free()));
+        spec.cfg.ack_every = ack_every;
+        spec
     });
     let mut rng = SimRng::from_seed(0xC3);
     let random_loss: Vec<_> = (0..8)
@@ -321,38 +321,39 @@ fn spec_layouts() -> Vec<(&'static str, Vec<ringnet_core::HierarchySpec>)> {
             let _seed = rng.range_u64(0, 10_000);
             let loss_pct = rng.range_u64(0, 30);
             let interval_ms = rng.range_u64(5, 25);
-            regular(3, 2, 2, 1, 1, 2)
-                .source_pattern(cbr(interval_ms))
-                .source_limit(40)
-                .links(wireless(LinkProfile::wireless(
-                    SimDuration::from_millis(2),
-                    SimDuration::from_millis(2),
-                    loss_pct as f64 / 100.0,
-                )))
-                .build()
+            layout(
+                regular(3, 2, 2, 1, 1, 2)
+                    .pattern(cbr(interval_ms))
+                    .message_limit(40)
+                    .links(wireless(LinkProfile::wireless(
+                        SimDuration::from_millis(2),
+                        SimDuration::from_millis(2),
+                        loss_pct as f64 / 100.0,
+                    ))),
+            )
         })
         .collect();
-    let mut unrunnable = Vec::new();
-    for pattern in [cbr(0), TrafficPattern::Poisson { rate: f64::NAN }] {
-        unrunnable.push(HierarchyBuilder::new(G).source_pattern(pattern).build());
-    }
-    let mut reservation = regular(2, 1, 2, 2, 0, 1)
-        .source_pattern(cbr(20))
-        .aps_always_active(false)
-        .config(ProtocolConfig::default().with_reservation_radius(1))
-        .build();
-    reservation.mhs.push(MhSpec {
-        guid: Guid(0),
-        initial_ap: Some(reservation.aps[1].id),
-        subscriptions: Vec::new(),
+    let unrunnable = [cbr(0), TrafficPattern::Poisson { rate: f64::NAN }].map(|pattern| {
+        let mut spec = layout(ScenarioBuilder::figure1(G));
+        spec.sources[0].pattern = pattern;
+        spec
     });
-    let idle = [1, 2].map(|mhs| {
-        regular(2, 1, 2, 2, mhs, 0)
-            .config(ProtocolConfig::default().with_reservation_radius(0))
-            .links(wireless(LinkProfile::wired(SimDuration::from_millis(5))))
-            .build()
+    let reservation = layout(
+        regular(2, 1, 2, 2, 1, 1)
+            .walkers(vec![Some(1)])
+            .pattern(cbr(20))
+            .aps_always_active(false)
+            .config(ProtocolConfig::default().with_reservation_radius(1)),
+    );
+    let idle = [1, 2].map(|walkers| {
+        let mut spec = layout(
+            regular(2, 1, 2, 2, walkers, 1)
+                .config(ProtocolConfig::default().with_reservation_radius(0))
+                .links(wireless(LinkProfile::wired(SimDuration::from_millis(5)))),
+        );
+        spec.sources.clear();
+        spec
     });
-    let ringnet = |sc: ScenarioBuilder| ringnet_spec(&sc.build());
     let hierarchy = |brs, rings, ags_per_ring| CoreShape::Hierarchy {
         brs,
         rings,
@@ -368,74 +369,78 @@ fn spec_layouts() -> Vec<(&'static str, Vec<ringnet_core::HierarchySpec>)> {
         (
             "figure1: harness f1, tests/integration.rs invalid_spec_is_rejected, \
              hierarchy.rs tests (also the builder defaults)",
-            vec![figure1(G)],
+            vec![layout(ScenarioBuilder::figure1(G))],
         ),
         (
             "src/lib.rs doctest",
-            vec![HierarchyBuilder::new(G)
-                .source_pattern(cbr(20))
-                .source_limit(10)
-                .build()],
+            vec![layout(
+                ScenarioBuilder::figure1(G)
+                    .pattern(cbr(20))
+                    .message_limit(10),
+            )],
         ),
         (
             "engine.rs tests::small_spec",
-            vec![regular(3, 2, 2, 1, 1, 2)
-                .source_pattern(cbr(20))
-                .source_limit(10)
-                .build()],
+            vec![layout(
+                regular(3, 2, 2, 1, 1, 2).pattern(cbr(20)).message_limit(10),
+            )],
         ),
         (
             "hierarchy.rs tests::builder_produces_valid_spec",
-            vec![regular(4, 3, 3, 2, 2, 2).build()],
+            vec![layout(regular(4, 3, 3, 2, 2, 2))],
         ),
         (
             "hierarchy.rs tests::entities_run_tier_by_tier_and_wiring_draws_the_link_plan",
-            vec![regular(2, 2, 2, 1, 1, 1).build()],
+            vec![layout(regular(2, 2, 2, 1, 1, 1))],
         ),
         (
             "hierarchy.rs tests::validation_rejects_unrunnable_traffic",
-            unrunnable,
+            unrunnable.to_vec(),
         ),
         (
             "hierarchy.rs tests::neighbours_form_a_chain",
-            vec![regular(4, 1, 2, 2, 1, 1).build()],
+            vec![layout(regular(4, 1, 2, 2, 1, 1))],
         ),
         ("properties.rs total_order_never_violated", random_loss),
         (
             "engine_scenarios.rs poisson_traffic_is_fully_ordered_and_delivered",
-            vec![regular(3, 1, 3, 1, 1, 3)
-                .source_pattern(TrafficPattern::Poisson { rate: 120.0 })
-                .source_window(SimTime::ZERO, Some(SimTime::from_secs(2)))
-                .links(loss_free())
-                .build()],
+            vec![layout(
+                regular(3, 1, 3, 1, 1, 3)
+                    .pattern(TrafficPattern::Poisson { rate: 120.0 })
+                    .window(SimTime::ZERO, Some(SimTime::from_secs(2)))
+                    .links(loss_free()),
+            )],
         ),
         (
             "engine_scenarios.rs ap_failure_orphans_then_handoff_rescues",
-            vec![regular(2, 1, 2, 2, 1, 1).source_pattern(cbr(10)).build()],
+            vec![layout(regular(2, 1, 2, 2, 1, 1).pattern(cbr(10)))],
         ),
         (
             "engine_scenarios.rs bursty_channel_with_budget_keeps_ratio_high",
-            vec![regular(2, 1, 2, 1, 2, 1)
-                .source_pattern(cbr(10))
-                .source_window(SimTime::ZERO, Some(SimTime::from_secs(3)))
-                .links(wireless(jittered(LossModel::lossy_wireless())))
-                .build()],
+            vec![layout(
+                regular(2, 1, 2, 1, 2, 1)
+                    .pattern(cbr(10))
+                    .window(SimTime::ZERO, Some(SimTime::from_secs(3)))
+                    .links(wireless(jittered(LossModel::lossy_wireless()))),
+            )],
         ),
         (
             "engine_scenarios.rs a_lost_last_message_is_never_repaired",
-            vec![regular(2, 1, 2, 1, 2, 1)
-                .source_pattern(cbr(10))
-                .source_limit(10)
-                .links(wireless(jittered(LossModel::Bernoulli(0.2))))
-                .build()],
+            vec![layout(
+                regular(2, 1, 2, 1, 2, 1)
+                    .pattern(cbr(10))
+                    .message_limit(10)
+                    .links(wireless(jittered(LossModel::Bernoulli(0.2)))),
+            )],
         ),
         (
             "engine_scenarios.rs quiet_world_fires_two_timer_chains_per_ne_and_one_ack_wake_per_mh",
-            vec![HierarchyBuilder::new(G)
-                .config(ProtocolConfig::default().quiet())
-                .source_limit(5)
-                .links(loss_free())
-                .build()],
+            vec![layout(
+                ScenarioBuilder::figure1(G)
+                    .config(ProtocolConfig::default().quiet())
+                    .message_limit(5)
+                    .links(loss_free()),
+            )],
         ),
         (
             "engine_scenarios.rs reservation_expires_and_ap_prunes_itself",
@@ -443,7 +448,7 @@ fn spec_layouts() -> Vec<(&'static str, Vec<ringnet_core::HierarchySpec>)> {
         ),
         (
             "engine_scenarios.rs killing_an_mh_stops_its_acks_and_frees_it",
-            vec![regular(2, 1, 2, 1, 2, 1).source_pattern(cbr(10)).build()],
+            vec![layout(regular(2, 1, 2, 1, 2, 1).pattern(cbr(10)))],
         ),
         (
             "engine_scenarios.rs idle_mhs_are_kept_alive_by_their_acks_alone, 1 and 2 MHs per AP",
@@ -451,72 +456,72 @@ fn spec_layouts() -> Vec<(&'static str, Vec<ringnet_core::HierarchySpec>)> {
         ),
         (
             "engine_scenarios.rs amnesiac_ap_solicits_reregistration_within_an_ack_period",
-            vec![regular(2, 1, 2, 1, 2, 1)
-                .source_pattern(cbr(10))
-                .links(wireless(LinkProfile::wired(SimDuration::from_millis(1))))
-                .build()],
+            vec![layout(regular(2, 1, 2, 1, 2, 1).pattern(cbr(10)).links(
+                wireless(LinkProfile::wired(SimDuration::from_millis(1))),
+            ))],
         ),
         (
             "engine_scenarios.rs station_shaped_spec_delivers_in_order (before the edit)",
-            vec![HierarchyBuilder::new(G)
-                .brs(4)
-                .sources(2)
-                .source_pattern(cbr(20))
-                .source_limit(20)
-                .build()],
+            vec![layout(
+                ScenarioBuilder::figure1(G)
+                    .sources(2)
+                    .pattern(cbr(20))
+                    .message_limit(20),
+            )],
         ),
         (
             "engine_scenarios.rs ring_cut_at_a_heartbeat_tick_is_repaired_on_the_probe_schedule",
-            vec![regular(2, 2, 1, 1, 1, 1).source_pattern(cbr(10)).build()],
+            vec![layout(regular(2, 2, 1, 1, 1, 1).pattern(cbr(10)))],
         ),
         (
             "engine_scenarios.rs zero_mh_network_runs_clean",
-            vec![regular(2, 1, 2, 1, 0, 2)
-                .source_pattern(cbr(10))
-                .source_limit(50)
-                .build()],
+            vec![layout(
+                regular(2, 1, 2, 1, 0, 2).pattern(cbr(10)).message_limit(50),
+            )],
         ),
         (
             "engine_scenarios.rs lost_frame_of_cumulative_acks_is_repaired_by_the_next_frame",
-            vec![regular(4, 1, 1, 1, 1, 4)
-                .groups((1..=4).map(GroupId).collect())
-                .source_pattern(cbr(10))
-                .source_window(SimTime::ZERO, Some(SimTime::from_millis(1500)))
-                .links(loss_free())
-                .build()],
+            vec![layout(
+                regular(4, 1, 1, 1, 1, 4)
+                    .groups((1..=4).map(GroupId).collect())
+                    .pattern(cbr(10))
+                    .window(SimTime::ZERO, Some(SimTime::from_millis(1500)))
+                    .links(loss_free()),
+            )],
         ),
         (
             "engine_scenarios.rs figure1_latency_is_token_wait_plus_link_delays_exactly",
-            vec![regular(4, 3, 3, 1, 1, 1)
-                .source_pattern(cbr(7))
-                .source_window(SimTime::ZERO, Some(SimTime::from_millis(1500)))
-                .links(LinkPlan {
-                    top_ring: LinkProfile::wired(SimDuration::from_millis(3)),
-                    ..loss_free()
-                })
-                .build()],
+            vec![layout(
+                regular(4, 3, 3, 1, 1, 1)
+                    .pattern(cbr(7))
+                    .window(SimTime::ZERO, Some(SimTime::from_millis(1500)))
+                    .links(LinkPlan {
+                        top_ring: LinkProfile::wired(SimDuration::from_millis(3)),
+                        ..loss_free()
+                    }),
+            )],
         ),
         (
             "driver ringnet_spec: ScenarioBuilder::figure1 (quickstart, README, integration)",
-            vec![ringnet(ScenarioBuilder::figure1(G))],
+            vec![layout(ScenarioBuilder::figure1(G))],
         ),
         (
             "driver ringnet_spec: CoreShape::Hierarchy (E1, E4, E8, T1, integration, examples)",
             vec![
-                ringnet(
+                layout(
                     ScenarioBuilder::new()
                         .attachments(8)
                         .shape(hierarchy(4, 2, 2))
                         .sources(2),
                 ),
-                ringnet(
+                layout(
                     ScenarioBuilder::new()
                         .attachments(6)
                         .sources(4)
                         .shape(hierarchy(4, 2, 3))
                         .aps_always_active(false),
                 ),
-                ringnet(
+                layout(
                     ScenarioBuilder::new()
                         .attachments(2)
                         .walkers(vec![Some(0), Some(1), None])

@@ -11,12 +11,11 @@
 //! at 5 % ring loss, so both are fixed (two rotations, old snapshot kept;
 //! see `ringnet_core::token` and `ringnet_core::ordering`).
 
-use ringnet_core::driver::hierarchy_core;
-use ringnet_core::hierarchy::TrafficPattern;
-use ringnet_core::{GroupId, HierarchyBuilder, NodeId, ProtocolConfig};
+use ringnet_core::driver::{hierarchy_core, ringnet_spec, CoreShape, ScenarioBuilder};
+use ringnet_core::{NodeId, ProtocolConfig};
 use simnet::{SimDuration, SimTime};
 
-use crate::experiments::{loss_free_links, run_spec};
+use crate::experiments::run_spec;
 use crate::metrics;
 use crate::report::{fms, Table};
 
@@ -30,20 +29,21 @@ struct Point {
 }
 
 fn measure(cfg: ProtocolConfig, duration: SimTime) -> Point {
-    let spec = HierarchyBuilder::new(GroupId(1))
-        .brs(4)
-        .ag_rings(2, 2)
-        .aps_per_ag(1)
-        .mhs_per_ap(1)
-        .sources(2)
-        .source_pattern(TrafficPattern::Cbr {
-            interval: SimDuration::from_millis(5),
+    let sc = ScenarioBuilder::new()
+        .attachments(4)
+        .shape(CoreShape::Hierarchy {
+            brs: 4,
+            rings: 2,
+            ags_per_ring: 2,
         })
+        .sources(2)
+        .cbr(SimDuration::from_millis(5))
         .config(cfg)
-        .links(loss_free_links())
+        .loss_free_wireless()
+        .duration(duration)
         .build();
-    let mut totals = metrics::MetricsAccumulator::new(hierarchy_core(&spec));
-    let (journal, finals) = run_spec(spec, 23, duration);
+    let mut totals = metrics::MetricsAccumulator::new(hierarchy_core(&ringnet_spec(&sc)));
+    let (journal, finals) = run_spec(&sc, 23);
     totals.observe_journal(&journal);
     totals.observe_finals(&finals);
     let totals = totals.finish();
@@ -80,7 +80,8 @@ pub fn run(quick: bool) -> Table {
         ],
     );
     let duration = SimTime::from_secs(if quick { 3 } else { 6 });
-    let acks: &[u8] = if quick { &[1, 8] } else { &[1, 4, 16] };
+    // ack_every × HOP_TICK may not exceed HEARTBEAT_PERIOD: 10 at most.
+    let acks: &[u8] = if quick { &[1, 8] } else { &[1, 4, 8] };
     for &a in acks {
         let cfg = ProtocolConfig {
             ack_every: a,

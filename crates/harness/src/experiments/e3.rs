@@ -7,11 +7,10 @@
 //! sequence numbers are never assigned twice, and no MH observes an order
 //! violation.
 
-use ringnet_core::hierarchy::TrafficPattern;
-use ringnet_core::{GroupId, HierarchyBuilder, NodeId, ProtoEvent, RingNetSim};
+use ringnet_core::driver::{ringnet_spec, CoreShape, ScenarioBuilder};
+use ringnet_core::{NodeId, ProtoEvent, RingNetSim};
 use simnet::{SimDuration, SimTime};
 
-use crate::experiments::loss_free_links;
 use crate::metrics;
 use crate::report::{fms, Table};
 
@@ -26,18 +25,19 @@ struct Point {
 fn measure(victim: NodeId, seed: u64, quick: bool) -> Point {
     let kill_at = SimTime::from_secs(2);
     let duration = SimTime::from_secs(if quick { 5 } else { 8 });
-    let spec = HierarchyBuilder::new(GroupId(1))
-        .brs(4)
-        .ag_rings(2, 2)
-        .aps_per_ag(1)
-        .mhs_per_ap(1)
-        .sources(2)
-        .source_pattern(TrafficPattern::Cbr {
-            interval: SimDuration::from_millis(10),
+    let sc = ScenarioBuilder::new()
+        .attachments(4)
+        .shape(CoreShape::Hierarchy {
+            brs: 4,
+            rings: 2,
+            ags_per_ring: 2,
         })
-        .links(loss_free_links())
+        .sources(2)
+        .cbr(SimDuration::from_millis(10))
+        .loss_free_wireless()
+        .duration(duration)
         .build();
-    let mut net = RingNetSim::build(spec, seed);
+    let mut net = RingNetSim::build(ringnet_spec(&sc), seed);
     net.schedule_kill_ne(kill_at, victim);
     net.run_until(duration);
     let (journal, ..) = net.finish();

@@ -6,8 +6,8 @@
 //! local-scope retransmission scheme enabled (NACK budget 5) and disabled
 //! (budget 0) and measure the application-level delivery ratio.
 
-use ringnet_core::hierarchy::{LinkPlan, TrafficPattern};
-use ringnet_core::{GroupId, HierarchyBuilder, ProtocolConfig};
+use ringnet_core::driver::{CoreShape, ScenarioBuilder};
+use ringnet_core::ProtocolConfig;
 use simnet::{LinkProfile, SimDuration, SimTime};
 
 use crate::experiments::run_spec;
@@ -21,28 +21,25 @@ struct Point {
 
 fn measure(loss: f64, budget: u8, quick: bool) -> Point {
     let duration = SimTime::from_secs(if quick { 3 } else { 8 });
-    let links = LinkPlan {
-        wireless: LinkProfile::wireless(
+    let sc = ScenarioBuilder::new()
+        .attachments(4)
+        .shape(CoreShape::Hierarchy {
+            brs: 3,
+            rings: 2,
+            ags_per_ring: 2,
+        })
+        .sources(2)
+        .cbr(SimDuration::from_millis(10))
+        .window(SimTime::ZERO, Some(duration - SimDuration::from_secs(1)))
+        .config(ProtocolConfig::default().with_nack_budget(budget))
+        .wireless(LinkProfile::wireless(
             SimDuration::from_millis(2),
             SimDuration::from_millis(1),
             loss,
-        ),
-        ..LinkPlan::default()
-    };
-    let spec = HierarchyBuilder::new(GroupId(1))
-        .brs(3)
-        .ag_rings(2, 2)
-        .aps_per_ag(1)
-        .mhs_per_ap(1)
-        .sources(2)
-        .source_pattern(TrafficPattern::Cbr {
-            interval: SimDuration::from_millis(10),
-        })
-        .source_window(SimTime::ZERO, Some(duration - SimDuration::from_secs(1)))
-        .config(ProtocolConfig::default().with_nack_budget(budget))
-        .links(links)
+        ))
+        .duration(duration)
         .build();
-    let (_, finals) = run_spec(spec, 17, duration);
+    let (_, finals) = run_spec(&sc, 17);
     let totals = finals.mh_totals();
     Point {
         ratio: totals.delivery_ratio(),

@@ -4,8 +4,8 @@
 //! three, APs and MHs below), verifies its structural invariants, runs it
 //! briefly and confirms totally-ordered delivery to every MH.
 
-use ringnet_core::hierarchy::TrafficPattern;
-use ringnet_core::{figure1, GroupId, RingNetSim};
+use ringnet_core::driver::{ringnet_spec, ScenarioBuilder};
+use ringnet_core::{GroupId, RingNetSim};
 use simnet::{SimDuration, SimTime};
 
 use crate::metrics;
@@ -18,7 +18,13 @@ pub fn run(quick: bool) -> Table {
         "Figure 1 — RingNet hierarchy construction and sanity run",
         &["tier", "entities", "check"],
     );
-    let mut spec = figure1(GroupId(1));
+    // Sanity run: every MH receives the full totally-ordered stream.
+    let msgs = if quick { 20 } else { 100 };
+    let sc = ScenarioBuilder::figure1(GroupId(1))
+        .cbr(SimDuration::from_millis(10))
+        .message_limit(msgs)
+        .build();
+    let spec = ringnet_spec(&sc);
     let problems = spec.validate();
     let (brs, ags, aps, mhs) = spec.tier_sizes();
     table.row(vec![
@@ -35,14 +41,6 @@ pub fn run(quick: bool) -> Table {
     table.row(vec!["MHT".into(), mhs.to_string(), "one MH per AP".into()]);
     table.note(format!("spec validation problems: {}", problems.len()));
 
-    // Sanity run: every MH receives the full totally-ordered stream.
-    let msgs = if quick { 20 } else { 100 };
-    for s in &mut spec.sources {
-        s.limit = Some(msgs);
-        s.pattern = TrafficPattern::Cbr {
-            interval: SimDuration::from_millis(10),
-        };
-    }
     let mut net = RingNetSim::build(spec, 1);
     net.run_until(SimTime::from_secs(if quick { 3 } else { 6 }));
     let (journal, ..) = net.finish();

@@ -35,10 +35,11 @@ pub mod t1;
 pub mod t2;
 pub mod t3;
 
+use ringnet_core::driver::{ringnet_spec, Scenario};
 use ringnet_core::hierarchy::LinkPlan;
 use ringnet_core::metrics::Finals;
-use ringnet_core::{HierarchySpec, ProtoEvent, RingNetSim};
-use simnet::{LinkProfile, SimDuration, SimTime};
+use ringnet_core::{ProtoEvent, RingNetSim};
+use simnet::{SimDuration, SimTime};
 
 use crate::report::Table;
 
@@ -61,29 +62,16 @@ pub fn run_all(quick: bool) -> Vec<Table> {
     ]
 }
 
-/// A link plan with loss-free wireless — used wherever Theorem 5.1's
-/// "without retransmission" assumption applies.
-pub fn loss_free_links() -> LinkPlan {
-    LinkPlan {
-        wireless: LinkProfile::wired(SimDuration::from_millis(2)),
-        ..LinkPlan::default()
-    }
-}
-
-/// Build, run for `duration`, tear down and return the journal with the
-/// end-of-run counters.
-pub fn run_spec(
-    spec: HierarchySpec,
-    seed: u64,
-    duration: SimTime,
-) -> (Vec<(SimTime, ProtoEvent)>, Finals) {
-    let mut net = RingNetSim::build(spec, seed);
-    net.run_until(duration);
+/// Build the RingNet world `sc` lays out, run it for `sc.duration`, tear
+/// down and return the journal with the end-of-run counters.
+pub fn run_spec(sc: &Scenario, seed: u64) -> (Vec<(SimTime, ProtoEvent)>, Finals) {
+    let mut net = RingNetSim::build(ringnet_spec(sc), seed);
+    net.run_until(sc.duration);
     let (journal, _, finals) = net.finish();
     (journal, finals)
 }
 
-/// Analytic `T_deliver` for a builder-shaped hierarchy: the worst-case time
+/// Analytic `T_deliver` for a `CoreShape::Hierarchy` world: the worst-case time
 /// for an ordered message to travel BR → AG leader → around the AG ring →
 /// AP → MH under `links` (upper-bounding jitter).
 pub fn analytic_t_deliver(links: &LinkPlan, ags_per_ring: usize) -> SimDuration {

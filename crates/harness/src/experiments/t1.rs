@@ -19,7 +19,6 @@ use ringnet_core::driver::{CoreShape, MulticastSim, Scenario, ScenarioBuilder};
 use ringnet_core::{ProtoEvent, RingNetSim};
 use simnet::{Journal, SimDuration, SimTime};
 
-use crate::experiments::loss_free_links;
 use crate::report::{fnum, Table};
 
 /// Streaming substitute for `metrics::delivery_rate`: count per-MH
@@ -75,7 +74,7 @@ fn world(s: usize, lambda: f64, duration: SimTime) -> Scenario {
         .walkers_per_attachment(1)
         .sources(s)
         .cbr(SimDuration::from_secs_f64(1.0 / lambda))
-        .links(loss_free_links())
+        .loss_free_wireless()
         .retain_journal(false)
         .duration(duration)
         .build()

@@ -8,11 +8,10 @@
 //! on token arrival, there is no `τ` scan for a delivery to wait for.
 
 use ringnet_core::analysis::{bounds, TheoremInputs};
-use ringnet_core::hierarchy::TrafficPattern;
-use ringnet_core::{GroupId, HierarchyBuilder};
+use ringnet_core::driver::{CoreShape, ScenarioBuilder};
 use simnet::{SimDuration, SimTime};
 
-use crate::experiments::{analytic_t_deliver, loss_free_links, run_spec};
+use crate::experiments::{analytic_t_deliver, run_spec};
 use crate::metrics;
 use crate::report::{fms, Table};
 
@@ -40,21 +39,22 @@ pub struct Point {
 
 /// Measure one ring size.
 pub fn measure(r: usize, duration: SimTime) -> Point {
-    let links = loss_free_links();
     let s = 2.min(r);
     let lambda = 100.0;
-    let spec = HierarchyBuilder::new(GroupId(1))
-        .brs(r)
-        .ag_rings(2, AGS_PER_RING)
-        .aps_per_ag(1)
-        .mhs_per_ap(1)
-        .sources(s)
-        .source_pattern(TrafficPattern::Cbr {
-            interval: SimDuration::from_secs_f64(1.0 / lambda),
+    let sc = ScenarioBuilder::new()
+        .attachments(2 * AGS_PER_RING)
+        .shape(CoreShape::Hierarchy {
+            brs: r,
+            rings: 2,
+            ags_per_ring: AGS_PER_RING,
         })
-        .links(links.clone())
+        .sources(s)
+        .cbr(SimDuration::from_secs_f64(1.0 / lambda))
+        .loss_free_wireless()
+        .duration(duration)
         .build();
-    let (journal, _) = run_spec(spec, 7, duration);
+    let links = &sc.links;
+    let (journal, _) = run_spec(&sc, 7);
     let h = metrics::end_to_end_latency(&journal);
     assert!(h.count() > 0, "no latency samples");
     let inputs = TheoremInputs {
@@ -63,7 +63,7 @@ pub fn measure(r: usize, duration: SimTime) -> Point {
         rate_per_sec: lambda,
         ring_hop: links.top_ring.latency.max_delay(),
         tau: SimDuration::ZERO,
-        t_deliver: analytic_t_deliver(&links, AGS_PER_RING),
+        t_deliver: analytic_t_deliver(links, AGS_PER_RING),
     };
     let b = bounds(&inputs);
     Point {

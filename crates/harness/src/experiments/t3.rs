@@ -7,11 +7,11 @@
 //! ACK batching and retention, `analysis::EMPIRICAL_SLACK_FACTOR`).
 
 use ringnet_core::analysis::{bounds, within_buffer_bound, TheoremInputs};
-use ringnet_core::hierarchy::TrafficPattern;
-use ringnet_core::{GroupId, HierarchyBuilder, NodeId};
+use ringnet_core::driver::{CoreShape, ScenarioBuilder};
+use ringnet_core::NodeId;
 use simnet::{SimDuration, SimTime};
 
-use crate::experiments::{analytic_t_deliver, loss_free_links, run_spec};
+use crate::experiments::{analytic_t_deliver, run_spec};
 use crate::report::{fnum, Table};
 
 const R: usize = 4;
@@ -38,21 +38,22 @@ pub fn run(quick: bool) -> Table {
         vec![100.0, 500.0, 1000.0]
     };
     let duration = SimTime::from_secs(if quick { 3 } else { 6 });
-    let links = loss_free_links();
     let mut all_ok = true;
     for &lambda in &lambdas {
-        let spec = HierarchyBuilder::new(GroupId(1))
-            .brs(R)
-            .ag_rings(2, 2)
-            .aps_per_ag(1)
-            .mhs_per_ap(1)
-            .sources(S)
-            .source_pattern(TrafficPattern::Cbr {
-                interval: SimDuration::from_secs_f64(1.0 / lambda),
+        let sc = ScenarioBuilder::new()
+            .attachments(4)
+            .shape(CoreShape::Hierarchy {
+                brs: R,
+                rings: 2,
+                ags_per_ring: 2,
             })
-            .links(links.clone())
+            .sources(S)
+            .cbr(SimDuration::from_secs_f64(1.0 / lambda))
+            .loss_free_wireless()
+            .duration(duration)
             .build();
-        let (_, finals) = run_spec(spec, 11, duration);
+        let links = &sc.links;
+        let (_, finals) = run_spec(&sc, 11);
         // Peak over the top-ring nodes only (the theorem's subjects).
         let mut wq_peak = 0u32;
         let mut mq_peak = 0u32;
@@ -68,7 +69,7 @@ pub fn run(quick: bool) -> Table {
             rate_per_sec: lambda,
             ring_hop: links.top_ring.latency.max_delay(),
             tau: SimDuration::from_millis(5),
-            t_deliver: analytic_t_deliver(&links, 2),
+            t_deliver: analytic_t_deliver(links, 2),
         });
         let wq_ok = within_buffer_bound(wq_peak as f64, b.wq_bound);
         let mq_ok = within_buffer_bound(mq_peak as f64, b.mq_bound);

@@ -18,15 +18,23 @@
 //!   repertoire, the online total-order/reliability auditor and the
 //!   `chaos_soak` property-testing binary.
 //!
+//! A [`Scenario`](core::driver::Scenario) describes the world; the RingNet
+//! backend lays it out as a [`HierarchySpec`](core::HierarchySpec) and
+//! runs it, keeping the `NodeId`-level handle for direct fault injection:
+//!
 //! ```
-//! use ringnet_repro::core::{HierarchyBuilder, GroupId, RingNetSim, TrafficPattern};
+//! use ringnet_repro::core::driver::{ringnet_spec, ScenarioBuilder};
+//! use ringnet_repro::core::{GroupId, RingNetSim};
 //! use ringnet_repro::simnet::{SimDuration, SimTime};
 //!
-//! let spec = HierarchyBuilder::new(GroupId(1))
-//!     .source_pattern(TrafficPattern::Cbr { interval: SimDuration::from_millis(20) })
-//!     .source_limit(10)
+//! let scenario = ScenarioBuilder::figure1(GroupId(1))
+//!     .cbr(SimDuration::from_millis(20))
+//!     .message_limit(10)
 //!     .build();
+//! let spec = ringnet_spec(&scenario);
+//! assert_eq!(spec.tier_sizes(), (4, 9, 9, 9));
 //! let mut net = RingNetSim::build(spec, 1);
+//! net.schedule_kill_ne(SimTime::from_secs(1), net.spec.top_ring[1]);
 //! net.run_until(SimTime::from_secs(2));
 //! let (journal, ..) = net.finish();
 //! assert!(!journal.is_empty());

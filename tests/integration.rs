@@ -3,8 +3,10 @@
 //! the protocol-generic `Scenario` facade wherever a scenario can express
 //! the setup (spec-level engine details keep their direct tests).
 
-use ringnet_repro::core::driver::{CoreShape, MulticastSim, ScenarioBuilder, ScenarioEvent};
-use ringnet_repro::core::{figure1, GroupId, Guid, NodeId, ProtoEvent, RingNetSim, TrafficPattern};
+use ringnet_repro::core::driver::{
+    ringnet_spec, CoreShape, MulticastSim, ScenarioBuilder, ScenarioEvent,
+};
+use ringnet_repro::core::{GroupId, Guid, NodeId, ProtoEvent, RingNetSim, TrafficPattern};
 use ringnet_repro::harness::metrics;
 use ringnet_repro::harness::scenario::mobile_scenario;
 use ringnet_repro::mobility::{self, CellGrid, RandomWaypoint};
@@ -212,7 +214,7 @@ fn late_joiner_skips_history() {
 #[test]
 #[should_panic(expected = "invalid spec")]
 fn invalid_spec_is_rejected() {
-    let mut spec = figure1(GroupId(1));
+    let mut spec = ringnet_spec(&ScenarioBuilder::figure1(GroupId(1)).build());
     spec.sources
         .push(ringnet_repro::core::hierarchy::SourceSpec {
             corresponding: NodeId(9999),
