@@ -13,9 +13,12 @@
 //! [`crate::driver::ScenarioBuilder::figure1`] is the topology drawn in the
 //! paper's Figure 1.
 
+use std::collections::BTreeSet;
+
 use simnet::{LinkProfile, NodeAddr, SimDuration, SimTime};
 
 use crate::config::ProtocolConfig;
+use crate::driver::{CoreShape, Scenario};
 use crate::ids::{GroupId, Guid, NodeId};
 
 /// Traffic pattern of one multicast source.
@@ -556,6 +559,256 @@ impl HierarchySpec {
         }
         s
     }
+}
+
+// --------------------------------------------- scenario → hierarchy specs
+
+/// Map a scenario onto a [`HierarchySpec`] for the RingNet engine,
+/// honouring the scenario's [`CoreShape`]. Attachment `i` becomes
+/// `spec.aps[i]`, walker `w` becomes `Guid(w)`.
+pub fn ringnet_spec(sc: &Scenario) -> HierarchySpec {
+    let mut spec = match sc.shape {
+        CoreShape::Hierarchy {
+            brs,
+            rings,
+            ags_per_ring,
+        } => {
+            let aps_per_ag = sc.attachments / (rings * ags_per_ring);
+            assert!(
+                aps_per_ag * rings * ags_per_ring == sc.attachments && aps_per_ag > 0,
+                "{} attachments do not divide into {rings}×{ags_per_ring} AGs",
+                sc.attachments
+            );
+            // Ids run BRs, then AGs ring by ring, then APs AG by AG.
+            let top_ring: Vec<NodeId> = (0..brs as u32).map(NodeId).collect();
+            let ag_rings: Vec<AgRingSpec> = (0..rings)
+                .map(|i| {
+                    let first = (brs + i * ags_per_ring) as u32;
+                    AgRingSpec {
+                        members: (first..first + ags_per_ring as u32).map(NodeId).collect(),
+                        parent_candidates: with_backup(top_ring[i % brs], top_ring[(i + 1) % brs]),
+                    }
+                })
+                .collect();
+            let ap_id = |cell: usize| NodeId((brs + rings * ags_per_ring + cell) as u32);
+            let aps = (0..sc.attachments)
+                .map(|cell| {
+                    let ag = cell / aps_per_ag;
+                    let ring = &ag_rings[ag / ags_per_ring].members;
+                    let pos = ag % ags_per_ring;
+                    ApSpec {
+                        id: ap_id(cell),
+                        parent_candidates: with_backup(ring[pos], ring[(pos + 1) % ags_per_ring]),
+                        always_active: sc.aps_always_active,
+                        neighbours: sc.neighbours_of(cell).into_iter().map(ap_id).collect(),
+                    }
+                })
+                .collect();
+            HierarchySpec {
+                group: sc.group,
+                groups: Vec::new(),
+                cfg: sc.cfg.clone(),
+                top_ring,
+                ag_rings,
+                aps,
+                mhs: Vec::new(),
+                sources: Vec::new(),
+                links: sc.links.clone(),
+            }
+        }
+        CoreShape::Auto => auto_hierarchy(sc, sc.ordering_capable_nodes()),
+    };
+    finish_spec(&mut spec, sc);
+    spec
+}
+
+/// Map a scenario onto a *degenerate* [`HierarchySpec`] — every logical
+/// ring shrunk to one node — which is exactly MIP-RS-style shortest-path
+///-tree multicast running the same protocol code (see `baselines::tree`).
+/// Reservation radius is forced to 0 and attachments activate on demand:
+/// the tree rebuilds on every handoff.
+pub fn degenerate_tree_spec(sc: &Scenario) -> HierarchySpec {
+    let routers = sc.attachments.div_ceil(2).max(1);
+    let mut spec = HierarchySpec {
+        group: sc.group,
+        groups: Vec::new(),
+        cfg: sc.cfg.clone().with_reservation_radius(0),
+        top_ring: vec![NodeId(0)],
+        ag_rings: (0..routers)
+            .map(|i| AgRingSpec {
+                members: vec![NodeId(1 + i as u32)],
+                parent_candidates: vec![NodeId(0)],
+            })
+            .collect(),
+        aps: (0..sc.attachments)
+            .map(|i| ApSpec {
+                id: NodeId(1 + routers as u32 + i as u32),
+                parent_candidates: vec![NodeId(1 + (i % routers) as u32)],
+                always_active: false,
+                neighbours: Vec::new(),
+            })
+            .collect(),
+        mhs: Vec::new(),
+        sources: Vec::new(),
+        links: sc.links.clone(),
+    };
+    let ap_ids: Vec<NodeId> = spec.aps.iter().map(|a| a.id).collect();
+    for (i, ap) in spec.aps.iter_mut().enumerate() {
+        ap.neighbours = sc.neighbours_of(i).into_iter().map(|n| ap_ids[n]).collect();
+    }
+    finish_spec(&mut spec, sc);
+    // The degenerate tree has a single ordering node — a ring-of-one
+    // cannot host one token ring per group, so extra declared groups
+    // collapse onto the scenario's primary group (the static-baseline
+    // semantics: extra groups are ignored).
+    spec.groups.clear();
+    for mh in &mut spec.mhs {
+        mh.subscriptions.clear();
+    }
+    for src in &mut spec.sources {
+        src.groups.clear();
+    }
+    spec
+}
+
+/// Map a scenario onto the *station shape* of [`HierarchySpec`] — one
+/// logical ring over every attachment point, each a hybrid station that
+/// orders and serves its walkers directly — which is exactly the flat
+/// logical-ring protocol of Nikolaidis & Harms running the same protocol
+/// code (see `baselines::flat_ring`). Attachment `i` is station
+/// `NodeId(i)`; the ring uses the scenario's `top_ring` link profile.
+/// Stations serve joins dynamically, so a late joiner idles at station 0
+/// until its [`ScenarioEvent::Join`](crate::driver::ScenarioEvent::Join) hands it off.
+pub fn flat_ring_spec(sc: &Scenario) -> HierarchySpec {
+    let mut spec = HierarchySpec {
+        group: sc.group,
+        groups: Vec::new(),
+        cfg: sc.cfg.clone(),
+        top_ring: (0..sc.attachments as u32).map(NodeId).collect(),
+        ag_rings: Vec::new(),
+        aps: Vec::new(),
+        mhs: Vec::new(),
+        sources: Vec::new(),
+        links: sc.links.clone(),
+    };
+    finish_spec(&mut spec, sc);
+    for mh in &mut spec.mhs {
+        mh.initial_ap.get_or_insert(NodeId(0));
+    }
+    spec
+}
+
+/// The balanced shape the mobility experiments use: `brs` BRs on the
+/// ordering ring, one AG ring of roughly one AG per four attachments, APs
+/// assigned round-robin.
+fn auto_hierarchy(sc: &Scenario, brs: usize) -> HierarchySpec {
+    let n_aps = sc.attachments;
+    let n_ags = n_aps.div_ceil(4).max(2);
+    let br_ids: Vec<NodeId> = (0..brs as u32).map(NodeId).collect();
+    let ag_ids: Vec<NodeId> = (brs as u32..(brs + n_ags) as u32).map(NodeId).collect();
+    let ap_base = (brs + n_ags) as u32;
+    let ap_ids: Vec<NodeId> = (0..n_aps as u32).map(|i| NodeId(ap_base + i)).collect();
+    let aps: Vec<ApSpec> = (0..n_aps)
+        .map(|cell| ApSpec {
+            id: ap_ids[cell],
+            parent_candidates: with_backup(ag_ids[cell % n_ags], ag_ids[(cell + 1) % n_ags]),
+            always_active: sc.aps_always_active,
+            neighbours: sc
+                .neighbours_of(cell)
+                .into_iter()
+                .map(|c| ap_ids[c])
+                .collect(),
+        })
+        .collect();
+    HierarchySpec {
+        group: sc.group,
+        groups: Vec::new(),
+        cfg: sc.cfg.clone(),
+        top_ring: br_ids.clone(),
+        ag_rings: vec![AgRingSpec {
+            members: ag_ids,
+            parent_candidates: br_ids,
+        }],
+        aps,
+        mhs: Vec::new(),
+        sources: Vec::new(),
+        links: sc.links.clone(),
+    }
+}
+
+/// A parent candidate list: `preferred`, then `backup` unless it is the
+/// same node.
+fn with_backup(preferred: NodeId, backup: NodeId) -> Vec<NodeId> {
+    if backup == preferred {
+        vec![preferred]
+    } else {
+        vec![preferred, backup]
+    }
+}
+
+/// Apply the scenario's walkers, sources, groups and links onto an
+/// assembled spec. Single-group scenarios leave every group field at its
+/// empty default, so the spec (and the run) is identical to the
+/// pre-multi-group one.
+fn finish_spec(spec: &mut HierarchySpec, sc: &Scenario) {
+    spec.links = sc.links.clone();
+    let declared = sc.declared_groups();
+    let multi = declared.len() > 1;
+    spec.groups = if multi { declared } else { Vec::new() };
+    spec.mhs = sc
+        .walkers
+        .iter()
+        .enumerate()
+        .map(|(w, att)| MhSpec {
+            guid: Guid(w as u32),
+            initial_ap: att.map(|a| attachment_entity(spec, a, "walker")),
+            subscriptions: if multi {
+                sc.subscriptions_of(w)
+            } else {
+                Vec::new()
+            },
+        })
+        .collect();
+    let sources = sc.sources.min(spec.top_ring.len());
+    spec.sources = (0..sources)
+        .map(|i| SourceSpec {
+            corresponding: spec.top_ring[i],
+            pattern: sc.pattern,
+            start: sc.start,
+            stop: sc.stop,
+            limit: sc.limit,
+            groups: if multi {
+                sc.source_groups_of(i)
+            } else {
+                Vec::new()
+            },
+        })
+        .collect();
+}
+
+/// The wired-core entity set of a hierarchy spec (BRs + AGs; the AP tier
+/// is the last hop and excluded from core-load comparisons).
+pub fn hierarchy_core(spec: &HierarchySpec) -> BTreeSet<NodeId> {
+    spec_core_order(spec).into_iter().collect()
+}
+
+/// The wired-core entities of a spec in scenario-index order (BRs in ring
+/// order, then AGs ring by ring) — the indexing [`KillCore`]
+/// and [`PartitionCore`] use.
+///
+/// [`KillCore`]: crate::driver::ScenarioEvent::KillCore
+/// [`PartitionCore`]: crate::driver::ScenarioEvent::PartitionCore
+pub(crate) fn spec_core_order(spec: &HierarchySpec) -> Vec<NodeId> {
+    let core = spec.entities().map_while(|e| match e {
+        Entity::Br(id) | Entity::Ag(id, _) => Some(id),
+        _ => None,
+    });
+    core.collect()
+}
+
+pub(crate) fn attachment_entity(spec: &HierarchySpec, index: usize, what: &str) -> NodeId {
+    spec.attachment(index)
+        .unwrap_or_else(|| panic!("{what} attachment index {index} out of range"))
 }
 
 #[cfg(test)]
