@@ -723,7 +723,7 @@ impl Scenario {
         };
         let msgs = per_source.saturating_mul(self.sources as u64);
         let walkers = self.walkers.len() as u64;
-        let rings = self.groups.len().max(1) as u64;
+        let rings = self.declared_groups().len() as u64;
         let token_passes = (self.duration.as_nanos() / HOP_TICK.as_nanos()).saturating_mul(rings);
         let estimate = msgs
             .saturating_mul(walkers + 2)
@@ -1331,6 +1331,23 @@ mod tests {
         // Chain arrangement when no grid is declared.
         let chain = ScenarioBuilder::new().attachments(3).build();
         assert_eq!(chain.neighbours_of(1), vec![0, 2]);
+    }
+
+    #[test]
+    fn journal_capacity_hint_counts_every_declared_ring() {
+        // `groups` lists the groups beyond the primary one: two of them
+        // make three rings, each passing its token once per hop tick.
+        let hint = |groups| {
+            let sc = ScenarioBuilder::new().groups(groups).build();
+            sc.journal_capacity_hint() as u64
+        };
+        let passes = SimTime::from_secs(5).as_nanos() / HOP_TICK.as_nanos();
+        let extra = hint(vec![GroupId(2), GroupId(3)]) - hint(Vec::new());
+        assert_eq!(
+            extra,
+            2 * passes + 2 * passes / 8,
+            "two more rings, plus an eighth"
+        );
     }
 
     #[test]
