@@ -567,7 +567,7 @@ impl HierarchySpec {
 /// honouring the scenario's [`CoreShape`]. Attachment `i` becomes
 /// `spec.aps[i]`, walker `w` becomes `Guid(w)`.
 pub fn ringnet_spec(sc: &Scenario) -> HierarchySpec {
-    let mut spec = match sc.shape {
+    match sc.shape {
         CoreShape::Hierarchy {
             brs,
             rings,
@@ -604,22 +604,10 @@ pub fn ringnet_spec(sc: &Scenario) -> HierarchySpec {
                     }
                 })
                 .collect();
-            HierarchySpec {
-                group: sc.group,
-                groups: Vec::new(),
-                cfg: sc.cfg.clone(),
-                top_ring,
-                ag_rings,
-                aps,
-                mhs: Vec::new(),
-                sources: Vec::new(),
-                links: sc.links.clone(),
-            }
+            finish_spec(sc, top_ring, ag_rings, aps)
         }
         CoreShape::Auto => auto_hierarchy(sc, sc.ordering_capable_nodes()),
-    };
-    finish_spec(&mut spec, sc);
-    spec
+    }
 }
 
 /// Map a scenario onto a *degenerate* [`HierarchySpec`] — every logical
@@ -629,34 +617,23 @@ pub fn ringnet_spec(sc: &Scenario) -> HierarchySpec {
 /// the tree rebuilds on every handoff.
 pub fn degenerate_tree_spec(sc: &Scenario) -> HierarchySpec {
     let routers = sc.attachments.div_ceil(2).max(1);
-    let mut spec = HierarchySpec {
-        group: sc.group,
-        groups: Vec::new(),
-        cfg: sc.cfg.clone().with_reservation_radius(0),
-        top_ring: vec![NodeId(0)],
-        ag_rings: (0..routers)
-            .map(|i| AgRingSpec {
-                members: vec![NodeId(1 + i as u32)],
-                parent_candidates: vec![NodeId(0)],
-            })
-            .collect(),
-        aps: (0..sc.attachments)
-            .map(|i| ApSpec {
-                id: NodeId(1 + routers as u32 + i as u32),
-                parent_candidates: vec![NodeId(1 + (i % routers) as u32)],
-                always_active: false,
-                neighbours: Vec::new(),
-            })
-            .collect(),
-        mhs: Vec::new(),
-        sources: Vec::new(),
-        links: sc.links.clone(),
-    };
-    let ap_ids: Vec<NodeId> = spec.aps.iter().map(|a| a.id).collect();
-    for (i, ap) in spec.aps.iter_mut().enumerate() {
-        ap.neighbours = sc.neighbours_of(i).into_iter().map(|n| ap_ids[n]).collect();
-    }
-    finish_spec(&mut spec, sc);
+    let ag_rings = (0..routers)
+        .map(|i| AgRingSpec {
+            members: vec![NodeId(1 + i as u32)],
+            parent_candidates: vec![NodeId(0)],
+        })
+        .collect();
+    let ap_id = |i: usize| NodeId((1 + routers + i) as u32);
+    let aps = (0..sc.attachments)
+        .map(|i| ApSpec {
+            id: ap_id(i),
+            parent_candidates: vec![NodeId(1 + (i % routers) as u32)],
+            always_active: false,
+            neighbours: sc.neighbours_of(i).into_iter().map(ap_id).collect(),
+        })
+        .collect();
+    let mut spec = finish_spec(sc, vec![NodeId(0)], ag_rings, aps);
+    spec.cfg.reservation_radius = 0;
     // The degenerate tree has a single ordering node — a ring-of-one
     // cannot host one token ring per group, so extra declared groups
     // collapse onto the scenario's primary group (the static-baseline
@@ -680,18 +657,8 @@ pub fn degenerate_tree_spec(sc: &Scenario) -> HierarchySpec {
 /// Stations serve joins dynamically, so a late joiner idles at station 0
 /// until its [`ScenarioEvent::Join`](crate::driver::ScenarioEvent::Join) hands it off.
 pub fn flat_ring_spec(sc: &Scenario) -> HierarchySpec {
-    let mut spec = HierarchySpec {
-        group: sc.group,
-        groups: Vec::new(),
-        cfg: sc.cfg.clone(),
-        top_ring: (0..sc.attachments as u32).map(NodeId).collect(),
-        ag_rings: Vec::new(),
-        aps: Vec::new(),
-        mhs: Vec::new(),
-        sources: Vec::new(),
-        links: sc.links.clone(),
-    };
-    finish_spec(&mut spec, sc);
+    let stations = (0..sc.attachments as u32).map(NodeId).collect();
+    let mut spec = finish_spec(sc, stations, Vec::new(), Vec::new());
     for mh in &mut spec.mhs {
         mh.initial_ap.get_or_insert(NodeId(0));
     }
@@ -702,38 +669,23 @@ pub fn flat_ring_spec(sc: &Scenario) -> HierarchySpec {
 /// ordering ring, one AG ring of roughly one AG per four attachments, APs
 /// assigned round-robin.
 fn auto_hierarchy(sc: &Scenario, brs: usize) -> HierarchySpec {
-    let n_aps = sc.attachments;
-    let n_ags = n_aps.div_ceil(4).max(2);
+    let n_ags = sc.attachments.div_ceil(4).max(2);
     let br_ids: Vec<NodeId> = (0..brs as u32).map(NodeId).collect();
     let ag_ids: Vec<NodeId> = (brs as u32..(brs + n_ags) as u32).map(NodeId).collect();
-    let ap_base = (brs + n_ags) as u32;
-    let ap_ids: Vec<NodeId> = (0..n_aps as u32).map(|i| NodeId(ap_base + i)).collect();
-    let aps: Vec<ApSpec> = (0..n_aps)
+    let ap_id = |cell: usize| NodeId((brs + n_ags + cell) as u32);
+    let aps = (0..sc.attachments)
         .map(|cell| ApSpec {
-            id: ap_ids[cell],
+            id: ap_id(cell),
             parent_candidates: with_backup(ag_ids[cell % n_ags], ag_ids[(cell + 1) % n_ags]),
             always_active: sc.aps_always_active,
-            neighbours: sc
-                .neighbours_of(cell)
-                .into_iter()
-                .map(|c| ap_ids[c])
-                .collect(),
+            neighbours: sc.neighbours_of(cell).into_iter().map(ap_id).collect(),
         })
         .collect();
-    HierarchySpec {
-        group: sc.group,
-        groups: Vec::new(),
-        cfg: sc.cfg.clone(),
-        top_ring: br_ids.clone(),
-        ag_rings: vec![AgRingSpec {
-            members: ag_ids,
-            parent_candidates: br_ids,
-        }],
-        aps,
-        mhs: Vec::new(),
-        sources: Vec::new(),
-        links: sc.links.clone(),
-    }
+    let ag_ring = AgRingSpec {
+        members: ag_ids,
+        parent_candidates: br_ids.clone(),
+    };
+    finish_spec(sc, br_ids, vec![ag_ring], aps)
 }
 
 /// A parent candidate list: `preferred`, then `backup` unless it is the
@@ -746,22 +698,37 @@ fn with_backup(preferred: NodeId, backup: NodeId) -> Vec<NodeId> {
     }
 }
 
-/// Apply the scenario's walkers, sources, groups and links onto an
-/// assembled spec. Single-group scenarios leave every group field at its
-/// empty default, so the spec (and the run) is identical to the
-/// pre-multi-group one.
-fn finish_spec(spec: &mut HierarchySpec, sc: &Scenario) {
-    spec.links = sc.links.clone();
+/// The spec of a laid-out core: the scenario's group, protocol config and
+/// links over `top_ring`, `ag_rings` and `aps`, with the scenario's
+/// walkers, sources and groups applied. Single-group scenarios leave every
+/// group field at its empty default, so the spec (and the run) is
+/// identical to the pre-multi-group one.
+fn finish_spec(
+    sc: &Scenario,
+    top_ring: Vec<NodeId>,
+    ag_rings: Vec<AgRingSpec>,
+    aps: Vec<ApSpec>,
+) -> HierarchySpec {
     let declared = sc.declared_groups();
     let multi = declared.len() > 1;
-    spec.groups = if multi { declared } else { Vec::new() };
+    let mut spec = HierarchySpec {
+        group: sc.group,
+        groups: if multi { declared } else { Vec::new() },
+        cfg: sc.cfg.clone(),
+        top_ring,
+        ag_rings,
+        aps,
+        mhs: Vec::new(),
+        sources: Vec::new(),
+        links: sc.links.clone(),
+    };
     spec.mhs = sc
         .walkers
         .iter()
         .enumerate()
         .map(|(w, att)| MhSpec {
             guid: Guid(w as u32),
-            initial_ap: att.map(|a| attachment_entity(spec, a, "walker")),
+            initial_ap: att.map(|a| attachment_entity(&spec, a, "walker")),
             subscriptions: if multi {
                 sc.subscriptions_of(w)
             } else {
@@ -784,6 +751,7 @@ fn finish_spec(spec: &mut HierarchySpec, sc: &Scenario) {
             },
         })
         .collect();
+    spec
 }
 
 /// The wired-core entity set of a hierarchy spec (BRs + AGs; the AP tier
