@@ -1,10 +1,11 @@
-//! The online total-order / reliability auditor.
+//! The total-order / reliability auditor.
 //!
-//! An [`Auditor`] folds protocol events in one at a time — from a finished
-//! journal ([`Auditor::observe_journal`]) or *online* from the simulator's
-//! journal sink, exactly like the streaming metrics accumulator — and
-//! checks the protocol's safety claims **per delivery**, not as an
-//! after-the-fact summary:
+//! An [`Auditor`] folds protocol events in one at a time, in journal
+//! (emission) order, and checks the protocol's safety claims **per
+//! delivery**, not as an after-the-fact summary. Every caller today feeds
+//! it a retained journal after the run ([`Auditor::observe_journal`]); the
+//! per-event [`Auditor::observe`] is the same path, so a journal sink could
+//! feed it during the run instead. The checks:
 //!
 //! * **Total order**: every walker's delivered global sequence numbers
 //!   strictly increase *per group* (each group runs its own token ring, so
@@ -36,6 +37,38 @@
 //!
 //! The first violation is kept with full context; later events still feed
 //! the counters so a report can say how widespread the damage was.
+//!
+//! # State layout
+//!
+//! The per-event work is array indexing, not tree search:
+//!
+//! * **GSN tables.** One per group, in a first-seen list. Each is a `Vec`
+//!   of slots indexed by GSN; a slot holds the `(source, local_seq)` the
+//!   GSN was first seen to mean and the node of its latest `Ordered`
+//!   record.
+//! * **Walker rows.** A `Vec` indexed by [`Guid`]. A row lists the
+//!   walker's `(group, state)` pairs in first-seen order; the state is its
+//!   deliver/skip chain position, its last progress time and its
+//!   per-stream FIFO fronts, a `Vec` indexed by interned source. Sources
+//!   are interned because the fence funnels' virtual ids sit at
+//!   `0xFFFF_0000` and up.
+//! * **Cross-group records.** Each `Ordered` record appends
+//!   `(source, local_seq, group, gsn)` to one `Vec`. [`Auditor::finish`]
+//!   sorts it stably by message, so each message's records stay in journal
+//!   order.
+//!
+//! **Spill rule.** An id (GSN, walker, source) at most 4 096 past the end
+//! of its table grows the table; one further out goes to that table's
+//! `BTreeMap` instead, and moves into the `Vec` if the table later grows
+//! over it. Memory therefore follows the ids a journal uses, not their
+//! values: a forged `GlobalSeq(u64::MAX)` costs one map entry.
+//!
+//! **Cost.** On the benchmark's four workloads the batch pass costs 28–43
+//! ns per journal entry (`chaos.audit.ns_per_entry`, traced runs on a
+//! 2-core shared host). With the state in five `BTreeMap`s keyed by tuples
+//! it cost 170–400 ns on the same runs; the metrics accumulator costs
+//! 16–21. EXPERIMENTS.md, "Where a `chaos_stress_12` host second goes",
+//! has the readings.
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -176,18 +209,85 @@ impl AuditReport {
     }
 }
 
-#[derive(Debug, Clone, Default)]
-struct WalkerState {
-    /// Merged deliver/skip chain position (last GSN consumed).
-    last_gsn: Option<GlobalSeq>,
-    /// Last per-stream sequence number, keyed by stream (source).
-    streams: BTreeMap<NodeId, LocalSeq>,
-    /// Last time this walker delivered or skipped.
-    last_progress: SimTime,
+/// How far past the dense end of a [`Dense`] table an id may land and
+/// still grow it. An id further out goes to the table's spill map, so a
+/// forged id costs one map entry, never a vector sized by its value.
+const DENSE_SLACK: u64 = 4096;
+
+/// A table indexed by a small integer id — a GSN, a walker's [`Guid`], a
+/// [`NodeId`]. Ids up to [`DENSE_SLACK`] past the end of `rows` grow it;
+/// ids beyond spill into an ordered map. When `rows` grows over spilled
+/// ids they move in, so every id lives in exactly one place.
+#[derive(Debug)]
+struct Dense<T> {
+    rows: Vec<T>,
+    spill: BTreeMap<u64, T>,
 }
 
-/// The streaming auditor. Feed with [`Auditor::observe`] (or a whole
-/// journal via [`Auditor::observe_journal`]), then [`Auditor::finish`].
+impl<T> Default for Dense<T> {
+    fn default() -> Self {
+        Dense {
+            rows: Vec::new(),
+            spill: BTreeMap::new(),
+        }
+    }
+}
+
+impl<T: Default> Dense<T> {
+    fn get(&self, id: u64) -> Option<&T> {
+        if id < self.rows.len() as u64 {
+            Some(&self.rows[id as usize])
+        } else {
+            self.spill.get(&id)
+        }
+    }
+
+    /// The row for `id`, created empty if it is new.
+    fn entry(&mut self, id: u64) -> &mut T {
+        let len = self.rows.len() as u64;
+        if id >= len {
+            if id - len >= DENSE_SLACK {
+                return self.spill.entry(id).or_default();
+            }
+            self.rows.resize_with(id as usize + 1, T::default);
+            if !self.spill.is_empty() {
+                let above = self.spill.split_off(&(id + 1));
+                for (k, row) in std::mem::replace(&mut self.spill, above) {
+                    self.rows[k as usize] = row;
+                }
+            }
+        }
+        &mut self.rows[id as usize]
+    }
+
+    fn iter(&self) -> impl Iterator<Item = &T> {
+        self.rows.iter().chain(self.spill.values())
+    }
+}
+
+/// What one `(group, GSN)` has been seen to mean.
+#[derive(Debug, Clone, Copy, Default)]
+struct GsnSlot {
+    /// The `(source, local_seq)` first seen for it, from either side.
+    meaning: Option<(NodeId, LocalSeq)>,
+    /// The node of the latest `Ordered` record that assigned it.
+    assigned: Option<NodeId>,
+}
+
+/// One walker's audit state in one of its groups.
+#[derive(Debug)]
+struct WalkerGroup {
+    group: GroupId,
+    /// Merged deliver/skip chain position (last GSN consumed).
+    last_gsn: Option<GlobalSeq>,
+    /// Last time this walker delivered or skipped in this group.
+    last_progress: SimTime,
+    /// Last per-stream sequence number, indexed by interned source.
+    fronts: Vec<Option<LocalSeq>>,
+}
+
+/// The auditor. Feed with [`Auditor::observe`] (or a whole journal via
+/// [`Auditor::observe_journal`]), then [`Auditor::finish`].
 ///
 /// Every GSN-shaped piece of state is keyed by group: one token ring per
 /// group means one GSN space per group, and a GSN only means anything
@@ -195,16 +295,20 @@ struct WalkerState {
 #[derive(Debug)]
 pub struct Auditor {
     cfg: AuditConfig,
-    walkers: BTreeMap<(Guid, GroupId), WalkerState>,
-    /// What each per-group GSN means, agreed across ordering nodes and
-    /// walkers.
-    gsn_meaning: BTreeMap<(GroupId, GlobalSeq), (NodeId, LocalSeq)>,
-    /// `(group, GSN)`s that appeared in an `Ordered` record
-    /// (duplicate-assignment check).
-    assigned: BTreeMap<(GroupId, GlobalSeq), NodeId>,
-    /// Per-message assignment positions across rings, fed from `Ordered`
-    /// records: the raw material of the cross-group agreement check.
-    cross: BTreeMap<(NodeId, LocalSeq), Vec<(GroupId, GlobalSeq)>>,
+    /// Per walker ([`Guid`]), its state in each group it has touched, in
+    /// first-seen order.
+    walkers: Dense<Vec<WalkerGroup>>,
+    /// Per group, in first-seen order, what each GSN means and who
+    /// assigned it.
+    gsns: Vec<(GroupId, Dense<GsnSlot>)>,
+    /// Source [`NodeId`] → 1 + its index into a walker's `fronts` (0 = not
+    /// seen yet). Interned because fence funnels' virtual ids sit at the
+    /// top of the id space.
+    sources: Dense<u32>,
+    interned_sources: u32,
+    /// Every `Ordered` record as `(source, local_seq, group, gsn)`, in
+    /// journal order: the raw material of the cross-group agreement check.
+    cross: Vec<(NodeId, LocalSeq, GroupId, GlobalSeq)>,
     first_violation: Option<Violation>,
     violations: u64,
     deliveries: u64,
@@ -218,10 +322,11 @@ impl Auditor {
     pub fn new(cfg: AuditConfig) -> Self {
         Auditor {
             cfg,
-            walkers: BTreeMap::new(),
-            gsn_meaning: BTreeMap::new(),
-            assigned: BTreeMap::new(),
-            cross: BTreeMap::new(),
+            walkers: Dense::default(),
+            gsns: Vec::new(),
+            sources: Dense::default(),
+            interned_sources: 0,
+            cross: Vec::new(),
             first_violation: None,
             violations: 0,
             deliveries: 0,
@@ -237,7 +342,20 @@ impl Auditor {
         }
     }
 
-    /// Register what a `(group, GSN)` means; trip on disagreement.
+    /// The slot of `(group, gsn)`.
+    fn gsn_slot(&mut self, group: GroupId, gsn: GlobalSeq) -> &mut GsnSlot {
+        let i = match self.gsns.iter().position(|(g, _)| *g == group) {
+            Some(i) => i,
+            None => {
+                self.gsns.push((group, Dense::default()));
+                self.gsns.len() - 1
+            }
+        };
+        self.gsns[i].1.entry(gsn.0)
+    }
+
+    /// Register what a `(group, GSN)` means; trip on disagreement with
+    /// the meaning first seen for it.
     fn meaning(
         &mut self,
         at: SimTime,
@@ -247,23 +365,49 @@ impl Auditor {
         ls: LocalSeq,
         who: &str,
     ) {
-        match self.gsn_meaning.get(&(group, gsn)) {
-            None => {
-                self.gsn_meaning.insert((group, gsn), (source, ls));
-            }
-            Some(&(s0, l0)) if (s0, l0) != (source, ls) => {
-                self.violate(
-                    at,
-                    ViolationKind::AssignmentMismatch,
-                    format!(
-                        "{who}: group {} gsn {} means (src {}, seq {}) \
-                         but was first seen as (src {}, seq {})",
-                        group.0, gsn.0, source.0, ls.0, s0.0, l0.0
-                    ),
-                );
-            }
-            Some(_) => {}
+        let (s0, l0) = *self
+            .gsn_slot(group, gsn)
+            .meaning
+            .get_or_insert((source, ls));
+        if (s0, l0) != (source, ls) {
+            self.violate(
+                at,
+                ViolationKind::AssignmentMismatch,
+                format!(
+                    "{who}: group {} gsn {} means (src {}, seq {}) \
+                     but was first seen as (src {}, seq {})",
+                    group.0, gsn.0, source.0, ls.0, s0.0, l0.0
+                ),
+            );
         }
+    }
+
+    /// The index of `source` in a walker's `fronts`.
+    fn source_index(&mut self, source: NodeId) -> usize {
+        let ix = self.sources.entry(u64::from(source.0));
+        if *ix == 0 {
+            self.interned_sources += 1;
+            *ix = self.interned_sources;
+        }
+        *ix as usize - 1
+    }
+
+    /// Walker `mh`'s state in `group`, created on first sight.
+    fn walker_group(&mut self, mh: Guid, group: GroupId) -> &mut WalkerGroup {
+        let row = self.walkers.entry(u64::from(mh.0));
+        let i = match row.iter().position(|st| st.group == group) {
+            Some(i) => i,
+            None => {
+                row.push(WalkerGroup {
+                    group,
+                    last_gsn: None,
+                    last_progress: SimTime::ZERO,
+                    fronts: Vec::new(),
+                });
+                row.len() - 1
+            }
+        };
+        &mut row[i]
     }
 
     /// Fold one event in. Events must arrive in journal (emission) order.
@@ -276,7 +420,7 @@ impl Auditor {
                 local_seq,
                 gsn,
             } if self.cfg.check_gsn_order => {
-                if let Some(prev) = self.assigned.insert((group, gsn), node) {
+                if let Some(prev) = self.gsn_slot(group, gsn).assigned.replace(node) {
                     self.violate(
                         t,
                         ViolationKind::DuplicateAssignment,
@@ -287,10 +431,7 @@ impl Auditor {
                     );
                 }
                 self.meaning(t, group, gsn, source, local_seq, "ordering node");
-                self.cross
-                    .entry((source, local_seq))
-                    .or_default()
-                    .push((group, gsn));
+                self.cross.push((source, local_seq, group, gsn));
             }
             ProtoEvent::MhDeliver {
                 mh,
@@ -301,22 +442,25 @@ impl Auditor {
             } => {
                 self.deliveries += 1;
                 self.last_delivery = Some(t);
-                if self.cfg.check_gsn_order {
+                let check_gsn = self.cfg.check_gsn_order;
+                if check_gsn {
                     self.meaning(t, group, gsn, source, local_seq, "walker");
                 }
-                let check_gsn = self.cfg.check_gsn_order;
-                let check_gap = self.cfg.check_gap_freedom;
-                let st = self.walkers.entry((mh, group)).or_default();
+                let s = self.source_index(source);
+                let st = self.walker_group(mh, group);
                 st.last_progress = t;
                 let last = st.last_gsn;
+                if check_gsn {
+                    st.last_gsn = Some(last.map_or(gsn, |p| p.max(gsn)));
+                }
                 // Per-stream FIFO — the one promise every backend makes.
                 // Checked after the GSN properties so an ordered backend's
                 // inversion is labelled as such, not as its FIFO shadow.
-                let fifo_bad = match st.streams.get(&source) {
-                    Some(&prev) if local_seq <= prev => Some(prev),
-                    _ => None,
-                };
-                st.streams.insert(source, local_seq);
+                if st.fronts.len() <= s {
+                    st.fronts.resize(s + 1, None);
+                }
+                let fifo_bad = st.fronts[s].filter(|&prev| local_seq <= prev);
+                st.fronts[s] = Some(local_seq);
                 if check_gsn {
                     match last {
                         Some(prev) if gsn == prev => {
@@ -339,7 +483,7 @@ impl Auditor {
                                 ),
                             );
                         }
-                        Some(prev) if check_gap && gsn.0 != prev.0 + 1 => {
+                        Some(prev) if self.cfg.check_gap_freedom && gsn.0 != prev.0 + 1 => {
                             self.violate(
                                 t,
                                 ViolationKind::GsnGap,
@@ -352,10 +496,6 @@ impl Auditor {
                         }
                         _ => {}
                     }
-                    self.walkers
-                        .get_mut(&(mh, group))
-                        .expect("just inserted")
-                        .last_gsn = Some(last.map_or(gsn, |p| p.max(gsn)));
                 }
                 if let Some(prev) = fifo_bad {
                     self.violate(
@@ -370,10 +510,10 @@ impl Auditor {
             }
             ProtoEvent::MhSkip { mh, group, gsn } if self.cfg.check_gsn_order => {
                 self.skips += 1;
-                let check_gap = self.cfg.check_gap_freedom;
-                let st = self.walkers.entry((mh, group)).or_default();
+                let st = self.walker_group(mh, group);
                 st.last_progress = t;
                 let last = st.last_gsn;
+                st.last_gsn = Some(last.map_or(gsn, |p| p.max(gsn)));
                 match last {
                     Some(prev) if gsn <= prev => {
                         self.violate(
@@ -385,7 +525,7 @@ impl Auditor {
                             ),
                         );
                     }
-                    Some(prev) if check_gap && gsn.0 != prev.0 + 1 => {
+                    Some(prev) if self.cfg.check_gap_freedom && gsn.0 != prev.0 + 1 => {
                         self.violate(
                             t,
                             ViolationKind::GsnGap,
@@ -397,16 +537,12 @@ impl Auditor {
                     }
                     _ => {}
                 }
-                self.walkers
-                    .get_mut(&(mh, group))
-                    .expect("just inserted")
-                    .last_gsn = Some(last.map_or(gsn, |p| p.max(gsn)));
             }
             _ => {}
         }
     }
 
-    /// Fold a whole journal in (batch feeding of the same streaming path).
+    /// Fold a whole journal in (batch feeding of the same per-event path).
     pub fn observe_journal(&mut self, journal: &[(SimTime, ProtoEvent)]) {
         for (t, e) in journal {
             self.observe(*t, e);
@@ -423,19 +559,24 @@ impl Auditor {
         // One shared message's footprint on a group pair: its GSN in each
         // group, plus its journal identity for the violation message.
         type PairPoint = (GlobalSeq, GlobalSeq, NodeId, LocalSeq);
+        let mut cross = std::mem::take(&mut self.cross);
+        // Stable: a message's records keep their journal order, so the
+        // pair points come out in the order a per-message map would give.
+        cross.sort_by_key(|&(source, ls, _, _)| (source, ls));
         let mut shared = 0usize;
         let mut pairs: BTreeMap<(GroupId, GroupId), Vec<PairPoint>> = BTreeMap::new();
-        for (&(source, ls), gsns) in &self.cross {
-            if gsns.len() < 2 {
+        for records in cross.chunk_by(|a, b| (a.0, a.1) == (b.0, b.1)) {
+            if records.len() < 2 {
                 continue;
             }
             shared += 1;
-            for i in 0..gsns.len() {
-                for j in i + 1..gsns.len() {
-                    let (a, b) = if gsns[i].0 <= gsns[j].0 {
-                        (gsns[i], gsns[j])
+            let (source, ls, _, _) = records[0];
+            for (i, &(_, _, gi, si)) in records.iter().enumerate() {
+                for &(_, _, gj, sj) in &records[i + 1..] {
+                    let (a, b) = if gi <= gj {
+                        ((gi, si), (gj, sj))
                     } else {
-                        (gsns[j], gsns[i])
+                        ((gj, sj), (gi, si))
                     };
                     if a.0 == b.0 {
                         // Same group twice = duplicate assignment, already
@@ -505,9 +646,8 @@ impl Auditor {
                 // strands a walker, not one of its subscriptions.
                 let last_progress = self
                     .walkers
-                    .range((Guid(w), GroupId(u32::MIN))..=(Guid(w), GroupId(u32::MAX)))
-                    .map(|(_, st)| st.last_progress)
-                    .max();
+                    .get(u64::from(w))
+                    .and_then(|row| row.iter().map(|st| st.last_progress).max());
                 let late_enough = last_progress.is_some_and(|last| last + liveness.window >= end);
                 if !late_enough {
                     let last = last_progress
@@ -524,14 +664,7 @@ impl Auditor {
                 }
             }
         }
-        let mut walkers_seen = 0usize;
-        let mut prev: Option<Guid> = None;
-        for &(mh, _) in self.walkers.keys() {
-            if prev != Some(mh) {
-                walkers_seen += 1;
-                prev = Some(mh);
-            }
-        }
+        let walkers_seen = self.walkers.iter().filter(|row| !row.is_empty()).count();
         AuditReport {
             first_violation: self.first_violation,
             violations: self.violations,

@@ -15,9 +15,8 @@
 //!   heal, forced token loss), in four sizes ([`SoakTier`]) up to an
 //!   opt-in production-scale stress tier and a sharded-execution massive
 //!   tier (thousands of walkers on the parallel event-queue engine).
-//! * [`audit`] — an **online auditor** fed one protocol event at a time
-//!   (from a finished journal or straight from the simulator's journal
-//!   sink, like the streaming metrics accumulator) that checks, per
+//! * [`audit`] — an **auditor** fed one protocol event at a time (today
+//!   from a run's retained journal, in one batch pass) that checks, per
 //!   delivery, total-order agreement across members, gap-freedom per
 //!   stream modulo recorded skips, duplicate-free GSN assignment, and
 //!   post-fault liveness windows — reporting the *first* violation with

@@ -211,8 +211,9 @@ fn resides_at(sc: &Scenario, w: usize, ap: usize, from: SimTime) -> bool {
             .any(|(t, a)| *t > from && *t <= sc.duration && *a == ap)
 }
 
-/// Run one `(scenario, seed)` on one backend and audit the journal through
-/// the streaming auditor. Returns the audit report.
+/// Run one `(scenario, seed)` on one backend, then audit its retained
+/// journal in one batch pass ([`Auditor::observe_journal`]). Returns the
+/// audit report.
 pub fn audit_scenario_run(
     sc: &Scenario,
     seed: u64,
