@@ -68,7 +68,9 @@ pub fn run(quick: bool) -> Table {
             sources: S,
             rate_per_sec: lambda,
             ring_hop: links.top_ring.latency.max_delay(),
-            tau: SimDuration::from_millis(5),
+            // τ = 0, as in T2: this system has no Order-Assignment timer
+            // (see the `analysis` module doc).
+            tau: SimDuration::ZERO,
             t_deliver: analytic_t_deliver(links, 2),
         });
         let wq_ok = within_buffer_bound(wq_peak as f64, b.wq_bound);
