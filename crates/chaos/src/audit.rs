@@ -243,18 +243,27 @@ impl<T: Default> Dense<T> {
     }
 
     /// The row for `id`, created empty if it is new.
+    #[inline]
     fn entry(&mut self, id: u64) -> &mut T {
+        if id < self.rows.len() as u64 {
+            return &mut self.rows[id as usize];
+        }
+        self.entry_past_end(id)
+    }
+
+    /// [`Dense::entry`] for an id past the end of `rows`: grow them or
+    /// spill.
+    #[cold]
+    fn entry_past_end(&mut self, id: u64) -> &mut T {
         let len = self.rows.len() as u64;
-        if id >= len {
-            if id - len >= DENSE_SLACK {
-                return self.spill.entry(id).or_default();
-            }
-            self.rows.resize_with(id as usize + 1, T::default);
-            if !self.spill.is_empty() {
-                let above = self.spill.split_off(&(id + 1));
-                for (k, row) in std::mem::replace(&mut self.spill, above) {
-                    self.rows[k as usize] = row;
-                }
+        if id - len >= DENSE_SLACK {
+            return self.spill.entry(id).or_default();
+        }
+        self.rows.resize_with(id as usize + 1, T::default);
+        if !self.spill.is_empty() {
+            let above = self.spill.split_off(&(id + 1));
+            for (k, row) in std::mem::replace(&mut self.spill, above) {
+                self.rows[k as usize] = row;
             }
         }
         &mut self.rows[id as usize]
@@ -335,6 +344,7 @@ impl Auditor {
         }
     }
 
+    #[cold]
     fn violate(&mut self, at: SimTime, kind: ViolationKind, detail: String) {
         self.violations += 1;
         if self.first_violation.is_none() {
