@@ -310,10 +310,9 @@ pub struct Auditor {
     /// Per group, in first-seen order, what each GSN means and who
     /// assigned it.
     gsns: Vec<(GroupId, Dense<GsnSlot>)>,
-    /// Source [`NodeId`] → 1 + its index into a walker's `fronts` (0 = not
-    /// seen yet). Interned because fence funnels' virtual ids sit at the
-    /// top of the id space.
-    sources: Dense<u32>,
+    /// Source [`NodeId`] → its index into a walker's `fronts`. Interned
+    /// because fence funnels' virtual ids sit at the top of the id space.
+    sources: Dense<Option<u32>>,
     interned_sources: u32,
     /// Every `Ordered` record as `(source, local_seq, group, gsn)`, in
     /// journal order: the raw material of the cross-group agreement check.
@@ -394,12 +393,12 @@ impl Auditor {
 
     /// The index of `source` in a walker's `fronts`.
     fn source_index(&mut self, source: NodeId) -> usize {
-        let ix = self.sources.entry(u64::from(source.0));
-        if *ix == 0 {
+        let next = self.interned_sources;
+        let ix = *self.sources.entry(u64::from(source.0)).get_or_insert(next);
+        if ix == next {
             self.interned_sources += 1;
-            *ix = self.interned_sources;
         }
-        *ix as usize - 1
+        ix as usize
     }
 
     /// Walker `mh`'s state in `group`, created on first sight.
