@@ -63,11 +63,11 @@
 //! over it. Memory therefore follows the ids a journal uses, not their
 //! values: a forged `GlobalSeq(u64::MAX)` costs one map entry.
 //!
-//! **Cost.** On the benchmark's four workloads the batch pass costs 28–43
+//! **Cost.** On the benchmark's four workloads the batch pass costs 18–38
 //! ns per journal entry (`chaos.audit.ns_per_entry`, traced runs on a
 //! 2-core shared host). With the state in five `BTreeMap`s keyed by tuples
-//! it cost 170–400 ns on the same runs; the metrics accumulator costs
-//! 16–21. EXPERIMENTS.md, "Where a `chaos_stress_12` host second goes",
+//! it cost 174–403 ns on the same workloads; the metrics accumulator costs
+//! 11–23. EXPERIMENTS.md, "Where a `chaos_stress_12` host second goes",
 //! has the readings.
 
 use std::collections::BTreeMap;
