@@ -23,6 +23,9 @@
 //!   wakes permutes what happens within one instant, which is not
 //!   behaviour — and since each link draws its losses from a stream of its
 //!   own, the permutation re-rolls no loss either;
+//! * one small hand-scheduled RingNet world adds the faults those two do
+//!   not draw — a walker crash and a replay of each control kind — so
+//!   every `ScenarioEvent` arm is pinned by some digest;
 //! * each world has one journal digest, and the run's end-of-run counters
 //!   ([`RunReport::finals`]) are pinned apart, per world, in
 //!   `COUNTERS_DIGESTS`. A control-plane change that only stops sending
@@ -37,9 +40,9 @@
 use ringnet_repro::baselines::{FlatRingSim, RelmSim, TreeSim, TunnelSim, UnorderedSim};
 use ringnet_repro::chaos::{generate, ChaosConfig};
 use ringnet_repro::core::driver::{
-    MulticastSim, RunReport, Scenario, ScenarioBuilder, ScenarioEvent,
+    CoreShape, MulticastSim, ReplayKind, RunReport, Scenario, ScenarioBuilder, ScenarioEvent,
 };
-use ringnet_repro::core::{GroupId, RingNetSim};
+use ringnet_repro::core::{GroupId, ProtoEvent, RingNetSim};
 use ringnet_repro::simnet::{LinkProfile, SimDuration, SimTime};
 
 /// FNV-1a over rendered journal lines.
@@ -646,15 +649,38 @@ fn fault_path_journal_digests_are_pinned() {
         .iter()
         .map(|&(generator_seed, _)| stress_world(generator_seed))
         .collect();
+    // Between them, the stress worlds and the replay world schedule every
+    // kind of fault, so each arm that maps a `ScenarioEvent` onto the
+    // engine is pinned by at least one digest.
+    let replay = replay_world();
+    let pinned: Vec<&Scenario> = worlds.iter().chain([&replay]).collect();
     let drew =
-        |fault: fn(&ScenarioEvent) -> bool| worlds.iter().any(|sc| sc.events.iter().any(fault));
+        |fault: fn(&ScenarioEvent) -> bool| pinned.iter().any(|sc| sc.events.iter().any(fault));
     assert!(worlds
         .iter()
         .all(|sc| sc.links.wireless.loss.steady_state_loss() > 0.0));
-    assert!(drew(|e| matches!(e, ScenarioEvent::DropToken { .. })));
+    assert!(drew(|e| matches!(e, ScenarioEvent::Handoff { .. })));
+    assert!(drew(|e| matches!(e, ScenarioEvent::Join { .. })));
     assert!(drew(|e| matches!(e, ScenarioEvent::KillCore { .. })));
+    assert!(drew(|e| matches!(e, ScenarioEvent::KillWalker { .. })));
+    assert!(drew(|e| matches!(e, ScenarioEvent::ApCrash { .. })));
+    assert!(drew(|e| matches!(e, ScenarioEvent::ApRestart { .. })));
+    assert!(drew(|e| matches!(e, ScenarioEvent::PartitionCore { .. })));
+    assert!(drew(|e| matches!(e, ScenarioEvent::HealCore { .. })));
+    assert!(drew(|e| matches!(e, ScenarioEvent::DropToken { .. })));
     assert!(drew(|e| matches!(e, ScenarioEvent::RingRejoin { .. })));
     assert!(drew(|e| matches!(e, ScenarioEvent::PartitionRing { .. })));
+    assert!(drew(|e| matches!(e, ScenarioEvent::HealRing { .. })));
+    for kind in [
+        ReplayKind::Token,
+        ReplayKind::RingFail,
+        ReplayKind::RejoinGrant,
+    ] {
+        assert!(pinned.iter().any(|sc| sc
+            .events
+            .iter()
+            .any(|e| matches!(e, ScenarioEvent::ReplayControl { kind: k, .. } if *k == kind))));
+    }
     for (sc, &(generator_seed, ref backends)) in worlds.iter().zip(GOLDEN_FAULT_PATH_DIGESTS) {
         for &(name, run, want) in backends {
             let report = run(sc, 7);
@@ -667,6 +693,69 @@ fn fault_path_journal_digests_are_pinned() {
             );
         }
     }
+}
+
+/// A small loss-free RingNet world scheduling the faults the stress worlds
+/// above do not draw: a walker crash, and one replay of each
+/// [`ReplayKind`] — a token pass by BR 0, the `RingFail` broadcast about
+/// BR 2 just after it dies (before its ring has convicted it), and the
+/// `RejoinGrant` about it after it has restarted. (A BR's core index is its
+/// id.) Each of these events moves the pinned numbers: dropping any one of
+/// them, or killing another walker, changes the counters digest.
+fn replay_world() -> Scenario {
+    let ms = SimTime::from_millis;
+    let replay = |at, kind, index| ScenarioEvent::ReplayControl { at, kind, index };
+    ScenarioBuilder::new()
+        .shape(CoreShape::Hierarchy {
+            brs: 3,
+            rings: 2,
+            ags_per_ring: 2,
+        })
+        .attachments(4)
+        .walkers_per_attachment(2)
+        .sources(2)
+        .cbr(SimDuration::from_millis(20))
+        .window(ms(100), Some(SimTime::from_secs(2)))
+        .loss_free_wireless()
+        .events([
+            replay(ms(300), ReplayKind::Token, 0),
+            ScenarioEvent::KillWalker {
+                at: ms(400),
+                walker: 5,
+            },
+            ScenarioEvent::KillCore {
+                at: ms(500),
+                index: 2,
+            },
+            replay(ms(520), ReplayKind::RingFail, 2),
+            ScenarioEvent::RingRejoin {
+                at: ms(1000),
+                index: 2,
+            },
+            replay(ms(1400), ReplayKind::RejoinGrant, 2),
+        ])
+        .duration(SimTime::from_secs(3))
+        .build()
+}
+
+/// Golden instant-canonical digest of [`replay_world`], run seed 7.
+const GOLDEN_REPLAY_WORLD_DIGEST: u64 = 0xc51bfeaf5b745ad8;
+
+#[test]
+fn replay_world_digest_is_pinned() {
+    let report = RingNetSim::run_scenario(&replay_world(), 7);
+    assert_eq!(report.metrics.order_violations, 0);
+    assert!(report.metrics.delivered > 500, "replay world too quiet");
+    let rejoined =
+        |e: &ProtoEvent| matches!(e, ProtoEvent::RingRejoined { member, .. } if member.0 == 2);
+    assert!(report.journal.iter().any(|(_, e)| rejoined(e)));
+    assert_counters("replay", &report);
+    let got = instant_canonical_digest(&report);
+    assert_eq!(
+        got, GOLDEN_REPLAY_WORLD_DIGEST,
+        "replay world: instant-canonical digest {got:#018x} != pinned \
+         {GOLDEN_REPLAY_WORLD_DIGEST:#018x}"
+    );
 }
 
 /// The run's end-of-run counters per world ([`counters_digest`]): per
@@ -698,4 +787,5 @@ const COUNTERS_DIGESTS: &[(&str, u64)] = &[
     ("stress_104/ringnet", 0x37fa7ef4ccad38d5),
     ("stress_104/flat_ring", 0x0006eba39f524c9b),
     ("stress_104/tree", 0xe097d5f8cefe8208),
+    ("replay", 0x8bfa7c7bdba06657),
 ];
