@@ -53,8 +53,6 @@ pub(crate) enum RelmMsg {
         /// Missing sequence numbers.
         missing: Vec<u64>,
     },
-    /// Teardown probe.
-    FlushStats,
 }
 
 fn relm_wire_size(msg: &RelmMsg) -> usize {
@@ -62,7 +60,6 @@ fn relm_wire_size(msg: &RelmMsg) -> usize {
         RelmMsg::SourceData { .. } | RelmMsg::Down { .. } | RelmMsg::Deliver { .. } => 40 + 512,
         RelmMsg::Ack { .. } => 24,
         RelmMsg::Nack { missing, .. } => 24 + 8 * missing.len(),
-        RelmMsg::FlushStats => 0,
     }
 }
 
@@ -132,19 +129,18 @@ impl Actor<RelmMsg, ProtoEvent> for Supervisor {
                     }
                 }
             }
-            RelmMsg::FlushStats => {
-                let counts = NeFinal {
-                    mq_peak: self.peak_buffer as u32,
-                    data_sent: self.msgs_processed as u32,
-                    ..NeFinal::default()
-                };
-                self.star.finals.ne(self.group, self.id, counts);
-            }
             _ => {}
         }
     }
 
-    fn on_timer(&mut self, _: &mut Ctx<'_, RelmMsg, ProtoEvent>, _: u64) {}
+    fn on_stop(&mut self) {
+        let counts = NeFinal {
+            mq_peak: self.peak_buffer as u32,
+            data_sent: self.msgs_processed as u32,
+            ..NeFinal::default()
+        };
+        self.star.finals.ne(self.group, self.id, counts);
+    }
 }
 
 /// A thin MSS relay: SH traffic down to local members, member feedback up.
@@ -171,18 +167,17 @@ impl Actor<RelmMsg, ProtoEvent> for Mss {
                 self.processed += 1;
                 ctx.send(Star::HUB, msg);
             }
-            RelmMsg::FlushStats => {
-                let counts = NeFinal {
-                    data_sent: self.processed as u32,
-                    ..NeFinal::default()
-                };
-                self.star.finals.ne(self.group, self.id, counts);
-            }
             _ => {}
         }
     }
 
-    fn on_timer(&mut self, _: &mut Ctx<'_, RelmMsg, ProtoEvent>, _: u64) {}
+    fn on_stop(&mut self) {
+        let counts = NeFinal {
+            data_sent: self.processed as u32,
+            ..NeFinal::default()
+        };
+        self.star.finals.ne(self.group, self.id, counts);
+    }
 }
 
 /// A RelM member: in-order delivery, periodic cumulative ACKs to the SH.
@@ -224,12 +219,6 @@ impl Actor<RelmMsg, ProtoEvent> for RelmMh {
                 self.stashed.insert(seq, ());
                 self.drain(ctx);
             }
-        } else if let RelmMsg::FlushStats = msg {
-            let counts = MhCounters {
-                delivered: self.delivered,
-                ..MhCounters::default()
-            };
-            self.star.finals.mh(self.group, self.guid, counts);
         }
     }
 
@@ -267,6 +256,14 @@ impl Actor<RelmMsg, ProtoEvent> for RelmMh {
         }
         ctx.set_timer(SimDuration::from_millis(10), TAG_HOP);
     }
+
+    fn on_stop(&mut self) {
+        let counts = MhCounters {
+            delivered: self.delivered,
+            ..MhCounters::default()
+        };
+        self.star.finals.mh(self.group, self.guid, counts);
+    }
 }
 
 /// A built RelM simulation.
@@ -286,7 +283,6 @@ impl MulticastSim for RelmSim {
         let plan = StarPlan {
             sizer: relm_wire_size,
             source_data: |seq| RelmMsg::SourceData { seq },
-            flush: RelmMsg::FlushStats,
             hub_link: &scenario.links.br_ag,
             placements: scenario.static_placements(),
         };

@@ -52,15 +52,12 @@ pub(crate) enum TunMsg {
         /// The new AP.
         new_ap: NodeId,
     },
-    /// Teardown probe.
-    FlushStats,
 }
 
 fn tun_wire_size(msg: &TunMsg) -> usize {
     match msg {
         TunMsg::SourceData { .. } | TunMsg::Tunnel { .. } | TunMsg::Deliver { .. } => 40 + 512,
         TunMsg::CoaUpdate { .. } | TunMsg::HandoffTo { .. } => 24,
-        TunMsg::FlushStats => 0,
     }
 }
 
@@ -102,19 +99,18 @@ impl Actor<TunMsg, ProtoEvent> for HomeAgent {
                     resume: GlobalSeq::ZERO,
                 });
             }
-            TunMsg::FlushStats => {
-                let counts = NeFinal {
-                    control_sent: self.control_sent,
-                    data_sent: self.data_sent,
-                    ..NeFinal::default()
-                };
-                self.star.finals.ne(self.group, self.id, counts);
-            }
             _ => {}
         }
     }
 
-    fn on_timer(&mut self, _: &mut Ctx<'_, TunMsg, ProtoEvent>, _: u64) {}
+    fn on_stop(&mut self) {
+        let counts = NeFinal {
+            control_sent: self.control_sent,
+            data_sent: self.data_sent,
+            ..NeFinal::default()
+        };
+        self.star.finals.ne(self.group, self.id, counts);
+    }
 }
 
 /// A foreign-agent AP: relays tunnelled packets over the wireless hop and
@@ -140,19 +136,18 @@ impl Actor<TunMsg, ProtoEvent> for TunAp {
                 ctx.send(Star::HUB, TunMsg::CoaUpdate { guid, new_ap });
                 self.control_sent += 1;
             }
-            TunMsg::FlushStats => {
-                let counts = NeFinal {
-                    control_sent: self.control_sent,
-                    data_sent: self.data_sent,
-                    ..NeFinal::default()
-                };
-                self.star.finals.ne(self.group, self.id, counts);
-            }
             _ => {}
         }
     }
 
-    fn on_timer(&mut self, _: &mut Ctx<'_, TunMsg, ProtoEvent>, _: u64) {}
+    fn on_stop(&mut self) {
+        let counts = NeFinal {
+            control_sent: self.control_sent,
+            data_sent: self.data_sent,
+            ..NeFinal::default()
+        };
+        self.star.finals.ne(self.group, self.id, counts);
+    }
 }
 
 /// A tunnelled MH: receives unicast copies; announces care-of changes.
@@ -201,20 +196,19 @@ impl Actor<TunMsg, ProtoEvent> for TunMh {
                     );
                 }
             }
-            TunMsg::FlushStats => {
-                let counts = MhCounters {
-                    delivered: self.delivered,
-                    duplicates: self.duplicates,
-                    handoffs: self.handoffs,
-                    ..MhCounters::default()
-                };
-                self.star.finals.mh(self.group, self.guid, counts);
-            }
             _ => {}
         }
     }
 
-    fn on_timer(&mut self, _: &mut Ctx<'_, TunMsg, ProtoEvent>, _: u64) {}
+    fn on_stop(&mut self) {
+        let counts = MhCounters {
+            delivered: self.delivered,
+            duplicates: self.duplicates,
+            handoffs: self.handoffs,
+            ..MhCounters::default()
+        };
+        self.star.finals.mh(self.group, self.guid, counts);
+    }
 }
 
 /// A built tunnelling simulation.
@@ -263,7 +257,6 @@ impl MulticastSim for TunnelSim {
         let plan = StarPlan {
             sizer: tun_wire_size,
             source_data: |seq| TunMsg::SourceData { seq },
-            flush: TunMsg::FlushStats,
             hub_link: &scenario.links.top_ring,
             // Late joiners idle at AP 0 until their `Join` hands them off.
             placements: scenario.walkers.iter().map(|w| w.unwrap_or(0)).collect(),

@@ -63,8 +63,6 @@ pub(crate) enum UnMsg {
         /// Missing sequence numbers.
         missing: Vec<u64>,
     },
-    /// Teardown probe (emit final statistics).
-    FlushStats,
 }
 
 fn un_wire_size(msg: &UnMsg) -> usize {
@@ -72,7 +70,6 @@ fn un_wire_size(msg: &UnMsg) -> usize {
         UnMsg::SourceData { .. } | UnMsg::Data { .. } => 40 + 512,
         UnMsg::Ack { .. } => 24,
         UnMsg::Nack { missing, .. } => 24 + 8 * missing.len(),
-        UnMsg::FlushStats => 0,
     }
 }
 
@@ -371,15 +368,6 @@ impl Actor<UnMsg, ProtoEvent> for UnNe {
                     }
                 }
             }
-            UnMsg::FlushStats => {
-                let overflow = self.streams.values().map(|s| s.mq.overflow_drops as u32);
-                let counts = NeFinal {
-                    mq_peak: self.peak_total as u32,
-                    mq_overflow: overflow.sum(),
-                    ..NeFinal::default()
-                };
-                self.finals.ne(self.group, self.id, counts);
-            }
         }
     }
 
@@ -388,6 +376,16 @@ impl Actor<UnMsg, ProtoEvent> for UnNe {
             self.tick(ctx);
             ctx.set_timer(HOP_TICK, TAG_HOP);
         }
+    }
+
+    fn on_stop(&mut self) {
+        let overflow = self.streams.values().map(|s| s.mq.overflow_drops as u32);
+        let counts = NeFinal {
+            mq_peak: self.peak_total as u32,
+            mq_overflow: overflow.sum(),
+            ..NeFinal::default()
+        };
+        self.finals.ne(self.group, self.id, counts);
     }
 }
 
@@ -410,54 +408,43 @@ impl Actor<UnMsg, ProtoEvent> for UnMh {
     }
 
     fn on_packet(&mut self, ctx: &mut Ctx<'_, UnMsg, ProtoEvent>, _from: NodeAddr, msg: UnMsg) {
-        match msg {
-            UnMsg::Data { corr, seq } => {
-                let cfg_cap = self.cfg.mq_capacity;
-                let (mq, _) = self
-                    .streams
-                    .entry(corr)
-                    .or_insert_with(|| (MessageQueue::new(cfg_cap), AckGate::default()));
-                let data = MsgData {
-                    source: corr,
-                    local_seq: LocalSeq(seq),
-                    ordering_node: corr,
-                    payload: PayloadId(seq),
-                };
-                if mq.insert(GlobalSeq(seq), data) != ringnet_core::InsertOutcome::Stored {
-                    return;
-                }
-                for item in mq.poll_deliverable() {
-                    match item {
-                        ringnet_core::DeliverItem::Deliver(gsn, d) => {
-                            self.delivered += 1;
-                            ctx.record(ProtoEvent::MhDeliver {
-                                group: self.group,
-                                mh: self.guid,
-                                gsn,
-                                source: d.source,
-                                local_seq: d.local_seq,
-                            });
-                        }
-                        ringnet_core::DeliverItem::Skip(gsn) => {
-                            self.skipped += 1;
-                            ctx.record(ProtoEvent::MhSkip {
-                                group: self.group,
-                                mh: self.guid,
-                                gsn,
-                            });
-                        }
+        if let UnMsg::Data { corr, seq } = msg {
+            let cfg_cap = self.cfg.mq_capacity;
+            let (mq, _) = self
+                .streams
+                .entry(corr)
+                .or_insert_with(|| (MessageQueue::new(cfg_cap), AckGate::default()));
+            let data = MsgData {
+                source: corr,
+                local_seq: LocalSeq(seq),
+                ordering_node: corr,
+                payload: PayloadId(seq),
+            };
+            if mq.insert(GlobalSeq(seq), data) != ringnet_core::InsertOutcome::Stored {
+                return;
+            }
+            for item in mq.poll_deliverable() {
+                match item {
+                    ringnet_core::DeliverItem::Deliver(gsn, d) => {
+                        self.delivered += 1;
+                        ctx.record(ProtoEvent::MhDeliver {
+                            group: self.group,
+                            mh: self.guid,
+                            gsn,
+                            source: d.source,
+                            local_seq: d.local_seq,
+                        });
+                    }
+                    ringnet_core::DeliverItem::Skip(gsn) => {
+                        self.skipped += 1;
+                        ctx.record(ProtoEvent::MhSkip {
+                            group: self.group,
+                            mh: self.guid,
+                            gsn,
+                        });
                     }
                 }
             }
-            UnMsg::FlushStats => {
-                let counts = MhCounters {
-                    delivered: self.delivered,
-                    skipped: self.skipped,
-                    ..MhCounters::default()
-                };
-                self.finals.mh(self.group, self.guid, counts);
-            }
-            _ => {}
         }
     }
 
@@ -520,6 +507,15 @@ impl Actor<UnMsg, ProtoEvent> for UnMh {
         }
         ctx.set_timer(HOP_TICK, TAG_HOP);
     }
+
+    fn on_stop(&mut self) {
+        let counts = MhCounters {
+            delivered: self.delivered,
+            skipped: self.skipped,
+            ..MhCounters::default()
+        };
+        self.finals.mh(self.group, self.guid, counts);
+    }
 }
 
 /// A built unordered-RingNet simulation.
@@ -551,7 +547,6 @@ impl MulticastSim for UnorderedSim {
         let finals = FinalsSink::default();
 
         let mut sim: Sim<UnMsg, ProtoEvent> = Sim::with_options(seed, true, un_wire_size);
-        let mut answering = Vec::new();
         for entity in spec.entities() {
             let actor: BoxedActor<UnMsg> = match entity {
                 Entity::Source(src) => Box::new(Source {
@@ -589,10 +584,7 @@ impl MulticastSim for UnorderedSim {
                     })
                 }
             };
-            let addr = sim.add_node(actor);
-            if !matches!(entity, Entity::Source(_)) {
-                answering.push(addr);
-            }
+            sim.add_node(actor);
         }
         let topo = &mut sim.world().topo;
         let ne = |id| map.ne(id).expect("validated spec wires a declared NE");
@@ -600,14 +592,7 @@ impl MulticastSim for UnorderedSim {
             topo.connect_duplex(a, b, profile.clone());
         }
 
-        let flush = (UnMsg::FlushStats, answering);
-        UnorderedSim(World::new(
-            sim,
-            flush,
-            finals,
-            hierarchy_core(&spec),
-            scenario,
-        ))
+        UnorderedSim(World::new(sim, finals, hierarchy_core(&spec), scenario))
     }
 
     fn schedule(&mut self, _event: ScenarioEvent) {

@@ -1,7 +1,7 @@
 //! What the three baselines that speak their own message type (tunnel,
 //! RelM, unordered) share: the [`World`] skeleton every one of them is — a
-//! simulator, the addresses that answer the teardown probe, the sink their
-//! answers go to and the scenario's [`Reporting`] over the wired core —
+//! simulator, the sink its actors hand their end-of-run counters to when
+//! the run stops, and the scenario's [`Reporting`] over the wired core —
 //! and the [`Star`] assembly of the two single-ingest ones.
 
 use std::collections::BTreeSet;
@@ -11,15 +11,15 @@ use ringnet_core::driver::{Reporting, RunReport, Scenario};
 use ringnet_core::hierarchy::TrafficPattern;
 use ringnet_core::metrics::{Finals, NeFinal};
 use ringnet_core::{GroupId, Guid, MhCounters, NodeId, ProtoEvent};
-use simnet::{Actor, Journal, LinkProfile, NodeAddr, Sim, SimDuration, SimTime};
+use simnet::{Actor, Journal, LinkProfile, NodeAddr, Sim, SimTime};
 
 use crate::source::Source;
 
 /// An actor of a world speaking `M`.
 pub(crate) type BoxedActor<M> = Box<dyn Actor<M, ProtoEvent>>;
 
-/// Where a world's actors put their end-of-run counters when the teardown
-/// probe reaches them; shared by the [`World`] and every answering actor.
+/// Where a world's actors put their end-of-run counters when the run stops
+/// ([`Actor::on_stop`]); shared by the [`World`] and every counting actor.
 #[derive(Clone, Default)]
 pub(crate) struct FinalsSink(Arc<Mutex<Finals>>);
 
@@ -42,10 +42,7 @@ impl FinalsSink {
 /// assembly and its `schedule`.
 pub(crate) struct World<M> {
     pub(crate) sim: Sim<M, ProtoEvent>,
-    /// The teardown probe and every address that answers it (all but the
-    /// sources), ascending.
-    flush: (M, Vec<NodeAddr>),
-    /// Where the answers to the probe go.
+    /// Where the actors hand their counters when the run stops.
     finals: FinalsSink,
     reporting: Reporting,
 }
@@ -53,10 +50,9 @@ pub(crate) struct World<M> {
 impl<M: Clone + 'static> World<M> {
     /// Wrap an assembled simulator, setting its journal up per the
     /// scenario's retention mode; `core` is its wired-core entity ids and
-    /// `finals` the sink its actors answer the probe into.
+    /// `finals` the sink its actors stop into.
     pub fn new(
         mut sim: Sim<M, ProtoEvent>,
-        flush: (M, Vec<NodeAddr>),
         finals: FinalsSink,
         core: BTreeSet<NodeId>,
         scenario: &Scenario,
@@ -65,7 +61,6 @@ impl<M: Clone + 'static> World<M> {
         let reporting = Reporting::install_journal(journal, scenario, core);
         World {
             sim,
-            flush,
             finals,
             reporting,
         }
@@ -79,16 +74,9 @@ impl<M: Clone + 'static> World<M> {
         &mut self.sim.world().journal
     }
 
-    /// Ask every entity and MH for its end-of-run counters, drain just
-    /// those events and tear down into the report.
-    pub fn finish(mut self) -> RunReport {
-        let (probe, targets) = self.flush;
-        let w = self.sim.world();
-        for addr in targets {
-            w.inject(addr, addr, probe.clone(), SimDuration::ZERO);
-        }
-        let t = self.sim.now() + SimDuration::from_nanos(1);
-        self.sim.run_until(t);
+    /// Stop the simulator, which hands every actor's end-of-run counters
+    /// to the sink, and tear down into the report.
+    pub fn finish(self) -> RunReport {
         let (journal, stats) = self.sim.finish();
         let finals = std::mem::take(&mut *self.finals.lock());
         self.reporting.finish(journal, stats, finals)
@@ -142,7 +130,6 @@ impl Star {
 pub(crate) struct StarPlan<'a, M> {
     pub sizer: fn(&M) -> usize,
     pub source_data: fn(u64) -> M,
-    pub flush: M,
     pub hub_link: &'a LinkProfile,
     /// Initial attachment index per walker.
     pub placements: Vec<usize>,
@@ -169,8 +156,10 @@ impl<M: Clone + 'static> StarPlan<'_, M> {
         });
 
         let mut sim: Sim<M, ProtoEvent> = Sim::with_options(seed, true, self.sizer);
-        let mut answering = vec![sim.add_node(hub(&star))];
-        answering.extend(edge_ids.iter().map(|&id| sim.add_node(edge(&star, id))));
+        sim.add_node(hub(&star));
+        for &id in &edge_ids {
+            sim.add_node(edge(&star, id));
+        }
         let source = sim.add_node(Box::new(Source {
             target: Star::HUB,
             pattern: TrafficPattern::Cbr {
@@ -182,7 +171,9 @@ impl<M: Clone + 'static> StarPlan<'_, M> {
             seq: 0,
             make: self.source_data,
         }));
-        answering.extend((star.walkers()).map(|(guid, home)| sim.add_node(mh(&star, guid, home))));
+        for (guid, home) in star.walkers() {
+            sim.add_node(mh(&star, guid, home));
+        }
 
         let topo = &mut sim.world().topo;
         for edge in star.edges() {
@@ -197,7 +188,7 @@ impl<M: Clone + 'static> StarPlan<'_, M> {
 
         let core = BTreeSet::from([NodeId(0)]);
         let finals = star.finals.clone();
-        let world = World::new(sim, (self.flush, answering), finals, core, scenario);
+        let world = World::new(sim, finals, core, scenario);
         (world, star)
     }
 }

@@ -47,12 +47,9 @@ use std::sync::{Arc, Mutex};
 use simnet::{Histogram, LinkProfile, SimDuration, SimStats, SimTime};
 
 use crate::config::HOP_TICK;
-use crate::engine::RingNetSim;
-use crate::hierarchy::{
-    attachment_entity, spec_core_order, HierarchySpec, LinkPlan, TrafficPattern,
-};
 pub use crate::hierarchy::{degenerate_tree_spec, flat_ring_spec, hierarchy_core, ringnet_spec};
-use crate::ids::{GroupId, Guid, NodeId};
+use crate::hierarchy::{LinkPlan, TrafficPattern};
+use crate::ids::{GroupId, NodeId};
 use crate::metrics;
 use crate::ProtoEvent;
 use crate::ProtocolConfig;
@@ -1180,125 +1177,12 @@ pub trait MulticastSim: Sized {
     }
 }
 
-// ------------------------------------------------- RingNetSim as backend
-
-fn core_entity(spec: &HierarchySpec, index: usize, what: &str) -> NodeId {
-    let core = spec_core_order(spec);
-    *core.get(index).unwrap_or_else(|| {
-        panic!(
-            "{what} index {index} out of range ({} core entities)",
-            core.len()
-        )
-    })
-}
-
-impl RingNetSim {
-    /// The one "spec + scenario → simulation with reporting installed"
-    /// constructor behind every RingNet-engine backend (RingNet, tree,
-    /// flat ring): build `spec` on `shards` event-queue shards and set the
-    /// journal up per the scenario's retention mode. Torn down by
-    /// [`MulticastSim::finish`].
-    pub fn for_scenario(
-        spec: HierarchySpec,
-        scenario: &Scenario,
-        seed: u64,
-        shards: usize,
-    ) -> Self {
-        let mut sim = RingNetSim::build_sharded(spec, seed, shards, 0);
-        let core = hierarchy_core(&sim.spec);
-        let reporting = Reporting::install_journal(sim.journal_mut(), scenario, core);
-        sim.reporting = Some(reporting);
-        sim
-    }
-}
-
-impl MulticastSim for RingNetSim {
-    fn build(scenario: &Scenario, seed: u64) -> Self {
-        RingNetSim::for_scenario(ringnet_spec(scenario), scenario, seed, scenario.shards)
-    }
-
-    fn schedule(&mut self, event: ScenarioEvent) {
-        match event {
-            ScenarioEvent::Handoff { at, walker, to } => {
-                let ap = attachment_entity(&self.spec, to, "Handoff");
-                self.schedule_handoff(at, Guid(walker as u32), ap);
-            }
-            ScenarioEvent::Join { at, walker, at_ap } => {
-                let ap = attachment_entity(&self.spec, at_ap, "Join");
-                self.schedule_join(at, Guid(walker as u32), ap);
-            }
-            ScenarioEvent::KillCore { at, index } => {
-                let victim = core_entity(&self.spec, index, "KillCore");
-                self.schedule_kill_ne(at, victim);
-            }
-            ScenarioEvent::KillWalker { at, walker } => {
-                self.schedule_kill_mh(at, Guid(walker as u32));
-            }
-            ScenarioEvent::ApCrash { at, ap } => {
-                let ap = attachment_entity(&self.spec, ap, "ApCrash");
-                self.schedule_kill_ne(at, ap);
-            }
-            ScenarioEvent::ApRestart { at, ap } => {
-                let ap = attachment_entity(&self.spec, ap, "ApRestart");
-                self.schedule_restart_ne(at, ap);
-            }
-            ScenarioEvent::PartitionCore { at, a, b } => {
-                let a = core_entity(&self.spec, a, "PartitionCore");
-                let b = core_entity(&self.spec, b, "PartitionCore");
-                self.schedule_link_state(at, a, b, false);
-            }
-            ScenarioEvent::HealCore { at, a, b } => {
-                let a = core_entity(&self.spec, a, "HealCore");
-                let b = core_entity(&self.spec, b, "HealCore");
-                self.schedule_link_state(at, a, b, true);
-            }
-            ScenarioEvent::DropToken { at } => {
-                self.schedule_token_drop(at);
-            }
-            ScenarioEvent::RingRejoin { at, index } => {
-                let member = core_entity(&self.spec, index, "RingRejoin");
-                self.schedule_restart_ne(at, member);
-            }
-            ScenarioEvent::PartitionRing { at, isolate } => {
-                let member = core_entity(&self.spec, isolate, "PartitionRing");
-                self.schedule_ring_isolation(at, member, false);
-            }
-            ScenarioEvent::HealRing { at, isolate } => {
-                let member = core_entity(&self.spec, isolate, "HealRing");
-                self.schedule_ring_isolation(at, member, true);
-            }
-            ScenarioEvent::ReplayControl { at, kind, index } => {
-                let member = core_entity(&self.spec, index, "ReplayControl");
-                self.schedule_control_replay(at, kind, member);
-            }
-        }
-    }
-
-    fn run_until(&mut self, t: SimTime) {
-        RingNetSim::run_until(self, t);
-    }
-
-    fn finish(mut self) -> RunReport {
-        let reporting = self
-            .reporting
-            .take()
-            .expect("built by RingNetSim::for_scenario");
-        let telemetry = self.spec.cfg.telemetry;
-        let shard_of = std::mem::take(&mut self.telemetry_shards);
-        let harvest = Arc::clone(&self.harvest);
-        let (journal, stats, finals) = RingNetSim::finish(self);
-        let mut report = reporting.finish(journal, stats, finals);
-        report.telemetry = telemetry.then(|| crate::telemetry::TelemetryReport {
-            nodes: std::mem::take(&mut crate::engine::lock(&harvest).telemetry),
-            shard_of,
-        });
-        report
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::RingNetSim;
+    use crate::hierarchy::{spec_core_order, HierarchySpec};
+    use crate::ids::Guid;
 
     fn small() -> Scenario {
         ScenarioBuilder::new()

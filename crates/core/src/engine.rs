@@ -1,6 +1,9 @@
 //! The simulation engine: instantiates a [`HierarchySpec`] as a `simnet`
-//! simulation and provides the scenario API (handoffs, failures, late
-//! joins, the teardown harvest).
+//! simulation and drives it as the RingNet [`MulticastSim`] backend — every
+//! [`ScenarioEvent`] (handoffs, failures, late joins, partitions, replays)
+//! becomes one scheduled control closure, and the run ends with each actor
+//! handing its end-of-run counters to a shared harvest from
+//! [`Actor::on_stop`].
 //!
 //! All protocol logic lives in the sans-IO state machines; the actors here
 //! only translate [`Action`]s into simulator calls and drive the timers: an
@@ -19,9 +22,13 @@ use simnet::{
 
 use crate::actions::{Action, Outbox};
 use crate::config::{HEARTBEAT_PERIOD, HOP_TICK};
+use crate::driver::{
+    hierarchy_core, ringnet_spec, MulticastSim, ReplayKind, Reporting, RunReport, Scenario,
+    ScenarioEvent,
+};
 use crate::events::ProtoEvent;
-use crate::hierarchy::{Entity, HierarchySpec, TrafficPattern};
-use crate::ids::{Endpoint, GroupId, Guid, LocalSeq, NodeId, PayloadId};
+use crate::hierarchy::{attachment_entity, spec_core_order, Entity, HierarchySpec, TrafficPattern};
+use crate::ids::{Endpoint, GlobalSeq, GroupId, Guid, LocalSeq, NodeId, PayloadId};
 use crate::metrics::Finals;
 use crate::mh::MhState;
 use crate::msg::Msg;
@@ -150,20 +157,21 @@ fn wire_size(msg: &Msg) -> usize {
 
 // --------------------------------------------------------------- harvest
 
-/// What the teardown [`Msg::FlushStats`] sweep collects from every actor:
-/// each live state's end-of-run counters, and — with telemetry on — each
-/// NE's merged telemetry dump. Both maps are keyed, so the order in which
-/// actors (and shards) reach the sink cannot affect the result.
+/// What every NE and MH actor hands over when the run stops
+/// ([`Actor::on_stop`]): each live state's end-of-run counters, and — with
+/// telemetry on — each NE's merged telemetry dump. Both maps are keyed, so
+/// the order in which actors (and shards) reach the sink cannot affect the
+/// result.
 #[derive(Debug, Default)]
-pub(crate) struct Harvest {
-    pub(crate) finals: Finals,
-    pub(crate) telemetry: BTreeMap<NodeId, NodeDump>,
+struct Harvest {
+    finals: Finals,
+    telemetry: BTreeMap<NodeId, NodeDump>,
 }
 
 /// The harvest, shared by the simulation and every NE and MH actor.
-pub(crate) type HarvestSink = Arc<Mutex<Harvest>>;
+type HarvestSink = Arc<Mutex<Harvest>>;
 
-pub(crate) fn lock(sink: &HarvestSink) -> std::sync::MutexGuard<'_, Harvest> {
+fn lock(sink: &HarvestSink) -> std::sync::MutexGuard<'_, Harvest> {
     sink.lock().expect("harvest sink poisoned")
 }
 
@@ -256,8 +264,7 @@ struct NeActor {
     /// queue across a revival; their stale generation makes them fall dead
     /// instead of rescheduling a duplicate tick chain.
     timer_gen: u64,
-    /// Where the teardown `FlushStats` sweep leaves this node's counters
-    /// and telemetry.
+    /// Where this node's counters and telemetry go when the run stops.
     harvest: HarvestSink,
 }
 
@@ -323,26 +330,6 @@ impl NeActor {
                     st.on_msg(now, from_ep, msg, out);
                 }
             }
-        }
-    }
-
-    /// The teardown probe: hand over every live state's counters, and the
-    /// merged telemetry of every state, dead ones included — a crashed
-    /// node's flight recorder is exactly the postmortem evidence wanted.
-    fn harvest(&self) {
-        let mut harvest = lock(&self.harvest);
-        for st in &self.states {
-            if let Some(finals) = st.finals() {
-                harvest.finals.ne.insert((st.group, st.id), finals);
-            }
-        }
-        let dumps: Vec<_> = self
-            .states
-            .iter()
-            .filter_map(|s| s.telemetry.dump())
-            .collect();
-        if let Some(dump) = NodeDump::merge(dumps) {
-            harvest.telemetry.insert(self.my_id(), dump);
         }
     }
 
@@ -450,10 +437,6 @@ impl Actor<Msg, ProtoEvent> for NeActor {
     }
 
     fn on_packet(&mut self, ctx: &mut Ctx<'_, Msg, ProtoEvent>, from: NodeAddr, msg: Msg) {
-        if let Msg::FlushStats { .. } = msg {
-            self.harvest();
-            return;
-        }
         let from_ep = self.map.endpoint_of(from);
         let now = ctx.now();
         let was_alive = self.any_alive();
@@ -516,6 +499,26 @@ impl Actor<Msg, ProtoEvent> for NeActor {
         }
         self.flush(ctx);
     }
+
+    /// Hand over every live state's counters, and the merged telemetry of
+    /// every state, dead ones included — a crashed node's flight recorder
+    /// is exactly the postmortem evidence wanted.
+    fn on_stop(&mut self) {
+        let mut harvest = lock(&self.harvest);
+        for st in &self.states {
+            if let Some(finals) = st.finals() {
+                harvest.finals.ne.insert((st.group, st.id), finals);
+            }
+        }
+        let dumps: Vec<_> = self
+            .states
+            .iter()
+            .filter_map(|s| s.telemetry.dump())
+            .collect();
+        if let Some(dump) = NodeDump::merge(dumps) {
+            harvest.telemetry.insert(self.my_id(), dump);
+        }
+    }
 }
 
 struct MhActor {
@@ -527,8 +530,7 @@ struct MhActor {
     /// Sends awaiting per-hop framing (an MH emits control only).
     framer: Box<Framer>,
     initial_ap: Option<NodeId>,
-    /// Where the teardown `FlushStats` sweep leaves the live states'
-    /// counters.
+    /// Where the live states' counters go when the run stops.
     harvest: HarvestSink,
     /// Where the hop-tick grid starts: tick `k` is at `origin + k · HOP_TICK`.
     origin: SimTime,
@@ -687,16 +689,6 @@ impl Actor<Msg, ProtoEvent> for MhActor {
     }
 
     fn on_packet(&mut self, ctx: &mut Ctx<'_, Msg, ProtoEvent>, from: NodeAddr, msg: Msg) {
-        if let Msg::FlushStats { .. } = msg {
-            // The teardown probe: hand over every live state's counters.
-            let mut harvest = lock(&self.harvest);
-            for st in &self.states {
-                if let Some(counters) = st.finals() {
-                    harvest.finals.mh.insert((st.group, st.guid), counters);
-                }
-            }
-            return;
-        }
         let from_ep = self.map.endpoint_of(from);
         let now = ctx.now();
         self.tick_if_due(ctx);
@@ -731,6 +723,16 @@ impl Actor<Msg, ProtoEvent> for MhActor {
         }
         self.tick(ctx);
         self.flush(ctx);
+    }
+
+    /// Hand over every live state's counters.
+    fn on_stop(&mut self) {
+        let mut harvest = lock(&self.harvest);
+        for st in &self.states {
+            if let Some(counters) = st.finals() {
+                harvest.finals.mh.insert((st.group, st.guid), counters);
+            }
+        }
     }
 }
 
@@ -1002,7 +1004,7 @@ enum Net {
     Sharded(ShardedSim<Msg, ProtoEvent>),
 }
 
-/// A built RingNet simulation plus its scenario API.
+/// A built RingNet simulation: the RingNet [`MulticastSim`] backend.
 pub struct RingNetSim {
     net: Net,
     /// Identity ↔ address translation.
@@ -1010,15 +1012,14 @@ pub struct RingNetSim {
     /// The spec this simulation was built from.
     pub spec: HierarchySpec,
     /// Report assembly, installed by the scenario constructor
-    /// ([`RingNetSim::for_scenario`]) that [`crate::driver::MulticastSim`]
-    /// builds through.
-    pub(crate) reporting: Option<crate::driver::Reporting>,
-    /// The teardown harvest shared with every NE and MH actor, filled
-    /// during [`Self::finish`]'s `FlushStats` sweep.
-    pub(crate) harvest: HarvestSink,
+    /// ([`RingNetSim::for_scenario`]) that [`MulticastSim`] builds through.
+    reporting: Option<Reporting>,
+    /// The harvest shared with every NE and MH actor, filled when
+    /// [`Self::finish`] stops them.
+    harvest: HarvestSink,
     /// Node → shard placement for the telemetry report (empty in the
     /// sequential build: everything on shard 0).
-    pub(crate) telemetry_shards: std::collections::BTreeMap<NodeId, u32>,
+    telemetry_shards: BTreeMap<NodeId, u32>,
 }
 
 impl RingNetSim {
@@ -1046,7 +1047,7 @@ impl RingNetSim {
         let problems = spec.validate();
         assert!(problems.is_empty(), "invalid spec: {problems:?}");
         let harvest = HarvestSink::default();
-        let mut telemetry_shards = std::collections::BTreeMap::new();
+        let mut telemetry_shards = BTreeMap::new();
         // Journalling stays on even in quiet configs: the experiment layer
         // always reads the low-volume records (Ordered, handoffs); the
         // config flags gate only the per-delivery firehose.
@@ -1075,6 +1076,24 @@ impl RingNetSim {
             harvest,
             telemetry_shards,
         }
+    }
+
+    /// The one "spec + scenario → simulation with reporting installed"
+    /// constructor behind every RingNet-engine backend (RingNet, tree,
+    /// flat ring): build `spec` on `shards` event-queue shards and set the
+    /// journal up per the scenario's retention mode. Torn down by
+    /// [`MulticastSim::finish`].
+    pub fn for_scenario(
+        spec: HierarchySpec,
+        scenario: &Scenario,
+        seed: u64,
+        shards: usize,
+    ) -> Self {
+        let mut sim = RingNetSim::build_sharded(spec, seed, shards, 0);
+        let core = hierarchy_core(&sim.spec);
+        let reporting = Reporting::install_journal(sim.journal_mut(), scenario, core);
+        sim.reporting = Some(reporting);
+        sim
     }
 
     /// Cap the sharded drain threads (`0` = available parallelism). A
@@ -1119,8 +1138,9 @@ impl RingNetSim {
         }
     }
 
-    /// Schedule a control closure at `at` — the body of every `schedule_*`
-    /// below, and the hook for faults they do not cover. One closure
+    /// Schedule a control closure at `at` — the body of every
+    /// [`ScenarioEvent`] that [`MulticastSim::schedule`] maps, and the hook
+    /// for faults no event names (cutting a single link, say). One closure
     /// written against [`NetOps`] drives both execution modes (sequential
     /// controls run in event order; sharded controls run coordinator-side
     /// at a window barrier spanning every shard).
@@ -1135,93 +1155,39 @@ impl RingNetSim {
         }
     }
 
-    /// Schedule an MH handoff at `at`: the radio detaches from the current
-    /// AP, attaches to `new_ap`, and the MH is stimulated to re-register.
-    pub fn schedule_handoff(&mut self, at: SimTime, guid: Guid, new_ap: NodeId) {
-        let map = Arc::clone(&self.addrs);
-        let group = self.spec.group;
-        let wireless = self.spec.links.wireless.clone();
-        self.schedule_control(at, move |w| {
-            let Some(mh_addr) = map.mh(guid) else { return };
-            let Some(ap_addr) = map.ne(new_ap) else {
-                return;
-            };
-            let old: Vec<NodeAddr> = w.neighbours_of(mh_addr);
-            for o in old {
-                w.disconnect_duplex(mh_addr, o);
-            }
-            w.connect_duplex(mh_addr, ap_addr, wireless.clone());
-            w.inject(
-                ap_addr,
-                mh_addr,
-                Msg::HandoffTo { group, new_ap },
-                SimDuration::ZERO,
-            );
-        });
+    /// The address of a network entity the spec declares.
+    fn ne_addr(&self, id: NodeId) -> NodeAddr {
+        self.addrs
+            .ne(id)
+            .expect("every declared entity has an address")
     }
 
-    /// Schedule a late group join at `at` for an MH built with
-    /// `initial_ap: None`.
-    pub(crate) fn schedule_join(&mut self, at: SimTime, guid: Guid, ap: NodeId) {
-        let map = Arc::clone(&self.addrs);
-        let group = self.spec.group;
-        let wireless = self.spec.links.wireless.clone();
-        self.schedule_control(at, move |w| {
-            let (Some(mh_addr), Some(ap_addr)) = (map.mh(guid), map.ne(ap)) else {
-                return;
-            };
-            if !w.has_link(mh_addr, ap_addr) {
-                w.connect_duplex(mh_addr, ap_addr, wireless.clone());
-            }
-            w.inject(
-                ap_addr,
-                mh_addr,
-                Msg::JoinCmd { group, ap },
-                SimDuration::ZERO,
-            );
-        });
-    }
-
-    /// Schedule a crash-stop failure of a network entity at `at`.
-    pub fn schedule_kill_ne(&mut self, at: SimTime, node: NodeId) {
-        let map = Arc::clone(&self.addrs);
+    /// Schedule an engine stimulus — a kill, a restart or a token drop — at
+    /// `at`: each of `targets` injects it into itself.
+    fn stimulate(&mut self, at: SimTime, targets: Vec<NodeAddr>, stimulus: fn(GroupId) -> Msg) {
         let group = self.spec.group;
         self.schedule_control(at, move |w| {
-            if let Some(addr) = map.ne(node) {
-                w.inject(addr, addr, Msg::Kill { group }, SimDuration::ZERO);
+            for addr in targets {
+                w.inject(addr, addr, stimulus(group), SimDuration::ZERO);
             }
         });
     }
 
-    /// Schedule a restart of a crashed entity at `at` (see
-    /// [`crate::node::NeState::restart`]): a restarted AP re-grafts on
-    /// demand; a restarted BR/AG re-enters its repaired ring via the
-    /// rejoin handshake.
-    pub fn schedule_restart_ne(&mut self, at: SimTime, node: NodeId) {
-        let map = Arc::clone(&self.addrs);
-        let group = self.spec.group;
+    /// Schedule every direct link between `member` and each of `peers` to
+    /// go administratively down (`up = false`) or come back up at `at`. A
+    /// pair without a direct link is a no-op.
+    fn set_links(&mut self, at: SimTime, member: NodeAddr, peers: Vec<NodeAddr>, up: bool) {
         self.schedule_control(at, move |w| {
-            if let Some(addr) = map.ne(node) {
-                w.inject(addr, addr, Msg::Restart { group }, SimDuration::ZERO);
+            for peer in peers {
+                w.set_duplex_up(member, peer, up);
             }
         });
     }
 
-    /// Schedule an administrative up/down change of every direct link
-    /// between two entities at `at` (wired partition / heal fault
-    /// injection). Pairs without a direct link are a no-op.
-    pub fn schedule_link_state(&mut self, at: SimTime, a: NodeId, b: NodeId, up: bool) {
-        let map = Arc::clone(&self.addrs);
-        self.schedule_control(at, move |w| {
-            if let (Some(aa), Some(ba)) = (map.ne(a), map.ne(b)) {
-                w.set_duplex_up(aa, ba, up);
-            }
-        });
-    }
-
-    /// The static ring peers of `member`: its fellow top-ring members when
-    /// it is a BR, the other members of its AG ring otherwise.
-    fn ring_peers_of(&self, member: NodeId) -> Vec<NodeId> {
+    /// The addresses of the static ring peers of `member`: its fellow
+    /// top-ring members when it is a BR, the other members of its AG ring
+    /// otherwise.
+    fn ring_peers_of(&self, member: NodeId) -> Vec<NodeAddr> {
         let ring: &[NodeId] = if self.spec.top_ring.contains(&member) {
             &self.spec.top_ring
         } else {
@@ -1232,117 +1198,168 @@ impl RingNetSim {
                 .map(|r| r.members.as_slice())
                 .unwrap_or(&[])
         };
-        ring.iter().copied().filter(|&m| m != member).collect()
+        let peers = ring.iter().filter(|&&m| m != member);
+        peers.map(|&m| self.ne_addr(m)).collect()
     }
 
-    /// Schedule a ring partition (or its heal) at `at`: every direct link
-    /// between `member` and the other members of its logical ring goes
-    /// administratively down (`up = false`) or comes back (`up = true`).
-    /// A ring-of-one member has no ring links, so this is a no-op there.
-    pub(crate) fn schedule_ring_isolation(&mut self, at: SimTime, member: NodeId, up: bool) {
-        let map = Arc::clone(&self.addrs);
-        let peers = self.ring_peers_of(member);
-        self.schedule_control(at, move |w| {
-            let Some(ma) = map.ne(member) else { return };
-            for pa in peers.into_iter().filter_map(|p| map.ne(p)) {
-                w.set_duplex_up(ma, pa, up);
-            }
-        });
-    }
-
-    /// Schedule a Byzantine-ish control replay at `at` (see
-    /// [`crate::driver::ReplayKind`]): a duplicated, delayed copy of a
-    /// Token / RingFail / RejoinGrant concerning `member` is re-injected —
-    /// the token by the member itself, the broadcasts to its ring peers.
-    pub(crate) fn schedule_control_replay(
-        &mut self,
-        at: SimTime,
-        kind: crate::driver::ReplayKind,
-        member: NodeId,
-    ) {
-        use crate::driver::ReplayKind;
-        let map = Arc::clone(&self.addrs);
-        let group = self.spec.group;
-        let peers = self.ring_peers_of(member);
-        self.schedule_control(at, move |w| {
-            let Some(ma) = map.ne(member) else { return };
-            let peers: Vec<NodeAddr> = peers.into_iter().filter_map(|p| map.ne(p)).collect();
-            let (dsts, copy): (Vec<NodeAddr>, fn(GroupId, NodeId) -> Msg) = match kind {
-                // The member re-sends its kept snapshot — a delayed
-                // duplicate of a pass it already forwarded.
-                ReplayKind::Token => (vec![ma], |group, _| Msg::ReplayToken { group }),
-                ReplayKind::RingFail => (peers, |group, failed| Msg::RingFail { group, failed }),
-                ReplayKind::RejoinGrant => (peers, |group, member| Msg::RejoinGrant {
-                    group,
-                    member,
-                    front: crate::ids::GlobalSeq::ZERO,
-                    pass: None,
-                }),
-            };
-            for dst in dsts {
-                w.inject(ma, dst, copy(group, member), SimDuration::ZERO);
-            }
-        });
-    }
-
-    /// Schedule forced token loss at `at`: every top-ring node is armed to
-    /// black-hole the next current-epoch token it receives (the first
-    /// transfer after `at` vanishes; Token-Regeneration must recover).
-    pub(crate) fn schedule_token_drop(&mut self, at: SimTime) {
-        let map = Arc::clone(&self.addrs);
-        let group = self.spec.group;
-        let ring = self.spec.top_ring.clone();
-        self.schedule_control(at, move |w| {
-            for &node in &ring {
-                if let Some(addr) = map.ne(node) {
-                    w.inject(addr, addr, Msg::DropToken { group }, SimDuration::ZERO);
-                }
-            }
-        });
-    }
-
-    /// Schedule a crash-stop failure of a mobile host at `at`.
-    pub fn schedule_kill_mh(&mut self, at: SimTime, guid: Guid) {
-        let map = Arc::clone(&self.addrs);
-        let group = self.spec.group;
-        self.schedule_control(at, move |w| {
-            if let Some(addr) = map.mh(guid) {
-                w.inject(addr, addr, Msg::Kill { group }, SimDuration::ZERO);
-            }
-        });
-    }
-
-    /// Send every entity and MH the teardown probe, drain just those
-    /// events, and return `(journal, transport stats, end-of-run counters)`.
+    /// Stop the simulation — every NE and MH actor hands its counters (and
+    /// telemetry) to the harvest from [`Actor::on_stop`] — and return
+    /// `(journal, transport stats, end-of-run counters)`.
     pub fn finish(self) -> (Vec<(SimTime, ProtoEvent)>, SimStats, Finals) {
-        let group = self.spec.group;
-        let flush_targets: Vec<NodeAddr> = self.addrs.rev.keys().copied().collect();
         let (journal, stats) = match self.net {
-            Net::Seq(mut s) => {
-                let w = s.world();
-                for addr in flush_targets {
-                    w.inject(addr, addr, Msg::FlushStats { group }, SimDuration::ZERO);
-                }
-                // Drain only the flush events: advance a hair past `now`.
-                let t = s.now() + SimDuration::from_nanos(1);
-                s.run_until(t);
-                s.finish()
-            }
-            Net::Sharded(mut s) => {
-                // Flush via a barrier control so every shard observes it at
-                // the same window edge, then drain a hair past `now`.
-                let at = s.now();
-                s.schedule_control(at, move |v| {
-                    for addr in flush_targets {
-                        v.inject(addr, addr, Msg::FlushStats { group }, SimDuration::ZERO);
-                    }
-                });
-                s.run_until(at + SimDuration::from_nanos(1));
-                s.finish()
-            }
+            Net::Seq(s) => s.finish(),
+            Net::Sharded(s) => s.finish(),
         };
         let finals = std::mem::take(&mut lock(&self.harvest).finals);
         (journal, stats, finals)
+    }
+}
+
+// ------------------------------------------------- RingNetSim as backend
+
+/// The `index`-th wired-core entity of `spec` (BRs, then AGs): a BR's index
+/// is its id. Panics, naming `event`, when out of range.
+fn core_entity(spec: &HierarchySpec, index: usize, event: &ScenarioEvent) -> NodeId {
+    let core = spec_core_order(spec);
+    let n = core.len();
+    *core
+        .get(index)
+        .unwrap_or_else(|| panic!("{event:?}: index out of range ({n} core entities)"))
+}
+
+impl MulticastSim for RingNetSim {
+    fn build(scenario: &Scenario, seed: u64) -> Self {
+        RingNetSim::for_scenario(ringnet_spec(scenario), scenario, seed, scenario.shards)
+    }
+
+    /// Each event resolves its indices to addresses and schedules one
+    /// control closure.
+    fn schedule(&mut self, event: ScenarioEvent) {
+        let group = self.spec.group;
+        let walker = |w: usize| self.addrs.mh(Guid(w as u32));
+        let member = |index| core_entity(&self.spec, index, &event);
+        let core = |index| self.ne_addr(member(index));
+        let attachment = |k, what| attachment_entity(&self.spec, k, what);
+        match event {
+            // The radio detaches from the current AP and attaches to the
+            // new one; the MH is stimulated to re-register.
+            ScenarioEvent::Handoff { at, walker: w, to } => {
+                let new_ap = attachment(to, "Handoff");
+                let (mh, ap) = (walker(w), self.ne_addr(new_ap));
+                let wireless = self.spec.links.wireless.clone();
+                self.schedule_control(at, move |net| {
+                    let Some(mh) = mh else { return };
+                    for old in net.neighbours_of(mh) {
+                        net.disconnect_duplex(mh, old);
+                    }
+                    net.connect_duplex(mh, ap, wireless);
+                    let handoff = Msg::HandoffTo { group, new_ap };
+                    net.inject(ap, mh, handoff, SimDuration::ZERO);
+                });
+            }
+            // A walker built with no initial AP joins the group late.
+            ScenarioEvent::Join {
+                at,
+                walker: w,
+                at_ap,
+            } => {
+                let ap_id = attachment(at_ap, "Join");
+                let (mh, ap) = (walker(w), self.ne_addr(ap_id));
+                let wireless = self.spec.links.wireless.clone();
+                self.schedule_control(at, move |net| {
+                    let Some(mh) = mh else { return };
+                    if !net.has_link(mh, ap) {
+                        net.connect_duplex(mh, ap, wireless);
+                    }
+                    let join = Msg::JoinCmd { group, ap: ap_id };
+                    net.inject(ap, mh, join, SimDuration::ZERO);
+                });
+            }
+            ScenarioEvent::KillCore { at, index } => {
+                self.stimulate(at, vec![core(index)], |group| Msg::Kill { group });
+            }
+            ScenarioEvent::KillWalker { at, walker: w } => {
+                let mh = walker(w).into_iter().collect();
+                self.stimulate(at, mh, |group| Msg::Kill { group });
+            }
+            ScenarioEvent::ApCrash { at, ap } => {
+                let ap = self.ne_addr(attachment(ap, "ApCrash"));
+                self.stimulate(at, vec![ap], |group| Msg::Kill { group });
+            }
+            // A restarted AP re-grafts on demand; a restarted BR/AG re-enters
+            // its repaired ring via the rejoin handshake.
+            ScenarioEvent::ApRestart { at, ap } => {
+                let ap = self.ne_addr(attachment(ap, "ApRestart"));
+                self.stimulate(at, vec![ap], |group| Msg::Restart { group });
+            }
+            ScenarioEvent::RingRejoin { at, index } => {
+                self.stimulate(at, vec![core(index)], |group| Msg::Restart { group });
+            }
+            ScenarioEvent::PartitionCore { at, a, b } | ScenarioEvent::HealCore { at, a, b } => {
+                let up = matches!(event, ScenarioEvent::HealCore { .. });
+                self.set_links(at, core(a), vec![core(b)], up);
+            }
+            // Every top-ring node is armed to black-hole the next
+            // current-epoch token it receives: the first transfer after
+            // `at` vanishes, and Token-Regeneration must recover.
+            ScenarioEvent::DropToken { at } => {
+                let ring = self.spec.top_ring.iter().map(|&n| self.ne_addr(n));
+                self.stimulate(at, ring.collect(), |group| Msg::DropToken { group });
+            }
+            // A ring-of-one member has no ring links: a no-op there.
+            ScenarioEvent::PartitionRing { at, isolate }
+            | ScenarioEvent::HealRing { at, isolate } => {
+                let up = matches!(event, ScenarioEvent::HealRing { .. });
+                let peers = self.ring_peers_of(member(isolate));
+                self.set_links(at, core(isolate), peers, up);
+            }
+            // A duplicated, delayed copy of a control message concerning
+            // the member: the token re-sent by the member itself, the
+            // broadcasts re-delivered to its ring peers.
+            ScenarioEvent::ReplayControl { at, kind, index } => {
+                let (member, from) = (member(index), core(index));
+                let (dsts, copy): (Vec<NodeAddr>, fn(GroupId, NodeId) -> Msg) = match kind {
+                    ReplayKind::Token => (vec![from], |group, _| Msg::ReplayToken { group }),
+                    ReplayKind::RingFail => (self.ring_peers_of(member), |group, failed| {
+                        Msg::RingFail { group, failed }
+                    }),
+                    ReplayKind::RejoinGrant => (self.ring_peers_of(member), |group, member| {
+                        Msg::RejoinGrant {
+                            group,
+                            member,
+                            front: GlobalSeq::ZERO,
+                            pass: None,
+                        }
+                    }),
+                };
+                self.schedule_control(at, move |net| {
+                    for dst in dsts {
+                        net.inject(from, dst, copy(group, member), SimDuration::ZERO);
+                    }
+                });
+            }
+        }
+    }
+
+    fn run_until(&mut self, t: SimTime) {
+        RingNetSim::run_until(self, t);
+    }
+
+    fn finish(mut self) -> RunReport {
+        let reporting = self
+            .reporting
+            .take()
+            .expect("built by RingNetSim::for_scenario");
+        let telemetry = self.spec.cfg.telemetry;
+        let shard_of = std::mem::take(&mut self.telemetry_shards);
+        let harvest = Arc::clone(&self.harvest);
+        let (journal, stats, finals) = RingNetSim::finish(self);
+        let mut report = reporting.finish(journal, stats, finals);
+        report.telemetry = telemetry.then(|| crate::telemetry::TelemetryReport {
+            nodes: std::mem::take(&mut lock(&harvest).telemetry),
+            shard_of,
+        });
+        report
     }
 }
 
@@ -1350,8 +1367,7 @@ impl RingNetSim {
 mod tests {
     use super::*;
     use crate::config::ProtocolConfig;
-    use crate::driver::{ringnet_spec, CoreShape, ScenarioBuilder};
-    use crate::ids::GlobalSeq;
+    use crate::driver::{CoreShape, ScenarioBuilder};
 
     fn small_spec() -> HierarchySpec {
         let sc = ScenarioBuilder::new()
@@ -1366,6 +1382,11 @@ mod tests {
             .message_limit(10)
             .build();
         ringnet_spec(&sc)
+    }
+
+    /// The attachment index and id of the spec's last AP.
+    fn last_ap(spec: &HierarchySpec) -> (usize, NodeId) {
+        (spec.aps.len() - 1, spec.aps.last().expect("APs").id)
     }
 
     #[test]
@@ -1397,6 +1418,43 @@ mod tests {
         // Final stats harvested from every entity and MH.
         assert_eq!(finals.ne.len(), 3 + 4 + 4);
         assert_eq!(finals.mh.len(), 4);
+    }
+
+    /// The report carries the transport stats of the last event the run
+    /// processed: stopping the actors runs no event of its own.
+    #[test]
+    fn report_stats_are_the_stats_before_finish() {
+        let sc = ScenarioBuilder::new()
+            .attachments(4)
+            .sources(2)
+            .cbr(SimDuration::from_millis(20))
+            .message_limit(10)
+            .event(ScenarioEvent::KillWalker {
+                at: SimTime::from_secs(1),
+                walker: 1,
+            })
+            .duration(SimTime::from_secs(2))
+            .build();
+        for shards in [1, 2] {
+            let mut net = RingNetSim::for_scenario(ringnet_spec(&sc), &sc, 7, shards);
+            for &ev in &sc.events {
+                net.schedule(ev);
+            }
+            MulticastSim::run_until(&mut net, sc.duration);
+            let before = net.stats();
+            let report = MulticastSim::finish(net);
+            assert!(before.events > 0);
+            assert_eq!(report.stats, before, "{shards} shard(s)");
+            assert_eq!(report.finals.mh.len(), 3, "the dead walker reports nothing");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "index out of range (7 core entities)")]
+    fn an_out_of_range_core_index_panics_naming_the_event() {
+        let mut net = RingNetSim::build(small_spec(), 1);
+        let at = SimTime::from_secs(1);
+        net.schedule(ScenarioEvent::RingRejoin { at, index: 7 });
     }
 
     #[test]
@@ -1435,8 +1493,12 @@ mod tests {
     fn handoff_scenario_delivers_everything() {
         let mut net = RingNetSim::build(small_spec(), 3);
         // Move MH 0 from its AP to the other ring's AP at t = 1s.
-        let target_ap = net.spec.aps.last().unwrap().id;
-        net.schedule_handoff(SimTime::from_secs(1), Guid(0), target_ap);
+        let (to, target_ap) = last_ap(&net.spec);
+        net.schedule(ScenarioEvent::Handoff {
+            at: SimTime::from_secs(1),
+            walker: 0,
+            to,
+        });
         net.run_until(SimTime::from_secs(4));
         let (journal, ..) = net.finish();
         let registered = journal.iter().any(|(_, e)| {
@@ -1468,7 +1530,10 @@ mod tests {
         }
         let victim = spec.top_ring[2]; // not the token origin (leader 0)
         let mut net = RingNetSim::build(spec, 5);
-        net.schedule_kill_ne(SimTime::from_secs(1), victim);
+        net.schedule(ScenarioEvent::KillCore {
+            at: SimTime::from_secs(1),
+            index: 2,
+        });
         net.run_until(SimTime::from_secs(6));
         let (journal, ..) = net.finish();
         // Ring repair observed.
@@ -1541,8 +1606,12 @@ mod tests {
         // The last AP lives in the last shard block; MH 0 starts in the
         // first, so this handoff rewires a cross-shard wireless link via
         // the barrier-side NetView.
-        let target_ap = net.spec.aps.last().unwrap().id;
-        net.schedule_handoff(SimTime::from_secs(1), Guid(0), target_ap);
+        let (to, target_ap) = last_ap(&net.spec);
+        net.schedule(ScenarioEvent::Handoff {
+            at: SimTime::from_secs(1),
+            walker: 0,
+            to,
+        });
         net.run_until(SimTime::from_secs(4));
         let (journal, ..) = net.finish();
         let registered = journal.iter().any(|(_, e)| {
@@ -1591,7 +1660,6 @@ mod tests {
                 self.0.lock().unwrap().push((ctx.now() - UPLINK, msg));
             }
         }
-        fn on_timer(&mut self, _: &mut Ctx<'_, Msg, ProtoEvent>, _: u64) {}
     }
 
     fn data_msg(gsn: u64) -> Msg {

@@ -369,13 +369,6 @@ pub enum Msg {
         /// Group.
         group: GroupId,
     },
-    /// Teardown probe: the engine harvests the receiving actor's
-    /// end-of-run counters and telemetry; no state machine sees it. Not
-    /// part of the protocol.
-    FlushStats {
-        /// Group.
-        group: GroupId,
-    },
 }
 
 impl Msg {
@@ -415,8 +408,7 @@ impl Msg {
             | Msg::Kill { group }
             | Msg::Restart { group }
             | Msg::DropToken { group }
-            | Msg::ReplayToken { group }
-            | Msg::FlushStats { group } => *group,
+            | Msg::ReplayToken { group } => *group,
             Msg::Token(t) => t.group,
         }
     }
@@ -457,8 +449,7 @@ impl Msg {
             | Msg::Kill { .. }
             | Msg::Restart { .. }
             | Msg::DropToken { .. }
-            | Msg::ReplayToken { .. }
-            | Msg::FlushStats { .. } => 0,
+            | Msg::ReplayToken { .. } => 0,
         }
     }
 

@@ -624,9 +624,7 @@ impl NeState {
             Msg::DropToken { .. } => self.arm_token_drop(),
             Msg::ReplayToken { .. } => self.replay_token(out),
             Msg::Restart { .. } => unreachable!("handled before the alive check"),
-            // The teardown probe is the engine's: it reads `finals`.
-            Msg::FlushStats { .. }
-            | Msg::HandoffTo { .. }
+            Msg::HandoffTo { .. }
             | Msg::JoinAck { .. }
             | Msg::JoinCmd { .. }
             | Msg::ReRegister { .. } => {

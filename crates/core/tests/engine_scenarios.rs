@@ -62,12 +62,17 @@ fn ap_failure_orphans_then_handoff_rescues() {
             .build(),
     );
     spec.links.wireless = LinkProfile::wired(SimDuration::from_millis(2));
-    let dead_ap = spec.aps[0].id;
-    let rescue_ap = spec.aps[1].id;
     let mut net = RingNetSim::build(spec, 23);
     // AP of MH 0 dies at 2s; the radio layer moves the MH at 3s.
-    net.schedule_kill_ne(SimTime::from_secs(2), dead_ap);
-    net.schedule_handoff(SimTime::from_secs(3), Guid(0), rescue_ap);
+    net.schedule(ScenarioEvent::ApCrash {
+        at: SimTime::from_secs(2),
+        ap: 0,
+    });
+    net.schedule(ScenarioEvent::Handoff {
+        at: SimTime::from_secs(3),
+        walker: 0,
+        to: 1,
+    });
     net.run_until(SimTime::from_secs(6));
     let (journal, ..) = net.finish();
     // MH 0's deliveries: gap during orphanhood, resumption after rescue.
@@ -305,7 +310,10 @@ fn killing_an_mh_stops_its_acks_and_frees_it() {
             .build(),
     );
     let mut net = RingNetSim::build(spec, 41);
-    net.schedule_kill_mh(SimTime::from_secs(1), Guid(0));
+    net.schedule(ScenarioEvent::KillWalker {
+        at: SimTime::from_secs(1),
+        walker: 0,
+    });
     net.run_until(SimTime::from_secs(4));
     let (journal, ..) = net.finish();
     // The dead MH stops delivering shortly after the kill...
@@ -420,8 +428,8 @@ fn amnesiac_ap_solicits_reregistration_within_an_ack_period() {
         "1 ms after a heartbeat tick"
     );
     let mut net = RingNetSim::build(spec, 53);
-    net.schedule_kill_ne(crash, ap);
-    net.schedule_restart_ne(crash, ap);
+    net.schedule(ScenarioEvent::ApCrash { at: crash, ap: 0 });
+    net.schedule(ScenarioEvent::ApRestart { at: crash, ap: 0 });
     net.run_until(SimTime::from_secs(2));
     let (journal, ..) = net.finish();
     let registered: Vec<(Guid, SimTime)> = journal
@@ -463,9 +471,14 @@ fn station_shaped_spec_delivers_in_order() {
         })
         .collect();
     assert!(spec.is_station_shape());
+    assert_eq!(spec.attachment(3), Some(NodeId(3)));
     let mut net = RingNetSim::build(spec, 5);
     // Stations serve handoffs like any attachment entity.
-    net.schedule_handoff(SimTime::from_millis(300), Guid(0), NodeId(3));
+    net.schedule(ScenarioEvent::Handoff {
+        at: SimTime::from_millis(300),
+        walker: 0,
+        to: 3,
+    });
     net.run_until(SimTime::from_secs(3));
     let (journal, ..) = net.finish();
     assert_eq!(
@@ -503,12 +516,17 @@ fn ring_cut_at_a_heartbeat_tick_is_repaired_on_the_probe_schedule() {
             .cbr(SimDuration::from_millis(10))
             .build(),
     );
+    // A BR's core index is its id.
     let (a, b) = (spec.top_ring[0], spec.top_ring[1]);
     let hop = spec.links.top_ring.latency.max_delay();
     let cut = SimTime::from_secs(1);
     assert_eq!(cut.as_nanos() % HEARTBEAT_PERIOD.as_nanos(), 0, "a tick");
     let mut net = RingNetSim::build(spec, 7);
-    net.schedule_link_state(cut, a, b, false);
+    net.schedule(ScenarioEvent::PartitionCore {
+        at: cut,
+        a: a.0 as usize,
+        b: b.0 as usize,
+    });
     net.run_until(cut + HEARTBEAT_PERIOD * 6);
     let (journal, ..) = net.finish();
     assert!(

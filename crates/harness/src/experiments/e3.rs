@@ -7,7 +7,7 @@
 //! sequence numbers are never assigned twice, and no MH observes an order
 //! violation.
 
-use ringnet_core::driver::{ringnet_spec, CoreShape, ScenarioBuilder};
+use ringnet_core::driver::{ringnet_spec, CoreShape, MulticastSim, ScenarioBuilder, ScenarioEvent};
 use ringnet_core::{NodeId, ProtoEvent, RingNetSim};
 use simnet::{SimDuration, SimTime};
 
@@ -38,7 +38,9 @@ fn measure(victim: NodeId, seed: u64, quick: bool) -> Point {
         .duration(duration)
         .build();
     let mut net = RingNetSim::build(ringnet_spec(&sc), seed);
-    net.schedule_kill_ne(kill_at, victim);
+    // The victim is a BR, whose core index is its id.
+    let index = victim.0 as usize;
+    net.schedule(ScenarioEvent::KillCore { at: kill_at, index });
     net.run_until(duration);
     let (journal, ..) = net.finish();
 

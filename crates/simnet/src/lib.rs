@@ -25,7 +25,6 @@
 //!                  from: NodeAddr, msg: &'static str) {
 //!         ctx.record(format!("{from} said {msg}"));
 //!     }
-//!     fn on_timer(&mut self, _: &mut Ctx<'_, &'static str, String>, _: u64) {}
 //! }
 //!
 //! let mut sim = Sim::new(42);

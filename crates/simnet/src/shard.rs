@@ -344,9 +344,19 @@ impl<M, R> ShardedSim<M, R> {
         });
     }
 
-    /// Consume the simulator, yielding the merged journal records and the
+    /// Consume the simulator: stop every actor ([`Actor::on_stop`], in
+    /// global address order), then yield the merged journal records and the
     /// aggregate stats.
-    pub fn finish(self) -> (Vec<(SimTime, R)>, SimStats) {
+    pub fn finish(mut self) -> (Vec<(SimTime, R)>, SimStats) {
+        for i in 0..self.n_nodes {
+            let owner = self.shard_of[i] as usize;
+            let cell = self.cells[owner]
+                .as_mut()
+                .expect("shard checked in between runs");
+            if let Some(actor) = cell.actors[i].as_mut() {
+                actor.on_stop();
+            }
+        }
         let stats = self.stats();
         (self.journal.into_records(), stats)
     }
@@ -628,6 +638,7 @@ mod tests {
     use super::*;
     use crate::sim::Sim;
     use crate::time::{SimDuration, SimTime};
+    use std::sync::Mutex;
 
     /// Deterministic chatter: every received packet is recorded and
     /// re-sent to the peer until a hop budget runs out.
@@ -649,7 +660,6 @@ mod tests {
                 ctx.send(from, msg + 1);
             }
         }
-        fn on_timer(&mut self, _: &mut Ctx<'_, u32, (NodeAddr, u32)>, _: u64) {}
     }
 
     fn relay(peer: Option<NodeAddr>, hops: u32) -> Box<Relay> {
@@ -714,7 +724,6 @@ mod tests {
             fn on_packet(&mut self, ctx: &mut Ctx<'_, u32, u32>, _: NodeAddr, msg: u32) {
                 ctx.record(msg);
             }
-            fn on_timer(&mut self, _: &mut Ctx<'_, u32, u32>, _: u64) {}
         }
         let mut sim: ShardedSim<u32, u32> = ShardedSim::new(7, 2, vec![0, 1], true, |_| 0);
         let a = sim.add_node(Box::new(Echo));
@@ -727,6 +736,27 @@ mod tests {
         sim.run_until(SimTime::from_secs(1));
         let (records, _) = sim.finish();
         assert_eq!(records, vec![(SimTime::from_millis(5), 99)]);
+    }
+
+    #[test]
+    fn finish_stops_each_actor_once_in_global_address_order() {
+        struct Stopper(u32, Arc<Mutex<Vec<u32>>>);
+        impl Actor<u32, u32> for Stopper {
+            fn on_packet(&mut self, _: &mut Ctx<'_, u32, u32>, _: NodeAddr, _: u32) {}
+            fn on_stop(&mut self) {
+                self.1.lock().unwrap().push(self.0);
+            }
+        }
+        let stopped = Arc::new(Mutex::new(Vec::new()));
+        let mut sim: ShardedSim<u32, u32> = ShardedSim::new(7, 2, vec![1, 0, 1, 0], true, |_| 0);
+        for i in 0..4 {
+            sim.add_node(Box::new(Stopper(i, Arc::clone(&stopped))));
+        }
+        sim.run_until(SimTime::from_millis(1));
+        let before = sim.stats();
+        let (_, stats) = sim.finish();
+        assert_eq!(*stopped.lock().unwrap(), vec![0, 1, 2, 3]);
+        assert_eq!(stats, before);
     }
 
     #[test]

@@ -38,7 +38,11 @@ pub trait Actor<M, R> {
     }
     /// Called when a timer set by this node fires. `tag` is the value passed
     /// to [`Ctx::set_timer`].
-    fn on_timer(&mut self, ctx: &mut Ctx<'_, M, R>, tag: u64);
+    fn on_timer(&mut self, _ctx: &mut Ctx<'_, M, R>, _tag: u64) {}
+    /// Called once when the simulation is finished (in address order),
+    /// after the last event it ran: the place to hand end-of-run state
+    /// out of the actor.
+    fn on_stop(&mut self) {}
 }
 
 /// Aggregate transport counters for one run.
@@ -806,20 +810,15 @@ impl<M, R> Sim<M, R> {
         &self.world.journal
     }
 
-    /// Consume the simulator, yielding the journal records and final stats.
-    pub fn finish(self) -> (Vec<(SimTime, R)>, SimStats) {
+    /// Consume the simulator: stop every actor ([`Actor::on_stop`], in
+    /// address order; no event runs after the last `run_until`), then yield
+    /// the journal records and final stats.
+    pub fn finish(mut self) -> (Vec<(SimTime, R)>, SimStats) {
+        for actor in self.actors.iter_mut().flatten() {
+            actor.on_stop();
+        }
         let stats = self.world.stats;
         (self.world.journal.into_records(), stats)
-    }
-
-    /// Borrow an actor by address (e.g. to inspect its final state).
-    ///
-    /// Panics if called while that actor is executing (impossible from
-    /// outside the run loop).
-    pub fn actor(&self, addr: NodeAddr) -> &dyn Actor<M, R> {
-        self.actors[addr.index()]
-            .as_deref()
-            .expect("actor detached")
     }
 
     fn start_if_needed(&mut self) {
@@ -888,6 +887,7 @@ impl<M, R> Sim<M, R> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::{Arc, Mutex};
 
     /// Ping-pong actor: replies to every packet until a hop budget runs out.
     struct PingPong {
@@ -910,7 +910,6 @@ mod tests {
                 ctx.send(from, msg + 1);
             }
         }
-        fn on_timer(&mut self, _ctx: &mut Ctx<'_, u32, (NodeAddr, u32)>, _tag: u64) {}
     }
 
     fn duplex(sim: &mut Sim<u32, (NodeAddr, u32)>, a: NodeAddr, b: NodeAddr, ms: u64) {
@@ -1014,7 +1013,6 @@ mod tests {
                 ctx.send(self.dst, 9);
             }
             fn on_packet(&mut self, _: &mut Ctx<'_, u32, ()>, _: NodeAddr, _: u32) {}
-            fn on_timer(&mut self, _: &mut Ctx<'_, u32, ()>, _: u64) {}
         }
         let mut sim: Sim<u32, ()> = Sim::new(0);
         let a = sim.add_node(Box::new(Sender { dst: NodeAddr(1) }));
@@ -1032,7 +1030,6 @@ mod tests {
             fn on_packet(&mut self, ctx: &mut Ctx<'_, u32, u32>, _: NodeAddr, msg: u32) {
                 ctx.record(msg);
             }
-            fn on_timer(&mut self, _: &mut Ctx<'_, u32, u32>, _: u64) {}
         }
         let mut sim: Sim<u32, u32> = Sim::new(0);
         let a = sim.add_node(Box::new(Echo));
@@ -1047,6 +1044,42 @@ mod tests {
         sim.run_until(SimTime::from_secs(1));
         let (records, _) = sim.finish();
         assert_eq!(records, vec![(SimTime::from_millis(6), 77)]);
+    }
+
+    #[test]
+    fn finish_stops_each_actor_once_in_address_order_and_runs_nothing_more() {
+        struct Stopper {
+            me: u32,
+            stopped: Arc<Mutex<Vec<u32>>>,
+        }
+        impl Actor<u32, u32> for Stopper {
+            fn on_packet(&mut self, ctx: &mut Ctx<'_, u32, u32>, _: NodeAddr, msg: u32) {
+                ctx.record(msg);
+            }
+            fn on_stop(&mut self) {
+                self.stopped.lock().unwrap().push(self.me);
+            }
+        }
+        let stopped = Arc::new(Mutex::new(Vec::new()));
+        let mut sim: Sim<u32, u32> = Sim::new(0);
+        for me in 0..3 {
+            let stopped = Arc::clone(&stopped);
+            sim.add_node(Box::new(Stopper { me, stopped }));
+        }
+        // One packet lands at the end of the run, one a nanosecond past it.
+        let end = SimTime::from_millis(10);
+        let hair = SimDuration::from_nanos(1);
+        sim.world().schedule_control(SimTime::ZERO, move |w| {
+            w.inject(NodeAddr(0), NodeAddr(1), 1, end - SimTime::ZERO);
+            w.inject(NodeAddr(0), NodeAddr(2), 2, end - SimTime::ZERO + hair);
+        });
+        sim.run_until(end);
+        let before = sim.stats();
+        assert!(stopped.lock().unwrap().is_empty(), "no stop before finish");
+        let (records, stats) = sim.finish();
+        assert_eq!(*stopped.lock().unwrap(), vec![0, 1, 2]);
+        assert_eq!(records, vec![(end, 1)], "the late packet never lands");
+        assert_eq!(stats, before);
     }
 
     #[test]
@@ -1068,7 +1101,6 @@ mod tests {
             ) {
                 ctx.record((ctx.me(), msg));
             }
-            fn on_timer(&mut self, _: &mut Ctx<'_, u32, (NodeAddr, u32)>, _: u64) {}
         }
         type Arrivals = Vec<(SimTime, (NodeAddr, u32))>;
         fn run(fan_out: bool) -> (Arrivals, SimStats) {
@@ -1129,7 +1161,6 @@ mod tests {
             }
             self.buf.clear();
         }
-        fn on_timer(&mut self, _: &mut Ctx<'_, u32, u32>, _: u64) {}
     }
 
     fn burst_pair(hops: u32, profile: LinkProfile) -> (Sim<u32, u32>, NodeAddr, NodeAddr) {
@@ -1227,7 +1258,6 @@ mod tests {
             fn on_packet(&mut self, ctx: &mut Ctx<'_, u32, u32>, _: NodeAddr, msg: u32) {
                 ctx.record(msg);
             }
-            fn on_timer(&mut self, _: &mut Ctx<'_, u32, u32>, _: u64) {}
         }
         let mut sim: Sim<u32, u32> = Sim::new(0);
         let a = sim.add_node(Box::new(Echo));
@@ -1267,7 +1297,6 @@ mod tests {
                 ctx.record(7);
             }
             fn on_packet(&mut self, _: &mut Ctx<'_, (), u32>, _: NodeAddr, _: ()) {}
-            fn on_timer(&mut self, _: &mut Ctx<'_, (), u32>, _: u64) {}
         }
         let first = Arc::new(Mutex::new(Vec::new()));
         let second = Arc::new(Mutex::new(Vec::new()));
@@ -1298,7 +1327,6 @@ mod tests {
                 ctx.record(2);
             }
             fn on_packet(&mut self, _: &mut Ctx<'_, (), u32>, _: NodeAddr, _: ()) {}
-            fn on_timer(&mut self, _: &mut Ctx<'_, (), u32>, _: u64) {}
         }
         let seen = Arc::new(Mutex::new(Vec::new()));
         let mut sim: Sim<(), u32> = Sim::new(0);

@@ -150,7 +150,6 @@ impl Actor<u32, (NodeAddr, u32)> for Recorder {
     fn on_packet(&mut self, ctx: &mut Ctx<'_, u32, (NodeAddr, u32)>, _: NodeAddr, msg: u32) {
         ctx.record((ctx.me(), msg));
     }
-    fn on_timer(&mut self, _: &mut Ctx<'_, u32, (NodeAddr, u32)>, _: u64) {}
 }
 
 /// Each link draws from its own stream: interleaving the sends on two lossy,

@@ -20,10 +20,11 @@
 //!
 //! A [`Scenario`](core::driver::Scenario) describes the world; the RingNet
 //! backend lays it out as a [`HierarchySpec`](core::HierarchySpec) and
-//! runs it, keeping the `NodeId`-level handle for direct fault injection:
+//! runs it, taking faults as [`ScenarioEvent`](core::driver::ScenarioEvent)s
+//! — here the crash of the second wired-core entity, a top-ring BR:
 //!
 //! ```
-//! use ringnet_repro::core::driver::{ringnet_spec, ScenarioBuilder};
+//! use ringnet_repro::core::driver::{ringnet_spec, MulticastSim, ScenarioBuilder, ScenarioEvent};
 //! use ringnet_repro::core::{GroupId, RingNetSim};
 //! use ringnet_repro::simnet::{SimDuration, SimTime};
 //!
@@ -34,7 +35,7 @@
 //! let spec = ringnet_spec(&scenario);
 //! assert_eq!(spec.tier_sizes(), (4, 9, 9, 9));
 //! let mut net = RingNetSim::build(spec, 1);
-//! net.schedule_kill_ne(SimTime::from_secs(1), net.spec.top_ring[1]);
+//! net.schedule(ScenarioEvent::KillCore { at: SimTime::from_secs(1), index: 1 });
 //! net.run_until(SimTime::from_secs(2));
 //! let (journal, ..) = net.finish();
 //! assert!(!journal.is_empty());
