@@ -1236,7 +1236,10 @@ impl MulticastSim for RingNetSim {
     /// control closure.
     fn schedule(&mut self, event: ScenarioEvent) {
         let group = self.spec.group;
-        let walker = |w: usize| self.addrs.mh(Guid(w as u32));
+        let walker = |w: usize| {
+            let mh = self.addrs.mh(Guid(w as u32));
+            mh.unwrap_or_else(|| panic!("{event:?}: walker {w} does not exist"))
+        };
         let member = |index| core_entity(&self.spec, index, &event);
         let core = |index| self.ne_addr(member(index));
         let attachment = |k, what| attachment_entity(&self.spec, k, what);
@@ -1248,7 +1251,6 @@ impl MulticastSim for RingNetSim {
                 let (mh, ap) = (walker(w), self.ne_addr(new_ap));
                 let wireless = self.spec.links.wireless.clone();
                 self.schedule_control(at, move |net| {
-                    let Some(mh) = mh else { return };
                     for old in net.neighbours_of(mh) {
                         net.disconnect_duplex(mh, old);
                     }
@@ -1267,7 +1269,6 @@ impl MulticastSim for RingNetSim {
                 let (mh, ap) = (walker(w), self.ne_addr(ap_id));
                 let wireless = self.spec.links.wireless.clone();
                 self.schedule_control(at, move |net| {
-                    let Some(mh) = mh else { return };
                     if !net.has_link(mh, ap) {
                         net.connect_duplex(mh, ap, wireless);
                     }
@@ -1279,8 +1280,7 @@ impl MulticastSim for RingNetSim {
                 self.stimulate(at, vec![core(index)], |group| Msg::Kill { group });
             }
             ScenarioEvent::KillWalker { at, walker: w } => {
-                let mh = walker(w).into_iter().collect();
-                self.stimulate(at, mh, |group| Msg::Kill { group });
+                self.stimulate(at, vec![walker(w)], |group| Msg::Kill { group });
             }
             ScenarioEvent::ApCrash { at, ap } => {
                 let ap = self.ne_addr(attachment(ap, "ApCrash"));
