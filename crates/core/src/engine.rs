@@ -1232,8 +1232,6 @@ impl MulticastSim for RingNetSim {
         RingNetSim::for_scenario(ringnet_spec(scenario), scenario, seed, scenario.shards)
     }
 
-    /// Each event resolves its indices to addresses and schedules one
-    /// control closure.
     fn schedule(&mut self, event: ScenarioEvent) {
         let group = self.spec.group;
         let walker = |w: usize| {
@@ -1255,8 +1253,7 @@ impl MulticastSim for RingNetSim {
                         net.disconnect_duplex(mh, old);
                     }
                     net.connect_duplex(mh, ap, wireless);
-                    let handoff = Msg::HandoffTo { group, new_ap };
-                    net.inject(ap, mh, handoff, SimDuration::ZERO);
+                    net.inject(ap, mh, Msg::HandoffTo { group, new_ap }, SimDuration::ZERO);
                 });
             }
             // A walker built with no initial AP joins the group late.
@@ -1272,8 +1269,7 @@ impl MulticastSim for RingNetSim {
                     if !net.has_link(mh, ap) {
                         net.connect_duplex(mh, ap, wireless);
                     }
-                    let join = Msg::JoinCmd { group, ap: ap_id };
-                    net.inject(ap, mh, join, SimDuration::ZERO);
+                    net.inject(ap, mh, Msg::JoinCmd { group, ap: ap_id }, SimDuration::ZERO);
                 });
             }
             ScenarioEvent::KillCore { at, index } => {
