@@ -15,7 +15,8 @@
 //!   canonical* digest (entries sorted within equal timestamps), which a
 //!   change may leave alone while permuting what independent ring states do
 //!   at one simulated instant — and which is therefore the same number at
-//!   every shard count;
+//!   every shard count — and by their transport counters ([`SimStats`]),
+//!   which see how sends are batched onto the wire;
 //! * two generated **fault** worlds pin the token-retry, regeneration,
 //!   heartbeat, ring-repair and reservation paths on the three backends
 //!   that run the ordering core, which a loss-free static world never
@@ -43,7 +44,7 @@ use ringnet_repro::core::driver::{
     CoreShape, MulticastSim, ReplayKind, RunReport, Scenario, ScenarioBuilder, ScenarioEvent,
 };
 use ringnet_repro::core::{GroupId, ProtoEvent, RingNetSim};
-use ringnet_repro::simnet::{LinkProfile, SimDuration, SimTime};
+use ringnet_repro::simnet::{LinkProfile, SimDuration, SimStats, SimTime};
 
 /// FNV-1a over rendered journal lines.
 fn fnv1a<'a>(lines: impl IntoIterator<Item = &'a String>) -> u64 {
@@ -543,6 +544,48 @@ const GOLDEN_MULTIGROUP_INSTANT_DIGESTS: &[PinnedWorld] = &[
     ("fence_overlap_4", fence_overlap_world, 0x7111693f926c725a),
 ];
 
+/// The transport counters of a loss-free world: nothing dropped.
+const fn loss_free(events: u64, sent: u64, delivered: u64, timers: u64) -> SimStats {
+    SimStats {
+        events,
+        packets_sent: sent,
+        packets_delivered: delivered,
+        packets_lost: 0,
+        packets_no_route: 0,
+        packets_queue_dropped: 0,
+        packets_link_down: 0,
+        timers_fired: timers,
+    }
+}
+
+/// Golden transport counters of the two multi-group worlds, run seed 7, per
+/// shard count. The instant-canonical digests cannot see how sends are
+/// batched onto the wire — one multicast, one frame or one send per
+/// destination record the same journal — but `packets_sent` and `events`
+/// can. Only `events` differs between shard counts.
+const GOLDEN_MULTIGROUP_SIM_STATS: &[(&str, usize, SimStats)] = &[
+    ("rings8", 1, loss_free(39_571, 44_747, 44_707, 4_464)),
+    ("rings8", 2, loss_free(45_971, 44_747, 44_707, 4_464)),
+    (
+        "fence_overlap_4",
+        1,
+        loss_free(72_625, 87_399, 87_361, 4_464),
+    ),
+    (
+        "fence_overlap_4",
+        2,
+        loss_free(85_425, 87_399, 87_361, 4_464),
+    ),
+];
+
+fn pinned_stats(name: &str, shards: usize) -> SimStats {
+    let pin = GOLDEN_MULTIGROUP_SIM_STATS
+        .iter()
+        .find(|&&(n, s, _)| (n, s) == (name, shards));
+    pin.unwrap_or_else(|| panic!("{name}, {shards} shard(s): no pinned transport counters"))
+        .2
+}
+
 #[test]
 fn multigroup_instant_canonical_digest_is_pinned_at_one_and_two_shards() {
     for &(name, world, want) in GOLDEN_MULTIGROUP_INSTANT_DIGESTS {
@@ -552,6 +595,11 @@ fn multigroup_instant_canonical_digest_is_pinned_at_one_and_two_shards() {
             let report = RingNetSim::run_scenario(&sc, 7);
             assert!(report.metrics.delivered > 10_000, "{name}: world too quiet");
             assert_counters(name, &report);
+            assert_eq!(
+                report.stats,
+                pinned_stats(name, shards),
+                "{name}, {shards} shard(s): transport counters moved"
+            );
             let got = instant_canonical_digest(&report);
             assert_eq!(
                 got, want,
