@@ -274,12 +274,6 @@ pub enum Msg {
     },
 
     // ------------------------------------------------------------ recovery
-    /// Membership layer → multicast layer: the token may have been lost
-    /// (emitted when topology maintenance runs, §4.2.1).
-    TokenLossSignal {
-        /// Group.
-        group: GroupId,
-    },
     /// The Token-Regeneration message traversing the top ring, carrying the
     /// best `NewOrderingToken` snapshot seen so far.
     TokenRegen {
@@ -399,7 +393,6 @@ impl Msg {
             | Msg::Reserve { group, .. }
             | Msg::JoinAck { group, .. }
             | Msg::ReRegister { group }
-            | Msg::TokenLossSignal { group }
             | Msg::TokenRegen { group, .. }
             | Msg::RingFail { group, .. }
             | Msg::RejoinRequest { group, .. }
@@ -440,7 +433,6 @@ impl Msg {
             | Msg::Reserve { .. }
             | Msg::JoinAck { .. }
             | Msg::ReRegister { .. }
-            | Msg::TokenLossSignal { .. }
             | Msg::RingFail { .. }
             | Msg::RejoinRequest { .. } => 24,
             Msg::RejoinGrant { .. } => 32,

@@ -610,7 +610,6 @@ impl NeState {
             Msg::Reserve {
                 origin_ap, radius, ..
             } => self.on_reserve(now, origin_ap, radius, out),
-            Msg::TokenLossSignal { .. } => self.on_token_loss_signal(now, out),
             Msg::TokenRegen { origin, best, .. } => self.on_token_regen(now, origin, *best, out),
             Msg::RingFail { failed, .. } => self.on_ring_fail(now, failed, out),
             Msg::RejoinRequest { member, .. } => self.on_rejoin_request(now, member, out),

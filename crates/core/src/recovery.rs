@@ -1,7 +1,8 @@
 //! Token-Loss recovery and Multiple-Token resolution (§4.2.1).
 //!
 //! When topology maintenance runs (a ring repair), the membership layer
-//! sends a Token-Loss message to the multicast layer. A node receiving it
+//! signals the multicast layer that the token may be lost — the paper's
+//! Token-Loss message, here a direct call to `maybe_start_regen`. The node
 //! checks whether "the Message-Ordering algorithm runs well" — a live token
 //! has visited within `TOKEN_QUIET_AFTER` — and, if not, originates a
 //! Token-Regeneration message that encapsulates its `NewOrderingToken` and
@@ -41,11 +42,6 @@ use crate::node::NeState;
 use crate::token::OrderingToken;
 
 impl NeState {
-    /// Membership layer → multicast layer: the token may be lost.
-    pub(crate) fn on_token_loss_signal(&mut self, now: SimTime, out: &mut Outbox) {
-        self.maybe_start_regen(now, out);
-    }
-
     /// Originate a Token-Regeneration round unless ordering runs well here,
     /// a round was originated too recently (damping), or the ring-epoch
     /// layer fences this node (a partitioned minority creating a new
@@ -217,7 +213,7 @@ mod tests {
         let mut out = Vec::new();
         n.originate_token(SimTime::ZERO, &mut out); // last_token_seen = 0
         out.clear();
-        n.on_token_loss_signal(SimTime::from_millis(1), &mut out);
+        n.maybe_start_regen(SimTime::from_millis(1), &mut out);
         assert!(
             !out.iter().any(|a| matches!(
                 a,
@@ -235,7 +231,7 @@ mod tests {
         let mut n = br(0);
         let t = quiet_time();
         let mut out = Vec::new();
-        n.on_token_loss_signal(t, &mut out);
+        n.maybe_start_regen(t, &mut out);
         let regens: Vec<_> = out
             .iter()
             .filter_map(|a| match a {
@@ -249,7 +245,7 @@ mod tests {
         assert_eq!(regens, vec![(NodeId(1), NodeId(0))]);
         // Damping: a second signal right after does nothing.
         out.clear();
-        n.on_token_loss_signal(t, &mut out);
+        n.maybe_start_regen(t, &mut out);
         assert!(out.is_empty());
     }
 
@@ -351,7 +347,7 @@ mod tests {
         // Node 0 has its own round outstanding; node 2's round arrives.
         let mut n0 = br(0);
         let mut out = Vec::new();
-        n0.on_token_loss_signal(t, &mut out); // originates (sets last_regen_at)
+        n0.maybe_start_regen(t, &mut out); // originates (sets last_regen_at)
         out.clear();
         n0.on_token_regen(t, NodeId(2), OrderingToken::new(G, NodeId(2)), &mut out);
         assert!(out.is_empty(), "larger-origin round destroyed at node 0");
@@ -362,7 +358,7 @@ mod tests {
         // returning round instead of adopting.
         let mut n2 = br(2);
         let mut out = Vec::new();
-        n2.on_token_loss_signal(t, &mut out);
+        n2.maybe_start_regen(t, &mut out);
         out.clear();
         n2.on_token_regen(t, NodeId(0), OrderingToken::new(G, NodeId(0)), &mut out);
         assert!(
@@ -386,7 +382,7 @@ mod tests {
         // The next round node 2 originates is a fresh claim again.
         let t2 = t + TOKEN_QUIET_AFTER * 3;
         out.clear();
-        n2.on_token_loss_signal(t2, &mut out);
+        n2.maybe_start_regen(t2, &mut out);
         n2.on_token_regen(t2, NodeId(2), OrderingToken::new(G, NodeId(2)), &mut out);
         assert!(
             out.iter()
@@ -401,7 +397,7 @@ mod tests {
         let mut n = NeState::new_br(G, NodeId(7), vec![NodeId(7)], true, cfg);
         let t = quiet_time();
         let mut out = Vec::new();
-        n.on_token_loss_signal(t, &mut out);
+        n.maybe_start_regen(t, &mut out);
         assert!(out.iter().any(|a| matches!(
             a,
             Action::Record(ProtoEvent::TokenRegenerated {
@@ -440,7 +436,7 @@ mod tests {
             ProtocolConfig::default(),
         );
         let mut out = Vec::new();
-        ag.on_token_loss_signal(SimTime::from_secs(10), &mut out);
+        ag.maybe_start_regen(SimTime::from_secs(10), &mut out);
         ag.on_token_regen(
             SimTime::from_secs(10),
             NodeId(5),

@@ -490,7 +490,7 @@ mod tests {
         )));
         // A fenced node must not regenerate a token — not via the signal…
         out.clear();
-        n1.on_token_loss_signal(SimTime::from_secs(9), &mut out);
+        n1.maybe_start_regen(SimTime::from_secs(9), &mut out);
         assert!(out.is_empty(), "no regeneration round from the minority");
         // …not via the sole-survivor self-pass…
         n1.tick_hop(SimTime::from_secs(9), &mut out);
@@ -548,7 +548,7 @@ mod tests {
         assert!(!n0.is_partition_fenced(), "tiebreak keeps node 0 primary");
         // It may regenerate (sole-survivor immediate adoption).
         out.clear();
-        n0.on_token_loss_signal(SimTime::from_secs(9), &mut out);
+        n0.maybe_start_regen(SimTime::from_secs(9), &mut out);
         assert!(
             out.iter()
                 .any(|a| matches!(a, Action::Record(ProtoEvent::TokenRegenerated { .. }))),
