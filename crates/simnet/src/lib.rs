@@ -2,9 +2,9 @@
 //!
 //! The substrate under the RingNet reproduction: virtual time, a
 //! deterministic event queue, per-simulation RNG streams, point-to-point
-//! links with latency / loss / bandwidth models, an actor-based simulator,
-//! measurement primitives, and a parallel replica runner for parameter
-//! sweeps.
+//! links with latency / loss / bandwidth models, an actor-based simulator
+//! (sequential, or sharded over event-queue shards) and measurement
+//! primitives.
 //!
 //! `simnet` knows nothing about multicast or mobility — protocol logic lives
 //! in `ringnet-core` and `baselines`, which implement [`Actor`] over their
@@ -42,7 +42,6 @@
 
 pub mod event;
 pub mod link;
-pub mod par;
 pub mod rng;
 pub mod shard;
 pub mod sim;
@@ -53,7 +52,6 @@ pub mod topo;
 
 pub use event::{EventHandle, EventQueue};
 pub use link::{BandwidthModel, LatencyModel, LinkProfile, LossModel};
-pub use par::run_replicas;
 pub use rng::SimRng;
 pub use shard::{NetView, ShardedSim};
 pub use sim::{Actor, Ctx, Journal, NetOps, Sim, SimStats, World};

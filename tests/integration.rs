@@ -258,22 +258,3 @@ fn churn_plus_failure_torture() {
         report.metrics.delivered
     );
 }
-
-/// The parallel replica runner reproduces the sequential results for whole
-/// protocol simulations (the hpc-parallel sweep path).
-#[test]
-fn parallel_sweep_matches_sequential() {
-    let scenario = ScenarioBuilder::figure1(GroupId(1))
-        .cbr(SimDuration::from_millis(10))
-        .message_limit(30)
-        .duration(SimTime::from_secs(2))
-        .build();
-    let seeds: Vec<u64> = (0..8).collect();
-    let job = |_: usize, &seed: &u64| {
-        let report = RingNetSim::run_scenario(&scenario, seed);
-        (report.journal.len(), report.stats.packets_delivered)
-    };
-    let sequential: Vec<_> = seeds.iter().enumerate().map(|(i, s)| job(i, s)).collect();
-    let parallel = ringnet_repro::simnet::run_replicas(&seeds, 4, job);
-    assert_eq!(sequential, parallel);
-}
