@@ -6,7 +6,7 @@
 //! Lives in `ringnet-core` (rather than the harness) because every
 //! [`MulticastSim`](crate::driver::MulticastSim) backend summarises its run
 //! through [`MetricsAccumulator`] when building a
-//! [`RunReport`](crate::driver::RunReport); the harness re-exports this
+//! [`RunReport`]; the harness re-exports this
 //! module unchanged.
 //!
 //! Three layers live here:
@@ -24,11 +24,12 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::hash::{BuildHasherDefault, Hasher};
+use std::sync::{Arc, Mutex};
 
-use crate::driver::RunMetrics;
+use crate::driver::Scenario;
 use crate::mh::MhCounters;
 use crate::{GlobalSeq, GroupId, Guid, LocalSeq, NodeId, ProtoEvent};
-use simnet::{Histogram, SimDuration, SimTime};
+use simnet::{Histogram, SimDuration, SimStats, SimTime};
 
 /// FxHash-style multiply-rotate hasher (the rustc hash): not DoS-hardened
 /// — irrelevant for simulation-internal integer keys — and several times
@@ -85,7 +86,7 @@ type FxMap<K, V> = std::collections::HashMap<K, V, BuildHasherDefault<FxHasher>>
 ///
 /// * **online** — [`MetricsAccumulator::observe`] from the simnet journal
 ///   sink as records are emitted, whether or not the journal is retained
-///   (what every backend's [`Reporting`](crate::driver::Reporting) does);
+///   (what every backend's [`Reporting`] does);
 /// * **batch** — [`MetricsAccumulator::observe_journal`] over a finished
 ///   journal slice.
 ///
@@ -440,6 +441,148 @@ impl MhTotals {
             1.0
         } else {
             self.delivered as f64 / total as f64
+        }
+    }
+}
+
+// ------------------------------------------------------------- run report
+
+/// Protocol-agnostic summary metrics of one finished run, derived by
+/// [`MetricsAccumulator`] from the protocol events in one scan and
+/// from the run's [`Finals`]. The walker totals, buffer peaks and
+/// core loads count live states only (see [`Finals`]).
+#[derive(Debug, Clone, PartialEq)]
+pub struct RunMetrics {
+    /// Messages delivered to applications (sum over live walker states).
+    pub delivered: u64,
+    /// Messages skipped as really-lost.
+    pub skipped: u64,
+    /// Duplicate receptions discarded.
+    pub duplicates: u64,
+    /// Handoffs performed.
+    pub handoffs: u64,
+    /// Live `(walker, group)` states at teardown: a multi-group walker
+    /// counts once per subscription, a killed walker not at all.
+    pub mhs: u64,
+    /// Messages assigned a global sequence number (ordered protocols).
+    pub ordered: u64,
+    /// Source transmissions observed.
+    pub source_msgs: u64,
+    /// Total-order violations (must be 0 for ordered protocols).
+    pub order_violations: u64,
+    /// End-to-end latency samples (source send → application delivery), ns.
+    pub e2e_latency: Histogram,
+    /// Largest per-entity WQ occupancy peak.
+    pub wq_peak: u32,
+    /// Largest per-entity MQ occupancy peak.
+    pub mq_peak: u32,
+    /// Graft + prune events (distribution-tree churn).
+    pub tree_churn: u64,
+    /// Sum of data messages sent by wired-core entities.
+    pub wired_core_data_sent: u64,
+    /// Data messages sent by the busiest wired-core entity.
+    pub busiest_core_msgs: u64,
+    /// Sum of control messages sent by wired-core entities.
+    pub wired_core_control_sent: u64,
+}
+
+impl RunMetrics {
+    /// Fraction of messages delivered (vs delivered + skipped).
+    pub fn delivery_ratio(&self) -> f64 {
+        let total = self.delivered + self.skipped;
+        if total == 0 {
+            1.0
+        } else {
+            self.delivered as f64 / total as f64
+        }
+    }
+
+    /// Mean wired-core data copies per source message.
+    pub fn wired_copies_per_msg(&self) -> f64 {
+        self.wired_core_data_sent as f64 / self.source_msgs.max(1) as f64
+    }
+}
+
+/// Everything a finished [`MulticastSim`](crate::driver::MulticastSim) run
+/// leaves behind.
+#[derive(Debug, Clone)]
+pub struct RunReport {
+    /// The protocol-event journal, time ordered.
+    pub journal: Vec<(SimTime, ProtoEvent)>,
+    /// Transport-level statistics from the simulator.
+    pub stats: SimStats,
+    /// Protocol-agnostic summary metrics.
+    pub metrics: RunMetrics,
+    /// Every live entity's and walker's end-of-run counters.
+    pub finals: Finals,
+    /// Harvested telemetry (per-node metrics + flight recorders), present
+    /// only when the scenario enabled [`crate::config::ProtocolConfig::
+    /// telemetry`] **and** the backend supports harvesting (the
+    /// RingNet-engine backends — ringnet, tree, flat ring; the other
+    /// baselines leave it `None`).
+    pub telemetry: Option<crate::telemetry::TelemetryReport>,
+}
+
+// ------------------------------------------------------------- reporting
+
+/// How a backend's run turns into a [`RunReport`]. Every
+/// [`MulticastSim`](crate::driver::MulticastSim) backend calls
+/// [`Reporting::install_journal`] right after constructing its simulator
+/// and [`Reporting::finish`] at teardown. A [`MetricsAccumulator`] is
+/// attached to the simulator's journal sink and fed online, and folds the
+/// harvested [`Finals`] in at the end; the scenario's [`Scenario::retain_journal`] flag only decides
+/// whether the journal `Vec` is kept as well (pre-sized from the scenario's
+/// workload) or never materialized (the report's journal is then empty).
+#[derive(Debug)]
+pub struct Reporting {
+    acc: Arc<Mutex<MetricsAccumulator>>,
+}
+
+impl Reporting {
+    /// Configure journalling on `journal` per the scenario (see the type
+    /// docs). `wired_core` names the backend's interior (wired) entities,
+    /// so per-core load metrics compare across protocols; the last-hop
+    /// attachment tier is excluded by convention (its per-member wireless
+    /// cost is identical in every scheme).
+    pub fn install_journal(
+        journal: &mut simnet::Journal<ProtoEvent>,
+        scenario: &Scenario,
+        wired_core: BTreeSet<NodeId>,
+    ) -> Reporting {
+        if scenario.retain_journal {
+            journal.reserve(scenario.journal_capacity_hint());
+        } else {
+            journal.set_retention(false);
+        }
+        let acc = Arc::new(Mutex::new(MetricsAccumulator::new(wired_core)));
+        let sink = Arc::clone(&acc);
+        journal.set_sink(move |t, e| {
+            sink.lock().expect("metrics sink poisoned").observe(t, e);
+        });
+        Reporting { acc }
+    }
+
+    /// Assemble the report from a finished run: the metrics the sink
+    /// streamed with `finals` folded in, and `journal` as the simulator
+    /// returned it (empty with retention off).
+    pub fn finish(
+        self,
+        journal: Vec<(SimTime, ProtoEvent)>,
+        stats: SimStats,
+        finals: Finals,
+    ) -> RunReport {
+        // The simulator (and with it the sink closure) is already dropped,
+        // so this is the last reference.
+        let mut acc = Arc::try_unwrap(self.acc)
+            .map(|m| m.into_inner().expect("metrics sink poisoned"))
+            .unwrap_or_else(|arc| arc.lock().expect("metrics sink poisoned").clone());
+        acc.observe_finals(&finals);
+        RunReport {
+            journal,
+            stats,
+            metrics: acc.finish(),
+            finals,
+            telemetry: None,
         }
     }
 }
