@@ -33,7 +33,7 @@ use crate::metrics::Finals;
 use crate::mh::MhState;
 use crate::msg::Msg;
 use crate::node::NeState;
-use crate::telemetry::NodeDump;
+use crate::telemetry::{NodeDump, TelemetryReport};
 
 /// Timer tags shared by all actors.
 const TAG_HOP: u64 = 2;
@@ -1004,6 +1004,17 @@ enum Net {
     Sharded(ShardedSim<Msg, ProtoEvent>),
 }
 
+impl Net {
+    /// The journal receiving the run's protocol events (the master,
+    /// merge-fed journal in sharded mode).
+    fn journal_mut(&mut self) -> &mut simnet::Journal<ProtoEvent> {
+        match self {
+            Net::Seq(s) => &mut s.world().journal,
+            Net::Sharded(s) => s.journal_mut(),
+        }
+    }
+}
+
 /// A built RingNet simulation: the RingNet [`MulticastSim`] backend.
 pub struct RingNetSim {
     net: Net,
@@ -1011,11 +1022,11 @@ pub struct RingNetSim {
     pub addrs: Arc<AddrMap>,
     /// The spec this simulation was built from.
     pub spec: HierarchySpec,
-    /// Report assembly, installed by the scenario constructor
-    /// ([`RingNetSim::for_scenario`]) that [`MulticastSim`] builds through.
-    reporting: Option<Reporting>,
+    /// Report assembly: the metrics sink on the journal, set up per the
+    /// scenario's retention mode.
+    reporting: Reporting,
     /// The harvest shared with every NE and MH actor, filled when
-    /// [`Self::finish`] stops them.
+    /// [`MulticastSim::finish`] stops them.
     harvest: HarvestSink,
     /// Node → shard placement for the telemetry report (empty in the
     /// sequential build: everything on shard 0).
@@ -1023,26 +1034,21 @@ pub struct RingNetSim {
 }
 
 impl RingNetSim {
-    /// Instantiate `spec` with the given seed on the sequential simulator.
-    /// Panics on an invalid spec (use [`HierarchySpec::validate`] first for
-    /// graceful handling).
-    pub fn build(spec: HierarchySpec, seed: u64) -> Self {
-        Self::build_sharded(spec, seed, 1, 0)
-    }
-
-    /// Instantiate `spec` as a conservatively parallel world of `shards`
-    /// event-queue shards (one per attachment-subtree block; the wired
-    /// core rides on shard 0 — see [`simnet::shard`] for the window
-    /// protocol); `shards <= 1` is the sequential build. `workers` caps
-    /// the drain threads (`0` = available parallelism); it affects
-    /// wall-clock only, never results. Journals are byte-identical per
-    /// `(seed, shards)`, and semantically equivalent to the sequential
-    /// build.
-    pub(crate) fn build_sharded(
+    /// The one constructor behind every RingNet-engine backend (RingNet,
+    /// tree, flat ring): instantiate `spec` with the given seed and set the
+    /// journal up per `scenario`'s retention mode. `shards <= 1` runs on the
+    /// sequential simulator; more makes a conservatively parallel world of
+    /// `shards` event-queue shards (one per attachment-subtree block; the
+    /// wired core rides on shard 0 — see [`simnet::shard`] for the window
+    /// protocol). Journals are byte-identical per `(seed, shards)`, and
+    /// semantically equivalent to the sequential build. Torn down by
+    /// [`MulticastSim::finish`]. Panics on an invalid spec (use
+    /// [`HierarchySpec::validate`] first for graceful handling).
+    pub fn for_scenario(
         spec: HierarchySpec,
+        scenario: &Scenario,
         seed: u64,
         shards: usize,
-        workers: usize,
     ) -> Self {
         let problems = spec.validate();
         assert!(problems.is_empty(), "invalid spec: {problems:?}");
@@ -1051,14 +1057,13 @@ impl RingNetSim {
         // Journalling stays on even in quiet configs: the experiment layer
         // always reads the low-volume records (Ordered, handoffs); the
         // config flags gate only the per-delivery firehose.
-        let (net, addrs) = if shards <= 1 {
+        let (mut net, addrs) = if shards <= 1 {
             let mut sim = Sim::with_options(seed, true, wire_size);
             let addrs = assemble(&spec, &mut sim, &harvest);
             (Net::Seq(sim), addrs)
         } else {
             let sm = shard_map(&spec, shards);
             let mut sim = ShardedSim::new(seed, shards, sm.clone(), true, wire_size);
-            sim.set_workers(workers);
             let addrs = assemble(&spec, &mut sim, &harvest);
             // Record the NE → shard placement for the telemetry report (only
             // NEs carry telemetry): the shard map is indexed by creation order.
@@ -1068,32 +1073,16 @@ impl RingNetSim {
             }
             (Net::Sharded(sim), addrs)
         };
+        let reporting =
+            Reporting::install_journal(net.journal_mut(), scenario, hierarchy_core(&spec));
         RingNetSim {
             net,
             addrs,
             spec,
-            reporting: None,
+            reporting,
             harvest,
             telemetry_shards,
         }
-    }
-
-    /// The one "spec + scenario → simulation with reporting installed"
-    /// constructor behind every RingNet-engine backend (RingNet, tree,
-    /// flat ring): build `spec` on `shards` event-queue shards and set the
-    /// journal up per the scenario's retention mode. Torn down by
-    /// [`MulticastSim::finish`].
-    pub fn for_scenario(
-        spec: HierarchySpec,
-        scenario: &Scenario,
-        seed: u64,
-        shards: usize,
-    ) -> Self {
-        let mut sim = RingNetSim::build_sharded(spec, seed, shards, 0);
-        let core = hierarchy_core(&sim.spec);
-        let reporting = Reporting::install_journal(sim.journal_mut(), scenario, core);
-        sim.reporting = Some(reporting);
-        sim
     }
 
     /// Cap the sharded drain threads (`0` = available parallelism). A
@@ -1102,22 +1091,6 @@ impl RingNetSim {
     pub fn set_workers(&mut self, workers: usize) {
         if let Net::Sharded(s) = &mut self.net {
             s.set_workers(workers);
-        }
-    }
-
-    /// Run until simulated time `t`.
-    pub fn run_until(&mut self, t: SimTime) {
-        match &mut self.net {
-            Net::Seq(s) => s.run_until(t),
-            Net::Sharded(s) => s.run_until(t),
-        }
-    }
-
-    /// Current simulated time.
-    pub fn now(&self) -> SimTime {
-        match &self.net {
-            Net::Seq(s) => s.now(),
-            Net::Sharded(s) => s.now(),
         }
     }
 
@@ -1132,10 +1105,7 @@ impl RingNetSim {
     /// The journal receiving this run's protocol events (the master,
     /// merge-fed journal in sharded mode).
     pub fn journal_mut(&mut self) -> &mut simnet::Journal<ProtoEvent> {
-        match &mut self.net {
-            Net::Seq(s) => &mut s.world().journal,
-            Net::Sharded(s) => s.journal_mut(),
-        }
+        self.net.journal_mut()
     }
 
     /// Schedule a control closure at `at` — the body of every
@@ -1200,18 +1170,6 @@ impl RingNetSim {
         };
         let peers = ring.iter().filter(|&&m| m != member);
         peers.map(|&m| self.ne_addr(m)).collect()
-    }
-
-    /// Stop the simulation — every NE and MH actor hands its counters (and
-    /// telemetry) to the harvest from [`Actor::on_stop`] — and return
-    /// `(journal, transport stats, end-of-run counters)`.
-    pub fn finish(self) -> (Vec<(SimTime, ProtoEvent)>, SimStats, Finals) {
-        let (journal, stats) = match self.net {
-            Net::Seq(s) => s.finish(),
-            Net::Sharded(s) => s.finish(),
-        };
-        let finals = std::mem::take(&mut lock(&self.harvest).finals);
-        (journal, stats, finals)
     }
 }
 
@@ -1338,22 +1296,25 @@ impl MulticastSim for RingNetSim {
     }
 
     fn run_until(&mut self, t: SimTime) {
-        RingNetSim::run_until(self, t);
+        match &mut self.net {
+            Net::Seq(s) => s.run_until(t),
+            Net::Sharded(s) => s.run_until(t),
+        }
     }
 
-    fn finish(mut self) -> RunReport {
-        let reporting = self
-            .reporting
-            .take()
-            .expect("built by RingNetSim::for_scenario");
-        let telemetry = self.spec.cfg.telemetry;
-        let shard_of = std::mem::take(&mut self.telemetry_shards);
-        let harvest = Arc::clone(&self.harvest);
-        let (journal, stats, finals) = RingNetSim::finish(self);
-        let mut report = reporting.finish(journal, stats, finals);
-        report.telemetry = telemetry.then(|| crate::telemetry::TelemetryReport {
-            nodes: std::mem::take(&mut lock(&harvest).telemetry),
-            shard_of,
+    /// Stop the simulation — every NE and MH actor hands its counters (and
+    /// telemetry) to the harvest from [`Actor::on_stop`] — and assemble the
+    /// report.
+    fn finish(self) -> RunReport {
+        let (journal, stats) = match self.net {
+            Net::Seq(s) => s.finish(),
+            Net::Sharded(s) => s.finish(),
+        };
+        let harvest = std::mem::take(&mut *lock(&self.harvest));
+        let mut report = self.reporting.finish(journal, stats, harvest.finals);
+        report.telemetry = self.spec.cfg.telemetry.then_some(TelemetryReport {
+            nodes: harvest.telemetry,
+            shard_of: self.telemetry_shards,
         });
         report
     }
@@ -1365,8 +1326,8 @@ mod tests {
     use crate::config::ProtocolConfig;
     use crate::driver::{CoreShape, ScenarioBuilder};
 
-    fn small_spec() -> HierarchySpec {
-        let sc = ScenarioBuilder::new()
+    fn small() -> Scenario {
+        ScenarioBuilder::new()
             .attachments(4)
             .shape(CoreShape::Hierarchy {
                 brs: 3,
@@ -1376,8 +1337,13 @@ mod tests {
             .sources(2)
             .cbr(SimDuration::from_millis(20))
             .message_limit(10)
-            .build();
-        ringnet_spec(&sc)
+            .build()
+    }
+
+    /// The small world on `shards` event-queue shards.
+    fn small_world(seed: u64, shards: usize) -> RingNetSim {
+        let sc = small();
+        RingNetSim::for_scenario(ringnet_spec(&sc), &sc, seed, shards)
     }
 
     /// The attachment index and id of the spec's last AP.
@@ -1387,9 +1353,14 @@ mod tests {
 
     #[test]
     fn build_and_run_small_network() {
-        let mut net = RingNetSim::build(small_spec(), 42);
+        let mut net = small_world(42, 1);
         net.run_until(SimTime::from_secs(3));
-        let (journal, stats, finals) = net.finish();
+        let RunReport {
+            journal,
+            stats,
+            finals,
+            ..
+        } = net.finish();
         assert!(stats.packets_delivered > 0);
         // Every source message got ordered exactly once.
         let ordered: Vec<_> = journal
@@ -1436,9 +1407,9 @@ mod tests {
             for &ev in &sc.events {
                 net.schedule(ev);
             }
-            MulticastSim::run_until(&mut net, sc.duration);
+            net.run_until(sc.duration);
             let before = net.stats();
-            let report = MulticastSim::finish(net);
+            let report = net.finish();
             assert!(before.events > 0);
             assert_eq!(report.stats, before, "{shards} shard(s)");
             assert_eq!(report.finals.mh.len(), 3, "the dead walker reports nothing");
@@ -1448,7 +1419,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "index out of range (7 core entities)")]
     fn an_out_of_range_core_index_panics_naming_the_event() {
-        let mut net = RingNetSim::build(small_spec(), 1);
+        let mut net = small_world(1, 1);
         let at = SimTime::from_secs(1);
         net.schedule(ScenarioEvent::RingRejoin { at, index: 7 });
     }
@@ -1457,7 +1428,7 @@ mod tests {
     fn default_plan_world_shares_at_most_six_profiles() {
         // The topology interns profiles: links of one plan entry share one
         // table slot, so distinct references count the slots in use.
-        let mut net = RingNetSim::build(small_spec(), 42);
+        let mut net = small_world(42, 1);
         let Net::Seq(sim) = &mut net.net else {
             panic!("a plain build is sequential");
         };
@@ -1476,9 +1447,9 @@ mod tests {
     #[test]
     fn deterministic_replay() {
         fn run(seed: u64) -> Vec<(SimTime, ProtoEvent)> {
-            let mut net = RingNetSim::build(small_spec(), seed);
+            let mut net = small_world(seed, 1);
             net.run_until(SimTime::from_secs(2));
-            net.finish().0
+            net.finish().journal
         }
         let a = run(7);
         let b = run(7);
@@ -1487,7 +1458,7 @@ mod tests {
 
     #[test]
     fn handoff_scenario_delivers_everything() {
-        let mut net = RingNetSim::build(small_spec(), 3);
+        let mut net = small_world(3, 1);
         // Move MH 0 from its AP to the other ring's AP at t = 1s.
         let (to, target_ap) = last_ap(&net.spec);
         net.schedule(ScenarioEvent::Handoff {
@@ -1496,7 +1467,7 @@ mod tests {
             to,
         });
         net.run_until(SimTime::from_secs(4));
-        let (journal, ..) = net.finish();
+        let journal = net.finish().journal;
         let registered = journal.iter().any(|(_, e)| {
             matches!(e, ProtoEvent::HandoffRegistered { mh: Guid(0), ap, .. } if *ap == target_ap)
         });
@@ -1519,19 +1490,20 @@ mod tests {
 
     #[test]
     fn kill_mid_ring_heals_and_continues() {
-        let mut spec = small_spec();
+        let sc = small();
+        let mut spec = ringnet_spec(&sc);
         // Unlimited source so traffic spans the failure.
         for s in &mut spec.sources {
             s.limit = Some(100);
         }
         let victim = spec.top_ring[2]; // not the token origin (leader 0)
-        let mut net = RingNetSim::build(spec, 5);
+        let mut net = RingNetSim::for_scenario(spec, &sc, 5, 1);
         net.schedule(ScenarioEvent::KillCore {
             at: SimTime::from_secs(1),
             index: 2,
         });
         net.run_until(SimTime::from_secs(6));
-        let (journal, ..) = net.finish();
+        let journal = net.finish().journal;
         // Ring repair observed.
         assert!(journal.iter().any(
             |(_, e)| matches!(e, ProtoEvent::RingRepaired { failed, .. } if *failed == victim)
@@ -1566,18 +1538,19 @@ mod tests {
 
     #[test]
     fn sharded_build_matches_sequential_deliveries() {
-        let mut seq = RingNetSim::build(small_spec(), 42);
+        let mut seq = small_world(42, 1);
         seq.run_until(SimTime::from_secs(3));
-        let (seq_journal, ..) = seq.finish();
+        let seq = seq.finish();
 
-        let mut par = RingNetSim::build_sharded(small_spec(), 42, 2, 1);
+        let mut par = small_world(42, 2);
+        par.set_workers(1);
         par.run_until(SimTime::from_secs(3));
-        let (par_journal, par_stats, _) = par.finish();
+        let par = par.finish();
 
-        assert!(par_stats.packets_delivered > 0);
+        assert!(par.stats.packets_delivered > 0);
         assert_eq!(
-            delivery_sets(&seq_journal),
-            delivery_sets(&par_journal),
+            delivery_sets(&seq.journal),
+            delivery_sets(&par.journal),
             "sharded world delivers the same ordered stream to every walker"
         );
     }
@@ -1585,9 +1558,10 @@ mod tests {
     #[test]
     fn sharded_journal_is_byte_identical_per_shard_count() {
         fn run(workers: usize) -> Vec<(SimTime, ProtoEvent)> {
-            let mut net = RingNetSim::build_sharded(small_spec(), 9, 2, workers);
+            let mut net = small_world(9, 2);
+            net.set_workers(workers);
             net.run_until(SimTime::from_secs(2));
-            net.finish().0
+            net.finish().journal
         }
         let a = run(1);
         let b = run(1);
@@ -1598,7 +1572,7 @@ mod tests {
 
     #[test]
     fn sharded_handoff_crosses_shards() {
-        let mut net = RingNetSim::build_sharded(small_spec(), 3, 2, 0);
+        let mut net = small_world(3, 2);
         // The last AP lives in the last shard block; MH 0 starts in the
         // first, so this handoff rewires a cross-shard wireless link via
         // the barrier-side NetView.
@@ -1609,7 +1583,7 @@ mod tests {
             to,
         });
         net.run_until(SimTime::from_secs(4));
-        let (journal, ..) = net.finish();
+        let journal = net.finish().journal;
         let registered = journal.iter().any(|(_, e)| {
             matches!(e, ProtoEvent::HandoffRegistered { mh: Guid(0), ap, .. } if *ap == target_ap)
         });
@@ -1624,7 +1598,7 @@ mod tests {
 
     #[test]
     fn shard_map_partitions_by_attachment_block() {
-        let spec = small_spec();
+        let spec = ringnet_spec(&small());
         let map = shard_map(&spec, 2);
         let n_core =
             spec.top_ring.len() + spec.ag_rings.iter().map(|r| r.members.len()).sum::<usize>();
@@ -1640,8 +1614,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "attachment subtrees")]
     fn shard_map_rejects_more_shards_than_aps() {
-        let spec = small_spec();
-        shard_map(&spec, 64);
+        shard_map(&ringnet_spec(&small()), 64);
     }
 
     /// An AP stand-in: records every ack and NACK an MH sends it, stamped

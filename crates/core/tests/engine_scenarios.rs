@@ -6,7 +6,8 @@ use std::collections::BTreeMap;
 
 use ringnet_core::config::{HEARTBEAT_PERIOD, HOP_TICK};
 use ringnet_core::driver::{
-    hierarchy_core, ringnet_spec, CoreShape, MulticastSim, Scenario, ScenarioBuilder, ScenarioEvent,
+    hierarchy_core, ringnet_spec, CoreShape, MulticastSim, RunReport, Scenario, ScenarioBuilder,
+    ScenarioEvent,
 };
 use ringnet_core::hierarchy::{LinkPlan, MhSpec};
 use ringnet_core::metrics::Finals;
@@ -34,17 +35,16 @@ fn count<F: Fn(&ProtoEvent) -> bool>(journal: &[(SimTime, ProtoEvent)], f: F) ->
 
 #[test]
 fn poisson_traffic_is_fully_ordered_and_delivered() {
-    let spec = ringnet_spec(
-        &hierarchy(3, 1, 3, 1)
-            .sources(3)
-            .poisson(120.0)
-            .window(SimTime::ZERO, Some(SimTime::from_secs(2)))
-            .loss_free_wireless()
-            .build(),
-    );
-    let mut net = RingNetSim::build(spec, 17);
+    let sc = hierarchy(3, 1, 3, 1)
+        .sources(3)
+        .poisson(120.0)
+        .window(SimTime::ZERO, Some(SimTime::from_secs(2)))
+        .loss_free_wireless()
+        .build();
+    let spec = ringnet_spec(&sc);
+    let mut net = RingNetSim::for_scenario(spec, &sc, 17, 1);
     net.run_until(SimTime::from_secs(4));
-    let (journal, ..) = net.finish();
+    let journal = net.finish().journal;
     let sent = count(&journal, |e| matches!(e, ProtoEvent::SourceSend { .. }));
     let ordered = count(&journal, |e| matches!(e, ProtoEvent::Ordered { .. }));
     assert!(sent > 300, "Poisson sources produced {sent}");
@@ -56,13 +56,12 @@ fn poisson_traffic_is_fully_ordered_and_delivered() {
 
 #[test]
 fn ap_failure_orphans_then_handoff_rescues() {
-    let mut spec = ringnet_spec(
-        &hierarchy(2, 1, 2, 2)
-            .cbr(SimDuration::from_millis(10))
-            .build(),
-    );
+    let sc = hierarchy(2, 1, 2, 2)
+        .cbr(SimDuration::from_millis(10))
+        .build();
+    let mut spec = ringnet_spec(&sc);
     spec.links.wireless = LinkProfile::wired(SimDuration::from_millis(2));
-    let mut net = RingNetSim::build(spec, 23);
+    let mut net = RingNetSim::for_scenario(spec, &sc, 23, 1);
     // AP of MH 0 dies at 2s; the radio layer moves the MH at 3s.
     net.schedule(ScenarioEvent::ApCrash {
         at: SimTime::from_secs(2),
@@ -74,7 +73,7 @@ fn ap_failure_orphans_then_handoff_rescues() {
         to: 1,
     });
     net.run_until(SimTime::from_secs(6));
-    let (journal, ..) = net.finish();
+    let journal = net.finish().journal;
     // MH 0's deliveries: gap during orphanhood, resumption after rescue.
     let times: Vec<SimTime> = journal
         .iter()
@@ -106,27 +105,26 @@ fn ap_failure_orphans_then_handoff_rescues() {
 
 #[test]
 fn bursty_channel_with_budget_keeps_ratio_high() {
-    let spec = ringnet_spec(
-        &hierarchy(2, 1, 2, 1)
-            .walkers_per_attachment(2)
-            .cbr(SimDuration::from_millis(10))
-            .window(SimTime::ZERO, Some(SimTime::from_secs(3)))
-            .links(LinkPlan {
-                wireless: LinkProfile {
-                    latency: LatencyModel::Jittered {
-                        base: SimDuration::from_millis(2),
-                        jitter: SimDuration::from_millis(2),
-                    },
-                    loss: LossModel::lossy_wireless(),
-                    bandwidth: simnet::BandwidthModel::Unlimited,
+    let sc = hierarchy(2, 1, 2, 1)
+        .walkers_per_attachment(2)
+        .cbr(SimDuration::from_millis(10))
+        .window(SimTime::ZERO, Some(SimTime::from_secs(3)))
+        .links(LinkPlan {
+            wireless: LinkProfile {
+                latency: LatencyModel::Jittered {
+                    base: SimDuration::from_millis(2),
+                    jitter: SimDuration::from_millis(2),
                 },
-                ..LinkPlan::default()
-            })
-            .build(),
-    );
-    let mut net = RingNetSim::build(spec, 29);
+                loss: LossModel::lossy_wireless(),
+                bandwidth: simnet::BandwidthModel::Unlimited,
+            },
+            ..LinkPlan::default()
+        })
+        .build();
+    let spec = ringnet_spec(&sc);
+    let mut net = RingNetSim::for_scenario(spec, &sc, 29, 1);
     net.run_until(SimTime::from_secs(5));
-    let (.., finals) = net.finish();
+    let finals = net.finish().finals;
     let ratio = finals.mh_totals().delivery_ratio();
     assert!(ratio > 0.98, "bursty-channel delivery ratio {ratio}");
 }
@@ -141,33 +139,32 @@ fn bursty_channel_with_budget_keeps_ratio_high() {
 #[test]
 fn a_lost_last_message_is_never_repaired() {
     let messages = 10;
-    let spec = ringnet_spec(
-        &hierarchy(2, 1, 2, 1)
-            .walkers_per_attachment(2)
-            .cbr(SimDuration::from_millis(10))
-            .message_limit(messages)
-            .links(LinkPlan {
-                wireless: LinkProfile {
-                    latency: LatencyModel::Jittered {
-                        base: SimDuration::from_millis(2),
-                        jitter: SimDuration::from_millis(2),
-                    },
-                    loss: LossModel::Bernoulli(0.2),
-                    bandwidth: simnet::BandwidthModel::Unlimited,
+    let sc = hierarchy(2, 1, 2, 1)
+        .walkers_per_attachment(2)
+        .cbr(SimDuration::from_millis(10))
+        .message_limit(messages)
+        .links(LinkPlan {
+            wireless: LinkProfile {
+                latency: LatencyModel::Jittered {
+                    base: SimDuration::from_millis(2),
+                    jitter: SimDuration::from_millis(2),
                 },
-                ..LinkPlan::default()
-            })
-            .build(),
-    );
+                loss: LossModel::Bernoulli(0.2),
+                bandwidth: simnet::BandwidthModel::Unlimited,
+            },
+            ..LinkPlan::default()
+        })
+        .build();
+    let spec = ringnet_spec(&sc);
     let (short, sibling) = (Guid(0), Guid(1));
     let ap_of = |spec: &ringnet_core::HierarchySpec, g: Guid| {
         spec.mhs.iter().find(|m| m.guid == g).unwrap().initial_ap
     };
     assert!(ap_of(&spec, short).is_some());
     assert_eq!(ap_of(&spec, short), ap_of(&spec, sibling), "one AP");
-    let mut net = RingNetSim::build(spec, 1);
+    let mut net = RingNetSim::for_scenario(spec, &sc, 1, 1);
     net.run_until(SimTime::from_secs(2));
-    let (journal, ..) = net.finish();
+    let journal = net.finish().journal;
     // Per walker, every GSN it delivered or skipped, in journal order.
     let mut passed: BTreeMap<Guid, Vec<u64>> = BTreeMap::new();
     for (_, e) in &journal {
@@ -196,22 +193,21 @@ fn a_lost_last_message_is_never_repaired() {
 #[test]
 fn quiet_world_fires_two_timer_chains_per_ne_and_one_ack_wake_per_mh() {
     let messages = 5;
-    let spec = ringnet_spec(
-        &ScenarioBuilder::figure1(G)
-            .config(ProtocolConfig::default().quiet())
-            .message_limit(messages)
-            .loss_free_wireless()
-            .build(),
-    );
+    let sc = ScenarioBuilder::figure1(G)
+        .config(ProtocolConfig::default().quiet())
+        .message_limit(messages)
+        .loss_free_wireless()
+        .build();
+    let spec = ringnet_spec(&sc);
     let mhs = spec.mhs.len() as u64;
     let nes = (spec.entities().count() - spec.sources.len()) as u64 - mhs;
     let second = SimDuration::from_secs(1).as_nanos();
     let hop_ticks = second / HOP_TICK.as_nanos();
     let heartbeat_ticks = second / HEARTBEAT_PERIOD.as_nanos();
     let ack_every = u64::from(spec.cfg.ack_every);
-    let mut net = RingNetSim::build(spec, 31);
+    let mut net = RingNetSim::for_scenario(spec, &sc, 31, 1);
     net.run_until(SimTime::from_secs(1));
-    let (journal, stats, _) = net.finish();
+    let RunReport { journal, stats, .. } = net.finish();
     // A source ticks once per message and once more to find its limit spent.
     assert_eq!(
         stats.timers_fired,
@@ -234,18 +230,17 @@ fn quiet_world_fires_two_timer_chains_per_ne_and_one_ack_wake_per_mh() {
 fn reservation_expires_and_ap_prunes_itself() {
     let ttl = SimDuration::from_secs(2);
     // One MH at AP[1]; its join reserves the neighbours AP[0] and AP[2].
-    let spec = ringnet_spec(
-        &hierarchy(2, 1, 2, 2)
-            .walkers(vec![Some(1)])
-            .cbr(SimDuration::from_millis(20))
-            .aps_always_active(false)
-            .config(ProtocolConfig::default().with_reservation_radius(1))
-            .build(),
-    );
+    let sc = hierarchy(2, 1, 2, 2)
+        .walkers(vec![Some(1)])
+        .cbr(SimDuration::from_millis(20))
+        .aps_always_active(false)
+        .config(ProtocolConfig::default().with_reservation_radius(1))
+        .build();
+    let spec = ringnet_spec(&sc);
     let home = spec.aps[1].id;
-    let mut net = RingNetSim::build(spec, 37);
+    let mut net = RingNetSim::for_scenario(spec, &sc, 37, 1);
     net.run_until(SimTime::from_secs(4));
-    let (journal, ..) = net.finish();
+    let journal = net.finish().journal;
     let mut reserved_at = BTreeMap::new();
     for (t, e) in &journal {
         if let ProtoEvent::Reserved { ap, .. } = e {
@@ -303,19 +298,18 @@ fn reservation_expires_and_ap_prunes_itself() {
 
 #[test]
 fn killing_an_mh_stops_its_acks_and_frees_it() {
-    let spec = ringnet_spec(
-        &hierarchy(2, 1, 2, 1)
-            .walkers_per_attachment(2)
-            .cbr(SimDuration::from_millis(10))
-            .build(),
-    );
-    let mut net = RingNetSim::build(spec, 41);
+    let sc = hierarchy(2, 1, 2, 1)
+        .walkers_per_attachment(2)
+        .cbr(SimDuration::from_millis(10))
+        .build();
+    let spec = ringnet_spec(&sc);
+    let mut net = RingNetSim::for_scenario(spec, &sc, 41, 1);
     net.schedule(ScenarioEvent::KillWalker {
         at: SimTime::from_secs(1),
         walker: 0,
     });
     net.run_until(SimTime::from_secs(4));
-    let (journal, ..) = net.finish();
+    let journal = net.finish().journal;
     // The dead MH stops delivering shortly after the kill...
     let dead_last = journal
         .iter()
@@ -361,21 +355,20 @@ fn killing_an_mh_stops_its_acks_and_frees_it() {
 #[test]
 fn idle_mhs_are_kept_alive_by_their_acks_alone() {
     let run = |mhs_per_ap: usize| {
-        let mut spec = ringnet_spec(
-            &hierarchy(2, 1, 2, 2)
-                .walkers_per_attachment(mhs_per_ap)
-                .config(ProtocolConfig::default().with_reservation_radius(0))
-                .links(LinkPlan {
-                    wireless: LinkProfile::wired(SimDuration::from_millis(5)),
-                    ..LinkPlan::default()
-                })
-                .build(),
-        );
+        let sc = hierarchy(2, 1, 2, 2)
+            .walkers_per_attachment(mhs_per_ap)
+            .config(ProtocolConfig::default().with_reservation_radius(0))
+            .links(LinkPlan {
+                wireless: LinkProfile::wired(SimDuration::from_millis(5)),
+                ..LinkPlan::default()
+            })
+            .build();
+        let mut spec = ringnet_spec(&sc);
         spec.sources.clear();
         let (aps, mhs) = (spec.aps.len() as u64, spec.mhs.len() as i64);
-        let mut net = RingNetSim::build(spec, 47);
+        let mut net = RingNetSim::for_scenario(spec, &sc, 47, 1);
         net.run_until(SimTime::from_secs(2));
-        let (journal, stats, _) = net.finish();
+        let RunReport { journal, stats, .. } = net.finish();
         // The joins reach the root within the sweep's 200 ms window, before
         // any MH could be swept; from then on the count holds.
         let counts: Vec<(SimTime, i64)> = journal
@@ -410,16 +403,15 @@ fn idle_mhs_are_kept_alive_by_their_acks_alone() {
 /// AP would have swept it, and not a heartbeat period later.
 #[test]
 fn amnesiac_ap_solicits_reregistration_within_an_ack_period() {
-    let spec = ringnet_spec(
-        &hierarchy(2, 1, 2, 1)
-            .walkers_per_attachment(2)
-            .cbr(SimDuration::from_millis(10))
-            .links(LinkPlan {
-                wireless: LinkProfile::wired(SimDuration::from_millis(1)),
-                ..LinkPlan::default()
-            })
-            .build(),
-    );
+    let sc = hierarchy(2, 1, 2, 1)
+        .walkers_per_attachment(2)
+        .cbr(SimDuration::from_millis(10))
+        .links(LinkPlan {
+            wireless: LinkProfile::wired(SimDuration::from_millis(1)),
+            ..LinkPlan::default()
+        })
+        .build();
+    let spec = ringnet_spec(&sc);
     let ap = spec.aps[0].id;
     let crash = SimTime::from_millis(1_001);
     assert_eq!(
@@ -427,11 +419,11 @@ fn amnesiac_ap_solicits_reregistration_within_an_ack_period() {
         SimDuration::from_millis(1).as_nanos(),
         "1 ms after a heartbeat tick"
     );
-    let mut net = RingNetSim::build(spec, 53);
+    let mut net = RingNetSim::for_scenario(spec, &sc, 53, 1);
     net.schedule(ScenarioEvent::ApCrash { at: crash, ap: 0 });
     net.schedule(ScenarioEvent::ApRestart { at: crash, ap: 0 });
     net.run_until(SimTime::from_secs(2));
-    let (journal, ..) = net.finish();
+    let journal = net.finish().journal;
     let registered: Vec<(Guid, SimTime)> = journal
         .iter()
         .filter_map(|(t, e)| match e {
@@ -454,13 +446,12 @@ fn amnesiac_ap_solicits_reregistration_within_an_ack_period() {
 /// that name it as their attachment — on the ordinary engine.
 #[test]
 fn station_shaped_spec_delivers_in_order() {
-    let mut spec = ringnet_spec(
-        &ScenarioBuilder::figure1(G)
-            .sources(2)
-            .cbr(SimDuration::from_millis(20))
-            .message_limit(20)
-            .build(),
-    );
+    let sc = ScenarioBuilder::figure1(G)
+        .sources(2)
+        .cbr(SimDuration::from_millis(20))
+        .message_limit(20)
+        .build();
+    let mut spec = ringnet_spec(&sc);
     spec.ag_rings.clear();
     spec.aps.clear();
     spec.mhs = (0..4u32)
@@ -472,7 +463,7 @@ fn station_shaped_spec_delivers_in_order() {
         .collect();
     assert!(spec.is_station_shape());
     assert_eq!(spec.attachment(3), Some(NodeId(3)));
-    let mut net = RingNetSim::build(spec, 5);
+    let mut net = RingNetSim::for_scenario(spec, &sc, 5, 1);
     // Stations serve handoffs like any attachment entity.
     net.schedule(ScenarioEvent::Handoff {
         at: SimTime::from_millis(300),
@@ -480,7 +471,7 @@ fn station_shaped_spec_delivers_in_order() {
         to: 3,
     });
     net.run_until(SimTime::from_secs(3));
-    let (journal, ..) = net.finish();
+    let journal = net.finish().journal;
     assert_eq!(
         count(&journal, |e| matches!(e, ProtoEvent::Ordered { .. })),
         40,
@@ -511,24 +502,23 @@ fn station_shaped_spec_delivers_in_order() {
 /// an answer, and repair the ring a period or more late.
 #[test]
 fn ring_cut_at_a_heartbeat_tick_is_repaired_on_the_probe_schedule() {
-    let spec = ringnet_spec(
-        &hierarchy(2, 2, 1, 1)
-            .cbr(SimDuration::from_millis(10))
-            .build(),
-    );
+    let sc = hierarchy(2, 2, 1, 1)
+        .cbr(SimDuration::from_millis(10))
+        .build();
+    let spec = ringnet_spec(&sc);
     // A BR's core index is its id.
     let (a, b) = (spec.top_ring[0], spec.top_ring[1]);
     let hop = spec.links.top_ring.latency.max_delay();
     let cut = SimTime::from_secs(1);
     assert_eq!(cut.as_nanos() % HEARTBEAT_PERIOD.as_nanos(), 0, "a tick");
-    let mut net = RingNetSim::build(spec, 7);
+    let mut net = RingNetSim::for_scenario(spec, &sc, 7, 1);
     net.schedule(ScenarioEvent::PartitionCore {
         at: cut,
         a: a.0 as usize,
         b: b.0 as usize,
     });
     net.run_until(cut + HEARTBEAT_PERIOD * 6);
-    let (journal, ..) = net.finish();
+    let journal = net.finish().journal;
     assert!(
         journal.iter().any(|(t, e)| {
             matches!(e, ProtoEvent::TokenPass { .. }) && *t + hop > cut && *t <= cut
@@ -548,17 +538,16 @@ fn ring_cut_at_a_heartbeat_tick_is_repaired_on_the_probe_schedule() {
 
 #[test]
 fn zero_mh_network_runs_clean() {
-    let spec = ringnet_spec(
-        &hierarchy(2, 1, 2, 1)
-            .walkers_per_attachment(0)
-            .sources(2)
-            .cbr(SimDuration::from_millis(10))
-            .message_limit(50)
-            .build(),
-    );
-    let mut net = RingNetSim::build(spec, 43);
+    let sc = hierarchy(2, 1, 2, 1)
+        .walkers_per_attachment(0)
+        .sources(2)
+        .cbr(SimDuration::from_millis(10))
+        .message_limit(50)
+        .build();
+    let spec = ringnet_spec(&sc);
+    let mut net = RingNetSim::for_scenario(spec, &sc, 43, 1);
     net.run_until(SimTime::from_secs(3));
-    let (journal, stats, _) = net.finish();
+    let RunReport { journal, stats, .. } = net.finish();
     // Ordering proceeds with nobody listening.
     assert_eq!(
         count(&journal, |e| matches!(e, ProtoEvent::Ordered { .. })),
@@ -584,17 +573,16 @@ fn lost_frame_of_cumulative_acks_is_repaired_by_the_next_frame() {
     /// The journal, the transport totals, and the AP's `MQ` peak (of its
     /// first group state; the lost frame stalled all four alike).
     fn run(cut_uplink: bool) -> (Vec<(SimTime, ProtoEvent)>, simnet::SimStats, Finals, u32) {
-        let spec = ringnet_spec(
-            &hierarchy(4, 1, 1, 1)
-                .sources(4)
-                .groups((1..=4).map(GroupId).collect())
-                .cbr(SimDuration::from_millis(10))
-                .window(SimTime::ZERO, Some(SimTime::from_millis(1500)))
-                .loss_free_wireless()
-                .build(),
-        );
+        let sc = hierarchy(4, 1, 1, 1)
+            .sources(4)
+            .groups((1..=4).map(GroupId).collect())
+            .cbr(SimDuration::from_millis(10))
+            .window(SimTime::ZERO, Some(SimTime::from_millis(1500)))
+            .loss_free_wireless()
+            .build();
+        let spec = ringnet_spec(&sc);
         let ap = spec.aps[0].id;
-        let mut net = RingNetSim::build(spec, 3);
+        let mut net = RingNetSim::for_scenario(spec, &sc, 3, 1);
         let (mh_addr, ap_addr) = (net.addrs.mh(Guid(0)).unwrap(), net.addrs.ne(ap).unwrap());
         // Acks leave every second 5 ms hop tick; 1010 ms is an ack tick that
         // is not also a 50 ms heartbeat tick. Only the uplink drops.
@@ -604,7 +592,12 @@ fn lost_frame_of_cumulative_acks_is_repaired_by_the_next_frame() {
             });
         }
         net.run_until(SimTime::from_secs(2));
-        let (journal, stats, finals) = net.finish();
+        let RunReport {
+            journal,
+            stats,
+            finals,
+            ..
+        } = net.finish();
         let (_, ap_mq_peak) = finals.buffer_peaks_of(ap).expect("the AP reports");
         (journal, stats, finals, ap_mq_peak)
     }
@@ -737,14 +730,13 @@ fn figure1_latency_is_token_wait_plus_link_delays_exactly() {
         wireless: LinkProfile::wired(SimDuration::from_millis(2)),
         ..LinkPlan::default()
     };
-    let spec = ringnet_spec(
-        &ScenarioBuilder::figure1(G)
-            // 7 ms against the 12 ms rotation: the token wait takes every phase.
-            .cbr(SimDuration::from_millis(7))
-            .window(SimTime::ZERO, Some(SimTime::from_millis(1500)))
-            .links(links.clone())
-            .build(),
-    );
+    let sc = ScenarioBuilder::figure1(G)
+        // 7 ms against the 12 ms rotation: the token wait takes every phase.
+        .cbr(SimDuration::from_millis(7))
+        .window(SimTime::ZERO, Some(SimTime::from_millis(1500)))
+        .links(links.clone())
+        .build();
+    let spec = ringnet_spec(&sc);
     let delay = |p: &LinkProfile| p.latency.max_delay();
     // Walker k sits under AP k under AG k: ring k/3, position k%3. Ring r
     // hangs off BR r, r token hops downstream of the assigner BR 0.
@@ -762,9 +754,9 @@ fn figure1_latency_is_token_wait_plus_link_delays_exactly() {
             (mh.guid, path)
         })
         .collect();
-    let mut net = RingNetSim::build(spec, 7);
+    let mut net = RingNetSim::for_scenario(spec, &sc, 7, 1);
     net.run_until(SimTime::from_secs(2));
-    let (journal, ..) = net.finish();
+    let journal = net.finish().journal;
     let mut sent = BTreeMap::new();
     let mut ordered = BTreeMap::new();
     let mut checked = 0;

@@ -3,7 +3,7 @@
 //! whole-network total order under randomized loss and traffic. Cases are
 //! drawn from seeded [`SimRng`] streams — reproducible, dependency-free.
 
-use ringnet_core::driver::{ringnet_spec, CoreShape, ScenarioBuilder};
+use ringnet_core::driver::{ringnet_spec, CoreShape, MulticastSim, ScenarioBuilder};
 use ringnet_core::hierarchy::{LinkPlan, TrafficPattern};
 use ringnet_core::node::RingState;
 use ringnet_core::{GroupId, NodeId, OrderingToken, ProtoEvent, RingNetSim};
@@ -116,9 +116,9 @@ fn total_order_never_violated() {
                 loss_pct as f64 / 100.0,
             ))
             .build();
-        let mut net = RingNetSim::build(ringnet_spec(&sc), seed);
+        let mut net = RingNetSim::build(&sc, seed);
         net.run_until(SimTime::from_secs(4));
-        let (journal, ..) = net.finish();
+        let journal = net.finish().journal;
         // Per-MH strict monotonicity.
         let mut last: std::collections::BTreeMap<u32, u64> = Default::default();
         for (_, e) in &journal {
@@ -158,7 +158,7 @@ fn total_order_never_violated() {
 /// submissions are assigned exactly once in the merged epoch.
 #[test]
 fn partition_heal_never_double_assigns() {
-    use ringnet_core::driver::{MulticastSim, ScenarioEvent};
+    use ringnet_core::driver::ScenarioEvent;
     let mut rng = SimRng::from_seed(0x9A27);
     for case in 0..12 {
         let down = SimTime::from_millis(1_500 + rng.range_u64(0, 1_000));

@@ -11,11 +11,10 @@
 //! at 5 % ring loss, so both are fixed (two rotations, old snapshot kept;
 //! see `ringnet_core::token` and `ringnet_core::ordering`).
 
-use ringnet_core::driver::{hierarchy_core, ringnet_spec, CoreShape, ScenarioBuilder};
-use ringnet_core::{NodeId, ProtocolConfig};
+use ringnet_core::driver::{CoreShape, MulticastSim, ScenarioBuilder};
+use ringnet_core::{NodeId, ProtocolConfig, RingNetSim};
 use simnet::{SimDuration, SimTime};
 
-use crate::experiments::run_spec;
 use crate::metrics;
 use crate::report::{fms, Table};
 
@@ -42,12 +41,9 @@ fn measure(cfg: ProtocolConfig, duration: SimTime) -> Point {
         .loss_free_wireless()
         .duration(duration)
         .build();
-    let mut totals = metrics::MetricsAccumulator::new(hierarchy_core(&ringnet_spec(&sc)));
-    let (journal, finals) = run_spec(&sc, 23);
-    totals.observe_journal(&journal);
-    totals.observe_finals(&finals);
-    let totals = totals.finish();
-    let h = metrics::end_to_end_latency(&journal);
+    let report = RingNetSim::run_scenario(&sc, 23);
+    let (finals, totals) = (&report.finals, &report.metrics);
+    let h = metrics::end_to_end_latency(&report.journal);
     let retransmissions = finals.ne.values().map(|f| f.retransmissions as u64).sum();
     let skips = finals.mh_totals().skipped;
     let mut mq_peak = 0;

@@ -7,7 +7,7 @@
 //! sequence numbers are never assigned twice, and no MH observes an order
 //! violation.
 
-use ringnet_core::driver::{ringnet_spec, CoreShape, MulticastSim, ScenarioBuilder, ScenarioEvent};
+use ringnet_core::driver::{CoreShape, MulticastSim, ScenarioBuilder, ScenarioEvent};
 use ringnet_core::{NodeId, ProtoEvent, RingNetSim};
 use simnet::{SimDuration, SimTime};
 
@@ -36,13 +36,13 @@ fn measure(victim: NodeId, seed: u64, quick: bool) -> Point {
         .cbr(SimDuration::from_millis(10))
         .loss_free_wireless()
         .duration(duration)
+        // The victim is a BR, whose core index is its id.
+        .event(ScenarioEvent::KillCore {
+            at: kill_at,
+            index: victim.0 as usize,
+        })
         .build();
-    let mut net = RingNetSim::build(ringnet_spec(&sc), seed);
-    // The victim is a BR, whose core index is its id.
-    let index = victim.0 as usize;
-    net.schedule(ScenarioEvent::KillCore { at: kill_at, index });
-    net.run_until(duration);
-    let (journal, ..) = net.finish();
+    let journal = RingNetSim::run_scenario(&sc, seed).journal;
 
     // Ordering stall: the largest gap between consecutive Ordered events
     // in the window around the failure.

@@ -6,11 +6,10 @@
 //! local-scope retransmission scheme enabled (NACK budget 5) and disabled
 //! (budget 0) and measure the application-level delivery ratio.
 
-use ringnet_core::driver::{CoreShape, ScenarioBuilder};
-use ringnet_core::ProtocolConfig;
+use ringnet_core::driver::{CoreShape, MulticastSim, ScenarioBuilder};
+use ringnet_core::{ProtocolConfig, RingNetSim};
 use simnet::{LinkProfile, SimDuration, SimTime};
 
-use crate::experiments::run_spec;
 use crate::report::{fnum, Table};
 
 struct Point {
@@ -39,8 +38,7 @@ fn measure(loss: f64, budget: u8, quick: bool) -> Point {
         ))
         .duration(duration)
         .build();
-    let (_, finals) = run_spec(&sc, 17);
-    let totals = finals.mh_totals();
+    let totals = RingNetSim::run_scenario(&sc, 17).finals.mh_totals();
     Point {
         ratio: totals.delivery_ratio(),
         skipped: totals.skipped,

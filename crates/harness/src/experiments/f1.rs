@@ -4,7 +4,7 @@
 //! three, APs and MHs below), verifies its structural invariants, runs it
 //! briefly and confirms totally-ordered delivery to every MH.
 
-use ringnet_core::driver::{ringnet_spec, ScenarioBuilder};
+use ringnet_core::driver::{ringnet_spec, MulticastSim, ScenarioBuilder};
 use ringnet_core::{GroupId, RingNetSim};
 use simnet::{SimDuration, SimTime};
 
@@ -41,9 +41,9 @@ pub fn run(quick: bool) -> Table {
     table.row(vec!["MHT".into(), mhs.to_string(), "one MH per AP".into()]);
     table.note(format!("spec validation problems: {}", problems.len()));
 
-    let mut net = RingNetSim::build(spec, 1);
+    let mut net = RingNetSim::for_scenario(spec, &sc, 1, 1);
     net.run_until(SimTime::from_secs(if quick { 3 } else { 6 }));
-    let (journal, ..) = net.finish();
+    let journal = net.finish().journal;
     let per = metrics::deliveries_per_mh(&journal);
     let complete = per.values().filter(|v| v.len() as u64 == msgs).count();
     let violations = metrics::order_violations(&journal);

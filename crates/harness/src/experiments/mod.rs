@@ -35,11 +35,8 @@ pub mod t1;
 pub mod t2;
 pub mod t3;
 
-use ringnet_core::driver::{ringnet_spec, Scenario};
 use ringnet_core::hierarchy::LinkPlan;
-use ringnet_core::metrics::Finals;
-use ringnet_core::{ProtoEvent, RingNetSim};
-use simnet::{SimDuration, SimTime};
+use simnet::SimDuration;
 
 use crate::report::Table;
 
@@ -60,15 +57,6 @@ pub fn run_all(quick: bool) -> Vec<Table> {
         e8::run(quick),
         a1::run(quick),
     ]
-}
-
-/// Build the RingNet world `sc` lays out, run it for `sc.duration`, tear
-/// down and return the journal with the end-of-run counters.
-pub fn run_spec(sc: &Scenario, seed: u64) -> (Vec<(SimTime, ProtoEvent)>, Finals) {
-    let mut net = RingNetSim::build(ringnet_spec(sc), seed);
-    net.run_until(sc.duration);
-    let (journal, _, finals) = net.finish();
-    (journal, finals)
 }
 
 /// Analytic `T_deliver` for a `CoreShape::Hierarchy` world: the worst-case time

@@ -8,10 +8,11 @@
 //! on token arrival, there is no `τ` scan for a delivery to wait for.
 
 use ringnet_core::analysis::{bounds, TheoremInputs};
-use ringnet_core::driver::{CoreShape, ScenarioBuilder};
+use ringnet_core::driver::{CoreShape, MulticastSim, ScenarioBuilder};
+use ringnet_core::RingNetSim;
 use simnet::{SimDuration, SimTime};
 
-use crate::experiments::{analytic_t_deliver, run_spec};
+use crate::experiments::analytic_t_deliver;
 use crate::metrics;
 use crate::report::{fms, Table};
 
@@ -54,8 +55,8 @@ pub fn measure(r: usize, duration: SimTime) -> Point {
         .duration(duration)
         .build();
     let links = &sc.links;
-    let (journal, _) = run_spec(&sc, 7);
-    let h = metrics::end_to_end_latency(&journal);
+    let report = RingNetSim::run_scenario(&sc, 7);
+    let h = metrics::end_to_end_latency(&report.journal);
     assert!(h.count() > 0, "no latency samples");
     let inputs = TheoremInputs {
         ring_size: r,

@@ -7,11 +7,11 @@
 //! ACK batching and retention, `analysis::EMPIRICAL_SLACK_FACTOR`).
 
 use ringnet_core::analysis::{bounds, within_buffer_bound, TheoremInputs};
-use ringnet_core::driver::{CoreShape, ScenarioBuilder};
-use ringnet_core::NodeId;
+use ringnet_core::driver::{CoreShape, MulticastSim, ScenarioBuilder};
+use ringnet_core::{NodeId, RingNetSim};
 use simnet::{SimDuration, SimTime};
 
-use crate::experiments::{analytic_t_deliver, run_spec};
+use crate::experiments::analytic_t_deliver;
 use crate::report::{fnum, Table};
 
 const R: usize = 4;
@@ -53,7 +53,7 @@ pub fn run(quick: bool) -> Table {
             .duration(duration)
             .build();
         let links = &sc.links;
-        let (_, finals) = run_spec(&sc, 11);
+        let finals = RingNetSim::run_scenario(&sc, 11).finals;
         // Peak over the top-ring nodes only (the theorem's subjects).
         let mut wq_peak = 0u32;
         let mut mq_peak = 0u32;

@@ -34,11 +34,11 @@
 //!     .build();
 //! let spec = ringnet_spec(&scenario);
 //! assert_eq!(spec.tier_sizes(), (4, 9, 9, 9));
-//! let mut net = RingNetSim::build(spec, 1);
+//! let mut net = RingNetSim::for_scenario(spec, &scenario, 1, 1);
 //! net.schedule(ScenarioEvent::KillCore { at: SimTime::from_secs(1), index: 1 });
 //! net.run_until(SimTime::from_secs(2));
-//! let (journal, ..) = net.finish();
-//! assert!(!journal.is_empty());
+//! let report = net.finish();
+//! assert!(!report.journal.is_empty());
 //! ```
 
 #![warn(missing_docs)]

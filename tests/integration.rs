@@ -214,7 +214,8 @@ fn late_joiner_skips_history() {
 #[test]
 #[should_panic(expected = "invalid spec")]
 fn invalid_spec_is_rejected() {
-    let mut spec = ringnet_spec(&ScenarioBuilder::figure1(GroupId(1)).build());
+    let sc = ScenarioBuilder::figure1(GroupId(1)).build();
+    let mut spec = ringnet_spec(&sc);
     spec.sources
         .push(ringnet_repro::core::hierarchy::SourceSpec {
             corresponding: NodeId(9999),
@@ -226,7 +227,7 @@ fn invalid_spec_is_rejected() {
             limit: None,
             groups: Vec::new(),
         });
-    let _ = RingNetSim::build(spec, 1);
+    let _ = RingNetSim::for_scenario(spec, &sc, 1, 1);
 }
 
 /// Heavy churn torture: ping-pong handoffs while a BR dies — order still
