@@ -346,6 +346,9 @@ impl NeActor {
             while let Some(action) = it.next() {
                 match action {
                     Action::Record(ev) => ctx.record(ev),
+                    Action::Send { to, msg } if to == me && is_fence_msg(&msg) => {
+                        loopback.push(msg);
+                    }
                     Action::Send { to, msg } if framing && !msg.carries_payload() => {
                         if let Some(addr) = self.map.resolve(to) {
                             self.framer.held.push((addr, msg));
@@ -353,50 +356,28 @@ impl NeActor {
                     }
                     Action::Send { to, msg } => {
                         dsts.clear();
-                        let mut local = to == me && is_fence_msg(&msg);
-                        if !local {
-                            if let Some(addr) = self.map.resolve(to) {
-                                dsts.push(addr);
-                            }
-                        }
+                        dsts.extend(self.map.resolve(to));
                         // A delivery fan-out (ring + children + attached MHs)
                         // emits consecutive sends of the same message; batch
                         // the run into one interned multicast so the payload
-                        // is stored once instead of cloned per hop.
-                        while let Some(Action::Send { msg: next, .. }) = it.peek() {
-                            if *next != msg {
+                        // is stored once instead of cloned per hop. A send to
+                        // this node itself ends the run: it loops back.
+                        while let Some(Action::Send { to, msg: next }) = it.peek() {
+                            if *next != msg || *to == me {
                                 break;
                             }
                             let Some(Action::Send { to, .. }) = it.next() else {
                                 unreachable!("peeked a send");
                             };
-                            if to == me && is_fence_msg(&msg) {
-                                local = true;
-                            } else if let Some(addr) = self.map.resolve(to) {
-                                dsts.push(addr);
-                            }
+                            dsts.extend(self.map.resolve(to));
                         }
                         if framing {
                             self.framer.release_ahead_of(ctx, &dsts);
                         }
-                        if local {
-                            match dsts.as_slice() {
-                                [] => {}
-                                // ringlint: allow(hot-clone) — audited: one clone per flushed
-                                // message that also loops back locally, not per recipient; the
-                                // wire copy moves and the original stays for local dispatch.
-                                [one] => ctx.send(*one, msg.clone()),
-                                // ringlint: allow(hot-clone) — audited: same split as above;
-                                // multicast interns the payload once for all recipients.
-                                many => ctx.multicast(many, msg.clone()),
-                            }
-                            loopback.push(msg);
-                        } else {
-                            match dsts.as_slice() {
-                                [] => {}
-                                [one] => ctx.send(*one, msg),
-                                many => ctx.multicast(many, msg),
-                            }
+                        match dsts.as_slice() {
+                            [] => {}
+                            [one] => ctx.send(*one, msg),
+                            many => ctx.multicast(many, msg),
                         }
                     }
                 }
