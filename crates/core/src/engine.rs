@@ -1,9 +1,9 @@
-//! The simulation engine: instantiates a [`HierarchySpec`] as a `simnet`
-//! simulation and drives it as the RingNet [`MulticastSim`] backend — every
-//! [`ScenarioEvent`] (handoffs, failures, late joins, partitions, replays)
-//! becomes one scheduled control closure, and the run ends with each actor
-//! handing its end-of-run counters to a shared harvest from
-//! [`Actor::on_stop`].
+//! The simulation engine: [`RingNetSim::for_scenario`], its one
+//! constructor, instantiates a [`HierarchySpec`] as a `simnet` simulation,
+//! and [`MulticastSim`] drives it — every [`ScenarioEvent`] (handoffs,
+//! failures, late joins, partitions, replays) becomes one scheduled control
+//! closure, and [`MulticastSim::finish`] ends the run with each actor
+//! handing its end-of-run counters to a shared harvest ([`Actor::on_stop`]).
 //!
 //! All protocol logic lives in the sans-IO state machines; the actors here
 //! only translate [`Action`]s into simulator calls and drive the timers: an

@@ -5,9 +5,9 @@
 //!
 //! Lives in `ringnet-core` (rather than the harness) because every
 //! [`MulticastSim`](crate::driver::MulticastSim) backend summarises its run
-//! through [`MetricsAccumulator`] when building a
-//! [`RunReport`]; the harness re-exports this
-//! module unchanged.
+//! here: [`Reporting`] feeds a [`MetricsAccumulator`] from the journal sink
+//! and assembles the [`RunReport`]. The harness re-exports this module
+//! unchanged.
 //!
 //! Three layers live here:
 //!
@@ -372,10 +372,10 @@ pub struct NeFinal {
     pub retransmissions: u32,
 }
 
-/// What every entity counted over a run, handed over when the teardown
-/// probe reaches it: per `(group, entity)` an [`NeFinal`], per `(group,
-/// walker)` its [`MhCounters`]. Counters are not behaviour, so they travel
-/// beside the journal, not in it.
+/// What every entity counted over a run, handed over from
+/// [`simnet::Actor::on_stop`] as the run ends: per `(group, entity)` an
+/// [`NeFinal`], per `(group, walker)` its [`MhCounters`]. Counters are not
+/// behaviour, so they travel beside the journal, not in it.
 ///
 /// **Live states only.** A state that is dead at teardown — a killed
 /// walker, a crashed entity that never restarted — hands over nothing. A
