@@ -41,8 +41,7 @@ fn poisson_traffic_is_fully_ordered_and_delivered() {
         .window(SimTime::ZERO, Some(SimTime::from_secs(2)))
         .loss_free_wireless()
         .build();
-    let spec = ringnet_spec(&sc);
-    let mut net = RingNetSim::for_scenario(spec, &sc, 17, 1);
+    let mut net = RingNetSim::build(&sc, 17);
     net.run_until(SimTime::from_secs(4));
     let journal = net.finish().journal;
     let sent = count(&journal, |e| matches!(e, ProtoEvent::SourceSend { .. }));
@@ -121,8 +120,7 @@ fn bursty_channel_with_budget_keeps_ratio_high() {
             ..LinkPlan::default()
         })
         .build();
-    let spec = ringnet_spec(&sc);
-    let mut net = RingNetSim::for_scenario(spec, &sc, 29, 1);
+    let mut net = RingNetSim::build(&sc, 29);
     net.run_until(SimTime::from_secs(5));
     let finals = net.finish().finals;
     let ratio = finals.mh_totals().delivery_ratio();
@@ -302,8 +300,7 @@ fn killing_an_mh_stops_its_acks_and_frees_it() {
         .walkers_per_attachment(2)
         .cbr(SimDuration::from_millis(10))
         .build();
-    let spec = ringnet_spec(&sc);
-    let mut net = RingNetSim::for_scenario(spec, &sc, 41, 1);
+    let mut net = RingNetSim::build(&sc, 41);
     net.schedule(ScenarioEvent::KillWalker {
         at: SimTime::from_secs(1),
         walker: 0,
@@ -544,8 +541,7 @@ fn zero_mh_network_runs_clean() {
         .cbr(SimDuration::from_millis(10))
         .message_limit(50)
         .build();
-    let spec = ringnet_spec(&sc);
-    let mut net = RingNetSim::for_scenario(spec, &sc, 43, 1);
+    let mut net = RingNetSim::build(&sc, 43);
     net.run_until(SimTime::from_secs(3));
     let RunReport { journal, stats, .. } = net.finish();
     // Ordering proceeds with nobody listening.
