@@ -27,6 +27,9 @@
 //! * one small hand-scheduled RingNet world adds the faults those two do
 //!   not draw — a walker crash and a replay of each control kind — so
 //!   every `ScenarioEvent` arm is pinned by some digest;
+//! * one small two-group world hands off, kills and crash-restarts nodes
+//!   that hold a protocol state per group, which pins how an entity-wide
+//!   stimulus reaches each of a node's states;
 //! * each world has one journal digest, and the run's end-of-run counters
 //!   ([`RunReport::finals`]) are pinned apart, per world, in
 //!   `COUNTERS_DIGESTS`. A control-plane change that only stops sending
@@ -41,9 +44,10 @@
 use ringnet_repro::baselines::{FlatRingSim, RelmSim, TreeSim, TunnelSim, UnorderedSim};
 use ringnet_repro::chaos::{generate, ChaosConfig};
 use ringnet_repro::core::driver::{
-    CoreShape, MulticastSim, ReplayKind, RunReport, Scenario, ScenarioBuilder, ScenarioEvent,
+    ringnet_spec, CoreShape, MulticastSim, ReplayKind, RunReport, Scenario, ScenarioBuilder,
+    ScenarioEvent,
 };
-use ringnet_repro::core::{GroupId, ProtoEvent, RingNetSim};
+use ringnet_repro::core::{GroupId, Guid, ProtoEvent, RingNetSim};
 use ringnet_repro::simnet::{LinkProfile, SimDuration, SimStats, SimTime};
 
 /// FNV-1a over rendered journal lines.
@@ -806,6 +810,77 @@ fn replay_world_digest_is_pinned() {
     );
 }
 
+/// A loss-free two-group world whose faults reach the nodes that hold a
+/// protocol state per group: walker 1, subscribed to both groups, is handed
+/// off to attachment 3 and later killed, and attachment 2 crashes and
+/// restarts. The chaos generator keeps core faults out of multi-group
+/// worlds, so no other pin sends a crash or a restart to a multi-group node.
+fn multigroup_fault_world() -> Scenario {
+    let ms = SimTime::from_millis;
+    ScenarioBuilder::new()
+        .attachments(4)
+        .walkers_per_attachment(2)
+        .sources(2)
+        .cbr(SimDuration::from_millis(10))
+        .groups(vec![GroupId(1), GroupId(2)])
+        .window(ms(100), Some(SimTime::from_secs(2)))
+        .loss_free_wireless()
+        .events([
+            ScenarioEvent::Handoff {
+                at: ms(400),
+                walker: 1,
+                to: 3,
+            },
+            ScenarioEvent::ApCrash { at: ms(600), ap: 2 },
+            ScenarioEvent::KillWalker {
+                at: ms(900),
+                walker: 1,
+            },
+            ScenarioEvent::ApRestart {
+                at: ms(1200),
+                ap: 2,
+            },
+        ])
+        .duration(SimTime::from_secs(3))
+        .build()
+}
+
+/// Golden instant-canonical digest of [`multigroup_fault_world`], run
+/// seed 7.
+const GOLDEN_MULTIGROUP_FAULT_DIGEST: u64 = 0x2d461edd6502739a;
+
+#[test]
+fn multigroup_fault_world_is_pinned() {
+    let sc = multigroup_fault_world();
+    let groups = [GroupId(1), GroupId(2)];
+    let report = RingNetSim::run_scenario(&sc, 7);
+    assert_eq!(report.metrics.order_violations, 0);
+    let finals = &report.finals;
+    // The handoff and the kill reached both of the walker's states, the
+    // restart both of the AP's: a dead state hands over no counters.
+    let (walker, ap) = (Guid(1), ringnet_spec(&sc).aps[2].id);
+    for g in groups {
+        let handed_off = |e: &ProtoEvent| matches!(e, ProtoEvent::HandoffRegistered { group, mh, .. } if (*group, *mh) == (g, walker));
+        assert!(
+            report.journal.iter().any(|(_, e)| handed_off(e)),
+            "{g}: no handoff"
+        );
+        assert!(
+            !finals.mh.contains_key(&(g, walker)),
+            "{g}: killed walker reports"
+        );
+        assert!(finals.ne.contains_key(&(g, ap)), "{g}: restarted AP silent");
+    }
+    assert_eq!(finals.mh.len(), 2 * (sc.walkers.len() - 1));
+    assert_counters("multigroup_faults", &report);
+    let got = instant_canonical_digest(&report);
+    assert_eq!(
+        got, GOLDEN_MULTIGROUP_FAULT_DIGEST,
+        "multi-group fault world: instant-canonical digest {got:#018x} != pinned \
+         {GOLDEN_MULTIGROUP_FAULT_DIGEST:#018x}"
+    );
+}
+
 /// The run's end-of-run counters per world ([`counters_digest`]): per
 /// entity its buffer peaks and overflows, control, data and
 /// retransmissions sent; per walker its deliveries, skips, duplicates and
@@ -836,4 +911,5 @@ const COUNTERS_DIGESTS: &[(&str, u64)] = &[
     ("stress_104/flat_ring", 0x0006eba39f524c9b),
     ("stress_104/tree", 0xe097d5f8cefe8208),
     ("replay", 0x8bfa7c7bdba06657),
+    ("multigroup_faults", 0x2609c57cf3034b74),
 ];
