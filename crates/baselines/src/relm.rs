@@ -16,7 +16,9 @@ use std::sync::Arc;
 
 use ringnet_core::driver::{MulticastSim, RunReport, Scenario, ScenarioEvent};
 use ringnet_core::metrics::NeFinal;
-use ringnet_core::{GlobalSeq, GroupId, Guid, LocalSeq, MhCounters, NodeId, ProtoEvent};
+use ringnet_core::{
+    GlobalSeq, GroupId, Guid, LocalSeq, MhCounters, NodeId, ProtoEvent, PAYLOAD_BYTES,
+};
 use simnet::{Actor, Ctx, NodeAddr, SimDuration, SimTime};
 
 use crate::world::{Star, StarPlan, World};
@@ -57,7 +59,9 @@ pub(crate) enum RelmMsg {
 
 fn relm_wire_size(msg: &RelmMsg) -> usize {
     match msg {
-        RelmMsg::SourceData { .. } | RelmMsg::Down { .. } | RelmMsg::Deliver { .. } => 40 + 512,
+        RelmMsg::SourceData { .. } | RelmMsg::Down { .. } | RelmMsg::Deliver { .. } => {
+            40 + PAYLOAD_BYTES
+        }
         RelmMsg::Ack { .. } => 24,
         RelmMsg::Nack { missing, .. } => 24 + 8 * missing.len(),
     }

@@ -15,7 +15,9 @@ use std::sync::Arc;
 
 use ringnet_core::driver::{MulticastSim, RunReport, Scenario, ScenarioEvent};
 use ringnet_core::metrics::NeFinal;
-use ringnet_core::{GlobalSeq, GroupId, Guid, LocalSeq, MhCounters, NodeId, ProtoEvent};
+use ringnet_core::{
+    GlobalSeq, GroupId, Guid, LocalSeq, MhCounters, NodeId, ProtoEvent, PAYLOAD_BYTES,
+};
 use simnet::{Actor, Ctx, LinkProfile, NodeAddr, SimDuration, SimTime};
 
 use crate::world::{Star, StarPlan, World};
@@ -56,7 +58,9 @@ pub(crate) enum TunMsg {
 
 fn tun_wire_size(msg: &TunMsg) -> usize {
     match msg {
-        TunMsg::SourceData { .. } | TunMsg::Tunnel { .. } | TunMsg::Deliver { .. } => 40 + 512,
+        TunMsg::SourceData { .. } | TunMsg::Tunnel { .. } | TunMsg::Deliver { .. } => {
+            40 + PAYLOAD_BYTES
+        }
         TunMsg::CoaUpdate { .. } | TunMsg::HandoffTo { .. } => 24,
     }
 }

@@ -27,6 +27,7 @@ use ringnet_core::metrics::NeFinal;
 use ringnet_core::{
     AddrMap, Endpoint, GlobalSeq, GroupId, Guid, LocalSeq, MessageQueue, MhCounters, MsgData,
     NodeId, PayloadId, ProtoEvent, ProtocolConfig, WorkingTable, HEARTBEAT_PERIOD, HOP_TICK,
+    PAYLOAD_BYTES,
 };
 use simnet::{Actor, Ctx, Journal, NodeAddr, Sim, SimTime};
 
@@ -67,7 +68,7 @@ pub(crate) enum UnMsg {
 
 fn un_wire_size(msg: &UnMsg) -> usize {
     match msg {
-        UnMsg::SourceData { .. } | UnMsg::Data { .. } => 40 + 512,
+        UnMsg::SourceData { .. } | UnMsg::Data { .. } => 40 + PAYLOAD_BYTES,
         UnMsg::Ack { .. } => 24,
         UnMsg::Nack { missing, .. } => 24 + 8 * missing.len(),
     }

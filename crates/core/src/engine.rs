@@ -31,7 +31,7 @@ use crate::hierarchy::{attachment_entity, spec_core_order, Entity, HierarchySpec
 use crate::ids::{Endpoint, GlobalSeq, GroupId, Guid, LocalSeq, NodeId, PayloadId};
 use crate::metrics::Finals;
 use crate::mh::MhState;
-use crate::msg::Msg;
+use crate::msg::{Msg, PAYLOAD_BYTES};
 use crate::node::NeState;
 use crate::telemetry::{NodeDump, TelemetryReport};
 
@@ -148,11 +148,15 @@ impl AddrMap {
 }
 
 /// Wire-size model handed to `simnet` (charged against bandwidth models;
-/// a burst is charged the sum over its members). The one place the
-/// application payload size lives: a fixed 512 bytes per payload-bearing
-/// message.
+/// a burst is charged the sum over its members): [`PAYLOAD_BYTES`] per
+/// payload-bearing message on top of its header.
 fn wire_size(msg: &Msg) -> usize {
-    msg.base_wire_size() + if msg.carries_payload() { 512 } else { 0 }
+    msg.base_wire_size()
+        + if msg.carries_payload() {
+            PAYLOAD_BYTES
+        } else {
+            0
+        }
 }
 
 // --------------------------------------------------------------- harvest

@@ -15,6 +15,11 @@ use crate::ids::{GlobalSeq, GroupId, Guid, LocalSeq, NodeId, PayloadId};
 use crate::mq::MsgData;
 use crate::token::OrderingToken;
 
+/// Application payload size in bytes, charged once per payload-bearing
+/// message by every backend's wire-size model: RingNet's and the tunnel,
+/// RelM and unordered formats alike.
+pub const PAYLOAD_BYTES: usize = 512;
+
 /// The RingNet wire-message set.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Msg {
@@ -408,7 +413,7 @@ impl Msg {
 
     /// Approximate wire size in bytes, used to charge bandwidth models.
     /// Control messages are small and fixed; data messages add the
-    /// payload size at the engine layer (`engine::wire_size`).
+    /// [`PAYLOAD_BYTES`] at the engine layer (`engine::wire_size`).
     pub(crate) fn base_wire_size(&self) -> usize {
         match self {
             Msg::SourceData { .. } | Msg::PreOrder { .. } | Msg::Data { .. } => 40,
