@@ -63,7 +63,6 @@
 
 pub mod flat_ring;
 pub mod relm;
-mod source;
 pub mod tree;
 pub mod tunnel;
 pub mod unordered;

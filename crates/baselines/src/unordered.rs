@@ -22,8 +22,9 @@ use std::sync::Arc;
 use ringnet_core::driver::{
     hierarchy_core, ringnet_spec, MulticastSim, RunReport, Scenario, ScenarioEvent,
 };
+use ringnet_core::engine::Source;
 use ringnet_core::hierarchy::{AgRingSpec, ApSpec, Entity, HierarchySpec, MhSpec};
-use ringnet_core::metrics::NeFinal;
+use ringnet_core::metrics::{FinalsSink, NeFinal};
 use ringnet_core::{
     AddrMap, Endpoint, GlobalSeq, GroupId, Guid, LocalSeq, MessageQueue, MhCounters, MsgData,
     NodeId, PayloadId, ProtoEvent, ProtocolConfig, WorkingTable, HEARTBEAT_PERIOD, HOP_TICK,
@@ -31,8 +32,7 @@ use ringnet_core::{
 };
 use simnet::{Actor, Ctx, Journal, NodeAddr, Sim, SimTime};
 
-use crate::source::Source;
-use crate::world::{BoxedActor, FinalsSink, World};
+use crate::world::{BoxedActor, World};
 
 /// Wire messages of the unordered protocol. Streams are identified by the
 /// source's corresponding BR (`corr`), sequence numbers are per-stream.
@@ -550,15 +550,10 @@ impl MulticastSim for UnorderedSim {
         let mut sim: Sim<UnMsg, ProtoEvent> = Sim::with_options(seed, true, un_wire_size);
         for entity in spec.entities() {
             let actor: BoxedActor<UnMsg> = match entity {
-                Entity::Source(src) => Box::new(Source {
-                    target: map.ne(src.corresponding).expect("validated"),
-                    pattern: src.pattern,
-                    start: src.start,
-                    stop: src.stop,
-                    limit: src.limit,
-                    seq: 0,
-                    make: |seq| UnMsg::SourceData { seq },
-                }),
+                Entity::Source(src) => {
+                    let target = map.ne(src.corresponding).expect("validated");
+                    Box::new(Source::new(src, target, |seq| UnMsg::SourceData { seq }))
+                }
                 Entity::Mh(mh) => Box::new(UnMh {
                     guid: mh.guid,
                     group,

@@ -1,41 +1,22 @@
-//! What the three baselines that speak their own message type (tunnel,
-//! RelM, unordered) share: the [`World`] skeleton every one of them is — a
-//! simulator, the sink its actors hand their end-of-run counters to when
-//! the run stops, and the scenario's [`Reporting`] over the wired core —
-//! and the [`Star`] assembly of the two single-ingest ones.
+//! The [`World`] skeleton of the three baselines that speak their own
+//! message type (tunnel, RelM, unordered) — a simulator, the
+//! [`FinalsSink`] its actors hand their end-of-run counters to when the
+//! run stops, and the scenario's [`Reporting`] over the wired core — and
+//! the [`Star`] assembly of the two single-ingest ones. The sink and the
+//! traffic [`Source`] are the RingNet engine's own.
 
 use std::collections::BTreeSet;
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::Arc;
 
 use ringnet_core::driver::{Reporting, RunReport, Scenario};
-use ringnet_core::hierarchy::TrafficPattern;
-use ringnet_core::metrics::{Finals, NeFinal};
-use ringnet_core::{GroupId, Guid, MhCounters, NodeId, ProtoEvent};
+use ringnet_core::engine::Source;
+use ringnet_core::hierarchy::{SourceSpec, TrafficPattern};
+use ringnet_core::metrics::FinalsSink;
+use ringnet_core::{Guid, NodeId, ProtoEvent};
 use simnet::{Actor, Journal, LinkProfile, NodeAddr, Sim, SimTime};
-
-use crate::source::Source;
 
 /// An actor of a world speaking `M`.
 pub(crate) type BoxedActor<M> = Box<dyn Actor<M, ProtoEvent>>;
-
-/// Where a world's actors put their end-of-run counters when the run stops
-/// ([`Actor::on_stop`]); shared by the [`World`] and every counting actor.
-#[derive(Clone, Default)]
-pub(crate) struct FinalsSink(Arc<Mutex<Finals>>);
-
-impl FinalsSink {
-    pub(crate) fn ne(&self, group: GroupId, node: NodeId, counts: NeFinal) {
-        self.lock().ne.insert((group, node), counts);
-    }
-
-    pub(crate) fn mh(&self, group: GroupId, mh: Guid, counts: MhCounters) {
-        self.lock().mh.insert((group, mh), counts);
-    }
-
-    fn lock(&self) -> MutexGuard<'_, Finals> {
-        self.0.lock().expect("finals sink poisoned")
-    }
-}
 
 /// A built own-message simulation: what [`ringnet_core::MulticastSim`]'s
 /// `run_until` and `finish` need, so a backend keeps only its actors, its
@@ -78,7 +59,7 @@ impl<M: Clone + 'static> World<M> {
     /// to the sink, and tear down into the report.
     pub fn finish(self) -> RunReport {
         let (journal, stats) = self.sim.finish();
-        let finals = std::mem::take(&mut *self.finals.lock());
+        let (finals, _) = self.finals.take();
         self.reporting.finish(journal, stats, finals)
     }
 }
@@ -160,17 +141,18 @@ impl<M: Clone + 'static> StarPlan<'_, M> {
         for &id in &edge_ids {
             sim.add_node(edge(&star, id));
         }
-        let source = sim.add_node(Box::new(Source {
-            target: Star::HUB,
+        // The one source, feeding the hub.
+        let spec = SourceSpec {
+            corresponding: NodeId(0),
             pattern: TrafficPattern::Cbr {
                 interval: scenario.pattern.mean_interval(),
             },
             start: scenario.start,
             stop: scenario.stop,
             limit: scenario.limit,
-            seq: 0,
-            make: self.source_data,
-        }));
+            groups: Vec::new(),
+        };
+        let source = sim.add_node(Box::new(Source::new(&spec, Star::HUB, self.source_data)));
         for (guid, home) in star.walkers() {
             sim.add_node(mh(&star, guid, home));
         }

@@ -3,7 +3,9 @@
 //! and [`MulticastSim`] drives it — every [`ScenarioEvent`] (handoffs,
 //! failures, late joins, partitions, replays) becomes one scheduled control
 //! closure, and [`MulticastSim::finish`] ends the run with each actor
-//! handing its end-of-run counters to a shared harvest ([`Actor::on_stop`]).
+//! handing its end-of-run counters to the run's [`FinalsSink`]
+//! ([`Actor::on_stop`]). The traffic [`Source`] and the sink are the ones
+//! every other backend uses too.
 //!
 //! All protocol logic lives in the sans-IO state machines; the actors here
 //! only translate [`Action`]s into simulator calls and drive the timers: an
@@ -14,7 +16,7 @@
 //! by every actor.
 
 use std::collections::BTreeMap;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 use simnet::{
     Actor, Ctx, LinkProfile, NetOps, NodeAddr, ShardedSim, Sim, SimDuration, SimStats, SimTime,
@@ -27,9 +29,11 @@ use crate::driver::{
     ScenarioEvent,
 };
 use crate::events::ProtoEvent;
-use crate::hierarchy::{attachment_entity, spec_core_order, Entity, HierarchySpec, TrafficPattern};
+use crate::hierarchy::{
+    attachment_entity, spec_core_order, Entity, HierarchySpec, SourceSpec, TrafficPattern,
+};
 use crate::ids::{Endpoint, GlobalSeq, GroupId, Guid, LocalSeq, NodeId, PayloadId};
-use crate::metrics::Finals;
+use crate::metrics::FinalsSink;
 use crate::mh::MhState;
 use crate::msg::{Msg, PAYLOAD_BYTES};
 use crate::node::NeState;
@@ -38,7 +42,6 @@ use crate::telemetry::{NodeDump, TelemetryReport};
 /// Timer tags shared by all actors.
 const TAG_HOP: u64 = 2;
 const TAG_HEARTBEAT: u64 = 3;
-const TAG_SOURCE: u64 = 5;
 
 /// Identity ↔ address translation, built once per simulation.
 ///
@@ -159,26 +162,6 @@ fn wire_size(msg: &Msg) -> usize {
         }
 }
 
-// --------------------------------------------------------------- harvest
-
-/// What every NE and MH actor hands over when the run stops
-/// ([`Actor::on_stop`]): each live state's end-of-run counters, and — with
-/// telemetry on — each NE's merged telemetry dump. Both maps are keyed, so
-/// the order in which actors (and shards) reach the sink cannot affect the
-/// result.
-#[derive(Debug, Default)]
-struct Harvest {
-    finals: Finals,
-    telemetry: BTreeMap<NodeId, NodeDump>,
-}
-
-/// The harvest, shared by the simulation and every NE and MH actor.
-type HarvestSink = Arc<Mutex<Harvest>>;
-
-fn lock(sink: &HarvestSink) -> std::sync::MutexGuard<'_, Harvest> {
-    sink.lock().expect("harvest sink poisoned")
-}
-
 // ---------------------------------------------------------------- actors
 
 /// Whether a message may legally address the emitting node itself: only
@@ -269,7 +252,7 @@ struct NeActor {
     /// instead of rescheduling a duplicate tick chain.
     timer_gen: u64,
     /// Where this node's counters and telemetry go when the run stops.
-    harvest: HarvestSink,
+    finals: FinalsSink,
 }
 
 impl NeActor {
@@ -277,7 +260,7 @@ impl NeActor {
         states: Vec<NeState>,
         map: Arc<AddrMap>,
         originate: Vec<bool>,
-        harvest: HarvestSink,
+        finals: FinalsSink,
     ) -> Self {
         NeActor {
             states,
@@ -287,7 +270,7 @@ impl NeActor {
             framer: Box::default(),
             originate,
             timer_gen: 0,
-            harvest,
+            finals,
         }
     }
 
@@ -489,10 +472,9 @@ impl Actor<Msg, ProtoEvent> for NeActor {
     /// every state, dead ones included — a crashed node's flight recorder
     /// is exactly the postmortem evidence wanted.
     fn on_stop(&mut self) {
-        let mut harvest = lock(&self.harvest);
         for st in &self.states {
-            if let Some(finals) = st.finals() {
-                harvest.finals.ne.insert((st.group, st.id), finals);
+            if let Some(counts) = st.finals() {
+                self.finals.ne(st.group, st.id, counts);
             }
         }
         let dumps: Vec<_> = self
@@ -501,7 +483,7 @@ impl Actor<Msg, ProtoEvent> for NeActor {
             .filter_map(|s| s.telemetry.dump())
             .collect();
         if let Some(dump) = NodeDump::merge(dumps) {
-            harvest.telemetry.insert(self.my_id(), dump);
+            self.finals.telemetry(self.my_id(), dump);
         }
     }
 }
@@ -516,7 +498,7 @@ struct MhActor {
     framer: Box<Framer>,
     initial_ap: Option<NodeId>,
     /// Where the live states' counters go when the run stops.
-    harvest: HarvestSink,
+    finals: FinalsSink,
     /// Where the hop-tick grid starts: tick `k` is at `origin + k · HOP_TICK`.
     origin: SimTime,
     /// The grid index of the one pending wake.
@@ -532,7 +514,7 @@ impl MhActor {
         states: Vec<MhState>,
         map: Arc<AddrMap>,
         initial_ap: Option<NodeId>,
-        harvest: HarvestSink,
+        finals: FinalsSink,
     ) -> Self {
         MhActor {
             states,
@@ -540,7 +522,7 @@ impl MhActor {
             out: Vec::with_capacity(16),
             framer: Box::default(),
             initial_ap,
-            harvest,
+            finals,
             origin: SimTime::ZERO,
             wake: 0,
             timer_gen: 0,
@@ -712,91 +694,66 @@ impl Actor<Msg, ProtoEvent> for MhActor {
 
     /// Hand over every live state's counters.
     fn on_stop(&mut self) {
-        let mut harvest = lock(&self.harvest);
         for st in &self.states {
-            if let Some(counters) = st.finals() {
-                harvest.finals.mh.insert((st.group, st.guid), counters);
+            if let Some(counts) = st.finals() {
+                self.finals.mh(st.group, st.guid, counts);
             }
         }
     }
 }
 
-struct SourceActor {
-    /// Addressed groups, ascending, non-empty. One group sends plain
-    /// [`Msg::SourceData`]; two or more submit through the cross-group
-    /// fence as [`Msg::FenceIngress`] for the whole lifetime of the
-    /// source (one logical channel per source).
-    targets: Vec<GroupId>,
-    /// The fence home group (lowest declared group of the scenario).
-    home: GroupId,
-    /// The source's corresponding BR — its message identity node.
-    corresponding: NodeId,
+/// A traffic source, the one every backend runs: from its spec's `start`
+/// it sends `make(1)`, `make(2)`, … to `target`, spaced by the spec's
+/// pattern (a fixed interval, or exponential gaps drawn from the world
+/// stream), until the spec's `stop` or `limit`. A backend supplies only the
+/// `seq → message` constructor of its own wire format.
+pub struct Source<F> {
     target: NodeAddr,
     pattern: TrafficPattern,
     start: SimTime,
     stop: Option<SimTime>,
     limit: Option<u64>,
-    next_ls: LocalSeq,
-    sent: u64,
+    /// Messages sent so far.
+    seq: u64,
+    make: F,
 }
 
-impl SourceActor {
-    fn schedule_next(&self, ctx: &mut Ctx<'_, Msg, ProtoEvent>) {
+impl<F> Source<F> {
+    /// The source `spec` describes, sending to `target`.
+    pub fn new(spec: &SourceSpec, target: NodeAddr, make: F) -> Self {
+        Source {
+            target,
+            pattern: spec.pattern,
+            start: spec.start,
+            stop: spec.stop,
+            limit: spec.limit,
+            seq: 0,
+            make,
+        }
+    }
+}
+
+impl<M, F: Fn(u64) -> M> Actor<M, ProtoEvent> for Source<F> {
+    fn on_start(&mut self, ctx: &mut Ctx<'_, M, ProtoEvent>) {
+        let delay = self.start.saturating_since(ctx.now());
+        ctx.set_timer(delay, 0);
+    }
+
+    fn on_packet(&mut self, _: &mut Ctx<'_, M, ProtoEvent>, _: NodeAddr, _: M) {}
+
+    fn on_timer(&mut self, ctx: &mut Ctx<'_, M, ProtoEvent>, _tag: u64) {
+        if self.limit.is_some_and(|l| self.seq >= l) || self.stop.is_some_and(|s| ctx.now() >= s) {
+            return;
+        }
+        self.seq += 1;
+        ctx.send(self.target, (self.make)(self.seq));
         let delay = match self.pattern {
             TrafficPattern::Cbr { interval } => interval,
             TrafficPattern::Poisson { rate } => {
-                if rate <= 0.0 {
-                    return;
-                }
                 SimDuration::from_secs_f64(ctx.rng().exponential(rate))
             }
         };
-        ctx.set_timer(delay, TAG_SOURCE);
-    }
-}
-
-impl Actor<Msg, ProtoEvent> for SourceActor {
-    fn on_start(&mut self, ctx: &mut Ctx<'_, Msg, ProtoEvent>) {
-        let delay = self.start.saturating_since(ctx.now());
-        ctx.set_timer(delay, TAG_SOURCE);
-    }
-
-    fn on_packet(&mut self, _ctx: &mut Ctx<'_, Msg, ProtoEvent>, _from: NodeAddr, _msg: Msg) {}
-
-    fn on_timer(&mut self, ctx: &mut Ctx<'_, Msg, ProtoEvent>, tag: u64) {
-        if tag != TAG_SOURCE {
-            return;
-        }
-        if let Some(limit) = self.limit {
-            if self.sent >= limit {
-                return;
-            }
-        }
-        if let Some(stop) = self.stop {
-            if ctx.now() >= stop {
-                return;
-            }
-        }
-        let ls = self.next_ls;
-        self.next_ls = ls.next();
-        self.sent += 1;
-        let msg = if self.targets.len() == 1 {
-            Msg::SourceData {
-                group: self.targets[0],
-                local_seq: ls,
-                payload: PayloadId(ls.0),
-            }
-        } else {
-            Msg::FenceIngress {
-                group: self.home,
-                origin: self.corresponding,
-                local_seq: ls,
-                payload: PayloadId(ls.0),
-                targets: self.targets.clone(),
-            }
-        };
-        ctx.send(self.target, msg);
-        self.schedule_next(ctx);
+        ctx.set_timer(delay, 0);
     }
 }
 
@@ -863,7 +820,7 @@ fn shard_map(spec: &HierarchySpec, shards: usize) -> Vec<u32> {
 /// exist, in which address order, and how they are linked is the spec's
 /// decision ([`HierarchySpec::entities`], [`HierarchySpec::wiring`]); this
 /// only gives each entity its actor.
-fn assemble(spec: &HierarchySpec, net: &mut impl Assemble, harvest: &HarvestSink) -> Arc<AddrMap> {
+fn assemble(spec: &HierarchySpec, net: &mut impl Assemble, finals: &FinalsSink) -> Arc<AddrMap> {
     let map = Arc::new(AddrMap::for_spec(spec));
 
     // Multi-group specs instantiate one protocol state per declared group
@@ -895,7 +852,7 @@ fn assemble(spec: &HierarchySpec, net: &mut impl Assemble, harvest: &HarvestSink
             states,
             Arc::clone(&map),
             originate,
-            Arc::clone(harvest),
+            finals.clone(),
         ))
     };
     for (i, entity) in spec.entities().enumerate() {
@@ -938,25 +895,38 @@ fn assemble(spec: &HierarchySpec, net: &mut impl Assemble, harvest: &HarvestSink
                     vec![false; groups.len()],
                 )
             }
-            Entity::Source(src) => Box::new(SourceActor {
-                targets: spec.source_groups_of(src),
-                home,
-                corresponding: src.corresponding,
-                target: map.ne(src.corresponding).expect("validated"),
-                pattern: src.pattern,
-                start: src.start,
-                stop: src.stop,
-                limit: src.limit,
-                next_ls: LocalSeq::FIRST,
-                sent: 0,
-            }),
+            // One addressed group sends plain `SourceData`; two or more
+            // submit through the cross-group fence as `FenceIngress` for the
+            // source's whole lifetime (one logical channel per source).
+            Entity::Source(src) => {
+                let (targets, origin) = (spec.source_groups_of(src), src.corresponding);
+                let make = move |seq| {
+                    let (local_seq, payload) = (LocalSeq(seq), PayloadId(seq));
+                    match targets[..] {
+                        [group] => Msg::SourceData {
+                            group,
+                            local_seq,
+                            payload,
+                        },
+                        _ => Msg::FenceIngress {
+                            group: home,
+                            origin,
+                            local_seq,
+                            payload,
+                            targets: targets.clone(),
+                        },
+                    }
+                };
+                let target = map.ne(origin).expect("validated");
+                Box::new(Source::new(src, target, make))
+            }
             Entity::Mh(mh) => Box::new(MhActor::new(
                 (spec.subscriptions_of(mh).into_iter())
                     .map(|g| MhState::new(g, mh.guid, cfg.clone()))
                     .collect(),
                 Arc::clone(&map),
                 mh.initial_ap,
-                Arc::clone(harvest),
+                finals.clone(),
             )),
         };
         let addr = net.add(actor);
@@ -1010,9 +980,9 @@ pub struct RingNetSim {
     /// Report assembly: the metrics sink on the journal, set up per the
     /// scenario's retention mode.
     reporting: Reporting,
-    /// The harvest shared with every NE and MH actor, filled when
+    /// The sink shared with every NE and MH actor, filled when
     /// [`MulticastSim::finish`] stops them.
-    harvest: HarvestSink,
+    finals: FinalsSink,
     /// Node → shard placement for the telemetry report (empty in the
     /// sequential build: everything on shard 0).
     telemetry_shards: BTreeMap<NodeId, u32>,
@@ -1037,19 +1007,19 @@ impl RingNetSim {
     ) -> Self {
         let problems = spec.validate();
         assert!(problems.is_empty(), "invalid spec: {problems:?}");
-        let harvest = HarvestSink::default();
+        let finals = FinalsSink::default();
         let mut telemetry_shards = BTreeMap::new();
         // Journalling stays on even in quiet configs: the experiment layer
         // always reads the low-volume records (Ordered, handoffs); the
         // config flags gate only the per-delivery firehose.
         let (mut net, addrs) = if shards <= 1 {
             let mut sim = Sim::with_options(seed, true, wire_size);
-            let addrs = assemble(&spec, &mut sim, &harvest);
+            let addrs = assemble(&spec, &mut sim, &finals);
             (Net::Seq(sim), addrs)
         } else {
             let sm = shard_map(&spec, shards);
             let mut sim = ShardedSim::new(seed, shards, sm.clone(), true, wire_size);
-            let addrs = assemble(&spec, &mut sim, &harvest);
+            let addrs = assemble(&spec, &mut sim, &finals);
             // Record the NE → shard placement for the telemetry report (only
             // NEs carry telemetry): the shard map is indexed by creation order.
             if spec.cfg.telemetry {
@@ -1065,7 +1035,7 @@ impl RingNetSim {
             addrs,
             spec,
             reporting,
-            harvest,
+            finals,
             telemetry_shards,
         }
     }
@@ -1288,17 +1258,17 @@ impl MulticastSim for RingNetSim {
     }
 
     /// Stop the simulation — every NE and MH actor hands its counters (and
-    /// telemetry) to the harvest from [`Actor::on_stop`] — and assemble the
+    /// telemetry) to the sink from [`Actor::on_stop`] — and assemble the
     /// report.
     fn finish(self) -> RunReport {
         let (journal, stats) = match self.net {
             Net::Seq(s) => s.finish(),
             Net::Sharded(s) => s.finish(),
         };
-        let harvest = std::mem::take(&mut *lock(&self.harvest));
-        let mut report = self.reporting.finish(journal, stats, harvest.finals);
+        let (finals, nodes) = self.finals.take();
+        let mut report = self.reporting.finish(journal, stats, finals);
         report.telemetry = self.spec.cfg.telemetry.then_some(TelemetryReport {
-            nodes: harvest.telemetry,
+            nodes,
             shard_of: self.telemetry_shards,
         });
         report
@@ -1307,6 +1277,8 @@ impl MulticastSim for RingNetSim {
 
 #[cfg(test)]
 mod tests {
+    use std::sync::Mutex;
+
     use super::*;
     use crate::config::ProtocolConfig;
     use crate::driver::{CoreShape, ScenarioBuilder};
@@ -1700,7 +1672,7 @@ mod tests {
             vec![MhState::new(GroupId(1), guid, cfg)],
             Arc::new(map),
             Some(ap_id),
-            HarvestSink::default(),
+            FinalsSink::default(),
         )));
         sim.world()
             .topo

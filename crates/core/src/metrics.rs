@@ -16,7 +16,8 @@
 //!   a finished journal slice or *online* through the simulator's journal
 //!   sink (so a big sweep never materializes the journal `Vec` at all),
 //!   plus one fold of the run's [`Finals`].
-//! * [`Finals`] — the typed end-of-run counters, with their lookups.
+//! * [`Finals`] — the typed end-of-run counters, with their lookups, and
+//!   the [`FinalsSink`] every backend's actors hand them to.
 //! * The standalone per-metric functions — each a separate pass over a
 //!   retained journal: the order checks, and the journal-dependent
 //!   diagnostics (delivery gaps, token rotation, windowed rates) that only
@@ -28,6 +29,7 @@ use std::sync::{Arc, Mutex};
 
 use crate::driver::Scenario;
 use crate::mh::MhCounters;
+use crate::telemetry::NodeDump;
 use crate::{GlobalSeq, GroupId, Guid, LocalSeq, NodeId, ProtoEvent};
 use simnet::{Histogram, SimDuration, SimStats, SimTime};
 
@@ -407,6 +409,46 @@ impl Finals {
             .filter(|((_, n), _)| *n == node)
             .map(|(_, f)| (f.wq_peak, f.mq_peak))
             .reduce(|(wq, mq), (w, m)| (wq.max(w), mq.max(m)))
+    }
+}
+
+/// Where every backend's actors put what they hand over when the run stops
+/// ([`simnet::Actor::on_stop`]): each live state's counters, and — on the
+/// RingNet-engine backends with telemetry on — each NE's merged telemetry
+/// dump. A clone shares the sink, so the backend keeps one and takes the
+/// harvest back at teardown. Everything is keyed, so the order in which
+/// actors (and shards) reach the sink cannot affect the result.
+#[derive(Debug, Clone, Default)]
+pub struct FinalsSink(Arc<Mutex<Harvest>>);
+
+/// What a [`FinalsSink`] holds: the counters, and the telemetry dumps by
+/// node.
+type Harvest = (Finals, BTreeMap<NodeId, NodeDump>);
+
+impl FinalsSink {
+    /// Hand over one entity's counters for one group.
+    pub fn ne(&self, group: GroupId, node: NodeId, counts: NeFinal) {
+        self.lock().0.ne.insert((group, node), counts);
+    }
+
+    /// Hand over one walker's counters for one group.
+    pub fn mh(&self, group: GroupId, mh: Guid, counts: MhCounters) {
+        self.lock().0.mh.insert((group, mh), counts);
+    }
+
+    /// Hand over one node's merged telemetry.
+    pub(crate) fn telemetry(&self, node: NodeId, dump: NodeDump) {
+        self.lock().1.insert(node, dump);
+    }
+
+    /// Everything handed over so far — the counters, and the telemetry
+    /// dumps by node — leaving the sink empty.
+    pub fn take(&self) -> (Finals, BTreeMap<NodeId, NodeDump>) {
+        std::mem::take(&mut *self.lock())
+    }
+
+    fn lock(&self) -> std::sync::MutexGuard<'_, Harvest> {
+        self.0.lock().expect("finals sink poisoned")
     }
 }
 
