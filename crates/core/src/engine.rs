@@ -232,6 +232,27 @@ impl Framer {
     }
 }
 
+/// Hand one inbound message to a node's per-group states (`group` reads a
+/// state's group): an entity-wide stimulus ([`Msg::stimulus_for`]) to every
+/// state, rewritten for its group, anything else to the state owning its
+/// group stamp. A state ignores a stimulus its kind has no use for.
+fn route<S>(
+    states: &mut [S],
+    group: fn(&S) -> GroupId,
+    msg: Msg,
+    mut handle: impl FnMut(&mut S, Msg),
+) {
+    let stamp = msg.group();
+    for st in states {
+        let g = group(st);
+        if let Some(copy) = msg.stimulus_for(g) {
+            handle(st, copy);
+        } else if g == stamp {
+            return handle(st, msg);
+        }
+    }
+}
+
 struct NeActor {
     /// One protocol state per declared group, in ascending group order —
     /// exactly one in single-group worlds. All states share the physical
@@ -293,31 +314,11 @@ impl NeActor {
         ctx.set_timer(HEARTBEAT_PERIOD, self.tag(TAG_HEARTBEAT));
     }
 
-    /// Route one inbound message: entity-wide faults fan out to every
-    /// group state (rewritten to each state's group); everything else
-    /// dispatches to the state owning its group stamp.
     fn deliver(&mut self, now: SimTime, from_ep: Endpoint, msg: Msg) {
         let out = &mut self.out;
-        match msg {
-            Msg::Kill { .. } => {
-                for st in &mut self.states {
-                    let g = st.group;
-                    st.on_msg(now, from_ep, Msg::Kill { group: g }, out);
-                }
-            }
-            Msg::Restart { .. } => {
-                for st in &mut self.states {
-                    let g = st.group;
-                    st.on_msg(now, from_ep, Msg::Restart { group: g }, out);
-                }
-            }
-            _ => {
-                let g = msg.group();
-                if let Some(st) = self.states.iter_mut().find(|s| s.group == g) {
-                    st.on_msg(now, from_ep, msg, out);
-                }
-            }
-        }
+        route(&mut self.states, |s| s.group, msg, |st, msg| {
+            st.on_msg(now, from_ep, msg, out);
+        });
     }
 
     fn flush(&mut self, ctx: &mut Ctx<'_, Msg, ProtoEvent>) {
@@ -589,37 +590,11 @@ impl MhActor {
         }
     }
 
-    /// Route one inbound message: radio-level commands concern the whole
-    /// host and fan out to every subscription state (rewritten to each
-    /// state's group); per-group traffic dispatches on its group stamp.
     fn deliver(&mut self, now: SimTime, from_ep: Endpoint, msg: Msg) {
         let out = &mut self.out;
-        match msg {
-            Msg::Kill { .. } => {
-                for st in &mut self.states {
-                    let g = st.group;
-                    st.on_msg(now, from_ep, Msg::Kill { group: g }, out);
-                }
-            }
-            Msg::HandoffTo { new_ap, .. } => {
-                for st in &mut self.states {
-                    let g = st.group;
-                    st.on_msg(now, from_ep, Msg::HandoffTo { group: g, new_ap }, out);
-                }
-            }
-            Msg::JoinCmd { ap, .. } => {
-                for st in &mut self.states {
-                    let g = st.group;
-                    st.on_msg(now, from_ep, Msg::JoinCmd { group: g, ap }, out);
-                }
-            }
-            _ => {
-                let g = msg.group();
-                if let Some(st) = self.states.iter_mut().find(|s| s.group == g) {
-                    st.on_msg(now, from_ep, msg, out);
-                }
-            }
-        }
+        route(&mut self.states, |s| s.group, msg, |st, msg| {
+            st.on_msg(now, from_ep, msg, out);
+        });
     }
 
     fn flush(&mut self, ctx: &mut Ctx<'_, Msg, ProtoEvent>) {

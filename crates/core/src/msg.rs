@@ -411,6 +411,21 @@ impl Msg {
         }
     }
 
+    /// This message rewritten for `group` if it is an *entity-wide*
+    /// stimulus, `None` otherwise. A crash, a restart, a handoff and a join
+    /// command concern a whole node or host, so the engine hands each of
+    /// its per-group states a copy stamped with that state's group; every
+    /// other message belongs to the one state of its group stamp.
+    pub(crate) fn stimulus_for(&self, group: GroupId) -> Option<Msg> {
+        Some(match *self {
+            Msg::Kill { .. } => Msg::Kill { group },
+            Msg::Restart { .. } => Msg::Restart { group },
+            Msg::HandoffTo { new_ap, .. } => Msg::HandoffTo { group, new_ap },
+            Msg::JoinCmd { ap, .. } => Msg::JoinCmd { group, ap },
+            _ => return None,
+        })
+    }
+
     /// Approximate wire size in bytes, used to charge bandwidth models.
     /// Control messages are small and fixed; data messages add the
     /// [`PAYLOAD_BYTES`] at the engine layer (`engine::wire_size`).
