@@ -46,85 +46,56 @@ const TAG_HEARTBEAT: u64 = 3;
 /// Identity ↔ address translation, built once per simulation.
 ///
 /// Lookups run once per sent action (`resolve`) and once per delivered
-/// packet (`endpoint_of`), so each direction keeps a dense index-by-id
-/// fast path next to the ordered map; ids of 2¹⁶ and beyond (none in
-/// practice — builders assign small contiguous ids) fall back to the map.
+/// packet (`endpoint_of`), so each direction is a dense table indexed by
+/// id. A spec numbers its NEs and walkers densely from 0
+/// ([`HierarchySpec::validate`] holds every id below the entity count), so
+/// each table is as long as the largest id it holds.
 #[derive(Debug, Default)]
 pub struct AddrMap {
-    ne: std::collections::BTreeMap<NodeId, NodeAddr>,
-    mh: std::collections::BTreeMap<Guid, NodeAddr>,
-    rev: std::collections::BTreeMap<NodeAddr, Endpoint>,
-    ne_dense: Vec<Option<NodeAddr>>,
-    mh_dense: Vec<Option<NodeAddr>>,
-    rev_dense: Vec<Option<Endpoint>>,
+    ne: Vec<Option<NodeAddr>>,
+    mh: Vec<Option<NodeAddr>>,
+    rev: Vec<Option<Endpoint>>,
 }
 
 impl AddrMap {
-    /// Ids below this get a dense-index slot; larger ones stay map-only.
-    const DENSE_LIMIT: usize = 1 << 16;
-
-    fn set_dense<T: Copy>(dense: &mut Vec<Option<T>>, i: usize, v: T) {
-        if i < Self::DENSE_LIMIT {
-            if i >= dense.len() {
-                dense.resize(i + 1, None);
-            }
-            dense[i] = Some(v);
-        }
-    }
-
     /// The address table of `spec`: the entity at position `i` of
     /// [`HierarchySpec::entities`] lives at `NodeAddr(i)` (sources hold an
     /// address but no protocol identity).
     pub fn for_spec(spec: &HierarchySpec) -> AddrMap {
         let mut map = AddrMap::default();
         for (i, entity) in spec.entities().enumerate() {
-            let addr = NodeAddr(i as u32);
-            match entity {
-                Entity::Source(_) => {}
-                Entity::Mh(mh) => map.insert_mh(mh.guid, addr),
-                Entity::Br(id) | Entity::Ag(id, _) => map.insert_ne(id, addr),
-                Entity::Ap(ap) => map.insert_ne(ap.id, addr),
+            if let Some(ep) = entity.endpoint() {
+                map.insert(ep, NodeAddr(i as u32));
             }
         }
         map
     }
 
-    /// Register a network entity's address.
-    fn insert_ne(&mut self, id: NodeId, addr: NodeAddr) {
-        self.ne.insert(id, addr);
-        self.rev.insert(addr, Endpoint::Ne(id));
-        Self::set_dense(&mut self.ne_dense, id.0 as usize, addr);
-        Self::set_dense(&mut self.rev_dense, addr.index(), Endpoint::Ne(id));
-    }
-
-    /// Register a mobile host's address.
-    fn insert_mh(&mut self, guid: Guid, addr: NodeAddr) {
-        self.mh.insert(guid, addr);
-        self.rev.insert(addr, Endpoint::Mh(guid));
-        Self::set_dense(&mut self.mh_dense, guid.0 as usize, addr);
-        Self::set_dense(&mut self.rev_dense, addr.index(), Endpoint::Mh(guid));
+    /// Register an endpoint's address.
+    fn insert(&mut self, ep: Endpoint, addr: NodeAddr) {
+        fn set<T>(table: &mut Vec<Option<T>>, i: usize, v: T) {
+            if i >= table.len() {
+                table.resize_with(i + 1, || None);
+            }
+            table[i] = Some(v);
+        }
+        match ep {
+            Endpoint::Ne(id) => set(&mut self.ne, id.0 as usize, addr),
+            Endpoint::Mh(guid) => set(&mut self.mh, guid.0 as usize, addr),
+        }
+        set(&mut self.rev, addr.index(), ep);
     }
 
     /// Address of a network entity.
     #[inline]
     pub fn ne(&self, id: NodeId) -> Option<NodeAddr> {
-        let i = id.0 as usize;
-        if i < self.ne_dense.len() {
-            self.ne_dense[i]
-        } else {
-            self.ne.get(&id).copied()
-        }
+        self.ne.get(id.0 as usize).copied().flatten()
     }
 
     /// Address of a mobile host.
     #[inline]
     pub fn mh(&self, guid: Guid) -> Option<NodeAddr> {
-        let i = guid.0 as usize;
-        if i < self.mh_dense.len() {
-            self.mh_dense[i]
-        } else {
-            self.mh.get(&guid).copied()
-        }
+        self.mh.get(guid.0 as usize).copied().flatten()
     }
 
     /// Resolve any endpoint.
@@ -140,12 +111,7 @@ impl AddrMap {
     /// sentinel NE identity that no real entity uses.
     #[inline]
     pub fn endpoint_of(&self, addr: NodeAddr) -> Endpoint {
-        let i = addr.index();
-        let hit = if i < self.rev_dense.len() {
-            self.rev_dense[i]
-        } else {
-            self.rev.get(&addr).copied()
-        };
+        let hit = self.rev.get(addr.index()).copied().flatten();
         hit.unwrap_or(Endpoint::Ne(NodeId(u32::MAX)))
     }
 }
@@ -316,9 +282,14 @@ impl NeActor {
 
     fn deliver(&mut self, now: SimTime, from_ep: Endpoint, msg: Msg) {
         let out = &mut self.out;
-        route(&mut self.states, |s| s.group, msg, |st, msg| {
-            st.on_msg(now, from_ep, msg, out);
-        });
+        route(
+            &mut self.states,
+            |s| s.group,
+            msg,
+            |st, msg| {
+                st.on_msg(now, from_ep, msg, out);
+            },
+        );
     }
 
     fn flush(&mut self, ctx: &mut Ctx<'_, Msg, ProtoEvent>) {
@@ -592,9 +563,14 @@ impl MhActor {
 
     fn deliver(&mut self, now: SimTime, from_ep: Endpoint, msg: Msg) {
         let out = &mut self.out;
-        route(&mut self.states, |s| s.group, msg, |st, msg| {
-            st.on_msg(now, from_ep, msg, out);
-        });
+        route(
+            &mut self.states,
+            |s| s.group,
+            msg,
+            |st, msg| {
+                st.on_msg(now, from_ep, msg, out);
+            },
+        );
     }
 
     fn flush(&mut self, ctx: &mut Ctx<'_, Msg, ProtoEvent>) {
@@ -1640,8 +1616,8 @@ mod tests {
         let mut sim: Sim<Msg, ProtoEvent> = Sim::with_options(3, true, wire_size);
         let heard = Arc::new(Mutex::new(Vec::new()));
         let mut map = AddrMap::default();
-        map.insert_ne(ap_id, NodeAddr(0));
-        map.insert_mh(guid, NodeAddr(1));
+        map.insert(Endpoint::Ne(ap_id), NodeAddr(0));
+        map.insert(Endpoint::Mh(guid), NodeAddr(1));
         let ap = sim.add_node(Box::new(AckProbe(Arc::clone(&heard))));
         let mh = sim.add_node(Box::new(MhActor::new(
             vec![MhState::new(GroupId(1), guid, cfg)],

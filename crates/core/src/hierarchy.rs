@@ -19,7 +19,7 @@ use simnet::{LinkProfile, NodeAddr, SimDuration, SimTime};
 
 use crate::config::ProtocolConfig;
 use crate::driver::{CoreShape, Scenario};
-use crate::ids::{GroupId, Guid, NodeId};
+use crate::ids::{Endpoint, GroupId, Guid, NodeId};
 
 /// Traffic pattern of one multicast source.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -220,13 +220,23 @@ pub enum Entity<'a> {
 }
 
 impl Entity<'_> {
+    /// The protocol identity of an entity; `None` for sources, which have
+    /// none.
+    pub(crate) fn endpoint(&self) -> Option<Endpoint> {
+        match *self {
+            Entity::Br(id) | Entity::Ag(id, _) => Some(Endpoint::Ne(id)),
+            Entity::Ap(ap) => Some(Endpoint::Ne(ap.id)),
+            Entity::Mh(mh) => Some(Endpoint::Mh(mh.guid)),
+            Entity::Source(_) => None,
+        }
+    }
+
     /// The identity of a network entity (BR, AG or AP); `None` for sources
     /// and mobile hosts.
     pub(crate) fn ne_id(&self) -> Option<NodeId> {
-        match *self {
-            Entity::Br(id) | Entity::Ag(id, _) => Some(id),
-            Entity::Ap(ap) => Some(ap.id),
-            Entity::Source(_) | Entity::Mh(_) => None,
+        match self.endpoint()? {
+            Endpoint::Ne(id) => Some(id),
+            Endpoint::Mh(_) => None,
         }
     }
 }
@@ -475,6 +485,15 @@ impl HierarchySpec {
                     "multiple sources at corresponding node {} (the paper assumes s ≤ r, one per node)",
                     s.corresponding
                 ));
+            }
+        }
+        // Address tables index by id ([`crate::engine::AddrMap`]), so ids
+        // are dense: every derivation numbers NEs and walkers from 0.
+        let count = self.entities().count();
+        for ep in self.entities().filter_map(|e| e.endpoint()) {
+            let (Endpoint::Ne(NodeId(id)) | Endpoint::Mh(Guid(id))) = ep;
+            if id as usize >= count {
+                problems.push(format!("{ep}: id not below the entity count {count}"));
             }
         }
         problems
@@ -782,7 +801,9 @@ pub(crate) fn attachment_entity(spec: &HierarchySpec, index: usize, what: &str) 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::driver::{ringnet_spec, CoreShape, ScenarioBuilder};
+    use crate::driver::{
+        degenerate_tree_spec, flat_ring_spec, ringnet_spec, CoreShape, ScenarioBuilder,
+    };
 
     /// A regular hierarchy of `brs` BRs over `rings` AG rings of
     /// `ags_per_ring` AGs.
@@ -890,7 +911,7 @@ mod tests {
     fn validation_rejects_unrunnable_traffic() {
         // The rules `Scenario::validate` applies: a zero CBR interval would
         // re-arm the source timer at the same instant forever, and a NaN
-        // rate slips past the Poisson source's `rate <= 0.0` guard.
+        // rate would draw NaN gaps.
         for (pattern, problem) in [
             (
                 TrafficPattern::Cbr {
@@ -1009,10 +1030,55 @@ mod tests {
     }
 
     #[test]
+    fn validation_rejects_ids_past_the_entity_count() {
+        let mut spec = figure1();
+        spec.mhs[0].guid = Guid(1 << 30);
+        spec.top_ring[1] = NodeId(1 << 30);
+        let problems = spec.validate();
+        let count = spec.entities().count();
+        for id in ["mh1073741824", "ne1073741824"] {
+            let problem = format!("{id}: id not below the entity count {count}");
+            assert!(problems.contains(&problem), "{id}: {problems:?}");
+        }
+    }
+
+    #[test]
+    fn every_derivation_numbers_ids_below_the_entity_count() {
+        let derivations: [fn(&Scenario) -> HierarchySpec; 3] =
+            [ringnet_spec, degenerate_tree_spec, flat_ring_spec];
+        let scenarios = [
+            ScenarioBuilder::new().build(),
+            ScenarioBuilder::figure1(GroupId(1)).build(),
+            ScenarioBuilder::new()
+                .attachments(18)
+                .walkers_per_attachment(2)
+                .sources(2)
+                .shape(regular(4, 3, 3))
+                .build(),
+            ScenarioBuilder::new()
+                .attachments(8)
+                .sources(4)
+                .groups((1..=4).map(GroupId).collect())
+                .walkers(vec![Some(0), None, Some(7), None])
+                .build(),
+            ScenarioBuilder::new()
+                .attachments(3)
+                .walkers(Vec::new())
+                .build(),
+        ];
+        for (i, sc) in scenarios.iter().enumerate() {
+            for derive in derivations {
+                let spec = derive(sc);
+                assert!(spec.validate().is_empty(), "{i}: {:?}", spec.validate());
+            }
+        }
+    }
+
+    #[test]
     fn mhs_without_initial_ap_are_allowed() {
         let mut spec = figure1();
         spec.mhs.push(MhSpec {
-            guid: Guid(1000),
+            guid: Guid(spec.mhs.len() as u32),
             initial_ap: None,
             subscriptions: Vec::new(),
         });
