@@ -16,9 +16,8 @@ use std::sync::Arc;
 
 use ringnet_core::driver::{MulticastSim, RunReport, Scenario, ScenarioEvent};
 use ringnet_core::metrics::NeFinal;
-use ringnet_core::{
-    GlobalSeq, GroupId, Guid, LocalSeq, MhCounters, NodeId, ProtoEvent, PAYLOAD_BYTES,
-};
+use ringnet_core::PAYLOAD_BYTES;
+use ringnet_core::{GlobalSeq, GroupId, Guid, LocalSeq, MhCounters, NodeId, ProtoEvent};
 use simnet::{Actor, Ctx, NodeAddr, SimDuration, SimTime};
 
 use crate::world::{Star, StarPlan, World};

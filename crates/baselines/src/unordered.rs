@@ -551,8 +551,9 @@ impl MulticastSim for UnorderedSim {
         for entity in spec.entities() {
             let actor: BoxedActor<UnMsg> = match entity {
                 Entity::Source(src) => {
+                    let make = |seq| UnMsg::SourceData { seq };
                     let target = map.ne(src.corresponding).expect("validated");
-                    Box::new(Source::new(src, target, |seq| UnMsg::SourceData { seq }))
+                    Box::new(Source::new(src.clone(), target, make))
                 }
                 Entity::Mh(mh) => Box::new(UnMh {
                     guid: mh.guid,

@@ -152,7 +152,7 @@ impl<M: Clone + 'static> StarPlan<'_, M> {
             limit: scenario.limit,
             groups: Vec::new(),
         };
-        let source = sim.add_node(Box::new(Source::new(&spec, Star::HUB, self.source_data)));
+        let source = sim.add_node(Box::new(Source::new(spec, Star::HUB, self.source_data)));
         for (guid, home) in star.walkers() {
             sim.add_node(mh(&star, guid, home));
         }

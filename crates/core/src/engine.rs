@@ -64,9 +64,13 @@ impl AddrMap {
     pub fn for_spec(spec: &HierarchySpec) -> AddrMap {
         let mut map = AddrMap::default();
         for (i, entity) in spec.entities().enumerate() {
-            if let Some(ep) = entity.endpoint() {
-                map.insert(ep, NodeAddr(i as u32));
-            }
+            let ep = match entity {
+                Entity::Source(_) => continue,
+                Entity::Mh(mh) => Endpoint::Mh(mh.guid),
+                Entity::Br(id) | Entity::Ag(id, _) => Endpoint::Ne(id),
+                Entity::Ap(ap) => Endpoint::Ne(ap.id),
+            };
+            map.insert(ep, NodeAddr(i as u32));
         }
         map
     }
@@ -100,7 +104,7 @@ impl AddrMap {
 
     /// Resolve any endpoint.
     #[inline]
-    pub fn resolve(&self, ep: Endpoint) -> Option<NodeAddr> {
+    pub(crate) fn resolve(&self, ep: Endpoint) -> Option<NodeAddr> {
         match ep {
             Endpoint::Ne(n) => self.ne(n),
             Endpoint::Mh(g) => self.mh(g),
@@ -120,12 +124,7 @@ impl AddrMap {
 /// a burst is charged the sum over its members): [`PAYLOAD_BYTES`] per
 /// payload-bearing message on top of its header.
 fn wire_size(msg: &Msg) -> usize {
-    msg.base_wire_size()
-        + if msg.carries_payload() {
-            PAYLOAD_BYTES
-        } else {
-            0
-        }
+    msg.base_wire_size() + PAYLOAD_BYTES * usize::from(msg.carries_payload())
 }
 
 // ---------------------------------------------------------------- actors
@@ -198,23 +197,19 @@ impl Framer {
     }
 }
 
-/// Hand one inbound message to a node's per-group states (`group` reads a
-/// state's group): an entity-wide stimulus ([`Msg::stimulus_for`]) to every
-/// state, rewritten for its group, anything else to the state owning its
-/// group stamp. A state ignores a stimulus its kind has no use for.
-fn route<S>(
-    states: &mut [S],
-    group: fn(&S) -> GroupId,
-    msg: Msg,
-    mut handle: impl FnMut(&mut S, Msg),
-) {
+/// Hand one inbound message to `f` with each of a node's per-group states
+/// it is for (`group` reads a state's group): an entity-wide stimulus
+/// ([`Msg::stimulus_for`]) is for every state, rewritten for its group,
+/// anything else for the state owning its group stamp. A state ignores a
+/// stimulus its kind has no use for.
+fn route<S>(states: &mut [S], group: fn(&S) -> GroupId, msg: Msg, mut f: impl FnMut(&mut S, Msg)) {
     let stamp = msg.group();
     for st in states {
         let g = group(st);
         if let Some(copy) = msg.stimulus_for(g) {
-            handle(st, copy);
+            f(st, copy);
         } else if g == stamp {
-            return handle(st, msg);
+            return f(st, msg);
         }
     }
 }
@@ -282,14 +277,8 @@ impl NeActor {
 
     fn deliver(&mut self, now: SimTime, from_ep: Endpoint, msg: Msg) {
         let out = &mut self.out;
-        route(
-            &mut self.states,
-            |s| s.group,
-            msg,
-            |st, msg| {
-                st.on_msg(now, from_ep, msg, out);
-            },
-        );
+        let on_msg = |st: &mut NeState, m| st.on_msg(now, from_ep, m, out);
+        route(&mut self.states, |s| s.group, msg, on_msg);
     }
 
     fn flush(&mut self, ctx: &mut Ctx<'_, Msg, ProtoEvent>) {
@@ -563,14 +552,8 @@ impl MhActor {
 
     fn deliver(&mut self, now: SimTime, from_ep: Endpoint, msg: Msg) {
         let out = &mut self.out;
-        route(
-            &mut self.states,
-            |s| s.group,
-            msg,
-            |st, msg| {
-                st.on_msg(now, from_ep, msg, out);
-            },
-        );
+        let on_msg = |st: &mut MhState, m| st.on_msg(now, from_ep, m, out);
+        route(&mut self.states, |s| s.group, msg, on_msg);
     }
 
     fn flush(&mut self, ctx: &mut Ctx<'_, Msg, ProtoEvent>) {
@@ -653,17 +636,14 @@ impl Actor<Msg, ProtoEvent> for MhActor {
     }
 }
 
-/// A traffic source, the one every backend runs: from its spec's `start`
-/// it sends `make(1)`, `make(2)`, … to `target`, spaced by the spec's
-/// pattern (a fixed interval, or exponential gaps drawn from the world
-/// stream), until the spec's `stop` or `limit`. A backend supplies only the
-/// `seq → message` constructor of its own wire format.
+/// The traffic source every backend runs: from its spec's `start` it sends
+/// `make(1)`, `make(2)`, … to `target`, spaced by the spec's pattern (a
+/// fixed interval, or exponential gaps drawn from the world stream), until
+/// the spec's `stop` or `limit`. A backend supplies only the `seq → message`
+/// constructor of its wire format.
 pub struct Source<F> {
+    spec: SourceSpec,
     target: NodeAddr,
-    pattern: TrafficPattern,
-    start: SimTime,
-    stop: Option<SimTime>,
-    limit: Option<u64>,
     /// Messages sent so far.
     seq: u64,
     make: F,
@@ -671,13 +651,10 @@ pub struct Source<F> {
 
 impl<F> Source<F> {
     /// The source `spec` describes, sending to `target`.
-    pub fn new(spec: &SourceSpec, target: NodeAddr, make: F) -> Self {
+    pub fn new(spec: SourceSpec, target: NodeAddr, make: F) -> Self {
         Source {
+            spec,
             target,
-            pattern: spec.pattern,
-            start: spec.start,
-            stop: spec.stop,
-            limit: spec.limit,
             seq: 0,
             make,
         }
@@ -686,19 +663,20 @@ impl<F> Source<F> {
 
 impl<M, F: Fn(u64) -> M> Actor<M, ProtoEvent> for Source<F> {
     fn on_start(&mut self, ctx: &mut Ctx<'_, M, ProtoEvent>) {
-        let delay = self.start.saturating_since(ctx.now());
+        let delay = self.spec.start.saturating_since(ctx.now());
         ctx.set_timer(delay, 0);
     }
 
     fn on_packet(&mut self, _: &mut Ctx<'_, M, ProtoEvent>, _: NodeAddr, _: M) {}
 
     fn on_timer(&mut self, ctx: &mut Ctx<'_, M, ProtoEvent>, _tag: u64) {
-        if self.limit.is_some_and(|l| self.seq >= l) || self.stop.is_some_and(|s| ctx.now() >= s) {
+        let SourceSpec { limit, stop, .. } = self.spec;
+        if limit.is_some_and(|l| self.seq >= l) || stop.is_some_and(|s| ctx.now() >= s) {
             return;
         }
         self.seq += 1;
         ctx.send(self.target, (self.make)(self.seq));
-        let delay = match self.pattern {
+        let delay = match self.spec.pattern {
             TrafficPattern::Cbr { interval } => interval,
             TrafficPattern::Poisson { rate } => {
                 SimDuration::from_secs_f64(ctx.rng().exponential(rate))
@@ -869,7 +847,7 @@ fn assemble(spec: &HierarchySpec, net: &mut impl Assemble, finals: &FinalsSink) 
                     }
                 };
                 let target = map.ne(origin).expect("validated");
-                Box::new(Source::new(src, target, make))
+                Box::new(Source::new(src.clone(), target, make))
             }
             Entity::Mh(mh) => Box::new(MhActor::new(
                 (spec.subscriptions_of(mh).into_iter())

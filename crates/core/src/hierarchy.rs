@@ -19,7 +19,7 @@ use simnet::{LinkProfile, NodeAddr, SimDuration, SimTime};
 
 use crate::config::ProtocolConfig;
 use crate::driver::{CoreShape, Scenario};
-use crate::ids::{Endpoint, GroupId, Guid, NodeId};
+use crate::ids::{GroupId, Guid, NodeId};
 
 /// Traffic pattern of one multicast source.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -220,23 +220,13 @@ pub enum Entity<'a> {
 }
 
 impl Entity<'_> {
-    /// The protocol identity of an entity; `None` for sources, which have
-    /// none.
-    pub(crate) fn endpoint(&self) -> Option<Endpoint> {
-        match *self {
-            Entity::Br(id) | Entity::Ag(id, _) => Some(Endpoint::Ne(id)),
-            Entity::Ap(ap) => Some(Endpoint::Ne(ap.id)),
-            Entity::Mh(mh) => Some(Endpoint::Mh(mh.guid)),
-            Entity::Source(_) => None,
-        }
-    }
-
     /// The identity of a network entity (BR, AG or AP); `None` for sources
     /// and mobile hosts.
     pub(crate) fn ne_id(&self) -> Option<NodeId> {
-        match self.endpoint()? {
-            Endpoint::Ne(id) => Some(id),
-            Endpoint::Mh(_) => None,
+        match *self {
+            Entity::Br(id) | Entity::Ag(id, _) => Some(id),
+            Entity::Ap(ap) => Some(ap.id),
+            Entity::Source(_) | Entity::Mh(_) => None,
         }
     }
 }
@@ -490,11 +480,10 @@ impl HierarchySpec {
         // Address tables index by id ([`crate::engine::AddrMap`]), so ids
         // are dense: every derivation numbers NEs and walkers from 0.
         let count = self.entities().count();
-        for ep in self.entities().filter_map(|e| e.endpoint()) {
-            let (Endpoint::Ne(NodeId(id)) | Endpoint::Mh(Guid(id))) = ep;
-            if id as usize >= count {
-                problems.push(format!("{ep}: id not below the entity count {count}"));
-            }
+        let ne_ids = self.entities().filter_map(|e| e.ne_id().map(|id| id.0));
+        let ids = ne_ids.chain(self.mhs.iter().map(|mh| mh.guid.0));
+        for id in ids.filter(|&id| id as usize >= count) {
+            problems.push(format!("id {id} is not below the entity count {count}"));
         }
         problems
     }
@@ -1034,12 +1023,9 @@ mod tests {
         let mut spec = figure1();
         spec.mhs[0].guid = Guid(1 << 30);
         spec.top_ring[1] = NodeId(1 << 30);
-        let problems = spec.validate();
-        let count = spec.entities().count();
-        for id in ["mh1073741824", "ne1073741824"] {
-            let problem = format!("{id}: id not below the entity count {count}");
-            assert!(problems.contains(&problem), "{id}: {problems:?}");
-        }
+        let (problems, count) = (spec.validate(), spec.entities().count());
+        let problem = format!("id {} is not below the entity count {count}", 1 << 30);
+        assert_eq!(problems.iter().filter(|&p| *p == problem).count(), 2);
     }
 
     #[test]

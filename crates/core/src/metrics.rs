@@ -412,18 +412,13 @@ impl Finals {
     }
 }
 
-/// Where every backend's actors put what they hand over when the run stops
-/// ([`simnet::Actor::on_stop`]): each live state's counters, and — on the
-/// RingNet-engine backends with telemetry on — each NE's merged telemetry
-/// dump. A clone shares the sink, so the backend keeps one and takes the
-/// harvest back at teardown. Everything is keyed, so the order in which
-/// actors (and shards) reach the sink cannot affect the result.
+/// Where every backend's actors put their counters — and, on the
+/// RingNet-engine backends with telemetry on, each NE its merged telemetry
+/// dump — when the run stops ([`simnet::Actor::on_stop`]). A clone shares
+/// the sink; the backend keeps one and takes the lot back at teardown. All
+/// of it is keyed, so the order actors (and shards) arrive in is moot.
 #[derive(Debug, Clone, Default)]
-pub struct FinalsSink(Arc<Mutex<Harvest>>);
-
-/// What a [`FinalsSink`] holds: the counters, and the telemetry dumps by
-/// node.
-type Harvest = (Finals, BTreeMap<NodeId, NodeDump>);
+pub struct FinalsSink(Arc<Mutex<(Finals, BTreeMap<NodeId, NodeDump>)>>);
 
 impl FinalsSink {
     /// Hand over one entity's counters for one group.
@@ -447,7 +442,7 @@ impl FinalsSink {
         std::mem::take(&mut *self.lock())
     }
 
-    fn lock(&self) -> std::sync::MutexGuard<'_, Harvest> {
+    fn lock(&self) -> std::sync::MutexGuard<'_, (Finals, BTreeMap<NodeId, NodeDump>)> {
         self.0.lock().expect("finals sink poisoned")
     }
 }

@@ -412,10 +412,9 @@ impl Msg {
     }
 
     /// This message rewritten for `group` if it is an *entity-wide*
-    /// stimulus, `None` otherwise. A crash, a restart, a handoff and a join
-    /// command concern a whole node or host, so the engine hands each of
-    /// its per-group states a copy stamped with that state's group; every
-    /// other message belongs to the one state of its group stamp.
+    /// stimulus — a crash, a restart, a handoff or a join command concerns a
+    /// whole node or host, so each of its per-group states gets a copy —
+    /// and `None` for a message that belongs to one group.
     pub(crate) fn stimulus_for(&self, group: GroupId) -> Option<Msg> {
         Some(match *self {
             Msg::Kill { .. } => Msg::Kill { group },
