@@ -28,7 +28,9 @@
 //! on one *star* (hub, an edge per attachment, one source, placed MHs)
 //! assembled in this crate. The three baselines that speak their own
 //! message type share one simulator-plus-teardown skeleton, so each file
-//! holds its actors, its `build(&Scenario)` and its `schedule`.
+//! holds its actors, its `build(&Scenario)` and its `schedule`. All six
+//! take their [`Source`](ringnet_core::engine::Source) and
+//! [`FinalsSink`](ringnet_core::metrics::FinalsSink) from the engine.
 //!
 //! Every comparator implements the protocol-generic
 //! [`ringnet_core::driver::MulticastSim`] trait — a

@@ -1,9 +1,8 @@
 //! The [`World`] skeleton of the three baselines that speak their own
-//! message type (tunnel, RelM, unordered) — a simulator, the
-//! [`FinalsSink`] its actors hand their end-of-run counters to when the
-//! run stops, and the scenario's [`Reporting`] over the wired core — and
-//! the [`Star`] assembly of the two single-ingest ones. The sink and the
-//! traffic [`Source`] are the RingNet engine's own.
+//! message type (tunnel, RelM, unordered) — a simulator, the engine's
+//! [`FinalsSink`] its actors stop into, and the scenario's [`Reporting`]
+//! over the wired core — and the [`Star`] assembly of the two
+//! single-ingest ones, whose one traffic [`Source`] is the engine's too.
 
 use std::collections::BTreeSet;
 use std::sync::Arc;
