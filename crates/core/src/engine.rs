@@ -204,13 +204,13 @@ impl Framer {
 /// stimulus its kind has no use for.
 fn route<S>(states: &mut [S], group: fn(&S) -> GroupId, msg: Msg, mut f: impl FnMut(&mut S, Msg)) {
     let stamp = msg.group();
-    for st in states {
-        let g = group(st);
-        if let Some(copy) = msg.stimulus_for(g) {
-            f(st, copy);
-        } else if g == stamp {
-            return f(st, msg);
+    if msg.stimulus_for(stamp).is_some() {
+        for st in states {
+            let g = group(st);
+            f(st, msg.stimulus_for(g).expect("a stimulus for every group"));
         }
+    } else if let Some(st) = states.iter_mut().find(|s| group(s) == stamp) {
+        f(st, msg);
     }
 }
 

@@ -415,6 +415,7 @@ impl Msg {
     /// stimulus — a crash, a restart, a handoff or a join command concerns a
     /// whole node or host, so each of its per-group states gets a copy —
     /// and `None` for a message that belongs to one group.
+    #[inline]
     pub(crate) fn stimulus_for(&self, group: GroupId) -> Option<Msg> {
         Some(match *self {
             Msg::Kill { .. } => Msg::Kill { group },
