@@ -477,8 +477,8 @@ impl HierarchySpec {
                 ));
             }
         }
-        // Address tables index by id ([`crate::engine::AddrMap`]), so ids
-        // are dense: every derivation numbers NEs and walkers from 0.
+        // The engine's address tables are indexed by id, so ids must be
+        // dense: every derivation numbers NEs and walkers from 0.
         let count = self.entities().count();
         let ne_ids = self.entities().filter_map(|e| e.ne_id().map(|id| id.0));
         let ids = ne_ids.chain(self.mhs.iter().map(|mh| mh.guid.0));
