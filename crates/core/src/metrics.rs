@@ -570,9 +570,34 @@ pub struct RunReport {
 /// harvested [`Finals`] in at the end; the scenario's [`Scenario::retain_journal`] flag only decides
 /// whether the journal `Vec` is kept as well (pre-sized from the scenario's
 /// workload) or never materialized (the report's journal is then empty).
+///
+/// The sink owns its accumulator, so feeding it takes no lock. It hands the
+/// accumulator over when the journal drops it, which every simulator's
+/// `finish` does before the backend calls [`Reporting::finish`].
 #[derive(Debug)]
 pub struct Reporting {
-    acc: Arc<Mutex<MetricsAccumulator>>,
+    /// Where the journal sink leaves its accumulator when it is dropped.
+    slot: Arc<Mutex<Option<MetricsAccumulator>>>,
+}
+
+/// The journal sink [`Reporting::install_journal`] attaches. Its closure
+/// captures it whole (a type with `Drop` is never captured by field), so
+/// dropping the closure hands the accumulator over.
+struct StreamingSink {
+    acc: MetricsAccumulator,
+    slot: Arc<Mutex<Option<MetricsAccumulator>>>,
+}
+
+impl Drop for StreamingSink {
+    fn drop(&mut self) {
+        // An empty accumulator allocates nothing.
+        let acc = std::mem::replace(&mut self.acc, MetricsAccumulator::new(BTreeSet::new()));
+        // A poisoned slot means a panic is already unwinding: leave it empty
+        // rather than panic again here.
+        if let Ok(mut slot) = self.slot.lock() {
+            *slot = Some(acc);
+        }
+    }
 }
 
 impl Reporting {
@@ -591,12 +616,13 @@ impl Reporting {
         } else {
             journal.set_retention(false);
         }
-        let acc = Arc::new(Mutex::new(MetricsAccumulator::new(wired_core)));
-        let sink = Arc::clone(&acc);
-        journal.set_sink(move |t, e| {
-            sink.lock().expect("metrics sink poisoned").observe(t, e);
-        });
-        Reporting { acc }
+        let slot = Arc::new(Mutex::new(None));
+        let mut sink = StreamingSink {
+            acc: MetricsAccumulator::new(wired_core),
+            slot: Arc::clone(&slot),
+        };
+        journal.set_sink(move |t, e| sink.acc.observe(t, e));
+        Reporting { slot }
     }
 
     /// Assemble the report from a finished run: the metrics the sink
@@ -608,11 +634,12 @@ impl Reporting {
         stats: SimStats,
         finals: Finals,
     ) -> RunReport {
-        // The simulator (and with it the sink closure) is already dropped,
-        // so this is the last reference.
-        let mut acc = Arc::try_unwrap(self.acc)
-            .map(|m| m.into_inner().expect("metrics sink poisoned"))
-            .unwrap_or_else(|arc| arc.lock().expect("metrics sink poisoned").clone());
+        let mut acc = self
+            .slot
+            .lock()
+            .expect("metrics slot poisoned: the journal sink panicked")
+            .take()
+            .expect("the simulator's finish drops the journal sink first");
         acc.observe_finals(&finals);
         RunReport {
             journal,
