@@ -74,16 +74,17 @@ impl NeState {
     }
 
     /// `n` answered the probe to our next node, if it still is our next
-    /// node: by a `HeartbeatAck`, or `by_token`, acknowledging a token
-    /// transfer sent since the last tick.
-    pub(crate) fn next_answered(&mut self, n: NodeId, by_token: bool) {
+    /// node: by a `HeartbeatAck`, or `by_traffic`, acknowledging the frame
+    /// that asked the implied probe since the last tick.
+    pub(crate) fn next_answered(&mut self, n: NodeId, by_traffic: bool) {
         if self.ring_next() != Some(n) {
             return;
         }
         let Some(r) = self.ring.as_mut() else { return };
         r.hb_outstanding = 0;
-        if by_token {
-            r.hb_by_token = Some(n);
+        if by_traffic {
+            r.hb_by_traffic = Some(n);
+            r.hb_asked = None;
         }
         if r.state_of(n) == crate::ring_lifecycle::MemberState::Suspected {
             self.telemetry.count(crate::telemetry::metric::HB_REFUTES);
@@ -104,9 +105,10 @@ impl NeState {
         if !r.mark_dead(failed) {
             return;
         }
-        r.hb_outstanding = 0; // next may have changed; restart the count
-                              // Topology maintenance ran → hand Token-Loss to the multicast layer
-                              // (it ignores the signal while ordering runs well).
+        // Next may have changed.
+        r.restart_probes();
+        // Topology maintenance ran → hand Token-Loss to the multicast layer
+        // (it ignores the signal while ordering runs well).
         if r.is_top {
             self.maybe_start_regen(now, out);
         }
@@ -172,14 +174,19 @@ impl NeState {
         if let Some(r) = self.ring.as_mut() {
             let last_tick = std::mem::replace(&mut r.hb_tick_at, now);
             let next = r.next_of(self.id);
-            let by_token = r.hb_by_token == Some(next);
+            let by_traffic = r.hb_by_traffic == Some(next);
+            // A frame to `next` since the last tick, still unacknowledged,
+            // put the implied probe; without one, nothing was asked.
+            let asked = r
+                .hb_asked
+                .is_some_and(|a| a.to == next && a.sent_at >= last_tick);
             if next != self.id {
                 if r.hb_outstanding >= HEARTBEAT_MISSES {
                     // Next is dead: bypass it and tell the others.
                     r.mark_dead(next);
                     let new_next = r.next_of(self.id);
-                    r.hb_outstanding = 0;
-                    r.hb_by_token = None;
+                    r.restart_probes();
+                    r.hb_by_traffic = None;
                     r.next_acked_mq = crate::ids::GlobalSeq::ZERO;
                     out.push(Action::Record(ProtoEvent::RingRepaired {
                         node: self.id,
@@ -200,30 +207,24 @@ impl NeState {
                     }
                     ring_changed = true;
                     self.telemetry.count(crate::telemetry::metric::RING_REPAIRS);
-                } else if by_token && r.hb_outstanding == 0 {
-                    // The token answered since the last tick: it stands in
+                } else if by_traffic && r.hb_outstanding == 0 {
+                    // Traffic answered since the last tick: it stands in
                     // for this tick's probe.
                     r.hb_outstanding = 1;
                 } else {
-                    // A token transfer since the last tick put the implied
-                    // probe to `next`; without one, nothing was asked and
-                    // nothing was missed.
-                    let asked = self
-                        .ord
-                        .as_ref()
-                        .and_then(|o| o.inflight.as_ref())
-                        .is_some_and(|inf| inf.to == next && inf.sent_at >= last_tick);
-                    if by_token && !asked {
+                    if by_traffic && !asked {
+                        // The implied probe asked nothing, so missed
+                        // nothing.
                         r.hb_outstanding = 0;
                     }
-                    if r.hb_outstanding > 0 && !by_token {
+                    if r.hb_outstanding > 0 && !by_traffic {
                         // The previous probe, a sent one, went unanswered.
                         if r.state_of(next) == crate::ring_lifecycle::MemberState::Active {
                             self.telemetry.count(crate::telemetry::metric::HB_SUSPECTS);
                         }
                         r.suspect(next);
                     }
-                    r.hb_by_token = None;
+                    r.hb_by_traffic = None;
                     r.hb_outstanding += 1;
                     self.send_control(Endpoint::Ne(next), Msg::Heartbeat { group }, out);
                 }
@@ -279,7 +280,7 @@ impl NeState {
             inf.attempts = 1;
             inf.sent_at = now;
             let token = inf.token.clone();
-            self.send_control(Endpoint::Ne(next), Msg::Token(Box::new(token)), out);
+            self.send_transfer(now, next, token, out);
         }
     }
 

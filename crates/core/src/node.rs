@@ -52,12 +52,15 @@ pub struct RingState {
     pub hb_outstanding: u8,
     /// When the last heartbeat tick ran.
     pub(crate) hb_tick_at: SimTime,
-    /// The next node the token answers for: it acknowledged a token
-    /// transfer sent since the last heartbeat tick. While it is still
-    /// `next`, a tick implies its probe instead of sending it, and an
-    /// unanswered implied probe does not suspect it. Cleared by the first
-    /// tick that sends a real probe.
-    pub(crate) hb_by_token: Option<NodeId>,
+    /// The next node whose traffic answers for it: it acknowledged a frame
+    /// sent to it since the last heartbeat tick. While it is still `next`,
+    /// a tick implies its probe instead of sending it, and an unanswered
+    /// implied probe does not suspect it. Cleared by the first tick that
+    /// sends a real probe.
+    pub(crate) hb_by_traffic: Option<NodeId>,
+    /// The first frame sent to `next` since the last heartbeat tick that
+    /// `next` has not acknowledged: it asks the tick's implied probe.
+    pub(crate) hb_asked: Option<AskedProbe>,
     /// Cumulative `MQ` ACK received from the next node, by `DataAck` or
     /// `TokenAck` (retention GC of both `MQ` and `WQ`).
     pub next_acked_mq: GlobalSeq,
@@ -74,7 +77,8 @@ impl RingState {
             is_top,
             hb_outstanding: 0,
             hb_tick_at: SimTime::ZERO,
-            hb_by_token: None,
+            hb_by_traffic: None,
+            hb_asked: None,
             next_acked_mq: GlobalSeq::ZERO,
         }
     }
@@ -159,20 +163,49 @@ impl RingState {
         self.lifecycle.in_ring()
     }
 
+    /// A frame that its receiver acknowledges went to `to` at `now`. The
+    /// first such frame since the last heartbeat tick asks that tick's
+    /// implied probe.
+    pub(crate) fn ask(&mut self, to: NodeId, now: SimTime) {
+        if !self
+            .hb_asked
+            .is_some_and(|a| a.to == to && a.sent_at >= self.hb_tick_at)
+        {
+            self.hb_asked = Some(AskedProbe { to, sent_at: now });
+        }
+    }
+
+    /// Start probing over, `next` having changed or come back: no miss
+    /// carries over, and no ack can answer for a frame sent before.
+    pub(crate) fn restart_probes(&mut self) {
+        self.hb_outstanding = 0;
+        self.hb_asked = None;
+    }
+
     /// Splice a rejoined peer back into `me`'s cycle view. True on a real
-    /// splice, which restarts the probe count and, when the peer is `me`'s
+    /// splice, which restarts the probes and, when the peer is `me`'s
     /// new next, its ACK progress (pinning GC until its first post-rejoin
     /// cumulative ACK).
     pub(crate) fn readmit(&mut self, me: NodeId, member: NodeId) -> bool {
         let t = self.lifecycle.apply(member, LifecycleEvent::RejoinComplete);
         if t.changed() {
-            self.hb_outstanding = 0;
+            self.restart_probes();
             if self.next_of(me) == member {
                 self.next_acked_mq = GlobalSeq::ZERO;
             }
         }
         t.changed()
     }
+}
+
+/// A frame to the next ring node that asks a heartbeat tick's implied
+/// probe (see [`crate::membership`]).
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct AskedProbe {
+    /// The next node it went to.
+    pub(crate) to: NodeId,
+    /// When it was sent.
+    pub(crate) sent_at: SimTime,
 }
 
 /// In-flight ordering-token transfer awaiting a [`Msg::TokenAck`].
@@ -921,7 +954,7 @@ impl NeState {
         if !t.changed() {
             return; // duplicate grant: the splice already happened
         }
-        r.hb_outstanding = 0;
+        r.restart_probes();
         self.mq.fast_forward(front);
         if let Some(ord) = self.ord.as_mut() {
             // Suppress an immediate self-started regeneration round: the

@@ -411,12 +411,28 @@ impl NeState {
                 sent_at: now,
                 attempts: 1,
             });
-            self.send_control(Endpoint::Ne(next), Msg::Token(Box::new(token)), out);
+            self.send_transfer(now, next, token, out);
         } else {
             // Sole survivor: the token stays local; the hop tick re-processes
             // it so ordering keeps making progress.
             ord.inflight = None;
         }
+    }
+
+    /// Send (or resend) the tracked token transfer to `to`. Like any frame
+    /// `to` acknowledges, it asks the heartbeat tick's implied probe (see
+    /// [`crate::membership`]).
+    pub(crate) fn send_transfer(
+        &mut self,
+        now: SimTime,
+        to: NodeId,
+        token: OrderingToken,
+        out: &mut Outbox,
+    ) {
+        if let Some(r) = self.ring.as_mut() {
+            r.ask(to, now);
+        }
+        self.send_control(Endpoint::Ne(to), Msg::Token(Box::new(token)), out);
     }
 
     /// Token-transfer acknowledgement from the next node, carrying its
@@ -425,7 +441,8 @@ impl NeState {
     /// The ack of a transfer sent once, since the last heartbeat tick, also
     /// answers the liveness probe to the next node (see
     /// [`crate::membership`]); a retried transfer's ack may be for a copy
-    /// sent before the tick.
+    /// sent before the tick, so it answers nothing, though the transfer
+    /// asks nothing more either.
     pub(crate) fn on_token_ack(
         &mut self,
         now: SimTime,
@@ -437,21 +454,22 @@ impl NeState {
     ) {
         let Some(ord) = self.ord.as_mut() else { return };
         let Endpoint::Ne(sender) = from else { return };
-        let mut answered = false;
         if let Some(inf) = &ord.inflight {
             if inf.to == sender
                 && crate::ring_epoch::ack_matches_pass(inf.token.pass_id(), epoch, rotation)
             {
-                answered = inf.attempts == 1
+                let answered = inf.attempts == 1
                     && self
                         .ring
                         .as_ref()
                         .is_some_and(|r| inf.sent_at >= r.hb_tick_at);
                 ord.inflight = None;
+                if answered {
+                    self.next_answered(sender, true);
+                } else if let Some(r) = self.ring.as_mut() {
+                    r.hb_asked = None;
+                }
             }
-        }
-        if answered {
-            self.next_answered(sender, true);
         }
         self.on_data_ack(now, from, upto, out);
     }

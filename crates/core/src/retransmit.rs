@@ -176,7 +176,7 @@ impl NeState {
         inf.attempts += 1;
         inf.sent_at = now;
         let token = inf.token.clone();
-        self.send_control(Endpoint::Ne(next_now), Msg::Token(Box::new(token)), out);
+        self.send_transfer(now, next_now, token, out);
     }
 
     /// The at most two ack targets: the upstream hop, plus — for ring

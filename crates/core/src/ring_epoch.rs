@@ -303,7 +303,7 @@ impl NeState {
         for m in excised {
             r.lifecycle.apply(m, LifecycleEvent::RejoinComplete);
         }
-        r.hb_outstanding = 0;
+        r.restart_probes();
         self.rejoin_attempts = 0;
         if let Some(ord) = self.ord.as_mut() {
             ord.last_token_seen = now; // the live token reaches us within a rotation
