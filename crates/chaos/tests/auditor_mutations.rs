@@ -346,6 +346,13 @@ fn pinned_reports() -> Vec<(String, AuditReport)> {
 
 /// [`digest`] of each report of [`pinned_reports`], pinned on the
 /// `BTreeMap`-keyed auditor before its state moved to dense tables.
+///
+/// `stress_104/ringnet` was re-pinned when an AG ring's acknowledged data
+/// began answering the liveness probe to its next member (was
+/// `0xeac3bf5547992394`): the dead AG is excised a heartbeat period
+/// earlier, its orphaned APs graft onto a neighbour that has already
+/// collected the gap, and they skip it — 48 231 deliveries and 85 skips
+/// become 47 811 and 506, still with no violation.
 const AUDIT_DIGESTS: &[(&str, u64)] = &[
     ("mutation/clean", 0x600a3739ec7b607f),
     ("mutation/swapped_gsns", 0x2bd90b057eee2a0c),
@@ -361,7 +368,7 @@ const AUDIT_DIGESTS: &[(&str, u64)] = &[
     ("stress_98/ringnet", 0xd651c73e4da15921),
     ("stress_98/flat_ring", 0x741a05e3f259c5d9),
     ("stress_98/tree", 0x519eb1cd8bd866ca),
-    ("stress_104/ringnet", 0xeac3bf5547992394),
+    ("stress_104/ringnet", 0xfbe646f4cef152f5),
     ("stress_104/flat_ring", 0xfab47cc8e209496b),
     ("stress_104/tree", 0xb68b9db482ae1fa0),
     ("quick_0/ringnet", 0x642e78092b071a3b),

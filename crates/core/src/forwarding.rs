@@ -63,6 +63,7 @@ impl NeState {
         // Step the front one slot at a time (no per-poll Vec — this runs on
         // every data arrival and usually advances nothing).
         let mut any = false;
+        let mut first_forwarded = None;
         while let Some(item) = self.mq.next_deliverable() {
             any = true;
             match item {
@@ -70,6 +71,7 @@ impl NeState {
                     if let Some(next) = fwd_next {
                         out.push(Action::to_ne(next, Msg::Data { group, gsn, data }));
                         self.counters.data_sent += 1;
+                        first_forwarded.get_or_insert(gsn);
                     }
                     for &child in self.children.keys() {
                         out.push(Action::to_ne(child, Msg::Data { group, gsn, data }));
@@ -94,12 +96,20 @@ impl NeState {
         if !any {
             return;
         }
+        if let (Some(next), Some(gsn)) = (fwd_next, first_forwarded) {
+            // The next node's cumulative ack of the frame answers the
+            // liveness probe to it (see `crate::membership`).
+            let r = self.ring.as_mut().expect("forwarding ring");
+            r.ask(next, now, Some(gsn));
+        }
         self.telemetry.delivered_up_to(now, self.mq.front());
     }
 
-    /// Cumulative ordered-stream ACK from a downstream hop. An MH's ack is
-    /// also its liveness beacon: it refreshes a registered MH, and draws a
-    /// [`Msg::ReRegister`] from an AP that does not know the MH.
+    /// Cumulative ordered-stream ACK from a downstream hop. The next ring
+    /// node's ack also answers the liveness probe to it when it covers the
+    /// frame that asked the probe (see [`crate::membership`]). An MH's ack
+    /// is also its liveness beacon: it refreshes a registered MH, and draws
+    /// a [`Msg::ReRegister`] from an AP that does not know the MH.
     pub(crate) fn on_data_ack(
         &mut self,
         now: SimTime,
@@ -117,6 +127,9 @@ impl NeState {
                     let r = self.ring.as_mut().expect("ring present");
                     if upto > r.next_acked_mq {
                         r.next_acked_mq = upto;
+                    }
+                    if r.data_ack_answers(n, upto) {
+                        self.next_answered(n, true);
                     }
                 }
             }

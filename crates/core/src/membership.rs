@@ -7,27 +7,31 @@
 //! * **Liveness**: one probe per heartbeat period to the next ring node
 //!   and one to the parent, with a miss budget, each sent only where
 //!   traffic has not already answered it.
-//!   - *Top ring*: the token is the probe. A `TokenAck` from `next` for a
-//!     transfer sent since the last tick answers like a `HeartbeatAck`, and
-//!     the next tick counts an *implied* probe instead of sending one. A
-//!     transfer sent after that tick asks the implied probe: unanswered by
-//!     the following tick, it is a miss, though not a suspicion. A period
-//!     in which no transfer went to `next` asked nothing and missed
-//!     nothing; its closing tick sends a real probe.
-//!   - *AG rings* have no token and probe every tick.
+//!   - *Ring*: the hop's own acknowledged traffic is the probe — the token
+//!     transfer on the top ring, the forwarded `Data` on an AG ring. The
+//!     first such frame sent to `next` since the last tick asks the tick's
+//!     probe (`RingState::ask`). Its acknowledgement answers like a
+//!     `HeartbeatAck`: a `TokenAck` for a transfer sent once, or a
+//!     `DataAck` whose `upto` covers the frame. The next tick then counts
+//!     an *implied* probe instead of sending one. A frame sent after that
+//!     tick asks the implied probe: unanswered by the following tick, it
+//!     is a miss, though not a suspicion. A period in which nothing went
+//!     to `next` asked nothing and missed nothing; its closing tick sends
+//!     a real probe. So an idle ring probes every tick, and so does an AG
+//!     ring's last member, whose data stops before the leader.
 //!   - *Parent*: any frame at all from the parent answers the probe to it.
 //!
 //!   The ring asks more than the parent link does because a frame sent
-//!   before a tick but received after it is stale evidence: counted, it
-//!   would excise a dead or cut-off `next` a period late. A `TokenAck` for
-//!   a transfer sent after the tick proves at least what a probe at that
-//!   tick would have. Still, a transfer tests `next` somewhat later than a
-//!   probe at the tick would, and a period the token skips tests nothing,
-//!   so a death or a cut close to a tick can be acted on a period earlier
-//!   or later than probes alone would act on it; the same holds for a
-//!   parent that dies just after its last frame. Downstreams are tracked
-//!   by last-heard times: children by their ACKs and heartbeats, MHs by
-//!   their ACKs.
+//!   before a tick but acknowledged after it is stale evidence: counted,
+//!   it would excise a dead or cut-off `next` a period late. The
+//!   acknowledgement of a frame sent after the tick proves at least what a
+//!   probe at that tick would have. Still, a frame tests `next` somewhat
+//!   later than a probe at the tick would, and a period without traffic
+//!   tests nothing, so a death or a cut close to a tick can be acted on a
+//!   period earlier or later than probes alone would act on it; the same
+//!   holds for a parent that dies just after its last frame. Downstreams
+//!   are tracked by last-heard times: children by their ACKs and
+//!   heartbeats, MHs by their ACKs.
 //! * **Ring repair**: a dead next node is bypassed using the statically
 //!   configured cycle (Remark 2), the failure is broadcast to the remaining
 //!   ring members, and — on the top ring — a Token-Loss message is handed
@@ -673,6 +677,152 @@ mod tests {
         assert_eq!(hb_sends(&out), vec![NodeId(1)]);
         assert_eq!(
             next_state(&n),
+            crate::ring_lifecycle::MemberState::Suspected
+        );
+    }
+
+    /// AG 20 of the AG ring 10-20-30 (leader 10): it forwards every
+    /// ordered message to 30 and probes 30.
+    fn ag20() -> NeState {
+        let ring = vec![NodeId(10), NodeId(20), NodeId(30)];
+        NeState::new_ag(G, NodeId(20), ring, vec![], ProtocolConfig::default())
+    }
+
+    /// Message `gsn` arrives from the leader and 20 forwards it to 30.
+    fn forward(n: &mut NeState, gsn: u64, at: SimTime) {
+        let data = crate::mq::MsgData {
+            source: NodeId(0),
+            local_seq: crate::ids::LocalSeq(gsn),
+            ordering_node: NodeId(0),
+            payload: crate::ids::PayloadId(gsn),
+        };
+        n.on_data(
+            at,
+            Endpoint::Ne(NodeId(10)),
+            GlobalSeq(gsn),
+            data,
+            &mut Vec::new(),
+        );
+    }
+
+    /// 30 acknowledges everything up to `upto`.
+    fn ack_data(n: &mut NeState, upto: u64, at: SimTime) {
+        n.on_data_ack(
+            at,
+            Endpoint::Ne(NodeId(30)),
+            GlobalSeq(upto),
+            &mut Vec::new(),
+        );
+    }
+
+    fn ag_next_state(n: &NeState) -> crate::ring_lifecycle::MemberState {
+        n.ring.as_ref().unwrap().state_of(NodeId(30))
+    }
+
+    #[test]
+    fn data_answered_period_sends_no_ag_ring_heartbeat() {
+        let mut n = ag20();
+        let mut out = Vec::new();
+        n.tick_heartbeat(ms(50), &mut out);
+        assert_eq!(
+            hb_sends(&out),
+            vec![NodeId(30)],
+            "no data yet: a real probe"
+        );
+        n.on_heartbeat_ack(ms(51), Endpoint::Ne(NodeId(30)), &mut out);
+        forward(&mut n, 1, ms(60));
+        ack_data(&mut n, 1, ms(70));
+        for (gsn, t) in [(2, 100), (3, 150), (4, 200)] {
+            out.clear();
+            n.tick_heartbeat(ms(t), &mut out);
+            assert!(hb_sends(&out).is_empty(), "{t} ms: the data answered");
+            assert_eq!(outstanding(&n), 1, "{t} ms: the implied probe counts");
+            forward(&mut n, gsn, ms(t + 10));
+            ack_data(&mut n, gsn, ms(t + 20));
+        }
+    }
+
+    #[test]
+    fn idle_ag_ring_probes_every_tick() {
+        let mut n = ag20();
+        let mut out = Vec::new();
+        for t in [50, 100, 150] {
+            out.clear();
+            n.tick_heartbeat(ms(t), &mut out);
+            assert_eq!(hb_sends(&out), vec![NodeId(30)], "{t} ms");
+            n.on_heartbeat_ack(ms(t + 1), Endpoint::Ne(NodeId(30)), &mut out);
+        }
+        // One acknowledged frame implies the 200 ms probe; nothing is
+        // forwarded after it, so the 250 ms tick probes for real, and the
+        // implied probe nothing asked is neither a miss nor a suspicion.
+        forward(&mut n, 1, ms(160));
+        ack_data(&mut n, 1, ms(170));
+        out.clear();
+        n.tick_heartbeat(ms(200), &mut out);
+        assert!(hb_sends(&out).is_empty());
+        out.clear();
+        n.tick_heartbeat(ms(250), &mut out);
+        assert_eq!(hb_sends(&out), vec![NodeId(30)]);
+        assert_eq!(outstanding(&n), 1);
+        assert_eq!(
+            ag_next_state(&n),
+            crate::ring_lifecycle::MemberState::Active
+        );
+    }
+
+    #[test]
+    fn unanswered_implied_ag_ring_probe_is_a_miss_but_no_suspicion() {
+        let mut n = ag20();
+        let mut out = Vec::new();
+        forward(&mut n, 1, ms(10));
+        ack_data(&mut n, 1, ms(20));
+        n.tick_heartbeat(ms(50), &mut out);
+        // The 60 ms frame asks the implied probe; nothing answers it.
+        forward(&mut n, 2, ms(60));
+        out.clear();
+        n.tick_heartbeat(ms(100), &mut out);
+        assert_eq!(
+            hb_sends(&out),
+            vec![NodeId(30)],
+            "silence draws a real probe"
+        );
+        assert_eq!(outstanding(&n), 2, "the implied probe was missed");
+        assert_eq!(
+            ag_next_state(&n),
+            crate::ring_lifecycle::MemberState::Active
+        );
+        out.clear();
+        n.tick_heartbeat(ms(150), &mut out);
+        assert_eq!(
+            ag_next_state(&n),
+            crate::ring_lifecycle::MemberState::Suspected
+        );
+        out.clear();
+        n.tick_heartbeat(ms(200), &mut out);
+        assert_eq!(
+            n.ring_next(),
+            Some(NodeId(10)),
+            "excised three periods after the implied probe, as sent probes would"
+        );
+    }
+
+    #[test]
+    fn data_ack_for_a_frame_sent_before_the_tick_answers_nothing() {
+        let mut n = ag20();
+        let mut out = Vec::new();
+        forward(&mut n, 1, ms(45));
+        n.tick_heartbeat(ms(50), &mut out);
+        ack_data(&mut n, 1, ms(55));
+        assert_eq!(outstanding(&n), 1, "stale evidence");
+        // A later frame's ack answers only once it covers that frame.
+        forward(&mut n, 2, ms(60));
+        ack_data(&mut n, 1, ms(65));
+        assert_eq!(outstanding(&n), 1, "the ack falls short of the frame");
+        out.clear();
+        n.tick_heartbeat(ms(100), &mut out);
+        assert_eq!(hb_sends(&out), vec![NodeId(30)]);
+        assert_eq!(
+            ag_next_state(&n),
             crate::ring_lifecycle::MemberState::Suspected
         );
     }

@@ -165,14 +165,28 @@ impl RingState {
 
     /// A frame that its receiver acknowledges went to `to` at `now`. The
     /// first such frame since the last heartbeat tick asks that tick's
-    /// implied probe.
-    pub(crate) fn ask(&mut self, to: NodeId, now: SimTime) {
+    /// implied probe; `gsn` is the forwarded message an AG ring's
+    /// `DataAck` must cover, `None` for a token transfer, which its
+    /// `TokenAck` answers.
+    pub(crate) fn ask(&mut self, to: NodeId, now: SimTime, gsn: Option<GlobalSeq>) {
         if !self
             .hb_asked
             .is_some_and(|a| a.to == to && a.sent_at >= self.hb_tick_at)
         {
-            self.hb_asked = Some(AskedProbe { to, sent_at: now });
+            self.hb_asked = Some(AskedProbe {
+                to,
+                sent_at: now,
+                gsn,
+            });
         }
+    }
+
+    /// True when `upto`, a `DataAck` from `from`, covers the forwarded
+    /// message that asked the current implied probe.
+    pub(crate) fn data_ack_answers(&self, from: NodeId, upto: GlobalSeq) -> bool {
+        self.hb_asked.is_some_and(|a| {
+            a.to == from && a.sent_at >= self.hb_tick_at && a.gsn.is_some_and(|g| upto >= g)
+        })
     }
 
     /// Start probing over, `next` having changed or come back: no miss
@@ -206,6 +220,9 @@ pub(crate) struct AskedProbe {
     pub(crate) to: NodeId,
     /// When it was sent.
     pub(crate) sent_at: SimTime,
+    /// The GSN an AG ring's `DataAck` must cover to answer it; `None` for
+    /// a token transfer.
+    pub(crate) gsn: Option<GlobalSeq>,
 }
 
 /// In-flight ordering-token transfer awaiting a [`Msg::TokenAck`].

@@ -430,7 +430,7 @@ impl NeState {
         out: &mut Outbox,
     ) {
         if let Some(r) = self.ring.as_mut() {
-            r.ask(to, now);
+            r.ask(to, now, None);
         }
         self.send_control(Endpoint::Ne(to), Msg::Token(Box::new(token)), out);
     }

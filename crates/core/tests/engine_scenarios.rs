@@ -180,6 +180,69 @@ fn a_lost_last_message_is_never_repaired() {
     );
 }
 
+/// A failover window RingNet does not close. An AG dies a few ms after a
+/// heartbeat tick on a loss-free 4-AG ring. Its ring predecessor excises
+/// it three periods later and repairs the ring to the dead AG's next
+/// member. That member NACKs the gap from its new predecessor, delivers it
+/// and collects it. One period after the repair, the dead AG's orphaned AP
+/// misses its third parent probe and grafts onto that same member. Its
+/// graft asks to resume below what the new parent still holds, so the AP
+/// skips the gap and so does its walker. Nothing was lost on any link.
+#[test]
+fn a_failover_child_skips_what_its_new_parent_already_collected() {
+    let sc = hierarchy(2, 1, 4, 1)
+        .cbr(SimDuration::from_millis(10))
+        .build();
+    let spec = ringnet_spec(&sc);
+    let ring = &spec.ag_rings[0].members;
+    let (prev, dead, heir) = (ring[1], ring[2], ring[3]);
+    let orphan = spec
+        .aps
+        .iter()
+        .find(|ap| ap.parent_candidates == [dead, heir])
+        .expect("the dead AG's AP fails over to its ring successor")
+        .id;
+    let tick = SimTime::from_secs(1);
+    let mut net = RingNetSim::for_scenario(spec, &sc, 7, 1);
+    net.schedule(ScenarioEvent::KillCore {
+        // Core indices run over the BRs, then the AGs.
+        at: tick + SimDuration::from_millis(9),
+        index: 2 + 2,
+    });
+    net.run_until(SimTime::from_secs(2));
+    let journal = net.finish().journal;
+    let repaired = journal.iter().find_map(|(t, e)| match e {
+        ProtoEvent::RingRepaired { node, failed, .. } if (*node, *failed) == (prev, dead) => {
+            Some(*t)
+        }
+        _ => None,
+    });
+    assert_eq!(repaired, Some(tick + HEARTBEAT_PERIOD * 3));
+    let grafted = journal.iter().find_map(|(t, e)| match e {
+        ProtoEvent::Grafted { parent, child, .. } if (*parent, *child) == (heir, orphan) => {
+            Some(*t)
+        }
+        _ => None,
+    });
+    let grafted = grafted.expect("the orphan grafts onto the heir");
+    assert!(grafted > tick + HEARTBEAT_PERIOD * 4, "one period after");
+    let skipped_at = |node: NodeId| -> Vec<SimTime> {
+        journal
+            .iter()
+            .filter_map(|(t, e)| match e {
+                ProtoEvent::NeSkip { node: n, .. } if *n == node => Some(*t),
+                _ => None,
+            })
+            .collect()
+    };
+    assert!(skipped_at(heir).is_empty(), "the heir delivered the gap");
+    let skips = skipped_at(orphan);
+    assert!(!skips.is_empty(), "the orphan skips the gap");
+    assert!(skips.iter().all(|&t| t > grafted), "after grafting");
+    assert!(count(&journal, |e| matches!(e, ProtoEvent::MhSkip { .. })) > 0);
+    assert_eq!(ringnet_core::metrics::order_violations(&journal), 0);
+}
+
 /// An NE runs two timer chains — hop tick and heartbeat — and an MH wakes
 /// only when it has work. On a quiet world whose radio hop neither loses
 /// nor reorders no gap ever opens, so an MH's only duty is its ack, which
@@ -531,6 +594,48 @@ fn ring_cut_at_a_heartbeat_tick_is_repaired_on_the_probe_schedule() {
         .collect();
     let due = cut + HEARTBEAT_PERIOD * 3;
     assert_eq!(repaired, vec![(due, a), (due, b)]);
+}
+
+/// A cut on an AG ring, between its leader and the next member, which the
+/// leader forwards every ordered message to. Here the next member's
+/// cumulative `DataAck` stands in for the probe, but only when it covers a
+/// frame sent after the last tick. The link goes down 1 ms after a tick,
+/// while the ack the next member sent at the tick is still crossing it.
+/// That ack covers only frames sent before the tick, so it answers
+/// nothing, and the leader excises the next member three periods after
+/// the tick, as probes sent every tick would. Counting the stale ack
+/// would repair the ring a period late.
+#[test]
+fn ag_ring_cut_at_a_heartbeat_tick_is_repaired_on_the_probe_schedule() {
+    let sc = hierarchy(2, 1, 3, 1)
+        .cbr(SimDuration::from_millis(10))
+        .build();
+    let spec = ringnet_spec(&sc);
+    let ring = &spec.ag_rings[0].members;
+    let (leader, next) = (ring[0], ring[1]);
+    let tick = SimTime::from_secs(1);
+    assert_eq!(tick.as_nanos() % HEARTBEAT_PERIOD.as_nanos(), 0, "a tick");
+    let lead = SimDuration::from_millis(1);
+    let cut = tick + lead;
+    assert!(spec.links.ag_ring.latency.min_delay() > lead, "in flight");
+    let mut net = RingNetSim::for_scenario(spec, &sc, 7, 1);
+    // Core indices run over the BRs, then the AGs.
+    net.schedule(ScenarioEvent::PartitionCore {
+        at: cut,
+        a: 2,
+        b: 3,
+    });
+    net.run_until(cut + HEARTBEAT_PERIOD * 6);
+    let journal = net.finish().journal;
+    let repaired: Vec<(SimTime, NodeId, NodeId)> = journal
+        .iter()
+        .filter_map(|(t, e)| match e {
+            ProtoEvent::RingRepaired { node, failed, .. } => Some((*t, *node, *failed)),
+            _ => None,
+        })
+        .collect();
+    let due = tick + HEARTBEAT_PERIOD * 3;
+    assert_eq!(repaired, vec![(due, leader, next)]);
 }
 
 #[test]

@@ -29,7 +29,11 @@ const TABLE_DIGESTS: [(&str, u64); 13] = [
     ("E6", 0xbbb9_555b_481f_6d2a),
     ("E7", 0xa74b_9c8b_d88d_976b),
     ("E8", 0x2426_6463_2d07_4946),
-    ("A1", 0xb18a_1082_9808_04b0),
+    // Re-drawn when an AG ring's acknowledged data began answering the
+    // liveness probe to its next member (was 0xb18a_1082_9808_04b0): the
+    // core ctl / delivery column falls 0.545 → 0.495 and 0.451 → 0.413,
+    // and the default's note with it. Every other column is unedited.
+    ("A1", 0x0e6b_7701_4f7c_7f62),
 ];
 
 fn fnv1a(text: &str) -> u64 {
