@@ -529,6 +529,24 @@ fn spec_layouts() -> Vec<(&'static str, Vec<ringnet_core::HierarchySpec>)> {
                 ),
             ],
         ),
+        (
+            "driver ringnet_spec: CoreShape::Auto, 8×4 grid (campus_128's shape)",
+            vec![layout(
+                ScenarioBuilder::new()
+                    .grid(8, 4)
+                    .walkers_per_attachment(4)
+                    .sources(2),
+            )],
+        ),
+        (
+            "driver ringnet_spec: CoreShape::Auto, 16×16 grid (metro_1k's shape)",
+            vec![layout(
+                ScenarioBuilder::new()
+                    .grid(16, 16)
+                    .walkers_per_attachment(4)
+                    .sources(2),
+            )],
+        ),
     ]
 }
 
@@ -566,6 +584,8 @@ const SPEC_DIGESTS: &[(&str, u64)] = &[
     ("engine_scenarios.rs figure1_latency_is_token_wait_plus_link_delays_exactly", 0x8ac3a5a7ee695e6a),
     ("driver ringnet_spec: ScenarioBuilder::figure1 (quickstart, README, integration)", 0xd67b15a04ed505bf),
     ("driver ringnet_spec: CoreShape::Hierarchy (E1, E4, E8, T1, integration, examples)", 0xbdbfd46356f34ada),
+    ("driver ringnet_spec: CoreShape::Auto, 8×4 grid (campus_128's shape)", 0xda2ebe15b6d8347e),
+    ("driver ringnet_spec: CoreShape::Auto, 16×16 grid (metro_1k's shape)", 0x8b01097c5f6ca2e9),
 ];
 
 #[test]
