@@ -12,9 +12,16 @@
 //! * to every attached MH when this node is an AP (case B).
 //!
 //! Top-ring nodes do not forward `MQ` content — each builds it locally from
-//! `WQ` + token — but they do serve `MQ` retransmissions to their previous
-//! node, which is how a top-ring node repairs a hole it could not fill from
-//! its own token snapshots.
+//! `WQ` + token — but each serves `MQ` retransmissions to its next node,
+//! which NACKs its previous node for a hole it could not fill from its own
+//! token snapshots.
+//!
+//! Who keeps its `MQ` for whom is one rule, `RingState::keeps_mq_for`: a
+//! ring node keeps it for its next when it forwards to that next or serves
+//! it — every top-ring node, and every lower-ring member but the last. The
+//! same rule says who acks whom (the next acks its previous node, see
+//! [`crate::retransmit`]) and whose acked front bounds a node's garbage
+//! collection. A lower ring's leader is fed and acked by its parent.
 
 use simnet::SimTime;
 
@@ -51,12 +58,12 @@ impl NeState {
     pub(crate) fn drive_delivery(&mut self, now: SimTime, out: &mut Outbox) {
         let me = self.id;
         let group = self.group;
-        // Non-top ring members forward along the ring, stopping before the
-        // leader (§4.2.2 case B).
+        // Non-top ring members forward along the ring to a next they keep
+        // their `MQ` for: everyone but the leader (§4.2.2 case B).
         let fwd_next: Option<NodeId> = match &self.ring {
             Some(r) if !r.is_top => {
                 let next = r.next_of(me);
-                (next != me && next != r.leader()).then_some(next)
+                r.keeps_mq_for(me, next).then_some(next)
             }
             _ => None,
         };

@@ -127,6 +127,16 @@ impl RingState {
         me
     }
 
+    /// Whether `holder`, the ring node before `member`, keeps its `MQ` for
+    /// `member` — the one rule of who acks whom on a ring. Every top-ring
+    /// node does: its next NACKs it for holes. A lower-ring node does when
+    /// it forwards to `member`, which is unless `member` is the leader (the
+    /// circle stops before it, §4.2.2; the leader NACKs its parent). Then,
+    /// and only then, `member` acks `holder` and `holder`'s GC waits for it.
+    pub(crate) fn keeps_mq_for(&self, holder: NodeId, member: NodeId) -> bool {
+        holder != member && (self.is_top || member != self.leader())
+    }
+
     /// The ring leader: smallest in-ring node id (DESIGN.md §6).
     pub fn leader(&self) -> NodeId {
         self.lifecycle
@@ -390,11 +400,11 @@ pub struct NeState {
     pub subtree_members: i64,
     /// Hop-tick counter (drives the `ack_every` divisor).
     pub hop_tick_count: u64,
-    /// The front last stated, by `DataAck` or `TokenAck`, to each of the at
-    /// most two ack targets (upstream hop, previous ring node). An ack goes
-    /// out only when it says more than this; an entry is dropped whenever
-    /// its target may have forgotten us ([`NeState::forget_told`]).
-    pub(crate) told: [Option<Told>; 2],
+    /// The front last stated, by `DataAck` or `TokenAck`, to the upstream
+    /// hop, the one ack target. An ack goes out only when it says more than
+    /// this; it is dropped whenever its target may have forgotten us
+    /// ([`NeState::forget_told`]).
+    pub(crate) told: Option<Told>,
     /// Statistics counters.
     pub counters: NeCounters,
     /// Crash-stop flag: a dead entity ignores everything.
@@ -470,7 +480,7 @@ impl NeState {
             pending_delta: 0,
             subtree_members: 0,
             hop_tick_count: 0,
-            told: [None; 2],
+            told: None,
             counters: NeCounters::default(),
             alive: true,
             resync_on_graft: false,
@@ -561,16 +571,23 @@ impl NeState {
         self.ring_leader() == Some(self.id)
     }
 
-    /// The upstream hop this entity NACKs missing `MQ` messages to:
-    /// previous ring node for ring members (the leader of a *non-top* ring
-    /// uses its parent instead), parent for APs.
+    /// The upstream hop this entity NACKs missing `MQ` messages to and
+    /// acks its front to: the previous ring node when that node keeps its
+    /// `MQ` for us (`RingState::keeps_mq_for`), else the parent (the
+    /// leader of a *non-top* ring, an AP). A top ring of one has none.
     pub fn upstream(&self) -> Option<NodeId> {
         match &self.ring {
-            Some(r) if r.is_top || r.leader() != self.id => {
+            Some(r) => {
                 let prev = r.prev_of(self.id);
-                (prev != self.id).then_some(prev)
+                if r.keeps_mq_for(prev, self.id) {
+                    Some(prev)
+                } else if r.is_top {
+                    None
+                } else {
+                    self.parent
+                }
             }
-            _ => self.parent,
+            None => self.parent,
         }
     }
 
@@ -691,13 +708,13 @@ impl NeState {
         out.push(crate::actions::Action::Send { to, msg });
     }
 
-    /// Forget what the ack targets were last told, so the next ack tick
-    /// restates the front to them: called whenever a target may have
+    /// Forget what the ack target was last told, so the next ack tick
+    /// restates the front to it: called whenever the target may have
     /// reset what it knows of us — a repair made us its next (`NewPrev`),
     /// it re-registered us as a child (`GraftAck`), a rejoin or merge
     /// spliced either of us back in (`RejoinGrant`).
     pub(crate) fn forget_told(&mut self) {
-        self.told = [None; 2];
+        self.told = None;
     }
 
     /// This state's end-of-run counters; `None` once crashed (a dead state

@@ -7,19 +7,23 @@
 //! 1. NACK missing `MQ` messages to the upstream hop; slots whose budget is
 //!    exhausted become *really lost* and the front skips them.
 //! 2. NACK missing `WQ` entries (top ring) to the previous ring node.
-//! 3. Acknowledge the ordered stream to the upstream hop (and to the
-//!    previous ring node, whose garbage collection depends on it) — *when
-//!    the ack says something*: on every `ack_every`-th tick, to a target
-//!    whose last ack (a `DataAck`, or on the top ring the `TokenAck` that
-//!    carries the same front) stated less than the front now; and, so that
-//!    a lost ack heals, to a target that has heard nothing for a whole
-//!    heartbeat period. This one cumulative ack is the only hop
-//!    acknowledgement of the wired core: the paper's per-stream pre-order
-//!    ack says nothing the `MQ` front does not imply.
+//! 3. Acknowledge the ordered stream to the upstream hop — the one node
+//!    that keeps its `MQ` for us (`RingState::keeps_mq_for`): the
+//!    previous ring node on the top ring and inside a lower ring, the
+//!    parent for a lower ring's leader and for an AP. A lower ring's last
+//!    member forwards nothing to its leader, so the leader never acks it.
+//!    The ack goes out *when it says something*: on every `ack_every`-th
+//!    tick, when the target's last ack (a `DataAck`, or on the top ring the
+//!    `TokenAck` that carries the same front) stated less than the front
+//!    now; and, so that a lost ack heals, when the target has heard
+//!    nothing for a whole heartbeat period. This one cumulative ack is the
+//!    only hop acknowledgement of the wired core: the paper's per-stream
+//!    pre-order ack says nothing the `MQ` front does not imply.
 //! 4. Retry an unacknowledged ordering-token transfer; give up after the
 //!    budget (the Token-Loss machinery then takes over).
-//! 5. Garbage-collect `MQ` up to the collective progress watermark, and
-//!    `WQ` up to the next ring node's acknowledged front.
+//! 5. Garbage-collect `MQ` up to the collective progress watermark — the
+//!    children's fronts, and the next ring node's when we keep our `MQ`
+//!    for it — and `WQ` up to the next ring node's acknowledged front.
 
 use simnet::SimTime;
 
@@ -88,21 +92,20 @@ impl NeState {
             .is_multiple_of(self.cfg.ack_every as u64);
         let silent = |t: &Told| now.saturating_since(t.at) >= HEARTBEAT_PERIOD;
         // Between ack ticks only a refresh can be due: look no further
-        // (who the targets are costs a walk of the ring view).
-        let targets = if ack_tick || self.told.iter().flatten().any(silent) {
-            self.ack_targets()
+        // (who the target is costs a walk of the ring view).
+        let target = if ack_tick || self.told.as_ref().is_some_and(silent) {
+            self.upstream()
         } else {
-            [None; 2]
+            None
         };
-        for (slot, target) in targets.into_iter().enumerate() {
-            let Some(target) = target else { continue };
-            // What a previous holder of the slot was told is void.
-            let told = self.told[slot].filter(|t| t.to == target);
+        if let Some(target) = target {
+            // What a previous target was told is void.
+            let told = self.told.filter(|t| t.to == target);
             let news = ack_tick && front > told.map_or(GlobalSeq::ZERO, |t| t.upto);
             if news || told.as_ref().is_some_and(silent) {
                 let ack = Msg::DataAck { group, upto: front };
                 self.send_control(Endpoint::Ne(target), ack, out);
-                self.told[slot] = Some(Told {
+                self.told = Some(Told {
                     to: target,
                     upto: front,
                     at: now,
@@ -179,24 +182,11 @@ impl NeState {
         self.send_transfer(now, next_now, token, out);
     }
 
-    /// The at most two ack targets: the upstream hop, plus — for ring
-    /// members — the previous node when that is someone else, so its
-    /// retention window can advance even when our own upstream is a parent
-    /// (non-top ring leaders). A fixed pair: this runs every hop tick.
-    fn ack_targets(&self) -> [Option<NodeId>; 2] {
-        let up = self.upstream();
-        let prev = self.ring_prev().filter(|&p| p != self.id && Some(p) != up);
-        [up, prev]
-    }
-
     /// `to` was just told our front by other means than the hop tick (the
-    /// `TokenAck`): when it is an ack target, the tick need not repeat it.
+    /// `TokenAck`): when it is the ack target, the tick need not repeat it.
     pub(crate) fn note_told(&mut self, now: SimTime, to: NodeId, upto: GlobalSeq) {
-        let targets = self.ack_targets();
-        for (slot, target) in self.told.iter_mut().zip(targets) {
-            if target == Some(to) {
-                *slot = Some(Told { to, upto, at: now });
-            }
+        if self.upstream() == Some(to) {
+            self.told = Some(Told { to, upto, at: now });
         }
     }
 
@@ -212,10 +202,12 @@ impl NeState {
                 watermark = watermark.min(min);
             }
         }
-        // On a ring of one nobody is left to ask for anything again.
+        // Only a next we keep our `MQ` for may ask for anything again: not
+        // ourselves on a ring of one, not the leader after a lower ring's
+        // last member.
         let mut next_front = GlobalSeq(u64::MAX);
         if let Some(r) = self.ring.as_ref() {
-            if r.next_of(self.id) != self.id {
+            if r.keeps_mq_for(self.id, r.next_of(self.id)) {
                 next_front = r.next_acked_mq;
                 watermark = watermark.min(next_front);
             }
@@ -350,7 +342,7 @@ mod tests {
     }
 
     #[test]
-    fn leader_acks_both_parent_and_prev() {
+    fn ag_ring_leader_acks_only_its_parent() {
         let mut n = NeState::new_ag(
             G,
             NodeId(10),
@@ -367,12 +359,14 @@ mod tests {
             data(1),
             &mut out,
         );
+        // AG 30, the ring's last member, forwards nothing to us and keeps
+        // no `MQ` for us: it is never acked.
         let g1 = GlobalSeq(1);
-        let both = |ms| vec![(ms, NodeId(1), g1), (ms, NodeId(30), g1)];
-        assert_eq!(acks_over(&mut n, 0, 20), both(10));
-        // What each target was told is void once it may have forgotten us:
-        // a repair made us a new next, the parent registered us afresh, a
-        // rejoin spliced a ring member back in.
+        let parent = |ms| vec![(ms, NodeId(1), g1)];
+        assert_eq!(acks_over(&mut n, 0, 20), parent(10));
+        // What the parent was told is void once it may have forgotten us
+        // (it registered us afresh), and a stimulus that voids it for
+        // another reason restates it too.
         let stimuli = [
             (NodeId(30), Msg::NewPrev { group: G }),
             (
@@ -395,15 +389,31 @@ mod tests {
         for (i, (from, msg)) in stimuli.into_iter().enumerate() {
             let t = 20 * (i as u64 + 1);
             n.on_msg(SimTime::from_millis(t), Endpoint::Ne(from), msg, &mut out);
-            assert_eq!(acks_over(&mut n, t, t + 20), both(t + 10), "stimulus {i}");
+            assert_eq!(acks_over(&mut n, t, t + 20), parent(t + 10), "stimulus {i}");
         }
-        // A target that changed is told at once as well: the parent fails
-        // over, the previous node is bypassed.
+        // A parent that changed is told at once; bypassing the last member
+        // makes AG 20 the last one, still never acked.
         n.parent = Some(NodeId(2));
         n.on_ring_fail(SimTime::from_millis(80), NodeId(30), &mut out);
+        assert_eq!(acks_over(&mut n, 80, 100), vec![(90, NodeId(2), g1)]);
+    }
+
+    #[test]
+    fn top_ring_leader_acks_its_prev() {
+        let ring = vec![NodeId(0), NodeId(1), NodeId(2)];
+        let mut n = NeState::new_br(G, NodeId(0), ring, true, ProtocolConfig::default());
+        let mut out = Vec::new();
+        n.on_data(
+            SimTime::ZERO,
+            Endpoint::Ne(NodeId(2)),
+            GlobalSeq(1),
+            data(1),
+            &mut out,
+        );
+        // BR 2 keeps its `MQ` for us (we NACK it for holes): it is acked.
         assert_eq!(
-            acks_over(&mut n, 80, 100),
-            vec![(90, NodeId(2), g1), (90, NodeId(20), g1)]
+            acks_over(&mut n, 0, 20),
+            vec![(10, NodeId(2), GlobalSeq(1))]
         );
     }
 

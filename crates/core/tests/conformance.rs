@@ -503,8 +503,10 @@ fn ordered(g: u64) -> Msg {
 }
 
 /// A non-top ring of AGs under the (absent) parent BR 1, its leader having
-/// injected gs 1..=3, everybody having acknowledged them, and nothing
-/// having been sent since: the idle stream.
+/// injected gs 1..=3, everybody who is fed them having acknowledged them,
+/// and nothing having been sent since: the idle stream. The leader is fed
+/// by its parent, so the closing hop carries no ack, and the last member
+/// collects garbage without one.
 fn idle_ag_ring(ids: &[u32]) -> Net {
     let ring: Vec<NodeId> = ids.iter().copied().map(NodeId).collect();
     let mut net = Net::new();
@@ -521,10 +523,15 @@ fn idle_ag_ring(ids: &[u32]) -> Net {
         net.inject(NodeId(1), ring[0], ordered(g));
     }
     net.run_ms(100);
+    let (&last, fed) = ring.split_last().expect("a ring");
     for &id in &ring {
         assert_eq!(net.nes[&id].mq.front(), GlobalSeq(3));
+    }
+    for &id in fed {
         assert_eq!(acked_by_next(&net, id.0), GlobalSeq(3));
     }
+    assert_eq!(acked_by_next(&net, last.0), GlobalSeq::ZERO, "closing hop");
+    assert_eq!(net.nes[&last].mq.occupancy(), 1, "service tail only");
     net
 }
 
@@ -557,8 +564,9 @@ fn idle_ring_repair_has_the_new_next_restate_its_front() {
 
 #[test]
 fn idle_rejoin_has_both_neighbours_restate_their_fronts() {
-    // A ring of two: across its crash AG 20 stays the only node AG 10 ever
-    // acknowledges to, so nothing but the grant voids what AG 10 told it.
+    // A ring of two: across its crash AG 20 stays AG 10's only ring
+    // neighbour, so nothing but the grant resets what either knows of the
+    // other.
     let mut net = idle_ag_ring(&[10, 20]);
     net.nes.get_mut(&NodeId(20)).unwrap().kill();
     while net.nes[&NodeId(10)].ring_next() == Some(NodeId(20)) {
@@ -572,7 +580,9 @@ fn idle_rejoin_has_both_neighbours_restate_their_fronts() {
     assert_eq!(acked_by_next(&net, 20), GlobalSeq::ZERO);
     net.run_ms(10);
     assert_eq!(acked_by_next(&net, 10), GlobalSeq(3), "the rejoiner spoke");
-    assert_eq!(acked_by_next(&net, 20), GlobalSeq(3), "so did the granter");
+    // The granter leads the ring: its parent feeds it, so the closing hop
+    // to it carries no ack.
+    assert_eq!(acked_by_next(&net, 20), GlobalSeq::ZERO, "closing hop");
 }
 
 #[test]

@@ -91,7 +91,12 @@ fn sharded_journal_is_byte_identical_with_telemetry_on_and_off() {
 /// liveness probe to its next member (both were `0x50f1_8db1_0238_dbd1`):
 /// only the two AGs' `control_sent.heartbeat` counters move (186 → 121
 /// and 177 → 113 at seed 3).
-const METRICS_DIGESTS: [(u64, u64); 2] = [(3, 0x979d_ec8f_283e_e722), (41, 0x979d_ec8f_283e_e722)];
+///
+/// Re-goldened when a lower ring's leader stopped acknowledging the
+/// ring's last member, which keeps no `MQ` for it (both were
+/// `0x979d_ec8f_283e_e722`): only the leader AG's `control_sent.data_ack`
+/// moves (468 → 234), its acks to the parent BR alone.
+const METRICS_DIGESTS: [(u64, u64); 2] = [(3, 0x596c_083d_921c_7d39), (41, 0x596c_083d_921c_7d39)];
 
 fn metrics_digest(report: &ringnet_core::TelemetryReport) -> u64 {
     use std::fmt::Write as _;

@@ -19,7 +19,12 @@ const TABLE_DIGESTS: [(&str, u64); 13] = [
     // peaks and every other column stay.
     ("T3", 0x7203_89e2_8031_5a7c),
     ("E1", 0x3888_29ff_e599_212e),
-    ("E2", 0x9163_901c_feb0_83a3),
+    // Re-drawn when a lower ring's leader stopped acknowledging the ring's
+    // last member (was 0x9163_901c_feb0_83a3): that member collects its
+    // `MQ` sooner, so the catch-up a radius-0 graft draws repeats less of
+    // what the walker has; dups fall 12 → 8. Every other column is
+    // unedited.
+    ("E2", 0x4db5_13ba_5a1b_e306),
     ("E3", 0x055f_b9a5_fe2e_2c2f),
     ("E4", 0x46fd_63f0_c206_b6d8),
     // Re-drawn when each link got its own loss stream (was
@@ -33,7 +38,10 @@ const TABLE_DIGESTS: [(&str, u64); 13] = [
     // liveness probe to its next member (was 0xb18a_1082_9808_04b0): the
     // core ctl / delivery column falls 0.545 → 0.495 and 0.451 → 0.413,
     // and the default's note with it. Every other column is unedited.
-    ("A1", 0x0e6b_7701_4f7c_7f62),
+    // Re-drawn again when a lower ring's leader stopped acknowledging the
+    // ring's last member (was 0x0e6b_7701_4f7c_7f62): the column falls
+    // 0.495 → 0.432 and 0.413 → 0.381, the note with it.
+    ("A1", 0x8783_122f_2a16_d31a),
 ];
 
 fn fnv1a(text: &str) -> u64 {

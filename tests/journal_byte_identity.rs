@@ -574,18 +574,24 @@ const fn loss_free(events: u64, sent: u64, delivered: u64, timers: u64) -> SimSt
 /// the 8 events that delivered them (were 72 625 / 85 425 events, 87 399
 /// packets sent and 87 361 delivered). In `rings8` the heartbeats left
 /// share frames with other control, so its packets do not move.
+///
+/// Both worlds were regenerated on purpose at both shard counts when a
+/// lower ring's leader stopped acknowledging the ring's last member: 52
+/// (`rings8`) and 40 (`fence_overlap_4`) fewer `DataAck` packets, and the
+/// events that delivered them (were 39 571 / 45 971 events, 44 747 sent
+/// and 44 707 delivered; 72 617 / 85 417, 87 391 and 87 353).
 const GOLDEN_MULTIGROUP_SIM_STATS: &[(&str, usize, SimStats)] = &[
-    ("rings8", 1, loss_free(39_571, 44_747, 44_707, 4_464)),
-    ("rings8", 2, loss_free(45_971, 44_747, 44_707, 4_464)),
+    ("rings8", 1, loss_free(39_519, 44_695, 44_655, 4_464)),
+    ("rings8", 2, loss_free(45_919, 44_695, 44_655, 4_464)),
     (
         "fence_overlap_4",
         1,
-        loss_free(72_617, 87_391, 87_353, 4_464),
+        loss_free(72_578, 87_351, 87_314, 4_464),
     ),
     (
         "fence_overlap_4",
         2,
-        loss_free(85_417, 87_391, 87_353, 4_464),
+        loss_free(85_378, 87_351, 87_314, 4_464),
     ),
 ];
 
@@ -925,21 +931,31 @@ fn multigroup_fault_world_is_pinned() {
 /// earlier, so its APs skip what their new parent had already collected,
 /// and data sent, retransmissions and walker deliveries, skips and
 /// duplicates move too (see [`GOLDEN_FAULT_PATH_DIGESTS`]).
+///
+/// The same seven were regenerated on purpose again when a lower ring's
+/// leader stopped acknowledging the ring's last member, which keeps no
+/// `MQ` for it (`RingState::keeps_mq_for`): `ringnet` (was
+/// `0x84879fac4d459ace`), `rings8` (`0x847b669e94ff8957`),
+/// `fence_overlap_4` (`0x7f604b58dcff2d16`), `replay`
+/// (`0x0967709d9e6d8c48`), `multigroup_faults` (`0x40858cb024b56604`),
+/// `stress_98/ringnet` (`0xc442d7247713aaba`) and `stress_104/ringnet`
+/// (`0x8c96e913c863736a`). Only each AG-ring leader's `control_sent`
+/// moves (`ringnet` 443 → 358), and every journal digest is unedited.
 const COUNTERS_DIGESTS: &[(&str, u64)] = &[
-    ("ringnet", 0x84879fac4d459ace),
+    ("ringnet", 0xe140169ca568301b),
     ("flat_ring", 0x0c77671a3b244c94),
     ("tree", 0xe2ed3e8295e4bb49),
     ("tunnel", 0xba214e70c3848020),
     ("relm", 0x4e1ef2ebb1bd2ec1),
     ("unordered", 0x2a90bd5584387025),
-    ("rings8", 0x847b669e94ff8957),
-    ("fence_overlap_4", 0x7f604b58dcff2d16),
-    ("stress_98/ringnet", 0xc442d7247713aaba),
+    ("rings8", 0xaba4d471e1518707),
+    ("fence_overlap_4", 0x72fcbb28bcdb3a78),
+    ("stress_98/ringnet", 0x24e545eab1fbe23e),
     ("stress_98/flat_ring", 0x57021a22ddb85d9b),
     ("stress_98/tree", 0xad515566f3f86c48),
-    ("stress_104/ringnet", 0x8c96e913c863736a),
+    ("stress_104/ringnet", 0x4472ddc4c15a1081),
     ("stress_104/flat_ring", 0x0006eba39f524c9b),
     ("stress_104/tree", 0xe097d5f8cefe8208),
-    ("replay", 0x0967709d9e6d8c48),
-    ("multigroup_faults", 0x40858cb024b56604),
+    ("replay", 0x4b9615a68f0da0da),
+    ("multigroup_faults", 0xbf39dd07b0a45764),
 ];
