@@ -19,6 +19,7 @@
 //! | `TOKEN_QUIET_AFTER` | 200 ms | "Message-Ordering runs well" window of Token-Regeneration | §4.2.1 |
 //! | `WQ_CAPACITY` | 4096 | slots of each per-source `WQ` queue | §4.1 |
 //! | `RESERVATION_TTL` | 2 s | life of a reservation-only AP's path | §3 |
+//! | [`AG_RING_CAP`] | 16 | AGs per ring in the automatic layout | §5, Theorem 5.1 |
 //!
 //! The two-version token snapshot of §4.1, the WTSNP retention of
 //! `token::WTSNP_RETAIN_ROTATIONS` (see [`crate::token`]) and the
@@ -59,6 +60,18 @@ pub(crate) const WQ_CAPACITY: usize = 4096;
 /// How long a reservation-only AP keeps receiving the group without any
 /// attached member before pruning itself from the tree.
 pub(crate) const RESERVATION_TTL: SimDuration = SimDuration::from_secs(2);
+
+/// Most AGs in one AG ring of the automatic layout
+/// ([`CoreShape::Auto`](crate::driver::CoreShape::Auto)), which splits more
+/// AGs into the fewest rings of balanced size under the BR ring (Figure 1).
+/// A message crosses `cap − 1` AG-ring hops after the ring's leader:
+/// Theorem 5.1's ring term of `T_deliver`, 30 ms at 16 over 2 ms links
+/// against 126 ms for one ring of 64 AGs. The trade is control: each
+/// ring's last member probes its leader every heartbeat period and no
+/// traffic answers it, so each extra ring adds a probe stream. On a
+/// 256-attachment grid 16 (4 rings) costs 0.5 % more core control than one
+/// ring; 11 would cost 1.5 % and 8 would cost 2.6 %.
+pub const AG_RING_CAP: usize = 16;
 
 // A token pass's whole retransmission chain ends before a quiet token may
 // be regenerated, so a regenerated lineage never races a retry of the one

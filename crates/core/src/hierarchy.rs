@@ -17,7 +17,7 @@ use std::collections::BTreeSet;
 
 use simnet::{LinkProfile, NodeAddr, SimDuration, SimTime};
 
-use crate::config::ProtocolConfig;
+use crate::config::{ProtocolConfig, AG_RING_CAP};
 use crate::driver::{CoreShape, Scenario};
 use crate::ids::{GroupId, Guid, NodeId};
 
@@ -674,12 +674,30 @@ pub fn flat_ring_spec(sc: &Scenario) -> HierarchySpec {
 }
 
 /// The balanced shape the mobility experiments use: `brs` BRs on the
-/// ordering ring, one AG ring of roughly one AG per four attachments, APs
-/// assigned round-robin.
+/// ordering ring, roughly one AG per four attachments, split into the
+/// fewest AG rings of at most [`AG_RING_CAP`] consecutive AGs whose sizes
+/// differ by at most one, APs assigned round-robin. Ring `i` lists the
+/// BRs from BR `i` on, so that ring leaders spread over the BRs.
 fn auto_hierarchy(sc: &Scenario, brs: usize) -> HierarchySpec {
     let n_ags = sc.attachments.div_ceil(4).max(2);
     let br_ids: Vec<NodeId> = (0..brs as u32).map(NodeId).collect();
     let ag_ids: Vec<NodeId> = (brs as u32..(brs + n_ags) as u32).map(NodeId).collect();
+    let rings = n_ags.div_ceil(AG_RING_CAP);
+    let mut rest = &ag_ids[..];
+    let ag_rings = (0..rings)
+        .map(|i| {
+            // The first `n_ags % rings` rings take one AG more.
+            let len = n_ags / rings + usize::from(i < n_ags % rings);
+            let (members, tail) = rest.split_at(len);
+            rest = tail;
+            let mut parent_candidates = br_ids.clone();
+            parent_candidates.rotate_left(i % brs);
+            AgRingSpec {
+                members: members.to_vec(),
+                parent_candidates,
+            }
+        })
+        .collect();
     let ap_id = |cell: usize| NodeId((brs + n_ags + cell) as u32);
     let aps = (0..sc.attachments)
         .map(|cell| ApSpec {
@@ -689,11 +707,7 @@ fn auto_hierarchy(sc: &Scenario, brs: usize) -> HierarchySpec {
             neighbours: sc.neighbours_of(cell).into_iter().map(ap_id).collect(),
         })
         .collect();
-    let ag_ring = AgRingSpec {
-        members: ag_ids,
-        parent_candidates: br_ids.clone(),
-    };
-    finish_spec(sc, br_ids, vec![ag_ring], aps)
+    finish_spec(sc, br_ids, ag_rings, aps)
 }
 
 /// A parent candidate list: `preferred`, then `backup` unless it is the
@@ -1057,6 +1071,84 @@ mod tests {
                 let spec = derive(sc);
                 assert!(spec.validate().is_empty(), "{i}: {:?}", spec.validate());
             }
+        }
+    }
+
+    /// The automatic layout of `attachments` cells under `sources` sources.
+    fn auto(attachments: usize, sources: usize) -> HierarchySpec {
+        ringnet_spec(
+            &ScenarioBuilder::new()
+                .attachments(attachments)
+                .sources(sources)
+                .build(),
+        )
+    }
+
+    fn ring_sizes(spec: &HierarchySpec) -> Vec<usize> {
+        spec.ag_rings.iter().map(|r| r.members.len()).collect()
+    }
+
+    #[test]
+    fn seventeen_ags_split_nine_and_eight() {
+        assert_eq!(ring_sizes(&auto(68, 2)), vec![9, 8], "never 16 + 1");
+    }
+
+    #[test]
+    fn auto_rings_are_capped_balanced_and_consecutive() {
+        for attachments in 1..=400 {
+            let spec = auto(attachments, 2);
+            assert!(
+                spec.validate().is_empty(),
+                "{attachments}: {:?}",
+                spec.validate()
+            );
+            let sizes = ring_sizes(&spec);
+            let n_ags: usize = sizes.iter().sum();
+            assert_eq!(sizes.len(), n_ags.div_ceil(AG_RING_CAP), "{attachments}");
+            let (min, max) = (sizes.iter().min().unwrap(), sizes.iter().max().unwrap());
+            assert!(
+                *max <= AG_RING_CAP && max - min <= 1,
+                "{attachments}: {sizes:?}"
+            );
+            assert!(*min > 1, "{attachments}: a ring of one");
+            // The rings cut the AGs in id order.
+            let ags: Vec<u32> = spec
+                .ag_rings
+                .iter()
+                .flat_map(|r| &r.members)
+                .map(|n| n.0)
+                .collect();
+            let first = spec.top_ring.len() as u32;
+            assert!(
+                ags.iter().copied().eq(first..first + n_ags as u32),
+                "{attachments}"
+            );
+        }
+    }
+
+    #[test]
+    fn auto_ring_leaders_spread_over_the_brs() {
+        // 64 AGs in 4 rings under 3 BRs.
+        let spec = auto(256, 3);
+        assert_eq!(spec.ag_rings.len(), 4);
+        for (i, ring) in spec.ag_rings.iter().enumerate() {
+            let mut brs = ring.parent_candidates.clone();
+            assert_eq!(brs[0], NodeId((i % 3) as u32), "ring {i}");
+            brs.sort_unstable();
+            assert_eq!(brs, spec.top_ring, "ring {i} lists every BR");
+        }
+    }
+
+    #[test]
+    fn auto_layout_of_at_most_cap_ags_is_one_ring_as_before() {
+        for attachments in 1..=4 * AG_RING_CAP {
+            let spec = auto(attachments, 2);
+            let ags = (2..(2 + attachments.div_ceil(4).max(2)) as u32).map(NodeId);
+            let one = AgRingSpec {
+                members: ags.collect(),
+                parent_candidates: spec.top_ring.clone(),
+            };
+            assert_eq!(spec.ag_rings, vec![one], "{attachments}");
         }
     }
 
