@@ -16,7 +16,7 @@
 //! which NACKs its previous node for a hole it could not fill from its own
 //! token snapshots.
 //!
-//! Who keeps its `MQ` for whom is one rule, `RingState::keeps_mq_for`: a
+//! Who keeps its `MQ` for whom is one rule, `RingState::prev_keeps_mq_for`: a
 //! ring node keeps it for its next when it forwards to that next or serves
 //! it — every top-ring node, and every lower-ring member but the last. The
 //! same rule says who acks whom (the next acks its previous node, see
@@ -63,7 +63,7 @@ impl NeState {
         let fwd_next: Option<NodeId> = match &self.ring {
             Some(r) if !r.is_top => {
                 let next = r.next_of(me);
-                r.keeps_mq_for(me, next).then_some(next)
+                (next != me && r.prev_keeps_mq_for(next)).then_some(next)
             }
             _ => None,
         };

@@ -683,19 +683,11 @@ fn auto_hierarchy(sc: &Scenario, brs: usize) -> HierarchySpec {
     let br_ids: Vec<NodeId> = (0..brs as u32).map(NodeId).collect();
     let ag_ids: Vec<NodeId> = (brs as u32..(brs + n_ags) as u32).map(NodeId).collect();
     let rings = n_ags.div_ceil(AG_RING_CAP);
-    let mut rest = &ag_ids[..];
+    let cut = |i: usize| (i * n_ags).div_ceil(rings);
     let ag_rings = (0..rings)
-        .map(|i| {
-            // The first `n_ags % rings` rings take one AG more.
-            let len = n_ags / rings + usize::from(i < n_ags % rings);
-            let (members, tail) = rest.split_at(len);
-            rest = tail;
-            let mut parent_candidates = br_ids.clone();
-            parent_candidates.rotate_left(i % brs);
-            AgRingSpec {
-                members: members.to_vec(),
-                parent_candidates,
-            }
+        .map(|i| AgRingSpec {
+            members: ag_ids[cut(i)..cut(i + 1)].to_vec(),
+            parent_candidates: (i..i + brs).map(|b| br_ids[b % brs]).collect(),
         })
         .collect();
     let ap_id = |cell: usize| NodeId((brs + n_ags + cell) as u32);

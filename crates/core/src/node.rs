@@ -127,14 +127,12 @@ impl RingState {
         me
     }
 
-    /// Whether `holder`, the ring node before `member`, keeps its `MQ` for
-    /// `member` — the one rule of who acks whom on a ring. Every top-ring
-    /// node does: its next NACKs it for holes. A lower-ring node does when
-    /// it forwards to `member`, which is unless `member` is the leader (the
-    /// circle stops before it, §4.2.2; the leader NACKs its parent). Then,
-    /// and only then, `member` acks `holder` and `holder`'s GC waits for it.
-    pub(crate) fn keeps_mq_for(&self, holder: NodeId, member: NodeId) -> bool {
-        holder != member && (self.is_top || member != self.leader())
+    /// Whether the ring node before `member` keeps its `MQ` for it, the
+    /// one rule of who acks whom: on the top ring always (it serves the
+    /// NACKs); on a lower ring unless `member` leads it, the circle
+    /// stopping before the leader (§4.2.2), whose parent feeds it instead.
+    pub(crate) fn prev_keeps_mq_for(&self, member: NodeId) -> bool {
+        self.is_top || member != self.leader()
     }
 
     /// The ring leader: smallest in-ring node id (DESIGN.md §6).
@@ -573,21 +571,15 @@ impl NeState {
 
     /// The upstream hop this entity NACKs missing `MQ` messages to and
     /// acks its front to: the previous ring node when that node keeps its
-    /// `MQ` for us (`RingState::keeps_mq_for`), else the parent (the
-    /// leader of a *non-top* ring, an AP). A top ring of one has none.
+    /// `MQ` for us (`RingState::prev_keeps_mq_for`), else the parent (the
+    /// leader of a *non-top* ring, an AP).
     pub fn upstream(&self) -> Option<NodeId> {
         match &self.ring {
-            Some(r) => {
+            Some(r) if r.prev_keeps_mq_for(self.id) => {
                 let prev = r.prev_of(self.id);
-                if r.keeps_mq_for(prev, self.id) {
-                    Some(prev)
-                } else if r.is_top {
-                    None
-                } else {
-                    self.parent
-                }
+                (prev != self.id).then_some(prev)
             }
-            None => self.parent,
+            _ => self.parent,
         }
     }
 

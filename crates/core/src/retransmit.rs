@@ -8,7 +8,7 @@
 //!    exhausted become *really lost* and the front skips them.
 //! 2. NACK missing `WQ` entries (top ring) to the previous ring node.
 //! 3. Acknowledge the ordered stream to the upstream hop — the one node
-//!    that keeps its `MQ` for us (`RingState::keeps_mq_for`): the
+//!    that keeps its `MQ` for us (`RingState::prev_keeps_mq_for`): the
 //!    previous ring node on the top ring and inside a lower ring, the
 //!    parent for a lower ring's leader and for an AP. A lower ring's last
 //!    member forwards nothing to its leader, so the leader never acks it.
@@ -207,7 +207,8 @@ impl NeState {
         // last member.
         let mut next_front = GlobalSeq(u64::MAX);
         if let Some(r) = self.ring.as_ref() {
-            if r.keeps_mq_for(self.id, r.next_of(self.id)) {
+            let next = r.next_of(self.id);
+            if next != self.id && r.prev_keeps_mq_for(next) {
                 next_front = r.next_acked_mq;
                 watermark = watermark.min(next_front);
             }

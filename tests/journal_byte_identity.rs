@@ -934,7 +934,7 @@ fn multigroup_fault_world_is_pinned() {
 ///
 /// The same seven were regenerated on purpose again when a lower ring's
 /// leader stopped acknowledging the ring's last member, which keeps no
-/// `MQ` for it (`RingState::keeps_mq_for`): `ringnet` (was
+/// `MQ` for it (`RingState::prev_keeps_mq_for`): `ringnet` (was
 /// `0x84879fac4d459ace`), `rings8` (`0x847b669e94ff8957`),
 /// `fence_overlap_4` (`0x7f604b58dcff2d16`), `replay`
 /// (`0x0967709d9e6d8c48`), `multigroup_faults` (`0x40858cb024b56604`),
