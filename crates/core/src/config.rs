@@ -69,8 +69,8 @@ pub(crate) const RESERVATION_TTL: SimDuration = SimDuration::from_secs(2);
 /// against 126 ms for one ring of 64 AGs. The trade is control: each
 /// ring's last member probes its leader every heartbeat period and no
 /// traffic answers it, so each extra ring adds a probe stream. On a
-/// 256-attachment grid 16 (4 rings) costs 0.5 % more core control than one
-/// ring; 11 would cost 1.5 % and 8 would cost 2.6 %.
+/// 256-attachment grid, 4 rings of 16 send 1.7 % more core control than
+/// one ring of 64; 6 rings of 11 would send 2.8 % more, 8 of 8 3.8 %.
 pub const AG_RING_CAP: usize = 16;
 
 // A token pass's whole retransmission chain ends before a quiet token may
