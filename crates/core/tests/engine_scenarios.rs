@@ -243,6 +243,62 @@ fn a_failover_child_skips_what_its_new_parent_already_collected() {
     assert_eq!(ringnet_core::metrics::order_violations(&journal), 0);
 }
 
+/// An AG ring's leader dies 9 ms after a heartbeat tick on a loss-free
+/// 3-AG ring. The ring's last member, which probes the leader on every
+/// tick because no traffic on that hop answers for it, excises it four
+/// periods after the tick: `HEARTBEAT_MISSES` unanswered periods after the
+/// last answered one. The leader's next member leads from then on and
+/// grafts onto the dead leader's parent BR, which still holds everything
+/// the ring had not yet delivered, so nothing is skipped anywhere.
+#[test]
+fn a_dead_ag_ring_leader_is_excised_and_its_next_grafts_without_a_skip() {
+    let sc = hierarchy(2, 1, 3, 1)
+        .cbr(SimDuration::from_millis(10))
+        .build();
+    let spec = ringnet_spec(&sc);
+    let ring = &spec.ag_rings[0].members;
+    let (leader, heir, last) = (ring[0], ring[1], ring[2]);
+    let tick = SimTime::from_secs(1);
+    assert_eq!(tick.as_nanos() % HEARTBEAT_PERIOD.as_nanos(), 0, "a tick");
+    let mut net = RingNetSim::for_scenario(spec, &sc, 7, 1);
+    net.schedule(ScenarioEvent::KillCore {
+        // Core indices run over the BRs, then the AGs.
+        at: tick + SimDuration::from_millis(9),
+        index: 2,
+    });
+    net.run_until(SimTime::from_secs(2));
+    let journal = net.finish().journal;
+    let repaired: Vec<(SimTime, NodeId)> = journal
+        .iter()
+        .filter_map(|(t, e)| match e {
+            ProtoEvent::RingRepaired { node, failed, .. } if *failed == leader => Some((*t, *node)),
+            _ => None,
+        })
+        .collect();
+    let due = tick + HEARTBEAT_PERIOD * 4;
+    assert_eq!(repaired, vec![(due, last)], "the last member excises");
+    let grafted: Vec<(SimTime, NodeId)> = journal
+        .iter()
+        .filter_map(|(t, e)| match e {
+            ProtoEvent::Grafted { parent, child, .. } if *child == heir => Some((*t, *parent)),
+            _ => None,
+        })
+        .collect();
+    assert!(
+        matches!(grafted[..], [(t, NodeId(0))] if t > due && t < due + HEARTBEAT_PERIOD),
+        "the heir leads and grafts onto the dead leader's parent: {grafted:?}"
+    );
+    assert_eq!(
+        count(&journal, |e| matches!(e, ProtoEvent::NeSkip { .. })),
+        0
+    );
+    assert_eq!(
+        count(&journal, |e| matches!(e, ProtoEvent::MhSkip { .. })),
+        0
+    );
+    assert_eq!(ringnet_core::metrics::order_violations(&journal), 0);
+}
+
 /// An NE runs two timer chains — hop tick and heartbeat — and an MH wakes
 /// only when it has work. On a quiet world whose radio hop neither loses
 /// nor reorders no gap ever opens, so an MH's only duty is its ack, which
