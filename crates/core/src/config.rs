@@ -12,14 +12,14 @@
 //! | constant | value | governs | paper |
 //! |---|---|---|---|
 //! | [`HOP_TICK`] | 5 ms | NACKs, ACKs, token retry checks | §4.2.3 |
-//! | [`HEARTBEAT_PERIOD`] | 50 ms | ring and parent/child liveness probes | §3 |
+//! | [`HEARTBEAT_PERIOD`] | 50 ms | ring, parent/child and AG-ring leader liveness probes | §3 |
 //! | `HEARTBEAT_MISSES` | 3 | probes missed before a neighbour is dead | §3 |
 //! | `TOKEN_RETRY_AFTER` | 30 ms | reliable token transfer: resend timeout | §4.2.1 |
 //! | `TOKEN_RETRY_BUDGET` | 3 | sends of one token pass before giving up | §4.2.1 |
 //! | `TOKEN_QUIET_AFTER` | 200 ms | "Message-Ordering runs well" window of Token-Regeneration | §4.2.1 |
 //! | `WQ_CAPACITY` | 4096 | slots of each per-source `WQ` queue | §4.1 |
 //! | `RESERVATION_TTL` | 2 s | life of a reservation-only AP's path | §3 |
-//! | [`AG_RING_CAP`] | 16 | AGs per ring in the automatic layout | §5, Theorem 5.1 |
+//! | [`AG_RING_CAP`] | 11 | AGs per ring in the automatic layout | §5, Theorem 5.1 |
 //!
 //! The two-version token snapshot of §4.1, the WTSNP retention of
 //! `token::WTSNP_RETAIN_ROTATIONS` (see [`crate::token`]) and the
@@ -65,13 +65,15 @@ pub(crate) const RESERVATION_TTL: SimDuration = SimDuration::from_secs(2);
 /// ([`CoreShape::Auto`](crate::driver::CoreShape::Auto)), which splits more
 /// AGs into the fewest rings of balanced size under the BR ring (Figure 1).
 /// A message crosses `cap − 1` AG-ring hops after the ring's leader:
-/// Theorem 5.1's ring term of `T_deliver`, 30 ms at 16 over 2 ms links
-/// against 126 ms for one ring of 64 AGs. The trade is control: each
-/// ring's last member probes its leader every heartbeat period and no
-/// traffic answers it, so each extra ring adds a probe stream. On a
-/// 256-attachment grid, 4 rings of 16 send 1.7 % more core control than
-/// one ring of 64; 6 rings of 11 would send 2.8 % more, 8 of 8 3.8 %.
-pub const AG_RING_CAP: usize = 16;
+/// Theorem 5.1's ring term of `T_deliver`, 20 ms at 11 over 2 ms links
+/// against 126 ms for one ring of 64 AGs. A ring costs no probe stream of
+/// its own: the leader's next member watches the leader through the data
+/// it receives, and the last member does not probe it. What blocks a
+/// lower cap is the split itself: a ring whose leader grafts onto a BR
+/// that a ring partition isolates skips, after the merge, what the
+/// primary side ordered meanwhile. At 8 the 250-seed stress soak splits
+/// its 9-AG worlds in two, and two of them isolate BR 1 this way.
+pub const AG_RING_CAP: usize = 11;
 
 // A token pass's whole retransmission chain ends before a quiet token may
 // be regenerated, so a regenerated lineage never races a retry of the one

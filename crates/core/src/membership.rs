@@ -5,7 +5,7 @@
 //! (DESIGN.md §2). It provides:
 //!
 //! * **Liveness**: one probe per heartbeat period to the next ring node
-//!   and one to the parent, with a miss budget, each sent only where
+//!   and one to the watched node, with a miss budget, each sent only where
 //!   traffic has not already answered it.
 //!   - *Ring*: the hop's own acknowledged traffic is the probe — the token
 //!     transfer on the top ring, the forwarded `Data` on an AG ring. The
@@ -17,21 +17,23 @@
 //!     tick asks the implied probe: unanswered by the following tick, it
 //!     is a miss, though not a suspicion. A period in which nothing went
 //!     to `next` asked nothing and missed nothing; its closing tick sends
-//!     a real probe. So an idle ring probes every tick, and so does an AG
-//!     ring's last member, whose data stops before the leader.
-//!   - *Parent*: any frame at all from the parent answers the probe to it.
+//!     a real probe. So an idle ring probes every tick. An AG ring's last
+//!     member, whose data stops before the leader, does not probe it.
+//!   - *Watch*: any frame at all from the watched node answers the probe
+//!     to it: the parent, or for the leader's next member on an AG ring
+//!     the leader (`NeState::rewatch`), which it then excises when silent.
 //!
-//!   The ring asks more than the parent link does because a frame sent
-//!   before a tick but acknowledged after it is stale evidence: counted,
-//!   it would excise a dead or cut-off `next` a period late. The
-//!   acknowledgement of a frame sent after the tick proves at least what a
-//!   probe at that tick would have. Still, a frame tests `next` somewhat
-//!   later than a probe at the tick would, and a period without traffic
-//!   tests nothing, so a death or a cut close to a tick can be acted on a
-//!   period earlier or later than probes alone would act on it; the same
-//!   holds for a parent that dies just after its last frame. Downstreams
-//!   are tracked by last-heard times: children by their ACKs and
-//!   heartbeats, MHs by their ACKs.
+//!   The ring asks more than the watch does because a frame sent before a
+//!   tick but acknowledged after it is stale evidence: counted, it would
+//!   excise a dead or cut-off `next` a period late. The acknowledgement of
+//!   a frame sent after the tick proves at least what a probe at that tick
+//!   would have. Still, a frame tests `next` somewhat later than a probe at
+//!   the tick would, and a period without traffic tests nothing, so a
+//!   death or a cut close to a tick can be acted on a period earlier or
+//!   later than probes alone would act on it; the same holds for a watched
+//!   node that dies just after its last frame. Downstreams are tracked by
+//!   last-heard times: children by their ACKs and heartbeats, MHs by their
+//!   ACKs.
 //! * **Ring repair**: a dead next node is bypassed using the statically
 //!   configured cycle (Remark 2), the failure is broadcast to the remaining
 //!   ring members, and — on the top ring — a Token-Loss message is handed
@@ -174,7 +176,7 @@ impl NeState {
         let group = self.group;
 
         // --- ring neighbour liveness -----------------------------------
-        let mut ring_changed = false;
+        let mut dead = None;
         if let Some(r) = self.ring.as_mut() {
             let last_tick = std::mem::replace(&mut r.hb_tick_at, now);
             let next = r.next_of(self.id);
@@ -184,33 +186,11 @@ impl NeState {
             let asked = r
                 .hb_asked
                 .is_some_and(|a| a.to == next && a.sent_at >= last_tick);
-            if next != self.id {
+            // A lower ring's last member leaves its leader to the leader's
+            // next, which watches it (`parent_maintenance`).
+            if next != self.id && r.prev_keeps_mq_for(next) {
                 if r.hb_outstanding >= HEARTBEAT_MISSES {
-                    // Next is dead: bypass it and tell the others.
-                    r.mark_dead(next);
-                    let new_next = r.next_of(self.id);
-                    r.restart_probes();
-                    r.hb_by_traffic = None;
-                    r.next_acked_mq = crate::ids::GlobalSeq::ZERO;
-                    out.push(Action::Record(ProtoEvent::RingRepaired {
-                        node: self.id,
-                        failed: next,
-                        new_next,
-                    }));
-                    let peers: Vec<NodeId> =
-                        r.members_in_ring().filter(|&m| m != self.id).collect();
-                    for m in peers {
-                        let fail = Msg::RingFail {
-                            group,
-                            failed: next,
-                        };
-                        self.send_control(Endpoint::Ne(m), fail, out);
-                    }
-                    if new_next != self.id {
-                        self.send_control(Endpoint::Ne(new_next), Msg::NewPrev { group }, out);
-                    }
-                    ring_changed = true;
-                    self.telemetry.count(crate::telemetry::metric::RING_REPAIRS);
+                    dead = Some(next);
                 } else if by_traffic && r.hb_outstanding == 0 {
                     // Traffic answered since the last tick: it stands in
                     // for this tick's probe.
@@ -234,15 +214,8 @@ impl NeState {
                 }
             }
         }
-        if ring_changed {
-            // Topology maintenance ran → Token-Loss message to the
-            // multicast layer (top ring only; checked inside).
-            if self.is_top_ring() {
-                self.maybe_start_regen(now, out);
-            }
-            // Redirect an in-flight token to the new next immediately.
-            self.redirect_inflight_token(now, out);
-            self.after_ring_change(now, out);
+        if let Some(next) = dead {
+            self.excise(now, next, out);
         }
 
         // --- parent liveness / failover ---------------------------------
@@ -259,6 +232,45 @@ impl NeState {
 
         // --- self-detected token quiet (staggered fallback) ---------------
         self.token_quiet_fallback(now, out);
+    }
+
+    /// Excise a ring member found dead by this entity's own watch — its
+    /// next node, or the AG-ring leader it follows — tell the others, and
+    /// run what any ring change runs.
+    fn excise(&mut self, now: SimTime, failed: NodeId, out: &mut Outbox) {
+        let (group, me) = (self.group, self.id);
+        let Some(r) = self.ring.as_mut() else { return };
+        let was_next = r.next_of(me) == failed;
+        r.mark_dead(failed);
+        let new_next = r.next_of(me);
+        r.restart_probes();
+        if was_next {
+            r.hb_by_traffic = None;
+            r.next_acked_mq = crate::ids::GlobalSeq::ZERO;
+        }
+        out.push(Action::Record(ProtoEvent::RingRepaired {
+            node: me,
+            failed,
+            new_next,
+        }));
+        let peers: Vec<NodeId> = r.members_in_ring().filter(|&m| m != me).collect();
+        // Only a new next that we keep our `MQ` for restates its front to
+        // us: a lower ring's leader acks its parent, which forgot nothing.
+        let new_prev = was_next && new_next != me && r.prev_keeps_mq_for(new_next);
+        for m in peers {
+            self.send_control(Endpoint::Ne(m), Msg::RingFail { group, failed }, out);
+        }
+        if new_prev {
+            self.send_control(Endpoint::Ne(new_next), Msg::NewPrev { group }, out);
+        }
+        self.telemetry.count(crate::telemetry::metric::RING_REPAIRS);
+        // Topology maintenance ran → Token-Loss message to the multicast
+        // layer (top ring only); an in-flight token goes to the new next.
+        if self.is_top_ring() {
+            self.maybe_start_regen(now, out);
+        }
+        self.redirect_inflight_token(now, out);
+        self.after_ring_change(now, out);
     }
 
     /// Re-aim an unacknowledged token transfer after a ring repair. When
@@ -296,6 +308,7 @@ impl NeState {
     /// through here).
     pub(crate) fn after_ring_change(&mut self, now: SimTime, out: &mut Outbox) {
         self.check_partition_fence(now, out);
+        self.rewatch();
         let group = self.group;
         let Some(r) = self.ring.as_ref() else { return };
         if !r.is_top && r.leader() == self.id && self.parent.is_none() {
@@ -315,17 +328,35 @@ impl NeState {
         let _ = now;
     }
 
-    /// Probe the parent unless it was heard from since the last tick;
-    /// rotate to the next candidate after a miss budget.
+    /// Work out whether this entity watches its AG ring's leader: it does
+    /// as the leader's next member, which the leader's data reaches first.
+    /// A new watch starts with no miss.
+    pub(crate) fn rewatch(&mut self) {
+        let Some(r) = self.ring.as_ref() else { return };
+        let leader = (!r.is_top).then(|| r.leader());
+        let watched = leader.filter(|&l| l != self.id && r.prev_of(self.id) == l);
+        if self.watched_leader != watched {
+            self.watched_leader = watched;
+            self.parent_hb_outstanding = 0;
+            self.parent_heard = false;
+        }
+    }
+
+    /// Probe the watched node unless it was heard from since the last
+    /// tick. After a miss budget, excise a watched leader, so that this
+    /// entity leads and grafts, or rotate to the next parent candidate.
     fn parent_maintenance(&mut self, now: SimTime, out: &mut Outbox) {
         let group = self.group;
         let heard = std::mem::take(&mut self.parent_heard);
-        let Some(p) = self.parent else {
+        let follows = self.watched_leader.is_some();
+        let Some(p) = self.watched_leader.or(self.parent) else {
             // Leaders of non-top rings acquire a parent lazily.
             self.after_ring_change(now, out);
             return;
         };
-        if self.parent_hb_outstanding >= HEARTBEAT_MISSES {
+        if follows && self.parent_hb_outstanding >= HEARTBEAT_MISSES {
+            self.excise(now, p, out);
+        } else if self.parent_hb_outstanding >= HEARTBEAT_MISSES {
             // Parent is dead: fail over to the next configured candidate.
             let next_candidate = {
                 let cands = &self.parent_candidates;
@@ -369,7 +400,7 @@ impl NeState {
             // heartbeats — without the retry the leader would believe
             // itself attached while the parent serves it nothing,
             // stranding the leader's whole ring.
-            if self.ap.is_none() && self.graft_pending {
+            if self.ap.is_none() && self.graft_pending && !follows {
                 let graft = Msg::Graft {
                     group,
                     child: self.id,
@@ -681,14 +712,18 @@ mod tests {
         );
     }
 
-    /// AG 20 of the AG ring 10-20-30 (leader 10): it forwards every
-    /// ordered message to 30 and probes 30.
-    fn ag20() -> NeState {
-        let ring = vec![NodeId(10), NodeId(20), NodeId(30)];
-        NeState::new_ag(G, NodeId(20), ring, vec![], ProtocolConfig::default())
+    /// AG `id` of the AG ring 10-20-30-40 (leader 10), after the ring
+    /// change that works out its watch. AG 30, neither the leader's next
+    /// nor the last member, forwards every ordered message to 40 and
+    /// probes 40.
+    fn ag(id: u32) -> NeState {
+        let ring = vec![NodeId(10), NodeId(20), NodeId(30), NodeId(40)];
+        let mut n = NeState::new_ag(G, NodeId(id), ring, vec![], ProtocolConfig::default());
+        n.after_ring_change(SimTime::ZERO, &mut Vec::new());
+        n
     }
 
-    /// Message `gsn` arrives from the leader and 20 forwards it to 30.
+    /// Message `gsn` arrives from 20 and 30 forwards it to 40.
     fn forward(n: &mut NeState, gsn: u64, at: SimTime) {
         let data = crate::mq::MsgData {
             source: NodeId(0),
@@ -698,38 +733,38 @@ mod tests {
         };
         n.on_data(
             at,
-            Endpoint::Ne(NodeId(10)),
+            Endpoint::Ne(NodeId(20)),
             GlobalSeq(gsn),
             data,
             &mut Vec::new(),
         );
     }
 
-    /// 30 acknowledges everything up to `upto`.
+    /// 40 acknowledges everything up to `upto`.
     fn ack_data(n: &mut NeState, upto: u64, at: SimTime) {
         n.on_data_ack(
             at,
-            Endpoint::Ne(NodeId(30)),
+            Endpoint::Ne(NodeId(40)),
             GlobalSeq(upto),
             &mut Vec::new(),
         );
     }
 
     fn ag_next_state(n: &NeState) -> crate::ring_lifecycle::MemberState {
-        n.ring.as_ref().unwrap().state_of(NodeId(30))
+        n.ring.as_ref().unwrap().state_of(NodeId(40))
     }
 
     #[test]
     fn data_answered_period_sends_no_ag_ring_heartbeat() {
-        let mut n = ag20();
+        let mut n = ag(30);
         let mut out = Vec::new();
         n.tick_heartbeat(ms(50), &mut out);
         assert_eq!(
             hb_sends(&out),
-            vec![NodeId(30)],
+            vec![NodeId(40)],
             "no data yet: a real probe"
         );
-        n.on_heartbeat_ack(ms(51), Endpoint::Ne(NodeId(30)), &mut out);
+        n.on_heartbeat_ack(ms(51), Endpoint::Ne(NodeId(40)), &mut out);
         forward(&mut n, 1, ms(60));
         ack_data(&mut n, 1, ms(70));
         for (gsn, t) in [(2, 100), (3, 150), (4, 200)] {
@@ -744,13 +779,13 @@ mod tests {
 
     #[test]
     fn idle_ag_ring_probes_every_tick() {
-        let mut n = ag20();
+        let mut n = ag(30);
         let mut out = Vec::new();
         for t in [50, 100, 150] {
             out.clear();
             n.tick_heartbeat(ms(t), &mut out);
-            assert_eq!(hb_sends(&out), vec![NodeId(30)], "{t} ms");
-            n.on_heartbeat_ack(ms(t + 1), Endpoint::Ne(NodeId(30)), &mut out);
+            assert_eq!(hb_sends(&out), vec![NodeId(40)], "{t} ms");
+            n.on_heartbeat_ack(ms(t + 1), Endpoint::Ne(NodeId(40)), &mut out);
         }
         // One acknowledged frame implies the 200 ms probe; nothing is
         // forwarded after it, so the 250 ms tick probes for real, and the
@@ -762,7 +797,7 @@ mod tests {
         assert!(hb_sends(&out).is_empty());
         out.clear();
         n.tick_heartbeat(ms(250), &mut out);
-        assert_eq!(hb_sends(&out), vec![NodeId(30)]);
+        assert_eq!(hb_sends(&out), vec![NodeId(40)]);
         assert_eq!(outstanding(&n), 1);
         assert_eq!(
             ag_next_state(&n),
@@ -772,7 +807,7 @@ mod tests {
 
     #[test]
     fn unanswered_implied_ag_ring_probe_is_a_miss_but_no_suspicion() {
-        let mut n = ag20();
+        let mut n = ag(30);
         let mut out = Vec::new();
         forward(&mut n, 1, ms(10));
         ack_data(&mut n, 1, ms(20));
@@ -783,7 +818,7 @@ mod tests {
         n.tick_heartbeat(ms(100), &mut out);
         assert_eq!(
             hb_sends(&out),
-            vec![NodeId(30)],
+            vec![NodeId(40)],
             "silence draws a real probe"
         );
         assert_eq!(outstanding(&n), 2, "the implied probe was missed");
@@ -808,7 +843,7 @@ mod tests {
 
     #[test]
     fn data_ack_for_a_frame_sent_before_the_tick_answers_nothing() {
-        let mut n = ag20();
+        let mut n = ag(30);
         let mut out = Vec::new();
         forward(&mut n, 1, ms(45));
         n.tick_heartbeat(ms(50), &mut out);
@@ -820,11 +855,110 @@ mod tests {
         assert_eq!(outstanding(&n), 1, "the ack falls short of the frame");
         out.clear();
         n.tick_heartbeat(ms(100), &mut out);
-        assert_eq!(hb_sends(&out), vec![NodeId(30)]);
+        assert_eq!(hb_sends(&out), vec![NodeId(40)]);
         assert_eq!(
             ag_next_state(&n),
             crate::ring_lifecycle::MemberState::Suspected
         );
+    }
+
+    /// A frame from the leader 10 reaches `n` at `at`.
+    fn leader_frame(n: &mut NeState, at: SimTime) {
+        let ack = Msg::HeartbeatAck { group: G };
+        n.on_msg(at, Endpoint::Ne(NodeId(10)), ack, &mut Vec::new());
+    }
+
+    #[test]
+    fn last_member_sends_its_leader_no_probe() {
+        let mut n = ag(40);
+        let mut out = Vec::new();
+        for k in 1..=2 * HEARTBEAT_MISSES as u64 {
+            n.tick_heartbeat(ms(50 * k), &mut out);
+        }
+        assert_eq!(hb_sends(&out), vec![], "{out:?}");
+        assert_eq!(n.ring_next(), Some(NodeId(10)), "never excised");
+    }
+
+    #[test]
+    fn leader_heard_within_a_period_draws_no_probe() {
+        let mut n = ag(20);
+        let mut out = Vec::new();
+        n.tick_heartbeat(ms(50), &mut out);
+        assert_eq!(hb_sends(&out), vec![NodeId(30), NodeId(10)], "unheard");
+        n.on_heartbeat_ack(ms(51), Endpoint::Ne(NodeId(30)), &mut out);
+        for t in [100, 150, 200, 250] {
+            leader_frame(&mut n, ms(t - 10));
+            n.on_heartbeat_ack(ms(t - 5), Endpoint::Ne(NodeId(30)), &mut out);
+            out.clear();
+            n.tick_heartbeat(ms(t), &mut out);
+            assert_eq!(hb_sends(&out), vec![NodeId(30)], "{t} ms");
+            assert_eq!(n.parent_hb_outstanding, 1, "{t} ms: the frame answered");
+        }
+    }
+
+    #[test]
+    fn silent_leader_is_excised_by_its_next_after_the_miss_budget() {
+        let ring = vec![NodeId(10), NodeId(20), NodeId(30), NodeId(40)];
+        let cfg = ProtocolConfig::default();
+        let mut n = NeState::new_ag(G, NodeId(20), ring, vec![NodeId(1)], cfg);
+        let mut out = Vec::new();
+        n.after_ring_change(SimTime::ZERO, &mut out);
+        leader_frame(&mut n, ms(40));
+        let mut t = 50;
+        for _ in 0..HEARTBEAT_MISSES {
+            // 30 answers; the leader has fallen silent.
+            out.clear();
+            n.tick_heartbeat(ms(t), &mut out);
+            n.on_heartbeat_ack(ms(t + 1), Endpoint::Ne(NodeId(30)), &mut Vec::new());
+            assert_eq!(n.ring_leader(), Some(NodeId(10)), "{t} ms");
+            t += 50;
+        }
+        assert_eq!(t, 50 + 50 * HEARTBEAT_MISSES as u64);
+        out.clear();
+        n.tick_heartbeat(ms(t), &mut out);
+        assert_eq!(n.ring_leader(), Some(NodeId(20)), "excised at {t} ms");
+        assert!(out.iter().any(|a| matches!(
+            a,
+            Action::Record(ProtoEvent::RingRepaired {
+                node: NodeId(20),
+                failed: NodeId(10),
+                new_next: NodeId(30),
+            })
+        )));
+        let sends: Vec<(NodeId, &Msg)> = out
+            .iter()
+            .filter_map(|a| match a {
+                Action::Send {
+                    to: Endpoint::Ne(to),
+                    msg,
+                } if !matches!(msg, Msg::Heartbeat { .. }) => Some((*to, msg)),
+                _ => None,
+            })
+            .collect();
+        let fail = |m: &Msg| {
+            matches!(
+                m,
+                Msg::RingFail {
+                    failed: NodeId(10),
+                    ..
+                }
+            )
+        };
+        let graft = |m: &Msg| {
+            matches!(
+                m,
+                Msg::Graft {
+                    child: NodeId(20),
+                    ..
+                }
+            )
+        };
+        assert!(
+            matches!(sends[..], [(NodeId(30), a), (NodeId(40), b), (NodeId(1), c)]
+                if fail(a) && fail(b) && graft(c)),
+            "the others hear of it, no `NewPrev`, and 20 grafts: {sends:?}"
+        );
+        assert_eq!(n.parent, Some(NodeId(1)));
     }
 
     #[test]

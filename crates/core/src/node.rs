@@ -374,11 +374,14 @@ pub struct NeState {
     pub parent: Option<NodeId>,
     /// Statically configured candidate parents (Remark 2).
     pub parent_candidates: Vec<NodeId>,
-    /// Probes to the parent without an answer, sent or implied.
+    /// The AG ring's leader when this entity is the leader's next member:
+    /// it is watched instead of the parent (`NeState::rewatch`).
+    pub(crate) watched_leader: Option<NodeId>,
+    /// Probes to the watched node without an answer, sent or implied.
     pub parent_hb_outstanding: u8,
-    /// A frame arrived from the parent since the last heartbeat tick: it
-    /// answered the outstanding probe, and that tick implies its probe
-    /// instead of sending it.
+    /// A frame arrived from the watched node since the last heartbeat
+    /// tick: it answered the outstanding probe, and that tick implies its
+    /// probe instead of sending it.
     pub(crate) parent_heard: bool,
     /// Active children and when each was last heard.
     pub children: BTreeMap<NodeId, SimTime>,
@@ -467,6 +470,7 @@ impl NeState {
             ring: ring.map(|(order, is_top)| RingState::new(order, id, is_top)),
             parent: None,
             parent_candidates,
+            watched_leader: None,
             parent_hb_outstanding: 0,
             parent_heard: false,
             children: BTreeMap::new(),
@@ -595,8 +599,8 @@ impl NeState {
             return;
         }
         debug_assert_eq!(msg.group(), self.group, "cross-group message");
-        if self.parent.is_some_and(|p| from == Endpoint::Ne(p)) {
-            // Whatever the parent sends answers the probe to it.
+        if self.watched_leader.or(self.parent).map(Endpoint::Ne) == Some(from) {
+            // Whatever the watched node sends answers the probe to it.
             self.parent_hb_outstanding = 0;
             self.parent_heard = true;
         }
@@ -923,6 +927,7 @@ impl NeState {
             self.send_control(Endpoint::Ne(t), grant, out);
         }
         if spliced {
+            self.rewatch();
             self.forget_told();
             out.push(crate::actions::Action::Record(
                 crate::events::ProtoEvent::RingRejoined { node: me, member },
@@ -957,8 +962,8 @@ impl NeState {
         }
         let me = self.id;
         let Some(r) = self.ring.as_mut() else { return };
-        if r.order.contains(&member) {
-            r.readmit(me, member);
+        if r.order.contains(&member) && r.readmit(me, member) {
+            self.rewatch();
         }
     }
 

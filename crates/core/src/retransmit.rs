@@ -399,6 +399,77 @@ mod tests {
         assert_eq!(acks_over(&mut n, 80, 100), vec![(90, NodeId(2), g1)]);
     }
 
+    /// AG 20 of the ring 10-20-30 bypasses a dead AG 30. Its new next is
+    /// the leader, which keeps no `MQ` for 20's sake and acks only its
+    /// parent: the repair sends the leader no `NewPrev`, so the leader
+    /// restates nothing to BR 1, which forgot nothing.
+    #[test]
+    fn repair_onto_the_leader_restates_nothing_to_its_parent() {
+        let ring = vec![NodeId(10), NodeId(20), NodeId(30)];
+        let cfg = ProtocolConfig::default();
+        let mut n20 = NeState::new_ag(G, NodeId(20), ring.clone(), vec![NodeId(1)], cfg.clone());
+        let mut n10 = NeState::new_ag(G, NodeId(10), ring, vec![NodeId(1)], cfg);
+        n10.parent = Some(NodeId(1));
+        let mut out = Vec::new();
+        n20.after_ring_change(SimTime::ZERO, &mut out);
+        let g1 = GlobalSeq(1);
+        n10.on_data(
+            SimTime::ZERO,
+            Endpoint::Ne(NodeId(1)),
+            g1,
+            data(1),
+            &mut out,
+        );
+        assert_eq!(acks_over(&mut n10, 0, 20), vec![(10, NodeId(1), g1)]);
+        // 30 is silent; frames from the leader keep 20's watch on it
+        // answered.
+        let mut sent = Vec::new();
+        for k in 1..=crate::config::HEARTBEAT_MISSES as u64 + 1 {
+            let hb_ack = Msg::HeartbeatAck { group: G };
+            n20.on_msg(
+                SimTime::from_millis(50 * k - 5),
+                Endpoint::Ne(NodeId(10)),
+                hb_ack,
+                &mut out,
+            );
+            n20.tick_heartbeat(SimTime::from_millis(50 * k), &mut sent);
+        }
+        assert_eq!(n20.ring_next(), Some(NodeId(10)), "30 bypassed");
+        let to_10: Vec<Msg> = sent
+            .into_iter()
+            .filter_map(|a| match a {
+                Action::Send {
+                    to: Endpoint::Ne(NodeId(10)),
+                    msg,
+                } => Some(msg),
+                _ => None,
+            })
+            .collect();
+        assert!(
+            matches!(
+                to_10[..],
+                [Msg::RingFail {
+                    failed: NodeId(30),
+                    ..
+                }]
+            ),
+            "no `NewPrev`: {to_10:?}"
+        );
+        for msg in to_10 {
+            n10.on_msg(
+                SimTime::from_millis(20),
+                Endpoint::Ne(NodeId(20)),
+                msg,
+                &mut out,
+            );
+        }
+        assert_eq!(
+            acks_over(&mut n10, 20, 55),
+            vec![],
+            "BR 1 is told nothing anew"
+        );
+    }
+
     #[test]
     fn top_ring_leader_acks_its_prev() {
         let ring = vec![NodeId(0), NodeId(1), NodeId(2)];

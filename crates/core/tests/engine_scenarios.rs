@@ -244,12 +244,14 @@ fn a_failover_child_skips_what_its_new_parent_already_collected() {
 }
 
 /// An AG ring's leader dies 9 ms after a heartbeat tick on a loss-free
-/// 3-AG ring. The ring's last member, which probes the leader on every
-/// tick because no traffic on that hop answers for it, excises it four
-/// periods after the tick: `HEARTBEAT_MISSES` unanswered periods after the
-/// last answered one. The leader's next member leads from then on and
-/// grafts onto the dead leader's parent BR, which still holds everything
-/// the ring had not yet delivered, so nothing is skipped anywhere.
+/// 3-AG ring. The leader's next member watches it: the leader's data
+/// answers the watch, so the ring's last member, whose hop to the leader
+/// carries no traffic, no longer probes it. The next member excises the
+/// leader four periods after the tick, `HEARTBEAT_MISSES` unanswered
+/// periods after the last answered one, as the last member's probes did.
+/// It leads from then on and grafts onto the dead leader's parent BR,
+/// which still holds everything the ring had not yet delivered, so
+/// nothing is skipped anywhere.
 #[test]
 fn a_dead_ag_ring_leader_is_excised_and_its_next_grafts_without_a_skip() {
     let sc = hierarchy(2, 1, 3, 1)
@@ -257,7 +259,7 @@ fn a_dead_ag_ring_leader_is_excised_and_its_next_grafts_without_a_skip() {
         .build();
     let spec = ringnet_spec(&sc);
     let ring = &spec.ag_rings[0].members;
-    let (leader, heir, last) = (ring[0], ring[1], ring[2]);
+    let (leader, heir) = (ring[0], ring[1]);
     let tick = SimTime::from_secs(1);
     assert_eq!(tick.as_nanos() % HEARTBEAT_PERIOD.as_nanos(), 0, "a tick");
     let mut net = RingNetSim::for_scenario(spec, &sc, 7, 1);
@@ -276,7 +278,7 @@ fn a_dead_ag_ring_leader_is_excised_and_its_next_grafts_without_a_skip() {
         })
         .collect();
     let due = tick + HEARTBEAT_PERIOD * 4;
-    assert_eq!(repaired, vec![(due, last)], "the last member excises");
+    assert_eq!(repaired, vec![(due, heir)], "the leader's next excises");
     let grafted: Vec<(SimTime, NodeId)> = journal
         .iter()
         .filter_map(|(t, e)| match e {
@@ -652,15 +654,17 @@ fn ring_cut_at_a_heartbeat_tick_is_repaired_on_the_probe_schedule() {
     assert_eq!(repaired, vec![(due, a), (due, b)]);
 }
 
-/// A cut on an AG ring, between its leader and the next member, which the
-/// leader forwards every ordered message to. Here the next member's
-/// cumulative `DataAck` stands in for the probe, but only when it covers a
-/// frame sent after the last tick. The link goes down 1 ms after a tick,
-/// while the ack the next member sent at the tick is still crossing it.
-/// That ack covers only frames sent before the tick, so it answers
-/// nothing, and the leader excises the next member three periods after
-/// the tick, as probes sent every tick would. Counting the stale ack
-/// would repair the ring a period late.
+/// A cut on an AG ring, between the leader's next member and the member
+/// after it, which the leader's next forwards every ordered message to.
+/// Here the downstream member's cumulative `DataAck` stands in for the
+/// probe, but only when it covers a frame sent after the last tick. The
+/// link goes down 1 ms after a tick, while the ack the downstream member
+/// sent at the tick is still crossing it. That ack covers only frames sent
+/// before the tick, so it answers nothing, and the upstream member excises
+/// the downstream one three periods after the tick, as probes sent every
+/// tick would. Counting the stale ack would repair the ring a period late.
+/// (The hop out of the leader is not the one to cut: its next member also
+/// watches the leader, so both ends would excise each other.)
 #[test]
 fn ag_ring_cut_at_a_heartbeat_tick_is_repaired_on_the_probe_schedule() {
     let sc = hierarchy(2, 1, 3, 1)
@@ -668,7 +672,7 @@ fn ag_ring_cut_at_a_heartbeat_tick_is_repaired_on_the_probe_schedule() {
         .build();
     let spec = ringnet_spec(&sc);
     let ring = &spec.ag_rings[0].members;
-    let (leader, next) = (ring[0], ring[1]);
+    let (up, down) = (ring[1], ring[2]);
     let tick = SimTime::from_secs(1);
     assert_eq!(tick.as_nanos() % HEARTBEAT_PERIOD.as_nanos(), 0, "a tick");
     let lead = SimDuration::from_millis(1);
@@ -678,8 +682,8 @@ fn ag_ring_cut_at_a_heartbeat_tick_is_repaired_on_the_probe_schedule() {
     // Core indices run over the BRs, then the AGs.
     net.schedule(ScenarioEvent::PartitionCore {
         at: cut,
-        a: 2,
-        b: 3,
+        a: 3,
+        b: 4,
     });
     net.run_until(cut + HEARTBEAT_PERIOD * 6);
     let journal = net.finish().journal;
@@ -691,7 +695,7 @@ fn ag_ring_cut_at_a_heartbeat_tick_is_repaired_on_the_probe_schedule() {
         })
         .collect();
     let due = tick + HEARTBEAT_PERIOD * 3;
-    assert_eq!(repaired, vec![(due, leader, next)]);
+    assert_eq!(repaired, vec![(due, up, down)]);
 }
 
 #[test]
@@ -1118,4 +1122,110 @@ fn finals_come_from_live_states_only() {
 
     let t = report.telemetry.as_ref().expect("telemetry is on");
     assert!(t.nodes.contains_key(&crashed_ap) && t.nodes.contains_key(&crashed_ag));
+}
+
+/// A skip that a BR's isolation causes, pinned as a finding: nothing is
+/// lost, yet a whole subtree skips. Two AG rings hang under two BRs, ring
+/// `i`'s leader grafted onto BR `i`. A ring partition isolates BR 1 from
+/// the ordering ring for one second. BR 1 fences itself, but it still
+/// answers the heartbeats of AG ring 1's leader, which so stays grafted
+/// onto it and is fed nothing new. BR 0, the primary, orders on. At the
+/// merge BR 1, every AG of ring 1 and every AP below them skip the same
+/// GSNs: exactly those BR 0 ordered meanwhile, which ring 0's walkers
+/// delivered. Any layout with a ring under a BR that can be isolated does
+/// this; it is why `AG_RING_CAP` is not lower, since a lower cap splits
+/// more of the chaos soak's worlds into rings under several BRs.
+#[test]
+fn a_ring_under_an_isolated_br_skips_what_the_primary_ordered() {
+    let (cut, heal) = (SimTime::from_secs(1), SimTime::from_secs(2));
+    let sc = hierarchy(2, 2, 3, 1)
+        .cbr(SimDuration::from_millis(10))
+        .loss_free_wireless()
+        .events([
+            ScenarioEvent::PartitionRing {
+                at: cut,
+                isolate: 1,
+            },
+            ScenarioEvent::HealRing {
+                at: heal,
+                isolate: 1,
+            },
+        ])
+        .build();
+    let spec = ringnet_spec(&sc);
+    let (ring0, ring1) = (&spec.ag_rings[0], &spec.ag_rings[1]);
+    assert_eq!(
+        ring1.parent_candidates[0],
+        NodeId(1),
+        "ring 1 leans on BR 1"
+    );
+    let under = |ring: &ringnet_core::hierarchy::AgRingSpec| -> Vec<NodeId> {
+        let aps = spec
+            .aps
+            .iter()
+            .filter(|ap| ring.members.contains(&ap.parent_candidates[0]));
+        ring.members
+            .iter()
+            .copied()
+            .chain(aps.map(|ap| ap.id))
+            .collect()
+    };
+    let (subtree0, subtree1) = (under(ring0), under(ring1));
+    let report = RingNetSim::run_scenario(&sc, 7);
+    let journal = &report.journal;
+    let mut skipped: BTreeMap<NodeId, Vec<u64>> = BTreeMap::new();
+    for (_, e) in journal {
+        if let ProtoEvent::NeSkip { node, gsn, .. } = e {
+            skipped.entry(*node).or_default().push(gsn.0);
+        }
+    }
+    let merged = journal.iter().find_map(|(t, e)| match e {
+        ProtoEvent::RingMerged {
+            node: NodeId(1), ..
+        } => Some(*t),
+        _ => None,
+    });
+    let merged = merged.expect("BR 1 merges back");
+    let ordered_meanwhile: Vec<u64> = journal
+        .iter()
+        .filter_map(|(t, e)| match e {
+            ProtoEvent::Ordered { node, gsn, .. } if *t >= cut && *t < merged => {
+                assert_eq!(*node, NodeId(0), "only the primary orders");
+                Some(gsn.0)
+            }
+            _ => None,
+        })
+        .collect();
+    let gap = skipped.get(&NodeId(1)).cloned().unwrap_or_default();
+    assert!(gap.len() > 50, "BR 1 skips: {gap:?}");
+    assert!(gap.iter().all(|g| ordered_meanwhile.contains(g)));
+    let mut skippers = vec![NodeId(1)];
+    skippers.extend(&subtree1);
+    assert_eq!(skipped.keys().copied().collect::<Vec<_>>(), skippers);
+    assert!(
+        skipped.values().all(|s| *s == gap),
+        "the same GSNs everywhere"
+    );
+    let leader1 = ring1.members[0];
+    let grafts = count(
+        journal,
+        |e| matches!(e, ProtoEvent::Grafted { child, .. } if *child == leader1),
+    );
+    assert_eq!(grafts, 1, "ring 1's leader stays grafted onto BR 1");
+    // Ring 0's walkers delivered every GSN ring 1 skipped.
+    let walkers0: Vec<Guid> = spec
+        .mhs
+        .iter()
+        .filter(|m| m.initial_ap.is_some_and(|ap| subtree0.contains(&ap)))
+        .map(|m| m.guid)
+        .collect();
+    assert!(!walkers0.is_empty());
+    for g in &gap {
+        let got = count(
+            journal,
+            |e| matches!(e, ProtoEvent::MhDeliver { mh, gsn, .. } if gsn.0 == *g && walkers0.contains(mh)),
+        );
+        assert_eq!(got, walkers0.len(), "GSN {g}");
+    }
+    assert_eq!(ringnet_core::metrics::order_violations(journal), 0);
 }

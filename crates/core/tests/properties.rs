@@ -588,8 +588,11 @@ const SPEC_DIGESTS: &[(&str, u64)] = &[
     // Moved on purpose when the automatic layout split more than
     // AG_RING_CAP AGs into balanced rings (was 0x8b01097c5f6ca2e9): the
     // 64 AGs form 4 rings of 16, ring i listing BR i mod 2 first, in place
-    // of one ring of 64. Its AGs, APs and walkers are unedited.
-    ("driver ringnet_spec: CoreShape::Auto, 16×16 grid (metro_1k's shape)", 0x025ceefc43e5f1d9),
+    // of one ring of 64. Its AGs, APs and walkers are unedited. Moved
+    // again when AG_RING_CAP went from 16 to 11 (was 0x025ceefc43e5f1d9):
+    // 6 rings of 11, 11, 11, 11, 10 and 10 AGs, ring i listing BR i mod 2
+    // first.
+    ("driver ringnet_spec: CoreShape::Auto, 16×16 grid (metro_1k's shape)", 0x9434f5acb47c4805),
 ];
 
 #[test]

@@ -96,7 +96,14 @@ fn sharded_journal_is_byte_identical_with_telemetry_on_and_off() {
 /// ring's last member, which keeps no `MQ` for it (both were
 /// `0x979d_ec8f_283e_e722`): only the leader AG's `control_sent.data_ack`
 /// moves (468 → 234), its acks to the parent BR alone.
-const METRICS_DIGESTS: [(u64, u64); 2] = [(3, 0x596c_083d_921c_7d39), (41, 0x596c_083d_921c_7d39)];
+///
+/// Re-goldened when an AG ring's leader came to be watched by its next
+/// member, whose data it is, instead of probed by the last member, to
+/// which no traffic flows (both were `0x596c_083d_921c_7d39`): only the
+/// two AGs' `control_sent.heartbeat` counters move (121 → 45 for the
+/// leader AG 2, which answers fewer probes, and 113 → 36 for AG 3, which
+/// probes its leader only in periods the leader sent it nothing).
+const METRICS_DIGESTS: [(u64, u64); 2] = [(3, 0x6990_dca0_7d4b_9776), (41, 0x6990_dca0_7d4b_9776)];
 
 fn metrics_digest(report: &ringnet_core::TelemetryReport) -> u64 {
     use std::fmt::Write as _;

@@ -93,7 +93,7 @@ pub fn run(quick: bool) -> Table {
             format!("{:.3}", p.control_per_delivery),
         ]);
     }
-    table.note("default: ack_every=2 (measures as ack_every=1 does: 42.47 ms, MQ peak 9, 0.432 ctl / delivery)");
+    table.note("default: ack_every=2 (measures as ack_every=1 does: 42.47 ms, MQ peak 9, 0.382 ctl / delivery)");
     table.note("ACK batching trades control messages (last column) for buffer residency; the saving is small because a hop acknowledges only a front that moved, so ack_every=1 costs what the default does");
     table.note("the WTSNP-retention and old-token rows went with their settings (PR 25): on a loss-free ring and at 5% ring loss, retention 1 and dropping the old snapshot each measured exactly as the defaults (at 5% loss 90.18 ms / 1242 retransmissions / MQ peak 49 / 0.993); only stripping both moved a column, so both are fixed: retention 2, old snapshot kept");
     table

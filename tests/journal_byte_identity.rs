@@ -580,18 +580,25 @@ const fn loss_free(events: u64, sent: u64, delivered: u64, timers: u64) -> SimSt
 /// (`rings8`) and 40 (`fence_overlap_4`) fewer `DataAck` packets, and the
 /// events that delivered them (were 39 571 / 45 971 events, 44 747 sent
 /// and 44 707 delivered; 72 617 / 85 417, 87 391 and 87 353).
+///
+/// Both were regenerated on purpose at both shard counts when an AG
+/// ring's leader came to be watched by its next member instead of probed
+/// by its last: 18 (`rings8`) and 16 (`fence_overlap_4`) fewer packets
+/// sent, heartbeat frames the leaders' data now stands in for, and the
+/// events that delivered them (were 39 519 / 45 919 events, 44 695 sent
+/// and 44 655 delivered; 72 578 / 85 378, 87 351 and 87 314).
 const GOLDEN_MULTIGROUP_SIM_STATS: &[(&str, usize, SimStats)] = &[
-    ("rings8", 1, loss_free(39_519, 44_695, 44_655, 4_464)),
-    ("rings8", 2, loss_free(45_919, 44_695, 44_655, 4_464)),
+    ("rings8", 1, loss_free(39_502, 44_677, 44_638, 4_464)),
+    ("rings8", 2, loss_free(45_902, 44_677, 44_638, 4_464)),
     (
         "fence_overlap_4",
         1,
-        loss_free(72_578, 87_351, 87_314, 4_464),
+        loss_free(72_563, 87_335, 87_299, 4_464),
     ),
     (
         "fence_overlap_4",
         2,
-        loss_free(85_378, 87_351, 87_314, 4_464),
+        loss_free(85_363, 87_335, 87_299, 4_464),
     ),
 ];
 
@@ -941,21 +948,31 @@ fn multigroup_fault_world_is_pinned() {
 /// `stress_98/ringnet` (`0xc442d7247713aaba`) and `stress_104/ringnet`
 /// (`0x8c96e913c863736a`). Only each AG-ring leader's `control_sent`
 /// moves (`ringnet` 443 → 358), and every journal digest is unedited.
+///
+/// The same seven were regenerated on purpose once more when an AG ring's
+/// leader came to be watched by its next member, which its data answers
+/// for, instead of probed by the last member, to which no traffic flows:
+/// `ringnet` (was `0xe140169ca568301b`), `rings8` (`0xaba4d471e1518707`),
+/// `fence_overlap_4` (`0x72fcbb28bcdb3a78`), `replay`
+/// (`0x4b9615a68f0da0da`), `multigroup_faults` (`0xbf39dd07b0a45764`),
+/// `stress_98/ringnet` (`0x24e545eab1fbe23e`) and `stress_104/ringnet`
+/// (`0x4472ddc4c15a1081`). Only AGs' `control_sent` moves (`ringnet`
+/// 358 → 281 and 319 → 241), and every journal digest is unedited.
 const COUNTERS_DIGESTS: &[(&str, u64)] = &[
-    ("ringnet", 0xe140169ca568301b),
+    ("ringnet", 0x984ac802a4482d50),
     ("flat_ring", 0x0c77671a3b244c94),
     ("tree", 0xe2ed3e8295e4bb49),
     ("tunnel", 0xba214e70c3848020),
     ("relm", 0x4e1ef2ebb1bd2ec1),
     ("unordered", 0x2a90bd5584387025),
-    ("rings8", 0xaba4d471e1518707),
-    ("fence_overlap_4", 0x72fcbb28bcdb3a78),
-    ("stress_98/ringnet", 0x24e545eab1fbe23e),
+    ("rings8", 0x86aebc0bd7f668cb),
+    ("fence_overlap_4", 0x3491f03461feb6be),
+    ("stress_98/ringnet", 0xb1c12492a50695b2),
     ("stress_98/flat_ring", 0x57021a22ddb85d9b),
     ("stress_98/tree", 0xad515566f3f86c48),
-    ("stress_104/ringnet", 0x4472ddc4c15a1081),
+    ("stress_104/ringnet", 0x27a1c6e086d476f6),
     ("stress_104/flat_ring", 0x0006eba39f524c9b),
     ("stress_104/tree", 0xe097d5f8cefe8208),
-    ("replay", 0x4b9615a68f0da0da),
-    ("multigroup_faults", 0xbf39dd07b0a45764),
+    ("replay", 0x13c5d7dc232878da),
+    ("multigroup_faults", 0x94112236e9073df8),
 ];
