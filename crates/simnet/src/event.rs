@@ -26,6 +26,12 @@
 //! simulation in this workspace depends on; `simnet/tests/properties.rs`
 //! checks it against a reference model.
 //!
+//! A bucket's `Vec` does not stay with its bucket: when the cursor leaves
+//! a drained bucket the buffer goes onto a spare stack, and the next push
+//! into a bucket with no buffer takes one from there. A burst therefore
+//! costs one buffer of its size, passed from bucket to bucket, not one per
+//! bucket it ever landed in.
+//!
 //! Cancellation is `O(1)` and eager on the payload: the slab slot is freed
 //! immediately (dropping the payload) and the stale key is discarded when
 //! it surfaces. Slot reuse is ABA-safe because a key only matches a slot
@@ -95,6 +101,9 @@ pub struct EventQueue<E> {
     /// kept descending by `(time, seq)` while `cursor_sorted` holds, so
     /// the in-order drain is `Vec::pop` from the back.
     near: Vec<Vec<Key>>,
+    /// Buffers of drained buckets the cursor has left, handed to the next
+    /// bucket that needs one.
+    spare: Vec<Vec<Key>>,
     /// Entries at or beyond the near horizon.
     far: BinaryHeap<Key>,
     /// Absolute bucket index of the scan position. Invariant: every key in
@@ -126,6 +135,7 @@ impl<E> EventQueue<E> {
     pub fn new() -> Self {
         EventQueue {
             near: (0..NUM_BUCKETS).map(|_| Vec::new()).collect(),
+            spare: Vec::new(),
             far: BinaryHeap::new(),
             cursor: 0,
             cursor_sorted: false,
@@ -157,11 +167,16 @@ impl<E> EventQueue<E> {
 
     /// Place a key into a near bucket. The cursor bucket, once sorted for
     /// draining, stays sorted via binary-search insertion; every other
-    /// bucket is a plain append.
+    /// bucket is a plain append. A bucket without a buffer takes a spare.
     #[inline]
     fn push_near(&mut self, b: u64, key: Key) {
         let idx = (b % NUM_BUCKETS as u64) as usize;
         let bucket = &mut self.near[idx];
+        if bucket.capacity() == 0 {
+            if let Some(buf) = self.spare.pop() {
+                *bucket = buf;
+            }
+        }
         if b == self.cursor && self.cursor_sorted {
             let at = bucket.partition_point(|k| Self::drain_order(k, &key) == Ordering::Less);
             bucket.insert(at, key);
@@ -192,9 +207,20 @@ impl<E> EventQueue<E> {
         }
     }
 
+    /// Give the drained cursor bucket's buffer to the spare stack.
+    fn shed_cursor_bucket(&mut self) {
+        let idx = (self.cursor % NUM_BUCKETS as u64) as usize;
+        debug_assert!(self.near[idx].is_empty());
+        let buf = std::mem::take(&mut self.near[idx]);
+        if buf.capacity() > 0 {
+            self.spare.push(buf);
+        }
+    }
+
     /// Move the window forward one bucket and pull newly covered far
     /// entries into the calendar.
     fn advance(&mut self) {
+        self.shed_cursor_bucket();
         self.cursor += 1;
         self.cursor_sorted = false;
         self.migrate();
@@ -220,7 +246,11 @@ impl<E> EventQueue<E> {
         let Some(k) = self.far.peek() else {
             return false;
         };
-        self.cursor = self.cursor.max(bucket_of(k.time));
+        let jump_to = bucket_of(k.time);
+        if jump_to > self.cursor {
+            self.shed_cursor_bucket();
+            self.cursor = jump_to;
+        }
         self.cursor_sorted = false;
         self.migrate();
         debug_assert!(self.near_keys > 0);
@@ -460,6 +490,52 @@ mod tests {
         }
         let order: Vec<_> = std::iter::from_fn(|| q.pop()).map(|(_, e)| e).collect();
         assert_eq!(order, (0..500).collect::<Vec<_>>());
+    }
+
+    /// Keys the near buckets and the spare stack can hold without growing.
+    fn key_capacity<E>(q: &EventQueue<E>) -> usize {
+        let buffers = q.near.iter().chain(&q.spare);
+        buffers.map(Vec::capacity).sum()
+    }
+
+    #[test]
+    fn a_burst_per_sweep_costs_one_burst_of_buffer_not_one_per_bucket() {
+        // One 1 000-key burst per sweep of the ring, each in a bucket no
+        // earlier burst used, beside a timer that re-arms every 5 ms. Kept
+        // per bucket, the burst capacity would add up sweep by sweep (12
+        // bursts here, up to 256); passed on, it stays at the few buffers
+        // that are ever in use at once (3 here, at 12 sweeps or at 60).
+        const BURST: u64 = 1_000;
+        const SWEEPS: u64 = 12;
+        const TIMER: u64 = u64::MAX;
+        let bucket = crate::SimDuration::from_nanos(1 << BUCKET_BITS);
+        let mut q = EventQueue::new();
+        for sweep in 0..SWEEPS {
+            let at = SimTime::ZERO + bucket * ((NUM_BUCKETS as u64 + 7) * sweep + 3);
+            for i in 0..BURST {
+                q.schedule(at, i);
+            }
+        }
+        q.schedule(SimTime::ZERO, TIMER);
+        let last_burst = SimTime::ZERO + bucket * ((NUM_BUCKETS as u64 + 7) * (SWEEPS - 1) + 3);
+        let (mut bursts, mut prev) = (0, SimTime::ZERO);
+        while let Some((t, what)) = q.pop() {
+            assert!(t >= prev, "time went backwards");
+            prev = t;
+            match what {
+                TIMER if t < last_burst => {
+                    q.schedule(t + crate::SimDuration::from_millis(5), TIMER);
+                }
+                TIMER => {}
+                _ => bursts += 1,
+            }
+        }
+        assert_eq!(bursts, SWEEPS * BURST);
+        let capacity = key_capacity(&q);
+        assert!(
+            capacity <= 3 * 1024 + 64,
+            "buckets and spares hold {capacity} keys of capacity after {SWEEPS} bursts of {BURST}"
+        );
     }
 
     #[test]
