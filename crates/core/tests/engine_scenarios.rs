@@ -2,7 +2,7 @@
 //! can't see — traffic patterns, fault injection, activation lifecycles,
 //! journal plumbing.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
 use ringnet_core::config::{HEARTBEAT_PERIOD, HOP_TICK};
 use ringnet_core::driver::{
@@ -1227,5 +1227,85 @@ fn a_ring_under_an_isolated_br_skips_what_the_primary_ordered() {
         );
         assert_eq!(got, walkers0.len(), "GSN {g}");
     }
+    assert_eq!(ringnet_core::metrics::order_violations(journal), 0);
+}
+
+/// A cut between an AG ring's leader and its next member, pinned as a
+/// finding: nothing dies, yet both ends excise each other and part of the
+/// subtree skips. On a loss-free 3-AG ring under two BRs (AGs 2, 3, 4,
+/// one AP and one walker each) the link AG 2 – AG 3 goes down for good at
+/// 1.001 s. AG 3 watches its leader AG 2 through AG 2's data, and AG 2
+/// probes its next member AG 3: both go unanswered, and at the same tick
+/// each excises the other and bypasses it to AG 4. Lower rings have no
+/// merge path, so the two live views stay apart. AG 3 leads its view and
+/// grafts onto BR 0, and AG 4 grafts onto BR 0 too. AGs 3 and 4, the APs
+/// below them and their walkers each skip 13 GSNs, every one of which
+/// walker 0, under AG 2, delivered.
+#[test]
+fn a_cut_between_an_ag_ring_leader_and_its_next_makes_each_excise_the_other() {
+    let cut = SimTime::from_millis(1_001);
+    let sc = hierarchy(2, 1, 3, 1)
+        .cbr(SimDuration::from_millis(10))
+        .loss_free_wireless()
+        // Core indices run over the BRs, then the AGs: AG 2 and AG 3.
+        .events([ScenarioEvent::PartitionCore {
+            at: cut,
+            a: 2,
+            b: 3,
+        }])
+        .build();
+    let spec = ringnet_spec(&sc);
+    assert_eq!(spec.ag_rings[0].members, [2, 3, 4].map(NodeId));
+    let report = RingNetSim::run_scenario(&sc, 7);
+    let journal = &report.journal;
+    let repaired: Vec<(SimTime, NodeId, NodeId)> = (journal.iter())
+        .filter_map(|(t, e)| match *e {
+            ProtoEvent::RingRepaired { node, failed, .. } => Some((*t, node, failed)),
+            _ => None,
+        })
+        .collect();
+    let due = SimTime::from_millis(1_150);
+    assert_eq!(
+        repaired,
+        [(due, NodeId(2), NodeId(3)), (due, NodeId(3), NodeId(2))],
+        "each end of the cut excises the other"
+    );
+    let late_grafts: Vec<(NodeId, NodeId)> = (journal.iter())
+        .filter_map(|(t, e)| match *e {
+            ProtoEvent::Grafted { parent, child, .. } if *t > cut => Some((child, parent)),
+            _ => None,
+        })
+        .collect();
+    assert_eq!(
+        late_grafts,
+        [(NodeId(3), NodeId(0)), (NodeId(4), NodeId(0))]
+    );
+    let mut ne_skips: BTreeMap<NodeId, usize> = BTreeMap::new();
+    let mut mh_skips: BTreeMap<Guid, usize> = BTreeMap::new();
+    let mut skipped = BTreeSet::new();
+    let mut walker0 = BTreeSet::new();
+    for (_, e) in journal {
+        match *e {
+            ProtoEvent::NeSkip { node, gsn, .. } => {
+                *ne_skips.entry(node).or_default() += 1;
+                skipped.insert(gsn);
+            }
+            ProtoEvent::MhSkip { mh, .. } => *mh_skips.entry(mh).or_default() += 1,
+            ProtoEvent::MhDeliver {
+                mh: Guid(0), gsn, ..
+            } => {
+                walker0.insert(gsn);
+            }
+            _ => {}
+        }
+    }
+    assert_eq!(skipped.len(), 13, "the same GSNs at every skipper");
+    assert!(skipped.is_subset(&walker0), "walker 0 delivered them all");
+    // ROADMAP item 3, "a skip means the data is gone": nothing was lost,
+    // so a fix (a merge path for lower rings, or a cut that convicts only
+    // one end) empties both maps and turns this finding into its test.
+    assert_eq!(ne_skips, [3, 4, 6, 7].map(|n| (NodeId(n), 13)).into());
+    assert_eq!(mh_skips, [1, 2].map(|w| (Guid(w), 13)).into());
+    assert_eq!(report.metrics.delivered, 1_471);
     assert_eq!(ringnet_core::metrics::order_violations(journal), 0);
 }
