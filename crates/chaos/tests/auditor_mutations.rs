@@ -353,6 +353,12 @@ fn pinned_reports() -> Vec<(String, AuditReport)> {
 /// earlier, its orphaned APs graft onto a neighbour that has already
 /// collected the gap, and they skip it — 48 231 deliveries and 85 skips
 /// become 47 811 and 506, still with no violation.
+///
+/// `quick_0/ringnet` and `quick_3/ringnet`, multi-group worlds, were
+/// re-pinned when each group's AG ring came to hang from the BR that
+/// assigns its GSNs (were `0x642e78092b071a3b` and
+/// `0x025e214218bc2451`): 5 499 deliveries and 9 skips become 5 516 and 8,
+/// and 3 833 deliveries become 3 834, still with no violation.
 const AUDIT_DIGESTS: &[(&str, u64)] = &[
     ("mutation/clean", 0x600a3739ec7b607f),
     ("mutation/swapped_gsns", 0x2bd90b057eee2a0c),
@@ -371,7 +377,7 @@ const AUDIT_DIGESTS: &[(&str, u64)] = &[
     ("stress_104/ringnet", 0xfbe646f4cef152f5),
     ("stress_104/flat_ring", 0xfab47cc8e209496b),
     ("stress_104/tree", 0xb68b9db482ae1fa0),
-    ("quick_0/ringnet", 0x642e78092b071a3b),
+    ("quick_0/ringnet", 0x82a6f0c266da149e),
     ("quick_0/flat_ring", 0x93417addd34767b1),
     ("quick_0/tree", 0x677fd0258484bd26),
     ("quick_0/relm", 0x6b1c490d7b23ea45),
@@ -389,7 +395,7 @@ const AUDIT_DIGESTS: &[(&str, u64)] = &[
     ("quick_2/relm", 0x26b61ee5c5da8edb),
     ("quick_2/tunnel", 0xd553534156138df0),
     ("quick_2/unordered", 0x26b61ee5c5da8edb),
-    ("quick_3/ringnet", 0x025e214218bc2451),
+    ("quick_3/ringnet", 0xda52a61dfcbeece4),
     ("quick_3/flat_ring", 0xb4986a39ad91bd30),
     ("quick_3/tree", 0x360edfdda7b85ff0),
     ("quick_3/relm", 0x6a8d89c1565f79b6),

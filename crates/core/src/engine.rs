@@ -30,7 +30,8 @@ use crate::driver::{
 };
 use crate::events::ProtoEvent;
 use crate::hierarchy::{
-    attachment_entity, spec_core_order, Entity, HierarchySpec, SourceSpec, TrafficPattern,
+    attachment_entity, spec_core_order, AgRingSpec, Entity, HierarchySpec, SourceSpec,
+    TrafficPattern,
 };
 use crate::ids::{Endpoint, GlobalSeq, GroupId, Guid, LocalSeq, NodeId, PayloadId};
 use crate::metrics::FinalsSink;
@@ -754,25 +755,25 @@ fn assemble(spec: &HierarchySpec, net: &mut impl Assemble, finals: &FinalsSink) 
 
     // Multi-group specs instantiate one protocol state per declared group
     // on every physical node: one ordering ring per group over the same
-    // top-ring mesh. Each group's token originates at
-    // `sorted_brs[group_index % n_brs]` so the per-ring assignment load
-    // spreads over the BRs; the same placement doubles as the group's
-    // fence funnel, with the home (lowest) group's origin hosting the
-    // global fence sequencer.
+    // top-ring mesh, each group's token starting at its funnel, with the
+    // home (lowest) group's funnel hosting the global fence sequencer.
     let cfg = &spec.cfg;
     let groups = spec.effective_groups();
     let multi = groups.len() > 1;
-    let sorted_brs = {
-        let mut v = spec.top_ring.clone();
-        v.sort_unstable();
-        v
-    };
-    let funnels: Vec<(GroupId, NodeId)> = groups
-        .iter()
-        .enumerate()
-        .map(|(i, &g)| (g, sorted_brs[i % sorted_brs.len()]))
-        .collect();
+    let funnels = spec.funnels();
     let home = groups[0];
+    // A multi-group spec roots each group's tree where its GSNs are
+    // assigned: every AG ring's parent candidates turn by the group's entry
+    // BR, so ring 0 grafts under the BR whose token visit orders the
+    // group's messages and no GSN crosses top-ring hops before it can
+    // descend. A single-group spec keeps the declared lists.
+    let ag_parents = |ring: &AgRingSpec, g, funnel| {
+        if multi {
+            spec.parents_rooted_at(ring, g, funnel)
+        } else {
+            ring.parent_candidates.clone()
+        }
+    };
     // Station shape: the top ring is the whole deployment, so its members
     // are hybrid stations that also serve MHs.
     let stations = spec.is_station_shape();
@@ -805,12 +806,12 @@ fn assemble(spec: &HierarchySpec, net: &mut impl Assemble, finals: &FinalsSink) 
                 ne_actor(states, originate)
             }
             Entity::Ag(ag, ring) => {
-                let state = |&g| {
-                    let (members, parents) = (ring.members.clone(), ring.parent_candidates.clone());
+                let state = |&(g, funnel)| {
+                    let (members, parents) = (ring.members.clone(), ag_parents(ring, g, funnel));
                     NeState::new_ag(g, ag, members, parents, cfg.clone())
                 };
                 ne_actor(
-                    groups.iter().map(state).collect(),
+                    funnels.iter().map(state).collect(),
                     vec![false; groups.len()],
                 )
             }

@@ -346,6 +346,46 @@ impl HierarchySpec {
         gs
     }
 
+    /// Each declared group and its *funnel*, the BR where its token starts:
+    /// the `i`-th group's is the `i`-th BR by id (modulo their count), so
+    /// the per-ring assignment load spreads over the BRs. A funnel also
+    /// orders its group's fenced traffic ([`crate::fence`]).
+    pub(crate) fn funnels(&self) -> Vec<(GroupId, NodeId)> {
+        let mut brs = self.top_ring.clone();
+        brs.sort_unstable();
+        let groups = self.effective_groups().into_iter().enumerate();
+        groups.map(|(i, g)| (g, brs[i % brs.len()])).collect()
+    }
+
+    /// `ring`'s parent candidates for group `g` of a multi-group spec,
+    /// whose token starts at `funnel`: the same list, turned so the tree
+    /// hangs from where `g`'s GSNs are assigned. That is `g`'s *entry BR*,
+    /// the `corresponding` BR of the first source addressing exactly
+    /// `{g}`, or `funnel`, which orders fenced traffic, when only fenced
+    /// sources (or none) reach `g`. With the entry BR `e` places after
+    /// `top_ring[0]`, the list starts at its first candidate at or
+    /// downstream of the BR `e` places after its usual first one: in an
+    /// automatic layout ring 0 hangs from the entry BR itself and ring `i`
+    /// from the BR `i` places after it.
+    pub(crate) fn parents_rooted_at(
+        &self,
+        ring: &AgRingSpec,
+        g: GroupId,
+        funnel: NodeId,
+    ) -> Vec<NodeId> {
+        let entry = (self.sources.iter())
+            .find(|src| self.source_groups_of(src) == [g])
+            .map_or(funnel, |src| src.corresponding);
+        let (top, n) = (&self.top_ring, self.top_ring.len());
+        let pos = |br| top.iter().position(|&b| b == br);
+        let mut parents = ring.parent_candidates.clone();
+        let start = pos(parents[0]).zip(pos(entry)).map(|(first, e)| first + e);
+        let start = start.expect("validated spec: candidates and sources sit on the top ring");
+        let at = (0..n).find_map(|d| parents.iter().position(|&p| p == top[(start + d) % n]));
+        parents.rotate_left(at.expect("validated spec: the first candidate is a BR"));
+        parents
+    }
+
     /// True for the *station shape*: no AG rings and no APs, so the top
     /// ring is a single logical ring of hybrid stations — ordering nodes
     /// that also serve MHs directly (the flat-ring comparator of §2; see
@@ -1142,6 +1182,87 @@ mod tests {
                 parent_candidates: spec.top_ring.clone(),
             };
             assert_eq!(spec.ag_rings, vec![one], "{attachments}");
+        }
+    }
+
+    /// Every AG ring's parent candidates for each group, as the engine
+    /// hands them to that group's ring states: turned by the group's entry
+    /// BR.
+    fn rooted_parents(spec: &HierarchySpec) -> Vec<(GroupId, Vec<Vec<NodeId>>)> {
+        let rings = |(g, funnel)| {
+            let ring = |r| spec.parents_rooted_at(r, g, funnel);
+            (g, spec.ag_rings.iter().map(ring).collect())
+        };
+        spec.funnels().into_iter().map(rings).collect()
+    }
+
+    #[test]
+    fn each_groups_tree_hangs_from_the_br_that_assigns_its_gsns() {
+        let g = |ids: &[u32]| ids.iter().copied().map(GroupId).collect::<Vec<_>>();
+        let brs = |ids: &[u32]| ids.iter().copied().map(NodeId).collect::<Vec<_>>();
+        // Entry BR per group: source i enters at BR i; 96 cells make 24
+        // AGs in three rings whose usual lists start at BRs 0, 1 and 2.
+        let sc = ScenarioBuilder::new()
+            .attachments(96)
+            .sources(4)
+            .groups(g(&[1, 2, 3, 4]))
+            .source_groups(vec![g(&[3]), g(&[1]), g(&[4]), g(&[2])])
+            .build();
+        let spec = ringnet_spec(&sc);
+        assert_eq!(spec.top_ring, brs(&[0, 1, 2, 3]));
+        assert_eq!(spec.ag_rings.len(), 3);
+        // Ring i of the group entering at BR e lists BR i + e onwards.
+        let turned = |e: u32| -> Vec<Vec<NodeId>> {
+            let list = |i| (0..4).map(|k| NodeId((i + e + k) % 4)).collect();
+            (0..3).map(list).collect()
+        };
+        let want = [(1, 1), (2, 3), (3, 0), (4, 2)].map(|(group, e)| (GroupId(group), turned(e)));
+        assert_eq!(rooted_parents(&spec), want);
+
+        // Single group: source 0 enters at the first BR, so every ring
+        // keeps its declared list.
+        for spec in [auto(96, 3), figure1()] {
+            let declared = spec.ag_rings.iter().map(|r| r.parent_candidates.clone());
+            let declared: Vec<_> = declared.collect();
+            assert_eq!(rooted_parents(&spec), vec![(spec.group, declared)]);
+        }
+
+        // A group only a fenced source reaches is rooted at its funnel,
+        // where its token starts: group 2 (funnel BR 1) here. Group 1
+        // enters where source 1 does, not where the fenced source 0 does.
+        let sc = ScenarioBuilder::new()
+            .attachments(8)
+            .sources(3)
+            .groups(g(&[1, 2, 3]))
+            .source_groups(vec![g(&[1, 2]), g(&[1]), g(&[3])])
+            .build();
+        let spec = ringnet_spec(&sc);
+        assert_eq!(spec.funnels()[1], (GroupId(2), NodeId(1)));
+        let firsts = rooted_parents(&spec).into_iter();
+        let firsts: Vec<_> = firsts.map(|(g, rings)| (g, rings[0][0])).collect();
+        assert_eq!(
+            firsts,
+            [(1, 1), (2, 1), (3, 2)].map(|(g, b)| (GroupId(g), NodeId(b)))
+        );
+    }
+
+    #[test]
+    fn a_short_candidate_list_turns_to_the_first_candidate_downstream() {
+        // figure1's rings list their own BR and the next one. Entry e turns
+        // ring r's list to start at the first candidate at or after BR
+        // r + e: only a turn by one brings the backup first.
+        for e in 0..4 {
+            // The group's first source enters at BR e.
+            let mut spec = figure1();
+            spec.sources[0].corresponding = spec.top_ring[e];
+            for ring in &spec.ag_rings {
+                let mut want = ring.parent_candidates.clone();
+                if e == 1 {
+                    want.reverse();
+                }
+                let got = spec.parents_rooted_at(ring, spec.group, NodeId(0));
+                assert_eq!(got, want, "entry {e}");
+            }
         }
     }
 
