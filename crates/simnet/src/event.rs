@@ -28,9 +28,9 @@
 //!
 //! A bucket's `Vec` does not stay with its bucket: when the cursor leaves
 //! a drained bucket the buffer goes onto a spare stack, and the next push
-//! into a bucket with no buffer takes one from there. A burst therefore
-//! costs one buffer of its size, passed from bucket to bucket, not one per
-//! bucket it ever landed in.
+//! into a bucket with no buffer takes one from there. The queue thus keeps
+//! about as many buffers as buckets are ever in use at once, not one per
+//! bucket a burst ever landed in, each the size of its largest burst.
 //!
 //! Cancellation is `O(1)` and eager on the payload: the slab slot is freed
 //! immediately (dropping the payload) and the stale key is discarded when
@@ -247,10 +247,8 @@ impl<E> EventQueue<E> {
             return false;
         };
         let jump_to = bucket_of(k.time);
-        if jump_to > self.cursor {
-            self.shed_cursor_bucket();
-            self.cursor = jump_to;
-        }
+        self.shed_cursor_bucket();
+        self.cursor = self.cursor.max(jump_to);
         self.cursor_sorted = false;
         self.migrate();
         debug_assert!(self.near_keys > 0);
