@@ -30,8 +30,7 @@ use crate::driver::{
 };
 use crate::events::ProtoEvent;
 use crate::hierarchy::{
-    attachment_entity, spec_core_order, AgRingSpec, Entity, HierarchySpec, SourceSpec,
-    TrafficPattern,
+    attachment_entity, spec_core_order, Entity, HierarchySpec, SourceSpec, TrafficPattern,
 };
 use crate::ids::{Endpoint, GlobalSeq, GroupId, Guid, LocalSeq, NodeId, PayloadId};
 use crate::metrics::FinalsSink;
@@ -762,18 +761,6 @@ fn assemble(spec: &HierarchySpec, net: &mut impl Assemble, finals: &FinalsSink) 
     let multi = groups.len() > 1;
     let funnels = spec.funnels();
     let home = groups[0];
-    // A multi-group spec roots each group's tree where its GSNs are
-    // assigned: every AG ring's parent candidates turn by the group's entry
-    // BR, so ring 0 grafts under the BR whose token visit orders the
-    // group's messages and no GSN crosses top-ring hops before it can
-    // descend. A single-group spec keeps the declared lists.
-    let ag_parents = |ring: &AgRingSpec, g, funnel| {
-        if multi {
-            spec.parents_rooted_at(ring, g, funnel)
-        } else {
-            ring.parent_candidates.clone()
-        }
-    };
     // Station shape: the top ring is the whole deployment, so its members
     // are hybrid stations that also serve MHs.
     let stations = spec.is_station_shape();
@@ -806,8 +793,12 @@ fn assemble(spec: &HierarchySpec, net: &mut impl Assemble, finals: &FinalsSink) 
                 ne_actor(states, originate)
             }
             Entity::Ag(ag, ring) => {
+                // Each group's tree is rooted where its GSNs are assigned:
+                // the ring's parent candidates turn by the group's entry BR,
+                // so no GSN crosses top-ring hops before it can descend.
                 let state = |&(g, funnel)| {
-                    let (members, parents) = (ring.members.clone(), ag_parents(ring, g, funnel));
+                    let members = ring.members.clone();
+                    let parents = spec.parents_rooted_at(ring, g, funnel);
                     NeState::new_ag(g, ag, members, parents, cfg.clone())
                 };
                 ne_actor(

@@ -357,16 +357,18 @@ impl HierarchySpec {
         groups.map(|(i, g)| (g, brs[i % brs.len()])).collect()
     }
 
-    /// `ring`'s parent candidates for group `g` of a multi-group spec,
-    /// whose token starts at `funnel`: the same list, turned so the tree
-    /// hangs from where `g`'s GSNs are assigned. That is `g`'s *entry BR*,
+    /// `ring`'s parent candidates for group `g`, whose token starts at
+    /// `funnel`: the same list, turned so the tree hangs from where `g`'s
+    /// GSNs are assigned. That is `g`'s *entry BR*,
     /// the `corresponding` BR of the first source addressing exactly
     /// `{g}`, or `funnel`, which orders fenced traffic, when only fenced
     /// sources (or none) reach `g`. With the entry BR `e` places after
     /// `top_ring[0]`, the list starts at its first candidate at or
     /// downstream of the BR `e` places after its usual first one: in an
     /// automatic layout ring 0 hangs from the entry BR itself and ring `i`
-    /// from the BR `i` places after it.
+    /// from the BR `i` places after it. The spec builders put source `i` at
+    /// `top_ring[i]`, so a single group enters at `top_ring[0]` and every
+    /// list is returned as declared.
     pub(crate) fn parents_rooted_at(
         &self,
         ring: &AgRingSpec,
