@@ -30,6 +30,10 @@
 //!   *identical* per-walker delivered-message sets on every backend.
 //!   Pass `--seeds 0` to run only the equivalence audit.
 //!
+//! The summary ends with the totals the CI steps pin, then, per backend,
+//! the NE skips of a `(group, GSN)` some walker delivered: skips of data
+//! that was not gone.
+//!
 //! Exit status: 0 when every audited run is clean, 1 on the first
 //! violation or delivery-set mismatch (after printing the reproduction).
 
@@ -118,22 +122,25 @@ fn main() {
 
     let mut total_deliveries = 0u64;
     let mut total_skips = 0u64;
+    let mut elsewhere = vec![0u64; backends.len()];
     let mut runs = 0usize;
     for (i, &seed) in range.iter().enumerate() {
         match soak_seed(&cfg, seed, &backends, shrink) {
             Ok(outcomes) => {
-                for o in &outcomes {
+                for (o, n) in outcomes.iter().zip(&mut elsewhere) {
                     total_deliveries += o.deliveries;
                     total_skips += o.skips;
+                    *n += o.ne_skips_delivered_elsewhere;
                     runs += 1;
                 }
                 if single.is_some() {
                     for o in &outcomes {
                         println!(
-                            "  {:<10} clean ({} deliveries, {} skips)",
+                            "  {:<10} clean ({} deliveries, {} skips, {} NE skips delivered elsewhere)",
                             o.backend.name(),
                             o.deliveries,
-                            o.skips
+                            o.skips,
+                            o.ne_skips_delivered_elsewhere
                         );
                     }
                 } else if (i + 1) % 25 == 0 || i + 1 == range.len() {
@@ -185,6 +192,13 @@ fn main() {
     println!(
         "OK: {} runs clean — {} deliveries and {} skips audited, zero violations",
         runs, total_deliveries, total_skips
+    );
+    let per_backend: Vec<String> = (names.iter().zip(&elsewhere))
+        .map(|(name, n)| format!("{name} {n}"))
+        .collect();
+    println!(
+        "NE skips of a GSN some walker delivered: {}",
+        per_backend.join(", ")
     );
 
     if equivalence > 0 {

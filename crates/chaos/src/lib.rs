@@ -60,5 +60,6 @@ pub use postmortem::{dump_json, failure_dump, write_dump};
 pub use shrink::shrink;
 pub use soak::{
     audit_scenario_run, check_equivalence, check_shard_equivalence, delivery_sets,
-    equivalence_scenario, soak_seed, Backend, EquivalenceFailure, SoakFailure, SoakOutcome,
+    equivalence_scenario, ne_skips_delivered_elsewhere, soak_seed, Backend, EquivalenceFailure,
+    SoakFailure, SoakOutcome,
 };

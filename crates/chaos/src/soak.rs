@@ -11,7 +11,7 @@ use std::collections::BTreeSet;
 
 use baselines::{FlatRingSim, RelmSim, TreeSim, TunnelSim, UnorderedSim};
 use ringnet_core::driver::{MulticastSim, RunReport, Scenario, ScenarioEvent};
-use ringnet_core::RingNetSim;
+use ringnet_core::{GlobalSeq, GroupId, ProtoEvent, RingNetSim};
 use simnet::{SimDuration, SimTime};
 
 use crate::audit::{AuditConfig, AuditReport, Auditor, LivenessCheck, Violation};
@@ -220,10 +220,28 @@ pub fn audit_scenario_run(
     backend: Backend,
     cfg: &ChaosConfig,
 ) -> AuditReport {
-    let report = backend.run(sc, seed);
+    audit_run(sc, backend, cfg, &backend.run(sc, seed))
+}
+
+fn audit_run(sc: &Scenario, backend: Backend, cfg: &ChaosConfig, run: &RunReport) -> AuditReport {
     let mut auditor = Auditor::new(backend.audit_config(sc, cfg));
-    auditor.observe_journal(&report.journal);
+    auditor.observe_journal(&run.journal);
     auditor.finish(sc.duration)
+}
+
+/// The NE skips in `journal` of a `(group, GSN)` that some walker
+/// delivered: skips of data that was not gone, which the protocol's
+/// contract (delivered at one member, delivered at all) rules out. A
+/// bookkeeping count beside the audit, not an [`AuditReport`] field.
+pub fn ne_skips_delivered_elsewhere(journal: &[(SimTime, ProtoEvent)]) -> u64 {
+    let delivered: BTreeSet<(GroupId, GlobalSeq)> = (journal.iter())
+        .filter_map(|(_, e)| match *e {
+            ProtoEvent::MhDeliver { group, gsn, .. } => Some((group, gsn)),
+            _ => None,
+        })
+        .collect();
+    let elsewhere = |e: &ProtoEvent| matches!(*e, ProtoEvent::NeSkip { group, gsn, .. } if delivered.contains(&(group, gsn)));
+    journal.iter().filter(|(_, e)| elsewhere(e)).count() as u64
 }
 
 /// What one soaked seed produced on one backend.
@@ -235,6 +253,9 @@ pub struct SoakOutcome {
     pub deliveries: u64,
     /// Skips audited.
     pub skips: u64,
+    /// NE skips of a GSN some walker delivered
+    /// ([`ne_skips_delivered_elsewhere`]).
+    pub ne_skips_delivered_elsewhere: u64,
 }
 
 /// A violating seed, with the minimized reproduction.
@@ -265,7 +286,8 @@ pub fn soak_seed(
     let sc = crate::gen::generate(cfg, seed);
     let mut outcomes = Vec::with_capacity(backends.len());
     for &backend in backends {
-        let report = audit_scenario_run(&sc, seed, backend, cfg);
+        let run = backend.run(&sc, seed);
+        let report = audit_run(&sc, backend, cfg, &run);
         if let Some(violation) = report.first_violation {
             let kind = violation.kind;
             let shrunk = if shrink_failures {
@@ -290,6 +312,7 @@ pub fn soak_seed(
             backend,
             deliveries: report.deliveries,
             skips: report.skips,
+            ne_skips_delivered_elsewhere: ne_skips_delivered_elsewhere(&run.journal),
         });
     }
     Ok(outcomes)
@@ -344,7 +367,6 @@ pub fn equivalence_scenario(cfg: &ChaosConfig, seed: u64) -> Scenario {
 pub fn delivery_sets(
     report: &RunReport,
 ) -> std::collections::BTreeMap<u32, BTreeSet<(usize, u64)>> {
-    use ringnet_core::ProtoEvent;
     let mut source_ids: BTreeSet<ringnet_core::NodeId> = BTreeSet::new();
     for (_, e) in &report.journal {
         if let ProtoEvent::MhDeliver { source, .. } = e {
