@@ -14,6 +14,7 @@
 //! | [`HOP_TICK`] | 5 ms | NACKs, ACKs, token retry checks | §4.2.3 |
 //! | [`HEARTBEAT_PERIOD`] | 50 ms | ring, parent/child and AG-ring leader liveness probes | §3 |
 //! | `HEARTBEAT_MISSES` | 3 | probes missed before a neighbour is dead | §3 |
+//! | `FAILOVER_WINDOW` | 250 ms | an excised BR's last ack pins its ring predecessor's `MQ` | §3 |
 //! | `TOKEN_RETRY_AFTER` | 30 ms | reliable token transfer: resend timeout | §4.2.1 |
 //! | `TOKEN_RETRY_BUDGET` | 3 | sends of one token pass before giving up | §4.2.1 |
 //! | `TOKEN_QUIET_AFTER` | 200 ms | "Message-Ordering runs well" window of Token-Regeneration | §4.2.1 |
@@ -40,6 +41,13 @@ pub const HEARTBEAT_PERIOD: SimDuration = SimDuration::from_millis(50);
 
 /// Declare a neighbour dead after missing this many heartbeats.
 pub(crate) const HEARTBEAT_MISSES: u8 = 3;
+
+/// How long a top-ring node keeps its `MQ` at the last ack of an excised
+/// next: one period for the excised BR to fence itself, then the
+/// `HEARTBEAT_MISSES + 1` periods its children take to miss it and graft
+/// onto a BR of the primary component, which serves their resume point.
+pub(crate) const FAILOVER_WINDOW: SimDuration =
+    SimDuration::from_nanos(HEARTBEAT_PERIOD.as_nanos() * (HEARTBEAT_MISSES as u64 + 2));
 
 /// Retransfer timeout for the ordering token: if the next node has not
 /// acknowledged within this time, the token is resent.

@@ -29,6 +29,9 @@ impl NeState {
         resync: bool,
         out: &mut Outbox,
     ) {
+        if !self.serves(child) {
+            return;
+        }
         let resume_from = if resync { self.mq.front() } else { resume_from };
         let newly = self.children.insert(child, now).is_none();
         self.wt_children.register(child, resume_from);
@@ -45,6 +48,24 @@ impl NeState {
             }));
         }
         self.send_catchup(Endpoint::Ne(child), resume_from, out);
+        self.fetch_collected(resume_from, out);
+    }
+
+    /// A top-ring parent asked to resume a child from below its own
+    /// `ValidFront` fetches the range it collected through the top ring's
+    /// NACK path: its ring predecessor may still hold it, for an excised
+    /// BR's failover ([`crate::node::RingState::hold_for_failover`]) or for
+    /// the child it served until the child failed over. What comes back
+    /// goes to the children that lack it (`on_data`).
+    fn fetch_collected(&mut self, resume_from: GlobalSeq, out: &mut Outbox) {
+        let (first, collected) = (resume_from.next(), self.mq.valid_front());
+        let prev = self.ring_prev().filter(|&p| p != self.id);
+        let Some(prev) = prev.filter(|_| self.is_top_ring() && first < collected) else {
+            return;
+        };
+        let missing = (first.0..collected.0).map(GlobalSeq).collect();
+        let group = self.group;
+        self.send_control(Endpoint::Ne(prev), Msg::DataNack { group, missing }, out);
     }
 
     /// Our own graft was accepted by the parent. After a crash-restart the

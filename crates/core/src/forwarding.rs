@@ -47,8 +47,25 @@ impl NeState {
             InsertOutcome::Stored => self.drive_delivery(now, out),
             InsertOutcome::Duplicate | InsertOutcome::Stale => {
                 self.counters.duplicates += 1;
+                if gsn < self.mq.valid_front() {
+                    self.pass_on_collected(gsn, data, out);
+                }
             }
             InsertOutcome::Overflow => {}
+        }
+    }
+
+    /// A message this entity already collected came back, fetched for a
+    /// child that grafted below `ValidFront` (`fetch_collected`): pass it
+    /// to each child whose front is below it. Collection waits for every
+    /// registered child, so no other child is ever below it.
+    fn pass_on_collected(&mut self, gsn: GlobalSeq, data: MsgData, out: &mut Outbox) {
+        let group = self.group;
+        for (child, upto) in self.wt_children.iter() {
+            if upto < gsn {
+                out.push(Action::to_ne(child, Msg::Data { group, gsn, data }));
+                self.counters.data_sent += 1;
+            }
         }
     }
 
@@ -160,6 +177,9 @@ impl NeState {
     /// Retransmission request from a downstream hop: serve every requested
     /// message still retained (`ValidFront` retention exists for this).
     pub(crate) fn on_data_nack(&mut self, from: Endpoint, missing: &[GlobalSeq], out: &mut Outbox) {
+        if matches!(from, Endpoint::Ne(n) if !self.serves(n)) {
+            return;
+        }
         let group = self.group;
         for &gsn in missing {
             if let Some(&data) = self.mq.get(gsn) {

@@ -63,6 +63,9 @@ impl NeState {
     /// their beacon (see `on_data_ack`).
     pub(crate) fn on_heartbeat(&mut self, now: SimTime, from: Endpoint, out: &mut Outbox) {
         let Endpoint::Ne(n) = from else { return };
+        if !self.serves(n) {
+            return;
+        }
         if self.children.contains_key(&n) {
             self.children.insert(n, now);
         }
@@ -108,6 +111,7 @@ impl NeState {
             return;
         }
         let Some(r) = self.ring.as_mut() else { return };
+        r.hold_for_failover(self.id, failed, now);
         if !r.mark_dead(failed) {
             return;
         }
@@ -241,6 +245,7 @@ impl NeState {
         let (group, me) = (self.group, self.id);
         let Some(r) = self.ring.as_mut() else { return };
         let was_next = r.next_of(me) == failed;
+        r.hold_for_failover(me, failed, now);
         r.mark_dead(failed);
         let new_next = r.next_of(me);
         r.restart_probes();

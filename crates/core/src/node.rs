@@ -64,6 +64,9 @@ pub struct RingState {
     /// Cumulative `MQ` ACK received from the next node, by `DataAck` or
     /// `TokenAck` (retention GC of both `MQ` and `WQ`).
     pub next_acked_mq: GlobalSeq,
+    /// On the top ring, the last ack of an excised next and until when it
+    /// still pins `MQ` ([`RingState::hold_for_failover`]).
+    pub(crate) failover_hold: Option<(GlobalSeq, SimTime)>,
 }
 
 impl RingState {
@@ -80,6 +83,7 @@ impl RingState {
             hb_by_traffic: None,
             hb_asked: None,
             next_acked_mq: GlobalSeq::ZERO,
+            failover_hold: None,
         }
     }
 
@@ -149,6 +153,18 @@ impl RingState {
         let was_in = self.lifecycle.is_in_ring(id);
         self.lifecycle.apply(id, LifecycleEvent::Excise);
         was_in
+    }
+
+    /// `failed` is about to leave `me`'s view. When it is `me`'s next on
+    /// the top ring, its last ack keeps pinning `MQ` for one
+    /// [`FAILOVER_WINDOW`](crate::config::FAILOVER_WINDOW): the excised
+    /// BR's children graft onto a BR of the primary component, which
+    /// serves their resume point from this retention.
+    pub(crate) fn hold_for_failover(&mut self, me: NodeId, failed: NodeId, now: SimTime) {
+        if self.is_top && self.is_in_ring(failed) && self.next_of(me) == failed {
+            let until = now + crate::config::FAILOVER_WINDOW;
+            self.failover_hold = Some((self.next_acked_mq, until));
+        }
     }
 
     /// A liveness probe to `id` went unanswered.

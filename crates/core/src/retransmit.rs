@@ -117,7 +117,7 @@ impl NeState {
         self.token_maintenance(now, out);
 
         // (5) Garbage collection.
-        self.collect_garbage();
+        self.collect_garbage(now);
     }
 
     /// Retry an unacknowledged token transfer; drive the degenerate
@@ -192,7 +192,7 @@ impl NeState {
 
     /// Advance `ValidFront` up to the collective downstream progress, and
     /// release the `WQ` entries the next ring node has ordered past.
-    fn collect_garbage(&mut self) {
+    fn collect_garbage(&mut self, now: SimTime) {
         let mut watermark = self.mq.front();
         if let Some(min) = self.wt_children.min_progress() {
             watermark = watermark.min(min);
@@ -206,11 +206,18 @@ impl NeState {
         // ourselves on a ring of one, not the leader after a lower ring's
         // last member.
         let mut next_front = GlobalSeq(u64::MAX);
-        if let Some(r) = self.ring.as_ref() {
+        if let Some(r) = self.ring.as_mut() {
             let next = r.next_of(self.id);
             if next != self.id && r.prev_keeps_mq_for(next) {
                 next_front = r.next_acked_mq;
                 watermark = watermark.min(next_front);
+            }
+            // An excised next's children may still graft here or on a
+            // peer that NACKs us.
+            match r.failover_hold {
+                Some((held, until)) if now < until => watermark = watermark.min(held),
+                Some(_) => r.failover_hold = None,
+                None => {}
             }
         }
         // Keep a small service tail so immediate re-requests can be served.

@@ -180,6 +180,16 @@ impl NeState {
         })
     }
 
+    /// Whether this node answers `n`'s requests. A fenced BR is fed
+    /// nothing the primary orders, so it stops answering what its
+    /// children ask (probes, grafts, NACKs): they miss it and fail over to
+    /// their next parent candidate, a BR of the primary component. Its
+    /// ring peers are always answered, since their probes carry the heal
+    /// evidence.
+    pub(crate) fn serves(&self, n: NodeId) -> bool {
+        !self.is_partition_fenced() || self.ring.as_ref().is_some_and(|r| r.order.contains(&n))
+    }
+
     /// True while the merge handshake is in flight.
     pub(crate) fn is_merging(&self) -> bool {
         self.ring

@@ -1193,26 +1193,16 @@ fn finals_come_from_live_states_only() {
     assert!(t.nodes.contains_key(&crashed_ap) && t.nodes.contains_key(&crashed_ag));
 }
 
-/// A skip that a BR's isolation causes, pinned as a finding: nothing is
-/// lost, yet a whole subtree skips. Two AG rings hang under two BRs, ring
-/// `i`'s leader grafted onto BR `i`. A ring partition isolates BR 1 from
-/// the ordering ring for one second. BR 1 fences itself, but it still
-/// answers the heartbeats of AG ring 1's leader, which so stays grafted
-/// onto it and is fed nothing new. BR 0, the primary, orders on. At the
-/// merge BR 1, every AG of ring 1 and every AP below them skip the same
-/// GSNs: exactly those BR 0 ordered meanwhile, which ring 0's walkers
-/// delivered. Any layout with a ring under a BR that can be isolated does
-/// this; it is why `AG_RING_CAP` is not lower, since a lower cap splits
-/// more of the chaos soak's worlds into rings under several BRs.
-#[test]
-fn a_ring_under_an_isolated_br_skips_what_the_primary_ordered() {
-    let (cut, heal) = (SimTime::from_secs(1), SimTime::from_secs(2));
-    let sc = hierarchy(2, 2, 3, 1)
+/// Two AG rings of three under two BRs, ring `i`'s leader grafted onto
+/// BR `i`, 10 ms CBR from BR 0, loss-free radio; a ring partition isolates
+/// BR 1 from the ordering ring at 1 s and heals at `heal`.
+fn isolated_br1(heal: SimTime) -> Scenario {
+    hierarchy(2, 2, 3, 1)
         .cbr(SimDuration::from_millis(10))
         .loss_free_wireless()
         .events([
             ScenarioEvent::PartitionRing {
-                at: cut,
+                at: SimTime::from_secs(1),
                 isolate: 1,
             },
             ScenarioEvent::HealRing {
@@ -1220,83 +1210,142 @@ fn a_ring_under_an_isolated_br_skips_what_the_primary_ordered() {
                 isolate: 1,
             },
         ])
-        .build();
-    let spec = ringnet_spec(&sc);
-    let (ring0, ring1) = (&spec.ag_rings[0], &spec.ag_rings[1]);
-    assert_eq!(
-        ring1.parent_candidates[0],
-        NodeId(1),
-        "ring 1 leans on BR 1"
-    );
-    let under = |ring: &ringnet_core::hierarchy::AgRingSpec| -> Vec<NodeId> {
-        let aps = spec
-            .aps
-            .iter()
-            .filter(|ap| ring.members.contains(&ap.parent_candidates[0]));
-        ring.members
-            .iter()
-            .copied()
-            .chain(aps.map(|ap| ap.id))
-            .collect()
-    };
-    let (subtree0, subtree1) = (under(ring0), under(ring1));
-    let report = RingNetSim::run_scenario(&sc, 7);
-    let journal = &report.journal;
-    let mut skipped: BTreeMap<NodeId, Vec<u64>> = BTreeMap::new();
+        .build()
+}
+
+/// When each entity of [`isolated_br1`] fenced itself, merged back, and
+/// when AG ring 1's leader grafted onto which parent.
+struct Isolation {
+    fenced: SimTime,
+    merged: SimTime,
+    leader1_grafts: Vec<(SimTime, NodeId)>,
+    ne_skips: BTreeMap<NodeId, Vec<u64>>,
+    mh_skips: usize,
+}
+
+fn isolation(sc: &Scenario, journal: &[(SimTime, ProtoEvent)]) -> Isolation {
+    let leader1 = ringnet_spec(sc).ag_rings[1].members[0];
+    let at = |f: &dyn Fn(&ProtoEvent) -> bool| journal.iter().find(|(_, e)| f(e)).map(|(t, _)| *t);
+    let mut ne_skips: BTreeMap<NodeId, Vec<u64>> = BTreeMap::new();
     for (_, e) in journal {
         if let ProtoEvent::NeSkip { node, gsn, .. } = e {
-            skipped.entry(*node).or_default().push(gsn.0);
+            ne_skips.entry(*node).or_default().push(gsn.0);
         }
     }
-    let merged = journal.iter().find_map(|(t, e)| match e {
-        ProtoEvent::RingMerged {
-            node: NodeId(1), ..
-        } => Some(*t),
-        _ => None,
-    });
-    let merged = merged.expect("BR 1 merges back");
-    let ordered_meanwhile: Vec<u64> = journal
-        .iter()
-        .filter_map(|(t, e)| match e {
-            ProtoEvent::Ordered { node, gsn, .. } if *t >= cut && *t < merged => {
-                assert_eq!(*node, NodeId(0), "only the primary orders");
+    Isolation {
+        fenced: at(&|e| {
+            matches!(
+                e,
+                ProtoEvent::RingPartitioned {
+                    node: NodeId(1),
+                    ..
+                }
+            )
+        })
+        .expect("BR 1 fences itself"),
+        merged: at(&|e| {
+            matches!(
+                e,
+                ProtoEvent::RingMerged {
+                    node: NodeId(1),
+                    ..
+                }
+            )
+        })
+        .expect("BR 1 merges back"),
+        leader1_grafts: (journal.iter())
+            .filter_map(|(t, e)| match *e {
+                ProtoEvent::Grafted { parent, child, .. } if child == leader1 => Some((*t, parent)),
+                _ => None,
+            })
+            .collect(),
+        ne_skips,
+        mh_skips: count(journal, |e| matches!(e, ProtoEvent::MhSkip { .. })),
+    }
+}
+
+/// A BR's isolation costs its subtree nothing. BR 1, fenced on the
+/// minority side, stops answering its children, so AG ring 1's leader
+/// misses three probes and fails over to its next candidate, BR 0, the
+/// primary. BR 0 kept its `MQ` at BR 1's last ack for one failover window
+/// after excising BR 1 and replays the leader's resume point from it: no
+/// AG, AP or walker of ring 1 skips. BR 1 itself, left without children,
+/// still skips at the merge the 100 GSNs BR 0 ordered meanwhile, every one
+/// delivered by every walker: the window closed long before (ROADMAP
+/// item 3).
+#[test]
+fn a_ring_under_an_isolated_br_fails_over_to_the_primary() {
+    let sc = isolated_br1(SimTime::from_secs(2));
+    let spec = ringnet_spec(&sc);
+    assert_eq!(spec.ag_rings[1].parent_candidates, [NodeId(1), NodeId(0)]);
+    let report = RingNetSim::run_scenario(&sc, 7);
+    let journal = &report.journal;
+    let iso = isolation(&sc, journal);
+    let window = HEARTBEAT_PERIOD * 5;
+    assert!(
+        matches!(iso.leader1_grafts[..], [(_, NodeId(1)), (t, NodeId(0))]
+            if t > iso.fenced && t < iso.fenced + window),
+        "ring 1's leader fails over to BR 0 within the window: {:?}",
+        iso.leader1_grafts
+    );
+    let gap = iso.ne_skips.get(&NodeId(1)).cloned().unwrap_or_default();
+    assert_eq!(
+        iso.ne_skips.keys().copied().collect::<Vec<_>>(),
+        [NodeId(1)],
+        "only BR 1 skips"
+    );
+    assert_eq!(
+        gap,
+        (100..200).collect::<Vec<_>>(),
+        "BR 1 skips at the merge"
+    );
+    let ordered_meanwhile: BTreeSet<u64> = (journal.iter())
+        .filter_map(|(t, e)| match *e {
+            ProtoEvent::Ordered { node, gsn, .. }
+                if *t >= SimTime::from_secs(1) && *t < iso.merged =>
+            {
+                assert_eq!(node, NodeId(0), "only the primary orders");
                 Some(gsn.0)
             }
             _ => None,
         })
         .collect();
-    let gap = skipped.get(&NodeId(1)).cloned().unwrap_or_default();
-    assert!(gap.len() > 50, "BR 1 skips: {gap:?}");
     assert!(gap.iter().all(|g| ordered_meanwhile.contains(g)));
-    let mut skippers = vec![NodeId(1)];
-    skippers.extend(&subtree1);
-    assert_eq!(skipped.keys().copied().collect::<Vec<_>>(), skippers);
-    assert!(
-        skipped.values().all(|s| *s == gap),
-        "the same GSNs everywhere"
-    );
-    let leader1 = ring1.members[0];
-    let grafts = count(
-        journal,
-        |e| matches!(e, ProtoEvent::Grafted { child, .. } if *child == leader1),
-    );
-    assert_eq!(grafts, 1, "ring 1's leader stays grafted onto BR 1");
-    // Ring 0's walkers delivered every GSN ring 1 skipped.
-    let walkers0: Vec<Guid> = spec
-        .mhs
-        .iter()
-        .filter(|m| m.initial_ap.is_some_and(|ap| subtree0.contains(&ap)))
-        .map(|m| m.guid)
-        .collect();
-    assert!(!walkers0.is_empty());
+    assert_eq!(iso.mh_skips, 0);
     for g in &gap {
         let got = count(
             journal,
-            |e| matches!(e, ProtoEvent::MhDeliver { mh, gsn, .. } if gsn.0 == *g && walkers0.contains(mh)),
+            |e| matches!(e, ProtoEvent::MhDeliver { gsn, .. } if gsn.0 == *g),
         );
-        assert_eq!(got, walkers0.len(), "GSN {g}");
+        assert_eq!(got, spec.mhs.len(), "GSN {g}");
     }
     assert_eq!(ringnet_core::metrics::order_violations(journal), 0);
+}
+
+/// The same isolation healed at 1.2 s, after BR 1 fenced itself at 1.15 s
+/// but before AG ring 1's leader has missed it three times. BR 1 merges
+/// back and answers again, so the leader stays grafted onto it, and its
+/// NACKs for what BR 0 ordered meanwhile are served from what BR 0 still
+/// holds at BR 1's last ack: nothing is skipped anywhere.
+#[test]
+fn a_partition_healed_before_the_failover_skips_nothing() {
+    let sc = isolated_br1(SimTime::from_millis(1_200));
+    let report = RingNetSim::run_scenario(&sc, 7);
+    let iso = isolation(&sc, &report.journal);
+    assert_eq!(iso.fenced, SimTime::from_millis(1_150));
+    assert!(
+        iso.merged < iso.fenced + HEARTBEAT_PERIOD * 2,
+        "{:?}",
+        iso.merged
+    );
+    assert_eq!(
+        iso.leader1_grafts.iter().map(|g| g.1).collect::<Vec<_>>(),
+        [NodeId(1)],
+        "one graft"
+    );
+    assert_eq!(iso.ne_skips, BTreeMap::new());
+    assert_eq!(iso.mh_skips, 0);
+    assert_eq!(ringnet_core::metrics::order_violations(&report.journal), 0);
 }
 
 /// A cut between an AG ring's leader and its next member, pinned as a
