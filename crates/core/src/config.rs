@@ -20,7 +20,7 @@
 //! | `TOKEN_QUIET_AFTER` | 200 ms | "Message-Ordering runs well" window of Token-Regeneration | §4.2.1 |
 //! | `WQ_CAPACITY` | 4096 | slots of each per-source `WQ` queue | §4.1 |
 //! | `RESERVATION_TTL` | 2 s | life of a reservation-only AP's path | §3 |
-//! | [`AG_RING_CAP`] | 11 | AGs per ring in the automatic layout | §5, Theorem 5.1 |
+//! | [`AG_RING_CAP`] | 4 | AGs per ring in the automatic layout | §5, Theorem 5.1 |
 //!
 //! The two-version token snapshot of §4.1, the WTSNP retention of
 //! `token::WTSNP_RETAIN_ROTATIONS` (see [`crate::token`]) and the
@@ -73,15 +73,15 @@ pub(crate) const RESERVATION_TTL: SimDuration = SimDuration::from_secs(2);
 /// ([`CoreShape::Auto`](crate::driver::CoreShape::Auto)), which splits more
 /// AGs into the fewest rings of balanced size under the BR ring (Figure 1).
 /// A message crosses `cap − 1` AG-ring hops after the ring's leader:
-/// Theorem 5.1's ring term of `T_deliver`, 20 ms at 11 over 2 ms links
-/// against 126 ms for one ring of 64 AGs. A ring costs no probe stream of
-/// its own: the leader's next member watches the leader through the data
-/// it receives, and the last member does not probe it. What blocks a
-/// lower cap is the split itself: a ring whose leader grafts onto a BR
-/// that a ring partition isolates skips, after the merge, what the
-/// primary side ordered meanwhile. At 8 the 250-seed stress soak splits
-/// its 9-AG worlds in two, and two of them isolate BR 1 this way.
-pub const AG_RING_CAP: usize = 11;
+/// Theorem 5.1's ring term of `T_deliver`. The rule the cap follows: a
+/// ring's worst circulation, 3 hops of 2 ms, is about one 5 ms top-ring
+/// hop, so the ring term never outweighs a hop of the ordering ring. A
+/// ring costs no probe stream of its own: the leader's next member watches
+/// the leader through the data it receives, and the last member does not
+/// probe it. A ring whose leader hangs from a BR that a ring partition
+/// isolates fails over to the primary side, which serves its resume point
+/// (`FAILOVER_WINDOW`).
+pub const AG_RING_CAP: usize = 4;
 
 // A token pass's whole retransmission chain ends before a quiet token may
 // be regenerated, so a regenerated lineage never races a retry of the one

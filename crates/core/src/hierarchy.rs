@@ -1123,8 +1123,9 @@ mod tests {
     }
 
     #[test]
-    fn seventeen_ags_split_nine_and_eight() {
-        assert_eq!(ring_sizes(&auto(68, 2)), vec![9, 8], "never 11 + 6");
+    fn seventeen_ags_split_into_five_rings() {
+        let sizes = ring_sizes(&auto(68, 2));
+        assert_eq!(sizes, vec![4, 3, 4, 3, 3], "never 4 + 4 + 4 + 4 + 1");
     }
 
     #[test]
@@ -1203,7 +1204,8 @@ mod tests {
         let g = |ids: &[u32]| ids.iter().copied().map(GroupId).collect::<Vec<_>>();
         let brs = |ids: &[u32]| ids.iter().copied().map(NodeId).collect::<Vec<_>>();
         // Entry BR per group: source i enters at BR i; 96 cells make 24
-        // AGs in three rings whose usual lists start at BRs 0, 1 and 2.
+        // AGs in six rings whose usual lists start at BRs 0, 1, 2, 3, 0
+        // and 1.
         let sc = ScenarioBuilder::new()
             .attachments(96)
             .sources(4)
@@ -1212,11 +1214,11 @@ mod tests {
             .build();
         let spec = ringnet_spec(&sc);
         assert_eq!(spec.top_ring, brs(&[0, 1, 2, 3]));
-        assert_eq!(spec.ag_rings.len(), 3);
+        assert_eq!(spec.ag_rings.len(), 6);
         // Ring i of the group entering at BR e lists BR i + e onwards.
         let turned = |e: u32| -> Vec<Vec<NodeId>> {
             let list = |i| (0..4).map(|k| NodeId((i + e + k) % 4)).collect();
-            (0..3).map(list).collect()
+            (0..6).map(list).collect()
         };
         let want = [(1, 1), (2, 3), (3, 0), (4, 2)].map(|(group, e)| (GroupId(group), turned(e)));
         assert_eq!(rooted_parents(&spec), want);

@@ -584,15 +584,19 @@ const SPEC_DIGESTS: &[(&str, u64)] = &[
     ("engine_scenarios.rs figure1_latency_is_token_wait_plus_link_delays_exactly", 0x8ac3a5a7ee695e6a),
     ("driver ringnet_spec: ScenarioBuilder::figure1 (quickstart, README, integration)", 0xd67b15a04ed505bf),
     ("driver ringnet_spec: CoreShape::Hierarchy (E1, E4, E8, T1, integration, examples)", 0xbdbfd46356f34ada),
-    ("driver ringnet_spec: CoreShape::Auto, 8×4 grid (campus_128's shape)", 0xda2ebe15b6d8347e),
+    // Moved on purpose when AG_RING_CAP went from 11 to 4 (was
+    // 0xda2ebe15b6d8347e): the 8 AGs form 2 rings of 4, ring i listing
+    // BR i mod 2 first, in place of one ring of 8.
+    ("driver ringnet_spec: CoreShape::Auto, 8×4 grid (campus_128's shape)", 0x18d4341a793ede0c),
     // Moved on purpose when the automatic layout split more than
     // AG_RING_CAP AGs into balanced rings (was 0x8b01097c5f6ca2e9): the
     // 64 AGs form 4 rings of 16, ring i listing BR i mod 2 first, in place
     // of one ring of 64. Its AGs, APs and walkers are unedited. Moved
     // again when AG_RING_CAP went from 16 to 11 (was 0x025ceefc43e5f1d9):
     // 6 rings of 11, 11, 11, 11, 10 and 10 AGs, ring i listing BR i mod 2
-    // first.
-    ("driver ringnet_spec: CoreShape::Auto, 16×16 grid (metro_1k's shape)", 0x9434f5acb47c4805),
+    // first. Moved again when AG_RING_CAP went from 11 to 4 (was
+    // 0x9434f5acb47c4805): 16 rings of 4.
+    ("driver ringnet_spec: CoreShape::Auto, 16×16 grid (metro_1k's shape)", 0xd3858abb6f4b2af5),
 ];
 
 #[test]

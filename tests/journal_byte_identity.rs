@@ -720,11 +720,20 @@ fn stress_world(generator_seed: u64) -> Scenario {
 /// at 3.251 s as before, but AG 6 has by then collected GSNs 363–387, so
 /// each AP skips them (ROADMAP item 5). World 98's digests, like every
 /// other in this file, are unedited.
+///
+/// World 98's ringnet digest was regenerated on purpose when
+/// `AG_RING_CAP` went from 11 to 4 (was `0x3c822d691cf9ed30`): its 6 AGs
+/// form two rings of 3, the second led by AG 5 under BR 1. The wired-core
+/// cut BR 1 – AG 5 at 0.838 s sends AG 5 to BR 0 at 1.003 s, which fetches
+/// the range AG 5 lacks from BR 1 (`fetch_collected`), so that ring skips
+/// nothing; the ring partition at 2.146 s then finds BR 1 childless.
+/// 111 198 deliveries and 373 skips become 111 238 and 364. Its counters
+/// moved with it. World 104 lays out one ring at either cap.
 const GOLDEN_FAULT_PATH_DIGESTS: &[(u64, [PinnedBackend; 3])] = &[
     (
         98,
         [
-            ("ringnet", RingNetSim::run_scenario, 0x3c822d691cf9ed30),
+            ("ringnet", RingNetSim::run_scenario, 0x4d7b1185e8ab265b),
             ("flat_ring", FlatRingSim::run_scenario, 0xa4119feec6fc1a91),
             ("tree", TreeSim::run_scenario, 0x804650773babdd0e),
         ],
@@ -991,6 +1000,9 @@ fn multigroup_fault_world_is_pinned() {
 /// the node that excised moves (`replay` BR 1 7 → 28, after BR 2 dies;
 /// `stress_98` BR 0 29 → 70 and station 0 57 → 76, after the ring
 /// partition), nothing it sent, and every journal digest is unedited.
+/// `stress_98/ringnet` moved again, with its journal digest, when
+/// `AG_RING_CAP` went from 11 to 4 (was `0x413456770874a8e0`): see
+/// `GOLDEN_FAULT_PATH_DIGESTS`.
 const COUNTERS_DIGESTS: &[(&str, u64)] = &[
     ("ringnet", 0x984ac802a4482d50),
     ("flat_ring", 0x0c77671a3b244c94),
@@ -1000,7 +1012,7 @@ const COUNTERS_DIGESTS: &[(&str, u64)] = &[
     ("unordered", 0x2a90bd5584387025),
     ("rings8", 0x7c16bc1f31773d75),
     ("fence_overlap_4", 0x94d8112f58af1932),
-    ("stress_98/ringnet", 0x413456770874a8e0),
+    ("stress_98/ringnet", 0x08d5234aa21d09fc),
     ("stress_98/flat_ring", 0x58b9cf209e12a060),
     ("stress_98/tree", 0xad515566f3f86c48),
     ("stress_104/ringnet", 0x27a1c6e086d476f6),
