@@ -127,13 +127,17 @@ pub fn hotpath_scenarios() -> Vec<HotpathRow> {
         .build();
 
     // 8 CBR sources × 500 msg/s split across 4 disjoint rings, with
-    // `mq_capacity` shrunk to 128 so the per-ring buffer budget binds.
+    // `mq_capacity` shrunk to 128 so the per-ring buffer budget binds. The
+    // sources stop 500 ms before the end, so every message is delivered
+    // by then and the per-delivery ratios divide by a count that nothing
+    // in flight at the cut moves.
     let rings = 4u32;
     let mut multigroup = Scenario::builder()
         .attachments(8)
         .walkers_per_attachment(1)
         .sources(8)
         .cbr(SimDuration::from_millis(2))
+        .window(SimTime::ZERO, Some(SimTime::from_millis(1_500)))
         .loss_free_wireless()
         .duration(SimTime::from_secs(2))
         .groups((1..=rings).map(GroupId).collect())
