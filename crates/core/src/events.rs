@@ -34,7 +34,20 @@ pub enum ProtoEvent {
         /// Assigned global sequence number.
         gsn: GlobalSeq,
     },
-    /// An entity skipped a really-lost message.
+    /// An entity gave up on a GSN after its NACK budget and stepped over
+    /// it. The message is gone only when every entity that held it died.
+    /// The other causes, each a skip of data some member still delivered
+    /// (ROADMAP item 3):
+    /// - the failover window: an orphan grafts onto a lower-ring parent
+    ///   that has already collected its resume point (a top-ring parent
+    ///   fetches the range from its ring predecessor instead);
+    /// - a cut AG-ring link, after which both ends excise each other;
+    /// - a BR merging back after a partition longer than the window in
+    ///   which its predecessor kept what it had not acknowledged.
+    ///
+    /// The radio NACK budget skips at an MH only ([`ProtoEvent::MhSkip`]),
+    /// and an MH inherits its AP's skips. Tail loss, a lost last message
+    /// no later one reveals, leaves a gap that no skip records.
     NeSkip {
         /// The ordering ring (group) this record belongs to.
         group: GroupId,
@@ -56,7 +69,8 @@ pub enum ProtoEvent {
         /// Local sequence number at that source.
         local_seq: LocalSeq,
     },
-    /// An MH skipped a really-lost message.
+    /// An MH gave up on a GSN: its AP skipped it ([`ProtoEvent::NeSkip`]),
+    /// or the radio NACK budget ran out on a lossy hop.
     MhSkip {
         /// The ordering ring (group) this record belongs to.
         group: GroupId,
