@@ -240,8 +240,11 @@ pub fn ne_skips_delivered_elsewhere(journal: &[(SimTime, ProtoEvent)]) -> u64 {
             _ => None,
         })
         .collect();
-    let elsewhere = |e: &ProtoEvent| matches!(*e, ProtoEvent::NeSkip { group, gsn, .. } if delivered.contains(&(group, gsn)));
-    journal.iter().filter(|(_, e)| elsewhere(e)).count() as u64
+    let elsewhere = |(_, e): &&(SimTime, ProtoEvent)| match *e {
+        ProtoEvent::NeSkip { group, gsn, .. } => delivered.contains(&(group, gsn)),
+        _ => false,
+    };
+    journal.iter().filter(elsewhere).count() as u64
 }
 
 /// What one soaked seed produced on one backend.

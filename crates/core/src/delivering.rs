@@ -614,4 +614,137 @@ mod tests {
             }
         )));
     }
+
+    /// BR 1 of the top ring 0 → 1 → 2, holding GSNs 1–10 and collected up
+    /// to 10: its next acked 10 and it has no child.
+    fn br1_collected_to_10() -> NeState {
+        let ring = vec![NodeId(0), NodeId(1), NodeId(2)];
+        let mut n = NeState::new_br(G, NodeId(1), ring, true, ProtocolConfig::default());
+        let mut out = Vec::new();
+        for g in 1..=10 {
+            n.on_data(
+                SimTime::ZERO,
+                Endpoint::Ne(NodeId(0)),
+                GlobalSeq(g),
+                data(g),
+                &mut out,
+            );
+        }
+        n.ring.as_mut().unwrap().next_acked_mq = GlobalSeq(10);
+        n.tick_hop(SimTime::from_millis(5), &mut out);
+        assert_eq!(n.mq.valid_front(), GlobalSeq(10));
+        n
+    }
+
+    fn sends(out: &Outbox) -> Vec<(Endpoint, &Msg)> {
+        out.iter()
+            .filter_map(|a| match a {
+                Action::Send { to, msg } => Some((*to, msg)),
+                _ => None,
+            })
+            .collect()
+    }
+
+    #[test]
+    fn a_top_ring_parent_fetches_what_a_child_grafts_below() {
+        let mut n = br1_collected_to_10();
+        let mut out = Vec::new();
+        n.on_graft(
+            SimTime::from_millis(6),
+            NodeId(20),
+            GlobalSeq(3),
+            false,
+            &mut out,
+        );
+        let nacks: Vec<_> = (sends(&out).into_iter())
+            .filter_map(|(to, m)| match m {
+                Msg::DataNack { missing, .. } => Some((to, missing.clone())),
+                _ => None,
+            })
+            .collect();
+        let range = (4..10).map(GlobalSeq).collect();
+        assert_eq!(
+            nacks,
+            vec![(Endpoint::Ne(NodeId(0)), range)],
+            "to the ring predecessor"
+        );
+        // A child at the front needs nothing; what comes back goes only to
+        // the child below it, and the parent's own `MQ` stays as it was.
+        n.on_graft(
+            SimTime::from_millis(6),
+            NodeId(21),
+            GlobalSeq(10),
+            false,
+            &mut out,
+        );
+        out.clear();
+        n.on_data(
+            SimTime::from_millis(16),
+            Endpoint::Ne(NodeId(0)),
+            GlobalSeq(5),
+            data(5),
+            &mut out,
+        );
+        let datas: Vec<_> = (sends(&out).into_iter())
+            .filter_map(|(to, m)| {
+                matches!(
+                    m,
+                    Msg::Data {
+                        gsn: GlobalSeq(5),
+                        ..
+                    }
+                )
+                .then_some(to)
+            })
+            .collect();
+        assert_eq!(datas, vec![Endpoint::Ne(NodeId(20))]);
+        assert_eq!(n.mq.valid_front(), GlobalSeq(10));
+        // A lower ring's parent has no ring predecessor holding for it.
+        let mut ag = ag_with_content(5);
+        ag.mq.gc_to(GlobalSeq(4));
+        out.clear();
+        ag.on_graft(SimTime::ZERO, NodeId(99), GlobalSeq(1), false, &mut out);
+        assert!(!out.iter().any(|a| matches!(
+            a,
+            Action::Send {
+                msg: Msg::DataNack { .. },
+                ..
+            }
+        )));
+    }
+
+    #[test]
+    fn a_fenced_br_answers_its_ring_but_not_its_children() {
+        let mut n = br1_collected_to_10();
+        let mut out = Vec::new();
+        n.on_graft(
+            SimTime::from_millis(6),
+            NodeId(20),
+            GlobalSeq(10),
+            false,
+            &mut out,
+        );
+        // BR 1 loses BRs 0 and 2: alone of three, it fences itself.
+        for dead in [NodeId(0), NodeId(2)] {
+            n.ring.as_mut().unwrap().mark_dead(dead);
+        }
+        n.check_partition_fence(SimTime::from_millis(7), &mut out);
+        assert!(n.is_partition_fenced());
+        out.clear();
+        let now = SimTime::from_millis(8);
+        n.on_heartbeat(now, Endpoint::Ne(NodeId(20)), &mut out);
+        n.on_graft(now, NodeId(21), GlobalSeq(10), false, &mut out);
+        n.on_data_nack(Endpoint::Ne(NodeId(20)), &[GlobalSeq(10)], &mut out);
+        assert!(out.is_empty(), "children go unanswered: {out:?}");
+        assert!(!n.children.contains_key(&NodeId(21)));
+        n.on_heartbeat(now, Endpoint::Ne(NodeId(0)), &mut out);
+        let acked = sends(&out);
+        assert!(
+            matches!(
+                acked[..],
+                [(Endpoint::Ne(NodeId(0)), Msg::HeartbeatAck { .. })]
+            ),
+            "a ring peer's probe is heal evidence: {out:?}"
+        );
+    }
 }
