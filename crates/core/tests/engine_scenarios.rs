@@ -1213,8 +1213,8 @@ fn isolated_br1(heal: SimTime) -> Scenario {
         .build()
 }
 
-/// When each entity of [`isolated_br1`] fenced itself, merged back, and
-/// when AG ring 1's leader grafted onto which parent.
+/// What a run of [`isolated_br1`] journaled: when BR 1 fenced itself and
+/// merged back, where and when AG ring 1's leader grafted, and the skips.
 struct Isolation {
     fenced: SimTime,
     merged: SimTime,
@@ -1225,42 +1225,37 @@ struct Isolation {
 
 fn isolation(sc: &Scenario, journal: &[(SimTime, ProtoEvent)]) -> Isolation {
     let leader1 = ringnet_spec(sc).ag_rings[1].members[0];
-    let at = |f: &dyn Fn(&ProtoEvent) -> bool| journal.iter().find(|(_, e)| f(e)).map(|(t, _)| *t);
+    let (mut fenced, mut merged) = (None, None);
+    let (mut leader1_grafts, mut mh_skips) = (Vec::new(), 0);
     let mut ne_skips: BTreeMap<NodeId, Vec<u64>> = BTreeMap::new();
-    for (_, e) in journal {
-        if let ProtoEvent::NeSkip { node, gsn, .. } = e {
-            ne_skips.entry(*node).or_default().push(gsn.0);
+    for &(t, e) in journal {
+        match e {
+            ProtoEvent::RingPartitioned {
+                node: NodeId(1), ..
+            } => {
+                fenced.get_or_insert(t);
+            }
+            ProtoEvent::RingMerged {
+                node: NodeId(1), ..
+            } => {
+                merged.get_or_insert(t);
+            }
+            ProtoEvent::Grafted { parent, child, .. } if child == leader1 => {
+                leader1_grafts.push((t, parent));
+            }
+            ProtoEvent::NeSkip { node, gsn, .. } => {
+                ne_skips.entry(node).or_default().push(gsn.0);
+            }
+            ProtoEvent::MhSkip { .. } => mh_skips += 1,
+            _ => {}
         }
     }
     Isolation {
-        fenced: at(&|e| {
-            matches!(
-                e,
-                ProtoEvent::RingPartitioned {
-                    node: NodeId(1),
-                    ..
-                }
-            )
-        })
-        .expect("BR 1 fences itself"),
-        merged: at(&|e| {
-            matches!(
-                e,
-                ProtoEvent::RingMerged {
-                    node: NodeId(1),
-                    ..
-                }
-            )
-        })
-        .expect("BR 1 merges back"),
-        leader1_grafts: (journal.iter())
-            .filter_map(|(t, e)| match *e {
-                ProtoEvent::Grafted { parent, child, .. } if child == leader1 => Some((*t, parent)),
-                _ => None,
-            })
-            .collect(),
+        fenced: fenced.expect("BR 1 fences itself"),
+        merged: merged.expect("BR 1 merges back"),
+        leader1_grafts,
         ne_skips,
-        mh_skips: count(journal, |e| matches!(e, ProtoEvent::MhSkip { .. })),
+        mh_skips,
     }
 }
 
