@@ -59,8 +59,10 @@ impl NeState {
     /// goes to the children that lack it (`on_data`).
     fn fetch_collected(&mut self, resume_from: GlobalSeq, out: &mut Outbox) {
         let (first, collected) = (resume_from.next(), self.mq.valid_front());
-        let prev = self.ring_prev().filter(|&p| p != self.id);
-        let Some(prev) = prev.filter(|_| self.is_top_ring() && first < collected) else {
+        if !self.is_top_ring() || first >= collected {
+            return;
+        }
+        let Some(prev) = self.ring_prev().filter(|&p| p != self.id) else {
             return;
         };
         let missing = (first.0..collected.0).map(GlobalSeq).collect();

@@ -161,7 +161,7 @@ impl RingState {
     /// BR's children graft onto a BR of the primary component, which
     /// serves their resume point from this retention.
     pub(crate) fn hold_for_failover(&mut self, me: NodeId, failed: NodeId, now: SimTime) {
-        if self.is_top && self.is_in_ring(failed) && self.next_of(me) == failed {
+        if self.is_top && self.next_of(me) == failed {
             let until = now + crate::config::FAILOVER_WINDOW;
             self.failover_hold = Some((self.next_acked_mq, until));
         }
