@@ -23,9 +23,7 @@ use simnet::SimTime;
 /// The flat ring as a [`MulticastSim`] backend: attachment `k` is station
 /// `NodeId(k)`, the wired core is *every* station (they all carry the
 /// ring's ordering and forwarding work — that is the point of E1). It *is*
-/// the RingNet engine underneath, always on the sequential simulator
-/// (`Scenario::shards` is ignored: there are no attachment subtrees to
-/// partition).
+/// the RingNet engine underneath.
 pub struct FlatRingSim(pub RingNetSim);
 
 impl MulticastSim for FlatRingSim {
@@ -34,7 +32,6 @@ impl MulticastSim for FlatRingSim {
             flat_ring_spec(scenario),
             scenario,
             seed,
-            1,
         ))
     }
 

@@ -23,8 +23,7 @@ use simnet::SimTime;
 /// [`ringnet_core::driver::degenerate_tree_spec`] — one root, rings of
 /// one, reservation radius 0, on-demand activation — so every handoff
 /// rebuilds the delivery tree. Every scenario event kind is supported (it
-/// *is* the RingNet engine underneath), always on the sequential simulator
-/// (`Scenario::shards` is ignored).
+/// *is* the RingNet engine underneath).
 pub struct TreeSim(pub RingNetSim);
 
 impl MulticastSim for TreeSim {
@@ -33,7 +32,6 @@ impl MulticastSim for TreeSim {
             degenerate_tree_spec(scenario),
             scenario,
             seed,
-            1,
         ))
     }
 

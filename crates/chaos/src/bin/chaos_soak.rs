@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! chaos_soak [--seeds N] [--start S] [--seed K] [--backends a,b,c]
-//!            [--quick | --stress | --massive] [--shards N] [--telemetry]
+//!            [--quick | --stress | --massive] [--telemetry]
 //!            [--no-shrink] [--equivalence N]
 //! ```
 //!
@@ -12,11 +12,8 @@
 //! * `--quick` — the CI-sized generator space (smaller worlds/runs).
 //! * `--stress` — the opt-in production-scale space (tens of attachments,
 //!   hundreds of walkers). Not run in CI.
-//! * `--massive` — the sharded-execution scale space (thousands of
-//!   walkers on the parallel event-queue engine). Pair with
-//!   `--backends ringnet` — only the ringnet backend shards.
-//! * `--shards N` — override the tier's event-queue shard count (clamped
-//!   to each generated world's attachment count).
+//! * `--massive` — the scale space (thousands of walkers). The CI smoke
+//!   pairs it with `--backends ringnet`.
 //! * `--telemetry` — enable the deterministic telemetry layer on every
 //!   generated scenario. On a violation the shrunk reproduction is
 //!   re-run with per-node flight recorders and the postmortem is written
@@ -42,7 +39,7 @@ use chaos::{check_equivalence, generate, soak_seed, Backend, ChaosConfig, SoakTi
 fn usage() -> ! {
     eprintln!(
         "usage: chaos_soak [--seeds N] [--start S] [--seed K] \
-         [--backends a,b,c] [--quick | --stress | --massive] [--shards N] \
+         [--backends a,b,c] [--quick | --stress | --massive] \
          [--telemetry] [--no-shrink] [--equivalence N]"
     );
     std::process::exit(2)
@@ -56,7 +53,6 @@ fn main() {
     let mut tier = SoakTier::Default;
     let mut shrink = true;
     let mut equivalence: u64 = 0;
-    let mut shards_override: Option<usize> = None;
     let mut telemetry = false;
 
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -74,7 +70,6 @@ fn main() {
             "--quick" => tier = SoakTier::Quick,
             "--stress" => tier = SoakTier::Stress,
             "--massive" => tier = SoakTier::Massive,
-            "--shards" => shards_override = Some(num(&mut it) as usize),
             "--telemetry" => telemetry = true,
             "--no-shrink" => shrink = false,
             "--equivalence" => equivalence = num(&mut it),
@@ -90,12 +85,6 @@ fn main() {
     }
 
     let mut cfg = ChaosConfig::tier(tier);
-    if let Some(n) = shards_override {
-        if n == 0 {
-            usage();
-        }
-        cfg.shards = n;
-    }
     cfg.telemetry = telemetry;
 
     let range: Vec<u64> = match single {
@@ -116,7 +105,7 @@ fn main() {
             SoakTier::Quick => " (quick space)",
             SoakTier::Default => "",
             SoakTier::Stress => " (stress space)",
-            SoakTier::Massive => " (massive sharded space)",
+            SoakTier::Massive => " (massive space)",
         }
     );
 
@@ -169,7 +158,7 @@ fn main() {
                     Err(e) => eprintln!("\nflight-recorder postmortem failed: {e}"),
                 }
                 eprintln!(
-                    "\nreproduce with: chaos_soak --seed {} --backends {}{}{}{}",
+                    "\nreproduce with: chaos_soak --seed {} --backends {}{}{}",
                     failure.seed,
                     failure.backend.name(),
                     match tier {
@@ -177,11 +166,6 @@ fn main() {
                         SoakTier::Default => "",
                         SoakTier::Stress => " --stress",
                         SoakTier::Massive => " --massive",
-                    },
-                    if cfg.shards > 1 {
-                        format!(" --shards {}", cfg.shards)
-                    } else {
-                        String::new()
                     },
                     if telemetry { " --telemetry" } else { "" }
                 );

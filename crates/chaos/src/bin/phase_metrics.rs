@@ -1,14 +1,14 @@
 //! Per-phase telemetry summary for one chaos seed.
 //!
 //! ```text
-//! phase_metrics [--seed K] [--quick | --stress | --massive] [--shards N]
+//! phase_metrics [--seed K] [--quick | --stress | --massive]
 //! ```
 //!
 //! Generates seed `K`'s scenario (default 0) in the chosen tier space,
 //! forces the deterministic telemetry layer on, runs it on the ringnet
 //! backend, and prints a Markdown table aggregating the harvested
 //! metrics by protocol phase — the table EXPERIMENTS.md embeds. Being a
-//! pure function of `(tier, shards, seed)`, the output is reproducible
+//! pure function of `(tier, seed)`, the output is reproducible
 //! byte for byte.
 
 use chaos::{generate, ChaosConfig, SoakTier};
@@ -17,7 +17,7 @@ use ringnet_core::telemetry::{metric, FixedHistogram};
 use ringnet_core::{RingNetSim, TelemetryReport};
 
 fn usage() -> ! {
-    eprintln!("usage: phase_metrics [--seed K] [--quick | --stress | --massive] [--shards N]");
+    eprintln!("usage: phase_metrics [--seed K] [--quick | --stress | --massive]");
     std::process::exit(2)
 }
 
@@ -49,7 +49,6 @@ fn counter_rows(t: &TelemetryReport, rows: &[(&str, &str)]) -> String {
 fn main() {
     let mut seed: u64 = 0;
     let mut tier = SoakTier::Default;
-    let mut shards: Option<usize> = None;
 
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut it = args.iter();
@@ -64,19 +63,12 @@ fn main() {
             "--quick" => tier = SoakTier::Quick,
             "--stress" => tier = SoakTier::Stress,
             "--massive" => tier = SoakTier::Massive,
-            "--shards" => shards = Some(num(&mut it) as usize),
             _ => usage(),
         }
     }
 
     let mut cfg = ChaosConfig::tier(tier);
     cfg.telemetry = true;
-    if let Some(n) = shards {
-        if n == 0 {
-            usage();
-        }
-        cfg.shards = n;
-    }
     let sc = generate(&cfg, seed);
     let report = RingNetSim::run_scenario(&sc, seed);
     let t = report
@@ -84,14 +76,13 @@ fn main() {
         .expect("telemetry enabled on the generated scenario");
 
     println!(
-        "## Per-phase telemetry — seed {seed}{}, {} shard(s), {} node recorder(s)\n",
+        "## Per-phase telemetry — seed {seed}{}, {} node recorder(s)\n",
         match tier {
             SoakTier::Quick => " (quick)",
             SoakTier::Default => "",
             SoakTier::Stress => " (stress)",
             SoakTier::Massive => " (massive)",
         },
-        sc.shards,
         t.nodes.len()
     );
 

@@ -15,8 +15,7 @@
 //! Four [`SoakTier`]s bound the space: `Quick` (CI-sized), `Default`, the
 //! opt-in `Stress` tier (tens of attachments, hundreds of walkers — the
 //! ROADMAP's production-scale worlds), and the `Massive` tier (thousands
-//! of walkers on the sharded parallel engine), selected via
-//! [`ChaosConfig::tier`].
+//! of walkers), selected via [`ChaosConfig::tier`].
 //!
 //! Determinism: the scenario is a pure function of `(ChaosConfig, seed)`.
 
@@ -35,12 +34,11 @@ pub enum SoakTier {
     /// Opt-in production-scale worlds: tens of attachments, hundreds of
     /// walkers. Not run in CI (wall-time); `chaos_soak --stress`.
     Stress,
-    /// Sharded-execution scale proof: thousands of walkers (5k–12k) on
-    /// wide attachment chains, run through the parallel event-queue shards
-    /// (`chaos_soak --massive`). Trades the fault repertoire for raw scale
-    /// — runs are fault-free mobility worlds whose whole point is that the
-    /// sharded engine keeps every audit promise at populations the
-    /// sequential soak tiers never reach.
+    /// Scale proof: thousands of walkers (5k–12k) on wide attachment
+    /// chains (`chaos_soak --massive`). Trades the fault repertoire for raw
+    /// scale — runs are fault-free mobility worlds whose whole point is
+    /// that the engine keeps every audit promise at populations the other
+    /// soak tiers never reach.
     Massive,
 }
 
@@ -56,10 +54,6 @@ pub struct ChaosConfig {
     pub max_walkers_per_attachment: usize,
     /// Smallest initial walkers-per-attachment count.
     pub min_walkers_per_attachment: usize,
-    /// Event-queue shards the generated scenario requests from
-    /// parallel-capable backends (clamped to the attachment count; `1` =
-    /// sequential execution everywhere).
-    pub shards: usize,
     /// Force CBR traffic (the massive tier bounds its event volume this
     /// way; Poisson rates are unbounded enough to blow up 10k-walker runs).
     pub force_cbr: bool,
@@ -137,7 +131,6 @@ impl Default for ChaosConfig {
             min_attachments: 2,
             max_walkers_per_attachment: 2,
             min_walkers_per_attachment: 1,
-            shards: 1,
             force_cbr: false,
             max_sources: 3,
             min_duration: SimDuration::from_secs(5),
@@ -188,26 +181,25 @@ impl ChaosConfig {
         }
     }
 
-    /// The sharded-execution scale space ([`SoakTier::Massive`]): chains
-    /// of 64–80 attachments carrying 100–160 walkers each (≈6.5k–12.8k
-    /// walkers), CBR-only traffic, eight event-queue shards, and a run
-    /// too short for the fault scheduler to fit a recoverable fault — the
-    /// tier proves scale, the other tiers prove faults.
+    /// The scale space ([`SoakTier::Massive`]): chains of 64–80
+    /// attachments carrying 100–160 walkers each (≈6.5k–12.8k walkers),
+    /// CBR-only traffic, and a run too short for the fault scheduler to
+    /// fit a recoverable fault — the tier proves scale, the other tiers
+    /// prove faults.
     pub fn massive() -> Self {
         ChaosConfig {
             max_attachments: 80,
             min_attachments: 64,
             max_walkers_per_attachment: 160,
             min_walkers_per_attachment: 100,
-            shards: 8,
             force_cbr: true,
             max_sources: 2,
             min_duration: SimDuration::from_secs(3),
             max_duration: SimDuration::from_millis(3_500),
             allow_lossy_wireless: false,
             allow_late_joins: false,
-            // The massive tier proves raw scale on the sharded engine;
-            // group structure is the other tiers' job.
+            // The massive tier proves raw scale; group structure is the
+            // other tiers' job.
             allow_multi_group: false,
             ..ChaosConfig::default()
         }
@@ -565,7 +557,6 @@ pub fn generate(cfg: &ChaosConfig, seed: u64) -> Scenario {
     let sc = b
         .walkers(placements)
         .sources(sources)
-        .shards(cfg.shards.clamp(1, attachments))
         .telemetry(cfg.telemetry)
         .pattern(pattern)
         .window(start, None)
@@ -738,7 +729,7 @@ mod tests {
     }
 
     #[test]
-    fn massive_tier_reaches_sharded_scale() {
+    fn massive_tier_reaches_scale() {
         let cfg = ChaosConfig::tier(SoakTier::Massive);
         for seed in 0..8 {
             let sc = generate(&cfg, seed);
@@ -748,7 +739,6 @@ mod tests {
                 "seed {seed}: massive worlds carry thousands of walkers (saw {})",
                 sc.walkers.len()
             );
-            assert_eq!(sc.shards, 8, "massive worlds run sharded");
             assert!(
                 matches!(sc.pattern, TrafficPattern::Cbr { .. }),
                 "massive traffic is CBR-bounded"

@@ -13,8 +13,8 @@
 //!   from the full repertoire (walker/core kills, core kill → restart →
 //!   ring-rejoin cycles, AP crash + restart, wired-core partitions with
 //!   heal, forced token loss), in four sizes ([`SoakTier`]) up to an
-//!   opt-in production-scale stress tier and a sharded-execution massive
-//!   tier (thousands of walkers on the parallel event-queue engine).
+//!   opt-in production-scale stress tier and a massive tier (thousands of
+//!   walkers).
 //! * [`audit`] — an **auditor** fed one protocol event at a time (today
 //!   from a run's retained journal, in one batch pass) that checks, per
 //!   delivery, total-order agreement across members, gap-freedom per
@@ -59,7 +59,6 @@ pub use gen::{generate, ChaosConfig, SoakTier};
 pub use postmortem::{dump_json, failure_dump, write_dump};
 pub use shrink::shrink;
 pub use soak::{
-    audit_scenario_run, check_equivalence, check_shard_equivalence, delivery_sets,
-    equivalence_scenario, ne_skips_delivered_elsewhere, soak_seed, Backend, EquivalenceFailure,
-    SoakFailure, SoakOutcome,
+    audit_scenario_run, check_equivalence, delivery_sets, equivalence_scenario,
+    ne_skips_delivered_elsewhere, soak_seed, Backend, EquivalenceFailure, SoakFailure, SoakOutcome,
 };

@@ -454,49 +454,6 @@ pub fn check_equivalence(
     Ok(compared)
 }
 
-/// Run the seed's loss-free world on the RingNet backend at `shards = 1`
-/// and at every requested shard count, comparing per-walker
-/// delivered-message sets. The sharded engine promises *semantic*
-/// equivalence across shard counts (journal byte-identity only holds per
-/// fixed shard count — event interleaving legitimately differs), so this
-/// is the exact audit the parallel engine owes the sequential one.
-/// Returns the number of deliveries compared.
-pub fn check_shard_equivalence(
-    cfg: &ChaosConfig,
-    seed: u64,
-    shard_counts: &[usize],
-) -> Result<u64, String> {
-    let base = equivalence_scenario(cfg, seed);
-    let run = |shards: usize| {
-        let mut sc = base.clone();
-        sc.shards = shards.clamp(1, sc.attachments);
-        delivery_sets(&Backend::RingNet.run(&sc, seed))
-    };
-    let reference = run(1);
-    let mut compared: u64 = reference.values().map(|s| s.len() as u64).sum();
-    for &n in shard_counts {
-        let sets = run(n);
-        compared += sets.values().map(|s| s.len() as u64).sum::<u64>();
-        if sets == reference {
-            continue;
-        }
-        let detail = reference
-            .keys()
-            .chain(sets.keys())
-            .find(|w| reference.get(w) != sets.get(w))
-            .map(|w| {
-                let a = reference.get(w).map_or(0, |s| s.len());
-                let b = sets.get(w).map_or(0, |s| s.len());
-                format!("walker {w}: shards=1 delivered {a} distinct messages, shards={n} delivered {b}")
-            })
-            .unwrap_or_else(|| "walker sets differ".into());
-        return Err(format!(
-            "seed {seed}: delivery sets diverge between shards=1 and shards={n} — {detail}"
-        ));
-    }
-    Ok(compared)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -527,33 +484,6 @@ mod tests {
             ap: 2,
         });
         assert_eq!(live_walkers(&sc, &cfg), vec![0, 2]);
-    }
-
-    #[test]
-    fn shard_counts_are_delivery_equivalent() {
-        // Seeded property: on loss-free generated worlds, every shard
-        // count delivers the same per-walker message sets as shards = 1.
-        let cfg = ChaosConfig::quick();
-        for seed in 0..4 {
-            let compared =
-                check_shard_equivalence(&cfg, seed, &[2, 4]).unwrap_or_else(|e| panic!("{e}"));
-            assert!(compared > 0, "seed {seed}: nothing compared");
-        }
-    }
-
-    #[test]
-    fn sharded_runs_are_byte_identical_per_shard_count() {
-        // Seeded property: a fixed (scenario, seed, shards) triple yields
-        // byte-identical journals on repeated runs.
-        let cfg = ChaosConfig::quick();
-        for seed in 0..4 {
-            let mut sc = equivalence_scenario(&cfg, seed);
-            sc.shards = 4.min(sc.attachments);
-            let a = Backend::RingNet.run(&sc, seed);
-            let b = Backend::RingNet.run(&sc, seed);
-            assert_eq!(a.journal, b.journal, "seed {seed}: journals diverge");
-            assert!(!a.journal.is_empty(), "seed {seed}: empty journal");
-        }
     }
 
     #[test]

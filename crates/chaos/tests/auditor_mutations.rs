@@ -317,12 +317,11 @@ fn pinned_reports() -> Vec<(String, AuditReport)> {
     .into_iter()
     .map(|(name, case)| (format!("mutation/{name}"), case.report()))
     .collect();
-    // `chaos_stress_12` worlds 98 and 104 at run seed 7 on one shard, as
+    // `chaos_stress_12` worlds 98 and 104 at run seed 7, as
     // `tests/journal_byte_identity.rs` pins their journals.
     let stress = ChaosConfig::stress();
     for world in [98, 104] {
-        let mut sc = generate(&stress, world);
-        sc.shards = 1;
+        let sc = generate(&stress, world);
         for backend in [Backend::RingNet, Backend::FlatRing, Backend::Tree] {
             out.push((
                 format!("stress_{world}/{}", backend.name()),

@@ -323,7 +323,7 @@ pub struct Scenario {
     /// Per-source target group sets: `source_groups[i]` is the fixed group
     /// set that *every* message of source `i` addresses for its whole
     /// lifetime. A missing entry defaults to the single group
-    /// `declared[i % R]` (disjoint round-robin sharding); a *present*
+    /// `declared[i % R]` (disjoint round-robin assignment); a *present*
     /// entry must be non-empty — a message addressed to no group is
     /// rejected by [`Scenario::validate`]. Entries naming two or more
     /// groups route through the cross-group fence on ring backends.
@@ -355,11 +355,10 @@ pub struct Scenario {
     /// empty. Metrics stream through the journal sink either way (see
     /// [`Reporting`]).
     pub retain_journal: bool,
-    /// Event-queue shards for backends that support intra-world parallel
-    /// execution (currently the ringnet backend; others ignore it). `1` =
-    /// classic sequential run. Results are byte-identical per `(seed,
-    /// shards)` and semantically equivalent across shard counts; see
-    /// `simnet::shard`.
+    /// No backend reads this: every world runs on one sequential
+    /// simulator. It stays only because the benchmark package still assigns
+    /// it; ROADMAP item 1a removes that last writer, and the next change
+    /// after it deletes the field.
     pub shards: usize,
 }
 
@@ -475,15 +474,6 @@ impl Scenario {
         }
         problems.extend(self.pattern.problem());
         problems.extend(self.cfg.validate());
-        if self.shards == 0 {
-            problems.push("shards must be at least 1 (1 = sequential run)".into());
-        } else if self.shards > self.attachments {
-            problems.push(format!(
-                "{} shards requested but only {} attachment subtrees exist to \
-                 partition — use at most one shard per attachment",
-                self.shards, self.attachments
-            ));
-        }
         for (w, att) in self.walkers.iter().enumerate() {
             if let Some(a) = att {
                 if *a >= self.attachments {
@@ -867,13 +857,6 @@ impl ScenarioBuilder {
     /// Number of multicast sources.
     pub fn sources(mut self, n: usize) -> Self {
         self.sc.sources = n;
-        self
-    }
-
-    /// Event-queue shards for parallel-capable backends (`1` = sequential;
-    /// must not exceed the attachment count — see [`Scenario::validate`]).
-    pub fn shards(mut self, n: usize) -> Self {
-        self.sc.shards = n;
         self
     }
 

@@ -15,12 +15,9 @@
 //! addresses ([`NodeAddr`]) goes through one immutable [`AddrMap`] shared
 //! by every actor.
 
-use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use simnet::{
-    Actor, Ctx, LinkProfile, NetOps, NodeAddr, ShardedSim, Sim, SimDuration, SimStats, SimTime,
-};
+use simnet::{Actor, Ctx, NodeAddr, Sim, SimDuration, SimStats, SimTime, World};
 
 use crate::actions::{Action, Outbox};
 use crate::config::{HEARTBEAT_PERIOD, HOP_TICK};
@@ -688,68 +685,15 @@ impl<M, F: Fn(u64) -> M> Actor<M, ProtoEvent> for Source<F> {
 
 // ------------------------------------------------------- build machinery
 
-/// The construction surface shared by the sequential [`Sim`] and the
-/// sharded [`ShardedSim`]: one `assemble` body builds either, so the two
-/// execution modes can never drift apart structurally.
-trait Assemble {
-    fn add(&mut self, actor: Box<dyn Actor<Msg, ProtoEvent> + Send>) -> NodeAddr;
-    fn link(&mut self, a: NodeAddr, b: NodeAddr, profile: LinkProfile);
-    fn reserve(&mut self, additional: usize);
-}
-
-impl Assemble for Sim<Msg, ProtoEvent> {
-    fn add(&mut self, actor: Box<dyn Actor<Msg, ProtoEvent> + Send>) -> NodeAddr {
-        self.add_node(actor)
-    }
-    fn link(&mut self, a: NodeAddr, b: NodeAddr, profile: LinkProfile) {
-        self.world().topo.connect_duplex(a, b, profile);
-    }
-    fn reserve(&mut self, additional: usize) {
-        self.world().reserve_events(additional);
-    }
-}
-
-impl Assemble for ShardedSim<Msg, ProtoEvent> {
-    fn add(&mut self, actor: Box<dyn Actor<Msg, ProtoEvent> + Send>) -> NodeAddr {
-        self.add_node(actor)
-    }
-    fn link(&mut self, a: NodeAddr, b: NodeAddr, profile: LinkProfile) {
-        self.connect_duplex(a, b, profile);
-    }
-    fn reserve(&mut self, additional: usize) {
-        self.reserve_events(additional);
-    }
-}
-
-/// The shard ownership map for `spec`, indexed by creation order
-/// ([`HierarchySpec::entities`]). The wired core (BRs + AGs) and the sources
-/// live on shard 0; APs split into `shards` contiguous blocks of attachment
-/// subtrees; each MH lives with its initial AP (late joiners on shard 0).
-fn shard_map(spec: &HierarchySpec, shards: usize) -> Vec<u32> {
-    let n_aps = spec.aps.len();
-    assert!(
-        shards <= n_aps,
-        "{shards} shards requested but the world has only {n_aps} attachment subtrees"
-    );
-    let ap_shard: std::collections::BTreeMap<NodeId, u32> = (spec.aps.iter().enumerate())
-        .map(|(i, ap)| (ap.id, (i * shards / n_aps) as u32))
-        .collect();
-    let shard_of = |ap: NodeId| ap_shard.get(&ap).copied().unwrap_or(0);
-    spec.entities()
-        .map(|entity| match entity {
-            Entity::Ap(ap) => shard_of(ap.id),
-            Entity::Mh(mh) => mh.initial_ap.map_or(0, shard_of),
-            Entity::Br(_) | Entity::Ag(..) | Entity::Source(_) => 0,
-        })
-        .collect()
-}
-
-/// Build the address map, actors and topology of `spec` into `net` —
-/// the one construction body behind both execution modes. Which entities
-/// exist, in which address order, and how they are linked is the spec's
-/// decision ([`HierarchySpec::entities`], [`HierarchySpec::wiring`]); this
-/// only gives each entity its actor.
-fn assemble(spec: &HierarchySpec, net: &mut impl Assemble, finals: &FinalsSink) -> Arc<AddrMap> {
+/// Build the address map, actors and topology of `spec` into `sim`.
+/// Which entities exist, in which address order, and how they are linked
+/// is the spec's decision ([`HierarchySpec::entities`],
+/// [`HierarchySpec::wiring`]); this only gives each entity its actor.
+fn assemble(
+    spec: &HierarchySpec,
+    sim: &mut Sim<Msg, ProtoEvent>,
+    finals: &FinalsSink,
+) -> Arc<AddrMap> {
     let map = Arc::new(AddrMap::for_spec(spec));
 
     // Multi-group specs instantiate one protocol state per declared group
@@ -850,50 +794,29 @@ fn assemble(spec: &HierarchySpec, net: &mut impl Assemble, finals: &FinalsSink) 
                 finals.clone(),
             )),
         };
-        let addr = net.add(actor);
+        let addr = sim.add_node(actor);
         debug_assert_eq!(addr.index(), i, "creation order is address order");
     }
     // Spec validation admitted only declared entities, so every id the
     // wiring rule names is in the address map.
     let ne = |id| map.ne(id).expect("validated spec wires a declared NE");
     for (a, b, profile) in spec.wiring(ne) {
-        net.link(a, b, profile.clone());
+        sim.world().topo.connect_duplex(a, b, profile.clone());
     }
 
     // Pre-size the pending-event slab from the deployment scale so the
     // hot path starts steady-state (≈ a few in-flight events per link
     // plus the periodic timers).
-    net.reserve(spec.entities().count() * 8);
+    sim.world().reserve_events(spec.entities().count() * 8);
 
     map
 }
 
 // ------------------------------------------------------------- the engine
 
-/// The one simulator a [`RingNetSim`] drives. Both kinds are built by the
-/// same [`assemble`] body and steered through [`NetOps`] controls.
-// One value per run: the variants' size gap costs nothing, a `Box` would
-// only add a hop in front of the sequential simulator.
-#[allow(clippy::large_enum_variant)]
-enum Net {
-    Seq(Sim<Msg, ProtoEvent>),
-    Sharded(ShardedSim<Msg, ProtoEvent>),
-}
-
-impl Net {
-    /// The journal receiving the run's protocol events (the master,
-    /// merge-fed journal in sharded mode).
-    fn journal_mut(&mut self) -> &mut simnet::Journal<ProtoEvent> {
-        match self {
-            Net::Seq(s) => &mut s.world().journal,
-            Net::Sharded(s) => s.journal_mut(),
-        }
-    }
-}
-
 /// A built RingNet simulation: the RingNet [`MulticastSim`] backend.
 pub struct RingNetSim {
-    net: Net,
+    sim: Sim<Msg, ProtoEvent>,
     /// Identity ↔ address translation.
     pub addrs: Arc<AddrMap>,
     /// The spec this simulation was built from.
@@ -904,101 +827,53 @@ pub struct RingNetSim {
     /// The sink shared with every NE and MH actor, filled when
     /// [`MulticastSim::finish`] stops them.
     finals: FinalsSink,
-    /// Node → shard placement for the telemetry report (empty in the
-    /// sequential build: everything on shard 0).
-    telemetry_shards: BTreeMap<NodeId, u32>,
 }
 
 impl RingNetSim {
     /// The one constructor behind every RingNet-engine backend (RingNet,
     /// tree, flat ring): instantiate `spec` with the given seed and set the
-    /// journal up per `scenario`'s retention mode. `shards <= 1` runs on the
-    /// sequential simulator; more makes a conservatively parallel world of
-    /// `shards` event-queue shards (one per attachment-subtree block; the
-    /// wired core rides on shard 0 — see [`simnet::shard`] for the window
-    /// protocol). Journals are byte-identical per `(seed, shards)`, and
-    /// semantically equivalent to the sequential build. Torn down by
+    /// journal up per `scenario`'s retention mode. Torn down by
     /// [`MulticastSim::finish`]. Panics on an invalid spec (use
     /// [`HierarchySpec::validate`] first for graceful handling).
-    pub fn for_scenario(
-        spec: HierarchySpec,
-        scenario: &Scenario,
-        seed: u64,
-        shards: usize,
-    ) -> Self {
+    pub fn for_scenario(spec: HierarchySpec, scenario: &Scenario, seed: u64) -> Self {
         let problems = spec.validate();
         assert!(problems.is_empty(), "invalid spec: {problems:?}");
         let finals = FinalsSink::default();
-        let mut telemetry_shards = BTreeMap::new();
         // Journalling stays on even in quiet configs: the experiment layer
         // always reads the low-volume records (Ordered, handoffs); the
         // config flags gate only the per-delivery firehose.
-        let (mut net, addrs) = if shards <= 1 {
-            let mut sim = Sim::with_options(seed, true, wire_size);
-            let addrs = assemble(&spec, &mut sim, &finals);
-            (Net::Seq(sim), addrs)
-        } else {
-            let sm = shard_map(&spec, shards);
-            let mut sim = ShardedSim::new(seed, shards, sm.clone(), true, wire_size);
-            let addrs = assemble(&spec, &mut sim, &finals);
-            // Record the NE → shard placement for the telemetry report (only
-            // NEs carry telemetry): the shard map is indexed by creation order.
-            if spec.cfg.telemetry {
-                let placed = spec.entities().zip(&sm);
-                telemetry_shards.extend(placed.filter_map(|(e, &shard)| Some((e.ne_id()?, shard))));
-            }
-            (Net::Sharded(sim), addrs)
-        };
+        let mut sim = Sim::with_options(seed, true, wire_size);
+        let addrs = assemble(&spec, &mut sim, &finals);
         let reporting =
-            Reporting::install_journal(net.journal_mut(), scenario, hierarchy_core(&spec));
+            Reporting::install_journal(&mut sim.world().journal, scenario, hierarchy_core(&spec));
         RingNetSim {
-            net,
+            sim,
             addrs,
             spec,
             reporting,
             finals,
-            telemetry_shards,
         }
     }
 
-    /// Cap the sharded drain threads (`0` = available parallelism). A
-    /// wall-clock knob only: results are worker-count-independent. No-op
-    /// on a sequential build.
-    pub fn set_workers(&mut self, workers: usize) {
-        if let Net::Sharded(s) = &mut self.net {
-            s.set_workers(workers);
-        }
-    }
-
-    /// Transport-level statistics (aggregated over shards when sharded).
+    /// Transport-level statistics.
     pub fn stats(&self) -> SimStats {
-        match &self.net {
-            Net::Seq(s) => s.stats(),
-            Net::Sharded(s) => s.stats(),
-        }
+        self.sim.stats()
     }
 
-    /// The journal receiving this run's protocol events (the master,
-    /// merge-fed journal in sharded mode).
+    /// The journal receiving this run's protocol events.
     pub fn journal_mut(&mut self) -> &mut simnet::Journal<ProtoEvent> {
-        self.net.journal_mut()
+        &mut self.sim.world().journal
     }
 
     /// Schedule a control closure at `at` — the body of every
     /// [`ScenarioEvent`] that [`MulticastSim::schedule`] maps, and the hook
-    /// for faults no event names (cutting a single link, say). One closure
-    /// written against [`NetOps`] drives both execution modes (sequential
-    /// controls run in event order; sharded controls run coordinator-side
-    /// at a window barrier spanning every shard).
+    /// for faults no event names (cutting a single link, say).
     pub fn schedule_control(
         &mut self,
         at: SimTime,
-        f: impl FnOnce(&mut dyn NetOps<Msg>) + Send + 'static,
+        f: impl FnOnce(&mut World<Msg, ProtoEvent>) + Send + 'static,
     ) {
-        match &mut self.net {
-            Net::Seq(s) => s.world().schedule_control(at, move |w| f(w)),
-            Net::Sharded(s) => s.schedule_control(at, move |v| f(v)),
-        }
+        self.sim.world().schedule_control(at, f);
     }
 
     /// The address of a network entity the spec declares.
@@ -1025,7 +900,7 @@ impl RingNetSim {
     fn set_links(&mut self, at: SimTime, member: NodeAddr, peers: Vec<NodeAddr>, up: bool) {
         self.schedule_control(at, move |w| {
             for peer in peers {
-                w.set_duplex_up(member, peer, up);
+                w.topo.set_duplex_up(member, peer, up);
             }
         });
     }
@@ -1063,7 +938,7 @@ fn core_entity(spec: &HierarchySpec, index: usize, event: &ScenarioEvent) -> Nod
 
 impl MulticastSim for RingNetSim {
     fn build(scenario: &Scenario, seed: u64) -> Self {
-        RingNetSim::for_scenario(ringnet_spec(scenario), scenario, seed, scenario.shards)
+        RingNetSim::for_scenario(ringnet_spec(scenario), scenario, seed)
     }
 
     fn schedule(&mut self, event: ScenarioEvent) {
@@ -1083,10 +958,10 @@ impl MulticastSim for RingNetSim {
                 let (mh, ap) = (walker(w), self.ne_addr(new_ap));
                 let wireless = self.spec.links.wireless.clone();
                 self.schedule_control(at, move |net| {
-                    for old in net.neighbours_of(mh) {
-                        net.disconnect_duplex(mh, old);
+                    for old in net.topo.neighbours(mh).collect::<Vec<_>>() {
+                        net.topo.disconnect_duplex(mh, old);
                     }
-                    net.connect_duplex(mh, ap, wireless);
+                    net.topo.connect_duplex(mh, ap, wireless);
                     net.inject(ap, mh, Msg::HandoffTo { group, new_ap }, SimDuration::ZERO);
                 });
             }
@@ -1100,8 +975,8 @@ impl MulticastSim for RingNetSim {
                 let (mh, ap) = (walker(w), self.ne_addr(ap_id));
                 let wireless = self.spec.links.wireless.clone();
                 self.schedule_control(at, move |net| {
-                    if !net.has_link(mh, ap) {
-                        net.connect_duplex(mh, ap, wireless);
+                    if !net.topo.has_link(mh, ap) {
+                        net.topo.connect_duplex(mh, ap, wireless);
                     }
                     net.inject(ap, mh, Msg::JoinCmd { group, ap: ap_id }, SimDuration::ZERO);
                 });
@@ -1172,26 +1047,17 @@ impl MulticastSim for RingNetSim {
     }
 
     fn run_until(&mut self, t: SimTime) {
-        match &mut self.net {
-            Net::Seq(s) => s.run_until(t),
-            Net::Sharded(s) => s.run_until(t),
-        }
+        self.sim.run_until(t);
     }
 
     /// Stop the simulation — every NE and MH actor hands its counters (and
     /// telemetry) to the sink from [`Actor::on_stop`] — and assemble the
     /// report.
     fn finish(self) -> RunReport {
-        let (journal, stats) = match self.net {
-            Net::Seq(s) => s.finish(),
-            Net::Sharded(s) => s.finish(),
-        };
+        let (journal, stats) = self.sim.finish();
         let (finals, nodes) = self.finals.take();
         let mut report = self.reporting.finish(journal, stats, finals);
-        report.telemetry = self.spec.cfg.telemetry.then_some(TelemetryReport {
-            nodes,
-            shard_of: self.telemetry_shards,
-        });
+        report.telemetry = (self.spec.cfg.telemetry).then_some(TelemetryReport { nodes });
         report
     }
 }
@@ -1199,6 +1065,8 @@ impl MulticastSim for RingNetSim {
 #[cfg(test)]
 mod tests {
     use std::sync::Mutex;
+
+    use simnet::LinkProfile;
 
     use super::*;
     use crate::config::ProtocolConfig;
@@ -1218,10 +1086,10 @@ mod tests {
             .build()
     }
 
-    /// The small world on `shards` event-queue shards.
-    fn small_world(seed: u64, shards: usize) -> RingNetSim {
+    /// The small world.
+    fn small_world(seed: u64) -> RingNetSim {
         let sc = small();
-        RingNetSim::for_scenario(ringnet_spec(&sc), &sc, seed, shards)
+        RingNetSim::for_scenario(ringnet_spec(&sc), &sc, seed)
     }
 
     /// The attachment index and id of the spec's last AP.
@@ -1231,7 +1099,7 @@ mod tests {
 
     #[test]
     fn build_and_run_small_network() {
-        let mut net = small_world(42, 1);
+        let mut net = small_world(42);
         net.run_until(SimTime::from_secs(3));
         let RunReport {
             journal,
@@ -1280,24 +1148,22 @@ mod tests {
             })
             .duration(SimTime::from_secs(2))
             .build();
-        for shards in [1, 2] {
-            let mut net = RingNetSim::for_scenario(ringnet_spec(&sc), &sc, 7, shards);
-            for &ev in &sc.events {
-                net.schedule(ev);
-            }
-            net.run_until(sc.duration);
-            let before = net.stats();
-            let report = net.finish();
-            assert!(before.events > 0);
-            assert_eq!(report.stats, before, "{shards} shard(s)");
-            assert_eq!(report.finals.mh.len(), 3, "the dead walker reports nothing");
+        let mut net = RingNetSim::for_scenario(ringnet_spec(&sc), &sc, 7);
+        for &ev in &sc.events {
+            net.schedule(ev);
         }
+        net.run_until(sc.duration);
+        let before = net.stats();
+        let report = net.finish();
+        assert!(before.events > 0);
+        assert_eq!(report.stats, before);
+        assert_eq!(report.finals.mh.len(), 3, "the dead walker reports nothing");
     }
 
     #[test]
     #[should_panic(expected = "index out of range (7 core entities)")]
     fn an_out_of_range_core_index_panics_naming_the_event() {
-        let mut net = small_world(1, 1);
+        let mut net = small_world(1);
         let at = SimTime::from_secs(1);
         net.schedule(ScenarioEvent::RingRejoin { at, index: 7 });
     }
@@ -1306,13 +1172,10 @@ mod tests {
     fn default_plan_world_shares_at_most_six_profiles() {
         // The topology interns profiles: links of one plan entry share one
         // table slot, so distinct references count the slots in use.
-        let mut net = small_world(42, 1);
-        let Net::Seq(sim) = &mut net.net else {
-            panic!("a plain build is sequential");
-        };
+        let mut net = small_world(42);
         let mut slots: Vec<*const LinkProfile> = Vec::new();
         let mut links = 0;
-        for (_, _, profile) in sim.world().topo.iter() {
+        for (_, _, profile) in net.sim.world().topo.iter() {
             links += 1;
             if !slots.contains(&std::ptr::from_ref(profile)) {
                 slots.push(profile);
@@ -1325,7 +1188,7 @@ mod tests {
     #[test]
     fn deterministic_replay() {
         fn run(seed: u64) -> Vec<(SimTime, ProtoEvent)> {
-            let mut net = small_world(seed, 1);
+            let mut net = small_world(seed);
             net.run_until(SimTime::from_secs(2));
             net.finish().journal
         }
@@ -1336,7 +1199,7 @@ mod tests {
 
     #[test]
     fn handoff_scenario_delivers_everything() {
-        let mut net = small_world(3, 1);
+        let mut net = small_world(3);
         // Move MH 0 from its AP to the other ring's AP at t = 1s.
         let (to, target_ap) = last_ap(&net.spec);
         net.schedule(ScenarioEvent::Handoff {
@@ -1375,7 +1238,7 @@ mod tests {
             s.limit = Some(100);
         }
         let victim = spec.top_ring[2]; // not the token origin (leader 0)
-        let mut net = RingNetSim::for_scenario(spec, &sc, 5, 1);
+        let mut net = RingNetSim::for_scenario(spec, &sc, 5);
         net.schedule(ScenarioEvent::KillCore {
             at: SimTime::from_secs(1),
             index: 2,
@@ -1397,102 +1260,6 @@ mod tests {
             last_ordered > SimTime::from_secs(1),
             "ordering survived the failure"
         );
-    }
-
-    /// Per-MH delivered GSN sequences — the semantic equivalence surface
-    /// across execution modes (event interleaving may differ between shard
-    /// counts, but every walker must see the same ordered stream).
-    fn delivery_sets(
-        journal: &[(SimTime, ProtoEvent)],
-    ) -> std::collections::BTreeMap<u32, Vec<u64>> {
-        let mut per_mh: std::collections::BTreeMap<u32, Vec<u64>> = Default::default();
-        for (_, e) in journal {
-            if let ProtoEvent::MhDeliver { mh, gsn, .. } = e {
-                per_mh.entry(mh.0).or_default().push(gsn.0);
-            }
-        }
-        per_mh
-    }
-
-    #[test]
-    fn sharded_build_matches_sequential_deliveries() {
-        let mut seq = small_world(42, 1);
-        seq.run_until(SimTime::from_secs(3));
-        let seq = seq.finish();
-
-        let mut par = small_world(42, 2);
-        par.set_workers(1);
-        par.run_until(SimTime::from_secs(3));
-        let par = par.finish();
-
-        assert!(par.stats.packets_delivered > 0);
-        assert_eq!(
-            delivery_sets(&seq.journal),
-            delivery_sets(&par.journal),
-            "sharded world delivers the same ordered stream to every walker"
-        );
-    }
-
-    #[test]
-    fn sharded_journal_is_byte_identical_per_shard_count() {
-        fn run(workers: usize) -> Vec<(SimTime, ProtoEvent)> {
-            let mut net = small_world(9, 2);
-            net.set_workers(workers);
-            net.run_until(SimTime::from_secs(2));
-            net.finish().journal
-        }
-        let a = run(1);
-        let b = run(1);
-        let c = run(4);
-        assert_eq!(a, b, "same (seed, shards) ⇒ same journal");
-        assert_eq!(a, c, "worker count never changes results");
-    }
-
-    #[test]
-    fn sharded_handoff_crosses_shards() {
-        let mut net = small_world(3, 2);
-        // The last AP lives in the last shard block; MH 0 starts in the
-        // first, so this handoff rewires a cross-shard wireless link via
-        // the barrier-side NetView.
-        let (to, target_ap) = last_ap(&net.spec);
-        net.schedule(ScenarioEvent::Handoff {
-            at: SimTime::from_secs(1),
-            walker: 0,
-            to,
-        });
-        net.run_until(SimTime::from_secs(4));
-        let journal = net.finish().journal;
-        let registered = journal.iter().any(|(_, e)| {
-            matches!(e, ProtoEvent::HandoffRegistered { mh: Guid(0), ap, .. } if *ap == target_ap)
-        });
-        assert!(registered, "cross-shard handoff registration recorded");
-        let delivered = delivery_sets(&journal).remove(&0).unwrap_or_default();
-        assert_eq!(
-            delivered.len(),
-            20,
-            "no message lost across the sharded handoff: {delivered:?}"
-        );
-    }
-
-    #[test]
-    fn shard_map_partitions_by_attachment_block() {
-        let spec = ringnet_spec(&small());
-        let map = shard_map(&spec, 2);
-        let n_core =
-            spec.top_ring.len() + spec.ag_rings.iter().map(|r| r.members.len()).sum::<usize>();
-        assert!(map[..n_core].iter().all(|&s| s == 0), "core rides shard 0");
-        assert_eq!(
-            map.len(),
-            n_core + spec.aps.len() + spec.sources.len() + spec.mhs.len()
-        );
-        let used: std::collections::BTreeSet<u32> = map.iter().copied().collect();
-        assert_eq!(used.len(), 2, "both shards own at least one node");
-    }
-
-    #[test]
-    #[should_panic(expected = "attachment subtrees")]
-    fn shard_map_rejects_more_shards_than_aps() {
-        shard_map(&ringnet_spec(&small()), 64);
     }
 
     /// An AP stand-in: records every ack and NACK an MH sends it, stamped

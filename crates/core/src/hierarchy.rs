@@ -236,7 +236,7 @@ impl HierarchySpec {
     /// ring, APs, sources, MHs. This is the one place that order is spelled
     /// out: a world built from a spec instantiates exactly this sequence, so
     /// the entity at position `i` lives at simulator address `NodeAddr(i)`
-    /// (shard maps and address tables index by it too).
+    /// (address tables index by it too).
     pub fn entities(&self) -> impl Iterator<Item = Entity<'_>> {
         let ags = self
             .ag_rings

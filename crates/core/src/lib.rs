@@ -30,7 +30,7 @@
 //!   deterministic primary-component rule lets the majority side of a
 //!   partitioned ordering ring keep assigning while the fenced minority
 //!   queues, then merges back after the heal;
-//! * multi-group scenarios shard the ordering layer into one token ring
+//! * multi-group scenarios split the ordering layer into one token ring
 //!   per group; messages addressed to a group *set* are serialized by the
 //!   cross-group fence ([`fence`]) so co-addressed messages deliver in the
 //!   same relative order at every common subscriber.

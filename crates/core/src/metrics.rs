@@ -416,7 +416,7 @@ impl Finals {
 /// RingNet-engine backends with telemetry on, each NE its merged telemetry
 /// dump — when the run stops ([`simnet::Actor::on_stop`]). A clone shares
 /// the sink; the backend keeps one and takes the lot back at teardown. All
-/// of it is keyed, so the order actors (and shards) arrive in is moot.
+/// of it is keyed, so the order actors arrive in is moot.
 #[derive(Debug, Clone, Default)]
 pub struct FinalsSink(Arc<Mutex<(Finals, BTreeMap<NodeId, NodeDump>)>>);
 

@@ -7,19 +7,17 @@
 //! already records it, with the same fields at the same instant.
 //!
 //! Everything here is keyed by static names and ordered containers
-//! (`BTreeMap`, `VecDeque`) so that dumps are byte-identical per
-//! `(seed, shard count)` and independent of worker count. No wall
-//! clocks: the only notion of time is [`simnet::SimTime`]. The layer
+//! (`BTreeMap`, `VecDeque`) so that dumps are byte-identical per seed.
+//! No wall clocks: the only notion of time is [`simnet::SimTime`]. The layer
 //! is a strict observer — enabling it must never perturb the protocol
 //! journal, the RNG streams, or message traffic; `cfg.telemetry =
 //! false` (the default) short-circuits every method to a no-op.
 //!
 //! Shape: each [`crate::node::NeState`] embeds a [`Telemetry`]; at
 //! teardown the engine harvests a [`NodeDump`] per node, which the driver
-//! wraps (with the node→shard map under `ShardedSim`) into the
-//! [`TelemetryReport`] surfaced on [`crate::driver::RunReport`]. The merged trace interleaves per-node
-//! recorders in `(time, shard, node, seq)` order — the same total
-//! order the sharded journal merge uses.
+//! wraps into the [`TelemetryReport`] surfaced on
+//! [`crate::driver::RunReport`]. The merged trace interleaves per-node
+//! recorders in `(time, node, seq)` order.
 
 use std::collections::{BTreeMap, VecDeque};
 use std::fmt::Write as _;
@@ -688,25 +686,15 @@ impl NodeDump {
     }
 }
 
-/// The report-level view: per-node dumps plus the node→shard placement
-/// (empty map ⇒ sequential run, every node on shard 0).
+/// The report-level view: per-node dumps.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TelemetryReport {
     /// Dump per node, in `NodeId` order.
     pub nodes: BTreeMap<NodeId, NodeDump>,
-    /// Shard each node ran on (absent ⇒ shard 0).
-    pub shard_of: BTreeMap<NodeId, u32>,
 }
 
 impl TelemetryReport {
-    /// The shard a node ran on (0 for sequential runs).
-    pub fn shard(&self, node: NodeId) -> u32 {
-        self.shard_of.get(&node).copied().unwrap_or(0)
-    }
-
-    /// Every node's trace records merged in `(time, shard, node, seq)`
-    /// order — the same total order the sharded journal merge uses, so
-    /// the interleaving is identical for every worker count.
+    /// Every node's trace records merged in `(time, node, seq)` order.
     pub fn merged_trace(&self) -> Vec<(NodeId, TraceEntry)> {
         let mut all: Vec<(NodeId, TraceEntry)> = Vec::new();
         for (&node, dump) in &self.nodes {
@@ -714,7 +702,7 @@ impl TelemetryReport {
                 all.push((node, entry));
             }
         }
-        all.sort_by_key(|&(node, e)| (e.at, self.shard(node), node.0, e.seq));
+        all.sort_by_key(|&(node, e)| (e.at, node.0, e.seq));
         all
     }
 
@@ -748,12 +736,7 @@ impl TelemetryReport {
                 s.push(',');
             }
             first_node = false;
-            let _ = write!(
-                s,
-                "\n    {{\"id\": {}, \"shard\": {}, ",
-                node.0,
-                self.shard(node)
-            );
+            let _ = write!(s, "\n    {{\"id\": {}, ", node.0);
             write_metrics(&mut s, &dump.metrics);
             s.push_str(", \"records\": [");
             let mut first_rec = true;
@@ -779,7 +762,7 @@ impl TelemetryReport {
             }
             first = false;
             s.push_str("\n    ");
-            write_entry(&mut s, Some((*node, self.shard(*node))), entry);
+            write_entry(&mut s, Some(*node), entry);
         }
         if !merged.is_empty() {
             s.push_str("\n  ");
@@ -824,14 +807,13 @@ fn write_metrics(s: &mut String, m: &NodeMetrics) {
     s.push('}');
 }
 
-fn write_entry(s: &mut String, placement: Option<(NodeId, u32)>, entry: &TraceEntry) {
+fn write_entry(s: &mut String, node: Option<NodeId>, entry: &TraceEntry) {
     s.push('{');
-    if let Some((node, shard)) = placement {
+    if let Some(node) = node {
         let _ = write!(
             s,
-            "\"t_ns\": {}, \"shard\": {}, \"node\": {}, ",
+            "\"t_ns\": {}, \"node\": {}, ",
             entry.at.as_nanos(),
-            shard,
             node.0
         );
     } else {
@@ -931,42 +913,28 @@ mod tests {
     }
 
     #[test]
-    fn merged_trace_orders_by_time_shard_node_seq() {
-        let mut nodes = BTreeMap::new();
+    fn merged_trace_orders_by_time_node_seq() {
+        let regen = |origin, outcome| TraceRecord::RegenRound {
+            origin: NodeId(origin),
+            outcome,
+        };
+        let at = SimTime::from_nanos;
         let mut a = on();
-        a.trace(
-            SimTime::from_nanos(5),
-            TraceRecord::RegenRound {
-                origin: NodeId(1),
-                outcome: RegenOutcome::Originated,
-            },
-        );
+        a.trace(at(5), regen(2, RegenOutcome::Originated));
+        a.trace(at(5), regen(2, RegenOutcome::Destroyed));
         let mut b = on();
-        b.trace(
-            SimTime::from_nanos(5),
-            TraceRecord::RegenRound {
-                origin: NodeId(2),
-                outcome: RegenOutcome::Destroyed,
-            },
-        );
-        b.trace(
-            SimTime::from_nanos(2),
-            TraceRecord::RegenRound {
-                origin: NodeId(2),
-                outcome: RegenOutcome::Adopted,
-            },
-        );
+        b.trace(at(5), regen(1, RegenOutcome::Destroyed));
+        b.trace(at(2), regen(1, RegenOutcome::Adopted));
+        let mut nodes = BTreeMap::new();
         nodes.insert(NodeId(2), a.dump().expect("enabled"));
         nodes.insert(NodeId(1), b.dump().expect("enabled"));
-        // Node 2 sits on shard 0, node 1 on shard 1: at t=5 the shard
-        // key must win over the node id.
-        let shard_of = [(NodeId(1), 1), (NodeId(2), 0)].into();
-        let report = TelemetryReport { nodes, shard_of };
-        let merged = report.merged_trace();
-        assert_eq!(merged.len(), 3);
-        assert_eq!(merged[0].0, NodeId(1)); // t=2
-        assert_eq!(merged[1].0, NodeId(2)); // t=5 shard 0
-        assert_eq!(merged[2].0, NodeId(1)); // t=5 shard 1
+        let merged = TelemetryReport { nodes }.merged_trace();
+        // Time first, then the node id at one instant, then each node's
+        // own sequence.
+        let order: Vec<(u64, u32, u64)> = (merged.iter())
+            .map(|(node, e)| (e.at.as_nanos(), node.0, e.seq))
+            .collect();
+        assert_eq!(order, vec![(2, 1, 1), (5, 1, 0), (5, 2, 0), (5, 2, 1)]);
     }
 
     #[test]
@@ -1010,7 +978,6 @@ mod tests {
         t.partition_fenced(SimTime::from_nanos(2_000), Epoch(2), 3);
         let report = TelemetryReport {
             nodes: [(NodeId(10), t.dump().expect("enabled"))].into(),
-            shard_of: BTreeMap::new(),
         };
         let j1 = report.to_json();
         let j2 = report.clone().to_json();

@@ -60,7 +60,7 @@ fn ap_failure_orphans_then_handoff_rescues() {
         .build();
     let mut spec = ringnet_spec(&sc);
     spec.links.wireless = LinkProfile::wired(SimDuration::from_millis(2));
-    let mut net = RingNetSim::for_scenario(spec, &sc, 23, 1);
+    let mut net = RingNetSim::for_scenario(spec, &sc, 23);
     // AP of MH 0 dies at 2s; the radio layer moves the MH at 3s.
     net.schedule(ScenarioEvent::ApCrash {
         at: SimTime::from_secs(2),
@@ -160,7 +160,7 @@ fn a_lost_last_message_is_never_repaired() {
     };
     assert!(ap_of(&spec, short).is_some());
     assert_eq!(ap_of(&spec, short), ap_of(&spec, sibling), "one AP");
-    let mut net = RingNetSim::for_scenario(spec, &sc, 1, 1);
+    let mut net = RingNetSim::for_scenario(spec, &sc, 1);
     net.run_until(SimTime::from_secs(2));
     let journal = net.finish().journal;
     // Per walker, every GSN it delivered or skipped, in journal order.
@@ -203,7 +203,7 @@ fn a_failover_child_skips_what_its_new_parent_already_collected() {
         .expect("the dead AG's AP fails over to its ring successor")
         .id;
     let tick = SimTime::from_secs(1);
-    let mut net = RingNetSim::for_scenario(spec, &sc, 7, 1);
+    let mut net = RingNetSim::for_scenario(spec, &sc, 7);
     net.schedule(ScenarioEvent::KillCore {
         // Core indices run over the BRs, then the AGs.
         at: tick + SimDuration::from_millis(9),
@@ -262,7 +262,7 @@ fn a_dead_ag_ring_leader_is_excised_and_its_next_grafts_without_a_skip() {
     let (leader, heir) = (ring[0], ring[1]);
     let tick = SimTime::from_secs(1);
     assert_eq!(tick.as_nanos() % HEARTBEAT_PERIOD.as_nanos(), 0, "a tick");
-    let mut net = RingNetSim::for_scenario(spec, &sc, 7, 1);
+    let mut net = RingNetSim::for_scenario(spec, &sc, 7);
     net.schedule(ScenarioEvent::KillCore {
         // Core indices run over the BRs, then the AGs.
         at: tick + SimDuration::from_millis(9),
@@ -324,7 +324,7 @@ fn quiet_world_fires_two_timer_chains_per_ne_and_one_ack_wake_per_mh() {
     let hop_ticks = second / HOP_TICK.as_nanos();
     let heartbeat_ticks = second / HEARTBEAT_PERIOD.as_nanos();
     let ack_every = u64::from(spec.cfg.ack_every);
-    let mut net = RingNetSim::for_scenario(spec, &sc, 31, 1);
+    let mut net = RingNetSim::for_scenario(spec, &sc, 31);
     net.run_until(SimTime::from_secs(1));
     let RunReport { journal, stats, .. } = net.finish();
     // A source ticks once per message and once more to find its limit spent.
@@ -357,7 +357,7 @@ fn reservation_expires_and_ap_prunes_itself() {
         .build();
     let spec = ringnet_spec(&sc);
     let home = spec.aps[1].id;
-    let mut net = RingNetSim::for_scenario(spec, &sc, 37, 1);
+    let mut net = RingNetSim::for_scenario(spec, &sc, 37);
     net.run_until(SimTime::from_secs(4));
     let journal = net.finish().journal;
     let mut reserved_at = BTreeMap::new();
@@ -484,7 +484,7 @@ fn idle_mhs_are_kept_alive_by_their_acks_alone() {
         let mut spec = ringnet_spec(&sc);
         spec.sources.clear();
         let (aps, mhs) = (spec.aps.len() as u64, spec.mhs.len() as i64);
-        let mut net = RingNetSim::for_scenario(spec, &sc, 47, 1);
+        let mut net = RingNetSim::for_scenario(spec, &sc, 47);
         net.run_until(SimTime::from_secs(2));
         let RunReport { journal, stats, .. } = net.finish();
         // The joins reach the root within the sweep's 200 ms window, before
@@ -537,7 +537,7 @@ fn amnesiac_ap_solicits_reregistration_within_an_ack_period() {
         SimDuration::from_millis(1).as_nanos(),
         "1 ms after a heartbeat tick"
     );
-    let mut net = RingNetSim::for_scenario(spec, &sc, 53, 1);
+    let mut net = RingNetSim::for_scenario(spec, &sc, 53);
     net.schedule(ScenarioEvent::ApCrash { at: crash, ap: 0 });
     net.schedule(ScenarioEvent::ApRestart { at: crash, ap: 0 });
     net.run_until(SimTime::from_secs(2));
@@ -581,7 +581,7 @@ fn station_shaped_spec_delivers_in_order() {
         .collect();
     assert!(spec.is_station_shape());
     assert_eq!(spec.attachment(3), Some(NodeId(3)));
-    let mut net = RingNetSim::for_scenario(spec, &sc, 5, 1);
+    let mut net = RingNetSim::for_scenario(spec, &sc, 5);
     // Stations serve handoffs like any attachment entity.
     net.schedule(ScenarioEvent::Handoff {
         at: SimTime::from_millis(300),
@@ -629,7 +629,7 @@ fn ring_cut_at_a_heartbeat_tick_is_repaired_on_the_probe_schedule() {
     let hop = spec.links.top_ring.latency.max_delay();
     let cut = SimTime::from_secs(1);
     assert_eq!(cut.as_nanos() % HEARTBEAT_PERIOD.as_nanos(), 0, "a tick");
-    let mut net = RingNetSim::for_scenario(spec, &sc, 7, 1);
+    let mut net = RingNetSim::for_scenario(spec, &sc, 7);
     net.schedule(ScenarioEvent::PartitionCore {
         at: cut,
         a: a.0 as usize,
@@ -678,7 +678,7 @@ fn ag_ring_cut_at_a_heartbeat_tick_is_repaired_on_the_probe_schedule() {
     let lead = SimDuration::from_millis(1);
     let cut = tick + lead;
     assert!(spec.links.ag_ring.latency.min_delay() > lead, "in flight");
-    let mut net = RingNetSim::for_scenario(spec, &sc, 7, 1);
+    let mut net = RingNetSim::for_scenario(spec, &sc, 7);
     // Core indices run over the BRs, then the AGs.
     net.schedule(ScenarioEvent::PartitionCore {
         at: cut,
@@ -743,13 +743,13 @@ fn lost_frame_of_cumulative_acks_is_repaired_by_the_next_frame() {
             .build();
         let spec = ringnet_spec(&sc);
         let ap = spec.aps[0].id;
-        let mut net = RingNetSim::for_scenario(spec, &sc, 3, 1);
+        let mut net = RingNetSim::for_scenario(spec, &sc, 3);
         let (mh_addr, ap_addr) = (net.addrs.mh(Guid(0)).unwrap(), net.addrs.ne(ap).unwrap());
         // Acks leave every second 5 ms hop tick; 1010 ms is an ack tick that
         // is not also a 50 ms heartbeat tick. Only the uplink drops.
         for (at_ms, up) in [(1009, !cut_uplink), (1011, true)] {
             net.schedule_control(SimTime::from_millis(at_ms), move |w| {
-                w.set_link_up(mh_addr, ap_addr, up);
+                w.topo.set_link_up(mh_addr, ap_addr, up);
             });
         }
         net.run_until(SimTime::from_secs(2));
@@ -915,7 +915,7 @@ fn figure1_latency_is_token_wait_plus_link_delays_exactly() {
             (mh.guid, path)
         })
         .collect();
-    let mut net = RingNetSim::for_scenario(spec, &sc, 7, 1);
+    let mut net = RingNetSim::for_scenario(spec, &sc, 7);
     net.run_until(SimTime::from_secs(2));
     let journal = net.finish().journal;
     let mut sent = BTreeMap::new();

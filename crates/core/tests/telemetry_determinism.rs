@@ -3,8 +3,7 @@
 //! The flight recorder and metrics registry are simulated-time-only
 //! observers: enabling them must not perturb the protocol (journal
 //! byte-identity), and their own output must be a pure function of
-//! `(scenario, seed, shard count)` — independent of reruns and of the
-//! worker-thread count that drives a sharded world.
+//! `(scenario, seed)`.
 
 use ringnet_core::{
     MulticastSim, ProtoEvent, RingNetSim, Scenario, ScenarioBuilder, ScenarioEvent,
@@ -15,14 +14,13 @@ use simnet::{SimDuration, SimTime};
 /// kind: a kill + rejoin (RegenRound, EpochBump, RejoinHandshake), a ring
 /// partition + heal (PartitionFence, Merge), a token drop, and a control
 /// replay, over loss-free links so the message path consumes no RNG.
-fn chaotic_scenario(telemetry: bool, shards: usize) -> Scenario {
+fn chaotic_scenario(telemetry: bool) -> Scenario {
     ScenarioBuilder::new()
         .attachments(4)
         .walkers_per_attachment(1)
         .sources(2)
         .cbr(SimDuration::from_millis(20))
         .loss_free_wireless()
-        .shards(shards)
         .telemetry(telemetry)
         .events([
             ScenarioEvent::DropToken {
@@ -56,8 +54,8 @@ fn chaotic_scenario(telemetry: bool, shards: usize) -> Scenario {
 #[test]
 fn journal_is_byte_identical_with_telemetry_on_and_off() {
     for seed in [3, 41] {
-        let off = RingNetSim::run_scenario(&chaotic_scenario(false, 1), seed);
-        let on = RingNetSim::run_scenario(&chaotic_scenario(true, 1), seed);
+        let off = RingNetSim::run_scenario(&chaotic_scenario(false), seed);
+        let on = RingNetSim::run_scenario(&chaotic_scenario(true), seed);
         assert!(off.telemetry.is_none(), "telemetry off ⇒ no report");
         assert!(on.telemetry.is_some(), "telemetry on ⇒ report present");
         assert_eq!(
@@ -67,18 +65,10 @@ fn journal_is_byte_identical_with_telemetry_on_and_off() {
     }
 }
 
-/// Same story on a sharded world: the observer must stay invisible.
-#[test]
-fn sharded_journal_is_byte_identical_with_telemetry_on_and_off() {
-    let off = RingNetSim::run_scenario(&chaotic_scenario(false, 2), 7);
-    let on = RingNetSim::run_scenario(&chaotic_scenario(true, 2), 7);
-    assert_eq!(off.journal, on.journal);
-}
-
 // ------------------------------------------------ metrics pinned digests
 
 /// FNV-1a over every node's counters and histograms of
-/// `chaotic_scenario(true, 1)`, rendered in `BTreeMap` order (trace
+/// `chaotic_scenario(true)`, rendered in `BTreeMap` order (trace
 /// records excluded), per seed. ringbench's telemetry-derived per-layer
 /// metrics (`core.ordering.token_*`, `core.forwarding.delivery_lag_ms_mean`,
 /// `core.retransmit.*`, `core.membership.*`) are functions of these
@@ -133,7 +123,7 @@ fn metrics_digest(report: &ringnet_core::TelemetryReport) -> u64 {
 fn telemetry_metrics_are_pinned() {
     let mut moved = Vec::new();
     for (seed, pinned) in METRICS_DIGESTS {
-        let report = RingNetSim::run_scenario(&chaotic_scenario(true, 1), seed)
+        let report = RingNetSim::run_scenario(&chaotic_scenario(true), seed)
             .telemetry
             .expect("telemetry enabled");
         let got = metrics_digest(&report);
@@ -147,81 +137,17 @@ fn telemetry_metrics_are_pinned() {
 // ------------------------------------------------- dump byte-identity
 
 /// The serialised flight-recorder dump is a pure function of
-/// `(scenario, seed, shard count)`: rerunning the identical world
-/// reproduces it byte for byte.
+/// `(scenario, seed)`: rerunning the identical world reproduces it byte
+/// for byte.
 #[test]
 fn dump_is_byte_identical_across_reruns() {
-    for shards in [1, 2] {
-        for seed in [11, 29] {
-            let a = RingNetSim::run_scenario(&chaotic_scenario(true, shards), seed);
-            let b = RingNetSim::run_scenario(&chaotic_scenario(true, shards), seed);
-            let a = a.telemetry.expect("telemetry enabled").to_json();
-            let b = b.telemetry.expect("telemetry enabled").to_json();
-            assert_eq!(
-                a, b,
-                "seed {seed}, {shards} shard(s): dump not reproducible"
-            );
-        }
+    for seed in [11, 29] {
+        let a = RingNetSim::run_scenario(&chaotic_scenario(true), seed);
+        let b = RingNetSim::run_scenario(&chaotic_scenario(true), seed);
+        let a = a.telemetry.expect("telemetry enabled").to_json();
+        let b = b.telemetry.expect("telemetry enabled").to_json();
+        assert_eq!(a, b, "seed {seed}: dump not reproducible");
     }
-}
-
-// --------------------------------------------- worker-count independence
-
-/// Driving the same sharded world with 1 vs 3 worker threads must yield
-/// the identical dump: the conservative-lookahead scheduler guarantees
-/// the event order per shard, and the harvest is keyed, not racy.
-#[test]
-fn dump_is_independent_of_worker_count() {
-    let sc = chaotic_scenario(true, 2);
-    let run = |workers: usize| {
-        let mut sim = <RingNetSim as MulticastSim>::build(&sc, 13);
-        sim.set_workers(workers);
-        for ev in &sc.events {
-            MulticastSim::schedule(&mut sim, *ev);
-        }
-        MulticastSim::run_until(&mut sim, sc.duration);
-        MulticastSim::finish(sim)
-    };
-    let solo = run(1);
-    let pool = run(3);
-    assert_eq!(solo.journal, pool.journal, "journal depends on workers");
-    assert_eq!(
-        solo.telemetry.expect("telemetry enabled").to_json(),
-        pool.telemetry.expect("telemetry enabled").to_json(),
-        "telemetry dump depends on worker count"
-    );
-}
-
-// ------------------------------------- sequential vs sharded equivalence
-
-/// On a loss-free world the message path consumes no RNG, so sharding is
-/// pure scheduling: every node must record the identical trace (same
-/// records, same simulated times, same sequence numbers) whether the
-/// world ran on one event queue or two.
-#[test]
-fn per_node_traces_match_between_sequential_and_sharded_runs() {
-    let seq = RingNetSim::run_scenario(&chaotic_scenario(true, 1), 5);
-    let sha = RingNetSim::run_scenario(&chaotic_scenario(true, 2), 5);
-    let seq = seq.telemetry.expect("telemetry enabled");
-    let sha = sha.telemetry.expect("telemetry enabled");
-    assert_eq!(
-        seq.nodes.keys().collect::<Vec<_>>(),
-        sha.nodes.keys().collect::<Vec<_>>(),
-        "harvested node sets differ"
-    );
-    for (id, a) in &seq.nodes {
-        let b = &sha.nodes[id];
-        assert_eq!(a.records, b.records, "node {id:?}: trace diverged");
-        assert_eq!(a.metrics, b.metrics, "node {id:?}: metrics diverged");
-    }
-    // The merged trace therefore differs only in shard attribution.
-    let strip = |r: &ringnet_core::TelemetryReport| {
-        r.merged_trace()
-            .into_iter()
-            .map(|(n, e)| (e.at, n, e.seq, e.record))
-            .collect::<Vec<_>>()
-    };
-    assert_eq!(strip(&seq), strip(&sha));
 }
 
 // --------------------------------------------------- report invariants
@@ -231,7 +157,7 @@ fn per_node_traces_match_between_sequential_and_sharded_runs() {
 /// is journalled rather than traced, so the rare phases are never evicted.
 #[test]
 fn chaos_run_produces_phase_evidence_within_recorder_bounds() {
-    let run = RingNetSim::run_scenario(&chaotic_scenario(true, 1), 19);
+    let run = RingNetSim::run_scenario(&chaotic_scenario(true), 19);
     let report = run.telemetry.expect("enabled");
     assert!(
         report.total_counter("token_passes") > 0,

@@ -41,7 +41,7 @@ pub fn run(quick: bool) -> Table {
     table.row(vec!["MHT".into(), mhs.to_string(), "one MH per AP".into()]);
     table.note(format!("spec validation problems: {}", problems.len()));
 
-    let mut net = RingNetSim::for_scenario(spec, &sc, 1, 1);
+    let mut net = RingNetSim::for_scenario(spec, &sc, 1);
     net.run_until(SimTime::from_secs(if quick { 3 } else { 6 }));
     let journal = net.finish().journal;
     let per = metrics::deliveries_per_mh(&journal);

@@ -153,9 +153,9 @@ fn determinism_fixture_pair() {
 
 #[test]
 fn determinism_shard_fixture_pair() {
-    // The shard-worker module pattern (simnet::shard): parallel drain
-    // workers are legal exactly when every merge point imposes a total
-    // order and the window protocol runs on virtual time.
+    // The shard-worker module pattern (a parallel event-queue engine):
+    // drain workers are legal exactly when every merge point imposes a
+    // total order and the window protocol runs on virtual time.
     let bad = lint_as(
         "simnet",
         include_str!("../fixtures/determinism_shard_violating.rs"),

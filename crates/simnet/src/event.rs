@@ -316,16 +316,11 @@ impl<E> EventQueue<E> {
     }
 
     /// Remove and return the earliest live entry if it is due at or before
-    /// `until`: a `peek_time` and a `pop` in one pass over the front.
+    /// `until`: a peek at the front and a `pop` in one pass.
     #[inline]
     pub(crate) fn pop_through(&mut self, until: SimTime) -> Option<(SimTime, E)> {
         let (idx, key) = self.front().filter(|(_, key)| key.time <= until)?;
         Some(self.take_front(idx, key))
-    }
-
-    /// Time of the earliest live entry without removing it.
-    pub(crate) fn peek_time(&mut self) -> Option<SimTime> {
-        self.front().map(|(_, key)| key.time)
     }
 
     /// Number of live (schedulable) entries.
@@ -412,9 +407,9 @@ mod tests {
         let h = q.schedule(SimTime::from_millis(1), 1);
         q.schedule(SimTime::from_millis(2), 2);
         q.cancel(h);
-        assert_eq!(q.peek_time(), Some(SimTime::from_millis(2)));
+        assert_eq!(q.pop_through(SimTime::from_millis(1)), None);
         assert_eq!(q.pop(), Some((SimTime::from_millis(2), 2)));
-        assert_eq!(q.peek_time(), None);
+        assert_eq!(q.pop(), None);
     }
 
     #[test]
@@ -466,7 +461,7 @@ mod tests {
         // short-delay entries still order correctly around it.
         let mut q = EventQueue::new();
         q.schedule(SimTime::from_secs(5), "a");
-        assert_eq!(q.peek_time(), Some(SimTime::from_secs(5)));
+        assert_eq!(q.pop_through(SimTime::from_secs(4)), None);
         q.schedule(
             SimTime::from_secs(5) + crate::SimDuration::from_micros(10),
             "b",

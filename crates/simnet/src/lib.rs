@@ -3,8 +3,7 @@
 //! The substrate under the RingNet reproduction: virtual time, a
 //! deterministic event queue, per-simulation RNG streams, point-to-point
 //! links with latency / loss / bandwidth models, an actor-based simulator
-//! (sequential, or sharded over event-queue shards) and measurement
-//! primitives.
+//! and measurement primitives.
 //!
 //! `simnet` knows nothing about multicast or mobility — protocol logic lives
 //! in `ringnet-core` and `baselines`, which implement [`Actor`] over their
@@ -43,7 +42,6 @@
 pub mod event;
 pub mod link;
 pub mod rng;
-pub mod shard;
 pub mod sim;
 mod slab;
 pub mod stats;
@@ -53,8 +51,7 @@ pub mod topo;
 pub use event::{EventHandle, EventQueue};
 pub use link::{BandwidthModel, LatencyModel, LinkProfile, LossModel};
 pub use rng::SimRng;
-pub use shard::{NetView, ShardedSim};
-pub use sim::{Actor, Ctx, Journal, NetOps, Sim, SimStats, World};
+pub use sim::{Actor, Ctx, Journal, Sim, SimStats, World};
 pub use stats::Histogram;
 pub use time::{SimDuration, SimTime};
 pub use topo::{NodeAddr, Topology};

@@ -60,8 +60,7 @@ impl LatencyModel {
         }
     }
 
-    /// Lower bound of the delay this model can produce — the conservative
-    /// lookahead a sharded run may claim across a link with this profile.
+    /// Lower bound of the delay this model can produce.
     #[inline]
     pub fn min_delay(&self) -> SimDuration {
         match self {

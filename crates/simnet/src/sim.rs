@@ -134,13 +134,6 @@ impl<R> Journal<R> {
         &self.records
     }
 
-    /// Drain the retained records in emission order, keeping the buffer's
-    /// capacity. The sharded runtime uses this to move each window's
-    /// per-shard records into the merged master journal.
-    pub(crate) fn drain_records(&mut self) -> std::vec::Drain<'_, (SimTime, R)> {
-        self.records.drain(..)
-    }
-
     /// Consume the journal, yielding its records.
     pub(crate) fn into_records(self) -> Vec<(SimTime, R)> {
         self.records
@@ -219,61 +212,6 @@ impl<H, T> RunPool<H, T> {
     }
 }
 
-/// Cross-shard routing state carried by a shard's [`World`] (`None` in
-/// sequential simulations). Deliveries whose destination lives on another
-/// shard are diverted to the outbox instead of the local event queue; the
-/// sharded coordinator drains outboxes at every window barrier and merges
-/// them into the destination shards by `(time, src_shard, seq)`.
-pub(crate) struct ShardRoute<M> {
-    /// This world's shard id.
-    pub(crate) my_shard: u32,
-    /// Global node → owning shard (shared, immutable for the run).
-    pub(crate) shard_of: std::sync::Arc<Vec<u32>>,
-    /// Deliveries bound for other shards, accumulated during one window.
-    pub(crate) outbox: Vec<Outgoing<M>>,
-    /// Monotonic per-shard send counter (cross-shard tie-break).
-    pub(crate) seq: u64,
-}
-
-/// One cross-shard delivery: already past the link models, just waiting to
-/// be admitted into the destination shard's queue at the next barrier.
-pub(crate) struct Outgoing<M> {
-    pub(crate) at: SimTime,
-    pub(crate) seq: u64,
-    pub(crate) src: NodeAddr,
-    pub(crate) dst: NodeAddr,
-    pub(crate) load: Load<M>,
-}
-
-/// What one wire packet carries across a shard boundary: a message, or a
-/// burst's run (owned — the burst pools are shard-local).
-pub(crate) enum Load<M> {
-    One(M),
-    Run(Vec<M>),
-}
-
-impl<M> ShardRoute<M> {
-    #[inline]
-    fn is_remote(&self, dst: NodeAddr) -> bool {
-        self.shard_of
-            .get(dst.index())
-            .is_some_and(|&s| s != self.my_shard)
-    }
-
-    #[inline]
-    fn push(&mut self, at: SimTime, src: NodeAddr, dst: NodeAddr, load: Load<M>) {
-        let seq = self.seq;
-        self.seq += 1;
-        self.outbox.push(Outgoing {
-            at,
-            seq,
-            src,
-            dst,
-            load,
-        });
-    }
-}
-
 /// Everything in the simulation except the actors themselves. Actors receive
 /// `&mut World` through [`Ctx`] while the actor is temporarily detached, so
 /// no aliasing is possible.
@@ -286,8 +224,6 @@ pub struct World<M, R> {
     bursts: RunPool<NodeAddr, M>,
     /// Reused scratch buffer for multicast delivery planning.
     mc_buf: Vec<(NodeAddr, SimTime)>,
-    /// Cross-shard routing (sharded runs only, see [`ShardRoute`]).
-    route: Option<Box<ShardRoute<M>>>,
     /// The link table. Public so control events and scenario code can rewire
     /// the network mid-run (handoffs, failures).
     pub topo: Topology,
@@ -303,18 +239,17 @@ pub struct World<M, R> {
 }
 
 impl<M, R> World<M, R> {
-    /// A world whose actors draw from `rng` and whose links draw from
-    /// streams of the run seed `seed`.
-    pub(crate) fn new_inner(seed: u64, rng: SimRng, journal: bool, sizer: fn(&M) -> usize) -> Self {
+    /// A world whose actors and links draw from streams of the run seed
+    /// `seed`.
+    fn new(seed: u64, journal: bool, sizer: fn(&M) -> usize) -> Self {
         World {
             now: SimTime::ZERO,
             queue: EventQueue::new(),
             fans: RunPool::new(),
             bursts: RunPool::new(),
             mc_buf: Vec::new(),
-            route: None,
             topo: Topology::with_seed(seed),
-            rng,
+            rng: SimRng::from_seed(seed),
             journal: Journal::new(journal),
             stats: SimStats::default(),
             sizer,
@@ -325,63 +260,6 @@ impl<M, R> World<M, R> {
     #[inline]
     pub fn now(&self) -> SimTime {
         self.now
-    }
-
-    /// Attach cross-shard routing (sharded runs only).
-    pub(crate) fn set_route(&mut self, my_shard: u32, shard_of: std::sync::Arc<Vec<u32>>) {
-        self.route = Some(Box::new(ShardRoute {
-            my_shard,
-            shard_of,
-            outbox: Vec::new(),
-            seq: 0,
-        }));
-    }
-
-    /// Move out the cross-shard deliveries accumulated this window.
-    pub(crate) fn take_outbox(&mut self, into: &mut Vec<Outgoing<M>>) {
-        if let Some(route) = &mut self.route {
-            into.append(&mut route.outbox);
-        }
-    }
-
-    /// Earliest pending local event, if any.
-    pub(crate) fn next_event_time(&mut self) -> Option<SimTime> {
-        self.queue.peek_time()
-    }
-
-    /// Pop the earliest local event if it is due strictly before `bound`
-    /// (sharded drain loop).
-    pub(crate) fn pop_event_below(&mut self, bound: SimTime) -> Option<(SimTime, Ev<M, R>)> {
-        if self.queue.peek_time()? < bound {
-            self.queue.pop()
-        } else {
-            None
-        }
-    }
-
-    /// Force the local clock (window barriers in sharded runs).
-    pub(crate) fn set_now(&mut self, now: SimTime) {
-        debug_assert!(now >= self.now, "shard clock went backwards");
-        self.now = now;
-    }
-
-    /// Schedule an already-transmitted packet at its arrival time (cross-
-    /// shard admission; bypasses the link models, which already ran on the
-    /// sending shard).
-    pub(crate) fn admit(&mut self, at: SimTime, src: NodeAddr, dst: NodeAddr, load: Load<M>) {
-        let ev = match load {
-            Load::One(msg) => Ev::Packet { src, dst, msg },
-            Load::Run(run) => {
-                let slot = self.bursts.put(dst, run);
-                Ev::Burst { src, slot }
-            }
-        };
-        self.queue.schedule(at, ev);
-    }
-
-    /// The cross-shard route, when `dst` lives on another shard.
-    fn remote(&mut self, dst: NodeAddr) -> Option<&mut ShardRoute<M>> {
-        self.route.as_deref_mut().filter(|r| r.is_remote(dst))
     }
 
     /// Offer one wire packet of `size` bytes to the `src → dst` link,
@@ -402,23 +280,13 @@ impl<M, R> World<M, R> {
         None
     }
 
-    /// Schedule `msg`'s arrival at `dst`, here or on the shard owning it.
-    fn land(&mut self, at: SimTime, src: NodeAddr, dst: NodeAddr, msg: M) {
-        match self.remote(dst) {
-            Some(route) => route.push(at, src, dst, Load::One(msg)),
-            None => {
-                self.queue.schedule(at, Ev::Packet { src, dst, msg });
-            }
-        }
-    }
-
     /// Transmit `msg` from `src` to `dst` over the configured link, applying
     /// bandwidth, loss and latency; a packet the link drops, or that has no
     /// link, is counted in [`SimStats`] and silently gone.
     pub fn send(&mut self, src: NodeAddr, dst: NodeAddr, msg: M) {
         let size = (self.sizer)(&msg);
         if let Some(at) = self.offer(src, dst, size) {
-            self.land(at, src, dst, msg);
+            self.queue.schedule(at, Ev::Packet { src, dst, msg });
         }
     }
 
@@ -442,13 +310,8 @@ impl<M, R> World<M, R> {
             msgs.clear();
             return;
         };
-        match self.remote(dst) {
-            Some(route) => route.push(at, src, dst, Load::Run(std::mem::take(msgs))),
-            None => {
-                let slot = self.bursts.put(dst, msgs.drain(..));
-                self.queue.schedule(at, Ev::Burst { src, slot });
-            }
-        }
+        let slot = self.bursts.put(dst, msgs.drain(..));
+        self.queue.schedule(at, Ev::Burst { src, slot });
     }
 
     /// Pre-size the pending-event slab for roughly `additional` more
@@ -462,7 +325,8 @@ impl<M, R> World<M, R> {
     /// Used by scenario code to model out-of-band stimuli (e.g. an MH's radio
     /// detecting a new AP).
     pub fn inject(&mut self, src: NodeAddr, dst: NodeAddr, msg: M, delay: SimDuration) {
-        self.land(self.now + delay, src, dst, msg);
+        self.queue
+            .schedule(self.now + delay, Ev::Packet { src, dst, msg });
     }
 
     /// Set a timer for `node` firing after `delay` with the given tag.
@@ -487,27 +351,6 @@ impl<M, R> World<M, R> {
         for &dst in dsts {
             if let Some(at) = self.offer(src, dst, size) {
                 deliveries.push((dst, at));
-            }
-        }
-        // Cross-shard copies leave through the outbox (cloned per copy —
-        // the shared pool is shard-local); local copies keep the interned
-        // fan-out representation.
-        if let Some(route) = &mut self.route {
-            if deliveries.iter().any(|&(dst, _)| route.is_remote(dst)) {
-                let mut kept = 0usize;
-                for i in 0..deliveries.len() {
-                    let (dst, at) = deliveries[i];
-                    if route.is_remote(dst) {
-                        // ringlint: allow(hot-clone) — audited: cross-shard hand-off;
-                        // the remote shard's inbox must own its copy, and only
-                        // remote recipients (a minority of a fan-out) pay it.
-                        route.push(at, src, dst, Load::One(msg.clone()));
-                    } else {
-                        deliveries[kept] = (dst, at);
-                        kept += 1;
-                    }
-                }
-                deliveries.truncate(kept);
             }
         }
         // Group consecutive copies that arrive at the same instant into one
@@ -560,12 +403,11 @@ impl<M, R> World<M, R> {
 impl<M: Clone, R> World<M, R> {
     /// Advance the clock to `time` and hand `ev` to the actor it concerns —
     /// the one place an event meets its actor, shared by [`Sim::step`] and
-    /// the sharded drain loop. `actors` is indexed by address; an absent
-    /// entry (the address never existed, or lives on another shard) drops
-    /// the event.
-    pub(crate) fn dispatch<A: Actor<M, R> + ?Sized>(
+    /// [`Sim::run_until`]. `actors` is indexed by address; an absent entry
+    /// (the address never existed) drops the event.
+    fn dispatch(
         &mut self,
-        actors: &mut [Option<Box<A>>],
+        actors: &mut [Option<Box<dyn Actor<M, R>>>],
         time: SimTime,
         ev: Ev<M, R>,
     ) {
@@ -607,78 +449,17 @@ impl<M: Clone, R> World<M, R> {
 
     /// Run `arrive` on the actor at `dst`, detached from `actors` for the
     /// duration so it can borrow the world; counts one delivered packet.
-    fn deliver<A: ?Sized>(
+    fn deliver(
         &mut self,
-        actors: &mut [Option<Box<A>>],
+        actors: &mut [Option<Box<dyn Actor<M, R>>>],
         dst: NodeAddr,
-        arrive: impl FnOnce(&mut A, &mut Ctx<'_, M, R>),
+        arrive: impl FnOnce(&mut dyn Actor<M, R>, &mut Ctx<'_, M, R>),
     ) {
         if let Some(mut actor) = actors.get_mut(dst.index()).and_then(Option::take) {
             self.stats.packets_delivered += 1;
-            arrive(&mut actor, &mut Ctx::new(self, dst));
+            arrive(&mut *actor, &mut Ctx::new(self, dst));
             actors[dst.index()] = Some(actor);
         }
-    }
-}
-
-/// The network-mutation surface scenario control closures run against.
-///
-/// Implemented by the sequential [`World`] and by the sharded runtime's
-/// barrier-time view ([`crate::shard::NetView`]), so one control body —
-/// handoffs, joins, partitions, fault injection — drives either execution
-/// mode without caring which is underneath.
-pub trait NetOps<M> {
-    /// Current simulated time.
-    fn now(&self) -> SimTime;
-    /// Inject a packet arriving at `dst` after `delay`, bypassing links.
-    fn inject(&mut self, src: NodeAddr, dst: NodeAddr, msg: M, delay: SimDuration);
-    /// Install a duplex link between `a` and `b`.
-    fn connect_duplex(&mut self, a: NodeAddr, b: NodeAddr, profile: LinkProfile);
-    /// Remove both link directions between `a` and `b`.
-    fn disconnect_duplex(&mut self, a: NodeAddr, b: NodeAddr);
-    /// Set the administrative up/down state of the directed link
-    /// `src → dst`. Returns `true` when the link exists.
-    fn set_link_up(&mut self, src: NodeAddr, dst: NodeAddr, up: bool) -> bool;
-    /// Set the administrative up/down state of both directions. Returns
-    /// `true` when either direction exists.
-    fn set_duplex_up(&mut self, a: NodeAddr, b: NodeAddr, up: bool) -> bool {
-        let fwd = self.set_link_up(a, b, up);
-        let rev = self.set_link_up(b, a, up);
-        fwd || rev
-    }
-    /// True when the directed link `src → dst` exists.
-    fn has_link(&self, src: NodeAddr, dst: NodeAddr) -> bool;
-    /// `src`'s outgoing neighbours, in address order.
-    fn neighbours_of(&self, src: NodeAddr) -> Vec<NodeAddr>;
-}
-
-impl<M, R> NetOps<M> for World<M, R> {
-    fn now(&self) -> SimTime {
-        self.now
-    }
-
-    fn inject(&mut self, src: NodeAddr, dst: NodeAddr, msg: M, delay: SimDuration) {
-        World::inject(self, src, dst, msg, delay);
-    }
-
-    fn connect_duplex(&mut self, a: NodeAddr, b: NodeAddr, profile: LinkProfile) {
-        self.topo.connect_duplex(a, b, profile);
-    }
-
-    fn disconnect_duplex(&mut self, a: NodeAddr, b: NodeAddr) {
-        self.topo.disconnect_duplex(a, b);
-    }
-
-    fn set_link_up(&mut self, src: NodeAddr, dst: NodeAddr, up: bool) -> bool {
-        self.topo.set_link_up(src, dst, up)
-    }
-
-    fn has_link(&self, src: NodeAddr, dst: NodeAddr) -> bool {
-        self.topo.has_link(src, dst)
-    }
-
-    fn neighbours_of(&self, src: NodeAddr) -> Vec<NodeAddr> {
-        self.topo.neighbours(src).collect()
     }
 }
 
@@ -778,7 +559,7 @@ impl<M, R> Sim<M, R> {
     pub fn with_options(seed: u64, journal: bool, sizer: fn(&M) -> usize) -> Self {
         Sim {
             actors: Vec::new(),
-            world: World::new_inner(seed, SimRng::from_seed(seed), journal, sizer),
+            world: World::new(seed, journal, sizer),
             started: false,
         }
     }

@@ -175,7 +175,9 @@ impl Topology {
     }
 
     /// Install (or replace) the directed link `src → dst`, with a fresh
-    /// state and the draw stream of this connection.
+    /// state and the draw stream of this connection. The simulator wires
+    /// both directions at once; tests wire one at a time.
+    #[cfg(test)]
     pub(crate) fn connect(&mut self, src: NodeAddr, dst: NodeAddr, profile: LinkProfile) {
         let profile = self.intern(profile);
         self.attach(src, dst, profile);

@@ -7,9 +7,7 @@ use std::collections::{BTreeMap, BTreeSet};
 use simnet::event::EventQueue;
 use simnet::link::{BandwidthModel, LinkProfile, LinkState, LossModel, TxOutcome};
 use simnet::topo::link_stream;
-use simnet::{
-    Actor, Ctx, NodeAddr, ShardedSim, Sim, SimDuration, SimRng, SimStats, SimTime, Topology,
-};
+use simnet::{Actor, Ctx, NodeAddr, Sim, SimDuration, SimRng, SimStats, SimTime, Topology};
 
 /// The event queue is a stable priority queue: pops come out in
 /// non-decreasing time order, and equal times preserve insertion order.
@@ -477,7 +475,7 @@ fn gossip_delay(a: u32, b: u32) -> LinkProfile {
     LinkProfile::wired(SimDuration::from_micros(300 + 170 * ((a + b) % 4) as u64))
 }
 
-fn gossip_sequential(case: u64, burst: bool) -> (Vec<(SimTime, Heard)>, SimStats) {
+fn gossip(case: u64, burst: bool) -> (Vec<(SimTime, Heard)>, SimStats) {
     let mut sim: Sim<u64, Heard> = Sim::new(case);
     for me in 0..GOSSIPERS {
         sim.add_node(gossiper(case, me, burst));
@@ -494,31 +492,14 @@ fn gossip_sequential(case: u64, burst: bool) -> (Vec<(SimTime, Heard)>, SimStats
     sim.finish()
 }
 
-fn gossip_two_shards(case: u64) -> (Vec<(SimTime, Heard)>, SimStats) {
-    let shard_of = (0..GOSSIPERS).map(|n| n % 2).collect();
-    let mut sim: ShardedSim<u64, Heard> = ShardedSim::new(case, 2, shard_of, true, |_| 0);
-    for me in 0..GOSSIPERS {
-        sim.add_node(gossiper(case, me, true));
-    }
-    for a in 0..GOSSIPERS {
-        for b in a + 1..GOSSIPERS {
-            sim.connect_duplex(NodeAddr(a), NodeAddr(b), gossip_delay(a, b));
-        }
-    }
-    sim.run_until(SimTime::from_secs(1));
-    sim.finish()
-}
-
 /// On links that draw nothing, a burst is indistinguishable from the
 /// per-message sends it frames — same arrival times, same order, hence the
-/// same journal — while costing one wire packet and one event per run;
-/// and a 2-shard run of the burst world does exactly the sequential run's
-/// work, every `(sender, receiver)` pair hearing the same sequence.
+/// same journal — while costing one wire packet and one event per run.
 #[test]
-fn bursts_match_per_message_sends_sequential_and_sharded() {
+fn bursts_match_per_message_sends() {
     for case in 0..12u64 {
-        let (sent_journal, sent) = gossip_sequential(case, false);
-        let (burst_journal, burst) = gossip_sequential(case, true);
+        let (sent_journal, sent) = gossip(case, false);
+        let (burst_journal, burst) = gossip(case, true);
         assert!(sent_journal.len() > 500, "case {case}: world too quiet");
         assert_eq!(burst_journal, sent_journal, "case {case}");
         assert!(burst.packets_sent < sent.packets_sent, "case {case}");
@@ -527,19 +508,6 @@ fn bursts_match_per_message_sends_sequential_and_sharded() {
             sent.events - burst.events,
             sent.packets_sent - burst.packets_sent,
             "case {case}: one event saved per framed-away packet"
-        );
-
-        let (sharded_journal, sharded) = gossip_two_shards(case);
-        assert_eq!(sharded, burst, "case {case}: stats differ across engines");
-        let per_pair = |journal: &[(SimTime, Heard)]| {
-            let mut j = journal.to_vec();
-            j.sort_by_key(|&(_, (me, from, _))| (me, from)); // stable: keeps each pair's order
-            j
-        };
-        assert_eq!(
-            per_pair(&sharded_journal),
-            per_pair(&burst_journal),
-            "case {case}"
         );
     }
 }

@@ -34,7 +34,7 @@
 //!     .build();
 //! let spec = ringnet_spec(&scenario);
 //! assert_eq!(spec.tier_sizes(), (4, 9, 9, 9));
-//! let mut net = RingNetSim::for_scenario(spec, &scenario, 1, 1);
+//! let mut net = RingNetSim::for_scenario(spec, &scenario, 1);
 //! net.schedule(ScenarioEvent::KillCore { at: SimTime::from_secs(1), index: 1 });
 //! net.run_until(SimTime::from_secs(2));
 //! let report = net.finish();

@@ -227,7 +227,7 @@ fn invalid_spec_is_rejected() {
             limit: None,
             groups: Vec::new(),
         });
-    let _ = RingNetSim::for_scenario(spec, &sc, 1, 1);
+    let _ = RingNetSim::for_scenario(spec, &sc, 1);
 }
 
 /// Heavy churn torture: ping-pong handoffs while a BR dies — order still

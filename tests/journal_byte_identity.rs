@@ -7,16 +7,15 @@
 //! * every backend (RingNet + the five baselines) replays byte-identically
 //!   for a fixed `(scenario, seed)`;
 //! * the RingNet journal digest is **pinned as a golden constant** per
-//!   `(seed, shard count)`, so a fabric change that perturbs so much as
-//!   one journal byte fails here, not in a downstream experiment;
-//! * telemetry on/off leaves the digest untouched, sequential and sharded,
-//!   and is harvested by all three RingNet-engine backends;
+//!   seed, so a fabric change that perturbs so much as one journal byte
+//!   fails here, not in a downstream experiment;
+//! * telemetry on/off leaves the digest untouched, and is harvested by all
+//!   three RingNet-engine backends;
 //! * two loss-free **multi-group** worlds are pinned by an *instant-
 //!   canonical* digest (entries sorted within equal timestamps), which a
 //!   change may leave alone while permuting what independent ring states do
-//!   at one simulated instant — and which is therefore the same number at
-//!   every shard count — and by their transport counters ([`SimStats`]),
-//!   which see how sends are batched onto the wire;
+//!   at one simulated instant — and by their transport counters
+//!   ([`SimStats`]), which see how sends are batched onto the wire;
 //! * two generated **fault** worlds pin the token-retry, regeneration,
 //!   heartbeat, ring-repair and reservation paths on the three backends
 //!   that run the ordering core, which a loss-free static world never
@@ -180,17 +179,17 @@ fn digest_is_sensitive_to_protocol_behaviour() {
     assert_ne!(base, moved, "digest ignored a missing message");
 }
 
-/// Golden RingNet journal digests per `(seed, shards)`. These pin the
-/// exact bytes the copy-free fabric produces; any change to payload
-/// handling, fan-out batching or event ordering that perturbs the journal
-/// must be a deliberate, reviewed regeneration of this table.
+/// Golden RingNet journal digests per seed. These pin the exact bytes the
+/// copy-free fabric produces; any change to payload handling, fan-out
+/// batching or event ordering that perturbs the journal must be a
+/// deliberate, reviewed regeneration of this table.
 ///
 /// The digest is identical across seeds (loss-free static world: no RNG
-/// on the message path) but differs across shard counts — sharding
-/// reorders journal *emission* across concurrently-draining shards while
-/// preserving each node's event sequence (the semantic equivalence pinned
-/// by `crates/core/tests/telemetry_determinism.rs`). The contract is
-/// byte-identity per `(seed, shard count)`, exactly as recorded here.
+/// on the message path).
+///
+/// The sharded engine's rows are gone with it (they were
+/// `0x22496d5643703c83` at 2 shards and `0x02d16a4c51f09e23` at 4); the
+/// sequential rows are unedited.
 ///
 /// Regenerated on purpose by PR 13 (event-driven Order-Assignment; were
 /// `0xe4ff35a26108900b` / `0x08fa27c3d642e6cd` / `0xac198b4fc327e74f` at
@@ -242,26 +241,17 @@ fn digest_is_sensitive_to_protocol_behaviour() {
 /// without either kind, pinned on the parent's code first, unedited. The
 /// same holds for every table below; the counters moved to
 /// [`COUNTERS_DIGESTS`], pinned on the parent's code too.
-const GOLDEN_RINGNET_DIGESTS: &[(u64, usize, u64)] = &[
-    (3, 1, 0x6441e89724e24997),
-    (3, 2, 0x22496d5643703c83),
-    (3, 4, 0x02d16a4c51f09e23),
-    (7, 1, 0x6441e89724e24997),
-    (7, 2, 0x22496d5643703c83),
-    (7, 4, 0x02d16a4c51f09e23),
-];
+const GOLDEN_RINGNET_DIGESTS: &[(u64, u64)] = &[(3, 0x6441e89724e24997), (7, 0x6441e89724e24997)];
 
 #[test]
-fn ringnet_journal_digest_is_pinned_per_seed_and_shard_count() {
-    for &(seed, shards, want) in GOLDEN_RINGNET_DIGESTS {
-        let mut sc = scenario();
-        sc.shards = shards;
-        let report = RingNetSim::run_scenario(&sc, seed);
+fn ringnet_journal_digest_is_pinned_per_seed() {
+    for &(seed, want) in GOLDEN_RINGNET_DIGESTS {
+        let report = RingNetSim::run_scenario(&scenario(), seed);
         assert_counters("ringnet", &report);
         let got = digest(&report);
         assert_eq!(
             got, want,
-            "seed {seed}, {shards} shard(s): journal digest {got:#018x} != pinned \
+            "seed {seed}: journal digest {got:#018x} != pinned \
              {want:#018x} — the fabric changed observable protocol behaviour"
         );
     }
@@ -270,8 +260,8 @@ fn ringnet_journal_digest_is_pinned_per_seed_and_shard_count() {
 /// A named backend and its pinned journal digest.
 type PinnedBackend = (&'static str, fn(&Scenario, u64) -> RunReport, u64);
 
-/// Golden journal digests of the five baselines on the shared world, the
-/// same at 1 and 2 shards. They are the blast-radius proof of a change to
+/// Golden journal digests of the five baselines on the shared world. They
+/// are the blast-radius proof of a change to
 /// the RingNet ordering core: tree (rings of one — the assigner always
 /// copied at once), tunnel, RelM and unordered share no Order-Assignment
 /// code and must not move when the RingNet table above is regenerated.
@@ -335,17 +325,13 @@ const GOLDEN_BASELINE_DIGESTS: &[PinnedBackend] = &[
 #[test]
 fn baseline_journal_digests_are_pinned() {
     for &(name, run, want) in GOLDEN_BASELINE_DIGESTS {
-        for shards in [1usize, 2] {
-            let mut sc = scenario();
-            sc.shards = shards;
-            let report = run(&sc, 3);
-            assert_counters(name, &report);
-            let got = digest(&report);
-            assert_eq!(
-                got, want,
-                "{name}, {shards} shard(s): journal digest {got:#018x} != pinned {want:#018x}"
-            );
-        }
+        let report = run(&scenario(), 3);
+        assert_counters(name, &report);
+        let got = digest(&report);
+        assert_eq!(
+            got, want,
+            "{name}: journal digest {got:#018x} != pinned {want:#018x}"
+        );
     }
 }
 
@@ -413,22 +399,16 @@ fn unordered_digest_on_uniform_tree_links_is_pinned() {
 }
 
 /// Telemetry is a pure observer: enabling it must not move one journal
-/// byte, sequential or sharded.
+/// byte.
 #[test]
-fn telemetry_on_off_digest_identical_sequential_and_sharded() {
-    for shards in [1usize, 2] {
-        for seed in [3u64, 7] {
-            let mut off = scenario();
-            off.shards = shards;
-            let mut on = off.clone();
-            on.cfg.telemetry = true;
-            let d_off = digest(&RingNetSim::run_scenario(&off, seed));
-            let d_on = digest(&RingNetSim::run_scenario(&on, seed));
-            assert_eq!(
-                d_off, d_on,
-                "seed {seed}, {shards} shard(s): telemetry moved the journal"
-            );
-        }
+fn telemetry_on_off_digest_identical() {
+    for seed in [3u64, 7] {
+        let off = scenario();
+        let mut on = off.clone();
+        on.cfg.telemetry = true;
+        let d_off = digest(&RingNetSim::run_scenario(&off, seed));
+        let d_on = digest(&RingNetSim::run_scenario(&on, seed));
+        assert_eq!(d_off, d_on, "seed {seed}: telemetry moved the journal");
     }
 }
 
@@ -508,8 +488,8 @@ type PinnedWorld = (&'static str, fn() -> Scenario, u64);
 /// Golden instant-canonical digests of the two multi-group worlds. Ring
 /// states of different groups share a node but not a bit of protocol
 /// state, so what they do within one simulated instant may be permuted by
-/// a transport change (and is, between shard counts) without changing
-/// what the protocol did; anything else moves these numbers.
+/// a transport change without changing what the protocol did; anything
+/// else moves these numbers.
 ///
 /// Regenerated on purpose by PR 13 with [`GOLDEN_RINGNET_DIGESTS`], for
 /// the same reason (were `0xc3eab3f309e6a5f4` and `0xc0fa607a8473d82e`):
@@ -570,11 +550,14 @@ const fn loss_free(events: u64, sent: u64, delivered: u64, timers: u64) -> SimSt
     }
 }
 
-/// Golden transport counters of the two multi-group worlds, run seed 7, per
-/// shard count. The instant-canonical digests cannot see how sends are
-/// batched onto the wire — one multicast, one frame or one send per
-/// destination record the same journal — but `packets_sent` and `events`
-/// can. Only `events` differs between shard counts.
+/// Golden transport counters of the two multi-group worlds, run seed 7.
+/// The instant-canonical digests cannot see how sends are batched onto the
+/// wire — one multicast, one frame or one send per destination record the
+/// same journal — but `packets_sent` and `events` can.
+///
+/// The sharded engine's rows are gone with it (they differed only in
+/// `events`: 45 626 for `rings8` and 85 186 for `fence_overlap_4` at 2
+/// shards); the sequential rows are unedited.
 ///
 /// `fence_overlap_4` was regenerated on purpose at both shard counts when
 /// an AG ring's acknowledged data began answering the liveness probe to
@@ -602,59 +585,43 @@ const fn loss_free(events: u64, sent: u64, delivered: u64, timers: u64) -> SimSt
 /// (`fence_overlap_4`) fewer packets, and the events that delivered them
 /// (were 39 502 / 45 902 events, 44 677 sent and 44 638 delivered;
 /// 72 563 / 85 363, 87 335 and 87 299).
-const GOLDEN_MULTIGROUP_SIM_STATS: &[(&str, usize, SimStats)] = &[
-    ("rings8", 1, loss_free(39_226, 44_403, 44_362, 4_464)),
-    ("rings8", 2, loss_free(45_626, 44_403, 44_362, 4_464)),
-    (
-        "fence_overlap_4",
-        1,
-        loss_free(72_386, 87_164, 87_122, 4_464),
-    ),
-    (
-        "fence_overlap_4",
-        2,
-        loss_free(85_186, 87_164, 87_122, 4_464),
-    ),
+const GOLDEN_MULTIGROUP_SIM_STATS: &[(&str, SimStats)] = &[
+    ("rings8", loss_free(39_226, 44_403, 44_362, 4_464)),
+    ("fence_overlap_4", loss_free(72_386, 87_164, 87_122, 4_464)),
 ];
 
-fn pinned_stats(name: &str, shards: usize) -> SimStats {
+fn pinned_stats(name: &str) -> SimStats {
     let pin = GOLDEN_MULTIGROUP_SIM_STATS
         .iter()
-        .find(|&&(n, s, _)| (n, s) == (name, shards));
-    pin.unwrap_or_else(|| panic!("{name}, {shards} shard(s): no pinned transport counters"))
-        .2
+        .find(|&&(n, _)| n == name);
+    pin.unwrap_or_else(|| panic!("{name}: no pinned transport counters"))
+        .1
 }
 
 #[test]
-fn multigroup_instant_canonical_digest_is_pinned_at_one_and_two_shards() {
+fn multigroup_instant_canonical_digest_is_pinned() {
     for &(name, world, want) in GOLDEN_MULTIGROUP_INSTANT_DIGESTS {
-        for shards in [1usize, 2] {
-            let mut sc = world();
-            sc.shards = shards;
-            let report = RingNetSim::run_scenario(&sc, 7);
-            assert!(report.metrics.delivered > 10_000, "{name}: world too quiet");
-            assert_counters(name, &report);
-            assert_eq!(
-                report.stats,
-                pinned_stats(name, shards),
-                "{name}, {shards} shard(s): transport counters moved"
-            );
-            let got = instant_canonical_digest(&report);
-            assert_eq!(
-                got, want,
-                "{name}, {shards} shard(s): instant-canonical digest {got:#018x} != pinned \
-                 {want:#018x} — something other than the order of same-instant entries moved"
-            );
-        }
+        let report = RingNetSim::run_scenario(&world(), 7);
+        assert!(report.metrics.delivered > 10_000, "{name}: world too quiet");
+        assert_counters(name, &report);
+        assert_eq!(
+            report.stats,
+            pinned_stats(name),
+            "{name}: transport counters moved"
+        );
+        let got = instant_canonical_digest(&report);
+        assert_eq!(
+            got, want,
+            "{name}: instant-canonical digest {got:#018x} != pinned \
+             {want:#018x} — something other than the order of same-instant entries moved"
+        );
     }
 }
 
 /// World `generator_seed` of `chaos::generate(ChaosConfig::stress())`, as
-/// the benchmark's `chaos_stress_12` draws it, run on one shard.
+/// the benchmark's `chaos_stress_12` draws it.
 fn stress_world(generator_seed: u64) -> Scenario {
-    let mut sc = generate(&ChaosConfig::stress(), generator_seed);
-    sc.shards = 1;
-    sc
+    generate(&ChaosConfig::stress(), generator_seed)
 }
 
 /// Golden instant-canonical digests, run seed 7, of two `chaos_stress_12`
@@ -939,7 +906,7 @@ fn multigroup_fault_world_is_pinned() {
 /// The run's end-of-run counters per world ([`counters_digest`]): per
 /// entity its buffer peaks and overflows, control, data and
 /// retransmissions sent; per walker its deliveries, skips, duplicates and
-/// handoffs. The same at every seed and shard count the tables above run.
+/// handoffs. The same at every seed the tables above run.
 /// A change meant to alter only what entities count — a control-plane
 /// change that stops sending redundant control — moves these numbers and
 /// leaves every journal digest above alone.
