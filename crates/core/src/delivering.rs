@@ -205,9 +205,6 @@ impl NeState {
     /// Graft this AP onto a parent when it should be receiving the group's
     /// traffic and is not yet attached.
     pub(crate) fn ensure_active_grafted(&mut self, now: SimTime, out: &mut Outbox) {
-        let group = self.group;
-        let resume_from = self.mq.front();
-        let resync = self.resync_on_graft;
         let Some(ap) = self.ap.as_mut() else { return };
         if !ap.should_be_active(now) || ap.grafted {
             return;
@@ -222,13 +219,7 @@ impl NeState {
                 first
             }
         };
-        let graft = Msg::Graft {
-            group,
-            child: self.id,
-            resume_from,
-            resync,
-        };
-        self.send_control(Endpoint::Ne(parent), graft, out);
+        self.send_graft(parent, out);
         // `grafted` flips on GraftAck; re-sent by the heartbeat tick until then.
     }
 

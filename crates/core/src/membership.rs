@@ -314,23 +314,28 @@ impl NeState {
     pub(crate) fn after_ring_change(&mut self, now: SimTime, out: &mut Outbox) {
         self.check_partition_fence(now, out);
         self.rewatch();
-        let group = self.group;
         let Some(r) = self.ring.as_ref() else { return };
         if !r.is_top && r.leader() == self.id && self.parent.is_none() {
             if let Some(&parent) = self.parent_candidates.first() {
                 self.parent = Some(parent);
                 self.parent_hb_outstanding = 0;
                 self.graft_pending = self.ap.is_none();
-                let graft = Msg::Graft {
-                    group,
-                    child: self.id,
-                    resume_from: self.mq.front(),
-                    resync: self.resync_on_graft,
-                };
-                self.send_control(Endpoint::Ne(parent), graft, out);
+                self.send_graft(parent, out);
             }
         }
         let _ = now;
+    }
+
+    /// Ask `parent` to adopt this entity as a child, resuming the group's
+    /// stream after this entity's `MQ` front.
+    pub(crate) fn send_graft(&mut self, parent: NodeId, out: &mut Outbox) {
+        let graft = Msg::Graft {
+            group: self.group,
+            child: self.id,
+            resume_from: self.mq.front(),
+            resync: self.resync_on_graft,
+        };
+        self.send_control(Endpoint::Ne(parent), graft, out);
     }
 
     /// Work out whether this entity watches its AG ring's leader: it does
@@ -381,13 +386,7 @@ impl NeState {
                 Some(c) => {
                     self.parent = Some(c);
                     self.graft_pending = self.ap.is_none();
-                    let graft = Msg::Graft {
-                        group,
-                        child: self.id,
-                        resume_from: self.mq.front(),
-                        resync: self.resync_on_graft,
-                    };
-                    self.send_control(Endpoint::Ne(c), graft, out);
+                    self.send_graft(c, out);
                 }
                 None => self.parent = None,
             }
@@ -406,13 +405,7 @@ impl NeState {
             // itself attached while the parent serves it nothing,
             // stranding the leader's whole ring.
             if self.ap.is_none() && self.graft_pending && !follows {
-                let graft = Msg::Graft {
-                    group,
-                    child: self.id,
-                    resume_from: self.mq.front(),
-                    resync: self.resync_on_graft,
-                };
-                self.send_control(Endpoint::Ne(p), graft, out);
+                self.send_graft(p, out);
             }
         }
     }
