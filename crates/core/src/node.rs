@@ -1003,26 +1003,7 @@ impl NeState {
         }
         r.restart_probes();
         self.mq.fast_forward(front);
-        if let Some(ord) = self.ord.as_mut() {
-            // Suppress an immediate self-started regeneration round: the
-            // live token will reach us within a rotation.
-            ord.last_token_seen = now;
-            if let Some(pass) = pass {
-                // Our pre-crash incarnation may have left unacknowledged
-                // token transfers behind; with a factory-fresh fence a
-                // retransmitted stale copy would pass the keep-one and
-                // duplicate-transfer checks and fork a second live token.
-                // Seed the fence from the granter's pass (see
-                // `EpochFence::seed_from_pass` for the rotation-0 edge).
-                let before = ord.fence.best_instance().0;
-                ord.fence.seed_from_pass(pass);
-                let after = ord.fence.best_instance().0;
-                if after != before {
-                    self.telemetry
-                        .epoch_bump(now, crate::telemetry::EpochCause::RejoinSeed, after);
-                }
-            }
-        }
+        self.seed_fence_from_grant(now, pass, crate::telemetry::EpochCause::RejoinSeed);
         self.telemetry.rejoin_completed(now, me);
         self.after_ring_change(now, out);
     }

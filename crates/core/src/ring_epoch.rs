@@ -38,6 +38,7 @@ use crate::ids::{Endpoint, Epoch, NodeId};
 use crate::msg::Msg;
 use crate::node::NeState;
 use crate::ring_lifecycle::{LifecycleEvent, MemberState, RingLifecycle};
+use crate::telemetry::EpochCause;
 use crate::token::OrderingToken;
 
 /// Identity of one token pass: `(epoch, origin id, rotation)`.
@@ -279,6 +280,32 @@ impl NeState {
         self.send_rejoin_request(now, out);
     }
 
+    /// A rejoin or merge grant spliced this node back into the live ring.
+    /// The live token reaches it within a rotation, so it starts no
+    /// regeneration round of its own. And its crashed or fenced incarnation
+    /// may have left unacknowledged token transfers behind: with an unseeded
+    /// fence a retransmitted stale copy would pass the keep-one and
+    /// duplicate-transfer checks and fork a second live token. So the fence
+    /// is seeded from the granter's `pass` (see
+    /// [`EpochFence::seed_from_pass`] for the rotation-0 edge), and a seed
+    /// that moves the best instance counts as an epoch bump of `cause`.
+    pub(crate) fn seed_fence_from_grant(
+        &mut self,
+        now: SimTime,
+        pass: Option<PassId>,
+        cause: EpochCause,
+    ) {
+        let Some(ord) = self.ord.as_mut() else { return };
+        ord.last_token_seen = now;
+        let Some(pass) = pass else { return };
+        let before = ord.fence.best_instance().0;
+        ord.fence.seed_from_pass(pass);
+        let after = ord.fence.best_instance().0;
+        if after != before {
+            self.telemetry.epoch_bump(now, cause, after);
+        }
+    }
+
     /// Complete this node's side of a partition merge: become `Active`,
     /// re-admit the members this side had excised (the merge is proof the
     /// other side lives; genuinely dead peers are re-excised by normal
@@ -315,18 +342,7 @@ impl NeState {
         }
         r.restart_probes();
         self.rejoin_attempts = 0;
-        if let Some(ord) = self.ord.as_mut() {
-            ord.last_token_seen = now; // the live token reaches us within a rotation
-            if let Some(pass) = pass {
-                let before = ord.fence.best_instance().0;
-                ord.fence.seed_from_pass(pass);
-                let after = ord.fence.best_instance().0;
-                if after != before {
-                    self.telemetry
-                        .epoch_bump(now, crate::telemetry::EpochCause::MergeSeed, after);
-                }
-            }
-        }
+        self.seed_fence_from_grant(now, pass, EpochCause::MergeSeed);
         // Resubmit the own-source messages that queued while fenced: their
         // pre-orders never circulated, so push them to the (now majority)
         // next; they are assigned at our first post-merge token hold.
