@@ -30,7 +30,7 @@
 //! message type share one simulator-plus-teardown skeleton, so each file
 //! holds its actors, its `build(&Scenario)` and its `schedule`. All six
 //! take their [`Source`](ringnet_core::engine::Source) and
-//! [`FinalsSink`](ringnet_core::metrics::FinalsSink) from the engine.
+//! [`Harvest`](ringnet_core::metrics::Harvest) from the engine.
 //!
 //! Every comparator implements the protocol-generic
 //! [`ringnet_core::driver::MulticastSim`] trait — a

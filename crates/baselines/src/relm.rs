@@ -12,10 +12,10 @@
 //! measures exactly that against RingNet's distributed equivalent.
 
 use std::collections::BTreeMap;
-use std::sync::Arc;
+use std::rc::Rc;
 
 use ringnet_core::driver::{MulticastSim, RunReport, Scenario, ScenarioEvent};
-use ringnet_core::metrics::NeFinal;
+use ringnet_core::metrics::{Harvest, NeFinal};
 use ringnet_core::PAYLOAD_BYTES;
 use ringnet_core::{GlobalSeq, GroupId, Guid, LocalSeq, MhCounters, NodeId, ProtoEvent};
 use simnet::{Actor, Ctx, NodeAddr, SimDuration, SimTime};
@@ -72,7 +72,7 @@ const TAG_HOP: u64 = 2;
 struct Supervisor {
     id: NodeId,
     group: GroupId,
-    star: Arc<Star>,
+    star: Rc<Star>,
     next_seq: u64,
     /// Retained messages (seq → still-unacked member count is derived).
     buffer: BTreeMap<u64, ()>,
@@ -95,7 +95,7 @@ impl Supervisor {
     }
 }
 
-impl Actor<RelmMsg, ProtoEvent> for Supervisor {
+impl Actor<RelmMsg, ProtoEvent, Harvest> for Supervisor {
     fn on_packet(&mut self, ctx: &mut Ctx<'_, RelmMsg, ProtoEvent>, _from: NodeAddr, msg: RelmMsg) {
         match msg {
             RelmMsg::SourceData { .. } => {
@@ -136,13 +136,13 @@ impl Actor<RelmMsg, ProtoEvent> for Supervisor {
         }
     }
 
-    fn on_stop(&mut self) {
+    fn on_stop(&mut self, out: &mut Harvest) {
         let counts = NeFinal {
             mq_peak: self.peak_buffer as u32,
             data_sent: self.msgs_processed as u32,
             ..NeFinal::default()
         };
-        self.star.finals.ne(self.group, self.id, counts);
+        out.ne(self.group, self.id, counts);
     }
 }
 
@@ -151,11 +151,11 @@ struct Mss {
     id: NodeId,
     group: GroupId,
     members: Vec<Guid>,
-    star: Arc<Star>,
+    star: Rc<Star>,
     processed: u64,
 }
 
-impl Actor<RelmMsg, ProtoEvent> for Mss {
+impl Actor<RelmMsg, ProtoEvent, Harvest> for Mss {
     fn on_packet(&mut self, ctx: &mut Ctx<'_, RelmMsg, ProtoEvent>, _from: NodeAddr, msg: RelmMsg) {
         match msg {
             RelmMsg::Down { seq } => {
@@ -174,12 +174,12 @@ impl Actor<RelmMsg, ProtoEvent> for Mss {
         }
     }
 
-    fn on_stop(&mut self) {
+    fn on_stop(&mut self, out: &mut Harvest) {
         let counts = NeFinal {
             data_sent: self.processed as u32,
             ..NeFinal::default()
         };
-        self.star.finals.ne(self.group, self.id, counts);
+        out.ne(self.group, self.id, counts);
     }
 }
 
@@ -188,7 +188,7 @@ struct RelmMh {
     guid: Guid,
     group: GroupId,
     mss: NodeId,
-    star: Arc<Star>,
+    star: Rc<Star>,
     highest_contig: u64,
     stashed: BTreeMap<u64, ()>,
     delivered: u32,
@@ -211,7 +211,7 @@ impl RelmMh {
     }
 }
 
-impl Actor<RelmMsg, ProtoEvent> for RelmMh {
+impl Actor<RelmMsg, ProtoEvent, Harvest> for RelmMh {
     fn on_start(&mut self, ctx: &mut Ctx<'_, RelmMsg, ProtoEvent>) {
         ctx.set_timer(SimDuration::from_millis(10), TAG_HOP);
     }
@@ -260,12 +260,12 @@ impl Actor<RelmMsg, ProtoEvent> for RelmMh {
         ctx.set_timer(SimDuration::from_millis(10), TAG_HOP);
     }
 
-    fn on_stop(&mut self) {
+    fn on_stop(&mut self, out: &mut Harvest) {
         let counts = MhCounters {
             delivered: self.delivered,
             ..MhCounters::default()
         };
-        self.star.finals.mh(self.group, self.guid, counts);
+        out.mh(self.group, self.guid, counts);
     }
 }
 
@@ -296,7 +296,7 @@ impl MulticastSim for RelmSim {
                 Box::new(Supervisor {
                     id: NodeId(0),
                     group,
-                    star: Arc::clone(star),
+                    star: Rc::clone(star),
                     next_seq: 0,
                     buffer: BTreeMap::new(),
                     progress: star.walkers().map(|(g, _)| (g, 0)).collect(),
@@ -312,7 +312,7 @@ impl MulticastSim for RelmSim {
                         .filter(|&(_, mss)| mss == id)
                         .map(|(g, _)| g)
                         .collect(),
-                    star: Arc::clone(star),
+                    star: Rc::clone(star),
                     processed: 0,
                 })
             },
@@ -321,7 +321,7 @@ impl MulticastSim for RelmSim {
                     guid,
                     group,
                     mss,
-                    star: Arc::clone(star),
+                    star: Rc::clone(star),
                     highest_contig: 0,
                     stashed: BTreeMap::new(),
                     delivered: 0,

@@ -11,10 +11,10 @@
 //! with RingNet and the tree baseline.
 
 use std::collections::BTreeMap;
-use std::sync::Arc;
+use std::rc::Rc;
 
 use ringnet_core::driver::{MulticastSim, RunReport, Scenario, ScenarioEvent};
-use ringnet_core::metrics::NeFinal;
+use ringnet_core::metrics::{Harvest, NeFinal};
 use ringnet_core::PAYLOAD_BYTES;
 use ringnet_core::{GlobalSeq, GroupId, Guid, LocalSeq, MhCounters, NodeId, ProtoEvent};
 use simnet::{Actor, Ctx, LinkProfile, NodeAddr, SimDuration, SimTime};
@@ -69,12 +69,12 @@ struct HomeAgent {
     id: NodeId,
     group: GroupId,
     locations: BTreeMap<Guid, NodeId>,
-    star: Arc<Star>,
+    star: Rc<Star>,
     data_sent: u32,
     control_sent: u32,
 }
 
-impl Actor<TunMsg, ProtoEvent> for HomeAgent {
+impl Actor<TunMsg, ProtoEvent, Harvest> for HomeAgent {
     fn on_packet(&mut self, ctx: &mut Ctx<'_, TunMsg, ProtoEvent>, _from: NodeAddr, msg: TunMsg) {
         match msg {
             TunMsg::SourceData { seq } => {
@@ -106,13 +106,13 @@ impl Actor<TunMsg, ProtoEvent> for HomeAgent {
         }
     }
 
-    fn on_stop(&mut self) {
+    fn on_stop(&mut self, out: &mut Harvest) {
         let counts = NeFinal {
             control_sent: self.control_sent,
             data_sent: self.data_sent,
             ..NeFinal::default()
         };
-        self.star.finals.ne(self.group, self.id, counts);
+        out.ne(self.group, self.id, counts);
     }
 }
 
@@ -121,12 +121,12 @@ impl Actor<TunMsg, ProtoEvent> for HomeAgent {
 struct TunAp {
     id: NodeId,
     group: GroupId,
-    star: Arc<Star>,
+    star: Rc<Star>,
     data_sent: u32,
     control_sent: u32,
 }
 
-impl Actor<TunMsg, ProtoEvent> for TunAp {
+impl Actor<TunMsg, ProtoEvent, Harvest> for TunAp {
     fn on_packet(&mut self, ctx: &mut Ctx<'_, TunMsg, ProtoEvent>, _from: NodeAddr, msg: TunMsg) {
         match msg {
             TunMsg::Tunnel { seq, guid } => {
@@ -143,13 +143,13 @@ impl Actor<TunMsg, ProtoEvent> for TunAp {
         }
     }
 
-    fn on_stop(&mut self) {
+    fn on_stop(&mut self, out: &mut Harvest) {
         let counts = NeFinal {
             control_sent: self.control_sent,
             data_sent: self.data_sent,
             ..NeFinal::default()
         };
-        self.star.finals.ne(self.group, self.id, counts);
+        out.ne(self.group, self.id, counts);
     }
 }
 
@@ -158,14 +158,14 @@ struct TunMh {
     guid: Guid,
     group: GroupId,
     ap: NodeId,
-    star: Arc<Star>,
+    star: Rc<Star>,
     delivered: u32,
     handoffs: u32,
     highest: u64,
     duplicates: u32,
 }
 
-impl Actor<TunMsg, ProtoEvent> for TunMh {
+impl Actor<TunMsg, ProtoEvent, Harvest> for TunMh {
     fn on_packet(&mut self, ctx: &mut Ctx<'_, TunMsg, ProtoEvent>, _from: NodeAddr, msg: TunMsg) {
         match msg {
             TunMsg::Deliver { seq } => {
@@ -203,21 +203,21 @@ impl Actor<TunMsg, ProtoEvent> for TunMh {
         }
     }
 
-    fn on_stop(&mut self) {
+    fn on_stop(&mut self, out: &mut Harvest) {
         let counts = MhCounters {
             delivered: self.delivered,
             duplicates: self.duplicates,
             handoffs: self.handoffs,
             ..MhCounters::default()
         };
-        self.star.finals.mh(self.group, self.guid, counts);
+        out.mh(self.group, self.guid, counts);
     }
 }
 
 /// A built tunnelling simulation.
 pub struct TunnelSim {
     world: World<TunMsg>,
-    star: Arc<Star>,
+    star: Rc<Star>,
     wireless: LinkProfile,
 }
 
@@ -272,7 +272,7 @@ impl MulticastSim for TunnelSim {
                     id: NodeId(0),
                     group,
                     locations: star.walkers().collect(),
-                    star: Arc::clone(star),
+                    star: Rc::clone(star),
                     data_sent: 0,
                     control_sent: 0,
                 })
@@ -281,7 +281,7 @@ impl MulticastSim for TunnelSim {
                 Box::new(TunAp {
                     id,
                     group,
-                    star: Arc::clone(star),
+                    star: Rc::clone(star),
                     data_sent: 0,
                     control_sent: 0,
                 })
@@ -291,7 +291,7 @@ impl MulticastSim for TunnelSim {
                     guid,
                     group,
                     ap,
-                    star: Arc::clone(star),
+                    star: Rc::clone(star),
                     delivered: 0,
                     handoffs: 0,
                     highest: 0,

@@ -17,14 +17,14 @@
 //! like the paper's §5 analysis.
 
 use std::collections::BTreeMap;
-use std::sync::Arc;
+use std::rc::Rc;
 
 use ringnet_core::driver::{
     hierarchy_core, ringnet_spec, MulticastSim, RunReport, Scenario, ScenarioEvent,
 };
 use ringnet_core::engine::Source;
 use ringnet_core::hierarchy::{AgRingSpec, ApSpec, Entity, HierarchySpec, MhSpec};
-use ringnet_core::metrics::{FinalsSink, NeFinal};
+use ringnet_core::metrics::{Harvest, NeFinal};
 use ringnet_core::{
     AddrMap, Endpoint, GlobalSeq, GroupId, Guid, LocalSeq, MessageQueue, MhCounters, MsgData,
     NodeId, PayloadId, ProtoEvent, ProtocolConfig, WorkingTable, HEARTBEAT_PERIOD, HOP_TICK,
@@ -215,8 +215,7 @@ struct UnNe {
     cfg: ProtocolConfig,
     role: UnRole,
     streams: BTreeMap<NodeId, Stream>,
-    map: Arc<AddrMap>,
-    finals: FinalsSink,
+    map: Rc<AddrMap>,
     hop_count: u64,
     peak_total: usize,
 }
@@ -243,7 +242,7 @@ impl UnNe {
         };
         let me = self.id;
         let role = self.role.clone();
-        let map = Arc::clone(&self.map);
+        let map = Rc::clone(&self.map);
         let st = self.stream(corr);
         if st.mq.insert(GlobalSeq(seq), data) != ringnet_core::InsertOutcome::Stored {
             return;
@@ -287,7 +286,7 @@ impl UnNe {
         let ack_tick = self.hop_count.is_multiple_of(self.cfg.ack_every as u64);
         let now = ctx.now();
         let budget = self.cfg.nack_budget;
-        let map = Arc::clone(&self.map);
+        let map = Rc::clone(&self.map);
         let role = self.role.clone();
         for (&corr, st) in self.streams.iter_mut() {
             let (missing, _lost) = st.mq.collect_nacks(budget);
@@ -329,7 +328,7 @@ impl UnNe {
     }
 }
 
-impl Actor<UnMsg, ProtoEvent> for UnNe {
+impl Actor<UnMsg, ProtoEvent, Harvest> for UnNe {
     fn on_start(&mut self, ctx: &mut Ctx<'_, UnMsg, ProtoEvent>) {
         ctx.set_timer(HOP_TICK, TAG_HOP);
     }
@@ -379,14 +378,14 @@ impl Actor<UnMsg, ProtoEvent> for UnNe {
         }
     }
 
-    fn on_stop(&mut self) {
+    fn on_stop(&mut self, out: &mut Harvest) {
         let overflow = self.streams.values().map(|s| s.mq.overflow_drops as u32);
         let counts = NeFinal {
             mq_peak: self.peak_total as u32,
             mq_overflow: overflow.sum(),
             ..NeFinal::default()
         };
-        self.finals.ne(self.group, self.id, counts);
+        out.ne(self.group, self.id, counts);
     }
 }
 
@@ -396,14 +395,13 @@ struct UnMh {
     cfg: ProtocolConfig,
     ap: NodeId,
     streams: BTreeMap<NodeId, (MessageQueue, AckGate)>,
-    map: Arc<AddrMap>,
-    finals: FinalsSink,
+    map: Rc<AddrMap>,
     hop_count: u64,
     delivered: u32,
     skipped: u32,
 }
 
-impl Actor<UnMsg, ProtoEvent> for UnMh {
+impl Actor<UnMsg, ProtoEvent, Harvest> for UnMh {
     fn on_start(&mut self, ctx: &mut Ctx<'_, UnMsg, ProtoEvent>) {
         ctx.set_timer(HOP_TICK, TAG_HOP);
     }
@@ -509,13 +507,13 @@ impl Actor<UnMsg, ProtoEvent> for UnMh {
         ctx.set_timer(HOP_TICK, TAG_HOP);
     }
 
-    fn on_stop(&mut self) {
+    fn on_stop(&mut self, out: &mut Harvest) {
         let counts = MhCounters {
             delivered: self.delivered,
             skipped: self.skipped,
             ..MhCounters::default()
         };
-        self.finals.mh(self.group, self.guid, counts);
+        out.mh(self.group, self.guid, counts);
     }
 }
 
@@ -544,10 +542,9 @@ impl MulticastSim for UnorderedSim {
             mh.initial_ap = Some(spec.aps[k].id);
         }
         let (group, cfg) = (spec.group, &spec.cfg);
-        let map = Arc::new(AddrMap::for_spec(&spec));
-        let finals = FinalsSink::default();
+        let map = Rc::new(AddrMap::for_spec(&spec));
 
-        let mut sim: Sim<UnMsg, ProtoEvent> = Sim::with_options(seed, true, un_wire_size);
+        let mut sim: Sim<UnMsg, ProtoEvent, Harvest> = Sim::with_options(seed, true, un_wire_size);
         for entity in spec.entities() {
             let actor: BoxedActor<UnMsg> = match entity {
                 Entity::Source(src) => {
@@ -561,8 +558,7 @@ impl MulticastSim for UnorderedSim {
                     cfg: cfg.clone(),
                     ap: mh.initial_ap.expect("placed above"),
                     streams: BTreeMap::new(),
-                    map: Arc::clone(&map),
-                    finals: finals.clone(),
+                    map: Rc::clone(&map),
                     hop_count: 0,
                     delivered: 0,
                     skipped: 0,
@@ -574,8 +570,7 @@ impl MulticastSim for UnorderedSim {
                         cfg: cfg.clone(),
                         role: UnRole::of(&spec, entity),
                         streams: BTreeMap::new(),
-                        map: Arc::clone(&map),
-                        finals: finals.clone(),
+                        map: Rc::clone(&map),
                         hop_count: 0,
                         peak_total: 0,
                     })
@@ -589,7 +584,7 @@ impl MulticastSim for UnorderedSim {
             topo.connect_duplex(a, b, profile.clone());
         }
 
-        UnorderedSim(World::new(sim, finals, hierarchy_core(&spec), scenario))
+        UnorderedSim(World::new(sim, hierarchy_core(&spec), scenario))
     }
 
     fn schedule(&mut self, _event: ScenarioEvent) {

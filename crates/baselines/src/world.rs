@@ -1,49 +1,41 @@
 //! The [`World`] skeleton of the three baselines that speak their own
-//! message type (tunnel, RelM, unordered) — a simulator, the engine's
-//! [`FinalsSink`] its actors stop into, and the scenario's [`Reporting`]
-//! over the wired core — and the [`Star`] assembly of the two
-//! single-ingest ones, whose one traffic [`Source`] is the engine's too.
+//! message type (tunnel, RelM, unordered) — a simulator whose actors stop
+//! into the engine's [`Harvest`], and the scenario's [`Reporting`] over the
+//! wired core — and the [`Star`] assembly of the two single-ingest ones,
+//! whose one traffic [`Source`] is the engine's too.
 
 use std::collections::BTreeSet;
-use std::sync::Arc;
+use std::rc::Rc;
 
 use ringnet_core::driver::{Reporting, RunReport, Scenario};
 use ringnet_core::engine::Source;
 use ringnet_core::hierarchy::{SourceSpec, TrafficPattern};
-use ringnet_core::metrics::FinalsSink;
+use ringnet_core::metrics::Harvest;
 use ringnet_core::{Guid, NodeId, ProtoEvent};
 use simnet::{Actor, Journal, LinkProfile, NodeAddr, Sim, SimTime};
 
 /// An actor of a world speaking `M`.
-pub(crate) type BoxedActor<M> = Box<dyn Actor<M, ProtoEvent>>;
+pub(crate) type BoxedActor<M> = Box<dyn Actor<M, ProtoEvent, Harvest>>;
 
 /// A built own-message simulation: what [`ringnet_core::MulticastSim`]'s
 /// `run_until` and `finish` need, so a backend keeps only its actors, its
 /// assembly and its `schedule`.
 pub(crate) struct World<M> {
-    pub(crate) sim: Sim<M, ProtoEvent>,
-    /// Where the actors hand their counters when the run stops.
-    finals: FinalsSink,
+    pub(crate) sim: Sim<M, ProtoEvent, Harvest>,
     reporting: Reporting,
 }
 
 impl<M: Clone + 'static> World<M> {
     /// Wrap an assembled simulator, setting its journal up per the
-    /// scenario's retention mode; `core` is its wired-core entity ids and
-    /// `finals` the sink its actors stop into.
+    /// scenario's retention mode; `core` is its wired-core entity ids.
     pub fn new(
-        mut sim: Sim<M, ProtoEvent>,
-        finals: FinalsSink,
+        mut sim: Sim<M, ProtoEvent, Harvest>,
         core: BTreeSet<NodeId>,
         scenario: &Scenario,
     ) -> Self {
         let journal = &mut sim.world().journal;
         let reporting = Reporting::install_journal(journal, scenario, core);
-        World {
-            sim,
-            finals,
-            reporting,
-        }
+        World { sim, reporting }
     }
 
     pub fn run_until(&mut self, t: SimTime) {
@@ -54,12 +46,11 @@ impl<M: Clone + 'static> World<M> {
         &mut self.sim.world().journal
     }
 
-    /// Stop the simulator, which hands every actor's end-of-run counters
-    /// to the sink, and tear down into the report.
+    /// Stop the simulator, which harvests every actor's end-of-run
+    /// counters, and tear down into the report.
     pub fn finish(self) -> RunReport {
-        let (journal, stats) = self.sim.finish();
-        let (finals, _) = self.finals.take();
-        self.reporting.finish(journal, stats, finals)
+        let (journal, stats, harvest) = self.sim.finish();
+        self.reporting.finish(journal, stats, harvest.finals)
     }
 }
 
@@ -73,8 +64,6 @@ pub(crate) struct Star {
     n_edges: u32,
     /// The edge each walker starts at (`homes[w]` for `Guid(w)`).
     pub homes: Vec<NodeId>,
-    /// The world's end-of-run counters sink.
-    pub finals: FinalsSink,
 }
 
 impl Star {
@@ -124,18 +113,17 @@ impl<M: Clone + 'static> StarPlan<'_, M> {
         self,
         scenario: &Scenario,
         seed: u64,
-        hub: impl FnOnce(&Arc<Star>) -> BoxedActor<M>,
-        edge: impl Fn(&Arc<Star>, NodeId) -> BoxedActor<M>,
-        mh: impl Fn(&Arc<Star>, Guid, NodeId) -> BoxedActor<M>,
-    ) -> (World<M>, Arc<Star>) {
+        hub: impl FnOnce(&Rc<Star>) -> BoxedActor<M>,
+        edge: impl Fn(&Rc<Star>, NodeId) -> BoxedActor<M>,
+        mh: impl Fn(&Rc<Star>, Guid, NodeId) -> BoxedActor<M>,
+    ) -> (World<M>, Rc<Star>) {
         let edge_ids: Vec<NodeId> = (0..scenario.attachments).map(Star::edge_id).collect();
-        let star = Arc::new(Star {
+        let star = Rc::new(Star {
             n_edges: edge_ids.len() as u32,
             homes: self.placements.iter().map(|&k| edge_ids[k]).collect(),
-            finals: FinalsSink::default(),
         });
 
-        let mut sim: Sim<M, ProtoEvent> = Sim::with_options(seed, true, self.sizer);
+        let mut sim: Sim<M, ProtoEvent, Harvest> = Sim::with_options(seed, true, self.sizer);
         sim.add_node(hub(&star));
         for &id in &edge_ids {
             sim.add_node(edge(&star, id));
@@ -168,8 +156,7 @@ impl<M: Clone + 'static> StarPlan<'_, M> {
         }
 
         let core = BTreeSet::from([NodeId(0)]);
-        let finals = star.finals.clone();
-        let world = World::new(sim, finals, core, scenario);
+        let world = World::new(sim, core, scenario);
         (world, star)
     }
 }

@@ -3,9 +3,9 @@
 //! and [`MulticastSim`] drives it — every [`ScenarioEvent`] (handoffs,
 //! failures, late joins, partitions, replays) becomes one scheduled control
 //! closure, and [`MulticastSim::finish`] ends the run with each actor
-//! handing its end-of-run counters to the run's [`FinalsSink`]
-//! ([`Actor::on_stop`]). The traffic [`Source`] and the sink are the ones
-//! every other backend uses too.
+//! writing its end-of-run counters into the [`Harvest`] the simulator
+//! hands back ([`Actor::on_stop`]). The traffic [`Source`] and the harvest
+//! are the ones every other backend uses too.
 //!
 //! All protocol logic lives in the sans-IO state machines; the actors here
 //! only translate [`Action`]s into simulator calls and drive the timers: an
@@ -15,7 +15,7 @@
 //! addresses ([`NodeAddr`]) goes through one immutable [`AddrMap`] shared
 //! by every actor.
 
-use std::sync::Arc;
+use std::rc::Rc;
 
 use simnet::{Actor, Ctx, NodeAddr, Sim, SimDuration, SimStats, SimTime, World};
 
@@ -30,7 +30,7 @@ use crate::hierarchy::{
     attachment_entity, spec_core_order, Entity, HierarchySpec, SourceSpec, TrafficPattern,
 };
 use crate::ids::{Endpoint, GlobalSeq, GroupId, Guid, LocalSeq, NodeId, PayloadId};
-use crate::metrics::FinalsSink;
+use crate::metrics::Harvest;
 use crate::mh::MhState;
 use crate::msg::{Msg, PAYLOAD_BYTES};
 use crate::node::NeState;
@@ -217,7 +217,7 @@ struct NeActor {
     /// node's identity and address; inbound traffic dispatches on its
     /// group stamp, entity-wide faults fan out to every state.
     states: Vec<NeState>,
-    map: Arc<AddrMap>,
+    map: Rc<AddrMap>,
     out: Outbox,
     /// Reused destination buffer for fan-out batching.
     dst_buf: Vec<NodeAddr>,
@@ -230,17 +230,10 @@ struct NeActor {
     /// queue across a revival; their stale generation makes them fall dead
     /// instead of rescheduling a duplicate tick chain.
     timer_gen: u64,
-    /// Where this node's counters and telemetry go when the run stops.
-    finals: FinalsSink,
 }
 
 impl NeActor {
-    fn new(
-        states: Vec<NeState>,
-        map: Arc<AddrMap>,
-        originate: Vec<bool>,
-        finals: FinalsSink,
-    ) -> Self {
+    fn new(states: Vec<NeState>, map: Rc<AddrMap>, originate: Vec<bool>) -> Self {
         NeActor {
             states,
             map,
@@ -249,7 +242,6 @@ impl NeActor {
             framer: Box::default(),
             originate,
             timer_gen: 0,
-            finals,
         }
     }
 
@@ -347,7 +339,7 @@ impl NeActor {
     }
 }
 
-impl Actor<Msg, ProtoEvent> for NeActor {
+impl Actor<Msg, ProtoEvent, Harvest> for NeActor {
     fn on_start(&mut self, ctx: &mut Ctx<'_, Msg, ProtoEvent>) {
         let now = ctx.now();
         self.arm_periodic(ctx);
@@ -429,10 +421,10 @@ impl Actor<Msg, ProtoEvent> for NeActor {
     /// Hand over every live state's counters, and the merged telemetry of
     /// every state, dead ones included — a crashed node's flight recorder
     /// is exactly the postmortem evidence wanted.
-    fn on_stop(&mut self) {
+    fn on_stop(&mut self, out: &mut Harvest) {
         for st in &self.states {
             if let Some(counts) = st.finals() {
-                self.finals.ne(st.group, st.id, counts);
+                out.ne(st.group, st.id, counts);
             }
         }
         let dumps: Vec<_> = self
@@ -441,7 +433,7 @@ impl Actor<Msg, ProtoEvent> for NeActor {
             .filter_map(|s| s.telemetry.dump())
             .collect();
         if let Some(dump) = NodeDump::merge(dumps) {
-            self.finals.telemetry(self.my_id(), dump);
+            out.telemetry(self.my_id(), dump);
         }
     }
 }
@@ -450,13 +442,11 @@ struct MhActor {
     /// One protocol state per subscribed group, in ascending group order —
     /// exactly one for single-subscription walkers.
     states: Vec<MhState>,
-    map: Arc<AddrMap>,
+    map: Rc<AddrMap>,
     out: Outbox,
     /// Sends awaiting per-hop framing (an MH emits control only).
     framer: Box<Framer>,
     initial_ap: Option<NodeId>,
-    /// Where the live states' counters go when the run stops.
-    finals: FinalsSink,
     /// Where the hop-tick grid starts: tick `k` is at `origin + k · HOP_TICK`.
     origin: SimTime,
     /// The grid index of the one pending wake.
@@ -468,19 +458,13 @@ struct MhActor {
 }
 
 impl MhActor {
-    fn new(
-        states: Vec<MhState>,
-        map: Arc<AddrMap>,
-        initial_ap: Option<NodeId>,
-        finals: FinalsSink,
-    ) -> Self {
+    fn new(states: Vec<MhState>, map: Rc<AddrMap>, initial_ap: Option<NodeId>) -> Self {
         MhActor {
             states,
             map,
             out: Vec::with_capacity(16),
             framer: Box::default(),
             initial_ap,
-            finals,
             origin: SimTime::ZERO,
             wake: 0,
             timer_gen: 0,
@@ -571,7 +555,7 @@ impl MhActor {
     }
 }
 
-impl Actor<Msg, ProtoEvent> for MhActor {
+impl Actor<Msg, ProtoEvent, Harvest> for MhActor {
     fn on_start(&mut self, ctx: &mut Ctx<'_, Msg, ProtoEvent>) {
         let now = ctx.now();
         self.origin = now;
@@ -624,10 +608,10 @@ impl Actor<Msg, ProtoEvent> for MhActor {
     }
 
     /// Hand over every live state's counters.
-    fn on_stop(&mut self) {
+    fn on_stop(&mut self, out: &mut Harvest) {
         for st in &self.states {
             if let Some(counts) = st.finals() {
-                self.finals.mh(st.group, st.guid, counts);
+                out.mh(st.group, st.guid, counts);
             }
         }
     }
@@ -658,7 +642,7 @@ impl<F> Source<F> {
     }
 }
 
-impl<M, F: Fn(u64) -> M> Actor<M, ProtoEvent> for Source<F> {
+impl<M, F: Fn(u64) -> M, H> Actor<M, ProtoEvent, H> for Source<F> {
     fn on_start(&mut self, ctx: &mut Ctx<'_, M, ProtoEvent>) {
         let delay = self.spec.start.saturating_since(ctx.now());
         ctx.set_timer(delay, 0);
@@ -689,12 +673,8 @@ impl<M, F: Fn(u64) -> M> Actor<M, ProtoEvent> for Source<F> {
 /// Which entities exist, in which address order, and how they are linked
 /// is the spec's decision ([`HierarchySpec::entities`],
 /// [`HierarchySpec::wiring`]); this only gives each entity its actor.
-fn assemble(
-    spec: &HierarchySpec,
-    sim: &mut Sim<Msg, ProtoEvent>,
-    finals: &FinalsSink,
-) -> Arc<AddrMap> {
-    let map = Arc::new(AddrMap::for_spec(spec));
+fn assemble(spec: &HierarchySpec, sim: &mut Sim<Msg, ProtoEvent, Harvest>) -> Rc<AddrMap> {
+    let map = Rc::new(AddrMap::for_spec(spec));
 
     // Multi-group specs instantiate one protocol state per declared group
     // on every physical node: one ordering ring per group over the same
@@ -709,15 +689,10 @@ fn assemble(
     // are hybrid stations that also serve MHs.
     let stations = spec.is_station_shape();
     let ne_actor = |states: Vec<NeState>, originate: Vec<bool>| {
-        Box::new(NeActor::new(
-            states,
-            Arc::clone(&map),
-            originate,
-            finals.clone(),
-        ))
+        Box::new(NeActor::new(states, Rc::clone(&map), originate))
     };
     for (i, entity) in spec.entities().enumerate() {
-        let actor: Box<dyn Actor<Msg, ProtoEvent> + Send> = match entity {
+        let actor: Box<dyn Actor<Msg, ProtoEvent, Harvest>> = match entity {
             Entity::Br(br) => {
                 let mut states = Vec::with_capacity(groups.len());
                 for &(g, _) in &funnels {
@@ -789,9 +764,8 @@ fn assemble(
                 (spec.subscriptions_of(mh).into_iter())
                     .map(|g| MhState::new(g, mh.guid, cfg.clone()))
                     .collect(),
-                Arc::clone(&map),
+                Rc::clone(&map),
                 mh.initial_ap,
-                finals.clone(),
             )),
         };
         let addr = sim.add_node(actor);
@@ -816,17 +790,14 @@ fn assemble(
 
 /// A built RingNet simulation: the RingNet [`MulticastSim`] backend.
 pub struct RingNetSim {
-    sim: Sim<Msg, ProtoEvent>,
+    sim: Sim<Msg, ProtoEvent, Harvest>,
     /// Identity ↔ address translation.
-    pub addrs: Arc<AddrMap>,
+    pub addrs: Rc<AddrMap>,
     /// The spec this simulation was built from.
     pub spec: HierarchySpec,
     /// Report assembly: the metrics sink on the journal, set up per the
     /// scenario's retention mode.
     reporting: Reporting,
-    /// The sink shared with every NE and MH actor, filled when
-    /// [`MulticastSim::finish`] stops them.
-    finals: FinalsSink,
 }
 
 impl RingNetSim {
@@ -838,12 +809,11 @@ impl RingNetSim {
     pub fn for_scenario(spec: HierarchySpec, scenario: &Scenario, seed: u64) -> Self {
         let problems = spec.validate();
         assert!(problems.is_empty(), "invalid spec: {problems:?}");
-        let finals = FinalsSink::default();
         // Journalling stays on even in quiet configs: the experiment layer
         // always reads the low-volume records (Ordered, handoffs); the
         // config flags gate only the per-delivery firehose.
         let mut sim = Sim::with_options(seed, true, wire_size);
-        let addrs = assemble(&spec, &mut sim, &finals);
+        let addrs = assemble(&spec, &mut sim);
         let reporting =
             Reporting::install_journal(&mut sim.world().journal, scenario, hierarchy_core(&spec));
         RingNetSim {
@@ -851,7 +821,6 @@ impl RingNetSim {
             addrs,
             spec,
             reporting,
-            finals,
         }
     }
 
@@ -871,7 +840,7 @@ impl RingNetSim {
     pub fn schedule_control(
         &mut self,
         at: SimTime,
-        f: impl FnOnce(&mut World<Msg, ProtoEvent>) + Send + 'static,
+        f: impl FnOnce(&mut World<Msg, ProtoEvent>) + 'static,
     ) {
         self.sim.world().schedule_control(at, f);
     }
@@ -1050,21 +1019,21 @@ impl MulticastSim for RingNetSim {
         self.sim.run_until(t);
     }
 
-    /// Stop the simulation — every NE and MH actor hands its counters (and
-    /// telemetry) to the sink from [`Actor::on_stop`] — and assemble the
-    /// report.
+    /// Stop the simulation — every NE and MH actor writes its counters (and
+    /// telemetry) into the harvest from [`Actor::on_stop`] — and assemble
+    /// the report.
     fn finish(self) -> RunReport {
-        let (journal, stats) = self.sim.finish();
-        let (finals, nodes) = self.finals.take();
+        let (journal, stats, Harvest { finals, dumps }) = self.sim.finish();
         let mut report = self.reporting.finish(journal, stats, finals);
-        report.telemetry = (self.spec.cfg.telemetry).then_some(TelemetryReport { nodes });
+        report.telemetry = (self.spec.cfg.telemetry).then_some(TelemetryReport { nodes: dumps });
         report
     }
 }
 
 #[cfg(test)]
 mod tests {
-    use std::sync::Mutex;
+    use std::cell::RefCell;
+    use std::rc::Rc;
 
     use simnet::LinkProfile;
 
@@ -1264,14 +1233,14 @@ mod tests {
 
     /// An AP stand-in: records every ack and NACK an MH sends it, stamped
     /// with the instant it was sent (the uplink is a fixed 1 ms).
-    struct AckProbe(Arc<Mutex<Vec<(SimTime, Msg)>>>);
+    struct AckProbe(Rc<RefCell<Vec<(SimTime, Msg)>>>);
 
     const UPLINK: SimDuration = SimDuration::from_millis(1);
 
-    impl Actor<Msg, ProtoEvent> for AckProbe {
+    impl Actor<Msg, ProtoEvent, Harvest> for AckProbe {
         fn on_packet(&mut self, ctx: &mut Ctx<'_, Msg, ProtoEvent>, _: NodeAddr, msg: Msg) {
             if matches!(msg, Msg::DataNack { .. } | Msg::DataAck { .. }) {
-                self.0.lock().unwrap().push((ctx.now() - UPLINK, msg));
+                self.0.borrow_mut().push((ctx.now() - UPLINK, msg));
             }
         }
     }
@@ -1350,17 +1319,16 @@ mod tests {
             .any(|(_, m)| matches!(m, Msg::DataNack { .. })));
 
         // The engine: one pending wake.
-        let mut sim: Sim<Msg, ProtoEvent> = Sim::with_options(3, true, wire_size);
-        let heard = Arc::new(Mutex::new(Vec::new()));
+        let mut sim: Sim<Msg, ProtoEvent, Harvest> = Sim::with_options(3, true, wire_size);
+        let heard = Rc::new(RefCell::new(Vec::new()));
         let mut map = AddrMap::default();
         map.insert(Endpoint::Ne(ap_id), NodeAddr(0));
         map.insert(Endpoint::Mh(guid), NodeAddr(1));
-        let ap = sim.add_node(Box::new(AckProbe(Arc::clone(&heard))));
+        let ap = sim.add_node(Box::new(AckProbe(Rc::clone(&heard))));
         let mh = sim.add_node(Box::new(MhActor::new(
             vec![MhState::new(GroupId(1), guid, cfg)],
-            Arc::new(map),
+            Rc::new(map),
             Some(ap_id),
-            FinalsSink::default(),
         )));
         sim.world()
             .topo
@@ -1372,7 +1340,7 @@ mod tests {
         }
         sim.run_until(SimTime::ZERO + HOP_TICK * ticks + UPLINK);
         let stats = sim.stats();
-        assert_eq!(*heard.lock().unwrap(), reference);
+        assert_eq!(*heard.borrow(), reference);
         assert!(
             stats.timers_fired < ticks,
             "the MH slept through idle ticks ({} wakes)",

@@ -17,15 +17,16 @@
 //!   sink (so a big sweep never materializes the journal `Vec` at all),
 //!   plus one fold of the run's [`Finals`].
 //! * [`Finals`] — the typed end-of-run counters, with their lookups, and
-//!   the [`FinalsSink`] every backend's actors hand them to.
+//!   the [`Harvest`] every backend's actors write them into as they stop.
 //! * The standalone per-metric functions — each a separate pass over a
 //!   retained journal: the order checks, and the journal-dependent
 //!   diagnostics (delivery gaps, token rotation, windowed rates) that only
 //!   make sense with a retained journal.
 
+use std::cell::Cell;
 use std::collections::{BTreeMap, BTreeSet};
 use std::hash::{BuildHasherDefault, Hasher};
-use std::sync::{Arc, Mutex};
+use std::rc::Rc;
 
 use crate::driver::Scenario;
 use crate::mh::MhCounters;
@@ -412,38 +413,33 @@ impl Finals {
     }
 }
 
-/// Where every backend's actors put their counters — and, on the
-/// RingNet-engine backends with telemetry on, each NE its merged telemetry
-/// dump — when the run stops ([`simnet::Actor::on_stop`]). A clone shares
-/// the sink; the backend keeps one and takes the lot back at teardown. All
-/// of it is keyed, so the order actors arrive in is moot.
-#[derive(Debug, Clone, Default)]
-pub struct FinalsSink(Arc<Mutex<(Finals, BTreeMap<NodeId, NodeDump>)>>);
+/// What a run's actors leave behind when it stops
+/// ([`simnet::Actor::on_stop`]): every backend's counters and — on the
+/// RingNet-engine backends with telemetry on — each NE's merged telemetry
+/// dump. It is the harvest [`simnet::Sim::finish`] returns. All of it is
+/// keyed, so the order actors stop in is moot.
+#[derive(Debug, Default)]
+pub struct Harvest {
+    /// The counters.
+    pub finals: Finals,
+    /// The telemetry dumps, by node.
+    pub(crate) dumps: BTreeMap<NodeId, NodeDump>,
+}
 
-impl FinalsSink {
+impl Harvest {
     /// Hand over one entity's counters for one group.
-    pub fn ne(&self, group: GroupId, node: NodeId, counts: NeFinal) {
-        self.lock().0.ne.insert((group, node), counts);
+    pub fn ne(&mut self, group: GroupId, node: NodeId, counts: NeFinal) {
+        self.finals.ne.insert((group, node), counts);
     }
 
     /// Hand over one walker's counters for one group.
-    pub fn mh(&self, group: GroupId, mh: Guid, counts: MhCounters) {
-        self.lock().0.mh.insert((group, mh), counts);
+    pub fn mh(&mut self, group: GroupId, mh: Guid, counts: MhCounters) {
+        self.finals.mh.insert((group, mh), counts);
     }
 
     /// Hand over one node's merged telemetry.
-    pub(crate) fn telemetry(&self, node: NodeId, dump: NodeDump) {
-        self.lock().1.insert(node, dump);
-    }
-
-    /// Everything handed over so far — the counters, and the telemetry
-    /// dumps by node — leaving the sink empty.
-    pub fn take(&self) -> (Finals, BTreeMap<NodeId, NodeDump>) {
-        std::mem::take(&mut *self.lock())
-    }
-
-    fn lock(&self) -> std::sync::MutexGuard<'_, (Finals, BTreeMap<NodeId, NodeDump>)> {
-        self.0.lock().expect("finals sink poisoned")
+    pub(crate) fn telemetry(&mut self, node: NodeId, dump: NodeDump) {
+        self.dumps.insert(node, dump);
     }
 }
 
@@ -571,13 +567,12 @@ pub struct RunReport {
 /// whether the journal `Vec` is kept as well (pre-sized from the scenario's
 /// workload) or never materialized (the report's journal is then empty).
 ///
-/// The sink owns its accumulator, so feeding it takes no lock. It hands the
-/// accumulator over when the journal drops it, which every simulator's
-/// `finish` does before the backend calls [`Reporting::finish`].
-#[derive(Debug)]
+/// The sink owns its accumulator, so feeding it touches nothing shared. It
+/// hands the accumulator over when the journal drops it, which every
+/// simulator's `finish` does before the backend calls [`Reporting::finish`].
 pub struct Reporting {
     /// Where the journal sink leaves its accumulator when it is dropped.
-    slot: Arc<Mutex<Option<MetricsAccumulator>>>,
+    slot: Rc<Cell<Option<MetricsAccumulator>>>,
 }
 
 /// The journal sink [`Reporting::install_journal`] attaches. Its closure
@@ -585,18 +580,14 @@ pub struct Reporting {
 /// dropping the closure hands the accumulator over.
 struct StreamingSink {
     acc: MetricsAccumulator,
-    slot: Arc<Mutex<Option<MetricsAccumulator>>>,
+    slot: Rc<Cell<Option<MetricsAccumulator>>>,
 }
 
 impl Drop for StreamingSink {
     fn drop(&mut self) {
         // An empty accumulator allocates nothing.
         let acc = std::mem::replace(&mut self.acc, MetricsAccumulator::new(BTreeSet::new()));
-        // A poisoned slot means a panic is already unwinding: leave it empty
-        // rather than panic again here.
-        if let Ok(mut slot) = self.slot.lock() {
-            *slot = Some(acc);
-        }
+        self.slot.set(Some(acc));
     }
 }
 
@@ -616,10 +607,10 @@ impl Reporting {
         } else {
             journal.set_retention(false);
         }
-        let slot = Arc::new(Mutex::new(None));
+        let slot = Rc::new(Cell::new(None));
         let mut sink = StreamingSink {
             acc: MetricsAccumulator::new(wired_core),
-            slot: Arc::clone(&slot),
+            slot: Rc::clone(&slot),
         };
         journal.set_sink(move |t, e| sink.acc.observe(t, e));
         Reporting { slot }
@@ -634,12 +625,8 @@ impl Reporting {
         stats: SimStats,
         finals: Finals,
     ) -> RunReport {
-        let mut acc = self
-            .slot
-            .lock()
-            .expect("metrics slot poisoned: the journal sink panicked")
-            .take()
-            .expect("the simulator's finish drops the journal sink first");
+        let acc = self.slot.take();
+        let mut acc = acc.expect("the simulator's finish drops the journal sink first");
         acc.observe_finals(&finals);
         RunReport {
             journal,

@@ -11,8 +11,9 @@
 //! off (like the streaming metrics accumulator) — the full-mode sweeps
 //! never materialize a journal.
 
+use std::cell::RefCell;
 use std::collections::BTreeSet;
-use std::sync::{Arc, Mutex};
+use std::rc::Rc;
 
 use baselines::UnorderedSim;
 use ringnet_core::driver::{CoreShape, MulticastSim, Scenario, ScenarioBuilder};
@@ -33,15 +34,15 @@ fn install_rate_counter(
     journal: &mut Journal<ProtoEvent>,
     warmup: SimTime,
     duration: SimTime,
-) -> Arc<Mutex<RateCounter>> {
-    let counter = Arc::new(Mutex::new(RateCounter {
+) -> Rc<RefCell<RateCounter>> {
+    let counter = Rc::new(RefCell::new(RateCounter {
         in_window: 0,
         mhs: BTreeSet::new(),
     }));
-    let sink = Arc::clone(&counter);
+    let sink = Rc::clone(&counter);
     journal.add_sink(move |t, e| {
         if let ProtoEvent::MhDeliver { mh, .. } = e {
-            let mut c = sink.lock().expect("rate counter poisoned");
+            let mut c = sink.borrow_mut();
             c.mhs.insert(mh.0);
             if t >= warmup && t <= duration {
                 c.in_window += 1;
@@ -51,9 +52,9 @@ fn install_rate_counter(
     counter
 }
 
-fn finish_rate(counter: &Mutex<RateCounter>, warmup: SimTime, duration: SimTime) -> f64 {
+fn finish_rate(counter: &RefCell<RateCounter>, warmup: SimTime, duration: SimTime) -> f64 {
     let span = duration.saturating_since(warmup).as_secs_f64();
-    let c = counter.lock().expect("rate counter poisoned");
+    let c = counter.borrow();
     if c.mhs.is_empty() || span <= 0.0 {
         return 0.0;
     }

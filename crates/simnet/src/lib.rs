@@ -31,7 +31,7 @@
 //! let b = sim.add_node(Box::new(Hello { peer: Some(a) }));
 //! sim.world().topo.connect_duplex(a, b, LinkProfile::wired(SimDuration::from_millis(5)));
 //! sim.run_to_quiescence(100);
-//! let (records, stats) = sim.finish();
+//! let (records, stats, ()) = sim.finish();
 //! assert_eq!(records.len(), 1);
 //! assert_eq!(stats.packets_delivered, 1);
 //! ```

@@ -3,8 +3,8 @@
 //! Every stochastic decision in a simulation (loss draws, jitter, workload
 //! inter-arrival times, mobility) must come from a stream derived from the
 //! simulation seed, never from ambient entropy — this is what makes a replica
-//! a pure function of `(config, seed)` and lets the parallel sweep runner
-//! fan replicas out across threads without losing reproducibility.
+//! a pure function of `(config, seed)`, so a sweep reproduces every replica
+//! from its seed alone, in whatever order it runs them.
 //!
 //! Inside one simulation the draws are split by who makes them. Each
 //! directed link draws its loss and jitter from a stream of its own, derived

@@ -21,8 +21,10 @@ use crate::slab::Slab;
 use crate::time::{SimDuration, SimTime};
 use crate::topo::{NodeAddr, Topology};
 
-/// A protocol endpoint living at one [`NodeAddr`].
-pub trait Actor<M, R> {
+/// A protocol endpoint living at one [`NodeAddr`]. `F` is the harvest its
+/// simulator hands back at the end ([`Sim::finish`]): what every actor
+/// leaves behind when it stops. Actors with nothing to leave use `()`.
+pub trait Actor<M, R, F = ()> {
     /// Called once when the simulation starts (in address order).
     fn on_start(&mut self, _ctx: &mut Ctx<'_, M, R>) {}
     /// Called when a packet addressed to this node arrives.
@@ -40,9 +42,9 @@ pub trait Actor<M, R> {
     /// to [`Ctx::set_timer`].
     fn on_timer(&mut self, _ctx: &mut Ctx<'_, M, R>, _tag: u64) {}
     /// Called once when the simulation is finished (in address order),
-    /// after the last event it ran: the place to hand end-of-run state
-    /// out of the actor.
-    fn on_stop(&mut self) {}
+    /// after the last event it ran: the place to write end-of-run state
+    /// into the run's harvest `out`, which [`Sim::finish`] returns.
+    fn on_stop(&mut self, _out: &mut F) {}
 }
 
 /// Aggregate transport counters for one run.
@@ -78,7 +80,7 @@ pub struct Journal<R> {
 }
 
 /// A streaming journal observer (see [`Journal::set_sink`]).
-pub(crate) type JournalSink<R> = Box<dyn FnMut(SimTime, &R) + Send>;
+pub(crate) type JournalSink<R> = Box<dyn FnMut(SimTime, &R)>;
 
 impl<R> Journal<R> {
     pub(crate) fn new(retain: bool) -> Self {
@@ -111,14 +113,14 @@ impl<R> Journal<R> {
     /// previously attached observers. Use [`Journal::add_sink`] to attach
     /// several independent observers (e.g. streaming metrics *and* an
     /// online auditor).
-    pub fn set_sink(&mut self, sink: impl FnMut(SimTime, &R) + Send + 'static) {
+    pub fn set_sink(&mut self, sink: impl FnMut(SimTime, &R) + 'static) {
         self.sinks.clear();
         self.sinks.push(Box::new(sink));
     }
 
     /// Attach an additional streaming observer without disturbing the ones
     /// already installed. Observers run in attachment order.
-    pub fn add_sink(&mut self, sink: impl FnMut(SimTime, &R) + Send + 'static) {
+    pub fn add_sink(&mut self, sink: impl FnMut(SimTime, &R) + 'static) {
         self.sinks.push(Box::new(sink));
     }
 
@@ -141,7 +143,7 @@ impl<R> Journal<R> {
 }
 
 /// A deferred closure run over the world (scenario control events).
-pub(crate) type ControlFn<M, R> = Box<dyn FnOnce(&mut World<M, R>) + Send>;
+pub(crate) type ControlFn<M, R> = Box<dyn FnOnce(&mut World<M, R>)>;
 
 pub(crate) enum Ev<M, R> {
     Packet {
@@ -390,11 +392,7 @@ impl<M, R> World<M, R> {
     }
 
     /// Schedule a control closure to run over the world at `at`.
-    pub fn schedule_control(
-        &mut self,
-        at: SimTime,
-        f: impl FnOnce(&mut World<M, R>) + Send + 'static,
-    ) {
+    pub fn schedule_control(&mut self, at: SimTime, f: impl FnOnce(&mut World<M, R>) + 'static) {
         let at = if at < self.now { self.now } else { at };
         self.queue.schedule(at, Ev::Control(Box::new(f)));
     }
@@ -405,12 +403,7 @@ impl<M: Clone, R> World<M, R> {
     /// the one place an event meets its actor, shared by [`Sim::step`] and
     /// [`Sim::run_until`]. `actors` is indexed by address; an absent entry
     /// (the address never existed) drops the event.
-    fn dispatch(
-        &mut self,
-        actors: &mut [Option<Box<dyn Actor<M, R>>>],
-        time: SimTime,
-        ev: Ev<M, R>,
-    ) {
+    fn dispatch<F>(&mut self, actors: &mut [Slot<M, R, F>], time: SimTime, ev: Ev<M, R>) {
         debug_assert!(time >= self.now, "time went backwards");
         self.now = time;
         self.stats.events += 1;
@@ -449,11 +442,11 @@ impl<M: Clone, R> World<M, R> {
 
     /// Run `arrive` on the actor at `dst`, detached from `actors` for the
     /// duration so it can borrow the world; counts one delivered packet.
-    fn deliver(
+    fn deliver<F>(
         &mut self,
-        actors: &mut [Option<Box<dyn Actor<M, R>>>],
+        actors: &mut [Slot<M, R, F>],
         dst: NodeAddr,
-        arrive: impl FnOnce(&mut dyn Actor<M, R>, &mut Ctx<'_, M, R>),
+        arrive: impl FnOnce(&mut dyn Actor<M, R, F>, &mut Ctx<'_, M, R>),
     ) {
         if let Some(mut actor) = actors.get_mut(dst.index()).and_then(Option::take) {
             self.stats.packets_delivered += 1;
@@ -541,14 +534,19 @@ impl<'a, M, R> Ctx<'a, M, R> {
     }
 }
 
-/// The simulator: actors plus world plus the main loop.
-pub struct Sim<M, R> {
-    actors: Vec<Option<Box<dyn Actor<M, R>>>>,
+/// An actor's place in the address table: empty while the actor is
+/// detached to run an event.
+type Slot<M, R, F> = Option<Box<dyn Actor<M, R, F>>>;
+
+/// The simulator: actors plus world plus the main loop. `F` is the
+/// harvest its actors stop into (see [`Sim::finish`]).
+pub struct Sim<M, R, F = ()> {
+    actors: Vec<Slot<M, R, F>>,
     world: World<M, R>,
     started: bool,
 }
 
-impl<M, R> Sim<M, R> {
+impl<M, R, F> Sim<M, R, F> {
     /// Create a simulator with journalling enabled and default packet size 0.
     pub fn new(seed: u64) -> Self {
         Self::with_options(seed, true, |_| 0)
@@ -565,7 +563,7 @@ impl<M, R> Sim<M, R> {
     }
 
     /// Add an actor; returns its address.
-    pub fn add_node(&mut self, actor: Box<dyn Actor<M, R>>) -> NodeAddr {
+    pub fn add_node(&mut self, actor: Box<dyn Actor<M, R, F>>) -> NodeAddr {
         let addr = NodeAddr(self.actors.len() as u32);
         self.actors.push(Some(actor));
         addr
@@ -591,15 +589,20 @@ impl<M, R> Sim<M, R> {
         &self.world.journal
     }
 
-    /// Consume the simulator: stop every actor ([`Actor::on_stop`], in
-    /// address order; no event runs after the last `run_until`), then yield
-    /// the journal records and final stats.
-    pub fn finish(mut self) -> (Vec<(SimTime, R)>, SimStats) {
+    /// Consume the simulator: stop every actor into one harvest, starting
+    /// from `F::default()` ([`Actor::on_stop`], in address order; no event
+    /// runs after the last `run_until`), then yield the journal records,
+    /// the final stats and the harvest.
+    pub fn finish(mut self) -> (Vec<(SimTime, R)>, SimStats, F)
+    where
+        F: Default,
+    {
+        let mut harvest = F::default();
         for actor in self.actors.iter_mut().flatten() {
-            actor.on_stop();
+            actor.on_stop(&mut harvest);
         }
         let stats = self.world.stats;
-        (self.world.journal.into_records(), stats)
+        (self.world.journal.into_records(), stats, harvest)
     }
 
     fn start_if_needed(&mut self) {
@@ -668,7 +671,8 @@ impl<M, R> Sim<M, R> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::{Arc, Mutex};
+    use std::cell::RefCell;
+    use std::rc::Rc;
 
     /// Ping-pong actor: replies to every packet until a hop budget runs out.
     struct PingPong {
@@ -716,7 +720,7 @@ mod tests {
         assert!(sim.run_to_quiescence(1_000));
         // b sends at t=0; messages bounce 10 ms apart; 11 arrivals total
         // (msg 0..=10, budget 5+5 replies + initial).
-        let (records, stats) = sim.finish();
+        let (records, stats, ()) = sim.finish();
         assert_eq!(records.len(), 11);
         assert_eq!(stats.packets_delivered, 11);
         // First arrival at a at 10 ms, alternating thereafter.
@@ -749,7 +753,7 @@ mod tests {
                 ),
             );
             sim.run_to_quiescence(10_000);
-            let (records, _) = sim.finish();
+            let (records, _, ()) = sim.finish();
             records
         }
         assert_eq!(run(7), run(7), "same seed must replay identically");
@@ -776,7 +780,7 @@ mod tests {
         let mut sim = Sim::new(0);
         sim.add_node(Box::new(TimerActor { fired: vec![] }));
         assert!(sim.run_to_quiescence(100));
-        let (records, stats) = sim.finish();
+        let (records, stats, ()) = sim.finish();
         assert_eq!(
             records.iter().map(|(_, t)| *t).collect::<Vec<_>>(),
             vec![1, 2, 3]
@@ -823,7 +827,7 @@ mod tests {
                 w.send(a, b, 77);
             });
         sim.run_until(SimTime::from_secs(1));
-        let (records, _) = sim.finish();
+        let (records, _, ()) = sim.finish();
         assert_eq!(records, vec![(SimTime::from_millis(6), 77)]);
     }
 
@@ -831,21 +835,18 @@ mod tests {
     fn finish_stops_each_actor_once_in_address_order_and_runs_nothing_more() {
         struct Stopper {
             me: u32,
-            stopped: Arc<Mutex<Vec<u32>>>,
         }
-        impl Actor<u32, u32> for Stopper {
+        impl Actor<u32, u32, Vec<u32>> for Stopper {
             fn on_packet(&mut self, ctx: &mut Ctx<'_, u32, u32>, _: NodeAddr, msg: u32) {
                 ctx.record(msg);
             }
-            fn on_stop(&mut self) {
-                self.stopped.lock().unwrap().push(self.me);
+            fn on_stop(&mut self, stopped: &mut Vec<u32>) {
+                stopped.push(self.me);
             }
         }
-        let stopped = Arc::new(Mutex::new(Vec::new()));
-        let mut sim: Sim<u32, u32> = Sim::new(0);
+        let mut sim: Sim<u32, u32, Vec<u32>> = Sim::new(0);
         for me in 0..3 {
-            let stopped = Arc::clone(&stopped);
-            sim.add_node(Box::new(Stopper { me, stopped }));
+            sim.add_node(Box::new(Stopper { me }));
         }
         // One packet lands at the end of the run, one a nanosecond past it.
         let end = SimTime::from_millis(10);
@@ -856,9 +857,8 @@ mod tests {
         });
         sim.run_until(end);
         let before = sim.stats();
-        assert!(stopped.lock().unwrap().is_empty(), "no stop before finish");
-        let (records, stats) = sim.finish();
-        assert_eq!(*stopped.lock().unwrap(), vec![0, 1, 2]);
+        let (records, stats, stopped) = sim.finish();
+        assert_eq!(stopped, vec![0, 1, 2]);
         assert_eq!(records, vec![(end, 1)], "the late packet never lands");
         assert_eq!(stats, before);
     }
@@ -910,7 +910,8 @@ mod tests {
                 }
             });
             sim.run_until(SimTime::from_secs(1));
-            sim.finish()
+            let (records, stats, ()) = sim.finish();
+            (records, stats)
         }
         assert_eq!(run(true), run(false));
     }
@@ -1002,7 +1003,7 @@ mod tests {
             sim.world().send_burst(a, b, &mut msgs);
             assert!(msgs.is_empty(), "a dropped burst is still consumed");
             sim.run_until(SimTime::from_secs(1));
-            let (records, stats) = sim.finish();
+            let (records, stats, ()) = sim.finish();
             assert!(records.is_empty(), "no member of a dropped burst arrives");
             assert_eq!(stats.packets_sent, 1);
             assert_eq!(stats.packets_delivered, 0);
@@ -1063,7 +1064,7 @@ mod tests {
                 w.send(a, b, 2);
             });
         sim.run_until(SimTime::from_secs(1));
-        let (records, stats) = sim.finish();
+        let (records, stats, ()) = sim.finish();
         assert_eq!(records, vec![(SimTime::from_millis(21), 2)]);
         assert_eq!(stats.packets_link_down, 1);
         assert_eq!(stats.packets_delivered, 1);
@@ -1071,7 +1072,6 @@ mod tests {
 
     #[test]
     fn multiple_sinks_all_observe() {
-        use std::sync::{Arc, Mutex};
         struct Emitter;
         impl Actor<(), u32> for Emitter {
             fn on_start(&mut self, ctx: &mut Ctx<'_, (), u32>) {
@@ -1079,28 +1079,27 @@ mod tests {
             }
             fn on_packet(&mut self, _: &mut Ctx<'_, (), u32>, _: NodeAddr, _: ()) {}
         }
-        let first = Arc::new(Mutex::new(Vec::new()));
-        let second = Arc::new(Mutex::new(Vec::new()));
+        let first = Rc::new(RefCell::new(Vec::new()));
+        let second = Rc::new(RefCell::new(Vec::new()));
         let mut sim: Sim<(), u32> = Sim::new(0);
         sim.add_node(Box::new(Emitter));
-        let s1 = Arc::clone(&first);
-        let s2 = Arc::clone(&second);
+        let s1 = Rc::clone(&first);
+        let s2 = Rc::clone(&second);
         sim.world()
             .journal
-            .add_sink(move |_, r| s1.lock().unwrap().push(*r));
+            .add_sink(move |_, r| s1.borrow_mut().push(*r));
         sim.world()
             .journal
-            .add_sink(move |_, r| s2.lock().unwrap().push(*r));
+            .add_sink(move |_, r| s2.borrow_mut().push(*r));
         sim.run_until(SimTime::from_millis(1));
-        let (records, _) = sim.finish();
+        let (records, _, ()) = sim.finish();
         assert_eq!(records.len(), 1, "retention stays on alongside sinks");
-        assert_eq!(*first.lock().unwrap(), vec![7]);
-        assert_eq!(*second.lock().unwrap(), vec![7]);
+        assert_eq!(*first.borrow(), vec![7]);
+        assert_eq!(*second.borrow(), vec![7]);
     }
 
     #[test]
     fn journal_sink_observes_without_retention() {
-        use std::sync::{Arc, Mutex};
         struct Emitter;
         impl Actor<(), u32> for Emitter {
             fn on_start(&mut self, ctx: &mut Ctx<'_, (), u32>) {
@@ -1109,19 +1108,19 @@ mod tests {
             }
             fn on_packet(&mut self, _: &mut Ctx<'_, (), u32>, _: NodeAddr, _: ()) {}
         }
-        let seen = Arc::new(Mutex::new(Vec::new()));
+        let seen = Rc::new(RefCell::new(Vec::new()));
         let mut sim: Sim<(), u32> = Sim::new(0);
         sim.add_node(Box::new(Emitter));
-        let sink_seen = Arc::clone(&seen);
+        let sink_seen = Rc::clone(&seen);
         sim.world().journal.set_retention(false);
         sim.world()
             .journal
-            .set_sink(move |t, r| sink_seen.lock().unwrap().push((t, *r)));
+            .set_sink(move |t, r| sink_seen.borrow_mut().push((t, *r)));
         sim.run_until(SimTime::from_millis(1));
-        let (records, _) = sim.finish();
+        let (records, _, ()) = sim.finish();
         assert!(records.is_empty(), "retention off keeps nothing");
         assert_eq!(
-            *seen.lock().unwrap(),
+            *seen.borrow(),
             vec![(SimTime::ZERO, 1), (SimTime::ZERO, 2)],
             "sink observed every record in order"
         );

@@ -215,7 +215,7 @@ fn interleaving_sends_across_links_leaves_each_links_outcomes_alone() {
                     });
             }
             sim.run_until(SimTime::from_secs(1));
-            let (records, stats) = sim.finish();
+            let (records, stats, ()) = sim.finish();
             let heard = |who: NodeAddr| -> Vec<(SimTime, u32)> {
                 records
                     .iter()
@@ -489,7 +489,8 @@ fn gossip(case: u64, burst: bool) -> (Vec<(SimTime, Heard)>, SimStats) {
         }
     }
     sim.run_until(SimTime::from_secs(1));
-    sim.finish()
+    let (records, stats, ()) = sim.finish();
+    (records, stats)
 }
 
 /// On links that draw nothing, a burst is indistinguishable from the
