@@ -554,40 +554,46 @@ fn spec_layouts() -> Vec<(&'static str, Vec<ringnet_core::HierarchySpec>)> {
 /// on the code that laid every hierarchy out with a second builder. The
 /// builder is gone and the scenario's shape lays them out now; a digest
 /// that moves means a call site now runs a different world.
+///
+/// The digested text drops `, bandwidth: Unlimited`, the one link field
+/// that every profile here holds at the same value and that the links are
+/// losing, so that deleting it leaves these values standing. All 31 were
+/// re-pinned for that with no layout changed; the older values quoted
+/// below are of the text with the field in.
 const SPEC_DIGESTS: &[(&str, u64)] = &[
-    ("harness t2::measure, r = 2, 4, 8", 0xf21fe5118c29d30a),
-    ("harness t3::run, λ = 100, 500, 1000", 0x032c75ff2c82ffe7),
-    ("harness e3::measure", 0x96ba31dcba52cc77),
-    ("harness e5::measure, (quick, loss, budget)", 0x4c610b0c91935df1),
-    ("harness a1::measure, ack_every = 1, 4, 8, 16", 0xe316052c1919f2d5),
-    ("figure1: harness f1, tests/integration.rs invalid_spec_is_rejected, hierarchy.rs tests (also the builder defaults)", 0xd67b15a04ed505bf),
-    ("src/lib.rs doctest", 0x652e614f7ccfc4f4),
-    ("engine.rs tests::small_spec", 0x427f9c2d2719c4cf),
-    ("hierarchy.rs tests::builder_produces_valid_spec", 0x3b8554e956ed82e1),
-    ("hierarchy.rs tests::entities_run_tier_by_tier_and_wiring_draws_the_link_plan", 0xc540efa4b01d7025),
-    ("hierarchy.rs tests::validation_rejects_unrunnable_traffic", 0x01cf2392babef3ab),
-    ("hierarchy.rs tests::neighbours_form_a_chain", 0x83f43baf98b859c3),
-    ("properties.rs total_order_never_violated", 0x396a45227b5de3c8),
-    ("engine_scenarios.rs poisson_traffic_is_fully_ordered_and_delivered", 0x811284b0bb101c22),
-    ("engine_scenarios.rs ap_failure_orphans_then_handoff_rescues", 0xcc537654f2365700),
-    ("engine_scenarios.rs bursty_channel_with_budget_keeps_ratio_high", 0x156b54f3db460fea),
-    ("engine_scenarios.rs a_lost_last_message_is_never_repaired", 0xb1afcfaaa431dc13),
-    ("engine_scenarios.rs quiet_world_fires_two_timer_chains_per_ne_and_one_ack_wake_per_mh", 0xaebe1db70429d4d1),
-    ("engine_scenarios.rs reservation_expires_and_ap_prunes_itself", 0x4c684968017b521a),
-    ("engine_scenarios.rs killing_an_mh_stops_its_acks_and_frees_it", 0x9923151406defb7f),
-    ("engine_scenarios.rs idle_mhs_are_kept_alive_by_their_acks_alone, 1 and 2 MHs per AP", 0xed5958f842c47cd1),
-    ("engine_scenarios.rs amnesiac_ap_solicits_reregistration_within_an_ack_period", 0xe682b5cdc4ed5d61),
-    ("engine_scenarios.rs station_shaped_spec_delivers_in_order (before the edit)", 0xe82f45c90e87b17e),
-    ("engine_scenarios.rs ring_cut_at_a_heartbeat_tick_is_repaired_on_the_probe_schedule", 0x32e13473923eb1e0),
-    ("engine_scenarios.rs zero_mh_network_runs_clean", 0xac93b0dcfcc501ba),
-    ("engine_scenarios.rs lost_frame_of_cumulative_acks_is_repaired_by_the_next_frame", 0x47a846b9140cdd90),
-    ("engine_scenarios.rs figure1_latency_is_token_wait_plus_link_delays_exactly", 0x8ac3a5a7ee695e6a),
-    ("driver ringnet_spec: ScenarioBuilder::figure1 (quickstart, README, integration)", 0xd67b15a04ed505bf),
-    ("driver ringnet_spec: CoreShape::Hierarchy (E1, E4, E8, T1, integration, examples)", 0xbdbfd46356f34ada),
+    ("harness t2::measure, r = 2, 4, 8", 0xb422942f318cc78a),
+    ("harness t3::run, λ = 100, 500, 1000", 0x7f5bf82c876842ef),
+    ("harness e3::measure", 0xb73fecc96c430f6f),
+    ("harness e5::measure, (quick, loss, budget)", 0x9fbea8171daf8dc1),
+    ("harness a1::measure, ack_every = 1, 4, 8, 16", 0x5df7df15ef14d29d),
+    ("figure1: harness f1, tests/integration.rs invalid_spec_is_rejected, hierarchy.rs tests (also the builder defaults)", 0xeb3025b6717f2ccf),
+    ("src/lib.rs doctest", 0xe1cdbd3c5505512c),
+    ("engine.rs tests::small_spec", 0x0c4eba5aaf9e2a1f),
+    ("hierarchy.rs tests::builder_produces_valid_spec", 0x7732cab0ef017951),
+    ("hierarchy.rs tests::entities_run_tier_by_tier_and_wiring_draws_the_link_plan", 0x11c4d45315248475),
+    ("hierarchy.rs tests::validation_rejects_unrunnable_traffic", 0xb43b6e90790c42a3),
+    ("hierarchy.rs tests::neighbours_form_a_chain", 0xa7b7a0ad21863fd3),
+    ("properties.rs total_order_never_violated", 0xce2f832ac207f990),
+    ("engine_scenarios.rs poisson_traffic_is_fully_ordered_and_delivered", 0xc5445611668937a2),
+    ("engine_scenarios.rs ap_failure_orphans_then_handoff_rescues", 0x436a67eac8f9ae68),
+    ("engine_scenarios.rs bursty_channel_with_budget_keeps_ratio_high", 0x847fafa08bca02d2),
+    ("engine_scenarios.rs a_lost_last_message_is_never_repaired", 0x9f9d28f444d81e9b),
+    ("engine_scenarios.rs quiet_world_fires_two_timer_chains_per_ne_and_one_ack_wake_per_mh", 0x1829f5c5bb478d99),
+    ("engine_scenarios.rs reservation_expires_and_ap_prunes_itself", 0x0fb52419a762d892),
+    ("engine_scenarios.rs killing_an_mh_stops_its_acks_and_frees_it", 0xb6569379a65ae98f),
+    ("engine_scenarios.rs idle_mhs_are_kept_alive_by_their_acks_alone, 1 and 2 MHs per AP", 0x52a72fc49f0f54a1),
+    ("engine_scenarios.rs amnesiac_ap_solicits_reregistration_within_an_ack_period", 0x0b910d9ad4a0f989),
+    ("engine_scenarios.rs station_shaped_spec_delivers_in_order (before the edit)", 0xd57d562b072ed7e6),
+    ("engine_scenarios.rs ring_cut_at_a_heartbeat_tick_is_repaired_on_the_probe_schedule", 0xe0c476cbc6163dc8),
+    ("engine_scenarios.rs zero_mh_network_runs_clean", 0x6799edbbaef94c32),
+    ("engine_scenarios.rs lost_frame_of_cumulative_acks_is_repaired_by_the_next_frame", 0x0a6447dc60032a80),
+    ("engine_scenarios.rs figure1_latency_is_token_wait_plus_link_delays_exactly", 0x121b4c55f11276ea),
+    ("driver ringnet_spec: ScenarioBuilder::figure1 (quickstart, README, integration)", 0xeb3025b6717f2ccf),
+    ("driver ringnet_spec: CoreShape::Hierarchy (E1, E4, E8, T1, integration, examples)", 0x601f56f17228194a),
     // Moved on purpose when AG_RING_CAP went from 11 to 4 (was
     // 0xda2ebe15b6d8347e): the 8 AGs form 2 rings of 4, ring i listing
     // BR i mod 2 first, in place of one ring of 8.
-    ("driver ringnet_spec: CoreShape::Auto, 8×4 grid (campus_128's shape)", 0x18d4341a793ede0c),
+    ("driver ringnet_spec: CoreShape::Auto, 8×4 grid (campus_128's shape)", 0xd98c3f472032e364),
     // Moved on purpose when the automatic layout split more than
     // AG_RING_CAP AGs into balanced rings (was 0x8b01097c5f6ca2e9): the
     // 64 AGs form 4 rings of 16, ring i listing BR i mod 2 first, in place
@@ -596,14 +602,17 @@ const SPEC_DIGESTS: &[(&str, u64)] = &[
     // 6 rings of 11, 11, 11, 11, 10 and 10 AGs, ring i listing BR i mod 2
     // first. Moved again when AG_RING_CAP went from 11 to 4 (was
     // 0x9434f5acb47c4805): 16 rings of 4.
-    ("driver ringnet_spec: CoreShape::Auto, 16×16 grid (metro_1k's shape)", 0xd3858abb6f4b2af5),
+    ("driver ringnet_spec: CoreShape::Auto, 16×16 grid (metro_1k's shape)", 0x42f23a60ac059dc5),
 ];
 
 #[test]
 fn every_regular_hierarchy_lays_out_as_pinned() {
     let got: Vec<(&str, u64)> = spec_layouts()
         .into_iter()
-        .map(|(site, specs)| (site, fnv1a(&format!("{specs:?}"))))
+        .map(|(site, specs)| {
+            let text = format!("{specs:?}").replace(", bandwidth: Unlimited", "");
+            (site, fnv1a(&text))
+        })
         .collect();
     assert_eq!(got, SPEC_DIGESTS);
 }
