@@ -16,7 +16,6 @@ use std::rc::Rc;
 
 use ringnet_core::driver::{MulticastSim, RunReport, Scenario, ScenarioEvent};
 use ringnet_core::metrics::{Harvest, NeFinal};
-use ringnet_core::PAYLOAD_BYTES;
 use ringnet_core::{GlobalSeq, GroupId, Guid, LocalSeq, MhCounters, NodeId, ProtoEvent};
 use simnet::{Actor, Ctx, NodeAddr, SimDuration, SimTime};
 
@@ -54,16 +53,6 @@ pub(crate) enum RelmMsg {
         /// Missing sequence numbers.
         missing: Vec<u64>,
     },
-}
-
-fn relm_wire_size(msg: &RelmMsg) -> usize {
-    match msg {
-        RelmMsg::SourceData { .. } | RelmMsg::Down { .. } | RelmMsg::Deliver { .. } => {
-            40 + PAYLOAD_BYTES
-        }
-        RelmMsg::Ack { .. } => 24,
-        RelmMsg::Nack { missing, .. } => 24 + 8 * missing.len(),
-    }
 }
 
 const TAG_HOP: u64 = 2;
@@ -284,7 +273,6 @@ impl MulticastSim for RelmSim {
     fn build(scenario: &Scenario, seed: u64) -> Self {
         let group = scenario.group;
         let plan = StarPlan {
-            sizer: relm_wire_size,
             source_data: |seq| RelmMsg::SourceData { seq },
             hub_link: &scenario.links.br_ag,
             placements: scenario.static_placements(),

@@ -15,7 +15,6 @@ use std::rc::Rc;
 
 use ringnet_core::driver::{MulticastSim, RunReport, Scenario, ScenarioEvent};
 use ringnet_core::metrics::{Harvest, NeFinal};
-use ringnet_core::PAYLOAD_BYTES;
 use ringnet_core::{GlobalSeq, GroupId, Guid, LocalSeq, MhCounters, NodeId, ProtoEvent};
 use simnet::{Actor, Ctx, LinkProfile, NodeAddr, SimDuration, SimTime};
 
@@ -53,15 +52,6 @@ pub(crate) enum TunMsg {
         /// The new AP.
         new_ap: NodeId,
     },
-}
-
-fn tun_wire_size(msg: &TunMsg) -> usize {
-    match msg {
-        TunMsg::SourceData { .. } | TunMsg::Tunnel { .. } | TunMsg::Deliver { .. } => {
-            40 + PAYLOAD_BYTES
-        }
-        TunMsg::CoaUpdate { .. } | TunMsg::HandoffTo { .. } => 24,
-    }
 }
 
 /// The home agent: group subscription point and per-MH tunnel endpoint.
@@ -258,7 +248,6 @@ impl MulticastSim for TunnelSim {
     fn build(scenario: &Scenario, seed: u64) -> Self {
         let group = scenario.group;
         let plan = StarPlan {
-            sizer: tun_wire_size,
             source_data: |seq| TunMsg::SourceData { seq },
             hub_link: &scenario.links.top_ring,
             // Late joiners idle at AP 0 until their `Join` hands them off.

@@ -28,7 +28,6 @@ use ringnet_core::metrics::{Harvest, NeFinal};
 use ringnet_core::{
     AddrMap, Endpoint, GlobalSeq, GroupId, Guid, LocalSeq, MessageQueue, MhCounters, MsgData,
     NodeId, PayloadId, ProtoEvent, ProtocolConfig, WorkingTable, HEARTBEAT_PERIOD, HOP_TICK,
-    PAYLOAD_BYTES,
 };
 use simnet::{Actor, Ctx, Journal, NodeAddr, Sim, SimTime};
 
@@ -64,14 +63,6 @@ pub(crate) enum UnMsg {
         /// Missing sequence numbers.
         missing: Vec<u64>,
     },
-}
-
-fn un_wire_size(msg: &UnMsg) -> usize {
-    match msg {
-        UnMsg::SourceData { .. } | UnMsg::Data { .. } => 40 + PAYLOAD_BYTES,
-        UnMsg::Ack { .. } => 24,
-        UnMsg::Nack { missing, .. } => 24 + 8 * missing.len(),
-    }
 }
 
 const TAG_HOP: u64 = 2;
@@ -544,7 +535,7 @@ impl MulticastSim for UnorderedSim {
         let (group, cfg) = (spec.group, &spec.cfg);
         let map = Rc::new(AddrMap::for_spec(&spec));
 
-        let mut sim: Sim<UnMsg, ProtoEvent, Harvest> = Sim::with_options(seed, true, un_wire_size);
+        let mut sim: Sim<UnMsg, ProtoEvent, Harvest> = Sim::new(seed);
         for entity in spec.entities() {
             let actor: BoxedActor<UnMsg> = match entity {
                 Entity::Source(src) => {

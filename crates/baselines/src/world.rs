@@ -93,11 +93,10 @@ impl Star {
     }
 }
 
-/// The protocol-specific half of a star world: its wire format and which
-/// [`ringnet_core::hierarchy::LinkPlan`] profile the hub ↔ edge detour
-/// draws.
+/// The protocol-specific half of a star world: its source message and
+/// which [`ringnet_core::hierarchy::LinkPlan`] profile the hub ↔ edge
+/// detour draws.
 pub(crate) struct StarPlan<'a, M> {
-    pub sizer: fn(&M) -> usize,
     pub source_data: fn(u64) -> M,
     pub hub_link: &'a LinkProfile,
     /// Initial attachment index per walker.
@@ -123,7 +122,7 @@ impl<M: Clone + 'static> StarPlan<'_, M> {
             homes: self.placements.iter().map(|&k| edge_ids[k]).collect(),
         });
 
-        let mut sim: Sim<M, ProtoEvent, Harvest> = Sim::with_options(seed, true, self.sizer);
+        let mut sim: Sim<M, ProtoEvent, Harvest> = Sim::new(seed);
         sim.add_node(hub(&star));
         for &id in &edge_ids {
             sim.add_node(edge(&star, id));

@@ -32,7 +32,7 @@ use crate::hierarchy::{
 use crate::ids::{Endpoint, GlobalSeq, GroupId, Guid, LocalSeq, NodeId, PayloadId};
 use crate::metrics::Harvest;
 use crate::mh::MhState;
-use crate::msg::{Msg, PAYLOAD_BYTES};
+use crate::msg::Msg;
 use crate::node::NeState;
 use crate::telemetry::{NodeDump, TelemetryReport};
 
@@ -115,13 +115,6 @@ impl AddrMap {
         let hit = self.rev.get(addr.index()).copied().flatten();
         hit.unwrap_or(Endpoint::Ne(NodeId(u32::MAX)))
     }
-}
-
-/// Wire-size model handed to `simnet` (charged against bandwidth models;
-/// a burst is charged the sum over its members): [`PAYLOAD_BYTES`] per
-/// payload-bearing message on top of its header.
-fn wire_size(msg: &Msg) -> usize {
-    msg.base_wire_size() + PAYLOAD_BYTES * usize::from(msg.carries_payload())
 }
 
 // ---------------------------------------------------------------- actors
@@ -812,7 +805,7 @@ impl RingNetSim {
         // Journalling stays on even in quiet configs: the experiment layer
         // always reads the low-volume records (Ordered, handoffs); the
         // config flags gate only the per-delivery firehose.
-        let mut sim = Sim::with_options(seed, true, wire_size);
+        let mut sim = Sim::new(seed);
         let addrs = assemble(&spec, &mut sim);
         let reporting =
             Reporting::install_journal(&mut sim.world().journal, scenario, hierarchy_core(&spec));
@@ -1319,7 +1312,7 @@ mod tests {
             .any(|(_, m)| matches!(m, Msg::DataNack { .. })));
 
         // The engine: one pending wake.
-        let mut sim: Sim<Msg, ProtoEvent, Harvest> = Sim::with_options(3, true, wire_size);
+        let mut sim: Sim<Msg, ProtoEvent, Harvest> = Sim::new(3);
         let heard = Rc::new(RefCell::new(Vec::new()));
         let mut map = AddrMap::default();
         map.insert(Endpoint::Ne(ap_id), NodeAddr(0));

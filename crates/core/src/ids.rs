@@ -62,8 +62,8 @@ impl Epoch {
     pub const ZERO: Epoch = Epoch(0);
 }
 
-/// Identifies an application payload. The simulation does not carry payload
-/// bytes; the wire-size model charges a fixed payload size instead.
+/// Identifies an application payload. The simulation carries no payload
+/// bytes, and a link never prices a packet by its size.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct PayloadId(pub u64);
 

@@ -111,7 +111,7 @@ pub use hierarchy::{HierarchySpec, TrafficPattern};
 pub use ids::{Endpoint, Epoch, GlobalSeq, GroupId, Guid, LocalRange, LocalSeq, NodeId, PayloadId};
 pub use mh::{MhCounters, MhState};
 pub use mq::{DeliverItem, InsertOutcome, MessageQueue, MsgData};
-pub use msg::{Msg, PAYLOAD_BYTES};
+pub use msg::Msg;
 pub use node::NeState;
 pub use ring_epoch::EpochFence;
 pub use ring_lifecycle::{LifecycleEvent, MemberState, RingLifecycle};

@@ -15,11 +15,6 @@ use crate::ids::{GlobalSeq, GroupId, Guid, LocalSeq, NodeId, PayloadId};
 use crate::mq::MsgData;
 use crate::token::OrderingToken;
 
-/// Application payload size in bytes, charged once per payload-bearing
-/// message by every backend's wire-size model: RingNet's and the tunnel,
-/// RelM and unordered formats alike.
-pub const PAYLOAD_BYTES: usize = 512;
-
 /// The RingNet wire-message set.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Msg {
@@ -426,45 +421,6 @@ impl Msg {
         })
     }
 
-    /// Approximate wire size in bytes, used to charge bandwidth models.
-    /// Control messages are small and fixed; data messages add the
-    /// [`PAYLOAD_BYTES`] at the engine layer (`engine::wire_size`).
-    pub(crate) fn base_wire_size(&self) -> usize {
-        match self {
-            Msg::SourceData { .. } | Msg::PreOrder { .. } | Msg::Data { .. } => 40,
-            Msg::FenceIngress { targets, .. } => 40 + 4 * targets.len(),
-            Msg::FenceDispatch { .. } | Msg::FencePreOrder { .. } => 48,
-            Msg::DataAck { .. } => 24,
-            Msg::TokenAck { .. } => 32,
-            Msg::PreOrderNack { missing, .. } => 24 + 8 * missing.len(),
-            Msg::DataNack { missing, .. } => 24 + 8 * missing.len(),
-            Msg::Token(t) => 32 + 48 * t.wtsnp.len(),
-            Msg::TokenRegen { best, .. } => 40 + 48 * best.wtsnp.len(),
-            Msg::Heartbeat { .. } | Msg::HeartbeatAck { .. } => 16,
-            Msg::NewPrev { .. }
-            | Msg::Graft { .. }
-            | Msg::GraftAck { .. }
-            | Msg::Prune { .. }
-            | Msg::MembershipUpdate { .. }
-            | Msg::Join { .. }
-            | Msg::Leave { .. }
-            | Msg::HandoffTo { .. }
-            | Msg::HandoffRegister { .. }
-            | Msg::Reserve { .. }
-            | Msg::JoinAck { .. }
-            | Msg::ReRegister { .. }
-            | Msg::RingFail { .. }
-            | Msg::RejoinRequest { .. } => 24,
-            Msg::RejoinGrant { .. } => 32,
-            // Engine-control messages are not real traffic.
-            Msg::JoinCmd { .. }
-            | Msg::Kill { .. }
-            | Msg::Restart { .. }
-            | Msg::DropToken { .. }
-            | Msg::ReplayToken { .. } => 0,
-        }
-    }
-
     /// The telemetry counter a control-plane send of this message is
     /// counted under (`NeState::send_control`).
     pub(crate) fn control_metric(&self) -> &'static str {
@@ -526,28 +482,6 @@ mod tests {
     }
 
     #[test]
-    fn wire_size_scales_with_content() {
-        let small = Msg::DataNack {
-            group: GroupId(1),
-            missing: vec![GlobalSeq(1)],
-        };
-        let big = Msg::DataNack {
-            group: GroupId(1),
-            missing: (1..=10).map(GlobalSeq).collect(),
-        };
-        assert!(big.base_wire_size() > small.base_wire_size());
-
-        let mut t = OrderingToken::new(GroupId(1), NodeId(0));
-        let empty_size = Msg::Token(Box::new(t.clone())).base_wire_size();
-        t.assign(
-            NodeId(0),
-            NodeId(0),
-            crate::ids::LocalRange::new(LocalSeq(1), LocalSeq(5)),
-        );
-        assert!(Msg::Token(Box::new(t)).base_wire_size() > empty_size);
-    }
-
-    #[test]
     fn fence_messages_route_and_charge() {
         let ingress = Msg::FenceIngress {
             group: GroupId(1),
@@ -558,7 +492,6 @@ mod tests {
         };
         assert_eq!(ingress.group(), GroupId(1));
         assert!(ingress.carries_payload());
-        assert_eq!(ingress.base_wire_size(), 48);
         let pre = Msg::FencePreOrder {
             group: GroupId(2),
             funnel: NodeId(0),

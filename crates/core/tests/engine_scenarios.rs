@@ -115,7 +115,6 @@ fn bursty_channel_with_budget_keeps_ratio_high() {
                     jitter: SimDuration::from_millis(2),
                 },
                 loss: LossModel::lossy_wireless(),
-                bandwidth: simnet::BandwidthModel::Unlimited,
             },
             ..LinkPlan::default()
         })
@@ -148,7 +147,6 @@ fn a_lost_last_message_is_never_repaired() {
                     jitter: SimDuration::from_millis(2),
                 },
                 loss: LossModel::Bernoulli(0.2),
-                bandwidth: simnet::BandwidthModel::Unlimited,
             },
             ..LinkPlan::default()
         })

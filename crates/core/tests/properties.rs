@@ -233,7 +233,7 @@ fn fnv1a(text: &str) -> u64 {
 /// order.
 fn spec_layouts() -> Vec<(&'static str, Vec<ringnet_core::HierarchySpec>)> {
     use ringnet_core::ProtocolConfig;
-    use simnet::{BandwidthModel, LatencyModel, LossModel};
+    use simnet::{LatencyModel, LossModel};
 
     const G: GroupId = GroupId(1);
     let layout = |b: ScenarioBuilder| ringnet_spec(&b.build());
@@ -262,7 +262,6 @@ fn spec_layouts() -> Vec<(&'static str, Vec<ringnet_core::HierarchySpec>)> {
             jitter: SimDuration::from_millis(2),
         },
         loss,
-        bandwidth: BandwidthModel::Unlimited,
     };
 
     let t2 = [2, 4, 8].map(|r| {
@@ -555,11 +554,11 @@ fn spec_layouts() -> Vec<(&'static str, Vec<ringnet_core::HierarchySpec>)> {
 /// builder is gone and the scenario's shape lays them out now; a digest
 /// that moves means a call site now runs a different world.
 ///
-/// The digested text drops `, bandwidth: Unlimited`, the one link field
-/// that every profile here holds at the same value and that the links are
-/// losing, so that deleting it leaves these values standing. All 31 were
-/// re-pinned for that with no layout changed; the older values quoted
-/// below are of the text with the field in.
+/// All 31 were re-pinned, with no layout changed, on the last code whose
+/// link profiles had a `bandwidth` field (every one `Unlimited`), from
+/// their text with that field stripped; deleting the field left them
+/// standing. The older values quoted below are of the text with the field
+/// in.
 const SPEC_DIGESTS: &[(&str, u64)] = &[
     ("harness t2::measure, r = 2, 4, 8", 0xb422942f318cc78a),
     ("harness t3::run, λ = 100, 500, 1000", 0x7f5bf82c876842ef),
@@ -609,10 +608,7 @@ const SPEC_DIGESTS: &[(&str, u64)] = &[
 fn every_regular_hierarchy_lays_out_as_pinned() {
     let got: Vec<(&str, u64)> = spec_layouts()
         .into_iter()
-        .map(|(site, specs)| {
-            let text = format!("{specs:?}").replace(", bandwidth: Unlimited", "");
-            (site, fnv1a(&text))
-        })
+        .map(|(site, specs)| (site, fnv1a(&format!("{specs:?}"))))
         .collect();
     assert_eq!(got, SPEC_DIGESTS);
 }

@@ -2,7 +2,7 @@
 //!
 //! The substrate under the RingNet reproduction: virtual time, a
 //! deterministic event queue, per-simulation RNG streams, point-to-point
-//! links with latency / loss / bandwidth models, an actor-based simulator
+//! links with latency and loss models, an actor-based simulator
 //! and measurement primitives.
 //!
 //! `simnet` knows nothing about multicast or mobility — protocol logic lives
@@ -49,7 +49,7 @@ pub mod time;
 pub mod topo;
 
 pub use event::{EventHandle, EventQueue};
-pub use link::{BandwidthModel, LatencyModel, LinkProfile, LossModel};
+pub use link::{LatencyModel, LinkProfile, LossModel};
 pub use rng::SimRng;
 pub use sim::{Actor, Ctx, Journal, Sim, SimStats, World};
 pub use stats::Histogram;

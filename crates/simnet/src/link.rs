@@ -1,13 +1,13 @@
-//! Link models: latency, loss, and bandwidth.
+//! Link models: latency and loss.
 //!
-//! A [`LinkProfile`] bundles the three orthogonal aspects of a
-//! point-to-point channel. Profiles are pure descriptions. The mutable part
-//! of a link — Gilbert–Elliott memory, the up flag, the serializer's
-//! horizon and queue — is a 16-byte `Channel`, and `Channel::transmit` is
-//! the one place the link physics runs, under a profile passed in.
+//! A [`LinkProfile`] bundles the two orthogonal aspects of a
+//! point-to-point channel; a packet's size never enters. Profiles are pure
+//! descriptions. The mutable part of a link — Gilbert–Elliott memory and
+//! the up flag — is a 2-byte `Channel`, and `Channel::transmit` is the one
+//! place the link physics runs, under a profile passed in.
 //!
 //! Two forms hold a channel. Inside a simulation the
-//! [`Topology`](crate::topo::Topology) stores it in a 56-byte entry per
+//! [`Topology`](crate::topo::Topology) stores it in a 48-byte entry per
 //! directed link and keeps the few distinct profiles a world installs
 //! in one table, shared by index. [`LinkState`] is the standalone form: a
 //! profile and its channel together, for code that models one link by
@@ -127,22 +127,6 @@ impl LossModel {
     }
 }
 
-/// Bandwidth model: packets serialize one at a time onto the wire.
-#[derive(Debug, Clone, PartialEq)]
-pub enum BandwidthModel {
-    /// Infinite capacity: no serialization delay, no queueing.
-    Unlimited,
-    /// Finite rate in bits per second with a bounded FIFO. Packets that
-    /// would exceed `queue_limit` outstanding transmissions are dropped
-    /// (tail drop).
-    Limited {
-        /// Serialization rate in bits/second.
-        bits_per_sec: u64,
-        /// Maximum queued-but-unsent packets before tail drop.
-        queue_limit: usize,
-    },
-}
-
 /// Complete description of a unidirectional link.
 #[derive(Debug, Clone, PartialEq)]
 pub struct LinkProfile {
@@ -150,8 +134,6 @@ pub struct LinkProfile {
     pub latency: LatencyModel,
     /// Loss model.
     pub loss: LossModel,
-    /// Bandwidth / queueing model.
-    pub bandwidth: BandwidthModel,
 }
 
 impl LinkProfile {
@@ -160,7 +142,6 @@ impl LinkProfile {
         LinkProfile {
             latency: LatencyModel::Fixed(delay),
             loss: LossModel::Perfect,
-            bandwidth: BandwidthModel::Unlimited,
         }
     }
 
@@ -169,7 +150,6 @@ impl LinkProfile {
         LinkProfile {
             latency: LatencyModel::Jittered { base, jitter },
             loss: LossModel::Bernoulli(loss),
-            bandwidth: BandwidthModel::Unlimited,
         }
     }
 
@@ -187,39 +167,30 @@ pub enum TxOutcome {
     Deliver(SimTime),
     /// Packet was lost in flight (loss model).
     Lost,
-    /// Packet was dropped before transmission (full bandwidth queue).
-    QueueDrop,
     /// Packet was dropped because the link is administratively down
     /// (partition fault injection).
     Down,
 }
 
-/// The mutable half of a link: Gilbert–Elliott memory, the administrative
-/// up flag, and the serializer's horizon and queue. It transmits under a
-/// profile held elsewhere — beside it in a [`LinkState`], or in the
-/// topology's shared table. 16 bytes.
+/// The mutable half of a link: Gilbert–Elliott memory and the
+/// administrative up flag. It transmits under a profile held elsewhere —
+/// beside it in a [`LinkState`], or in the topology's shared table.
+/// 2 bytes.
 #[derive(Debug, Clone)]
 pub(crate) struct Channel {
-    /// Earliest time the serializer can start on the next packet.
-    tx_free_at: SimTime,
-    /// Packets currently waiting for the serializer (only for `Limited`).
-    queued: u32,
     /// Gilbert–Elliott state: in the bursty high-loss state.
     bad: bool,
     /// Administrative up/down state: a downed link drops every packet
-    /// without consuming serializer time or advancing the loss channel
-    /// (the cable is unplugged, not noisy). Scenario fault injection
-    /// (wired-core partitions) toggles this; channel memory and transmit
-    /// horizon survive a down/up cycle.
+    /// without advancing the loss channel (the cable is unplugged, not
+    /// noisy). Scenario fault injection (wired-core partitions) toggles
+    /// this; channel memory survives a down/up cycle.
     up: bool,
 }
 
 impl Channel {
-    /// A fresh, up channel in the Good state with an idle serializer.
+    /// A fresh, up channel in the Good state.
     pub(crate) fn new() -> Self {
         Channel {
-            tx_free_at: SimTime::ZERO,
-            queued: 0,
             bad: false,
             up: true,
         }
@@ -257,46 +228,22 @@ impl Channel {
         }
     }
 
-    /// Offer one packet of `size_bytes` to a link described by `profile`
-    /// at time `now`, drawing loss and jitter from `rng` (see
-    /// [`LinkState::transmit`]).
+    /// Offer one packet to a link described by `profile` at time `now`,
+    /// drawing loss and then jitter from `rng`.
     #[inline]
     pub(crate) fn transmit(
         &mut self,
         profile: &LinkProfile,
         now: SimTime,
-        size_bytes: usize,
         rng: &mut SimRng,
     ) -> TxOutcome {
         if !self.up {
             return TxOutcome::Down;
         }
-        let depart = match profile.bandwidth {
-            BandwidthModel::Unlimited => now,
-            BandwidthModel::Limited {
-                bits_per_sec,
-                queue_limit,
-            } => {
-                // Reconcile queue occupancy with the transmit horizon.
-                if self.tx_free_at <= now {
-                    self.queued = 0;
-                }
-                if self.queued as usize >= queue_limit {
-                    return TxOutcome::QueueDrop;
-                }
-                let start = self.tx_free_at.max(now);
-                let ser_ns =
-                    (size_bytes as u64 * 8).saturating_mul(1_000_000_000) / bits_per_sec.max(1);
-                let done = start + SimDuration::from_nanos(ser_ns);
-                self.tx_free_at = done;
-                self.queued += 1;
-                done
-            }
-        };
         if self.draw_loss(&profile.loss, rng) {
             return TxOutcome::Lost;
         }
-        TxOutcome::Deliver(depart + profile.latency.sample(rng))
+        TxOutcome::Deliver(now + profile.latency.sample(rng))
     }
 }
 
@@ -318,13 +265,11 @@ impl LinkState {
         }
     }
 
-    /// Offer one packet of `size_bytes` to the link at time `now`.
-    ///
-    /// Models, in order: bandwidth queueing (serialization, tail drop), then
-    /// loss, then propagation delay. A lost packet still consumed serializer
-    /// time — it was transmitted, just not received.
-    pub fn transmit(&mut self, now: SimTime, size_bytes: usize, rng: &mut SimRng) -> TxOutcome {
-        self.channel.transmit(&self.profile, now, size_bytes, rng)
+    /// Offer one packet to the link at time `now`: loss, then propagation
+    /// delay. `_size_bytes` is ignored, since a link has no bandwidth; the
+    /// argument stays only because the benchmark still passes it.
+    pub fn transmit(&mut self, now: SimTime, _size_bytes: usize, rng: &mut SimRng) -> TxOutcome {
+        self.channel.transmit(&self.profile, now, rng)
     }
 }
 
@@ -356,7 +301,6 @@ mod tests {
                 jitter: SimDuration::from_millis(3),
             },
             loss: LossModel::Perfect,
-            bandwidth: BandwidthModel::Unlimited,
         };
         let mut link = LinkState::new(profile);
         let mut r = rng();
@@ -410,56 +354,6 @@ mod tests {
     }
 
     #[test]
-    fn bandwidth_serializes_packets() {
-        // 8000 bits/s → a 100-byte (800-bit) packet takes 100 ms to serialize.
-        let profile = LinkProfile {
-            bandwidth: BandwidthModel::Limited {
-                bits_per_sec: 8_000,
-                queue_limit: 16,
-            },
-            ..LinkProfile::wired(SimDuration::ZERO)
-        };
-        let mut link = LinkState::new(profile);
-        let mut r = rng();
-        let t0 = SimTime::ZERO;
-        let first = link.transmit(t0, 100, &mut r);
-        let second = link.transmit(t0, 100, &mut r);
-        assert_eq!(first, TxOutcome::Deliver(SimTime::from_millis(100)));
-        assert_eq!(second, TxOutcome::Deliver(SimTime::from_millis(200)));
-    }
-
-    #[test]
-    fn bandwidth_queue_tail_drops() {
-        let profile = LinkProfile {
-            bandwidth: BandwidthModel::Limited {
-                bits_per_sec: 8_000,
-                queue_limit: 2,
-            },
-            ..LinkProfile::wired(SimDuration::ZERO)
-        };
-        let mut link = LinkState::new(profile);
-        let mut r = rng();
-        assert!(matches!(
-            link.transmit(SimTime::ZERO, 100, &mut r),
-            TxOutcome::Deliver(_)
-        ));
-        assert!(matches!(
-            link.transmit(SimTime::ZERO, 100, &mut r),
-            TxOutcome::Deliver(_)
-        ));
-        assert_eq!(
-            link.transmit(SimTime::ZERO, 100, &mut r),
-            TxOutcome::QueueDrop
-        );
-        // After the horizon passes the queue drains and transmission resumes.
-        let later = SimTime::from_secs(1);
-        assert!(matches!(
-            link.transmit(later, 100, &mut r),
-            TxOutcome::Deliver(_)
-        ));
-    }
-
-    #[test]
     fn downed_link_drops_everything_until_up() {
         let profile = LinkProfile::wired(SimDuration::from_millis(1));
         let mut channel = Channel::new();
@@ -467,13 +361,13 @@ mod tests {
         channel.set_up(false);
         for _ in 0..3 {
             assert_eq!(
-                channel.transmit(&profile, SimTime::ZERO, 64, &mut r),
+                channel.transmit(&profile, SimTime::ZERO, &mut r),
                 TxOutcome::Down
             );
         }
         channel.set_up(true);
         assert!(matches!(
-            channel.transmit(&profile, SimTime::ZERO, 64, &mut r),
+            channel.transmit(&profile, SimTime::ZERO, &mut r),
             TxOutcome::Deliver(_)
         ));
     }
@@ -482,7 +376,7 @@ mod tests {
     fn channel_is_small() {
         // The topology stores one per directed link, beside a 32-byte draw
         // stream, in less than a cache line.
-        assert_eq!(std::mem::size_of::<Channel>(), 16);
+        assert_eq!(std::mem::size_of::<Channel>(), 2);
     }
 
     #[test]

@@ -60,8 +60,6 @@ pub struct SimStats {
     pub packets_lost: u64,
     /// Packets dropped because no link existed for `(src, dst)`.
     pub packets_no_route: u64,
-    /// Packets dropped by full bandwidth queues.
-    pub packets_queue_dropped: u64,
     /// Packets dropped on administratively-down links (partitions).
     pub packets_link_down: u64,
     /// Timers fired.
@@ -83,9 +81,10 @@ pub struct Journal<R> {
 pub(crate) type JournalSink<R> = Box<dyn FnMut(SimTime, &R)>;
 
 impl<R> Journal<R> {
-    pub(crate) fn new(retain: bool) -> Self {
+    /// An empty journal that retains what it is given.
+    pub(crate) fn new() -> Self {
         Journal {
-            retain,
+            retain: true,
             records: Vec::new(),
             sinks: Vec::new(),
         }
@@ -236,14 +235,12 @@ pub struct World<M, R> {
     pub journal: Journal<R>,
     /// Transport counters.
     pub stats: SimStats,
-    /// Per-packet wire size charged to bandwidth models, by message.
-    sizer: fn(&M) -> usize,
 }
 
 impl<M, R> World<M, R> {
     /// A world whose actors and links draw from streams of the run seed
     /// `seed`.
-    fn new(seed: u64, journal: bool, sizer: fn(&M) -> usize) -> Self {
+    fn new(seed: u64) -> Self {
         World {
             now: SimTime::ZERO,
             queue: EventQueue::new(),
@@ -252,9 +249,8 @@ impl<M, R> World<M, R> {
             mc_buf: Vec::new(),
             topo: Topology::with_seed(seed),
             rng: SimRng::from_seed(seed),
-            journal: Journal::new(journal),
+            journal: Journal::new(),
             stats: SimStats::default(),
-            sizer,
         }
     }
 
@@ -264,17 +260,15 @@ impl<M, R> World<M, R> {
         self.now
     }
 
-    /// Offer one wire packet of `size` bytes to the `src → dst` link,
-    /// applying bandwidth, loss and latency: its arrival time if it gets
-    /// through, otherwise `None` with the drop counted. Packets without a
+    /// Offer one wire packet to the `src → dst` link, applying loss and
+    /// latency: its arrival time if it gets through, otherwise `None` with the drop counted. Packets without a
     /// link are counted in [`SimStats::packets_no_route`] (an unreachable
     /// destination, exactly like a black-holed IP packet).
-    fn offer(&mut self, src: NodeAddr, dst: NodeAddr, size: usize) -> Option<SimTime> {
+    fn offer(&mut self, src: NodeAddr, dst: NodeAddr) -> Option<SimTime> {
         self.stats.packets_sent += 1;
-        let counter = match self.topo.transmit(src, dst, self.now, size) {
+        let counter = match self.topo.transmit(src, dst, self.now) {
             Some(TxOutcome::Deliver(at)) => return Some(at),
             Some(TxOutcome::Lost) => &mut self.stats.packets_lost,
-            Some(TxOutcome::QueueDrop) => &mut self.stats.packets_queue_dropped,
             Some(TxOutcome::Down) => &mut self.stats.packets_link_down,
             None => &mut self.stats.packets_no_route,
         };
@@ -283,19 +277,17 @@ impl<M, R> World<M, R> {
     }
 
     /// Transmit `msg` from `src` to `dst` over the configured link, applying
-    /// bandwidth, loss and latency; a packet the link drops, or that has no
-    /// link, is counted in [`SimStats`] and silently gone.
+    /// its loss and latency; a packet the link drops, or that has no link,
+    /// is counted in [`SimStats`] and silently gone.
     pub fn send(&mut self, src: NodeAddr, dst: NodeAddr, msg: M) {
-        let size = (self.sizer)(&msg);
-        if let Some(at) = self.offer(src, dst, size) {
+        if let Some(at) = self.offer(src, dst) {
             self.queue.schedule(at, Ev::Packet { src, dst, msg });
         }
     }
 
     /// Transmit everything in `msgs` (drained, in order) from `src` to
     /// `dst` as **one wire packet**: one [`SimStats::packets_sent`], one
-    /// offer to the link charged the sum of the members' sizes, hence one
-    /// loss and one latency draw — the burst arrives whole, through
+    /// offer to the link, hence one loss and one latency draw — the burst arrives whole, through
     /// [`Actor::on_burst`], or not at all — and one queue event. On a link
     /// that draws nothing every member arrives exactly when, and in the
     /// order, per-message [`World::send`]s would have delivered it. A run
@@ -307,8 +299,7 @@ impl<M, R> World<M, R> {
             }
             return;
         }
-        let size = msgs.iter().map(self.sizer).sum();
-        let Some(at) = self.offer(src, dst, size) else {
+        let Some(at) = self.offer(src, dst) else {
             msgs.clear();
             return;
         };
@@ -338,7 +329,7 @@ impl<M, R> World<M, R> {
     }
 
     /// Transmit one `msg` from `src` to every destination in `dsts`,
-    /// applying each link's bandwidth, loss and latency independently —
+    /// applying each link's loss and latency independently —
     /// byte-for-byte equivalent to calling [`World::send`] once per
     /// destination (same RNG draw order, same tie-break order), but the
     /// payload is interned once and shared by all pending copies instead
@@ -347,11 +338,10 @@ impl<M, R> World<M, R> {
     where
         M: Clone,
     {
-        let size = (self.sizer)(&msg);
         let mut deliveries = std::mem::take(&mut self.mc_buf);
         deliveries.clear();
         for &dst in dsts {
-            if let Some(at) = self.offer(src, dst, size) {
+            if let Some(at) = self.offer(src, dst) {
                 deliveries.push((dst, at));
             }
         }
@@ -547,19 +537,23 @@ pub struct Sim<M, R, F = ()> {
 }
 
 impl<M, R, F> Sim<M, R, F> {
-    /// Create a simulator with journalling enabled and default packet size 0.
+    /// Create a simulator whose actors and links draw from streams of the
+    /// run seed `seed`, with journal retention on.
     pub fn new(seed: u64) -> Self {
-        Self::with_options(seed, true, |_| 0)
-    }
-
-    /// Create with explicit journalling flag and a wire-size function used to
-    /// charge bandwidth models.
-    pub fn with_options(seed: u64, journal: bool, sizer: fn(&M) -> usize) -> Self {
         Sim {
             actors: Vec::new(),
-            world: World::new(seed, journal, sizer),
+            world: World::new(seed),
             started: false,
         }
+    }
+
+    /// [`Sim::new`] with journal retention set to `journal`. `_sizer` is
+    /// ignored (a link has no bandwidth); only the benchmark still calls
+    /// this.
+    pub fn with_options(seed: u64, journal: bool, _sizer: fn(&M) -> usize) -> Self {
+        let mut sim = Self::new(seed);
+        sim.world.journal.set_retention(journal);
+        sim
     }
 
     /// Add an actor; returns its address.

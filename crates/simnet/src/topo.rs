@@ -1,4 +1,5 @@
-//! Mutable network topology: a set of nodes and directed links.
+//! Mutable network topology: a set of nodes and directed links, each
+//! with a latency and a loss model.
 //!
 //! Links are directed so that asymmetric channels (e.g. a clean downlink and
 //! a lossy uplink) can be modelled; [`Topology::connect_duplex`] installs the
@@ -9,10 +10,9 @@
 //! destinations, sorted, in a dense `Vec<NodeAddr>`, and its links beside
 //! them in a second vector in the same order. The row index is O(1); the
 //! binary search reads only the address array; the hit then touches one
-//! 56-byte link entry, less than a cache line: the link's 16-byte channel
-//! (Gilbert–Elliott state, up flag, serializer horizon and queue), its
-//! 32-byte draw stream, its connection ordinal and a `u32` index of its
-//! profile. (Aligning the entry to 64 bytes measured no faster and made
+//! 48-byte link entry, less than a cache line: the link's 2-byte channel
+//! (Gilbert–Elliott state and up flag), its 32-byte draw stream, its
+//! connection ordinal and a `u32` index of its profile. (Aligning the entry to 64 bytes measured no faster and made
 //! every row allocation an aligned one, which cost set-up time.) Iteration
 //! order (row by row, sorted within each row) is that of a
 //! `BTreeMap<(src, dst), _>`, which reproducible statistics dumps rely on.
@@ -70,7 +70,7 @@ pub fn link_stream(seed: u64, src: NodeAddr, dst: NodeAddr, nth: u64) -> SimRng 
     )
 }
 
-/// One directed link as the topology stores it, in 56 bytes: its draw
+/// One directed link as the topology stores it, in 48 bytes: its draw
 /// stream, its channel, which connection of the pair it is (0-based) and
 /// the index of its profile in the topology's table.
 struct Link {
@@ -238,20 +238,14 @@ impl Topology {
         fwd || rev
     }
 
-    /// Offer one packet of `size` bytes to the link `src → dst` at `now`,
-    /// drawing from that link's own stream: the outcome, or `None` when
-    /// there is no such link.
+    /// Offer one packet to the link `src → dst` at `now`, drawing from
+    /// that link's own stream: the outcome, or `None` when there is no
+    /// such link.
     #[inline]
-    pub fn transmit(
-        &mut self,
-        src: NodeAddr,
-        dst: NodeAddr,
-        now: SimTime,
-        size: usize,
-    ) -> Option<TxOutcome> {
+    pub fn transmit(&mut self, src: NodeAddr, dst: NodeAddr, now: SimTime) -> Option<TxOutcome> {
         let link = self.out.get_mut(src.index())?.link_mut(dst)?;
         let profile = &self.profiles[link.profile as usize];
-        Some(link.channel.transmit(profile, now, size, &mut link.draws))
+        Some(link.channel.transmit(profile, now, &mut link.draws))
     }
 
     /// The profile of the directed link `src → dst`.
@@ -324,9 +318,9 @@ mod tests {
         assert_eq!(ns, vec![1, 3, 5, 9]);
     }
 
-    /// Offer one 64-byte packet at time zero.
+    /// Offer one packet at time zero.
     fn send(t: &mut Topology, src: u32, dst: u32) -> Option<TxOutcome> {
-        t.transmit(NodeAddr(src), NodeAddr(dst), SimTime::ZERO, 64)
+        t.transmit(NodeAddr(src), NodeAddr(dst), SimTime::ZERO)
     }
 
     #[test]
@@ -357,7 +351,7 @@ mod tests {
         let mut stream0 = link_stream(9, NodeAddr(0), NodeAddr(1), 0);
         assert_eq!(
             first,
-            Channel::new().transmit(&jittered, SimTime::ZERO, 64, &mut stream0),
+            Channel::new().transmit(&jittered, SimTime::ZERO, &mut stream0),
             "a pair's first connection draws stream 0"
         );
         // Re-attachment: a new stream, not a replay of the old one.
@@ -377,29 +371,22 @@ mod tests {
 
     #[test]
     fn replace_link_resets_state() {
-        // 8000 bits/s: a 100-byte packet holds the serializer for 100 ms.
-        let slow = LinkProfile {
-            bandwidth: crate::link::BandwidthModel::Limited {
-                bits_per_sec: 8_000,
-                queue_limit: 16,
-            },
-            ..LinkProfile::wired(SimDuration::ZERO)
-        };
         let mut t = Topology::default();
         let (a, b) = (NodeAddr(0), NodeAddr(1));
-        t.connect(a, b, slow.clone());
-        t.transmit(a, b, SimTime::ZERO, 100);
-        t.connect(a, b, slow);
+        t.connect(a, b, p());
+        assert!(t.set_link_up(a, b, false));
+        assert_eq!(send(&mut t, 0, 1), Some(TxOutcome::Down));
+        t.connect(a, b, p());
         assert_eq!(
-            t.transmit(a, b, SimTime::ZERO, 100),
-            Some(TxOutcome::Deliver(SimTime::from_millis(100))),
-            "the replacement starts with an idle serializer"
+            send(&mut t, 0, 1),
+            Some(TxOutcome::Deliver(SimTime::from_millis(1))),
+            "the replacement starts up"
         );
     }
 
     #[test]
     fn links_fit_a_cache_line_and_share_profiles() {
-        assert_eq!(std::mem::size_of::<Link>(), 56);
+        assert_eq!(std::mem::size_of::<Link>(), 48);
         let wireless = p().with_loss(LossModel::lossy_wireless());
         let mut t = Topology::default();
         for i in 0..100u32 {

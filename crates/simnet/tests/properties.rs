@@ -5,7 +5,7 @@
 use std::collections::{BTreeMap, BTreeSet};
 
 use simnet::event::EventQueue;
-use simnet::link::{BandwidthModel, LinkProfile, LinkState, LossModel, TxOutcome};
+use simnet::link::{LinkProfile, LinkState, LossModel, TxOutcome};
 use simnet::topo::link_stream;
 use simnet::{Actor, Ctx, NodeAddr, Sim, SimDuration, SimRng, SimStats, SimTime, Topology};
 
@@ -522,20 +522,14 @@ struct ModelLink {
 }
 
 /// A few profiles that disagree on every packet: fixed and jittered delay,
-/// Bernoulli and bursty loss, a serializer with a short queue.
+/// Bernoulli and bursty loss.
 fn model_profiles() -> Vec<LinkProfile> {
     let ms = SimDuration::from_millis;
     vec![
         LinkProfile::wired(ms(1)),
         LinkProfile::wireless(ms(2), ms(5), 0.2),
         LinkProfile::wireless(ms(1), ms(3), 0.0).with_loss(LossModel::lossy_wireless()),
-        LinkProfile {
-            bandwidth: BandwidthModel::Limited {
-                bits_per_sec: 64_000,
-                queue_limit: 3,
-            },
-            ..LinkProfile::wireless(ms(3), ms(1), 0.1)
-        },
+        LinkProfile::wireless(ms(3), ms(1), 0.1),
     ]
 }
 
@@ -596,19 +590,17 @@ fn topology_matches_reference_model() {
                 }
                 _ => {
                     now += SimDuration::from_micros(rng.range_u64(0, 4000));
-                    let size = rng.range_u64(40, 1500) as usize;
                     let want = model.get_mut(&(a, b)).map(|l| {
                         if down.contains(&(a, b)) {
                             TxOutcome::Down
                         } else {
-                            l.state.transmit(now, size, &mut l.draws)
+                            l.state.transmit(now, 0, &mut l.draws)
                         }
                     });
-                    assert_eq!(topo.transmit(a, b, now, size), want, "case {case} op {op}");
+                    assert_eq!(topo.transmit(a, b, now), want, "case {case} op {op}");
                     let kind = match want {
                         Some(TxOutcome::Deliver(_)) => "deliver",
                         Some(TxOutcome::Lost) => "lost",
-                        Some(TxOutcome::QueueDrop) => "queue drop",
                         Some(TxOutcome::Down) => "down",
                         None => "no link",
                     };
@@ -633,7 +625,7 @@ fn topology_matches_reference_model() {
             assert_eq!(got, want, "case {case}: neighbours of {n}");
         }
     }
-    for kind in ["deliver", "lost", "queue drop", "down", "no link"] {
+    for kind in ["deliver", "lost", "down", "no link"] {
         assert!(
             outcomes.get(kind) > Some(&20),
             "{kind} too rare: {outcomes:?}"

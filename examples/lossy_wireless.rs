@@ -9,9 +9,7 @@
 
 use ringnet_repro::core::driver::{CoreShape, MulticastSim, ScenarioBuilder};
 use ringnet_repro::core::{ProtocolConfig, RingNetSim};
-use ringnet_repro::simnet::{
-    BandwidthModel, LatencyModel, LinkProfile, LossModel, SimDuration, SimTime,
-};
+use ringnet_repro::simnet::{LatencyModel, LinkProfile, LossModel, SimDuration, SimTime};
 
 fn run(loss: LossModel, budget: u8) -> (f64, f64, u64) {
     let wireless = LinkProfile {
@@ -20,7 +18,6 @@ fn run(loss: LossModel, budget: u8) -> (f64, f64, u64) {
             jitter: SimDuration::from_millis(2),
         },
         loss,
-        bandwidth: BandwidthModel::Unlimited,
     };
     let duration = SimTime::from_secs(8);
     let scenario = ScenarioBuilder::new()

@@ -544,7 +544,6 @@ const fn loss_free(events: u64, sent: u64, delivered: u64, timers: u64) -> SimSt
         packets_delivered: delivered,
         packets_lost: 0,
         packets_no_route: 0,
-        packets_queue_dropped: 0,
         packets_link_down: 0,
         timers_fired: timers,
     }
