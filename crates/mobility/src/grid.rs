@@ -2,8 +2,8 @@
 //!
 //! APs sit at the centres of square cells in a `cols × rows` grid. A mobile
 //! host's attachment point is the AP of the cell it stands in — the
-//! standard idealised-coverage model. Neighbour queries (4- or
-//! 8-connectivity) feed the path-reservation radius of the protocol.
+//! standard idealised-coverage model. The 4-connected neighbour query
+//! picks a walker's next cell in ping-pong handoff traces.
 
 /// A position on the plane, in metres.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -105,26 +105,6 @@ impl CellGrid {
         }
         out
     }
-
-    /// 8-connected neighbours of a cell, in index order.
-    pub fn neighbours8(&self, ap: ApIndex) -> Vec<ApIndex> {
-        let cx = (ap % self.cols) as isize;
-        let cy = (ap / self.cols) as isize;
-        let mut out = Vec::with_capacity(8);
-        for dy in -1isize..=1 {
-            for dx in -1isize..=1 {
-                if dx == 0 && dy == 0 {
-                    continue;
-                }
-                let nx = cx + dx;
-                let ny = cy + dy;
-                if nx >= 0 && ny >= 0 && (nx as usize) < self.cols && (ny as usize) < self.rows {
-                    out.push(ny as usize * self.cols + nx as usize);
-                }
-            }
-        }
-        out
-    }
 }
 
 #[cfg(test)]
@@ -162,13 +142,6 @@ mod tests {
         assert_eq!(g.neighbours4(0), vec![1, 3]);
         // Edge cell 1 has three.
         assert_eq!(g.neighbours4(1), vec![0, 2, 4]);
-    }
-
-    #[test]
-    fn neighbours8_topology() {
-        let g = CellGrid::new(3, 3, 10.0);
-        assert_eq!(g.neighbours8(4), vec![0, 1, 2, 3, 5, 6, 7, 8]);
-        assert_eq!(g.neighbours8(0), vec![1, 3, 4]);
     }
 
     #[test]

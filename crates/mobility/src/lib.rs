@@ -2,9 +2,9 @@
 //!
 //! The RingNet paper evaluates a protocol for *mobile* Internet but had no
 //! real movement traces; this crate provides the synthetic equivalent
-//! (DESIGN.md §2): a cell grid with AP placement ([`grid`]), classic
-//! mobility models ([`models`]: random waypoint, random walk, scripted
-//! trajectories), and handoff trace generation ([`handoff`]) that converts
+//! (DESIGN.md §2): a cell grid with AP placement ([`grid`]), mobility
+//! models ([`models`]: random waypoint and scripted trajectories), and
+//! handoff trace generation ([`handoff`]) that converts
 //! sampled trajectories into the attachment-change events protocol
 //! scenarios consume.
 //!
@@ -36,4 +36,4 @@ pub mod models;
 
 pub use grid::{ApIndex, CellGrid, Pos};
 pub use handoff::{generate, ping_pong, HandoffEvent, HandoffTrace};
-pub use models::{Mobility, RandomWalk, RandomWaypoint, Scripted};
+pub use models::{Mobility, RandomWaypoint, Scripted};

@@ -1,9 +1,9 @@
-//! Mobility models: random waypoint and random walk.
+//! Mobility models: random waypoint and scripted trajectories.
 //!
-//! Both models advance a position in continuous time and are driven by a
-//! deterministic [`SimRng`] stream, so a trajectory is a pure function of
-//! `(model parameters, seed)`. They substitute for the real movement traces
-//! the paper's setting implies but never had (DESIGN.md §2).
+//! Random waypoint is driven by a deterministic [`SimRng`] stream, so a
+//! trajectory is a pure function of `(model parameters, seed)`; it stands
+//! in for the movement traces the paper's setting implies but never had
+//! (DESIGN.md §2). A scripted path draws nothing: a test fixture.
 
 use simnet::SimRng;
 
@@ -112,88 +112,6 @@ impl Mobility for RandomWaypoint {
     }
 }
 
-/// Random walk: at fixed intervals pick a uniform direction and walk at a
-/// constant speed, bouncing off the area borders.
-#[derive(Debug, Clone)]
-pub struct RandomWalk {
-    pos: Pos,
-    dir: (f64, f64),
-    speed: f64,
-    width: f64,
-    height: f64,
-    turn_every: f64,
-    until_turn: f64,
-}
-
-impl RandomWalk {
-    /// Create a walker at a uniform random position moving at `speed` m/s,
-    /// re-drawing its direction every `turn_every` seconds.
-    pub fn new(width: f64, height: f64, speed: f64, turn_every: f64, rng: &mut SimRng) -> Self {
-        assert!(width > 0.0 && height > 0.0 && speed > 0.0 && turn_every > 0.0);
-        let pos = Pos {
-            x: rng.range_f64(0.0, width),
-            y: rng.range_f64(0.0, height),
-        };
-        let mut w = RandomWalk {
-            pos,
-            dir: (1.0, 0.0),
-            speed,
-            width,
-            height,
-            turn_every,
-            until_turn: turn_every,
-        };
-        w.pick_dir(rng);
-        w
-    }
-
-    fn pick_dir(&mut self, rng: &mut SimRng) {
-        let theta = rng.range_f64(0.0, std::f64::consts::TAU);
-        self.dir = (theta.cos(), theta.sin());
-    }
-}
-
-impl Mobility for RandomWalk {
-    fn position(&self) -> Pos {
-        self.pos
-    }
-
-    fn step(&mut self, mut dt: f64, rng: &mut SimRng) {
-        while dt > 0.0 {
-            let leg = self.until_turn.min(dt);
-            let mut x = self.pos.x + self.dir.0 * self.speed * leg;
-            let mut y = self.pos.y + self.dir.1 * self.speed * leg;
-            // Bounce off borders.
-            if x < 0.0 {
-                x = -x;
-                self.dir.0 = -self.dir.0;
-            }
-            if x > self.width {
-                x = 2.0 * self.width - x;
-                self.dir.0 = -self.dir.0;
-            }
-            if y < 0.0 {
-                y = -y;
-                self.dir.1 = -self.dir.1;
-            }
-            if y > self.height {
-                y = 2.0 * self.height - y;
-                self.dir.1 = -self.dir.1;
-            }
-            self.pos = Pos {
-                x: x.clamp(0.0, self.width),
-                y: y.clamp(0.0, self.height),
-            };
-            self.until_turn -= leg;
-            dt -= leg;
-            if self.until_turn <= 0.0 {
-                self.pick_dir(rng);
-                self.until_turn = self.turn_every;
-            }
-        }
-    }
-}
-
 /// A scripted trajectory: linear interpolation between `(time, position)`
 /// keyframes. Useful for reproducible unit tests and demos.
 #[derive(Debug, Clone)]
@@ -294,23 +212,6 @@ mod tests {
             b.step(0.3, &mut r2);
             assert_eq!(a.position(), b.position());
         }
-    }
-
-    #[test]
-    fn walk_stays_in_bounds_and_moves() {
-        let mut r = rng();
-        let mut m = RandomWalk::new(200.0, 200.0, 5.0, 2.0, &mut r);
-        let mut total = 0.0;
-        let mut last = m.position();
-        for _ in 0..500 {
-            m.step(0.5, &mut r);
-            let p = m.position();
-            assert!((0.0..=200.0).contains(&p.x));
-            assert!((0.0..=200.0).contains(&p.y));
-            total += last.dist(p);
-            last = p;
-        }
-        assert!(total > 100.0, "walked {total} m");
     }
 
     #[test]
