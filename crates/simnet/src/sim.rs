@@ -261,9 +261,9 @@ impl<M, R> World<M, R> {
     }
 
     /// Offer one wire packet to the `src → dst` link, applying loss and
-    /// latency: its arrival time if it gets through, otherwise `None` with the drop counted. Packets without a
-    /// link are counted in [`SimStats::packets_no_route`] (an unreachable
-    /// destination, exactly like a black-holed IP packet).
+    /// latency: its arrival time if it gets through, else `None` with the
+    /// drop counted ([`SimStats::packets_no_route`] when there is no link,
+    /// exactly like a black-holed IP packet).
     fn offer(&mut self, src: NodeAddr, dst: NodeAddr) -> Option<SimTime> {
         self.stats.packets_sent += 1;
         let counter = match self.topo.transmit(src, dst, self.now) {
@@ -287,11 +287,12 @@ impl<M, R> World<M, R> {
 
     /// Transmit everything in `msgs` (drained, in order) from `src` to
     /// `dst` as **one wire packet**: one [`SimStats::packets_sent`], one
-    /// offer to the link, hence one loss and one latency draw — the burst arrives whole, through
-    /// [`Actor::on_burst`], or not at all — and one queue event. On a link
-    /// that draws nothing every member arrives exactly when, and in the
-    /// order, per-message [`World::send`]s would have delivered it. A run
-    /// of one *is* a [`World::send`]; an empty run sends nothing.
+    /// offer to the link, hence one loss and one latency draw — the burst
+    /// arrives whole, through [`Actor::on_burst`], or not at all — and one
+    /// queue event. On a link that draws nothing every member arrives
+    /// exactly when, and in the order, per-message [`World::send`]s would
+    /// have delivered it. A run of one *is* a [`World::send`]; an empty run
+    /// sends nothing.
     pub fn send_burst(&mut self, src: NodeAddr, dst: NodeAddr, msgs: &mut Vec<M>) {
         if msgs.len() < 2 {
             if let Some(msg) = msgs.pop() {

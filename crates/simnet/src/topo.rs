@@ -1,5 +1,4 @@
-//! Mutable network topology: a set of nodes and directed links, each
-//! with a latency and a loss model.
+//! Mutable network topology: nodes and directed links of latency and loss.
 //!
 //! Links are directed so that asymmetric channels (e.g. a clean downlink and
 //! a lossy uplink) can be modelled; [`Topology::connect_duplex`] installs the
@@ -12,10 +11,11 @@
 //! binary search reads only the address array; the hit then touches one
 //! 48-byte link entry, less than a cache line: the link's 2-byte channel
 //! (Gilbert–Elliott state and up flag), its 32-byte draw stream, its
-//! connection ordinal and a `u32` index of its profile. (Aligning the entry to 64 bytes measured no faster and made
-//! every row allocation an aligned one, which cost set-up time.) Iteration
-//! order (row by row, sorted within each row) is that of a
-//! `BTreeMap<(src, dst), _>`, which reproducible statistics dumps rely on.
+//! connection ordinal and a `u32` index of its profile. (Aligning the
+//! entry to 64 bytes measured no faster and made every row allocation an
+//! aligned one, which cost set-up time.) Iteration order (row by row,
+//! sorted within each row) is that of a `BTreeMap<(src, dst), _>`, which
+//! reproducible statistics dumps rely on.
 //!
 //! **Shared profiles.** A world installs a handful of distinct
 //! [`LinkProfile`]s over thousands of links (a default-plan RingNet world
