@@ -1420,3 +1420,80 @@ fn a_cut_between_an_ag_ring_leader_and_its_next_makes_each_excise_the_other() {
     assert_eq!(report.metrics.delivered, 1_471);
     assert_eq!(ringnet_core::metrics::order_violations(journal), 0);
 }
+
+/// Token-Regeneration (§4.2.1) on the loss-free Figure-1 world: a
+/// `DropToken` at 1 s swallows the next pass, the ring notices the quiet,
+/// and one regeneration round restarts ordering. The regenerated token
+/// numbers on from the dropped pass, so nothing is skipped and every
+/// walker delivers every message ordered.
+#[test]
+fn a_dropped_token_is_regenerated_and_numbering_resumes_without_a_skip() {
+    let sc = ScenarioBuilder::figure1(G)
+        .cbr(SimDuration::from_millis(7))
+        .window(SimTime::ZERO, Some(SimTime::from_secs(2)))
+        .loss_free_wireless()
+        .duration(SimTime::from_secs(3))
+        .events([ScenarioEvent::DropToken {
+            at: SimTime::from_secs(1),
+        }])
+        .build();
+    let report = RingNetSim::run_scenario(&sc, 7);
+    let journal = &report.journal;
+    let dropped: Vec<SimTime> = (journal.iter())
+        .filter_map(|(t, e)| matches!(e, ProtoEvent::TokenDropped { .. }).then_some(*t))
+        .collect();
+    let regenerated: Vec<(SimTime, u64)> = (journal.iter())
+        .filter_map(|(t, e)| match *e {
+            ProtoEvent::TokenRegenerated { next_gsn, .. } => Some((*t, next_gsn.0)),
+            _ => None,
+        })
+        .collect();
+    let ordered: Vec<(SimTime, u64)> = (journal.iter())
+        .filter_map(|(t, e)| match *e {
+            ProtoEvent::Ordered { gsn, .. } => Some((*t, gsn.0)),
+            _ => None,
+        })
+        .collect();
+    let drop_at = SimTime::from_millis(1_005);
+    assert_eq!(dropped, [drop_at]);
+    let [(regen_at, next_gsn)] = regenerated[..] else {
+        panic!("one regeneration: {regenerated:?}")
+    };
+    // The first ring node suspects the loss on the heartbeat tick after
+    // it has seen no token for `2 × TOKEN_QUIET_AFTER`, and its round
+    // needs one rotation of quiet nodes.
+    assert_eq!(regen_at, SimTime::from_millis(1_470));
+    // The regenerated lineage continues the dropped pass's numbering: the
+    // first number after the last one assigned before the drop.
+    let before = (ordered.iter())
+        .filter(|(t, _)| *t <= drop_at)
+        .map(|&(_, g)| g)
+        .max()
+        .expect("ordered before the drop");
+    assert_eq!(next_gsn, before + 1);
+    assert!(
+        ordered
+            .iter()
+            .all(|&(t, g)| (t <= drop_at) == (g <= before)),
+        "nothing is ordered between the drop and the regeneration"
+    );
+    // Every number from 1 on is assigned exactly once, and nothing skipped.
+    let gsns: BTreeSet<u64> = ordered.iter().map(|&(_, g)| g).collect();
+    assert_eq!(gsns.len(), ordered.len());
+    assert_eq!(gsns, (1..=ordered.len() as u64).collect());
+    let skips = count(journal, |e| {
+        matches!(e, ProtoEvent::NeSkip { .. } | ProtoEvent::MhSkip { .. })
+    });
+    assert_eq!(skips, 0);
+    // Every walker delivers every ordered message, in order.
+    let mut per_walker: BTreeMap<Guid, Vec<u64>> = BTreeMap::new();
+    for (_, e) in journal {
+        if let ProtoEvent::MhDeliver { mh, gsn, .. } = *e {
+            per_walker.entry(mh).or_default().push(gsn.0);
+        }
+    }
+    assert_eq!(per_walker.len(), 9);
+    for (mh, got) in &per_walker {
+        assert!(got.iter().copied().eq(gsns.iter().copied()), "{mh:?}");
+    }
+}
