@@ -17,7 +17,7 @@ use std::collections::BTreeSet;
 
 use simnet::{LinkProfile, NodeAddr, SimDuration, SimTime};
 
-use crate::config::{ProtocolConfig, AG_RING_CAP};
+use crate::config::{ProtocolConfig, AG_RING_CAP, TOKEN_RETRY_AFTER};
 use crate::driver::{CoreShape, Scenario};
 use crate::ids::{GroupId, Guid, NodeId};
 
@@ -411,6 +411,22 @@ impl HierarchySpec {
         let mut problems = self.cfg.validate();
         if self.top_ring.is_empty() {
             problems.push("top ring is empty".into());
+        }
+        // Token-loss detection (`crate::recovery`) waits one retry period
+        // past a pass's retry chain for its last copy to land, so a copy
+        // must land within a retry period — on a ring hop, or on a repair
+        // path, which runs over `br_ag`.
+        for (scope, link) in [
+            ("top_ring", &self.links.top_ring),
+            ("br_ag", &self.links.br_ag),
+        ] {
+            if link.latency.max_delay() >= TOKEN_RETRY_AFTER {
+                problems.push(format!(
+                    "{scope} links may take {:?}, not below the token retry period {:?}",
+                    link.latency.max_delay(),
+                    TOKEN_RETRY_AFTER
+                ));
+            }
         }
         let declared: std::collections::BTreeSet<GroupId> =
             self.effective_groups().into_iter().collect();
@@ -1001,6 +1017,20 @@ mod tests {
             .validate()
             .iter()
             .any(|p| p.contains("no candidate parent AG")));
+    }
+
+    #[test]
+    fn validation_rejects_ring_links_as_slow_as_the_token_retry_period() {
+        let mut spec = figure1();
+        spec.links.top_ring = LinkProfile::wired(SimDuration::from_millis(40));
+        let problems = spec.validate();
+        assert_eq!(problems.len(), 1, "{problems:?}");
+        assert!(problems[0].starts_with("top_ring links"), "{problems:?}");
+        spec.links.top_ring = LinkProfile::wired(SimDuration::from_millis(5));
+        spec.links.br_ag = LinkProfile::wired(TOKEN_RETRY_AFTER);
+        let problems = spec.validate();
+        assert_eq!(problems.len(), 1, "{problems:?}");
+        assert!(problems[0].starts_with("br_ag links"), "{problems:?}");
     }
 
     #[test]
