@@ -28,13 +28,16 @@
 //!   Pass `--seeds 0` to run only the equivalence audit.
 //!
 //! The summary ends with the totals the CI steps pin, then, per backend,
-//! the NE skips of a `(group, GSN)` some walker delivered: skips of data
-//! that was not gone.
+//! the NE skips of a `(group, GSN)` some walker delivered (skips of data
+//! that was not gone) and the forced token losses with the mean and
+//! longest time to the next regeneration.
 //!
 //! Exit status: 0 when every audited run is clean, 1 on the first
 //! violation or delivery-set mismatch (after printing the reproduction).
 
-use chaos::{check_equivalence, generate, soak_seed, Backend, ChaosConfig, SoakTier};
+use chaos::{
+    check_equivalence, generate, soak_seed, Backend, ChaosConfig, SoakTier, TokenRecovery,
+};
 
 fn usage() -> ! {
     eprintln!(
@@ -112,14 +115,17 @@ fn main() {
     let mut total_deliveries = 0u64;
     let mut total_skips = 0u64;
     let mut elsewhere = vec![0u64; backends.len()];
+    let mut recovery = vec![TokenRecovery::default(); backends.len()];
     let mut runs = 0usize;
     for (i, &seed) in range.iter().enumerate() {
         match soak_seed(&cfg, seed, &backends, shrink) {
             Ok(outcomes) => {
-                for (o, n) in outcomes.iter().zip(&mut elsewhere) {
+                let sums = elsewhere.iter_mut().zip(&mut recovery);
+                for (o, (n, r)) in outcomes.iter().zip(sums) {
                     total_deliveries += o.deliveries;
                     total_skips += o.skips;
                     *n += o.ne_skips_delivered_elsewhere;
+                    r.add(&o.token_recovery);
                     runs += 1;
                 }
                 if single.is_some() {
@@ -183,6 +189,23 @@ fn main() {
     println!(
         "NE skips of a GSN some walker delivered: {}",
         per_backend.join(", ")
+    );
+    let per_backend: Vec<String> = (names.iter().zip(&recovery))
+        .map(|(name, r)| {
+            let gaps = match r.mean_gap() {
+                Some(mean) => format!(", mean {mean}, max {}", r.max_gap),
+                None => String::new(),
+            };
+            format!(
+                "{name} {} dropped{gaps}, {} unpaired",
+                r.recovered + r.unpaired,
+                r.unpaired
+            )
+        })
+        .collect();
+    println!(
+        "token drops and drop → regeneration gaps: {}",
+        per_backend.join("; ")
     );
 
     if equivalence > 0 {

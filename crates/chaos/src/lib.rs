@@ -61,4 +61,5 @@ pub use shrink::shrink;
 pub use soak::{
     audit_scenario_run, check_equivalence, delivery_sets, equivalence_scenario,
     ne_skips_delivered_elsewhere, soak_seed, Backend, EquivalenceFailure, SoakFailure, SoakOutcome,
+    TokenRecovery,
 };

@@ -247,6 +247,60 @@ pub fn ne_skips_delivered_elsewhere(journal: &[(SimTime, ProtoEvent)]) -> u64 {
     journal.iter().filter(elsewhere).count() as u64
 }
 
+/// How a run recovered from its forced token losses
+/// ([`ProtoEvent::TokenDropped`]): the time from each drop to the next
+/// [`ProtoEvent::TokenRegenerated`], the span Token-Regeneration (§4.2.1)
+/// left ordering stopped. A bookkeeping figure beside the audit, like
+/// [`ne_skips_delivered_elsewhere`]; figures of several runs add up.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct TokenRecovery {
+    /// Drops a regeneration followed.
+    pub recovered: u64,
+    /// Their summed drop → regeneration gaps.
+    pub total_gap: SimDuration,
+    /// Their longest gap.
+    pub max_gap: SimDuration,
+    /// Drops no regeneration followed before the run ended.
+    pub unpaired: u64,
+}
+
+impl TokenRecovery {
+    /// Measure one run's journal.
+    pub fn of(journal: &[(SimTime, ProtoEvent)]) -> Self {
+        let mut r = TokenRecovery::default();
+        let mut pending: Vec<SimTime> = Vec::new();
+        for (t, e) in journal {
+            match e {
+                ProtoEvent::TokenDropped { .. } => pending.push(*t),
+                ProtoEvent::TokenRegenerated { .. } => {
+                    for dropped in pending.drain(..) {
+                        let gap = t.saturating_since(dropped);
+                        r.recovered += 1;
+                        r.total_gap += gap;
+                        r.max_gap = r.max_gap.max(gap);
+                    }
+                }
+                _ => {}
+            }
+        }
+        r.unpaired = pending.len() as u64;
+        r
+    }
+
+    /// Fold in another run's figures.
+    pub fn add(&mut self, other: &TokenRecovery) {
+        self.recovered += other.recovered;
+        self.total_gap += other.total_gap;
+        self.max_gap = self.max_gap.max(other.max_gap);
+        self.unpaired += other.unpaired;
+    }
+
+    /// The mean gap of the recovered drops; `None` when there are none.
+    pub fn mean_gap(&self) -> Option<SimDuration> {
+        (self.recovered > 0).then(|| self.total_gap / self.recovered)
+    }
+}
+
 /// What one soaked seed produced on one backend.
 #[derive(Debug, Clone)]
 pub struct SoakOutcome {
@@ -259,6 +313,8 @@ pub struct SoakOutcome {
     /// NE skips of a GSN some walker delivered
     /// ([`ne_skips_delivered_elsewhere`]).
     pub ne_skips_delivered_elsewhere: u64,
+    /// Forced token losses and their recovery ([`TokenRecovery`]).
+    pub token_recovery: TokenRecovery,
 }
 
 /// A violating seed, with the minimized reproduction.
@@ -316,6 +372,7 @@ pub fn soak_seed(
             deliveries: report.deliveries,
             skips: report.skips,
             ne_skips_delivered_elsewhere: ne_skips_delivered_elsewhere(&run.journal),
+            token_recovery: TokenRecovery::of(&run.journal),
         });
     }
     Ok(outcomes)
@@ -520,6 +577,64 @@ mod tests {
             "multi-group worlds generated: {seen_multi}"
         );
         assert!(crossed > 0, "no fence-routed messages were audited");
+    }
+
+    #[test]
+    fn token_recovery_pairs_each_drop_with_the_next_regeneration() {
+        use ringnet_core::{Epoch, NodeId};
+        let ms = SimTime::from_millis;
+        let dropped = |t| {
+            let e = ProtoEvent::TokenDropped {
+                node: NodeId(1),
+                epoch: Epoch(0),
+            };
+            (ms(t), e)
+        };
+        let regenerated = |t| {
+            let e = ProtoEvent::TokenRegenerated {
+                node: NodeId(0),
+                epoch: Epoch(1),
+                next_gsn: GlobalSeq(7),
+            };
+            (ms(t), e)
+        };
+        let skip = |t| {
+            let e = ProtoEvent::NeSkip {
+                group: GroupId(1),
+                node: NodeId(2),
+                gsn: GlobalSeq(3),
+            };
+            (ms(t), e)
+        };
+        // A regeneration with no drop before it (a ring repair's) pairs
+        // with nothing; two drops before one regeneration both pair with
+        // it; the last drop is never followed.
+        let journal = [
+            regenerated(100),
+            dropped(1_000),
+            skip(1_050),
+            regenerated(1_130),
+            dropped(2_000),
+            dropped(2_010),
+            regenerated(2_150),
+            dropped(3_000),
+        ];
+        let r = TokenRecovery::of(&journal);
+        let want = TokenRecovery {
+            recovered: 3,
+            total_gap: SimDuration::from_millis(130 + 150 + 140),
+            max_gap: SimDuration::from_millis(150),
+            unpaired: 1,
+        };
+        assert_eq!(r, want);
+        assert_eq!(r.mean_gap(), Some(SimDuration::from_millis(140)));
+        let mut sum = TokenRecovery::default();
+        assert_eq!(sum.mean_gap(), None);
+        sum.add(&r);
+        sum.add(&TokenRecovery::of(&journal[..4]));
+        assert_eq!((sum.recovered, sum.unpaired), (4, 1));
+        assert_eq!(sum.max_gap, SimDuration::from_millis(150));
+        assert_eq!(TokenRecovery::of(&[]), TokenRecovery::default());
     }
 
     #[test]
