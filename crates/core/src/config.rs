@@ -17,7 +17,7 @@
 //! | `FAILOVER_WINDOW` | 250 ms | an excised BR's last ack pins its ring predecessor's `MQ` | §3 |
 //! | `TOKEN_RETRY_AFTER` | 30 ms | reliable token transfer: resend timeout | §4.2.1 |
 //! | `TOKEN_RETRY_BUDGET` | 3 | sends of one token pass before giving up | §4.2.1 |
-//! | `TOKEN_QUIET_AFTER` | 200 ms | "Message-Ordering runs well" window of Token-Regeneration | §4.2.1 |
+//! | `TOKEN_QUIET_AFTER` | 120 ms, derived | "Message-Ordering runs well" window of Token-Regeneration: the retry chain and one period more | §4.2.1 |
 //! | `WQ_CAPACITY` | 4096 | slots of each per-source `WQ` queue | §4.1 |
 //! | `RESERVATION_TTL` | 2 s | life of a reservation-only AP's path | §3 |
 //! | [`AG_RING_CAP`] | 4 | AGs per ring in the automatic layout | §5, Theorem 5.1 |
@@ -59,8 +59,13 @@ pub(crate) const TOKEN_RETRY_BUDGET: u8 = 3;
 
 /// If no token has been seen for this long, a top-ring node considers the
 /// Message-Ordering algorithm "not running well" (used by the
-/// Token-Regeneration algorithm, §4.2.1).
-pub(crate) const TOKEN_QUIET_AFTER: SimDuration = SimDuration::from_millis(200);
+/// Token-Regeneration algorithm, §4.2.1). It is the shortest window the
+/// retry chain allows: a pass's last resend leaves two retry periods after
+/// the pass, the sender gives up a period later, and the window adds one
+/// more period, so every copy of the pass has landed or died inside it
+/// (the const assert below).
+pub(crate) const TOKEN_QUIET_AFTER: SimDuration =
+    SimDuration::from_nanos(TOKEN_RETRY_AFTER.as_nanos() * (TOKEN_RETRY_BUDGET as u64 + 1));
 
 /// Capacity of each per-source queue inside a top-ring node's `WQ`.
 pub(crate) const WQ_CAPACITY: usize = 4096;
@@ -83,11 +88,15 @@ pub(crate) const RESERVATION_TTL: SimDuration = SimDuration::from_secs(2);
 /// (`FAILOVER_WINDOW`).
 pub const AG_RING_CAP: usize = 4;
 
-// A token pass's whole retransmission chain ends before a quiet token may
-// be regenerated, so a regenerated lineage never races a retry of the one
-// it replaces.
+// The derivation of `TOKEN_QUIET_AFTER`. A pass's last resend leaves
+// `TOKEN_RETRY_BUDGET − 1` retry periods after the pass, late by less than
+// a hop tick (a retry waits for the tick), and lands within one more
+// period (`HierarchySpec::validate` holds ring and repair links below
+// `TOKEN_RETRY_AFTER`). The window closes after that, so a regenerated
+// lineage never races a retry of the one it replaces.
 const _: () = assert!(
-    TOKEN_RETRY_AFTER.as_nanos() * (TOKEN_RETRY_BUDGET as u64) < TOKEN_QUIET_AFTER.as_nanos()
+    TOKEN_RETRY_AFTER.as_nanos() * (TOKEN_RETRY_BUDGET as u64) + HOP_TICK.as_nanos()
+        < TOKEN_QUIET_AFTER.as_nanos()
 );
 
 /// The tunables of the RingNet multicast protocol that some caller varies.

@@ -37,7 +37,10 @@
 //! * **Ring repair**: a dead next node is bypassed using the statically
 //!   configured cycle (Remark 2), the failure is broadcast to the remaining
 //!   ring members, and — on the top ring — a Token-Loss message is handed
-//!   to the multicast layer, exactly as §4.2.1 prescribes.
+//!   to the multicast layer, exactly as §4.2.1 prescribes. A top-ring node
+//!   that has seen no token for too long raises the same message itself,
+//!   checked on every hop tick (`token_quiet_fallback`, see
+//!   [`crate::recovery`]).
 //! * **Leader / parent failover**: a non-top ring's new leader grafts onto
 //!   a candidate parent; entities whose parent died rotate to the next
 //!   configured candidate.
@@ -233,9 +236,6 @@ impl NeState {
 
         // --- batched membership propagation ------------------------------
         self.flush_membership(out);
-
-        // --- self-detected token quiet (staggered fallback) ---------------
-        self.token_quiet_fallback(now, out);
     }
 
     /// Excise a ring member found dead by this entity's own watch — its
@@ -496,24 +496,34 @@ impl NeState {
         }
     }
 
-    /// Position-staggered self-detection of a quiet token: avoids concurrent
-    /// regeneration rounds from several nodes at once.
-    fn token_quiet_fallback(&mut self, now: SimTime, out: &mut Outbox) {
-        let me = self.id;
-        let Some(r) = self.ring.as_ref() else { return };
-        if !r.is_top {
+    /// Position-staggered self-detection of a quiet token, run on every hop
+    /// tick: the `k`-th in-ring member of the top ring suspects loss once
+    /// it has seen no token for longer than `TOKEN_QUIET_AFTER × (1 + k)`.
+    /// The first member originates the round, one window after its last
+    /// token; the others stand by a window apart, so rounds seldom run
+    /// concurrently. A member being spliced back in (rejoining or merging)
+    /// is not in the cycle and never suspects.
+    pub(crate) fn token_quiet_fallback(&mut self, now: SimTime, out: &mut Outbox) {
+        let Some(ord) = self.ord.as_ref() else { return };
+        let quiet = now.saturating_since(ord.last_token_seen);
+        if quiet <= TOKEN_QUIET_AFTER {
             return;
         }
+        let ever_saw_token = ord.last_token_seen > SimTime::ZERO || ord.new_token.is_some();
+        if !ever_saw_token || self.is_rejoining() || self.is_merging() {
+            return;
+        }
+        let me = self.id;
+        let Some(r) = self.ring.as_ref().filter(|r| r.is_top) else {
+            return;
+        };
         let position = r
             .order
             .iter()
             .filter(|&&n| r.is_in_ring(n))
             .position(|&n| n == me)
             .unwrap_or(0) as u64;
-        let threshold = TOKEN_QUIET_AFTER * (2 + position);
-        let Some(ord) = self.ord.as_ref() else { return };
-        let ever_saw_token = ord.last_token_seen > SimTime::ZERO || ord.new_token.is_some();
-        if ever_saw_token && now.saturating_since(ord.last_token_seen) > threshold {
+        if quiet > TOKEN_QUIET_AFTER * (1 + position) {
             self.maybe_start_regen(now, out);
         }
     }
@@ -1356,5 +1366,50 @@ mod tests {
                 }
             }
         )));
+    }
+
+    /// The quiet fallback runs on every hop tick: the first ring member
+    /// starts a Token-Regeneration round on the first tick past one quiet
+    /// window, the second only past two windows, and a member being
+    /// spliced back in never.
+    #[test]
+    fn the_hop_tick_suspects_a_quiet_token_one_window_per_ring_position() {
+        use crate::config::HOP_TICK;
+        let originates = |n: &mut NeState, at: SimTime| {
+            let mut out = Vec::new();
+            n.tick_hop(at, &mut out);
+            out.iter().any(|a| {
+                matches!(
+                    a,
+                    Action::Send {
+                        msg: Msg::TokenRegen { .. },
+                        ..
+                    }
+                )
+            })
+        };
+        let seen = ms(100);
+        let mut first = br(0);
+        first.originate_token(seen, &mut Vec::new());
+        ack_token(&mut first, ms(101));
+        assert!(!originates(&mut first, seen + TOKEN_QUIET_AFTER));
+        assert!(originates(&mut first, seen + TOKEN_QUIET_AFTER + HOP_TICK));
+
+        let mut second = br(1);
+        let token = crate::token::OrderingToken::new(G, NodeId(0));
+        let pass = Msg::Token(Box::new(token));
+        second.on_msg(seen, Endpoint::Ne(NodeId(0)), pass, &mut Vec::new());
+        ack_token(&mut second, ms(101));
+        let window = TOKEN_QUIET_AFTER;
+        assert!(!originates(&mut second, seen + window + HOP_TICK));
+        assert!(!originates(&mut second, seen + window * 2));
+        assert!(originates(&mut second, seen + window * 2 + HOP_TICK));
+
+        let mut back = br(0);
+        back.kill();
+        back.restart(seen, &mut Vec::new());
+        assert!(back.is_rejoining());
+        back.ord.as_mut().unwrap().last_token_seen = seen;
+        assert!(!originates(&mut back, seen + window * 4));
     }
 }

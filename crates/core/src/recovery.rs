@@ -1,16 +1,49 @@
 //! Token-Loss recovery and Multiple-Token resolution (§4.2.1).
 //!
-//! When topology maintenance runs (a ring repair), the membership layer
-//! signals the multicast layer that the token may be lost — the paper's
-//! Token-Loss message, here a direct call to `maybe_start_regen`. The node
-//! checks whether "the Message-Ordering algorithm runs well" — a live token
-//! has visited within `TOKEN_QUIET_AFTER` — and, if not, originates a
-//! Token-Regeneration message that encapsulates its `NewOrderingToken` and
-//! traverses the ring along next links. Every traversed node either
-//! destroys the message (ordering runs well there), upgrades the
-//! encapsulated snapshot to its own fresher one, or — when the message
-//! returns to its originator after a full quiet circle — restarts
-//! Message-Ordering with the best snapshot under a bumped epoch.
+//! **Detection.** The paper's Token-Loss message reaches the multicast
+//! layer two ways, both here a direct call to `maybe_start_regen`. When
+//! topology maintenance runs (a ring repair), the membership layer signals
+//! that the token may be lost. And on every hop tick each top-ring member
+//! checks the token itself (`token_quiet_fallback`): the `k`-th in-ring
+//! member suspects loss once it has seen no token for longer than
+//! `TOKEN_QUIET_AFTER × (1 + k)`, so the first member originates and the
+//! others stand by a window apart. Either way the node checks whether "the
+//! Message-Ordering algorithm runs well" — a live token has visited within
+//! `TOKEN_QUIET_AFTER` — and, if not, originates a Token-Regeneration
+//! message that encapsulates its `NewOrderingToken` and traverses the ring
+//! along next links. Every traversed node either destroys the message
+//! (ordering runs well there), upgrades the encapsulated snapshot to its
+//! own fresher one, or — when the message returns to its originator after
+//! a full quiet circle — restarts Message-Ordering with the best snapshot
+//! under a bumped epoch. A lost pass thus costs one window, at most one hop
+//! tick, and one circle of the round: 140 ms on a ring of four 5 ms hops.
+//!
+//! The window is the shortest the retry chain allows (see
+//! [`crate::config`]): `TOKEN_RETRY_BUDGET + 1` retry periods, 120 ms.
+//!
+//! **A regenerated lineage never races the one it replaces.** A round is
+//! adopted only if every in-ring member had been quiet for
+//! `TOKEN_QUIET_AFTER` when the round passed it. Suppose a member `X` still
+//! processed a pass of the old lineage after the round passed `X`, and take
+//! the earliest such processing. The pass came from `X`'s ring predecessor
+//! `P`, which, being earlier, processed it before the round passed `P` —
+//! so at least `TOKEN_QUIET_AFTER` before. Every copy of `P`'s transfer left
+//! within `TOKEN_RETRY_BUDGET − 1` retry periods and a hop tick of that
+//! instant and landed within one period more (`HierarchySpec::validate`
+//! holds ring and repair links below `TOKEN_RETRY_AFTER`): inside the
+//! window (the const assert in `config`), so before the round passed `P`
+//! and before it reached `X`, which contradicts the supposition. The one
+//! member the argument skips is the origin, which the round passes first
+//! and reaches again last: a pass it processed meanwhile leaves it not
+//! quiet when its round returns, because a round circles the ring in less
+//! than `TOKEN_QUIET_AFTER` (a few hops of at most 5 ms on every ring
+//! here). A shorter window, or a ring whose circle approaches it, must
+//! restate both margins.
+//!
+//! A token parked on purpose at an idle ring (an open design item) is
+//! quiet without being lost. Parking must extend this rule — members must
+//! know a quiet token is parked, not lost — rather than lengthen the
+//! window, which every lost token pays for.
 //!
 //! Restart-after-full-circle is this reproduction's resolution of the
 //! paper's ambiguous restart rule (DESIGN.md §6): it guarantees the old

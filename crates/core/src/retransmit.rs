@@ -20,7 +20,9 @@
 //!    only hop acknowledgement of the wired core: the paper's per-stream
 //!    pre-order ack says nothing the `MQ` front does not imply.
 //! 4. Retry an unacknowledged ordering-token transfer; give up after the
-//!    budget (the Token-Loss machinery then takes over).
+//!    budget (the Token-Loss machinery then takes over). Then check
+//!    whether the token has been quiet here for too long, and if so start
+//!    Token-Regeneration ([`crate::recovery`]).
 //! 5. Garbage-collect `MQ` up to the collective progress watermark — the
 //!    children's fronts, and the next ring node's when we keep our `MQ`
 //!    for it — and `WQ` up to the next ring node's acknowledged front.
@@ -113,8 +115,10 @@ impl NeState {
             }
         }
 
-        // (4) Token transfer retry / sole-survivor self-pass.
+        // (4) Token transfer retry / sole-survivor self-pass, then the
+        // self-detected token quiet.
         self.token_maintenance(now, out);
+        self.token_quiet_fallback(now, out);
 
         // (5) Garbage collection.
         self.collect_garbage(now);

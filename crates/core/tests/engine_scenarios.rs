@@ -1459,10 +1459,11 @@ fn a_dropped_token_is_regenerated_and_numbering_resumes_without_a_skip() {
     let [(regen_at, next_gsn)] = regenerated[..] else {
         panic!("one regeneration: {regenerated:?}")
     };
-    // The first ring node suspects the loss on the heartbeat tick after
-    // it has seen no token for `2 × TOKEN_QUIET_AFTER`, and its round
-    // needs one rotation of quiet nodes.
-    assert_eq!(regen_at, SimTime::from_millis(1_470));
+    // The first ring node suspects the loss on the first hop tick after
+    // it has seen no token for `TOKEN_QUIET_AFTER` (120 ms), and its round
+    // needs one rotation of quiet nodes (4 hops of 5 ms): 140 ms after the
+    // drop, within `TOKEN_QUIET_AFTER + HOP_TICK` and one rotation.
+    assert_eq!(regen_at, SimTime::from_millis(1_145));
     // The regenerated lineage continues the dropped pass's numbering: the
     // first number after the last one assigned before the drop.
     let before = (ordered.iter())

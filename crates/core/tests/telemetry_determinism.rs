@@ -93,7 +93,18 @@ fn journal_is_byte_identical_with_telemetry_on_and_off() {
 /// two AGs' `control_sent.heartbeat` counters move (121 → 45 for the
 /// leader AG 2, which answers fewer probes, and 113 → 36 for AG 3, which
 /// probes its leader only in periods the leader sent it nothing).
-const METRICS_DIGESTS: [(u64, u64); 2] = [(3, 0x6990_dca0_7d4b_9776), (41, 0x6990_dca0_7d4b_9776)];
+///
+/// Re-goldened when a quiet token came to be suspected after one
+/// `TOKEN_QUIET_AFTER` of 120 ms at the first ring member, checked every
+/// hop tick, instead of after 400 ms on the heartbeat tick (both were
+/// `0x6990_dca0_7d4b_9776`). The dropped token is regenerated at 0.535 s
+/// instead of 0.860 s, so BR 0's longest rotation falls 460 → 150 ms and
+/// the ring makes more passes (BR 0 430 → 463), with the token traffic
+/// and acknowledgements that go with them. BR 0 also originates two
+/// rounds nobody adopts (`regen_originated` 1 → 3): at 1.030 s into BR 1,
+/// killed at 0.9 s and excised only at 1.050 s, and at 2.425 s across the
+/// ring partition cut at 2.3 s and repaired at 2.450 s.
+const METRICS_DIGESTS: [(u64, u64); 2] = [(3, 0xa046_d87e_e407_6420), (41, 0xa046_d87e_e407_6420)];
 
 fn metrics_digest(report: &ringnet_core::TelemetryReport) -> u64 {
     use std::fmt::Write as _;
