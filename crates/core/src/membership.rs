@@ -1388,19 +1388,18 @@ mod tests {
                 )
             })
         };
-        let seen = ms(100);
+        let (seen, window) = (ms(100), TOKEN_QUIET_AFTER);
         let mut first = br(0);
         first.originate_token(seen, &mut Vec::new());
         ack_token(&mut first, ms(101));
-        assert!(!originates(&mut first, seen + TOKEN_QUIET_AFTER));
-        assert!(originates(&mut first, seen + TOKEN_QUIET_AFTER + HOP_TICK));
+        assert!(!originates(&mut first, seen + window));
+        assert!(originates(&mut first, seen + window + HOP_TICK));
 
         let mut second = br(1);
         let token = crate::token::OrderingToken::new(G, NodeId(0));
         let pass = Msg::Token(Box::new(token));
         second.on_msg(seen, Endpoint::Ne(NodeId(0)), pass, &mut Vec::new());
         ack_token(&mut second, ms(101));
-        let window = TOKEN_QUIET_AFTER;
         assert!(!originates(&mut second, seen + window + HOP_TICK));
         assert!(!originates(&mut second, seen + window * 2));
         assert!(originates(&mut second, seen + window * 2 + HOP_TICK));
