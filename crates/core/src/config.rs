@@ -11,7 +11,7 @@
 //!
 //! | constant | value | governs | paper |
 //! |---|---|---|---|
-//! | [`HOP_TICK`] | 5 ms | NACKs, ACKs, token retry checks | §4.2.3 |
+//! | [`HOP_TICK`] | 5 ms | NACKs, ACKs, token retry and quiet checks | §4.2.3, §4.2.1 |
 //! | [`HEARTBEAT_PERIOD`] | 50 ms | ring, parent/child and AG-ring leader liveness probes | §3 |
 //! | `HEARTBEAT_MISSES` | 3 | probes missed before a neighbour is dead | §3 |
 //! | `FAILOVER_WINDOW` | 250 ms | an excised BR's last ack pins its ring predecessor's `MQ` | §3 |
@@ -33,7 +33,8 @@
 use simnet::SimDuration;
 
 /// Period of the hop-maintenance tick driving retransmission requests
-/// (NACKs), cumulative ACKs and token retransfer checks.
+/// (NACKs), cumulative ACKs, token retransfer checks and the check for a
+/// quiet token.
 pub const HOP_TICK: SimDuration = SimDuration::from_millis(5);
 
 /// Heartbeat period for ring-neighbour and parent/child liveness.
@@ -63,7 +64,9 @@ pub(crate) const TOKEN_RETRY_BUDGET: u8 = 3;
 /// retry chain allows: a pass's last resend leaves two retry periods after
 /// the pass, the sender gives up a period later, and the window adds one
 /// more period, so every copy of the pass has landed or died inside it
-/// (the const assert below).
+/// (the const assert below). The `k`-th top-ring member suspects a lost
+/// token after `1 + k` windows without one, checked every hop tick
+/// (`token_quiet_fallback`, see [`crate::recovery`]).
 pub(crate) const TOKEN_QUIET_AFTER: SimDuration =
     SimDuration::from_nanos(TOKEN_RETRY_AFTER.as_nanos() * (TOKEN_RETRY_BUDGET as u64 + 1));
 
