@@ -17,7 +17,7 @@
 //! | `FAILOVER_WINDOW` | 250 ms | an excised BR's last ack pins its ring predecessor's `MQ` | §3 |
 //! | `TOKEN_RETRY_AFTER` | 30 ms | reliable token transfer: resend timeout | §4.2.1 |
 //! | `TOKEN_RETRY_BUDGET` | 3 | sends of one token pass before giving up | §4.2.1 |
-//! | `TOKEN_QUIET_AFTER` | 120 ms, derived | "Message-Ordering runs well" window of Token-Regeneration: the retry chain and one period more | §4.2.1 |
+//! | `TOKEN_QUIET_AFTER` | 120 ms, derived | "Message-Ordering runs well" window of Token-Regeneration: the retry chain and one period more; a ring slower to circle waits its circle and a hop tick (`token_quiet_window`) | §4.2.1 |
 //! | `WQ_CAPACITY` | 4096 | slots of each per-source `WQ` queue | §4.1 |
 //! | `RESERVATION_TTL` | 2 s | life of a reservation-only AP's path | §3 |
 //! | [`AG_RING_CAP`] | 4 | AGs per ring in the automatic layout | §5, Theorem 5.1 |
@@ -64,7 +64,8 @@ pub(crate) const TOKEN_RETRY_BUDGET: u8 = 3;
 /// retry chain allows: a pass's last resend leaves two retry periods after
 /// the pass, the sender gives up a period later, and the window adds one
 /// more period, so every copy of the pass has landed or died inside it
-/// (the const assert below). The `k`-th top-ring member suspects a lost
+/// (the const assert below). It is the floor of every ring's window
+/// (`token_quiet_window`). The `k`-th top-ring member suspects a lost
 /// token after `1 + k` windows without one, checked every hop tick
 /// (`token_quiet_fallback`, see [`crate::recovery`]).
 pub(crate) const TOKEN_QUIET_AFTER: SimDuration =
@@ -101,6 +102,17 @@ const _: () = assert!(
     TOKEN_RETRY_AFTER.as_nanos() * (TOKEN_RETRY_BUDGET as u64) + HOP_TICK.as_nanos()
         < TOKEN_QUIET_AFTER.as_nanos()
 );
+
+/// The quiet window of a top ring of `members` whose links take at most
+/// `hop` one way: `TOKEN_QUIET_AFTER`, or the ring's longest circle and a
+/// hop tick more when that is longer. A Token-Regeneration round then
+/// returns to its origin inside the window, which the argument in
+/// [`crate::recovery`] needs, and a live token, which circles no slower
+/// than a round, never looks lost. Four 5 ms hops keep the floor of
+/// 120 ms; a flat ring of 36 stations waits 185 ms.
+pub(crate) fn token_quiet_window(members: usize, hop: SimDuration) -> SimDuration {
+    TOKEN_QUIET_AFTER.max(hop * members as u64 + HOP_TICK)
+}
 
 /// The tunables of the RingNet multicast protocol that some caller varies.
 #[derive(Debug, Clone, PartialEq)]
@@ -230,5 +242,15 @@ mod tests {
         assert_eq!(problems.len(), 1, "{problems:?}");
         assert!(problems[0].contains("ack_every"));
         assert!(with(10).validate().is_empty());
+    }
+
+    #[test]
+    fn a_ring_slower_to_circle_than_the_retry_chain_waits_for_its_circle() {
+        let hop = SimDuration::from_millis(5);
+        assert_eq!(TOKEN_QUIET_AFTER, SimDuration::from_millis(120));
+        assert_eq!(token_quiet_window(4, hop), TOKEN_QUIET_AFTER);
+        assert_eq!(token_quiet_window(23, hop), TOKEN_QUIET_AFTER);
+        assert_eq!(token_quiet_window(24, hop), SimDuration::from_millis(125));
+        assert_eq!(token_quiet_window(36, hop), SimDuration::from_millis(185));
     }
 }

@@ -681,6 +681,7 @@ fn assemble(spec: &HierarchySpec, sim: &mut Sim<Msg, ProtoEvent, Harvest>) -> Rc
     // Station shape: the top ring is the whole deployment, so its members
     // are hybrid stations that also serve MHs.
     let stations = spec.is_station_shape();
+    let token_quiet_after = spec.token_quiet_after();
     let ne_actor = |states: Vec<NeState>, originate: Vec<bool>| {
         Box::new(NeActor::new(states, Rc::clone(&map), originate))
     };
@@ -695,6 +696,7 @@ fn assemble(spec: &HierarchySpec, sim: &mut Sim<Msg, ProtoEvent, Harvest>) -> Rc
                     } else {
                         NeState::new_br(g, br, ring, true, cfg.clone())
                     };
+                    st.token_quiet_after = token_quiet_after;
                     if multi {
                         st.cross_fence =
                             Some(crate::fence::CrossGroupFence::new(g, funnels.clone()));

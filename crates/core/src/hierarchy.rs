@@ -406,6 +406,14 @@ impl HierarchySpec {
         }
     }
 
+    /// The top ring's token quiet window ([`crate::recovery`]): the
+    /// retry-chain window, or one circle of the ring — a top-ring link's
+    /// longest delay per member — and a hop tick, whichever is longer.
+    pub(crate) fn token_quiet_after(&self) -> SimDuration {
+        let hop = self.links.top_ring.latency.max_delay();
+        crate::config::token_quiet_window(self.top_ring.len(), hop)
+    }
+
     /// Structural validation; returns human-readable problems (empty = ok).
     pub fn validate(&self) -> Vec<String> {
         let mut problems = self.cfg.validate();

@@ -54,7 +54,7 @@
 use simnet::SimTime;
 
 use crate::actions::{Action, Outbox};
-use crate::config::{HEARTBEAT_MISSES, HEARTBEAT_PERIOD, TOKEN_QUIET_AFTER};
+use crate::config::{HEARTBEAT_MISSES, HEARTBEAT_PERIOD};
 use crate::events::ProtoEvent;
 use crate::ids::{Endpoint, NodeId};
 use crate::msg::Msg;
@@ -498,15 +498,17 @@ impl NeState {
 
     /// Position-staggered self-detection of a quiet token, run on every hop
     /// tick: the `k`-th in-ring member of the top ring suspects loss once
-    /// it has seen no token for longer than `TOKEN_QUIET_AFTER × (1 + k)`.
-    /// The first member originates the round, one window after its last
-    /// token; the others stand by a window apart, so rounds seldom run
-    /// concurrently. A member being spliced back in (rejoining or merging)
-    /// is not in the cycle and never suspects.
+    /// it has seen no token for longer than its ring's quiet window
+    /// (`token_quiet_after`) times `1 + k`. The first member originates
+    /// the round, one window after its last token; the others stand by a
+    /// window apart, so rounds seldom run concurrently. A member being
+    /// spliced back in (rejoining or merging) is not in the cycle and never
+    /// suspects.
     pub(crate) fn token_quiet_fallback(&mut self, now: SimTime, out: &mut Outbox) {
         let Some(ord) = self.ord.as_ref() else { return };
         let quiet = now.saturating_since(ord.last_token_seen);
-        if quiet <= TOKEN_QUIET_AFTER {
+        let window = self.token_quiet_after;
+        if quiet <= window {
             return;
         }
         let ever_saw_token = ord.last_token_seen > SimTime::ZERO || ord.new_token.is_some();
@@ -523,7 +525,7 @@ impl NeState {
             .filter(|&&n| r.is_in_ring(n))
             .position(|&n| n == me)
             .unwrap_or(0) as u64;
-        if quiet > TOKEN_QUIET_AFTER * (1 + position) {
+        if quiet > window * (1 + position) {
             self.maybe_start_regen(now, out);
         }
     }
@@ -1374,7 +1376,7 @@ mod tests {
     /// spliced back in never.
     #[test]
     fn the_hop_tick_suspects_a_quiet_token_one_window_per_ring_position() {
-        use crate::config::HOP_TICK;
+        use crate::config::{HOP_TICK, TOKEN_QUIET_AFTER};
         let originates = |n: &mut NeState, at: SimTime| {
             let mut out = Vec::new();
             n.tick_hop(at, &mut out);

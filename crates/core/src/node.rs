@@ -22,10 +22,10 @@
 
 use std::collections::BTreeMap;
 
-use simnet::SimTime;
+use simnet::{SimDuration, SimTime};
 
 use crate::actions::Outbox;
-use crate::config::{ProtocolConfig, HEARTBEAT_MISSES, WQ_CAPACITY};
+use crate::config::{ProtocolConfig, HEARTBEAT_MISSES, TOKEN_QUIET_AFTER, WQ_CAPACITY};
 use crate::ids::{Endpoint, GlobalSeq, GroupId, Guid, LocalSeq, NodeId};
 use crate::metrics::NeFinal;
 use crate::mq::MessageQueue;
@@ -461,6 +461,11 @@ pub struct NeState {
     /// top-ring states of multi-group simulations. `None` keeps every
     /// fence path inert (single-group runs are byte-identical).
     pub(crate) cross_fence: Option<crate::fence::CrossGroupFence>,
+    /// How long the top-ring token may stay away before this entity
+    /// suspects it lost: the spec's window for its ring size and link
+    /// delay (`HierarchySpec::token_quiet_after`, see [`crate::recovery`]),
+    /// `TOKEN_QUIET_AFTER` unless the engine sets it.
+    pub(crate) token_quiet_after: SimDuration,
     /// Deterministic observability: metrics registry plus flight
     /// recorder ([`crate::telemetry`]). No-op unless `cfg.telemetry`.
     pub telemetry: Telemetry,
@@ -509,6 +514,7 @@ impl NeState {
             merge_probe_target: 0,
             graft_pending: false,
             cross_fence: None,
+            token_quiet_after: TOKEN_QUIET_AFTER,
             telemetry: Telemetry::from_cfg(&cfg),
             cfg,
         }
@@ -782,6 +788,8 @@ impl NeState {
             rejoin_target: self.rejoin_target,
             // Static wiring: the generator never faults a multi-group core.
             cross_fence: self.cross_fence.take(),
+            // Static wiring, like the ring order.
+            token_quiet_after: self.token_quiet_after,
             // The fresh `MQ` resyncs from the first `GraftAck`; on the top
             // ring own-source numbering re-baselines too.
             resync_on_graft: true,

@@ -5,40 +5,48 @@
 //! topology maintenance runs (a ring repair), the membership layer signals
 //! that the token may be lost. And on every hop tick each top-ring member
 //! checks the token itself (`token_quiet_fallback`): the `k`-th in-ring
-//! member suspects loss once it has seen no token for longer than
-//! `TOKEN_QUIET_AFTER × (1 + k)`, so the first member originates and the
-//! others stand by a window apart. Either way the node checks whether "the
-//! Message-Ordering algorithm runs well" — a live token has visited within
-//! `TOKEN_QUIET_AFTER` — and, if not, originates a Token-Regeneration
-//! message that encapsulates its `NewOrderingToken` and traverses the ring
-//! along next links. Every traversed node either destroys the message
-//! (ordering runs well there), upgrades the encapsulated snapshot to its
-//! own fresher one, or — when the message returns to its originator after
-//! a full quiet circle — restarts Message-Ordering with the best snapshot
-//! under a bumped epoch. A lost pass thus costs one window, at most one hop
-//! tick, and one circle of the round: 140 ms on a ring of four 5 ms hops.
+//! member suspects loss once it has seen no token for longer than `1 + k`
+//! quiet windows, so the first member originates and the others stand by a
+//! window apart. Either way the node checks whether "the Message-Ordering
+//! algorithm runs well" — a live token has visited within the window — and,
+//! if not, originates a Token-Regeneration message that encapsulates its
+//! `NewOrderingToken` and traverses the ring along next links. Every
+//! traversed node either destroys the message (ordering runs well there),
+//! upgrades the encapsulated snapshot to its own fresher one, or — when the
+//! message returns to its originator after a full quiet circle — restarts
+//! Message-Ordering with the best snapshot under a bumped epoch. A lost
+//! pass thus costs one window, at most one hop tick, and one circle of the
+//! round: 140 ms on a ring of four 5 ms hops.
 //!
-//! The window is the shortest the retry chain allows (see
-//! [`crate::config`]): `TOKEN_RETRY_BUDGET + 1` retry periods, 120 ms.
+//! **The window** (`NeState::token_quiet_after`, set from the spec by
+//! `HierarchySpec::token_quiet_after`) is the longer of two bounds. The
+//! retry chain's, `TOKEN_QUIET_AFTER`: `TOKEN_RETRY_BUDGET + 1` retry
+//! periods, 120 ms (see [`crate::config`]). And the ring's circle: one
+//! top-ring link's longest delay per configured member, plus a hop tick
+//! (`config::token_quiet_window`) — 185 ms on a flat ring of 36 stations,
+//! whose live token takes 180 ms to come round. Each bound carries one
+//! half of the argument below.
 //!
 //! **A regenerated lineage never races the one it replaces.** A round is
-//! adopted only if every in-ring member had been quiet for
-//! `TOKEN_QUIET_AFTER` when the round passed it. Suppose a member `X` still
-//! processed a pass of the old lineage after the round passed `X`, and take
-//! the earliest such processing. The pass came from `X`'s ring predecessor
-//! `P`, which, being earlier, processed it before the round passed `P` —
-//! so at least `TOKEN_QUIET_AFTER` before. Every copy of `P`'s transfer left
-//! within `TOKEN_RETRY_BUDGET − 1` retry periods and a hop tick of that
-//! instant and landed within one period more (`HierarchySpec::validate`
-//! holds ring and repair links below `TOKEN_RETRY_AFTER`): inside the
-//! window (the const assert in `config`), so before the round passed `P`
-//! and before it reached `X`, which contradicts the supposition. The one
-//! member the argument skips is the origin, which the round passes first
-//! and reaches again last: a pass it processed meanwhile leaves it not
-//! quiet when its round returns, because a round circles the ring in less
-//! than `TOKEN_QUIET_AFTER` (a few hops of at most 5 ms on every ring
-//! here). A shorter window, or a ring whose circle approaches it, must
-//! restate both margins.
+//! adopted only if every in-ring member had been quiet for the window when
+//! the round passed it. Suppose a member `X` still processed a pass of the
+//! old lineage after the round passed `X`, and take the earliest such
+//! processing. The pass came from `X`'s ring predecessor `P`, which, being
+//! earlier, processed it before the round passed `P` — so at least a window
+//! before. Every copy of `P`'s transfer left within `TOKEN_RETRY_BUDGET − 1`
+//! retry periods and a hop tick of that instant and landed within one
+//! period more (`HierarchySpec::validate` holds ring and repair links below
+//! `TOKEN_RETRY_AFTER`): inside `TOKEN_QUIET_AFTER` (the const assert in
+//! `config`), so before the round passed `P` and before it reached `X`,
+//! which contradicts the supposition. The one member the argument skips is
+//! the origin, which the round passes first and reaches again last: a pass
+//! it processed meanwhile leaves it not quiet when its round returns,
+//! because the round, forwarded on arrival at every member, circles the
+//! ring within the ring's bound, inside the window. A ring the window did
+//! not cover would break this: its live token is away from every member
+//! for longer than the window on every circle, so a round started behind
+//! it finds every member quiet, the origin included, and adopts a second
+//! lineage while the first still assigns numbers.
 //!
 //! A token parked on purpose at an idle ring (an open design item) is
 //! quiet without being lost. Parking must extend this rule — members must
@@ -67,7 +75,6 @@
 use simnet::SimTime;
 
 use crate::actions::{Action, Outbox};
-use crate::config::TOKEN_QUIET_AFTER;
 use crate::events::ProtoEvent;
 use crate::ids::{Endpoint, NodeId};
 use crate::msg::Msg;
@@ -85,12 +92,13 @@ impl NeState {
         if self.is_partition_fenced() || !self.top_ring_primary() {
             return;
         }
+        let window = self.token_quiet_after;
         let best = {
             let Some(ord) = self.ord.as_mut() else { return };
-            if now.saturating_since(ord.last_token_seen) < TOKEN_QUIET_AFTER {
+            if now.saturating_since(ord.last_token_seen) < window {
                 return; // ordering runs well → ignore the Token-Loss message
             }
-            if now.saturating_since(ord.last_regen_at) < TOKEN_QUIET_AFTER {
+            if now.saturating_since(ord.last_regen_at) < window {
                 return; // damping: one round at a time
             }
             ord.last_regen_at = now;
@@ -132,15 +140,16 @@ impl NeState {
                 .regen(now, origin, crate::telemetry::RegenOutcome::Destroyed);
             return;
         }
+        let window = self.token_quiet_after;
         let best = {
             let Some(ord) = self.ord.as_mut() else { return };
-            if now.saturating_since(ord.last_token_seen) < TOKEN_QUIET_AFTER {
+            if now.saturating_since(ord.last_token_seen) < window {
                 // Ordering runs well here: destroy the message.
                 self.telemetry
                     .regen(now, origin, crate::telemetry::RegenOutcome::Destroyed);
                 return;
             }
-            if origin != me && now.saturating_since(ord.last_regen_at) < TOKEN_QUIET_AFTER {
+            if origin != me && now.saturating_since(ord.last_regen_at) < window {
                 // Concurrent-round arbitration: our own round may still be
                 // circulating. Exactly one round may adopt — two concurrent
                 // adoptions would assign overlapping GSN ranges before the
@@ -223,7 +232,7 @@ impl NeState {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::ProtocolConfig;
+    use crate::config::{ProtocolConfig, TOKEN_QUIET_AFTER};
     use crate::ids::{Endpoint, Epoch, GlobalSeq, GroupId, LocalRange, LocalSeq};
 
     const G: GroupId = GroupId(1);

@@ -6,11 +6,11 @@ use std::collections::{BTreeMap, BTreeSet};
 
 use ringnet_core::config::{HEARTBEAT_PERIOD, HOP_TICK};
 use ringnet_core::driver::{
-    hierarchy_core, ringnet_spec, CoreShape, MulticastSim, RunReport, Scenario, ScenarioBuilder,
-    ScenarioEvent,
+    flat_ring_spec, hierarchy_core, ringnet_spec, CoreShape, MulticastSim, RunReport, Scenario,
+    ScenarioBuilder, ScenarioEvent,
 };
 use ringnet_core::hierarchy::{LinkPlan, MhSpec};
-use ringnet_core::metrics::Finals;
+use ringnet_core::metrics::{token_rotation_period, Finals};
 use ringnet_core::telemetry::metric;
 use ringnet_core::{GroupId, Guid, NodeId, ProtoEvent, ProtocolConfig, RingNetSim};
 use simnet::{LatencyModel, LinkProfile, LossModel, SimDuration, SimTime};
@@ -1497,4 +1497,72 @@ fn a_dropped_token_is_regenerated_and_numbering_resumes_without_a_skip() {
     for (mh, got) in &per_walker {
         assert!(got.iter().copied().eq(gsns.iter().copied()), "{mh:?}");
     }
+}
+
+/// A flat ring of 36 stations, the stress tier's largest, loss-free: its
+/// token takes 180 ms to circle the 5 ms hops, longer than the retry
+/// chain's 120 ms window, so the ring waits its circle and a hop tick
+/// (185 ms) before suspecting a loss. The live token never looks lost,
+/// and a dropped one is regenerated once, numbering on without a
+/// duplicate: a round that trailed a live token around the ring would
+/// adopt a second lineage beside it.
+#[test]
+fn a_ring_slower_to_circle_than_the_retry_chain_waits_for_its_circle() {
+    let sc = ScenarioBuilder::new()
+        .attachments(36)
+        .walkers_per_attachment(1)
+        .sources(2)
+        .cbr(SimDuration::from_millis(10))
+        .window(SimTime::ZERO, Some(SimTime::from_secs(2)))
+        .loss_free_wireless()
+        .duration(SimTime::from_secs(3))
+        .events([ScenarioEvent::DropToken {
+            at: SimTime::from_secs(1),
+        }])
+        .build();
+    let mut net = RingNetSim::for_scenario(flat_ring_spec(&sc), &sc, 7);
+    for &ev in &sc.events {
+        net.schedule(ev);
+    }
+    net.run_until(sc.duration);
+    let journal = net.finish().journal;
+    let before_drop = journal.partition_point(|(t, _)| *t < SimTime::from_secs(1));
+    let rotation = token_rotation_period(&journal[..before_drop], NodeId(0));
+    assert_eq!(rotation, Some(SimDuration::from_millis(180)));
+    let dropped: Vec<SimTime> = (journal.iter())
+        .filter_map(|(t, e)| matches!(e, ProtoEvent::TokenDropped { .. }).then_some(*t))
+        .collect();
+    let regenerated: Vec<(SimTime, u64)> = (journal.iter())
+        .filter_map(|(t, e)| match *e {
+            ProtoEvent::TokenRegenerated { next_gsn, .. } => Some((*t, next_gsn.0)),
+            _ => None,
+        })
+        .collect();
+    let ordered: Vec<(SimTime, u64)> = (journal.iter())
+        .filter_map(|(t, e)| match *e {
+            ProtoEvent::Ordered { gsn, .. } => Some((*t, gsn.0)),
+            _ => None,
+        })
+        .collect();
+    let [drop_at] = dropped[..] else {
+        panic!("one drop: {dropped:?}")
+    };
+    let [(regen_at, next_gsn)] = regenerated[..] else {
+        panic!("one regeneration, after the drop: {regenerated:?}")
+    };
+    assert_eq!(drop_at, SimTime::from_millis(1_005));
+    // Station 0 last saw the token at 0.900 s, 21 hops before station 21
+    // swallowed it. It suspects the loss at 1.090 s, the first hop tick
+    // past its 185 ms window, and its round circles the 36 stations in
+    // 180 ms.
+    assert_eq!(regen_at, SimTime::from_millis(1_270));
+    let before = (ordered.iter())
+        .filter(|(t, _)| *t <= drop_at)
+        .map(|&(_, g)| g)
+        .max()
+        .expect("ordered before the drop");
+    assert_eq!(next_gsn, before + 1);
+    let gsns: BTreeSet<u64> = ordered.iter().map(|&(_, g)| g).collect();
+    assert_eq!(gsns.len(), ordered.len(), "a number assigned twice");
+    assert_eq!(gsns, (1..=ordered.len() as u64).collect());
 }
