@@ -197,14 +197,15 @@ fn main() {
                 None => String::new(),
             };
             format!(
-                "{name} {} dropped{gaps}, {} unpaired",
-                r.recovered + r.unpaired,
-                r.unpaired
+                "{name} {} dropped{gaps}, {} unpaired, {} in multi-group worlds",
+                r.recovered + r.unpaired + r.multi_group,
+                r.unpaired,
+                r.multi_group
             )
         })
         .collect();
     println!(
-        "token drops and drop → regeneration gaps: {}",
+        "token drops and drop → regeneration gaps (single-group worlds): {}",
         per_backend.join("; ")
     );
 

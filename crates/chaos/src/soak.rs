@@ -250,7 +250,10 @@ pub fn ne_skips_delivered_elsewhere(journal: &[(SimTime, ProtoEvent)]) -> u64 {
 /// How a run recovered from its forced token losses
 /// ([`ProtoEvent::TokenDropped`]): the time from each drop to the next
 /// [`ProtoEvent::TokenRegenerated`], the span Token-Regeneration (§4.2.1)
-/// left ordering stopped. A bookkeeping figure beside the audit, like
+/// left ordering stopped. Neither event names its group, and a world's
+/// `DropToken` drops every group's token, so only a single-group run's
+/// drops are paired; a run of several groups counts its drops apart. A
+/// bookkeeping figure beside the audit, like
 /// [`ne_skips_delivered_elsewhere`]; figures of several runs add up.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct TokenRecovery {
@@ -262,12 +265,23 @@ pub struct TokenRecovery {
     pub max_gap: SimDuration,
     /// Drops no regeneration followed before the run ended.
     pub unpaired: u64,
+    /// Drops in runs of several groups, which are not paired: one group's
+    /// regeneration would close another group's drop.
+    pub multi_group: u64,
 }
 
 impl TokenRecovery {
-    /// Measure one run's journal.
-    pub fn of(journal: &[(SimTime, ProtoEvent)]) -> Self {
+    /// Measure one run's journal; `groups` is the number of groups the
+    /// run ordered.
+    pub fn of(journal: &[(SimTime, ProtoEvent)], groups: usize) -> Self {
         let mut r = TokenRecovery::default();
+        if groups > 1 {
+            let drops = journal
+                .iter()
+                .filter(|(_, e)| matches!(e, ProtoEvent::TokenDropped { .. }));
+            r.multi_group = drops.count() as u64;
+            return r;
+        }
         let mut pending: Vec<SimTime> = Vec::new();
         for (t, e) in journal {
             match e {
@@ -293,6 +307,7 @@ impl TokenRecovery {
         self.total_gap += other.total_gap;
         self.max_gap = self.max_gap.max(other.max_gap);
         self.unpaired += other.unpaired;
+        self.multi_group += other.multi_group;
     }
 
     /// The mean gap of the recovered drops; `None` when there are none.
@@ -372,7 +387,7 @@ pub fn soak_seed(
             deliveries: report.deliveries,
             skips: report.skips,
             ne_skips_delivered_elsewhere: ne_skips_delivered_elsewhere(&run.journal),
-            token_recovery: TokenRecovery::of(&run.journal),
+            token_recovery: TokenRecovery::of(&run.journal, sc.declared_groups().len()),
         });
     }
     Ok(outcomes)
@@ -619,22 +634,34 @@ mod tests {
             regenerated(2_150),
             dropped(3_000),
         ];
-        let r = TokenRecovery::of(&journal);
+        let r = TokenRecovery::of(&journal, 1);
         let want = TokenRecovery {
             recovered: 3,
             total_gap: SimDuration::from_millis(130 + 150 + 140),
             max_gap: SimDuration::from_millis(150),
             unpaired: 1,
+            multi_group: 0,
         };
         assert_eq!(r, want);
         assert_eq!(r.mean_gap(), Some(SimDuration::from_millis(140)));
+        // The same journal from a run of two groups: the 2 000 and 2 010 ms
+        // drops may be the two groups' tokens, which the one regeneration
+        // at 2 150 ms cannot both answer, so no drop is paired.
+        let two = TokenRecovery::of(&journal, 2);
+        let want = TokenRecovery {
+            multi_group: 4,
+            ..TokenRecovery::default()
+        };
+        assert_eq!(two, want);
+        assert_eq!(two.mean_gap(), None);
         let mut sum = TokenRecovery::default();
         assert_eq!(sum.mean_gap(), None);
         sum.add(&r);
-        sum.add(&TokenRecovery::of(&journal[..4]));
-        assert_eq!((sum.recovered, sum.unpaired), (4, 1));
+        sum.add(&TokenRecovery::of(&journal[..4], 1));
+        sum.add(&two);
+        assert_eq!((sum.recovered, sum.unpaired, sum.multi_group), (4, 1, 4));
         assert_eq!(sum.max_gap, SimDuration::from_millis(150));
-        assert_eq!(TokenRecovery::of(&[]), TokenRecovery::default());
+        assert_eq!(TokenRecovery::of(&[], 1), TokenRecovery::default());
     }
 
     #[test]
