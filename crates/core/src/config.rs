@@ -12,9 +12,10 @@
 //! | constant | value | governs | paper |
 //! |---|---|---|---|
 //! | [`HOP_TICK`] | 5 ms | NACKs, ACKs, token retry and quiet checks | §4.2.3, §4.2.1 |
-//! | [`HEARTBEAT_PERIOD`] | 50 ms | ring, parent/child and AG-ring leader liveness probes | §3 |
+//! | [`HEARTBEAT_PERIOD`] | 50 ms | ring, parent/child and AG-ring leader liveness probes: the first miss | §3 |
 //! | `HEARTBEAT_MISSES` | 3 | probes missed before a neighbour is dead | §3 |
-//! | `FAILOVER_WINDOW` | 250 ms | an excised BR's last ack pins its ring predecessor's `MQ` | §3 |
+//! | `probe_confirm_after` | 15 ms on a 5 ms link, derived | a real probe unanswered this long is a miss, checked every hop tick: the probed link's round trip and a hop tick | §3 |
+//! | `FAILOVER_WINDOW` | 250 ms | an excised BR's last ack pins its ring predecessor's `MQ`: covers a fenced BR's children missing it | §3 |
 //! | `TOKEN_RETRY_AFTER` | 30 ms | reliable token transfer: resend timeout | §4.2.1 |
 //! | `TOKEN_RETRY_BUDGET` | 3 | sends of one token pass before giving up | §4.2.1 |
 //! | `TOKEN_QUIET_AFTER` | 120 ms, derived | "Message-Ordering runs well" window of Token-Regeneration: the retry chain and one period more; a ring slower to circle waits its circle and a hop tick (`token_quiet_window`) | §4.2.1 |
@@ -33,22 +34,42 @@
 use simnet::SimDuration;
 
 /// Period of the hop-maintenance tick driving retransmission requests
-/// (NACKs), cumulative ACKs, token retransfer checks and the check for a
-/// quiet token.
+/// (NACKs), cumulative ACKs, token retransfer checks, the check for a
+/// quiet token and the confirmation of an unanswered liveness probe.
 pub const HOP_TICK: SimDuration = SimDuration::from_millis(5);
 
-/// Heartbeat period for ring-neighbour and parent/child liveness.
+/// Heartbeat period for ring-neighbour and parent/child liveness: where
+/// traffic has not answered for a neighbour within a period, the period
+/// tick probes it, and the hop tick confirms the probe
+/// ([`crate::membership`]).
 pub const HEARTBEAT_PERIOD: SimDuration = SimDuration::from_millis(50);
 
 /// Declare a neighbour dead after missing this many heartbeats.
 pub(crate) const HEARTBEAT_MISSES: u8 = 3;
 
 /// How long a top-ring node keeps its `MQ` at the last ack of an excised
-/// next: one period for the excised BR to fence itself, then the
-/// `HEARTBEAT_MISSES + 1` periods its children take to miss it and graft
-/// onto a BR of the primary component, which serves their resume point.
+/// next: one period for the excised BR to fence itself, then the time its
+/// children take to miss it and graft onto a BR of the primary component,
+/// which serves their resume point. A child convicts a silent parent
+/// within two periods and `HEARTBEAT_MISSES` confirmations of its probes
+/// and a link delay ([`crate::membership`]): 148 ms over the default 3 ms
+/// `br_ag` link, so with the fencing period 198 ms of the window's 250 ms.
+/// The window keeps the `HEARTBEAT_MISSES + 2` periods it was derived from
+/// when a child needed up to `HEARTBEAT_MISSES + 1` periods, which now
+/// leave a margin; shrinking it to the faster detection is a change of its
+/// own, since it trades retention for the failover skips it prevents.
 pub(crate) const FAILOVER_WINDOW: SimDuration =
     SimDuration::from_nanos(HEARTBEAT_PERIOD.as_nanos() * (HEARTBEAT_MISSES as u64 + 2));
+
+/// How long a real liveness probe over a link whose one-way delay is at
+/// most `hop` may go unanswered before the hop tick counts it missed: the
+/// probe's round trip and one hop tick more, so an answer in flight is
+/// never a miss (the answer is sent on arrival; the check runs on the hop
+/// grid). 15 ms over a 5 ms top-ring link. The engine holds one per probed
+/// scope on each entity's state, from the spec's link plan.
+pub(crate) fn probe_confirm_after(hop: SimDuration) -> SimDuration {
+    hop * 2 + HOP_TICK
+}
 
 /// Retransfer timeout for the ordering token: if the next node has not
 /// acknowledged within this time, the token is resent.

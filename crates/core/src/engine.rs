@@ -682,6 +682,12 @@ fn assemble(spec: &HierarchySpec, sim: &mut Sim<Msg, ProtoEvent, Harvest>) -> Rc
     // are hybrid stations that also serve MHs.
     let stations = spec.is_station_shape();
     let token_quiet_after = spec.token_quiet_after();
+    // A liveness probe is confirmed after its link's round trip and a hop
+    // tick (`crate::membership`): ring probes over the ring's links, watch
+    // probes over the link to the parent.
+    let confirm =
+        |link: &simnet::LinkProfile| crate::config::probe_confirm_after(link.latency.max_delay());
+    let links = &spec.links;
     let ne_actor = |states: Vec<NeState>, originate: Vec<bool>| {
         Box::new(NeActor::new(states, Rc::clone(&map), originate))
     };
@@ -697,6 +703,7 @@ fn assemble(spec: &HierarchySpec, sim: &mut Sim<Msg, ProtoEvent, Harvest>) -> Rc
                         NeState::new_br(g, br, ring, true, cfg.clone())
                     };
                     st.token_quiet_after = token_quiet_after;
+                    st.ring_confirm_after = confirm(&links.top_ring);
                     if multi {
                         st.cross_fence =
                             Some(crate::fence::CrossGroupFence::new(g, funnels.clone()));
@@ -713,7 +720,10 @@ fn assemble(spec: &HierarchySpec, sim: &mut Sim<Msg, ProtoEvent, Harvest>) -> Rc
                 let state = |&(g, funnel)| {
                     let members = ring.members.clone();
                     let parents = spec.parents_rooted_at(ring, g, funnel);
-                    NeState::new_ag(g, ag, members, parents, cfg.clone())
+                    let mut st = NeState::new_ag(g, ag, members, parents, cfg.clone());
+                    st.ring_confirm_after = confirm(&links.ag_ring);
+                    st.parent_confirm_after = confirm(&links.br_ag);
+                    st
                 };
                 ne_actor(
                     funnels.iter().map(state).collect(),
@@ -723,7 +733,10 @@ fn assemble(spec: &HierarchySpec, sim: &mut Sim<Msg, ProtoEvent, Harvest>) -> Rc
             Entity::Ap(ap) => {
                 let state = |&g| {
                     let (parents, nbs) = (ap.parent_candidates.clone(), ap.neighbours.clone());
-                    NeState::new_ap(g, ap.id, parents, ap.always_active, nbs, cfg.clone())
+                    let mut st =
+                        NeState::new_ap(g, ap.id, parents, ap.always_active, nbs, cfg.clone());
+                    st.parent_confirm_after = confirm(&links.ag_ap);
+                    st
                 };
                 ne_actor(
                     groups.iter().map(state).collect(),

@@ -423,7 +423,10 @@ impl HierarchySpec {
         // Token-loss detection (`crate::recovery`) waits one retry period
         // past a pass's retry chain for its last copy to land, so a copy
         // must land within a retry period — on a ring hop, or on a repair
-        // path, which runs over `br_ag`.
+        // path, which runs over `br_ag`. Liveness needs no bound of its
+        // own: each probe's confirmation waits its own link's round trip
+        // (`crate::membership`), however long, and the period tick leaves
+        // a probe still out to it.
         for (scope, link) in [
             ("top_ring", &self.links.top_ring),
             ("br_ag", &self.links.br_ag),

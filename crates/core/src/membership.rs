@@ -6,7 +6,8 @@
 //!
 //! * **Liveness**: one probe per heartbeat period to the next ring node
 //!   and one to the watched node, with a miss budget, each sent only where
-//!   traffic has not already answered it.
+//!   traffic has not already answered it. The period tick judges the first
+//!   miss; the hop tick confirms the rest.
 //!   - *Ring*: the hop's own acknowledged traffic is the probe — the token
 //!     transfer on the top ring, the forwarded `Data` on an AG ring. The
 //!     first such frame sent to `next` since the last tick asks the tick's
@@ -22,6 +23,27 @@
 //!   - *Watch*: any frame at all from the watched node answers the probe
 //!     to it: the parent, or for the leader's next member on an AG ring
 //!     the leader (`NeState::rewatch`), which it then excises when silent.
+//!   - *Confirmation*: a real probe still unanswered after its link's
+//!     round trip and a hop tick (`config::probe_confirm_after`: 15 ms on
+//!     a 5 ms top-ring link, held per state from the spec's links) is a
+//!     miss on the next hop tick (`confirm_probes`), which suspects the
+//!     neighbour and probes again. The third unanswered probe, implied
+//!     ones counting, convicts: the ring excises `next`, a follower
+//!     excises its leader, a child fails over to its next candidate. So
+//!     the second and third probes follow a round trip apart, not a
+//!     period apart, and the period tick leaves a probe still out to the
+//!     hop tick. A conviction takes as many probes as before, so it sends
+//!     as many and a lossy link convicts falsely as seldom; and a
+//!     loss-free, fault-free world, which answers every probe within its
+//!     round trip, runs as if the confirmation were not there.
+//!   - *The bound*: let `d` be the probed link's longest one-way delay and
+//!     `c` its confirmation rounded up to the hop tick. A neighbour that
+//!     dies at `t` is convicted before `t + d + 2 · HEARTBEAT_PERIOD +
+//!     HEARTBEAT_MISSES · c`. Its last frame or answer lands by `t + d`;
+//!     the next period tick counts it as that tick's probe or sends a real
+//!     one; by the tick after, a real probe is out; and at most
+//!     `HEARTBEAT_MISSES` confirmations follow it. That is 150 ms on a 5 ms
+//!     top-ring link and 132 ms on a 2 ms AG-ring link.
 //!
 //!   The ring asks more than the watch does because a frame sent before a
 //!   tick but acknowledged after it is stale evidence: counted, it would
@@ -94,6 +116,7 @@ impl NeState {
         }
         let Some(r) = self.ring.as_mut() else { return };
         r.hb_outstanding = 0;
+        r.hb_probe_at = None;
         if by_traffic {
             r.hb_by_traffic = Some(n);
             r.hb_asked = None;
@@ -182,8 +205,7 @@ impl NeState {
         }
         let group = self.group;
 
-        // --- ring neighbour liveness -----------------------------------
-        let mut dead = None;
+        // --- ring neighbour liveness: the first miss ---------------------
         if let Some(r) = self.ring.as_mut() {
             let last_tick = std::mem::replace(&mut r.hb_tick_at, now);
             let next = r.next_of(self.id);
@@ -194,11 +216,10 @@ impl NeState {
                 .hb_asked
                 .is_some_and(|a| a.to == next && a.sent_at >= last_tick);
             // A lower ring's last member leaves its leader to the leader's
-            // next, which watches it (`parent_maintenance`).
-            if next != self.id && r.prev_keeps_mq_for(next) {
-                if r.hb_outstanding >= HEARTBEAT_MISSES {
-                    dead = Some(next);
-                } else if by_traffic && r.hb_outstanding == 0 {
+            // next, which watches it (`parent_maintenance`). A real probe
+            // still out is the hop tick's to confirm (`confirm_probes`).
+            if next != self.id && r.prev_keeps_mq_for(next) && r.hb_probe_at.is_none() {
+                if by_traffic && r.hb_outstanding == 0 {
                     // Traffic answered since the last tick: it stands in
                     // for this tick's probe.
                     r.hb_outstanding = 1;
@@ -208,21 +229,12 @@ impl NeState {
                         // nothing.
                         r.hb_outstanding = 0;
                     }
-                    if r.hb_outstanding > 0 && !by_traffic {
-                        // The previous probe, a sent one, went unanswered.
-                        if r.state_of(next) == crate::ring_lifecycle::MemberState::Active {
-                            self.telemetry.count(crate::telemetry::metric::HB_SUSPECTS);
-                        }
-                        r.suspect(next);
-                    }
                     r.hb_by_traffic = None;
                     r.hb_outstanding += 1;
+                    r.hb_probe_at = Some(now);
                     self.send_control(Endpoint::Ne(next), Msg::Heartbeat { group }, out);
                 }
             }
-        }
-        if let Some(next) = dead {
-            self.excise(now, next, out);
         }
 
         // --- parent liveness / failover ---------------------------------
@@ -319,6 +331,7 @@ impl NeState {
             if let Some(&parent) = self.parent_candidates.first() {
                 self.parent = Some(parent);
                 self.parent_hb_outstanding = 0;
+                self.parent_probe_at = None;
                 self.graft_pending = self.ap.is_none();
                 self.send_graft(parent, out);
             }
@@ -349,12 +362,13 @@ impl NeState {
             self.watched_leader = watched;
             self.parent_hb_outstanding = 0;
             self.parent_heard = false;
+            self.parent_probe_at = None;
         }
     }
 
     /// Probe the watched node unless it was heard from since the last
-    /// tick. After a miss budget, excise a watched leader, so that this
-    /// entity leads and grafts, or rotate to the next parent candidate.
+    /// tick or a real probe to it is still out, which the hop tick confirms
+    /// (`confirm_probes`); retry an unacknowledged graft.
     fn parent_maintenance(&mut self, now: SimTime, out: &mut Outbox) {
         let group = self.group;
         let heard = std::mem::take(&mut self.parent_heard);
@@ -364,49 +378,106 @@ impl NeState {
             self.after_ring_change(now, out);
             return;
         };
-        if follows && self.parent_hb_outstanding >= HEARTBEAT_MISSES {
-            self.excise(now, p, out);
-        } else if self.parent_hb_outstanding >= HEARTBEAT_MISSES {
-            // Parent is dead: fail over to the next configured candidate.
-            let next_candidate = {
-                let cands = &self.parent_candidates;
-                if cands.is_empty() {
-                    None
-                } else {
-                    let pos = cands.iter().position(|&c| c == p);
-                    let idx = pos.map(|i| (i + 1) % cands.len()).unwrap_or(0);
-                    Some(cands[idx])
-                }
-            };
-            self.parent_hb_outstanding = 0;
-            if let Some(ap) = self.ap.as_mut() {
-                ap.grafted = false;
-            }
-            match next_candidate {
-                Some(c) => {
-                    self.parent = Some(c);
-                    self.graft_pending = self.ap.is_none();
-                    self.send_graft(c, out);
-                }
-                None => self.parent = None,
-            }
-        } else {
+        if self.parent_probe_at.is_none() {
             self.parent_hb_outstanding += 1;
             if !heard {
+                self.parent_probe_at = Some(now);
                 self.send_control(Endpoint::Ne(p), Msg::Heartbeat { group }, out);
             }
-            // APs that should be active but missed their GraftAck re-graft.
-            if self.ap.as_ref().is_some_and(|a| !a.grafted) {
-                self.ensure_active_grafted(now, out);
+        }
+        // APs that should be active but missed their GraftAck re-graft.
+        if self.ap.as_ref().is_some_and(|a| !a.grafted) {
+            self.ensure_active_grafted(now, out);
+        }
+        // Ring leaders likewise retry an unacknowledged graft: the parent
+        // may have lost it (down link) while still answering heartbeats —
+        // without the retry the leader would believe itself attached while
+        // the parent serves it nothing, stranding the leader's whole ring.
+        if self.ap.is_none() && self.graft_pending && !follows {
+            self.send_graft(p, out);
+        }
+    }
+
+    /// The hop tick's half of liveness: a real probe, to the next ring node
+    /// or to the watched node, that has gone unanswered for its link's
+    /// round trip and a hop tick is a miss. The tick suspects the
+    /// neighbour and probes again, or, when `HEARTBEAT_MISSES` probes have
+    /// gone unanswered, convicts it. A member being spliced back in
+    /// (rejoining or merging) probes nothing, as on the period tick.
+    pub(crate) fn confirm_probes(&mut self, now: SimTime, out: &mut Outbox) {
+        let ring_probe = self.ring.as_ref().and_then(|r| r.hb_probe_at);
+        if ring_probe.is_none() && self.parent_probe_at.is_none() {
+            return; // nothing to confirm: the common case
+        }
+        if self.is_rejoining() || self.is_merging() {
+            return;
+        }
+        let group = self.group;
+        let mut dead = None;
+        if let Some(r) = self.ring.as_mut() {
+            let due = |at: SimTime| now.saturating_since(at) >= self.ring_confirm_after;
+            if r.hb_probe_at.is_some_and(due) {
+                let next = r.next_of(self.id);
+                if r.hb_outstanding >= HEARTBEAT_MISSES {
+                    dead = Some(next);
+                } else {
+                    if r.state_of(next) == crate::ring_lifecycle::MemberState::Active {
+                        self.telemetry.count(crate::telemetry::metric::HB_SUSPECTS);
+                    }
+                    r.suspect(next);
+                    r.hb_outstanding += 1;
+                    r.hb_probe_at = Some(now);
+                    self.send_control(Endpoint::Ne(next), Msg::Heartbeat { group }, out);
+                }
             }
-            // Ring leaders likewise retry an unacknowledged graft: the
-            // parent may have lost it (down link) while still answering
-            // heartbeats — without the retry the leader would believe
-            // itself attached while the parent serves it nothing,
-            // stranding the leader's whole ring.
-            if self.ap.is_none() && self.graft_pending && !follows {
-                self.send_graft(p, out);
-            }
+        }
+        if let Some(next) = dead {
+            self.excise(now, next, out);
+        }
+        let confirm = if self.watched_leader.is_some() {
+            self.ring_confirm_after
+        } else {
+            self.parent_confirm_after
+        };
+        let due = |at: SimTime| now.saturating_since(at) >= confirm;
+        let Some(p) = self.watched_leader.or(self.parent) else {
+            return;
+        };
+        if !self.parent_probe_at.is_some_and(due) {
+            return;
+        }
+        if self.parent_hb_outstanding >= HEARTBEAT_MISSES {
+            self.convict_watched(now, p, out);
+        } else {
+            self.parent_hb_outstanding += 1;
+            self.parent_probe_at = Some(now);
+            self.send_control(Endpoint::Ne(p), Msg::Heartbeat { group }, out);
+        }
+    }
+
+    /// The watched node `p` missed its probes: a watched leader is excised,
+    /// so that this entity leads and grafts; a dead parent is replaced by
+    /// the next configured candidate.
+    fn convict_watched(&mut self, now: SimTime, p: NodeId, out: &mut Outbox) {
+        self.parent_hb_outstanding = 0;
+        self.parent_probe_at = None;
+        if self.watched_leader.is_some() {
+            self.excise(now, p, out);
+            return;
+        }
+        let next_candidate = {
+            let cands = &self.parent_candidates;
+            let pos = cands.iter().position(|&c| c == p);
+            let idx = pos.map(|i| (i + 1) % cands.len()).unwrap_or(0);
+            cands.get(idx).copied()
+        };
+        if let Some(ap) = self.ap.as_mut() {
+            ap.grafted = false;
+        }
+        self.parent = next_candidate;
+        if let Some(c) = next_candidate {
+            self.graft_pending = self.ap.is_none();
+            self.send_graft(c, out);
         }
     }
 
@@ -591,6 +662,21 @@ mod tests {
         assert!(n.ord.as_ref().unwrap().inflight.is_some(), "forwarded");
     }
 
+    /// A probe's confirmation over a link of `hop` ms one way.
+    fn confirm_after(hop: u64) -> simnet::SimDuration {
+        crate::config::probe_confirm_after(simnet::SimDuration::from_millis(hop))
+    }
+
+    /// The hop tick's confirmations on `n`, one every 5 ms over
+    /// `(from, to]`.
+    fn confirm_over(n: &mut NeState, from: u64, to: u64) -> Outbox {
+        let mut out = Vec::new();
+        for t in (from + 5..=to).step_by(5) {
+            n.confirm_probes(ms(t), &mut out);
+        }
+        out
+    }
+
     fn outstanding(n: &NeState) -> u8 {
         n.ring.as_ref().unwrap().hb_outstanding
     }
@@ -675,6 +761,7 @@ mod tests {
     #[test]
     fn unanswered_implied_probe_is_a_miss_but_no_suspicion() {
         let mut n = br(0);
+        n.ring_confirm_after = confirm_after(5);
         let mut out = Vec::new();
         n.originate_token(ms(10), &mut out);
         ack_token(&mut n, ms(20));
@@ -690,18 +777,51 @@ mod tests {
         );
         assert_eq!(outstanding(&n), 2, "the implied probe was missed");
         assert_eq!(next_state(&n), crate::ring_lifecycle::MemberState::Active);
-        out.clear();
-        n.tick_heartbeat(ms(150), &mut out);
+        // The hop tick confirms the probe one round trip and a hop tick
+        // after it went out (15 ms on a 5 ms link), not a period after.
+        assert!(hb_sends(&confirm_over(&mut n, 100, 110)).is_empty());
+        assert_eq!(hb_sends(&confirm_over(&mut n, 110, 115)), vec![NodeId(1)]);
         assert_eq!(
             next_state(&n),
             crate::ring_lifecycle::MemberState::Suspected
         );
-        out.clear();
-        n.tick_heartbeat(ms(200), &mut out);
+        confirm_over(&mut n, 115, 130);
         assert_eq!(
             n.ring_next(),
             Some(NodeId(2)),
-            "excised three periods after the implied probe, as sent probes would"
+            "excised two confirmations after the implied probe's miss"
+        );
+    }
+
+    /// A ring link as slow as `validate` allows (29 ms one way) makes the
+    /// confirmation longer than a period. The period tick then finds its
+    /// probe still out and leaves it to the hop tick: no second probe, no
+    /// miss, no suspicion; an answer a round trip late is no miss.
+    #[test]
+    fn a_probe_still_out_at_the_next_period_is_left_to_the_hop_tick() {
+        let mut n = br(0);
+        n.ring_confirm_after = confirm_after(29);
+        assert!(n.ring_confirm_after > HEARTBEAT_PERIOD);
+        let mut out = Vec::new();
+        n.tick_heartbeat(ms(50), &mut out);
+        assert_eq!(hb_sends(&out), vec![NodeId(1)]);
+        out = confirm_over(&mut n, 50, 100);
+        n.tick_heartbeat(ms(100), &mut out);
+        assert!(hb_sends(&out).is_empty(), "{out:?}");
+        assert_eq!(outstanding(&n), 1);
+        assert_eq!(next_state(&n), crate::ring_lifecycle::MemberState::Active);
+        n.on_heartbeat_ack(ms(108), Endpoint::Ne(NodeId(1)), &mut out);
+        assert_eq!(outstanding(&n), 0);
+        assert!(hb_sends(&confirm_over(&mut n, 100, 150)).is_empty());
+        // Unanswered, the next probe is a miss on the first hop tick past
+        // 63 ms.
+        out.clear();
+        n.tick_heartbeat(ms(150), &mut out);
+        assert!(hb_sends(&confirm_over(&mut n, 150, 210)).is_empty());
+        assert_eq!(hb_sends(&confirm_over(&mut n, 210, 215)), vec![NodeId(1)]);
+        assert_eq!(
+            next_state(&n),
+            crate::ring_lifecycle::MemberState::Suspected
         );
     }
 
@@ -713,8 +833,13 @@ mod tests {
         n.tick_heartbeat(ms(50), &mut out);
         ack_token(&mut n, ms(55));
         assert_eq!(outstanding(&n), 1, "stale evidence");
+        // The 50 ms probe is still out: the period tick leaves it to the
+        // hop tick, which confirms it (a period after it went out on a
+        // state built without link delays).
         out.clear();
         n.tick_heartbeat(ms(100), &mut out);
+        assert!(hb_sends(&out).is_empty());
+        n.confirm_probes(ms(100), &mut out);
         assert_eq!(hb_sends(&out), vec![NodeId(1)]);
         assert_eq!(
             next_state(&n),
@@ -818,6 +943,7 @@ mod tests {
     #[test]
     fn unanswered_implied_ag_ring_probe_is_a_miss_but_no_suspicion() {
         let mut n = ag(30);
+        n.ring_confirm_after = confirm_after(2);
         let mut out = Vec::new();
         forward(&mut n, 1, ms(10));
         ack_data(&mut n, 1, ms(20));
@@ -836,18 +962,19 @@ mod tests {
             ag_next_state(&n),
             crate::ring_lifecycle::MemberState::Active
         );
-        out.clear();
-        n.tick_heartbeat(ms(150), &mut out);
+        // A 2 ms ring link's round trip and a hop tick is 9 ms: the
+        // second hop tick confirms each probe.
+        assert!(hb_sends(&confirm_over(&mut n, 100, 105)).is_empty());
+        assert_eq!(hb_sends(&confirm_over(&mut n, 105, 110)), vec![NodeId(40)]);
         assert_eq!(
             ag_next_state(&n),
             crate::ring_lifecycle::MemberState::Suspected
         );
-        out.clear();
-        n.tick_heartbeat(ms(200), &mut out);
+        confirm_over(&mut n, 110, 120);
         assert_eq!(
             n.ring_next(),
             Some(NodeId(10)),
-            "excised three periods after the implied probe, as sent probes would"
+            "excised two confirmations after the implied probe's miss"
         );
     }
 
@@ -865,6 +992,7 @@ mod tests {
         assert_eq!(outstanding(&n), 1, "the ack falls short of the frame");
         out.clear();
         n.tick_heartbeat(ms(100), &mut out);
+        n.confirm_probes(ms(100), &mut out);
         assert_eq!(hb_sends(&out), vec![NodeId(40)]);
         assert_eq!(
             ag_next_state(&n),
@@ -911,22 +1039,25 @@ mod tests {
         let ring = vec![NodeId(10), NodeId(20), NodeId(30), NodeId(40)];
         let cfg = ProtocolConfig::default();
         let mut n = NeState::new_ag(G, NodeId(20), ring, vec![NodeId(1)], cfg);
+        n.ring_confirm_after = confirm_after(2);
         let mut out = Vec::new();
         n.after_ring_change(SimTime::ZERO, &mut out);
         leader_frame(&mut n, ms(40));
-        let mut t = 50;
-        for _ in 0..HEARTBEAT_MISSES {
-            // 30 answers; the leader has fallen silent.
+        // 30 answers; the leader has fallen silent. The 50 ms tick counts
+        // its frame as the implied probe, the 100 ms tick misses it and
+        // probes.
+        for t in [50, 100] {
             out.clear();
             n.tick_heartbeat(ms(t), &mut out);
             n.on_heartbeat_ack(ms(t + 1), Endpoint::Ne(NodeId(30)), &mut Vec::new());
-            assert_eq!(n.ring_leader(), Some(NodeId(10)), "{t} ms");
-            t += 50;
         }
-        assert_eq!(t, 50 + 50 * HEARTBEAT_MISSES as u64);
-        out.clear();
-        n.tick_heartbeat(ms(t), &mut out);
-        assert_eq!(n.ring_leader(), Some(NodeId(20)), "excised at {t} ms");
+        assert_eq!(hb_sends(&out), vec![NodeId(30), NodeId(10)]);
+        // Each probe is confirmed after the ring link's round trip and a
+        // hop tick: a miss and a probe at 110 ms, the third miss at 120 ms.
+        assert_eq!(hb_sends(&confirm_over(&mut n, 100, 110)), vec![NodeId(10)]);
+        assert_eq!(n.ring_leader(), Some(NodeId(10)));
+        let out = confirm_over(&mut n, 110, 120);
+        assert_eq!(n.ring_leader(), Some(NodeId(20)), "excised at 120 ms");
         assert!(out.iter().any(|a| matches!(
             a,
             Action::Record(ProtoEvent::RingRepaired {
@@ -974,11 +1105,15 @@ mod tests {
     #[test]
     fn missed_heartbeats_trigger_ring_repair() {
         let mut n = br(0);
+        n.ring_confirm_after = confirm_after(5);
         let mut out = Vec::new();
-        for i in 0..=HEARTBEAT_MISSES as u64 {
-            out.clear();
-            n.tick_heartbeat(SimTime::from_millis(50 * (i + 1)), &mut out);
-        }
+        n.tick_heartbeat(ms(50), &mut out);
+        assert_eq!(hb_sends(&out), vec![NodeId(1)]);
+        // Node 1 never answers: each probe is confirmed 15 ms after it
+        // went out, and the third unanswered one convicts.
+        assert_eq!(hb_sends(&confirm_over(&mut n, 50, 80)), vec![NodeId(1); 2]);
+        assert_eq!(n.ring_next(), Some(NodeId(1)));
+        let out = confirm_over(&mut n, 80, 95);
         // Node 1 declared dead, next is now node 2, failure broadcast.
         assert_eq!(n.ring_next(), Some(NodeId(2)));
         assert!(out.iter().any(|a| matches!(
@@ -1064,11 +1199,14 @@ mod tests {
             ProtocolConfig::default(),
         );
         n.parent = Some(NodeId(20));
+        n.parent_confirm_after = confirm_after(1);
         let mut out = Vec::new();
-        for i in 0..=HEARTBEAT_MISSES as u64 {
-            out.clear();
-            n.tick_heartbeat(SimTime::from_millis(50 * (i + 1)), &mut out);
-        }
+        n.tick_heartbeat(ms(50), &mut out);
+        // A 1 ms link's round trip and a hop tick is 7 ms: the second hop
+        // tick after each probe confirms it, and the third miss convicts.
+        assert_eq!(hb_sends(&confirm_over(&mut n, 50, 70)), vec![NodeId(20); 2]);
+        assert_eq!(n.parent, Some(NodeId(20)));
+        let out = confirm_over(&mut n, 70, 80);
         assert_eq!(n.parent, Some(NodeId(21)), "rotated to the next candidate");
         assert!(out.iter().any(|a| matches!(
             a,
@@ -1090,6 +1228,7 @@ mod tests {
             ProtocolConfig::default(),
         );
         n.parent = Some(NodeId(20));
+        n.parent_confirm_after = confirm_after(1);
         let to_parent = |out: &Outbox| {
             out.iter()
                 .filter(|a| {
@@ -1118,20 +1257,17 @@ mod tests {
         out.clear();
         n.tick_heartbeat(ms(50), &mut out);
         assert_eq!(to_parent(&out), 0, "the parent's data answered");
-        // Silent from here on: probes resume, and the failover comes after
-        // `HEARTBEAT_MISSES` silent periods, as it does after an answered
-        // probe.
-        let mut t = 50;
-        for _ in 0..HEARTBEAT_MISSES - 1 {
-            t += 50;
-            out.clear();
-            n.tick_heartbeat(ms(t), &mut out);
-            assert_eq!(to_parent(&out), 1, "{t} ms");
-            assert_eq!(n.parent, Some(NodeId(20)), "{t} ms");
-        }
-        n.tick_heartbeat(ms(t + 50), &mut out);
-        assert_eq!(t + 50, 50 + 50 * HEARTBEAT_MISSES as u64);
-        assert_eq!(n.parent, Some(NodeId(21)), "failed over");
+        // Silent from here on: the next tick probes, and the failover
+        // comes two confirmations later (7 ms each, on the hop grid), as it
+        // does after an answered probe.
+        out.clear();
+        n.tick_heartbeat(ms(100), &mut out);
+        assert_eq!(to_parent(&out), 1, "100 ms");
+        out = confirm_over(&mut n, 100, 110);
+        assert_eq!(to_parent(&out), 1, "110 ms");
+        assert_eq!(n.parent, Some(NodeId(20)));
+        confirm_over(&mut n, 110, 120);
+        assert_eq!(n.parent, Some(NodeId(21)), "failed over at 120 ms");
     }
 
     #[test]

@@ -25,7 +25,9 @@ use std::collections::BTreeMap;
 use simnet::{SimDuration, SimTime};
 
 use crate::actions::Outbox;
-use crate::config::{ProtocolConfig, HEARTBEAT_MISSES, TOKEN_QUIET_AFTER, WQ_CAPACITY};
+use crate::config::{
+    ProtocolConfig, HEARTBEAT_MISSES, HEARTBEAT_PERIOD, TOKEN_QUIET_AFTER, WQ_CAPACITY,
+};
 use crate::ids::{Endpoint, GlobalSeq, GroupId, Guid, LocalSeq, NodeId};
 use crate::metrics::NeFinal;
 use crate::mq::MessageQueue;
@@ -61,6 +63,9 @@ pub struct RingState {
     /// The first frame sent to `next` since the last heartbeat tick that
     /// `next` has not acknowledged: it asks the tick's implied probe.
     pub(crate) hb_asked: Option<AskedProbe>,
+    /// When the real probe to `next` that is still unanswered went out;
+    /// the hop tick confirms it (see [`crate::membership`]).
+    pub(crate) hb_probe_at: Option<SimTime>,
     /// Cumulative `MQ` ACK received from the next node, by `DataAck` or
     /// `TokenAck` (retention GC of both `MQ` and `WQ`).
     pub next_acked_mq: GlobalSeq,
@@ -82,6 +87,7 @@ impl RingState {
             hb_tick_at: SimTime::ZERO,
             hb_by_traffic: None,
             hb_asked: None,
+            hb_probe_at: None,
             next_acked_mq: GlobalSeq::ZERO,
             failover_hold: None,
         }
@@ -218,6 +224,7 @@ impl RingState {
     pub(crate) fn restart_probes(&mut self) {
         self.hb_outstanding = 0;
         self.hb_asked = None;
+        self.hb_probe_at = None;
     }
 
     /// Splice a rejoined peer back into `me`'s cycle view. True on a real
@@ -399,6 +406,17 @@ pub struct NeState {
     /// tick: it answered the outstanding probe, and that tick implies its
     /// probe instead of sending it.
     pub(crate) parent_heard: bool,
+    /// When the real probe to the watched node that is still unanswered
+    /// went out; the hop tick confirms it.
+    pub(crate) parent_probe_at: Option<SimTime>,
+    /// How long a real probe over a ring link, to the next ring node or
+    /// the watched leader, may go unanswered before the hop tick counts it
+    /// missed (`config::probe_confirm_after`). The engine sets it from the
+    /// spec's link plan; a state built without it waits a heartbeat
+    /// period, as if the next period tick judged the probe.
+    pub(crate) ring_confirm_after: SimDuration,
+    /// The same over the link to the parent.
+    pub(crate) parent_confirm_after: SimDuration,
     /// Active children and when each was last heard.
     pub children: BTreeMap<NodeId, SimTime>,
     /// Per-child delivery progress (`WT`).
@@ -494,6 +512,9 @@ impl NeState {
             watched_leader: None,
             parent_hb_outstanding: 0,
             parent_heard: false,
+            parent_probe_at: None,
+            ring_confirm_after: HEARTBEAT_PERIOD,
+            parent_confirm_after: HEARTBEAT_PERIOD,
             children: BTreeMap::new(),
             wt_children: WorkingTable::new(),
             mq: MessageQueue::new(cfg.mq_capacity),
@@ -625,6 +646,7 @@ impl NeState {
             // Whatever the watched node sends answers the probe to it.
             self.parent_hb_outstanding = 0;
             self.parent_heard = true;
+            self.parent_probe_at = None;
         }
         match msg {
             Msg::SourceData {
@@ -790,6 +812,8 @@ impl NeState {
             cross_fence: self.cross_fence.take(),
             // Static wiring, like the ring order.
             token_quiet_after: self.token_quiet_after,
+            ring_confirm_after: self.ring_confirm_after,
+            parent_confirm_after: self.parent_confirm_after,
             // The fresh `MQ` resyncs from the first `GraftAck`; on the top
             // ring own-source numbering re-baselines too.
             resync_on_graft: true,

@@ -19,10 +19,13 @@
 //!    nothing for a whole heartbeat period. This one cumulative ack is the
 //!    only hop acknowledgement of the wired core: the paper's per-stream
 //!    pre-order ack says nothing the `MQ` front does not imply.
-//! 4. Retry an unacknowledged ordering-token transfer; give up after the
-//!    budget (the Token-Loss machinery then takes over). Then check
-//!    whether the token has been quiet here for too long, and if so start
-//!    Token-Regeneration ([`crate::recovery`]).
+//! 4. Confirm a liveness probe that has gone unanswered for its link's
+//!    round trip: a miss, a suspicion and a fresh probe, or after the miss
+//!    budget a conviction ([`crate::membership`]). Retry an unacknowledged
+//!    ordering-token transfer; give up after the budget (the Token-Loss
+//!    machinery then takes over). Then check whether the token has been
+//!    quiet here for too long, and if so start Token-Regeneration
+//!    ([`crate::recovery`]).
 //! 5. Garbage-collect `MQ` up to the collective progress watermark — the
 //!    children's fronts, and the next ring node's when we keep our `MQ`
 //!    for it — and `WQ` up to the next ring node's acknowledged front.
@@ -115,8 +118,10 @@ impl NeState {
             }
         }
 
-        // (4) Token transfer retry / sole-survivor self-pass, then the
-        // self-detected token quiet.
+        // (4) Liveness probes left unanswered for a round trip, token
+        // transfer retry / sole-survivor self-pass, then the self-detected
+        // token quiet.
+        self.confirm_probes(now, out);
         self.token_maintenance(now, out);
         self.token_quiet_fallback(now, out);
 
@@ -444,6 +449,9 @@ mod tests {
                 &mut out,
             );
             n20.tick_heartbeat(SimTime::from_millis(50 * k), &mut sent);
+            // A state built outside the engine confirms a probe a period
+            // after it went out.
+            n20.confirm_probes(SimTime::from_millis(50 * k), &mut sent);
         }
         assert_eq!(n20.ring_next(), Some(NodeId(10)), "30 bypassed");
         let to_10: Vec<Msg> = sent

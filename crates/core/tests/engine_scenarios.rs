@@ -33,6 +33,15 @@ fn count<F: Fn(&ProtoEvent) -> bool>(journal: &[(SimTime, ProtoEvent)], f: F) ->
     journal.iter().filter(|(_, e)| f(e)).count()
 }
 
+/// How long after a real liveness probe over `link` the hop tick counts
+/// it missed: the first hop tick at least the link's round trip and a hop
+/// tick after it (`ringnet_core::membership`), probes going out on the hop
+/// grid. 15 ms over a 5 ms top-ring link, 10 ms over a 2 ms AG-ring link.
+fn confirmed_after(link: &LinkProfile) -> SimDuration {
+    let confirm = link.latency.max_delay() * 2 + HOP_TICK;
+    HOP_TICK * confirm.as_nanos().div_ceil(HOP_TICK.as_nanos())
+}
+
 #[test]
 fn poisson_traffic_is_fully_ordered_and_delivered() {
     let sc = hierarchy(3, 1, 3, 1)
@@ -201,6 +210,7 @@ fn a_failover_child_skips_what_its_new_parent_already_collected() {
         .expect("the dead AG's AP fails over to its ring successor")
         .id;
     let tick = SimTime::from_secs(1);
+    let confirm = confirmed_after(&spec.links.ag_ring);
     let mut net = RingNetSim::for_scenario(spec, &sc, 7);
     net.schedule(ScenarioEvent::KillCore {
         // Core indices run over the BRs, then the AGs.
@@ -215,7 +225,11 @@ fn a_failover_child_skips_what_its_new_parent_already_collected() {
         }
         _ => None,
     });
-    assert_eq!(repaired, Some(tick + HEARTBEAT_PERIOD * 3));
+    // The tick after the kill misses the frames sent to the dead AG and
+    // probes it; the hop tick confirms that probe and the next one, a
+    // 2 ms link's round trip and a hop tick apart, and the third miss
+    // convicts.
+    assert_eq!(repaired, Some(tick + HEARTBEAT_PERIOD + confirm * 2));
     let grafted = journal.iter().find_map(|(t, e)| match e {
         ProtoEvent::Grafted { parent, child, .. } if (*parent, *child) == (heir, orphan) => {
             Some(*t)
@@ -223,7 +237,7 @@ fn a_failover_child_skips_what_its_new_parent_already_collected() {
         _ => None,
     });
     let grafted = grafted.expect("the orphan grafts onto the heir");
-    assert!(grafted > tick + HEARTBEAT_PERIOD * 4, "one period after");
+    assert!(grafted > repaired.unwrap(), "after the excision");
     let skipped_at = |node: NodeId| -> Vec<SimTime> {
         journal
             .iter()
@@ -244,9 +258,12 @@ fn a_failover_child_skips_what_its_new_parent_already_collected() {
 /// An AG ring's leader dies 9 ms after a heartbeat tick on a loss-free
 /// 3-AG ring. The leader's next member watches it: the leader's data
 /// answers the watch, so the ring's last member, whose hop to the leader
-/// carries no traffic, no longer probes it. The next member excises the
-/// leader four periods after the tick, `HEARTBEAT_MISSES` unanswered
-/// periods after the last answered one, as the last member's probes did.
+/// carries no traffic, no longer probes it. The leader's last frames
+/// answer the watch at the next tick; the tick after finds it silent and
+/// probes; the hop tick confirms that probe and the next one, a ring
+/// link's round trip and a hop tick apart; and the third miss convicts:
+/// the next member excises the leader two periods and two confirmations
+/// after the tick.
 /// It leads from then on and grafts onto the dead leader's parent BR,
 /// which still holds everything the ring had not yet delivered, so
 /// nothing is skipped anywhere.
@@ -260,6 +277,7 @@ fn a_dead_ag_ring_leader_is_excised_and_its_next_grafts_without_a_skip() {
     let (leader, heir) = (ring[0], ring[1]);
     let tick = SimTime::from_secs(1);
     assert_eq!(tick.as_nanos() % HEARTBEAT_PERIOD.as_nanos(), 0, "a tick");
+    let confirm = confirmed_after(&spec.links.ag_ring);
     let mut net = RingNetSim::for_scenario(spec, &sc, 7);
     net.schedule(ScenarioEvent::KillCore {
         // Core indices run over the BRs, then the AGs.
@@ -275,7 +293,7 @@ fn a_dead_ag_ring_leader_is_excised_and_its_next_grafts_without_a_skip() {
             _ => None,
         })
         .collect();
-    let due = tick + HEARTBEAT_PERIOD * 4;
+    let due = tick + HEARTBEAT_PERIOD * 2 + confirm * 2;
     assert_eq!(repaired, vec![(due, heir)], "the leader's next excises");
     let grafted: Vec<(SimTime, NodeId)> = journal
         .iter()
@@ -612,7 +630,9 @@ fn station_shaped_spec_delivers_in_order() {
 /// A two-BR top ring cut exactly at a heartbeat tick, while the token and
 /// its acknowledgements cross the link: each side excises the other three
 /// missed probes after the tick, the instant a probe sent at the tick
-/// gives. The token stands in for a probe only with the acknowledgement of
+/// gives. The hop tick confirms each probe a 5 ms link's round trip and a
+/// hop tick after it went out, so the third miss comes three
+/// confirmations after the tick. The token stands in for a probe only with the acknowledgement of
 /// a transfer sent after the last tick; counting any frame from the next
 /// node would take the frames sent before the cut and received after it as
 /// an answer, and repair the ring a period or more late.
@@ -625,6 +645,7 @@ fn ring_cut_at_a_heartbeat_tick_is_repaired_on_the_probe_schedule() {
     // A BR's core index is its id.
     let (a, b) = (spec.top_ring[0], spec.top_ring[1]);
     let hop = spec.links.top_ring.latency.max_delay();
+    let confirm = confirmed_after(&spec.links.top_ring);
     let cut = SimTime::from_secs(1);
     assert_eq!(cut.as_nanos() % HEARTBEAT_PERIOD.as_nanos(), 0, "a tick");
     let mut net = RingNetSim::for_scenario(spec, &sc, 7);
@@ -648,7 +669,7 @@ fn ring_cut_at_a_heartbeat_tick_is_repaired_on_the_probe_schedule() {
             _ => None,
         })
         .collect();
-    let due = cut + HEARTBEAT_PERIOD * 3;
+    let due = cut + confirm * 3;
     assert_eq!(repaired, vec![(due, a), (due, b)]);
 }
 
@@ -658,9 +679,12 @@ fn ring_cut_at_a_heartbeat_tick_is_repaired_on_the_probe_schedule() {
 /// probe, but only when it covers a frame sent after the last tick. The
 /// link goes down 1 ms after a tick, while the ack the downstream member
 /// sent at the tick is still crossing it. That ack covers only frames sent
-/// before the tick, so it answers nothing, and the upstream member excises
-/// the downstream one three periods after the tick, as probes sent every
-/// tick would. Counting the stale ack would repair the ring a period late.
+/// before the tick, so it answers nothing: the next tick misses the frames
+/// sent after the tick and probes, the hop tick confirms that probe and
+/// the next one, a ring link's round trip and a hop tick apart, and the
+/// upstream member excises the downstream one a period and two
+/// confirmations after the tick. Counting the stale ack would repair the
+/// ring a period late.
 /// (The hop out of the leader is not the one to cut: its next member also
 /// watches the leader, so both ends would excise each other.)
 #[test]
@@ -676,6 +700,7 @@ fn ag_ring_cut_at_a_heartbeat_tick_is_repaired_on_the_probe_schedule() {
     let lead = SimDuration::from_millis(1);
     let cut = tick + lead;
     assert!(spec.links.ag_ring.latency.min_delay() > lead, "in flight");
+    let confirm = confirmed_after(&spec.links.ag_ring);
     let mut net = RingNetSim::for_scenario(spec, &sc, 7);
     // Core indices run over the BRs, then the AGs.
     net.schedule(ScenarioEvent::PartitionCore {
@@ -692,7 +717,7 @@ fn ag_ring_cut_at_a_heartbeat_tick_is_repaired_on_the_probe_schedule() {
             _ => None,
         })
         .collect();
-    let due = tick + HEARTBEAT_PERIOD * 3;
+    let due = tick + HEARTBEAT_PERIOD + confirm * 2;
     assert_eq!(repaired, vec![(due, up, down)]);
 }
 
@@ -1315,26 +1340,37 @@ fn a_ring_under_an_isolated_br_fails_over_to_the_primary() {
     assert_eq!(ringnet_core::metrics::order_violations(journal), 0);
 }
 
-/// The same isolation healed at 1.2 s, after BR 1 fenced itself at 1.15 s
-/// but before AG ring 1's leader has missed it three times. BR 1 merges
-/// back and answers again, so the leader stays grafted onto it, and its
-/// NACKs for what BR 0 ordered meanwhile are served from what BR 0 still
-/// holds at BR 1's last ack: nothing is skipped anywhere.
+/// The same isolation healed at 1.2 s, within the failover window of
+/// BR 1's excision. BR 1's ring neighbour probes it at the 1 s tick and
+/// convicts it three confirmations later, a 5 ms link's round trip and a
+/// hop tick apart; BR 1 does the same to its neighbour and fences itself.
+/// AG ring 1's leader, which last heard BR 1's data before the isolation,
+/// misses it from the 1.05 s tick on and fails over to BR 0 before the
+/// heal. BR 1 then merges back: BR 0 serves the leader's resume point,
+/// and BR 1's NACKs for what BR 0 ordered meanwhile, from what it still
+/// holds at BR 1's last ack, so nothing is skipped anywhere.
 #[test]
 fn a_partition_healed_before_the_failover_skips_nothing() {
-    let sc = isolated_br1(SimTime::from_millis(1_200));
+    let heal = SimTime::from_millis(1_200);
+    let sc = isolated_br1(heal);
+    let confirm = confirmed_after(&ringnet_spec(&sc).links.top_ring);
     let report = RingNetSim::run_scenario(&sc, 7);
     let iso = isolation(&sc, &report.journal);
-    assert_eq!(iso.fenced, SimTime::from_millis(1_150));
+    assert_eq!(iso.fenced, SimTime::from_secs(1) + confirm * 3);
     assert!(
-        iso.merged < iso.fenced + HEARTBEAT_PERIOD * 2,
+        matches!(iso.leader1_grafts[..], [(_, NodeId(1)), (t, NodeId(0))]
+            if t > iso.fenced && t < heal),
+        "ring 1's leader fails over to BR 0 before the heal: {:?}",
+        iso.leader1_grafts
+    );
+    assert!(
+        iso.merged > heal && iso.merged < heal + HEARTBEAT_PERIOD,
         "{:?}",
         iso.merged
     );
-    assert_eq!(
-        iso.leader1_grafts.iter().map(|g| g.1).collect::<Vec<_>>(),
-        [NodeId(1)],
-        "one graft"
+    assert!(
+        iso.merged < iso.fenced + HEARTBEAT_PERIOD * 5,
+        "in the window"
     );
     assert_eq!(iso.ne_skips, BTreeMap::new());
     assert_eq!(iso.mh_skips, 0);
@@ -1346,11 +1382,13 @@ fn a_partition_healed_before_the_failover_skips_nothing() {
 /// subtree skips. On a loss-free 3-AG ring under two BRs (AGs 2, 3, 4,
 /// one AP and one walker each) the link AG 2 – AG 3 goes down for good at
 /// 1.001 s. AG 3 watches its leader AG 2 through AG 2's data, and AG 2
-/// probes its next member AG 3: both go unanswered, and at the same tick
-/// each excises the other and bypasses it to AG 4. Lower rings have no
+/// probes its next member AG 3: both go unanswered from the 1.05 s tick
+/// on, the hop tick confirms each probe a ring link's round trip and a
+/// hop tick after it went out, and two confirmations later each excises
+/// the other and bypasses it to AG 4. Lower rings have no
 /// merge path, so the two live views stay apart. AG 3 leads its view and
 /// grafts onto BR 0, and AG 4 grafts onto BR 0 too. AGs 3 and 4, the APs
-/// below them and their walkers each skip 13 GSNs, every one of which
+/// below them and their walkers each skip 5 GSNs, every one of which
 /// walker 0, under AG 2, delivered.
 #[test]
 fn a_cut_between_an_ag_ring_leader_and_its_next_makes_each_excise_the_other() {
@@ -1367,6 +1405,7 @@ fn a_cut_between_an_ag_ring_leader_and_its_next_makes_each_excise_the_other() {
         .build();
     let spec = ringnet_spec(&sc);
     assert_eq!(spec.ag_rings[0].members, [2, 3, 4].map(NodeId));
+    let confirm = confirmed_after(&spec.links.ag_ring);
     let report = RingNetSim::run_scenario(&sc, 7);
     let journal = &report.journal;
     let repaired: Vec<(SimTime, NodeId, NodeId)> = (journal.iter())
@@ -1375,7 +1414,7 @@ fn a_cut_between_an_ag_ring_leader_and_its_next_makes_each_excise_the_other() {
             _ => None,
         })
         .collect();
-    let due = SimTime::from_millis(1_150);
+    let due = SimTime::from_millis(1_050) + confirm * 2;
     assert_eq!(
         repaired,
         [(due, NodeId(2), NodeId(3)), (due, NodeId(3), NodeId(2))],
@@ -1410,14 +1449,14 @@ fn a_cut_between_an_ag_ring_leader_and_its_next_makes_each_excise_the_other() {
             _ => {}
         }
     }
-    assert_eq!(skipped.len(), 13, "the same GSNs at every skipper");
+    assert_eq!(skipped.len(), 5, "the same GSNs at every skipper");
     assert!(skipped.is_subset(&walker0), "walker 0 delivered them all");
     // ROADMAP item 3, "a skip means the data is gone": nothing was lost,
     // so a fix (a merge path for lower rings, or a cut that convicts only
     // one end) empties both maps and turns this finding into its test.
-    assert_eq!(ne_skips, [3, 4, 6, 7].map(|n| (NodeId(n), 13)).into());
-    assert_eq!(mh_skips, [1, 2].map(|w| (Guid(w), 13)).into());
-    assert_eq!(report.metrics.delivered, 1_471);
+    assert_eq!(ne_skips, [3, 4, 6, 7].map(|n| (NodeId(n), 5)).into());
+    assert_eq!(mh_skips, [1, 2].map(|w| (Guid(w), 5)).into());
+    assert_eq!(report.metrics.delivered, 1_487);
     assert_eq!(ringnet_core::metrics::order_violations(journal), 0);
 }
 
@@ -1565,4 +1604,146 @@ fn a_ring_slower_to_circle_than_the_retry_chain_waits_for_its_circle() {
     let gsns: BTreeSet<u64> = ordered.iter().map(|&(_, g)| g).collect();
     assert_eq!(gsns.len(), ordered.len(), "a number assigned twice");
     assert_eq!(gsns, (1..=ordered.len() as u64).collect());
+}
+
+/// The detection bound of `ringnet_core::membership`: a neighbour that
+/// dies at `t` is convicted before `t + d + 2 · HEARTBEAT_PERIOD +
+/// HEARTBEAT_MISSES · c`, where `d` is the probed link's longest one-way
+/// delay and `c` the probe's confirmation on the hop grid
+/// ([`confirmed_after`]). Each watch here loses its neighbour at ten
+/// phases of a period, 5 ms apart: a busy top ring and an idle one (the
+/// token still circles it), an AG ring, and an AP's parent, whose
+/// conviction shows as the AP's graft onto its backup one `ag_ap` hop
+/// later.
+#[test]
+fn a_dead_neighbour_is_convicted_within_the_detection_bound_at_every_phase() {
+    const MISSES: u64 = 3; // `HEARTBEAT_MISSES`
+    let tick = SimTime::from_secs(1);
+    type Convicted = fn(&ProtoEvent, &ringnet_core::hierarchy::HierarchySpec) -> bool;
+    let top = |busy: bool| {
+        let stop = if busy {
+            None
+        } else {
+            Some(SimTime::from_millis(500))
+        };
+        hierarchy(4, 2, 1, 1)
+            .cbr(SimDuration::from_millis(10))
+            .window(SimTime::ZERO, stop)
+            .loss_free_wireless()
+            .build()
+    };
+    let ag_ring = || {
+        hierarchy(2, 1, 3, 1)
+            .cbr(SimDuration::from_millis(10))
+            .loss_free_wireless()
+            .build()
+    };
+    // Core indices run over the BRs, then the AGs.
+    let ring_excises: Convicted = |e, spec| {
+        let victim = spec.top_ring[2];
+        matches!(*e, ProtoEvent::RingRepaired { node, failed, .. }
+            if failed == victim && node == spec.top_ring[1])
+    };
+    let ag_excises: Convicted = |e, spec| {
+        let ring = &spec.ag_rings[0].members;
+        matches!(*e, ProtoEvent::RingRepaired { node, failed, .. }
+            if (node, failed) == (ring[1], ring[2]))
+    };
+    let ap_fails_over: Convicted = |e, spec| {
+        let ring = &spec.ag_rings[0].members;
+        let ap = spec
+            .aps
+            .iter()
+            .find(|ap| ap.parent_candidates[0] == ring[1]);
+        let ap = ap.expect("an AP under AG ring[1]");
+        matches!(*e, ProtoEvent::Grafted { parent, child, .. }
+            if (parent, child) == (ap.parent_candidates[1], ap.id))
+    };
+    type Link = fn(&LinkPlan) -> &LinkProfile;
+    let (top_link, ag_link, ap_link): (Link, Link, Link) =
+        (|l| &l.top_ring, |l| &l.ag_ring, |l| &l.ag_ap);
+    // (what, scenario, index of the victim among the core nodes, the
+    // convicting record, the probed link, and how many of its delays the
+    // bound holds: the victim's last answer, and for the AP its graft)
+    let cases: [(&str, Scenario, usize, Convicted, Link, u64); 4] = [
+        ("busy top ring", top(true), 2, ring_excises, top_link, 1),
+        ("idle top ring", top(false), 2, ring_excises, top_link, 1),
+        ("AG ring", ag_ring(), 2 + 2, ag_excises, ag_link, 1),
+        ("AP's parent", ag_ring(), 2 + 1, ap_fails_over, ap_link, 2),
+    ];
+    for (what, sc, victim, convicted, link, delays) in cases {
+        let spec = ringnet_spec(&sc);
+        let link = link(&spec.links);
+        let d = link.latency.max_delay();
+        let bound = d * delays + HEARTBEAT_PERIOD * 2 + confirmed_after(link) * MISSES;
+        for phase in 0..10 {
+            let kill = tick + HOP_TICK * phase;
+            let mut net = RingNetSim::for_scenario(spec.clone(), &sc, 7);
+            net.schedule(ScenarioEvent::KillCore {
+                at: kill,
+                index: victim,
+            });
+            net.run_until(kill + HEARTBEAT_PERIOD * 6);
+            let journal = net.finish().journal;
+            let at: Vec<SimTime> = (journal.iter())
+                .filter(|(t, e)| *t > kill && convicted(e, &spec))
+                .map(|(t, _)| *t)
+                .collect();
+            let [at] = at[..] else {
+                panic!("{what}, kill at {kill:?}: one conviction, got {at:?}")
+            };
+            assert!(
+                at < kill + bound,
+                "{what}, kill at {kill:?}: convicted at {at:?}, bound {bound:?}"
+            );
+        }
+    }
+}
+
+/// Links as slow as `HierarchySpec::validate` allows: the top ring's and
+/// the BR–AG links just under the token retry period (30 ms), the AG
+/// rings' and the AG–AP links as long. A probe's round trip then outlasts
+/// a heartbeat period, and its confirmation, derived from the link, waits
+/// for it: five loss-free seconds of CBR traffic suspect nobody, repair no
+/// ring and fail no child over. (Confirmed after a 5 ms link's 15 ms,
+/// every probe here would be a miss.)
+#[test]
+fn a_loss_free_world_at_the_validated_link_bound_convicts_nobody() {
+    let slow = LinkProfile::wired(SimDuration::from_millis(29));
+    let sc = hierarchy(3, 2, 2, 1)
+        .cbr(SimDuration::from_millis(10))
+        .window(SimTime::ZERO, Some(SimTime::from_millis(4_500)))
+        .duration(SimTime::from_secs(5))
+        .loss_free_wireless()
+        .links(LinkPlan {
+            top_ring: slow.clone(),
+            br_ag: slow.clone(),
+            ag_ring: slow.clone(),
+            ag_ap: slow,
+            ..LinkPlan::default()
+        })
+        .telemetry(true)
+        .build();
+    let spec = ringnet_spec(&sc);
+    assert!(spec.validate().is_empty(), "{:?}", spec.validate());
+    let report = RingNetSim::run_scenario(&sc, 7);
+    let journal = &report.journal;
+    let repairs = count(journal, |e| matches!(e, ProtoEvent::RingRepaired { .. }));
+    assert_eq!(repairs, 0, "a live neighbour excised");
+    let t = report.telemetry.as_ref().expect("telemetry is on");
+    assert_eq!(t.total_counter(metric::HB_SUSPECTS), 0);
+    // Every ring leader and every AP grafts once, at start-up.
+    let mut grafts: BTreeMap<NodeId, Vec<NodeId>> = BTreeMap::new();
+    for (_, e) in journal {
+        if let ProtoEvent::Grafted { parent, child, .. } = *e {
+            grafts.entry(child).or_default().push(parent);
+        }
+    }
+    assert_eq!(grafts.len(), spec.ag_rings.len() + spec.aps.len());
+    assert!(grafts.values().all(|p| p.len() == 1), "{grafts:?}");
+    let m = &report.metrics;
+    assert!(m.delivered > 1_000, "world too quiet");
+    assert_eq!(m.skipped, 0);
+    assert_eq!(m.delivery_ratio(), 1.0);
+    assert_eq!(ringnet_core::metrics::order_violations(journal), 0);
 }

@@ -104,7 +104,17 @@ fn journal_is_byte_identical_with_telemetry_on_and_off() {
 /// rounds nobody adopts (`regen_originated` 1 → 3): at 1.030 s into BR 1,
 /// killed at 0.9 s and excised only at 1.050 s, and at 2.425 s across the
 /// ring partition cut at 2.3 s and repaired at 2.450 s.
-const METRICS_DIGESTS: [(u64, u64); 2] = [(3, 0xa046_d87e_e407_6420), (41, 0xa046_d87e_e407_6420)];
+///
+/// Re-goldened when a real liveness probe came to be confirmed on the hop
+/// tick, a round trip and a hop tick after it went out, instead of on the
+/// next heartbeat tick (both were `0xa046_d87e_e407_6420`). BR 1, killed
+/// at 0.9 s, is excised at 0.945 s instead of 1.050 s, so BR 0's round of
+/// 1.030 s no longer dies in it and is adopted; the partition is repaired
+/// at 2.345 s instead of 2.450 s and BR 0 adopts its 2.425 s round too
+/// (`regen_adopted` 1 → 3). The ring makes more passes (BR 0 463 → 472),
+/// and BR 0 and BR 1 send a few probes fewer and more (114 → 113, 115 →
+/// 118), the AGs fewer (23 → 18 and 19 → 15), the APs 4 → 3 each.
+const METRICS_DIGESTS: [(u64, u64); 2] = [(3, 0xffbc_c1a2_6e26_cccc), (41, 0xffbc_c1a2_6e26_cccc)];
 
 fn metrics_digest(report: &ringnet_core::TelemetryReport) -> u64 {
     use std::fmt::Write as _;

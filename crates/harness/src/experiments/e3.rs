@@ -121,7 +121,9 @@ pub fn run(quick: bool) -> Table {
         }
     }
     table.note(
-        "stall includes failure detection (heartbeat misses), quiet detection and ring traversal",
+        "stall includes failure detection (the first miss on the heartbeat tick, the rest \
+         confirmed a round trip apart), quiet detection and ring traversal; a member excised \
+         before the transfer to it gives up needs no regeneration",
     );
     table.note(
         "paper: the Token-Regeneration algorithm restarts ordering from NewOrderingToken snapshots",
