@@ -434,16 +434,18 @@ impl NeState {
         if let Some(next) = dead {
             self.excise(now, next, out);
         }
+        let Some(p) = self.watched_leader.or(self.parent) else {
+            return;
+        };
         let confirm = if self.watched_leader.is_some() {
             self.ring_confirm_after
         } else {
             self.parent_confirm_after
         };
-        let due = |at: SimTime| now.saturating_since(at) >= confirm;
-        let Some(p) = self.watched_leader.or(self.parent) else {
-            return;
-        };
-        if !self.parent_probe_at.is_some_and(due) {
+        let due = self
+            .parent_probe_at
+            .is_some_and(|at| now.saturating_since(at) >= confirm);
+        if !due {
             return;
         }
         if self.parent_hb_outstanding >= HEARTBEAT_MISSES {
