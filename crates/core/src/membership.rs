@@ -33,9 +33,11 @@
 //!     the second and third probes follow a round trip apart, not a
 //!     period apart, and the period tick leaves a probe still out to the
 //!     hop tick. A conviction takes as many probes as before, so it sends
-//!     as many and a lossy link convicts falsely as seldom; and a
-//!     loss-free, fault-free world, which answers every probe within its
-//!     round trip, runs as if the confirmation were not there.
+//!     as many, and a link that loses packets independently convicts
+//!     falsely as seldom (a burst of loss as long as the three probes now
+//!     convicts where period-spaced probes rode it out); and a loss-free,
+//!     fault-free world, which answers every probe within its round trip,
+//!     runs as if the confirmation were not there.
 //!   - *The bound*: let `d` be the probed link's longest one-way delay and
 //!     `c` its confirmation rounded up to the hop tick. A neighbour that
 //!     dies at `t` is convicted before `t + d + 2 · HEARTBEAT_PERIOD +

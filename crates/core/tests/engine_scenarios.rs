@@ -189,10 +189,11 @@ fn a_lost_last_message_is_never_repaired() {
 
 /// A failover window RingNet does not close. An AG dies a few ms after a
 /// heartbeat tick on a loss-free 4-AG ring. Its ring predecessor excises
-/// it three periods later and repairs the ring to the dead AG's next
-/// member. That member NACKs the gap from its new predecessor, delivers it
-/// and collects it. One period after the repair, the dead AG's orphaned AP
-/// misses its third parent probe and grafts onto that same member. Its
+/// it a period and two probe confirmations later and repairs the ring to
+/// the dead AG's next member. That member NACKs the gap from its new
+/// predecessor, delivers it and collects it. After the repair, the dead
+/// AG's orphaned AP misses its third parent probe and grafts onto that
+/// same member. Its
 /// graft asks to resume below what the new parent still holds, so the AP
 /// skips the gap and so does its walker. Nothing was lost on any link.
 #[test]
