@@ -682,12 +682,6 @@ fn assemble(spec: &HierarchySpec, sim: &mut Sim<Msg, ProtoEvent, Harvest>) -> Rc
     // are hybrid stations that also serve MHs.
     let stations = spec.is_station_shape();
     let token_quiet_after = spec.token_quiet_after();
-    // A liveness probe is confirmed after its link's round trip and a hop
-    // tick (`crate::membership`): ring probes over the ring's links, watch
-    // probes over the link to the parent.
-    let confirm =
-        |link: &simnet::LinkProfile| crate::config::probe_confirm_after(link.latency.max_delay());
-    let links = &spec.links;
     let ne_actor = |states: Vec<NeState>, originate: Vec<bool>| {
         Box::new(NeActor::new(states, Rc::clone(&map), originate))
     };
@@ -703,7 +697,7 @@ fn assemble(spec: &HierarchySpec, sim: &mut Sim<Msg, ProtoEvent, Harvest>) -> Rc
                         NeState::new_br(g, br, ring, true, cfg.clone())
                     };
                     st.token_quiet_after = token_quiet_after;
-                    st.ring_confirm_after = confirm(&links.top_ring);
+                    st.confirm_probes_over(&spec.links);
                     if multi {
                         st.cross_fence =
                             Some(crate::fence::CrossGroupFence::new(g, funnels.clone()));
@@ -721,8 +715,7 @@ fn assemble(spec: &HierarchySpec, sim: &mut Sim<Msg, ProtoEvent, Harvest>) -> Rc
                     let members = ring.members.clone();
                     let parents = spec.parents_rooted_at(ring, g, funnel);
                     let mut st = NeState::new_ag(g, ag, members, parents, cfg.clone());
-                    st.ring_confirm_after = confirm(&links.ag_ring);
-                    st.parent_confirm_after = confirm(&links.br_ag);
+                    st.confirm_probes_over(&spec.links);
                     st
                 };
                 ne_actor(
@@ -735,7 +728,7 @@ fn assemble(spec: &HierarchySpec, sim: &mut Sim<Msg, ProtoEvent, Harvest>) -> Rc
                     let (parents, nbs) = (ap.parent_candidates.clone(), ap.neighbours.clone());
                     let mut st =
                         NeState::new_ap(g, ap.id, parents, ap.always_active, nbs, cfg.clone());
-                    st.parent_confirm_after = confirm(&links.ag_ap);
+                    st.confirm_probes_over(&spec.links);
                     st
                 };
                 ne_actor(

@@ -37,7 +37,9 @@
 //!     falsely as seldom (a burst of loss as long as the three probes now
 //!     convicts where period-spaced probes rode it out); and a loss-free,
 //!     fault-free world, which answers every probe within its round trip,
-//!     runs as if the confirmation were not there.
+//!     runs as if the confirmation were not there. A child whose parent is
+//!     its only candidate would fail over back onto it, so its probes are
+//!     confirmed a period apart.
 //!   - *The bound*: let `d` be the probed link's longest one-way delay and
 //!     `c` its confirmation rounded up to the hop tick. A neighbour that
 //!     dies at `t` is convicted before `t + d + 2 · HEARTBEAT_PERIOD +
@@ -45,7 +47,8 @@
 //!     the next period tick counts it as that tick's probe or sends a real
 //!     one; by the tick after, a real probe is out; and at most
 //!     `HEARTBEAT_MISSES` confirmations follow it. That is 150 ms on a 5 ms
-//!     top-ring link and 132 ms on a 2 ms AG-ring link.
+//!     top-ring link and 132 ms on a 2 ms AG-ring link; for a child's only
+//!     candidate parent `c` is a period.
 //!
 //!   The ring asks more than the watch does because a frame sent before a
 //!   tick but acknowledged after it is stale evidence: counted, it would
@@ -75,7 +78,7 @@
 //! * **Membership aggregation**: member deltas batch upward along
 //!   AP → AG → ring leader → BR → top leader (the "batched update scheme").
 
-use simnet::SimTime;
+use simnet::{SimDuration, SimTime};
 
 use crate::actions::{Action, Outbox};
 use crate::config::{HEARTBEAT_MISSES, HEARTBEAT_PERIOD};
@@ -372,7 +375,6 @@ impl NeState {
     /// tick or a real probe to it is still out, which the hop tick confirms
     /// (`confirm_probes`); retry an unacknowledged graft.
     fn parent_maintenance(&mut self, now: SimTime, out: &mut Outbox) {
-        let group = self.group;
         let heard = std::mem::take(&mut self.parent_heard);
         let follows = self.watched_leader.is_some();
         let Some(p) = self.watched_leader.or(self.parent) else {
@@ -384,7 +386,7 @@ impl NeState {
             self.parent_hb_outstanding += 1;
             if !heard {
                 self.parent_probe_at = Some(now);
-                self.send_control(Endpoint::Ne(p), Msg::Heartbeat { group }, out);
+                self.probe(p, out);
             }
         }
         // APs that should be active but missed their GraftAck re-graft.
@@ -414,49 +416,52 @@ impl NeState {
         if self.is_rejoining() || self.is_merging() {
             return;
         }
-        let group = self.group;
-        let mut dead = None;
         if let Some(r) = self.ring.as_mut() {
-            let due = |at: SimTime| now.saturating_since(at) >= self.ring_confirm_after;
-            if r.hb_probe_at.is_some_and(due) {
-                let next = r.next_of(self.id);
-                if r.hb_outstanding >= HEARTBEAT_MISSES {
-                    dead = Some(next);
-                } else {
+            let next = r.next_of(self.id);
+            let (at, outstanding) = (&mut r.hb_probe_at, &mut r.hb_outstanding);
+            match confirm(now, at, outstanding, self.ring_confirm_after) {
+                Confirmed::NotDue => {}
+                Confirmed::Missed => {
                     if r.state_of(next) == crate::ring_lifecycle::MemberState::Active {
                         self.telemetry.count(crate::telemetry::metric::HB_SUSPECTS);
                     }
                     r.suspect(next);
-                    r.hb_outstanding += 1;
-                    r.hb_probe_at = Some(now);
-                    self.send_control(Endpoint::Ne(next), Msg::Heartbeat { group }, out);
+                    self.probe(next, out);
                 }
+                Confirmed::Dead => self.excise(now, next, out),
             }
-        }
-        if let Some(next) = dead {
-            self.excise(now, next, out);
         }
         let Some(p) = self.watched_leader.or(self.parent) else {
             return;
         };
-        let confirm = if self.watched_leader.is_some() {
+        let after = if self.watched_leader.is_some() {
             self.ring_confirm_after
+        } else if self.next_parent_candidate(p) == Some(p) {
+            // The conviction would graft back onto `p`: speed gains
+            // nothing, so its probes stay a period apart.
+            self.parent_confirm_after.max(HEARTBEAT_PERIOD)
         } else {
             self.parent_confirm_after
         };
-        let due = self
-            .parent_probe_at
-            .is_some_and(|at| now.saturating_since(at) >= confirm);
-        if !due {
-            return;
+        let (at, outstanding) = (&mut self.parent_probe_at, &mut self.parent_hb_outstanding);
+        match confirm(now, at, outstanding, after) {
+            Confirmed::NotDue => {}
+            Confirmed::Missed => self.probe(p, out),
+            Confirmed::Dead => self.convict_watched(now, p, out),
         }
-        if self.parent_hb_outstanding >= HEARTBEAT_MISSES {
-            self.convict_watched(now, p, out);
-        } else {
-            self.parent_hb_outstanding += 1;
-            self.parent_probe_at = Some(now);
-            self.send_control(Endpoint::Ne(p), Msg::Heartbeat { group }, out);
-        }
+    }
+
+    /// Send a liveness probe to `to`.
+    fn probe(&mut self, to: NodeId, out: &mut Outbox) {
+        let group = self.group;
+        self.send_control(Endpoint::Ne(to), Msg::Heartbeat { group }, out);
+    }
+
+    /// The candidate after `p`, the first one if `p` is none of them.
+    fn next_parent_candidate(&self, p: NodeId) -> Option<NodeId> {
+        let cands = &self.parent_candidates;
+        let pos = cands.iter().position(|&c| c == p);
+        cands.get(pos.map_or(0, |i| (i + 1) % cands.len())).copied()
     }
 
     /// The watched node `p` missed its probes: a watched leader is excised,
@@ -469,12 +474,7 @@ impl NeState {
             self.excise(now, p, out);
             return;
         }
-        let next_candidate = {
-            let cands = &self.parent_candidates;
-            let pos = cands.iter().position(|&c| c == p);
-            let idx = pos.map(|i| (i + 1) % cands.len()).unwrap_or(0);
-            cands.get(idx).copied()
-        };
+        let next_candidate = self.next_parent_candidate(p);
         if let Some(ap) = self.ap.as_mut() {
             ap.grafted = false;
         }
@@ -603,6 +603,36 @@ impl NeState {
         if quiet > window * (1 + position) {
             self.maybe_start_regen(now, out);
         }
+    }
+}
+
+/// What a hop tick finds of a real probe sent at `probe_at`.
+enum Confirmed {
+    /// Not out, or not out for its confirmation yet.
+    NotDue,
+    /// A miss: counted, and the next probe is due now.
+    Missed,
+    /// `HEARTBEAT_MISSES` probes went unanswered: convict.
+    Dead,
+}
+
+/// The one confirmation step of both watches, the ring's and the
+/// parent's: a probe out for `after` is a miss, which re-stamps it for the
+/// probe the caller sends, until the miss budget convicts.
+fn confirm(
+    now: SimTime,
+    probe_at: &mut Option<SimTime>,
+    outstanding: &mut u8,
+    after: SimDuration,
+) -> Confirmed {
+    if !probe_at.is_some_and(|at| now.saturating_since(at) >= after) {
+        Confirmed::NotDue
+    } else if *outstanding >= HEARTBEAT_MISSES {
+        Confirmed::Dead
+    } else {
+        *outstanding += 1;
+        *probe_at = Some(now);
+        Confirmed::Missed
     }
 }
 
@@ -765,7 +795,6 @@ mod tests {
     #[test]
     fn unanswered_implied_probe_is_a_miss_but_no_suspicion() {
         let mut n = br(0);
-        n.ring_confirm_after = confirm_after(5);
         let mut out = Vec::new();
         n.originate_token(ms(10), &mut out);
         ack_token(&mut n, ms(20));
@@ -837,14 +866,10 @@ mod tests {
         n.tick_heartbeat(ms(50), &mut out);
         ack_token(&mut n, ms(55));
         assert_eq!(outstanding(&n), 1, "stale evidence");
-        // The 50 ms probe is still out: the period tick leaves it to the
-        // hop tick, which confirms it (a period after it went out on a
-        // state built without link delays).
-        out.clear();
-        n.tick_heartbeat(ms(100), &mut out);
-        assert!(hb_sends(&out).is_empty());
-        n.confirm_probes(ms(100), &mut out);
-        assert_eq!(hb_sends(&out), vec![NodeId(1)]);
+        // The 50 ms probe is still out: the hop tick confirms it a 5 ms
+        // link's round trip and a hop tick after it went out.
+        assert!(hb_sends(&confirm_over(&mut n, 50, 60)).is_empty());
+        assert_eq!(hb_sends(&confirm_over(&mut n, 60, 65)), vec![NodeId(1)]);
         assert_eq!(
             next_state(&n),
             crate::ring_lifecycle::MemberState::Suspected
@@ -947,7 +972,6 @@ mod tests {
     #[test]
     fn unanswered_implied_ag_ring_probe_is_a_miss_but_no_suspicion() {
         let mut n = ag(30);
-        n.ring_confirm_after = confirm_after(2);
         let mut out = Vec::new();
         forward(&mut n, 1, ms(10));
         ack_data(&mut n, 1, ms(20));
@@ -1043,7 +1067,6 @@ mod tests {
         let ring = vec![NodeId(10), NodeId(20), NodeId(30), NodeId(40)];
         let cfg = ProtocolConfig::default();
         let mut n = NeState::new_ag(G, NodeId(20), ring, vec![NodeId(1)], cfg);
-        n.ring_confirm_after = confirm_after(2);
         let mut out = Vec::new();
         n.after_ring_change(SimTime::ZERO, &mut out);
         leader_frame(&mut n, ms(40));
@@ -1109,7 +1132,6 @@ mod tests {
     #[test]
     fn missed_heartbeats_trigger_ring_repair() {
         let mut n = br(0);
-        n.ring_confirm_after = confirm_after(5);
         let mut out = Vec::new();
         n.tick_heartbeat(ms(50), &mut out);
         assert_eq!(hb_sends(&out), vec![NodeId(1)]);
@@ -1203,7 +1225,6 @@ mod tests {
             ProtocolConfig::default(),
         );
         n.parent = Some(NodeId(20));
-        n.parent_confirm_after = confirm_after(1);
         let mut out = Vec::new();
         n.tick_heartbeat(ms(50), &mut out);
         // A 1 ms link's round trip and a hop tick is 7 ms: the second hop
@@ -1221,6 +1242,48 @@ mod tests {
         )));
     }
 
+    /// A parent with no other candidate is convicted only to be grafted
+    /// onto again, so its probes stay a period apart, as the period tick
+    /// spaced them: one Graft per `HEARTBEAT_MISSES` unanswered probes, not
+    /// one per three confirmations.
+    #[test]
+    fn a_sole_parent_is_probed_a_period_apart() {
+        let mut n = NeState::new_ap(
+            G,
+            NodeId(99),
+            vec![NodeId(20)],
+            true,
+            vec![],
+            ProtocolConfig::default(),
+        );
+        n.parent = Some(NodeId(20));
+        let mut out = Vec::new();
+        n.tick_heartbeat(ms(50), &mut out);
+        assert_eq!(hb_sends(&out), vec![NodeId(20)]);
+        assert!(hb_sends(&confirm_over(&mut n, 50, 95)).is_empty());
+        assert_eq!(hb_sends(&confirm_over(&mut n, 95, 100)), vec![NodeId(20)]);
+        assert_eq!(hb_sends(&confirm_over(&mut n, 100, 150)), vec![NodeId(20)]);
+        let out = confirm_over(&mut n, 150, 195);
+        assert!(hb_sends(&out).is_empty());
+        let grafts = |out: &Outbox| {
+            (out.iter())
+                .filter(|a| {
+                    matches!(
+                        a,
+                        Action::Send {
+                            msg: Msg::Graft { .. },
+                            ..
+                        }
+                    )
+                })
+                .count()
+        };
+        assert_eq!(grafts(&out), 0);
+        let out = confirm_over(&mut n, 195, 200);
+        assert_eq!(grafts(&out), 1, "grafted back at 200 ms");
+        assert_eq!(n.parent, Some(NodeId(20)));
+    }
+
     #[test]
     fn parent_traffic_answers_the_parent_probe() {
         let mut n = NeState::new_ap(
@@ -1232,7 +1295,6 @@ mod tests {
             ProtocolConfig::default(),
         );
         n.parent = Some(NodeId(20));
-        n.parent_confirm_after = confirm_after(1);
         let to_parent = |out: &Outbox| {
             out.iter()
                 .filter(|a| {

@@ -22,12 +22,13 @@
 
 use std::collections::BTreeMap;
 
-use simnet::{SimDuration, SimTime};
+use simnet::{LinkProfile, SimDuration, SimTime};
 
 use crate::actions::Outbox;
 use crate::config::{
-    ProtocolConfig, HEARTBEAT_MISSES, HEARTBEAT_PERIOD, TOKEN_QUIET_AFTER, WQ_CAPACITY,
+    probe_confirm_after, ProtocolConfig, HEARTBEAT_MISSES, TOKEN_QUIET_AFTER, WQ_CAPACITY,
 };
+use crate::hierarchy::LinkPlan;
 use crate::ids::{Endpoint, GlobalSeq, GroupId, Guid, LocalSeq, NodeId};
 use crate::metrics::NeFinal;
 use crate::mq::MessageQueue;
@@ -411,9 +412,8 @@ pub struct NeState {
     pub(crate) parent_probe_at: Option<SimTime>,
     /// How long a real probe over a ring link, to the next ring node or
     /// the watched leader, may go unanswered before the hop tick counts it
-    /// missed (`config::probe_confirm_after`). The engine sets it from the
-    /// spec's link plan; a state built without it waits a heartbeat
-    /// period, as if the next period tick judged the probe.
+    /// missed (`config::probe_confirm_after`), from the links of
+    /// [`NeState::confirm_probes_over`].
     pub(crate) ring_confirm_after: SimDuration,
     /// The same over the link to the parent.
     pub(crate) parent_confirm_after: SimDuration,
@@ -503,7 +503,7 @@ impl NeState {
         ap: Option<(bool, Vec<NodeId>)>,
     ) -> Self {
         let is_top = ring.as_ref().is_some_and(|&(_, top)| top);
-        NeState {
+        let mut st = NeState {
             group,
             id,
             ring: ring.map(|(order, is_top)| RingState::new(order, id, is_top)),
@@ -513,8 +513,8 @@ impl NeState {
             parent_hb_outstanding: 0,
             parent_heard: false,
             parent_probe_at: None,
-            ring_confirm_after: HEARTBEAT_PERIOD,
-            parent_confirm_after: HEARTBEAT_PERIOD,
+            ring_confirm_after: SimDuration::ZERO,
+            parent_confirm_after: SimDuration::ZERO,
             children: BTreeMap::new(),
             wt_children: WorkingTable::new(),
             mq: MessageQueue::new(cfg.mq_capacity),
@@ -538,7 +538,30 @@ impl NeState {
             token_quiet_after: TOKEN_QUIET_AFTER,
             telemetry: Telemetry::from_cfg(&cfg),
             cfg,
-        }
+        };
+        st.confirm_probes_over(&LinkPlan::default());
+        st
+    }
+
+    /// Size the liveness probes' confirmations
+    /// ([`crate::config::probe_confirm_after`]) by `links`: ring probes,
+    /// to the next ring node or the watched leader, by the ring's own
+    /// links; probes to the parent by the link up to it. A fresh state
+    /// holds the default plan's; the engine sets its spec's.
+    pub(crate) fn confirm_probes_over(&mut self, links: &LinkPlan) {
+        let confirm = |link: &LinkProfile| probe_confirm_after(link.latency.max_delay());
+        let ring = if self.is_top_ring() {
+            &links.top_ring
+        } else {
+            &links.ag_ring
+        };
+        let parent = if self.ap.is_some() {
+            &links.ag_ap
+        } else {
+            &links.br_ag
+        };
+        self.ring_confirm_after = confirm(ring);
+        self.parent_confirm_after = confirm(parent);
     }
 
     /// Create a border router. `ring` must contain `id`; `is_top` marks the

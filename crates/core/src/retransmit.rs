@@ -449,8 +449,7 @@ mod tests {
                 &mut out,
             );
             n20.tick_heartbeat(SimTime::from_millis(50 * k), &mut sent);
-            // A state built outside the engine confirms a probe a period
-            // after it went out.
+            // The hop tick confirms each probe by the next period.
             n20.confirm_probes(SimTime::from_millis(50 * k), &mut sent);
         }
         assert_eq!(n20.ring_next(), Some(NodeId(10)), "30 bypassed");

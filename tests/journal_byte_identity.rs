@@ -712,7 +712,7 @@ fn stress_world(generator_seed: u64) -> Scenario {
 /// regenerated at 2.420 s, not by station 2 at 2.415 s. World 98's ringnet
 /// journal and both trees are unedited.
 ///
-/// Five were regenerated on purpose when a real liveness probe came to be
+/// Four were regenerated on purpose when a real liveness probe came to be
 /// confirmed on the hop tick, a round trip and a hop tick after it went
 /// out, instead of on the next heartbeat tick (see `AUDIT_DIGESTS` in
 /// `crates/chaos/tests/auditor_mutations.rs` for the instants). World
@@ -724,10 +724,10 @@ fn stress_world(generator_seed: u64) -> Scenario {
 /// (was `0xab62ebfba590bdc7`): AG 5 is excised at 3.120 s instead of
 /// 3.200 s. Its flat ring (was `0x58150a8ff519c3b8`): station 5 is
 /// excised at 3.145 s instead of 3.250 s, the token in flight to it is
-/// re-aimed, and no second regeneration follows. Its tree (was
-/// `0x1c9b0771228c5611`): node 5's children re-graft onto it every
-/// failover cycle while it is down, now every 50 ms instead of every
-/// 200 ms. World 98's tree is unedited.
+/// re-aimed, and no second regeneration follows. World 98's tree and
+/// world 104's are unedited: in the latter, node 5's children, whose one
+/// candidate parent it is, would only graft back onto it, so their probes
+/// to it stay a period apart.
 const GOLDEN_FAULT_PATH_DIGESTS: &[(u64, [PinnedBackend; 3])] = &[
     (
         98,
@@ -742,7 +742,7 @@ const GOLDEN_FAULT_PATH_DIGESTS: &[(u64, [PinnedBackend; 3])] = &[
         [
             ("ringnet", RingNetSim::run_scenario, 0x6ecac02195472d93),
             ("flat_ring", FlatRingSim::run_scenario, 0x2b548bd022ab3d3b),
-            ("tree", TreeSim::run_scenario, 0x204228c0e9b8e02e),
+            ("tree", TreeSim::run_scenario, 0x1c9b0771228c5611),
         ],
     ),
 ];
@@ -1013,15 +1013,17 @@ fn multigroup_fault_world_is_pinned() {
 /// Its journal is unedited.
 ///
 /// Five were regenerated on purpose with [`GOLDEN_FAULT_PATH_DIGESTS`],
-/// for its reason, with their journals: `stress_98/ringnet` (was
-/// `0x17a2a9b831648ff7`), `stress_98/flat_ring` (`0x79624b733519010b`),
-/// `stress_104/ringnet` (`0x8109a0e61c5b100c`), `stress_104/flat_ring`
-/// (`0x32563b3e50142ff8`) and `stress_104/tree` (`0xe097d5f8cefe8208`).
-/// Control sent moves 26 809 → 26 917, 11 737 → 11 560, 13 003 → 13 027,
-/// 7 504 → 7 444 and 8 518 → 8 658: a conviction sends as many probes as
-/// before, but the faults resolve at other instants, and in world 104's
-/// tree the children of the dead node 5 fail over to it, their one
-/// candidate, four times as often.
+/// for its reason: `stress_98/ringnet` (was `0x17a2a9b831648ff7`),
+/// `stress_98/flat_ring` (`0x79624b733519010b`), `stress_104/ringnet`
+/// (`0x8109a0e61c5b100c`), `stress_104/flat_ring` (`0x32563b3e50142ff8`)
+/// and `stress_104/tree` (`0xe097d5f8cefe8208`). Control sent moves
+/// 26 809 → 26 917, 11 737 → 11 560, 13 003 → 13 027, 7 504 → 7 444 and
+/// 8 518 → 8 530: a conviction sends as many probes as before, but the
+/// faults resolve at other instants. In world 104's tree, whose journal
+/// is unedited, the children of the dead node 5, their one candidate,
+/// convict it on probes a period apart, as before, but the hop tick now
+/// takes each conviction, as soon as the last probe is a period old, so
+/// the probes of the next cycle can start a period sooner.
 const COUNTERS_DIGESTS: &[(&str, u64)] = &[
     ("ringnet", 0x984ac802a4482d50),
     ("flat_ring", 0x0c77671a3b244c94),
@@ -1036,7 +1038,7 @@ const COUNTERS_DIGESTS: &[(&str, u64)] = &[
     ("stress_98/tree", 0xad515566f3f86c48),
     ("stress_104/ringnet", 0x00022d60b2f8a6d8),
     ("stress_104/flat_ring", 0x816b269c5c6452a3),
-    ("stress_104/tree", 0xa00a69c110cd8b12),
+    ("stress_104/tree", 0x92871fc433cd8065),
     ("replay", 0xcdc8436411e95a05),
     ("multigroup_faults", 0xb67c9fa12431fa39),
 ];
