@@ -1346,12 +1346,14 @@ fn a_ring_under_an_isolated_br_fails_over_to_the_primary() {
 /// convicts it three confirmations later, a 5 ms link's round trip and a
 /// hop tick apart; BR 1 does the same to its neighbour and fences itself.
 /// AG ring 1's leader, which last heard BR 1's data before the isolation,
-/// misses it from the 1.05 s tick on and fails over to BR 0 before the
-/// heal. BR 1 then merges back: BR 0 serves the leader's resume point,
-/// and BR 1's NACKs for what BR 0 ordered meanwhile, from what it still
-/// holds at BR 1's last ack, so nothing is skipped anywhere.
+/// misses it from the 1.05 s tick on and fails over to BR 0 well before
+/// the heal. BR 1 then merges back within the window: BR 0 serves the
+/// leader's resume point, and BR 1's NACKs for what BR 0 ordered
+/// meanwhile, from what it still holds at BR 1's last ack, so nothing is
+/// skipped anywhere (healed after the window, BR 1 skips: see
+/// `a_ring_under_an_isolated_br_fails_over_to_the_primary`).
 #[test]
-fn a_partition_healed_before_the_failover_skips_nothing() {
+fn a_partition_healed_within_the_failover_window_skips_nothing() {
     let heal = SimTime::from_millis(1_200);
     let sc = isolated_br1(heal);
     let confirm = confirmed_after(&ringnet_spec(&sc).links.top_ring);
@@ -1372,6 +1374,57 @@ fn a_partition_healed_before_the_failover_skips_nothing() {
     assert!(
         iso.merged < iso.fenced + HEARTBEAT_PERIOD * 5,
         "in the window"
+    );
+    assert_eq!(iso.ne_skips, BTreeMap::new());
+    assert_eq!(iso.mh_skips, 0);
+    assert_eq!(ringnet_core::metrics::order_violations(&report.journal), 0);
+}
+
+/// The same isolation healed one top-ring confirmation after BR 1 fenced
+/// itself, before AG ring 1's leader has missed it three times. BR 1
+/// merges back and answers again, so the leader stays grafted onto it,
+/// and BR 1's NACKs for what BR 0 ordered meanwhile are served from what
+/// BR 0 still holds at BR 1's last ack: nothing is skipped anywhere.
+///
+/// A fenced BR answers no child until its merge, which takes a partition
+/// probe on the period tick after the heal and the merge handshake: at
+/// 1.13 s, wherever the heal falls between the fence and 1.1 s. Over the
+/// default 3 ms `br_ag` link the leader convicts BR 1 before that, at
+/// 1.08 s: BR 1's last data lands before the 1 s tick, so the leader's
+/// 1.05 s probe is its second and two 15 ms confirmations convict. So
+/// this world runs `br_ag` at 8 ms: BR 1's last data lands after the 1 s
+/// tick and answers for 1.05 s, the leader's first real probe goes out at
+/// the 1.1 s tick, and its third, at 1.125 s, reaches BR 1 after the
+/// merge and is answered.
+#[test]
+fn a_partition_healed_before_the_failover_skips_nothing() {
+    let sc = isolated_br1(SimTime::from_millis(1_060));
+    let mut spec = ringnet_spec(&sc);
+    spec.links.br_ag = LinkProfile::wired(SimDuration::from_millis(8));
+    let confirm = confirmed_after(&spec.links.top_ring);
+    let leader_confirm = confirmed_after(&spec.links.br_ag);
+    let mut net = RingNetSim::for_scenario(spec, &sc, 7);
+    for &ev in &sc.events {
+        net.schedule(ev);
+    }
+    net.run_until(sc.duration);
+    let report = net.finish();
+    let iso = isolation(&sc, &report.journal);
+    assert_eq!(iso.fenced, SimTime::from_secs(1) + confirm * 3);
+    let heal = iso.fenced + confirm;
+    assert_eq!(heal, SimTime::from_millis(1_060));
+    // Without the merge the leader would convict BR 1 here.
+    let conviction = SimTime::from_secs(1) + HEARTBEAT_PERIOD * 2 + leader_confirm * 2;
+    assert!(heal < conviction && iso.merged < conviction);
+    assert!(
+        iso.merged < iso.fenced + HEARTBEAT_PERIOD * 2,
+        "{:?}",
+        iso.merged
+    );
+    assert_eq!(
+        iso.leader1_grafts.iter().map(|g| g.1).collect::<Vec<_>>(),
+        [NodeId(1)],
+        "one graft"
     );
     assert_eq!(iso.ne_skips, BTreeMap::new());
     assert_eq!(iso.mh_skips, 0);
