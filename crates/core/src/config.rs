@@ -58,6 +58,14 @@ pub(crate) const HEARTBEAT_MISSES: u8 = 3;
 /// when a child needed up to `HEARTBEAT_MISSES + 1` periods, which now
 /// leave a margin; shrinking it to the faster detection is a change of its
 /// own, since it trades retention for the failover skips it prevents.
+///
+/// It covers the children while the link delay and the three
+/// confirmations fit in two periods, which holds over a `br_ag` link of at
+/// most 10 ms (a 25 ms confirmation). `HierarchySpec::validate` accepts
+/// `br_ag` links up to the token retry period; over one of 29 ms a child
+/// needs 324 ms, 374 ms with the fencing period, and one that grafts
+/// after the window has closed skips what its new parent collected
+/// meanwhile.
 pub(crate) const FAILOVER_WINDOW: SimDuration =
     SimDuration::from_nanos(HEARTBEAT_PERIOD.as_nanos() * (HEARTBEAT_MISSES as u64 + 2));
 

@@ -423,10 +423,13 @@ impl HierarchySpec {
         // Token-loss detection (`crate::recovery`) waits one retry period
         // past a pass's retry chain for its last copy to land, so a copy
         // must land within a retry period — on a ring hop, or on a repair
-        // path, which runs over `br_ag`. Liveness needs no bound of its
-        // own: each probe's confirmation waits its own link's round trip
+        // path, which runs over `br_ag`. Liveness itself needs no bound:
+        // each probe's confirmation waits its own link's round trip
         // (`crate::membership`), however long, and the period tick leaves
-        // a probe still out to it.
+        // a probe still out to it. The failover window covers a fenced
+        // BR's children only over `br_ag` links of at most 10 ms
+        // (`config::FAILOVER_WINDOW`); a child slower to fail over skips
+        // at its graft, which the auditor allows.
         for (scope, link) in [
             ("top_ring", &self.links.top_ring),
             ("br_ag", &self.links.br_ag),
