@@ -18,7 +18,7 @@
 //! | `FAILOVER_WINDOW` | 250 ms | an excised BR's last ack pins its ring predecessor's `MQ`: covers a fenced BR's children missing it | §3 |
 //! | `TOKEN_RETRY_AFTER` | 30 ms | reliable token transfer: resend timeout | §4.2.1 |
 //! | `TOKEN_RETRY_BUDGET` | 3 | sends of one token pass before giving up | §4.2.1 |
-//! | `TOKEN_QUIET_AFTER` | 120 ms, derived | "Message-Ordering runs well" window of Token-Regeneration: the retry chain and one period more; a ring slower to circle waits its circle and a hop tick (`token_quiet_window`) | §4.2.1 |
+//! | `token_quiet_window` | 25 ms on four 5 ms hops, derived | "Message-Ordering runs well" window of Token-Regeneration, unless a transfer is unacknowledged: one circle of the ring and a hop tick | §4.2.1 |
 //! | `WQ_CAPACITY` | 4096 | slots of each per-source `WQ` queue | §4.1 |
 //! | `RESERVATION_TTL` | 2 s | life of a reservation-only AP's path | §3 |
 //! | [`AG_RING_CAP`] | 4 | AGs per ring in the automatic layout | §5, Theorem 5.1 |
@@ -84,21 +84,11 @@ pub(crate) fn probe_confirm_after(hop: SimDuration) -> SimDuration {
 pub(crate) const TOKEN_RETRY_AFTER: SimDuration = SimDuration::from_millis(30);
 
 /// Give up resending the token after this many sends (the membership
-/// layer's Token-Loss path then takes over).
+/// layer's Token-Loss path then takes over). The sender gives up a retry
+/// period after its last send, and `HierarchySpec::validate` holds
+/// top-ring links below that period, so every copy of a transfer that
+/// gave up has landed or died ([`crate::recovery`]).
 pub(crate) const TOKEN_RETRY_BUDGET: u8 = 3;
-
-/// If no token has been seen for this long, a top-ring node considers the
-/// Message-Ordering algorithm "not running well" (used by the
-/// Token-Regeneration algorithm, §4.2.1). It is the shortest window the
-/// retry chain allows: a pass's last resend leaves two retry periods after
-/// the pass, the sender gives up a period later, and the window adds one
-/// more period, so every copy of the pass has landed or died inside it
-/// (the const assert below). It is the floor of every ring's window
-/// (`token_quiet_window`). The `k`-th top-ring member suspects a lost
-/// token after `1 + k` windows without one, checked every hop tick
-/// (`token_quiet_fallback`, see [`crate::recovery`]).
-pub(crate) const TOKEN_QUIET_AFTER: SimDuration =
-    SimDuration::from_nanos(TOKEN_RETRY_AFTER.as_nanos() * (TOKEN_RETRY_BUDGET as u64 + 1));
 
 /// Capacity of each per-source queue inside a top-ring node's `WQ`.
 pub(crate) const WQ_CAPACITY: usize = 4096;
@@ -121,26 +111,19 @@ pub(crate) const RESERVATION_TTL: SimDuration = SimDuration::from_secs(2);
 /// (`FAILOVER_WINDOW`).
 pub const AG_RING_CAP: usize = 4;
 
-// The derivation of `TOKEN_QUIET_AFTER`. A pass's last resend leaves
-// `TOKEN_RETRY_BUDGET − 1` retry periods after the pass, late by less than
-// a hop tick (a retry waits for the tick), and lands within one more
-// period (`HierarchySpec::validate` holds ring and repair links below
-// `TOKEN_RETRY_AFTER`). The window closes after that, so a regenerated
-// lineage never races a retry of the one it replaces.
-const _: () = assert!(
-    TOKEN_RETRY_AFTER.as_nanos() * (TOKEN_RETRY_BUDGET as u64) + HOP_TICK.as_nanos()
-        < TOKEN_QUIET_AFTER.as_nanos()
-);
-
 /// The quiet window of a top ring of `members` whose links take at most
-/// `hop` one way: `TOKEN_QUIET_AFTER`, or the ring's longest circle and a
-/// hop tick more when that is longer. A Token-Regeneration round then
+/// `hop` one way: the ring's longest circle and a hop tick more. A
+/// top-ring node that has seen no token for this long and holds no
+/// unacknowledged transfer of its own considers the Message-Ordering
+/// algorithm "not running well" (Token-Regeneration, §4.2.1). A round then
 /// returns to its origin inside the window, which the argument in
-/// [`crate::recovery`] needs, and a live token, which circles no slower
-/// than a round, never looks lost. Four 5 ms hops keep the floor of
-/// 120 ms; a flat ring of 36 stations waits 185 ms.
+/// [`crate::recovery`] needs, and a live token that no transfer holds up
+/// circles no slower than a round, so it never looks lost. The `k`-th
+/// top-ring member suspects a lost token after `1 + k` windows without
+/// one, checked every hop tick (`token_quiet_fallback`). Four 5 ms hops
+/// wait 25 ms; a flat ring of 36 stations waits 185 ms.
 pub(crate) fn token_quiet_window(members: usize, hop: SimDuration) -> SimDuration {
-    TOKEN_QUIET_AFTER.max(hop * members as u64 + HOP_TICK)
+    hop * members as u64 + HOP_TICK
 }
 
 /// The tunables of the RingNet multicast protocol that some caller varies.
@@ -274,11 +257,10 @@ mod tests {
     }
 
     #[test]
-    fn a_ring_slower_to_circle_than_the_retry_chain_waits_for_its_circle() {
+    fn the_quiet_window_is_the_rings_circle_and_a_hop_tick() {
         let hop = SimDuration::from_millis(5);
-        assert_eq!(TOKEN_QUIET_AFTER, SimDuration::from_millis(120));
-        assert_eq!(token_quiet_window(4, hop), TOKEN_QUIET_AFTER);
-        assert_eq!(token_quiet_window(23, hop), TOKEN_QUIET_AFTER);
+        assert_eq!(token_quiet_window(1, hop), SimDuration::from_millis(10));
+        assert_eq!(token_quiet_window(4, hop), SimDuration::from_millis(25));
         assert_eq!(token_quiet_window(24, hop), SimDuration::from_millis(125));
         assert_eq!(token_quiet_window(36, hop), SimDuration::from_millis(185));
     }

@@ -681,7 +681,6 @@ fn assemble(spec: &HierarchySpec, sim: &mut Sim<Msg, ProtoEvent, Harvest>) -> Rc
     // Station shape: the top ring is the whole deployment, so its members
     // are hybrid stations that also serve MHs.
     let stations = spec.is_station_shape();
-    let token_quiet_after = spec.token_quiet_after();
     let ne_actor = |states: Vec<NeState>, originate: Vec<bool>| {
         Box::new(NeActor::new(states, Rc::clone(&map), originate))
     };
@@ -696,8 +695,7 @@ fn assemble(spec: &HierarchySpec, sim: &mut Sim<Msg, ProtoEvent, Harvest>) -> Rc
                     } else {
                         NeState::new_br(g, br, ring, true, cfg.clone())
                     };
-                    st.token_quiet_after = token_quiet_after;
-                    st.confirm_probes_over(&spec.links);
+                    st.size_waits_over(&spec.links);
                     if multi {
                         st.cross_fence =
                             Some(crate::fence::CrossGroupFence::new(g, funnels.clone()));
@@ -715,7 +713,7 @@ fn assemble(spec: &HierarchySpec, sim: &mut Sim<Msg, ProtoEvent, Harvest>) -> Rc
                     let members = ring.members.clone();
                     let parents = spec.parents_rooted_at(ring, g, funnel);
                     let mut st = NeState::new_ag(g, ag, members, parents, cfg.clone());
-                    st.confirm_probes_over(&spec.links);
+                    st.size_waits_over(&spec.links);
                     st
                 };
                 ne_actor(
@@ -728,7 +726,7 @@ fn assemble(spec: &HierarchySpec, sim: &mut Sim<Msg, ProtoEvent, Harvest>) -> Rc
                     let (parents, nbs) = (ap.parent_candidates.clone(), ap.neighbours.clone());
                     let mut st =
                         NeState::new_ap(g, ap.id, parents, ap.always_active, nbs, cfg.clone());
-                    st.confirm_probes_over(&spec.links);
+                    st.size_waits_over(&spec.links);
                     st
                 };
                 ne_actor(

@@ -140,11 +140,12 @@ pub struct MhSpec {
 /// Link profiles for every scope of the hierarchy.
 #[derive(Debug, Clone, PartialEq)]
 pub struct LinkPlan {
-    /// Links between adjacent top-ring BRs.
+    /// Links between top-ring BRs: every pair, so a repaired ring's hop
+    /// around an excised BR is one too.
     pub top_ring: LinkProfile,
     /// Links between adjacent AGs in a ring.
     pub ag_ring: LinkProfile,
-    /// BR ↔ AG-ring-leader links (also BR ↔ BR non-adjacent repair paths).
+    /// Links from each AG to every candidate parent BR of its ring.
     pub br_ag: LinkProfile,
     /// AG ↔ AP links.
     pub ag_ap: LinkProfile,
@@ -406,24 +407,19 @@ impl HierarchySpec {
         }
     }
 
-    /// The top ring's token quiet window ([`crate::recovery`]): the
-    /// retry-chain window, or one circle of the ring — a top-ring link's
-    /// longest delay per member — and a hop tick, whichever is longer.
-    pub(crate) fn token_quiet_after(&self) -> SimDuration {
-        let hop = self.links.top_ring.latency.max_delay();
-        crate::config::token_quiet_window(self.top_ring.len(), hop)
-    }
-
     /// Structural validation; returns human-readable problems (empty = ok).
     pub fn validate(&self) -> Vec<String> {
         let mut problems = self.cfg.validate();
         if self.top_ring.is_empty() {
             problems.push("top ring is empty".into());
         }
-        // Token-loss detection (`crate::recovery`) waits one retry period
-        // past a pass's retry chain for its last copy to land, so a copy
-        // must land within a retry period — on a ring hop, or on a repair
-        // path, which runs over `br_ag`. Liveness itself needs no bound:
+        // Token-loss safety (`crate::recovery`) counts a transfer that gave
+        // up, a retry period after its last send, as over: every copy must
+        // have landed or died by then, so a top-ring link must deliver
+        // within a retry period. No token crosses a `br_ag` link, which is
+        // held to the same bound. The quiet window is the ring's circle at
+        // the top-ring link, so a token at the bound never looks lost while
+        // it circles. Liveness itself needs no bound:
         // each probe's confirmation waits its own link's round trip
         // (`crate::membership`), however long, and the period tick leaves
         // a probe still out to it. The failover window covers a fenced
@@ -1045,6 +1041,21 @@ mod tests {
         let problems = spec.validate();
         assert_eq!(problems.len(), 1, "{problems:?}");
         assert!(problems[0].starts_with("br_ag links"), "{problems:?}");
+    }
+
+    /// A ring repaired around an excised BR bridges it over a top-ring
+    /// link, since every pair of BRs has one: no token or round crosses a
+    /// `br_ag` link, however slow.
+    #[test]
+    fn every_pair_of_brs_is_linked_by_a_top_ring_link() {
+        let mut spec = figure1();
+        spec.links.br_ag = LinkProfile::wired(SimDuration::from_millis(25));
+        assert!(spec.validate().is_empty(), "{:?}", spec.validate());
+        let brs = spec.top_ring.len();
+        let wiring = || spec.wiring(|id| NodeAddr(id.0));
+        let between_brs = wiring().filter(|l| l.2 == &spec.links.top_ring).count();
+        assert_eq!(between_brs, brs * (brs - 1) / 2);
+        assert!(brs > 3, "some pair is not adjacent");
     }
 
     #[test]

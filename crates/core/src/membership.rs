@@ -65,9 +65,11 @@
 //!   configured cycle (Remark 2), the failure is broadcast to the remaining
 //!   ring members, and — on the top ring — a Token-Loss message is handed
 //!   to the multicast layer, exactly as §4.2.1 prescribes. A top-ring node
-//!   that has seen no token for too long raises the same message itself,
-//!   checked on every hop tick (`token_quiet_fallback`, see
-//!   [`crate::recovery`]).
+//!   that has seen no token for longer than its ring's circle raises the
+//!   same message itself, checked on every hop tick
+//!   (`token_quiet_fallback`); either way the multicast layer ignores it
+//!   while ordering runs well there, a transfer of its own still
+//!   unacknowledged included (see [`crate::recovery`]).
 //! * **Leader / parent failover**: a non-top ring's new leader grafts onto
 //!   a candidate parent; entities whose parent died rotate to the next
 //!   configured candidate.
@@ -574,11 +576,12 @@ impl NeState {
     /// Position-staggered self-detection of a quiet token, run on every hop
     /// tick: the `k`-th in-ring member of the top ring suspects loss once
     /// it has seen no token for longer than its ring's quiet window
-    /// (`token_quiet_after`) times `1 + k`. The first member originates
-    /// the round, one window after its last token; the others stand by a
-    /// window apart, so rounds seldom run concurrently. A member being
-    /// spliced back in (rejoining or merging) is not in the cycle and never
-    /// suspects.
+    /// (`token_quiet_after`, one circle of the ring and a hop tick) times
+    /// `1 + k`. The first member originates the round, one window after
+    /// its last token, unless its own transfer is still unacknowledged
+    /// (`ordering_runs_well`); the others stand by a window apart, so
+    /// rounds seldom run concurrently. A member being spliced back in
+    /// (rejoining or merging) is not in the cycle and never suspects.
     pub(crate) fn token_quiet_fallback(&mut self, now: SimTime, out: &mut Outbox) {
         let Some(ord) = self.ord.as_ref() else { return };
         let quiet = now.saturating_since(ord.last_token_seen);
@@ -1578,7 +1581,7 @@ mod tests {
     /// spliced back in never.
     #[test]
     fn the_hop_tick_suspects_a_quiet_token_one_window_per_ring_position() {
-        use crate::config::{HOP_TICK, TOKEN_QUIET_AFTER};
+        use crate::config::HOP_TICK;
         let originates = |n: &mut NeState, at: SimTime| {
             let mut out = Vec::new();
             n.tick_hop(at, &mut out);
@@ -1592,8 +1595,8 @@ mod tests {
                 )
             })
         };
-        let (seen, window) = (ms(100), TOKEN_QUIET_AFTER);
         let mut first = br(0);
+        let (seen, window) = (ms(100), first.token_quiet_after);
         first.originate_token(seen, &mut Vec::new());
         ack_token(&mut first, ms(101));
         assert!(!originates(&mut first, seen + window));

@@ -26,7 +26,7 @@ use simnet::{LinkProfile, SimDuration, SimTime};
 
 use crate::actions::Outbox;
 use crate::config::{
-    probe_confirm_after, ProtocolConfig, HEARTBEAT_MISSES, TOKEN_QUIET_AFTER, WQ_CAPACITY,
+    probe_confirm_after, token_quiet_window, ProtocolConfig, HEARTBEAT_MISSES, WQ_CAPACITY,
 };
 use crate::hierarchy::LinkPlan;
 use crate::ids::{Endpoint, GlobalSeq, GroupId, Guid, LocalSeq, NodeId};
@@ -413,7 +413,7 @@ pub struct NeState {
     /// How long a real probe over a ring link, to the next ring node or
     /// the watched leader, may go unanswered before the hop tick counts it
     /// missed (`config::probe_confirm_after`), from the links of
-    /// [`NeState::confirm_probes_over`].
+    /// [`NeState::size_waits_over`].
     pub(crate) ring_confirm_after: SimDuration,
     /// The same over the link to the parent.
     pub(crate) parent_confirm_after: SimDuration,
@@ -480,9 +480,8 @@ pub struct NeState {
     /// fence path inert (single-group runs are byte-identical).
     pub(crate) cross_fence: Option<crate::fence::CrossGroupFence>,
     /// How long the top-ring token may stay away before this entity
-    /// suspects it lost: the spec's window for its ring size and link
-    /// delay (`HierarchySpec::token_quiet_after`, see [`crate::recovery`]),
-    /// `TOKEN_QUIET_AFTER` unless the engine sets it.
+    /// suspects it lost ([`crate::recovery`]), from the links of
+    /// [`NeState::size_waits_over`].
     pub(crate) token_quiet_after: SimDuration,
     /// Deterministic observability: metrics registry plus flight
     /// recorder ([`crate::telemetry`]). No-op unless `cfg.telemetry`.
@@ -535,20 +534,22 @@ impl NeState {
             merge_probe_target: 0,
             graft_pending: false,
             cross_fence: None,
-            token_quiet_after: TOKEN_QUIET_AFTER,
+            token_quiet_after: SimDuration::ZERO,
             telemetry: Telemetry::from_cfg(&cfg),
             cfg,
         };
-        st.confirm_probes_over(&LinkPlan::default());
+        st.size_waits_over(&LinkPlan::default());
         st
     }
 
-    /// Size the liveness probes' confirmations
-    /// ([`crate::config::probe_confirm_after`]) by `links`: ring probes,
-    /// to the next ring node or the watched leader, by the ring's own
-    /// links; probes to the parent by the link up to it. A fresh state
-    /// holds the default plan's; the engine sets its spec's.
-    pub(crate) fn confirm_probes_over(&mut self, links: &LinkPlan) {
+    /// Size the waits that hang on link delays by `links`: the liveness
+    /// probes' confirmations ([`crate::config::probe_confirm_after`]) —
+    /// ring probes, to the next ring node or the watched leader, by the
+    /// ring's own links; probes to the parent by the link up to it — and
+    /// the token's quiet window, one circle of the ring at its links
+    /// ([`crate::config::token_quiet_window`]). A fresh state holds the
+    /// default plan's; the engine sets its spec's.
+    pub(crate) fn size_waits_over(&mut self, links: &LinkPlan) {
         let confirm = |link: &LinkProfile| probe_confirm_after(link.latency.max_delay());
         let ring = if self.is_top_ring() {
             &links.top_ring
@@ -562,6 +563,8 @@ impl NeState {
         };
         self.ring_confirm_after = confirm(ring);
         self.parent_confirm_after = confirm(parent);
+        let members = self.ring.as_ref().map_or(1, |r| r.order.len());
+        self.token_quiet_after = token_quiet_window(members, ring.latency.max_delay());
     }
 
     /// Create a border router. `ring` must contain `id`; `is_top` marks the
@@ -1079,6 +1082,27 @@ mod tests {
 
     fn ring3() -> Vec<NodeId> {
         vec![NodeId(10), NodeId(20), NodeId(30)]
+    }
+
+    /// The token's quiet window is one circle of the top ring at its own
+    /// link and a hop tick; a slow `br_ag` link, which no token or round
+    /// crosses, leaves it alone.
+    #[test]
+    fn the_quiet_window_circles_at_the_top_ring_link_alone() {
+        use crate::config::HOP_TICK;
+        let ms = SimDuration::from_millis;
+        let cfg = ProtocolConfig::default();
+        let mut n = NeState::new_br(GroupId(1), NodeId(10), ring3(), true, cfg);
+        assert_eq!(n.token_quiet_after, ms(5) * 3 + HOP_TICK);
+        let links = |top_ring, br_ag| LinkPlan {
+            top_ring: LinkProfile::wired(ms(top_ring)),
+            br_ag: LinkProfile::wired(ms(br_ag)),
+            ..LinkPlan::default()
+        };
+        n.size_waits_over(&links(5, 25));
+        assert_eq!(n.token_quiet_after, ms(5) * 3 + HOP_TICK);
+        n.size_waits_over(&links(9, 3));
+        assert_eq!(n.token_quiet_after, ms(9) * 3 + HOP_TICK);
     }
 
     #[test]

@@ -8,45 +8,41 @@
 //! member suspects loss once it has seen no token for longer than `1 + k`
 //! quiet windows, so the first member originates and the others stand by a
 //! window apart. Either way the node checks whether "the Message-Ordering
-//! algorithm runs well" — a live token has visited within the window — and,
-//! if not, originates a Token-Regeneration message that encapsulates its
+//! algorithm runs well" (`ordering_runs_well`: it processed a pass within
+//! the window, or its own transfer is unacknowledged) and, if not,
+//! originates a Token-Regeneration message that encapsulates its
 //! `NewOrderingToken` and traverses the ring along next links. Every
 //! traversed node either destroys the message (ordering runs well there),
-//! upgrades the encapsulated snapshot to its own fresher one, or — when the
-//! message returns to its originator after a full quiet circle — restarts
+//! upgrades the encapsulated snapshot to its own fresher one, or — when
+//! the message returns to its originator after a full circle — restarts
 //! Message-Ordering with the best snapshot under a bumped epoch. A lost
-//! pass thus costs one window, at most one hop tick, and one circle of the
-//! round: 140 ms on a ring of four 5 ms hops.
+//! pass thus costs one window, at most one hop tick, and one circle of
+//! the round: 50 ms on a ring of four 5 ms hops.
 //!
-//! **The window** (`NeState::token_quiet_after`, set from the spec by
-//! `HierarchySpec::token_quiet_after`) is the longer of two bounds. The
-//! retry chain's, `TOKEN_QUIET_AFTER`: `TOKEN_RETRY_BUDGET + 1` retry
-//! periods, 120 ms (see [`crate::config`]). And the ring's circle: one
-//! top-ring link's longest delay per configured member, plus a hop tick
-//! (`config::token_quiet_window`) — 185 ms on a flat ring of 36 stations,
-//! whose live token takes 180 ms to come round. Each bound carries one
-//! half of the argument below.
+//! **The window** (`NeState::token_quiet_after`) is one circle of the ring
+//! and a hop tick: a top-ring link's longest delay per configured member
+//! (`config::token_quiet_window`), 25 ms on four 5 ms hops, 185 ms on a
+//! flat ring of 36 stations. Every pair of top-ring members is linked
+//! alike, so a ring repaired around an excised member circles no slower.
 //!
-//! **A regenerated lineage never races the one it replaces.** A round is
-//! adopted only if every in-ring member had been quiet for the window when
-//! the round passed it. Suppose a member `X` still processed a pass of the
-//! old lineage after the round passed `X`, and take the earliest such
-//! processing. The pass came from `X`'s ring predecessor `P`, which, being
-//! earlier, processed it before the round passed `P` — so at least a window
-//! before. Every copy of `P`'s transfer left within `TOKEN_RETRY_BUDGET − 1`
-//! retry periods and a hop tick of that instant and landed within one
-//! period more (`HierarchySpec::validate` holds ring and repair links below
-//! `TOKEN_RETRY_AFTER`): inside `TOKEN_QUIET_AFTER` (the const assert in
-//! `config`), so before the round passed `P` and before it reached `X`,
-//! which contradicts the supposition. The one member the argument skips is
-//! the origin, which the round passes first and reaches again last: a pass
-//! it processed meanwhile leaves it not quiet when its round returns,
-//! because the round, forwarded on arrival at every member, circles the
-//! ring within the ring's bound, inside the window. A ring the window did
-//! not cover would break this: its live token is away from every member
-//! for longer than the window on every circle, so a round started behind
-//! it finds every member quiet, the origin included, and adopts a second
-//! lineage while the first still assigns numbers.
+//! **A regenerated lineage never races the one it replaces.** A member
+//! forwards a round only with no transfer outstanding: its last transfer
+//! was acknowledged, so its next has processed that pass, or gave up, so
+//! every copy has landed or died (a sender gives up a retry period after
+//! its last send, and `HierarchySpec::validate` holds top-ring links below
+//! that period). Suppose a member `X` processed a pass of the old lineage
+//! after the round passed `X`, and take the earliest such processing. The
+//! pass came from `X`'s predecessor `P`, which processed it before the
+//! round passed `P`; by then `P`'s transfer of it was over, so `X` had
+//! processed it already (a copy now is a duplicate) or no copy was left:
+//! a contradiction. So a round never overtakes a live token; it meets it
+//! at the member holding its transfer, which destroys the round. The one
+//! member the argument skips is the origin, which the round passes first
+//! and reaches again last: a pass it processed meanwhile leaves it inside
+//! its window when the round returns, because the round, forwarded on
+//! arrival, circles within the window. A member alone in its ring is
+//! exempt from the transfer rule: a transfer it holds is to the next it
+//! excised, which will never ack, and its round returns at once.
 //!
 //! A token parked on purpose at an idle ring (an open design item) is
 //! quiet without being lost. Parking must extend this rule — members must
@@ -82,6 +78,17 @@ use crate::node::NeState;
 use crate::token::OrderingToken;
 
 impl NeState {
+    /// "The Message-Ordering algorithm runs well" here (§4.2.1): a pass
+    /// processed within the quiet window, or a transfer of our own not yet
+    /// acknowledged, unless we are alone in the ring (see the module doc).
+    pub(crate) fn ordering_runs_well(&self, now: SimTime) -> bool {
+        let alone = self.ring_next() == Some(self.id);
+        self.ord.as_ref().is_some_and(|ord| {
+            now.saturating_since(ord.last_token_seen) < self.token_quiet_after
+                || (ord.inflight.is_some() && !alone)
+        })
+    }
+
     /// Originate a Token-Regeneration round unless ordering runs well here,
     /// a round was originated too recently (damping), or the ring-epoch
     /// layer fences this node (a partitioned minority creating a new
@@ -92,12 +99,12 @@ impl NeState {
         if self.is_partition_fenced() || !self.top_ring_primary() {
             return;
         }
+        if self.ordering_runs_well(now) {
+            return; // ignore the Token-Loss message
+        }
         let window = self.token_quiet_after;
         let best = {
             let Some(ord) = self.ord.as_mut() else { return };
-            if now.saturating_since(ord.last_token_seen) < window {
-                return; // ordering runs well → ignore the Token-Loss message
-            }
             if now.saturating_since(ord.last_regen_at) < window {
                 return; // damping: one round at a time
             }
@@ -140,15 +147,14 @@ impl NeState {
                 .regen(now, origin, crate::telemetry::RegenOutcome::Destroyed);
             return;
         }
+        if self.ordering_runs_well(now) {
+            self.telemetry
+                .regen(now, origin, crate::telemetry::RegenOutcome::Destroyed);
+            return;
+        }
         let window = self.token_quiet_after;
         let best = {
             let Some(ord) = self.ord.as_mut() else { return };
-            if now.saturating_since(ord.last_token_seen) < window {
-                // Ordering runs well here: destroy the message.
-                self.telemetry
-                    .regen(now, origin, crate::telemetry::RegenOutcome::Destroyed);
-                return;
-            }
             if origin != me && now.saturating_since(ord.last_regen_at) < window {
                 // Concurrent-round arbitration: our own round may still be
                 // circulating. Exactly one round may adopt — two concurrent
@@ -232,7 +238,7 @@ impl NeState {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::{ProtocolConfig, TOKEN_QUIET_AFTER};
+    use crate::config::ProtocolConfig;
     use crate::ids::{Endpoint, Epoch, GlobalSeq, GroupId, LocalRange, LocalSeq};
 
     const G: GroupId = GroupId(1);
@@ -246,7 +252,21 @@ mod tests {
     }
 
     fn quiet_time() -> SimTime {
-        SimTime::ZERO + TOKEN_QUIET_AFTER * 2
+        SimTime::ZERO + br(0).token_quiet_after * 2
+    }
+
+    fn regen_sends(out: &Outbox) -> usize {
+        out.iter()
+            .filter(|a| {
+                matches!(
+                    a,
+                    Action::Send {
+                        msg: Msg::TokenRegen { .. },
+                        ..
+                    }
+                )
+            })
+            .count()
     }
 
     #[test]
@@ -422,7 +442,7 @@ mod tests {
         assert!(out.is_empty(), "ceded round is not adopted");
         assert!(!n2.ord.as_ref().unwrap().regen_ceded, "cede consumed");
         // The next round node 2 originates is a fresh claim again.
-        let t2 = t + TOKEN_QUIET_AFTER * 3;
+        let t2 = t + n2.token_quiet_after * 3;
         out.clear();
         n2.maybe_start_regen(t2, &mut out);
         n2.on_token_regen(t2, NodeId(2), OrderingToken::new(G, NodeId(2)), &mut out);
@@ -431,6 +451,61 @@ mod tests {
                 .any(|a| matches!(a, Action::Record(ProtoEvent::TokenRegenerated { .. }))),
             "un-ceded round adopts normally"
         );
+    }
+
+    /// A member whose own transfer is unacknowledged holds a live pass on
+    /// its way to the next member, however long ago it processed it: it
+    /// neither originates a round nor lets one pass, until the next acks.
+    #[test]
+    fn an_unacknowledged_transfer_keeps_the_ring_live_past_the_window() {
+        let mut n = br(1);
+        let mut out = Vec::new();
+        let pass = OrderingToken::new(G, NodeId(0));
+        n.on_token(SimTime::ZERO, Endpoint::Ne(NodeId(0)), pass, &mut out);
+        assert!(n.ord.as_ref().unwrap().inflight.is_some(), "sent to node 2");
+        let t = quiet_time();
+        out.clear();
+        n.maybe_start_regen(t, &mut out);
+        assert_eq!(regen_sends(&out), 0, "no round originated");
+        n.on_token_regen(t, NodeId(0), OrderingToken::new(G, NodeId(0)), &mut out);
+        assert_eq!(regen_sends(&out), 0, "the round is destroyed");
+
+        let inf = n.ord.as_ref().unwrap().inflight.as_ref().unwrap();
+        let (epoch, rotation) = (inf.token.epoch, inf.token.rotation);
+        n.on_token_ack(
+            t,
+            Endpoint::Ne(NodeId(2)),
+            epoch,
+            rotation,
+            GlobalSeq::ZERO,
+            &mut out,
+        );
+        n.on_token_regen(t, NodeId(0), OrderingToken::new(G, NodeId(0)), &mut out);
+        assert_eq!(regen_sends(&out), 1, "acked: the round passes");
+    }
+
+    /// A member left alone in its ring may still hold a transfer to the
+    /// next it excised, which nobody will ever ack: it regenerates on its
+    /// quiet window alone, or its ring would stall for good.
+    #[test]
+    fn a_member_alone_with_a_transfer_to_an_excised_next_still_adopts() {
+        let ring = vec![NodeId(0), NodeId(1)];
+        let mut n = NeState::new_br(G, NodeId(0), ring, true, ProtocolConfig::default());
+        let mut out = Vec::new();
+        n.originate_token(SimTime::ZERO, &mut out);
+        n.on_ring_fail(SimTime::from_millis(1), NodeId(1), &mut out);
+        assert_eq!(n.ring_next(), Some(NodeId(0)), "alone in its ring");
+        assert!(n.top_ring_primary(), "the half holding the smallest id");
+        assert!(n.ord.as_ref().unwrap().inflight.is_some(), "to node 1");
+        out.clear();
+        n.maybe_start_regen(quiet_time(), &mut out);
+        assert!(out.iter().any(|a| matches!(
+            a,
+            Action::Record(ProtoEvent::TokenRegenerated {
+                epoch: Epoch(1),
+                ..
+            })
+        )));
     }
 
     #[test]

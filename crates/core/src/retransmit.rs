@@ -23,9 +23,10 @@
 //!    round trip: a miss, a suspicion and a fresh probe, or after the miss
 //!    budget a conviction ([`crate::membership`]). Retry an unacknowledged
 //!    ordering-token transfer; give up after the budget (the Token-Loss
-//!    machinery then takes over). Then check whether the token has been
-//!    quiet here for too long, and if so start Token-Regeneration
-//!    ([`crate::recovery`]).
+//!    machinery then takes over). While the transfer is outstanding, the
+//!    ring counts as live here. Then check whether the token has been
+//!    quiet here for longer than the ring's circle, and if so start
+//!    Token-Regeneration ([`crate::recovery`]).
 //! 5. Garbage-collect `MQ` up to the collective progress watermark — the
 //!    children's fronts, and the next ring node's when we keep our `MQ`
 //!    for it — and `WQ` up to the next ring node's acknowledged front.

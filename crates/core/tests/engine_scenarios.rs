@@ -1553,10 +1553,11 @@ fn a_dropped_token_is_regenerated_and_numbering_resumes_without_a_skip() {
         panic!("one regeneration: {regenerated:?}")
     };
     // The first ring node suspects the loss on the first hop tick after
-    // it has seen no token for `TOKEN_QUIET_AFTER` (120 ms), and its round
-    // needs one rotation of quiet nodes (4 hops of 5 ms): 140 ms after the
-    // drop, within `TOKEN_QUIET_AFTER + HOP_TICK` and one rotation.
-    assert_eq!(regen_at, SimTime::from_millis(1_145));
+    // it has seen no token for its quiet window, the ring's circle and a
+    // hop tick (4 hops of 5 ms and 5 ms: 25 ms), and its round needs one
+    // rotation of quiet nodes: 45 ms after the drop, within the window, a
+    // hop tick and one rotation.
+    assert_eq!(regen_at, SimTime::from_millis(1_050));
     // The regenerated lineage continues the dropped pass's numbering: the
     // first number after the last one assigned before the drop.
     let before = (ordered.iter())
@@ -1593,8 +1594,8 @@ fn a_dropped_token_is_regenerated_and_numbering_resumes_without_a_skip() {
 }
 
 /// A flat ring of 36 stations, the stress tier's largest, loss-free: its
-/// token takes 180 ms to circle the 5 ms hops, longer than the retry
-/// chain's 120 ms window, so the ring waits its circle and a hop tick
+/// token takes 180 ms to circle the 5 ms hops, longer than the token's
+/// retry chain of 120 ms, and the ring waits its circle and a hop tick
 /// (185 ms) before suspecting a loss. The live token never looks lost,
 /// and a dropped one is regenerated once, numbering on without a
 /// duplicate: a round that trailed a live token around the ring would
@@ -1658,6 +1659,75 @@ fn a_ring_slower_to_circle_than_the_retry_chain_waits_for_its_circle() {
     let gsns: BTreeSet<u64> = ordered.iter().map(|&(_, g)| g).collect();
     assert_eq!(gsns.len(), ordered.len(), "a number assigned twice");
     assert_eq!(gsns, (1..=ordered.len() as u64).collect());
+}
+
+/// A ring repaired around a dead BR bridges the gap over a top-ring link,
+/// since every pair of BRs has one: however slow the `br_ag` links are
+/// (here 25 ms against the top ring's 5 ms), the repaired ring circles as
+/// fast, and the quiet window, the ring's circle at the top-ring link and
+/// a hop tick, covers it. A token dropped on the repaired ring is
+/// regenerated once, numbering on without a duplicate, at the same instant
+/// over a slow `br_ag` link as over the default one.
+#[test]
+fn a_token_dropped_on_a_ring_repaired_around_a_dead_br_is_regenerated_once() {
+    let ms = SimTime::from_millis;
+    let run = |br_ag: u64| {
+        let sc = hierarchy(4, 2, 2, 1)
+            .sources(2)
+            .cbr(SimDuration::from_millis(7))
+            .window(SimTime::ZERO, Some(SimTime::from_secs(3)))
+            .links(LinkPlan {
+                br_ag: LinkProfile::wired(SimDuration::from_millis(br_ag)),
+                wireless: LinkProfile::wired(SimDuration::from_millis(2)),
+                ..LinkPlan::default()
+            })
+            .events([
+                ScenarioEvent::KillCore {
+                    at: ms(1_000),
+                    index: 2,
+                },
+                ScenarioEvent::DropToken { at: ms(2_000) },
+            ])
+            .duration(SimTime::from_secs(4))
+            .build();
+        assert!(ringnet_spec(&sc).validate().is_empty());
+        RingNetSim::run_scenario(&sc, 7).journal
+    };
+    let regenerated = |journal: &[(SimTime, ProtoEvent)]| -> Vec<SimTime> {
+        (journal.iter())
+            .filter(|(_, e)| matches!(e, ProtoEvent::TokenRegenerated { .. }))
+            .map(|(t, _)| *t)
+            .collect()
+    };
+    let journal = run(25);
+    let repaired = count(&journal, |e| {
+        matches!(
+            e,
+            ProtoEvent::RingRepaired {
+                failed: NodeId(2),
+                ..
+            }
+        )
+    });
+    assert!(repaired > 0, "BR 2 excised");
+    let dropped = count(&journal, |e| matches!(e, ProtoEvent::TokenDropped { .. }));
+    assert_eq!(dropped, 1);
+    let regen = regenerated(&journal);
+    let [regen_at] = regen[..] else {
+        panic!("one regeneration: {regen:?}")
+    };
+    assert!(regen_at > ms(2_000), "{regen_at:?}");
+    assert_eq!(regenerated(&run(3)), regen, "br_ag moved the regeneration");
+    let ordered: Vec<u64> = (journal.iter())
+        .filter_map(|(_, e)| match *e {
+            ProtoEvent::Ordered { gsn, .. } => Some(gsn.0),
+            _ => None,
+        })
+        .collect();
+    let gsns: BTreeSet<u64> = ordered.iter().copied().collect();
+    assert_eq!(gsns.len(), ordered.len(), "a number assigned twice");
+    assert_eq!(gsns, (1..=ordered.len() as u64).collect());
+    assert_eq!(ringnet_core::metrics::order_violations(&journal), 0);
 }
 
 /// The detection bound of `ringnet_core::membership`: a neighbour that
@@ -1758,9 +1828,16 @@ fn a_dead_neighbour_is_convicted_within_the_detection_bound_at_every_phase() {
 /// the BR–AG links just under the token retry period (30 ms), the AG
 /// rings' and the AG–AP links as long. A probe's round trip then outlasts
 /// a heartbeat period, and its confirmation, derived from the link, waits
-/// for it: five loss-free seconds of CBR traffic suspect nobody, repair no
-/// ring and fail no child over. (Confirmed after a 5 ms link's 15 ms,
-/// every probe here would be a miss.)
+/// for it; the token's quiet window, the ring's circle at the slower of
+/// the top-ring and BR–AG links, covers a token that circles at the
+/// bound. Five seconds of CBR traffic over the loss-free core suspect
+/// nobody, repair no ring, regenerate no token and fail no child over.
+/// (Confirmed after a 5 ms link's 15 ms, every probe here would be a
+/// miss.) The plan keeps the default wireless hop, 1 % lossy with 1 ms of
+/// jitter, so walkers NACK and are served again, but nothing is skipped.
+/// A walker NACKs a gap on every hop tick, and a retransmission's round
+/// trip over that hop can outlast a tick, so a gap asked twice is served
+/// twice: the run counts 6 such duplicates.
 #[test]
 fn a_loss_free_world_at_the_validated_link_bound_convicts_nobody() {
     let slow = LinkProfile::wired(SimDuration::from_millis(29));
@@ -1786,6 +1863,9 @@ fn a_loss_free_world_at_the_validated_link_bound_convicts_nobody() {
     assert_eq!(repairs, 0, "a live neighbour excised");
     let t = report.telemetry.as_ref().expect("telemetry is on");
     assert_eq!(t.total_counter(metric::HB_SUSPECTS), 0);
+    // The quiet window is the ring's circle at these links: a live token
+    // that circles at the bound never looks lost.
+    assert_eq!(t.total_counter(metric::REGEN_ORIGINATED), 0);
     // Every ring leader and every AP grafts once, at start-up.
     let mut grafts: BTreeMap<NodeId, Vec<NodeId>> = BTreeMap::new();
     for (_, e) in journal {
@@ -1798,6 +1878,7 @@ fn a_loss_free_world_at_the_validated_link_bound_convicts_nobody() {
     let m = &report.metrics;
     assert!(m.delivered > 1_000, "world too quiet");
     assert_eq!(m.skipped, 0);
+    assert_eq!(m.duplicates, 6, "gaps on the wireless hop served twice");
     assert_eq!(m.delivery_ratio(), 1.0);
     assert_eq!(ringnet_core::metrics::order_violations(journal), 0);
 }

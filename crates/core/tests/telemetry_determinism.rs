@@ -95,7 +95,7 @@ fn journal_is_byte_identical_with_telemetry_on_and_off() {
 /// probes its leader only in periods the leader sent it nothing).
 ///
 /// Re-goldened when a quiet token came to be suspected after one
-/// `TOKEN_QUIET_AFTER` of 120 ms at the first ring member, checked every
+/// retry-chain window of 120 ms at the first ring member, checked every
 /// hop tick, instead of after 400 ms on the heartbeat tick (both were
 /// `0x6990_dca0_7d4b_9776`). The dropped token is regenerated at 0.535 s
 /// instead of 0.860 s, so BR 0's longest rotation falls 460 → 150 ms and
@@ -114,7 +114,21 @@ fn journal_is_byte_identical_with_telemetry_on_and_off() {
 /// (`regen_adopted` 1 → 3). The ring makes more passes (BR 0 463 → 472),
 /// and BR 0 and BR 1 send a few probes fewer and more (114 → 113, 115 →
 /// 118), the AGs fewer (23 → 18 and 19 → 15), the APs 4 → 3 each.
-const METRICS_DIGESTS: [(u64, u64); 2] = [(3, 0xffbc_c1a2_6e26_cccc), (41, 0xffbc_c1a2_6e26_cccc)];
+///
+/// Re-goldened when a member with an unacknowledged token transfer came
+/// to count as live and the quiet window shrank from the retry chain's
+/// 120 ms to the ring's circle and a hop tick, 15 ms on these two BRs
+/// (both were `0xffbc_c1a2_6e26_cccc`). The dropped token is regenerated
+/// at 0.430 s instead of 0.535 s; BR 0, alone once it excises BR 1 at
+/// 0.945 s and once the partition is repaired at 2.345 s, adopts its
+/// round at once instead of at 1.030 s and 2.425 s. BR 0's longest
+/// rotation falls 135 → 45 ms, its largest delivery lag 145 → 55 ms, and
+/// the ring makes more passes (BR 0 472 → 517, BR 1 255 → 265). BR 1
+/// originates one round, which BR 0 destroys (`regen_destroyed` 0 → 1).
+/// BR 0 sends fewer probes (113 → 110), the AGs fewer (18 → 4 and
+/// 15 → 8), the APs 3 → 0 or 2, and the AGs and APs about 10 acks fewer
+/// each.
+const METRICS_DIGESTS: [(u64, u64); 2] = [(3, 0xe856_f8ff_732b_1cb9), (41, 0xe856_f8ff_732b_1cb9)];
 
 fn metrics_digest(report: &ringnet_core::TelemetryReport) -> u64 {
     use std::fmt::Write as _;

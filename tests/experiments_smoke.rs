@@ -26,7 +26,7 @@ const TABLE_DIGESTS: [(&str, u64); 13] = [
     // unedited.
     ("E2", 0x4db5_13ba_5a1b_e306),
     // Re-drawn when a quiet token came to be suspected after one
-    // `TOKEN_QUIET_AFTER` of 120 ms at the first ring member, checked every
+    // retry-chain window of 120 ms at the first ring member, checked every
     // hop tick, instead of after 400 ms on the heartbeat tick (was
     // 0x055f_b9a5_fe2e_2c2f): the max ordering stall falls 460 → 255 ms
     // when the member dies and 460 → 165 ms when the origin does. Every
@@ -37,8 +37,11 @@ const TABLE_DIGESTS: [(&str, u64); 13] = [
     // transfer to it gives up, so the token is re-aimed and no
     // regeneration is needed (stall 255 → 85 ms, regen used true →
     // false), and the dead origin is excised sooner (165 → 140 ms); the
-    // note says so.
-    ("E3", 0x5ca0_9a65_9d21_6434),
+    // note says so. Re-drawn again when a member with an unacknowledged
+    // transfer came to count as live and the quiet window shrank to the
+    // ring's circle and a hop tick (was 0x5ca0_9a65_9d21_6434): the dead
+    // origin's token is regenerated sooner (140 → 95 ms).
+    ("E3", 0x9f7b_2b92_e887_41d9),
     ("E4", 0x46fd_63f0_c206_b6d8),
     // Re-drawn when each link got its own loss stream (was
     // 0xcab9_c66a_bcc8_73e0): E5 sweeps wireless loss, and its losses
