@@ -423,6 +423,25 @@ fn pinned_reports() -> Vec<(String, AuditReport)> {
 /// `0xa762ca5836e38178`: 4 528 deliveries and no skips become 4 532 and
 /// 3: with the rotation shifted, walker 5 skips GSNs 372–374 at
 /// 3.275 s, which the earlier code delivered to it at 3.241 s).
+///
+/// Eleven were re-pinned when an MH came to ack only when its front moved,
+/// or every second ack tick as its liveness beacon, still with no
+/// violation. Each is a world whose radio loses packets, where the loss
+/// of each uplink is drawn per packet offered: an uplink that restates
+/// fewer fronts loses other NACKs and acks, and other gaps are served,
+/// asked again or skipped. Deliveries and skips move `stress_98/ringnet`
+/// (was `0xfae235be540d4e8e`) 111 237 / 365 → 111 249 / 346,
+/// `stress_98/flat_ring` (`0xf3a1b870c446f9c5`) 110 458 / 555 → 110 474 /
+/// 529, `stress_98/tree` (`0x519eb1cd8bd866ca`) 111 248 / 352 → 111 231 /
+/// 375, `stress_104/ringnet` (`0x927bf8ee4e0f356e`) 48 261 / 82 → 48 280 /
+/// 63, `stress_104/flat_ring` (`0xed16bcd1f925bab8`) 47 317 / 818 →
+/// 47 310 / 833, `stress_104/tree` (`0xb68b9db482ae1fa0`) 15 978 / 159 →
+/// 15 969 / 168, `quick_0/ringnet` (`0x82a6f0c266da149e`) 5 516 / 8 →
+/// 5 512 / 14, `quick_0/flat_ring` (`0x93417addd34767b1`) 5 472 / 11 →
+/// 5 474 / 14, `quick_0/tree` (`0x677fd0258484bd26`) 3 678 / 8 → 3 679 /
+/// 8, `quick_7/ringnet` (`0xcd094f28c6203b56`) 900 / 3 → 896 / 7 and
+/// `quick_7/flat_ring` (`0xbf64311ddc54c730`) 1 038 / 0 → 1 036 / 2. The
+/// lossy quick seeds 4 and 5 and every loss-free world keep their reports.
 const AUDIT_DIGESTS: &[(&str, u64)] = &[
     ("mutation/clean", 0x600a3739ec7b607f),
     ("mutation/swapped_gsns", 0x2bd90b057eee2a0c),
@@ -435,15 +454,15 @@ const AUDIT_DIGESTS: &[(&str, u64)] = &[
         "mutation/reordered_stream_without_gsn_checks",
         0xaf5e5dd27142dcca,
     ),
-    ("stress_98/ringnet", 0xfae235be540d4e8e),
-    ("stress_98/flat_ring", 0xf3a1b870c446f9c5),
-    ("stress_98/tree", 0x519eb1cd8bd866ca),
-    ("stress_104/ringnet", 0x927bf8ee4e0f356e),
-    ("stress_104/flat_ring", 0xed16bcd1f925bab8),
-    ("stress_104/tree", 0xb68b9db482ae1fa0),
-    ("quick_0/ringnet", 0x82a6f0c266da149e),
-    ("quick_0/flat_ring", 0x93417addd34767b1),
-    ("quick_0/tree", 0x677fd0258484bd26),
+    ("stress_98/ringnet", 0x78014a26f7d97bb4),
+    ("stress_98/flat_ring", 0xe57548d28a3f8f76),
+    ("stress_98/tree", 0x3dddb0ed29ede063),
+    ("stress_104/ringnet", 0x5274f612457ce22c),
+    ("stress_104/flat_ring", 0x8ba4b989d61f2106),
+    ("stress_104/tree", 0xf7f9632404ef29ba),
+    ("quick_0/ringnet", 0xce57007b2f7a0287),
+    ("quick_0/flat_ring", 0x5ea57a84d14e4044),
+    ("quick_0/tree", 0x51d91892b58330c5),
     ("quick_0/relm", 0x6b1c490d7b23ea45),
     ("quick_0/tunnel", 0xc7c27dd7ca0b0552),
     ("quick_0/unordered", 0x90a8fb3fedfa2a7e),
@@ -483,8 +502,8 @@ const AUDIT_DIGESTS: &[(&str, u64)] = &[
     ("quick_6/relm", 0x47c694f9c2491827),
     ("quick_6/tunnel", 0x7fe245ffefee8cf0),
     ("quick_6/unordered", 0x47c694f9c2491827),
-    ("quick_7/ringnet", 0xcd094f28c6203b56),
-    ("quick_7/flat_ring", 0xbf64311ddc54c730),
+    ("quick_7/ringnet", 0x9f67a99b62c7b286),
+    ("quick_7/flat_ring", 0xd86a847080000180),
     ("quick_7/tree", 0xc5f2a937e174a319),
     ("quick_7/relm", 0xbf64311ddc54c730),
     ("quick_7/tunnel", 0xb5dd40acdd637154),

@@ -141,9 +141,9 @@ pub enum ScenarioEvent {
     },
     /// Restart of a previously crashed attachment entity with
     /// factory-fresh protocol state: it re-grafts into the distribution
-    /// tree and its walkers re-register (solicited when the amnesiac AP
-    /// hears from an MH it no longer knows). Messages that flowed while it
-    /// was down surface as per-walker skips, not as order violations.
+    /// tree and its walkers re-register (re-associated by the radio at
+    /// restart). Messages that flowed while it was down surface as
+    /// per-walker skips, not as order violations.
     ApRestart {
         /// When the attachment entity comes back.
         at: SimTime,
@@ -187,8 +187,10 @@ pub enum ScenarioEvent {
     /// entity re-enters its repaired ring through the
     /// `RejoinRequest`/`RejoinGrant` handshake, is spliced back in at a
     /// token boundary, and resyncs its `MQ` from the granter's announced
-    /// front. Implemented by the RingNet-engine backends (RingNet, tree)
-    /// and the flat ring; the static baselines ignore it.
+    /// front. A flat-ring station's walkers are re-associated by the radio
+    /// at restart, as at [`ScenarioEvent::ApRestart`]. Implemented by the
+    /// RingNet-engine backends (RingNet, tree) and the flat ring; the
+    /// static baselines ignore it.
     RingRejoin {
         /// When the entity comes back.
         at: SimTime,
@@ -889,8 +891,15 @@ impl ScenarioBuilder {
         self
     }
 
-    /// Full link plan.
+    /// Full link plan, the wireless hop included: set a wireless profile
+    /// after it, never before (a debug build panics, since the plan would
+    /// silently undo it).
     pub fn links(mut self, links: LinkPlan) -> Self {
+        let radio = &self.sc.links.wireless;
+        debug_assert!(
+            *radio == LinkPlan::default().wireless,
+            "links() would replace the wireless profile set before it ({radio:?})"
+        );
         self.sc.links = links;
         self
     }

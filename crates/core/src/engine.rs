@@ -851,13 +851,29 @@ impl RingNetSim {
             .expect("every declared entity has an address")
     }
 
-    /// Schedule an engine stimulus — a kill, a restart or a token drop — at
+    /// Schedule an engine stimulus — a kill or a token drop — at
     /// `at`: each of `targets` injects it into itself.
     fn stimulate(&mut self, at: SimTime, targets: Vec<NodeAddr>, stimulus: fn(GroupId) -> Msg) {
         let group = self.spec.group;
         self.schedule_control(at, move |w| {
             for addr in targets {
                 w.inject(addr, addr, stimulus(group), SimDuration::ZERO);
+            }
+        });
+    }
+
+    /// Schedule the crash-restart of entity `id` at `at`. The radio then
+    /// re-associates its cell: every MH radio-linked to it is stimulated
+    /// with [`Msg::HandoffTo`] naming it, as at a handoff, and registers
+    /// again, so the amnesiac attachment relearns its MHs at once.
+    fn restart(&mut self, at: SimTime, id: NodeId) {
+        let (group, addr, map) = (self.spec.group, self.ne_addr(id), self.addrs.clone());
+        self.schedule_control(at, move |net| {
+            net.inject(addr, addr, Msg::Restart { group }, SimDuration::ZERO);
+            let is_mh = |&n: &NodeAddr| matches!(map.endpoint_of(n), Endpoint::Mh(_));
+            for mh in net.topo.neighbours(addr).filter(is_mh).collect::<Vec<_>>() {
+                let reassociate = Msg::HandoffTo { group, new_ap: id };
+                net.inject(addr, mh, reassociate, SimDuration::ZERO);
             }
         });
     }
@@ -961,13 +977,8 @@ impl MulticastSim for RingNetSim {
             }
             // A restarted AP re-grafts on demand; a restarted BR/AG re-enters
             // its repaired ring via the rejoin handshake.
-            ScenarioEvent::ApRestart { at, ap } => {
-                let ap = self.ne_addr(attachment(ap, "ApRestart"));
-                self.stimulate(at, vec![ap], |group| Msg::Restart { group });
-            }
-            ScenarioEvent::RingRejoin { at, index } => {
-                self.stimulate(at, vec![core(index)], |group| Msg::Restart { group });
-            }
+            ScenarioEvent::ApRestart { at, ap } => self.restart(at, attachment(ap, "ApRestart")),
+            ScenarioEvent::RingRejoin { at, index } => self.restart(at, member(index)),
             ScenarioEvent::PartitionCore { at, a, b } | ScenarioEvent::HealCore { at, a, b } => {
                 let up = matches!(event, ScenarioEvent::HealCore { .. });
                 self.set_links(at, core(a), vec![core(b)], up);

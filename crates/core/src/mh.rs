@@ -6,11 +6,16 @@
 //! stimulus — re-registers at the new AP announcing its own resume point so
 //! delivery continues seamlessly ("even in handoffs").
 //!
-//! The cumulative ACK is also the MH's liveness beacon: it goes to the AP
-//! on every `ack_every`-th hop tick whether or not the front moved, so the
-//! AP hears from a live MH once per ack period and needs no separate
-//! heartbeat. An AP that does not know the acking MH answers with
-//! [`Msg::ReRegister`].
+//! The cumulative ACK follows the NEs' rule: it goes out on an
+//! `ack_every`-th hop tick when it says something. That is when the front
+//! has moved past what the current AP was last told (a new AP has been
+//! told nothing), or, as the MH's liveness beacon, when this AP has heard
+//! no ack for `2 × ack_every` ticks. So the AP hears from a live MH at
+//! least every second ack period (20 ms at the defaults, a tenth of its
+//! departure sweep) and needs no separate heartbeat. An AP that does not
+//! know the acking MH answers with [`Msg::ReRegister`]. An AP that
+//! restarts is re-associated by the radio ([`Msg::HandoffTo`] naming the
+//! current AP), and the MH registers again at once.
 //!
 //! An MH has exactly two timed duties, and both sit on the hop-tick grid:
 //! NACK a gap (one step of the NACK budget per tick) and ack. So it wakes
@@ -27,6 +32,7 @@ use crate::events::ProtoEvent;
 use crate::ids::{Endpoint, GlobalSeq, GroupId, Guid, NodeId};
 use crate::mq::{DeliverItem, InsertOutcome, MessageQueue, MsgData};
 use crate::msg::Msg;
+use crate::node::Told;
 
 /// Per-MH statistics, handed over at teardown as the walker's
 /// [`Finals`](crate::metrics::Finals) record.
@@ -59,6 +65,9 @@ pub struct MhState {
     /// Index of the last hop tick run, on the grid that starts at the
     /// MH's start (drives the `ack_every` divisor).
     pub hop_tick_count: u64,
+    /// The front last acked, to which AP, at which hop tick
+    /// ([`MhState::ack_due`]).
+    pub(crate) told: Option<Told<u64>>,
     /// Sequence of the last application delivery, for order verification.
     pub last_delivered: GlobalSeq,
     /// Crash-stop flag.
@@ -77,6 +86,7 @@ impl MhState {
             cfg,
             counters: MhCounters::default(),
             hop_tick_count: 0,
+            told: None,
             last_delivered: GlobalSeq::ZERO,
             alive: true,
         }
@@ -122,14 +132,7 @@ impl MhState {
                 // us there.
                 if let (Endpoint::Ne(n), Some(ap)) = (from, self.ap) {
                     if n == ap {
-                        out.push(Action::to_ne(
-                            ap,
-                            Msg::HandoffRegister {
-                                group: self.group,
-                                guid: self.guid,
-                                resume_from: self.mq.front(),
-                            },
-                        ));
+                        self.register(ap, out);
                     }
                 }
             }
@@ -195,15 +198,21 @@ impl MhState {
     }
 
     /// Radio-layer stimulus: we are now under `new_ap`. Register there,
-    /// announcing our own progress so delivery resumes where it stopped.
+    /// announcing our own progress so delivery resumes where it stopped. A
+    /// re-association to the current AP (it restarted) registers again and
+    /// is no handoff.
     fn on_handoff(&mut self, _now: SimTime, new_ap: NodeId, out: &mut Outbox) {
-        if self.ap == Some(new_ap) {
-            return;
+        if self.ap != Some(new_ap) {
+            self.counters.handoffs += 1;
+            self.ap = Some(new_ap);
         }
-        self.counters.handoffs += 1;
-        self.ap = Some(new_ap);
+        self.register(new_ap, out);
+    }
+
+    /// Register at `ap` with our own resume point (idempotent at the AP).
+    fn register(&self, ap: NodeId, out: &mut Outbox) {
         out.push(Action::to_ne(
-            new_ap,
+            ap,
             Msg::HandoffRegister {
                 group: self.group,
                 guid: self.guid,
@@ -231,8 +240,20 @@ impl MhState {
         (last / every + 1) * every
     }
 
+    /// The first ack tick at or after `from` on which the AP is owed an ack:
+    /// the next ack tick while the current AP has not been told the front,
+    /// otherwise the beacon, `2 × ack_every` ticks after the last ack.
+    pub(crate) fn ack_due(&self, from: u64) -> u64 {
+        let every = u64::from(self.cfg.ack_every.max(1));
+        let next = from.div_ceil(every) * every;
+        let unmoved = |t: &Told<u64>| Some(t.to) == self.ap && t.upto >= self.mq.front();
+        self.told
+            .filter(unmoved)
+            .map_or(next, |t| next.max(t.at + 2 * every))
+    }
+
     /// Run hop tick number `tick` of the grid (ticks may be skipped, never
-    /// repeated): NACK gaps, and the cumulative ACK on an ack tick.
+    /// repeated): NACK gaps, and the cumulative ACK when it is due.
     pub fn tick_hop(&mut self, tick: u64, out: &mut Outbox) {
         if !self.alive {
             return;
@@ -250,17 +271,15 @@ impl MhState {
                     },
                 ));
             }
-            if self
-                .hop_tick_count
-                .is_multiple_of(self.cfg.ack_every as u64)
-            {
-                out.push(Action::to_ne(
-                    ap,
-                    Msg::DataAck {
-                        group: self.group,
-                        upto: self.mq.front(),
-                    },
-                ));
+            if self.ack_due(tick) == tick {
+                let upto = self.mq.front();
+                let group = self.group;
+                out.push(Action::to_ne(ap, Msg::DataAck { group, upto }));
+                self.told = Some(Told {
+                    to: ap,
+                    upto,
+                    at: tick,
+                });
             }
         }
         if !newly_lost.is_empty() {
@@ -491,19 +510,38 @@ mod tests {
                 }
             }
         ));
-        // Handoff to the same AP is ignored.
+    }
+
+    /// A re-association to the current AP (the radio's answer to its
+    /// restart) registers again with the resume point and is no handoff.
+    #[test]
+    fn a_reassociation_to_the_current_ap_registers_again_and_is_no_handoff() {
+        let mut m = mh();
+        let mut out = Vec::new();
+        m.join(SimTime::ZERO, AP1, &mut out);
+        for g in 1..=2 {
+            receive(&mut m, g, &mut out);
+        }
         out.clear();
-        m.on_msg(
-            SimTime::from_secs(2),
-            Endpoint::Ne(AP2),
-            Msg::HandoffTo {
-                group: G,
-                new_ap: AP2,
-            },
-            &mut out,
+        let again = Msg::HandoffTo {
+            group: G,
+            new_ap: AP1,
+        };
+        m.on_msg(SimTime::from_secs(1), Endpoint::Ne(AP1), again, &mut out);
+        assert!(
+            matches!(
+                out[..],
+                [Action::Send {
+                    to: Endpoint::Ne(AP1),
+                    msg: Msg::HandoffRegister {
+                        resume_from: GlobalSeq(2),
+                        ..
+                    }
+                }]
+            ),
+            "{out:?}"
         );
-        assert!(out.is_empty());
-        assert_eq!(m.counters.handoffs, 1);
+        assert_eq!((m.ap, m.counters.handoffs), (Some(AP1), 0));
     }
 
     #[test]
@@ -623,29 +661,101 @@ mod tests {
         assert_eq!(m.counters.duplicates, 1);
     }
 
-    /// The ack is the MH's liveness beacon: an ack tick restates a front
-    /// that has not moved, so an idle MH is still heard once per ack period.
+    /// The acks in `out`, as (AP, front).
+    fn acks(out: &Outbox) -> Vec<(NodeId, u64)> {
+        out.iter()
+            .filter_map(|a| match a {
+                Action::Send {
+                    to: Endpoint::Ne(ap),
+                    msg: Msg::DataAck { upto, .. },
+                } => Some((*ap, upto.0)),
+                _ => None,
+            })
+            .collect()
+    }
+
+    /// The ack is the MH's liveness beacon: a front that has not moved is
+    /// restated on every second ack tick (ticks 2, 6, 10 at `ack_every` =
+    /// 2), so an idle MH is still heard once per two ack periods.
     #[test]
-    fn ack_tick_restates_an_unmoved_front() {
+    fn an_unmoved_front_is_restated_every_second_ack_tick() {
         let mut m = mh();
         let mut out = Vec::new();
         m.join(SimTime::ZERO, AP1, &mut out);
         out.clear();
-        for t in 1..=4 {
+        for t in 1..=11 {
             m.tick_hop(t, &mut out);
         }
-        let acks: Vec<_> = out
+        assert_eq!(acks(&out), vec![(AP1, 0); 3], "ticks 2, 6 and 10");
+        assert_eq!(out.len(), 3, "and nothing else");
+    }
+
+    /// A front that moved is acked on the next ack tick, whenever the AP
+    /// was last told; the beacon then counts from that ack.
+    #[test]
+    fn a_moved_front_is_acked_on_the_next_ack_tick() {
+        let mut m = mh();
+        let mut out = Vec::new();
+        m.join(SimTime::ZERO, AP1, &mut out);
+        m.tick_hop(2, &mut out);
+        out.clear();
+        receive(&mut m, 1, &mut out);
+        m.tick_hop(3, &mut out);
+        assert!(acks(&out).is_empty(), "not an ack tick");
+        m.tick_hop(4, &mut out);
+        assert_eq!(acks(&out), vec![(AP1, 1)], "two ticks after the last ack");
+        out.clear();
+        m.tick_hop(6, &mut out);
+        assert!(acks(&out).is_empty(), "unmoved: no ack one period later");
+        m.tick_hop(8, &mut out);
+        assert_eq!(acks(&out), vec![(AP1, 1)], "the beacon, two periods later");
+    }
+
+    /// A new AP has been told nothing: the first ack tick after a handoff
+    /// acks the unmoved front there, so an AP that lost the registration
+    /// answers with `ReRegister` at once.
+    #[test]
+    fn a_new_ap_is_told_at_once() {
+        let mut m = mh();
+        let mut out = Vec::new();
+        m.join(SimTime::ZERO, AP1, &mut out);
+        receive(&mut m, 1, &mut out);
+        m.tick_hop(2, &mut out);
+        let handoff = Msg::HandoffTo {
+            group: G,
+            new_ap: AP2,
+        };
+        m.on_msg(SimTime::ZERO, Endpoint::Ne(AP2), handoff, &mut out);
+        m.tick_hop(4, &mut out);
+        assert_eq!(acks(&out), vec![(AP1, 1), (AP2, 1)]);
+    }
+
+    /// Finding (ROADMAP item 2, re-asking in flight): a gap is NACKed again
+    /// on the next hop tick while the answer to the first NACK may still be
+    /// in flight. A NACK and its retransmission over the default 2 ± 1 ms
+    /// radio take up to 6 ms, past the 5 ms tick, so such a gap is asked
+    /// and served twice. When this is mended, the second NACK goes and
+    /// this test flips.
+    #[test]
+    fn a_gap_is_nacked_again_while_its_first_answer_is_in_flight() {
+        let mut m = mh();
+        let mut out = Vec::new();
+        m.join(SimTime::ZERO, AP1, &mut out);
+        receive(&mut m, 2, &mut out); // GSN 1 missing
+        out.clear();
+        m.tick_hop(1, &mut out);
+        m.tick_hop(2, &mut out); // no answer yet: asked again
+        let nacked: Vec<Vec<GlobalSeq>> = out
             .iter()
             .filter_map(|a| match a {
                 Action::Send {
-                    to: Endpoint::Ne(AP1),
-                    msg: Msg::DataAck { upto, .. },
-                } => Some(*upto),
+                    msg: Msg::DataNack { missing, .. },
+                    ..
+                } => Some(missing.to_vec()),
                 _ => None,
             })
             .collect();
-        assert_eq!(acks, vec![GlobalSeq::ZERO; 2], "two ack ticks, two acks");
-        assert_eq!(out.len(), 2, "and nothing else");
+        assert_eq!(nacked, vec![vec![GlobalSeq(1)]; 2]);
     }
 
     fn receive(m: &mut MhState, g: u64, out: &mut Outbox) {

@@ -362,12 +362,13 @@ impl ApMhState {
 }
 
 /// The delivery front (`upto`) an entity last stated to one of its ack
-/// targets, and when.
+/// targets, and when: an NE stamps it with the sim time, an MH with its
+/// hop-tick index.
 #[derive(Debug, Clone, Copy)]
-pub(crate) struct Told {
+pub(crate) struct Told<At = SimTime> {
     pub(crate) to: NodeId,
     pub(crate) upto: GlobalSeq,
-    pub(crate) at: SimTime,
+    pub(crate) at: At,
 }
 
 /// Per-entity counters, handed over at teardown in the entity's

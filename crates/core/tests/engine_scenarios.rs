@@ -481,11 +481,12 @@ fn killing_an_mh_stops_its_acks_and_frees_it() {
     );
 }
 
-/// An MH has no heartbeat: its ack, sent every ack period whether or not
-/// its front moved, is all its AP hears from it, and it is enough. In a
-/// world with no traffic nobody is swept in 2 s, and one more MH per AP adds
-/// exactly its `Join`, the AP's `JoinAck` and one `DataAck` per ack period
-/// to the wire. (The 5 ms radio hop lands the joins after each AP's graft
+/// An MH has no heartbeat: its ack, which restates an unmoved front every
+/// second ack period as its liveness beacon, is all its AP hears from it,
+/// and it is enough. In a world with no traffic nobody is swept in 2 s,
+/// and one more MH per AP adds exactly its `Join`, the AP's `JoinAck` and
+/// one `DataAck` per two ack periods to the wire: 100 acks in 2 s, at
+/// 10 ms, 30 ms, …, 1 990 ms. (The 5 ms radio hop lands the joins after each AP's graft
 /// is acknowledged: a join at an AP still grafting would resend the graft.)
 #[test]
 fn idle_mhs_are_kept_alive_by_their_acks_alone() {
@@ -524,7 +525,9 @@ fn idle_mhs_are_kept_alive_by_their_acks_alone() {
     let (aps, one) = run(1);
     let (_, two) = run(2);
     let cfg = ProtocolConfig::default();
-    let acks = SimDuration::from_secs(2).as_nanos() / (HOP_TICK * cfg.ack_every as u64).as_nanos();
+    let beacon = HOP_TICK * (2 * cfg.ack_every as u64);
+    let acks = SimDuration::from_secs(2).as_nanos() / beacon.as_nanos();
+    assert_eq!(acks, 100);
     assert_eq!(
         two - one,
         aps * (2 + acks),
@@ -532,12 +535,14 @@ fn idle_mhs_are_kept_alive_by_their_acks_alone() {
     );
 }
 
-/// An AP that crash-restarts forgets its MHs. The next ack of each, at
-/// most one ack period after the restart, draws a `ReRegister`, and the MH
-/// is registered again one wireless round trip later — well before its
-/// AP would have swept it, and not a heartbeat period later.
+/// An AP that crash-restarts forgets its MHs. The radio re-associates its
+/// cell at the restart: each MH is stimulated as at a handoff, registers
+/// again at once, and is registered one wireless hop later, within a
+/// wireless round trip of the restart. Without the re-association the AP
+/// would learn of each MH only from its next ack, up to two ack periods
+/// later, and solicit the registration with `ReRegister`.
 #[test]
-fn amnesiac_ap_solicits_reregistration_within_an_ack_period() {
+fn an_amnesiac_ap_relearns_its_mhs_within_a_wireless_round_trip() {
     let sc = hierarchy(2, 1, 2, 1)
         .walkers_per_attachment(2)
         .cbr(SimDuration::from_millis(10))
@@ -568,9 +573,68 @@ fn amnesiac_ap_solicits_reregistration_within_an_ack_period() {
         .collect();
     let mhs: Vec<Guid> = registered.iter().map(|&(mh, _)| mh).collect();
     assert_eq!(mhs, vec![Guid(0), Guid(1)], "each MH re-registers once");
+    let round_trip = SimDuration::from_millis(2);
     for (mh, t) in registered {
         assert!(
-            t > crash && t <= crash + SimDuration::from_millis(15),
+            t > crash && t <= crash + round_trip,
+            "{mh} re-registered at {t:?}"
+        );
+    }
+}
+
+/// A flat-ring station is its walkers' attachment too: restarted through
+/// `RingRejoin`, it relearns them as an AP does, within a wireless round
+/// trip of the restart.
+#[test]
+fn a_restarted_flat_ring_station_relearns_its_mhs_within_a_wireless_round_trip() {
+    let crash = SimTime::from_millis(1_001);
+    let restart = SimTime::from_millis(1_201);
+    let sc = ScenarioBuilder::new()
+        .attachments(4)
+        .walkers_per_attachment(2)
+        .cbr(SimDuration::from_millis(10))
+        .links(LinkPlan {
+            wireless: LinkProfile::wired(SimDuration::from_millis(1)),
+            ..LinkPlan::default()
+        })
+        .events([
+            ScenarioEvent::KillCore {
+                at: crash,
+                index: 2,
+            },
+            ScenarioEvent::RingRejoin {
+                at: restart,
+                index: 2,
+            },
+        ])
+        .build();
+    let spec = flat_ring_spec(&sc);
+    assert!(spec.is_station_shape());
+    let station = spec.top_ring[2];
+    let cell: Vec<Guid> = (spec.mhs.iter())
+        .filter(|mh| mh.initial_ap == Some(station))
+        .map(|mh| mh.guid)
+        .collect();
+    assert_eq!(cell.len(), 2);
+    let mut net = RingNetSim::for_scenario(spec, &sc, 53);
+    for &ev in &sc.events {
+        net.schedule(ev);
+    }
+    net.run_until(SimTime::from_secs(2));
+    let journal = net.finish().journal;
+    let registered: Vec<(Guid, SimTime)> = journal
+        .iter()
+        .filter_map(|(t, e)| match e {
+            ProtoEvent::HandoffRegistered { mh, ap: at, .. } if *at == station => Some((*mh, *t)),
+            _ => None,
+        })
+        .collect();
+    let mhs: Vec<Guid> = registered.iter().map(|&(mh, _)| mh).collect();
+    assert_eq!(mhs, cell, "each MH re-registers once");
+    let round_trip = SimDuration::from_millis(2);
+    for (mh, t) in registered {
+        assert!(
+            t > restart && t <= restart + round_trip,
             "{mh} re-registered at {t:?}"
         );
     }
@@ -1833,11 +1897,9 @@ fn a_dead_neighbour_is_convicted_within_the_detection_bound_at_every_phase() {
 /// bound. Five seconds of CBR traffic over the loss-free core suspect
 /// nobody, repair no ring, regenerate no token and fail no child over.
 /// (Confirmed after a 5 ms link's 15 ms, every probe here would be a
-/// miss.) The plan keeps the default wireless hop, 1 % lossy with 1 ms of
-/// jitter, so walkers NACK and are served again, but nothing is skipped.
-/// A walker NACKs a gap on every hop tick, and a retransmission's round
-/// trip over that hop can outlast a tick, so a gap asked twice is served
-/// twice: the run counts 6 such duplicates.
+/// miss.) The radio is loss-free too, so nobody NACKs and nothing is
+/// served twice. (`ScenarioBuilder::links` replaces the whole plan, the
+/// radio included, so the loss-free radio is set after it.)
 #[test]
 fn a_loss_free_world_at_the_validated_link_bound_convicts_nobody() {
     let slow = LinkProfile::wired(SimDuration::from_millis(29));
@@ -1845,7 +1907,6 @@ fn a_loss_free_world_at_the_validated_link_bound_convicts_nobody() {
         .cbr(SimDuration::from_millis(10))
         .window(SimTime::ZERO, Some(SimTime::from_millis(4_500)))
         .duration(SimTime::from_secs(5))
-        .loss_free_wireless()
         .links(LinkPlan {
             top_ring: slow.clone(),
             br_ag: slow.clone(),
@@ -1853,6 +1914,7 @@ fn a_loss_free_world_at_the_validated_link_bound_convicts_nobody() {
             ag_ap: slow,
             ..LinkPlan::default()
         })
+        .loss_free_wireless()
         .telemetry(true)
         .build();
     let spec = ringnet_spec(&sc);
@@ -1866,6 +1928,9 @@ fn a_loss_free_world_at_the_validated_link_bound_convicts_nobody() {
     // The quiet window is the ring's circle at these links: a live token
     // that circles at the bound never looks lost.
     assert_eq!(t.total_counter(metric::REGEN_ORIGINATED), 0);
+    // Nothing is lost, so nobody NACKs and nothing is served again.
+    assert_eq!(t.total_counter(metric::NACKS_SENT), 0);
+    assert_eq!(t.total_counter(metric::RETRANSMISSIONS_SERVED), 0);
     // Every ring leader and every AP grafts once, at start-up.
     let mut grafts: BTreeMap<NodeId, Vec<NodeId>> = BTreeMap::new();
     for (_, e) in journal {
@@ -1878,7 +1943,7 @@ fn a_loss_free_world_at_the_validated_link_bound_convicts_nobody() {
     let m = &report.metrics;
     assert!(m.delivered > 1_000, "world too quiet");
     assert_eq!(m.skipped, 0);
-    assert_eq!(m.duplicates, 6, "gaps on the wireless hop served twice");
+    assert_eq!(m.duplicates, 0);
     assert_eq!(m.delivery_ratio(), 1.0);
     assert_eq!(ringnet_core::metrics::order_violations(journal), 0);
 }

@@ -454,7 +454,7 @@ fn spec_layouts() -> Vec<(&'static str, Vec<ringnet_core::HierarchySpec>)> {
             idle.to_vec(),
         ),
         (
-            "engine_scenarios.rs amnesiac_ap_solicits_reregistration_within_an_ack_period",
+            "engine_scenarios.rs an_amnesiac_ap_relearns_its_mhs_within_a_wireless_round_trip",
             vec![layout(regular(2, 1, 2, 1, 2, 1).pattern(cbr(10)).links(
                 wireless(LinkProfile::wired(SimDuration::from_millis(1))),
             ))],
@@ -581,7 +581,7 @@ const SPEC_DIGESTS: &[(&str, u64)] = &[
     ("engine_scenarios.rs reservation_expires_and_ap_prunes_itself", 0x0fb52419a762d892),
     ("engine_scenarios.rs killing_an_mh_stops_its_acks_and_frees_it", 0xb6569379a65ae98f),
     ("engine_scenarios.rs idle_mhs_are_kept_alive_by_their_acks_alone, 1 and 2 MHs per AP", 0x52a72fc49f0f54a1),
-    ("engine_scenarios.rs amnesiac_ap_solicits_reregistration_within_an_ack_period", 0x0b910d9ad4a0f989),
+    ("engine_scenarios.rs an_amnesiac_ap_relearns_its_mhs_within_a_wireless_round_trip", 0x0b910d9ad4a0f989),
     ("engine_scenarios.rs station_shaped_spec_delivers_in_order (before the edit)", 0xd57d562b072ed7e6),
     ("engine_scenarios.rs ring_cut_at_a_heartbeat_tick_is_repaired_on_the_probe_schedule", 0xe0c476cbc6163dc8),
     ("engine_scenarios.rs zero_mh_network_runs_clean", 0x6799edbbaef94c32),
