@@ -140,12 +140,9 @@ pub struct ProtocolConfig {
     /// moved past what that hop was last told* (by a `DataAck`, or by the
     /// `TokenAck` that carries the same front on the top ring). An unmoved
     /// front is restated only to a hop that has heard nothing for a whole
-    /// [`HEARTBEAT_PERIOD`], so a lost ACK still heals. An MH follows the
-    /// same rule towards its AP (a new AP was told nothing), but its ack
-    /// doubles as its liveness beacon: it restates an unmoved front every
-    /// second such tick. The period may not exceed [`HEARTBEAT_PERIOD`], so
-    /// the beacon comes at least once per two heartbeat periods, half the
-    /// AP's departure sweep.
+    /// [`HEARTBEAT_PERIOD`], so a lost ACK still heals. An MH's ack is also
+    /// its liveness beacon: it restates an unmoved front every second such
+    /// tick, so the period may not exceed [`HEARTBEAT_PERIOD`].
     pub ack_every: u8,
     /// Capacity `MaxNo` of each entity's `MQ` (slots).
     pub mq_capacity: usize,

@@ -187,10 +187,10 @@ pub enum ScenarioEvent {
     /// entity re-enters its repaired ring through the
     /// `RejoinRequest`/`RejoinGrant` handshake, is spliced back in at a
     /// token boundary, and resyncs its `MQ` from the granter's announced
-    /// front. A flat-ring station's walkers are re-associated by the radio
-    /// at restart, as at [`ScenarioEvent::ApRestart`]. Implemented by the
-    /// RingNet-engine backends (RingNet, tree) and the flat ring; the
-    /// static baselines ignore it.
+    /// front; a flat-ring station's walkers re-register as at
+    /// [`ScenarioEvent::ApRestart`]. Implemented by the RingNet-engine
+    /// backends (RingNet, tree) and the flat ring; the static baselines
+    /// ignore it.
     RingRejoin {
         /// When the entity comes back.
         at: SimTime,
@@ -891,15 +891,10 @@ impl ScenarioBuilder {
         self
     }
 
-    /// Full link plan, the wireless hop included: set a wireless profile
-    /// after it, never before (a debug build panics, since the plan would
-    /// silently undo it).
+    /// Full link plan, the wireless hop included: a wireless profile set
+    /// before it would be silently undone, so a debug build panics.
     pub fn links(mut self, links: LinkPlan) -> Self {
-        let radio = &self.sc.links.wireless;
-        debug_assert!(
-            *radio == LinkPlan::default().wireless,
-            "links() would replace the wireless profile set before it ({radio:?})"
-        );
+        debug_assert_eq!(self.sc.links.wireless, LinkPlan::default().wireless);
         self.sc.links = links;
         self
     }

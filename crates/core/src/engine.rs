@@ -9,7 +9,7 @@
 //!
 //! All protocol logic lives in the sans-IO state machines; the actors here
 //! only translate [`Action`]s into simulator calls and drive the timers: an
-//! NE's two periodic chains, and an MH's one pending wake at the hop tick
+//! NE's two periodic chains, and an MH's wakes at the hop ticks
 //! its state names ([`MhState::next_deadline`]). Address translation
 //! between protocol identities ([`NodeId`]/[`Guid`]) and simulator
 //! addresses ([`NodeAddr`]) goes through one immutable [`AddrMap`] shared
@@ -442,12 +442,13 @@ struct MhActor {
     initial_ap: Option<NodeId>,
     /// Where the hop-tick grid starts: tick `k` is at `origin + k · HOP_TICK`.
     origin: SimTime,
-    /// The grid index of the one pending wake.
-    wake: u64,
-    /// Generation of the pending wake, encoded into its timer tag
-    /// (`TAG_HOP | gen << 3`) as in `NeActor::timer_gen`: a superseded wake
-    /// still fires, carrying an older generation, and falls dead.
-    timer_gen: u64,
+    /// The last grid tick run.
+    ran: u64,
+    /// The pending wakes, bit `i` for grid tick `ran + 1 + i`, each timer
+    /// tagged with its tick (`TAG_HOP | tick << 3`). A wake is armed only
+    /// earlier than every pending one, so no tick is armed twice, and none
+    /// lies more than three ack periods past `ran`.
+    wakes: u64,
 }
 
 impl MhActor {
@@ -459,8 +460,8 @@ impl MhActor {
             framer: Box::default(),
             initial_ap,
             origin: SimTime::ZERO,
-            wake: 0,
-            timer_gen: 0,
+            ran: 0,
+            wakes: 0,
         }
     }
 
@@ -469,58 +470,54 @@ impl MhActor {
         self.origin + HOP_TICK * tick
     }
 
-    /// The earliest tick any live state has work at; `None` once every
-    /// state is dead, which ends the wakes.
-    fn next_deadline(&self) -> Option<u64> {
+    /// The next pending wake.
+    fn next_wake(&self) -> Option<u64> {
+        (self.wakes != 0).then(|| self.ran + 1 + u64::from(self.wakes.trailing_zeros()))
+    }
+
+    /// Arm a wake at the first grid tick after now with work for a live
+    /// state — the next tick for a gap, the next ack tick for news, else the
+    /// beacon — unless one is pending at or before it. A tick skipped
+    /// before a packet would have run before it (every link plan delivers
+    /// to an MH in under a hop tick), so it could not see what it brought.
+    fn arm(&mut self, ctx: &mut Ctx<'_, Msg, ProtoEvent>) {
+        let since = ctx.now().saturating_since(self.origin).as_nanos();
+        let next = since / HOP_TICK.as_nanos() + 1;
         let live = self.states.iter().filter(|s| s.alive);
-        live.map(MhState::next_deadline).min()
+        let Some(due) = live.map(|s| s.deadline_from(next)).min() else {
+            return;
+        };
+        if self.next_wake().is_none_or(|w| due < w) {
+            debug_assert!(due - self.ran <= 64, "a wake within 64 ticks");
+            self.wakes |= 1 << (due - self.ran - 1);
+            let delay = self.tick_time(due).saturating_since(ctx.now());
+            ctx.set_timer(delay, TAG_HOP | (due << 3));
+        }
     }
 
-    /// Arm the one pending wake at grid tick `tick`, superseding any other.
-    fn arm(&mut self, ctx: &mut Ctx<'_, Msg, ProtoEvent>, tick: u64) {
-        self.timer_gen += 1;
-        self.wake = tick;
-        let delay = self.tick_time(tick).saturating_since(ctx.now());
-        ctx.set_timer(delay, TAG_HOP | (self.timer_gen << 3));
-    }
-
-    /// Run the pending wake's tick on every live state, then arm the next
-    /// tick any of them has work at.
-    fn tick(&mut self, ctx: &mut Ctx<'_, Msg, ProtoEvent>) {
-        let tick = self.wake;
+    /// Run grid tick `tick`, the next pending wake, on every live state.
+    fn tick(&mut self, tick: u64) {
+        self.wakes = self
+            .wakes
+            .checked_shr((tick - self.ran) as u32)
+            .unwrap_or(0);
+        self.ran = tick;
         for st in &mut self.states {
             if st.alive {
                 st.tick_hop(tick, &mut self.out);
             }
         }
-        if let Some(next) = self.next_deadline() {
-            self.arm(ctx, next);
-        }
     }
 
-    /// A packet arriving at the very instant of the pending wake: in an
+    /// A packet arriving at the very instant of the next wake: in an
     /// every-tick chain that tick, armed a tick earlier, would run first,
-    /// so it does here too, sending on its own.
+    /// so it does here too, sending on its own. Its timer then finds it run.
     fn tick_if_due(&mut self, ctx: &mut Ctx<'_, Msg, ProtoEvent>) {
-        if self.tick_time(self.wake) == ctx.now() {
-            self.tick(ctx);
-            self.flush(ctx);
-        }
-    }
-
-    /// After a packet: if it opened a gap while the MH sleeps towards a
-    /// later tick, pull the wake in to the first grid tick strictly after
-    /// now. Every link plan delivers to an MH in under a hop tick, so a
-    /// tick the MH skipped would have run before this packet and seen no
-    /// gap; the first tick that can see it is the next one.
-    fn pull_in(&mut self, ctx: &mut Ctx<'_, Msg, ProtoEvent>) {
-        if !self.states.iter().any(|s| s.alive && s.chasing_gap()) {
-            return;
-        }
-        let since = ctx.now().saturating_since(self.origin).as_nanos();
-        let next = since / HOP_TICK.as_nanos() + 1;
-        if self.wake > next {
-            self.arm(ctx, next);
+        if let Some(next) = self.next_wake() {
+            if self.tick_time(next) == ctx.now() {
+                self.tick(next);
+                self.flush(ctx);
+            }
         }
     }
 
@@ -552,9 +549,7 @@ impl Actor<Msg, ProtoEvent, Harvest> for MhActor {
     fn on_start(&mut self, ctx: &mut Ctx<'_, Msg, ProtoEvent>) {
         let now = ctx.now();
         self.origin = now;
-        if let Some(first) = self.next_deadline() {
-            self.arm(ctx, first);
-        }
+        self.arm(ctx);
         if let Some(ap) = self.initial_ap {
             for st in &mut self.states {
                 st.join(now, ap, &mut self.out);
@@ -568,7 +563,7 @@ impl Actor<Msg, ProtoEvent, Harvest> for MhActor {
         let now = ctx.now();
         self.tick_if_due(ctx);
         self.deliver(now, from_ep, msg);
-        self.pull_in(ctx);
+        self.arm(ctx);
         self.flush(ctx);
     }
 
@@ -584,19 +579,19 @@ impl Actor<Msg, ProtoEvent, Harvest> for MhActor {
         for msg in msgs {
             self.deliver(now, from_ep, msg);
         }
-        self.pull_in(ctx);
+        self.arm(ctx);
         self.flush(ctx);
     }
 
-    /// The MH's one pending wake, on the hop-tick grid: a tick with work —
-    /// an ack (its liveness beacon) or a NACK budget step — never a tick
-    /// that would do nothing. A superseded wake falls dead, and once every
-    /// state is dead no wake is armed again.
+    /// An MH wake, on the hop-tick grid: a tick with work — an ack (news,
+    /// or the liveness beacon) or a NACK budget step. A tick a packet
+    /// already ran is not run again; either way the next wake is armed.
     fn on_timer(&mut self, ctx: &mut Ctx<'_, Msg, ProtoEvent>, tag: u64) {
-        if (tag >> 3) != self.timer_gen {
-            return;
+        let tick = tag >> 3;
+        if tick > self.ran {
+            self.tick(tick);
         }
-        self.tick(ctx);
+        self.arm(ctx);
         self.flush(ctx);
     }
 
@@ -1272,7 +1267,12 @@ mod tests {
     /// the instant an MH ticking every hop tick would. The script opens
     /// gaps between ack ticks, fills them, lets one run out its NACK budget,
     /// and lands packets exactly on grid instants — one sent before the
-    /// gap that pulls the wake in to that very instant. The reference is
+    /// gap that pulls the wake in to that very instant. Then it falls quiet,
+    /// so the MH sleeps to its beacons, and moves the front twice while it
+    /// sleeps towards one: early in the beacon's period (151 ms), which
+    /// pulls the wake in to the next ack tick, and late (178 ms), just
+    /// before the beacon's own tick, which then acks the news. The
+    /// reference is
     /// the state machine ticked on every grid tick, with a packet due at a
     /// tick's own instant handled after the tick, as the every-tick chain
     /// (armed a tick earlier) orders it.
@@ -1293,6 +1293,8 @@ mod tests {
             (ms(52), SimDuration::ZERO, 8),
             (ms(58), SimDuration::ZERO, 9),
             (ms(71), SimDuration::ZERO, 11), // 10 is never filled
+            (ms(151), SimDuration::ZERO, 12),
+            (ms(178), SimDuration::ZERO, 13),
         ];
         let ticks = 40u64;
         let cfg = ProtocolConfig::default();

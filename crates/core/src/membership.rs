@@ -60,13 +60,9 @@
 //!   later than probes alone would act on it; the same holds for a watched
 //!   node that dies just after its last frame. Downstreams are tracked by
 //!   last-heard times: children by their ACKs and heartbeats, MHs by their
-//!   ACKs. An MH acks when its front moves and restates an unmoved front
-//!   every second ack tick (`crate::mh`), so a live MH is heard at least
-//!   every 20 ms at the defaults, ten beacons inside the 200 ms departure
-//!   sweep (`HEARTBEAT_MISSES + 1` periods): a burst of uplink loss must
-//!   swallow all ten before a live MH is swept. A restarted AP does not
-//!   wait for them: the radio re-associates its cell, and its MHs register
-//!   again at once.
+//!   ACKs, which restate an unmoved front every 20 ms (`crate::mh`): ten
+//!   beacons inside the 200 ms departure sweep, all of which an uplink
+//!   burst must swallow before a live MH is swept.
 //! * **Ring repair**: a dead next node is bypassed using the statically
 //!   configured cycle (Remark 2), the failure is broadcast to the remaining
 //!   ring members, and — on the top ring — a Token-Loss message is handed

@@ -6,23 +6,20 @@
 //! stimulus — re-registers at the new AP announcing its own resume point so
 //! delivery continues seamlessly ("even in handoffs").
 //!
-//! The cumulative ACK follows the NEs' rule: it goes out on an
-//! `ack_every`-th hop tick when it says something. That is when the front
-//! has moved past what the current AP was last told (a new AP has been
-//! told nothing), or, as the MH's liveness beacon, when this AP has heard
-//! no ack for `2 × ack_every` ticks. So the AP hears from a live MH at
-//! least every second ack period (20 ms at the defaults, a tenth of its
-//! departure sweep) and needs no separate heartbeat. An AP that does not
-//! know the acking MH answers with [`Msg::ReRegister`]. An AP that
-//! restarts is re-associated by the radio ([`Msg::HandoffTo`] naming the
-//! current AP), and the MH registers again at once.
+//! The cumulative ACK goes out on an `ack_every`-th hop tick when it says
+//! something, as the NEs' does: when the front moved past what the current
+//! AP was told (a new AP was told nothing), or, as the MH's liveness
+//! beacon, when `2 × ack_every` ticks passed since the last ack (20 ms at
+//! the defaults). An AP that does not know the acking MH answers with
+//! [`Msg::ReRegister`]; a restarted AP's cell is re-associated by the radio
+//! ([`Msg::HandoffTo`] naming it), and the MH registers again at once.
 //!
 //! An MH has exactly two timed duties, and both sit on the hop-tick grid:
 //! NACK a gap (one step of the NACK budget per tick) and ack. So it wakes
 //! only when one is due: [`MhState::next_deadline`] names the next tick
 //! index with work — the next tick while a gap is being chased, otherwise
-//! the next ack tick — and the interpreter maps that index to a time. A
-//! tick in between would have done nothing.
+//! the tick its ack is due — and the interpreter maps that index to a
+//! time. A tick in between would have done nothing.
 
 use simnet::SimTime;
 
@@ -198,9 +195,8 @@ impl MhState {
     }
 
     /// Radio-layer stimulus: we are now under `new_ap`. Register there,
-    /// announcing our own progress so delivery resumes where it stopped. A
-    /// re-association to the current AP (it restarted) registers again and
-    /// is no handoff.
+    /// announcing our own progress so delivery resumes where it stopped (a
+    /// re-association to the current AP is no handoff).
     fn on_handoff(&mut self, _now: SimTime, new_ap: NodeId, out: &mut Outbox) {
         if self.ap != Some(new_ap) {
             self.counters.handoffs += 1;
@@ -229,15 +225,19 @@ impl MhState {
 
     /// The next hop-tick index at which this state has work: the next tick
     /// while a gap is being chased (each tick is one step of the NACK
-    /// budget), otherwise the next multiple of `ack_every`, the beacon.
+    /// budget), otherwise the tick its ack is due ([`MhState::ack_due`]).
     /// Every tick before it would find nothing to do.
     pub fn next_deadline(&self) -> u64 {
-        let last = self.hop_tick_count;
+        self.deadline_from(self.hop_tick_count + 1)
+    }
+
+    /// The first tick at or after `from` at which this state has work.
+    pub(crate) fn deadline_from(&self, from: u64) -> u64 {
         if self.chasing_gap() {
-            return last + 1;
+            from
+        } else {
+            self.ack_due(from)
         }
-        let every = u64::from(self.cfg.ack_every.max(1));
-        (last / every + 1) * every
     }
 
     /// The first ack tick at or after `from` on which the AP is owed an ack:
@@ -767,10 +767,12 @@ mod tests {
         m.on_msg(SimTime::ZERO, Endpoint::Ne(AP1), msg, out);
     }
 
-    /// With nothing to chase, an MH next has work on the next ack tick,
-    /// wherever on the grid it stands.
+    /// With nothing to chase, an MH next has work on the tick its ack is
+    /// due, wherever on the grid it stands: the next ack tick while its AP
+    /// has not been told the front, else the beacon two ack periods after
+    /// the last ack.
     #[test]
-    fn without_a_gap_the_next_deadline_is_the_next_ack_tick() {
+    fn without_a_gap_the_next_deadline_is_the_tick_the_ack_is_due() {
         let mut m = mh(); // ack_every = 2
         let mut out = Vec::new();
         m.join(SimTime::ZERO, AP1, &mut out);
@@ -778,22 +780,28 @@ mod tests {
         receive(&mut m, 1, &mut out);
         assert_eq!(m.next_deadline(), 2, "in-order delivery opens no gap");
         m.tick_hop(2, &mut out);
-        assert_eq!(m.next_deadline(), 4);
+        assert_eq!(m.next_deadline(), 6, "told: the beacon");
+        receive(&mut m, 2, &mut out);
+        assert_eq!(m.next_deadline(), 4, "moved: the next ack tick");
         m.tick_hop(4, &mut out);
-        assert_eq!(m.next_deadline(), 6);
+        assert_eq!(m.next_deadline(), 8);
+        m.tick_hop(8, &mut out);
+        assert_eq!(m.next_deadline(), 12, "restated: the next beacon");
         let cfg = ProtocolConfig {
             ack_every: 3,
             ..ProtocolConfig::default()
         };
         let mut m3 = MhState::new(G, Guid(8), cfg);
+        m3.join(SimTime::ZERO, AP1, &mut out);
         assert_eq!(m3.next_deadline(), 3);
         m3.tick_hop(3, &mut out);
-        assert_eq!(m3.next_deadline(), 6);
+        assert_eq!(m3.next_deadline(), 9);
     }
 
     /// While a gap is being chased every tick is a NACK budget step, so the
-    /// next deadline is the next tick; it falls back to the ack tick once
-    /// the gap is filled, or once its budget runs out and it is skipped.
+    /// next deadline is the next tick; it falls back to the tick the ack is
+    /// due once the gap is filled, or once its budget runs out and it is
+    /// skipped.
     #[test]
     fn while_a_gap_is_chased_the_next_deadline_is_the_next_tick() {
         let mut m = mh();
@@ -805,9 +813,9 @@ mod tests {
         m.tick_hop(3, &mut out);
         assert_eq!(m.next_deadline(), 4);
         receive(&mut m, 1, &mut out);
-        assert_eq!(m.next_deadline(), 4, "filled: back to the ack tick");
+        assert_eq!(m.next_deadline(), 4, "filled: the front moved");
         m.tick_hop(4, &mut out);
-        assert_eq!(m.next_deadline(), 6);
+        assert_eq!(m.next_deadline(), 8, "told: the beacon");
 
         let cfg = ProtocolConfig::default().with_nack_budget(1);
         let mut m = MhState::new(G, Guid(9), cfg);
@@ -818,7 +826,7 @@ mod tests {
         assert_eq!(m.next_deadline(), 2);
         m.tick_hop(2, &mut out); // budget spent: GSN 1 skipped, 2 delivered
         assert_eq!(m.counters.skipped, 1);
-        assert_eq!(m.next_deadline(), 4, "skipped: back to the ack tick");
+        assert_eq!(m.next_deadline(), 4, "skipped: the front moved");
     }
 
     #[test]

@@ -65,9 +65,8 @@ pub enum Msg {
     /// since a front past GSN *g* has every pre-order ordered at or below
     /// *g* behind it. An NE sends it when its front has moved, and restates
     /// an unchanged front once per heartbeat period of silence. An MH sends
-    /// it on an ack tick when its front has moved past what its AP was told
-    /// (a new AP was told nothing), and restates an unchanged front every
-    /// second ack tick as its liveness beacon.
+    /// it when its front moved past what its AP was told, and restates an
+    /// unchanged front every second ack tick as its liveness beacon.
     DataAck {
         /// Group.
         group: GroupId,
@@ -228,10 +227,8 @@ pub enum Msg {
         guid: Guid,
     },
     /// Radio-layer stimulus to an MH: you are now under `new_ap`
-    /// (injected by the mobility scenario, not sent by any entity). Also
-    /// the radio's re-association of a restarted attachment's cell, where
-    /// `new_ap` is the MH's current AP: the MH registers again, and counts
-    /// no handoff.
+    /// (injected by the mobility scenario, not sent by any entity); naming
+    /// the current AP, the re-association of a restarted AP's cell.
     HandoffTo {
         /// Group.
         group: GroupId,
@@ -268,11 +265,9 @@ pub enum Msg {
         start_from: GlobalSeq,
     },
     /// AP → MH: "I do not know you — register again." The answer to a
-    /// [`Msg::DataAck`] from an MH missing from the AP's `WT`: when the
-    /// original registration was lost on the wireless hop (the first ack
-    /// tick after a handoff always acks, so it draws this at once), or when
-    /// a registration after an AP crash-restart was (the radio
-    /// re-associates the cell at the restart). The MH answers with
+    /// [`Msg::DataAck`] from an MH missing from the AP's `WT`: when its
+    /// registration, after a handoff or an AP crash-restart, was lost on
+    /// the wireless hop. The MH answers with
     /// [`Msg::HandoffRegister`] carrying its resume point, which is
     /// idempotent on the AP side.
     ReRegister {

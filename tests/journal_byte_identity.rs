@@ -590,9 +590,15 @@ const fn loss_free(events: u64, sent: u64, delivered: u64, timers: u64) -> SimSt
 /// 240 fewer packets sent and 232 fewer delivered, and 232 fewer events,
 /// the `DataAck`s that restated an unmoved front (were 39 226 events,
 /// 44 403 sent and 44 362 delivered; 72 386, 87 164 and 87 122).
+///
+/// Both were regenerated on purpose when an MH came to sleep to the tick
+/// its ack is due, the beacon when its front has not moved, instead of
+/// waking on every ack tick: 240 fewer timers fired in each, and the 240
+/// events that fired them (were 38 994 and 72 154 events, 4 464 timers).
+/// The packets and every digest are unedited.
 const GOLDEN_MULTIGROUP_SIM_STATS: &[(&str, SimStats)] = &[
-    ("rings8", loss_free(38_994, 44_163, 44_130, 4_464)),
-    ("fence_overlap_4", loss_free(72_154, 86_924, 86_890, 4_464)),
+    ("rings8", loss_free(38_754, 44_163, 44_130, 4_224)),
+    ("fence_overlap_4", loss_free(71_914, 86_924, 86_890, 4_224)),
 ];
 
 fn pinned_stats(name: &str) -> SimStats {
