@@ -484,7 +484,7 @@ impl MhActor {
         let since = ctx.now().saturating_since(self.origin).as_nanos();
         let next = since / HOP_TICK.as_nanos() + 1;
         let live = self.states.iter().filter(|s| s.alive);
-        let Some(due) = live.map(|s| s.deadline_from(next)).min() else {
+        let Some(due) = live.map(|s| s.next_deadline(next)).min() else {
             return;
         };
         if self.next_wake().is_none_or(|w| due < w) {

@@ -219,20 +219,15 @@ impl MhState {
 
     /// Whether a gap is being chased: something above the front arrived
     /// while the slot after it did not.
-    pub(crate) fn chasing_gap(&self) -> bool {
+    fn chasing_gap(&self) -> bool {
         self.mq.rear() > self.mq.front()
     }
 
-    /// The next hop-tick index at which this state has work: the next tick
-    /// while a gap is being chased (each tick is one step of the NACK
-    /// budget), otherwise the tick its ack is due ([`MhState::ack_due`]).
-    /// Every tick before it would find nothing to do.
-    pub fn next_deadline(&self) -> u64 {
-        self.deadline_from(self.hop_tick_count + 1)
-    }
-
-    /// The first tick at or after `from` at which this state has work.
-    pub(crate) fn deadline_from(&self, from: u64) -> u64 {
+    /// The first hop-tick index at or after `from` at which this state has
+    /// work: `from` while a gap is being chased (each tick is one step of
+    /// the NACK budget), otherwise the tick its ack is due. Every tick
+    /// before it would find nothing to do.
+    pub fn next_deadline(&self, from: u64) -> u64 {
         if self.chasing_gap() {
             from
         } else {
@@ -243,7 +238,7 @@ impl MhState {
     /// The first ack tick at or after `from` on which the AP is owed an ack:
     /// the next ack tick while the current AP has not been told the front,
     /// otherwise the beacon, `2 × ack_every` ticks after the last ack.
-    pub(crate) fn ack_due(&self, from: u64) -> u64 {
+    fn ack_due(&self, from: u64) -> u64 {
         let every = u64::from(self.cfg.ack_every.max(1));
         let next = from.div_ceil(every) * every;
         let unmoved = |t: &Told<u64>| Some(t.to) == self.ap && t.upto >= self.mq.front();
@@ -767,6 +762,11 @@ mod tests {
         m.on_msg(SimTime::ZERO, Endpoint::Ne(AP1), msg, out);
     }
 
+    /// The next deadline after the last tick run.
+    fn due(m: &MhState) -> u64 {
+        m.next_deadline(m.hop_tick_count + 1)
+    }
+
     /// With nothing to chase, an MH next has work on the tick its ack is
     /// due, wherever on the grid it stands: the next ack tick while its AP
     /// has not been told the front, else the beacon two ack periods after
@@ -776,26 +776,26 @@ mod tests {
         let mut m = mh(); // ack_every = 2
         let mut out = Vec::new();
         m.join(SimTime::ZERO, AP1, &mut out);
-        assert_eq!(m.next_deadline(), 2, "a fresh MH sleeps to its first ack");
+        assert_eq!(due(&m), 2, "a fresh MH sleeps to its first ack");
         receive(&mut m, 1, &mut out);
-        assert_eq!(m.next_deadline(), 2, "in-order delivery opens no gap");
+        assert_eq!(due(&m), 2, "in-order delivery opens no gap");
         m.tick_hop(2, &mut out);
-        assert_eq!(m.next_deadline(), 6, "told: the beacon");
+        assert_eq!(due(&m), 6, "told: the beacon");
         receive(&mut m, 2, &mut out);
-        assert_eq!(m.next_deadline(), 4, "moved: the next ack tick");
+        assert_eq!(due(&m), 4, "moved: the next ack tick");
         m.tick_hop(4, &mut out);
-        assert_eq!(m.next_deadline(), 8);
+        assert_eq!(due(&m), 8);
         m.tick_hop(8, &mut out);
-        assert_eq!(m.next_deadline(), 12, "restated: the next beacon");
+        assert_eq!(due(&m), 12, "restated: the next beacon");
         let cfg = ProtocolConfig {
             ack_every: 3,
             ..ProtocolConfig::default()
         };
         let mut m3 = MhState::new(G, Guid(8), cfg);
         m3.join(SimTime::ZERO, AP1, &mut out);
-        assert_eq!(m3.next_deadline(), 3);
+        assert_eq!(due(&m3), 3);
         m3.tick_hop(3, &mut out);
-        assert_eq!(m3.next_deadline(), 9);
+        assert_eq!(due(&m3), 9);
     }
 
     /// While a gap is being chased every tick is a NACK budget step, so the
@@ -809,24 +809,24 @@ mod tests {
         m.join(SimTime::ZERO, AP1, &mut out);
         m.tick_hop(2, &mut out);
         receive(&mut m, 2, &mut out); // GSN 1 missing
-        assert_eq!(m.next_deadline(), 3, "an odd tick, not an ack tick");
+        assert_eq!(due(&m), 3, "an odd tick, not an ack tick");
         m.tick_hop(3, &mut out);
-        assert_eq!(m.next_deadline(), 4);
+        assert_eq!(due(&m), 4);
         receive(&mut m, 1, &mut out);
-        assert_eq!(m.next_deadline(), 4, "filled: the front moved");
+        assert_eq!(due(&m), 4, "filled: the front moved");
         m.tick_hop(4, &mut out);
-        assert_eq!(m.next_deadline(), 8, "told: the beacon");
+        assert_eq!(due(&m), 8, "told: the beacon");
 
         let cfg = ProtocolConfig::default().with_nack_budget(1);
         let mut m = MhState::new(G, Guid(9), cfg);
         m.join(SimTime::ZERO, AP1, &mut out);
         receive(&mut m, 2, &mut out);
-        assert_eq!(m.next_deadline(), 1);
+        assert_eq!(due(&m), 1);
         m.tick_hop(1, &mut out); // the one NACK
-        assert_eq!(m.next_deadline(), 2);
+        assert_eq!(due(&m), 2);
         m.tick_hop(2, &mut out); // budget spent: GSN 1 skipped, 2 delivered
         assert_eq!(m.counters.skipped, 1);
-        assert_eq!(m.next_deadline(), 4, "skipped: the front moved");
+        assert_eq!(due(&m), 4, "skipped: the front moved");
     }
 
     #[test]
