@@ -354,6 +354,9 @@ fn quiet_world_fires_two_timer_chains_per_ne_and_one_ack_wake_per_mh() {
         (mhs * beacons..=mhs * (beacons + messages)).contains(&mh_wakes),
         "{mhs} MHs woke {mh_wakes} times"
     );
+    // Exactly: 9 MHs × 50 beacons, and 12 acks that deliveries early in a
+    // beacon's period pulled in (one late in it is acked on the beacon).
+    assert_eq!((mhs, mh_wakes), (9, 9 * beacons + 12));
     assert_eq!(
         count(&journal, |e| matches!(e, ProtoEvent::Ordered { .. })) as u64,
         messages
