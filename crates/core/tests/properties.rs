@@ -557,42 +557,45 @@ fn spec_layouts() -> Vec<(&'static str, Vec<ringnet_core::HierarchySpec>)> {
 /// All 31 were re-pinned, with no layout changed, on the last code whose
 /// link profiles had a `bandwidth` field (every one `Unlimited`), from
 /// their text with that field stripped; deleting the field left them
-/// standing. The older values quoted below are of the text with the field
-/// in.
+/// standing. All 31 were re-pinned again, with no layout changed, on the
+/// last code whose `HierarchySpec` had no `order_at_entry` field, from
+/// their text with `order_at_entry: false` spliced in before `cfg`, where
+/// the field sits. The older values quoted below are of the text before
+/// the splice.
 const SPEC_DIGESTS: &[(&str, u64)] = &[
-    ("harness t2::measure, r = 2, 4, 8", 0xb422942f318cc78a),
-    ("harness t3::run, λ = 100, 500, 1000", 0x7f5bf82c876842ef),
-    ("harness e3::measure", 0xb73fecc96c430f6f),
-    ("harness e5::measure, (quick, loss, budget)", 0x9fbea8171daf8dc1),
-    ("harness a1::measure, ack_every = 1, 4, 8, 16", 0x5df7df15ef14d29d),
-    ("figure1: harness f1, tests/integration.rs invalid_spec_is_rejected, hierarchy.rs tests (also the builder defaults)", 0xeb3025b6717f2ccf),
-    ("src/lib.rs doctest", 0xe1cdbd3c5505512c),
-    ("engine.rs tests::small_spec", 0x0c4eba5aaf9e2a1f),
-    ("hierarchy.rs tests::builder_produces_valid_spec", 0x7732cab0ef017951),
-    ("hierarchy.rs tests::entities_run_tier_by_tier_and_wiring_draws_the_link_plan", 0x11c4d45315248475),
-    ("hierarchy.rs tests::validation_rejects_unrunnable_traffic", 0xb43b6e90790c42a3),
-    ("hierarchy.rs tests::neighbours_form_a_chain", 0xa7b7a0ad21863fd3),
-    ("properties.rs total_order_never_violated", 0xce2f832ac207f990),
-    ("engine_scenarios.rs poisson_traffic_is_fully_ordered_and_delivered", 0xc5445611668937a2),
-    ("engine_scenarios.rs ap_failure_orphans_then_handoff_rescues", 0x436a67eac8f9ae68),
-    ("engine_scenarios.rs bursty_channel_with_budget_keeps_ratio_high", 0x847fafa08bca02d2),
-    ("engine_scenarios.rs a_lost_last_message_is_never_repaired", 0x9f9d28f444d81e9b),
-    ("engine_scenarios.rs quiet_world_fires_two_timer_chains_per_ne_and_one_ack_wake_per_mh", 0x1829f5c5bb478d99),
-    ("engine_scenarios.rs reservation_expires_and_ap_prunes_itself", 0x0fb52419a762d892),
-    ("engine_scenarios.rs killing_an_mh_stops_its_acks_and_frees_it", 0xb6569379a65ae98f),
-    ("engine_scenarios.rs idle_mhs_are_kept_alive_by_their_acks_alone, 1 and 2 MHs per AP", 0x52a72fc49f0f54a1),
-    ("engine_scenarios.rs an_amnesiac_ap_relearns_its_mhs_within_a_wireless_round_trip", 0x0b910d9ad4a0f989),
-    ("engine_scenarios.rs station_shaped_spec_delivers_in_order (before the edit)", 0xd57d562b072ed7e6),
-    ("engine_scenarios.rs ring_cut_at_a_heartbeat_tick_is_repaired_on_the_probe_schedule", 0xe0c476cbc6163dc8),
-    ("engine_scenarios.rs zero_mh_network_runs_clean", 0x6799edbbaef94c32),
-    ("engine_scenarios.rs lost_frame_of_cumulative_acks_is_repaired_by_the_next_frame", 0x0a6447dc60032a80),
-    ("engine_scenarios.rs figure1_latency_is_token_wait_plus_link_delays_exactly", 0x121b4c55f11276ea),
-    ("driver ringnet_spec: ScenarioBuilder::figure1 (quickstart, README, integration)", 0xeb3025b6717f2ccf),
-    ("driver ringnet_spec: CoreShape::Hierarchy (E1, E4, E8, T1, integration, examples)", 0x601f56f17228194a),
+    ("harness t2::measure, r = 2, 4, 8", 0x63ee7ead23e81d56),
+    ("harness t3::run, λ = 100, 500, 1000", 0x155aef35162160df),
+    ("harness e3::measure", 0x0f7898ad8acbd257),
+    ("harness e5::measure, (quick, loss, budget)", 0xae5465cc748f4091),
+    ("harness a1::measure, ack_every = 1, 4, 8, 16", 0x7598c0d793bc73e3),
+    ("figure1: harness f1, tests/integration.rs invalid_spec_is_rejected, hierarchy.rs tests (also the builder defaults)", 0x1dedbfedc24e9c47),
+    ("src/lib.rs doctest", 0x59d7f42234e6dbb4),
+    ("engine.rs tests::small_spec", 0xfdec5dafecf6f847),
+    ("hierarchy.rs tests::builder_produces_valid_spec", 0xaea00ebfd45406e9),
+    ("hierarchy.rs tests::entities_run_tier_by_tier_and_wiring_draws_the_link_plan", 0xa552be18d4092b6d),
+    ("hierarchy.rs tests::validation_rejects_unrunnable_traffic", 0xbeab3cbbeae8c969),
+    ("hierarchy.rs tests::neighbours_form_a_chain", 0xe7cf131d6cc4181b),
+    ("properties.rs total_order_never_violated", 0x00a3d4669afe7576),
+    ("engine_scenarios.rs poisson_traffic_is_fully_ordered_and_delivered", 0xe01afd5447a8d26a),
+    ("engine_scenarios.rs ap_failure_orphans_then_handoff_rescues", 0xb8a930c6a99bb2e0),
+    ("engine_scenarios.rs bursty_channel_with_budget_keeps_ratio_high", 0xc28d91ee5ae3c74a),
+    ("engine_scenarios.rs a_lost_last_message_is_never_repaired", 0x375affc6364c8b93),
+    ("engine_scenarios.rs quiet_world_fires_two_timer_chains_per_ne_and_one_ack_wake_per_mh", 0xead779b379d35b51),
+    ("engine_scenarios.rs reservation_expires_and_ap_prunes_itself", 0x0c2cefb29c65773a),
+    ("engine_scenarios.rs killing_an_mh_stops_its_acks_and_frees_it", 0xbc65b3ae3da43167),
+    ("engine_scenarios.rs idle_mhs_are_kept_alive_by_their_acks_alone, 1 and 2 MHs per AP", 0x016f299e47ea4da1),
+    ("engine_scenarios.rs an_amnesiac_ap_relearns_its_mhs_within_a_wireless_round_trip", 0x4a3a9b2486ce52a1),
+    ("engine_scenarios.rs station_shaped_spec_delivers_in_order (before the edit)", 0xf66120b82b50bc3e),
+    ("engine_scenarios.rs ring_cut_at_a_heartbeat_tick_is_repaired_on_the_probe_schedule", 0xc1a1cd6d23f3bab0),
+    ("engine_scenarios.rs zero_mh_network_runs_clean", 0x5344ac70819fe25a),
+    ("engine_scenarios.rs lost_frame_of_cumulative_acks_is_repaired_by_the_next_frame", 0x01b3d7dbddd5d218),
+    ("engine_scenarios.rs figure1_latency_is_token_wait_plus_link_delays_exactly", 0x100677e343dba052),
+    ("driver ringnet_spec: ScenarioBuilder::figure1 (quickstart, README, integration)", 0x1dedbfedc24e9c47),
+    ("driver ringnet_spec: CoreShape::Hierarchy (E1, E4, E8, T1, integration, examples)", 0x077ec28a1a6b02f0),
     // Moved on purpose when AG_RING_CAP went from 11 to 4 (was
     // 0xda2ebe15b6d8347e): the 8 AGs form 2 rings of 4, ring i listing
     // BR i mod 2 first, in place of one ring of 8.
-    ("driver ringnet_spec: CoreShape::Auto, 8×4 grid (campus_128's shape)", 0xd98c3f472032e364),
+    ("driver ringnet_spec: CoreShape::Auto, 8×4 grid (campus_128's shape)", 0xa901e3b005e6d51c),
     // Moved on purpose when the automatic layout split more than
     // AG_RING_CAP AGs into balanced rings (was 0x8b01097c5f6ca2e9): the
     // 64 AGs form 4 rings of 16, ring i listing BR i mod 2 first, in place
@@ -601,14 +604,20 @@ const SPEC_DIGESTS: &[(&str, u64)] = &[
     // 6 rings of 11, 11, 11, 11, 10 and 10 AGs, ring i listing BR i mod 2
     // first. Moved again when AG_RING_CAP went from 11 to 4 (was
     // 0x9434f5acb47c4805): 16 rings of 4.
-    ("driver ringnet_spec: CoreShape::Auto, 16×16 grid (metro_1k's shape)", 0x42f23a60ac059dc5),
+    ("driver ringnet_spec: CoreShape::Auto, 16×16 grid (metro_1k's shape)", 0x6075129f9e763cdd),
 ];
 
 #[test]
 fn every_regular_hierarchy_lays_out_as_pinned() {
     let got: Vec<(&str, u64)> = spec_layouts()
         .into_iter()
-        .map(|(site, specs)| (site, fnv1a(&format!("{specs:?}"))))
+        .map(|(site, specs)| {
+            let text = format!("{specs:?}").replace(
+                ", cfg: ProtocolConfig {",
+                ", order_at_entry: false, cfg: ProtocolConfig {",
+            );
+            (site, fnv1a(&text))
+        })
         .collect();
     assert_eq!(got, SPEC_DIGESTS);
 }

@@ -10,7 +10,7 @@
 use std::collections::BTreeMap;
 
 use ringnet_repro::baselines::UnorderedSim;
-use ringnet_repro::core::driver::{MulticastSim, RunReport, ScenarioBuilder};
+use ringnet_repro::core::driver::{CoreShape, MulticastSim, RunReport, Scenario, ScenarioBuilder};
 use ringnet_repro::core::hierarchy::LinkPlan;
 use ringnet_repro::core::ProtoEvent;
 use ringnet_repro::simnet::{LinkProfile, SimDuration, SimTime};
@@ -90,4 +90,82 @@ fn unordered_latency_follows_br_ag_ag_ap_and_source_links() {
     let (p50, first) = lengthened(|l| &mut l.source);
     assert_eq!(p50, base_p50, "the source link precedes SourceSend");
     assert_eq!(first, base_first + delta, "links.source feeds the tree");
+}
+
+/// T1's and E4's world: 4 BRs over 2 rings × 2 AGs, one walker per
+/// attachment, `s` CBR sources of 100 msg/s from 200 ms, loss-free.
+fn theorem_world(s: usize) -> Scenario {
+    ScenarioBuilder::new()
+        .shape(CoreShape::Hierarchy {
+            brs: 4,
+            rings: 2,
+            ags_per_ring: 2,
+        })
+        .attachments(4)
+        .walkers_per_attachment(1)
+        .sources(s)
+        .cbr(SimDuration::from_millis(10))
+        .window(SimTime::from_millis(200), None)
+        .loss_free_wireless()
+        .duration(SimTime::from_secs(1))
+        .build()
+}
+
+/// The slowest delivery of each `(walker, source)` pair.
+fn slowest_per_walker_and_source(report: &RunReport) -> BTreeMap<(u32, u32), SimDuration> {
+    let mut sent = BTreeMap::new();
+    let mut slowest = BTreeMap::new();
+    for &(t, ref e) in &report.journal {
+        match *e {
+            ProtoEvent::SourceSend { source, local_seq } => {
+                sent.insert((source, local_seq), t);
+            }
+            ProtoEvent::MhDeliver {
+                mh,
+                source,
+                local_seq,
+                ..
+            } => {
+                let latency = t.saturating_since(sent[&(source, local_seq)]);
+                let worst = slowest.entry((mh.0, source.0)).or_insert(latency);
+                *worst = latency.max(*worst);
+            }
+            _ => {}
+        }
+    }
+    slowest
+}
+
+/// Per source count `s` and source, walkers 0–3's slowest delivery in ms.
+/// Each is the sum of the tree path's link delays from the source's BR:
+/// BR → AG leader 3, along the AG ring 2, AG → AP 1, the radio 2, and 5
+/// per top-ring hop.
+const PATH_LATENCY_MS: &[(usize, u32, [u64; 4])] = &[
+    (1, 0, [6, 8, 11, 13]),
+    (2, 0, [6, 8, 11, 13]),
+    (2, 1, [21, 23, 6, 8]),
+    (4, 0, [6, 8, 11, 13]),
+    (4, 1, [21, 23, 6, 8]),
+    (4, 2, [16, 18, 21, 23]),
+    (4, 3, [11, 13, 16, 18]),
+];
+
+/// The comparator's latency oracle: on the world T1 and E4 run, every
+/// walker hears every source at exactly its tree path's latency.
+#[test]
+fn each_walker_hears_each_source_at_its_tree_path_latency() {
+    let mut got = Vec::new();
+    for s in [1, 2, 4] {
+        let slowest =
+            slowest_per_walker_and_source(&UnorderedSim::run_scenario(&theorem_world(s), 3));
+        for source in 0..s as u32 {
+            let ms = |w: u32| {
+                let latency = slowest[&(w, source)];
+                assert_eq!(latency.as_nanos() % 1_000_000, 0, "whole ms: {latency}");
+                latency.as_nanos() / 1_000_000
+            };
+            got.push((s, source, [ms(0), ms(1), ms(2), ms(3)]));
+        }
+    }
+    assert_eq!(got, PATH_LATENCY_MS);
 }
