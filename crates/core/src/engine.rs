@@ -483,6 +483,9 @@ impl MhActor {
     fn arm(&mut self, ctx: &mut Ctx<'_, Msg, ProtoEvent>) {
         let since = ctx.now().saturating_since(self.origin).as_nanos();
         let next = since / HOP_TICK.as_nanos() + 1;
+        if self.next_wake() == Some(next) {
+            return; // no deadline falls before the first tick after now
+        }
         let live = self.states.iter().filter(|s| s.alive);
         let Some(due) = live.map(|s| s.next_deadline(next)).min() else {
             return;
