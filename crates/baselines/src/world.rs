@@ -1,8 +1,8 @@
-//! The [`World`] skeleton of the three baselines that speak their own
-//! message type (tunnel, RelM, unordered) — a simulator whose actors stop
-//! into the engine's [`Harvest`], and the scenario's [`Reporting`] over the
-//! wired core — and the [`Star`] assembly of the two single-ingest ones,
-//! whose one traffic [`Source`] is the engine's too.
+//! The [`World`] skeleton of the two baselines that speak their own
+//! message type (tunnel, RelM) — a simulator whose actors stop into the
+//! engine's [`Harvest`], and the scenario's [`Reporting`] over the wired
+//! core — and the [`Star`] assembly both are built on, whose one traffic
+//! [`Source`] is the engine's too.
 
 use std::collections::BTreeSet;
 use std::rc::Rc;
@@ -12,7 +12,7 @@ use ringnet_core::engine::Source;
 use ringnet_core::hierarchy::{SourceSpec, TrafficPattern};
 use ringnet_core::metrics::Harvest;
 use ringnet_core::{Guid, NodeId, ProtoEvent};
-use simnet::{Actor, Journal, LinkProfile, NodeAddr, Sim, SimTime};
+use simnet::{Actor, LinkProfile, NodeAddr, Sim, SimTime};
 
 /// An actor of a world speaking `M`.
 pub(crate) type BoxedActor<M> = Box<dyn Actor<M, ProtoEvent, Harvest>>;
@@ -40,10 +40,6 @@ impl<M: Clone + 'static> World<M> {
 
     pub fn run_until(&mut self, t: SimTime) {
         self.sim.run_until(t);
-    }
-
-    pub fn journal_mut(&mut self) -> &mut Journal<ProtoEvent> {
-        &mut self.sim.world().journal
     }
 
     /// Stop the simulator, which harvests every actor's end-of-run

@@ -442,6 +442,16 @@ fn pinned_reports() -> Vec<(String, AuditReport)> {
 /// 8, `quick_7/ringnet` (`0xcd094f28c6203b56`) 900 / 3 → 896 / 7 and
 /// `quick_7/flat_ring` (`0xbf64311ddc54c730`) 1 038 / 0 → 1 036 / 2. The
 /// lossy quick seeds 4 and 5 and every loss-free world keep their reports.
+///
+/// Three were regenerated on purpose when the unordered comparator came
+/// to run on the RingNet engine, each with its deliveries: `quick_0`
+/// (was `0x90a8fb3fedfa2a7e`) 3 678 → 3 681, `quick_5`
+/// (`0x392f600d80ecf5c6`) 765 → 764 and `quick_7` (`0x9b42c0d214f35eb9`)
+/// 1 033 → 1 032. These are the worlds with a lossy radio: the engine's
+/// MHs ack and NACK on the engine's schedule, not the old comparator's,
+/// and their APs repair on it, so each radio link's per-packet loss draws
+/// fall on other packets and other messages end up lost for good. No violation either way; the
+/// comparator's skips are not audited (no GSN checks).
 const AUDIT_DIGESTS: &[(&str, u64)] = &[
     ("mutation/clean", 0x600a3739ec7b607f),
     ("mutation/swapped_gsns", 0x2bd90b057eee2a0c),
@@ -465,7 +475,7 @@ const AUDIT_DIGESTS: &[(&str, u64)] = &[
     ("quick_0/tree", 0x51d91892b58330c5),
     ("quick_0/relm", 0x6b1c490d7b23ea45),
     ("quick_0/tunnel", 0xc7c27dd7ca0b0552),
-    ("quick_0/unordered", 0x90a8fb3fedfa2a7e),
+    ("quick_0/unordered", 0xbb96ec29e72e5eee),
     ("quick_1/ringnet", 0x1f59d09be8eb6d67),
     ("quick_1/flat_ring", 0x4de7252d9a73d00e),
     ("quick_1/tree", 0x5702dff907ba3747),
@@ -495,7 +505,7 @@ const AUDIT_DIGESTS: &[(&str, u64)] = &[
     ("quick_5/tree", 0x905d0d38654a61f3),
     ("quick_5/relm", 0x97e3c3519db78cd3),
     ("quick_5/tunnel", 0x87a720dc18221bd0),
-    ("quick_5/unordered", 0x392f600d80ecf5c6),
+    ("quick_5/unordered", 0x0db2e961809b8ffd),
     ("quick_6/ringnet", 0x47c694f9c2491827),
     ("quick_6/flat_ring", 0xcecea406e089b92e),
     ("quick_6/tree", 0x47c694f9c2491827),
@@ -507,7 +517,7 @@ const AUDIT_DIGESTS: &[(&str, u64)] = &[
     ("quick_7/tree", 0xc5f2a937e174a319),
     ("quick_7/relm", 0xbf64311ddc54c730),
     ("quick_7/tunnel", 0xb5dd40acdd637154),
-    ("quick_7/unordered", 0x9b42c0d214f35eb9),
+    ("quick_7/unordered", 0xc19fbc27b3c8b926),
 ];
 
 #[test]

@@ -44,7 +44,9 @@
 use simnet::{LinkProfile, SimDuration, SimTime};
 
 use crate::config::HOP_TICK;
-pub use crate::hierarchy::{degenerate_tree_spec, flat_ring_spec, hierarchy_core, ringnet_spec};
+pub use crate::hierarchy::{
+    degenerate_tree_spec, flat_ring_spec, hierarchy_core, ringnet_spec, unordered_spec,
+};
 use crate::hierarchy::{LinkPlan, TrafficPattern};
 use crate::ids::GroupId;
 pub use crate::metrics::{Reporting, RunMetrics, RunReport};

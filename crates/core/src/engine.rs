@@ -27,7 +27,7 @@ use crate::driver::{
 };
 use crate::events::ProtoEvent;
 use crate::hierarchy::{
-    attachment_entity, spec_core_order, Entity, HierarchySpec, SourceSpec, TrafficPattern,
+    attachment_entity, spec_core_order, Entity, HierarchySpec, LinkPlan, SourceSpec, TrafficPattern,
 };
 use crate::ids::{Endpoint, GlobalSeq, GroupId, Guid, LocalSeq, NodeId, PayloadId};
 use crate::metrics::Harvest;
@@ -673,35 +673,17 @@ fn assemble(spec: &HierarchySpec, sim: &mut Sim<Msg, ProtoEvent, Harvest>) -> Rc
     // home (lowest) group's funnel hosting the global fence sequencer.
     let cfg = &spec.cfg;
     let groups = spec.effective_groups();
-    let multi = groups.len() > 1;
     let funnels = spec.funnels();
     let home = groups[0];
-    // Station shape: the top ring is the whole deployment, so its members
-    // are hybrid stations that also serve MHs.
-    let stations = spec.is_station_shape();
     let ne_actor = |states: Vec<NeState>, originate: Vec<bool>| {
         Box::new(NeActor::new(states, Rc::clone(&map), originate))
     };
     for (i, entity) in spec.entities().enumerate() {
         let actor: Box<dyn Actor<Msg, ProtoEvent, Harvest>> = match entity {
             Entity::Br(br) => {
-                let mut states = Vec::with_capacity(groups.len());
-                for &(g, _) in &funnels {
-                    let ring = spec.top_ring.clone();
-                    let mut st = if stations {
-                        NeState::new_flat_station(g, br, ring, cfg.clone())
-                    } else {
-                        NeState::new_br(g, br, ring, true, cfg.clone())
-                    };
-                    st.size_waits_over(&spec.links);
-                    if multi {
-                        st.cross_fence =
-                            Some(crate::fence::CrossGroupFence::new(g, funnels.clone()));
-                    }
-                    states.push(st);
-                }
+                let states = funnels.iter().map(|&f| br_state(spec, br, f, &funnels));
                 let originate = funnels.iter().map(|&(_, origin)| origin == br).collect();
-                ne_actor(states, originate)
+                ne_actor(states.collect(), originate)
             }
             Entity::Ag(ag, ring) => {
                 // Each group's tree is rooted where its GSNs are assigned:
@@ -781,6 +763,47 @@ fn assemble(spec: &HierarchySpec, sim: &mut Sim<Msg, ProtoEvent, Harvest>) -> Rc
     sim.world().reserve_events(spec.entities().count() * 8);
 
     map
+}
+
+/// BR `br`'s state for group `g`, whose token starts at `funnel`, in a
+/// world whose groups start theirs at `funnels`. A group ordered at entry
+/// ([`HierarchySpec::order_at_entry`]) is ordered on a ring of one at its
+/// funnel, the entry BR, and relayed by every other BR as a ring of one
+/// hanging from it, whose probes wait on the top-ring link they cross.
+fn br_state(
+    spec: &HierarchySpec,
+    br: NodeId,
+    (g, funnel): (GroupId, NodeId),
+    funnels: &[(GroupId, NodeId)],
+) -> NeState {
+    let cfg = spec.cfg.clone();
+    if spec.order_at_entry && br != funnel {
+        let mut relay = NeState::new_ag(g, br, vec![br], vec![funnel], cfg);
+        let links = LinkPlan {
+            br_ag: spec.links.top_ring.clone(),
+            ..spec.links.clone()
+        };
+        relay.size_waits_over(&links);
+        return relay;
+    }
+    let ring = if spec.order_at_entry {
+        vec![br]
+    } else {
+        spec.top_ring.clone()
+    };
+    // Station shape: the top ring is the whole deployment, so its members
+    // are hybrid stations that also serve MHs.
+    let mut st = if spec.is_station_shape() {
+        NeState::new_flat_station(g, br, ring, cfg)
+    } else {
+        NeState::new_br(g, br, ring, true, cfg)
+    };
+    st.size_waits_over(&spec.links);
+    st.number_on_arrival = spec.order_at_entry;
+    if funnels.len() > 1 {
+        st.cross_fence = Some(crate::fence::CrossGroupFence::new(g, funnels.to_vec()));
+    }
+    st
 }
 
 // ------------------------------------------------------------- the engine
@@ -1160,6 +1183,28 @@ mod tests {
         }
         assert!(links > 20, "{links} links");
         assert!(slots.len() <= 6, "{} profiles interned", slots.len());
+    }
+
+    /// A relay BR of a group ordered at entry hangs from the entry BR over
+    /// a top-ring link, so it confirms probes to it on that link's round
+    /// trip, not a BR–AG link's; the entry BR orders on a ring of one.
+    #[test]
+    fn a_relays_confirm_window_comes_from_the_top_ring_link() {
+        let mut sc = small();
+        sc.links.top_ring = LinkProfile::wired(SimDuration::from_millis(9));
+        let spec = crate::driver::unordered_spec(&sc);
+        let funnels = spec.funnels();
+        let (g1, entry) = funnels[1];
+        assert_eq!(entry, NodeId(1), "source 1's BR");
+        let relay = br_state(&spec, NodeId(0), funnels[1], &funnels);
+        assert_eq!((relay.group, relay.parent_candidates), (g1, vec![entry]));
+        let over =
+            |link: &LinkProfile| crate::config::probe_confirm_after(link.latency.max_delay());
+        assert_eq!(relay.parent_confirm_after, over(&spec.links.top_ring));
+        assert_ne!(relay.parent_confirm_after, over(&spec.links.br_ag));
+        let orderer = br_state(&spec, entry, funnels[1], &funnels);
+        assert!(orderer.is_top_ring() && orderer.number_on_arrival);
+        assert_eq!(orderer.ring.map(|r| r.order), Some(vec![entry]));
     }
 
     #[test]

@@ -189,6 +189,14 @@ pub struct HierarchySpec {
     /// per group over the same physical top-ring nodes and wires the
     /// cross-group fence ([`crate::fence`]) on every top-ring state.
     pub groups: Vec<GroupId>,
+    /// Order each group where its one source enters, with no token ring:
+    /// the group's ordering state is a ring of one at its source's BR,
+    /// which numbers each message on arrival, and every other BR relays
+    /// the group's stream one top-ring hop down from there. Each source's
+    /// stream is then its own group, delivered in per-source FIFO order
+    /// with no ordering wait — the comparator without total order of
+    /// Theorem 5.1 ([`unordered_spec`]). False in every other spec.
+    pub order_at_entry: bool,
     /// Protocol parameters shared by every entity.
     pub cfg: ProtocolConfig,
     /// Top-ring BRs in ring order.
@@ -350,42 +358,62 @@ impl HierarchySpec {
     /// Each declared group and its *funnel*, the BR where its token starts:
     /// the `i`-th group's is the `i`-th BR by id (modulo their count), so
     /// the per-ring assignment load spreads over the BRs. A funnel also
-    /// orders its group's fenced traffic ([`crate::fence`]).
+    /// orders its group's fenced traffic ([`crate::fence`]). A group
+    /// ordered at entry ([`Self::order_at_entry`]) starts its token at its
+    /// entry BR instead.
     pub(crate) fn funnels(&self) -> Vec<(GroupId, NodeId)> {
         let mut brs = self.top_ring.clone();
         brs.sort_unstable();
         let groups = self.effective_groups().into_iter().enumerate();
-        groups.map(|(i, g)| (g, brs[i % brs.len()])).collect()
+        let funnel = |(i, g): (usize, GroupId)| {
+            let funnel = brs[i % brs.len()];
+            let entry = self.order_at_entry.then(|| self.entry_of(g, funnel));
+            (g, entry.unwrap_or(funnel))
+        };
+        groups.map(funnel).collect()
+    }
+
+    /// `g`'s *entry BR*, whose token starts at `funnel`: the
+    /// `corresponding` BR of the first source addressing exactly `{g}`, or
+    /// `funnel`, which orders fenced traffic, when only fenced sources (or
+    /// none) reach `g`.
+    fn entry_of(&self, g: GroupId, funnel: NodeId) -> NodeId {
+        let mut sources = self.sources.iter();
+        let entry = sources.find(|src| self.source_groups_of(src) == [g]);
+        entry.map_or(funnel, |src| src.corresponding)
     }
 
     /// `ring`'s parent candidates for group `g`, whose token starts at
     /// `funnel`: the same list, turned so the tree hangs from where `g`'s
-    /// GSNs are assigned. That is `g`'s *entry BR*,
-    /// the `corresponding` BR of the first source addressing exactly
-    /// `{g}`, or `funnel`, which orders fenced traffic, when only fenced
-    /// sources (or none) reach `g`. With the entry BR `e` places after
+    /// GSNs are assigned, its entry BR `e`. With `e` places after
     /// `top_ring[0]`, the list starts at its first candidate at or
     /// downstream of the BR `e` places after its usual first one: in an
     /// automatic layout ring 0 hangs from the entry BR itself and ring `i`
     /// from the BR `i` places after it. The spec builders put source `i` at
     /// `top_ring[i]`, so a single group enters at `top_ring[0]` and every
-    /// list is returned as declared.
+    /// list is returned as declared. A group ordered at entry instead
+    /// starts the list at `e` when `e` is a candidate, and keeps it as
+    /// declared otherwise: its first candidate relays the stream one
+    /// top-ring hop from `e`.
     pub(crate) fn parents_rooted_at(
         &self,
         ring: &AgRingSpec,
         g: GroupId,
         funnel: NodeId,
     ) -> Vec<NodeId> {
-        let entry = (self.sources.iter())
-            .find(|src| self.source_groups_of(src) == [g])
-            .map_or(funnel, |src| src.corresponding);
-        let (top, n) = (&self.top_ring, self.top_ring.len());
-        let pos = |br| top.iter().position(|&b| b == br);
+        let entry = self.entry_of(g, funnel);
         let mut parents = ring.parent_candidates.clone();
-        let start = pos(parents[0]).zip(pos(entry)).map(|(first, e)| first + e);
-        let start = start.expect("validated spec: candidates and sources sit on the top ring");
-        let at = (0..n).find_map(|d| parents.iter().position(|&p| p == top[(start + d) % n]));
-        parents.rotate_left(at.expect("validated spec: the first candidate is a BR"));
+        let at = if self.order_at_entry {
+            parents.iter().position(|&p| p == entry)
+        } else {
+            let (top, n) = (&self.top_ring, self.top_ring.len());
+            let pos = |br| top.iter().position(|&b| b == br);
+            let start = pos(parents[0]).zip(pos(entry)).map(|(first, e)| first + e);
+            let start = start.expect("validated spec: candidates and sources sit on the top ring");
+            let at = (0..n).find_map(|d| parents.iter().position(|&p| p == top[(start + d) % n]));
+            Some(at.expect("validated spec: the first candidate is a BR"))
+        };
+        parents.rotate_left(at.unwrap_or(0));
         parents
     }
 
@@ -543,6 +571,26 @@ impl HierarchySpec {
                     "multiple sources at corresponding node {} (the paper assumes s ≤ r, one per node)",
                     s.corresponding
                 ));
+            }
+        }
+        if self.order_at_entry {
+            // Each group is ordered where its one source enters.
+            for s in &self.sources {
+                if self.source_groups_of(s).len() > 1 {
+                    problems.push(format!(
+                        "source at {}: addresses several groups, which no entry orders together",
+                        s.corresponding
+                    ));
+                }
+            }
+            for g in &declared {
+                let reach = |s: &&SourceSpec| self.source_groups_of(s).contains(g);
+                let n = self.sources.iter().filter(reach).count();
+                if n != 1 {
+                    problems.push(format!(
+                        "{g} is ordered at entry but has {n} sources, not one"
+                    ));
+                }
             }
         }
         // The engine's address tables are indexed by id, so ids must be
@@ -724,6 +772,31 @@ pub fn degenerate_tree_spec(sc: &Scenario) -> HierarchySpec {
     spec
 }
 
+/// Map a scenario onto RingNet *without* total order — the comparator of
+/// Theorem 5.1 and Remark 3 (see `baselines::unordered`): the spec of
+/// [`ringnet_spec`], with each source's stream its own group, ordered at
+/// its entry BR ([`HierarchySpec::order_at_entry`]), and every walker
+/// subscribed to every stream. The scenario's own groups are ignored.
+/// Walkers are placed by [`Scenario::static_placements`].
+pub fn unordered_spec(sc: &Scenario) -> HierarchySpec {
+    let mut spec = ringnet_spec(sc);
+    let aps = sc.static_placements().into_iter();
+    let aps: Vec<NodeId> = aps.map(|k| attachment_entity(&spec, k, "walker")).collect();
+    for (mh, ap) in spec.mhs.iter_mut().zip(aps) {
+        mh.initial_ap = Some(ap);
+    }
+    let streams = (0..spec.sources.len() as u32).map(|i| GroupId(sc.group.0 + i));
+    spec.groups = streams.collect();
+    for (src, &g) in spec.sources.iter_mut().zip(&spec.groups) {
+        src.groups = vec![g];
+    }
+    for mh in &mut spec.mhs {
+        mh.subscriptions = spec.groups.clone();
+    }
+    spec.order_at_entry = true;
+    spec
+}
+
 /// Map a scenario onto the *station shape* of [`HierarchySpec`] — one
 /// logical ring over every attachment point, each a hybrid station that
 /// orders and serves its walkers directly — which is exactly the flat
@@ -796,6 +869,7 @@ fn finish_spec(
     let mut spec = HierarchySpec {
         group: sc.group,
         groups: if multi { declared } else { Vec::new() },
+        order_at_entry: false,
         cfg: sc.cfg.clone(),
         top_ring,
         ag_rings,
@@ -865,7 +939,8 @@ pub(crate) fn attachment_entity(spec: &HierarchySpec, index: usize, what: &str) 
 mod tests {
     use super::*;
     use crate::driver::{
-        degenerate_tree_spec, flat_ring_spec, ringnet_spec, CoreShape, ScenarioBuilder,
+        degenerate_tree_spec, flat_ring_spec, ringnet_spec, unordered_spec, CoreShape,
+        ScenarioBuilder,
     };
 
     /// A regular hierarchy of `brs` BRs over `rings` AG rings of
@@ -1094,6 +1169,47 @@ mod tests {
             .validate()
             .iter()
             .any(|p| p.contains("multiple sources")));
+    }
+
+    /// An order-at-entry spec orders each group where its one source
+    /// enters, so a group with no source or with two, and a source that
+    /// addresses two groups, are each rejected.
+    #[test]
+    fn validation_rejects_a_group_no_one_entry_orders() {
+        let sc = ScenarioBuilder::new()
+            .attachments(2)
+            .sources(2)
+            .shape(regular(2, 1, 2))
+            .build();
+        let spec = unordered_spec(&sc);
+        assert!(spec.validate().is_empty(), "{:?}", spec.validate());
+        let (g0, g1) = (spec.groups[0], spec.groups[1]);
+        let problems = |edit: &dyn Fn(&mut HierarchySpec)| {
+            let mut spec = spec.clone();
+            edit(&mut spec);
+            spec.validate()
+        };
+        let says = |problems: &[String], what: &str| problems.iter().any(|p| p.contains(what));
+
+        let no_source = problems(&|spec| drop(spec.sources.pop()));
+        assert!(says(
+            &no_source,
+            &format!("{g1} is ordered at entry but has 0 sources")
+        ));
+        let two_sources = problems(&|spec| spec.sources[1].groups = vec![g0]);
+        assert!(says(
+            &two_sources,
+            &format!("{g0} is ordered at entry but has 2 sources")
+        ));
+        let multi_group = problems(&|spec| spec.sources[0].groups = vec![g0, g1]);
+        assert!(says(
+            &multi_group,
+            "source at ne0: addresses several groups"
+        ));
+        assert!(
+            !ringnet_spec(&sc).order_at_entry,
+            "only the comparator's spec"
+        );
     }
 
     #[test]

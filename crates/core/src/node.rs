@@ -480,6 +480,11 @@ pub struct NeState {
     /// top-ring states of multi-group simulations. `None` keeps every
     /// fence path inert (single-group runs are byte-identical).
     pub(crate) cross_fence: Option<crate::fence::CrossGroupFence>,
+    /// A ring of one that numbers each own-source message the moment it
+    /// arrives, by passing the token to itself, rather than at the next
+    /// hop tick's self-pass: a group's ordering state under
+    /// [`HierarchySpec::order_at_entry`](crate::HierarchySpec::order_at_entry).
+    pub(crate) number_on_arrival: bool,
     /// How long the top-ring token may stay away before this entity
     /// suspects it lost ([`crate::recovery`]), from the links of
     /// [`NeState::size_waits_over`].
@@ -535,6 +540,7 @@ impl NeState {
             merge_probe_target: 0,
             graft_pending: false,
             cross_fence: None,
+            number_on_arrival: false,
             token_quiet_after: SimDuration::ZERO,
             telemetry: Telemetry::from_cfg(&cfg),
             cfg,
@@ -838,6 +844,7 @@ impl NeState {
             // Static wiring: the generator never faults a multi-group core.
             cross_fence: self.cross_fence.take(),
             // Static wiring, like the ring order.
+            number_on_arrival: self.number_on_arrival,
             token_quiet_after: self.token_quiet_after,
             ring_confirm_after: self.ring_confirm_after,
             parent_confirm_after: self.parent_confirm_after,

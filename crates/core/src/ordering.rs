@@ -69,7 +69,7 @@ impl NeState {
     /// reliable, so local sequence numbers arrive contiguously.
     pub(crate) fn on_source_data(
         &mut self,
-        _now: SimTime,
+        now: SimTime,
         ls: LocalSeq,
         payload: PayloadId,
         out: &mut Outbox,
@@ -118,6 +118,8 @@ impl NeState {
                 },
             ));
             self.counters.data_sent += 1;
+        } else if self.number_on_arrival {
+            self.self_pass(now, out);
         }
     }
 

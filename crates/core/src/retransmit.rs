@@ -157,17 +157,7 @@ impl NeState {
             }
             // Single-node top ring: re-process the kept token locally so
             // ordering keeps making progress.
-            let token = {
-                let ord = self.ord.as_mut().expect("checked above");
-                if ord.inflight.is_some() {
-                    return;
-                }
-                ord.last_token_seen = now;
-                ord.new_token.clone()
-            };
-            if let Some(tok) = token {
-                self.process_and_forward_token(now, tok, out);
-            }
+            self.self_pass(now, out);
             return;
         }
 
@@ -190,6 +180,19 @@ impl NeState {
         inf.sent_at = now;
         let token = inf.token.clone();
         self.send_transfer(now, next_now, token, out);
+    }
+
+    /// Pass the kept token to ourselves, the ring's one live member, unless
+    /// a transfer is still out.
+    pub(crate) fn self_pass(&mut self, now: SimTime, out: &mut Outbox) {
+        let ord = self.ord.as_mut().expect("an ordering state");
+        if ord.inflight.is_some() {
+            return;
+        }
+        ord.last_token_seen = now;
+        if let Some(token) = ord.new_token.clone() {
+            self.process_and_forward_token(now, token, out);
+        }
     }
 
     /// `to` was just told our front by other means than the hop tick (the

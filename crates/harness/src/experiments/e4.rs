@@ -69,7 +69,7 @@ pub fn run(quick: bool) -> Table {
             fms(SimDuration::from_nanos(unord.quantile(0.99))),
         ]);
     }
-    table.note("penalty ≈ token wait + τ — bounded by T2's bound; unordered rides the same tree");
+    table.note("penalty ≈ token wait + τ — bounded by T2's bound; each unordered stream's tree is rooted at its own BR");
     table
 }
 

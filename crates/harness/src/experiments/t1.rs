@@ -127,7 +127,7 @@ pub fn run(quick: bool) -> Table {
         let target = s as f64 * lambda;
         let world = world(s, lambda, duration);
         let ord = rate(&world, RingNetSim::journal_mut, warmup);
-        let unord = rate(&world, UnorderedSim::journal_mut, warmup);
+        let unord = rate(&world, |s: &mut UnorderedSim| s.0.journal_mut(), warmup);
         let ratio = ord / target;
         worst_ratio = worst_ratio.min(ratio);
         table.row(vec![

@@ -34,6 +34,8 @@ fn run(links: LinkPlan) -> RunReport {
         .walkers_per_attachment(1)
         .cbr(SimDuration::from_millis(20))
         .message_limit(20)
+        // The tree forms by graft: the sources start once it has.
+        .window(SimTime::from_millis(200), None)
         .links(links)
         .duration(SimTime::from_secs(2))
         .build();
@@ -139,15 +141,30 @@ fn slowest_per_walker_and_source(report: &RunReport) -> BTreeMap<(u32, u32), Sim
 /// Per source count `s` and source, walkers 0–3's slowest delivery in ms.
 /// Each is the sum of the tree path's link delays from the source's BR:
 /// BR → AG leader 3, along the AG ring 2, AG → AP 1, the radio 2, and 5
-/// per top-ring hop.
+/// for the one top-ring hop to a relay BR. AG ring 0 lists BRs 0 and 1
+/// as its candidate parents, ring 1 BRs 1 and 2.
+///
+/// Source 0's rows are the old comparator's. The others moved when the
+/// comparator came to run on the RingNet engine, where an AG ring hangs
+/// from the stream's entry BR whenever that BR is a candidate, and from
+/// its first candidate, a relay one top-ring hop from the entry BR,
+/// otherwise. The old comparator forwarded every stream around the top
+/// ring to each ring's first candidate. None is slower:
+/// - s = 2 and 4, source 1: walkers 0 and 1 were 21 and 23 (three
+///   top-ring hops to BR 0); ring 0 now hangs from BR 1 itself.
+/// - s = 4, source 2: walkers 0 and 1 were 16 and 18 (two hops to BR 0),
+///   now one; walkers 2 and 3 were 21 and 23 (three hops to BR 1); ring 1
+///   now hangs from BR 2 itself.
+/// - s = 4, source 3: walkers 2 and 3 were 16 and 18 (two hops to BR 1),
+///   now one.
 const PATH_LATENCY_MS: &[(usize, u32, [u64; 4])] = &[
     (1, 0, [6, 8, 11, 13]),
     (2, 0, [6, 8, 11, 13]),
-    (2, 1, [21, 23, 6, 8]),
+    (2, 1, [6, 8, 6, 8]),
     (4, 0, [6, 8, 11, 13]),
-    (4, 1, [21, 23, 6, 8]),
-    (4, 2, [16, 18, 21, 23]),
-    (4, 3, [11, 13, 16, 18]),
+    (4, 1, [6, 8, 6, 8]),
+    (4, 2, [11, 13, 6, 8]),
+    (4, 3, [11, 13, 11, 13]),
 ];
 
 /// The comparator's latency oracle: on the world T1 and E4 run, every

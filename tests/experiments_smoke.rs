@@ -42,7 +42,13 @@ const TABLE_DIGESTS: [(&str, u64); 13] = [
     // ring's circle and a hop tick (was 0x5ca0_9a65_9d21_6434): the dead
     // origin's token is regenerated sooner (140 → 95 ms).
     ("E3", 0x9f7b_2b92_e887_41d9),
-    ("E4", 0x46fd_63f0_c206_b6d8),
+    // Re-drawn when the unordered comparator came to run on the RingNet
+    // engine (was 0x46fd_63f0_c206_b6d8): each stream's tree is rooted at
+    // its own BR, so source 1's stream no longer crosses the top ring to
+    // reach an AG ring that lists BR 1 as a candidate. Unordered p99 falls
+    // 22.81 → 12.98 ms and the note says where the tree is rooted; the
+    // ordered columns and the unordered p50 are unedited.
+    ("E4", 0xe580_f4eb_3804_fa06),
     // Re-drawn when each link got its own loss stream (was
     // 0xcab9_c66a_bcc8_73e0): E5 sweeps wireless loss, and its losses
     // now fall on other packets. Every other table is unedited. Re-drawn

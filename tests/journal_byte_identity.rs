@@ -10,7 +10,7 @@
 //!   seed, so a fabric change that perturbs so much as one journal byte
 //!   fails here, not in a downstream experiment;
 //! * telemetry on/off leaves the digest untouched, and is harvested by all
-//!   three RingNet-engine backends;
+//!   four RingNet-engine backends;
 //! * two loss-free **multi-group** worlds are pinned by an *instant-
 //!   canonical* digest (entries sorted within equal timestamps), which a
 //!   change may leave alone while permuting what independent ring states do
@@ -47,7 +47,7 @@ use ringnet_repro::core::driver::{
     ScenarioEvent,
 };
 use ringnet_repro::core::{GroupId, Guid, ProtoEvent, RingNetSim};
-use ringnet_repro::simnet::{LinkProfile, SimDuration, SimStats, SimTime};
+use ringnet_repro::simnet::{SimDuration, SimStats, SimTime};
 
 /// FNV-1a over rendered journal lines.
 fn fnv1a<'a>(lines: impl IntoIterator<Item = &'a String>) -> u64 {
@@ -312,14 +312,21 @@ type PinnedBackend = (&'static str, fn(&Scenario, u64) -> RunReport, u64);
 /// default plan's 3 ms + 1 ms equals the old 2 ms + 2 ms, the source link
 /// is 100 µs either way, and the journal stamps a message only where it
 /// enters (`SourceSend`) and where it is delivered (`MhDeliver`), never
-/// per hop. `tests/comparator_parity.rs` is where the difference shows;
-/// [`GOLDEN_UNORDERED_UNIFORM_LINKS`] is the world where there is none.
+/// per hop. `tests/comparator_parity.rs` is where the difference shows.
+///
+/// `unordered` was regenerated on purpose (was `0x3ec1ca97be402ddc`) when
+/// the comparator came to run on the RingNet engine: its 15 `SourceSend`
+/// and 120 `MhDeliver` lines are the parent's, at the same instants, and
+/// the engine's own records join them — 15 `Ordered`, 816 `TokenPass`
+/// (the entry BR's ring of one passes its token to itself on every hop
+/// tick and on every arrival), 6 `Grafted`, 12 `Reserved` and 2
+/// `MembershipCount`.
 const GOLDEN_BASELINE_DIGESTS: &[PinnedBackend] = &[
     ("flat_ring", FlatRingSim::run_scenario, 0x780ecdc2a8d71df9),
     ("tree", TreeSim::run_scenario, 0x4bf74a1cf7a8ad68),
     ("tunnel", TunnelSim::run_scenario, 0xea35a38f592845bc),
     ("relm", RelmSim::run_scenario, 0x4a4046fc05f8e694),
-    ("unordered", UnorderedSim::run_scenario, 0x3ec1ca97be402ddc),
+    ("unordered", UnorderedSim::run_scenario, 0xdcdcaa45dc8d436a),
 ];
 
 #[test]
@@ -333,69 +340,6 @@ fn baseline_journal_digests_are_pinned() {
             "{name}: journal digest {got:#018x} != pinned {want:#018x}"
         );
     }
-}
-
-/// The unordered comparator on a world where every way of wiring the tree
-/// coincides: `CoreShape::Auto` (one AG ring under BR 0, APs round-robin)
-/// and one latency for `ag_ring`, `br_ag` and `ag_ap`, with the default
-/// 100 µs source link. Pinned on the private assembly `UnorderedSim` used
-/// to own, before it was folded onto `HierarchySpec` (PR 15): that fold is
-/// behaviour-neutral wherever the old assembly's link drift did not bite,
-/// and this number proves it. (It equalled the default-plan pin in
-/// [`GOLDEN_BASELINE_DIGESTS`] while the counters were journal lines: the
-/// old assembly read only `ag_ring`.) It is the digest of the journal as it
-/// read then, counter lines included ([`as_once_journalled`]).
-const GOLDEN_UNORDERED_UNIFORM_LINKS: u64 = 0x878f0228f1205ce4;
-
-/// The rendered journal as it read while the end-of-run counters were
-/// journal lines: the run's own entries, then — at the teardown instant
-/// `at`, in address order — one `NeFinal` line per entity and one
-/// `MhFinal` line per walker. Exact for worlds whose entity ids ascend with
-/// their addresses and whose walkers follow every entity.
-fn as_once_journalled(report: &RunReport, at: SimTime) -> Vec<String> {
-    let finals = &report.finals;
-    let ne = finals.ne.iter().map(|(&(group, node), f)| {
-        format!(
-            "{at:?}|NeFinal {{ group: {group:?}, node: {node:?}, wq_peak: {}, mq_peak: {}, \
-             mq_overflow: {}, wq_overflow: {}, control_sent: {}, data_sent: {}, \
-             retransmissions: {} }}\n",
-            f.wq_peak,
-            f.mq_peak,
-            f.mq_overflow,
-            f.wq_overflow,
-            f.control_sent,
-            f.data_sent,
-            f.retransmissions
-        )
-    });
-    let mh = finals.mh.iter().map(|(&(group, mh), c)| {
-        format!(
-            "{at:?}|MhFinal {{ group: {group:?}, mh: {mh:?}, delivered: {}, skipped: {}, \
-             duplicates: {}, handoffs: {} }}\n",
-            c.delivered, c.skipped, c.duplicates, c.handoffs
-        )
-    });
-    rendered(report).into_iter().chain(ne).chain(mh).collect()
-}
-
-#[test]
-fn unordered_digest_on_uniform_tree_links_is_pinned() {
-    let mut sc = scenario();
-    sc.links.br_ag = sc.links.ag_ring.clone();
-    sc.links.ag_ap = sc.links.ag_ring.clone();
-    assert_eq!(
-        sc.links.source,
-        LinkProfile::wired(SimDuration::from_micros(100))
-    );
-    let got = fnv1a(&as_once_journalled(
-        &UnorderedSim::run_scenario(&sc, 3),
-        sc.duration,
-    ));
-    assert_eq!(
-        got, GOLDEN_UNORDERED_UNIFORM_LINKS,
-        "unordered on uniform tree links: journal digest {got:#018x} != pinned \
-         {GOLDEN_UNORDERED_UNIFORM_LINKS:#018x}"
-    );
 }
 
 /// Telemetry is a pure observer: enabling it must not move one journal
@@ -438,6 +382,7 @@ fn telemetry_is_harvested_and_journal_invisible_on_every_engine_backend() {
     check::<RingNetSim>("ringnet");
     check::<TreeSim>("tree");
     check::<FlatRingSim>("flat_ring");
+    check::<UnorderedSim>("unordered");
 }
 
 /// Eight disjoint token rings over one physical core: the benchmark's
@@ -1096,13 +1041,18 @@ fn multigroup_fault_world_is_pinned() {
 /// replays one message each already had, one duplicate per walker and
 /// group, and AP 6 sends 6 more control messages per group). The MH's
 /// acks are not counted here: an MH reports no control sent.
+///
+/// `unordered` was regenerated on purpose (was `0x2a90bd5584387025`) when
+/// the comparator came to run on the RingNet engine: its counters are
+/// the engine's, per `(group, entity)` and `(group, walker)`, with the
+/// engine's control plane (heartbeats, grafts, token self-passes).
 const COUNTERS_DIGESTS: &[(&str, u64)] = &[
     ("ringnet", 0x984ac802a4482d50),
     ("flat_ring", 0x0c77671a3b244c94),
     ("tree", 0xe2ed3e8295e4bb49),
     ("tunnel", 0xba214e70c3848020),
     ("relm", 0x4e1ef2ebb1bd2ec1),
-    ("unordered", 0x2a90bd5584387025),
+    ("unordered", 0xe91be196e695ab58),
     ("rings8", 0x7c16bc1f31773d75),
     ("fence_overlap_4", 0x94d8112f58af1932),
     ("stress_98/ringnet", 0x945dc5ef46829c4c),
