@@ -10,9 +10,10 @@
 //!   station), isolating the structural cost of one big ring (token
 //!   rotation and buffers grow with N). Used by E1, E7.
 //! * [`unordered`] — RingNet without total ordering (the Theorem 5.1
-//!   comparator and Remark 3's recommendation): per-source FIFO streams on
-//!   the same `HierarchySpec` — RingNet's entities, addresses and links,
-//!   no token. Used by T1, E4.
+//!   comparator and Remark 3's recommendation): the RingNet engine on
+//!   RingNet's own hierarchy, each source's stream a group ordered on a
+//!   ring of one at its own BR, so no message waits for a token. Used by
+//!   T1, E4.
 //! * [`tree`] — MIP-RS-style shortest-path-tree multicast with rebuild on
 //!   handoff: the RingNet engine on a degenerate (rings-of-one) spec. Used
 //!   by E6.
@@ -22,14 +23,14 @@
 //!   buffering and per-member feedback all concentrated in one entity.
 //!   Used by E8.
 //!
-//! Two world shapes, two assemblies. The ring comparators and the
-//! unordered one live on the *hierarchy* shape, whose creation order and
-//! wiring rule are [`ringnet_core::HierarchySpec`]'s; tunnel and RelM live
-//! on one *star* (hub, an edge per attachment, one source, placed MHs)
-//! assembled in this crate. The three baselines that speak their own
-//! message type share one simulator-plus-teardown skeleton, so each file
-//! holds its actors, its `build(&Scenario)` and its `schedule`. All six
-//! take their [`Source`](ringnet_core::engine::Source) and
+//! Two world shapes, two assemblies. Flat ring, unordered and tree are
+//! the RingNet engine on a spec of their own, laid out by
+//! [`ringnet_core::HierarchySpec`]'s creation order and wiring rule;
+//! tunnel and RelM live on one *star* (hub, an edge per attachment, one
+//! source, placed MHs) assembled in this crate. Those two speak their own
+//! message type and share one simulator-plus-teardown skeleton, so each
+//! file holds its actors, its `build(&Scenario)` and its `schedule`. All
+//! six take their [`Source`](ringnet_core::engine::Source) and
 //! [`Harvest`](ringnet_core::metrics::Harvest) from the engine.
 //!
 //! Every comparator implements the protocol-generic

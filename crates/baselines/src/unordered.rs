@@ -24,12 +24,9 @@ use ringnet_core::engine::RingNetSim;
 use simnet::SimTime;
 
 /// The unordered hierarchy as a [`MulticastSim`] backend: the RingNet
-/// engine on [`unordered_spec`]. Membership is static by design: mobility
-/// and failure events are ignored, exactly like the paper's §5 analysis
-/// setting (late joiners attach at their `Join` target from the start, per
-/// [`Scenario::static_placements`]). The scenario's own groups are
-/// ignored too: each source's stream is a group of its own, to which
-/// every walker subscribes.
+/// engine on [`unordered_spec`]. Every scenario event is ignored; late
+/// joiners attach at their `Join` target from the start
+/// ([`Scenario::static_placements`]).
 pub struct UnorderedSim(pub RingNetSim);
 
 impl MulticastSim for UnorderedSim {

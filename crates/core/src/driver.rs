@@ -14,7 +14,7 @@
 //! |---------|--------------------------|-----------|
 //! | `RingNetSim` | an AP under the BR/AG hierarchy | BRs + AGs |
 //! | `baselines::FlatRingSim` | a station of the RingNet engine's station shape (one big ring) | all stations |
-//! | `baselines::UnorderedSim` | an AP of the same `HierarchySpec` (no token) | BRs + AGs |
+//! | `baselines::UnorderedSim` | an AP of the RingNet engine's `unordered_spec` (each stream ordered at its BR) | BRs + AGs |
 //! | `baselines::TreeSim` | a leaf of a degenerate (ring-of-one) tree | root + routers |
 //! | `baselines::TunnelSim` | a foreign-agent AP (an edge of the star) | the home agent |
 //! | `baselines::RelmSim` | an MSS under the supervisor (an edge of the star) | the supervisor host |
@@ -83,8 +83,7 @@ pub enum CoreShape {
 ///
 /// Backends without the corresponding mechanism ignore an event: the
 /// static-membership baselines (unordered, RelM) ignore mobility events,
-/// and only the RingNet-engine backends (RingNet, tree) implement
-/// failures. This is deliberate — a `Scenario` describes what the world
+/// and only RingNet, the flat ring and the tree implement failures. This is deliberate — a `Scenario` describes what the world
 /// *does*, and a protocol that cannot react is exactly what the
 /// comparison experiments measure.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -721,7 +720,8 @@ impl Scenario {
     }
 
     /// The initial attachment of every walker for static-membership
-    /// backends (unordered, RelM): walkers with an initial attachment keep
+    /// backends (RelM, and unordered through [`unordered_spec`]), which
+    /// ignore every event: walkers with an initial attachment keep
     /// it; a late joiner is attached at its [`ScenarioEvent::Join`] target
     /// from the start (or attachment 0 with no join scheduled). One shared
     /// rule so every static backend places late joiners identically.
