@@ -404,16 +404,16 @@ impl HierarchySpec {
         let entry = self.entry_of(g, funnel);
         let mut parents = ring.parent_candidates.clone();
         let at = if self.order_at_entry {
-            parents.iter().position(|&p| p == entry)
+            parents.iter().position(|&p| p == entry).unwrap_or(0)
         } else {
             let (top, n) = (&self.top_ring, self.top_ring.len());
             let pos = |br| top.iter().position(|&b| b == br);
             let start = pos(parents[0]).zip(pos(entry)).map(|(first, e)| first + e);
             let start = start.expect("validated spec: candidates and sources sit on the top ring");
             let at = (0..n).find_map(|d| parents.iter().position(|&p| p == top[(start + d) % n]));
-            Some(at.expect("validated spec: the first candidate is a BR"))
+            at.expect("validated spec: the first candidate is a BR")
         };
-        parents.rotate_left(at.unwrap_or(0));
+        parents.rotate_left(at);
         parents
     }
 
