@@ -29,6 +29,9 @@
 //! * one small two-group world hands off, kills and crash-restarts nodes
 //!   that hold a protocol state per group, which pins how an entity-wide
 //!   stimulus reaches each of a node's states;
+//! * the RingNet fault worlds pin their transport counters too
+//!   (`FAULT_WORLD_SIM_STATS`), in a form that does not care whether an
+//!   engine stimulus reaches its actor as a packet or as a timer;
 //! * each world has one journal digest, and the run's end-of-run counters
 //!   ([`RunReport::finals`]) are pinned apart, per world, in
 //!   `COUNTERS_DIGESTS`. A control-plane change that only stops sending
@@ -114,6 +117,35 @@ fn assert_counters(name: &str, report: &RunReport) {
         got, want,
         "{name}: counters digest {got:#018x} != pinned {want:#018x}"
     );
+}
+
+/// Golden transport counters of the RingNet fault worlds, run seed 7:
+/// `events`, `packets_sent`, and `packets_delivered + timers_fired`. An
+/// engine stimulus — a crash, a restart, a token drop or replay, a join or
+/// a handoff — is one event that reaches one actor, as a packet or as a
+/// timer; only the split between the last two depends on which, so the sum
+/// is what is pinned.
+const FAULT_WORLD_SIM_STATS: &[(&str, [u64; 3])] = &[
+    ("stress_98", [268_780, 262_938, 367_070]),
+    ("stress_104", [143_422, 118_422, 185_149]),
+    ("replay", [15_779, 7_387, 16_393]),
+    ("multigroup_faults", [15_822, 10_499, 17_736]),
+];
+
+/// Check `report`'s transport counters against the pins of world `name`.
+fn assert_fault_stats(name: &str, report: &RunReport) {
+    let want = FAULT_WORLD_SIM_STATS
+        .iter()
+        .find(|(n, _)| *n == name)
+        .unwrap_or_else(|| panic!("{name}: no pinned transport counters"))
+        .1;
+    let s = report.stats;
+    let got = [
+        s.events,
+        s.packets_sent,
+        s.packets_delivered + s.timers_fired,
+    ];
+    assert_eq!(got, want, "{name}: transport counters moved");
 }
 
 /// The digest of the journal with the entries of each simulated instant
@@ -768,6 +800,9 @@ fn fault_path_journal_digests_are_pinned() {
         for &(name, run, want) in backends {
             let report = run(sc, 7);
             assert_counters(&format!("stress_{generator_seed}/{name}"), &report);
+            if name == "ringnet" {
+                assert_fault_stats(&format!("stress_{generator_seed}"), &report);
+            }
             let got = instant_canonical_digest(&report);
             assert_eq!(
                 got, want,
@@ -838,6 +873,7 @@ fn replay_world_digest_is_pinned() {
         |e: &ProtoEvent| matches!(e, ProtoEvent::RingRejoined { member, .. } if member.0 == 2);
     assert!(report.journal.iter().any(|(_, e)| rejoined(e)));
     assert_counters("replay", &report);
+    assert_fault_stats("replay", &report);
     let got = instant_canonical_digest(&report);
     assert_eq!(
         got, GOLDEN_REPLAY_WORLD_DIGEST,
@@ -916,6 +952,7 @@ fn multigroup_fault_world_is_pinned() {
     }
     assert_eq!(finals.mh.len(), 2 * (sc.walkers.len() - 1));
     assert_counters("multigroup_faults", &report);
+    assert_fault_stats("multigroup_faults", &report);
     let got = instant_canonical_digest(&report);
     assert_eq!(
         got, GOLDEN_MULTIGROUP_FAULT_DIGEST,
