@@ -1374,12 +1374,27 @@ mod tests {
     /// give or take the ticks around the outage (at most one stale and one
     /// phase-shifted per NE chain, and the NACK ticks of a walker that the
     /// outage cost a message). A forked chain would add one tick per period
-    /// for the rest of the run.
+    /// for the rest of the run. The run's stimuli are timers too and are
+    /// not counted: one per kill or restart target, and one per walker the
+    /// radio re-associates at a restarted attachment (these worlds hand no
+    /// walker off, so those are the walkers that started there).
     fn assert_ticks_like_a_never_restarted_twin(sc: &Scenario, seed: u64, report: &RunReport) {
         let mut twin = sc.clone();
         twin.events.clear();
         let twin = RingNetSim::run_scenario(&twin, seed);
-        let (restarted, healthy) = (report.stats.timers_fired, twin.stats.timers_fired);
+        let at_ap = |ap| sc.walkers.iter().filter(|&&w| w == Some(ap)).count() as u64;
+        let stimuli: u64 = (sc.events.iter())
+            .map(|e| match *e {
+                ScenarioEvent::ApRestart { ap, .. } => 1 + at_ap(ap),
+                ScenarioEvent::ApCrash { .. }
+                | ScenarioEvent::KillCore { .. }
+                | ScenarioEvent::KillWalker { .. }
+                | ScenarioEvent::RingRejoin { .. } => 1,
+                _ => 0,
+            })
+            .sum();
+        let restarted = report.stats.timers_fired - stimuli;
+        let healthy = twin.stats.timers_fired;
         assert!(
             restarted.abs_diff(healthy) <= 4,
             "a restarted entity must tick at the rate of a healthy one \

@@ -9,11 +9,12 @@
 //!
 //! All protocol logic lives in the sans-IO state machines; the actors here
 //! only translate [`Action`]s into simulator calls and drive the timers: an
-//! NE's two periodic chains, and an MH's wakes at the hop ticks
-//! its state names ([`MhState::next_deadline`]). Address translation
-//! between protocol identities ([`NodeId`]/[`Guid`]) and simulator
-//! addresses ([`NodeAddr`]) goes through one immutable [`AddrMap`] shared
-//! by every actor.
+//! NE's two periodic chains, an MH's wakes at the hop ticks its state names
+//! ([`MhState::next_deadline`]), and each scenario fault or command, a
+//! `Stimulus` the actor applies through the states' methods. Address
+//! translation between protocol identities ([`NodeId`]/[`Guid`]) and
+//! simulator addresses ([`NodeAddr`]) goes through one immutable
+//! [`AddrMap`] shared by every actor.
 
 use std::rc::Rc;
 
@@ -39,6 +40,54 @@ use crate::telemetry::{NodeDump, TelemetryReport};
 /// Timer tags shared by all actors.
 const TAG_HOP: u64 = 2;
 const TAG_HEARTBEAT: u64 = 3;
+const TAG_STIMULUS: u64 = 4;
+
+/// A scenario fault or command, set on its target as a zero-delay timer
+/// ([`Stimulus::tag`]) and applied by the actor through the state
+/// machines' own methods — not a protocol message. Kills, restarts, joins
+/// and handoffs concern a whole entity and reach each of its states; a
+/// token drop or replay reaches its group's state only.
+#[derive(Clone, Copy, Debug, PartialEq)]
+enum Stimulus {
+    Kill,
+    Restart,
+    DropToken(GroupId),
+    ReplayToken(GroupId),
+    Join(NodeId),
+    HandoffTo(NodeId),
+}
+
+impl Stimulus {
+    /// The timer tag: [`TAG_STIMULUS`] in the low three bits, the kind in
+    /// bits 3–5, the id from bit 6.
+    fn tag(self) -> u64 {
+        let (kind, id) = match self {
+            Stimulus::Kill => (0, 0),
+            Stimulus::Restart => (1, 0),
+            Stimulus::DropToken(g) => (2, g.0),
+            Stimulus::ReplayToken(g) => (3, g.0),
+            Stimulus::Join(ap) => (4, ap.0),
+            Stimulus::HandoffTo(ap) => (5, ap.0),
+        };
+        TAG_STIMULUS | kind << 3 | u64::from(id) << 6
+    }
+
+    /// The stimulus a timer tag carries, if any.
+    fn of_tag(tag: u64) -> Option<Stimulus> {
+        if tag & 0x7 != TAG_STIMULUS {
+            return None;
+        }
+        let id = (tag >> 6) as u32;
+        Some(match (tag >> 3) & 0x7 {
+            0 => Stimulus::Kill,
+            1 => Stimulus::Restart,
+            2 => Stimulus::DropToken(GroupId(id)),
+            3 => Stimulus::ReplayToken(GroupId(id)),
+            4 => Stimulus::Join(NodeId(id)),
+            _ => Stimulus::HandoffTo(NodeId(id)),
+        })
+    }
+}
 
 /// Identity ↔ address translation, built once per simulation.
 ///
@@ -187,21 +236,9 @@ impl Framer {
     }
 }
 
-/// Hand one inbound message to `f` with each of a node's per-group states
-/// it is for (`group` reads a state's group): an entity-wide stimulus
-/// ([`Msg::stimulus_for`]) is for every state, rewritten for its group,
-/// anything else for the state owning its group stamp. A state ignores a
-/// stimulus its kind has no use for.
-fn route<S>(states: &mut [S], group: fn(&S) -> GroupId, msg: Msg, mut f: impl FnMut(&mut S, Msg)) {
-    let stamp = msg.group();
-    if msg.stimulus_for(stamp).is_some() {
-        for st in states {
-            let g = group(st);
-            f(st, msg.stimulus_for(g).expect("a stimulus for every group"));
-        }
-    } else if let Some(st) = states.iter_mut().find(|s| group(s) == stamp) {
-        f(st, msg);
-    }
+/// The one of a node's per-group `states` that serves group `g`.
+fn route<S>(states: &mut [S], group: fn(&S) -> GroupId, g: GroupId) -> Option<&mut S> {
+    states.iter_mut().find(|s| group(s) == g)
 }
 
 struct NeActor {
@@ -258,9 +295,41 @@ impl NeActor {
     }
 
     fn deliver(&mut self, now: SimTime, from_ep: Endpoint, msg: Msg) {
-        let out = &mut self.out;
-        let on_msg = |st: &mut NeState, m| st.on_msg(now, from_ep, m, out);
-        route(&mut self.states, |s| s.group, msg, on_msg);
+        if let Some(st) = route(&mut self.states, |s| s.group, msg.group()) {
+            st.on_msg(now, from_ep, msg, &mut self.out);
+        }
+    }
+
+    /// Apply a scenario stimulus. A restart reaches a crashed node; its
+    /// revival re-arms the tick chains, which died with it, under a new
+    /// generation, so pre-crash pending timers fall dead instead of forking.
+    fn apply(&mut self, ctx: &mut Ctx<'_, Msg, ProtoEvent>, stimulus: Stimulus) {
+        let now = ctx.now();
+        match stimulus {
+            Stimulus::Restart => {
+                let was_alive = self.any_alive();
+                for st in &mut self.states {
+                    st.restart(now, &mut self.out);
+                }
+                if !was_alive && self.any_alive() {
+                    self.timer_gen += 1;
+                    self.arm_periodic(ctx);
+                }
+            }
+            Stimulus::Kill => self.states.iter_mut().for_each(NeState::kill),
+            Stimulus::DropToken(g) => {
+                if let Some(st) = route(&mut self.states, |s| s.group, g).filter(|s| s.alive) {
+                    st.arm_token_drop();
+                }
+            }
+            Stimulus::ReplayToken(g) => {
+                if let Some(st) = route(&mut self.states, |s| s.group, g).filter(|s| s.alive) {
+                    st.replay_token(&mut self.out);
+                }
+            }
+            Stimulus::Join(_) | Stimulus::HandoffTo(_) => {}
+        }
+        self.flush(ctx);
     }
 
     fn flush(&mut self, ctx: &mut Ctx<'_, Msg, ProtoEvent>) {
@@ -349,24 +418,12 @@ impl Actor<Msg, ProtoEvent, Harvest> for NeActor {
 
     fn on_packet(&mut self, ctx: &mut Ctx<'_, Msg, ProtoEvent>, from: NodeAddr, msg: Msg) {
         let from_ep = self.map.endpoint_of(from);
-        let now = ctx.now();
-        let was_alive = self.any_alive();
-        self.deliver(now, from_ep, msg);
-        if !was_alive && self.any_alive() {
-            // Crash-restart revival: the periodic timers died with the
-            // entity (dead entities stop rescheduling); re-arm them under
-            // a new generation so pre-crash pending timers fall dead
-            // instead of doubling the tick chains.
-            self.timer_gen += 1;
-            self.arm_periodic(ctx);
-        }
+        self.deliver(ctx.now(), from_ep, msg);
         self.flush(ctx);
     }
 
     /// A neighbour's control frame: every member goes to its group state,
     /// then one flush — so the answers share a frame on the way back too.
-    /// (Frames carry protocol control only, never the engine stimuli
-    /// `on_packet` special-cases.)
     fn on_burst(
         &mut self,
         ctx: &mut Ctx<'_, Msg, ProtoEvent>,
@@ -382,6 +439,9 @@ impl Actor<Msg, ProtoEvent, Harvest> for NeActor {
     }
 
     fn on_timer(&mut self, ctx: &mut Ctx<'_, Msg, ProtoEvent>, tag: u64) {
+        if let Some(stimulus) = Stimulus::of_tag(tag) {
+            return self.apply(ctx, stimulus);
+        }
         if (tag >> 3) != self.timer_gen {
             return; // stale chain from before a crash-restart
         }
@@ -525,9 +585,21 @@ impl MhActor {
     }
 
     fn deliver(&mut self, now: SimTime, from_ep: Endpoint, msg: Msg) {
-        let out = &mut self.out;
-        let on_msg = |st: &mut MhState, m| st.on_msg(now, from_ep, m, out);
-        route(&mut self.states, |s| s.group, msg, on_msg);
+        if let Some(st) = route(&mut self.states, |s| s.group, msg.group()) {
+            st.on_msg(now, from_ep, msg, &mut self.out);
+        }
+    }
+
+    /// Apply a scenario stimulus to every live state.
+    fn apply(&mut self, now: SimTime, stimulus: Stimulus) {
+        for st in self.states.iter_mut().filter(|s| s.alive) {
+            match stimulus {
+                Stimulus::Kill => st.alive = false,
+                Stimulus::Join(ap) => st.join(now, ap, &mut self.out),
+                Stimulus::HandoffTo(ap) => st.on_handoff(now, ap, &mut self.out),
+                Stimulus::Restart | Stimulus::DropToken(_) | Stimulus::ReplayToken(_) => {}
+            }
+        }
     }
 
     fn flush(&mut self, ctx: &mut Ctx<'_, Msg, ProtoEvent>) {
@@ -588,11 +660,14 @@ impl Actor<Msg, ProtoEvent, Harvest> for MhActor {
 
     /// An MH wake, on the hop-tick grid: a tick with work — an ack (news,
     /// or the liveness beacon) or a NACK budget step. A tick a packet
-    /// already ran is not run again; either way the next wake is armed.
+    /// already ran is not run again; either way the next wake is armed. A
+    /// stimulus lands like a packet: behind a wake due at its instant.
     fn on_timer(&mut self, ctx: &mut Ctx<'_, Msg, ProtoEvent>, tag: u64) {
-        let tick = tag >> 3;
-        if tick > self.ran {
-            self.tick(tick);
+        if let Some(stimulus) = Stimulus::of_tag(tag) {
+            self.tick_if_due(ctx);
+            self.apply(ctx.now(), stimulus);
+        } else if tag >> 3 > self.ran {
+            self.tick(tag >> 3);
         }
         self.arm(ctx);
         self.flush(ctx);
@@ -872,29 +947,26 @@ impl RingNetSim {
             .expect("every declared entity has an address")
     }
 
-    /// Schedule an engine stimulus — a kill or a token drop — at
-    /// `at`: each of `targets` injects it into itself.
-    fn stimulate(&mut self, at: SimTime, targets: Vec<NodeAddr>, stimulus: fn(GroupId) -> Msg) {
-        let group = self.spec.group;
+    /// Schedule `stimulus` on each of `targets` at `at`.
+    fn stimulate(&mut self, at: SimTime, targets: Vec<NodeAddr>, stimulus: Stimulus) {
         self.schedule_control(at, move |w| {
             for addr in targets {
-                w.inject(addr, addr, stimulus(group), SimDuration::ZERO);
+                w.set_timer(addr, SimDuration::ZERO, stimulus.tag());
             }
         });
     }
 
     /// Schedule the crash-restart of entity `id` at `at`. The radio then
-    /// re-associates its cell: every MH radio-linked to it is stimulated
-    /// with [`Msg::HandoffTo`] naming it, as at a handoff, and registers
-    /// again, so the amnesiac attachment relearns its MHs at once.
+    /// re-associates its cell: every MH radio-linked to it is handed off
+    /// to it, as at a handoff, and registers again, so the amnesiac
+    /// attachment relearns its MHs at once.
     fn restart(&mut self, at: SimTime, id: NodeId) {
-        let (group, addr, map) = (self.spec.group, self.ne_addr(id), self.addrs.clone());
+        let (addr, map) = (self.ne_addr(id), self.addrs.clone());
         self.schedule_control(at, move |net| {
-            net.inject(addr, addr, Msg::Restart { group }, SimDuration::ZERO);
+            net.set_timer(addr, SimDuration::ZERO, Stimulus::Restart.tag());
             let is_mh = |&n: &NodeAddr| matches!(map.endpoint_of(n), Endpoint::Mh(_));
             for mh in net.topo.neighbours(addr).filter(is_mh).collect::<Vec<_>>() {
-                let reassociate = Msg::HandoffTo { group, new_ap: id };
-                net.inject(addr, mh, reassociate, SimDuration::ZERO);
+                net.set_timer(mh, SimDuration::ZERO, Stimulus::HandoffTo(id).tag());
             }
         });
     }
@@ -967,7 +1039,7 @@ impl MulticastSim for RingNetSim {
                         net.topo.disconnect_duplex(mh, old);
                     }
                     net.topo.connect_duplex(mh, ap, wireless);
-                    net.inject(ap, mh, Msg::HandoffTo { group, new_ap }, SimDuration::ZERO);
+                    net.set_timer(mh, SimDuration::ZERO, Stimulus::HandoffTo(new_ap).tag());
                 });
             }
             // A walker built with no initial AP joins the group late.
@@ -983,18 +1055,18 @@ impl MulticastSim for RingNetSim {
                     if !net.topo.has_link(mh, ap) {
                         net.topo.connect_duplex(mh, ap, wireless);
                     }
-                    net.inject(ap, mh, Msg::JoinCmd { group, ap: ap_id }, SimDuration::ZERO);
+                    net.set_timer(mh, SimDuration::ZERO, Stimulus::Join(ap_id).tag());
                 });
             }
             ScenarioEvent::KillCore { at, index } => {
-                self.stimulate(at, vec![core(index)], |group| Msg::Kill { group });
+                self.stimulate(at, vec![core(index)], Stimulus::Kill);
             }
             ScenarioEvent::KillWalker { at, walker: w } => {
-                self.stimulate(at, vec![walker(w)], |group| Msg::Kill { group });
+                self.stimulate(at, vec![walker(w)], Stimulus::Kill);
             }
             ScenarioEvent::ApCrash { at, ap } => {
                 let ap = self.ne_addr(attachment(ap, "ApCrash"));
-                self.stimulate(at, vec![ap], |group| Msg::Kill { group });
+                self.stimulate(at, vec![ap], Stimulus::Kill);
             }
             // A restarted AP re-grafts on demand; a restarted BR/AG re-enters
             // its repaired ring via the rejoin handshake.
@@ -1009,7 +1081,7 @@ impl MulticastSim for RingNetSim {
             // `at` vanishes, and Token-Regeneration must recover.
             ScenarioEvent::DropToken { at } => {
                 let ring = self.spec.top_ring.iter().map(|&n| self.ne_addr(n));
-                self.stimulate(at, ring.collect(), |group| Msg::DropToken { group });
+                self.stimulate(at, ring.collect(), Stimulus::DropToken(group));
             }
             // A ring-of-one member has no ring links: a no-op there.
             ScenarioEvent::PartitionRing { at, isolate }
@@ -1024,7 +1096,9 @@ impl MulticastSim for RingNetSim {
             ScenarioEvent::ReplayControl { at, kind, index } => {
                 let (member, from) = (member(index), core(index));
                 let (dsts, copy): (Vec<NodeAddr>, fn(GroupId, NodeId) -> Msg) = match kind {
-                    ReplayKind::Token => (vec![from], |group, _| Msg::ReplayToken { group }),
+                    ReplayKind::Token => {
+                        return self.stimulate(at, vec![from], Stimulus::ReplayToken(group));
+                    }
                     ReplayKind::RingFail => (self.ring_peers_of(member), |group, failed| {
                         Msg::RingFail { group, failed }
                     }),
@@ -1205,6 +1279,30 @@ mod tests {
         let orderer = br_state(&spec, entry, funnels[1], &funnels);
         assert!(orderer.is_top_ring() && orderer.number_on_arrival);
         assert_eq!(orderer.ring.map(|r| r.order), Some(vec![entry]));
+    }
+
+    /// A stimulus's timer tag reads back as that stimulus, and never as an
+    /// NE's periodic tick or an MH's wake, which carry their own low bits.
+    #[test]
+    fn stimulus_tags_round_trip_apart_from_the_ticks() {
+        let id = u32::MAX;
+        for stimulus in [
+            Stimulus::Kill,
+            Stimulus::Restart,
+            Stimulus::DropToken(GroupId(id)),
+            Stimulus::ReplayToken(GroupId(id)),
+            Stimulus::Join(NodeId(id)),
+            Stimulus::HandoffTo(NodeId(id)),
+        ] {
+            assert_eq!(Stimulus::of_tag(stimulus.tag()), Some(stimulus));
+        }
+        for tag in [
+            TAG_HOP,
+            TAG_HEARTBEAT | 7 << 3,
+            TAG_HOP | u64::from(id) << 3,
+        ] {
+            assert_eq!(Stimulus::of_tag(tag), None);
+        }
     }
 
     #[test]

@@ -109,7 +109,7 @@ pub enum ProtoEvent {
         epoch: Epoch,
     },
     /// A token was black-holed by fault injection ([`forced token
-    /// loss`](crate::msg::Msg::DropToken)); the Token-Regeneration
+    /// loss`](crate::driver::ScenarioEvent::DropToken)); the Token-Regeneration
     /// machinery is expected to recover from this point.
     TokenDropped {
         /// The node that swallowed the token.

@@ -12,7 +12,8 @@
 //! beacon, when `2 × ack_every` ticks passed since the last ack (20 ms at
 //! the defaults). An AP that does not know the acking MH answers with
 //! [`Msg::ReRegister`]; a restarted AP's cell is re-associated by the radio
-//! ([`Msg::HandoffTo`] naming it), and the MH registers again at once.
+//! (a handoff to it, [`MhState::on_handoff`]), and the MH registers again
+//! at once.
 //!
 //! An MH has exactly two timed duties, and both sit on the hop-tick grid:
 //! NACK a gap (one step of the NACK budget per tick) and ack. So it wakes
@@ -140,9 +141,6 @@ impl MhState {
                     self.last_delivered = start_from;
                 }
             }
-            Msg::HandoffTo { new_ap, .. } => self.on_handoff(now, new_ap, out),
-            Msg::JoinCmd { ap, .. } => self.join(now, ap, out),
-            Msg::Kill { .. } => self.alive = false,
             _ => {}
         }
     }
@@ -197,7 +195,7 @@ impl MhState {
     /// Radio-layer stimulus: we are now under `new_ap`. Register there,
     /// announcing our own progress so delivery resumes where it stopped (a
     /// re-association to the current AP is no handoff).
-    fn on_handoff(&mut self, _now: SimTime, new_ap: NodeId, out: &mut Outbox) {
+    pub fn on_handoff(&mut self, _now: SimTime, new_ap: NodeId, out: &mut Outbox) {
         if self.ap != Some(new_ap) {
             self.counters.handoffs += 1;
             self.ap = Some(new_ap);
@@ -484,15 +482,7 @@ mod tests {
             );
         }
         out.clear();
-        m.on_msg(
-            SimTime::from_secs(1),
-            Endpoint::Ne(AP2),
-            Msg::HandoffTo {
-                group: G,
-                new_ap: AP2,
-            },
-            &mut out,
-        );
+        m.on_handoff(SimTime::from_secs(1), AP2, &mut out);
         assert_eq!(m.ap, Some(AP2));
         assert_eq!(m.counters.handoffs, 1);
         assert!(matches!(
@@ -518,11 +508,7 @@ mod tests {
             receive(&mut m, g, &mut out);
         }
         out.clear();
-        let again = Msg::HandoffTo {
-            group: G,
-            new_ap: AP1,
-        };
-        m.on_msg(SimTime::from_secs(1), Endpoint::Ne(AP1), again, &mut out);
+        m.on_handoff(SimTime::from_secs(1), AP1, &mut out);
         assert!(
             matches!(
                 out[..],
@@ -716,11 +702,7 @@ mod tests {
         m.join(SimTime::ZERO, AP1, &mut out);
         receive(&mut m, 1, &mut out);
         m.tick_hop(2, &mut out);
-        let handoff = Msg::HandoffTo {
-            group: G,
-            new_ap: AP2,
-        };
-        m.on_msg(SimTime::ZERO, Endpoint::Ne(AP2), handoff, &mut out);
+        m.on_handoff(SimTime::ZERO, AP2, &mut out);
         m.tick_hop(4, &mut out);
         assert_eq!(acks(&out), vec![(AP1, 1), (AP2, 1)]);
     }
@@ -845,12 +827,7 @@ mod tests {
             &mut out,
         );
         assert_eq!(m.finals().map(|c| c.delivered), Some(1));
-        m.on_msg(
-            SimTime::ZERO,
-            Endpoint::Ne(AP1),
-            Msg::Kill { group: G },
-            &mut out,
-        );
+        m.alive = false;
         assert_eq!(m.finals(), None, "a dead state hands over nothing");
     }
 
@@ -859,12 +836,7 @@ mod tests {
         let mut m = mh();
         let mut out = Vec::new();
         m.join(SimTime::ZERO, AP1, &mut out);
-        m.on_msg(
-            SimTime::ZERO,
-            Endpoint::Ne(AP1),
-            Msg::Kill { group: G },
-            &mut out,
-        );
+        m.alive = false;
         out.clear();
         m.on_msg(
             SimTime::ZERO,

@@ -186,7 +186,8 @@ pub enum Msg {
         resync: bool,
     },
     /// Parent accepts a graft, announcing its own delivery front. A child
-    /// recovering from a crash-restart (see [`Msg::Restart`]) fast-forwards
+    /// recovering from a crash-restart (see
+    /// [`NeState::restart`](crate::node::NeState::restart)) fast-forwards
     /// its empty `MQ` to this front instead of chasing unrecoverable
     /// history; established children ignore the field.
     GraftAck {
@@ -225,15 +226,6 @@ pub enum Msg {
         group: GroupId,
         /// The leaving mobile host.
         guid: Guid,
-    },
-    /// Radio-layer stimulus to an MH: you are now under `new_ap`
-    /// (injected by the mobility scenario, not sent by any entity); naming
-    /// the current AP, the re-association of a restarted AP's cell.
-    HandoffTo {
-        /// Group.
-        group: GroupId,
-        /// The new access proxy.
-        new_ap: NodeId,
     },
     /// MH → new AP after a handoff: register and resume delivery.
     HandoffRegister {
@@ -322,49 +314,6 @@ pub enum Msg {
         /// one and fork GSN assignment.
         pass: Option<(crate::ids::Epoch, u32, u64)>,
     },
-
-    // -------------------------------------------------- engine control only
-    /// Scenario stimulus to an MH: join the group at `ap` now. Not part of
-    /// the protocol; injected by scenario code for late joiners.
-    JoinCmd {
-        /// Group.
-        group: GroupId,
-        /// AP to join at.
-        ap: NodeId,
-    },
-    /// Fault injection: crash-stop the receiver. Not part of the protocol;
-    /// injected by scenario code.
-    Kill {
-        /// Group.
-        group: GroupId,
-    },
-    /// Fault injection: restart a crashed entity with factory-fresh
-    /// protocol state (volatile queues and tables lost). Not part of the
-    /// protocol; injected by scenario code. A restarted AP re-grafts on
-    /// demand; a restarted BR/AG re-enters its repaired ring via the
-    /// [`Msg::RejoinRequest`]/[`Msg::RejoinGrant`] handshake.
-    Restart {
-        /// Group.
-        group: GroupId,
-    },
-    /// Fault injection: arm the receiving top-ring node to black-hole the
-    /// next ordering token of the current epoch it receives (forced token
-    /// loss; the Token-Regeneration machinery must recover). Not part of
-    /// the protocol; injected by scenario code.
-    DropToken {
-        /// Group.
-        group: GroupId,
-    },
-    /// Fault injection: the receiving top-ring node re-sends its kept
-    /// token snapshot to its ring next — a *duplicated, delayed* copy of a
-    /// pass it already forwarded (Byzantine-ish control fault). The
-    /// receiver's epoch fence must suppress the stale copy (or, when the
-    /// replay overtakes the original, the original). Not part of the
-    /// protocol; injected by scenario code.
-    ReplayToken {
-        /// Group.
-        group: GroupId,
-    },
 }
 
 impl Msg {
@@ -390,7 +339,6 @@ impl Msg {
             | Msg::MembershipUpdate { group, .. }
             | Msg::Join { group, .. }
             | Msg::Leave { group, .. }
-            | Msg::HandoffTo { group, .. }
             | Msg::HandoffRegister { group, .. }
             | Msg::Reserve { group, .. }
             | Msg::JoinAck { group, .. }
@@ -398,29 +346,9 @@ impl Msg {
             | Msg::TokenRegen { group, .. }
             | Msg::RingFail { group, .. }
             | Msg::RejoinRequest { group, .. }
-            | Msg::RejoinGrant { group, .. }
-            | Msg::JoinCmd { group, .. }
-            | Msg::Kill { group }
-            | Msg::Restart { group }
-            | Msg::DropToken { group }
-            | Msg::ReplayToken { group } => *group,
+            | Msg::RejoinGrant { group, .. } => *group,
             Msg::Token(t) => t.group,
         }
-    }
-
-    /// This message rewritten for `group` if it is an *entity-wide*
-    /// stimulus — a crash, a restart, a handoff or a join command concerns a
-    /// whole node or host, so each of its per-group states gets a copy —
-    /// and `None` for a message that belongs to one group.
-    #[inline]
-    pub(crate) fn stimulus_for(&self, group: GroupId) -> Option<Msg> {
-        Some(match *self {
-            Msg::Kill { .. } => Msg::Kill { group },
-            Msg::Restart { .. } => Msg::Restart { group },
-            Msg::HandoffTo { new_ap, .. } => Msg::HandoffTo { group, new_ap },
-            Msg::JoinCmd { ap, .. } => Msg::JoinCmd { group, ap },
-            _ => return None,
-        })
     }
 
     /// The telemetry counter a control-plane send of this message is

@@ -292,9 +292,10 @@ pub struct OrderingState {
     pub last_token_seen: SimTime,
     /// Last time this node originated a Token-Regeneration round.
     pub last_regen_at: SimTime,
-    /// Forced-token-loss arming ([`Msg::DropToken`]): when set, the next
-    /// token arriving with an epoch ≤ the armed epoch is acknowledged and
-    /// silently discarded. Any token arrival disarms.
+    /// Forced-token-loss arming
+    /// ([`ScenarioEvent::DropToken`](crate::driver::ScenarioEvent::DropToken)):
+    /// when set, the next token arriving with an epoch ≤ the armed epoch is
+    /// acknowledged and silently discarded. Any token arrival disarms.
     pub drop_armed: Option<crate::ids::Epoch>,
     /// This node ceded its outstanding Token-Regeneration round to a
     /// smaller-origin round it forwarded (concurrent-round arbitration);
@@ -666,11 +667,6 @@ impl NeState {
     /// Dispatch one received message. `from` is the sending endpoint as
     /// resolved by the engine. Outputs are appended to `out`.
     pub fn on_msg(&mut self, now: SimTime, from: Endpoint, msg: Msg, out: &mut Outbox) {
-        if let Msg::Restart { .. } = msg {
-            // The one stimulus a crashed entity still reacts to.
-            self.restart(now, out);
-            return;
-        }
         if !self.alive {
             return;
         }
@@ -759,14 +755,7 @@ impl NeState {
                 pass,
                 ..
             } => self.on_rejoin_grant(now, member, front, pass, out),
-            Msg::Kill { .. } => self.kill(),
-            Msg::DropToken { .. } => self.arm_token_drop(),
-            Msg::ReplayToken { .. } => self.replay_token(out),
-            Msg::Restart { .. } => unreachable!("handled before the alive check"),
-            Msg::HandoffTo { .. }
-            | Msg::JoinAck { .. }
-            | Msg::JoinCmd { .. }
-            | Msg::ReRegister { .. } => {
+            Msg::JoinAck { .. } | Msg::ReRegister { .. } => {
                 // MH-only messages; NEs ignore them.
             }
         }
@@ -1076,7 +1065,8 @@ impl NeState {
 
     /// Arm forced token loss (scenario fault injection): the next token of
     /// the currently-best epoch this node receives is acknowledged and
-    /// black-holed (see [`Msg::DropToken`]). No-op off the top ring.
+    /// black-holed (see [`ScenarioEvent::DropToken`](crate::driver::ScenarioEvent::DropToken)).
+    /// No-op off the top ring.
     pub(crate) fn arm_token_drop(&mut self) {
         if let Some(ord) = self.ord.as_mut() {
             ord.drop_armed = Some(ord.fence.best_instance().0);
@@ -1220,12 +1210,7 @@ mod tests {
         ap.on_join(SimTime::ZERO, Guid(1), &mut out);
         ap.kill();
         out.clear();
-        ap.on_msg(
-            SimTime::from_secs(1),
-            Endpoint::Ne(NodeId(99)),
-            Msg::Restart { group: GroupId(1) },
-            &mut out,
-        );
+        ap.restart(SimTime::from_secs(1), &mut out);
         assert!(ap.alive, "restart revives");
         assert!(ap.resync_on_graft, "next graft ack resyncs the MQ");
         let st = ap.ap.as_ref().unwrap();
@@ -1249,12 +1234,7 @@ mod tests {
         let mut br = NeState::new_br(GroupId(1), NodeId(10), ring3(), true, cfg);
         br.kill();
         let mut out = Vec::new();
-        br.on_msg(
-            SimTime::from_secs(1),
-            Endpoint::Ne(NodeId(10)),
-            Msg::Restart { group: GroupId(1) },
-            &mut out,
-        );
+        br.restart(SimTime::from_secs(1), &mut out);
         assert!(br.alive, "restart revives ring entities");
         assert!(br.is_rejoining(), "not in the cycle until granted");
         assert!(br.resync_source, "own-source numbering re-baselines");

@@ -379,15 +379,8 @@ fn handoff_between_aps_preserves_continuity() {
     {
         let mut out = Vec::new();
         let now = net.now;
-        net.mhs.get_mut(&Guid(1)).unwrap().on_msg(
-            now,
-            Endpoint::Ne(NodeId(11)),
-            Msg::HandoffTo {
-                group: G,
-                new_ap: NodeId(11),
-            },
-            &mut out,
-        );
+        let mh = net.mhs.get_mut(&Guid(1)).unwrap();
+        mh.on_handoff(now, NodeId(11), &mut out);
         net.absorb(Endpoint::Mh(Guid(1)), out);
     }
     net.settle();
@@ -573,7 +566,10 @@ fn idle_rejoin_has_both_neighbours_restate_their_fronts() {
         net.run_ms(5);
         assert!(net.now < SimTime::from_secs(1), "AG 20 never excised");
     }
-    net.inject(NodeId(20), NodeId(20), Msg::Restart { group: G });
+    let (mut out, now) = (Vec::new(), net.now);
+    net.nes.get_mut(&NodeId(20)).unwrap().restart(now, &mut out);
+    net.absorb(Endpoint::Ne(NodeId(20)), out);
+    net.settle();
     assert!(!net.nes[&NodeId(20)].is_rejoining(), "granted at once");
     assert_eq!(net.nes[&NodeId(20)].mq.front(), GlobalSeq(3), "resynced");
     assert_eq!(acked_by_next(&net, 10), GlobalSeq::ZERO);
