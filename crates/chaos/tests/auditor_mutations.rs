@@ -452,6 +452,22 @@ fn pinned_reports() -> Vec<(String, AuditReport)> {
 /// and their APs repair on it, so each radio link's per-packet loss draws
 /// fall on other packets and other messages end up lost for good. No violation either way; the
 /// comparator's skips are not audited (no GSN checks).
+///
+/// Six tree reports were re-pinned when a static ring of one came to
+/// number each own-source message as it arrives instead of at its next
+/// hop tick, still with no violation: the tree's root assigns each GSN up
+/// to a hop tick sooner. Deliveries and skips move `stress_98/tree` (was
+/// `0x3dddb0ed29ede063`) 111 231 / 375 → 111 336 / 343 and
+/// `stress_104/tree` (`0xf7f9632404ef29ba`) 15 969 / 168 → 15 971 / 163,
+/// where more GSNs are numbered during a router's outage and its children
+/// skip others; `quick_0/tree` (`0x51d91892b58330c5`) 3 679 / 8 →
+/// 3 683 / 7, with one more message numbered before the end and the lossy
+/// radio's draws on other packets; `quick_1/tree` (`0x5702dff907ba3747`)
+/// 1 814 → 1 822 deliveries, the last message reaching all eight walkers
+/// before the end; `quick_3/tree` (`0x360edfdda7b85ff0`) 2 514 → 2 512,
+/// where the two late joiners each start one message later, since their
+/// AP's front at the join is one message further on; and `quick_5/tree`
+/// (`0x905d0d38654a61f3`) 382 / 2 → 383 / 1.
 const AUDIT_DIGESTS: &[(&str, u64)] = &[
     ("mutation/clean", 0x600a3739ec7b607f),
     ("mutation/swapped_gsns", 0x2bd90b057eee2a0c),
@@ -466,19 +482,19 @@ const AUDIT_DIGESTS: &[(&str, u64)] = &[
     ),
     ("stress_98/ringnet", 0x78014a26f7d97bb4),
     ("stress_98/flat_ring", 0xe57548d28a3f8f76),
-    ("stress_98/tree", 0x3dddb0ed29ede063),
+    ("stress_98/tree", 0x3aaeb9d5264a52ba),
     ("stress_104/ringnet", 0x5274f612457ce22c),
     ("stress_104/flat_ring", 0x8ba4b989d61f2106),
-    ("stress_104/tree", 0xf7f9632404ef29ba),
+    ("stress_104/tree", 0xad98ce76129e33fa),
     ("quick_0/ringnet", 0xce57007b2f7a0287),
     ("quick_0/flat_ring", 0x5ea57a84d14e4044),
-    ("quick_0/tree", 0x51d91892b58330c5),
+    ("quick_0/tree", 0x9a7028e3f95fe489),
     ("quick_0/relm", 0x6b1c490d7b23ea45),
     ("quick_0/tunnel", 0xc7c27dd7ca0b0552),
     ("quick_0/unordered", 0xbb96ec29e72e5eee),
     ("quick_1/ringnet", 0x1f59d09be8eb6d67),
     ("quick_1/flat_ring", 0x4de7252d9a73d00e),
-    ("quick_1/tree", 0x5702dff907ba3747),
+    ("quick_1/tree", 0xb075facda0f2d876),
     ("quick_1/relm", 0x6bc7bc3d45d11539),
     ("quick_1/tunnel", 0x6a9305db6adce82d),
     ("quick_1/unordered", 0xbec991dd63a67ce4),
@@ -490,7 +506,7 @@ const AUDIT_DIGESTS: &[(&str, u64)] = &[
     ("quick_2/unordered", 0x26b61ee5c5da8edb),
     ("quick_3/ringnet", 0xda52a61dfcbeece4),
     ("quick_3/flat_ring", 0xb4986a39ad91bd30),
-    ("quick_3/tree", 0x360edfdda7b85ff0),
+    ("quick_3/tree", 0x7c41b7a83167d972),
     ("quick_3/relm", 0x6a8d89c1565f79b6),
     ("quick_3/tunnel", 0xadaca5f6b01d6ad7),
     ("quick_3/unordered", 0xed46231e5b5b8eb4),
@@ -502,7 +518,7 @@ const AUDIT_DIGESTS: &[(&str, u64)] = &[
     ("quick_4/unordered", 0xc207bfe61c1fa7a8),
     ("quick_5/ringnet", 0xa143d14fea75534d),
     ("quick_5/flat_ring", 0xa143d14fea75534d),
-    ("quick_5/tree", 0x905d0d38654a61f3),
+    ("quick_5/tree", 0xb245670fbb849399),
     ("quick_5/relm", 0x97e3c3519db78cd3),
     ("quick_5/tunnel", 0x87a720dc18221bd0),
     ("quick_5/unordered", 0x0db2e961809b8ffd),

@@ -874,7 +874,6 @@ fn br_state(
         NeState::new_br(g, br, ring, true, cfg)
     };
     st.size_waits_over(&spec.links);
-    st.number_on_arrival = spec.order_at_entry;
     if funnels.len() > 1 {
         st.cross_fence = Some(crate::fence::CrossGroupFence::new(g, funnels.to_vec()));
     }
@@ -1277,7 +1276,7 @@ mod tests {
         assert_eq!(relay.parent_confirm_after, over(&spec.links.top_ring));
         assert_ne!(relay.parent_confirm_after, over(&spec.links.br_ag));
         let orderer = br_state(&spec, entry, funnels[1], &funnels);
-        assert!(orderer.is_top_ring() && orderer.number_on_arrival);
+        assert!(orderer.holds_its_token());
         assert_eq!(orderer.ring.map(|r| r.order), Some(vec![entry]));
     }
 

@@ -481,11 +481,6 @@ pub struct NeState {
     /// top-ring states of multi-group simulations. `None` keeps every
     /// fence path inert (single-group runs are byte-identical).
     pub(crate) cross_fence: Option<crate::fence::CrossGroupFence>,
-    /// A ring of one that numbers each own-source message the moment it
-    /// arrives, by passing the token to itself, rather than at the next
-    /// hop tick's self-pass: a group's ordering state under
-    /// [`HierarchySpec::order_at_entry`](crate::HierarchySpec::order_at_entry).
-    pub(crate) number_on_arrival: bool,
     /// How long the top-ring token may stay away before this entity
     /// suspects it lost ([`crate::recovery`]), from the links of
     /// [`NeState::size_waits_over`].
@@ -541,7 +536,6 @@ impl NeState {
             merge_probe_target: 0,
             graft_pending: false,
             cross_fence: None,
-            number_on_arrival: false,
             token_quiet_after: SimDuration::ZERO,
             telemetry: Telemetry::from_cfg(&cfg),
             cfg,
@@ -628,6 +622,15 @@ impl NeState {
     /// True when this entity sits on the top (ordering) logical ring.
     pub(crate) fn is_top_ring(&self) -> bool {
         self.ring.as_ref().is_some_and(|r| r.is_top)
+    }
+
+    /// True for a top ring whose static order is this entity alone (the
+    /// tree's root, an unordered stream's entry BR): it holds its token,
+    /// numbering its own source's messages as they arrive.
+    pub(crate) fn holds_its_token(&self) -> bool {
+        self.ring
+            .as_ref()
+            .is_some_and(|r| r.is_top && r.order.len() == 1)
     }
 
     /// This entity's next ring node, if on a ring.
@@ -833,7 +836,6 @@ impl NeState {
             // Static wiring: the generator never faults a multi-group core.
             cross_fence: self.cross_fence.take(),
             // Static wiring, like the ring order.
-            number_on_arrival: self.number_on_arrival,
             token_quiet_after: self.token_quiet_after,
             ring_confirm_after: self.ring_confirm_after,
             parent_confirm_after: self.parent_confirm_after,

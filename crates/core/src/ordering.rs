@@ -118,9 +118,19 @@ impl NeState {
                 },
             ));
             self.counters.data_sent += 1;
-        } else if self.number_on_arrival {
+        } else if self.holds_its_token() {
             self.self_pass(now, out);
         }
+    }
+
+    /// Whether a message this node numbers itself waits for its GSN: from
+    /// its own source, or from the cross-group stream at its group's funnel.
+    pub(crate) fn numbering_waits(&self) -> bool {
+        let waits = |min: LocalSeq, max: LocalSeq| min <= max && max.is_valid();
+        let own = (self.ord.as_ref()).is_some_and(|o| waits(o.min_unordered, o.max_local));
+        let fence = (self.cross_fence.as_ref())
+            .is_some_and(|f| f.funnel == self.id && waits(f.chan_min_unordered, f.chan_max));
+        own || fence
     }
 
     /// A pre-order message forwarded from the previous ring node.

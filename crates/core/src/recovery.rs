@@ -44,10 +44,11 @@
 //! exempt from the transfer rule: a transfer it holds is to the next it
 //! excised, which will never ack, and its round returns at once.
 //!
-//! A token parked on purpose at an idle ring (an open design item) is
-//! quiet without being lost. Parking must extend this rule — members must
-//! know a quiet token is parked, not lost — rather than lengthen the
-//! window, which every lost token pays for.
+//! A token parked on purpose at an idle ring is quiet without being lost.
+//! Parking must extend this rule — members must know a quiet token is
+//! parked, not lost — rather than lengthen the window, which every lost
+//! token pays for. A static ring of one parks its token today, and, the
+//! one member, knows it: holding a snapshot, ordering runs well there.
 //!
 //! Restart-after-full-circle is this reproduction's resolution of the
 //! paper's ambiguous restart rule (DESIGN.md §6): it guarantees the old
@@ -80,12 +81,14 @@ use crate::token::OrderingToken;
 impl NeState {
     /// "The Message-Ordering algorithm runs well" here (§4.2.1): a pass
     /// processed within the quiet window, or a transfer of our own not yet
-    /// acknowledged, unless we are alone in the ring (see the module doc).
+    /// acknowledged, unless we are alone in the ring (see the module doc);
+    /// at a static ring of one, which holds its token, a kept snapshot.
     pub(crate) fn ordering_runs_well(&self, now: SimTime) -> bool {
         let alone = self.ring_next() == Some(self.id);
         self.ord.as_ref().is_some_and(|ord| {
             now.saturating_since(ord.last_token_seen) < self.token_quiet_after
                 || (ord.inflight.is_some() && !alone)
+                || (ord.new_token.is_some() && self.holds_its_token())
         })
     }
 

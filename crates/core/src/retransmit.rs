@@ -156,8 +156,12 @@ impl NeState {
                 return;
             }
             // Single-node top ring: re-process the kept token locally so
-            // ordering keeps making progress.
-            self.self_pass(now, out);
+            // ordering keeps making progress. A static ring of one numbers
+            // its own messages on arrival, so it passes only for what waits.
+            if !self.holds_its_token() || self.numbering_waits() || !self.pending_rejoins.is_empty()
+            {
+                self.self_pass(now, out);
+            }
             return;
         }
 
@@ -247,6 +251,7 @@ mod tests {
     use super::*;
     use crate::actions::Action;
     use crate::config::ProtocolConfig;
+    use crate::events::ProtoEvent;
     use crate::ids::{GroupId, LocalSeq, PayloadId};
     use crate::mq::MsgData;
 
@@ -576,23 +581,65 @@ mod tests {
         );
     }
 
+    /// Node 0 of the top ring `order`, every peer excised, originating the
+    /// token: what it records as an own-source message arrives, and then
+    /// on the next hop tick.
+    fn own_message_alone(order: Vec<NodeId>) -> (Outbox, Outbox) {
+        let cfg = ProtocolConfig::default();
+        let mut n = NeState::new_br(G, NodeId(0), order.clone(), true, cfg);
+        for &peer in &order[1..] {
+            n.ring.as_mut().unwrap().mark_dead(peer);
+        }
+        let (mut arrival, mut tick) = (Vec::new(), Vec::new());
+        n.originate_token(SimTime::ZERO, &mut arrival);
+        arrival.clear();
+        n.on_source_data(SimTime::ZERO, LocalSeq(1), PayloadId(1), &mut arrival);
+        n.tick_hop(SimTime::from_millis(5), &mut tick);
+        (arrival, tick)
+    }
+
+    fn numbers_gsn_1(out: &Outbox) -> bool {
+        let ordered = |a: &Action| matches!(a, Action::Record(ProtoEvent::Ordered { gsn, .. }) if *gsn == GlobalSeq(1));
+        out.iter().any(ordered)
+    }
+
+    /// A static ring of one holds its token: it numbers an own-source
+    /// message as it arrives, and its hop tick has nothing left to pass for.
     #[test]
     fn sole_survivor_keeps_ordering_alive() {
+        let (arrival, tick) = own_message_alone(vec![NodeId(0)]);
+        assert!(numbers_gsn_1(&arrival));
+        assert!(!numbers_gsn_1(&tick) && tick.is_empty());
+    }
+
+    /// The sole survivor of a larger ring keeps the hop tick's self-pass:
+    /// the message waits for it.
+    #[test]
+    fn a_sole_survivor_of_two_numbers_on_the_hop_tick() {
+        let (arrival, tick) = own_message_alone(vec![NodeId(0), NodeId(1)]);
+        assert!(!numbers_gsn_1(&arrival));
+        assert!(numbers_gsn_1(&tick));
+    }
+
+    /// An idle static ring of one neither passes its token to itself nor,
+    /// holding it, regenerates it.
+    #[test]
+    fn an_idle_static_ring_of_one_records_no_pass_and_no_regeneration() {
         let cfg = ProtocolConfig::default();
         let mut n = NeState::new_br(G, NodeId(0), vec![NodeId(0)], true, cfg);
         let mut out = Vec::new();
         n.originate_token(SimTime::ZERO, &mut out);
-        n.on_source_data(SimTime::ZERO, LocalSeq(1), PayloadId(1), &mut out);
         out.clear();
-        n.tick_hop(SimTime::from_millis(5), &mut out);
-        // The self-pass assigned the pending message.
-        assert!(out.iter().any(|a| matches!(
-            a,
-            Action::Record(crate::events::ProtoEvent::Ordered {
-                gsn: GlobalSeq(1),
-                ..
-            })
-        )));
+        for k in 1..=200 {
+            n.tick_hop(SimTime::ZERO + crate::config::HOP_TICK * k, &mut out);
+        }
+        let churn = |a: &Action| {
+            matches!(
+                a,
+                Action::Record(ProtoEvent::TokenPass { .. } | ProtoEvent::TokenRegenerated { .. })
+            )
+        };
+        assert!(!out.iter().any(churn));
     }
 
     #[test]

@@ -350,15 +350,27 @@ type PinnedBackend = (&'static str, fn(&Scenario, u64) -> RunReport, u64);
 /// the comparator came to run on the RingNet engine: its 15 `SourceSend`
 /// and 120 `MhDeliver` lines are the parent's, at the same instants, and
 /// the engine's own records join them — 15 `Ordered`, 816 `TokenPass`
-/// (the entry BR's ring of one passes its token to itself on every hop
+/// (the entry BR's ring of one passed its token to itself on every hop
 /// tick and on every arrival), 6 `Grafted`, 12 `Reserved` and 2
 /// `MembershipCount`.
+///
+/// `tree` and `unordered` were regenerated on purpose (were
+/// `0x4bf74a1cf7a8ad68` and `0xdcdcaa45dc8d436a`) when a static ring of one
+/// came to hold its token: it numbers each own-source message as it
+/// arrives, and its hop tick passes the token to itself only while a
+/// message waits. The tree's root and each unordered entry BR now record
+/// one `TokenPass` per message and the first (16, were 801 and 816), so
+/// the journals shrink from 958 to 173 and from 986 to 186 entries.
+/// Without its `TokenPass` lines the unordered journal is the parent's
+/// (its entry BRs numbered on arrival already); the tree's root no longer holds a message up to a hop tick,
+/// so each of its deliveries lands up to 5 ms sooner (the last at
+/// 486.1 ms, was 491.0 ms). Neither's counters moved.
 const GOLDEN_BASELINE_DIGESTS: &[PinnedBackend] = &[
     ("flat_ring", FlatRingSim::run_scenario, 0x780ecdc2a8d71df9),
-    ("tree", TreeSim::run_scenario, 0x4bf74a1cf7a8ad68),
+    ("tree", TreeSim::run_scenario, 0x18da48c46aa1e430),
     ("tunnel", TunnelSim::run_scenario, 0xea35a38f592845bc),
     ("relm", RelmSim::run_scenario, 0x4a4046fc05f8e694),
-    ("unordered", UnorderedSim::run_scenario, 0xdcdcaa45dc8d436a),
+    ("unordered", UnorderedSim::run_scenario, 0x751da3142bf39dde),
 ];
 
 #[test]
@@ -739,13 +751,23 @@ fn stress_world(generator_seed: u64) -> Scenario {
 /// deliveries and skips). Were: world 98 `0xb6ac1c5653ef267b`,
 /// `0xb8a29df5825b7690`, `0x804650773babdd0e`; world 104
 /// `0xd351c288e8a1dbfd`, `0x69f48f8abc6242e5`, `0x1c9b0771228c5611`.
+///
+/// Both trees were regenerated on purpose when a static ring of one came
+/// to hold its token (were `0xef516d0e1414a3d2` for world 98 and
+/// `0x2a35f10825613283` for world 104): the root numbers each message as
+/// it arrives rather than on its next hop tick, and stops passing an idle
+/// token to itself, so every GSN is assigned up to a hop tick sooner, and
+/// more are numbered while a router is down, for its children to skip at
+/// its front (see `AUDIT_DIGESTS` in
+/// `crates/chaos/tests/auditor_mutations.rs` for the deliveries and
+/// skips). Both ringnet and both flat-ring digests are unedited.
 const GOLDEN_FAULT_PATH_DIGESTS: &[(u64, [PinnedBackend; 3])] = &[
     (
         98,
         [
             ("ringnet", RingNetSim::run_scenario, 0x8db63f818c294541),
             ("flat_ring", FlatRingSim::run_scenario, 0x62a9812aae5cf179),
-            ("tree", TreeSim::run_scenario, 0xef516d0e1414a3d2),
+            ("tree", TreeSim::run_scenario, 0xc8a354bff2e28375),
         ],
     ),
     (
@@ -753,7 +775,7 @@ const GOLDEN_FAULT_PATH_DIGESTS: &[(u64, [PinnedBackend; 3])] = &[
         [
             ("ringnet", RingNetSim::run_scenario, 0x01712889c4742beb),
             ("flat_ring", FlatRingSim::run_scenario, 0xa157f2bc62a7a85a),
-            ("tree", TreeSim::run_scenario, 0x2a35f10825613283),
+            ("tree", TreeSim::run_scenario, 0x28c7264a9e842649),
         ],
     ),
 ];
@@ -1083,6 +1105,12 @@ fn multigroup_fault_world_is_pinned() {
 /// the comparator came to run on the RingNet engine: its counters are
 /// the engine's, per `(group, entity)` and `(group, walker)`, with the
 /// engine's control plane (heartbeats, grafts, token self-passes).
+///
+/// `stress_98/tree` (was `0xd8507d07ead3be11`) and `stress_104/tree`
+/// (`0x14f4136e638aa7db`) were regenerated on purpose with their
+/// journals, for the reason [`GOLDEN_FAULT_PATH_DIGESTS`] gives: the tree's
+/// root holds its token and numbers each message as it arrives. The
+/// loss-free `tree` and `unordered` entries are unedited.
 const COUNTERS_DIGESTS: &[(&str, u64)] = &[
     ("ringnet", 0x984ac802a4482d50),
     ("flat_ring", 0x0c77671a3b244c94),
@@ -1094,10 +1122,10 @@ const COUNTERS_DIGESTS: &[(&str, u64)] = &[
     ("fence_overlap_4", 0x94d8112f58af1932),
     ("stress_98/ringnet", 0x945dc5ef46829c4c),
     ("stress_98/flat_ring", 0x6887602e0a9c59c9),
-    ("stress_98/tree", 0xd8507d07ead3be11),
+    ("stress_98/tree", 0xb467e77c5ee4f738),
     ("stress_104/ringnet", 0x84dce0f6d6d89492),
     ("stress_104/flat_ring", 0xe99935198aa99dc1),
-    ("stress_104/tree", 0x14f4136e638aa7db),
+    ("stress_104/tree", 0x63df3de10440f1af),
     ("replay", 0xd2f5a14b422af494),
     ("multigroup_faults", 0xc23b893b6b860913),
 ];
