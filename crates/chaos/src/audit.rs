@@ -156,9 +156,10 @@ pub struct LivenessCheck {
 #[derive(Debug, Clone)]
 pub struct AuditConfig {
     /// GSN-based checks: per-walker per-group monotonicity, duplicate
-    /// assignment, assignment agreement, cross-group order agreement. Off
-    /// for the unordered baseline, whose `MhDeliver.gsn` is a per-stream
-    /// number.
+    /// assignment, assignment agreement, cross-group order agreement.
+    /// Every backend makes these promises; on the unordered comparator,
+    /// which orders each stream as a group of its own, they are per stream,
+    /// and the cross-group check is vacuous (each message is in one group).
     pub check_gsn_order: bool,
     /// Gap-freedom of the merged deliver/skip chain. Only for backends
     /// that record per-GSN skips (the RingNet-engine family).
@@ -897,7 +898,7 @@ mod tests {
     #[test]
     fn fifo_checked_even_without_gsn_checks() {
         let j = vec![deliver(1, 0, 1), {
-            // Same stream seq again, new "gsn" — unordered-style journal.
+            // Same stream seq again, new "gsn", read with GSN checks off.
             (
                 SimTime::from_millis(2),
                 ProtoEvent::MhDeliver {

@@ -76,10 +76,12 @@ impl Backend {
 
     /// The audit this backend's promises support:
     ///
-    /// * GSN checks for every totally-ordered backend (all but unordered,
-    ///   whose `gsn` field is a per-stream number);
-    /// * gap-freedom only for the RingNet-engine family, which records
-    ///   per-GSN skips (tunnel/RelM drop silently under loss);
+    /// * GSN checks for every backend: the unordered comparator orders
+    ///   each stream as a group of its own, so its GSNs are per-stream
+    ///   numbers the per-group checks hold it to;
+    /// * gap-freedom only for the RingNet-engine family, the unordered
+    ///   comparator included, which records per-GSN skips (tunnel/RelM
+    ///   drop silently under loss);
     /// * liveness only for RingNet — the one backend that claims to
     ///   *recover* from the whole fault repertoire. `window` comes from
     ///   the chaos config; exemptions are derived from the scenario.
@@ -96,9 +98,10 @@ impl Backend {
     ///   keep ordering and delivering.
     pub fn audit_config(self, sc: &Scenario, cfg: &ChaosConfig) -> AuditConfig {
         let (gsn, gaps) = match self {
-            Backend::RingNet | Backend::FlatRing | Backend::Tree => (true, true),
+            Backend::RingNet | Backend::FlatRing | Backend::Tree | Backend::Unordered => {
+                (true, true)
+            }
             Backend::Tunnel | Backend::Relm => (true, false),
-            Backend::Unordered => (false, false),
         };
         let liveness = match self {
             Backend::RingNet => Some(LivenessCheck {
