@@ -43,10 +43,8 @@ const TAG_HEARTBEAT: u64 = 3;
 const TAG_STIMULUS: u64 = 4;
 
 /// A scenario fault or command, set on its target as a zero-delay timer
-/// ([`Stimulus::tag`]) and applied by the actor through the state
-/// machines' own methods — not a protocol message. Kills, restarts, joins
-/// and handoffs concern a whole entity and reach each of its states; a
-/// token drop or replay reaches its group's state only.
+/// ([`Stimulus::tag`]), not a protocol message. A token drop or replay
+/// reaches its group's state; the rest reach each of the entity's states.
 #[derive(Clone, Copy, Debug, PartialEq)]
 enum Stimulus {
     Kill,
@@ -58,8 +56,7 @@ enum Stimulus {
 }
 
 impl Stimulus {
-    /// The timer tag: [`TAG_STIMULUS`] in the low three bits, the kind in
-    /// bits 3–5, the id from bit 6.
+    /// The timer tag: `TAG_STIMULUS`, the kind from bit 3, the id from bit 6.
     fn tag(self) -> u64 {
         let (kind, id) = match self {
             Stimulus::Kill => (0, 0),
@@ -74,11 +71,8 @@ impl Stimulus {
 
     /// The stimulus a timer tag carries, if any.
     fn of_tag(tag: u64) -> Option<Stimulus> {
-        if tag & 0x7 != TAG_STIMULUS {
-            return None;
-        }
         let id = (tag >> 6) as u32;
-        Some(match (tag >> 3) & 0x7 {
+        (tag & 0x7 == TAG_STIMULUS).then_some(match (tag >> 3) & 0x7 {
             0 => Stimulus::Kill,
             1 => Stimulus::Restart,
             2 => Stimulus::DropToken(GroupId(id)),
@@ -236,11 +230,6 @@ impl Framer {
     }
 }
 
-/// The one of a node's per-group `states` that serves group `g`.
-fn route<S>(states: &mut [S], group: fn(&S) -> GroupId, g: GroupId) -> Option<&mut S> {
-    states.iter_mut().find(|s| group(s) == g)
-}
-
 struct NeActor {
     /// One protocol state per declared group, in ascending group order —
     /// exactly one in single-group worlds. All states share the physical
@@ -295,14 +284,13 @@ impl NeActor {
     }
 
     fn deliver(&mut self, now: SimTime, from_ep: Endpoint, msg: Msg) {
-        if let Some(st) = route(&mut self.states, |s| s.group, msg.group()) {
+        if let Some(st) = self.states.iter_mut().find(|s| s.group == msg.group()) {
             st.on_msg(now, from_ep, msg, &mut self.out);
         }
     }
 
-    /// Apply a scenario stimulus. A restart reaches a crashed node; its
-    /// revival re-arms the tick chains, which died with it, under a new
-    /// generation, so pre-crash pending timers fall dead instead of forking.
+    /// Apply a stimulus. A restart revives a crashed node's tick chains
+    /// under a new generation, so its pre-crash timers fall dead.
     fn apply(&mut self, ctx: &mut Ctx<'_, Msg, ProtoEvent>, stimulus: Stimulus) {
         let now = ctx.now();
         match stimulus {
@@ -318,12 +306,12 @@ impl NeActor {
             }
             Stimulus::Kill => self.states.iter_mut().for_each(NeState::kill),
             Stimulus::DropToken(g) => {
-                if let Some(st) = route(&mut self.states, |s| s.group, g).filter(|s| s.alive) {
+                if let Some(st) = self.states.iter_mut().find(|s| s.group == g && s.alive) {
                     st.arm_token_drop();
                 }
             }
             Stimulus::ReplayToken(g) => {
-                if let Some(st) = route(&mut self.states, |s| s.group, g).filter(|s| s.alive) {
+                if let Some(st) = self.states.iter_mut().find(|s| s.group == g && s.alive) {
                     st.replay_token(&mut self.out);
                 }
             }
@@ -585,7 +573,7 @@ impl MhActor {
     }
 
     fn deliver(&mut self, now: SimTime, from_ep: Endpoint, msg: Msg) {
-        if let Some(st) = route(&mut self.states, |s| s.group, msg.group()) {
+        if let Some(st) = self.states.iter_mut().find(|s| s.group == msg.group()) {
             st.on_msg(now, from_ep, msg, &mut self.out);
         }
     }

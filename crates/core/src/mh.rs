@@ -11,9 +11,8 @@
 //! AP was told (a new AP was told nothing), or, as the MH's liveness
 //! beacon, when `2 × ack_every` ticks passed since the last ack (20 ms at
 //! the defaults). An AP that does not know the acking MH answers with
-//! [`Msg::ReRegister`]; a restarted AP's cell is re-associated by the radio
-//! (a handoff to it, [`MhState::on_handoff`]), and the MH registers again
-//! at once.
+//! [`Msg::ReRegister`]; the radio re-associates a restarted AP's cell (a
+//! handoff to it), and the MH registers again at once.
 //!
 //! An MH has exactly two timed duties, and both sit on the hop-tick grid:
 //! NACK a gap (one step of the NACK budget per tick) and ack. So it wakes

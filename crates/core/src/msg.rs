@@ -186,8 +186,7 @@ pub enum Msg {
         resync: bool,
     },
     /// Parent accepts a graft, announcing its own delivery front. A child
-    /// recovering from a crash-restart (see
-    /// [`NeState::restart`](crate::node::NeState::restart)) fast-forwards
+    /// recovering from a crash-restart (see `NeState::restart`) fast-forwards
     /// its empty `MQ` to this front instead of chasing unrecoverable
     /// history; established children ignore the field.
     GraftAck {

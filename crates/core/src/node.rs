@@ -292,10 +292,9 @@ pub struct OrderingState {
     pub last_token_seen: SimTime,
     /// Last time this node originated a Token-Regeneration round.
     pub last_regen_at: SimTime,
-    /// Forced-token-loss arming
-    /// ([`ScenarioEvent::DropToken`](crate::driver::ScenarioEvent::DropToken)):
-    /// when set, the next token arriving with an epoch ≤ the armed epoch is
-    /// acknowledged and silently discarded. Any token arrival disarms.
+    /// Forced-token-loss arming (`ScenarioEvent::DropToken`): when set, the
+    /// next token arriving with an epoch ≤ the armed epoch is acknowledged
+    /// and silently discarded. Any token arrival disarms.
     pub drop_armed: Option<crate::ids::Epoch>,
     /// This node ceded its outstanding Token-Regeneration round to a
     /// smaller-origin round it forwarded (concurrent-round arbitration);
@@ -628,9 +627,7 @@ impl NeState {
     /// tree's root, an unordered stream's entry BR): it holds its token,
     /// numbering its own source's messages as they arrive.
     pub(crate) fn holds_its_token(&self) -> bool {
-        self.ring
-            .as_ref()
-            .is_some_and(|r| r.is_top && r.order.len() == 1)
+        matches!(&self.ring, Some(r) if r.is_top && r.order.len() == 1)
     }
 
     /// This entity's next ring node, if on a ring.
@@ -1067,8 +1064,7 @@ impl NeState {
 
     /// Arm forced token loss (scenario fault injection): the next token of
     /// the currently-best epoch this node receives is acknowledged and
-    /// black-holed (see [`ScenarioEvent::DropToken`](crate::driver::ScenarioEvent::DropToken)).
-    /// No-op off the top ring.
+    /// black-holed (see `ScenarioEvent::DropToken`). No-op off the top ring.
     pub(crate) fn arm_token_drop(&mut self) {
         if let Some(ord) = self.ord.as_mut() {
             ord.drop_armed = Some(ord.fence.best_instance().0);

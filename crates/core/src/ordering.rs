@@ -123,14 +123,15 @@ impl NeState {
         }
     }
 
-    /// Whether a message this node numbers itself waits for its GSN: from
-    /// its own source, or from the cross-group stream at its group's funnel.
-    pub(crate) fn numbering_waits(&self) -> bool {
+    /// Whether a token pass here has work: a message this node numbers
+    /// itself waits for its GSN (its own source's, or the cross-group
+    /// stream's at its group's funnel), or a rejoin for a token boundary.
+    pub(crate) fn pass_due(&self) -> bool {
         let waits = |min: LocalSeq, max: LocalSeq| min <= max && max.is_valid();
         let own = (self.ord.as_ref()).is_some_and(|o| waits(o.min_unordered, o.max_local));
         let fence = (self.cross_fence.as_ref())
             .is_some_and(|f| f.funnel == self.id && waits(f.chan_min_unordered, f.chan_max));
-        own || fence
+        own || fence || !self.pending_rejoins.is_empty()
     }
 
     /// A pre-order message forwarded from the previous ring node.

@@ -47,8 +47,7 @@
 //! A token parked on purpose at an idle ring is quiet without being lost.
 //! Parking must extend this rule — members must know a quiet token is
 //! parked, not lost — rather than lengthen the window, which every lost
-//! token pays for. A static ring of one parks its token today, and, the
-//! one member, knows it: holding a snapshot, ordering runs well there.
+//! token pays for. A static ring of one parks its token, and knows it.
 //!
 //! Restart-after-full-circle is this reproduction's resolution of the
 //! paper's ambiguous restart rule (DESIGN.md §6): it guarantees the old

@@ -156,12 +156,8 @@ impl NeState {
                 return;
             }
             // Single-node top ring: re-process the kept token locally so
-            // ordering keeps making progress. A static ring of one numbers
-            // its own messages on arrival, so it passes only for what waits.
-            if !self.holds_its_token() || self.numbering_waits() || !self.pending_rejoins.is_empty()
-            {
-                self.self_pass(now, out);
-            }
+            // ordering keeps making progress.
+            self.self_pass(now, out);
             return;
         }
 
@@ -187,10 +183,12 @@ impl NeState {
     }
 
     /// Pass the kept token to ourselves, the ring's one live member, unless
-    /// a transfer is still out.
+    /// a transfer is still out, or a static ring of one, which holds its
+    /// token, has nothing for the pass to do.
     pub(crate) fn self_pass(&mut self, now: SimTime, out: &mut Outbox) {
+        let parked = self.holds_its_token() && !self.pass_due();
         let ord = self.ord.as_mut().expect("an ordering state");
-        if ord.inflight.is_some() {
+        if ord.inflight.is_some() || parked {
             return;
         }
         ord.last_token_seen = now;

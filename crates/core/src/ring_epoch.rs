@@ -386,8 +386,7 @@ impl NeState {
         self.after_ring_change(now, out);
     }
 
-    /// Fault injection ([`ReplayKind::Token`](crate::driver::ReplayKind::Token)):
-    /// re-send this node's kept
+    /// Fault injection (`ReplayKind::Token`): re-send this node's kept
     /// token snapshot to its ring next — a delayed duplicate of an already
     /// forwarded pass, exactly the Byzantine-ish copy the epoch fence must
     /// suppress at the receiver. No-op off the top ring, while fenced or
