@@ -746,6 +746,70 @@ mod tests {
         }
     }
 
+    /// FNV-1a over an explicit rendering of every field [`generate`] sets,
+    /// for each seed in turn. Fields `generate` leaves at their builder
+    /// defaults are not rendered, so adding or deleting one of those does
+    /// not move the digest.
+    fn generated_digest(cfg: &ChaosConfig, seeds: std::ops::Range<u64>) -> u64 {
+        use std::fmt::Write as _;
+        let mut text = String::new();
+        for seed in seeds {
+            let sc = generate(cfg, seed);
+            let _ = writeln!(
+                text,
+                "{seed}: shape {} {:?} | walkers {:?} | groups {:?} | subs {:?} | \
+                 sources {} {:?} | pattern {:?} | window {:?} {:?} | \
+                 wireless {:?} {:?} | aps_always_active {} | events {:?} | duration {:?}",
+                sc.attachments,
+                sc.grid_cols,
+                sc.walkers,
+                sc.groups,
+                sc.subscriptions,
+                sc.sources,
+                sc.source_groups,
+                sc.pattern,
+                sc.start,
+                sc.stop,
+                sc.links.wireless.latency,
+                sc.links.wireless.loss,
+                sc.aps_always_active,
+                sc.events,
+                sc.duration,
+            );
+        }
+        text.bytes().fold(0xcbf2_9ce4_8422_2325, |h, b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+        })
+    }
+
+    /// The generated worlds of each tier, over seeds 0–63 (0–3 for the
+    /// massive tier, whose worlds carry thousands of walkers each). A
+    /// digest that moves means `generate` now builds different worlds for
+    /// the same `(ChaosConfig, seed)`, which moves every soak total and the
+    /// benchmark's fault-mix workload with it.
+    const GENERATED_DIGESTS: &[(SoakTier, u64)] = &[
+        (SoakTier::Quick, 0x67cefaaafee4bc40),
+        (SoakTier::Default, 0x09a397f3c7f7b9d9),
+        (SoakTier::Stress, 0x9f479144dcf41a18),
+        (SoakTier::Massive, 0xcceba389411607f9),
+    ];
+
+    #[test]
+    fn every_tier_generates_the_pinned_worlds() {
+        let got: Vec<(SoakTier, u64)> = GENERATED_DIGESTS
+            .iter()
+            .map(|&(tier, _)| {
+                let seeds = if tier == SoakTier::Massive {
+                    0..4
+                } else {
+                    0..64
+                };
+                (tier, generated_digest(&ChaosConfig::tier(tier), seeds))
+            })
+            .collect();
+        assert_eq!(got, GENERATED_DIGESTS);
+    }
+
     #[test]
     fn toggles_suppress_their_faults() {
         let cfg = ChaosConfig {
