@@ -65,53 +65,17 @@ pub struct ChaosConfig {
     pub max_duration: SimDuration,
     /// Sample lossy wireless profiles (Bernoulli, Gilbert–Elliott).
     pub allow_lossy_wireless: bool,
-    /// Schedule random handoffs.
-    pub allow_mobility: bool,
     /// Add late-joining walkers.
     pub allow_late_joins: bool,
-    /// Schedule walker crash-stops.
-    pub allow_walker_kills: bool,
-    /// Schedule wired-core crash-stops (never a source-bearing entity).
-    pub allow_core_kills: bool,
-    /// Pair a wired-core kill with a restart + ring-rejoin
-    /// ([`ScenarioEvent::RingRejoin`]): the killed BR/AG comes back and is
-    /// spliced into its repaired ring at a token boundary.
-    pub allow_core_rejoin: bool,
-    /// Schedule AP crash + restart pairs.
-    pub allow_ap_crash_restart: bool,
-    /// Schedule wired-core partition + heal pairs.
-    pub allow_partitions: bool,
-    /// Schedule *ordering-ring* partition + heal pairs
-    /// ([`ScenarioEvent::PartitionRing`]): a sourceless top-ring member is
-    /// isolated from its ring peers, must fence itself via the epoch
-    /// layer's primary-component rule, and merge back after the
-    /// always-scheduled heal. Only generated in single-source worlds —
-    /// the one shape where the isolated member is sourceless on *every*
-    /// backend, so a partitioned minority that (correctly) assigns
-    /// nothing is also the world's ground truth. Mutually exclusive with
-    /// core kills in one scenario (a killed majority would leave no
-    /// primary component to keep the GSN stream alive).
-    pub allow_ring_partition: bool,
-    /// Schedule Byzantine-ish control replays
-    /// ([`ScenarioEvent::ReplayControl`]): duplicated, delayed
-    /// Token / RingFail / RejoinGrant copies the lifecycle idempotency and
-    /// epoch fence must absorb.
-    pub allow_control_replay: bool,
-    /// Schedule forced token loss.
-    pub allow_token_drop: bool,
-    /// Generate multi-group worlds: 2..=[`ChaosConfig::max_groups`]
-    /// declared groups (one token ring each), per-walker subscription
-    /// sets, and per-source target sets — including overlapping ≥ 2-group
-    /// targets that route through the cross-group fence. Multi-group
-    /// worlds keep the mobility / AP-fault mix but suppress the wired-core
-    /// fault repertoire (kills, rejoins, partitions, control replays,
-    /// token drops): those events address one shared ring's index space,
-    /// and on a fleet of rings each ring owns its own recovery story.
+    /// Generate multi-group worlds: 2..=4 declared groups (one token ring
+    /// each), per-walker subscription sets, and per-source target sets —
+    /// including overlapping ≥ 2-group targets that route through the
+    /// cross-group fence. Multi-group worlds keep the mobility / AP-fault
+    /// mix but suppress the wired-core fault repertoire (kills, rejoins,
+    /// partitions, control replays, token drops): those events address one
+    /// shared ring's index space, and on a fleet of rings each ring owns
+    /// its own recovery story.
     pub allow_multi_group: bool,
-    /// Largest declared group count of a multi-group world (also bounded
-    /// by the attachment count — the flat ring hosts one ring per group
-    /// over its stations).
-    pub max_groups: usize,
     /// The liveness window the soak audits with; fault times stay clear of
     /// the last `liveness_window + 1s` of the run so recovery can complete.
     pub liveness_window: SimDuration,
@@ -136,18 +100,8 @@ impl Default for ChaosConfig {
             min_duration: SimDuration::from_secs(5),
             max_duration: SimDuration::from_secs(7),
             allow_lossy_wireless: true,
-            allow_mobility: true,
             allow_late_joins: true,
-            allow_walker_kills: true,
-            allow_core_kills: true,
-            allow_core_rejoin: true,
-            allow_ap_crash_restart: true,
-            allow_partitions: true,
-            allow_ring_partition: true,
-            allow_control_replay: true,
-            allow_token_drop: true,
             allow_multi_group: true,
-            max_groups: 4,
             liveness_window: SimDuration::from_secs(2),
             telemetry: false,
         }
@@ -227,6 +181,11 @@ impl ChaosConfig {
         (brs, ringnet.min(tree).min(flat))
     }
 }
+
+/// Largest declared group count of a multi-group world (also bounded by
+/// the attachment count — the flat ring hosts one ring per group over its
+/// stations).
+const MAX_GROUPS: usize = 4;
 
 fn ms(rng: &mut SimRng, lo: SimDuration, hi: SimDuration) -> SimTime {
     let lo = lo.as_nanos() / 1_000_000;
@@ -308,13 +267,13 @@ pub fn generate(cfg: &ChaosConfig, seed: u64) -> Scenario {
     let walkers = placements.len();
 
     // ---- groups -------------------------------------------------------
-    // A multi-group world declares 2..=max_groups groups. Every source
+    // A multi-group world declares 2..=MAX_GROUPS groups. Every source
     // targets either one group or an overlapping set of ≥ 2 (the
     // cross-group fence path); source 0 is biased toward overlap so the
     // fence is exercised in most multi-group worlds. Every walker
     // subscription intersects the sourced groups, so liveness still means
     // something for every audited walker.
-    let group_cap = cfg.max_groups.min(attachments);
+    let group_cap = MAX_GROUPS.min(attachments);
     let multi_group = cfg.allow_multi_group && group_cap >= 2 && rng.chance(0.45);
     let n_groups = if multi_group {
         2 + rng.index(group_cap - 1)
@@ -395,7 +354,7 @@ pub fn generate(cfg: &ChaosConfig, seed: u64) -> Scenario {
     }
     // Handoffs: walk each mover's attachment chain so every hop goes to a
     // *different* attachment (same-attachment handoffs are no-ops).
-    if cfg.allow_mobility && attachments >= 2 {
+    if attachments >= 2 {
         let handoff_hi = duration_d.saturating_sub(SimDuration::from_secs(1));
         for (w, placement) in placements.iter().enumerate().take(walkers - late_joiners) {
             let hops = rng.index(4); // 0..=3
@@ -422,13 +381,13 @@ pub fn generate(cfg: &ChaosConfig, seed: u64) -> Scenario {
     let mut heavy = 0;
     if can_fault {
         let fault_time = |rng: &mut SimRng| ms(rng, fault_lo, fault_hi);
-        if cfg.allow_walker_kills && walkers > 2 && rng.chance(0.25) {
+        if walkers > 2 && rng.chance(0.25) {
             events.push(ScenarioEvent::KillWalker {
                 at: fault_time(&mut rng),
                 walker: rng.index(walkers - late_joiners),
             });
         }
-        if cfg.allow_ap_crash_restart && rng.chance(0.35) {
+        if rng.chance(0.35) {
             let ap = rng.index(attachments);
             let crash = fault_time(&mut rng);
             let latest = duration - (cfg.liveness_window + SimDuration::from_millis(500));
@@ -445,11 +404,12 @@ pub fn generate(cfg: &ChaosConfig, seed: u64) -> Scenario {
         // source yet on the top ring of every backend, which exists
         // exactly in single-source worlds). The minority side must fence
         // itself via the primary-component rule, assign nothing while
-        // fenced, and merge back after the heal. Exclusive with core
-        // kills: a kill on top of a partition could leave no primary
-        // component at all.
+        // fenced, and merge back after the heal; being sourceless on every
+        // backend, a minority that assigns nothing is also the world's
+        // ground truth. Exclusive with core kills: a kill on top of a
+        // partition could leave no primary component at all.
         let mut ring_partitioned = false;
-        if cfg.allow_ring_partition && !multi_group && sources == 1 && rng.chance(0.3) {
+        if !multi_group && sources == 1 && rng.chance(0.3) {
             let down = fault_time(&mut rng);
             let latest = duration - (cfg.liveness_window + SimDuration::from_millis(500));
             let heal = (down + SimDuration::from_millis(400 + rng.range_u64(0, 1_100))).min(latest);
@@ -464,19 +424,14 @@ pub fn generate(cfg: &ChaosConfig, seed: u64) -> Scenario {
             ring_partitioned = true;
             heavy += 1;
         }
-        if cfg.allow_core_kills
-            && !multi_group
-            && !ring_partitioned
-            && core_len > sources + 1
-            && rng.chance(0.3)
-        {
+        if !multi_group && !ring_partitioned && core_len > sources + 1 && rng.chance(0.3) {
             // Never a source-bearing entity (indices < sources in every
             // KillCore-implementing backend).
             let index = sources + rng.index(core_len - sources);
             let kill_at = fault_time(&mut rng);
             events.push(ScenarioEvent::KillCore { at: kill_at, index });
             heavy += 1;
-            if cfg.allow_control_replay && rng.chance(0.4) {
+            if rng.chance(0.4) {
                 // A delayed duplicate of the RingFail broadcast lands while
                 // the victim is still down (strictly before any rejoin —
                 // the idempotent excision must absorb it).
@@ -486,7 +441,7 @@ pub fn generate(cfg: &ChaosConfig, seed: u64) -> Scenario {
                     index,
                 });
             }
-            if cfg.allow_core_rejoin && rng.chance(0.6) {
+            if rng.chance(0.6) {
                 // Kill → restart → rejoin: the entity comes back (possibly
                 // before its ring even noticed the crash) and must splice
                 // into the repaired ring without forking GSN assignment.
@@ -495,7 +450,7 @@ pub fn generate(cfg: &ChaosConfig, seed: u64) -> Scenario {
                     (kill_at + SimDuration::from_millis(300 + rng.range_u64(0, 1_200))).min(latest);
                 let rejoin = rejoin.max(kill_at);
                 events.push(ScenarioEvent::RingRejoin { at: rejoin, index });
-                if cfg.allow_control_replay && rng.chance(0.4) {
+                if rng.chance(0.4) {
                     // A delayed duplicate of the grant broadcast reaches
                     // the peers after the splice settled.
                     let grant_replay = (rejoin
@@ -509,7 +464,7 @@ pub fn generate(cfg: &ChaosConfig, seed: u64) -> Scenario {
                 }
             }
         }
-        if cfg.allow_control_replay && !multi_group && rng.chance(0.25) {
+        if !multi_group && rng.chance(0.25) {
             // A duplicated, delayed copy of an ordering-token pass: core
             // entity 0 re-sends its kept snapshot; the receiver's epoch
             // fence must suppress whichever copy arrives second.
@@ -519,7 +474,7 @@ pub fn generate(cfg: &ChaosConfig, seed: u64) -> Scenario {
                 index: 0,
             });
         }
-        if cfg.allow_partitions && !multi_group && heavy < 2 && rng.chance(0.3) {
+        if !multi_group && heavy < 2 && rng.chance(0.3) {
             // One endpoint below the RingNet BR tier, one in the AG tier —
             // never a top-ring pair (a partitioned ordering ring is a
             // split-brain world no total-order protocol can win).
@@ -540,7 +495,7 @@ pub fn generate(cfg: &ChaosConfig, seed: u64) -> Scenario {
                 heavy += 1;
             }
         }
-        if cfg.allow_token_drop && !multi_group && heavy < 2 && rng.chance(0.3) {
+        if !multi_group && heavy < 2 && rng.chance(0.3) {
             events.push(ScenarioEvent::DropToken {
                 at: fault_time(&mut rng),
             });
@@ -813,21 +768,27 @@ mod tests {
     #[test]
     fn toggles_suppress_their_faults() {
         let cfg = ChaosConfig {
-            allow_mobility: false,
+            allow_lossy_wireless: false,
             allow_late_joins: false,
-            allow_walker_kills: false,
-            allow_core_kills: false,
-            allow_core_rejoin: false,
-            allow_ap_crash_restart: false,
-            allow_partitions: false,
-            allow_ring_partition: false,
-            allow_control_replay: false,
-            allow_token_drop: false,
+            allow_multi_group: false,
             ..ChaosConfig::default()
         };
         for seed in 0..32 {
             let sc = generate(&cfg, seed);
-            assert!(sc.events.is_empty(), "seed {seed}: {:?}", sc.events);
+            assert!(sc.walkers.iter().all(Option::is_some), "seed {seed}");
+            assert!(
+                !sc.events
+                    .iter()
+                    .any(|e| matches!(e, ScenarioEvent::Join { .. })),
+                "seed {seed}: {:?}",
+                sc.events
+            );
+            assert_eq!(
+                sc.links.wireless.loss.steady_state_loss(),
+                0.0,
+                "seed {seed}"
+            );
+            assert_eq!(sc.declared_groups().len(), 1, "seed {seed}");
         }
     }
 }

@@ -3,7 +3,7 @@
 //!
 //! Delivery itself is push-based and lives in `forwarding::drive_delivery`;
 //! this module manages *who* gets those pushes: children graft onto and
-//! prune from parents, MHs join / leave / hand off between APs, and the
+//! prune from parents, MHs join / hand off between APs, and the
 //! multicast-path-reservation scheme pre-activates neighbouring APs so that
 //! "when an MH handoffs, it can immediately receive multicast messages".
 
@@ -118,20 +118,6 @@ impl NeState {
         }
         self.ensure_active_grafted(now, out);
         self.emit_reservations(out);
-    }
-
-    /// An MH leaves the group at this AP.
-    pub(crate) fn on_leave(&mut self, now: SimTime, guid: Guid, out: &mut Outbox) {
-        let Some(ap) = self.ap.as_mut() else { return };
-        if ap.wt.remove(guid).is_some() {
-            ap.last_heard.remove(&guid);
-            self.pending_delta -= 1;
-            self.subtree_members -= 1;
-        }
-        // Deactivation (prune from parent) is handled lazily by the
-        // heartbeat tick once no members and no reservation remain.
-        let _ = now;
-        let _ = out;
     }
 
     /// An MH arrives after a handoff and resumes delivery from its own
@@ -416,20 +402,6 @@ mod tests {
         out.clear();
         n.on_join(SimTime::from_millis(2), Guid(7), &mut out);
         assert_eq!(n.pending_delta, 1);
-    }
-
-    #[test]
-    fn leave_decrements_membership() {
-        let mut n = ap(true, vec![]);
-        let mut out = Vec::new();
-        n.on_join(SimTime::ZERO, Guid(7), &mut out);
-        n.on_leave(SimTime::ZERO, Guid(7), &mut out);
-        assert_eq!(n.pending_delta, 0);
-        assert_eq!(n.subtree_members, 0);
-        assert!(n.ap.as_ref().unwrap().wt.is_empty());
-        // Leave of unknown member is a no-op.
-        n.on_leave(SimTime::ZERO, Guid(8), &mut out);
-        assert_eq!(n.pending_delta, 0);
     }
 
     #[test]

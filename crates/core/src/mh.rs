@@ -101,19 +101,6 @@ impl MhState {
         ));
     }
 
-    /// Leave the group (and detach).
-    pub fn leave(&mut self, _now: SimTime, out: &mut Outbox) {
-        if let Some(ap) = self.ap.take() {
-            out.push(Action::to_ne(
-                ap,
-                Msg::Leave {
-                    group: self.group,
-                    guid: self.guid,
-                },
-            ));
-        }
-    }
-
     /// Dispatch one received message.
     pub fn on_msg(&mut self, now: SimTime, from: Endpoint, msg: Msg, out: &mut Outbox) {
         if !self.alive {

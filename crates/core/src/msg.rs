@@ -219,13 +219,6 @@ pub enum Msg {
         /// The joining mobile host.
         guid: Guid,
     },
-    /// MH → AP: leave the group.
-    Leave {
-        /// Group.
-        group: GroupId,
-        /// The leaving mobile host.
-        guid: Guid,
-    },
     /// MH → new AP after a handoff: register and resume delivery.
     HandoffRegister {
         /// Group.
@@ -337,7 +330,6 @@ impl Msg {
             | Msg::Prune { group, .. }
             | Msg::MembershipUpdate { group, .. }
             | Msg::Join { group, .. }
-            | Msg::Leave { group, .. }
             | Msg::HandoffRegister { group, .. }
             | Msg::Reserve { group, .. }
             | Msg::JoinAck { group, .. }

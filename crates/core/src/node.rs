@@ -739,7 +739,6 @@ impl NeState {
             Msg::Prune { child, .. } => self.on_prune(now, child, out),
             Msg::MembershipUpdate { delta, .. } => self.on_membership_update(delta),
             Msg::Join { guid, .. } => self.on_join(now, guid, out),
-            Msg::Leave { guid, .. } => self.on_leave(now, guid, out),
             Msg::HandoffRegister {
                 guid, resume_from, ..
             } => self.on_handoff_register(now, guid, resume_from, out),
