@@ -47,11 +47,6 @@ pub(crate) enum TunMsg {
         /// Its new AP.
         new_ap: NodeId,
     },
-    /// Radio stimulus to the MH (scenario-injected).
-    HandoffTo {
-        /// The new AP.
-        new_ap: NodeId,
-    },
 }
 
 /// The home agent: group subscription point and per-MH tunnel endpoint.
@@ -157,39 +152,38 @@ struct TunMh {
 
 impl Actor<TunMsg, ProtoEvent, Harvest> for TunMh {
     fn on_packet(&mut self, ctx: &mut Ctx<'_, TunMsg, ProtoEvent>, _from: NodeAddr, msg: TunMsg) {
-        match msg {
-            TunMsg::Deliver { seq } => {
-                if seq <= self.highest {
-                    self.duplicates += 1;
-                    return;
-                }
-                self.highest = seq;
-                self.delivered += 1;
-                ctx.record(ProtoEvent::MhDeliver {
-                    group: self.group,
-                    mh: self.guid,
-                    gsn: GlobalSeq(seq),
-                    source: NodeId(0),
-                    local_seq: LocalSeq(seq),
-                });
-            }
-            TunMsg::HandoffTo { new_ap } => {
-                if new_ap == self.ap {
-                    return;
-                }
-                self.ap = new_ap;
-                self.handoffs += 1;
-                if let Some(addr) = self.star.edge(new_ap) {
-                    ctx.send(
-                        addr,
-                        TunMsg::CoaUpdate {
-                            guid: self.guid,
-                            new_ap,
-                        },
-                    );
-                }
-            }
-            _ => {}
+        let TunMsg::Deliver { seq } = msg else { return };
+        if seq <= self.highest {
+            self.duplicates += 1;
+            return;
+        }
+        self.highest = seq;
+        self.delivered += 1;
+        ctx.record(ProtoEvent::MhDeliver {
+            group: self.group,
+            mh: self.guid,
+            gsn: GlobalSeq(seq),
+            source: NodeId(0),
+            local_seq: LocalSeq(seq),
+        });
+    }
+
+    /// The radio stimulus of a handoff: `tag` is the new AP's id.
+    fn on_timer(&mut self, ctx: &mut Ctx<'_, TunMsg, ProtoEvent>, tag: u64) {
+        let new_ap = NodeId(tag as u32);
+        if new_ap == self.ap {
+            return;
+        }
+        self.ap = new_ap;
+        self.handoffs += 1;
+        if let Some(addr) = self.star.edge(new_ap) {
+            ctx.send(
+                addr,
+                TunMsg::CoaUpdate {
+                    guid: self.guid,
+                    new_ap,
+                },
+            );
         }
     }
 
@@ -212,26 +206,21 @@ pub struct TunnelSim {
 }
 
 impl TunnelSim {
-    /// Schedule an MH handoff: rewire the radio and stimulate a care-of
-    /// update.
+    /// Schedule an MH handoff: rewire the radio and set the MH a zero-delay
+    /// timer, tagged with the new AP's id, that sends the care-of update.
     fn schedule_handoff(&mut self, at: SimTime, walker: usize, attachment: usize) {
         let (guid, new_ap) = (Guid(walker as u32), Star::edge_id(attachment));
-        let (Some(mh_addr), Some(ap_addr)) = (self.star.mh(guid), self.star.edge(new_ap)) else {
+        let (Some(mh), Some(ap)) = (self.star.mh(guid), self.star.edge(new_ap)) else {
             return;
         };
         let wireless = self.wireless.clone();
         self.world.sim.world().schedule_control(at, move |w| {
-            let old: Vec<NodeAddr> = w.topo.neighbours(mh_addr).collect();
+            let old: Vec<NodeAddr> = w.topo.neighbours(mh).collect();
             for o in old {
-                w.topo.disconnect_duplex(mh_addr, o);
+                w.topo.disconnect_duplex(mh, o);
             }
-            w.topo.connect_duplex(mh_addr, ap_addr, wireless);
-            w.inject(
-                ap_addr,
-                mh_addr,
-                TunMsg::HandoffTo { new_ap },
-                SimDuration::ZERO,
-            );
+            w.topo.connect_duplex(mh, ap, wireless);
+            w.set_timer(mh, SimDuration::ZERO, u64::from(new_ap.0));
         });
     }
 }

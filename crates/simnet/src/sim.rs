@@ -15,7 +15,7 @@
 //! reordering work within one instant, changes no other link's draws.
 
 use crate::event::EventQueue;
-use crate::link::{LinkProfile, TxOutcome};
+use crate::link::TxOutcome;
 use crate::rng::SimRng;
 use crate::slab::Slab;
 use crate::time::{SimDuration, SimTime};
@@ -316,8 +316,8 @@ impl<M, R> World<M, R> {
     }
 
     /// Inject a packet that arrives at `dst` after `delay`, bypassing links.
-    /// Used by scenario code to model out-of-band stimuli (e.g. an MH's radio
-    /// detecting a new AP).
+    /// Used by the engine to deliver the copies of a replayed control
+    /// message, and by tests.
     pub fn inject(&mut self, src: NodeAddr, dst: NodeAddr, msg: M, delay: SimDuration) {
         self.queue
             .schedule(self.now + delay, Ev::Packet { src, dst, msg });
@@ -512,17 +512,6 @@ impl<'a, M, R> Ctx<'a, M, R> {
     pub fn rng(&mut self) -> &mut SimRng {
         &mut self.world.rng
     }
-
-    /// Install a duplex link between this node and `peer` (e.g. a wireless
-    /// association created during handoff).
-    pub fn connect_duplex(&mut self, peer: NodeAddr, profile: LinkProfile) {
-        self.world.topo.connect_duplex(self.me, peer, profile);
-    }
-
-    /// Remove both link directions between this node and `peer`.
-    pub fn disconnect_duplex(&mut self, peer: NodeAddr) {
-        self.world.topo.disconnect_duplex(self.me, peer);
-    }
 }
 
 /// An actor's place in the address table: empty while the actor is
@@ -666,6 +655,7 @@ impl<M, R, F> Sim<M, R, F> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::link::LinkProfile;
     use std::cell::RefCell;
     use std::rc::Rc;
 
