@@ -19,9 +19,9 @@
 //! * [`Finals`] — the typed end-of-run counters, with their lookups, and
 //!   the [`Harvest`] every backend's actors write them into as they stop.
 //! * The standalone per-metric functions — each a separate pass over a
-//!   retained journal: the order checks, and the journal-dependent
-//!   diagnostics (delivery gaps, token rotation, windowed rates) that only
-//!   make sense with a retained journal.
+//!   retained journal, for what no [`RunMetrics`] field gives: the pairwise
+//!   agreement check, and the journal-dependent diagnostics (per-walker
+//!   deliveries, delivery gaps, token rotation, windowed rates).
 
 use std::cell::Cell;
 use std::collections::{BTreeMap, BTreeSet};
@@ -249,26 +249,9 @@ pub(crate) fn deliveries_per_mh_group(
     map
 }
 
-/// Number of total-order violations: deliveries whose global sequence
-/// number does not strictly increase at some `(MH, group)` stream. Zero
-/// for a correct run. (Strictly increasing per-stream sequences imply
-/// pairwise-consistent total order across MHs within each group, because
-/// the sequence numbers are unique per ring.)
-pub fn order_violations(journal: &Journal) -> u64 {
-    let mut violations = 0;
-    for (_, seq) in deliveries_per_mh_group(journal) {
-        for w in seq.windows(2) {
-            if w[1].1 <= w[0].1 {
-                violations += 1;
-            }
-        }
-    }
-    violations
-}
-
 /// True when no two MHs ever delivered the same pair of messages in
 /// opposite relative orders (direct pairwise agreement check, stronger
-/// diagnostics than [`order_violations`]).
+/// diagnostics than [`RunMetrics::order_violations`]).
 ///
 /// Position maps are built once per MH — a duplicate GSN within a single
 /// stream is itself a disagreement (the old diagonal self-check) — and
@@ -313,30 +296,6 @@ fn pairwise_agreement_within(orders: &[Vec<GlobalSeq>]) -> bool {
         }
     }
     true
-}
-
-/// End-to-end latency samples: reception at the corresponding node
-/// (`SourceSend`) → application delivery at each MH (`MhDeliver`), matched
-/// by `(source, local_seq)`. Returns a histogram of nanoseconds.
-pub fn end_to_end_latency(journal: &Journal) -> Histogram {
-    let mut sent: BTreeMap<(NodeId, LocalSeq), SimTime> = BTreeMap::new();
-    let mut h = Histogram::new();
-    for (t, e) in journal {
-        match e {
-            ProtoEvent::SourceSend { source, local_seq } => {
-                sent.entry((*source, *local_seq)).or_insert(*t);
-            }
-            ProtoEvent::MhDeliver {
-                source, local_seq, ..
-            } => {
-                if let Some(&t0) = sent.get(&(*source, *local_seq)) {
-                    h.add(t.saturating_since(t0).as_nanos());
-                }
-            }
-            _ => {}
-        }
-    }
-    h
 }
 
 /// Mean per-MH delivery rate (messages/second) within `[from, to]`.
@@ -708,13 +667,21 @@ mod tests {
         )
     }
 
+    /// The accumulator's metrics over one journal, with no end-of-run
+    /// counters.
+    fn summarise(journal: &Journal) -> RunMetrics {
+        let mut acc = MetricsAccumulator::new(BTreeSet::new());
+        acc.observe_journal(journal);
+        acc.finish()
+    }
+
     #[test]
     fn order_violation_detection() {
         let ok = vec![deliver(1, 0, 1), deliver(2, 0, 2), deliver(3, 1, 1)];
-        assert_eq!(order_violations(&ok), 0);
+        assert_eq!(summarise(&ok).order_violations, 0);
         assert!(pairwise_agreement(&ok));
         let bad = vec![deliver(1, 0, 2), deliver(2, 0, 1)];
-        assert_eq!(order_violations(&bad), 1);
+        assert_eq!(summarise(&bad).order_violations, 1);
     }
 
     #[test]
@@ -744,7 +711,7 @@ mod tests {
     #[test]
     fn latency_matching() {
         let j = vec![send(10, 1), deliver(35, 0, 1), deliver(45, 1, 1)];
-        let h = end_to_end_latency(&j);
+        let h = summarise(&j).e2e_latency;
         assert_eq!(h.count(), 2);
         assert_eq!(h.max(), SimDuration::from_millis(35).as_nanos());
         assert_eq!(h.min(), SimDuration::from_millis(25).as_nanos());
@@ -753,7 +720,7 @@ mod tests {
     #[test]
     fn unmatched_deliveries_are_ignored() {
         let j = vec![deliver(35, 0, 1)];
-        assert_eq!(end_to_end_latency(&j).count(), 0);
+        assert_eq!(summarise(&j).e2e_latency.count(), 0);
     }
 
     #[test]

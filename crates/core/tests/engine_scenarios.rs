@@ -219,7 +219,8 @@ fn a_failover_child_skips_what_its_new_parent_already_collected() {
         index: 2 + 2,
     });
     net.run_until(SimTime::from_secs(2));
-    let journal = net.finish().journal;
+    let report = net.finish();
+    let journal = report.journal;
     let repaired = journal.iter().find_map(|(t, e)| match e {
         ProtoEvent::RingRepaired { node, failed, .. } if (*node, *failed) == (prev, dead) => {
             Some(*t)
@@ -253,7 +254,7 @@ fn a_failover_child_skips_what_its_new_parent_already_collected() {
     assert!(!skips.is_empty(), "the orphan skips the gap");
     assert!(skips.iter().all(|&t| t > grafted), "after grafting");
     assert!(count(&journal, |e| matches!(e, ProtoEvent::MhSkip { .. })) > 0);
-    assert_eq!(ringnet_core::metrics::order_violations(&journal), 0);
+    assert_eq!(report.metrics.order_violations, 0);
 }
 
 /// An AG ring's leader dies 9 ms after a heartbeat tick on a loss-free
@@ -286,7 +287,8 @@ fn a_dead_ag_ring_leader_is_excised_and_its_next_grafts_without_a_skip() {
         index: 2,
     });
     net.run_until(SimTime::from_secs(2));
-    let journal = net.finish().journal;
+    let report = net.finish();
+    let journal = report.journal;
     let repaired: Vec<(SimTime, NodeId)> = journal
         .iter()
         .filter_map(|(t, e)| match e {
@@ -315,7 +317,7 @@ fn a_dead_ag_ring_leader_is_excised_and_its_next_grafts_without_a_skip() {
         count(&journal, |e| matches!(e, ProtoEvent::MhSkip { .. })),
         0
     );
-    assert_eq!(ringnet_core::metrics::order_violations(&journal), 0);
+    assert_eq!(report.metrics.order_violations, 0);
 }
 
 /// An NE runs two timer chains — hop tick and heartbeat — and an MH wakes
@@ -678,7 +680,8 @@ fn station_shaped_spec_delivers_in_order() {
         to: 3,
     });
     net.run_until(SimTime::from_secs(3));
-    let journal = net.finish().journal;
+    let report = net.finish();
+    let journal = report.journal;
     assert_eq!(
         count(&journal, |e| matches!(e, ProtoEvent::Ordered { .. })),
         40,
@@ -697,7 +700,7 @@ fn station_shaped_spec_delivers_in_order() {
     for (mh, seq) in &per_mh {
         assert_eq!(seq.len(), 40, "{mh} delivered everything: {seq:?}");
     }
-    assert_eq!(ringnet_core::metrics::order_violations(&journal), 0);
+    assert_eq!(report.metrics.order_violations, 0);
 }
 
 /// A two-BR top ring cut exactly at a heartbeat tick, while the token and
@@ -1410,7 +1413,7 @@ fn a_ring_under_an_isolated_br_fails_over_to_the_primary() {
         );
         assert_eq!(got, spec.mhs.len(), "GSN {g}");
     }
-    assert_eq!(ringnet_core::metrics::order_violations(journal), 0);
+    assert_eq!(report.metrics.order_violations, 0);
 }
 
 /// The same isolation healed at 1.2 s, within the failover window of
@@ -1449,7 +1452,7 @@ fn a_partition_healed_within_the_failover_window_skips_nothing() {
     );
     assert_eq!(iso.ne_skips, BTreeMap::new());
     assert_eq!(iso.mh_skips, 0);
-    assert_eq!(ringnet_core::metrics::order_violations(&report.journal), 0);
+    assert_eq!(report.metrics.order_violations, 0);
 }
 
 /// The same isolation healed one top-ring confirmation after BR 1 fenced
@@ -1500,7 +1503,7 @@ fn a_partition_healed_before_the_failover_skips_nothing() {
     );
     assert_eq!(iso.ne_skips, BTreeMap::new());
     assert_eq!(iso.mh_skips, 0);
-    assert_eq!(ringnet_core::metrics::order_violations(&report.journal), 0);
+    assert_eq!(report.metrics.order_violations, 0);
 }
 
 /// A cut between an AG ring's leader and its next member, pinned as a
@@ -1583,7 +1586,7 @@ fn a_cut_between_an_ag_ring_leader_and_its_next_makes_each_excise_the_other() {
     assert_eq!(ne_skips, [3, 4, 6, 7].map(|n| (NodeId(n), 5)).into());
     assert_eq!(mh_skips, [1, 2].map(|w| (Guid(w), 5)).into());
     assert_eq!(report.metrics.delivered, 1_487);
-    assert_eq!(ringnet_core::metrics::order_violations(journal), 0);
+    assert_eq!(report.metrics.order_violations, 0);
 }
 
 /// Token-Regeneration (§4.2.1) on the loss-free Figure-1 world: a
@@ -1763,7 +1766,7 @@ fn a_token_dropped_on_a_ring_repaired_around_a_dead_br_is_regenerated_once() {
             .duration(SimTime::from_secs(4))
             .build();
         assert!(ringnet_spec(&sc).validate().is_empty());
-        RingNetSim::run_scenario(&sc, 7).journal
+        RingNetSim::run_scenario(&sc, 7)
     };
     let regenerated = |journal: &[(SimTime, ProtoEvent)]| -> Vec<SimTime> {
         (journal.iter())
@@ -1771,8 +1774,9 @@ fn a_token_dropped_on_a_ring_repaired_around_a_dead_br_is_regenerated_once() {
             .map(|(t, _)| *t)
             .collect()
     };
-    let journal = run(25);
-    let repaired = count(&journal, |e| {
+    let report = run(25);
+    let journal = &report.journal;
+    let repaired = count(journal, |e| {
         matches!(
             e,
             ProtoEvent::RingRepaired {
@@ -1782,14 +1786,18 @@ fn a_token_dropped_on_a_ring_repaired_around_a_dead_br_is_regenerated_once() {
         )
     });
     assert!(repaired > 0, "BR 2 excised");
-    let dropped = count(&journal, |e| matches!(e, ProtoEvent::TokenDropped { .. }));
+    let dropped = count(journal, |e| matches!(e, ProtoEvent::TokenDropped { .. }));
     assert_eq!(dropped, 1);
-    let regen = regenerated(&journal);
+    let regen = regenerated(journal);
     let [regen_at] = regen[..] else {
         panic!("one regeneration: {regen:?}")
     };
     assert!(regen_at > ms(2_000), "{regen_at:?}");
-    assert_eq!(regenerated(&run(3)), regen, "br_ag moved the regeneration");
+    assert_eq!(
+        regenerated(&run(3).journal),
+        regen,
+        "br_ag moved the regeneration"
+    );
     let ordered: Vec<u64> = (journal.iter())
         .filter_map(|(_, e)| match *e {
             ProtoEvent::Ordered { gsn, .. } => Some(gsn.0),
@@ -1799,7 +1807,7 @@ fn a_token_dropped_on_a_ring_repaired_around_a_dead_br_is_regenerated_once() {
     let gsns: BTreeSet<u64> = ordered.iter().copied().collect();
     assert_eq!(gsns.len(), ordered.len(), "a number assigned twice");
     assert_eq!(gsns, (1..=ordered.len() as u64).collect());
-    assert_eq!(ringnet_core::metrics::order_violations(&journal), 0);
+    assert_eq!(report.metrics.order_violations, 0);
 }
 
 /// The detection bound of `ringnet_core::membership`: a neighbour that
@@ -1953,5 +1961,5 @@ fn a_loss_free_world_at_the_validated_link_bound_convicts_nobody() {
     assert_eq!(m.skipped, 0);
     assert_eq!(m.duplicates, 0);
     assert_eq!(m.delivery_ratio(), 1.0);
-    assert_eq!(ringnet_core::metrics::order_violations(journal), 0);
+    assert_eq!(report.metrics.order_violations, 0);
 }

@@ -15,7 +15,6 @@ use ringnet_core::driver::{CoreShape, MulticastSim, ScenarioBuilder};
 use ringnet_core::{NodeId, ProtocolConfig, RingNetSim};
 use simnet::{SimDuration, SimTime};
 
-use crate::metrics;
 use crate::report::{fms, Table};
 
 struct Point {
@@ -43,7 +42,7 @@ fn measure(cfg: ProtocolConfig, duration: SimTime) -> Point {
         .build();
     let report = RingNetSim::run_scenario(&sc, 23);
     let (finals, totals) = (&report.finals, &report.metrics);
-    let h = metrics::end_to_end_latency(&report.journal);
+    let h = &totals.e2e_latency;
     let retransmissions = finals.ne.values().map(|f| f.retransmissions as u64).sum();
     let skips = finals.mh_totals().skipped;
     let mut mq_peak = 0;

@@ -11,7 +11,6 @@ use ringnet_core::driver::{CoreShape, MulticastSim, ScenarioBuilder, ScenarioEve
 use ringnet_core::{NodeId, ProtoEvent, RingNetSim};
 use simnet::{SimDuration, SimTime};
 
-use crate::metrics;
 use crate::report::{fms, Table};
 
 struct Point {
@@ -42,7 +41,8 @@ fn measure(victim: NodeId, seed: u64, quick: bool) -> Point {
             index: victim.0 as usize,
         })
         .build();
-    let journal = RingNetSim::run_scenario(&sc, seed).journal;
+    let report = RingNetSim::run_scenario(&sc, seed);
+    let journal = &report.journal;
 
     // Ordering stall: the largest gap between consecutive Ordered events
     // in the window around the failure.
@@ -79,7 +79,7 @@ fn measure(victim: NodeId, seed: u64, quick: bool) -> Point {
 
     Point {
         stall,
-        violations: metrics::order_violations(&journal),
+        violations: report.metrics.order_violations,
         dup_assignments,
         continued,
         regenerated,

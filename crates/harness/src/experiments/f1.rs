@@ -43,10 +43,10 @@ pub fn run(quick: bool) -> Table {
 
     let mut net = RingNetSim::for_scenario(spec, &sc, 1);
     net.run_until(SimTime::from_secs(if quick { 3 } else { 6 }));
-    let journal = net.finish().journal;
-    let per = metrics::deliveries_per_mh(&journal);
+    let report = net.finish();
+    let per = metrics::deliveries_per_mh(&report.journal);
     let complete = per.values().filter(|v| v.len() as u64 == msgs).count();
-    let violations = metrics::order_violations(&journal);
+    let violations = report.metrics.order_violations;
     table.row(vec![
         "delivery".into(),
         format!("{}/{} MHs complete", complete, per.len()),

@@ -13,7 +13,6 @@ use ringnet_core::RingNetSim;
 use simnet::{SimDuration, SimTime};
 
 use crate::experiments::analytic_t_deliver;
-use crate::metrics;
 use crate::report::{fms, Table};
 
 const AGS_PER_RING: usize = 2;
@@ -56,7 +55,7 @@ pub fn measure(r: usize, duration: SimTime) -> Point {
         .build();
     let links = &sc.links;
     let report = RingNetSim::run_scenario(&sc, 7);
-    let h = metrics::end_to_end_latency(&report.journal);
+    let h = &report.metrics.e2e_latency;
     assert!(h.count() > 0, "no latency samples");
     let inputs = TheoremInputs {
         ring_size: r,

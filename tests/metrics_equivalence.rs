@@ -26,11 +26,12 @@ const SEED: u64 = 2024;
 /// pipeline, kept here (and only here) as the independent reference the
 /// single-pass `MetricsAccumulator` is pinned to.
 mod oracle {
-    use std::collections::BTreeSet;
+    use std::collections::{BTreeMap, BTreeSet};
 
     use ringnet_repro::core::driver::{RunMetrics, RunReport};
-    use ringnet_repro::core::{NodeId, ProtoEvent};
-    use ringnet_repro::harness::metrics::{end_to_end_latency, order_violations, Journal};
+    use ringnet_repro::core::{GlobalSeq, GroupId, Guid, LocalSeq, NodeId, ProtoEvent};
+    use ringnet_repro::harness::metrics::Journal;
+    use ringnet_repro::simnet::{Histogram, SimTime};
 
     /// Assemble [`RunMetrics`] one pass per metric, never touching the
     /// accumulator.
@@ -63,6 +64,46 @@ mod oracle {
     /// Journal entries matching `kind`.
     fn count(journal: &Journal, kind: impl Fn(&ProtoEvent) -> bool) -> u64 {
         journal.iter().filter(|(_, e)| kind(e)).count() as u64
+    }
+
+    /// Number of total-order violations: deliveries whose global sequence
+    /// number does not strictly increase at some `(MH, group)` stream.
+    fn order_violations(journal: &Journal) -> u64 {
+        let mut streams: BTreeMap<(Guid, GroupId), Vec<GlobalSeq>> = BTreeMap::new();
+        for (_, e) in journal {
+            if let ProtoEvent::MhDeliver { group, mh, gsn, .. } = e {
+                streams.entry((*mh, *group)).or_default().push(*gsn);
+            }
+        }
+        streams
+            .values()
+            .flat_map(|seq| seq.windows(2))
+            .filter(|w| w[1] <= w[0])
+            .count() as u64
+    }
+
+    /// End-to-end latency samples: the first `SourceSend` of a message →
+    /// each `MhDeliver` of it, matched by `(source, local_seq)`, in
+    /// nanoseconds.
+    fn end_to_end_latency(journal: &Journal) -> Histogram {
+        let mut sent: BTreeMap<(NodeId, LocalSeq), SimTime> = BTreeMap::new();
+        let mut h = Histogram::new();
+        for (t, e) in journal {
+            match e {
+                ProtoEvent::SourceSend { source, local_seq } => {
+                    sent.entry((*source, *local_seq)).or_insert(*t);
+                }
+                ProtoEvent::MhDeliver {
+                    source, local_seq, ..
+                } => {
+                    if let Some(&t0) = sent.get(&(*source, *local_seq)) {
+                        h.add(t.saturating_since(t0).as_nanos());
+                    }
+                }
+                _ => {}
+            }
+        }
+        h
     }
 }
 
