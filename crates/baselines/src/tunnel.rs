@@ -210,17 +210,17 @@ impl TunnelSim {
     /// timer, tagged with the new AP's id, that sends the care-of update.
     fn schedule_handoff(&mut self, at: SimTime, walker: usize, attachment: usize) {
         let (guid, new_ap) = (Guid(walker as u32), Star::edge_id(attachment));
-        let (Some(mh), Some(ap)) = (self.star.mh(guid), self.star.edge(new_ap)) else {
+        let (Some(mh_addr), Some(ap_addr)) = (self.star.mh(guid), self.star.edge(new_ap)) else {
             return;
         };
         let wireless = self.wireless.clone();
         self.world.sim.world().schedule_control(at, move |w| {
-            let old: Vec<NodeAddr> = w.topo.neighbours(mh).collect();
+            let old: Vec<NodeAddr> = w.topo.neighbours(mh_addr).collect();
             for o in old {
-                w.topo.disconnect_duplex(mh, o);
+                w.topo.disconnect_duplex(mh_addr, o);
             }
-            w.topo.connect_duplex(mh, ap, wireless);
-            w.set_timer(mh, SimDuration::ZERO, u64::from(new_ap.0));
+            w.topo.connect_duplex(mh_addr, ap_addr, wireless);
+            w.set_timer(mh_addr, SimDuration::ZERO, u64::from(new_ap.0));
         });
     }
 }

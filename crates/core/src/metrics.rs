@@ -460,7 +460,11 @@ pub struct RunMetrics {
     pub ordered: u64,
     /// Source transmissions observed.
     pub source_msgs: u64,
-    /// Total-order violations (must be 0 for ordered protocols).
+    /// Total-order violations (must be 0 for ordered protocols):
+    /// deliveries whose global sequence number does not strictly increase
+    /// at some `(MH, group)` stream. Strictly increasing per-stream
+    /// sequences imply pairwise-consistent total order across MHs within
+    /// each group, because the sequence numbers are unique per ring.
     pub order_violations: u64,
     /// End-to-end latency samples (source send → application delivery), ns.
     pub e2e_latency: Histogram,
